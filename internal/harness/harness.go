@@ -239,12 +239,12 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 			ph = obs.NewProto(nil, clock, c.Tracer, pid)
 		}
 		var h node.Handler
+		var st wal.Storage
 		var err error
 		switch {
 		case opts.Storage != nil:
-			st, serr := opts.Storage(pid)
-			if serr != nil {
-				return nil, fmt.Errorf("harness: storage for replica %d: %w", pid, serr)
+			if st, err = opts.Storage(pid); err != nil {
+				return nil, fmt.Errorf("harness: storage for replica %d: %w", pid, err)
 			}
 			c.Stores[pid] = st
 			rs, lerr := st.Load()
@@ -252,7 +252,6 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 				return nil, fmt.Errorf("harness: recovering replica %d: %w", pid, lerr)
 			}
 			h, err = sp.NewReplicaStored(pid, top, ph, rs)
-			s.SetStorage(pid, st)
 			pid, ph := pid, ph
 			rebuilds[pid] = func() (node.Handler, error) {
 				rs, err := st.Load()
@@ -270,7 +269,7 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("harness: replica %d: %w", pid, err)
 		}
 		c.Replicas[pid] = h
-		s.Add(h)
+		s.AddStored(h, st)
 	}
 	contacts := p.Contacts(top)
 	blanket := func(g mcast.GroupID) []mcast.ProcessID { return top.Members(g) }

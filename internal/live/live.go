@@ -8,7 +8,6 @@ import (
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
-	"wbcast/internal/ring"
 	"wbcast/internal/wal"
 )
 
@@ -20,12 +19,10 @@ type LatencyFunc func(from, to mcast.ProcessID) time.Duration
 type Config struct {
 	// Latency is the injected one-way delay; nil means no injection.
 	Latency LatencyFunc
-	// MailboxSize is the lock-free ring capacity of each process's input
-	// mailbox (internal/ring). Enqueues beyond it spill to an unbounded
-	// overflow, so senders never block: in-flight load is limited by the
-	// closed-loop pacing of the submitters, and non-blocking mailboxes
-	// make the blocking-channel deadlock (a cycle of processes stalled
-	// on each other's full mailboxes) impossible by construction.
+	// MailboxSize is the ring capacity of each process's input mailbox
+	// (node.Mailbox). Posts beyond it spill to an unbounded overflow, so
+	// senders never block; in-flight load is limited by the closed-loop
+	// pacing of the submitters.
 	MailboxSize int
 	// OnDeliver receives every application delivery; it is invoked from
 	// the delivering process's goroutine and must not block for long.
@@ -60,36 +57,17 @@ type envelope struct {
 }
 
 type proc struct {
-	net     *Network
-	pid     mcast.ProcessID
-	h       node.Handler
-	store   wal.Storage
+	net *Network
+	pid mcast.ProcessID
+	// step and box are the shared shard driver: the process is one
+	// ordering shard. A sender posts its envelopes from one goroutine in
+	// send order, so per-link FIFO is preserved.
+	step    *node.Step
+	box     *node.Mailbox[envelope]
 	delayIn chan envelope
 	quit    chan struct{}
 	crashed chan struct{}
 	crashMu sync.Once
-
-	// The input mailbox: a bounded MPSC ring with overflow fallback
-	// (internal/ring), consumed only by this process's mainLoop — the
-	// process is one ordering shard (groups are disjoint, so one
-	// process serves exactly one group). Envelopes from one sender are
-	// enqueued by that sender's goroutine in send order, and the ring
-	// preserves per-producer FIFO, so per-link FIFO is preserved.
-	box *ring.MPSC[envelope]
-	// wake nudges mainLoop after an enqueue (capacity 1: a pending
-	// wake-up covers any number of enqueues).
-	wake chan struct{}
-}
-
-// post enqueues an input for the process. It never blocks (ring spills
-// to the overflow instead), which is what rules out buffer-deadlock
-// cycles between processes.
-func (p *proc) post(env envelope) {
-	p.box.Enqueue(env)
-	select {
-	case p.wake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
 }
 
 // Add registers a handler. Handlers added after Start (e.g. late-joining
@@ -110,16 +88,15 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 	if _, dup := n.procs[pid]; dup {
 		return fmt.Errorf("live: duplicate process %d", pid)
 	}
+	quit := make(chan struct{})
 	p := &proc{
 		net:     n,
 		pid:     pid,
-		h:       h,
-		store:   st,
+		step:    node.NewStep(h, st),
+		box:     node.NewMailbox[envelope](n.cfg.MailboxSize, quit),
 		delayIn: make(chan envelope, 1024),
-		quit:    make(chan struct{}),
+		quit:    quit,
 		crashed: make(chan struct{}),
-		box:     ring.New[envelope](n.cfg.MailboxSize),
-		wake:    make(chan struct{}, 1),
 	}
 	n.procs[pid] = p
 	if n.started {
@@ -131,8 +108,11 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 func (n *Network) launch(p *proc) {
 	n.wg.Add(2)
 	go p.delayLoop()
-	go p.mainLoop()
-	p.post(envelope{in: node.Start{}})
+	go func() {
+		defer n.wg.Done()
+		p.box.Run(p.consume)
+	}()
+	p.box.Post(envelope{in: node.Start{}})
 }
 
 // Start launches every process goroutine and delivers the Start input.
@@ -166,42 +146,42 @@ func (n *Network) Close() {
 	n.wg.Wait()
 }
 
+// proc returns the process registered as pid, or nil.
+func (n *Network) proc(pid mcast.ProcessID) *proc {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.procs[pid]
+}
+
 // Crash stops delivering inputs to pid (crash-stop fault injection). The
 // process goroutines keep draining their queues but discard everything.
 func (n *Network) Crash(pid mcast.ProcessID) {
-	n.mu.Lock()
-	p, ok := n.procs[pid]
-	n.mu.Unlock()
-	if ok {
-		p.crashMu.Do(func() { close(p.crashed) })
+	if p := n.proc(pid); p != nil {
+		p.crash()
 	}
 }
+
+func (p *proc) crash() { p.crashMu.Do(func() { close(p.crashed) }) }
 
 // MailboxHighWater returns the largest input-mailbox depth observed at
 // pid so far, or 0 if pid is unknown. Mailboxes never block senders
 // (ring + overflow), so sustained overload shows up here rather than as
 // sender backpressure.
 func (n *Network) MailboxHighWater(pid mcast.ProcessID) int64 {
-	n.mu.Lock()
-	p, ok := n.procs[pid]
-	n.mu.Unlock()
-	if !ok {
-		return 0
+	if p := n.proc(pid); p != nil {
+		return p.box.HighWater()
 	}
-	return p.box.HighWater()
+	return 0
 }
 
 // MailboxDepth returns the current input-mailbox depth at pid, or 0 if
 // pid is unknown (an instantaneous gauge; MailboxHighWater is its
 // maximum).
 func (n *Network) MailboxDepth(pid mcast.ProcessID) int64 {
-	n.mu.Lock()
-	p, ok := n.procs[pid]
-	n.mu.Unlock()
-	if !ok {
-		return 0
+	if p := n.proc(pid); p != nil {
+		return p.box.Depth()
 	}
-	return p.box.Depth()
+	return 0
 }
 
 // Submit posts a Submit input to a client process. It never blocks;
@@ -213,10 +193,8 @@ func (n *Network) Submit(pid mcast.ProcessID, m mcast.AppMsg) error {
 
 // Inject posts an arbitrary input to a process.
 func (n *Network) Inject(pid mcast.ProcessID, in node.Input) error {
-	n.mu.Lock()
-	p, ok := n.procs[pid]
-	n.mu.Unlock()
-	if !ok {
+	p := n.proc(pid)
+	if p == nil {
 		return fmt.Errorf("live: unknown process %d", pid)
 	}
 	select {
@@ -224,76 +202,37 @@ func (n *Network) Inject(pid mcast.ProcessID, in node.Input) error {
 		return fmt.Errorf("live: network closed")
 	default:
 	}
-	p.post(envelope{in: in})
+	p.box.Post(envelope{in: in})
 	return nil
 }
 
-// mainLoop serialises a handler's inputs, draining the ring mailbox in
-// arrival order. It is the single consumer of p.box.
-func (p *proc) mainLoop() {
-	defer p.net.wg.Done()
-	var fx node.Effects
-	for {
-		select {
-		case <-p.quit:
-			return
-		case <-p.wake:
-		}
-		for {
-			env, ok := p.box.Dequeue()
-			if !ok {
-				break
-			}
-			select {
-			case <-p.quit:
-				return
-			case <-p.crashed:
-				// Crashed processes discard all input.
-			default:
-				fx.Reset()
-				p.h.Handle(env.in, &fx)
-				p.apply(&fx)
-			}
-		}
+// consume runs one input through the process's Step and releases what it
+// hands back, in the driver's order: timers, sends, deliveries.
+func (p *proc) consume(env envelope) {
+	select {
+	case <-p.crashed:
+		return // crashed processes discard all input
+	default:
 	}
-}
-
-func (p *proc) apply(fx *node.Effects) {
-	// Durability first: nothing below is released unless the persist
-	// entries of this Handle call are durable. A storage failure
-	// crash-stops the process (its remaining effects are discarded).
-	if len(fx.Persists) > 0 && p.store != nil {
-		err := p.store.Append(fx.Persists...)
-		if err == nil {
-			err = p.store.Sync()
+	rel, err := p.step.Do(env.in)
+	if err != nil {
+		if p.net.cfg.Logf != nil {
+			p.net.cfg.Logf("live: p%d crash-stopping on storage failure: %v", p.pid, err)
 		}
-		if err != nil {
-			if p.net.cfg.Logf != nil {
-				p.net.cfg.Logf("live: p%d crash-stopping on storage failure: %v", p.pid, err)
-			}
-			p.crashMu.Do(func() { close(p.crashed) })
-			return
-		}
+		p.crash()
+		return
 	}
-	for _, d := range fx.Deliveries {
-		if p.net.cfg.OnDeliver != nil {
-			p.net.cfg.OnDeliver(p.pid, d)
-		}
+	for _, tm := range rel.Timers {
+		p.box.PostAfter(tm.After, envelope{in: node.Timer{Kind: tm.Kind, Data: tm.Data}})
 	}
-	for _, tm := range fx.Timers {
-		in := node.Timer{Kind: tm.Kind, Data: tm.Data}
-		pp := p
-		time.AfterFunc(tm.After, func() {
-			select {
-			case <-pp.quit:
-			default:
-				pp.post(envelope{in: in})
-			}
-		})
-	}
-	for _, snd := range fx.Sends {
+	for _, snd := range rel.Sends {
 		for i := 0; i < snd.NumRecipients(); i++ {
 			p.net.route(p.pid, snd.Recipient(i), snd.Msg)
+		}
+	}
+	if p.net.cfg.OnDeliver != nil {
+		for _, d := range rel.Deliveries {
+			p.net.cfg.OnDeliver(p.pid, d)
 		}
 	}
 }
@@ -301,10 +240,8 @@ func (p *proc) apply(fx *node.Effects) {
 // route hands a message to the destination, through its delayer when a
 // latency is configured.
 func (n *Network) route(from, to mcast.ProcessID, m msgs.Message) {
-	n.mu.Lock()
-	q, ok := n.procs[to]
-	n.mu.Unlock()
-	if !ok {
+	q := n.proc(to)
+	if q == nil {
 		return // unknown destination: drop (e.g. client already gone)
 	}
 	var lat time.Duration
@@ -313,7 +250,7 @@ func (n *Network) route(from, to mcast.ProcessID, m msgs.Message) {
 	}
 	env := envelope{in: node.Recv{From: from, Msg: m}}
 	if lat <= 0 {
-		q.post(env)
+		q.box.Post(env)
 		return
 	}
 	env.deliverAt = time.Now().Add(lat)
@@ -336,7 +273,7 @@ func (p *proc) delayLoop() {
 		// Deliver everything due.
 		now := time.Now()
 		for pq.Len() > 0 && !pq[0].deliverAt.After(now) {
-			p.post(pq.popMin())
+			p.box.Post(pq.popMin())
 		}
 		wait := time.Hour
 		if pq.Len() > 0 {

@@ -3,12 +3,16 @@
 //
 // A Handler is a pure state machine: it consumes one Input at a time and
 // appends the I/O it wants performed (message sends, application deliveries,
-// timer arming) to an Effects sink. All sources of nondeterminism — the
-// network, the clock, timers — live in the runtime driving the handler:
-// either the discrete-event simulator (internal/sim) or the goroutine
-// runtime (internal/live). This keeps protocol logic testable under exact,
+// timer arming, durable records) to an Effects sink. All sources of
+// nondeterminism — the network, the clock, timers — live in the runtime
+// driving the handler. This keeps protocol logic testable under exact,
 // reproducible schedules, which is what lets us measure the paper's latency
 // theorems in units of δ.
+//
+// The package also holds the shard driver every runtime drives a handler
+// through (shard.go; docs/CONCURRENCY.md, "The shard driver"): Step — Handle,
+// then persist and sync, then release, crash-stop on a storage error — and
+// Mailbox, the never-blocking input queue and drain loop.
 //
 // # Layering
 //

@@ -83,16 +83,13 @@ const (
 	TimerApp
 )
 
-// Effects collects the I/O requested by a handler during one Handle call.
-// The runtime allocates it, passes it in, and performs the collected
-// operations after the handler returns. A zero Effects is ready to use.
-//
-// Persists are applied FIRST: a runtime hosting the handler on a durable
-// store appends and syncs every persist entry before releasing any send or
-// delivery from the same Handle call, so each outgoing message is backed
-// by durable state; a storage failure crash-stops the process instead of
-// applying the remaining effects. Entries may alias borrowed network
-// frames (stores copy during Append), like Sends.
+// Effects collects the I/O requested by a handler during one Handle call. A
+// zero Effects is ready to use. Runtimes do not apply it themselves: Step
+// owns it, makes Persists durable FIRST (append and sync; a storage failure
+// crash-stops the process instead of applying the rest) and hands the
+// runtime only the remainder, as a Release — see docs/CONCURRENCY.md, "The
+// shard driver". Entries may alias borrowed network frames (stores copy
+// during Append), like Sends.
 type Effects struct {
 	Sends      []Send
 	Deliveries []mcast.Delivery
@@ -107,8 +104,8 @@ type Effects struct {
 // encoded frame across every recipient's writer queue. Self-sends are
 // permitted and are delivered with zero network latency.
 //
-// Tos is owned by the runtime only for the duration of the apply step; it
-// may alias long-lived slices such as Topology.Members and must not be
+// Tos is owned by the runtime only until it has released the send; it may
+// alias long-lived slices such as Topology.Members and must not be
 // mutated or retained.
 type Send struct {
 	To  mcast.ProcessID
@@ -201,8 +198,14 @@ func (fx *Effects) Persist(e wal.Entry) {
 	fx.Persists = append(fx.Persists, e)
 }
 
-// Reset clears the sink for reuse, retaining capacity.
+// Reset empties the sink for reuse, retaining capacity but no reference:
+// the used prefix is cleared, so a long-lived Effects does not pin the
+// largest burst it ever carried (a NEW_STATE, a catch-up's ACCEPT payloads,
+// persist entries aliasing network frames).
 func (fx *Effects) Reset() {
+	clear(fx.Sends)
+	clear(fx.Deliveries)
+	clear(fx.Persists)
 	fx.Sends = fx.Sends[:0]
 	fx.Deliveries = fx.Deliveries[:0]
 	fx.Timers = fx.Timers[:0]

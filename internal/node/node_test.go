@@ -7,14 +7,16 @@ import (
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
+	"wbcast/internal/wal"
 )
 
 func TestEffectsCollectAndReset(t *testing.T) {
 	var fx node.Effects
 	fx.Send(1, msgs.Heartbeat{Group: 0})
 	fx.SendAll([]mcast.ProcessID{2, 3}, msgs.Heartbeat{Group: 0})
-	fx.Deliver(mcast.Delivery{GTS: mcast.Timestamp{Time: 1}})
+	fx.Deliver(mcast.Delivery{GTS: mcast.Timestamp{Time: 1}, Msg: mcast.AppMsg{Dest: mcast.NewGroupSet(0), Payload: []byte("x")}})
 	fx.SetTimer(time.Second, node.TimerRetry, 42)
+	fx.Persist(wal.Entry{Kind: wal.EntryPrune, IDs: []mcast.MsgID{mcast.MakeMsgID(1, 1)}})
 	// SendAll collapses into ONE fan-out Send carrying both recipients.
 	if len(fx.Sends) != 2 || len(fx.Deliveries) != 1 || len(fx.Timers) != 1 {
 		t.Fatalf("effects = %d sends, %d deliveries, %d timers",
@@ -33,9 +35,25 @@ func TestEffectsCollectAndReset(t *testing.T) {
 	if len(fx.Sends) != 0 || len(fx.Deliveries) != 0 || len(fx.Timers) != 0 {
 		t.Error("Reset did not clear effects")
 	}
-	// Capacity is retained for reuse.
+	// Capacity is retained for reuse, but no reference: a reused Effects
+	// must not pin the messages, payloads or entries of an earlier call.
 	if cap(fx.Sends) == 0 {
 		t.Error("Reset dropped capacity")
+	}
+	for _, s := range fx.Sends[:cap(fx.Sends)] {
+		if s.Msg != nil || s.Tos != nil {
+			t.Errorf("Reset left a send reference behind: %+v", s)
+		}
+	}
+	for _, d := range fx.Deliveries[:cap(fx.Deliveries)] {
+		if d.Msg.Payload != nil || d.Msg.Dest != nil {
+			t.Errorf("Reset left a delivery reference behind: %+v", d)
+		}
+	}
+	for _, e := range fx.Persists[:cap(fx.Persists)] {
+		if e.IDs != nil {
+			t.Errorf("Reset left a persist-entry reference behind: %+v", e)
+		}
 	}
 }
 

@@ -197,6 +197,8 @@ func (q *MPSC[T]) Dequeue() (T, bool) {
 // Depth returns the current number of queued items (ring + overflow).
 // It is an instantaneous gauge maintained by producers and the
 // consumer; transient off-by-a-few reads under contention are expected.
+// A producer counts an item only after publishing it, so the consumer
+// never reads a depth above the number of items it can still dequeue.
 func (q *MPSC[T]) Depth() int64 { return q.depth.Load() }
 
 // HighWater returns the largest Depth observed so far.

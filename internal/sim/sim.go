@@ -104,13 +104,15 @@ type DeliveryRecord struct {
 
 // Sim is the simulator. Not safe for concurrent use.
 type Sim struct {
-	cfg     Config
-	rng     *rand.Rand
-	now     time.Duration
-	seq     uint64
-	pq      eventHeap
-	nodes   map[mcast.ProcessID]node.Handler
-	stores  map[mcast.ProcessID]wal.Storage
+	cfg Config
+	rng *rand.Rand
+	now time.Duration
+	seq uint64
+	pq  eventHeap
+	// nodes holds each process's handler behind its Step, the shared shard
+	// driver's Handle → persist → release step; the event heap plays the
+	// part of the mailbox.
+	nodes   map[mcast.ProcessID]*node.Step
 	crashed map[mcast.ProcessID]bool
 	// lastArrival enforces FIFO per ordered process pair: arrival times on a
 	// link never decrease, and equal-time events are dispatched in schedule
@@ -145,8 +147,7 @@ func New(cfg Config) *Sim {
 	return &Sim{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		nodes:       make(map[mcast.ProcessID]node.Handler),
-		stores:      make(map[mcast.ProcessID]wal.Storage),
+		nodes:       make(map[mcast.ProcessID]*node.Step),
 		crashed:     make(map[mcast.ProcessID]bool),
 		lastArrival: make(map[linkKey]time.Duration),
 		msgCounts:   make(map[msgs.Kind]int),
@@ -156,20 +157,19 @@ func New(cfg Config) *Sim {
 }
 
 // Add registers a handler and schedules its Start input at the current time.
-func (s *Sim) Add(h node.Handler) {
+func (s *Sim) Add(h node.Handler) { s.AddStored(h, nil) }
+
+// AddStored is Add for a handler backed by a durable store: its persist
+// effects are appended and synced before any send or delivery of the same
+// Handle call, and a storage error crash-stops it. A nil store discards
+// persist effects.
+func (s *Sim) AddStored(h node.Handler, st wal.Storage) {
 	pid := h.ID()
 	if _, dup := s.nodes[pid]; dup {
 		panic(fmt.Sprintf("sim: duplicate handler for process %d", pid))
 	}
-	s.nodes[pid] = h
+	s.nodes[pid] = node.NewStep(h, st)
 	s.schedule(s.now, pid, node.Start{})
-}
-
-// SetStorage attaches a durable store to process pid: its persist effects
-// are appended and synced before any send or delivery of the same Handle
-// call, and a storage error crash-stops it.
-func (s *Sim) SetStorage(pid mcast.ProcessID, st wal.Storage) {
-	s.stores[pid] = st
 }
 
 // Crash marks a process as crashed: it processes no further events —
@@ -217,12 +217,14 @@ func (s *Sim) Restart(pid mcast.ProcessID) {
 	}
 	s.pq = kept
 	heap.Init(&s.pq)
-	if _, ok := s.nodes[pid]; !ok {
+	st, ok := s.nodes[pid]
+	if !ok {
 		return
 	}
+	var h node.Handler // nil keeps the in-memory handler
 	if s.cfg.Rebuild != nil {
-		h, err := s.cfg.Rebuild(pid)
-		if err != nil {
+		var err error
+		if h, err = s.cfg.Rebuild(pid); err != nil {
 			// A process whose store cannot be replayed stays down (its peers
 			// carry on; a later Restart retries).
 			s.crashed[pid] = true
@@ -231,10 +233,8 @@ func (s *Sim) Restart(pid mcast.ProcessID) {
 			}
 			return
 		}
-		if h != nil {
-			s.nodes[pid] = h
-		}
 	}
+	st.Restart(h)
 	s.schedule(s.now, pid, node.Start{})
 }
 
@@ -316,7 +316,7 @@ func (s *Sim) dispatch(ev event) {
 	if s.crashed[ev.proc] {
 		return
 	}
-	h, ok := s.nodes[ev.proc]
+	st, ok := s.nodes[ev.proc]
 	if !ok {
 		return
 	}
@@ -336,38 +336,23 @@ func (s *Sim) dispatch(ev event) {
 	if s.cfg.Trace != nil {
 		s.cfg.Trace(TraceEvent{At: s.now, Proc: ev.proc, In: ev.in})
 	}
-	var fx node.Effects
-	h.Handle(ev.in, &fx)
-	s.apply(ev.proc, &fx)
+	rel, err := st.Do(ev.in)
+	if err != nil {
+		// Crash-stop on a storage failure: nothing of the call was released,
+		// exactly as if the process had crashed inside Handle.
+		s.crashed[ev.proc] = true
+		if s.cfg.OnStorageCrash != nil {
+			s.cfg.OnStorageCrash(ev.proc, err)
+		}
+		return
+	}
+	s.release(ev.proc, rel)
 }
 
-func (s *Sim) apply(from mcast.ProcessID, fx *node.Effects) {
-	// Durability first: persist entries are appended and synced before any
-	// send or delivery of this Handle call is released, and a storage
-	// failure crash-stops the process — none of its remaining effects
-	// apply, exactly as if it had crashed inside the Handle call.
-	if len(fx.Persists) > 0 {
-		if st, ok := s.stores[from]; ok {
-			err := st.Append(fx.Persists...)
-			if err == nil {
-				err = st.Sync()
-			}
-			if err != nil {
-				s.crashed[from] = true
-				if s.cfg.OnStorageCrash != nil {
-					s.cfg.OnStorageCrash(from, err)
-				}
-				return
-			}
-		}
-	}
-	for _, d := range fx.Deliveries {
-		s.deliveries = append(s.deliveries, DeliveryRecord{Proc: from, At: s.now, D: d})
-		if s.cfg.OnDeliver != nil {
-			s.cfg.OnDeliver(from, d)
-		}
-	}
-	for _, tm := range fx.Timers {
+// release turns one Handle call's released effects into events, in the
+// driver's order: timers, sends, deliveries.
+func (s *Sim) release(from mcast.ProcessID, rel node.Release) {
+	for _, tm := range rel.Timers {
 		after := tm.After
 		if s.cfg.TimerScale != nil {
 			after = s.cfg.TimerScale(from, after)
@@ -377,7 +362,7 @@ func (s *Sim) apply(from mcast.ProcessID, fx *node.Effects) {
 		}
 		s.schedule(s.now+after, from, node.Timer{Kind: tm.Kind, Data: tm.Data})
 	}
-	for _, snd := range fx.Sends {
+	for _, snd := range rel.Sends {
 		// A MULTICAST for an ID the audits have never seen originates here:
 		// the sender synthesised the message itself (e.g. a batching client
 		// flushing an envelope, internal/batch). Record it so genuineness
@@ -421,6 +406,12 @@ func (s *Sim) apply(from mcast.ProcessID, fx *node.Effects) {
 				}
 				s.schedule(at, to, node.Recv{From: from, Msg: snd.Msg})
 			}
+		}
+	}
+	for _, d := range rel.Deliveries {
+		s.deliveries = append(s.deliveries, DeliveryRecord{Proc: from, At: s.now, D: d})
+		if s.cfg.OnDeliver != nil {
+			s.cfg.OnDeliver(from, d)
 		}
 	}
 }

@@ -1,11 +1,31 @@
-// Package tcpnet runs a protocol handler over TCP: length-prefixed frames
-// of wire-encoded messages, persistent outbound connections with lazy
-// dialling and reconnection, and the same serialised handler loop as the
-// in-process runtimes. It turns any node.Handler — a white-box replica, a
-// baseline replica or a client — into a network server.
+// Package tcpnet hosts protocol shards as a real TCP server: it turns any
+// node.Handler — a white-box replica, a baseline replica or a client — into
+// a network server. One Node owns one listener and one outbound connection
+// per peer address, and runs each hosted shard (groups are disjoint, so a
+// handler is one ordering shard) on the shared shard driver — its own
+// node.Mailbox and node.Step, the same loop as the in-process runtime. The
+// ordering path is pipelined across three stages (docs/CONCURRENCY.md):
 //
-// Frame format: 4-byte big-endian length, then a varint sender ProcessID,
-// then one wire-encoded message.
+//	read loops   — parse frames (borrow-mode decode) and route each to the
+//	               mailboxes of the destination shards named in the frame
+//	               header;
+//	shard loops  — Handle serially per shard, persist-before-release (the
+//	               driver), then post local sends straight to the
+//	               destination shard's mailbox and hand remote sends to the
+//	               encode stage;
+//	encode stage — serialise each send exactly once (encode-once fan-out,
+//	               shared by reference counting across the writers of every
+//	               destination address), batching ack-class unicasts per
+//	               (address, shard) into AckBatch frames.
+//
+// Every hand-off between stages is a non-blocking mailbox (a bounded MPSC
+// ring with an unbounded overflow, internal/ring), so no stage can deadlock
+// another; sustained overload shows up as mailbox depth, not as
+// backpressure.
+//
+// Frame format: 4-byte big-endian length, a uvarint destination count and
+// that many varint destination ProcessIDs (zero for an AckBatch, routed by
+// its entries), then a varint sender ProcessID and one wire-encoded message.
 //
 // # Memory discipline
 //
@@ -20,10 +40,6 @@
 //     which is recycled as soon as the handler returns. Handlers must
 //     deep-copy anything they retain (see the frame-ownership notes on
 //     node.Handler).
-//
-// The input queue is an elastic FIFO (like internal/live): senders never
-// block, which rules out buffer-deadlock cycles between nodes under
-// pipelined load.
 //
 // # Layering
 //

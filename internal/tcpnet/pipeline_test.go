@@ -191,7 +191,7 @@ func TestHostedRecipientsSkipWire(t *testing.T) {
 
 	var fx node.Effects
 	fx.SendAll([]mcast.ProcessID{2, 12}, msgs.Heartbeat{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}})
-	n.shards[0].apply(nil, &fx)
+	n.shards[0].send(nil, fx.Sends)
 	waitFor(t, "encode stage", func() bool { return n.Stats().FramesSent == 1 })
 	e := takeEntry(t, w)
 	if e.tos != nil || e.to != 12 {

@@ -1,25 +1,3 @@
-// Package tcpnet hosts protocol shards as a real TCP server. One Node owns
-// one listener and one outbound connection per peer address, and runs each
-// hosted shard (a node.Handler: one group replica or client — groups are
-// disjoint, so a handler is one ordering shard) on its own goroutine with
-// its own ring mailbox. The ordering path is pipelined across three stages
-// (see docs/CONCURRENCY.md):
-//
-//	read loops   — parse frames (borrow-mode decode) and route each to the
-//	               mailboxes of the destination shards named in the frame
-//	               header;
-//	shard loops  — run Handle serially per shard, apply persist effects
-//	               (persist-before-release), post local sends straight to
-//	               the destination shard's mailbox, and hand remote sends
-//	               to the encode stage;
-//	encode stage — serialise each send exactly once (encode-once fan-out,
-//	               shared by reference counting across the writers of every
-//	               destination address), batching ack-class unicasts per
-//	               (address, shard) into AckBatch frames.
-//
-// Every hand-off between stages is a non-blocking bounded MPSC ring with
-// an unbounded overflow (internal/ring), so no stage can deadlock another;
-// sustained overload shows up as mailbox depth, not as backpressure.
 package tcpnet
 
 import (
@@ -35,7 +13,6 @@ import (
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
-	"wbcast/internal/ring"
 	"wbcast/internal/wal"
 	"wbcast/internal/wire"
 )
@@ -170,10 +147,9 @@ type Node struct {
 	shards     []*shard
 	shardByPID map[mcast.ProcessID]*shard
 
-	// The encode stage's input: shard loops enqueue sendBatches, the
-	// encodeLoop goroutine is the single consumer.
-	encodeQ *ring.MPSC[*sendBatch]
-	encWake chan struct{}
+	// The encode stage's input: shard loops post sendBatches, the encode
+	// goroutine is the single consumer.
+	encodeQ *node.Mailbox[*sendBatch]
 
 	mu      sync.Mutex
 	addrs   map[mcast.ProcessID]string
@@ -190,21 +166,16 @@ type Node struct {
 	rt *obs.Runtime
 }
 
-// shard is one hosted protocol shard: a handler plus its ring mailbox,
-// consumed only by the shard's mainLoop goroutine. Shards share no mutable
-// protocol state; the only cross-shard edge is a posted message (see the
-// node.Handler shard-model contract).
+// shard is one hosted protocol shard: a handler behind the shared shard
+// driver — its Step and its Mailbox, consumed only by the shard's loop.
+// Shards share no mutable protocol state; the only cross-shard edge is a
+// posted message (see the node.Handler shard-model contract).
 type shard struct {
 	n         *Node
 	pid       mcast.ProcessID
-	h         node.Handler
-	store     wal.Storage
+	step      *node.Step
 	onDeliver func(d mcast.Delivery)
-
-	box *ring.MPSC[boxedInput]
-	// wake nudges mainLoop after an enqueue (capacity 1: a pending
-	// wake-up covers any number of enqueues).
-	wake chan struct{}
+	box       *node.Mailbox[boxedInput]
 }
 
 // boxedInput pairs an input with the pooled read frame its decoded message
@@ -305,12 +276,11 @@ func Serve(cfg Config) (*Node, error) {
 		ln:         ln,
 		quit:       make(chan struct{}),
 		shardByPID: make(map[mcast.ProcessID]*shard, len(specs)),
-		encodeQ:    ring.New[*sendBatch](max(cfg.MailboxSize, 64)),
-		encWake:    make(chan struct{}, 1),
 		addrs:      make(map[mcast.ProcessID]string, len(cfg.Peers)),
 		writers:    make(map[string]*writer),
 		rt:         rt,
 	}
+	n.encodeQ = node.NewMailbox[*sendBatch](max(cfg.MailboxSize, 64), n.quit)
 	n.readPool.New = func() any { return &readFrame{} }
 	n.outPool.New = func() any { return &outFrame{} }
 	n.batchPool.New = func() any { return &sendBatch{} }
@@ -323,10 +293,9 @@ func Serve(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("tcpnet: duplicate shard %d", sp.pid)
 		}
 		s := &shard{
-			n: n, pid: sp.pid, h: sp.sc.Handler,
-			store: sp.sc.Storage, onDeliver: sp.sc.OnDeliver,
-			box:  ring.New[boxedInput](cfg.MailboxSize),
-			wake: make(chan struct{}, 1),
+			n: n, pid: sp.pid, onDeliver: sp.sc.OnDeliver,
+			step: node.NewStep(sp.sc.Handler, sp.sc.Storage),
+			box:  node.NewMailbox[boxedInput](cfg.MailboxSize, n.quit),
 		}
 		n.shards = append(n.shards, s)
 		n.shardByPID[sp.pid] = s
@@ -335,8 +304,11 @@ func Serve(cfg Config) (*Node, error) {
 	go n.acceptLoop()
 	go n.encodeLoop()
 	for _, s := range n.shards {
-		go s.mainLoop()
-		s.post(boxedInput{in: node.Start{}})
+		go func() {
+			defer n.wg.Done()
+			s.box.Run(s.consume)
+		}()
+		s.box.Post(boxedInput{in: node.Start{}})
 	}
 	return n, nil
 }
@@ -397,18 +369,6 @@ func (n *Node) peerAddr(pid mcast.ProcessID) (string, bool) {
 	return addr, ok
 }
 
-// post enqueues an input for the shard's loop. It never blocks (the ring
-// spills to its overflow instead), which is what rules out buffer-deadlock
-// cycles between nodes and between co-hosted shards.
-func (s *shard) post(b boxedInput) {
-	s.box.Enqueue(b)
-	s.n.rt.MailboxHW.SetMax(s.box.HighWater())
-	select {
-	case s.wake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
-}
-
 // Inject posts a local input (e.g. a client Submit) to a single-shard
 // node. Multi-shard nodes must use InjectTo.
 func (n *Node) Inject(in node.Input) error {
@@ -429,7 +389,7 @@ func (n *Node) InjectTo(pid mcast.ProcessID, in node.Input) error {
 	if !ok {
 		return fmt.Errorf("tcpnet: shard %d not hosted here", pid)
 	}
-	s.post(boxedInput{in: in})
+	s.box.Post(boxedInput{in: in})
 	return nil
 }
 
@@ -535,7 +495,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		if ab, ok := rcv.Msg.(msgs.AckBatch); ok {
 			for _, ent := range ab.Entries {
 				if s, ok := n.shardByPID[ent.To]; ok {
-					s.post(boxedInput{in: node.Recv{From: rcv.From, Msg: ent.Msg}})
+					s.box.Post(boxedInput{in: node.Recv{From: rcv.From, Msg: ent.Msg}})
 				}
 			}
 			n.putReadFrame(rf)
@@ -547,7 +507,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		}
 		rf.refs.Store(int32(len(targets)))
 		for _, s := range targets {
-			s.post(boxedInput{in: rcv, frame: rf})
+			s.box.Post(boxedInput{in: rcv, frame: rf})
 		}
 	}
 }
@@ -597,116 +557,72 @@ func (n *Node) releaseRead(rf *readFrame) {
 	}
 }
 
-// mainLoop serialises one shard's inputs, draining the ring mailbox in
-// arrival order. It is the single consumer of s.box.
-func (s *shard) mainLoop() {
-	defer s.n.wg.Done()
-	var fx node.Effects
-	for {
-		select {
-		case <-s.n.quit:
-			return
-		case <-s.wake:
+// consume runs one input through the shard's Step and releases what it
+// hands back, in the driver's order: timers, sends, deliveries. A storage
+// failure crash-stops the whole node — it closes as if killed, and the
+// durable prefix is what a restart recovers.
+func (s *shard) consume(b boxedInput) {
+	n := s.n
+	n.rt.MailboxHW.SetMax(s.box.HighWater())
+	rel, err := s.step.Do(b.in)
+	if err != nil {
+		n.logf("tcpnet: p%d crash-stopping on storage failure: %v", s.pid, err)
+		n.stop()
+	} else {
+		for _, tm := range rel.Timers {
+			s.box.PostAfter(tm.After, boxedInput{in: node.Timer{Kind: tm.Kind, Data: tm.Data}})
 		}
-		for {
-			b, ok := s.box.Dequeue()
-			if !ok {
-				break
+		s.send(b.frame, rel.Sends)
+		if s.onDeliver != nil {
+			for _, d := range rel.Deliveries {
+				s.onDeliver(d)
 			}
-			select {
-			case <-s.n.quit:
-				return
-			default:
-			}
-			fx.Reset()
-			s.h.Handle(b.in, &fx)
-			s.apply(b.frame, &fx)
-			// The handler and the apply step are done with the input;
-			// this shard's reference on any borrowed frame can go.
-			s.n.releaseRead(b.frame)
 		}
 	}
+	// The handler and the release are done with the input; this shard's
+	// reference on any borrowed frame can go.
+	n.releaseRead(b.frame)
 }
 
-// apply performs one Handle call's effects on the shard's loop: persists
-// (first — persist-before-release), timers, sends and deliveries. Sends to
-// co-hosted shards are posted straight to their mailboxes; sends with any
-// remote recipient are handed to the encode stage as one sendBatch,
-// carrying a reference to the inbound frame rf so borrowed message bytes
-// stay alive until serialised.
-func (s *shard) apply(rf *readFrame, fx *node.Effects) {
+// send releases one Handle call's sends. Sends to co-hosted shards are
+// posted straight to their mailboxes; sends with any remote recipient are
+// handed to the encode stage as one sendBatch, carrying a reference to the
+// inbound frame rf so borrowed message bytes stay alive until serialised.
+func (s *shard) send(rf *readFrame, sends []node.Send) {
 	n := s.n
-	// Durability first: nothing below is released unless this Handle call's
-	// persist entries are durable. A storage failure crash-stops the node —
-	// from the outside indistinguishable from a kill at this point, which is
-	// exactly the state a restart recovers from.
-	if len(fx.Persists) > 0 && s.store != nil {
-		err := s.store.Append(fx.Persists...)
-		if err == nil {
-			err = s.store.Sync()
-		}
-		if err != nil {
-			n.logf("tcpnet: p%d crash-stopping on storage failure: %v", s.pid, err)
-			n.stop()
-			return
-		}
-	}
-	for _, tm := range fx.Timers {
-		in := node.Timer{Kind: tm.Kind, Data: tm.Data}
-		time.AfterFunc(tm.After, func() {
-			select {
-			case <-n.quit:
-			default:
-				s.post(boxedInput{in: in})
-			}
-		})
-	}
-	if len(fx.Sends) > 0 {
-		remote := false
-		for i := range fx.Sends {
-			snd := &fx.Sends[i]
-			for r := 0; r < snd.NumRecipients(); r++ {
-				to := snd.Recipient(r)
-				if t, ok := n.shardByPID[to]; ok {
-					// Hosted recipient (self-send or a co-hosted shard):
-					// loop back through its mailbox without touching the
-					// wire. The message value is shared, not re-encoded;
-					// handlers treat received messages as immutable either
-					// way, and the posted input keeps a reference to rf in
-					// case the message borrows from it.
-					n.retainRead(rf)
-					t.post(boxedInput{in: node.Recv{From: s.pid, Msg: snd.Msg}, frame: rf})
-				} else {
-					remote = true
-				}
-			}
-		}
-		if remote {
-			n.retainRead(rf)
-			b := n.batchPool.Get().(*sendBatch)
-			b.from = s.pid
-			b.frame = rf
-			b.sends = append(b.sends[:0], fx.Sends...)
-			n.encodeQ.Enqueue(b)
-			select {
-			case n.encWake <- struct{}{}:
-			default:
+	remote := false
+	for i := range sends {
+		snd := &sends[i]
+		for r := 0; r < snd.NumRecipients(); r++ {
+			to := snd.Recipient(r)
+			if t, ok := n.shardByPID[to]; ok {
+				// Hosted recipient (self-send or a co-hosted shard): loop
+				// back through its mailbox without touching the wire. The
+				// message value is shared, not re-encoded; handlers treat
+				// received messages as immutable either way, and the posted
+				// input keeps a reference to rf in case the message borrows
+				// from it.
+				n.retainRead(rf)
+				t.box.Post(boxedInput{in: node.Recv{From: s.pid, Msg: snd.Msg}, frame: rf})
+			} else {
+				remote = true
 			}
 		}
 	}
-	for _, d := range fx.Deliveries {
-		if s.onDeliver != nil {
-			s.onDeliver(d)
-		}
+	if remote {
+		n.retainRead(rf)
+		b := n.batchPool.Get().(*sendBatch)
+		b.from = s.pid
+		b.frame = rf
+		b.sends = append(b.sends[:0], sends...)
+		n.encodeQ.Post(b)
 	}
 }
 
 // putBatch recycles a sendBatch, clearing message references so the pool
 // does not pin frames or payloads.
 func (n *Node) putBatch(b *sendBatch) {
-	for i := range b.sends {
-		b.sends[i] = node.Send{}
-	}
+	clear(b.sends)
 	b.sends = b.sends[:0]
 	b.frame = nil
 	n.batchPool.Put(b)
@@ -747,33 +663,21 @@ func newEncoder(n *Node) *encoder {
 // send exactly once and fanning the shared frame out per destination
 // address. Ack-class unicasts are buffered per (address, shard) and
 // flushed as one AckBatch frame — before any non-ack frame to the same
-// stream (preserving per-link FIFO), when ackBatchMax accumulate, and at
-// the end of each drain pass (so an idle queue never delays acks).
+// stream (preserving per-link FIFO), when ackBatchMax accumulate, and
+// whenever the queue runs empty (so an idle queue never delays acks).
 func (n *Node) encodeLoop() {
 	defer n.wg.Done()
 	e := newEncoder(n)
-	for {
-		select {
-		case <-n.quit:
-			return
-		case <-n.encWake:
+	n.encodeQ.Run(func(b *sendBatch) {
+		e.batch(b)
+		n.releaseRead(b.frame)
+		n.putBatch(b)
+		// From this goroutine, Depth never exceeds the queued batches
+		// (ring.MPSC.Depth), so ≤ 0 holds whenever Run is about to wait.
+		if n.encodeQ.Depth() <= 0 {
+			e.flushAll()
 		}
-		for {
-			b, ok := n.encodeQ.Dequeue()
-			if !ok {
-				break
-			}
-			select {
-			case <-n.quit:
-				return
-			default:
-			}
-			e.batch(b)
-			n.releaseRead(b.frame)
-			n.putBatch(b)
-		}
-		e.flushAll()
-	}
+	})
 }
 
 // addTo adds one recipient to the send's address grouping scratch.

@@ -213,6 +213,16 @@ func TestMultiShardAckBatchOverTCP(t *testing.T) {
 		t.Fatalf("timed out after %d of %d acks", n, numPings+1)
 	}
 
+	// Shard 2 runs on its own loop: the driver having every ack does not
+	// mean shard 2 has consumed every forward yet.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(shard2From)
+		mu.Unlock()
+		if n >= numPings+2 {
+			break
+		}
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	// Per-link FIFO through ack batching: the driver must see the acks in

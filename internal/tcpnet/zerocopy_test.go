@@ -41,7 +41,7 @@ func captureWriter(n *Node, addr string) *writer {
 // serialise that message exactly once, however many peers it reaches, and
 // enqueue one shared frame per destination address.
 func TestEncodeOnceFanout(t *testing.T) {
-	// An echo handler is irrelevant here; we drive apply directly.
+	// An echo handler is irrelevant here; we drive the send path directly.
 	n, err := Serve(Config{
 		PID:        100,
 		ListenAddr: "127.0.0.1:0",
@@ -64,7 +64,7 @@ func TestEncodeOnceFanout(t *testing.T) {
 
 	var fx node.Effects
 	fx.SendAll(tos, benchAccept())
-	n.shards[0].apply(nil, &fx)
+	n.shards[0].send(nil, fx.Sends)
 	waitFor(t, "fan-out to drain", func() bool { return n.Stats().FramesSent >= 9 })
 
 	st := n.Stats()
@@ -80,7 +80,7 @@ func TestEncodeOnceFanout(t *testing.T) {
 	fx.Reset()
 	fx.SendAll(tos[:6], benchAccept())
 	fx.SendAll(tos, msgs.Deliver{ID: mcast.MakeMsgID(30, 7), Bal: mcast.Ballot{N: 1, Proc: 0}})
-	n.shards[0].apply(nil, &fx)
+	n.shards[0].send(nil, fx.Sends)
 	waitFor(t, "second fan-out to drain", func() bool { return n.Stats().FramesSent >= 9+6+9 })
 	st = n.Stats()
 	if st.MessagesEncoded != 3 {
@@ -113,7 +113,7 @@ func TestFanoutSharesOneFrame(t *testing.T) {
 
 	var fx node.Effects
 	fx.SendAll([]mcast.ProcessID{0, 1, 2}, benchAccept())
-	n.shards[0].apply(nil, &fx)
+	n.shards[0].send(nil, fx.Sends)
 	waitFor(t, "fan-out to drain", func() bool { return n.Stats().FramesSent == 3 })
 
 	var frames []*outFrame
@@ -155,7 +155,7 @@ func TestSelfSendBypassesWire(t *testing.T) {
 
 	var fx node.Effects
 	fx.SendAll([]mcast.ProcessID{100}, msgs.Heartbeat{Group: 2, Bal: mcast.Ballot{N: 1, Proc: 100}})
-	n.shards[0].apply(nil, &fx)
+	n.shards[0].send(nil, fx.Sends)
 
 	waitFor(t, "self-send to loop back", func() bool {
 		mu.Lock()
@@ -223,7 +223,7 @@ func TestStatsCountsDrops(t *testing.T) {
 	defer n.Close()
 	var fx node.Effects
 	fx.Send(55, msgs.Heartbeat{Group: 0}) // no address registered
-	n.shards[0].apply(nil, &fx)
+	n.shards[0].send(nil, fx.Sends)
 	waitFor(t, "drop to be counted", func() bool { return n.Stats().OutboundDrops == 1 })
 }
 

@@ -37,7 +37,7 @@ type Replica struct {
 // NewReplica builds, starts and returns replica pid of the topology
 // described by cfg, hosted on cfg.Transport. The replica participates in
 // ordering from the moment NewReplica returns; deliveries are observed
-// through Deliveries/Subscribe (or cfg.OnDeliver).
+// through Deliveries/Subscribe.
 //
 // pid must be a replica slot of the topology: 0 ≤ pid < Groups×Replicas,
 // assigned group-major (replica pid belongs to group pid/Replicas).
@@ -127,18 +127,6 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 			}
 			return n
 		})
-	if cfg.OnDeliver != nil {
-		// The callback contract is an adapter over a lossless
-		// subscription: a dedicated goroutine drains it, so the callback
-		// runs off the replica's critical path while per-replica delivery
-		// order is preserved.
-		sub := r.Subscribe(cfg.DeliveryBuffer, Backpressure)
-		go func() {
-			for d := range sub.C() {
-				cfg.OnDeliver(pid, d)
-			}
-		}()
-	}
 	if err := cfg.Transport.add(h, hostOptions{
 		onDeliver: r.dispatch,
 		reg:       reg,

@@ -447,15 +447,13 @@ func (t *simTransport) add(h node.Handler, opts hostOptions) error {
 	if opts.onDeliver != nil {
 		t.deliver[h.ID()] = opts.onDeliver
 	}
-	if opts.store != nil {
-		t.s.SetStorage(h.ID(), opts.store)
-	}
 	if opts.rebuild != nil {
 		t.rebuild[h.ID()] = opts.rebuild
 	}
-	t.s.Add(h)
-	t.pending = true
-	t.cond.Broadcast()
+	// The quiescence pump is not woken: the handler's Start event runs with
+	// the first injected input. Pumping here would advance virtual time a
+	// slice before that input or not, depending on goroutine scheduling.
+	t.s.AddStored(h, opts.store)
 	return nil
 }
 

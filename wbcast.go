@@ -37,8 +37,7 @@
 // order; the GTS exposes the system-wide total order to applications such
 // as replicated state machines and shared logs. Deliveries are consumed
 // through pull-based subscriptions (Replica.Deliveries, with configurable
-// buffering and drop policy — see DeliveryPolicy); Config.OnDeliver remains
-// as a push-style adapter over a lossless subscription.
+// buffering and drop policy — see DeliveryPolicy).
 //
 // # Batching
 //
@@ -329,12 +328,6 @@ type Config struct {
 	// DeliveryPolicy decides what a full subscription does with further
 	// deliveries (default Backpressure — lossless).
 	DeliveryPolicy DeliveryPolicy
-	// OnDeliver, when non-nil, receives every delivery at every replica of
-	// the deployment. It is an adapter over a lossless subscription: a
-	// per-replica goroutine invokes the callback in delivery order, off
-	// the replica's critical path. Pull-based consumers use
-	// Replica.Deliveries instead.
-	OnDeliver func(p ProcessID, d Delivery)
 	// Conflicts is the application's conflict relation, honoured by the
 	// Genmcast protocol only (setting it with any other protocol is a
 	// validation error). Nil treats every pair of payloads as conflicting.

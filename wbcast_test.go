@@ -35,21 +35,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// collect feeds every replica's deliveries to f, from one goroutine per
+// replica draining a lossless subscription (they end when c closes).
+func collect(c *wbcast.Cluster, f func(p wbcast.ProcessID, d wbcast.Delivery)) {
+	for _, r := range c.Replicas() {
+		sub := r.Deliveries()
+		go func() {
+			for d := range sub.C() {
+				f(r.ID(), d)
+			}
+		}()
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	var mu sync.Mutex
 	delivered := map[wbcast.ProcessID][]wbcast.Delivery{}
-	c, err := wbcast.New(wbcast.Config{
-		Groups: 2,
-		OnDeliver: func(p wbcast.ProcessID, d wbcast.Delivery) {
-			mu.Lock()
-			delivered[p] = append(delivered[p], d)
-			mu.Unlock()
-		},
-	})
+	c, err := wbcast.New(wbcast.Config{Groups: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	collect(c, func(p wbcast.ProcessID, d wbcast.Delivery) {
+		mu.Lock()
+		delivered[p] = append(delivered[p], d)
+		mu.Unlock()
+	})
 	cl, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -125,19 +136,16 @@ func TestAllProtocolsEndToEnd(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			var mu sync.Mutex
 			count := 0
-			c, err := wbcast.New(wbcast.Config{
-				Protocol: proto,
-				Groups:   3,
-				OnDeliver: func(p wbcast.ProcessID, d wbcast.Delivery) {
-					mu.Lock()
-					count++
-					mu.Unlock()
-				},
-			})
+			c, err := wbcast.New(wbcast.Config{Protocol: proto, Groups: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			collect(c, func(wbcast.ProcessID, wbcast.Delivery) {
+				mu.Lock()
+				count++
+				mu.Unlock()
+			})
 			cl, err := c.NewClient()
 			if err != nil {
 				t.Fatal(err)
@@ -199,16 +207,16 @@ func TestBatchingPublicAPI(t *testing.T) {
 			MaxBatchMsgs:  8,
 			MaxBatchDelay: time.Millisecond,
 		},
-		OnDeliver: func(p wbcast.ProcessID, d wbcast.Delivery) {
-			mu.Lock()
-			delivered[p] = append(delivered[p], d)
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	collect(c, func(p wbcast.ProcessID, d wbcast.Delivery) {
+		mu.Lock()
+		delivered[p] = append(delivered[p], d)
+		mu.Unlock()
+	})
 	cl, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
