@@ -56,14 +56,14 @@
 // runs, pointed at whichever point's cluster is currently active.
 //
 // Durability overhead is measured with -storage: "disk" gives every replica
-// a real WAL (fsync policy via -sync always|batched|none, -sync-batch),
-// "mem" the in-memory store, "none" (default) the undurable baseline. Disk
-// points run in a fresh directory each (-storage-dir picks the filesystem);
-// the sync-vs-batched-vs-none trade at the PR-2 configuration is recorded
-// in BENCH_PR7.json. Under -workload kv a non-"none" mode also enables the
-// shard engines' durable application state (kv.Options.Persist), so those
-// points include the app-log append on the apply path. See
-// docs/DURABILITY.md for the policies' semantics.
+// a real WAL (fsync policy via -sync always|none), "mem" the in-memory
+// store, "none" (default) the undurable baseline. Disk points run in a
+// fresh directory each (-storage-dir picks the filesystem); the
+// sync-vs-none trade at the PR-2 configuration, before group commit, is
+// recorded in BENCH_PR7.json. Under -workload kv a non-"none" mode also
+// enables the shard engines' durable application state
+// (kv.Options.Persist), so those points include the app-log append on the
+// apply path. See docs/DURABILITY.md for the policies' semantics.
 //
 // The paper's testbeds (CloudLab; Google Cloud across Oregon, N. Virginia
 // and England) are modelled by injected latency profiles on a single
@@ -125,8 +125,7 @@ func main() {
 
 		storageMode = flag.String("storage", "none", "durable storage per replica: none, mem or disk (measures durability overhead; see BENCH_PR7.json)")
 		storageDir  = flag.String("storage-dir", "", "root for -storage disk (default: a fresh temp dir per point, removed afterwards)")
-		syncPolicy  = flag.String("sync", "always", "disk fsync policy: always, batched or none")
-		syncBatch   = flag.Int("sync-batch", 8, "fsync period under -sync batched")
+		syncPolicy  = flag.String("sync", "always", "disk fsync policy: always or none")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
@@ -213,12 +212,10 @@ func main() {
 	switch *syncPolicy {
 	case "always":
 		policy = wbcast.SyncAlways
-	case "batched":
-		policy = wbcast.SyncBatched
 	case "none":
 		policy = wbcast.SyncNone
 	default:
-		fmt.Fprintf(os.Stderr, "wbcast-bench: unknown -sync %q (want always, batched or none)\n", *syncPolicy)
+		fmt.Fprintf(os.Stderr, "wbcast-bench: unknown -sync %q (want always or none)\n", *syncPolicy)
 		os.Exit(2)
 	}
 	var srv *wbcast.MetricsServer
@@ -242,7 +239,7 @@ func main() {
 		warmup: *warmup, measure: *measure, seed: *seed,
 		obs: observability, srv: srv,
 		storageMode: *storageMode, storageDir: *storageDir,
-		syncPolicy: policy, syncBatch: *syncBatch,
+		syncPolicy: policy,
 	}
 	doc := &jsonDoc{
 		Workload: *workload, Net: *netProfile,
@@ -407,13 +404,8 @@ func printStorageLine(cfg pointConfig) {
 	}
 	fmt.Printf("# storage: %s", cfg.storageMode)
 	if cfg.storageMode == "disk" {
-		name := map[wbcast.SyncPolicy]string{
-			wbcast.SyncAlways: "always", wbcast.SyncBatched: "batched", wbcast.SyncNone: "none",
-		}[cfg.syncPolicy]
+		name := map[wbcast.SyncPolicy]string{wbcast.SyncAlways: "always", wbcast.SyncNone: "none"}[cfg.syncPolicy]
 		fmt.Printf(" sync=%s", name)
-		if cfg.syncPolicy == wbcast.SyncBatched {
-			fmt.Printf(" batch=%d", cfg.syncBatch)
-		}
 	}
 	fmt.Println()
 }
@@ -444,7 +436,6 @@ type pointConfig struct {
 	storageMode string // "none", "mem" or "disk"
 	storageDir  string // root for disk stores ("" = temp dir per point)
 	syncPolicy  wbcast.SyncPolicy
-	syncBatch   int
 }
 
 // stageStat is one populated stage of the merged per-stage histogram.
@@ -488,10 +479,7 @@ func newStorage(cfg pointConfig) (func(wbcast.ProcessID) (wbcast.Storage, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		return wbcast.DirStorageWith(dir, wbcast.StorageOptions{
-			Policy:     cfg.syncPolicy,
-			BatchEvery: cfg.syncBatch,
-		}), func() { os.RemoveAll(dir) }, nil
+		return wbcast.DirStorageWith(dir, wbcast.StorageOptions{Policy: cfg.syncPolicy}), func() { os.RemoveAll(dir) }, nil
 	}
 	return nil, nil, nil
 }

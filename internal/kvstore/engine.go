@@ -88,13 +88,13 @@ type EngineConfig struct {
 	// record in conflict mode (GC off).
 	Unordered bool
 	// OnDurableFrontier, if non-nil, is invoked after a successful persist
-	// whenever the applied global timestamp advances, with the PREVIOUS
-	// timestamp: every delivery at or below it — including every sub-
-	// operation of a batch sharing that timestamp — is now in the app log,
-	// so the ordering layer no longer needs its records for recovery
-	// replay (wbcast.Replica.AdvanceGCHorizon). Called on the applying
-	// goroutine with the engine lock held; it must not call back into the
-	// engine. Only meaningful with Persist set.
+	// that moved the applied global timestamp, with the largest timestamp
+	// strictly below the new one: every delivery at or below it — including
+	// every sub-operation of a batch sharing that timestamp — is now in the
+	// app log, so the ordering layer no longer needs its records for
+	// recovery replay (wbcast.Replica.AdvanceGCHorizon). Called on the
+	// applying goroutine with the engine lock held; it must not call back
+	// into the engine. Only meaningful with Persist set.
 	OnDurableFrontier func(mcast.Timestamp)
 	// Registry, if non-nil, receives the engine's kv_* metrics.
 	Registry *obs.Registry
@@ -114,7 +114,9 @@ type Engine struct {
 	seen      map[stamp]bool // applied stamps; unordered mode only
 	sinceSnap int
 	applied   []Applied
-	err       error // first persistence failure; sticky
+	err       error    // first persistence failure; sticky
+	resps     []Resp   // apply's scratch: the batch's outcomes ...
+	recs      [][]byte // ... and redo records
 
 	appliedC  obs.Counter
 	replayedC obs.Counter
@@ -147,31 +149,110 @@ func NewEngine(cfg EngineConfig) *Engine {
 	return e
 }
 
+// maxApplyBatch bounds how many queued deliveries Run applies, logs and
+// answers together.
+const maxApplyBatch = 64
+
 // Run consumes deliveries from ch until it closes. It is the usual way to
-// drive an engine from a subscription's channel.
+// drive an engine from a subscription's channel. Deliveries already queued
+// when one arrives are applied with it and logged with one AppendAppState
+// call (group commit: one sync for the batch), so results and the durable
+// frontier follow the append that covers them.
 func (e *Engine) Run(ch <-chan mcast.Delivery) {
+	batch := make([]mcast.Delivery, 0, maxApplyBatch)
 	for d := range ch {
-		e.Apply(d)
+		batch = append(batch[:0], d)
+	fill:
+		for len(batch) < maxApplyBatch {
+			select {
+			case d, ok := <-ch:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, d)
+			default:
+				break fill
+			}
+		}
+		e.apply(batch)
+		clear(batch)
 	}
 }
 
 // Apply executes one delivery. Deliveries at or below the applied frontier
 // are skipped (duplicates from a recovery replay); fresh ones mutate the
 // store, persist a redo record, and report their outcome via OnResult.
-func (e *Engine) Apply(d mcast.Delivery) {
+func (e *Engine) Apply(d mcast.Delivery) { e.apply([]mcast.Delivery{d}) }
+
+// apply executes ds in order, then logs the fresh ones' redo records with
+// one append, and only then raises the durable frontier and reports the
+// outcomes. A failed append answers none of them: state diverged from the
+// log, so the engine stops answering clients for it.
+func (e *Engine) apply(ds []mcast.Delivery) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.after(d) {
-		e.dupC.Inc()
-		return
+	// below is the largest timestamp the frontier moved past in this batch.
+	// Deliveries arrive in (GTS, Sub) order, so a higher GTS proves all subs
+	// of the previous one were applied: once the batch is logged, everything
+	// at or below it is durable. The frontier's own GTS stays above the
+	// horizon — a later sub of the same envelope may still be in flight.
+	var below mcast.Timestamp
+	resps, recs := e.resps[:0], e.recs[:0]
+	for _, d := range ds {
+		if !e.after(d) {
+			e.dupC.Inc()
+			continue
+		}
+		prev := e.lastGTS
+		resp, ok := e.applyLocked(d)
+		if e.lastGTS != prev {
+			below = prev
+		}
+		if !ok {
+			continue // undecodable: skipped on every replica alike
+		}
+		resps = append(resps, resp)
+		if e.cfg.Persist != nil {
+			recs = append(recs, EncodeApplied(d))
+		}
 	}
-	resp, persisted := e.applyLocked(d, true)
-	if !persisted {
-		return // state diverged from the log; stop answering clients
+	if e.logLocked(recs, below) && e.cfg.OnResult != nil {
+		for _, resp := range resps {
+			e.cfg.OnResult(resp)
+		}
 	}
-	if e.cfg.OnResult != nil {
-		e.cfg.OnResult(resp)
+	clear(resps)
+	clear(recs)
+	e.resps, e.recs = resps[:0], recs[:0]
+}
+
+// logLocked makes one batch's redo records durable with one append, then
+// reports the frontier they cover and compacts on schedule. It reports
+// false, with the failure recorded in Err, when the append failed. Callers
+// hold e.mu.
+func (e *Engine) logLocked(recs [][]byte, below mcast.Timestamp) bool {
+	if len(recs) == 0 {
+		return true
 	}
+	if err := e.cfg.Persist.AppendAppState(recs...); err != nil {
+		if e.err == nil {
+			e.err = fmt.Errorf("kvstore: shard %d: persist %d records: %w", e.cfg.Group, len(recs), err)
+		}
+		return false
+	}
+	// Unordered mode has no proof that nothing below the frontier is still
+	// to come, and its protocol never GCs, so the callback stays silent.
+	if !e.cfg.Unordered && e.cfg.OnDurableFrontier != nil && !below.IsZero() {
+		e.cfg.OnDurableFrontier(below)
+	}
+	e.sinceSnap += len(recs)
+	if e.cfg.SnapshotEvery > 0 && e.sinceSnap >= e.cfg.SnapshotEvery {
+		e.sinceSnap = 0
+		if err := e.cfg.Persist.SaveAppSnapshot(e.snapshotLocked()); err != nil && e.err == nil {
+			e.err = fmt.Errorf("kvstore: shard %d: snapshot: %w", e.cfg.Group, err)
+		}
+	}
+	return true
 }
 
 // after reports whether d is fresh: strictly beyond the applied frontier
@@ -204,12 +285,10 @@ func (e *Engine) advance(d mcast.Delivery) {
 	e.lastGTS, e.lastSub = d.GTS, d.Sub
 }
 
-// applyLocked mutates the store for d and advances the frontier. When
-// persist is set and a Persister is configured, the delivery is logged as a
-// redo record (and periodically compacted); a logging failure is recorded
-// in Err and reported as persisted == false. Callers hold e.mu.
-func (e *Engine) applyLocked(d mcast.Delivery, persist bool) (Resp, bool) {
-	prevGTS := e.lastGTS
+// applyLocked mutates the store for d and advances the frontier; logging
+// the redo record is the caller's part. It reports false for a delivery
+// that does not decode (recorded in Err, skipped). Callers hold e.mu.
+func (e *Engine) applyLocked(d mcast.Delivery) (Resp, bool) {
 	op, err := DecodeOp(d.Msg.Payload)
 	if err != nil {
 		// Every replica sees the same bytes, so a decode failure is
@@ -250,31 +329,6 @@ func (e *Engine) applyLocked(d mcast.Delivery, persist bool) (Resp, bool) {
 			Payload: append([]byte(nil), d.Msg.Payload...),
 		})
 	}
-	if persist && e.cfg.Persist != nil {
-		if err := e.cfg.Persist.AppendAppState(EncodeApplied(d)); err != nil {
-			if e.err == nil {
-				e.err = fmt.Errorf("kvstore: shard %d: persist %v: %w", e.cfg.Group, d.Msg.ID, err)
-			}
-			return resp, false
-		}
-		// The frontier moved past prevGTS and everything at prevGTS is
-		// now durably logged: deliveries arrive in (GTS, Sub) order, so
-		// a higher GTS proves all subs of the previous one were applied.
-		// d.GTS itself stays below the horizon — a later sub of the same
-		// batch may still be in flight. Unordered mode has no such proof
-		// (a lower stamp may still arrive) and its protocol never GCs, so
-		// the callback stays silent there.
-		if !e.cfg.Unordered && e.cfg.OnDurableFrontier != nil && prevGTS != d.GTS && !prevGTS.IsZero() {
-			e.cfg.OnDurableFrontier(prevGTS)
-		}
-		e.sinceSnap++
-		if e.cfg.SnapshotEvery > 0 && e.sinceSnap >= e.cfg.SnapshotEvery {
-			e.sinceSnap = 0
-			if err := e.cfg.Persist.SaveAppSnapshot(e.snapshotLocked()); err != nil && e.err == nil {
-				e.err = fmt.Errorf("kvstore: shard %d: snapshot: %w", e.cfg.Group, err)
-			}
-		}
-	}
 	return resp, true
 }
 
@@ -301,7 +355,7 @@ func (e *Engine) Recover(snapshot []byte, log [][]byte, replay []mcast.Delivery)
 		if !e.after(d) {
 			continue
 		}
-		e.applyLocked(d, false)
+		e.applyLocked(d)
 		e.replayedC.Inc()
 	}
 	var recs [][]byte
@@ -309,7 +363,7 @@ func (e *Engine) Recover(snapshot []byte, log [][]byte, replay []mcast.Delivery)
 		if !e.after(d) {
 			continue
 		}
-		e.applyLocked(d, false)
+		e.applyLocked(d)
 		e.replayedC.Inc()
 		recs = append(recs, EncodeApplied(d))
 	}

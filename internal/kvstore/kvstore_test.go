@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -240,6 +241,52 @@ func TestEngineDurableFrontierHook(t *testing.T) {
 		t.Fatalf("post-recovery horizons = %v, want [{6 0}]", horizons)
 	}
 }
+
+// TestEngineRunGroupCommit pins Run's batch contract: deliveries already
+// queued on the channel are logged with one AppendAppState call, the durable
+// frontier (the largest GTS strictly below the batch's last) is raised only
+// after it, every delivery is answered after it, and a failing append
+// answers none.
+func TestEngineRunGroupCommit(t *testing.T) {
+	put := func(k string) Op { return Op{Kind: OpPut, Key: []byte(k), Val: []byte("v")} }
+	for _, fail := range []bool{false, true} {
+		var events []string
+		p := &hookPersist{append: func(recs [][]byte) error {
+			events = append(events, fmt.Sprintf("append %d", len(recs)))
+			if fail {
+				return errors.New("injected append failure")
+			}
+			return nil
+		}}
+		e := NewEngine(EngineConfig{Group: 0, Persist: p,
+			OnResult:          func(r Resp) { events = append(events, fmt.Sprintf("result %d", r.ID.Seq())) },
+			OnDurableFrontier: func(ts mcast.Timestamp) { events = append(events, fmt.Sprintf("frontier %d", ts.Time)) },
+		})
+		ch := make(chan mcast.Delivery, 4)
+		ch <- deliver(1, put("a"), 1, 0)
+		ch <- deliver(2, put("b"), 2, 0)
+		ch <- deliver(3, put("c"), 3, 0)
+		ch <- deliver(3, put("d"), 3, 1) // same envelope: GTS 3 is not yet below the horizon
+		close(ch)
+		e.Run(ch)
+		want := "[append 4 frontier 2 result 1 result 2 result 3 result 3]"
+		if fail {
+			want = "[append 4]"
+		}
+		if got := fmt.Sprint(events); got != want {
+			t.Errorf("fail=%v: events %s, want %s", fail, got, want)
+		}
+		if (e.Err() != nil) != fail {
+			t.Errorf("fail=%v: Err() = %v", fail, e.Err())
+		}
+	}
+}
+
+// hookPersist is a Persister whose append is the test's.
+type hookPersist struct{ append func(recs [][]byte) error }
+
+func (p *hookPersist) AppendAppState(recs ...[]byte) error { return p.append(recs) }
+func (p *hookPersist) SaveAppSnapshot([]byte) error        { return nil }
 
 func TestEngineDigestMatchesAcrossOrderEquivalentReplicas(t *testing.T) {
 	ops := []mcast.Delivery{

@@ -75,9 +75,9 @@ type proc struct {
 func (n *Network) Add(h node.Handler) error { return n.AddStored(h, nil) }
 
 // AddStored registers a handler backed by a durable store: persist effects
-// are appended and synced before any send or delivery of the same Handle
-// call, and a storage error crash-stops the process. A nil store discards
-// persist effects (no durability).
+// are appended and synced (once per mailbox drain) before any send or
+// delivery of the same Handle call, and a storage error crash-stops the
+// process. A nil store discards persist effects (no durability).
 func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -110,7 +110,7 @@ func (n *Network) launch(p *proc) {
 	go p.delayLoop()
 	go func() {
 		defer n.wg.Done()
-		p.box.Run(p.consume)
+		p.box.Run(p.consume, p.commit)
 	}()
 	p.box.Post(envelope{in: node.Start{}})
 }
@@ -163,6 +163,15 @@ func (n *Network) Crash(pid mcast.ProcessID) {
 
 func (p *proc) crash() { p.crashMu.Do(func() { close(p.crashed) }) }
 
+func (p *proc) isCrashed() bool {
+	select {
+	case <-p.crashed:
+		return true
+	default:
+		return false
+	}
+}
+
 // MailboxHighWater returns the largest input-mailbox depth observed at
 // pid so far, or 0 if pid is unknown. Mailboxes never block senders
 // (ring + overflow), so sustained overload shows up here rather than as
@@ -206,15 +215,25 @@ func (n *Network) Inject(pid mcast.ProcessID, in node.Input) error {
 	return nil
 }
 
-// consume runs one input through the process's Step and releases what it
-// hands back, in the driver's order: timers, sends, deliveries.
+// consume runs one input through the process's Step; what the Step holds
+// back (the Release is empty then) follows at the next commit.
 func (p *proc) consume(env envelope) {
-	select {
-	case <-p.crashed:
-		return // crashed processes discard all input
-	default:
+	if !p.isCrashed() { // crashed processes discard all input
+		p.release(p.step.Do(env.in))
 	}
-	rel, err := p.step.Do(env.in)
+}
+
+// commit is the mailbox's commit hook: one sync for the held calls, then
+// their effects. A process crashed in between loses the batch unreleased.
+func (p *proc) commit() {
+	if !p.isCrashed() {
+		p.release(p.step.Commit())
+	}
+}
+
+// release acts on what the Step handed back, in the driver's order:
+// timers, sends, deliveries. A storage failure crash-stops the process.
+func (p *proc) release(rel node.Release, err error) {
 	if err != nil {
 		if p.net.cfg.Logf != nil {
 			p.net.cfg.Logf("live: p%d crash-stopping on storage failure: %v", p.pid, err)

@@ -136,30 +136,57 @@ var shardRuntimes = []struct {
 	}},
 }
 
+// The actor's inputs: a Submit whose message ID is k is call k. A call
+// without payload emits one persist entry, a call with one emits none; both
+// emit one timer, one send to the witness and one delivery. ID 0 is the
+// gate: its Handle call blocks until the test opens it, so whatever the
+// test injects meanwhile is queued when the loop resumes.
+func persisting(k int) node.Input {
+	return node.Submit{Msg: mcast.AppMsg{ID: mcast.MsgID(k)}}
+}
+
+func volatile(k int) node.Input {
+	return node.Submit{Msg: mcast.AppMsg{ID: mcast.MsgID(k), Payload: []byte{1}}}
+}
+
 // TestShardContract pins the shard driver's contract (docs/CONCURRENCY.md)
-// on every runtime. The actor answers its k-th Submit with one persist
-// entry, one timer, one send to the witness and one delivery, and the
-// delivery callback injects a marker at the witness — so a send released
-// before the delivery reaches the witness before the marker. The store
-// fails its failAt-th Sync. Asserted: Append and Sync precede everything
-// released by the same call; release order (sends before deliveries; on
-// the simulator also timers before sends); nothing of the failing call is
-// released; and the crash-stopped process handles no later input.
+// on every runtime. The delivery callback injects a marker at the witness,
+// so a send released before the delivery reaches the witness before the
+// marker. Three phases: a volatile call on an idle shard (released without
+// any Sync); calls 1 (persisting), 2 (volatile) and 3 (persisting) queued
+// behind the gate (on the wall-clock runtimes one Sync, after all three
+// Handle calls and before anything they release, in call order; the
+// simulator commits per dispatch, so one Sync per persisting call); calls 5
+// and 6 queued the same way with the Sync failing (nothing of either is
+// released and call 7 never reaches Handle). Throughout: Append and Sync
+// precede everything released by the same call, sends precede deliveries,
+// and on the simulator timers precede sends.
 func TestShardContract(t *testing.T) {
-	const failAt, extra = 3, 2
 	for _, rt := range shardRuntimes {
 		t.Run(rt.name, func(t *testing.T) {
+			// The second batch's Sync fails: the second Sync on the wall-clock
+			// runtimes, the third where calls 1 and 3 each had their own.
+			failAt := 2
+			if rt.virtual {
+				failAt = 3
+			}
 			log := &eventLog{}
-			calls := uint64(0) // touched by the actor's serial Handle calls only
+			gate := make(chan struct{})
 			actor := node.Func{PID: actorPID, F: func(in node.Input, fx *node.Effects) {
 				switch in := in.(type) {
 				case node.Submit:
-					calls++
-					log.add("handle %d", calls)
-					fx.Persist(wal.Entry{Kind: wal.EntryBallot, Clock: calls})
-					fx.SetTimer(0, node.TimerApp, calls)
-					fx.Send(witnessPID, msgs.Heartbeat{Bal: mcast.Ballot{N: calls}})
-					fx.Deliver(mcast.Delivery{GTS: mcast.Timestamp{Time: calls}})
+					k := uint64(in.Msg.ID)
+					if k == 0 {
+						<-gate
+						return
+					}
+					log.add("handle %d", k)
+					if in.Msg.Payload == nil {
+						fx.Persist(wal.Entry{Kind: wal.EntryBallot, Clock: k})
+					}
+					fx.SetTimer(0, node.TimerApp, k)
+					fx.Send(witnessPID, msgs.Heartbeat{Bal: mcast.Ballot{N: k}})
+					fx.Deliver(mcast.Delivery{GTS: mcast.Timestamp{Time: k}})
 				case node.Timer:
 					log.add("timer %d", in.Data)
 				}
@@ -190,55 +217,96 @@ func TestShardContract(t *testing.T) {
 					time.Sleep(time.Millisecond)
 				}
 			}
-
-			// The healthy calls settle first: a crash-stop also takes down what
-			// is still in flight (pending timers; on tcpnet the whole node).
-			for i := 1; i < failAt; i++ {
-				h.inject(actorPID, node.Submit{})
-			}
 			released := []string{"timer %d", "send %d", "deliver %d", "marker %d"}
-			settle("the calls before the failing sync", func() bool {
-				for k := 1; k < failAt; k++ {
-					for _, e := range released {
-						if log.index(e, k) < 0 {
-							return false
+			allReleased := func(calls ...int) func() bool {
+				return func() bool {
+					for _, k := range calls {
+						for _, e := range released {
+							if log.index(e, k) < 0 {
+								return false
+							}
 						}
 					}
+					return true
 				}
-				return true
-			})
-			h.inject(actorPID, node.Submit{})
-			settle("the failing sync", func() bool { return log.index("sync %d", failAt) >= 0 })
-			for i := 0; i < extra; i++ {
-				h.inject(actorPID, node.Submit{})
 			}
-			settle("the inputs after the crash-stop to drain", func() bool { return true })
+			// queued injects the inputs so that the loop finds them all in its
+			// mailbox at once: behind a blocked gate call on the wall-clock
+			// runtimes, at one instant on the simulator.
+			queued := func(ins ...node.Input) {
+				t.Helper()
+				if !rt.virtual {
+					h.inject(actorPID, persisting(0))
+				}
+				for _, in := range ins {
+					h.inject(actorPID, in)
+				}
+				if !rt.virtual {
+					select {
+					case gate <- struct{}{}:
+					case <-time.After(5 * time.Second):
+						t.Fatalf("the gate input never reached Handle; log: %v", log)
+					}
+				}
+			}
+
+			h.inject(actorPID, volatile(9))
+			settle("the volatile call on the idle shard", allReleased(9))
+			if log.index("sync %d", 1) >= 0 {
+				t.Errorf("a call without persist entries on an idle shard was synced; log: %v", log)
+			}
+			// The healthy batch settles before the failing one: a crash-stop
+			// also takes down what is still in flight (pending timers; on
+			// tcpnet the whole node).
+			queued(persisting(1), volatile(2), persisting(3))
+			settle("the healthy batch", allReleased(1, 2, 3))
+			queued(persisting(5), volatile(6))
+			settle("the failing sync", func() bool { return log.index("sync %d", failAt) >= 0 })
+			h.inject(actorPID, persisting(7))
+			settle("the input after the crash-stop to drain", func() bool { return true })
 			h.stop() // joins the runtime's goroutines: the log is final
 
-			before := func(a, b string, k int) {
+			before := func(a string, ka int, b string, kb int) {
 				t.Helper()
-				if ia, ib := log.index(a, k), log.index(b, k); ia < 0 || ib < 0 || ia > ib {
+				if ia, ib := log.index(a, ka), log.index(b, kb); ia < 0 || ib < 0 || ia > ib {
 					t.Errorf("%q (at %d) must precede %q (at %d); log: %v",
-						fmt.Sprintf(a, k), ia, fmt.Sprintf(b, k), ib, log)
+						fmt.Sprintf(a, ka), ia, fmt.Sprintf(b, kb), ib, log)
 				}
 			}
-			for k := 1; k < failAt; k++ {
-				before("append %d", "sync %d", k)
+			// Call 1 is covered by Sync 1; call 3 by the same Sync where the
+			// batch formed, by Sync 2 on the simulator. Call 2 has no entries
+			// but is queued behind call 1, whose Sync it waits for.
+			syncOf := map[int]int{1: 1, 2: 1, 3: failAt - 1}
+			if !rt.virtual {
+				before("handle %d", 3, "sync %d", 1)
+			}
+			for _, k := range []int{1, 3} {
+				before("append %d", k, "sync %d", syncOf[k])
+			}
+			for k, sync := range syncOf {
 				for _, e := range released {
-					before("sync %d", e, k)
+					before("sync %d", sync, e, k)
 				}
-				before("send %d", "marker %d", k)
+			}
+			for _, k := range []int{9, 1, 2, 3} {
+				before("send %d", k, "marker %d", k)
 				if rt.virtual {
-					before("timer %d", "send %d", k)
+					before("timer %d", k, "send %d", k)
 				}
 			}
-			before("append %d", "sync %d", failAt)
-			for _, e := range released {
-				if i := log.index(e, failAt); i >= 0 {
-					t.Errorf("%q was released although its sync failed; log: %v", fmt.Sprintf(e, failAt), log)
+			for _, e := range []string{"send %d", "deliver %d"} {
+				before(e, 1, e, 2)
+				before(e, 2, e, 3)
+			}
+			before("append %d", 5, "sync %d", failAt)
+			for _, k := range []int{5, 6} {
+				for _, e := range released {
+					if i := log.index(e, k); i >= 0 {
+						t.Errorf("%q was released although the batch's sync failed; log: %v", fmt.Sprintf(e, k), log)
+					}
 				}
 			}
-			if log.index("handle %d", failAt+1) >= 0 {
+			if log.index("sync %d", failAt+1) >= 0 || log.index("handle %d", 7) >= 0 {
 				t.Errorf("the crash-stopped process consumed another input; log: %v", log)
 			}
 		})

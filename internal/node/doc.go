@@ -10,9 +10,9 @@
 // theorems in units of δ.
 //
 // The package also holds the shard driver every runtime drives a handler
-// through (shard.go; docs/CONCURRENCY.md, "The shard driver"): Step — Handle,
-// then persist and sync, then release, crash-stop on a storage error — and
-// Mailbox, the never-blocking input queue and drain loop.
+// through (shard.go; docs/CONCURRENCY.md, "The shard driver"): Step — Handle
+// and stage per input, one sync per drain, then release, crash-stop on a
+// storage error — and Mailbox, the never-blocking input queue and drain loop.
 //
 // # Layering
 //

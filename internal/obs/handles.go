@@ -345,6 +345,9 @@ type Runtime struct {
 	// AckBatchSize is the acks-per-flush distribution of the encode
 	// stage's ack batcher (unitless count, recorded as 1 ack = 1s).
 	AckBatchSize Histogram
+	// CommitInputs is the inputs-per-commit distribution of the shard
+	// loops' group commit (unitless count, recorded as 1 input = 1s).
+	CommitInputs Histogram
 }
 
 // NewRuntime builds a runtime handle, registering its metrics in reg (a
@@ -362,5 +365,6 @@ func NewRuntime(reg *Registry) *Runtime {
 	reg.RegisterHistogram(MetricEncodeStage, "outbound message serialisation latency on the encode stage", &rt.EncodeStage)
 	reg.RegisterHistogram(MetricDecodeStage, "inbound frame parse latency on the read loops", &rt.DecodeStage)
 	reg.RegisterHistogram(MetricAckBatchSize, "acknowledgements per flushed ack batch (count; 1 ack = 1s)", &rt.AckBatchSize)
+	reg.RegisterHistogram(MetricShardCommitInputs, "inputs whose effects one WAL sync released (count; 1 input = 1s)", &rt.CommitInputs)
 	return rt
 }

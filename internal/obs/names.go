@@ -83,6 +83,11 @@ const (
 	// (exposed through the duration-typed summary with 1 ack = 1s, so
 	// quantiles read directly as ack counts).
 	MetricAckBatchSize = "wbcast_ack_batch_size"
+	// MetricShardCommitInputs is the inputs-per-commit histogram of the
+	// shard loops on a durable store: how many Handle calls one WAL sync
+	// released (group commit), i.e. the batch size the load produces.
+	// Unitless count, 1 input = 1s like MetricAckBatchSize.
+	MetricShardCommitInputs = "wbcast_shard_commit_inputs"
 
 	// MetricTraceDropped counts trace events discarded because the
 	// tracer's bounded buffer was full.

@@ -17,8 +17,9 @@
 // slice instead. While the overflow is non-empty the queue is
 // "degraded": every producer routes to the overflow, which preserves
 // per-producer FIFO order (the ring drains completely before the
-// consumer switches to the overflow batch, and the overflow batch is
-// consumed completely before the consumer returns to the ring).
+// consumer switches to the overflow batch, tickets claimed up to the
+// moment the batch is taken go before it, and the batch is consumed
+// completely before any later ticket).
 // Degraded mode costs what the old elastic FIFO cost; the ring is the
 // fast path, sized by the runtime's MailboxSize knob.
 package ring

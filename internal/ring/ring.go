@@ -42,10 +42,13 @@ type MPSC[T any] struct {
 	over     []T
 	spare    []T // recycled backing array for over
 
-	// pending is the consumer-local overflow batch being drained; it is
-	// always consumed completely before the ring is read again.
+	// pending is the consumer-local overflow batch being drained. Ring
+	// tickets below limit (the tail when the batch was taken) are
+	// consumed before it, and it is consumed completely before any ticket
+	// from limit on.
 	pending []T
 	pendIdx int
+	limit   uint64
 
 	depth atomic.Int64
 	hw    atomic.Int64
@@ -123,26 +126,27 @@ func (q *MPSC[T]) account() {
 // producer enqueued them. The overflow interplay preserves this because
 // (a) while the overflow is non-empty all producers spill, (b) the
 // consumer switches to the overflow only once the ring is completely
-// drained, and (c) a taken overflow batch is consumed completely before
-// the ring is read again.
+// drained, (c) ring tickets claimed before a batch was taken are
+// consumed before it, and (d) a taken overflow batch is consumed
+// completely before any later ring ticket.
 func (q *MPSC[T]) Dequeue() (T, bool) {
 	var zero T
-	if q.pendIdx < len(q.pending) {
-		v := q.pending[q.pendIdx]
-		q.pending[q.pendIdx] = zero
-		q.pendIdx++
-		if q.pendIdx == len(q.pending) {
-			q.omu.Lock()
-			if q.spare == nil {
-				q.spare = q.pending[:0]
-			}
-			q.omu.Unlock()
-			q.pending, q.pendIdx = nil, 0
-		}
-		q.depth.Add(-1)
-		return v, true
-	}
 	for {
+		if q.head >= q.limit && q.pendIdx < len(q.pending) {
+			v := q.pending[q.pendIdx]
+			q.pending[q.pendIdx] = zero
+			q.pendIdx++
+			if q.pendIdx == len(q.pending) {
+				q.omu.Lock()
+				if q.spare == nil {
+					q.spare = q.pending[:0]
+				}
+				q.omu.Unlock()
+				q.pending, q.pendIdx = nil, 0
+			}
+			q.depth.Add(-1)
+			return v, true
+		}
 		h := q.head
 		s := &q.slots[h&q.mask]
 		if s.seq.Load() == h+1 {
@@ -158,40 +162,32 @@ func (q *MPSC[T]) Dequeue() (T, bool) {
 		// (the window is a few instructions wide). Declaring "empty"
 		// here instead would let the overflow batch below overtake that
 		// producer's in-flight ring item, breaking its FIFO order.
-		if q.tail.Load() == h {
-			break
+		if h < q.limit || q.tail.Load() != h {
+			runtime.Gosched()
+			continue
 		}
-		runtime.Gosched()
-	}
-	if !q.degraded.Load() {
-		return zero, false
-	}
-	// Ring fully drained and spills exist: take the whole batch.
-	// Clearing degraded here (not after the batch is consumed) is safe
-	// because pending is drained before the ring is read again, so a
-	// producer that re-enters the ring cannot overtake its own spills.
-	q.omu.Lock()
-	batch := q.over
-	q.over = q.spare[:0]
-	q.spare = nil
-	q.degraded.Store(false)
-	q.omu.Unlock()
-	if len(batch) == 0 {
-		return zero, false
-	}
-	q.pending, q.pendIdx = batch, 1
-	v := batch[0]
-	batch[0] = zero
-	if len(batch) == 1 {
-		q.pending, q.pendIdx = nil, 0
+		if !q.degraded.Load() {
+			return zero, false
+		}
+		// Ring drained and spills exist: take the whole batch. A producer
+		// that saw degraded unset before the first spill may claim a ring
+		// ticket after the emptiness check above and then spill its next
+		// item into this very batch, so tickets below the tail read here
+		// go first. Reading it before clearing degraded matters: once
+		// cleared, a producer with items in the batch re-enters the ring,
+		// and those tickets must stay behind the batch.
 		q.omu.Lock()
-		if q.spare == nil {
-			q.spare = batch[:0]
-		}
+		batch := q.over
+		q.over = q.spare[:0]
+		q.spare = nil
+		q.limit = q.tail.Load()
+		q.degraded.Store(false)
 		q.omu.Unlock()
+		if len(batch) == 0 {
+			return zero, false
+		}
+		q.pending, q.pendIdx = batch, 0
 	}
-	q.depth.Add(-1)
-	return v, true
 }
 
 // Depth returns the current number of queued items (ring + overflow).

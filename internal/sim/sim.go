@@ -337,6 +337,11 @@ func (s *Sim) dispatch(ev event) {
 		s.cfg.Trace(TraceEvent{At: s.now, Proc: ev.proc, In: ev.in})
 	}
 	rel, err := st.Do(ev.in)
+	if err == nil && st.Held() > 0 {
+		// The simulator commits every dispatch — a batch of one — so a
+		// run's storage calls and event order do not depend on batching.
+		rel, err = st.Commit()
+	}
 	if err != nil {
 		// Crash-stop on a storage failure: nothing of the call was released,
 		// exactly as if the process had crashed inside Handle.

@@ -176,6 +176,9 @@ type shard struct {
 	step      *node.Step
 	onDeliver func(d mcast.Delivery)
 	box       *node.Mailbox[boxedInput]
+	// held keeps the borrowed frames of the inputs whose effects the Step
+	// holds for the next commit: a composite readFrame, nil when none.
+	held *readFrame
 }
 
 // boxedInput pairs an input with the pooled read frame its decoded message
@@ -187,10 +190,13 @@ type boxedInput struct {
 }
 
 // readFrame is one inbound frame buffer, shared by reference counting
-// across the mailboxes of every hosted destination shard.
+// across the mailboxes of every hosted destination shard. A composite has
+// no bytes of its own: it holds one reference on each of its parts — the
+// frames of the inputs one commit covers — and drops them with its last.
 type readFrame struct {
-	buf  []byte
-	refs atomic.Int32
+	buf   []byte
+	refs  atomic.Int32
+	parts []*readFrame
 }
 
 // outFrame is one encoded outbound frame body — [sender varint][wire
@@ -216,7 +222,7 @@ type outEntry struct {
 	ackBatch bool
 }
 
-// sendBatch is one Handle call's remote sends, handed from a shard loop to
+// sendBatch is one release's remote sends, handed from a shard loop to
 // the encode stage. frame (if non-nil) holds a reference to the inbound
 // frame the send messages may borrow from; the encode stage releases it
 // once every send is serialised.
@@ -306,7 +312,7 @@ func Serve(cfg Config) (*Node, error) {
 	for _, s := range n.shards {
 		go func() {
 			defer n.wg.Done()
-			s.box.Run(s.consume)
+			s.box.Run(s.consume, s.commit)
 		}()
 		s.box.Post(boxedInput{in: node.Start{}})
 	}
@@ -550,43 +556,82 @@ func (n *Node) retainRead(rf *readFrame) {
 }
 
 // releaseRead drops one reference on an inbound frame (nil-safe); the last
-// reference recycles the buffer.
+// reference releases a composite's parts and recycles the buffer.
 func (n *Node) releaseRead(rf *readFrame) {
 	if rf != nil && rf.refs.Add(-1) == 0 {
+		for _, part := range rf.parts {
+			n.releaseRead(part)
+		}
+		clear(rf.parts)
+		rf.parts = rf.parts[:0]
 		n.putReadFrame(rf)
 	}
 }
 
-// consume runs one input through the shard's Step and releases what it
-// hands back, in the driver's order: timers, sends, deliveries. A storage
-// failure crash-stops the whole node — it closes as if killed, and the
-// durable prefix is what a restart recovers.
+// consume runs one input through the shard's Step. What the Step holds for
+// the next commit keeps the shard's reference on its borrowed frame until
+// then; anything else is released at once.
 func (s *shard) consume(b boxedInput) {
 	n := s.n
 	n.rt.MailboxHW.SetMax(s.box.HighWater())
 	rel, err := s.step.Do(b.in)
+	if err == nil && s.step.Held() > 0 {
+		if b.frame != nil {
+			if s.held == nil {
+				s.held = n.getReadFrame(0)
+				s.held.refs.Store(1)
+			}
+			s.held.parts = append(s.held.parts, b.frame)
+		}
+		return
+	}
+	s.release(b.frame, rel, err)
+}
+
+// commit is the mailbox's commit hook: one sync for the held calls, then
+// their effects, with every held frame referenced until the sends are with
+// the encode stage.
+func (s *shard) commit() {
+	held := s.step.Held()
+	if held == 0 {
+		return
+	}
+	s.n.rt.CommitInputs.Observe(time.Duration(held) * time.Second)
+	rel, err := s.step.Commit()
+	rf := s.held
+	s.held = nil
+	s.release(rf, rel, err)
+}
+
+// release acts on what the Step handed back, in the driver's order: timers,
+// sends, deliveries; then the shard's reference on rf, the frame the
+// effects may borrow from, can go. A storage failure crash-stops the whole
+// node — it closes as if killed, and the durable prefix is what a restart
+// recovers.
+func (s *shard) release(rf *readFrame, rel node.Release, err error) {
+	n := s.n
 	if err != nil {
 		n.logf("tcpnet: p%d crash-stopping on storage failure: %v", s.pid, err)
 		n.stop()
+		n.releaseRead(s.held)
+		s.held = nil
 	} else {
 		for _, tm := range rel.Timers {
 			s.box.PostAfter(tm.After, boxedInput{in: node.Timer{Kind: tm.Kind, Data: tm.Data}})
 		}
-		s.send(b.frame, rel.Sends)
+		s.send(rf, rel.Sends)
 		if s.onDeliver != nil {
 			for _, d := range rel.Deliveries {
 				s.onDeliver(d)
 			}
 		}
 	}
-	// The handler and the release are done with the input; this shard's
-	// reference on any borrowed frame can go.
-	n.releaseRead(b.frame)
+	n.releaseRead(rf)
 }
 
-// send releases one Handle call's sends. Sends to co-hosted shards are
-// posted straight to their mailboxes; sends with any remote recipient are
-// handed to the encode stage as one sendBatch, carrying a reference to the
+// send releases one release's sends. Sends to co-hosted shards are posted
+// straight to their mailboxes; sends with any remote recipient are handed
+// to the encode stage as one sendBatch, carrying a reference to the
 // inbound frame rf so borrowed message bytes stay alive until serialised.
 func (s *shard) send(rf *readFrame, sends []node.Send) {
 	n := s.n
@@ -663,8 +708,8 @@ func newEncoder(n *Node) *encoder {
 // send exactly once and fanning the shared frame out per destination
 // address. Ack-class unicasts are buffered per (address, shard) and
 // flushed as one AckBatch frame — before any non-ack frame to the same
-// stream (preserving per-link FIFO), when ackBatchMax accumulate, and
-// whenever the queue runs empty (so an idle queue never delays acks).
+// stream (preserving per-link FIFO), when ackBatchMax accumulate, and at
+// the mailbox's commit points (so an idle queue never delays acks).
 func (n *Node) encodeLoop() {
 	defer n.wg.Done()
 	e := newEncoder(n)
@@ -672,12 +717,7 @@ func (n *Node) encodeLoop() {
 		e.batch(b)
 		n.releaseRead(b.frame)
 		n.putBatch(b)
-		// From this goroutine, Depth never exceeds the queued batches
-		// (ring.MPSC.Depth), so ≤ 0 holds whenever Run is about to wait.
-		if n.encodeQ.Depth() <= 0 {
-			e.flushAll()
-		}
-	})
+	}, e.flushAll)
 }
 
 // addTo adds one recipient to the send's address grouping scratch.

@@ -28,9 +28,6 @@ const (
 	// SyncAlways fsyncs on every Sync call — full crash-consistency; every
 	// message sent is backed by durable state.
 	SyncAlways SyncPolicy = iota
-	// SyncBatched fsyncs every BatchEvery-th Sync call, trading a bounded
-	// window of recent transitions for throughput.
-	SyncBatched
 	// SyncNone never fsyncs (the OS page cache decides); for measuring the
 	// WAL's append cost in isolation.
 	SyncNone
@@ -41,8 +38,6 @@ const (
 type DiskOptions struct {
 	// Policy selects the fsync schedule.
 	Policy SyncPolicy
-	// BatchEvery is the fsync period under SyncBatched (default 8).
-	BatchEvery int
 	// SnapshotThreshold triggers an automatic snapshot + log truncation
 	// when the WAL exceeds this many bytes (default 4 MiB).
 	SnapshotThreshold int64
@@ -62,7 +57,6 @@ type Disk struct {
 
 	size    int64 // current WAL length in bytes
 	pending bool  // bytes written since the last fsync
-	syncs   int   // Sync calls, for the batched policy
 	buf     []byte
 
 	// Open-time replay stats, retained so SetMetrics can report a replay
@@ -95,9 +89,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // left incomplete or checksum-broken at the very tail — is truncated away;
 // corruption anywhere earlier returns ErrCorrupt.
 func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
-	if opts.BatchEvery <= 0 {
-		opts.BatchEvery = 8
-	}
 	if opts.SnapshotThreshold <= 0 {
 		opts.SnapshotThreshold = 4 << 20
 	}
@@ -246,18 +237,13 @@ func (d *Disk) Sync() error {
 	if d.f == nil {
 		return errors.New("wal: sync of closed store")
 	}
-	if d.pending {
-		d.syncs++
-		fsync := d.opts.Policy == SyncAlways ||
-			(d.opts.Policy == SyncBatched && d.syncs%d.opts.BatchEvery == 0)
-		if fsync {
-			start := time.Now()
-			if err := d.f.Sync(); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			d.opts.Metrics.OnFsync(time.Since(start))
-			d.pending = false
+	if d.pending && d.opts.Policy == SyncAlways {
+		start := time.Now()
+		if err := d.f.Sync(); err != nil {
+			return fmt.Errorf("wal: %w", err)
 		}
+		d.opts.Metrics.OnFsync(time.Since(start))
+		d.pending = false
 	}
 	if d.size > d.opts.SnapshotThreshold {
 		return d.Snapshot()

@@ -9,9 +9,9 @@ import (
 
 // Storage is a replica's durable store. The contract is two-phase:
 // Append stages entries, Sync makes everything staged durable. A runtime
-// applies a Handle call's persistence as Append(entries...) followed by
-// Sync(), before releasing any send or delivery from the same call; on
-// error it crash-stops the process.
+// (node.Step) appends each Handle call's entries and syncs once per batch
+// of calls, before releasing any send or delivery of those calls; on error
+// it crash-stops the process.
 //
 // Load is called once, before the replica joins the cluster; it returns
 // the folded durable state (never nil; Empty() distinguishes a cold

@@ -367,11 +367,11 @@ func TestDiskFrameChecksum(t *testing.T) {
 }
 
 func TestDiskSyncPolicies(t *testing.T) {
-	// SyncNone and SyncBatched must still persist everything by Close: the
-	// policy only schedules fsyncs, Close forces a final one.
-	for _, pol := range []SyncPolicy{SyncAlways, SyncBatched, SyncNone} {
+	// SyncNone must still persist everything by Close: the policy only
+	// schedules fsyncs, Close forces a final one.
+	for _, pol := range []SyncPolicy{SyncAlways, SyncNone} {
 		dir := t.TempDir()
-		d, err := OpenDisk(dir, DiskOptions{Policy: pol, BatchEvery: 4})
+		d, err := OpenDisk(dir, DiskOptions{Policy: pol})
 		if err != nil {
 			t.Fatalf("OpenDisk: %v", err)
 		}

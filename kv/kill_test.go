@@ -262,13 +262,22 @@ func TestKVKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitVictim(func(s kvState) bool { return s.applied >= 11 }, "to apply the pre-kill load")
+	// The engine logs what is queued as one batch, so how the load fell into
+	// batches decides whether the last snapshot — which truncates the WAL —
+	// was the victim's last write. One more operation, applied on its own,
+	// then leaves the trailing record this phase is meant to produce.
+	walPath := filepath.Join(dataDir, fmt.Sprintf("p%d", kvKillVictim), "wal")
+	if fi, err := os.Stat(walPath); err == nil && fi.Size() == 0 {
+		putAll(shardKeys(1, 1, "tail"), "v1")
+		waitVictim(func(s kvState) bool { return s.applied >= 12 }, "to apply the trailing write")
+	}
 
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	victim.Wait()
 	killed = true
-	if fi, err := os.Stat(filepath.Join(dataDir, fmt.Sprintf("p%d", kvKillVictim), "wal")); err != nil || fi.Size() == 0 {
+	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("victim left no WAL to recover from (err=%v)", err)
 	}
 

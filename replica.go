@@ -305,9 +305,11 @@ type AppState struct {
 	// the process died appears here and nowhere else. Applications replay
 	// the suffix past their own recovered position. Replay is populated
 	// from the white-box protocol's message records; records already
-	// garbage-collected (DisableGC unset) are not recoverable this way —
-	// services that persist every applied record before acknowledging only
-	// need Replay for the unacknowledged tail.
+	// garbage-collected are not recoverable this way, which is why a
+	// durable application sets Config.AppGCHorizon: records then outlive
+	// the horizon it advances (AdvanceGCHorizon), and a service that
+	// persists every applied record before advancing it only needs Replay
+	// for the tail past its own log.
 	Replay []Delivery
 }
 

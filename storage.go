@@ -44,9 +44,6 @@ const (
 	// SyncAlways fsyncs on every Sync call: full crash-consistency; every
 	// message sent is backed by durable state. The default.
 	SyncAlways = wal.SyncAlways
-	// SyncBatched fsyncs every BatchEvery-th Sync call, trading a bounded
-	// window of recent transitions for throughput.
-	SyncBatched = wal.SyncBatched
 	// SyncNone never fsyncs (the OS page cache decides); for measuring the
 	// WAL's append cost in isolation.
 	SyncNone = wal.SyncNone
@@ -58,8 +55,6 @@ const (
 type StorageOptions struct {
 	// Policy selects the fsync schedule (default SyncAlways).
 	Policy SyncPolicy
-	// BatchEvery is the fsync period under SyncBatched (default 8).
-	BatchEvery int
 	// SnapshotThreshold triggers an automatic snapshot + WAL truncation
 	// when the log exceeds this many bytes (default 4 MiB).
 	SnapshotThreshold int64
@@ -80,7 +75,6 @@ func DirStorageWith(dir string, opts StorageOptions) func(ProcessID) (Storage, e
 	return func(pid ProcessID) (Storage, error) {
 		return wal.OpenDisk(filepath.Join(dir, fmt.Sprintf("p%d", pid)), wal.DiskOptions{
 			Policy:            opts.Policy,
-			BatchEvery:        opts.BatchEvery,
 			SnapshotThreshold: opts.SnapshotThreshold,
 		})
 	}
