@@ -63,7 +63,7 @@ func main() {
 	var (
 		shards   = flag.Int("shards", 3, "number of shards (one multicast group each)")
 		size     = flag.Int("size", 3, "replicas per shard (2f+1; skeen requires 1)")
-		protocol = flag.String("protocol", "wbcast", "protocol: wbcast, fastcast, ftskeen or skeen")
+		protocol = flag.String("protocol", "wbcast", "protocol: wbcast, fastcast, ftskeen, skeen or genmcast")
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		dataDir  = flag.String("data-dir", "", "root directory for durable state (WAL + snapshots + kv app state); empty runs in-memory")
 		snapshot = flag.Int("snapshot-every", 1024, "compact the kv app log after this many applied operations (with -data-dir)")

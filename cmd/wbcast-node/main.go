@@ -50,7 +50,7 @@ func main() {
 		size     = flag.Int("size", 3, "replicas per group (2f+1)")
 		peersArg = flag.String("peers", "", "comma-separated addresses of all processes, replicas first")
 		listen   = flag.String("listen", "", "bind address (defaults to this process's -peers entry)")
-		protocol = flag.String("protocol", "wbcast", "protocol: wbcast, fastcast or ftskeen")
+		protocol = flag.String("protocol", "wbcast", "protocol: wbcast, fastcast, ftskeen, skeen or genmcast")
 		delta    = flag.Duration("delta", 5*time.Millisecond, "expected one-way network delay (drives timeouts)")
 		verbose  = flag.Bool("v", false, "log deliveries and transport diagnostics")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")

@@ -26,10 +26,9 @@ import (
 	"os"
 	"time"
 
+	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
 	"wbcast/internal/faults"
-	"wbcast/internal/ftskeen"
 	"wbcast/internal/genmcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
@@ -218,9 +217,9 @@ func chaos(protocol string, seed int64, n int) error {
 	case "wbcast":
 		proto = core.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect, GCInterval: 50 * delta}
 	case "fastcast":
-		proto = fastcast.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect}
+		proto = blackbox.FastCast(blackbox.Options{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect})
 	case "ftskeen":
-		proto = ftskeen.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect}
+		proto = blackbox.FTSkeen(blackbox.Options{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect})
 	case "genmcast":
 		// Conflict-aware delivery under a 4-class payload relation; the
 		// harness swaps in the partial-order monitor automatically.

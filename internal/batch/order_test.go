@@ -8,9 +8,8 @@ import (
 	"time"
 
 	"wbcast/internal/batch"
+	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
-	"wbcast/internal/ftskeen"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/sim"
@@ -19,7 +18,7 @@ import (
 // protocols under test: the three fault-tolerant implementations, all of
 // which unpack batch envelopes on their delivery paths.
 func protocolsUnderTest() []harness.Protocol {
-	return []harness.Protocol{core.Protocol{}, fastcast.Protocol{}, ftskeen.Protocol{}}
+	return []harness.Protocol{core.Protocol{}, blackbox.FastCast(blackbox.Options{}), blackbox.FTSkeen(blackbox.Options{})}
 }
 
 // deliverySeq returns, per process, the payload IDs it delivered in order.

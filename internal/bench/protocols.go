@@ -3,21 +3,19 @@ package bench
 import (
 	"fmt"
 
+	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
-	"wbcast/internal/ftskeen"
 	"wbcast/internal/genmcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/skeen"
 )
 
-// Protocol adapters used by the experiments. Latency experiments run
-// without background timers (deterministic); throughput experiments get
-// retry/heartbeat machinery via ProtocolByName's live variants.
+// Protocol adapters used by the experiments, all without background timers
+// so that runs quiesce and replay identically.
 var (
 	protoSkeen    harness.Protocol = skeen.Protocol{}
-	protoFTSkeen  harness.Protocol = ftskeen.Protocol{}
-	protoFastCast harness.Protocol = fastcast.Protocol{}
+	protoFTSkeen  harness.Protocol = blackbox.FTSkeen(blackbox.Options{})
+	protoFastCast harness.Protocol = blackbox.FastCast(blackbox.Options{})
 	protoWbCast   harness.Protocol = core.Protocol{}
 	// protoGenmcast runs the conflict-aware protocol under a synthetic
 	// 4-class payload relation, so roughly 3/4 of random payload pairs
@@ -27,8 +25,7 @@ var (
 )
 
 // ProtocolByName resolves a protocol name ("wbcast", "fastcast", "ftskeen",
-// "skeen", "genmcast") to its harness adapter; fault-tolerant protocols are
-// configured with live timers derived from delta when live is true.
+// "skeen", "genmcast") to its harness adapter.
 func ProtocolByName(name string) (harness.Protocol, error) {
 	switch name {
 	case "skeen":

@@ -8,10 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
 	"wbcast/internal/faults"
-	"wbcast/internal/ftskeen"
 	"wbcast/internal/genmcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
@@ -70,16 +69,16 @@ func chaosRows() []chaosRow {
 			SuspectTimeout:    40 * d,
 			GCInterval:        50 * d,
 		}, groupSize: 3, durable: true},
-		{proto: fastcast.Protocol{
+		{proto: blackbox.FastCast(blackbox.Options{
 			RetryInterval:     20 * d,
 			HeartbeatInterval: 10 * d,
 			SuspectTimeout:    40 * d,
-		}, groupSize: 3, durable: true},
-		{proto: ftskeen.Protocol{
+		}), groupSize: 3, durable: true},
+		{proto: blackbox.FTSkeen(blackbox.Options{
 			RetryInterval:     20 * d,
 			HeartbeatInterval: 10 * d,
 			SuspectTimeout:    40 * d,
-		}, groupSize: 3, durable: true},
+		}), groupSize: 3, durable: true},
 		{proto: skeen.Protocol{}, groupSize: 1, benign: true},
 		{proto: genmcast.Protocol{
 			RetryInterval:     20 * d,

@@ -23,7 +23,7 @@ import (
 	"wbcast/internal/wal"
 )
 
-// Protocol abstracts over the four multicast implementations. Adapters are
+// Protocol abstracts over the multicast implementations. Adapters are
 // defined in each protocol package (structurally, without importing this
 // one).
 type Protocol interface {
@@ -39,7 +39,7 @@ type Protocol interface {
 // ProtocolObs is the optional observability extension of Protocol: adapters
 // that implement it receive an instrumentation handle per replica, so
 // harness runs can record stage timelines and recovery events. The
-// fault-tolerant adapters (core, fastcast, ftskeen) implement it; adapters
+// fault-tolerant adapters (core, blackbox, genmcast) implement it; adapters
 // without it fall back to the plain NewReplica path, untraced.
 type ProtocolObs interface {
 	NewReplicaObs(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto) (node.Handler, error)
@@ -49,7 +49,7 @@ type ProtocolObs interface {
 // adapters that implement it build replicas that emit persist effects for
 // every crash-surviving state transition and replay a recovered state
 // before joining. Options.Storage requires it — the fault-tolerant
-// adapters (core, fastcast, ftskeen, genmcast) implement it.
+// adapters (core, blackbox, genmcast) implement it.
 type StorageProtocol interface {
 	NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State) (node.Handler, error)
 }

@@ -17,7 +17,7 @@
 // # Layering
 //
 // node is the seam of the architecture: protocol packages (core, paxos,
-// skeen, ftskeen, fastcast, client, batch) implement Handler, and the
+// skeen, blackbox, client, batch) implement Handler, and the
 // runtimes (internal/sim, internal/live, internal/tcpnet — selected via
 // the public wbcast.Transport) drive it. Nothing above this package does
 // I/O; nothing below it contains protocol logic.

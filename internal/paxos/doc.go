@@ -16,8 +16,8 @@
 //
 // # Layering
 //
-// paxos is the replication substrate of the baselines only: ftskeen and
-// fastcast embed a Replica per group member and build their multicast on
-// its App callback. The white-box protocol (internal/core) replaces this
+// paxos is the replication substrate of the baselines only: internal/blackbox
+// embeds a Replica per group member and builds FT-Skeen and FastCast on its
+// App callback. The white-box protocol (internal/core) replaces this
 // layer with its fused ACCEPT/ACCEPT_ACK exchange.
 package paxos

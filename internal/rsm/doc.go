@@ -8,8 +8,8 @@
 // # Layering
 //
 // rsm sits above internal/ordering and below the black-box baselines:
-// internal/ftskeen and internal/fastcast apply consensus-chosen commands
-// through it, one Machine per replica. The white-box protocol
-// (internal/core) does not use it — collapsing this layer into the
-// timestamp exchange is the paper's point.
+// internal/blackbox applies consensus-chosen commands through it, one
+// Machine per replica. The white-box protocol (internal/core) does not use
+// it — collapsing this layer into the timestamp exchange is the paper's
+// point.
 package rsm

@@ -1,6 +1,8 @@
 package rsm
 
 import (
+	"slices"
+
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/ordering"
@@ -40,9 +42,6 @@ func New(group mcast.GroupID) *Machine {
 // Clock returns the machine's logical clock.
 func (m *Machine) Clock() uint64 { return m.clock }
 
-// Group returns the machine's group.
-func (m *Machine) Group() mcast.GroupID { return m.group }
-
 // Phase returns the phase of message id (PhaseStart if unknown).
 func (m *Machine) Phase(id mcast.MsgID) msgs.Phase {
 	if e, ok := m.state[id]; ok {
@@ -76,16 +75,14 @@ func (m *Machine) Delivered() []mcast.MsgID {
 			out = append(out, id)
 		}
 	}
-	sortByGTS(m, out)
+	slices.SortFunc(out, func(a, b mcast.MsgID) int { return m.state[a].gts.Compare(m.state[b].gts) })
 	return out
 }
 
-func sortByGTS(m *Machine, ids []mcast.MsgID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && m.state[ids[j]].gts.Less(m.state[ids[j-1]].gts); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+// IsDelivered reports whether id was delivered.
+func (m *Machine) IsDelivered(id mcast.MsgID) bool {
+	e, ok := m.state[id]
+	return ok && e.delivered
 }
 
 // App returns the application message of id, if known.
@@ -95,9 +92,6 @@ func (m *Machine) App(id mcast.MsgID) (mcast.AppMsg, bool) {
 	}
 	return mcast.AppMsg{}, false
 }
-
-// Size returns the number of tracked messages.
-func (m *Machine) Size() int { return len(m.state) }
 
 // ApplyAssignClock assigns app the next clock timestamp — Fig. 1 lines 9–10
 // verbatim: clock++; lts = (clock, g). Because the timestamp is computed at

@@ -145,8 +145,8 @@ func TestPendingAndCommittedViews(t *testing.T) {
 	if got := m.Delivered(); len(got) != 1 || got[0] != c.ID {
 		t.Errorf("delivered = %v", got)
 	}
-	if m.Size() != 3 {
-		t.Errorf("size = %d", m.Size())
+	if !m.IsDelivered(c.ID) || m.IsDelivered(a.ID) {
+		t.Errorf("IsDelivered(c) = %v, IsDelivered(a) = %v", m.IsDelivered(c.ID), m.IsDelivered(a.ID))
 	}
 	if lts, ok := m.LTS(b.ID); !ok || lts != ts(2, 0) {
 		t.Errorf("LTS = %v, %v", lts, ok)

@@ -12,6 +12,6 @@
 //
 // skeen is the failure-free reference point at the bottom of the protocol
 // family: no replication, one process per group. The fault-tolerant
-// protocols (ftskeen, fastcast, core) replicate exactly the state this
-// package keeps per process.
+// protocols (blackbox, core) replicate exactly the state this package
+// keeps per process.
 package skeen

@@ -9,6 +9,8 @@
 #     metric name declared in internal/obs/names.go appears there, and no
 #     non-test Go file mints a wbcast_* metric literal that is not a
 #     declared name.
+#  5. No doc.go and no docs/*.md (nor README.md) names an internal/ package
+#     (or file) that does not exist.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -74,6 +76,15 @@ while IFS=: read -r file line lit; do
   fi
 done < <(grep -rn --include='*.go' -oE '"(wbcast|genmcast)_[a-z_]+"' . \
   | grep -v '_test\.go:' | grep -v '^\./internal/obs/names\.go:')
+
+# --- 5. documentation names only internal packages that exist -----------
+while IFS=: read -r file line path; do
+  if [ ! -e "$path" ]; then
+    echo "$file:$line: names $path, which does not exist"
+    fail=1
+  fi
+done < <(grep -n -oE 'internal/[a-z0-9_]+(/[a-z0-9_]+)*(\.go)?' README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*') \
+  | sort -u)
 
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAILED"

@@ -70,9 +70,8 @@ import (
 	"time"
 
 	"wbcast/internal/batch"
+	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
-	"wbcast/internal/ftskeen"
 	"wbcast/internal/live"
 	"wbcast/internal/mcast"
 	"wbcast/internal/node"
@@ -336,9 +335,6 @@ type Config struct {
 	// refine the relation later through Replica.SetConflictRelation (the kv
 	// service installs its key-based relation automatically).
 	Conflicts ConflictRelation
-	// DisableGC turns off garbage collection of delivered messages
-	// (WhiteBox only; the baselines retain delivered state regardless).
-	DisableGC bool
 	// AppGCHorizon gates garbage collection on an application durability
 	// horizon (WhiteBox only): a delivered message's protocol record is
 	// pruned only once the watermark conditions hold AND the application
@@ -347,7 +343,7 @@ type Config struct {
 	// discard a record the app would still need replayed after a crash.
 	// Nothing is pruned before the first AdvanceGCHorizon call; durable
 	// applications (e.g. kv.AttachShard with Persist) raise the horizon
-	// automatically. Supersedes the DisableGC footgun for durable apps.
+	// automatically.
 	AppGCHorizon bool
 	// Batching, when non-nil, batches each client's payloads into
 	// protocol-level multicasts per destination set (see the package
@@ -501,42 +497,21 @@ func newProtocolHandler(cfg Config, top *mcast.Topology, pid ProcessID, po *obs.
 		rc.Obs = po
 		rc.Durable = durable
 		rc.Recovered = rs
-		if cfg.DisableGC {
-			rc.GCInterval = 0
-		}
 		rc.AppGCHorizon = cfg.AppGCHorizon
 		if det {
 			rc.RetryInterval, rc.HeartbeatInterval, rc.SuspectTimeout, rc.GCInterval = 0, 0, 0, 0
 		}
 		return core.NewReplica(rc)
-	case FastCast:
-		fc := fastcast.Config{
-			PID: pid, Top: top,
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-			Obs:               po,
-			Durable:           durable,
-			Recovered:         rs,
+	case FastCast, FTSkeen:
+		var o blackbox.Options
+		if !det {
+			o = blackbox.Options{RetryInterval: 20 * d, HeartbeatInterval: 10 * d, SuspectTimeout: 40 * d}
 		}
-		if det {
-			fc.RetryInterval, fc.HeartbeatInterval, fc.SuspectTimeout = 0, 0, 0
+		variant := blackbox.FTSkeen
+		if cfg.Protocol == FastCast {
+			variant = blackbox.FastCast
 		}
-		return fastcast.New(fc)
-	case FTSkeen:
-		fc := ftskeen.Config{
-			PID: pid, Top: top,
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-			Obs:               po,
-			Durable:           durable,
-			Recovered:         rs,
-		}
-		if det {
-			fc.RetryInterval, fc.HeartbeatInterval, fc.SuspectTimeout = 0, 0, 0
-		}
-		return ftskeen.New(fc)
+		return variant(o).NewReplicaStored(pid, top, po, rs)
 	case Skeen:
 		// Skeen's protocol assumes reliable processes: no timers, no
 		// durable state — rs is ignored (Config.Storage still records the
