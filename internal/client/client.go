@@ -80,8 +80,13 @@ func (c *Client) Handle(in node.Input, fx *node.Effects) {
 	case node.Submit:
 		c.submit(in.Msg, fx)
 	case node.Recv:
-		if r, ok := in.Msg.(msgs.ClientReply); ok {
-			c.onReply(r)
+		switch r := in.Msg.(type) {
+		case msgs.ClientReply:
+			c.onReply(r.ID, r.Group)
+		case msgs.ClientReplies:
+			for _, id := range r.IDs {
+				c.onReply(id, r.Group)
+			}
 		}
 	case node.Timer:
 		if in.Kind == node.TimerClient {
@@ -111,22 +116,24 @@ func (c *Client) send(m mcast.AppMsg, fx *node.Effects) {
 	}
 }
 
-func (c *Client) onReply(r msgs.ClientReply) {
-	req, ok := c.inflight[r.ID]
+// onReply records that group g delivered id — told by its leader's
+// ClientReply or by one entry of a follower's ClientReplies.
+func (c *Client) onReply(id mcast.MsgID, g mcast.GroupID) {
+	req, ok := c.inflight[id]
 	if !ok {
 		return // duplicate reply after completion
 	}
-	req.got[r.Group] = true
+	req.got[g] = true
 	for _, g := range req.m.Dest {
 		if !req.got[g] {
 			return
 		}
 	}
-	delete(c.inflight, r.ID)
+	delete(c.inflight, id)
 	c.completed++
-	c.cfg.Obs.OnComplete(r.ID, req.at)
+	c.cfg.Obs.OnComplete(id, req.at)
 	if c.cfg.OnComplete != nil {
-		c.cfg.OnComplete(r.ID)
+		c.cfg.OnComplete(id)
 	}
 }
 

@@ -119,3 +119,32 @@ func TestDuplicateSubmitIgnored(t *testing.T) {
 		t.Errorf("inflight = %d", cl.Inflight())
 	}
 }
+
+// TestClientRepliesCompletesSeveral: one follower message answers for every
+// ID it carries in a single Handle call; IDs already completed or never
+// submitted are skipped, and a two-group message still waits for its other
+// group.
+func TestClientRepliesCompletesSeveral(t *testing.T) {
+	var completions []mcast.MsgID
+	cl := newClient(0, &completions)
+	a, _ := submit(cl, 1, 0)
+	b, _ := submit(cl, 2, 0)
+	both, _ := submit(cl, 3, 0, 1)
+	var fx node.Effects
+	cl.Handle(node.Recv{From: 0, Msg: msgs.ClientReply{ID: a, Group: 0}}, &fx) // the leader's reply came first
+	unknown := mcast.MakeMsgID(100, 99)
+	cl.Handle(node.Recv{From: 1, Msg: msgs.ClientReplies{Group: 0, IDs: []mcast.MsgID{a, b, unknown, both, b}}}, &fx)
+	if len(completions) != 2 || completions[0] != a || completions[1] != b {
+		t.Fatalf("completions = %v, want [%v %v]", completions, a, b)
+	}
+	if cl.Inflight() != 1 {
+		t.Fatalf("inflight = %d, want the two-group message only", cl.Inflight())
+	}
+	cl.Handle(node.Recv{From: 11, Msg: msgs.ClientReplies{Group: 1, IDs: []mcast.MsgID{both}}}, &fx)
+	if len(completions) != 3 || completions[2] != both || cl.Inflight() != 0 {
+		t.Fatalf("completions = %v, inflight = %d", completions, cl.Inflight())
+	}
+	if len(fx.Sends) != 0 || len(fx.Timers) != 0 {
+		t.Errorf("replies caused effects: %+v", fx)
+	}
+}

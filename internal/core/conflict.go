@@ -228,7 +228,7 @@ func (r *Replica) onDeliverConflict(d msgs.Deliver, fx *node.Effects) {
 	}
 	r.queue.Remove(d.ID)
 	batch.ExpandInto(fx, mcast.Delivery{Msg: st.app, GTS: d.GTS})
-	fx.Send(d.ID.Sender(), msgs.ClientReply{ID: d.ID, Group: r.group})
+	r.reply(d.ID, fx)
 }
 
 // catchupConflict replays the release log to a follower stalled at cursor

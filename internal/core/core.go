@@ -227,6 +227,17 @@ type Replica struct {
 	// record can transiently drop out of a merged state and reappear with
 	// the same stamps — and is the authoritative re-delivery guard.
 	applied map[mcast.MsgID]bool
+
+	// replyQ holds, per client, the IDs this replica delivered as a
+	// non-leader since the last TimerReplies flush (reply). A slice in
+	// first-queued order, not a map: the flush order reaches the wire.
+	replyQ []queuedReplies
+}
+
+// queuedReplies is one client's pending ClientReplies message.
+type queuedReplies struct {
+	to  mcast.ProcessID
+	ids []mcast.MsgID
 }
 
 // NewReplica constructs a white-box replica.
@@ -379,7 +390,7 @@ func (r *Replica) Handle(in node.Input, fx *node.Effects) {
 func (r *Replica) onRecv(in node.Recv, fx *node.Effects) {
 	switch m := in.Msg.(type) {
 	case msgs.Multicast:
-		r.onMulticast(m.M, fx)
+		r.onMulticast(in.From, m.M, fx)
 	case msgs.Accept:
 		r.onAccept(m, fx)
 	case msgs.AcceptAck:
@@ -408,9 +419,19 @@ func (r *Replica) onRecv(in node.Recv, fx *node.Effects) {
 // onMulticast handles MULTICAST (Fig. 4 lines 3–9). Duplicates (client
 // retries, leader retries after recovery) re-send ACCEPT with the stored
 // local timestamp, preserving Invariant 1.
-func (r *Replica) onMulticast(app mcast.AppMsg, fx *node.Effects) {
+func (r *Replica) onMulticast(from mcast.ProcessID, app mcast.AppMsg, fx *node.Effects) {
 	if r.status != StatusLeader { // line 4
 		return
+	}
+	if st, ok := r.state[app.ID]; ok && from == app.ID.Sender() && r.deliveredHere(app.ID, st) {
+		// The sender retries a message this group has delivered: it lost
+		// the replies, and another ACCEPT round would never answer it. With
+		// more destination groups the ACCEPT still goes out — a group that
+		// has yet to deliver may be waiting for exactly this proposal.
+		fx.Send(from, msgs.ClientReply{ID: app.ID, Group: r.group})
+		if len(st.app.Dest) == 1 {
+			return
+		}
 	}
 	st := r.get(app.ID)
 	if !st.hasApp {
@@ -682,7 +703,52 @@ func (r *Replica) onDeliver(d msgs.Deliver, fx *node.Effects) {
 	r.queue.Remove(d.ID)
 	// line 31, unpacking batch envelopes into per-payload deliveries.
 	batch.ExpandInto(fx, mcast.Delivery{Msg: st.app, GTS: d.GTS})
-	fx.Send(d.ID.Sender(), msgs.ClientReply{ID: d.ID, Group: r.group})
+	r.reply(d.ID, fx)
+}
+
+// deliveredHere reports whether this replica has handed st's message to its
+// application. A leader marks Delivered[m] when it replicates the DELIVER
+// (drain), one self-addressed message before it delivers locally.
+func (r *Replica) deliveredHere(id mcast.MsgID, st *mstate) bool {
+	if r.conflictMode() {
+		return r.applied[id]
+	}
+	return st.delivered && !r.maxDeliveredGTS.Less(st.gts)
+}
+
+// reply tells the sender of id that this group delivered it. The leader
+// delivers first (at commit; followers one hop later) and answers at once:
+// that reply is the client-perceived latency. A follower's reply only backs
+// it up, so it is queued per client and leaves as one ClientReplies message
+// when TimerReplies fires, a heartbeat interval after the first queued ID.
+// Without a heartbeat interval there are no background timers to flush on,
+// and every replica answers at once.
+func (r *Replica) reply(id mcast.MsgID, fx *node.Effects) {
+	to := id.Sender()
+	if r.status == StatusLeader || r.cfg.HeartbeatInterval == 0 {
+		fx.Send(to, msgs.ClientReply{ID: id, Group: r.group})
+		return
+	}
+	if len(r.replyQ) == 0 {
+		fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerReplies, 0)
+	}
+	for i := range r.replyQ {
+		if q := &r.replyQ[i]; q.to == to {
+			q.ids = append(q.ids, id)
+			return
+		}
+	}
+	r.replyQ = append(r.replyQ, queuedReplies{to: to, ids: []mcast.MsgID{id}})
+}
+
+// flushReplies sends every queued ClientReplies. The ID slices leave with
+// their messages (a runtime may hold a send past this call).
+func (r *Replica) flushReplies(fx *node.Effects) {
+	for _, q := range r.replyQ {
+		fx.Send(q.to, msgs.ClientReplies{Group: r.group, IDs: q.ids})
+	}
+	clear(r.replyQ)
+	r.replyQ = r.replyQ[:0]
 }
 
 // retry re-sends MULTICAST for a message stuck in PROPOSED or ACCEPTED

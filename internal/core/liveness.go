@@ -20,6 +20,9 @@ import (
 // concrete watermark design here is ours and is documented in DESIGN.md).
 
 func (r *Replica) onStart(fx *node.Effects) {
+	// A restart that kept this handler in memory lost its timers: replies
+	// still queued would wait for a flush that never comes.
+	r.flushReplies(fx)
 	if r.cfg.HeartbeatInterval > 0 {
 		if r.status == StatusLeader {
 			r.broadcastHeartbeat(fx)
@@ -60,6 +63,8 @@ func (r *Replica) onTimer(t node.Timer, fx *node.Effects) {
 		}
 	case node.TimerGC:
 		r.onGCTimer(fx)
+	case node.TimerReplies:
+		r.flushReplies(fx)
 	}
 }
 

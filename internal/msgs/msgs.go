@@ -33,31 +33,33 @@ const (
 	KindConfirm
 	KindBatch
 	KindAckBatch
+	KindClientReplies
 )
 
 var kindNames = map[Kind]string{
-	KindMulticast:    "MULTICAST",
-	KindClientReply:  "CLIENT_REPLY",
-	KindPropose:      "PROPOSE",
-	KindAccept:       "ACCEPT",
-	KindAcceptAck:    "ACCEPT_ACK",
-	KindDeliver:      "DELIVER",
-	KindNewLeader:    "NEWLEADER",
-	KindNewLeaderAck: "NEWLEADER_ACK",
-	KindNewState:     "NEW_STATE",
-	KindNewStateAck:  "NEWSTATE_ACK",
-	KindHeartbeat:    "HEARTBEAT",
-	KindHeartbeatAck: "HEARTBEAT_ACK",
-	KindPrune:        "PRUNE",
-	KindGCMark:       "GC_MARK",
-	KindP1a:          "PAXOS_1A",
-	KindP1b:          "PAXOS_1B",
-	KindP2a:          "PAXOS_2A",
-	KindP2b:          "PAXOS_2B",
-	KindLearn:        "PAXOS_LEARN",
-	KindConfirm:      "CONFIRM",
-	KindBatch:        "BATCH",
-	KindAckBatch:     "ACK_BATCH",
+	KindMulticast:     "MULTICAST",
+	KindClientReply:   "CLIENT_REPLY",
+	KindPropose:       "PROPOSE",
+	KindAccept:        "ACCEPT",
+	KindAcceptAck:     "ACCEPT_ACK",
+	KindDeliver:       "DELIVER",
+	KindNewLeader:     "NEWLEADER",
+	KindNewLeaderAck:  "NEWLEADER_ACK",
+	KindNewState:      "NEW_STATE",
+	KindNewStateAck:   "NEWSTATE_ACK",
+	KindHeartbeat:     "HEARTBEAT",
+	KindHeartbeatAck:  "HEARTBEAT_ACK",
+	KindPrune:         "PRUNE",
+	KindGCMark:        "GC_MARK",
+	KindP1a:           "PAXOS_1A",
+	KindP1b:           "PAXOS_1B",
+	KindP2a:           "PAXOS_2A",
+	KindP2b:           "PAXOS_2B",
+	KindLearn:         "PAXOS_LEARN",
+	KindConfirm:       "CONFIRM",
+	KindBatch:         "BATCH",
+	KindAckBatch:      "ACK_BATCH",
+	KindClientReplies: "CLIENT_REPLIES",
 }
 
 // IsAck reports whether the kind is ack-class: a small fixed-size
@@ -163,6 +165,17 @@ type Multicast struct {
 type ClientReply struct {
 	ID    mcast.MsgID
 	Group mcast.GroupID
+}
+
+// ClientReplies is a follower's coalesced form of ClientReply: one message
+// per client carrying, in delivery order, every ID the replica of Group
+// delivered for that client since its last flush. The leader delivers first
+// and answers with a ClientReply at once, so these only back it up — they
+// reach the client within one heartbeat interval and complete whatever the
+// leader's reply did not.
+type ClientReplies struct {
+	Group mcast.GroupID
+	IDs   []mcast.MsgID
 }
 
 // BatchEntry is one application payload carried inside a Batch, tagged with
@@ -489,28 +502,29 @@ type Learn struct {
 // ---------------------------------------------------------------------------
 
 // Kind implementations.
-func (Multicast) Kind() Kind    { return KindMulticast }
-func (ClientReply) Kind() Kind  { return KindClientReply }
-func (Propose) Kind() Kind      { return KindPropose }
-func (Confirm) Kind() Kind      { return KindConfirm }
-func (Accept) Kind() Kind       { return KindAccept }
-func (AcceptAck) Kind() Kind    { return KindAcceptAck }
-func (Deliver) Kind() Kind      { return KindDeliver }
-func (NewLeader) Kind() Kind    { return KindNewLeader }
-func (NewLeaderAck) Kind() Kind { return KindNewLeaderAck }
-func (NewState) Kind() Kind     { return KindNewState }
-func (NewStateAck) Kind() Kind  { return KindNewStateAck }
-func (Heartbeat) Kind() Kind    { return KindHeartbeat }
-func (HeartbeatAck) Kind() Kind { return KindHeartbeatAck }
-func (GCMark) Kind() Kind       { return KindGCMark }
-func (Prune) Kind() Kind        { return KindPrune }
-func (P1a) Kind() Kind          { return KindP1a }
-func (P1b) Kind() Kind          { return KindP1b }
-func (P2a) Kind() Kind          { return KindP2a }
-func (P2b) Kind() Kind          { return KindP2b }
-func (Learn) Kind() Kind        { return KindLearn }
-func (Batch) Kind() Kind        { return KindBatch }
-func (AckBatch) Kind() Kind     { return KindAckBatch }
+func (Multicast) Kind() Kind     { return KindMulticast }
+func (ClientReply) Kind() Kind   { return KindClientReply }
+func (Propose) Kind() Kind       { return KindPropose }
+func (Confirm) Kind() Kind       { return KindConfirm }
+func (Accept) Kind() Kind        { return KindAccept }
+func (AcceptAck) Kind() Kind     { return KindAcceptAck }
+func (Deliver) Kind() Kind       { return KindDeliver }
+func (NewLeader) Kind() Kind     { return KindNewLeader }
+func (NewLeaderAck) Kind() Kind  { return KindNewLeaderAck }
+func (NewState) Kind() Kind      { return KindNewState }
+func (NewStateAck) Kind() Kind   { return KindNewStateAck }
+func (Heartbeat) Kind() Kind     { return KindHeartbeat }
+func (HeartbeatAck) Kind() Kind  { return KindHeartbeatAck }
+func (GCMark) Kind() Kind        { return KindGCMark }
+func (Prune) Kind() Kind         { return KindPrune }
+func (P1a) Kind() Kind           { return KindP1a }
+func (P1b) Kind() Kind           { return KindP1b }
+func (P2a) Kind() Kind           { return KindP2a }
+func (P2b) Kind() Kind           { return KindP2b }
+func (Learn) Kind() Kind         { return KindLearn }
+func (Batch) Kind() Kind         { return KindBatch }
+func (AckBatch) Kind() Kind      { return KindAckBatch }
+func (ClientReplies) Kind() Kind { return KindClientReplies }
 
 // Concerns implementations: messages that take part in ordering a specific
 // application message report its ID for the genuineness audit.
@@ -523,6 +537,15 @@ func (m AcceptAck) Concerns() (mcast.MsgID, bool)   { return m.ID, true }
 func (m Deliver) Concerns() (mcast.MsgID, bool)     { return m.ID, true }
 func (m P2a) Concerns() (mcast.MsgID, bool)         { return m.Cmd.CmdMsgID() }
 func (m Learn) Concerns() (mcast.MsgID, bool)       { return m.Cmd.CmdMsgID() }
+
+// Concerns reports the first ID: every ID of one ClientReplies has the same
+// sender, its only recipient.
+func (m ClientReplies) Concerns() (mcast.MsgID, bool) {
+	if len(m.IDs) == 0 {
+		return 0, false
+	}
+	return m.IDs[0], true
+}
 
 // Interface-compliance assertions.
 var (
@@ -548,6 +571,7 @@ var (
 	_ Message = Learn{}
 	_ Message = Batch{}
 	_ Message = AckBatch{}
+	_ Message = ClientReplies{}
 
 	_ Concerner = Multicast{}
 	_ Concerner = Accept{}

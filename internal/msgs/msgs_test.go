@@ -15,7 +15,7 @@ func TestKindStrings(t *testing.T) {
 		msgs.KindNewStateAck, msgs.KindHeartbeat, msgs.KindHeartbeatAck,
 		msgs.KindPrune, msgs.KindGCMark, msgs.KindP1a, msgs.KindP1b,
 		msgs.KindP2a, msgs.KindP2b, msgs.KindLearn, msgs.KindConfirm,
-		msgs.KindBatch,
+		msgs.KindBatch, msgs.KindAckBatch, msgs.KindClientReplies,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -72,6 +72,7 @@ func TestConcerns(t *testing.T) {
 		msgs.Deliver{ID: id},
 		msgs.P2a{Cmd: msgs.Command{Op: msgs.CmdAssign, M: app}},
 		msgs.Learn{Cmd: msgs.Command{Op: msgs.CmdCommit, ID: id}},
+		msgs.ClientReplies{IDs: []mcast.MsgID{id, mcast.MakeMsgID(3, 8)}},
 	}
 	for _, m := range concerning {
 		c, ok := m.(msgs.Concerner)
@@ -87,6 +88,9 @@ func TestConcerns(t *testing.T) {
 	// Noop commands and recovery/election traffic concern no message.
 	if _, ok := (msgs.P2a{Cmd: msgs.Command{Op: msgs.CmdNoop}}).Concerns(); ok {
 		t.Error("noop P2a claims to concern a message")
+	}
+	if _, ok := (msgs.ClientReplies{}).Concerns(); ok {
+		t.Error("empty ClientReplies claims to concern a message")
 	}
 	if _, ok := interface{}(msgs.Heartbeat{}).(msgs.Concerner); ok {
 		t.Error("Heartbeat should not implement Concerner")

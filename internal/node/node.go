@@ -78,8 +78,11 @@ const (
 	// TimerBatch is the batching client's flush-deadline timer
 	// (internal/batch, MaxDelay trigger).
 	TimerBatch
+	// TimerReplies flushes a white-box follower's queued client replies
+	// (one ClientReplies message per client).
+	TimerReplies
 	// TimerApp is reserved for application-level handlers built on the
-	// public API.
+	// public API. It stays the last kind: applications count up from it.
 	TimerApp
 )
 

@@ -1,10 +1,13 @@
 package tcpnet
 
 import (
+	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
+	"wbcast/internal/node"
 	"wbcast/internal/obs"
 )
 
@@ -82,4 +85,32 @@ func BenchmarkReadFramePath(b *testing.B) {
 		}
 		n.putReadFrame(rf)
 	}
+}
+
+// BenchmarkReadLoop measures the whole inbound stage — buffered read,
+// pooled frame, borrow decode, post to the shard's mailbox — over an
+// in-memory pipe, with the writer handing over benchFramesPerWrite frames
+// at a time as a peer's coalescing writeLoop does under load. reads/frame
+// is the number of Read calls (read(2) on a real connection) per frame.
+func BenchmarkReadLoop(b *testing.B) {
+	const benchFramesPerWrite = 8
+	var seen atomic.Int64
+	done := make(chan struct{})
+	r := newReadRig(b, func(node.Recv) {
+		if seen.Add(1) == int64(b.N) {
+			close(done)
+		}
+	})
+	frame := rawFrame(b, r.n, benchAccept())
+	burst := bytes.Repeat(frame, benchFramesPerWrite)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= benchFramesPerWrite {
+		if _, err := r.peer.Write(burst[:min(left, benchFramesPerWrite)*len(frame)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	<-done
+	b.StopTimer()
+	b.ReportMetric(float64(r.conn.reads.Load())/float64(b.N), "reads/frame")
 }

@@ -6,9 +6,9 @@
 // node.Mailbox and node.Step, the same loop as the in-process runtime. The
 // ordering path is pipelined across three stages (docs/CONCURRENCY.md):
 //
-//	read loops   — parse frames (borrow-mode decode) and route each to the
-//	               mailboxes of the destination shards named in the frame
-//	               header;
+//	read loops   — one buffered read(2) takes in every frame a segment
+//	               carried; each is borrow-decoded and routed to the
+//	               mailboxes of the shards its header names;
 //	shard loops  — Handle serially per shard, persist-before-release (the
 //	               driver), then post local sends straight to the
 //	               destination shard's mailbox and hand remote sends to the

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -32,6 +33,11 @@ const (
 	coalesceFrames = 64
 	coalesceBytes  = 256 << 10
 )
+
+// readBufSize is the per-connection read buffer: one read(2) takes in every
+// frame the kernel has queued up to this many bytes, instead of two reads
+// (length prefix, body) per frame. A larger frame bypasses the buffer.
+const readBufSize = 32 << 10
 
 // ackBatchMax bounds how many ack-class messages accumulate for one
 // (address, sending shard) stream before the encode stage flushes them as
@@ -436,23 +442,29 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// readLoop parses frames off one inbound connection and routes each to
-// the mailboxes of the hosted destination shards named in its header. A
-// frame with several hosted destinations is posted once per shard with a
-// shared reference-counted buffer; an AckBatch frame is expanded into
-// per-entry Recv posts (ack messages carry no byte slices, so the frame
-// is recycled immediately).
+// readLoop parses frames off one inbound connection, read through one
+// buffer per connection, and routes each to the mailboxes of the hosted
+// destination shards named in its header. A frame with several hosted
+// destinations is posted once per shard with a shared reference-counted
+// buffer; an AckBatch frame is expanded into per-entry Recv posts (ack
+// messages carry no byte slices, so the frame is recycled immediately).
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
-	go func() { // unblock the read on shutdown
-		<-n.quit
-		conn.Close()
+	done := make(chan struct{})
+	defer close(done)
+	go func() { // unblock the read on shutdown; gone with the connection
+		select {
+		case <-n.quit:
+			conn.Close()
+		case <-done:
+		}
 	}()
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var lenBuf [4]byte
 	var targets []*shard
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
 		}
 		size := binary.BigEndian.Uint32(lenBuf[:])
@@ -461,7 +473,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			return
 		}
 		rf := n.getReadFrame(int(size))
-		if _, err := io.ReadFull(conn, rf.buf); err != nil {
+		if _, err := io.ReadFull(br, rf.buf); err != nil {
 			n.putReadFrame(rf)
 			return
 		}

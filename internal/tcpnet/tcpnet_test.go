@@ -384,3 +384,82 @@ func TestBatchedClientOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// TestFramesPerMulticast pins the frame count of the hot path over real TCP:
+// one group of three, 200 single-group multicasts, each submitted once the
+// previous one is delivered everywhere (so no two share an ACK_BATCH). Each
+// costs the replicas 2 ACCEPT + 2 ACCEPT_ACK + 2 DELIVER frames and the
+// leader's one reply — 7; the followers' replies ride in one CLIENT_REPLIES
+// per heartbeat interval, which with δ = 50ms is a handful of frames over
+// the whole run, like the heartbeats themselves. With a reply per replica
+// it was 9, so the bound sits at 8.
+func TestFramesPerMulticast(t *testing.T) {
+	top := mcast.UniformTopology(1, 3)
+	const clientPID = mcast.ProcessID(3)
+	const numMsgs = 200
+	var nodes []*tcpnet.Node
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+	// One event per delivery at a replica and per completion at the client.
+	events := make(chan mcast.MsgID, top.NumReplicas()+1)
+	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
+		r, err := core.NewReplica(core.DefaultConfig(pid, top, 50*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := tcpnet.Serve(tcpnet.Config{
+			PID: pid, ListenAddr: "127.0.0.1:0", Handler: r,
+			OnDeliver: func(d mcast.Delivery) { events <- d.Msg.ID },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	cl := client.New(client.Config{
+		PID:        clientPID,
+		Contacts:   func(g mcast.GroupID) []mcast.ProcessID { return []mcast.ProcessID{top.InitialLeader(g)} },
+		Retry:      2500 * time.Millisecond, // 50δ, as wbcast.NewClient derives it
+		OnComplete: func(id mcast.MsgID) { events <- id },
+	})
+	cn, err := tcpnet.Serve(tcpnet.Config{PID: clientPID, ListenAddr: "127.0.0.1:0", Handler: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes = append(nodes, cn)
+	sharePeerAddrs(nodes, clientPID)
+
+	for i := 1; i <= numMsgs; i++ {
+		m := mcast.AppMsg{ID: mcast.MakeMsgID(clientPID, uint32(i)), Dest: mcast.NewGroupSet(0), Payload: []byte("x")}
+		if err := cn.Inject(node.Submit{Msg: m}); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < cap(events); k++ {
+			select {
+			case id := <-events:
+				if id != m.ID {
+					t.Fatalf("multicast %d: event for %v", i, id)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("multicast %d: %d of %d deliveries and completions", i, k, cap(events))
+			}
+		}
+	}
+	var frames int64
+	for _, n := range nodes[:top.NumReplicas()] {
+		frames += n.Stats().FramesSent
+	}
+	if perOp := float64(frames) / numMsgs; perOp >= 8 {
+		t.Errorf("replicas sent %.2f frames per multicast, want under 8", perOp)
+	} else {
+		t.Logf("replicas sent %.2f frames per multicast", perOp)
+	}
+	// The client only ever sends MULTICAST: one message each means it never
+	// had to retransmit.
+	if sent := cn.Stats().MessagesEncoded; sent != numMsgs {
+		t.Errorf("client sent %d messages for %d multicasts", sent, numMsgs)
+	}
+}

@@ -23,6 +23,9 @@ func fuzzSeeds(f *testing.F) {
 		msgs.Deliver{ID: mcast.MakeMsgID(3, 1), Bal: mcast.Ballot{N: 2, Proc: 1}, GTS: mcast.Timestamp{Time: 9, Group: 0}, Seq: 17},
 		msgs.Deliver{ID: mcast.MakeMsgID(3, 2), Bal: mcast.Ballot{N: 2, Proc: 1}, GTS: mcast.Timestamp{Time: 10, Group: 0}, Prev: mcast.Timestamp{Time: 9, Group: 0}},
 		msgs.HeartbeatAck{Group: 1, Bal: mcast.Ballot{N: 2, Proc: 1}, Delivered: mcast.Timestamp{Time: 10, Group: 0}, Seq: 17},
+		msgs.ClientReplies{Group: 1, IDs: []mcast.MsgID{}},
+		msgs.ClientReplies{Group: 1, IDs: []mcast.MsgID{mcast.MakeMsgID(6, 1)}},
+		msgs.ClientReplies{Group: 0, IDs: []mcast.MsgID{mcast.MakeMsgID(6, 2), mcast.MakeMsgID(6, 3), mcast.MakeMsgID(6, 5)}},
 		msgs.Prune{Group: 0, Marks: []msgs.GroupTS{{Group: 1, TS: mcast.Timestamp{Time: 3, Group: 1}}}},
 		msgs.P1b{Group: 0, Bal: mcast.Ballot{N: 4, Proc: 2}, Executed: 7, Entries: []msgs.P1bEntry{
 			{Slot: 7, VBal: mcast.Ballot{N: 3, Proc: 1}, Cmd: msgs.Command{Op: msgs.CmdCommit, ID: mcast.MakeMsgID(2, 11), LTSs: []msgs.GroupTS{{Group: 0, TS: mcast.Timestamp{Time: 1, Group: 0}}}}},

@@ -120,6 +120,12 @@ func Encode(dst []byte, m msgs.Message) ([]byte, error) {
 			}
 			e.buf = buf
 		}
+	case msgs.ClientReplies:
+		e.i32(int32(m.Group))
+		e.u64(uint64(len(m.IDs)))
+		for _, id := range m.IDs {
+			e.u64(uint64(id))
+		}
 	default:
 		return nil, fmt.Errorf("wire: cannot encode message kind %v", m.Kind())
 	}
@@ -267,6 +273,16 @@ func (d *decoder) message(kind msgs.Kind) msgs.Message {
 			}
 		}
 		m = ab
+	case msgs.KindClientReplies:
+		r := msgs.ClientReplies{Group: mcast.GroupID(d.i32())}
+		n := d.u64()
+		if d.validCount(n) {
+			r.IDs = make([]mcast.MsgID, 0, n)
+			for i := uint64(0); i < n; i++ {
+				r.IDs = append(r.IDs, mcast.MsgID(d.u64()))
+			}
+		}
+		m = r
 	default:
 		d.fail(fmt.Errorf("unknown message kind %d", kind))
 	}

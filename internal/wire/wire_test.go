@@ -3,6 +3,7 @@ package wire_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -70,6 +71,38 @@ func allMessages() []msgs.Message {
 			{To: 5, Msg: msgs.HeartbeatAck{Group: 2, Bal: bal(5, 8), Delivered: ts(42, 1), Executed: 7}},
 			{To: 6, Msg: msgs.P2b{Group: 0, Bal: bal(6, 1), Slot: 9}},
 		}},
+		msgs.ClientReplies{Group: 2, IDs: []mcast.MsgID{mcast.MakeMsgID(7, 17), mcast.MakeMsgID(7, 18), mcast.MakeMsgID(7, 20)}},
+	}
+}
+
+// TestClientRepliesRoundTrip: a follower's coalesced replies keep their IDs
+// in order whatever their number, and a hostile count is refused before
+// anything is allocated for it.
+func TestClientRepliesRoundTrip(t *testing.T) {
+	many := make([]mcast.MsgID, 1000)
+	for i := range many {
+		many[i] = mcast.MakeMsgID(9, uint32(i+1))
+	}
+	for _, ids := range [][]mcast.MsgID{{}, {mcast.MakeMsgID(9, 1)}, many} {
+		in := msgs.ClientReplies{Group: 1, IDs: ids}
+		data, err := wire.Encode(nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decode := range []func([]byte) (msgs.Message, error){wire.Decode, wire.DecodeBorrowed} {
+			got, err := decode(data)
+			if err != nil {
+				t.Fatalf("%d ids: %v", len(ids), err)
+			}
+			if !reflect.DeepEqual(got, in) {
+				t.Errorf("%d ids: round trip gave %+v", len(ids), got)
+			}
+		}
+	}
+	// group 0, then a count of 2^21 (above the decoder's collection limit).
+	raw := []byte{byte(msgs.KindClientReplies), 0, 0x80, 0x80, 0x80, 0x01}
+	if _, err := wire.Decode(raw); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("a count above the collection limit: err = %v", err)
 	}
 }
 
