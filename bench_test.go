@@ -1,27 +1,19 @@
-// Benchmarks regenerating the paper's evaluation artefacts, one per table
-// or figure (see DESIGN.md experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured results):
+// Benchmarks regenerating the paper's message-delay artefacts on the
+// deterministic simulator, one per table or figure; each reports the
+// measured delivery latency in multiples of δ ("δ-multiple", "CFδ", "FFδ"):
 //
-//	E1 (Fig. 2)  BenchmarkFig2ConvoyEffectSkeen
-//	E2 (Fig. 5)  BenchmarkFig5CollisionFreeWbCast
-//	E3 (table)   BenchmarkLatencyTable/<protocol>
-//	E4 (Fig. 7)  BenchmarkFig7LAN/<protocol>/dest=D
-//	E5 (Fig. 8)  BenchmarkFig8WAN/<protocol>/dest=D
+//	Fig. 2  BenchmarkFig2ConvoyEffectSkeen
+//	Fig. 5  BenchmarkFig5CollisionFreeWbCast
+//	table   BenchmarkLatencyTable/<protocol>
 //
-// The latency benchmarks run on the deterministic simulator and report the
-// measured delivery latency in multiples of δ via the "δ-multiple" metric;
-// the throughput benchmarks run closed-loop clients on the live runtime and
-// report "msg/s" and mean client latency.
+// The Fig. 7/8 throughput curves come from cmd/wbcast-bench, the real-stack
+// numbers from benchmark/ (see README "Reproducing the paper").
 package wbcast_test
 
 import (
-	"fmt"
 	"testing"
 
 	"wbcast/internal/bench"
-	"wbcast/internal/harness"
-	"wbcast/internal/live"
-	"wbcast/internal/mcast"
 )
 
 // BenchmarkFig2ConvoyEffectSkeen measures Skeen's worst-case (failure-free)
@@ -57,7 +49,7 @@ func BenchmarkFig5CollisionFreeWbCast(b *testing.B) {
 }
 
 // BenchmarkLatencyTable measures both latency metrics for every protocol
-// (experiment E3: the paper's 2δ/4δ, 6δ/12δ, 4δ/8δ, 3δ/5δ comparison).
+// (the paper's 2δ/4δ, 6δ/12δ, 4δ/8δ, 3δ/5δ comparison).
 func BenchmarkLatencyTable(b *testing.B) {
 	for _, tc := range []struct {
 		name      string
@@ -86,67 +78,3 @@ func BenchmarkLatencyTable(b *testing.B) {
 		})
 	}
 }
-
-// throughputBench pumps b.N closed-loop multicasts through a live cluster.
-func throughputBench(b *testing.B, proto string, groups, clients, dest int, lat live.LatencyFunc) {
-	b.Helper()
-	p, err := bench.ProtocolByName(proto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	elapsed, stats, err := bench.RunN(p, bench.ThroughputConfig{
-		Groups: groups, GroupSize: 3,
-		Clients: clients, DestGroups: dest,
-		Latency: lat,
-	}, b.N)
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "msg/s")
-	}
-	b.ReportMetric(float64(stats.Mean.Microseconds()), "µs-mean-lat")
-}
-
-// BenchmarkFig7LAN reproduces points of the paper's Fig. 7: LAN profile,
-// 10 groups × 3 replicas, 32 closed-loop clients, varying destination
-// groups. Compare msg/s and latency across the three protocol sub-benches.
-func BenchmarkFig7LAN(b *testing.B) {
-	for _, dest := range []int{1, 2, 4} {
-		for _, proto := range []string{"wbcast", "fastcast", "ftskeen"} {
-			b.Run(fmt.Sprintf("%s/dest=%d", proto, dest), func(b *testing.B) {
-				throughputBench(b, proto, 10, 32, dest, live.LAN())
-			})
-		}
-	}
-}
-
-// BenchmarkFig8WAN reproduces points of the paper's Fig. 8: WAN profile
-// (Oregon / N. Virginia / England round-trip matrix), one replica per data
-// centre per group. Operations take tens of milliseconds by design.
-func BenchmarkFig8WAN(b *testing.B) {
-	top := mcast.UniformTopology(10, 3)
-	wan := live.WAN(live.PaperWANAssign(top))
-	for _, dest := range []int{2} {
-		for _, proto := range []string{"wbcast", "fastcast", "ftskeen"} {
-			b.Run(fmt.Sprintf("%s/dest=%d", proto, dest), func(b *testing.B) {
-				throughputBench(b, proto, 10, 64, dest, wan)
-			})
-		}
-	}
-}
-
-// BenchmarkGenuinenessScaling shows why genuineness matters (paper §I):
-// doubling the number of groups does not slow down messages addressed to
-// disjoint pairs — throughput scales with the number of groups.
-func BenchmarkGenuinenessScaling(b *testing.B) {
-	for _, groups := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
-			throughputBench(b, "wbcast", groups, 4*groups, 2, live.LAN())
-		})
-	}
-}
-
-var _ harness.Protocol = nil // keep the harness import for documentation links

@@ -1,8 +1,7 @@
 // Command wbcast-latency regenerates the message-delay latency table of the
-// paper (experiments E1–E3 in DESIGN.md): the measured collision-free and
-// failure-free delivery latencies of Skeen's protocol, FT-Skeen, FastCast
-// and the white-box protocol, in units of the network delay δ, next to the
-// paper's claimed values.
+// paper: the measured collision-free and failure-free delivery latencies of
+// Skeen's protocol, FT-Skeen, FastCast and the white-box protocol, in units
+// of the network delay δ, next to the paper's claimed values.
 //
 // Usage:
 //

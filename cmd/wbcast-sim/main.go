@@ -29,7 +29,6 @@ import (
 	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
 	"wbcast/internal/faults"
-	"wbcast/internal/genmcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
@@ -223,7 +222,7 @@ func chaos(protocol string, seed int64, n int) error {
 	case "genmcast":
 		// Conflict-aware delivery under a 4-class payload relation; the
 		// harness swaps in the partial-order monitor automatically.
-		proto = genmcast.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect, Relation: genmcast.PayloadClasses(4)}
+		proto = core.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect, Generic: core.Relation(core.PayloadClasses(4))}
 	default:
 		return fmt.Errorf("unknown protocol %q (want wbcast, fastcast, ftskeen or genmcast)", protocol)
 	}

@@ -1,3 +1,8 @@
+// Package bench regenerates the paper's message-delay latency table (§VI:
+// Skeen 2δ/4δ, FT-Skeen 6δ/12δ, FastCast 4δ/8δ, WbCast 3δ/5δ) over the
+// discrete-event simulator. cmd/wbcast-latency prints it, the canonical
+// benchmark's sim-reference workload and BenchmarkLatencyTable measure with
+// the same probes.
 package bench
 
 import (
@@ -11,9 +16,9 @@ import (
 	"wbcast/internal/sim"
 )
 
-// LatencyRow is one line of the message-delay latency table (experiment E3
-// in DESIGN.md): measured collision-free and failure-free delivery
-// latencies of one protocol, in units of δ.
+// LatencyRow is one line of the message-delay latency table: measured
+// collision-free and failure-free delivery latencies of one protocol, in
+// units of δ.
 type LatencyRow struct {
 	Protocol      string
 	CollisionFree float64 // leader-level delivery latency, multiples of δ
@@ -124,9 +129,8 @@ func inDelta(d time.Duration) float64 {
 }
 
 // LatencyTable measures every protocol's collision-free and failure-free
-// latencies and returns the table of experiment E3. Skeen runs with
-// singleton groups (its model); the fault-tolerant protocols with groups of
-// three.
+// latencies and returns the table. Skeen runs with singleton groups (its
+// model); the fault-tolerant protocols with groups of three.
 func LatencyTable(probes int) ([]LatencyRow, error) {
 	rows := []struct {
 		proto     harness.Protocol

@@ -5,7 +5,6 @@ import (
 
 	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
-	"wbcast/internal/genmcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/skeen"
 )
@@ -21,7 +20,7 @@ var (
 	// 4-class payload relation, so roughly 3/4 of random payload pairs
 	// commute — enough contention to stay honest, enough commutativity for
 	// early release to show up in the numbers.
-	protoGenmcast harness.Protocol = genmcast.Protocol{Relation: genmcast.PayloadClasses(4)}
+	protoGenmcast harness.Protocol = core.Protocol{Generic: core.Relation(core.PayloadClasses(4))}
 )
 
 // ProtocolByName resolves a protocol name ("wbcast", "fastcast", "ftskeen",
@@ -41,9 +40,4 @@ func ProtocolByName(name string) (harness.Protocol, error) {
 	default:
 		return nil, fmt.Errorf("bench: unknown protocol %q (want wbcast, fastcast, ftskeen, skeen or genmcast)", name)
 	}
-}
-
-// AllProtocols lists the fault-tolerant protocols compared in Figs. 7–8.
-func AllProtocols() []harness.Protocol {
-	return []harness.Protocol{protoWbCast, protoFastCast, protoFTSkeen}
 }

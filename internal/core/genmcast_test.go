@@ -1,4 +1,4 @@
-package genmcast_test
+package core_test
 
 import (
 	"fmt"
@@ -6,23 +6,21 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/genmcast"
+	"wbcast/internal/core"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/sim"
 	"wbcast/internal/wal"
 )
 
-const delta = 10 * time.Millisecond
-
 // timers returns the adapter with the liveness machinery on, matching the
 // chaos-test parametrisation of the other fault-tolerant protocols.
-func timers(rel mcast.ConflictRelation) genmcast.Protocol {
-	return genmcast.Protocol{
+func timers(rel mcast.ConflictRelation) core.Protocol {
+	return core.Protocol{
 		RetryInterval:     20 * delta,
 		HeartbeatInterval: 10 * delta,
 		SuspectTimeout:    40 * delta,
-		Relation:          rel,
+		Generic:           core.Relation(rel),
 	}
 }
 
@@ -51,7 +49,7 @@ func inversions(c *harness.Cluster) int {
 // partial monitor via the ConflictProtocol extension.
 func TestQuiescence(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		c, err := harness.NewCluster(timers(genmcast.PayloadClasses(4)), harness.Options{
+		c, err := harness.NewCluster(timers(core.PayloadClasses(4)), harness.Options{
 			Groups: 2, GroupSize: 3, NumClients: 3,
 			Latency: sim.UniformJitter(delta/2, delta), Seed: seed, Retry: 30 * delta,
 		})
@@ -77,7 +75,7 @@ func TestQuiescence(t *testing.T) {
 func TestCommutingReordering(t *testing.T) {
 	total := 0
 	for seed := int64(0); seed < 6; seed++ {
-		c, err := harness.NewCluster(timers(genmcast.PayloadClasses(8)), harness.Options{
+		c, err := harness.NewCluster(timers(core.PayloadClasses(8)), harness.Options{
 			Groups: 2, GroupSize: 3, NumClients: 4,
 			Latency: sim.UniformJitter(delta/4, delta), Seed: seed, Retry: 30 * delta,
 		})
@@ -132,7 +130,7 @@ func TestAllConflictIsTotalOrder(t *testing.T) {
 // leader re-releases every committed message from release sequence 1, and
 // the applied-set guard keeps the re-releases exactly-once at the followers.
 func TestLeaderFailover(t *testing.T) {
-	c, err := harness.NewCluster(timers(genmcast.PayloadClasses(4)), harness.Options{
+	c, err := harness.NewCluster(timers(core.PayloadClasses(4)), harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
 		Latency: sim.Uniform(delta), Seed: 5, Retry: 30 * delta,
 	})
@@ -169,7 +167,7 @@ func TestDurableRestart(t *testing.T) {
 		stores[pid] = st
 		return st, nil
 	}
-	c, err := harness.NewCluster(timers(genmcast.PayloadClasses(4)), harness.Options{
+	c, err := harness.NewCluster(timers(core.PayloadClasses(4)), harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
 		Latency: sim.Uniform(delta), Seed: 9, Retry: 30 * delta,
 		Storage: storage,
@@ -202,10 +200,10 @@ func TestDurableRestart(t *testing.T) {
 
 // TestPayloadClasses pins the synthetic relation's contract.
 func TestPayloadClasses(t *testing.T) {
-	if genmcast.PayloadClasses(0) != nil || genmcast.PayloadClasses(1) != nil {
+	if core.PayloadClasses(0) != nil || core.PayloadClasses(1) != nil {
 		t.Error("k ≤ 1 must return the nil (all-conflict) relation")
 	}
-	rel := genmcast.PayloadClasses(4)
+	rel := core.PayloadClasses(4)
 	a, b := []byte("alpha"), []byte("beta")
 	if !rel(a, a) {
 		t.Error("a payload must conflict with itself")

@@ -246,17 +246,18 @@ func (r *Replica) onGCTimer(fx *node.Effects) {
 	if r.groupWM[r.group].Less(wm) {
 		r.groupWM[r.group] = wm
 	}
-	// Gossip our group's watermark to the other leaders.
+	// Gossip our group's watermark to the other leaders, then distribute
+	// the full watermark vector to our followers and prune. Both in GroupID
+	// order, not map order: a seeded run must replay its sends exactly.
 	mark := msgs.GCMark{Group: r.group, Watermark: r.groupWM[r.group]}
-	for g, ldr := range r.curLeader {
-		if g != r.group {
-			fx.Send(ldr, mark)
-		}
-	}
-	// Distribute the full watermark vector to our followers and prune.
 	marks := make([]msgs.GroupTS, 0, len(r.groupWM))
-	for g, w := range r.groupWM {
-		marks = append(marks, msgs.GroupTS{Group: g, TS: w})
+	for g := mcast.GroupID(0); int(g) < r.cfg.Top.NumGroups(); g++ {
+		if g != r.group {
+			fx.Send(r.curLeader[g], mark)
+		}
+		if w, ok := r.groupWM[g]; ok {
+			marks = append(marks, msgs.GroupTS{Group: g, TS: w})
+		}
 	}
 	fx.SendAll(r.groupPeers, msgs.Prune{Group: r.group, Marks: marks})
 	r.prune(fx)
@@ -321,6 +322,7 @@ func (r *Replica) prune(fx *node.Effects) {
 	// Log the removals so a replayed store does not resurrect pruned
 	// records (and so snapshots shrink along with the in-memory state).
 	if len(pruned) > 0 {
+		sort.Slice(pruned, func(i, j int) bool { return pruned[i] < pruned[j] })
 		fx.Persist(wal.Entry{Kind: wal.EntryPrune, IDs: pruned})
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
@@ -66,10 +68,12 @@ func (r *Replica) onNewLeader(from mcast.ProcessID, m msgs.NewLeader, fx *node.E
 	})
 }
 
-// exportState snapshots the ACCEPTED/COMMITTED message records. The records
-// share the replica's stored (owned, immutable) application messages rather
-// than cloning them: sending never mutates, network receivers decode their
-// own copies, and in-process receivers clone at their retention boundary.
+// exportState snapshots the ACCEPTED/COMMITTED message records, in MsgID
+// order so NEW_STATE and wal.EntryState bytes do not depend on map
+// iteration (a seeded run replays exactly). The records share the replica's
+// stored (owned, immutable) application messages rather than cloning them:
+// sending never mutates, network receivers decode their own copies, and
+// in-process receivers clone at their retention boundary.
 func (r *Replica) exportState() []msgs.MsgRecord {
 	recs := make([]msgs.MsgRecord, 0, len(r.state))
 	for _, st := range r.state {
@@ -86,6 +90,7 @@ func (r *Replica) exportState() []msgs.MsgRecord {
 			GTS:   st.gts,
 		})
 	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].M.ID < recs[j].M.ID })
 	return recs
 }
 
@@ -248,30 +253,34 @@ func (r *Replica) maybeFinishRecovery(fx *node.Effects) {
 	// it), so no follower's gap check can mistake the restart for a gap.
 	r.lastDeliverGTS = r.groupWM[r.group]
 	r.queue.Clear()
+	var accepted []mcast.MsgID
 	for id, st := range r.state {
 		switch st.phase {
 		case msgs.PhaseCommitted:
 			r.queue.Commit(id, st.gts)
 		case msgs.PhaseAccepted:
 			r.queue.SetPending(id, st.lts)
+			accepted = append(accepted, id)
 		}
 	}
 	r.drain(fx)
 
 	// Resume the processing of ACCEPTED messages (§IV "Message recovery":
-	// the retry mechanism re-runs the ACCEPT round in the new ballot).
-	for id, st := range r.state {
-		if st.phase == msgs.PhaseAccepted {
-			if r.cfg.RetryInterval > 0 {
-				r.armRetry(id, fx)
-			}
-			// Kick one immediate retry so recovery does not wait a full
-			// retry interval: re-multicast to every destination leader,
-			// including ourselves.
-			st.retries = 0
-			for _, g := range st.app.Dest {
-				fx.Send(r.curLeader[g], msgs.Multicast{M: st.app})
-			}
+	// the retry mechanism re-runs the ACCEPT round in the new ballot), in
+	// local-timestamp order: the sends and timers must not follow map
+	// iteration, or a seeded run would not replay.
+	sort.Slice(accepted, func(i, j int) bool { return r.state[accepted[i]].lts.Less(r.state[accepted[j]].lts) })
+	for _, id := range accepted {
+		st := r.state[id]
+		if r.cfg.RetryInterval > 0 {
+			r.armRetry(id, fx)
+		}
+		// Kick one immediate retry so recovery does not wait a full
+		// retry interval: re-multicast to every destination leader,
+		// including ourselves.
+		st.retries = 0
+		for _, g := range st.app.Dest {
+			fx.Send(r.curLeader[g], msgs.Multicast{M: st.app})
 		}
 	}
 

@@ -11,7 +11,6 @@ import (
 	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
 	"wbcast/internal/faults"
-	"wbcast/internal/genmcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/sim"
@@ -80,11 +79,11 @@ func chaosRows() []chaosRow {
 			SuspectTimeout:    40 * d,
 		}), groupSize: 3, durable: true},
 		{proto: skeen.Protocol{}, groupSize: 1, benign: true},
-		{proto: genmcast.Protocol{
+		{proto: core.Protocol{
 			RetryInterval:     20 * d,
 			HeartbeatInterval: 10 * d,
 			SuspectTimeout:    40 * d,
-			Relation:          genmcast.PayloadClasses(4),
+			Generic:           core.Relation(core.PayloadClasses(4)),
 		}, groupSize: 3, durable: true},
 	}
 }
@@ -212,63 +211,70 @@ func joinLines(ls []string) string {
 	return out
 }
 
+// chaosSeedList is the schedules a run explores: seeds 0..-seeds-1, or
+// exactly -seed.
+func chaosSeedList() []int64 {
+	if *chaosSeed >= 0 {
+		return []int64{*chaosSeed}
+	}
+	seeds := make([]int64, *chaosSeeds)
+	for i := range seeds {
+		seeds[i] = int64(i)
+	}
+	return seeds
+}
+
 // TestChaos explores -seeds random schedules per protocol (or replays
 // -seed exactly).
 func TestChaos(t *testing.T) {
-	seeds := make([]int64, 0, *chaosSeeds)
-	if *chaosSeed >= 0 {
-		seeds = append(seeds, *chaosSeed)
-	} else {
-		for i := 0; i < *chaosSeeds; i++ {
-			seeds = append(seeds, int64(i))
-		}
-	}
 	for _, row := range chaosRows() {
 		row := row
 		t.Run(row.proto.Name(), func(t *testing.T) {
-			for _, seed := range seeds {
+			for _, seed := range chaosSeedList() {
 				runChaos(t, row, seed)
 			}
 		})
 	}
 }
 
-// TestChaosDeterministic runs one seed twice per protocol and requires
-// byte-identical delivery logs: the replay contract that makes -seed a
-// faithful reproducer.
+// TestChaosDeterministic runs every explored seed three times per protocol
+// and requires byte-identical delivery and trace logs: the replay contract
+// that makes -seed a faithful reproducer. Three runs, because a handler
+// that emits effects in map-iteration order agrees with itself on most
+// pairs of runs.
 func TestChaosDeterministic(t *testing.T) {
-	seed := int64(7)
-	if *chaosSeed >= 0 {
-		seed = *chaosSeed
-	}
 	for _, row := range chaosRows() {
 		row := row
 		t.Run(row.proto.Name(), func(t *testing.T) {
-			a, ta := runChaos(t, row, seed)
-			b, tb := runChaos(t, row, seed)
-			if !bytes.Equal(a, b) {
-				t.Fatalf("seed %d: delivery logs differ between two runs (%d vs %d bytes)", seed, len(a), len(b))
-			}
-			if len(a) == 0 {
-				t.Fatalf("seed %d: empty delivery log", seed)
-			}
-			if !bytes.Equal(ta, tb) {
-				t.Fatalf("seed %d: trace logs differ between two runs (%d vs %d bytes)", seed, len(ta), len(tb))
-			}
-			if len(ta) == 0 {
-				t.Fatalf("seed %d: empty trace log", seed)
-			}
-			// Fault-injection steps must appear interleaved with the
-			// protocol stages (every plan has at least the quiet-period
-			// heal), and sampled messages must reach delivery — stage
-			// events only exist for adapters with the observability
-			// extension (plain Skeen has none).
-			if !bytes.Contains(ta, []byte("fault")) {
-				t.Errorf("seed %d: no fault events in the trace", seed)
-			}
-			if _, traced := row.proto.(harness.ProtocolObs); traced {
-				if !bytes.Contains(ta, []byte("deliver")) {
-					t.Errorf("seed %d: no deliver stages in the trace", seed)
+			for _, seed := range chaosSeedList() {
+				a, ta := runChaos(t, row, seed)
+				for run := 2; run <= 3; run++ {
+					b, tb := runChaos(t, row, seed)
+					if !bytes.Equal(a, b) {
+						t.Fatalf("seed %d: delivery logs differ between runs 1 and %d (%d vs %d bytes)", seed, run, len(a), len(b))
+					}
+					if !bytes.Equal(ta, tb) {
+						t.Fatalf("seed %d: trace logs differ between runs 1 and %d (%d vs %d bytes)", seed, run, len(ta), len(tb))
+					}
+				}
+				if len(a) == 0 {
+					t.Fatalf("seed %d: empty delivery log", seed)
+				}
+				if len(ta) == 0 {
+					t.Fatalf("seed %d: empty trace log", seed)
+				}
+				// Fault-injection steps must appear interleaved with the
+				// protocol stages (every plan has at least the quiet-period
+				// heal), and sampled messages must reach delivery — stage
+				// events only exist for adapters with the observability
+				// extension (plain Skeen has none).
+				if !bytes.Contains(ta, []byte("fault")) {
+					t.Errorf("seed %d: no fault events in the trace", seed)
+				}
+				if _, traced := row.proto.(harness.ProtocolObs); traced {
+					if !bytes.Contains(ta, []byte("deliver")) {
+						t.Errorf("seed %d: no deliver stages in the trace", seed)
+					}
 				}
 			}
 		})

@@ -39,7 +39,7 @@ type Protocol interface {
 // ProtocolObs is the optional observability extension of Protocol: adapters
 // that implement it receive an instrumentation handle per replica, so
 // harness runs can record stage timelines and recovery events. The
-// fault-tolerant adapters (core, blackbox, genmcast) implement it; adapters
+// fault-tolerant adapters (core, blackbox) implement it; adapters
 // without it fall back to the plain NewReplica path, untraced.
 type ProtocolObs interface {
 	NewReplicaObs(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto) (node.Handler, error)
@@ -49,21 +49,22 @@ type ProtocolObs interface {
 // adapters that implement it build replicas that emit persist effects for
 // every crash-surviving state transition and replay a recovered state
 // before joining. Options.Storage requires it — the fault-tolerant
-// adapters (core, blackbox, genmcast) implement it.
+// adapters (core, blackbox) implement it.
 type StorageProtocol interface {
 	NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State) (node.Handler, error)
 }
 
 // ConflictProtocol is the optional conflict-aware extension of Protocol:
-// adapters that implement it (genmcast) deliver under the partial-order
-// contract of generic multicast — only conflicting deliveries are mutually
-// ordered. NewCluster switches the continuous monitor to partial-order mode
-// over the returned relation, and Check verifies the relaxed Ordering and
-// per-process stamp checks against it. A nil relation means every pair
-// conflicts (the strict contract still relaxed of the per-group gap check,
-// since re-released slots make the delivery *sequences* diverge harmlessly).
+// an adapter that returns a non-nil holder (core.Protocol with Generic set)
+// delivers under the partial-order contract of generic multicast — only
+// conflicting deliveries are mutually ordered. NewCluster switches the
+// continuous monitor to partial-order mode over the holder's relation, and
+// Check verifies the relaxed Ordering and per-process stamp checks against
+// it. A holder without a relation means every pair conflicts (the strict
+// contract still relaxed of the per-group gap check, since re-released
+// slots make the delivery *sequences* diverge harmlessly).
 type ConflictProtocol interface {
-	Conflicts() func(a, b mcast.AppMsg) bool
+	Conflicts() *mcast.ConflictHolder
 }
 
 // Options configures a simulated cluster.
@@ -137,8 +138,7 @@ type Cluster struct {
 	nextSeq   uint32
 	crashed   map[mcast.ProcessID]bool
 	// conflicts is the partial-order conflict relation of a
-	// ConflictProtocol run (a nil relation is stored as all-conflict);
-	// nil for the total-order protocols.
+	// ConflictProtocol run; nil for the total-order protocols.
 	conflicts func(a, b mcast.AppMsg) bool
 	// Delta is the base latency used by DefaultLatency-derived helpers.
 	onComplete func(id mcast.MsgID)
@@ -166,11 +166,8 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		crashed:  make(map[mcast.ProcessID]bool),
 	}
 	c.Monitor = check.NewMonitor(top)
-	if cp, ok := p.(ConflictProtocol); ok {
-		c.conflicts = cp.Conflicts()
-		if c.conflicts == nil {
-			c.conflicts = func(a, b mcast.AppMsg) bool { return true }
-		}
+	if cp, ok := p.(ConflictProtocol); ok && cp.Conflicts() != nil {
+		c.conflicts = cp.Conflicts().Conflicts
 		c.Monitor = check.NewPartialMonitor(top, c.conflicts)
 	}
 	// The trace clock is virtual time; the closure reads c.Sim, assigned

@@ -28,18 +28,6 @@ const (
 	Zipfian
 )
 
-// ParseDist parses "uniform" or "zipfian".
-func ParseDist(s string) (Dist, error) {
-	switch s {
-	case "uniform":
-		return Uniform, nil
-	case "zipfian":
-		return Zipfian, nil
-	default:
-		return 0, fmt.Errorf("workload: unknown distribution %q (want uniform or zipfian)", s)
-	}
-}
-
 func (d Dist) String() string {
 	if d == Zipfian {
 		return "zipfian"

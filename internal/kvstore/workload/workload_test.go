@@ -138,13 +138,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := ParseDist("zipf"); err == nil {
-		t.Error("ParseDist accepted zipf")
-	}
-	for _, s := range []string{"uniform", "zipfian"} {
-		d, err := ParseDist(s)
-		if err != nil || d.String() != s {
-			t.Errorf("ParseDist(%q) = %v, %v", s, d, err)
-		}
+	if Uniform.String() != "uniform" || Zipfian.String() != "zipfian" {
+		t.Errorf("Dist names = %q, %q", Uniform, Zipfian)
 	}
 }

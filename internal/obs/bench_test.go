@@ -9,8 +9,7 @@ import (
 
 // The hot-path cost model the package promises: counters and histogram
 // observations are single atomic ops, and an unsampled message's tracer
-// check is a modulo test — all allocation-free. BENCH_PR6.json records
-// the end-to-end overhead these costs add up to (below the noise floor).
+// check is a modulo test — all allocation-free.
 
 func BenchmarkCounterInc(b *testing.B) {
 	var c Counter

@@ -200,7 +200,9 @@ func (m *Machine) MarkDelivered(id mcast.MsgID) {
 }
 
 // Pending returns the IDs of messages assigned but not committed, for
-// leader-side retry scheduling.
+// leader-side retry scheduling, by ascending local timestamp: a new leader
+// re-announces them in this order, which must not follow map iteration or
+// a seeded run would not replay.
 func (m *Machine) Pending() []mcast.MsgID {
 	var out []mcast.MsgID
 	for id, e := range m.state {
@@ -208,10 +210,12 @@ func (m *Machine) Pending() []mcast.MsgID {
 			out = append(out, id)
 		}
 	}
+	slices.SortFunc(out, func(a, b mcast.MsgID) int { return m.state[a].lts.Compare(m.state[b].lts) })
 	return out
 }
 
-// CommittedUndelivered returns the IDs of committed, undelivered messages.
+// CommittedUndelivered returns the IDs of committed, undelivered messages,
+// by ascending global timestamp (see Pending).
 func (m *Machine) CommittedUndelivered() []mcast.MsgID {
 	var out []mcast.MsgID
 	for id, e := range m.state {
@@ -219,5 +223,6 @@ func (m *Machine) CommittedUndelivered() []mcast.MsgID {
 			out = append(out, id)
 		}
 	}
+	slices.SortFunc(out, func(a, b mcast.MsgID) int { return m.state[a].gts.Compare(m.state[b].gts) })
 	return out
 }

@@ -4,8 +4,9 @@ import (
 	"wbcast/internal/kvstore/workload"
 )
 
-// Workload types, re-exported from the generator so wbcast-bench (which
-// imports no internal packages) can drive kv workloads.
+// Workload types, re-exported from the generator so load drivers outside
+// this module's internal tree (the canonical benchmark, the kv chaos
+// tests) can drive kv workloads.
 type (
 	// Workload holds a validated workload configuration with precomputed
 	// distribution constants; build one with NewWorkload.
@@ -34,9 +35,6 @@ const (
 // NewWorkload validates cfg, fills defaults, and precomputes the
 // distribution constants (the Zipfian zeta sum is computed once here).
 func NewWorkload(cfg WorkloadConfig) (*Workload, error) { return workload.New(cfg) }
-
-// ParseDist parses "uniform" or "zipfian".
-func ParseDist(s string) (Dist, error) { return workload.ParseDist(s) }
 
 // WorkloadKey renders item (in [0, space)) as its canonical workload key,
 // so external load drivers can address the same keyspace the generator

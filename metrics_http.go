@@ -84,7 +84,7 @@ var (
 //
 // addr follows net.Listen conventions (e.g. "127.0.0.1:9100"; ":0" picks a
 // free port — see Addr). Sources can be added later with AddSource; Close
-// shuts the listener down. Used by wbcast-node and wbcast-bench via their
+// shuts the listener down. Used by wbcast-node and wbcast-kv via their
 // -metrics-addr flag.
 func ServeMetrics(addr string, sources ...MetricsSource) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -144,15 +144,6 @@ func (s *MetricsServer) registries() []*obs.Registry {
 func (s *MetricsServer) AddSource(src MetricsSource) {
 	s.mu.Lock()
 	s.sources = append(s.sources, src)
-	s.mu.Unlock()
-}
-
-// SetSources replaces the source list wholesale. wbcast-bench uses it to
-// point one long-lived endpoint at each benchmark point's short-lived
-// cluster in turn.
-func (s *MetricsServer) SetSources(srcs ...MetricsSource) {
-	s.mu.Lock()
-	s.sources = srcs
 	s.mu.Unlock()
 }
 

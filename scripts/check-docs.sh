@@ -10,7 +10,10 @@
 #     non-test Go file mints a wbcast_* metric literal that is not a
 #     declared name.
 #  5. No doc.go and no docs/*.md (nor README.md) names an internal/ package
-#     (or file) that does not exist.
+#     (or file) or a cmd/ directory that does not exist; README.md and
+#     docs/*.md name no bare file (`X.md`, `X.json`, `X.go`) that exists
+#     nowhere in the repository, and no wbcast-bench flag the command does
+#     not define.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -77,14 +80,45 @@ while IFS=: read -r file line lit; do
 done < <(grep -rn --include='*.go' -oE '"(wbcast|genmcast)_[a-z_]+"' . \
   | grep -v '_test\.go:' | grep -v '^\./internal/obs/names\.go:')
 
-# --- 5. documentation names only internal packages that exist -----------
+# --- 5. documentation names only packages, commands, files and flags that exist
 while IFS=: read -r file line path; do
   if [ ! -e "$path" ]; then
     echo "$file:$line: names $path, which does not exist"
     fail=1
   fi
-done < <(grep -n -oE 'internal/[a-z0-9_]+(/[a-z0-9_]+)*(\.go)?' README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*') \
+done < <(grep -n -oE '(internal|cmd)/[a-z0-9_-]+(/[a-z0-9_]+)*(\.go)?' README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*') \
   | sort -u)
+
+# A bare file name in backticks (globs and <n> placeholders allowed).
+while IFS=: read -r file line name; do
+  name=${name//\`/}
+  if [ -z "$(find . -name "${name//<n>/*}" -not -path './.git/*' -not -path './.bench_build/*' -print -quit)" ]; then
+    echo "$file:$line: names $name, which does not exist"
+    fail=1
+  fi
+done < <(grep -n -oE '`[A-Za-z0-9_*<>.-]+\.(md|json|go)`' README.md docs/*.md | sort -u)
+
+# Flags that follow the tool's name: up to the end of the (continued)
+# command line inside a code fence, up to the closing backtick outside.
+bench_flags=$(grep -oE 'flag\.[A-Za-z0-9]+\("[a-z-]+"' cmd/wbcast-bench/main.go | sed -E 's/.*\("//; s/"$//')
+for md in README.md docs/*.md; do
+  while read -r flag; do
+    if ! printf '%s\n' $bench_flags | grep -qx -- "${flag#-}"; then
+      echo "$md: names wbcast-bench flag $flag, which does not exist"
+      fail=1
+    fi
+  done < <(awk '
+    /^```/ { fence = !fence; next }
+    /\\$/ { sub(/\\$/, ""); held = held $0 " "; next }
+    { line = held $0; held = "" }
+    fence { if (match(line, /wbcast-bench .*/)) print substr(line, RSTART); next }
+    { prose = prose " " line }
+    END {
+      n = split(prose, span, "`")
+      for (i = 2; i <= n; i += 2) if (match(span[i], /wbcast-bench .*/)) print substr(span[i], RSTART)
+    }
+  ' "$md" | grep -oE ' -[a-z][a-z-]*' | tr -d ' ' | sort -u)
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAILED"

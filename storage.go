@@ -36,7 +36,8 @@ type DurableState = wal.State
 type StorageEntry = wal.Entry
 
 // SyncPolicy selects when a disk-backed store turns Sync calls into
-// fsyncs — the durability/throughput trade recorded in BENCH_PR7.json.
+// fsyncs — the durability/throughput trade (wbcast-bench -storage disk
+// -sync always|none measures it).
 type SyncPolicy = wal.SyncPolicy
 
 // Sync policies for StorageOptions.Policy.

@@ -221,8 +221,7 @@ func (b *Batching) options() batch.Options {
 type Observability struct {
 	// Disabled turns the whole layer off: no registries, no handles, no
 	// tracer. The hot paths then pay one nil-check branch per
-	// instrumentation point — the baseline the overhead benchmark
-	// (BENCH_PR6.json) compares against.
+	// instrumentation point.
 	Disabled bool
 	// TraceSample enables message-lifecycle tracing: every TraceSample-th
 	// message of each sender (by client-local sequence number — a
@@ -431,7 +430,7 @@ func (cfg Config) normalized() (Config, error) {
 		}
 	case Genmcast:
 		if cfg.conflicts == nil {
-			cfg.conflicts = mcast.NewConflictHolder(batch.Conflicts(cfg.Conflicts))
+			cfg.conflicts = core.Relation(cfg.Conflicts)
 		}
 	default:
 		return cfg, fmt.Errorf("wbcast: unknown protocol %v", cfg.Protocol)
@@ -492,11 +491,16 @@ func newProtocolHandler(cfg Config, top *mcast.Topology, pid ProcessID, po *obs.
 	det := !cfg.Transport.backgroundTimers()
 	durable := rs != nil
 	switch cfg.Protocol {
-	case WhiteBox:
+	case WhiteBox, Genmcast:
+		// Genmcast is the white-box machinery in conflict-aware delivery
+		// mode (cfg.conflicts is nil for WhiteBox); there the core forces GC
+		// off, because the release log and applied set reference every
+		// delivered message.
 		rc := core.DefaultConfig(pid, top, d)
 		rc.Obs = po
 		rc.Durable = durable
 		rc.Recovered = rs
+		rc.Conflicts = cfg.conflicts
 		rc.AppGCHorizon = cfg.AppGCHorizon
 		if det {
 			rc.RetryInterval, rc.HeartbeatInterval, rc.SuspectTimeout, rc.GCInterval = 0, 0, 0, 0
@@ -517,20 +521,6 @@ func newProtocolHandler(cfg Config, top *mcast.Topology, pid ProcessID, po *obs.
 		// durable state — rs is ignored (Config.Storage still records the
 		// app-level entries of services layered on the replica).
 		return skeen.New(pid, top)
-	case Genmcast:
-		// The white-box machinery in conflict-aware delivery mode. GC is
-		// forced off by the core (the release log and applied set reference
-		// every delivered message).
-		rc := core.DefaultConfig(pid, top, d)
-		rc.Obs = po
-		rc.Durable = durable
-		rc.Recovered = rs
-		rc.Conflicts = cfg.conflicts
-		rc.AppGCHorizon = cfg.AppGCHorizon
-		if det {
-			rc.RetryInterval, rc.HeartbeatInterval, rc.SuspectTimeout, rc.GCInterval = 0, 0, 0, 0
-		}
-		return core.NewReplica(rc)
 	default:
 		return nil, fmt.Errorf("wbcast: unknown protocol %v", cfg.Protocol)
 	}

@@ -193,7 +193,8 @@ func TestFailoverThroughPublicAPI(t *testing.T) {
 
 // TestBatchingPublicAPI drives batched multicasts through the public API
 // on the live runtime: concurrent submitters, payload-level deliveries,
-// identical (GTS, Sub) total order at every replica.
+// identical (GTS, Sub) total order at every replica, fewer batches than
+// payloads.
 func TestBatchingPublicAPI(t *testing.T) {
 	const (
 		submitters = 4
@@ -246,6 +247,11 @@ func TestBatchingPublicAPI(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	total := submitters * perWorker
+	// Pipelined submitters must aggregate: amortising the ordering cost
+	// over a batch is the mechanism of batching's throughput gain.
+	if n := cl.BatchesSent(); n <= 0 || n > int64(total)/2 {
+		t.Errorf("%d payloads went out in %d batches: mean batch size below 2, batching did not aggregate", total, n)
+	}
 	var reference []string
 	for _, p := range append(c.GroupMembers(0), c.GroupMembers(1)...) {
 		ds := delivered[p]
