@@ -221,7 +221,7 @@ func (r *Replica) onDeliverConflict(d msgs.Deliver, fx *node.Effects) {
 	r.cfg.Obs.Stage(obs.StageDeliver, d.ID, &st.at)
 	// Durable order: the committed record, the applied-set entry and the
 	// frontier all precede the application-visible delivery.
-	r.persistRecord(st, fx)
+	r.persistRecord(st, fx, false)
 	if r.cfg.Durable {
 		fx.Persist(wal.Entry{Kind: wal.EntryDelivered, IDs: []mcast.MsgID{d.ID}})
 		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: r.maxDeliveredGTS, Last: r.maxDeliveredGTS})

@@ -127,6 +127,9 @@ type mstate struct {
 	gts    mcast.Timestamp
 	// delivered is this replica's Delivered[m] flag.
 	delivered bool
+	// logged records that this replica wrote m's COMMITTED record when it
+	// committed m (evalCommit), so its own DELIVER need not repeat it.
+	logged bool
 	// accepts holds the latest ACCEPT received from each destination
 	// group's leader: the proposal Lts(g) and the ballot Bal(g) it was made
 	// in. Higher ballots supersede lower ones.
@@ -174,6 +177,10 @@ type Replica struct {
 	// the last delivery it replicated, threaded through Deliver.Prev so
 	// followers can detect missed DELIVERs (crash-recovery message loss).
 	lastDeliverGTS mcast.Timestamp
+	// vouchedFrontier is, with AppGCHorizon, the largest delivery frontier
+	// logged eagerly: deliveries log theirs lazily, and vouchFrontier
+	// catches up before the frontier is reported to another replica.
+	vouchedFrontier mcast.Timestamp
 
 	state map[mcast.MsgID]*mstate
 	// queue implements the delivery rule over the leader's local state
@@ -305,6 +312,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		}
 		r.clock = rs.Clock
 		r.maxDeliveredGTS = rs.MaxDelivered
+		r.vouchedFrontier = rs.MaxDelivered
 		r.lastDeliverGTS = rs.LastDeliver
 		if r.conflictMode() {
 			// The durable applied set, not the frontier, says what the
@@ -507,7 +515,7 @@ func (r *Replica) evalAccepts(st *mstate, fx *node.Effects) {
 		// The ACCEPT_ACK below promises this replica accepted lts; the
 		// record must survive a crash or a recovery quorum containing this
 		// replica could resurrect a forgotten timestamp (Invariant 5).
-		r.persistRecord(st, fx)
+		r.persistRecord(st, fx, false)
 		if r.status == StatusLeader {
 			r.queue.SetPending(st.app.ID, st.lts)
 		}
@@ -624,7 +632,8 @@ func (r *Replica) evalCommit(st *mstate, fx *node.Effects) {
 	st.phase = msgs.PhaseCommitted
 	r.cfg.Obs.Stage(obs.StageCommit, st.app.ID, &st.at)
 	// COMMITTED durable before any DELIVER of it is replicated.
-	r.persistRecord(st, fx)
+	r.persistRecord(st, fx, false)
+	st.logged = true
 	r.queue.Commit(st.app.ID, gts)
 	r.drain(fx) // lines 21–23
 }
@@ -695,10 +704,15 @@ func (r *Replica) onDeliver(d msgs.Deliver, fx *node.Effects) {
 	r.cfg.Obs.Stage(obs.StageDeliver, d.ID, &st.at)
 	// The committed record and the advanced frontier are durable before the
 	// application sees the delivery: a restart replays the frontier and
-	// never hands the message out twice.
-	r.persistRecord(st, fx)
+	// never hands the message out twice. An application that keeps its own
+	// frontier (AppGCHorizon) ignores a repeat, and the delivery itself
+	// vouches for neither entry to another process — both follow from the
+	// quorum-durable ACCEPTED records — so there they ride the next sync.
+	if !st.logged {
+		r.persistRecord(st, fx, r.cfg.AppGCHorizon)
+	}
 	if r.cfg.Durable {
-		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS, Last: d.GTS})
+		r.persist(fx, r.cfg.AppGCHorizon, wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS, Last: d.GTS})
 	}
 	r.queue.Remove(d.ID)
 	// line 31, unpacking batch envelopes into per-payload deliveries.
@@ -793,13 +807,36 @@ func (r *Replica) noteLeader(g mcast.GroupID, b mcast.Ballot) {
 
 // persistRecord logs st's current record; called before the ACCEPT_ACK or
 // delivery the record backs leaves the process.
-func (r *Replica) persistRecord(st *mstate, fx *node.Effects) {
+func (r *Replica) persistRecord(st *mstate, fx *node.Effects, lazy bool) {
 	if !r.cfg.Durable || !st.hasApp {
 		return
 	}
-	fx.Persist(wal.Entry{Kind: wal.EntryRecord, Rec: msgs.MsgRecord{
+	r.persist(fx, lazy, wal.Entry{Kind: wal.EntryRecord, Rec: msgs.MsgRecord{
 		M: st.app, Phase: st.phase, LTS: st.lts, GTS: st.gts,
 	}})
+}
+
+// persist logs e: eagerly when a message released by this call vouches for
+// it to another process, lazily (it rides the log's next sync) otherwise.
+func (r *Replica) persist(fx *node.Effects, lazy bool, e wal.Entry) {
+	if lazy {
+		fx.PersistLazy(e)
+	} else {
+		fx.Persist(e)
+	}
+}
+
+// vouchFrontier runs before this replica reports its delivery frontier to
+// another one (a heartbeat ack, the leader's own term of the GC watermark):
+// peers prune on that report, so a frontier only logged lazily so far is
+// logged eagerly first — a restart must not fall below what the group has
+// already discarded (catchup replays only what the leader still holds).
+// Without AppGCHorizon, and in conflict mode, every delivery logs eagerly.
+func (r *Replica) vouchFrontier(fx *node.Effects) {
+	if r.cfg.Durable && r.cfg.AppGCHorizon && !r.conflictMode() && r.vouchedFrontier.Less(r.maxDeliveredGTS) {
+		r.vouchedFrontier = r.maxDeliveredGTS
+		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: r.maxDeliveredGTS, Last: r.maxDeliveredGTS})
+	}
 }
 
 func (r *Replica) get(id mcast.MsgID) *mstate {

@@ -101,6 +101,7 @@ func (r *Replica) onHeartbeat(from mcast.ProcessID, m msgs.Heartbeat, fx *node.E
 	// eventually start its own candidacy to rejoin the group.
 	if m.Bal == r.cballot && r.status == StatusFollower {
 		r.hbSeen = true
+		r.vouchFrontier(fx)
 		// Seq is the conflict-mode release cursor (zero otherwise).
 		fx.Send(from, msgs.HeartbeatAck{Group: r.group, Bal: m.Bal, Delivered: r.maxDeliveredGTS, Seq: r.lastSeq})
 	}
@@ -229,6 +230,7 @@ func (r *Replica) onGCTimer(fx *node.Effects) {
 		return
 	}
 	// Group watermark: the minimum delivery watermark over all members.
+	r.vouchFrontier(fx)
 	wm := r.maxDeliveredGTS
 	for _, p := range r.cfg.Top.Members(r.group) {
 		if p == r.pid {
@@ -320,9 +322,13 @@ func (r *Replica) prune(fx *node.Effects) {
 		}
 	}
 	// Log the removals so a replayed store does not resurrect pruned
-	// records (and so snapshots shrink along with the in-memory state).
+	// records (and so snapshots shrink along with the in-memory state). No
+	// message vouches for a removal; where only the application's horizon
+	// licenses it, it rides the next sync — behind the application's own
+	// records for those deliveries, which entered the log before the horizon
+	// input did.
 	if len(pruned) > 0 {
 		sort.Slice(pruned, func(i, j int) bool { return pruned[i] < pruned[j] })
-		fx.Persist(wal.Entry{Kind: wal.EntryPrune, IDs: pruned})
+		r.persist(fx, r.cfg.AppGCHorizon, wal.Entry{Kind: wal.EntryPrune, IDs: pruned})
 	}
 }

@@ -52,6 +52,15 @@ type chaosRow struct {
 	// durable reports whether the adapter implements StorageProtocol; rows
 	// without it are skipped by the durable chaos variants.
 	durable bool
+	// appHorizon runs the row under harness.Options.AppHorizon (durableRows).
+	appHorizon bool
+}
+
+func (r chaosRow) name() string {
+	if r.appHorizon {
+		return r.proto.Name() + "+apphorizon"
+	}
+	return r.proto.Name()
 }
 
 // chaosRows returns the five-protocol chaos matrix. The fault-tolerant

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"wbcast/internal/core"
 	"wbcast/internal/faults"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
@@ -19,6 +20,20 @@ import (
 // replica runs on a Storage, so faults.Restart exercises the real recovery
 // path — the in-memory handler is discarded and rebuilt by replaying the
 // store, losing everything that was never synced.
+
+// durableRows is the chaos matrix plus the row the benchmark's kv-durable
+// workload, wbcast-kv and the kv kill test actually run: white-box with GC
+// and AppGCHorizon, whose delivery-time entries are lazy — a restart loses
+// them with the unsynced tail of wal.Memory — under an application that
+// keeps its own frontier (harness.Options.AppHorizon).
+func durableRows() []chaosRow {
+	rows := chaosRows()
+	lazy := rows[0] // white-box with GC
+	proto := lazy.proto.(core.Protocol)
+	proto.AppGCHorizon = true
+	lazy.proto, lazy.appHorizon = proto, true
+	return append(rows, lazy)
+}
 
 // memStorage gives every replica its own in-memory WAL.
 func memStorage() func(pid mcast.ProcessID) (wal.Storage, error) {
@@ -41,11 +56,12 @@ func runChaosDurable(t *testing.T, row chaosRow, seed int64,
 	plan := genPlan(rng, top, clients, row.benign)
 	c, err := harness.NewCluster(row.proto, harness.Options{
 		Groups: 2, GroupSize: row.groupSize, NumClients: clients,
-		Latency: sim.Uniform(chaosDelta),
-		Seed:    seed,
-		Retry:   30 * chaosDelta,
-		Faults:  plan,
-		Storage: storage,
+		Latency:    sim.Uniform(chaosDelta),
+		Seed:       seed,
+		Retry:      30 * chaosDelta,
+		Faults:     plan,
+		Storage:    storage,
+		AppHorizon: row.appHorizon,
 		OnFault: func(at time.Duration, desc string) {
 			events = append(events, fmt.Sprintf("t=%v %s", at, desc))
 		},
@@ -92,9 +108,9 @@ func TestChaosDurable(t *testing.T) {
 			seeds = append(seeds, int64(i))
 		}
 	}
-	for _, row := range chaosRows() {
+	for _, row := range durableRows() {
 		row := row
-		t.Run(row.proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			if !row.durable {
 				t.Skipf("%s has no durability support (StorageProtocol)", row.proto.Name())
 			}
@@ -214,9 +230,9 @@ func TestChaosFlakyStorage(t *testing.T) {
 // and the group still terminates, so the catch-up machinery fills
 // whatever the tail loss opened up.
 func TestDurableRestartLosesUnsynced(t *testing.T) {
-	for _, row := range chaosRows() {
+	for _, row := range durableRows() {
 		proto := row.proto
-		t.Run(proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			if !row.durable {
 				t.Skipf("%s has no durability support (StorageProtocol)", proto.Name())
 			}
@@ -225,11 +241,12 @@ func TestDurableRestartLosesUnsynced(t *testing.T) {
 			plan.At(1600*time.Millisecond, faults.Restart{P: 2})
 			c, err := harness.NewCluster(proto, harness.Options{
 				Groups: 2, GroupSize: 3, NumClients: 2,
-				Latency: sim.Uniform(chaosDelta),
-				Seed:    11,
-				Retry:   30 * chaosDelta,
-				Faults:  plan,
-				Storage: memStorage(),
+				Latency:    sim.Uniform(chaosDelta),
+				Seed:       11,
+				Retry:      30 * chaosDelta,
+				Faults:     plan,
+				Storage:    memStorage(),
+				AppHorizon: row.appHorizon,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -243,6 +260,89 @@ func TestDurableRestartLosesUnsynced(t *testing.T) {
 				for _, e := range errs {
 					t.Errorf("%v", e)
 				}
+			}
+		})
+	}
+}
+
+// TestLazyFrontierNeverBelowPrune is the directed case for the one place a
+// lazily logged delivery frontier is vouched for: the report that lets the
+// group prune. A follower of a 1×3 AppGCHorizon group delivers five
+// messages whose entries are all lazy (their ACCEPTs, the last eager
+// entries, came first), then crashes and restarts on its store.
+//
+//   - before its next heartbeat ack: the whole tail is lost — the recovered
+//     frontier is ⊥ — but nothing was pruned on its report, so catch-up
+//     replays all five;
+//   - after the group has pruned: the ack that reported the frontier logged
+//     it eagerly first, so the recovered frontier is not below anything the
+//     leader discarded.
+//
+// Either way the deliveries the restarted replica releases are exactly the
+// group's sequence above its recovered frontier, with no gap, and it
+// delivers a sixth message submitted afterwards. The second case fails if
+// HeartbeatAck.Delivered reports a frontier that was only lazily logged:
+// the replica comes back at ⊥, the leader holds only the fifth record, and
+// the replay skips four deliveries.
+func TestLazyFrontierNeverBelowPrune(t *testing.T) {
+	const leader, victim = mcast.ProcessID(0), mcast.ProcessID(2)
+	d := chaosDelta
+	for _, tc := range []struct {
+		name      string
+		crashAt   time.Duration
+		wantPrune bool
+	}{
+		{"tail lost before the frontier was reported", 6 * d, false},
+		{"crash after the group pruned", 60 * d, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := durableRows()
+			c, err := harness.NewCluster(rows[len(rows)-1].proto, harness.Options{
+				Groups: 1, GroupSize: 3, Latency: sim.Uniform(d), Retry: 30 * d,
+				Storage: memStorage(), AppHorizon: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				c.Submit(0, 0, mcast.NewGroupSet(0), []byte{byte(i)})
+			}
+			c.Sim.Run(tc.crashAt)
+			if got := len(c.Sim.DeliveriesAt(victim)); got != 5 {
+				t.Fatalf("p%d delivered %d messages before the crash, want 5", victim, got)
+			}
+			pruned := c.Replicas[leader].(*core.Replica).Pruned()
+			if (pruned > 0) != tc.wantPrune {
+				t.Fatalf("the leader had pruned %d records at the crash", pruned)
+			}
+			c.Crash(victim)
+			rs, err := c.Stores[victim].Load() // what the restart recovers
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.wantPrune && !rs.MaxDelivered.IsZero() {
+				t.Fatalf("recovered frontier %v: the lazy tail was synced, the case is vacuous", rs.MaxDelivered)
+			}
+			c.Restart(victim)
+			c.Submit(c.Sim.Now()+10*d, 0, mcast.NewGroupSet(0), []byte{5})
+			if errs := c.RunChecked(c.Sim.Now()+300*d, 5*d); len(errs) > 0 {
+				t.Fatal(errs)
+			}
+			if errs := c.Check(true); len(errs) > 0 {
+				t.Fatal(errs)
+			}
+			var want, got []mcast.Timestamp
+			for _, rec := range c.Sim.DeliveriesAt(leader) {
+				if rs.MaxDelivered.Less(rec.D.GTS) {
+					want = append(want, rec.D.GTS)
+				}
+			}
+			for _, rec := range c.Sim.DeliveriesAt(victim)[5:] {
+				got = append(got, rec.D.GTS)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
+				t.Errorf("restarted at frontier %v, p%d released %v; the group's sequence above it is %v",
+					rs.MaxDelivered, victim, got, want)
 			}
 		})
 	}

@@ -98,6 +98,13 @@ type Options struct {
 	// wal.Flaky fake with a Faults restart schedule for crash-consistency
 	// chaos.
 	Storage func(pid mcast.ProcessID) (wal.Storage, error)
+	// AppHorizon models the application core.Config.AppGCHorizon is a
+	// contract with: each replica's application keeps its own delivery
+	// frontier across restarts, ignores deliveries at or below it (a
+	// restarted replica repeats those above the frontier it had logged),
+	// and raises the protocol's GC horizon as it applies. Checks and logs
+	// then see what the applications applied.
+	AppHorizon bool
 	// OnFault, when non-nil, receives a narration line per fired action.
 	OnFault func(at time.Duration, desc string)
 	// TraceSample enables message-lifecycle tracing (internal/obs): every
@@ -132,8 +139,12 @@ type Cluster struct {
 	// CollectHistory).
 	Monitor *check.Monitor
 
-	hist      *check.History
-	collected int // prefix of Sim.Deliveries() already poured into hist
+	hist *check.History
+	// applied is what the checks and logs run on: every delivery the
+	// replicas released, or with Options.AppHorizon what their applications
+	// applied of them.
+	applied   []sim.DeliveryRecord
+	collected int // prefix of applied already poured into hist
 	monitored int // prefix already poured into Monitor
 	nextSeq   uint32
 	crashed   map[mcast.ProcessID]bool
@@ -182,6 +193,20 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	// replica loop below; the closure only runs once the simulation does.
 	rebuilds := make(map[mcast.ProcessID]func() (node.Handler, error))
 	simCfg := sim.Config{Latency: opts.Latency, Seed: opts.Seed, Trace: opts.Trace}
+	last := make(map[mcast.ProcessID]mcast.Delivery) // the applications' frontiers
+	simCfg.OnDeliver = func(p mcast.ProcessID, d mcast.Delivery) {
+		if prev := last[p]; opts.AppHorizon {
+			if !prev.Before(d) {
+				return // a repeat at or below the application's frontier
+			}
+			last[p] = d
+			if prev.GTS.Less(d.GTS) && !prev.GTS.IsZero() {
+				// Every sub-delivery of prev's timestamp has been applied.
+				c.Sim.Inject(c.Sim.Now(), p, node.GCHorizon{TS: prev.GTS})
+			}
+		}
+		c.applied = append(c.applied, sim.DeliveryRecord{Proc: p, At: c.Sim.Now(), D: d})
+	}
 	if opts.Storage != nil {
 		simCfg.Rebuild = func(p mcast.ProcessID) (node.Handler, error) {
 			if rb := rebuilds[p]; rb != nil {
@@ -367,7 +392,7 @@ func (c *Cluster) RandomWorkload(rng *rand.Rand, n int, maxDest int, window time
 // history and the continuous monitor. It is idempotent: repeated calls
 // only append new records.
 func (c *Cluster) CollectHistory() *check.History {
-	ds := c.Sim.Deliveries()
+	ds := c.applied
 	for _, d := range ds[c.collected:] {
 		c.hist.AddDelivery(d.Proc, d.D)
 	}
@@ -377,7 +402,7 @@ func (c *Cluster) CollectHistory() *check.History {
 }
 
 func (c *Cluster) pourMonitor() {
-	ds := c.Sim.Deliveries()
+	ds := c.applied
 	for _, d := range ds[c.monitored:] {
 		c.Monitor.NoteDelivery(d.Proc, d.D)
 	}
@@ -413,7 +438,7 @@ func (c *Cluster) RunChecked(until, step time.Duration) []error {
 // of the chaos harness (TestChaosDeterministic).
 func (c *Cluster) DeliveryLog() []byte {
 	var b strings.Builder
-	for _, d := range c.Sim.Deliveries() {
+	for _, d := range c.applied {
 		fmt.Fprintf(&b, "t=%d p%d %v gts=(%d,g%d) sub=%d payload=%q\n",
 			int64(d.At), d.Proc, d.D.Msg.ID, d.D.GTS.Time, d.D.GTS.Group, d.D.Sub, d.D.Msg.Payload)
 	}

@@ -15,8 +15,15 @@ import (
 // *wbcast.Replica satisfies it: records land in the replica's write-ahead
 // log as app entries and come back via RecoveredAppState after a restart.
 // A nil Persister makes the engine volatile.
+//
+// The engine does not wait for a sync and needs none: an operation it
+// applies is already ACCEPTED on a quorum of every destination group's
+// logs, a restarted replica re-obtains every delivery its log lost, and
+// applying is deterministic. What it needs from the persister is order:
+// calls take effect in the order one goroutine makes them, and keep the
+// records' bytes (not the slice holding them) past the call.
 type Persister interface {
-	// AppendAppState durably appends opaque application records.
+	// AppendAppState hands over opaque application records, in log order.
 	AppendAppState(recs ...[]byte) error
 	// SaveAppSnapshot replaces the application snapshot and clears the
 	// accumulated application log.
@@ -90,9 +97,10 @@ type EngineConfig struct {
 	// OnDurableFrontier, if non-nil, is invoked after a successful persist
 	// that moved the applied global timestamp, with the largest timestamp
 	// strictly below the new one: every delivery at or below it — including
-	// every sub-operation of a batch sharing that timestamp — is now in the
-	// app log, so the ordering layer no longer needs its records for
-	// recovery replay (wbcast.Replica.AdvanceGCHorizon). Called on the
+	// every sub-operation of a batch sharing that timestamp — was handed to
+	// Persist before this call, so anything the ordering layer logs on its
+	// account (a prune) follows those records in the same log and cannot
+	// outlive them (wbcast.Replica.AdvanceGCHorizon). Called on the
 	// applying goroutine with the engine lock held; it must not call back
 	// into the engine. Only meaningful with Persist set.
 	OnDurableFrontier func(mcast.Timestamp)
@@ -156,8 +164,8 @@ const maxApplyBatch = 64
 // Run consumes deliveries from ch until it closes. It is the usual way to
 // drive an engine from a subscription's channel. Deliveries already queued
 // when one arrives are applied with it and logged with one AppendAppState
-// call (group commit: one sync for the batch), so results and the durable
-// frontier follow the append that covers them.
+// call (one log append for the batch); results and the durable frontier
+// follow the call that covers them.
 func (e *Engine) Run(ch <-chan mcast.Delivery) {
 	batch := make([]mcast.Delivery, 0, maxApplyBatch)
 	for d := range ch {
@@ -194,7 +202,7 @@ func (e *Engine) apply(ds []mcast.Delivery) {
 	// below is the largest timestamp the frontier moved past in this batch.
 	// Deliveries arrive in (GTS, Sub) order, so a higher GTS proves all subs
 	// of the previous one were applied: once the batch is logged, everything
-	// at or below it is durable. The frontier's own GTS stays above the
+	// at or below it is in the log. The frontier's own GTS stays above the
 	// horizon — a later sub of the same envelope may still be in flight.
 	var below mcast.Timestamp
 	resps, recs := e.resps[:0], e.recs[:0]
@@ -226,8 +234,8 @@ func (e *Engine) apply(ds []mcast.Delivery) {
 	e.resps, e.recs = resps[:0], recs[:0]
 }
 
-// logLocked makes one batch's redo records durable with one append, then
-// reports the frontier they cover and compacts on schedule. It reports
+// logLocked hands one batch's redo records to the persister with one
+// append, then reports the frontier they cover and compacts on schedule. It reports
 // false, with the failure recorded in Err, when the append failed. Callers
 // hold e.mu.
 func (e *Engine) logLocked(recs [][]byte, below mcast.Timestamp) bool {

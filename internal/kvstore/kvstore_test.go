@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"wbcast/internal/mcast"
@@ -287,6 +289,141 @@ type hookPersist struct{ append func(recs [][]byte) error }
 
 func (p *hookPersist) AppendAppState(recs ...[]byte) error { return p.append(recs) }
 func (p *hookPersist) SaveAppSnapshot([]byte) error        { return nil }
+
+// handed is one thing handed to a queuePersist, or a horizon raised next to
+// it: a redo record (kept, not decoded), a snapshot, or the horizon.
+type handed struct {
+	rec      []byte
+	snapshot bool
+	horizon  uint64
+}
+
+// queuePersist is a Persister as wbcast.Replica is one: AppendAppState and
+// SaveAppSnapshot only queue what they are given, in the caller's order, for
+// a log writer that in these tests never runs — nothing is ever synced. It
+// keeps the records' bytes past the call, as the replica's shard loop does.
+type queuePersist struct{ q *[]handed }
+
+func (p queuePersist) AppendAppState(recs ...[]byte) error {
+	for _, rec := range recs {
+		*p.q = append(*p.q, handed{rec: rec})
+	}
+	return nil
+}
+
+func (p queuePersist) SaveAppSnapshot([]byte) error {
+	*p.q = append(*p.q, handed{snapshot: true})
+	return nil
+}
+
+// TestEngineAnswersOnHandOff: with a persister that only queues, every
+// operation is still answered — the engine waits for no sync — and in the
+// one order the persister and the horizon hook are called in, each horizon
+// follows every record at or below it: the replica's log receives them in
+// that order, which is the whole argument for letting the horizon outrun
+// the sync (docs/DURABILITY.md). The queued bytes stay what they were.
+func TestEngineAnswersOnHandOff(t *testing.T) {
+	var q []handed
+	results := 0
+	e := NewEngine(EngineConfig{Group: 0, Persist: queuePersist{&q}, SnapshotEvery: 3,
+		OnResult:          func(Resp) { results++ },
+		OnDurableFrontier: func(ts mcast.Timestamp) { q = append(q, handed{horizon: ts.Time}) },
+	})
+	put := func(k string) Op { return Op{Kind: OpPut, Key: []byte(k), Val: []byte("v")} }
+	ch := make(chan mcast.Delivery, 3)
+	ch <- deliver(1, put("a"), 1, 0)
+	ch <- deliver(2, put("b"), 2, 0)
+	ch <- deliver(2, put("c"), 2, 1)
+	go func() { // a second drain: each batch is queued before its horizon
+		ch <- deliver(3, put("d"), 3, 0)
+		ch <- deliver(4, put("e"), 4, 0)
+		close(ch)
+	}()
+	e.Run(ch)
+	if results != 5 || e.Err() != nil {
+		t.Fatalf("%d results, Err %v; want 5 answered with nothing synced", results, e.Err())
+	}
+	var events []string
+	for _, h := range q {
+		switch {
+		case h.rec != nil:
+			d, err := DecodeApplied(h.rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events = append(events, fmt.Sprintf("record %d.%d", d.GTS.Time, d.Sub))
+		case h.snapshot:
+			events = append(events, "snapshot")
+		default:
+			for k := uint64(1); k <= h.horizon; k++ {
+				if !slices.Contains(events, fmt.Sprintf("record %d.0", k)) {
+					t.Errorf("horizon %d raised before record %d.0 was handed over; so far %v", h.horizon, k, events)
+				}
+			}
+			events = append(events, fmt.Sprintf("horizon %d", h.horizon))
+		}
+	}
+	records := slices.DeleteFunc(slices.Clone(events), func(ev string) bool { return !strings.HasPrefix(ev, "record") })
+	if want := "[record 1.0 record 2.0 record 2.1 record 3.0 record 4.0]"; fmt.Sprint(records) != want {
+		t.Errorf("records reached the persister as %v, want %s", records, want)
+	}
+	if !slices.Contains(events, "snapshot") || !slices.Contains(events, "horizon 3") {
+		t.Errorf("events %v: want a snapshot and horizon 3", events)
+	}
+}
+
+// TestEngineRecoverBothCrashShapes: a lazily logged tail can be cut at any
+// entry, so a restarted engine finds either its app log shorter than the
+// protocol's delivery frontier (the records of the last deliveries were not
+// yet in the log: the protocol's replay covers them) or longer (the frontier
+// entry that was synced is older than the app records riding a later sync:
+// the replica re-delivers what the log already holds). Both converge to the
+// digest of an uninterrupted run once the group's catch-up has re-delivered
+// everything above the protocol frontier.
+func TestEngineRecoverBothCrashShapes(t *testing.T) {
+	var ds []mcast.Delivery
+	var log [][]byte
+	whole := NewEngine(EngineConfig{Group: 0})
+	for i := uint32(1); i <= 8; i++ {
+		op := Op{Kind: OpPut, Key: []byte(fmt.Sprintf("k%d", i%3)), Val: []byte(fmt.Sprintf("v%d", i))}
+		if i == 5 {
+			op = Op{Kind: OpDelete, Key: []byte("k1")}
+		}
+		ds = append(ds, deliver(i, op, uint64(i), 0))
+		log = append(log, EncodeApplied(ds[i-1]))
+		whole.Apply(ds[i-1])
+	}
+	for _, tc := range []struct {
+		name              string
+		logged, protocolF int // the app log holds ds[:logged], the frontier is ds[protocolF-1]
+		relogged, dups    int
+	}{
+		{"app log shorter than the protocol frontier", 4, 6, 2, 0},
+		{"app log longer than the protocol frontier", 6, 3, 0, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &memPersist{}
+			e := NewEngine(EngineConfig{Group: 0, Persist: p})
+			// Replay is every committed record at or below the frontier that
+			// the horizon (below the app log's last record) kept from pruning.
+			if err := e.Recover(nil, log[:tc.logged], ds[min(tc.logged, tc.protocolF)-1:tc.protocolF]); err != nil {
+				t.Fatal(err)
+			}
+			if len(p.log) != tc.relogged {
+				t.Errorf("recovery re-logged %d records, want %d", len(p.log), tc.relogged)
+			}
+			for _, d := range ds[tc.protocolF:] { // live catch-up, above the protocol frontier
+				e.Apply(d)
+			}
+			if _, _, dups := e.Counters(); int(dups) != tc.dups {
+				t.Errorf("%d duplicate deliveries skipped, want %d", dups, tc.dups)
+			}
+			if e.Digest() != whole.Digest() {
+				t.Error("digest differs from the uninterrupted run's")
+			}
+		})
+	}
+}
 
 func TestEngineDigestMatchesAcrossOrderEquivalentReplicas(t *testing.T) {
 	ops := []mcast.Delivery{

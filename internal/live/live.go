@@ -68,16 +68,20 @@ type proc struct {
 	quit    chan struct{}
 	crashed chan struct{}
 	crashMu sync.Once
+	// stepMu is held by the loop across every Step call, so that Crash can
+	// wait out the one in flight: once it returns, nothing touches the
+	// process's store any more.
+	stepMu sync.Mutex
 }
 
 // Add registers a handler. Handlers added after Start (e.g. late-joining
 // clients) are launched immediately.
 func (n *Network) Add(h node.Handler) error { return n.AddStored(h, nil) }
 
-// AddStored registers a handler backed by a durable store: persist effects
-// are appended and synced (once per mailbox drain) before any send or
-// delivery of the same Handle call, and a storage error crash-stops the
-// process. A nil store discards persist effects (no durability).
+// AddStored registers a handler backed by a durable store: eager persist
+// effects are appended and synced (once per mailbox drain) before any send
+// or delivery of the same Handle call, lazy ones ride the next sync
+// (node.Step), and a storage error crash-stops the process. A nil store discards persist effects (no durability).
 func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -153,11 +157,15 @@ func (n *Network) proc(pid mcast.ProcessID) *proc {
 	return n.procs[pid]
 }
 
-// Crash stops delivering inputs to pid (crash-stop fault injection). The
-// process goroutines keep draining their queues but discard everything.
+// Crash stops delivering inputs to pid (crash-stop fault injection) and
+// returns once the Handle call in flight, if any, is over: the caller may
+// then tear down the process's store. The process goroutines keep draining
+// their queues but discard everything.
 func (n *Network) Crash(pid mcast.ProcessID) {
 	if p := n.proc(pid); p != nil {
 		p.crash()
+		p.stepMu.Lock()
+		p.stepMu.Unlock() //nolint:staticcheck // empty section: a barrier
 	}
 }
 
@@ -218,17 +226,32 @@ func (n *Network) Inject(pid mcast.ProcessID, in node.Input) error {
 // consume runs one input through the process's Step; what the Step holds
 // back (the Release is empty then) follows at the next commit.
 func (p *proc) consume(env envelope) {
-	if !p.isCrashed() { // crashed processes discard all input
-		p.release(p.step.Do(env.in))
+	if p.enter() {
+		rel, err := p.step.Do(env.in)
+		p.stepMu.Unlock()
+		p.release(rel, err)
 	}
 }
 
 // commit is the mailbox's commit hook: one sync for the held calls, then
 // their effects. A process crashed in between loses the batch unreleased.
 func (p *proc) commit() {
-	if !p.isCrashed() {
-		p.release(p.step.Commit())
+	if p.enter() {
+		rel, err := p.step.Commit()
+		p.stepMu.Unlock()
+		p.release(rel, err)
 	}
+}
+
+// enter takes stepMu for one Step call, unless the process has crashed:
+// crashed processes discard all input.
+func (p *proc) enter() bool {
+	p.stepMu.Lock()
+	if p.isCrashed() {
+		p.stepMu.Unlock()
+		return false
+	}
+	return true
 }
 
 // release acts on what the Step handed back, in the driver's order:

@@ -59,13 +59,3 @@ func (h *ConflictHolder) Conflicts(a, b AppMsg) bool {
 	}
 	return cell.rel(a, b)
 }
-
-// Rel returns the currently installed message-level relation (nil when the
-// holder is unset — the all-conflict default).
-func (h *ConflictHolder) Rel() MsgConflicts {
-	if h == nil {
-		return nil
-	}
-	cell, _ := h.v.Load().(conflictCell)
-	return cell.rel
-}

@@ -108,9 +108,6 @@ type Ballot struct {
 	Proc ProcessID
 }
 
-// ZeroBallot is ⊥, the minimal ballot.
-var ZeroBallot = Ballot{}
-
 // IsZero reports whether b is ⊥.
 func (b Ballot) IsZero() bool { return b == Ballot{} }
 

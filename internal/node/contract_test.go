@@ -48,17 +48,29 @@ func (l *eventLog) String() string {
 	return fmt.Sprint(l.ev)
 }
 
-// flakyStore logs every storage call and fails the failAt-th Sync.
+// flakyStore logs every storage call, fails the failAt-th Sync and every
+// Append of an entry whose Clock is failAppend.
 type flakyStore struct {
 	*wal.Memory
-	log    *eventLog
-	failAt int
-	syncs  int
+	log        *eventLog
+	failAt     int
+	failAppend uint64
+	syncs      int
 }
 
 func (s *flakyStore) Append(entries ...wal.Entry) error {
 	for _, e := range entries {
-		s.log.add("append %d", e.Clock)
+		switch e.Kind {
+		case wal.EntryApp:
+			s.log.add("append app %d", e.App[0])
+		case wal.EntryAppSnapshot:
+			s.log.add("append snapshot %d", e.App[0])
+		default:
+			s.log.add("append %d", e.Clock)
+			if e.Clock == s.failAppend {
+				return errors.New("injected append failure")
+			}
+		}
 	}
 	return s.Memory.Append(entries...)
 }
@@ -70,6 +82,11 @@ func (s *flakyStore) Sync() error {
 		return errors.New("injected sync failure")
 	}
 	return s.Memory.Sync()
+}
+
+func (s *flakyStore) Snapshot() error {
+	s.log.add("compact %d", s.syncs)
+	return s.Memory.Snapshot()
 }
 
 // hosted is one runtime hosting the actor (on a store, with a delivery
@@ -136,33 +153,159 @@ var shardRuntimes = []struct {
 	}},
 }
 
-// The actor's inputs: a Submit whose message ID is k is call k. A call
-// without payload emits one persist entry, a call with one emits none; both
-// emit one timer, one send to the witness and one delivery. ID 0 is the
-// gate: its Handle call blocks until the test opens it, so whatever the
+// The actor's inputs: a Submit whose message ID is k is call k. Its payload
+// says what the call persists: one eager entry (none), nothing (1), one
+// lazy entry (2), or an eager entry k and then a lazy entry 100+k (3). Every
+// call emits one timer, one send to the witness and one delivery. ID 0 is
+// the gate: its Handle call blocks until the test opens it, so whatever the
 // test injects meanwhile is queued when the loop resumes.
-func persisting(k int) node.Input {
-	return node.Submit{Msg: mcast.AppMsg{ID: mcast.MsgID(k)}}
+func call(k int, payload ...byte) node.Input {
+	return node.Submit{Msg: mcast.AppMsg{ID: mcast.MsgID(k), Payload: payload}}
 }
 
-func volatile(k int) node.Input {
-	return node.Submit{Msg: mcast.AppMsg{ID: mcast.MsgID(k), Payload: []byte{1}}}
+func persisting(k int) node.Input { return call(k) }
+func volatile(k int) node.Input   { return call(k, 1) }
+func lazy(k int) node.Input       { return call(k, 2) }
+func both(k int) node.Input       { return call(k, 3) }
+
+// released lists what a call hands the runtime once its entries are safe.
+var released = []string{"timer %d", "send %d", "deliver %d", "marker %d"}
+
+// contractRun is one runtime hosting the actor on a flakyStore and the
+// witness, with the one event log the contract is asserted on. The delivery
+// callback injects a marker at the witness, so a send released before the
+// delivery reaches the witness before the marker.
+type contractRun struct {
+	t       *testing.T
+	virtual bool
+	log     *eventLog
+	gate    chan struct{}
+	h       hosted
+}
+
+func startContract(t *testing.T, rt int, store *flakyStore) *contractRun {
+	c := &contractRun{t: t, virtual: shardRuntimes[rt].virtual, log: &eventLog{}, gate: make(chan struct{})}
+	store.Memory, store.log = wal.NewMemory(), c.log
+	actor := node.Func{PID: actorPID, F: func(in node.Input, fx *node.Effects) {
+		switch in := in.(type) {
+		case node.Submit:
+			k := uint64(in.Msg.ID)
+			if k == 0 {
+				<-c.gate
+				return
+			}
+			c.log.add("handle %d", k)
+			switch {
+			case in.Msg.Payload == nil:
+				fx.Persist(wal.Entry{Kind: wal.EntryBallot, Clock: k})
+			case in.Msg.Payload[0] == 2:
+				fx.PersistLazy(wal.Entry{Kind: wal.EntryBallot, Clock: k})
+			case in.Msg.Payload[0] == 3:
+				fx.Persist(wal.Entry{Kind: wal.EntryBallot, Clock: k})
+				fx.PersistLazy(wal.Entry{Kind: wal.EntryBallot, Clock: 100 + k})
+			}
+			fx.SetTimer(0, node.TimerApp, k)
+			fx.Send(witnessPID, msgs.Heartbeat{Bal: mcast.Ballot{N: k}})
+			fx.Deliver(mcast.Delivery{GTS: mcast.Timestamp{Time: k}})
+		case node.Timer:
+			c.log.add("timer %d", in.Data)
+		case node.AppLog:
+			c.log.add("handle applog %d", len(in.Recs))
+		}
+	}}
+	witness := node.Func{PID: witnessPID, F: func(in node.Input, _ *node.Effects) {
+		switch in := in.(type) {
+		case node.Recv:
+			c.log.add("send %d", in.Msg.(msgs.Heartbeat).Bal.N)
+		case node.GCHorizon:
+			c.log.add("marker %d", in.TS.Time)
+		}
+	}}
+	c.h = shardRuntimes[rt].start(t, actor, witness, store, func(d mcast.Delivery) {
+		c.log.add("deliver %d", d.GTS.Time)
+		c.h.inject(witnessPID, node.GCHorizon{TS: d.GTS})
+	})
+	return c
+}
+
+// settle waits until the runtime is idle and done holds.
+func (c *contractRun) settle(what string, done func() bool) {
+	c.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !(c.h.idle() && done()) {
+		if time.Now().After(deadline) {
+			c.t.Fatalf("timed out waiting for %s; log: %v", what, c.log)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// logged reports whether the event has happened.
+func (c *contractRun) logged(format string, k int) func() bool {
+	return func() bool { return c.log.index(format, k) >= 0 }
+}
+
+// allReleased reports whether everything the calls release has happened.
+func (c *contractRun) allReleased(calls ...int) func() bool {
+	return func() bool {
+		for _, k := range calls {
+			for _, e := range released {
+				if c.log.index(e, k) < 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+}
+
+// queued injects the inputs so that the loop finds them all in its mailbox
+// at once: behind a blocked gate call on the wall-clock runtimes, at one
+// instant on the simulator.
+func (c *contractRun) queued(ins ...node.Input) {
+	c.t.Helper()
+	if !c.virtual {
+		c.h.inject(actorPID, persisting(0))
+	}
+	for _, in := range ins {
+		c.h.inject(actorPID, in)
+	}
+	if !c.virtual {
+		select {
+		case c.gate <- struct{}{}:
+		case <-time.After(5 * time.Second):
+			c.t.Fatalf("the gate input never reached Handle; log: %v", c.log)
+		}
+	}
+}
+
+func (c *contractRun) before(a string, ka int, b string, kb int) {
+	c.t.Helper()
+	if ia, ib := c.log.index(a, ka), c.log.index(b, kb); ia < 0 || ib < 0 || ia > ib {
+		c.t.Errorf("%q (at %d) must precede %q (at %d); log: %v",
+			fmt.Sprintf(a, ka), ia, fmt.Sprintf(b, kb), ib, c.log)
+	}
+}
+
+func (c *contractRun) never(why, format string, k int) {
+	c.t.Helper()
+	if c.log.index(format, k) >= 0 {
+		c.t.Errorf("%q happened although %s; log: %v", fmt.Sprintf(format, k), why, c.log)
+	}
 }
 
 // TestShardContract pins the shard driver's contract (docs/CONCURRENCY.md)
-// on every runtime. The delivery callback injects a marker at the witness,
-// so a send released before the delivery reaches the witness before the
-// marker. Three phases: a volatile call on an idle shard (released without
-// any Sync); calls 1 (persisting), 2 (volatile) and 3 (persisting) queued
-// behind the gate (on the wall-clock runtimes one Sync, after all three
-// Handle calls and before anything they release, in call order; the
+// on every runtime. Three phases: a volatile call on an idle shard (released
+// without any Sync); calls 1 (persisting), 2 (volatile) and 3 (persisting)
+// queued behind the gate (on the wall-clock runtimes one Sync, after all
+// three Handle calls and before anything they release, in call order; the
 // simulator commits per dispatch, so one Sync per persisting call); calls 5
 // and 6 queued the same way with the Sync failing (nothing of either is
 // released and call 7 never reaches Handle). Throughout: Append and Sync
 // precede everything released by the same call, sends precede deliveries,
 // and on the simulator timers precede sends.
 func TestShardContract(t *testing.T) {
-	for _, rt := range shardRuntimes {
+	for i, rt := range shardRuntimes {
 		t.Run(rt.name, func(t *testing.T) {
 			// The second batch's Sync fails: the second Sync on the wall-clock
 			// runtimes, the third where calls 1 and 3 each had their own.
@@ -170,145 +313,150 @@ func TestShardContract(t *testing.T) {
 			if rt.virtual {
 				failAt = 3
 			}
-			log := &eventLog{}
-			gate := make(chan struct{})
-			actor := node.Func{PID: actorPID, F: func(in node.Input, fx *node.Effects) {
-				switch in := in.(type) {
-				case node.Submit:
-					k := uint64(in.Msg.ID)
-					if k == 0 {
-						<-gate
-						return
-					}
-					log.add("handle %d", k)
-					if in.Msg.Payload == nil {
-						fx.Persist(wal.Entry{Kind: wal.EntryBallot, Clock: k})
-					}
-					fx.SetTimer(0, node.TimerApp, k)
-					fx.Send(witnessPID, msgs.Heartbeat{Bal: mcast.Ballot{N: k}})
-					fx.Deliver(mcast.Delivery{GTS: mcast.Timestamp{Time: k}})
-				case node.Timer:
-					log.add("timer %d", in.Data)
-				}
-			}}
-			witness := node.Func{PID: witnessPID, F: func(in node.Input, _ *node.Effects) {
-				switch in := in.(type) {
-				case node.Recv:
-					log.add("send %d", in.Msg.(msgs.Heartbeat).Bal.N)
-				case node.GCHorizon:
-					log.add("marker %d", in.TS.Time)
-				}
-			}}
-			var h hosted
-			h = rt.start(t, actor, witness,
-				&flakyStore{Memory: wal.NewMemory(), log: log, failAt: failAt},
-				func(d mcast.Delivery) {
-					log.add("deliver %d", d.GTS.Time)
-					h.inject(witnessPID, node.GCHorizon{TS: d.GTS})
-				})
-			defer h.stop()
-			settle := func(what string, done func() bool) {
-				t.Helper()
-				deadline := time.Now().Add(5 * time.Second)
-				for !(h.idle() && done()) {
-					if time.Now().After(deadline) {
-						t.Fatalf("timed out waiting for %s; log: %v", what, log)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
-			released := []string{"timer %d", "send %d", "deliver %d", "marker %d"}
-			allReleased := func(calls ...int) func() bool {
-				return func() bool {
-					for _, k := range calls {
-						for _, e := range released {
-							if log.index(e, k) < 0 {
-								return false
-							}
-						}
-					}
-					return true
-				}
-			}
-			// queued injects the inputs so that the loop finds them all in its
-			// mailbox at once: behind a blocked gate call on the wall-clock
-			// runtimes, at one instant on the simulator.
-			queued := func(ins ...node.Input) {
-				t.Helper()
-				if !rt.virtual {
-					h.inject(actorPID, persisting(0))
-				}
-				for _, in := range ins {
-					h.inject(actorPID, in)
-				}
-				if !rt.virtual {
-					select {
-					case gate <- struct{}{}:
-					case <-time.After(5 * time.Second):
-						t.Fatalf("the gate input never reached Handle; log: %v", log)
-					}
-				}
-			}
+			c := startContract(t, i, &flakyStore{failAt: failAt})
+			defer c.h.stop()
 
-			h.inject(actorPID, volatile(9))
-			settle("the volatile call on the idle shard", allReleased(9))
-			if log.index("sync %d", 1) >= 0 {
-				t.Errorf("a call without persist entries on an idle shard was synced; log: %v", log)
-			}
+			c.h.inject(actorPID, volatile(9))
+			c.settle("the volatile call on the idle shard", c.allReleased(9))
+			c.never("the call had no persist entries and the shard was idle", "sync %d", 1)
 			// The healthy batch settles before the failing one: a crash-stop
 			// also takes down what is still in flight (pending timers; on
 			// tcpnet the whole node).
-			queued(persisting(1), volatile(2), persisting(3))
-			settle("the healthy batch", allReleased(1, 2, 3))
-			queued(persisting(5), volatile(6))
-			settle("the failing sync", func() bool { return log.index("sync %d", failAt) >= 0 })
-			h.inject(actorPID, persisting(7))
-			settle("the input after the crash-stop to drain", func() bool { return true })
-			h.stop() // joins the runtime's goroutines: the log is final
+			c.queued(persisting(1), volatile(2), persisting(3))
+			c.settle("the healthy batch", c.allReleased(1, 2, 3))
+			c.queued(persisting(5), volatile(6))
+			c.settle("the failing sync", c.logged("sync %d", failAt))
+			c.h.inject(actorPID, persisting(7))
+			c.settle("the input after the crash-stop to drain", func() bool { return true })
+			c.h.stop() // joins the runtime's goroutines: the log is final
 
-			before := func(a string, ka int, b string, kb int) {
-				t.Helper()
-				if ia, ib := log.index(a, ka), log.index(b, kb); ia < 0 || ib < 0 || ia > ib {
-					t.Errorf("%q (at %d) must precede %q (at %d); log: %v",
-						fmt.Sprintf(a, ka), ia, fmt.Sprintf(b, kb), ib, log)
-				}
-			}
 			// Call 1 is covered by Sync 1; call 3 by the same Sync where the
 			// batch formed, by Sync 2 on the simulator. Call 2 has no entries
 			// but is queued behind call 1, whose Sync it waits for.
 			syncOf := map[int]int{1: 1, 2: 1, 3: failAt - 1}
 			if !rt.virtual {
-				before("handle %d", 3, "sync %d", 1)
+				c.before("handle %d", 3, "sync %d", 1)
 			}
 			for _, k := range []int{1, 3} {
-				before("append %d", k, "sync %d", syncOf[k])
+				c.before("append %d", k, "sync %d", syncOf[k])
 			}
 			for k, sync := range syncOf {
 				for _, e := range released {
-					before("sync %d", sync, e, k)
+					c.before("sync %d", sync, e, k)
 				}
 			}
 			for _, k := range []int{9, 1, 2, 3} {
-				before("send %d", k, "marker %d", k)
+				c.before("send %d", k, "marker %d", k)
 				if rt.virtual {
-					before("timer %d", k, "send %d", k)
+					c.before("timer %d", k, "send %d", k)
 				}
 			}
 			for _, e := range []string{"send %d", "deliver %d"} {
-				before(e, 1, e, 2)
-				before(e, 2, e, 3)
+				c.before(e, 1, e, 2)
+				c.before(e, 2, e, 3)
 			}
-			before("append %d", 5, "sync %d", failAt)
+			c.before("append %d", 5, "sync %d", failAt)
 			for _, k := range []int{5, 6} {
 				for _, e := range released {
-					if i := log.index(e, k); i >= 0 {
-						t.Errorf("%q was released although the batch's sync failed; log: %v", fmt.Sprintf(e, k), log)
-					}
+					c.never("the batch's sync failed", e, k)
 				}
 			}
-			if log.index("sync %d", failAt+1) >= 0 || log.index("handle %d", 7) >= 0 {
-				t.Errorf("the crash-stopped process consumed another input; log: %v", log)
-			}
+			c.never("the process had crash-stopped", "sync %d", failAt+1)
+			c.never("the process had crash-stopped", "handle %d", 7)
 		})
+	}
+}
+
+// TestShardContractLazy pins what the driver does with entries no release
+// waits for, on every runtime. A lazy-only call (9) and an AppLog (record
+// 1) on an idle shard are appended and, the call, released, with no Sync
+// and the AppLog never shown to Handle. Then calls 1 (eager), 2 (lazy), an
+// AppLog (record 2) and call 3 (eager, then lazy 103) are queued: the
+// entries reach the store in exactly that order; on the wall-clock runtimes
+// one Sync covers them all and call 2, behind the held call 1, waits for it
+// (the simulator commits call 1 alone, so call 2 goes at once and the rest
+// rides call 3's Sync). An AppLog snapshot is appended, synced and
+// compacted within its call. Last, call 5's lazy Append fails: the process
+// crash-stops, nothing of call 5 is released, call 6 never reaches Handle.
+func TestShardContractLazy(t *testing.T) {
+	for i, rt := range shardRuntimes {
+		t.Run(rt.name, func(t *testing.T) {
+			c := startContract(t, i, &flakyStore{failAppend: 5})
+			defer c.h.stop()
+			lastSync := 1 // of the mixed batch
+			if rt.virtual {
+				lastSync = 2
+			}
+
+			c.h.inject(actorPID, lazy(9))
+			c.h.inject(actorPID, node.AppLog{Recs: [][]byte{{1}}})
+			c.settle("the lazy call and the AppLog on the idle shard", func() bool {
+				return c.allReleased(9)() && c.logged("append app %d", 1)()
+			})
+			c.before("append %d", 9, "timer %d", 9)
+			c.never("only lazy entries were staged", "sync %d", 1)
+
+			c.queued(persisting(1), lazy(2), node.AppLog{Recs: [][]byte{{2}}}, both(3))
+			c.settle("the mixed batch", c.allReleased(1, 2, 3))
+			c.h.inject(actorPID, node.AppLog{Recs: [][]byte{{3}}, Snapshot: []byte{4}})
+			c.settle("the snapshot", c.logged("compact %d", lastSync+1))
+			c.queued(lazy(5), volatile(6))
+			c.settle("the failing append", c.logged("append %d", 5))
+			c.h.stop() // joins the runtime's goroutines: the log is final
+
+			c.before("append %d", 1, "append %d", 2)
+			c.before("append %d", 2, "append app %d", 2)
+			c.before("append app %d", 2, "append %d", 3)
+			c.before("append %d", 3, "append %d", 103)
+			if rt.virtual {
+				c.before("deliver %d", 2, "sync %d", 2)
+			} else {
+				c.before("handle %d", 3, "sync %d", 1)
+				for _, e := range released {
+					c.before("sync %d", 1, e, 2)
+				}
+			}
+			c.before("append %d", 103, "sync %d", lastSync)
+			for _, e := range released {
+				c.before("sync %d", 1, e, 1)
+				c.before("sync %d", lastSync, e, 3)
+			}
+			for _, e := range []string{"send %d", "deliver %d"} {
+				c.before(e, 1, e, 2)
+				c.before(e, 2, e, 3)
+			}
+			c.before("append app %d", 3, "append snapshot %d", 4)
+			c.before("append snapshot %d", 4, "sync %d", lastSync+1)
+			c.before("sync %d", lastSync+1, "compact %d", lastSync+1)
+			c.never("Step consumes every AppLog itself", "handle applog %d", 1)
+			for _, e := range released {
+				c.never("the call's lazy append failed", e, 5)
+			}
+			c.never("the process had crash-stopped", "handle %d", 6)
+			c.never("nothing was held when the append failed", "sync %d", lastSync+2)
+		})
+	}
+}
+
+// TestShardContractNoStore: a Step without a store discards eager entries,
+// lazy entries and AppLogs alike, holds nothing, and still keeps the AppLog
+// from the handler.
+func TestShardContractNoStore(t *testing.T) {
+	handled := 0
+	step := node.NewStep(node.Func{PID: actorPID, F: func(in node.Input, fx *node.Effects) {
+		handled++
+		fx.Persist(wal.Entry{Kind: wal.EntryBallot, Clock: 1})
+		fx.PersistLazy(wal.Entry{Kind: wal.EntryBallot, Clock: 2})
+		fx.Deliver(mcast.Delivery{})
+	}}, nil)
+	for _, in := range []node.Input{persisting(1), node.AppLog{Recs: [][]byte{{1}}, Snapshot: []byte{2}}} {
+		rel, err := step.Do(in)
+		_, isCall := in.(node.Submit)
+		if err != nil || step.Held() != 0 || (len(rel.Deliveries) == 1) != isCall {
+			t.Errorf("Do(%T) = %d deliveries, %v, %d held", in, len(rel.Deliveries), err, step.Held())
+		}
+	}
+	if handled != 1 {
+		t.Errorf("Handle ran %d times, want 1 (the AppLog must not reach it)", handled)
 	}
 }

@@ -10,9 +10,10 @@
 // theorems in units of δ.
 //
 // The package also holds the shard driver every runtime drives a handler
-// through (shard.go; docs/CONCURRENCY.md, "The shard driver"): Step — Handle
-// and stage per input, one sync per drain, then release, crash-stop on a
-// storage error — and Mailbox, the never-blocking input queue and drain loop.
+// through (shard.go; docs/CONCURRENCY.md, "The shard driver"): Step — the
+// store's only writer: Handle and stage per input, one sync per drain that
+// staged an eager entry, then release, crash-stop on a storage error — and
+// Mailbox, the never-blocking input queue and drain loop.
 //
 // # Layering
 //

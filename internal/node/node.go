@@ -48,11 +48,24 @@ type GCHorizon struct {
 	TS mcast.Timestamp
 }
 
+// AppLog carries application state for the process's durable store: redo
+// records for lazy wal.EntryApp entries and, when Snapshot is non-nil, an
+// application snapshot that supersedes them (wal.EntryAppSnapshot, synced,
+// then the store compacts). Step consumes it itself — no Handler ever sees
+// one — so application records enter the log in the shard's own order,
+// behind the protocol entries of every delivery they describe. Step owns
+// both slices from the moment the input is posted.
+type AppLog struct {
+	Recs     [][]byte
+	Snapshot []byte
+}
+
 func (Recv) isInput()      {}
 func (Timer) isInput()     {}
 func (Start) isInput()     {}
 func (Submit) isInput()    {}
 func (GCHorizon) isInput() {}
+func (AppLog) isInput()    {}
 
 // TimerKind distinguishes the timers a handler arms. Kinds are scoped to a
 // handler; runtimes treat them as opaque.
@@ -91,13 +104,15 @@ const (
 // owns it, makes Persists durable FIRST (append and sync; a storage failure
 // crash-stops the process instead of applying the rest) and hands the
 // runtime only the remainder, as a Release — see docs/CONCURRENCY.md, "The
-// shard driver". Entries may alias borrowed network frames (stores copy
-// during Append), like Sends.
+// shard driver". LazyPersists are appended with the call, after its
+// Persists, but gate nothing: they ride the log's next sync. Entries may
+// alias borrowed network frames (stores copy during Append), like Sends.
 type Effects struct {
-	Sends      []Send
-	Deliveries []mcast.Delivery
-	Timers     []SetTimer
-	Persists   []wal.Entry
+	Sends        []Send
+	Deliveries   []mcast.Delivery
+	Timers       []SetTimer
+	Persists     []wal.Entry
+	LazyPersists []wal.Entry
 }
 
 // Send is a request to transmit Msg. When Tos is nil the send is a unicast
@@ -201,6 +216,15 @@ func (fx *Effects) Persist(e wal.Entry) {
 	fx.Persists = append(fx.Persists, e)
 }
 
+// PersistLazy appends a durable-storage entry that no message or delivery
+// released by this Handle call vouches for to another process: it is
+// logged in order and becomes durable with the store's next sync, and a
+// crash before that loses it. The handler must be able to recompute what
+// it records from entries that were persisted eagerly (docs/DURABILITY.md).
+func (fx *Effects) PersistLazy(e wal.Entry) {
+	fx.LazyPersists = append(fx.LazyPersists, e)
+}
+
 // Reset empties the sink for reuse, retaining capacity but no reference:
 // the used prefix is cleared, so a long-lived Effects does not pin the
 // largest burst it ever carried (a NEW_STATE, a catch-up's ACCEPT payloads,
@@ -209,10 +233,12 @@ func (fx *Effects) Reset() {
 	clear(fx.Sends)
 	clear(fx.Deliveries)
 	clear(fx.Persists)
+	clear(fx.LazyPersists)
 	fx.Sends = fx.Sends[:0]
 	fx.Deliveries = fx.Deliveries[:0]
 	fx.Timers = fx.Timers[:0]
 	fx.Persists = fx.Persists[:0]
+	fx.LazyPersists = fx.LazyPersists[:0]
 }
 
 // Handler is a deterministic protocol node. Handle must not retain in or fx

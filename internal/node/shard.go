@@ -25,9 +25,10 @@ type Release struct {
 // (docs/CONCURRENCY.md, "The shard driver"): Do runs Handle and stages the
 // call's persist entries; Commit syncs once for every call staged since the
 // last one and only then releases their effects (group commit). It is the
-// single place in the repository where a runtime touches a store. A Step is
-// used by one goroutine at a time (the shard's loop, or the simulator's
-// dispatch).
+// store's only writer while the shard runs — application records reach it
+// as AppLog inputs — and the single place in the repository where a runtime
+// touches a store. A Step is used by one goroutine at a time (the shard's
+// loop, or the simulator's dispatch).
 type Step struct {
 	h     Handler
 	store wal.Storage // nil discards persist effects: no durability
@@ -40,11 +41,17 @@ type Step struct {
 // NewStep binds a handler to its durable store (nil for none).
 func NewStep(h Handler, store wal.Storage) *Step { return &Step{h: h, store: store} }
 
-// Do consumes one input. A call that emits persist entries has them staged
-// (Append) and its effects held for Commit, and so has every later call
-// until then — releasing it earlier could overtake the held ones. The
-// Release is then empty and Held reports the backlog. With no store, or
-// nothing staged, the call's effects are released at once.
+// Do consumes one input. The call's entries are staged (Append) in call
+// order, eager before lazy. A call that emits eager entries has its effects
+// held for Commit, and so has every later call until then — releasing it
+// earlier could overtake the held ones. The Release is then empty and Held
+// reports the backlog. With no store, or no eager entry staged since the
+// last Commit, the call's effects are released at once: lazy entries gate
+// nothing and are no reason to sync.
+//
+// An AppLog never reaches Handle: its records are staged as lazy app
+// entries, and a snapshot is staged, synced and followed by the store's
+// compaction, all within the call.
 //
 // A storage error crash-stops the shard: nothing held is released (from
 // outside, the process died before the sync, which is the state a restart
@@ -56,14 +63,37 @@ func (s *Step) Do(in Input) (Release, error) {
 		return Release{}, s.err
 	}
 	s.fx.Reset()
-	s.h.Handle(in, &s.fx)
+	al, isLog := in.(AppLog)
+	if !isLog {
+		s.h.Handle(in, &s.fx)
+	}
+	for _, rec := range al.Recs {
+		s.fx.PersistLazy(wal.Entry{Kind: wal.EntryApp, App: rec})
+	}
+	if al.Snapshot != nil {
+		s.fx.PersistLazy(wal.Entry{Kind: wal.EntryAppSnapshot, App: al.Snapshot})
+	}
+	if s.store != nil {
+		for _, es := range [2][]wal.Entry{s.fx.Persists, s.fx.LazyPersists} {
+			if len(es) == 0 {
+				continue
+			}
+			if err := s.store.Append(es...); err != nil {
+				return Release{}, s.fail(err)
+			}
+		}
+		if al.Snapshot != nil {
+			err := s.store.Sync()
+			if err == nil {
+				err = s.store.Snapshot()
+			}
+			if err != nil {
+				return Release{}, s.fail(err)
+			}
+		}
+	}
 	if s.store == nil || (len(s.fx.Persists) == 0 && s.nheld == 0) {
 		return Release{Timers: s.fx.Timers, Sends: s.fx.Sends, Deliveries: s.fx.Deliveries}, nil
-	}
-	if len(s.fx.Persists) > 0 {
-		if err := s.store.Append(s.fx.Persists...); err != nil {
-			return Release{}, s.fail(err)
-		}
 	}
 	if s.nheld == 0 {
 		s.held.reset() // a new batch: the last Commit's release is over

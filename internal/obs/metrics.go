@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,17 +316,6 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 		}
 	}
 	return out
-}
-
-// SortedKeys returns the keys of a string-keyed map in sorted order, for
-// deterministic rendering of snapshots.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Clock supplies the observability timestamp: elapsed time since the

@@ -47,12 +47,6 @@ func (q *Queue) Remove(id mcast.MsgID) {
 	delete(q.commitTS, id)
 }
 
-// PendingLTS returns the pending local timestamp of id, if id is pending.
-func (q *Queue) PendingLTS(id mcast.MsgID) (mcast.Timestamp, bool) {
-	ts, ok := q.pendingTS[id]
-	return ts, ok
-}
-
 // MinPending returns the smallest local timestamp among pending messages,
 // and false if no message is pending.
 func (q *Queue) MinPending() (mcast.Timestamp, bool) {

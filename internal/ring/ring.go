@@ -199,7 +199,3 @@ func (q *MPSC[T]) Depth() int64 { return q.depth.Load() }
 
 // HighWater returns the largest Depth observed so far.
 func (q *MPSC[T]) HighWater() int64 { return q.hw.Load() }
-
-// Cap returns the lock-free ring capacity (items beyond it spill to the
-// overflow rather than being rejected).
-func (q *MPSC[T]) Cap() int { return len(q.slots) }

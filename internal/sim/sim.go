@@ -159,9 +159,11 @@ func New(cfg Config) *Sim {
 // Add registers a handler and schedules its Start input at the current time.
 func (s *Sim) Add(h node.Handler) { s.AddStored(h, nil) }
 
-// AddStored is Add for a handler backed by a durable store: its persist
-// effects are appended and synced before any send or delivery of the same
-// Handle call, and a storage error crash-stops it. A nil store discards
+// AddStored is Add for a handler backed by a durable store: its eager
+// persist effects are appended and synced before any send or delivery of
+// the same Handle call, lazy ones ride the next sync (node.Step) — a
+// restart on wal.NewMemory loses them until then — and a storage error
+// crash-stops it. A nil store discards
 // persist effects.
 func (s *Sim) AddStored(h node.Handler, st wal.Storage) {
 	pid := h.ID()

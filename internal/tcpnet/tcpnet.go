@@ -77,9 +77,9 @@ type Config struct {
 	// Handler is the protocol state machine to run (single-shard form:
 	// exactly one of Handler and Shards must be set).
 	Handler node.Handler
-	// Storage, if non-nil, backs the handler's persist effects: every entry
-	// is appended and synced before any send or delivery of the same Handle
-	// call is released. A storage error crash-stops the node (it closes as
+	// Storage, if non-nil, backs the handler's persist effects: every eager
+	// entry is appended and synced before any send or delivery of the same
+	// Handle call is released; lazy ones ride the next sync (node.Step). A storage error crash-stops the node (it closes as
 	// if killed; the durable prefix is what a restart recovers). When nil,
 	// persist effects are discarded and the node provides no durability.
 	// Single-shard form; per-shard stores go in Shards.

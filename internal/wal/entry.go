@@ -24,7 +24,9 @@ const (
 	EntryRecord
 	// EntryFrontier records the delivery frontier (the max delivered GTS
 	// and the last GTS this replica handed to the application) — logged
-	// before the delivery itself, so restarts never re-deliver.
+	// before the delivery itself, so restarts never re-deliver; lazily when
+	// the application keeps a frontier of its own, and then eagerly before
+	// the frontier is reported to a peer (docs/DURABILITY.md).
 	EntryFrontier
 	// EntryPrune removes garbage-collected message records.
 	EntryPrune
@@ -40,7 +42,8 @@ const (
 	// EntryApp records one opaque application-state record appended by a
 	// service layered on the replica (kv shard engines append their redo
 	// records here, through Replica.AppendAppState): the application's own
-	// log, riding in the same WAL and covered by the same Sync boundary.
+	// log, riding in the same WAL, always lazily — it is durable with the
+	// log's next Sync.
 	EntryApp
 	// EntryAppSnapshot replaces the application snapshot and clears the
 	// accumulated application log (Replica.SaveAppSnapshot) — the

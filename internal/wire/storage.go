@@ -59,21 +59,6 @@ func ConsumeBallot(buf []byte) (mcast.Ballot, []byte, error) {
 	return b, d.buf, d.err
 }
 
-// AppendAppMsg appends an application message (ID, destination set,
-// payload) in wire form.
-func AppendAppMsg(dst []byte, m mcast.AppMsg) []byte {
-	e := encoder{buf: dst}
-	e.appMsg(m)
-	return e.buf
-}
-
-// ConsumeAppMsg parses an application message, copying the payload.
-func ConsumeAppMsg(buf []byte) (mcast.AppMsg, []byte, error) {
-	d := decoder{buf: buf}
-	m := d.appMsg()
-	return m, d.buf, d.err
-}
-
 // AppendCommand appends a replicated command in wire form.
 func AppendCommand(dst []byte, c msgs.Command) []byte {
 	e := encoder{buf: dst}

@@ -78,7 +78,10 @@ func runKVChaos(t *testing.T, proto wbcast.Protocol, seed int64) {
 			mu.Unlock()
 		},
 	})
-	cfg := wbcast.Config{Groups: shards, Replicas: replicas, Protocol: proto, Transport: tr}
+	// AppGCHorizon is what wbcast-kv, the kill test and the benchmark's
+	// kv-durable run: delivery-time entries are lazy, and a restart that
+	// loses them repeats deliveries the engines must ignore.
+	cfg := wbcast.Config{Groups: shards, Replicas: replicas, Protocol: proto, Transport: tr, AppGCHorizon: true}
 	if proto != wbcast.Skeen {
 		cfg.Storage = wbcast.MemoryStorage()
 	}

@@ -2,6 +2,7 @@ package wbcast
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,13 +19,16 @@ import (
 // deployment starts exactly the replicas that live on this host with
 // NewReplica, one per process (see cmd/wbcast-node).
 type Replica struct {
-	cfg   Config // normalised
-	top   *mcast.Topology
-	pid   ProcessID
-	tr    Transport
-	reg   *obs.Registry  // nil when Observability.Disabled
-	store *lockedStorage // nil without Config.Storage
-	app   AppState       // application state recovered at construction
+	cfg Config // normalised
+	top *mcast.Topology
+	pid ProcessID
+	tr  Transport
+	reg *obs.Registry // nil when Observability.Disabled
+	// store is nil without Config.Storage. While the replica runs, only its
+	// shard loop touches it (node.Step); Close and Shutdown do once crash
+	// has stopped that loop.
+	store wal.Storage
+	app   AppState // application state recovered at construction
 
 	mu     sync.Mutex
 	subs   []*Subscription
@@ -71,21 +75,20 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 	// the simulated transport invokes it on FaultPlan restarts so a revived
 	// process recovers from its store rather than from leftover RAM.
 	var (
-		store   *lockedStorage
+		store   wal.Storage
 		rebuild func() (node.Handler, error)
 		rs      *wal.State
 	)
 	if cfg.Storage != nil {
-		inner, err := cfg.Storage(pid)
-		if err != nil {
+		var err error
+		if store, err = cfg.Storage(pid); err != nil {
 			return nil, fmt.Errorf("wbcast: opening storage for process %d: %w", pid, err)
 		}
 		if reg != nil {
-			if im, ok := inner.(interface{ SetMetrics(*obs.Store) }); ok {
+			if im, ok := store.(interface{ SetMetrics(*obs.Store) }); ok {
 				im.SetMetrics(obs.NewStore(reg))
 			}
 		}
-		store = &lockedStorage{inner: inner}
 		rs, err = store.Load()
 		if err != nil {
 			store.Close()
@@ -130,7 +133,7 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 	if err := cfg.Transport.add(h, hostOptions{
 		onDeliver: r.dispatch,
 		reg:       reg,
-		store:     storageOrNil(store),
+		store:     store,
 		rebuild:   rebuild,
 	}); err != nil {
 		r.closeSubs()
@@ -140,14 +143,6 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 		return nil, err
 	}
 	return r, nil
-}
-
-// storageOrNil avoids handing transports a typed-nil Storage interface.
-func storageOrNil(s *lockedStorage) wal.Storage {
-	if s == nil {
-		return nil
-	}
-	return s
 }
 
 // dispatch fans one delivery out to every live subscription. It runs on
@@ -230,19 +225,7 @@ func (r *Replica) Trace() []TraceEvent { return r.cfg.tracer.Events() }
 // closed or crashed members. A configured store is closed with a final
 // sync but no snapshot — a later restart on the same storage replays the
 // WAL; Shutdown is the graceful variant that snapshots first.
-func (r *Replica) Close() {
-	// Subscriptions first: a full Backpressure subscription blocks the
-	// delivering goroutine inside push, and the TCP/simulated transports'
-	// crash paths join (or lock against) exactly that goroutine. Closing
-	// the subscriptions releases it; Cluster.Close orders the same way.
-	r.closeSubs()
-	r.stopOnce.Do(func() {
-		r.tr.crash(r.pid)
-		if r.store != nil {
-			r.store.Close()
-		}
-	})
-}
+func (r *Replica) Close() { _ = r.stop(false) } // Shutdown reports the store's errors
 
 // Shutdown stops the replica cleanly: it stops processing inputs (as
 // Close), then writes a final synced snapshot and closes its store, so a
@@ -250,15 +233,25 @@ func (r *Replica) Close() {
 // without WAL replay. Without a configured store, Shutdown is Close. The
 // returned error is the storage's — a failed final snapshot still leaves
 // the synced WAL, from which a restart recovers just as correctly.
-func (r *Replica) Shutdown() error {
+func (r *Replica) Shutdown() error { return r.stop(true) }
+
+// stop is Close and Shutdown: the first call crashes the process and tears
+// its store down, with a final snapshot or without.
+func (r *Replica) stop(snapshot bool) (err error) {
+	// Subscriptions first: a full Backpressure subscription blocks the
+	// delivering goroutine inside push, and the transports' crash paths
+	// join (or lock against) exactly that goroutine. Closing the
+	// subscriptions releases it; Cluster.Close orders the same way.
 	r.closeSubs()
-	var err error
 	r.stopOnce.Do(func() {
+		// crash returns once the shard loop can no longer touch the store.
 		r.tr.crash(r.pid)
 		if r.store == nil {
 			return
 		}
-		err = r.store.Snapshot()
+		if snapshot {
+			err = r.store.Snapshot()
+		}
 		if cerr := r.store.Close(); err == nil {
 			err = cerr
 		}
@@ -299,17 +292,20 @@ type AppState struct {
 	// Replay holds the protocol's own record of deliveries this replica
 	// had already exposed before the crash (committed records addressed to
 	// its group with GTS at or below the durable delivery frontier), in
-	// delivery order. The protocol logs its frontier before releasing a
-	// delivery and never re-delivers behind it after a restart, so any
-	// delivery the application applied but had not itself persisted when
-	// the process died appears here and nowhere else. Applications replay
-	// the suffix past their own recovered position. Replay is populated
-	// from the white-box protocol's message records; records already
+	// delivery order. Without Config.AppGCHorizon the protocol logs its
+	// frontier before releasing a delivery and never re-delivers behind it
+	// after a restart, so any delivery the application applied but had not
+	// itself persisted when the process died appears here and nowhere
+	// else. With it the frontier is logged lazily: Replay reaches as far as
+	// the log kept it, the group re-delivers everything above, and the
+	// application ignores what it already holds. Applications replay the
+	// suffix past their own recovered position. Replay is populated from
+	// the white-box protocol's message records; records already
 	// garbage-collected are not recoverable this way, which is why a
 	// durable application sets Config.AppGCHorizon: records then outlive
-	// the horizon it advances (AdvanceGCHorizon), and a service that
-	// persists every applied record before advancing it only needs Replay
-	// for the tail past its own log.
+	// the horizon it advances (AdvanceGCHorizon), and a service that hands
+	// every applied record to AppendAppState before advancing it only
+	// needs Replay for the tail past its own log.
 	Replay []Delivery
 }
 
@@ -318,48 +314,49 @@ type AppState struct {
 // store) every field is empty.
 func (r *Replica) RecoveredAppState() AppState { return r.app }
 
-// AppendAppState appends application records to the replica's durable
-// store and syncs them: when it returns nil, the records survive a crash
-// and come back through RecoveredAppState.Log (or folded into the next
-// snapshot). Records are opaque to the library. Callers batch records per
-// call to amortise the fsync. Without Config.Storage it is a no-op.
+// AppendAppState hands application records to the replica's durable
+// store. It does not wait for the disk: the records are posted to the
+// replica's shard loop — calls of one goroutine in order, and ahead of its
+// later AdvanceGCHorizon calls — which appends them to the log behind the
+// protocol entries of the deliveries they describe, and they become durable
+// with the replica's next sync. A crash before that loses them together
+// with everything logged after them, and recovery re-obtains the deliveries
+// from RecoveredAppState.Replay or the group's catch-up, so an application
+// that applies deterministically and ignores deliveries at or below its own
+// frontier loses nothing (docs/DURABILITY.md). Surviving records come back
+// through RecoveredAppState.Log (or folded into the next snapshot). The
+// replica keeps the records' bytes (not the slice of them) past the call.
+// The error reports a closed replica; without Config.Storage the call is a
+// no-op.
 func (r *Replica) AppendAppState(recs ...[]byte) error {
 	if r.store == nil || len(recs) == 0 {
 		return nil
 	}
-	entries := make([]wal.Entry, len(recs))
-	for i, rec := range recs {
-		entries[i] = wal.Entry{Kind: wal.EntryApp, App: rec}
-	}
-	if err := r.store.Append(entries...); err != nil {
-		return err
-	}
-	return r.store.Sync()
+	return r.tr.inject(r.pid, node.AppLog{Recs: slices.Clone(recs)})
 }
 
 // SaveAppSnapshot replaces the application snapshot in the replica's
-// durable store: the snapshot supersedes every record appended so far
-// (RecoveredAppState.Log restarts empty after it), and the store is asked
-// to compact its WAL. Without Config.Storage it is a no-op.
+// durable store, by the same route and in the same order as AppendAppState:
+// the snapshot supersedes every record appended so far
+// (RecoveredAppState.Log restarts empty after it), is synced, and the store
+// is asked to compact its WAL. The caller keeps snap. Without
+// Config.Storage it is a no-op.
 func (r *Replica) SaveAppSnapshot(snap []byte) error {
 	if r.store == nil {
 		return nil
 	}
-	if err := r.store.Append(wal.Entry{Kind: wal.EntryAppSnapshot, App: snap}); err != nil {
-		return err
-	}
-	if err := r.store.Sync(); err != nil {
-		return err
-	}
-	return r.store.Snapshot()
+	return r.tr.inject(r.pid, node.AppLog{Snapshot: append([]byte{}, snap...)})
 }
 
-// AdvanceGCHorizon reports that the application's own durable state covers
-// every delivery with global timestamp at or below ts, so the protocol may
-// garbage-collect its records for them (Config.AppGCHorizon). The horizon
-// is monotone — a stale ts is a no-op — and is advisory: a horizon lost to
-// a crash or a closed transport is simply re-raised by the application's
-// next durable apply. Without Config.AppGCHorizon the input is ignored.
+// AdvanceGCHorizon reports that the application's own state for every
+// delivery with global timestamp at or below ts is durable, or was handed
+// to AppendAppState/SaveAppSnapshot earlier by the same goroutine, so the
+// protocol may garbage-collect its records for them (Config.AppGCHorizon):
+// the prune is logged behind those records and cannot survive a crash they
+// did not. The horizon is monotone — a stale ts is a no-op — and is
+// advisory: a horizon lost to a crash or a closed transport is simply
+// re-raised by the application's next apply. Without Config.AppGCHorizon
+// the input is ignored.
 func (r *Replica) AdvanceGCHorizon(ts Timestamp) {
 	// Best-effort by design: an error here means the replica is closed or
 	// crashed, and a fresh horizon will be re-derived after recovery.

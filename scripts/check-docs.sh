@@ -12,8 +12,8 @@
 #  5. No doc.go and no docs/*.md (nor README.md) names an internal/ package
 #     (or file) or a cmd/ directory that does not exist; README.md and
 #     docs/*.md name no bare file (`X.md`, `X.json`, `X.go`) that exists
-#     nowhere in the repository, and no wbcast-bench flag the command does
-#     not define.
+#     nowhere in the repository, no wbcast-bench flag the command does
+#     not define, and not the retired `lockedStorage`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -119,6 +119,13 @@ for md in README.md docs/*.md; do
     }
   ' "$md" | grep -oE ' -[a-z][a-z-]*' | tr -d ' ' | sort -u)
 done
+
+# Names the code no longer has: the store's lock wrapper went when node.Step
+# became the store's only writer.
+if grep -n 'lockedStorage' README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
+  echo "documentation names lockedStorage, which does not exist"
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAILED"

@@ -3,19 +3,22 @@ package wbcast
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 
 	"wbcast/internal/wal"
 )
 
 // Storage is a replica's durable store (see internal/wal for the
 // contract). The interface is two-phase: Append stages WAL entries, Sync
-// makes everything staged durable. The hosting runtime appends and syncs
-// every state transition of a Handle call before releasing any message or
-// delivery from the same call, so anything the rest of the cluster has
-// observed is backed by durable state; a storage error crash-stops the
-// replica. Load, called once at construction, returns the folded durable
-// state the protocol recovers from.
+// makes everything staged durable. The replica's shard loop is the store's
+// only caller while the replica runs (Close and Shutdown use it once the
+// loop has stopped), so implementations need no locking. The loop appends
+// every state transition of a Handle call, and syncs those a message of
+// the call vouches for to another process before releasing anything from
+// that call, so whatever the rest of the cluster acts on is backed by
+// durable state; the others ride the next sync (docs/DURABILITY.md). A
+// storage error crash-stops the replica. Load, called once at
+// construction, returns the folded durable state the protocol recovers
+// from.
 //
 // Two implementations ship with the package — disk-backed stores built by
 // DirStorage (an append-only checksummed WAL beside an atomically-replaced
@@ -90,49 +93,4 @@ func DirStorageWith(dir string, opts StorageOptions) func(ProcessID) (Storage, e
 // (FaultPlan Crash/Restart schedules), not for surviving process exits.
 func MemoryStorage() func(ProcessID) (Storage, error) {
 	return func(ProcessID) (Storage, error) { return wal.NewMemory(), nil }
-}
-
-// lockedStorage serialises a Storage shared between the hosting runtime's
-// apply loop and the replica handle's Shutdown/Close: without it a final
-// Snapshot+Close could race an in-flight Append. Appends after Close fail,
-// which the runtime treats as a storage crash-stop — the right outcome for
-// a handler input that slipped in behind a shutdown.
-type lockedStorage struct {
-	mu    sync.Mutex
-	inner wal.Storage
-}
-
-// Load implements Storage under the lock.
-func (l *lockedStorage) Load() (*wal.State, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Load()
-}
-
-// Append implements Storage under the lock.
-func (l *lockedStorage) Append(entries ...wal.Entry) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Append(entries...)
-}
-
-// Sync implements Storage under the lock.
-func (l *lockedStorage) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Sync()
-}
-
-// Snapshot implements Storage under the lock.
-func (l *lockedStorage) Snapshot() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Snapshot()
-}
-
-// Close implements Storage under the lock.
-func (l *lockedStorage) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Close()
 }

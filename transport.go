@@ -56,7 +56,8 @@ type Transport interface {
 	// (frame I/O on TCP, mailbox depth/high-water in-process). opts.store,
 	// when non-nil, backs the process's persist effects: append + sync
 	// before any send or delivery of the same Handle call, storage error ⇒
-	// crash-stop. opts.rebuild, when non-nil, reconstructs the handler from
+	// crash-stop. crash returns only once the process's loop can no longer
+	// touch that store. opts.rebuild, when non-nil, reconstructs the handler from
 	// its store — the simulated transport uses it so FaultPlan restarts
 	// replay the durable state instead of resurrecting in-memory state.
 	open(cfg *Config) error
@@ -477,11 +478,15 @@ func (t *simTransport) inject(pid ProcessID, in node.Input) error {
 	return nil
 }
 
+// crash runs under the pump's lock, so no Handle call is in flight when it
+// returns; dropping the rebuilder keeps a later FaultPlan restart from
+// loading a store the caller is about to close.
 func (t *simTransport) crash(pid ProcessID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.s != nil {
 		t.s.Crash(pid)
+		delete(t.rebuild, pid)
 	}
 }
 

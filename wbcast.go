@@ -342,7 +342,12 @@ type Config struct {
 	// discard a record the app would still need replayed after a crash.
 	// Nothing is pruned before the first AdvanceGCHorizon call; durable
 	// applications (e.g. kv.AttachShard with Persist) raise the horizon
-	// automatically.
+	// automatically. The flag also declares that the application keeps its
+	// own delivery frontier and ignores deliveries at or below it: with
+	// Storage, the records a delivery logs then ride the next sync instead
+	// of waiting for their own, and a restarted replica may repeat the
+	// deliveries above the frontier its log kept (docs/DURABILITY.md).
+	// Without the flag, Deliveries() is exactly-once across restarts.
 	AppGCHorizon bool
 	// Batching, when non-nil, batches each client's payloads into
 	// protocol-level multicasts per destination set (see the package
@@ -353,8 +358,8 @@ type Config struct {
 	// store: the factory is invoked once per replica at construction, the
 	// store's Load recovers the replica's durable state (ballot promises,
 	// accepted records, the delivery frontier), and from then on every
-	// crash-surviving state transition is appended and synced before the
-	// corresponding message leaves the replica. See DirStorage for
+	// crash-surviving state transition is appended, and synced before the
+	// message that vouches for it leaves the replica. See DirStorage for
 	// disk-backed stores and MemoryStorage for simulator-restart semantics
 	// without disk I/O; docs/DURABILITY.md describes the design. Clients
 	// have no durable state; the factory is not invoked for them. Nil means
