@@ -1,11 +1,12 @@
 // Package client implements the multicast client used by every protocol: it
-// sends MULTICAST to the contact processes of each destination group
-// (Fig. 4 line 1), collects the per-group delivery replies, and re-sends
-// MULTICAST on a timer — the paper's message-recovery mechanism (§IV), which
-// also covers leader changes.
+// sends MULTICAST to its leader guess for each destination group (Fig. 4
+// lines 1–2), collects the per-group delivery replies — learning from their
+// ballots who leads each group now — and re-sends MULTICAST on a timer, the
+// paper's message-recovery mechanism (§IV).
 package client
 
 import (
+	"slices"
 	"time"
 
 	"wbcast/internal/mcast"
@@ -24,7 +25,8 @@ type Contacts func(g mcast.GroupID) []mcast.ProcessID
 type Config struct {
 	// PID is the client's process ID (must not collide with replicas).
 	PID mcast.ProcessID
-	// Contacts supplies the MULTICAST targets per group.
+	// Contacts supplies the MULTICAST targets of a group until a reply has
+	// named that group's leader (Client.Leader).
 	Contacts Contacts
 	// Retry is the interval after which an incomplete multicast is re-sent.
 	// Zero disables retries (appropriate when no failures are injected).
@@ -33,7 +35,8 @@ type Config struct {
 	// paper notes a client with a stale leader guess "can always send the
 	// message to all the processes in a given group" (§IV); pass a
 	// whole-group contact function here to get that behaviour after a
-	// leader change. Defaults to Contacts.
+	// leader change. Defaults to where first attempts go: the leader learnt
+	// from the replies so far, Contacts before that.
 	RetryContacts Contacts
 	// OnComplete, if non-nil, is invoked during Handle when replies from
 	// every destination group of a message have arrived. Runtimes use it to
@@ -48,6 +51,9 @@ type Config struct {
 type Client struct {
 	cfg      Config
 	inflight map[mcast.MsgID]*request
+	// ballots is Cur_leader (Fig. 4 line 2): per group, the highest ballot a
+	// reply has carried. Its leader is where first attempts go.
+	ballots map[mcast.GroupID]mcast.Ballot
 	// completed counts finished multicasts.
 	completed int
 }
@@ -61,7 +67,7 @@ type request struct {
 
 // New constructs a Client.
 func New(cfg Config) *Client {
-	return &Client{cfg: cfg, inflight: make(map[mcast.MsgID]*request)}
+	return &Client{cfg: cfg, inflight: make(map[mcast.MsgID]*request), ballots: make(map[mcast.GroupID]mcast.Ballot)}
 }
 
 // ID implements node.Handler.
@@ -83,10 +89,12 @@ func (c *Client) Handle(in node.Input, fx *node.Effects) {
 		switch r := in.Msg.(type) {
 		case msgs.ClientReply:
 			c.onReply(r.ID, r.Group)
+			c.noteBallot(r.Group, r.Bal, fx)
 		case msgs.ClientReplies:
 			for _, id := range r.IDs {
 				c.onReply(id, r.Group)
 			}
+			c.noteBallot(r.Group, r.Bal, fx)
 		}
 	case node.Timer:
 		if in.Kind == node.TimerClient {
@@ -102,17 +110,68 @@ func (c *Client) submit(m mcast.AppMsg, fx *node.Effects) {
 	req := &request{m: m, got: make(map[mcast.GroupID]bool, len(m.Dest))}
 	c.inflight[m.ID] = req
 	c.cfg.Obs.OnSubmit(m.ID, &req.at)
-	c.send(m, fx)
+	c.send(m, nil, fx)
 	if c.cfg.Retry > 0 {
 		fx.SetTimer(c.cfg.Retry, node.TimerClient, uint64(m.ID))
 	}
 }
 
-func (c *Client) send(m mcast.AppMsg, fx *node.Effects) {
+// send sends MULTICAST(m) to every destination group: to the group's targets
+// under blanket if a retry names them, otherwise to Leader(g), or to the
+// configured contacts while no single leader is known.
+func (c *Client) send(m mcast.AppMsg, blanket Contacts, fx *node.Effects) {
 	for _, g := range m.Dest {
-		for _, p := range c.cfg.Contacts(g) {
+		to := blanket
+		if to == nil {
+			if p := c.Leader(g); p != mcast.NoProcess {
+				fx.Send(p, msgs.Multicast{M: m})
+				continue
+			}
+			to = c.cfg.Contacts
+		}
+		for _, p := range to(g) {
 			fx.Send(p, msgs.Multicast{M: m})
 		}
+	}
+}
+
+// Leader returns Cur_leader[g], the one process first attempts for group g go
+// to: the leader of the highest ballot a reply of g has carried or, before the
+// first, the configured contact (NoProcess if Contacts names several).
+func (c *Client) Leader(g mcast.GroupID) mcast.ProcessID {
+	if b, ok := c.ballots[g]; ok {
+		return b.Leader()
+	}
+	if ps := c.cfg.Contacts(g); len(ps) == 1 {
+		return ps[0]
+	}
+	return mcast.NoProcess
+}
+
+// noteBallot learns group g's leader from the ballot of a reply (zero from
+// protocols without ballots). When the leader is no longer the process the
+// client has been sending to, every request still waiting for g's reply went
+// to the wrong place: each is sent again, in full — the new leader proposes
+// it, the other destination groups' leaders re-send the ACCEPTs it needs —
+// instead of waiting out its retry timer.
+func (c *Client) noteBallot(g mcast.GroupID, b mcast.Ballot, fx *node.Effects) {
+	if !c.ballots[g].Less(b) {
+		return
+	}
+	was := c.Leader(g)
+	c.ballots[g] = b
+	if was == b.Leader() {
+		return
+	}
+	var ids []mcast.MsgID
+	for id, req := range c.inflight {
+		if req.m.Dest.Contains(g) && !req.got[g] {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids) // not map order: a seeded run replays its sends exactly
+	for _, id := range ids {
+		c.send(c.inflight[id].m, nil, fx)
 	}
 }
 
@@ -146,15 +205,7 @@ func (c *Client) onRetry(id mcast.MsgID, fx *node.Effects) {
 	// updated) contacts of every destination group. Groups that already
 	// processed m re-send their protocol messages; others start processing.
 	c.cfg.Obs.OnRetry(id)
-	contacts := c.cfg.RetryContacts
-	if contacts == nil {
-		contacts = c.cfg.Contacts
-	}
-	for _, g := range req.m.Dest {
-		for _, p := range contacts(g) {
-			fx.Send(p, msgs.Multicast{M: req.m})
-		}
-	}
+	c.send(req.m, c.cfg.RetryContacts, fx)
 	fx.SetTimer(c.cfg.Retry, node.TimerClient, uint64(id))
 }
 

@@ -148,3 +148,121 @@ func TestClientRepliesCompletesSeveral(t *testing.T) {
 		t.Errorf("replies caused effects: %+v", fx)
 	}
 }
+
+// targets returns the recipients of fx's MULTICASTs of id, in send order.
+func targets(fx *node.Effects, id mcast.MsgID) []mcast.ProcessID {
+	var out []mcast.ProcessID
+	for _, s := range fx.Sends {
+		if m, ok := s.Msg.(msgs.Multicast); ok && m.M.ID == id {
+			out = append(out, s.To)
+		}
+	}
+	return out
+}
+
+// TestClientFollowsTheLeader: Cur_leader at the multicasting process. A reply
+// naming a new leader of group 1 redirects later first attempts, and every
+// request still waiting for group 1 is sent again at once — in full, to every
+// destination group's current leader, in MsgID order — while requests group 1
+// has answered, or that never addressed it, are left alone. That is no retry:
+// the timers and the retry path stay as they were.
+func TestClientFollowsTheLeader(t *testing.T) {
+	var completions []mcast.MsgID
+	cl := newClient(50*time.Millisecond, &completions)
+	if cl.Leader(1) != 10 {
+		t.Fatalf("Leader(1) = %d before any reply, want the configured contact", cl.Leader(1))
+	}
+	b1, b2 := mcast.Ballot{N: 1, Proc: 10}, mcast.Ballot{N: 2, Proc: 11}
+	answered, _ := submit(cl, 1, 0, 1)
+	waiting, _ := submit(cl, 2, 0, 1)
+	waiting2, _ := submit(cl, 3, 1)
+	elsewhere, _ := submit(cl, 4, 0)
+	var fx node.Effects
+	// The first ballot names the process the client was sending to anyway.
+	cl.Handle(node.Recv{From: 10, Msg: msgs.ClientReply{ID: answered, Group: 1, Bal: b1}}, &fx)
+	if len(fx.Sends) != 0 || cl.Leader(1) != 10 {
+		t.Fatalf("learning the initial leader sent %+v, Leader(1) = %d", fx.Sends, cl.Leader(1))
+	}
+	// A follower's coalesced replies carry the ballot too.
+	cl.Handle(node.Recv{From: 12, Msg: msgs.ClientReplies{Group: 1, Bal: b2, IDs: []mcast.MsgID{answered}}}, &fx)
+	if cl.Leader(1) != 11 {
+		t.Fatalf("Leader(1) = %d after ballot %v, want 11", cl.Leader(1), b2)
+	}
+	var resent []mcast.MsgID
+	for _, s := range fx.Sends {
+		resent = append(resent, s.Msg.(msgs.Multicast).M.ID)
+	}
+	if want := []mcast.MsgID{waiting, waiting, waiting2}; len(resent) != 3 || resent[0] != want[0] || resent[1] != want[1] || resent[2] != want[2] {
+		t.Fatalf("re-sent %v, want %v", resent, want)
+	}
+	if got := targets(&fx, waiting); len(got) != 2 || got[0] != 0 || got[1] != 11 {
+		t.Errorf("%v re-sent to %v, want group 0's contact and p11", waiting, got)
+	}
+	if got := targets(&fx, elsewhere); len(got) != 0 {
+		t.Errorf("a request for group 0 alone was re-sent to %v", got)
+	}
+	if len(fx.Timers) != 0 {
+		t.Errorf("the re-send armed %+v", fx.Timers)
+	}
+	// Stale and zero ballots teach nothing.
+	fx.Reset()
+	cl.Handle(node.Recv{From: 10, Msg: msgs.ClientReply{ID: answered, Group: 1, Bal: b1}}, &fx)
+	cl.Handle(node.Recv{From: 10, Msg: msgs.ClientReply{ID: answered, Group: 1}}, &fx)
+	cl.Handle(node.Recv{From: 0, Msg: msgs.ClientReply{ID: answered, Group: 0}}, &fx)
+	if len(fx.Sends) != 0 || cl.Leader(1) != 11 || cl.Leader(0) != 0 {
+		t.Errorf("stale or zero ballots: sends %+v, Leader(1) = %d, Leader(0) = %d", fx.Sends, cl.Leader(1), cl.Leader(0))
+	}
+	// First attempts go to the new leader; retries still blanket.
+	id, sfx := submit(cl, 5, 1)
+	if got := targets(sfx, id); len(got) != 1 || got[0] != 11 {
+		t.Errorf("first attempt went to %v, want p11", got)
+	}
+	fx.Reset()
+	cl.Handle(node.Timer{Kind: node.TimerClient, Data: uint64(id)}, &fx)
+	if got := targets(&fx, id); len(got) != 2 || got[0] != 10 || got[1] != 11 {
+		t.Errorf("retry went to %v, want the whole group", got)
+	}
+	if len(completions) != 1 || completions[0] != answered {
+		t.Errorf("completions = %v", completions)
+	}
+}
+
+// TestClientLearnsAChangedLeaderFirst: a client whose very first reply of a
+// group names somebody other than its configured contact re-sends as well.
+func TestClientLearnsAChangedLeaderFirst(t *testing.T) {
+	var completions []mcast.MsgID
+	cl := newClient(0, &completions)
+	a, _ := submit(cl, 1, 1)
+	b, _ := submit(cl, 2, 1)
+	var fx node.Effects
+	cl.Handle(node.Recv{From: 11, Msg: msgs.ClientReply{ID: a, Group: 1, Bal: mcast.Ballot{N: 2, Proc: 11}}}, &fx)
+	if got := targets(&fx, b); len(got) != 1 || got[0] != 11 {
+		t.Errorf("%v re-sent to %v, want p11", b, got)
+	}
+	if got := targets(&fx, a); len(got) != 0 {
+		t.Errorf("the answered request was re-sent to %v", got)
+	}
+}
+
+// TestRetryWithoutRetryContactsFollowsTheLeader: a client configured with no
+// RetryContacts retries where first attempts go — the leader it has learnt,
+// not the configured contact that may have stopped long ago.
+func TestRetryWithoutRetryContactsFollowsTheLeader(t *testing.T) {
+	cl := client.New(client.Config{
+		PID:      100,
+		Contacts: func(g mcast.GroupID) []mcast.ProcessID { return []mcast.ProcessID{mcast.ProcessID(g * 10)} },
+		Retry:    50 * time.Millisecond,
+	})
+	a, _ := submit(cl, 1, 1)
+	b, _ := submit(cl, 2, 0, 1)
+	var fx node.Effects
+	cl.Handle(node.Recv{From: 11, Msg: msgs.ClientReply{ID: a, Group: 1, Bal: mcast.Ballot{N: 2, Proc: 11}}}, &fx)
+	fx.Reset()
+	cl.Handle(node.Timer{Kind: node.TimerClient, Data: uint64(b)}, &fx)
+	if got := targets(&fx, b); len(got) != 2 || got[0] != 0 || got[1] != 11 {
+		t.Errorf("retry went to %v, want group 0's contact and p11", got)
+	}
+	if len(fx.Timers) != 1 {
+		t.Errorf("retry armed %+v, want the next retry", fx.Timers)
+	}
+}

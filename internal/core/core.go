@@ -52,8 +52,10 @@ type Config struct {
 	// HeartbeatInterval is the leader's heartbeat period. Zero disables
 	// heartbeats, failure detection and automatic leader election.
 	HeartbeatInterval time.Duration
-	// SuspectTimeout is how long a follower waits without a heartbeat
-	// before starting leader recovery. Defaults to 4×HeartbeatInterval.
+	// SuspectTimeout is how long after the last heartbeat of its ballot a
+	// replica starts leader recovery; the member of group rank k waits
+	// k·HeartbeatInterval/2 longer (node.Suspicion). Defaults to
+	// 4×HeartbeatInterval.
 	SuspectTimeout time.Duration
 	// GCInterval drives garbage collection of delivered messages. Zero
 	// disables GC.
@@ -191,10 +193,13 @@ type Replica struct {
 	// Recovery bookkeeping (recovery.go).
 	nlAcks map[mcast.ProcessID]msgs.NewLeaderAck
 	nsAcks map[mcast.ProcessID]bool
+	// orphans are the application messages this candidate held only in phase
+	// START — learnt from other groups' ACCEPTs, never proposed here — when
+	// the merged state replaced its own; it re-multicasts them on taking over.
+	orphans []mcast.AppMsg
 
 	// Liveness bookkeeping (liveness.go).
-	hbSeen       bool
-	suspectArmed bool
+	suspect node.Suspicion
 	// deliveredWM tracks each group member's delivery watermark (leader).
 	deliveredWM map[mcast.ProcessID]mcast.Timestamp
 	// lastAckWM remembers each member's previous heartbeat-ack watermark:
@@ -256,9 +261,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 	if g == mcast.NoGroup {
 		return nil, fmt.Errorf("core: process %d is not a member of any group", cfg.PID)
 	}
-	if cfg.SuspectTimeout == 0 {
-		cfg.SuspectTimeout = 4 * cfg.HeartbeatInterval
-	}
 	if cfg.Conflicts != nil {
 		// Conflict mode never prunes: the release log and the applied set
 		// reference every delivered message (conflict.go).
@@ -277,6 +279,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		deliveredWM: make(map[mcast.ProcessID]mcast.Timestamp),
 		lastAckWM:   make(map[mcast.ProcessID]mcast.Timestamp),
 		groupWM:     make(map[mcast.GroupID]mcast.Timestamp),
+		suspect:     node.NewSuspicion(cfg.HeartbeatInterval, cfg.SuspectTimeout, cfg.Top.Rank(cfg.PID)),
 	}
 	if cfg.Conflicts != nil {
 		r.pendRel = make(map[mcast.MsgID]*mstate)
@@ -436,7 +439,7 @@ func (r *Replica) onMulticast(from mcast.ProcessID, app mcast.AppMsg, fx *node.E
 		// the replies, and another ACCEPT round would never answer it. With
 		// more destination groups the ACCEPT still goes out — a group that
 		// has yet to deliver may be waiting for exactly this proposal.
-		fx.Send(from, msgs.ClientReply{ID: app.ID, Group: r.group})
+		fx.Send(from, msgs.ClientReply{ID: app.ID, Group: r.group, Bal: r.cballot})
 		if len(st.app.Dest) == 1 {
 			return
 		}
@@ -740,7 +743,7 @@ func (r *Replica) deliveredHere(id mcast.MsgID, st *mstate) bool {
 func (r *Replica) reply(id mcast.MsgID, fx *node.Effects) {
 	to := id.Sender()
 	if r.status == StatusLeader || r.cfg.HeartbeatInterval == 0 {
-		fx.Send(to, msgs.ClientReply{ID: id, Group: r.group})
+		fx.Send(to, msgs.ClientReply{ID: id, Group: r.group, Bal: r.cballot})
 		return
 	}
 	if len(r.replyQ) == 0 {
@@ -759,7 +762,7 @@ func (r *Replica) reply(id mcast.MsgID, fx *node.Effects) {
 // their messages (a runtime may hold a send past this call).
 func (r *Replica) flushReplies(fx *node.Effects) {
 	for _, q := range r.replyQ {
-		fx.Send(q.to, msgs.ClientReplies{Group: r.group, IDs: q.ids})
+		fx.Send(q.to, msgs.ClientReplies{Group: r.group, Bal: r.cballot, IDs: q.ids})
 	}
 	clear(r.replyQ)
 	r.replyQ = r.replyQ[:0]
@@ -779,9 +782,7 @@ func (r *Replica) retry(id mcast.MsgID, fx *node.Effects) {
 	st.retries++
 	r.cfg.Obs.MarkMsg(obs.EventRetransmit, id)
 	if st.retries <= 2 { // line 34
-		for _, g := range st.app.Dest {
-			fx.Send(r.curLeader[g], msgs.Multicast{M: st.app})
-		}
+		r.toLeaders(st.app, fx)
 	} else {
 		// The Cur_leader guess may be stale; blanket every destination
 		// group in one fan-out (§IV: "the multicasting process can always
@@ -789,6 +790,14 @@ func (r *Replica) retry(id mcast.MsgID, fx *node.Effects) {
 		fx.SendGroups(r.cfg.Top, st.app.Dest, msgs.Multicast{M: st.app})
 	}
 	r.armRetry(id, fx)
+}
+
+// toLeaders sends MULTICAST(app) to Cur_leader[g] of every destination group,
+// this replica's own included.
+func (r *Replica) toLeaders(app mcast.AppMsg, fx *node.Effects) {
+	for _, g := range app.Dest {
+		fx.Send(r.curLeader[g], msgs.Multicast{M: app})
+	}
 }
 
 func (r *Replica) armRetry(id mcast.MsgID, fx *node.Effects) {

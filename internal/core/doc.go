@@ -14,8 +14,8 @@
 // File layout:
 //
 //	core.go     — replica state (Fig. 3) and normal operation (Fig. 4 lines 1–34)
-//	recovery.go — leader recovery (Fig. 4 lines 35–68)
-//	liveness.go — heartbeat failure detector, retries and garbage collection
+//	recovery.go — leader recovery (Fig. 4 lines 35–68), orphan adoption
+//	liveness.go — heartbeats and suspicion (node.Suspicion), catch-up, garbage collection
 //	conflict.go — conflict-aware (generic multicast) delivery, the "genmcast" protocol
 //	adapter.go  — test-harness adapter for both modes
 //

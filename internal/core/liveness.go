@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
@@ -23,17 +22,10 @@ func (r *Replica) onStart(fx *node.Effects) {
 	// A restart that kept this handler in memory lost its timers: replies
 	// still queued would wait for a flush that never comes.
 	r.flushReplies(fx)
-	if r.cfg.HeartbeatInterval > 0 {
-		if r.status == StatusLeader {
-			r.broadcastHeartbeat(fx)
-			fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerHeartbeat, uint64(r.cballot.N))
-		}
-		// Every replica monitors its leader. Suspicion timeouts are
-		// staggered by group rank so that, after GST, the lowest-ranked
-		// correct process becomes the stable leader without duels.
-		r.hbSeen = true // grace period covering the first interval
-		fx.SetTimer(r.suspectAfter(), node.TimerSuspect, 0)
-	}
+	r.heartbeat(fx)
+	// Every replica monitors its leader: suspicion falls one deadline
+	// (node.Suspicion) after the last sign of it, and a start counts as one.
+	r.suspect.Arm(fx)
 	if r.cfg.GCInterval > 0 {
 		fx.SetTimer(r.cfg.GCInterval, node.TimerGC, 0)
 	}
@@ -44,21 +36,19 @@ func (r *Replica) onTimer(t node.Timer, fx *node.Effects) {
 	case node.TimerRetry:
 		r.retry(mcast.MsgID(t.Data), fx)
 	case node.TimerHeartbeat:
-		// Stale if the ballot advanced since arming.
-		if r.status == StatusLeader && uint64(r.cballot.N) == t.Data {
-			r.broadcastHeartbeat(fx)
-			fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerHeartbeat, t.Data)
+		if uint64(r.cballot.N) == t.Data { // else stale: the ballot advanced
+			r.heartbeat(fx)
 		}
 	case node.TimerSuspect:
-		r.onSuspectTimer(fx)
-	case node.TimerCandidacy:
-		if t.Data == 1 {
-			// Forced candidacy (used by tests and operator tooling).
+		// The deadline passed with no heartbeat of the participating ballot
+		// (or stuck in RECOVERING after a candidacy failed): attempt to lead.
+		if r.suspect.Expired(t, fx) && r.status != StatusLeader {
 			r.startCandidacy(fx)
-			return
 		}
-		// Backoff retry: the candidacy of this replica stalled.
-		if r.status == StatusRecovering && r.ballot.Leader() == r.pid && r.cballot != r.ballot {
+	case node.TimerCandidacy:
+		// Forced (Data 1: tests and operator tooling), or the backoff retry
+		// of this replica's own stalled candidacy.
+		if t.Data == 1 || r.status == StatusRecovering && r.ballot.Leader() == r.pid && r.cballot != r.ballot {
 			r.startCandidacy(fx)
 		}
 	case node.TimerGC:
@@ -68,8 +58,13 @@ func (r *Replica) onTimer(t node.Timer, fx *node.Effects) {
 	}
 }
 
-func (r *Replica) broadcastHeartbeat(fx *node.Effects) {
-	fx.SendAll(r.groupPeers, msgs.Heartbeat{Group: r.group, Bal: r.cballot})
+// heartbeat, at a leader, announces its ballot to the group and arms the next
+// announcement.
+func (r *Replica) heartbeat(fx *node.Effects) {
+	if r.cfg.HeartbeatInterval > 0 && r.status == StatusLeader {
+		fx.SendAll(r.groupPeers, msgs.Heartbeat{Group: r.group, Bal: r.cballot})
+		fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerHeartbeat, uint64(r.cballot.N))
+	}
 }
 
 func (r *Replica) onHeartbeat(from mcast.ProcessID, m msgs.Heartbeat, fx *node.Effects) {
@@ -89,6 +84,7 @@ func (r *Replica) onHeartbeat(from mcast.ProcessID, m msgs.Heartbeat, fx *node.E
 		// forgotten timestamp, violating Invariant 5).
 		if r.ballot.Less(m.Bal) {
 			r.ballot = m.Bal
+			r.orphans = nil // as in onNewLeader: not this replica's take-over
 		}
 		if r.status == StatusLeader {
 			r.cfg.Obs.Mark(obs.EventStepDown, "bal="+m.Bal.String())
@@ -100,7 +96,7 @@ func (r *Replica) onHeartbeat(from mcast.ProcessID, m msgs.Heartbeat, fx *node.E
 	// failure detector: a process stranded in a higher joined ballot must
 	// eventually start its own candidacy to rejoin the group.
 	if m.Bal == r.cballot && r.status == StatusFollower {
-		r.hbSeen = true
+		r.suspect.Arm(fx)
 		r.vouchFrontier(fx)
 		// Seq is the conflict-mode release cursor (zero otherwise).
 		fx.Send(from, msgs.HeartbeatAck{Group: r.group, Bal: m.Bal, Delivered: r.maxDeliveredGTS, Seq: r.lastSeq})
@@ -178,34 +174,6 @@ func (r *Replica) catchup(from mcast.ProcessID, wm mcast.Timestamp, fx *node.Eff
 		fx.Send(from, msgs.Deliver{ID: ms.id, Bal: r.cballot, LTS: st.lts, GTS: ms.gts, Prev: prev})
 		prev = ms.gts
 	}
-}
-
-func (r *Replica) onSuspectTimer(fx *node.Effects) {
-	if r.cfg.HeartbeatInterval == 0 {
-		return
-	}
-	defer fx.SetTimer(r.suspectAfter(), node.TimerSuspect, 0)
-	if r.status == StatusLeader {
-		return
-	}
-	if r.status == StatusFollower && r.hbSeen {
-		r.hbSeen = false
-		return
-	}
-	// No heartbeat for a full suspicion period (or stuck in RECOVERING
-	// after a failed candidacy elsewhere): attempt to lead.
-	r.startCandidacy(fx)
-}
-
-// suspectAfter staggers suspicion by group rank: lower-ranked members time
-// out first, so after GST the surviving lowest-ranked process wins cleanly.
-func (r *Replica) suspectAfter() time.Duration {
-	rank := r.cfg.Top.Rank(r.pid)
-	return r.cfg.SuspectTimeout + time.Duration(rank)*r.cfg.SuspectTimeout/2
-}
-
-func (r *Replica) candidacyBackoff() time.Duration {
-	return 2 * r.suspectAfter()
 }
 
 // --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ func (r *Replica) startCandidacy(fx *node.Effects) {
 	// If the candidacy stalls (lost votes, a duel with another candidate),
 	// retry with a fresh ballot after a backoff.
 	if r.cfg.HeartbeatInterval > 0 {
-		fx.SetTimer(r.candidacyBackoff(), node.TimerCandidacy, 0)
+		fx.SetTimer(2*r.suspect.After, node.TimerCandidacy, 0)
 	}
 }
 
@@ -48,9 +48,14 @@ func (r *Replica) onNewLeader(from mcast.ProcessID, m msgs.NewLeader, fx *node.E
 	}
 	r.status = StatusRecovering // line 39
 	r.ballot = m.Bal            // line 40
-	// Abandon any candidacy bookkeeping of older ballots.
+	// Abandon any candidacy bookkeeping of older ballots, and give this
+	// ballot's candidate a full deadline to establish itself.
 	clear(r.nlAcks)
 	clear(r.nsAcks)
+	r.suspect.Arm(fx)
+	// What this replica kept for the take-over of an older ballot of its own
+	// reaches the next leader through the senders' retries.
+	r.orphans = nil
 	// The vote is a promise never to vote in a lower ballot again; it must
 	// survive a crash, or a restarted replica could vote twice and two
 	// leaders could recover conflicting states from disjoint quorums.
@@ -126,7 +131,7 @@ func (r *Replica) onNewLeaderAck(from mcast.ProcessID, m msgs.NewLeaderAck, fx *
 	// by voters outside J are deliberately discarded — this is what
 	// prevents the resurrection of forgotten timestamps (Invariant 5).
 	var clock uint64
-	for from, ack := range r.nlAcks {
+	for _, ack := range r.nlAcks {
 		if ack.Clock > clock {
 			clock = ack.Clock
 		}
@@ -150,7 +155,16 @@ func (r *Replica) onNewLeaderAck(from mcast.ProcessID, m msgs.NewLeaderAck, fx *
 				}
 			}
 		}
-		_ = from
+	}
+	// The merged state replaces this replica's own. Application messages it
+	// holds in phase START — another group's leader proposed them, the deposed
+	// leader of this group never did — are in no vote, so the merge would
+	// forget them and that group would wait out its retries. Keep the payloads;
+	// they carry no timestamp and no promise (maybeFinishRecovery).
+	for id, st := range r.state {
+		if st.hasApp && st.phase == msgs.PhaseStart && merged[id] == nil {
+			r.orphans = append(r.orphans, st.app)
+		}
 	}
 	r.state = merged
 	if r.clock < clock {
@@ -214,7 +228,7 @@ func (r *Replica) onNewState(from mcast.ProcessID, m msgs.NewState, fx *node.Eff
 	r.rebuildPending()
 	r.queue.Clear() // not leading; the queue is rebuilt on leadership
 	r.noteLeader(r.group, m.Bal)
-	r.hbSeen = true // grace period for the new leader's heartbeats
+	r.suspect.Arm(fx) // the new leader's heartbeats are due from now
 	// The ack promises this follower holds the installed state; persist the
 	// wholesale replacement (ballot pair, clock, records) before sending it.
 	if r.cfg.Durable {
@@ -272,21 +286,23 @@ func (r *Replica) maybeFinishRecovery(fx *node.Effects) {
 	sort.Slice(accepted, func(i, j int) bool { return r.state[accepted[i]].lts.Less(r.state[accepted[j]].lts) })
 	for _, id := range accepted {
 		st := r.state[id]
-		if r.cfg.RetryInterval > 0 {
-			r.armRetry(id, fx)
-		}
+		r.armRetry(id, fx)
 		// Kick one immediate retry so recovery does not wait a full
 		// retry interval: re-multicast to every destination leader,
 		// including ourselves.
 		st.retries = 0
-		for _, g := range st.app.Dest {
-			fx.Send(r.curLeader[g], msgs.Multicast{M: st.app})
-		}
+		r.toLeaders(st.app, fx)
 	}
+	// Adopt the orphans the same way, in MsgID order: the MULTICAST to this
+	// replica proposes the message in the new ballot exactly as a client's
+	// retry would, the one to each other destination leader makes it re-send
+	// the ACCEPT the state replacement discarded. Only dest(m) is involved.
+	sort.Slice(r.orphans, func(i, j int) bool { return r.orphans[i].ID < r.orphans[j].ID })
+	for _, app := range r.orphans {
+		r.toLeaders(app, fx)
+	}
+	r.orphans = nil
 
 	// Start leading: heartbeats announce the ballot to the group.
-	if r.cfg.HeartbeatInterval > 0 {
-		r.broadcastHeartbeat(fx)
-		fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerHeartbeat, uint64(r.cballot.N))
-	}
+	r.heartbeat(fx)
 }

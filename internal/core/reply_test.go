@@ -95,7 +95,7 @@ func TestLeaderRepliesInDeliveringCall(t *testing.T) {
 		t.Fatalf("deliveries = %d", len(fx.Deliveries))
 	}
 	got := replySends(fx)
-	if len(got) != 1 || got[0].To != clientA || got[0].Msg != (msgs.ClientReply{ID: id, Group: 0}) {
+	if len(got) != 1 || got[0].To != clientA || got[0].Msg != (msgs.ClientReply{ID: id, Group: 0, Bal: r.CBallot()}) {
 		t.Fatalf("leader's replies in the delivering call = %+v", got)
 	}
 	if replyTimers(fx) != 0 {
@@ -126,8 +126,8 @@ func TestFollowerRepliesCoalescePerClient(t *testing.T) {
 	fx := &node.Effects{}
 	r.Handle(node.Timer{Kind: node.TimerReplies}, fx)
 	want := []node.Send{
-		{To: clientA, Msg: msgs.ClientReplies{Group: 0, IDs: ofA}},
-		{To: clientB, Msg: msgs.ClientReplies{Group: 0, IDs: ofB}},
+		{To: clientA, Msg: msgs.ClientReplies{Group: 0, Bal: r.CBallot(), IDs: ofA}},
+		{To: clientB, Msg: msgs.ClientReplies{Group: 0, Bal: r.CBallot(), IDs: ofB}},
 	}
 	if !reflect.DeepEqual(fx.Sends, want) {
 		t.Fatalf("flush sent\n %+v\nwant\n %+v", fx.Sends, want)
@@ -139,7 +139,7 @@ func TestFollowerRepliesCoalescePerClient(t *testing.T) {
 	}
 	fx = &node.Effects{}
 	r.Handle(node.Timer{Kind: node.TimerReplies}, fx)
-	want = []node.Send{{To: clientB, Msg: msgs.ClientReplies{Group: 0, IDs: []mcast.MsgID{id}}}}
+	want = []node.Send{{To: clientB, Msg: msgs.ClientReplies{Group: 0, Bal: r.CBallot(), IDs: []mcast.MsgID{id}}}}
 	if !reflect.DeepEqual(fx.Sends, want) {
 		t.Fatalf("second flush sent %+v", fx.Sends)
 	}
@@ -178,7 +178,8 @@ func TestPromotedFollowerStillFlushes(t *testing.T) {
 	}
 	fx = &node.Effects{}
 	r.Handle(node.Timer{Kind: node.TimerReplies}, fx)
-	want := []node.Send{{To: clientA, Msg: msgs.ClientReplies{Group: 0, IDs: queued}}}
+	// The flush names the ballot this replica is in now: its own.
+	want := []node.Send{{To: clientA, Msg: msgs.ClientReplies{Group: 0, Bal: bal, IDs: queued}}}
 	if !reflect.DeepEqual(replySends(fx), want) {
 		t.Fatalf("flush after promotion sent %+v, want %+v", replySends(fx), want)
 	}
@@ -191,7 +192,7 @@ func TestNoHeartbeatRepliesAtOnce(t *testing.T) {
 	id := mcast.MakeMsgID(clientA, 1)
 	fx := deliverTo(r, id, 1)
 	got := replySends(fx)
-	if len(got) != 1 || got[0].Msg != (msgs.ClientReply{ID: id, Group: 0}) || len(fx.Timers) != 0 {
+	if len(got) != 1 || got[0].Msg != (msgs.ClientReply{ID: id, Group: 0, Bal: r.CBallot()}) || len(fx.Timers) != 0 {
 		t.Fatalf("sends = %+v timers = %+v", got, fx.Timers)
 	}
 }
@@ -258,5 +259,49 @@ func TestRetryAfterDeliveryIsAnswered(t *testing.T) {
 	}
 	if accepts, _ := audit.Counts(); accepts != 3 {
 		t.Errorf("ACCEPT receptions = %d, want 3: the retry must not start another round", accepts)
+	}
+}
+
+// TestRetryAfterDeliveryIsAnsweredAcrossTakeover: the same on the take-over
+// path. Every reply of m is lost and then the leader stops, leaving m2
+// ACCEPTED at its followers. p1 takes over and commits m2; its reply names
+// p1's ballot, so the client sends m — still unanswered — again, at once and
+// under its own name. p1 finds m delivered in the merged state and answers:
+// the rule above applies and no second ACCEPT round runs for m.
+func TestRetryAfterDeliveryIsAnsweredAcrossTakeover(t *testing.T) {
+	const (
+		suspect = 20 * delta
+		crash   = 2 * replyHB
+		// p0's last heartbeat left at one interval and arrived δ later; p1
+		// (rank 1) suspects half an interval after the timeout, leads 4δ later.
+		takeover = replyHB + delta + suspect + replyHB/2 + 4*delta
+		// m2's ACCEPT to p2, the ACCEPT_ACK, the reply to the client.
+		taught = takeover + 3*delta
+	)
+	plan := &faults.Plan{}
+	plan.At(0, faults.OneWay{From: []mcast.ProcessID{0, 1, 2}, To: []mcast.ProcessID{clientA}})
+	plan.At(takeover, faults.Heal{})
+	proto := core.Protocol{RetryInterval: 20 * delta, HeartbeatInterval: replyHB, SuspectTimeout: suspect}
+	c, audit := newAuditedCluster(t, harness.Options{
+		Groups: 1, GroupSize: 3, NumClients: 1, Latency: sim.Uniform(delta), Retry: 10 * suspect, Faults: plan,
+	}, proto)
+	doneAt := make(map[mcast.MsgID]time.Duration)
+	c.OnComplete(func(id mcast.MsgID) { doneAt[id] = c.Sim.Now() })
+	m := c.Submit(0, 0, mcast.NewGroupSet(0), []byte("m")) // delivered everywhere by 4δ
+	// p0 proposes m2 half a δ before it stops; the acks find it gone.
+	m2 := c.Submit(crash-3*delta/2, 0, mcast.NewGroupSet(0), []byte("m2"))
+	c.Sim.ControlAt(crash, func() { c.Crash(0) })
+	c.Sim.Run(taught + delta/2)
+	if replica(c, 1).Status() != core.StatusLeader || doneAt[m2] != taught {
+		t.Fatalf("p1 is %v and m2 completed at %v, want LEADER and %v", replica(c, 1).Status(), doneAt[m2], taught)
+	}
+	before, _ := audit.Counts()
+	c.Sim.Run(20 * suspect)
+	requireClean(t, c, audit, true)
+	if at, ok := doneAt[m]; !ok || at != taught+2*delta {
+		t.Fatalf("m completed at %v (%v), want %v: re-sent on m2's reply, one hop to p1, one hop back", at, ok, taught+2*delta)
+	}
+	if after, _ := audit.Counts(); after != before {
+		t.Errorf("ACCEPT receptions went from %d to %d: the client's re-send must not start another round", before, after)
 	}
 }

@@ -161,10 +161,14 @@ type Multicast struct {
 // ClientReply notifies the sender that a replica in Group delivered the
 // message. A client considers the multicast complete when it has a reply
 // from every destination group; this matches the paper's client-perceived
-// latency metric (first delivery per group, §II).
+// latency metric (first delivery per group, §II). Bal is the replying
+// replica's current ballot of Group — its leader is where the client's next
+// MULTICAST for that group goes (Cur_leader, Fig. 4 line 2); protocols
+// without ballots leave it zero, which teaches the client nothing.
 type ClientReply struct {
 	ID    mcast.MsgID
 	Group mcast.GroupID
+	Bal   mcast.Ballot
 }
 
 // ClientReplies is a follower's coalesced form of ClientReply: one message
@@ -175,6 +179,7 @@ type ClientReply struct {
 // leader's reply did not.
 type ClientReplies struct {
 	Group mcast.GroupID
+	Bal   mcast.Ballot // as in ClientReply
 	IDs   []mcast.MsgID
 }
 

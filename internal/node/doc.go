@@ -13,7 +13,9 @@
 // through (shard.go; docs/CONCURRENCY.md, "The shard driver"): Step — the
 // store's only writer: Handle and stage per input, one sync per drain that
 // staged an eager entry, then release, crash-stop on a storage error — and
-// Mailbox, the never-blocking input queue and drain loop.
+// Mailbox, the never-blocking input queue and drain loop. And it holds what
+// the leader-based protocols share of failure detection (suspect.go):
+// Suspicion, the epoch-armed TimerSuspect deadline core and paxos both embed.
 //
 // # Layering
 //

@@ -28,7 +28,9 @@ type Config struct {
 	// HeartbeatInterval enables leader heartbeats and failure detection;
 	// zero disables them (deterministic tests drive candidacy manually).
 	HeartbeatInterval time.Duration
-	// SuspectTimeout defaults to 4×HeartbeatInterval.
+	// SuspectTimeout is how long after the leader's last heartbeat a replica
+	// campaigns (plus the rank stagger of node.Suspicion); it defaults to
+	// 4×HeartbeatInterval.
 	SuspectTimeout time.Duration
 	// ColdStart starts all replicas as followers with no leader; otherwise
 	// replicas boot pre-synchronised into ballot (1, first member).
@@ -90,7 +92,7 @@ type Replica struct {
 	// Phase-1 bookkeeping for an in-flight candidacy.
 	p1bs map[mcast.ProcessID]msgs.P1b
 
-	hbSeen bool
+	suspect node.Suspicion
 }
 
 // New constructs a Paxos replica for cfg.PID.
@@ -102,16 +104,14 @@ func New(cfg Config, app App) (*Replica, error) {
 	if g == mcast.NoGroup {
 		return nil, fmt.Errorf("paxos: process %d is not a member of any group", cfg.PID)
 	}
-	if cfg.SuspectTimeout == 0 {
-		cfg.SuspectTimeout = 4 * cfg.HeartbeatInterval
-	}
 	r := &Replica{
-		cfg:   cfg,
-		pid:   cfg.PID,
-		group: g,
-		app:   app,
-		log:   make(map[uint64]*entry),
-		p1bs:  make(map[mcast.ProcessID]msgs.P1b),
+		cfg:     cfg,
+		pid:     cfg.PID,
+		group:   g,
+		app:     app,
+		log:     make(map[uint64]*entry),
+		p1bs:    make(map[mcast.ProcessID]msgs.P1b),
+		suspect: node.NewSuspicion(cfg.HeartbeatInterval, cfg.SuspectTimeout, cfg.Top.Rank(cfg.PID)),
 	}
 	r.peers = cfg.Top.Peers(r.pid)
 	if !cfg.ColdStart {
@@ -191,14 +191,8 @@ func (r *Replica) Executed() uint64 { return r.executed }
 
 // Start arms the liveness timers; call from the embedding handler's Start.
 func (r *Replica) Start(fx *node.Effects) {
-	if r.cfg.HeartbeatInterval > 0 {
-		if r.leading {
-			r.broadcastHeartbeat(fx)
-			fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerHeartbeat, r.cbal.N)
-		}
-		r.hbSeen = true
-		fx.SetTimer(r.suspectAfter(), node.TimerSuspect, 0)
-	}
+	r.heartbeat(fx)
+	r.suspect.Arm(fx)
 }
 
 // Propose appends cmd to the replicated log. Only the leader may call it;
@@ -253,18 +247,17 @@ func (r *Replica) HandleMessage(from mcast.ProcessID, m msgs.Message, fx *node.E
 func (r *Replica) HandleTimer(t node.Timer, fx *node.Effects) bool {
 	switch t.Kind {
 	case node.TimerHeartbeat:
-		if r.leading && r.cbal.N == t.Data {
-			r.broadcastHeartbeat(fx)
-			fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerHeartbeat, t.Data)
+		if r.cbal.N == t.Data { // else stale: the ballot advanced
+			r.heartbeat(fx)
 		}
 	case node.TimerSuspect:
-		r.onSuspectTimer(fx)
-	case node.TimerCandidacy:
-		if t.Data == 1 {
+		// No heartbeat of the followed ballot for a full deadline.
+		if r.suspect.Expired(t, fx) && !r.leading {
 			r.startCandidacy(fx)
-			return true
 		}
-		if r.recovering && r.bal.Leader() == r.pid {
+	case node.TimerCandidacy:
+		// Forced (Data 1), or the backoff retry of a stalled candidacy.
+		if t.Data == 1 || r.recovering && r.bal.Leader() == r.pid {
 			r.startCandidacy(fx)
 		}
 	default:
@@ -377,7 +370,7 @@ func (r *Replica) startCandidacy(fx *node.Effects) {
 	r.cfg.Obs.Mark(obs.EventElection, "bal="+b.String())
 	fx.SendAll(r.cfg.Top.Members(r.group), msgs.P1a{Group: r.group, Bal: b})
 	if r.cfg.HeartbeatInterval > 0 {
-		fx.SetTimer(2*r.suspectAfter(), node.TimerCandidacy, 0)
+		fx.SetTimer(2*r.suspect.After, node.TimerCandidacy, 0)
 	}
 }
 
@@ -389,6 +382,7 @@ func (r *Replica) onP1a(from mcast.ProcessID, m msgs.P1a, fx *node.Effects) {
 	r.stepDown(m.Bal)
 	r.recovering = true
 	clear(r.p1bs)
+	r.suspect.Arm(fx) // the candidate gets a full deadline to establish itself
 	// The P1b below is a promise never to accept in a lower ballot; it must
 	// survive a crash, or a restarted replica could promise two candidates.
 	r.persistBallot(fx)
@@ -472,10 +466,7 @@ func (r *Replica) onP1b(from mcast.ProcessID, m msgs.P1b, fx *node.Effects) {
 	// of the new ballot and adopts it, even when every recovered slot was
 	// already committed (Learn messages carry no ballot).
 	r.Propose(msgs.Command{Op: msgs.CmdNoop}, fx)
-	if r.cfg.HeartbeatInterval > 0 {
-		r.broadcastHeartbeat(fx)
-		fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerHeartbeat, r.cbal.N)
-	}
+	r.heartbeat(fx)
 	if r.cfg.OnLead != nil {
 		r.cfg.OnLead(fx)
 	}
@@ -485,8 +476,13 @@ func (r *Replica) onP1b(from mcast.ProcessID, m msgs.P1b, fx *node.Effects) {
 // Failure detector
 // --------------------------------------------------------------------------
 
-func (r *Replica) broadcastHeartbeat(fx *node.Effects) {
-	fx.SendAll(r.peers, msgs.Heartbeat{Group: r.group, Bal: r.cbal})
+// heartbeat, at a leader, announces its ballot to the group and arms the next
+// announcement.
+func (r *Replica) heartbeat(fx *node.Effects) {
+	if r.cfg.HeartbeatInterval > 0 && r.leading {
+		fx.SendAll(r.peers, msgs.Heartbeat{Group: r.group, Bal: r.cbal})
+		fx.SetTimer(r.cfg.HeartbeatInterval, node.TimerHeartbeat, r.cbal.N)
+	}
 }
 
 func (r *Replica) onHeartbeat(from mcast.ProcessID, m msgs.Heartbeat, fx *node.Effects) {
@@ -510,7 +506,11 @@ func (r *Replica) onHeartbeat(from mcast.ProcessID, m msgs.Heartbeat, fx *node.E
 		r.persistBallot(fx)
 	}
 	if m.Bal == r.cbal && !r.leading {
-		r.hbSeen = true
+		if !r.recovering {
+			// A replica stranded in a ballot it joined keeps its deadline:
+			// it must campaign itself to rejoin the group.
+			r.suspect.Arm(fx)
+		}
 		ack := msgs.HeartbeatAck{Group: r.group, Bal: m.Bal, Executed: r.executed}
 		if r.cfg.AckDelivered != nil {
 			ack.Delivered = r.cfg.AckDelivered()
@@ -565,24 +565,4 @@ func (r *Replica) onHeartbeatAck(from mcast.ProcessID, m msgs.HeartbeatAck, fx *
 			fx.Send(from, msgs.P2a{Group: r.group, Bal: r.cbal, Slot: slot, Cmd: e.cmd})
 		}
 	}
-}
-
-func (r *Replica) onSuspectTimer(fx *node.Effects) {
-	if r.cfg.HeartbeatInterval == 0 {
-		return
-	}
-	defer fx.SetTimer(r.suspectAfter(), node.TimerSuspect, 0)
-	if r.leading {
-		return
-	}
-	if !r.recovering && r.hbSeen {
-		r.hbSeen = false
-		return
-	}
-	r.startCandidacy(fx)
-}
-
-func (r *Replica) suspectAfter() time.Duration {
-	rank := r.cfg.Top.Rank(r.pid)
-	return r.cfg.SuspectTimeout + time.Duration(rank)*r.cfg.SuspectTimeout/2
 }

@@ -230,6 +230,31 @@ func TestAutomaticFailoverWithHeartbeats(t *testing.T) {
 	requireSamePrefix(t, nodes, 6, map[mcast.ProcessID]bool{0: true})
 }
 
+// TestSuspicionIsOneTimeout: the black-box protocols' detector is the
+// white-box one (node.Suspicion). The rank-1 follower campaigns exactly
+// SuspectTimeout + HeartbeatInterval/2 after the last heartbeat it received
+// and leads one phase-1 round trip later; rank 2 never campaigns.
+func TestSuspicionIsOneTimeout(t *testing.T) {
+	const hb = 5 * delta // SuspectTimeout defaults to 4×hb
+	s := sim.New(sim.Config{Latency: sim.Uniform(delta)})
+	nodes := buildGroup(t, s, 3, hb, false)
+	s.Run(4 * hb) // the heartbeat of 4×hb is on its way
+	s.Crash(0)
+	lead := (4*hb + delta) + 4*hb + hb/2 + 2*delta
+	s.Run(lead - 1)
+	if nodes[1].px.Leading() {
+		t.Fatalf("p1 leads before %v", lead)
+	}
+	s.Run(lead)
+	if !nodes[1].px.Leading() || nodes[1].led != 1 {
+		t.Fatalf("p1 does not lead at %v: last heartbeat + SuspectTimeout + HeartbeatInterval/2 + 2δ", lead)
+	}
+	s.Run(lead + 20*hb)
+	if nodes[2].px.Leading() || nodes[2].led != 0 || nodes[1].led != 1 {
+		t.Errorf("after the take-over: p2 led %d times, p1 %d times; want 0 and 1", nodes[2].led, nodes[1].led)
+	}
+}
+
 // TestColdStartElectsLeader: with ColdStart the heartbeat machinery must
 // elect exactly one leader.
 func TestColdStartElectsLeader(t *testing.T) {

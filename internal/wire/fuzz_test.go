@@ -26,6 +26,11 @@ func fuzzSeeds(f *testing.F) {
 		msgs.ClientReplies{Group: 1, IDs: []mcast.MsgID{}},
 		msgs.ClientReplies{Group: 1, IDs: []mcast.MsgID{mcast.MakeMsgID(6, 1)}},
 		msgs.ClientReplies{Group: 0, IDs: []mcast.MsgID{mcast.MakeMsgID(6, 2), mcast.MakeMsgID(6, 3), mcast.MakeMsgID(6, 5)}},
+		// Replies with the replying group's ballot (zero above: the
+		// protocols without ballots).
+		msgs.ClientReplies{Group: 1, Bal: mcast.Ballot{N: 2, Proc: 4}, IDs: []mcast.MsgID{mcast.MakeMsgID(6, 6), mcast.MakeMsgID(6, 7)}},
+		msgs.ClientReply{ID: mcast.MakeMsgID(6, 8), Group: 1},
+		msgs.ClientReply{ID: mcast.MakeMsgID(6, 9), Group: 1, Bal: mcast.Ballot{N: 3, Proc: 5}},
 		msgs.Prune{Group: 0, Marks: []msgs.GroupTS{{Group: 1, TS: mcast.Timestamp{Time: 3, Group: 1}}}},
 		msgs.P1b{Group: 0, Bal: mcast.Ballot{N: 4, Proc: 2}, Executed: 7, Entries: []msgs.P1bEntry{
 			{Slot: 7, VBal: mcast.Ballot{N: 3, Proc: 1}, Cmd: msgs.Command{Op: msgs.CmdCommit, ID: mcast.MakeMsgID(2, 11), LTSs: []msgs.GroupTS{{Group: 0, TS: mcast.Timestamp{Time: 1, Group: 0}}}}},

@@ -17,6 +17,7 @@ func Encode(dst []byte, m msgs.Message) ([]byte, error) {
 	case msgs.ClientReply:
 		e.u64(uint64(m.ID))
 		e.i32(int32(m.Group))
+		e.ballot(m.Bal)
 	case msgs.Propose:
 		e.u64(uint64(m.ID))
 		e.i32(int32(m.Group))
@@ -122,6 +123,7 @@ func Encode(dst []byte, m msgs.Message) ([]byte, error) {
 		}
 	case msgs.ClientReplies:
 		e.i32(int32(m.Group))
+		e.ballot(m.Bal)
 		e.u64(uint64(len(m.IDs)))
 		for _, id := range m.IDs {
 			e.u64(uint64(id))
@@ -181,7 +183,7 @@ func (d *decoder) message(kind msgs.Kind) msgs.Message {
 	case msgs.KindMulticast:
 		m = msgs.Multicast{M: d.appMsg()}
 	case msgs.KindClientReply:
-		m = msgs.ClientReply{ID: mcast.MsgID(d.u64()), Group: mcast.GroupID(d.i32())}
+		m = msgs.ClientReply{ID: mcast.MsgID(d.u64()), Group: mcast.GroupID(d.i32()), Bal: d.ballot()}
 	case msgs.KindPropose:
 		m = msgs.Propose{ID: mcast.MsgID(d.u64()), Group: mcast.GroupID(d.i32()), LTS: d.ts()}
 	case msgs.KindConfirm:
@@ -274,7 +276,7 @@ func (d *decoder) message(kind msgs.Kind) msgs.Message {
 		}
 		m = ab
 	case msgs.KindClientReplies:
-		r := msgs.ClientReplies{Group: mcast.GroupID(d.i32())}
+		r := msgs.ClientReplies{Group: mcast.GroupID(d.i32()), Bal: d.ballot()}
 		n := d.u64()
 		if d.validCount(n) {
 			r.IDs = make([]mcast.MsgID, 0, n)

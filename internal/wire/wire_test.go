@@ -27,7 +27,8 @@ func app(seq uint32) mcast.AppMsg {
 func allMessages() []msgs.Message {
 	return []msgs.Message{
 		msgs.Multicast{M: app(1)},
-		msgs.ClientReply{ID: mcast.MakeMsgID(7, 2), Group: 3},
+		msgs.ClientReply{ID: mcast.MakeMsgID(7, 2), Group: 3}, // zero ballot: skeen, blackbox
+		msgs.ClientReply{ID: mcast.MakeMsgID(7, 21), Group: 3, Bal: bal(2, 10)},
 		msgs.Propose{ID: mcast.MakeMsgID(7, 3), Group: 1, LTS: ts(9, 1)},
 		msgs.Confirm{ID: mcast.MakeMsgID(7, 4), Group: 2, LTS: ts(10, 2)},
 		msgs.Accept{M: app(5), Group: 0, Bal: bal(3, 1), LTS: ts(11, 0)},
@@ -72,19 +73,20 @@ func allMessages() []msgs.Message {
 			{To: 6, Msg: msgs.P2b{Group: 0, Bal: bal(6, 1), Slot: 9}},
 		}},
 		msgs.ClientReplies{Group: 2, IDs: []mcast.MsgID{mcast.MakeMsgID(7, 17), mcast.MakeMsgID(7, 18), mcast.MakeMsgID(7, 20)}},
+		msgs.ClientReplies{Group: 2, Bal: bal(3, 7), IDs: []mcast.MsgID{mcast.MakeMsgID(7, 22)}},
 	}
 }
 
-// TestClientRepliesRoundTrip: a follower's coalesced replies keep their IDs
-// in order whatever their number, and a hostile count is refused before
-// anything is allocated for it.
+// TestClientRepliesRoundTrip: a follower's coalesced replies keep their
+// ballot and their IDs in order whatever their number, and a hostile count is
+// refused before anything is allocated for it.
 func TestClientRepliesRoundTrip(t *testing.T) {
 	many := make([]mcast.MsgID, 1000)
 	for i := range many {
 		many[i] = mcast.MakeMsgID(9, uint32(i+1))
 	}
-	for _, ids := range [][]mcast.MsgID{{}, {mcast.MakeMsgID(9, 1)}, many} {
-		in := msgs.ClientReplies{Group: 1, IDs: ids}
+	for i, ids := range [][]mcast.MsgID{{}, {mcast.MakeMsgID(9, 1)}, many} {
+		in := msgs.ClientReplies{Group: 1, Bal: bal(uint64(i), int32(4*i)), IDs: ids} // the first is the zero ballot
 		data, err := wire.Encode(nil, in)
 		if err != nil {
 			t.Fatal(err)
@@ -99,8 +101,9 @@ func TestClientRepliesRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// group 0, then a count of 2^21 (above the decoder's collection limit).
-	raw := []byte{byte(msgs.KindClientReplies), 0, 0x80, 0x80, 0x80, 0x01}
+	// group 0, the zero ballot, then a count of 2^21 (above the decoder's
+	// collection limit).
+	raw := []byte{byte(msgs.KindClientReplies), 0, 0, 0, 0x80, 0x80, 0x80, 0x01}
 	if _, err := wire.Decode(raw); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("a count above the collection limit: err = %v", err)
 	}
