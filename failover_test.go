@@ -2,11 +2,14 @@ package wbcast
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
+	"wbcast/internal/wal"
 )
 
 // TestClientsFollowTheLeader guards what a leader change costs on the real
@@ -94,6 +97,103 @@ func TestClientsFollowTheLeader(t *testing.T) {
 			if n := c.Metrics().Counters[obs.MetricElections]; n == 0 {
 				t.Error("no election was counted: the leader never changed")
 			}
+		})
+	}
+}
+
+// stallingStore parks one Sync — the first after arm is closed — until
+// release is closed, and says so on parked.
+type stallingStore struct {
+	Storage
+	arm, parked, release chan struct{}
+	once                 sync.Once
+}
+
+func (s *stallingStore) Sync() error {
+	select {
+	case <-s.arm:
+		s.once.Do(func() {
+			close(s.parked)
+			<-s.release
+		})
+	default:
+	}
+	return s.Storage.Sync()
+}
+
+// TestStalledDiskIsNotADeadLeader: a disk that stalls is not a process that
+// died. One shard of three replicas over TCP, every replica on a store; the
+// store of the leader, then of a follower, parks one Sync for three
+// suspicion timeouts. The shard loop does not wait for the disk, so
+// heartbeats and their acknowledgements keep flowing: nobody campaigns,
+// nobody steps down, the operation caught behind the leader's sync completes
+// when the sync returns (a follower's stall holds nothing up: the other two
+// are a quorum), and operations go on afterwards. With the Sync inside the
+// loop, a stalled leader is silent for three timeouts and is deposed, and a
+// stalled follower wakes up to an expired suspicion timer and campaigns.
+func TestStalledDiskIsNotADeadLeader(t *testing.T) {
+	const delta = 5 * time.Millisecond
+	const stall = 3 * 40 * delta // core.DefaultConfig: SuspectTimeout = 40δ
+	for _, victim := range []ProcessID{0, 1} {
+		t.Run(fmt.Sprintf("p%d", victim), func(t *testing.T) {
+			st := &stallingStore{arm: make(chan struct{}), parked: make(chan struct{}), release: make(chan struct{})}
+			peers := make(map[ProcessID]string)
+			for pid := ProcessID(0); pid <= 3; pid++ {
+				peers[pid] = "127.0.0.1:0"
+			}
+			c, err := New(Config{
+				Groups: 1, Replicas: 3, Delta: delta, Transport: TCP("", peers), AppGCHorizon: true,
+				Storage: func(pid ProcessID) (Storage, error) {
+					if pid == victim {
+						st.Storage = wal.NewMemory()
+						return st, nil
+					}
+					return wal.NewMemory(), nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			cl, err := c.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			multicast := func() {
+				if _, err := cl.Multicast(ctx, []byte("op"), 0); err != nil {
+					t.Error(err)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				multicast()
+			}
+			close(st.arm)
+			caught := make(chan struct{})
+			go func() {
+				defer close(caught)
+				multicast() // its ACCEPTED record is what the victim syncs next
+			}()
+			select {
+			case <-st.parked:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the victim's store never synced")
+			}
+			quiet := func(when string) {
+				counters := c.Metrics().Counters
+				if e, s := counters[obs.MetricElections], counters[obs.MetricStepDowns]; e != 0 || s != 0 {
+					t.Errorf("%s a sync stalled for %v at p%d: %d elections and %d step-downs, want none", when, stall, victim, e, s)
+				}
+			}
+			time.Sleep(stall)
+			quiet("during")
+			close(st.release)
+			<-caught
+			for i := 0; i < 10; i++ {
+				multicast()
+			}
+			quiet("after")
 		})
 	}
 }

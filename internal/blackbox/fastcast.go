@@ -251,7 +251,7 @@ func (s *fastcast) onDeliver(d msgs.Deliver, fx *node.Effects) {
 	if !ok {
 		return // not yet caught up on the log; the replay will return
 	}
-	r.sm.MarkDelivered(d.ID)
+	r.sm.MarkDelivered(d.ID, d.GTS)
 	r.deliver(mcast.Delivery{Msg: app, GTS: d.GTS}, fx)
 }
 

@@ -349,8 +349,14 @@ func NewReplica(cfg Config) (*Replica, error) {
 		// have outrun its last persisted entry, so leadership must be
 		// re-earned through an election (which re-derives the clock from a
 		// quorum). Until then the replica follows its recovered cballot and
-		// catches up on missed DELIVERs via the heartbeat-ack replay.
+		// catches up on missed DELIVERs via the heartbeat-ack replay. A
+		// replica that had promised a ballot beyond the one it participates
+		// in restarts as it crashed, RECOVERING: the promise was never to
+		// accept below it, whether or not that candidate got anywhere.
 		r.status = StatusFollower
+		if r.cballot.Less(r.ballot) {
+			r.status = StatusRecovering
+		}
 	}
 	return r, nil
 }
@@ -534,6 +540,14 @@ func (r *Replica) evalAccepts(st *mstate, fx *node.Effects) {
 	if r.clock < max.Time {
 		r.clock = max.Time
 	}
+	if r.cfg.Durable && st.lts.Time < max.Time {
+		// The acks below also promise that this replica's clock has passed
+		// the tentative global timestamp: a leader elected from a quorum of
+		// logs must propose above every timestamp a commit may have taken.
+		// The record carries only this group's own proposal, so a larger
+		// timestamp is logged beside it, and as eagerly.
+		fx.Persist(wal.Entry{Kind: wal.EntryBallot, Bal: r.ballot, CBal: r.cballot, Clock: r.clock})
+	}
 	// lines 15–16: acknowledge to the leader of each proposal, tagged with
 	// the full ballot vector. Re-evaluation after a superseding ACCEPT
 	// re-sends acks with the updated vector.
@@ -634,8 +648,13 @@ func (r *Replica) evalCommit(st *mstate, fx *node.Effects) {
 	st.gts = gts
 	st.phase = msgs.PhaseCommitted
 	r.cfg.Obs.Stage(obs.StageCommit, st.app.ID, &st.at)
-	// COMMITTED durable before any DELIVER of it is replicated.
-	r.persistRecord(st, fx, false)
+	// Logged once, here. The DELIVER fan-out does not vouch for the record:
+	// the global timestamp follows from ACCEPTED records, and clocks, that are
+	// durable at a quorum of every destination group, so a recovery recomputes
+	// it. With an application frontier the record rides the next sync; without
+	// one it backs the library's own exactly-once and stays eager, as in
+	// conflict mode, which is unchanged.
+	r.persistRecord(st, fx, r.cfg.AppGCHorizon && !r.conflictMode())
 	st.logged = true
 	r.queue.Commit(st.app.ID, gts)
 	r.drain(fx) // lines 21–23

@@ -45,8 +45,9 @@ func memStorage() func(pid mcast.ProcessID) (wal.Storage, error) {
 	}
 }
 
-// runChaosDurable mirrors runChaos with a per-replica store installed.
-func runChaosDurable(t *testing.T, row chaosRow, seed int64,
+// runChaosDurable mirrors runChaos with a per-replica store installed, whose
+// commits take sigma of virtual time.
+func runChaosDurable(t *testing.T, row chaosRow, seed int64, sigma time.Duration,
 	storage func(pid mcast.ProcessID) (wal.Storage, error)) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -61,6 +62,7 @@ func runChaosDurable(t *testing.T, row chaosRow, seed int64,
 		Retry:      30 * chaosDelta,
 		Faults:     plan,
 		Storage:    storage,
+		CommitTime: sigma,
 		AppHorizon: row.appHorizon,
 		OnFault: func(at time.Duration, desc string) {
 			events = append(events, fmt.Sprintf("t=%v %s", at, desc))
@@ -72,16 +74,16 @@ func runChaosDurable(t *testing.T, row chaosRow, seed int64,
 	c.RandomWorkload(rng, 30, 2, 4*time.Second)
 	if errs := c.RunChecked(chaosHorizon, 50*time.Millisecond); len(errs) > 0 {
 		t.Logf("seed %d fault schedule:\n%s", seed, joinLines(events))
-		t.Fatalf("seed %d: continuous invariant violated at t=%v (replay with -run TestChaosDurable -seed=%d):\n%v",
-			seed, c.Sim.Now(), seed, errs[0])
+		t.Fatalf("seed %d, σ=%v: continuous invariant violated at t=%v (replay with -run TestChaosDurable -seed=%d):\n%v",
+			seed, sigma, c.Sim.Now(), seed, errs[0])
 	}
 	if errs := c.Check(true); len(errs) > 0 {
 		t.Logf("seed %d fault schedule:\n%s", seed, joinLines(events))
 		for _, e := range errs {
 			t.Errorf("seed %d: %v", seed, e)
 		}
-		t.Fatalf("seed %d: %d violation(s) at the horizon (replay with -run TestChaosDurable -seed=%d)",
-			seed, len(errs), seed)
+		t.Fatalf("seed %d, σ=%v: %d violation(s) at the horizon (replay with -run TestChaosDurable -seed=%d)",
+			seed, sigma, len(errs), seed)
 	}
 	// Every replica must have accumulated durable state by the horizon:
 	// a store that stayed empty means persist effects were never emitted.
@@ -98,7 +100,11 @@ func runChaosDurable(t *testing.T, row chaosRow, seed int64,
 }
 
 // TestChaosDurable explores the same seed space as TestChaos with durable
-// replicas: restarts replay the store instead of resurrecting RAM.
+// replicas: restarts replay the store instead of resurrecting RAM. Every row
+// runs twice: with commits that take no virtual time, and with commits of
+// δ/4, during which a replica goes on handling inputs — sends that vouch for
+// nothing overtake the held ones, and a crash loses what the commit in
+// flight carried — under the same continuous monitor and genuineness audit.
 func TestChaosDurable(t *testing.T) {
 	seeds := make([]int64, 0, *chaosSeeds)
 	if *chaosSeed >= 0 {
@@ -115,7 +121,8 @@ func TestChaosDurable(t *testing.T) {
 				t.Skipf("%s has no durability support (StorageProtocol)", row.proto.Name())
 			}
 			for _, seed := range seeds {
-				runChaosDurable(t, row, seed, memStorage())
+				runChaosDurable(t, row, seed, 0, memStorage())
+				runChaosDurable(t, row, seed, chaosDelta/4, memStorage())
 			}
 		})
 	}
@@ -141,8 +148,8 @@ func TestChaosDurableDiskDeterministic(t *testing.T) {
 			if !row.durable {
 				t.Skipf("%s has no durability support (StorageProtocol)", row.proto.Name())
 			}
-			a := runChaosDurable(t, row, seed, diskStorage(t.TempDir()))
-			b := runChaosDurable(t, row, seed, diskStorage(t.TempDir()))
+			a := runChaosDurable(t, row, seed, 0, diskStorage(t.TempDir()))
+			b := runChaosDurable(t, row, seed, 0, diskStorage(t.TempDir()))
 			if !bytes.Equal(a, b) {
 				t.Fatalf("seed %d: disk-backed delivery logs differ between two runs (%d vs %d bytes)", seed, len(a), len(b))
 			}
@@ -345,5 +352,66 @@ func TestLazyFrontierNeverBelowPrune(t *testing.T) {
 					rs.MaxDelivered, victim, got, want)
 			}
 		})
+	}
+}
+
+// TestClockSurvivesGroupRestart: the ACCEPT_ACK of a multi-group message
+// also says that the acceptor's clock has passed the message's tentative
+// global timestamp (Fig. 4 line 14), so that promise must be as durable as
+// the ACCEPTED record it leaves with. Ten messages raise g1's clock to 10,
+// then m to {g0, g1} takes gts (11, g1) while g0's own proposal for it is
+// (1, g0). Once p0 has delivered m, all of g0 crashes, and p1, p2 — which
+// never saw its DELIVER — restart on their logs; m2, submitted to g0 alone
+// well after m completed, must be ordered after it. With the clock advance
+// left out of the log the new leader restarts at clock 1 and gives m2
+// (2, g0) — below the frontier of an application that has applied m, which
+// drops it: a lost write. The submit offset sweeps the window between the
+// election and the re-commit of m, which raises the clock again.
+func TestClockSurvivesGroupRestart(t *testing.T) {
+	d := chaosDelta
+	rows := durableRows()
+	for offset := 150 * time.Millisecond; offset <= 250*time.Millisecond; offset += 5 * time.Millisecond {
+		c, err := harness.NewCluster(rows[len(rows)-1].proto, harness.Options{
+			Groups: 2, GroupSize: 3, Latency: sim.Uniform(d), Retry: 30 * d,
+			Storage: memStorage(), AppHorizon: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			c.Submit(0, 0, mcast.NewGroupSet(1), []byte{byte(i)})
+		}
+		c.Sim.Run(20 * d)
+		m := c.Submit(c.Sim.Now(), 0, mcast.NewGroupSet(0, 1), []byte("m"))
+		gtsOf := func(id mcast.MsgID, p mcast.ProcessID) (mcast.Timestamp, bool) {
+			for _, rec := range c.Sim.DeliveriesAt(p) {
+				if rec.D.Msg.ID == id {
+					return rec.D.GTS, true
+				}
+			}
+			return mcast.Timestamp{}, false
+		}
+		var gtsM mcast.Timestamp
+		for ok := false; !ok; gtsM, ok = gtsOf(m, 0) {
+			if c.Sim.Now() > 40*d {
+				t.Fatal("p0 never delivered m")
+			}
+			c.Sim.Run(c.Sim.Now() + d/10)
+		}
+		for p := mcast.ProcessID(0); p < 3; p++ {
+			c.Crash(p)
+		}
+		c.Sim.Run(c.Sim.Now() + 2*d) // p0's DELIVERs in flight find nobody up
+		c.Restart(1)
+		c.Restart(2)
+		m2 := c.Submit(c.Sim.Now()+offset, 0, mcast.NewGroupSet(0), []byte("m2"))
+		c.Sim.Run(c.Sim.Now() + offset + 300*d)
+		for _, p := range []mcast.ProcessID{1, 2} {
+			if gts, ok := gtsOf(m2, p); !ok {
+				t.Errorf("offset %v: p%d never delivered m2", offset, p)
+			} else if !gtsM.Less(gts) {
+				t.Errorf("offset %v: p%d delivered m2 at %v although m had completed at %v", offset, p, gts, gtsM)
+			}
+		}
 	}
 }

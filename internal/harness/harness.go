@@ -98,6 +98,9 @@ type Options struct {
 	// wal.Flaky fake with a Faults restart schedule for crash-consistency
 	// chaos.
 	Storage func(pid mcast.ProcessID) (wal.Storage, error)
+	// CommitTime is forwarded to the simulator: how long a store's commit
+	// takes in virtual time (zero: within the dispatch).
+	CommitTime time.Duration
 	// AppHorizon models the application core.Config.AppGCHorizon is a
 	// contract with: each replica's application keeps its own delivery
 	// frontier across restarts, ignores deliveries at or below it (a
@@ -192,7 +195,7 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	// the process's store into a fresh handler. The map is populated by the
 	// replica loop below; the closure only runs once the simulation does.
 	rebuilds := make(map[mcast.ProcessID]func() (node.Handler, error))
-	simCfg := sim.Config{Latency: opts.Latency, Seed: opts.Seed, Trace: opts.Trace}
+	simCfg := sim.Config{Latency: opts.Latency, CommitTime: opts.CommitTime, Seed: opts.Seed, Trace: opts.Trace}
 	last := make(map[mcast.ProcessID]mcast.Delivery) // the applications' frontiers
 	simCfg.OnDeliver = func(p mcast.ProcessID, d mcast.Delivery) {
 		if prev := last[p]; opts.AppHorizon {

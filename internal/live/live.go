@@ -52,6 +52,7 @@ func New(cfg Config) *Network {
 
 type envelope struct {
 	in        node.Input
+	done      *node.Commit // instead of an input: the hand-off that has run
 	deliverAt time.Time
 	seq       uint64
 }
@@ -68,20 +69,22 @@ type proc struct {
 	quit    chan struct{}
 	crashed chan struct{}
 	crashMu sync.Once
-	// stepMu is held by the loop across every Step call, so that Crash can
-	// wait out the one in flight: once it returns, nothing touches the
-	// process's store any more.
-	stepMu sync.Mutex
+	// stepMu is held by the loop across every Step call and commits counts
+	// the hand-off running beside it, so that Crash can wait both out: once
+	// it returns, nothing touches the process's store any more.
+	stepMu  sync.Mutex
+	commits sync.WaitGroup
 }
 
 // Add registers a handler. Handlers added after Start (e.g. late-joining
 // clients) are launched immediately.
 func (n *Network) Add(h node.Handler) error { return n.AddStored(h, nil) }
 
-// AddStored registers a handler backed by a durable store: eager persist
-// effects are appended and synced (once per mailbox drain) before any send
-// or delivery of the same Handle call, lazy ones ride the next sync
-// (node.Step), and a storage error crash-stops the process. A nil store discards persist effects (no durability).
+// AddStored registers a handler backed by a durable store: what a mailbox
+// drain staged is appended and synced by one hand-off (node.Step) that runs
+// beside the loop, effects that vouch for an entry wait for it, and a
+// storage error crash-stops the process. A nil store discards persist
+// effects (no durability).
 func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -148,6 +151,9 @@ func (n *Network) Close() {
 		close(p.quit)
 	}
 	n.wg.Wait()
+	for _, p := range procs {
+		p.commits.Wait()
+	}
 }
 
 // proc returns the process registered as pid, or nil.
@@ -158,14 +164,15 @@ func (n *Network) proc(pid mcast.ProcessID) *proc {
 }
 
 // Crash stops delivering inputs to pid (crash-stop fault injection) and
-// returns once the Handle call in flight, if any, is over: the caller may
-// then tear down the process's store. The process goroutines keep draining
-// their queues but discard everything.
+// returns once the Handle call and the hand-off in flight, if any, are over:
+// the caller may then tear down the process's store. The process goroutines
+// keep draining their queues but discard everything.
 func (n *Network) Crash(pid mcast.ProcessID) {
 	if p := n.proc(pid); p != nil {
 		p.crash()
 		p.stepMu.Lock()
 		p.stepMu.Unlock() //nolint:staticcheck // empty section: a barrier
+		p.commits.Wait()
 	}
 }
 
@@ -223,23 +230,32 @@ func (n *Network) Inject(pid mcast.ProcessID, in node.Input) error {
 	return nil
 }
 
-// consume runs one input through the process's Step; what the Step holds
-// back (the Release is empty then) follows at the next commit.
+// consume runs one input through the process's Step, or takes back the
+// hand-off that has run; what the Step holds back follows with the hand-off
+// that covers it.
 func (p *proc) consume(env envelope) {
 	if p.enter() {
-		rel, err := p.step.Do(env.in)
+		var rel node.Release
+		var err error
+		if env.done != nil {
+			rel, err = p.step.Complete(env.done)
+		} else {
+			rel, _, err = p.step.Do(env.in)
+		}
 		p.stepMu.Unlock()
 		p.release(rel, err)
 	}
 }
 
-// commit is the mailbox's commit hook: one sync for the held calls, then
-// their effects. A process crashed in between loses the batch unreleased.
+// commit is the mailbox's commit hook: what the drain staged goes to the
+// store beside the loop and comes back as an envelope. A process crashed in
+// between loses the batch unreleased.
 func (p *proc) commit() {
 	if p.enter() {
-		rel, err := p.step.Commit()
+		if c := p.step.Handoff(); c != nil {
+			c.Go(&p.commits, func() { p.box.Post(envelope{done: c}) })
+		}
 		p.stepMu.Unlock()
-		p.release(rel, err)
 	}
 }
 

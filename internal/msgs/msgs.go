@@ -74,6 +74,21 @@ func (k Kind) IsAck() bool {
 	return false
 }
 
+// Vouches reports whether another process acts on a message of this kind in
+// a way that is only safe once the sender's log is durable up to the send:
+// an acknowledgement a commit or an election rests on, a state install, a
+// delivery frontier or watermark peers prune on. The shard driver never
+// releases one ahead of an un-synced eager entry (docs/DURABILITY.md, "The
+// vouching rule"); every other kind may leave while a sync is in flight.
+func (k Kind) Vouches() bool {
+	switch k {
+	case KindAcceptAck, KindNewLeaderAck, KindNewState, KindNewStateAck,
+		KindHeartbeatAck, KindGCMark, KindPrune, KindP1b, KindP2b:
+		return true
+	}
+	return false
+}
+
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s

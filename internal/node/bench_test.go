@@ -8,10 +8,15 @@ import (
 	"wbcast/internal/wal"
 )
 
-// countingStore counts the Sync calls a Step issues.
+// countingStore counts the Append and Sync calls a Step issues.
 type countingStore struct {
 	*wal.Memory
-	syncs int
+	appends, syncs int
+}
+
+func (s *countingStore) Append(entries ...wal.Entry) error {
+	s.appends++
+	return s.Memory.Append(entries...)
 }
 
 func (s *countingStore) Sync() error {
@@ -20,9 +25,9 @@ func (s *countingStore) Sync() error {
 }
 
 // BenchmarkStepCommit measures the shard driver alone: a null handler that
-// emits one persist entry per input, on the in-memory store, committed
-// every 1, 8 or 64 inputs. One op is one input; syncs/op is what group
-// commit amortises (1/batch).
+// emits one persist entry per input, on the in-memory store, handed off,
+// run and completed every 1, 8 or 64 inputs. One op is one input; appends/op
+// and syncs/op are what group commit amortises (1/batch each).
 func BenchmarkStepCommit(b *testing.B) {
 	for _, batch := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -33,15 +38,18 @@ func BenchmarkStepCommit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 1; i <= b.N; i++ {
-				if _, err := step.Do(node.Start{}); err != nil {
+				if _, _, err := step.Do(node.Start{}); err != nil {
 					b.Fatal(err)
 				}
 				if i%batch == 0 || i == b.N {
-					if _, err := step.Commit(); err != nil {
+					c := step.Handoff()
+					c.Run()
+					if _, err := step.Complete(c); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
+			b.ReportMetric(float64(store.appends)/float64(b.N), "appends/op")
 			b.ReportMetric(float64(store.syncs)/float64(b.N), "syncs/op")
 		})
 	}

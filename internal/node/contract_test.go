@@ -48,17 +48,24 @@ func (l *eventLog) String() string {
 	return fmt.Sprint(l.ev)
 }
 
-// flakyStore logs every storage call, fails the failAt-th Sync and every
-// Append of an entry whose Clock is failAppend.
+// flakyStore logs every storage call ("write n" per Append call, then one
+// event per entry), fails the failAt-th Sync and every Append of an entry
+// whose Clock is failAppend. onSync, when set, runs at the start of the n-th
+// Sync, before it is logged: a test parks the store there to see what the
+// shard does meanwhile.
 type flakyStore struct {
 	*wal.Memory
 	log        *eventLog
 	failAt     int
 	failAppend uint64
+	onSync     func(n int)
+	writes     int
 	syncs      int
 }
 
 func (s *flakyStore) Append(entries ...wal.Entry) error {
+	s.writes++
+	s.log.add("write %d", s.writes)
 	for _, e := range entries {
 		switch e.Kind {
 		case wal.EntryApp:
@@ -77,6 +84,9 @@ func (s *flakyStore) Append(entries ...wal.Entry) error {
 
 func (s *flakyStore) Sync() error {
 	s.syncs++
+	if s.onSync != nil {
+		s.onSync(s.syncs)
+	}
 	s.log.add("sync %d", s.syncs)
 	if s.syncs == s.failAt {
 		return errors.New("injected sync failure")
@@ -103,7 +113,10 @@ type hosted struct {
 // virtual marks the simulator, whose single event order also shows where
 // a timer was armed relative to a send; on the wall-clock runtimes a
 // timer's expiry races the send's arrival, so only its place after the
-// sync is observable.
+// sync is observable. The simulator runs with a commit time, so that a
+// hand-off is in flight while it dispatches what was injected with the held
+// call; it hands off after every dispatch, the wall-clock runtimes when
+// their mailbox runs dry.
 var shardRuntimes = []struct {
 	name    string
 	virtual bool
@@ -111,8 +124,9 @@ var shardRuntimes = []struct {
 }{
 	{"sim", true, func(t *testing.T, actor, witness node.Handler, st wal.Storage, onDeliver func(mcast.Delivery)) hosted {
 		s := sim.New(sim.Config{
-			Latency:   sim.Uniform(0),
-			OnDeliver: func(_ mcast.ProcessID, d mcast.Delivery) { onDeliver(d) },
+			Latency:    sim.Uniform(0),
+			CommitTime: time.Millisecond,
+			OnDeliver:  func(_ mcast.ProcessID, d mcast.Delivery) { onDeliver(d) },
 		})
 		s.AddStored(actor, st)
 		s.Add(witness)
@@ -154,11 +168,12 @@ var shardRuntimes = []struct {
 }
 
 // The actor's inputs: a Submit whose message ID is k is call k. Its payload
-// says what the call persists: one eager entry (none), nothing (1), one
-// lazy entry (2), or an eager entry k and then a lazy entry 100+k (3). Every
-// call emits one timer, one send to the witness and one delivery. ID 0 is
-// the gate: its Handle call blocks until the test opens it, so whatever the
-// test injects meanwhile is queued when the loop resumes.
+// says what the call persists: one eager entry (none), nothing (1 and 4),
+// one lazy entry (2), or an eager entry k and then a lazy entry 100+k (3).
+// Every call emits one timer, one send to the witness — of a kind that
+// vouches for the log (4) or of one that does not — and one delivery. ID 0
+// is the gate: its Handle call blocks until the test opens it, so whatever
+// the test injects meanwhile is queued when the loop resumes.
 func call(k int, payload ...byte) node.Input {
 	return node.Submit{Msg: mcast.AppMsg{ID: mcast.MsgID(k), Payload: payload}}
 }
@@ -167,6 +182,7 @@ func persisting(k int) node.Input { return call(k) }
 func volatile(k int) node.Input   { return call(k, 1) }
 func lazy(k int) node.Input       { return call(k, 2) }
 func both(k int) node.Input       { return call(k, 3) }
+func vouching(k int) node.Input   { return call(k, 4) }
 
 // released lists what a call hands the runtime once its entries are safe.
 var released = []string{"timer %d", "send %d", "deliver %d", "marker %d"}
@@ -205,7 +221,11 @@ func startContract(t *testing.T, rt int, store *flakyStore) *contractRun {
 				fx.PersistLazy(wal.Entry{Kind: wal.EntryBallot, Clock: 100 + k})
 			}
 			fx.SetTimer(0, node.TimerApp, k)
-			fx.Send(witnessPID, msgs.Heartbeat{Bal: mcast.Ballot{N: k}})
+			if in.Msg.Payload != nil && in.Msg.Payload[0] == 4 {
+				fx.Send(witnessPID, msgs.HeartbeatAck{Bal: mcast.Ballot{N: k}})
+			} else {
+				fx.Send(witnessPID, msgs.Heartbeat{Bal: mcast.Ballot{N: k}})
+			}
 			fx.Deliver(mcast.Delivery{GTS: mcast.Timestamp{Time: k}})
 		case node.Timer:
 			c.log.add("timer %d", in.Data)
@@ -216,7 +236,12 @@ func startContract(t *testing.T, rt int, store *flakyStore) *contractRun {
 	witness := node.Func{PID: witnessPID, F: func(in node.Input, _ *node.Effects) {
 		switch in := in.(type) {
 		case node.Recv:
-			c.log.add("send %d", in.Msg.(msgs.Heartbeat).Bal.N)
+			switch m := in.Msg.(type) {
+			case msgs.Heartbeat:
+				c.log.add("send %d", m.Bal.N)
+			case msgs.HeartbeatAck:
+				c.log.add("send %d", m.Bal.N)
+			}
 		case node.GCHorizon:
 			c.log.add("marker %d", in.TS.Time)
 		}
@@ -243,6 +268,14 @@ func (c *contractRun) settle(what string, done func() bool) {
 // logged reports whether the event has happened.
 func (c *contractRun) logged(format string, k int) func() bool {
 	return func() bool { return c.log.index(format, k) >= 0 }
+}
+
+// await parks the caller — a store call — until the event has happened; the
+// assertions that follow say what it means if it never does.
+func (c *contractRun) await(format string, k int) {
+	for deadline := time.Now().Add(5 * time.Second); c.log.index(format, k) < 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // allReleased reports whether everything the calls release has happened.
@@ -295,72 +328,99 @@ func (c *contractRun) never(why, format string, k int) {
 }
 
 // TestShardContract pins the shard driver's contract (docs/CONCURRENCY.md)
-// on every runtime. Three phases: a volatile call on an idle shard (released
-// without any Sync); calls 1 (persisting), 2 (volatile) and 3 (persisting)
-// queued behind the gate (on the wall-clock runtimes one Sync, after all
-// three Handle calls and before anything they release, in call order; the
-// simulator commits per dispatch, so one Sync per persisting call); calls 5
-// and 6 queued the same way with the Sync failing (nothing of either is
-// released and call 7 never reaches Handle). Throughout: Append and Sync
-// precede everything released by the same call, sends precede deliveries,
-// and on the simulator timers precede sends.
+// on every runtime. Three phases. A volatile call on an idle shard is
+// released without any store call. Calls 1 (persisting), 2 (volatile), 4
+// (vouching, no entry) and 3 (persisting) are queued behind the gate: call 2
+// vouches for nothing, so its timer and its send leave before the sync that
+// call 1 waits for — the store parks that sync until they have — while its
+// delivery keeps its place behind call 1's; call 4 stages nothing but may
+// report what call 1 logged, so it waits for the same sync, behind call 1
+// and ahead of call 3. On the wall-clock runtimes the three held calls share
+// one Append and one Sync, issued beside the loop: the parked sync also
+// waits for a call injected meanwhile (8) to be handled and released. The
+// simulator hands off per dispatch, so calls 1 and 4 ride the first commit
+// and call 3 the second. Last, calls 5 (persisting) and 6 (volatile) are
+// queued with the Sync failing: nothing held is released — call 5, and call
+// 6's delivery behind it — what left ungated stays left, and call 7 never
+// reaches Handle. Throughout: an entry's Append and Sync precede everything
+// its call releases, sends precede deliveries, and on the simulator timers
+// precede sends.
 func TestShardContract(t *testing.T) {
 	for i, rt := range shardRuntimes {
 		t.Run(rt.name, func(t *testing.T) {
-			// The second batch's Sync fails: the second Sync on the wall-clock
+			// The failing batch's Sync: the second on the wall-clock
 			// runtimes, the third where calls 1 and 3 each had their own.
-			failAt := 2
+			failAt, syncOf3 := 2, 1
 			if rt.virtual {
-				failAt = 3
+				failAt, syncOf3 = 3, 2
 			}
-			c := startContract(t, i, &flakyStore{failAt: failAt})
+			store := &flakyStore{failAt: failAt}
+			c := startContract(t, i, store)
 			defer c.h.stop()
+			store.onSync = func(n int) {
+				switch {
+				case n == 1:
+					c.await("send %d", 2)
+					c.await("timer %d", 2)
+					if !rt.virtual {
+						c.h.inject(actorPID, volatile(8))
+						c.await("send %d", 8) // its delivery waits behind call 1's
+					}
+				case n == failAt:
+					c.await("send %d", 6) // a crash-stop takes tcpnet's witness down too
+					c.await("timer %d", 6)
+				}
+			}
 
 			c.h.inject(actorPID, volatile(9))
 			c.settle("the volatile call on the idle shard", c.allReleased(9))
-			c.never("the call had no persist entries and the shard was idle", "sync %d", 1)
+			c.never("the call had no persist entries", "write %d", 1)
 			// The healthy batch settles before the failing one: a crash-stop
 			// also takes down what is still in flight (pending timers; on
 			// tcpnet the whole node).
-			c.queued(persisting(1), volatile(2), persisting(3))
-			c.settle("the healthy batch", c.allReleased(1, 2, 3))
+			c.queued(persisting(1), volatile(2), vouching(4), persisting(3))
+			c.settle("the healthy batch", c.allReleased(1, 2, 3, 4))
 			c.queued(persisting(5), volatile(6))
 			c.settle("the failing sync", c.logged("sync %d", failAt))
 			c.h.inject(actorPID, persisting(7))
 			c.settle("the input after the crash-stop to drain", func() bool { return true })
 			c.h.stop() // joins the runtime's goroutines: the log is final
 
-			// Call 1 is covered by Sync 1; call 3 by the same Sync where the
-			// batch formed, by Sync 2 on the simulator. Call 2 has no entries
-			// but is queued behind call 1, whose Sync it waits for.
-			syncOf := map[int]int{1: 1, 2: 1, 3: failAt - 1}
+			for _, e := range []string{"timer %d", "send %d"} {
+				c.before(e, 2, "sync %d", 1)
+			}
 			if !rt.virtual {
-				c.before("handle %d", 3, "sync %d", 1)
+				c.before("handle %d", 3, "write %d", 1)
+				c.before("send %d", 8, "sync %d", 1)
 			}
-			for _, k := range []int{1, 3} {
-				c.before("append %d", k, "sync %d", syncOf[k])
-			}
-			for k, sync := range syncOf {
+			// One Append per commit: the next one follows the first Sync.
+			c.before("write %d", 1, "append %d", 1)
+			c.before("sync %d", 1, "write %d", 2)
+			c.before("append %d", 1, "sync %d", 1)
+			c.before("append %d", 3, "sync %d", syncOf3)
+			for k, sync := range map[int]int{1: 1, 4: 1, 3: syncOf3} {
 				for _, e := range released {
 					c.before("sync %d", sync, e, k)
 				}
 			}
-			for _, k := range []int{9, 1, 2, 3} {
+			for _, k := range []int{9, 1, 2, 3, 4} {
 				c.before("send %d", k, "marker %d", k)
 				if rt.virtual {
 					c.before("timer %d", k, "send %d", k)
 				}
 			}
-			for _, e := range []string{"send %d", "deliver %d"} {
-				c.before(e, 1, e, 2)
-				c.before(e, 2, e, 3)
-			}
+			// Held calls keep their order; deliveries keep the call order.
+			c.before("send %d", 1, "send %d", 4)
+			c.before("send %d", 4, "send %d", 3)
+			c.before("deliver %d", 1, "deliver %d", 2)
+			c.before("deliver %d", 2, "deliver %d", 4)
+			c.before("deliver %d", 4, "deliver %d", 3)
+
 			c.before("append %d", 5, "sync %d", failAt)
-			for _, k := range []int{5, 6} {
-				for _, e := range released {
-					c.never("the batch's sync failed", e, k)
-				}
+			for _, e := range released {
+				c.never("the batch's sync failed", e, 5)
 			}
+			c.never("it waits behind call 5's delivery, whose sync failed", "deliver %d", 6)
 			c.never("the process had crash-stopped", "sync %d", failAt+1)
 			c.never("the process had crash-stopped", "handle %d", 7)
 		})
@@ -369,20 +429,27 @@ func TestShardContract(t *testing.T) {
 
 // TestShardContractLazy pins what the driver does with entries no release
 // waits for, on every runtime. A lazy-only call (9) and an AppLog (record
-// 1) on an idle shard are appended and, the call, released, with no Sync
-// and the AppLog never shown to Handle. Then calls 1 (eager), 2 (lazy), an
-// AppLog (record 2) and call 3 (eager, then lazy 103) are queued: the
-// entries reach the store in exactly that order; on the wall-clock runtimes
-// one Sync covers them all and call 2, behind the held call 1, waits for it
-// (the simulator commits call 1 alone, so call 2 goes at once and the rest
-// rides call 3's Sync). An AppLog snapshot is appended, synced and
-// compacted within its call. Last, call 5's lazy Append fails: the process
-// crash-stops, nothing of call 5 is released, call 6 never reaches Handle.
+// 1) on an idle shard are released at once, the AppLog never shown to
+// Handle, and their entries reach the store when the drain ends, with no
+// Sync. Then calls 1 (eager), 2 (lazy), an AppLog (record 2) and call 3
+// (eager, then lazy 103) are queued: the entries reach the store in exactly
+// that order — on the wall-clock runtimes in one Append, under one Sync —
+// and call 2, which vouches for nothing, does not wait for call 1's sync
+// (the store parks it until call 2's send has left). An AppLog snapshot is
+// appended, synced and compacted by its hand-off. Last, the Append that
+// carries call 5's entry fails: the process crash-stops, nothing of call 5
+// is released, no Sync follows, call 6 never reaches Handle.
 func TestShardContractLazy(t *testing.T) {
 	for i, rt := range shardRuntimes {
 		t.Run(rt.name, func(t *testing.T) {
-			c := startContract(t, i, &flakyStore{failAppend: 5})
+			store := &flakyStore{failAppend: 5}
+			c := startContract(t, i, store)
 			defer c.h.stop()
+			store.onSync = func(n int) {
+				if n == 1 {
+					c.await("send %d", 2)
+				}
+			}
 			lastSync := 1 // of the mixed batch
 			if rt.virtual {
 				lastSync = 2
@@ -393,54 +460,51 @@ func TestShardContractLazy(t *testing.T) {
 			c.settle("the lazy call and the AppLog on the idle shard", func() bool {
 				return c.allReleased(9)() && c.logged("append app %d", 1)()
 			})
-			c.before("append %d", 9, "timer %d", 9)
+			c.before("append %d", 9, "append app %d", 1)
 			c.never("only lazy entries were staged", "sync %d", 1)
 
 			c.queued(persisting(1), lazy(2), node.AppLog{Recs: [][]byte{{2}}}, both(3))
 			c.settle("the mixed batch", c.allReleased(1, 2, 3))
 			c.h.inject(actorPID, node.AppLog{Recs: [][]byte{{3}}, Snapshot: []byte{4}})
 			c.settle("the snapshot", c.logged("compact %d", lastSync+1))
-			c.queued(lazy(5), volatile(6))
+			c.h.inject(actorPID, persisting(5))
 			c.settle("the failing append", c.logged("append %d", 5))
+			c.h.inject(actorPID, volatile(6))
+			c.settle("the input after the crash-stop to drain", func() bool { return true })
 			c.h.stop() // joins the runtime's goroutines: the log is final
 
 			c.before("append %d", 1, "append %d", 2)
 			c.before("append %d", 2, "append app %d", 2)
 			c.before("append app %d", 2, "append %d", 3)
 			c.before("append %d", 3, "append %d", 103)
-			if rt.virtual {
-				c.before("deliver %d", 2, "sync %d", 2)
-			} else {
-				c.before("handle %d", 3, "sync %d", 1)
-				for _, e := range released {
-					c.before("sync %d", 1, e, 2)
-				}
+			c.before("send %d", 2, "sync %d", 1)
+			c.before("sync %d", 1, "deliver %d", 2)
+			if !rt.virtual {
+				c.before("handle %d", 3, "append %d", 1)
 			}
 			c.before("append %d", 103, "sync %d", lastSync)
 			for _, e := range released {
 				c.before("sync %d", 1, e, 1)
 				c.before("sync %d", lastSync, e, 3)
 			}
-			for _, e := range []string{"send %d", "deliver %d"} {
-				c.before(e, 1, e, 2)
-				c.before(e, 2, e, 3)
-			}
+			c.before("deliver %d", 1, "deliver %d", 2)
+			c.before("deliver %d", 2, "deliver %d", 3)
 			c.before("append app %d", 3, "append snapshot %d", 4)
 			c.before("append snapshot %d", 4, "sync %d", lastSync+1)
 			c.before("sync %d", lastSync+1, "compact %d", lastSync+1)
 			c.never("Step consumes every AppLog itself", "handle applog %d", 1)
 			for _, e := range released {
-				c.never("the call's lazy append failed", e, 5)
+				c.never("the append of the call's entry failed", e, 5)
 			}
 			c.never("the process had crash-stopped", "handle %d", 6)
-			c.never("nothing was held when the append failed", "sync %d", lastSync+2)
+			c.never("the append before it failed", "sync %d", lastSync+2)
 		})
 	}
 }
 
 // TestShardContractNoStore: a Step without a store discards eager entries,
-// lazy entries and AppLogs alike, holds nothing, and still keeps the AppLog
-// from the handler.
+// lazy entries and AppLogs alike, holds and hands off nothing, and still
+// keeps the AppLog from the handler.
 func TestShardContractNoStore(t *testing.T) {
 	handled := 0
 	step := node.NewStep(node.Func{PID: actorPID, F: func(in node.Input, fx *node.Effects) {
@@ -450,10 +514,10 @@ func TestShardContractNoStore(t *testing.T) {
 		fx.Deliver(mcast.Delivery{})
 	}}, nil)
 	for _, in := range []node.Input{persisting(1), node.AppLog{Recs: [][]byte{{1}}, Snapshot: []byte{2}}} {
-		rel, err := step.Do(in)
+		rel, kept, err := step.Do(in)
 		_, isCall := in.(node.Submit)
-		if err != nil || step.Held() != 0 || (len(rel.Deliveries) == 1) != isCall {
-			t.Errorf("Do(%T) = %d deliveries, %v, %d held", in, len(rel.Deliveries), err, step.Held())
+		if err != nil || kept || step.Handoff() != nil || (len(rel.Deliveries) == 1) != isCall {
+			t.Errorf("Do(%T) = %d deliveries, kept %v, %v, or something to hand off", in, len(rel.Deliveries), kept, err)
 		}
 	}
 	if handled != 1 {

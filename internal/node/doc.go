@@ -11,9 +11,10 @@
 //
 // The package also holds the shard driver every runtime drives a handler
 // through (shard.go; docs/CONCURRENCY.md, "The shard driver"): Step — the
-// store's only writer: Handle and stage per input, one sync per drain that
-// staged an eager entry, then release, crash-stop on a storage error — and
-// Mailbox, the never-blocking input queue and drain loop. And it holds what
+// store's only user: Handle and stage per input, release at once what
+// vouches for nothing, hand what a drain staged to the store as one Append
+// and one Sync beside the loop, then release the rest, crash-stop on a
+// storage error — and Mailbox, the never-blocking input queue and drain loop. And it holds what
 // the leader-based protocols share of failure detection (suspect.go):
 // Suspicion, the epoch-armed TimerSuspect deadline core and paxos both embed.
 //

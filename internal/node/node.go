@@ -104,9 +104,10 @@ const (
 // owns it, makes Persists durable FIRST (append and sync; a storage failure
 // crash-stops the process instead of applying the rest) and hands the
 // runtime only the remainder, as a Release — see docs/CONCURRENCY.md, "The
-// shard driver". LazyPersists are appended with the call, after its
+// shard driver". LazyPersists are logged with the call, after its
 // Persists, but gate nothing: they ride the log's next sync. Entries may
-// alias borrowed network frames (stores copy during Append), like Sends.
+// alias borrowed network frames, like Sends: stores copy during Append,
+// and a runtime keeps the frame until then (Step.Do's kept).
 type Effects struct {
 	Sends        []Send
 	Deliveries   []mcast.Delivery
@@ -210,7 +211,9 @@ func (fx *Effects) SetTimer(after time.Duration, kind TimerKind, data uint64) {
 }
 
 // Persist appends a durable-storage entry, to be made durable before any
-// send or delivery of this Handle call is released. On a runtime without
+// timer, send or delivery of this Handle call is released. Later calls that
+// persist nothing this way are not held up by it, unless they send a message
+// of a kind that vouches for the log (msgs.Kind.Vouches). On a runtime without
 // a configured store the entry is discarded.
 func (fx *Effects) Persist(e wal.Entry) {
 	fx.Persists = append(fx.Persists, e)

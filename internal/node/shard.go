@@ -1,6 +1,7 @@
 package node
 
 import (
+	"sync"
 	"time"
 
 	"wbcast/internal/mcast"
@@ -8,13 +9,13 @@ import (
 	"wbcast/internal/wal"
 )
 
-// Release is what a runtime acts on: the effects of one Handle call, or of
-// every call one Commit covers, in call order. Step hands it over only once
-// the persist entries of those calls are durable, and it carries neither
-// the entries nor the store, so no runtime can release ahead of the sync.
-// A runtime releases in field order — timers, then sends, then deliveries —
-// so a protocol send never waits behind an application callback. The
-// slices are valid until the Step's next Do.
+// Release is what a runtime acts on: effects of Handle calls, in call order.
+// Step hands one over only once every entry a message in it vouches for is
+// durable, and it carries neither the entries nor the store, so no runtime
+// can release ahead of the sync. A runtime releases in field order — timers,
+// then sends, then deliveries — so a protocol send never waits behind an
+// application callback. The slices are valid until the Step's next Do or
+// Handoff.
 type Release struct {
 	Timers     []SetTimer
 	Sends      []Send
@@ -22,132 +23,203 @@ type Release struct {
 }
 
 // Step runs one handler's Handle calls under the shard contract
-// (docs/CONCURRENCY.md, "The shard driver"): Do runs Handle and stages the
-// call's persist entries; Commit syncs once for every call staged since the
-// last one and only then releases their effects (group commit). It is the
-// store's only writer while the shard runs — application records reach it
-// as AppLog inputs — and the single place in the repository where a runtime
-// touches a store. A Step is used by one goroutine at a time (the shard's
-// loop, or the simulator's dispatch).
+// (docs/CONCURRENCY.md, "The shard driver"). Do runs Handle, stages the
+// call's persist entries in memory and releases at once whatever vouches
+// for nothing; Handoff takes everything staged since the last one as one
+// Commit, whose Run — one Append, one Sync — may proceed on another
+// goroutine while the loop goes on calling Do; Complete, back on the loop,
+// releases what that commit held. At most one Commit is in flight, so the
+// store is used by one goroutine at a time, and this is the single place in
+// the repository where a runtime touches it — application records reach it
+// as AppLog inputs. A Step itself is used by one goroutine at a time (the
+// shard's loop, or the simulator's dispatch).
 type Step struct {
 	h     Handler
 	store wal.Storage // nil discards persist effects: no durability
 	fx    Effects     // the current call's; reused across calls
-	held  Release     // effects of the calls awaiting Commit, in call order
-	nheld int         // how many calls those are
+	cur   *Commit     // what the calls since the last Handoff staged and hold
+	fly   *Commit     // the hand-off in flight, nil when none
+	spare *Commit     // the completed one, recycled by the next Handoff
 	err   error       // the storage failure that crash-stopped the shard
 }
 
-// NewStep binds a handler to its durable store (nil for none).
-func NewStep(h Handler, store wal.Storage) *Step { return &Step{h: h, store: store} }
+// Commit is one hand-off: the entries staged by the calls it covers, in
+// call order (eager before lazy within a call), and the effects held for
+// it. Between Handoff and Complete it belongs to whoever runs it.
+type Commit struct {
+	store   wal.Storage
+	entries []wal.Entry
+	sync    bool // an eager entry is among them: Run syncs
+	compact bool // an application snapshot is: Run syncs, then compacts
+	err     error
 
-// Do consumes one input. The call's entries are staged (Append) in call
-// order, eager before lazy. A call that emits eager entries has its effects
-// held for Commit, and so has every later call until then — releasing it
-// earlier could overtake the held ones. The Release is then empty and Held
-// reports the backlog. With no store, or no eager entry staged since the
-// last Commit, the call's effects are released at once: lazy entries gate
-// nothing and are no reason to sync.
+	held  Release
+	calls int // how many calls held is the whole of
+}
+
+// NewStep binds a handler to its durable store (nil for none).
+func NewStep(h Handler, store wal.Storage) *Step {
+	return &Step{h: h, store: store, cur: &Commit{store: store}}
+}
+
+// Do consumes one input and returns what the runtime may release at once.
+// A call that stages an eager entry is held whole for the Commit that
+// carries the entry. A call that stages none goes at once, except that a
+// send of a vouching kind (msgs.Kind.Vouches) waits, with its whole call,
+// for the eager entries staged before it — what it reports may rest on them
+// — held calls are released in call order, and deliveries leave in call
+// order, so one behind a held delivery waits with it. Nothing else waits:
+// a held send may be overtaken on its link by later sends that vouch for
+// nothing, for as long as one commit takes. With no store everything is
+// released at once. kept reports that the call left entries or effects
+// behind for the next Handoff, which may alias its input (a borrowed frame)
+// until that Commit is complete.
 //
 // An AppLog never reaches Handle: its records are staged as lazy app
-// entries, and a snapshot is staged, synced and followed by the store's
-// compaction, all within the call.
+// entries, and a snapshot makes the next Commit sync and then compact.
 //
 // A storage error crash-stops the shard: nothing held is released (from
 // outside, the process died before the sync, which is the state a restart
-// recovers from), and every later Do and Commit returns the same error
-// without calling Handle — the runtime's part is to stop feeding it and to
-// mark the process down in its own way.
-func (s *Step) Do(in Input) (Release, error) {
+// recovers from — what left ungated vouched for nothing), and every later
+// call returns the same error without calling Handle; the runtime's part is
+// to stop feeding it and to mark the process down in its own way.
+func (s *Step) Do(in Input) (rel Release, kept bool, err error) {
 	if s.err != nil {
-		return Release{}, s.err
+		return Release{}, false, s.err
 	}
 	s.fx.Reset()
 	al, isLog := in.(AppLog)
 	if !isLog {
 		s.h.Handle(in, &s.fx)
 	}
+	rel = Release{Timers: s.fx.Timers, Sends: s.fx.Sends, Deliveries: s.fx.Deliveries}
+	if s.store == nil {
+		return rel, false, nil
+	}
+	c := s.cur
+	c.entries = append(append(c.entries, s.fx.Persists...), s.fx.LazyPersists...)
 	for _, rec := range al.Recs {
-		s.fx.PersistLazy(wal.Entry{Kind: wal.EntryApp, App: rec})
+		c.entries = append(c.entries, wal.Entry{Kind: wal.EntryApp, App: rec})
 	}
 	if al.Snapshot != nil {
-		s.fx.PersistLazy(wal.Entry{Kind: wal.EntryAppSnapshot, App: al.Snapshot})
+		c.entries = append(c.entries, wal.Entry{Kind: wal.EntryAppSnapshot, App: al.Snapshot})
+		c.compact = true
 	}
-	if s.store != nil {
-		for _, es := range [2][]wal.Entry{s.fx.Persists, s.fx.LazyPersists} {
-			if len(es) == 0 {
-				continue
-			}
-			if err := s.store.Append(es...); err != nil {
-				return Release{}, s.fail(err)
-			}
-		}
-		if al.Snapshot != nil {
-			err := s.store.Sync()
-			if err == nil {
-				err = s.store.Snapshot()
-			}
-			if err != nil {
-				return Release{}, s.fail(err)
-			}
-		}
+	held := func(c *Commit) bool { return c != nil && len(c.held.Deliveries) > 0 }
+	switch {
+	case len(s.fx.Persists) > 0: // waits for the commit that carries its entries
+		c.sync = true
+	case (c.sync || s.fly != nil && s.fly.sync) && vouches(rel.Sends):
+		// Waits for the eager entries staged before it: this commit is handed
+		// off once the one in flight is back, if only to release the call.
+	case len(rel.Deliveries) > 0 && (held(c) || held(s.fly)):
+		c.held.Deliveries = append(c.held.Deliveries, rel.Deliveries...)
+		rel.Deliveries = nil
+		return rel, true, nil
+	default:
+		return rel, len(s.fx.LazyPersists) > 0, nil
 	}
-	if s.store == nil || (len(s.fx.Persists) == 0 && s.nheld == 0) {
-		return Release{Timers: s.fx.Timers, Sends: s.fx.Sends, Deliveries: s.fx.Deliveries}, nil
-	}
-	if s.nheld == 0 {
-		s.held.reset() // a new batch: the last Commit's release is over
-	}
-	s.held.Timers = append(s.held.Timers, s.fx.Timers...)
-	s.held.Sends = append(s.held.Sends, s.fx.Sends...)
-	s.held.Deliveries = append(s.held.Deliveries, s.fx.Deliveries...)
-	s.nheld++
-	return Release{}, nil
+	c.held.Timers = append(c.held.Timers, rel.Timers...)
+	c.held.Sends = append(c.held.Sends, rel.Sends...)
+	c.held.Deliveries = append(c.held.Deliveries, rel.Deliveries...)
+	c.calls++
+	return Release{}, true, nil
 }
 
-// Held returns how many calls' effects await Commit.
-func (s *Step) Held() int { return s.nheld }
+func vouches(sends []Send) bool {
+	for i := range sends {
+		if sends[i].Msg.Kind().Vouches() {
+			return true
+		}
+	}
+	return false
+}
 
-// Commit makes every staged entry durable with one Sync and releases the
-// held calls' effects. With nothing held it is a no-op.
-func (s *Step) Commit() (Release, error) {
-	if s.err != nil {
-		return Release{}, s.err
+// Handoff returns everything staged and held since the last one, for the
+// caller to Run and then Complete, or nil when there is nothing or a Commit
+// is still in flight. Runtimes call it when their queue runs dry
+// (Mailbox.Run's commit hook): one write, and one sync if any call waits for
+// it, per drain.
+func (s *Step) Handoff() *Commit {
+	c := s.cur
+	if s.fly != nil || len(c.entries)+c.calls+len(c.held.Deliveries) == 0 {
+		return nil
 	}
-	if s.nheld == 0 {
-		return Release{}, nil
+	if s.cur = s.spare; s.cur == nil {
+		s.cur = &Commit{store: s.store}
 	}
-	if err := s.store.Sync(); err != nil {
-		return Release{}, s.fail(err)
+	s.cur.reset()
+	s.fly, s.spare = c, nil
+	return c
+}
+
+// Run writes the commit's entries with one Append and makes them durable
+// with one Sync if any call waits for them; entries no call waits for reach
+// the store (the OS, on disk) and ride a later sync. It does not touch the
+// Step, so it may run beside the shard's loop.
+func (c *Commit) Run() {
+	if len(c.entries) > 0 {
+		c.err = c.store.Append(c.entries...)
 	}
-	s.nheld = 0
-	return s.held, nil
+	if c.err == nil && (c.sync || c.compact) {
+		c.err = c.store.Sync()
+	}
+	if c.err == nil && c.compact {
+		c.err = c.store.Snapshot()
+	}
+}
+
+// Go runs the commit on a goroutine of its own, counted in wg, and calls
+// done when the store calls have returned — the wall-clock runtimes' per-
+// store committer: done posts the commit back to the shard's mailbox.
+func (c *Commit) Go(wg *sync.WaitGroup, done func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.Run()
+		done()
+	}()
+}
+
+// Calls returns how many calls the commit holds the effects of.
+func (c *Commit) Calls() int { return c.calls }
+
+// Complete takes back the commit that Handoff returned, once it has Run,
+// and releases the effects held for it.
+func (s *Step) Complete(c *Commit) (Release, error) {
+	s.fly, s.spare = nil, c
+	if c.err != nil {
+		return Release{}, s.fail(c.err)
+	}
+	return c.held, nil
 }
 
 // fail records the storage error that crash-stops the shard and drops what
-// was held.
+// was staged and held.
 func (s *Step) fail(err error) error {
-	s.err = err
-	s.held.reset()
-	s.nheld = 0
+	s.err, s.fly = err, nil
+	s.cur.reset()
 	return err
 }
 
-// reset empties the slices for reuse, dropping their references.
-func (r *Release) reset() {
-	clear(r.Timers)
-	clear(r.Sends)
-	clear(r.Deliveries)
-	r.Timers, r.Sends, r.Deliveries = r.Timers[:0], r.Sends[:0], r.Deliveries[:0]
+// reset empties the commit for reuse, dropping its references.
+func (c *Commit) reset() {
+	clear(c.entries)
+	clear(c.held.Timers)
+	clear(c.held.Sends)
+	clear(c.held.Deliveries)
+	*c = Commit{store: c.store, entries: c.entries[:0], held: Release{c.held.Timers[:0], c.held.Sends[:0], c.held.Deliveries[:0]}}
 }
 
-// Restart revives a crash-stopped Step on the same store. h, when non-nil,
-// replaces the handler: the one rebuilt by replaying that store.
+// Restart revives a crash-stopped Step on the same store, with nothing
+// staged or held: what the dead incarnation had not written is lost. h,
+// when non-nil, replaces the handler: the one rebuilt by replaying the
+// store.
 func (s *Step) Restart(h Handler) {
 	if h != nil {
 		s.h = h
 	}
-	s.err = nil
+	s.fail(nil)
 }
 
 // Mailbox is a shard's input queue and the loop that drains it (the TCP
@@ -199,14 +271,15 @@ func (m *Mailbox[E]) Depth() int64 { return m.box.Depth() }
 // HighWater returns the largest queue length observed.
 func (m *Mailbox[E]) HighWater() int64 { return m.box.HighWater() }
 
-// maxCommitInputs bounds how many inputs Run consumes between two commits,
-// so a mailbox that never runs dry cannot hold effects back indefinitely.
+// maxCommitInputs bounds how many inputs Run consumes between two commit
+// hooks, so a mailbox that never runs dry cannot hold effects back
+// indefinitely.
 const maxCommitInputs = 64
 
 // Run is the shard loop: it calls consume for every envelope, in arrival
 // order, until quit is closed, and commit whenever the queue runs dry or
 // maxCommitInputs envelopes were consumed since the last commit — where the
-// consumer releases what its consume calls held back (Step.Commit; the
+// consumer passes on what its consume calls gathered (Step.Handoff; the
 // encode stage's ack flush). It is the mailbox's only consumer, so the
 // calls never overlap.
 func (m *Mailbox[E]) Run(consume func(E), commit func()) {

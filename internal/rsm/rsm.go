@@ -189,12 +189,18 @@ func (m *Machine) Deliver() (mcast.Delivery, bool) {
 	return mcast.Delivery{Msg: e.app, GTS: gts}, true
 }
 
-// MarkDelivered forces id out of the queue and marks it delivered (used by
-// FastCast followers, whose deliveries are driven by leader DELIVER
-// messages rather than by the local queue).
-func (m *Machine) MarkDelivered(id mcast.MsgID) {
+// MarkDelivered forces id out of the queue and marks it delivered at gts
+// (used by FastCast followers, whose deliveries are driven by leader DELIVER
+// messages rather than by the local queue). The DELIVER may outrun the
+// commit in the log — a replay vouches for nothing and leaves its leader at
+// once, the commit's Learn waits for a sync — and a delivered message
+// ignores its commit, so the global timestamp, and the clock advance that
+// comes with it, are taken from here: a follower that takes over
+// re-announces its deliveries in that order and proposes above them.
+func (m *Machine) MarkDelivered(id mcast.MsgID, gts mcast.Timestamp) {
 	if e, ok := m.state[id]; ok {
-		e.delivered = true
+		e.delivered, e.gts, e.phase = true, gts, msgs.PhaseCommitted
+		m.clock = max(m.clock, gts.Time)
 	}
 	m.queue.Remove(id)
 }

@@ -141,9 +141,17 @@ func TestPendingAndCommittedViews(t *testing.T) {
 	if _, ok := m.GTS(a.ID); ok {
 		t.Error("GTS of uncommitted message reported")
 	}
-	m.MarkDelivered(c.ID)
-	if got := m.Delivered(); len(got) != 1 || got[0] != c.ID {
-		t.Errorf("delivered = %v", got)
+	m.MarkDelivered(c.ID, ts(3, 0))
+	// A DELIVER that outran its commit in the log still orders the message:
+	// b is marked delivered at the DELIVER's timestamp while only assigned,
+	// and the commit that follows is ignored.
+	m.MarkDelivered(b.ID, ts(2, 0))
+	m.ApplyCommit(b.ID, []msgs.GroupTS{{Group: 0, TS: ts(2, 0)}})
+	if gts, ok := m.GTS(b.ID); !ok || gts != ts(2, 0) {
+		t.Errorf("GTS of the message delivered ahead of its commit = %v, %v", gts, ok)
+	}
+	if got := m.Delivered(); len(got) != 2 || got[0] != b.ID || got[1] != c.ID {
+		t.Errorf("delivered = %v, want b then c (ascending global timestamp)", got)
 	}
 	if !m.IsDelivered(c.ID) || m.IsDelivered(a.ID) {
 		t.Errorf("IsDelivered(c) = %v, IsDelivered(a) = %v", m.IsDelivered(c.ID), m.IsDelivered(a.ID))

@@ -60,6 +60,14 @@ type Filter func(from, to mcast.ProcessID, m msgs.Message, now time.Duration, rn
 type Config struct {
 	// Latency decides per-message delays; nil defaults to Uniform(10ms).
 	Latency Latency
+	// CommitTime is how long a stored process's commit — one Append and one
+	// Sync (node.Commit) — takes in virtual time, for tests of what waits for
+	// the disk and what does not: the process goes on handling inputs while
+	// one is in flight, and a crash before it completes loses what it
+	// carried. Zero, the default, commits within the dispatch that staged the
+	// entries, so a run's storage calls and event order do not depend on
+	// batching.
+	CommitTime time.Duration
 	// Seed initialises the simulator's RNG.
 	Seed int64
 	// Filter, if non-nil, is consulted once per transmission and may drop,
@@ -163,8 +171,8 @@ func (s *Sim) Add(h node.Handler) { s.AddStored(h, nil) }
 // persist effects are appended and synced before any send or delivery of
 // the same Handle call, lazy ones ride the next sync (node.Step) — a
 // restart on wal.NewMemory loses them until then — and a storage error
-// crash-stops it. A nil store discards
-// persist effects.
+// crash-stops it. Each dispatch's entries are one Append, at once or
+// Config.CommitTime later. A nil store discards persist effects.
 func (s *Sim) AddStored(h node.Handler, st wal.Storage) {
 	pid := h.ID()
 	if _, dup := s.nodes[pid]; dup {
@@ -211,7 +219,7 @@ func (s *Sim) Restart(pid mcast.ProcessID) {
 	kept := s.pq[:0]
 	for _, ev := range s.pq {
 		if ev.proc == pid {
-			if _, isTimer := ev.in.(node.Timer); isTimer {
+			if _, isTimer := ev.in.(node.Timer); isTimer || ev.commit != nil {
 				continue
 			}
 		}
@@ -322,38 +330,55 @@ func (s *Sim) dispatch(ev event) {
 	if !ok {
 		return
 	}
-	if rcv, ok := ev.in.(node.Recv); ok {
-		s.msgCounts[rcv.Msg.Kind()]++
-		if c, ok := rcv.Msg.(msgs.Concerner); ok {
-			if id, ok := c.Concerns(); ok {
-				set := s.touched[id]
-				if set == nil {
-					set = make(map[mcast.ProcessID]bool)
-					s.touched[id] = set
+	var rel node.Release
+	var err error
+	c := ev.commit
+	if c == nil {
+		if rcv, ok := ev.in.(node.Recv); ok {
+			s.msgCounts[rcv.Msg.Kind()]++
+			if cn, ok := rcv.Msg.(msgs.Concerner); ok {
+				if id, ok := cn.Concerns(); ok {
+					set := s.touched[id]
+					if set == nil {
+						set = make(map[mcast.ProcessID]bool)
+						s.touched[id] = set
+					}
+					set[ev.proc] = true
 				}
-				set[ev.proc] = true
 			}
 		}
-	}
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(TraceEvent{At: s.now, Proc: ev.proc, In: ev.in})
-	}
-	rel, err := st.Do(ev.in)
-	if err == nil && st.Held() > 0 {
-		// The simulator commits every dispatch — a batch of one — so a
-		// run's storage calls and event order do not depend on batching.
-		rel, err = st.Commit()
-	}
-	if err != nil {
-		// Crash-stop on a storage failure: nothing of the call was released,
-		// exactly as if the process had crashed inside Handle.
-		s.crashed[ev.proc] = true
-		if s.cfg.OnStorageCrash != nil {
-			s.cfg.OnStorageCrash(ev.proc, err)
+		if s.cfg.Trace != nil {
+			s.cfg.Trace(TraceEvent{At: s.now, Proc: ev.proc, In: ev.in})
 		}
-		return
+		rel, _, err = st.Do(ev.in)
 	}
-	s.release(ev.proc, rel)
+	// Release what the call handed back, then run what is staged by then
+	// through the store: at once, or CommitTime from now as an event — the
+	// hand-off completing, which releases what it held and hands off again.
+	for {
+		if c != nil {
+			c.Run()
+			rel, err = st.Complete(c)
+		}
+		if err != nil {
+			// Crash-stop on a storage failure: nothing held was released,
+			// exactly as if the process had crashed inside Handle.
+			s.crashed[ev.proc] = true
+			if s.cfg.OnStorageCrash != nil {
+				s.cfg.OnStorageCrash(ev.proc, err)
+			}
+			return
+		}
+		s.release(ev.proc, rel)
+		if c = st.Handoff(); c == nil {
+			return
+		}
+		if s.cfg.CommitTime > 0 {
+			s.seq++
+			heap.Push(&s.pq, event{at: s.now + s.cfg.CommitTime, seq: s.seq, proc: ev.proc, commit: c})
+			return
+		}
+	}
 }
 
 // release turns one Handle call's released effects into events, in the
@@ -509,6 +534,9 @@ type event struct {
 	// ctl, when non-nil, makes this a control event (ControlAt): dispatch
 	// runs the callback instead of routing an input to a handler.
 	ctl func()
+	// commit, when non-nil, is proc's hand-off completing: dispatch runs it
+	// and releases what it held.
+	commit *node.Commit
 }
 
 type eventHeap []event

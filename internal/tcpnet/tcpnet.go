@@ -79,10 +79,12 @@ type Config struct {
 	Handler node.Handler
 	// Storage, if non-nil, backs the handler's persist effects: every eager
 	// entry is appended and synced before any send or delivery of the same
-	// Handle call is released; lazy ones ride the next sync (node.Step). A storage error crash-stops the node (it closes as
-	// if killed; the durable prefix is what a restart recovers). When nil,
-	// persist effects are discarded and the node provides no durability.
-	// Single-shard form; per-shard stores go in Shards.
+	// Handle call is released; lazy ones ride the next sync (node.Step). The
+	// store calls run on a goroutine beside the shard's loop, one at a time;
+	// Close returns after the last. A storage error crash-stops the node (it
+	// closes as if killed; the durable prefix is what a restart recovers).
+	// When nil, persist effects are discarded and the node provides no
+	// durability. Single-shard form; per-shard stores go in Shards.
 	Storage wal.Storage
 	// Shards, when non-empty, lists the protocol shards this node hosts
 	// (multi-shard form). Handler, Storage and OnDeliver must be unset;
@@ -182,17 +184,22 @@ type shard struct {
 	step      *node.Step
 	onDeliver func(d mcast.Delivery)
 	box       *node.Mailbox[boxedInput]
-	// held keeps the borrowed frames of the inputs whose effects the Step
-	// holds for the next commit: a composite readFrame, nil when none.
-	held *readFrame
+	// held keeps the borrowed frames of the inputs that left entries or
+	// effects with the Step for its next hand-off, flying those of the
+	// hand-off in flight — staged entries alias them until its Append has
+	// returned: composite readFrames, nil when none.
+	held, flying *readFrame
 }
 
 // boxedInput pairs an input with the pooled read frame its decoded message
 // borrows from (nil for timers, injected inputs and expanded ack-batch
-// entries). The frame is released after the handler has consumed the input.
+// entries); the frame is released after the handler has consumed the input.
+// One with done set carries no input: it is the shard's hand-off coming back
+// from the store.
 type boxedInput struct {
 	in    node.Input
 	frame *readFrame
+	done  *node.Commit
 }
 
 // readFrame is one inbound frame buffer, shared by reference counting
@@ -580,39 +587,44 @@ func (n *Node) releaseRead(rf *readFrame) {
 	}
 }
 
-// consume runs one input through the shard's Step. What the Step holds for
-// the next commit keeps the shard's reference on its borrowed frame until
-// then; anything else is released at once.
+// consume runs one input through the shard's Step, or takes back the
+// hand-off that has run. What the call left with the Step keeps a reference
+// on its borrowed frame; the rest is released at once.
 func (s *shard) consume(b boxedInput) {
 	n := s.n
 	n.rt.MailboxHW.SetMax(s.box.HighWater())
-	rel, err := s.step.Do(b.in)
-	if err == nil && s.step.Held() > 0 {
-		if b.frame != nil {
-			if s.held == nil {
-				s.held = n.getReadFrame(0)
-				s.held.refs.Store(1)
-			}
-			s.held.parts = append(s.held.parts, b.frame)
-		}
+	if b.done != nil {
+		rel, err := s.step.Complete(b.done)
+		rf := s.flying
+		s.flying = nil
+		s.release(rf, rel, err)
 		return
+	}
+	rel, kept, err := s.step.Do(b.in)
+	if kept && b.frame != nil {
+		if s.held == nil {
+			s.held = n.getReadFrame(0)
+			s.held.refs.Store(1)
+		}
+		n.retainRead(b.frame)
+		s.held.parts = append(s.held.parts, b.frame)
 	}
 	s.release(b.frame, rel, err)
 }
 
-// commit is the mailbox's commit hook: one sync for the held calls, then
-// their effects, with every held frame referenced until the sends are with
-// the encode stage.
+// commit is the mailbox's commit hook: what the drain staged goes to the
+// store — one Append, one Sync — on a goroutine beside the loop, with the
+// frames it may alias, and comes back through the mailbox.
 func (s *shard) commit() {
-	held := s.step.Held()
-	if held == 0 {
+	c := s.step.Handoff()
+	if c == nil {
 		return
 	}
-	s.n.rt.CommitInputs.Observe(time.Duration(held) * time.Second)
-	rel, err := s.step.Commit()
-	rf := s.held
-	s.held = nil
-	s.release(rf, rel, err)
+	if held := c.Calls(); held > 0 {
+		s.n.rt.CommitInputs.Observe(time.Duration(held) * time.Second)
+	}
+	s.flying, s.held = s.held, nil
+	c.Go(&s.n.wg, func() { s.box.Post(boxedInput{done: c}) })
 }
 
 // release acts on what the Step handed back, in the driver's order: timers,
@@ -626,7 +638,8 @@ func (s *shard) release(rf *readFrame, rel node.Release, err error) {
 		n.logf("tcpnet: p%d crash-stopping on storage failure: %v", s.pid, err)
 		n.stop()
 		n.releaseRead(s.held)
-		s.held = nil
+		n.releaseRead(s.flying)
+		s.held, s.flying = nil, nil
 	} else {
 		for _, tm := range rel.Timers {
 			s.box.PostAfter(tm.After, boxedInput{in: node.Timer{Kind: tm.Kind, Data: tm.Data}})

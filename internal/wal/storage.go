@@ -9,13 +9,15 @@ import (
 
 // Storage is a replica's durable store. The contract is two-phase:
 // Append stages entries, Sync makes everything staged durable. A runtime
-// (node.Step) appends each Handle call's entries and syncs once per batch
-// of calls, before releasing any send or delivery of those calls; on error
-// it crash-stops the process.
+// (node.Step) hands over what a batch of Handle calls staged as one Append
+// and, if anything released by those calls vouches for an entry, one Sync,
+// before releasing it; on error it crash-stops the process.
 //
 // Load is called once, before the replica joins the cluster; it returns
 // the folded durable state (never nil; Empty() distinguishes a cold
-// boot). Implementations are used from a single goroutine at a time.
+// boot). Implementations are used by one goroutine at a time — not always
+// the same one: the calls of one hand-off run on a goroutine beside the
+// shard's loop, the next hand-off's on another, never overlapping.
 type Storage interface {
 	// Load returns the durable state. The caller owns the result.
 	Load() (*State, error)

@@ -27,13 +27,16 @@ func (s syncCounter) Sync() error {
 // a persisting kv engine — the configuration of wbcast-kv and of the
 // benchmark's kv-durable — and 200 Puts, each submitted after the previous
 // one was answered, so no two share a group commit. An operation needs one
-// sync per replica (its ACCEPTED record, before the ACCEPT_ACK) plus the
-// leader's COMMITTED record; the delivery-time entries and the engine's
-// redo records ride those syncs, and what is left is one frontier sync per
-// follower per heartbeat interval in which it delivered. With every entry
-// eager and the engine syncing its own appends this measured 10.
+// sync per acceptor: its ACCEPTED record, before the ACCEPT_ACK, the three
+// in parallel. The leader's COMMITTED record, the delivery-time entries and
+// the engine's redo records ride those syncs, and what is left is one
+// frontier sync per follower per heartbeat interval in which it delivered;
+// a follower still syncing when the next Put's ACCEPT arrives folds the two
+// into one (2.0–2.5 measured). With every entry eager and the engine syncing
+// its own appends this measured 10; with the leader's COMMITTED record
+// eager, 3.3–3.7.
 func TestSyncsPerPut(t *testing.T) {
-	const ops, maxSyncsPerOp = 200, 4.5
+	const ops, maxSyncsPerOp = 200, 3.6
 	peers := make(map[wbcast.ProcessID]string)
 	for pid := wbcast.ProcessID(0); pid <= 3; pid++ {
 		peers[pid] = "127.0.0.1:0"

@@ -25,8 +25,8 @@ type Replica struct {
 	tr  Transport
 	reg *obs.Registry // nil when Observability.Disabled
 	// store is nil without Config.Storage. While the replica runs, only its
-	// shard loop touches it (node.Step); Close and Shutdown do once crash
-	// has stopped that loop.
+	// shard's node.Step uses it, one hand-off at a time; Close and Shutdown
+	// do once crash has stopped the loop and joined the hand-off in flight.
 	store wal.Storage
 	app   AppState // application state recovered at construction
 

@@ -56,8 +56,8 @@ type Transport interface {
 	// (frame I/O on TCP, mailbox depth/high-water in-process). opts.store,
 	// when non-nil, backs the process's persist effects: append + sync
 	// before any send or delivery of the same Handle call, storage error ⇒
-	// crash-stop. crash returns only once the process's loop can no longer
-	// touch that store. opts.rebuild, when non-nil, reconstructs the handler from
+	// crash-stop. crash returns only once neither the process's loop nor a
+	// hand-off it started can touch that store any more. opts.rebuild, when non-nil, reconstructs the handler from
 	// its store — the simulated transport uses it so FaultPlan restarts
 	// replay the durable state instead of resurrecting in-memory state.
 	open(cfg *Config) error
