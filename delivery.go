@@ -44,115 +44,85 @@ func (p DeliveryPolicy) String() string {
 // replica's delivery order — increasing (GTS, Sub) — buffered up to the
 // subscription's capacity and handled per its DeliveryPolicy beyond that.
 // Close unsubscribes; the replica's own shutdown also closes C.
+//
+// C is the buffer: the delivering process sends on it directly, so a
+// delivery reaches the subscriber without passing through another goroutine.
 type Subscription struct {
-	policy DeliveryPolicy
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []Delivery // fixed-capacity ring
-	head   int
-	count  int
-	closed bool
-
+	policy  DeliveryPolicy
+	out     chan Delivery // capacity: the subscription's buffer
+	quit    chan struct{} // closed first by Close: releases a push blocked on out
+	once    sync.Once
 	dropped atomic.Uint64
-	out     chan Delivery
-	quit    chan struct{}
+	// send is held by push for its whole duration and by Close while it
+	// closes out, so out is closed from the sending side, between sends.
+	send sync.Mutex
 }
 
 func newSubscription(buffer int, policy DeliveryPolicy) *Subscription {
-	if buffer < 1 {
-		buffer = 1
-	}
-	s := &Subscription{
+	return &Subscription{
 		policy: policy,
-		buf:    make([]Delivery, buffer),
-		out:    make(chan Delivery),
+		out:    make(chan Delivery, max(buffer, 1)),
 		quit:   make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	go s.pump()
-	return s
 }
 
 // C returns the channel deliveries arrive on. It is closed when the
-// subscription is closed (by Close or by the replica shutting down).
+// subscription is closed (by Close or by the replica shutting down);
+// deliveries buffered at that moment remain receivable first.
 func (s *Subscription) C() <-chan Delivery { return s.out }
 
 // Dropped returns how many deliveries this subscription has discarded
 // under the DropOldest/DropNewest policies. Always zero for Backpressure.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
-// Close unsubscribes: the replica stops feeding the subscription and C is
-// closed. Buffered deliveries not yet consumed are discarded. Close is
-// idempotent.
+// Close unsubscribes: the replica stops feeding the subscription — a
+// delivering process blocked on it under Backpressure is released, its
+// delivery discarded — and C is closed. Close is idempotent.
 func (s *Subscription) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	close(s.quit)
+	s.once.Do(func() {
+		close(s.quit)
+		s.send.Lock()
+		close(s.out)
+		s.send.Unlock()
+	})
 }
 
 // push hands one delivery to the subscription, applying the policy. It is
 // called from the delivering process's goroutine, one producer at a time.
 func (s *Subscription) push(d Delivery) {
-	s.mu.Lock()
-	if s.policy == Backpressure {
-		for s.count == len(s.buf) && !s.closed {
-			s.cond.Wait()
-		}
+	s.send.Lock()
+	defer s.send.Unlock()
+	select {
+	case <-s.quit:
+		return // out is closed, or about to be
+	default:
 	}
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if s.count == len(s.buf) {
-		switch s.policy {
-		case DropOldest:
-			s.head = (s.head + 1) % len(s.buf)
-			s.count--
-			s.dropped.Add(1)
-		case DropNewest:
-			s.mu.Unlock()
-			s.dropped.Add(1)
-			return
-		}
-	}
-	s.buf[(s.head+s.count)%len(s.buf)] = d
-	s.count++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// pump moves buffered deliveries onto the out channel at the consumer's
-// pace. Exactly one pump per subscription; it is the only sender on out
-// and the only closer of out.
-func (s *Subscription) pump() {
-	for {
-		s.mu.Lock()
-		for s.count == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if s.count == 0 && s.closed {
-			s.mu.Unlock()
-			close(s.out)
-			return
-		}
-		d := s.buf[s.head]
-		s.buf[s.head] = Delivery{}
-		s.head = (s.head + 1) % len(s.buf)
-		s.count--
-		s.cond.Broadcast()
-		s.mu.Unlock()
+	switch s.policy {
+	case Backpressure:
 		select {
 		case s.out <- d:
 		case <-s.quit:
-			close(s.out)
-			return
+		}
+	case DropNewest:
+		select {
+		case s.out <- d:
+		default:
+			s.dropped.Add(1)
+		}
+	case DropOldest:
+		for {
+			select {
+			case s.out <- d:
+				return
+			default:
+			}
+			// Full: make room by taking the oldest, unless the subscriber
+			// just did. The only sender is here, so the retry terminates.
+			select {
+			case <-s.out:
+				s.dropped.Add(1)
+			default:
+			}
 		}
 	}
 }

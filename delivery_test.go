@@ -117,9 +117,9 @@ func TestDeliveriesCloseUnblocksProducer(t *testing.T) {
 	s := newSubscription(1, Backpressure)
 	done := make(chan struct{})
 	go func() {
-		s.push(testDelivery(1)) // pump holds this one at the channel
-		s.push(testDelivery(2)) // fills the ring
-		s.push(testDelivery(3)) // blocks: nobody consumes
+		s.push(testDelivery(1)) // fills the buffer
+		s.push(testDelivery(2)) // blocks: nobody consumes
+		s.push(testDelivery(3)) // after Close: discarded
 		s.push(testDelivery(4))
 		close(done)
 	}()
@@ -129,6 +129,48 @@ func TestDeliveriesCloseUnblocksProducer(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("producer still blocked after Close")
+	}
+}
+
+// TestDeliveriesCloseRacesBlockedProducer: Close while the producer is
+// blocked inside a Backpressure push, and while it keeps pushing afterwards —
+// nothing is sent on the closed channel, what was buffered at Close is still
+// receivable, in order, and then C reports closed. Run under -race.
+func TestDeliveriesCloseRacesBlockedProducer(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		s := newSubscription(2, Backpressure)
+		blocked := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 1; i <= 6; i++ {
+				if i == 3 {
+					close(blocked) // the buffer holds 1 and 2: this push blocks
+				}
+				s.push(testDelivery(i))
+			}
+		}()
+		<-blocked
+		closers := make(chan struct{})
+		for c := 0; c < 2; c++ {
+			go func() { s.Close(); closers <- struct{}{} }()
+		}
+		<-closers
+		<-closers
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("producer still blocked after Close")
+		}
+		got := drain(s, 5*time.Second) // returns at the close of C
+		if len(got) != 2 {
+			t.Fatalf("round %d: received %d deliveries after Close, want the 2 buffered", round, len(got))
+		}
+		for i, d := range got {
+			if d.Msg.ID.Seq() != uint32(i+1) {
+				t.Fatalf("round %d: delivery %d is seq %d", round, i, d.Msg.ID.Seq())
+			}
+		}
 	}
 }
 

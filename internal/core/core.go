@@ -134,11 +134,14 @@ type mstate struct {
 	logged bool
 	// accepts holds the latest ACCEPT received from each destination
 	// group's leader: the proposal Lts(g) and the ballot Bal(g) it was made
-	// in. Higher ballots supersede lower ones.
-	accepts map[mcast.GroupID]acceptInfo
+	// in. Higher ballots supersede lower ones. Parallel to app.Dest; nil
+	// until the first ACCEPT.
+	accepts []acceptInfo
 	// ackVecs holds, per process, the ballot vector of the latest
-	// ACCEPT_ACK received from it (leader side, Fig. 4 line 17).
-	ackVecs map[mcast.ProcessID][]msgs.GroupBallot
+	// ACCEPT_ACK received from it (leader side, Fig. 4 line 17). Parallel to
+	// the members of app.Dest's groups, group after group (ackSlot); nil
+	// until the first ACCEPT_ACK.
+	ackVecs [][]msgs.GroupBallot
 	// vec caches the sorted ballot vector assembled from accepts. It is
 	// invalidated whenever a stored ACCEPT changes, so the commit check —
 	// which runs once per ACCEPT_ACK — does not rebuild and re-sort it
@@ -153,8 +156,31 @@ type mstate struct {
 }
 
 type acceptInfo struct {
+	ok  bool // an ACCEPT from this group has arrived
 	bal mcast.Ballot
 	lts mcast.Timestamp
+}
+
+// accepted reports whether an ACCEPT from every destination group has
+// arrived ("received ACCEPT(m, g, Bal(g), Lts(g)) for every g ∈ dest(m)").
+func (st *mstate) accepted() bool {
+	for i := range st.accepts {
+		if !st.accepts[i].ok {
+			return false
+		}
+	}
+	return st.accepts != nil
+}
+
+// accept returns the stored ACCEPT of destination group g (the zero value
+// if none has arrived, or g is no destination).
+func (st *mstate) accept(g mcast.GroupID) acceptInfo {
+	for i := range st.accepts {
+		if st.app.Dest[i] == g {
+			return st.accepts[i]
+		}
+	}
+	return acceptInfo{}
 }
 
 // Replica is one white-box multicast process. It implements node.Handler.
@@ -487,12 +513,17 @@ func (r *Replica) onAccept(a msgs.Accept, fx *node.Effects) {
 		r.trackPending(a.M.ID, st)
 	}
 	if st.accepts == nil {
-		st.accepts = make(map[mcast.GroupID]acceptInfo, len(a.M.Dest))
+		st.accepts = make([]acceptInfo, len(st.app.Dest))
 	}
-	if prev, ok := st.accepts[a.Group]; ok && a.Bal.Less(prev.bal) {
-		return // stale proposal from a deposed leader of that group
+	for i, g := range st.app.Dest {
+		if g != a.Group {
+			continue
+		}
+		if prev := st.accepts[i]; prev.ok && a.Bal.Less(prev.bal) {
+			return // stale proposal from a deposed leader of that group
+		}
+		st.accepts[i] = acceptInfo{ok: true, bal: a.Bal, lts: a.LTS}
 	}
-	st.accepts[a.Group] = acceptInfo{bal: a.Bal, lts: a.LTS}
 	st.vec = nil // the cached ballot vector is stale
 	// Track the other groups' leadership for Cur_leader (retry targets).
 	r.noteLeader(a.Group, a.Bal)
@@ -505,16 +536,11 @@ func (r *Replica) onAccept(a msgs.Accept, fx *node.Effects) {
 // they may come from deposed leaders, which is harmless because clocks may
 // always increase).
 func (r *Replica) evalAccepts(st *mstate, fx *node.Effects) {
-	if !st.hasApp || st.accepts == nil {
+	if !st.hasApp || !st.accepted() {
 		return
 	}
-	for _, g := range st.app.Dest {
-		if _, ok := st.accepts[g]; !ok {
-			return
-		}
-	}
-	own, ok := st.accepts[r.group]
-	if !ok || own.bal != r.cballot {
+	own := st.accept(r.group)
+	if !own.ok || own.bal != r.cballot {
 		return
 	}
 	if st.phase == msgs.PhaseStart || st.phase == msgs.PhaseProposed { // line 11
@@ -532,8 +558,8 @@ func (r *Replica) evalAccepts(st *mstate, fx *node.Effects) {
 	// line 14: speculative clock advance to the (tentative) global
 	// timestamp. Safe even if remote proposals are later superseded.
 	var max mcast.Timestamp
-	for _, g := range st.app.Dest {
-		if ai := st.accepts[g]; max.Less(ai.lts) {
+	for _, ai := range st.accepts {
+		if max.Less(ai.lts) {
 			max = ai.lts
 		}
 	}
@@ -553,8 +579,8 @@ func (r *Replica) evalAccepts(st *mstate, fx *node.Effects) {
 	// re-sends acks with the updated vector.
 	vec := r.ballotVector(st)
 	ack := msgs.AcceptAck{ID: st.app.ID, Group: r.group, Bals: vec}
-	for _, g := range st.app.Dest {
-		fx.Send(st.accepts[g].bal.Leader(), ack)
+	for _, ai := range st.accepts {
+		fx.Send(ai.bal.Leader(), ack)
 	}
 }
 
@@ -567,8 +593,8 @@ func (r *Replica) ballotVector(st *mstate) []msgs.GroupBallot {
 		return st.vec
 	}
 	vec := make([]msgs.GroupBallot, 0, len(st.app.Dest))
-	for _, g := range st.app.Dest {
-		vec = append(vec, msgs.GroupBallot{Group: g, Bal: st.accepts[g].bal})
+	for i, g := range st.app.Dest {
+		vec = append(vec, msgs.GroupBallot{Group: g, Bal: st.accepts[i].bal})
 	}
 	// Dest is normally sorted (GroupSet invariant); sort defensively for
 	// destination sets that arrived denormalised off the wire.
@@ -587,19 +613,38 @@ func (r *Replica) onAcceptAck(from mcast.ProcessID, a msgs.AcceptAck, fx *node.E
 	if !ok {
 		return // pruned or unknown (stale ack)
 	}
+	// Only members of the destination groups are counted — and an ack
+	// answers this process's own ACCEPT, so the message, and with it the
+	// groups, are known here.
+	slot := r.ackSlot(st, from)
+	if slot < 0 {
+		return
+	}
 	if st.ackVecs == nil {
-		// Size for the full acknowledger population: every member of
-		// every destination group may ack.
 		n := 0
-		if st.hasApp {
-			for _, g := range st.app.Dest {
-				n += r.cfg.Top.GroupSize(g)
+		for _, g := range st.app.Dest {
+			n += r.cfg.Top.GroupSize(g)
+		}
+		st.ackVecs = make([][]msgs.GroupBallot, n)
+	}
+	st.ackVecs[slot] = a.Bals
+	r.evalCommit(st, fx)
+}
+
+// ackSlot returns p's index in st.ackVecs — the members of the destination
+// groups, group after group — or -1 if p belongs to none of them.
+func (r *Replica) ackSlot(st *mstate, p mcast.ProcessID) int {
+	base := 0
+	for _, g := range st.app.Dest {
+		members := r.cfg.Top.Members(g)
+		for i, q := range members {
+			if q == p {
+				return base + i
 			}
 		}
-		st.ackVecs = make(map[mcast.ProcessID][]msgs.GroupBallot, n)
+		base += len(members)
 	}
-	st.ackVecs[from] = a.Bals
-	r.evalCommit(st, fx)
+	return -1
 }
 
 // evalCommit checks the commit guard of line 17 and performs lines 18–23.
@@ -607,41 +652,36 @@ func (r *Replica) evalCommit(st *mstate, fx *node.Effects) {
 	if r.status != StatusLeader || st.phase == msgs.PhaseCommitted || !st.hasApp {
 		return
 	}
-	if st.accepts == nil {
+	if !st.accepted() || st.ackVecs == nil {
 		return
 	}
-	// "previously received ACCEPT(m, g, Bal(g), Lts(g)) for every g":
-	for _, g := range st.app.Dest {
-		if _, ok := st.accepts[g]; !ok {
-			return
-		}
-	}
-	own := st.accepts[r.group]
-	if own.bal != r.cballot { // line 18
+	if st.accept(r.group).bal != r.cballot { // line 18
 		return
 	}
 	vec := r.ballotVector(st)
 	// The commit quorum must include this leader itself (line 17
 	// "including myself"): Invariant 5 hinges on the leader's own pending
 	// set being part of the replicated prefix.
-	if !vecEqual(st.ackVecs[r.pid], vec) {
+	if own := r.ackSlot(st, r.pid); own < 0 || !vecEqual(st.ackVecs[own], vec) {
 		return
 	}
+	acks := st.ackVecs
 	for _, g := range st.app.Dest {
-		n := 0
-		for _, p := range r.cfg.Top.Members(g) {
-			if vecEqual(st.ackVecs[p], vec) {
+		size, n := r.cfg.Top.GroupSize(g), 0
+		for _, bals := range acks[:size] {
+			if vecEqual(bals, vec) {
 				n++
 			}
 		}
 		if n < r.cfg.Top.QuorumSize(g) {
 			return
 		}
+		acks = acks[size:]
 	}
 	// lines 19–20.
 	var gts mcast.Timestamp
-	for _, g := range st.app.Dest {
-		if ai := st.accepts[g]; gts.Less(ai.lts) {
+	for _, ai := range st.accepts {
+		if gts.Less(ai.lts) {
 			gts = ai.lts
 		}
 	}

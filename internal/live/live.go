@@ -51,10 +51,8 @@ func New(cfg Config) *Network {
 }
 
 type envelope struct {
-	in        node.Input
-	done      *node.Commit // instead of an input: the hand-off that has run
-	deliverAt time.Time
-	seq       uint64
+	in   node.Input
+	done *node.Commit // instead of an input: the hand-off that has run
 }
 
 type proc struct {
@@ -65,7 +63,6 @@ type proc struct {
 	// send order, so per-link FIFO is preserved.
 	step    *node.Step
 	box     *node.Mailbox[envelope]
-	delayIn chan envelope
 	quit    chan struct{}
 	crashed chan struct{}
 	crashMu sync.Once
@@ -101,7 +98,6 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 		pid:     pid,
 		step:    node.NewStep(h, st),
 		box:     node.NewMailbox[envelope](n.cfg.MailboxSize, quit),
-		delayIn: make(chan envelope, 1024),
 		quit:    quit,
 		crashed: make(chan struct{}),
 	}
@@ -113,8 +109,7 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 }
 
 func (n *Network) launch(p *proc) {
-	n.wg.Add(2)
-	go p.delayLoop()
+	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		p.box.Run(p.consume, p.commit)
@@ -295,8 +290,8 @@ func (p *proc) release(rel node.Release, err error) {
 	}
 }
 
-// route hands a message to the destination, through its delayer when a
-// latency is configured.
+// route hands a message to the destination's mailbox, to be posted after
+// the configured latency, if any.
 func (n *Network) route(from, to mcast.ProcessID, m msgs.Message) {
 	q := n.proc(to)
 	if q == nil {
@@ -309,100 +304,10 @@ func (n *Network) route(from, to mcast.ProcessID, m msgs.Message) {
 	env := envelope{in: node.Recv{From: from, Msg: m}}
 	if lat <= 0 {
 		q.box.Post(env)
-		return
+	} else {
+		// A constant per-pair latency makes one sender's deadlines monotone,
+		// and the mailbox posts equal deadlines in arming order: per-link
+		// FIFO holds.
+		q.box.PostAfter(lat, env)
 	}
-	env.deliverAt = time.Now().Add(lat)
-	select {
-	case q.delayIn <- env:
-	case <-q.quit:
-	}
-}
-
-// delayLoop holds back delayed envelopes until their deadline, preserving
-// arrival order per deadline (constant per-pair latency makes deadlines
-// monotone per link, so FIFO is preserved).
-func (p *proc) delayLoop() {
-	defer p.net.wg.Done()
-	var pq delayHeap
-	var seq uint64
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		// Deliver everything due.
-		now := time.Now()
-		for pq.Len() > 0 && !pq[0].deliverAt.After(now) {
-			p.box.Post(pq.popMin())
-		}
-		wait := time.Hour
-		if pq.Len() > 0 {
-			wait = time.Until(pq[0].deliverAt)
-			if wait < 0 {
-				wait = 0
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-p.quit:
-			return
-		case env := <-p.delayIn:
-			seq++
-			env.seq = seq
-			pq.push(env)
-		case <-timer.C:
-		}
-	}
-}
-
-type delayHeap []envelope
-
-func (h delayHeap) Len() int { return len(h) }
-func (h delayHeap) less(i, j int) bool {
-	if !h[i].deliverAt.Equal(h[j].deliverAt) {
-		return h[i].deliverAt.Before(h[j].deliverAt)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *delayHeap) push(e envelope) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *delayHeap) popMin() envelope {
-	old := *h
-	min := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(*h) && h.less(l, small) {
-			small = l
-		}
-		if r < len(*h) && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return min
 }

@@ -412,7 +412,7 @@ type AckEntry struct {
 // AckBatch coalesces ack-class messages (ACCEPT_ACK, HEARTBEAT_ACK,
 // PAXOS_2B) bound for processes behind one transport endpoint into a single
 // frame, cutting per-frame overhead on the quorum-ack fan-in at high client
-// counts. It is transport-internal: runtimes build it on the encode stage
+// counts. It is transport-internal: runtimes build it on the send path
 // and expand it back into the individual messages on receipt, so protocol
 // handlers never see it.
 type AckBatch struct {

@@ -119,9 +119,9 @@ type Effects struct {
 // Send is a request to transmit Msg. When Tos is nil the send is a unicast
 // to To; when Tos is non-nil the same message goes to every process in Tos
 // (and To is ignored). Representing a fan-out as one Send lets runtimes
-// exploit it — the TCP runtime serialises Msg exactly once and shares the
-// encoded frame across every recipient's writer queue. Self-sends are
-// permitted and are delivered with zero network latency.
+// exploit it — the TCP runtime serialises Msg exactly once, whatever the
+// fan-out. Self-sends are permitted and are delivered with zero network
+// latency.
 //
 // Tos is owned by the runtime only until it has released the send; it may
 // alias long-lived slices such as Topology.Members and must not be

@@ -222,31 +222,58 @@ func (s *Step) Restart(h Handler) {
 	s.fail(nil)
 }
 
-// Mailbox is a shard's input queue and the loop that drains it (the TCP
-// runtime's encode stage is fed by one too): a bounded lock-free MPSC ring
-// with an unbounded overflow (internal/ring), so a post never blocks —
-// which rules out buffer-deadlock cycles between shards; load shows up as
-// Depth, not as backpressure. The envelope type is the runtime's: the input
-// plus whatever must travel with it (the TCP runtime's borrowed frame).
-// Envelopes from one producer are consumed in the order it posted them,
-// which is what preserves per-link FIFO.
+// Mailbox is a shard's input queue and the loop that drains it: a bounded
+// lock-free MPSC ring with an unbounded overflow (internal/ring), so a post
+// never blocks — which rules out buffer-deadlock cycles between shards; load
+// shows up as Depth, not as backpressure. The envelope type is the
+// runtime's: the input plus whatever must travel with it (the TCP runtime's
+// borrowed frame). Envelopes from one producer are consumed in the order it
+// posted them, which is what preserves per-link FIFO.
 type Mailbox[E any] struct {
 	box *ring.MPSC[E]
 	// wake nudges Run after a post (capacity 1: a pending wake-up covers
 	// any number of posts).
 	wake chan struct{}
 	quit <-chan struct{}
+
+	// The envelopes armed by PostAfter: a min-heap on (at, seq) behind one
+	// runtime timer, which Run sets to the earliest deadline before it
+	// sleeps. Run posts the due ones itself, so an armed envelope costs no
+	// runtime timer, no goroutine and no wake-up of its own.
+	tmu    sync.Mutex
+	timers []timed[E]
+	seq    uint64
+	timer  *time.Timer
+	epoch  time.Time // deadlines count from here
+}
+
+// timed is one armed envelope, due at nanoseconds past the mailbox's epoch;
+// seq keeps equal deadlines in arming order.
+type timed[E any] struct {
+	at  time.Duration
+	seq uint64
+	e   E
+}
+
+func (t *timed[E]) before(u *timed[E]) bool {
+	return t.at < u.at || t.at == u.at && t.seq < u.seq
 }
 
 // NewMailbox creates a mailbox whose ring holds capacity envelopes; Run
 // returns, and armed timers lapse, once quit is closed.
 func NewMailbox[E any](capacity int, quit <-chan struct{}) *Mailbox[E] {
-	return &Mailbox[E]{box: ring.New[E](capacity), wake: make(chan struct{}, 1), quit: quit}
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &Mailbox[E]{box: ring.New[E](capacity), wake: make(chan struct{}, 1), quit: quit, timer: t, epoch: time.Now()}
 }
 
 // Post enqueues e; safe from any goroutine, including the consumer.
 func (m *Mailbox[E]) Post(e E) {
 	m.box.Enqueue(e)
+	m.nudge()
+}
+
+func (m *Mailbox[E]) nudge() {
 	select {
 	case m.wake <- struct{}{}:
 	default: // a wake-up is already pending
@@ -254,15 +281,58 @@ func (m *Mailbox[E]) Post(e E) {
 }
 
 // PostAfter posts e once d has elapsed (how a wall-clock runtime arms a
-// SetTimer), unless the mailbox has quit by then.
+// SetTimer), unless the mailbox has quit by then. Envelopes armed for the
+// same mailbox are posted in deadline order.
 func (m *Mailbox[E]) PostAfter(d time.Duration, e E) {
-	time.AfterFunc(d, func() {
-		select {
-		case <-m.quit:
-		default:
-			m.Post(e)
+	t := timed[E]{at: time.Since(m.epoch) + d, e: e}
+	m.tmu.Lock()
+	m.seq++
+	t.seq = m.seq
+	m.timers = append(m.timers, t)
+	i := len(m.timers) - 1
+	for up := (i - 1) / 2; i > 0 && m.timers[i].before(&m.timers[up]); i, up = up, (up-1)/2 {
+		m.timers[i], m.timers[up] = m.timers[up], m.timers[i]
+	}
+	m.tmu.Unlock()
+	if i == 0 {
+		m.nudge() // Run may be asleep until a later deadline
+	}
+}
+
+// expire posts every armed envelope whose deadline has passed, in deadline
+// order, and reports whether there was one. With sleep set and none due it
+// sets the runtime timer to the earliest deadline left.
+func (m *Mailbox[E]) expire(sleep bool) bool {
+	m.tmu.Lock()
+	defer m.tmu.Unlock()
+	if len(m.timers) == 0 {
+		return false
+	}
+	now := time.Since(m.epoch)
+	due := false
+	for len(m.timers) > 0 && m.timers[0].at <= now {
+		m.box.Enqueue(m.timers[0].e)
+		due = true
+		last := len(m.timers) - 1
+		m.timers[0] = m.timers[last]
+		m.timers[last] = timed[E]{}
+		m.timers = m.timers[:last]
+		for i := 0; ; { // sift down
+			c := 2*i + 1
+			if c+1 < last && m.timers[c+1].before(&m.timers[c]) {
+				c++
+			}
+			if c >= last || !m.timers[c].before(&m.timers[i]) {
+				break
+			}
+			m.timers[i], m.timers[c] = m.timers[c], m.timers[i]
+			i = c
 		}
-	})
+	}
+	if sleep && !due && len(m.timers) > 0 {
+		m.timer.Reset(m.timers[0].at - now)
+	}
+	return due
 }
 
 // Depth returns the current queue length.
@@ -279,24 +349,30 @@ const maxCommitInputs = 64
 // Run is the shard loop: it calls consume for every envelope, in arrival
 // order, until quit is closed, and commit whenever the queue runs dry or
 // maxCommitInputs envelopes were consumed since the last commit — where the
-// consumer passes on what its consume calls gathered (Step.Handoff; the
-// encode stage's ack flush). It is the mailbox's only consumer, so the
+// consumer passes on what its consume calls gathered (the TCP runtime's
+// link flush, Step.Handoff). At the same points it posts the armed
+// envelopes that have come due. It is the mailbox's only consumer, so the
 // calls never overlap.
 func (m *Mailbox[E]) Run(consume func(E), commit func()) {
 	n := 0
 	for {
 		e, ok := m.box.Dequeue()
-		if n > 0 && (!ok || n == maxCommitInputs) {
-			commit()
-			n = 0
-		}
-		if !ok {
-			select {
-			case <-m.quit:
-				return
-			case <-m.wake:
+		if !ok || n == maxCommitInputs {
+			if n > 0 {
+				commit()
+				n = 0
 			}
-			continue
+			if due := m.expire(!ok); !ok && !due {
+				select {
+				case <-m.quit:
+					return
+				case <-m.wake:
+				case <-m.timer.C:
+				}
+			}
+			if !ok {
+				continue
+			}
 		}
 		select {
 		case <-m.quit:

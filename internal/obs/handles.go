@@ -324,9 +324,9 @@ func (s *Store) SetWALBytes(n int64) {
 type Runtime struct {
 	// Encoded counts distinct messages serialised to wire form.
 	Encoded Counter
-	// FramesSent counts per-recipient frames enqueued to peer writers.
+	// FramesSent counts frames appended to peer links.
 	FramesSent Counter
-	// FramesCoalesced counts frames riding along in vectored writes.
+	// FramesCoalesced counts frames beyond the first in one write.
 	FramesCoalesced Counter
 	// OutboundDrops counts frames dropped on the way out.
 	OutboundDrops Counter
@@ -336,14 +336,14 @@ type Runtime struct {
 	FramesRead Counter
 	// MailboxHW is the largest input-queue length observed.
 	MailboxHW Gauge
-	// EncodeStage is the outbound serialisation latency per message on
-	// the dedicated encode stage.
+	// EncodeStage is the outbound serialisation latency per message, on
+	// the shard loop that releases the send.
 	EncodeStage Histogram
 	// DecodeStage is the inbound frame-parse latency per frame on the
 	// read loops.
 	DecodeStage Histogram
-	// AckBatchSize is the acks-per-flush distribution of the encode
-	// stage's ack batcher (unitless count, recorded as 1 ack = 1s).
+	// AckBatchSize is the acks-per-flush distribution of the send path's
+	// ack batcher (unitless count, recorded as 1 ack = 1s).
 	AckBatchSize Histogram
 	// CommitInputs is the inputs-per-commit distribution of the shard
 	// loops' group commit (unitless count, recorded as 1 input = 1s).
@@ -357,12 +357,12 @@ func NewRuntime(reg *Registry) *Runtime {
 	rt := &Runtime{}
 	reg.RegisterCounter(MetricMessagesEncoded, "messages serialised to wire form (one per send)", &rt.Encoded)
 	reg.RegisterCounter(MetricFramesSent, "per-recipient frames enqueued to peer writers", &rt.FramesSent)
-	reg.RegisterCounter(MetricFramesCoalesced, "frames coalesced into vectored writes", &rt.FramesCoalesced)
+	reg.RegisterCounter(MetricFramesCoalesced, "frames beyond the first in one write", &rt.FramesCoalesced)
 	reg.RegisterCounter(MetricOutboundDrops, "outbound frames dropped", &rt.OutboundDrops)
 	reg.RegisterCounter(MetricReconnects, "outbound redials after connection failure", &rt.Reconnects)
 	reg.RegisterCounter(MetricFramesRead, "inbound frames decoded", &rt.FramesRead)
 	reg.RegisterGauge(MetricMailboxHighWater, "largest input-queue length observed", &rt.MailboxHW)
-	reg.RegisterHistogram(MetricEncodeStage, "outbound message serialisation latency on the encode stage", &rt.EncodeStage)
+	reg.RegisterHistogram(MetricEncodeStage, "outbound message serialisation latency on the sending shard loop", &rt.EncodeStage)
 	reg.RegisterHistogram(MetricDecodeStage, "inbound frame parse latency on the read loops", &rt.DecodeStage)
 	reg.RegisterHistogram(MetricAckBatchSize, "acknowledgements per flushed ack batch (count; 1 ack = 1s)", &rt.AckBatchSize)
 	reg.RegisterHistogram(MetricShardCommitInputs, "inputs whose effects one WAL sync released (count; 1 input = 1s)", &rt.CommitInputs)

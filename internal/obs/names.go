@@ -51,11 +51,11 @@ const (
 	// MetricMessagesEncoded counts distinct messages serialised to wire
 	// form (once per send, however many recipients it fans out to).
 	MetricMessagesEncoded = "wbcast_messages_encoded_total"
-	// MetricFramesSent counts per-recipient frames enqueued to peer
-	// writers.
+	// MetricFramesSent counts frames appended to peer links, one per
+	// destination address per send.
 	MetricFramesSent = "wbcast_frames_sent_total"
-	// MetricFramesCoalesced counts frames that rode along in a multi-frame
-	// vectored write instead of costing their own syscall.
+	// MetricFramesCoalesced counts frames beyond the first in one write:
+	// those that rode along instead of costing their own syscall.
 	MetricFramesCoalesced = "wbcast_frames_coalesced_total"
 	// MetricOutboundDrops counts frames dropped on the way out.
 	MetricOutboundDrops = "wbcast_outbound_drops_total"
@@ -79,7 +79,7 @@ const (
 	// read loop, before it is routed to a shard mailbox.
 	MetricDecodeStage = "wbcast_decode_stage_seconds"
 	// MetricAckBatchSize is the acknowledgements-per-flush histogram of
-	// the encode stage's ack batcher. The value is a unitless count
+	// the send path's ack batcher. The value is a unitless count
 	// (exposed through the duration-typed summary with 1 ack = 1s, so
 	// quantiles read directly as ack counts).
 	MetricAckBatchSize = "wbcast_ack_batch_size"

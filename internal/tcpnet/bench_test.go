@@ -2,8 +2,11 @@ package tcpnet
 
 import (
 	"bytes"
+	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
@@ -30,38 +33,80 @@ func benchAccept() msgs.Accept {
 	}
 }
 
-// newBenchNode builds a Node with initialised pools and maps but no
-// listener and no shard loops, for driving the codec paths directly.
+// newBenchNode builds a Node with an initialised pool and address book but
+// no listener and no shard loops, for driving single stages directly.
 func newBenchNode(pid mcast.ProcessID) *Node {
 	n := &Node{
-		cfg:        Config{PID: pid},
+		cfg:        Config{PID: pid, DialTimeout: 3 * time.Second},
+		quit:       make(chan struct{}),
 		rt:         obs.NewRuntime(nil),
 		shardByPID: make(map[mcast.ProcessID]*shard),
-		addrs:      make(map[mcast.ProcessID]string),
-		writers:    make(map[string]*writer),
+		peers:      make(map[mcast.ProcessID]*link),
+		links:      make(map[string]*link),
 	}
 	n.readPool.New = func() any { return &readFrame{} }
-	n.outPool.New = func() any { return &outFrame{} }
-	n.batchPool.New = func() any { return &sendBatch{} }
 	return n
 }
 
 // BenchmarkEncodeFrame measures the cost of producing one outbound frame
-// body (sender varint + wire encoding) for a hot-path message. Frames come
-// from and return to the node's pool, as on the live send path once every
-// writer releases its reference.
+// body (sender varint + wire encoding) for a hot-path message, into the
+// shard's scratch as on the live send path.
 func BenchmarkEncodeFrame(b *testing.B) {
-	n := newBenchNode(3)
+	s := &shard{n: newBenchNode(3), pid: 3}
 	m := benchAccept()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := n.encodeFrame(3, m)
+		if _, ok := s.encode(m); !ok {
+			b.Fatal("encode failed")
+		}
+	}
+}
+
+// BenchmarkSendPath measures a frame's whole trip on the real send path: the
+// release of one ACCEPT fan-out to two loopback peers — encode, append to
+// both links, drain-end flush — through the peers' read loops into their
+// mailboxes and handlers. The benchmark goroutine is the sending shard's
+// loop; at most sendWindow fan-outs are in flight.
+func BenchmarkSendPath(b *testing.B) {
+	const sendWindow = 64
+	var got [2]atomic.Int64
+	n := newBenchNode(3)
+	n.ln, _ = net.Listen("tcp", "127.0.0.1:0") // for Close only
+	s := &shard{n: n, pid: 3, step: node.NewStep(node.Func{PID: 3, F: func(node.Input, *node.Effects) {}}, nil)}
+	n.shards = append(n.shards, s)
+	defer n.Close()
+	for i := range got {
+		peer, err := Serve(Config{PID: mcast.ProcessID(i), ListenAddr: "127.0.0.1:0",
+			Handler: node.Func{PID: mcast.ProcessID(i), F: func(in node.Input, _ *node.Effects) {
+				if _, ok := in.(node.Recv); ok {
+					got[i].Add(1)
+				}
+			}}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		f.refs.Store(1)
-		n.release(f)
+		defer peer.Close()
+		n.SetPeer(mcast.ProcessID(i), peer.Addr().String())
+	}
+	var fx node.Effects
+	fx.SendAll([]mcast.ProcessID{0, 1}, benchAccept())
+	rel := node.Release{Sends: fx.Sends}
+	arrived := func() int64 { return min(got[0].Load(), got[1].Load()) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.release(nil, rel, nil)
+		s.commit()
+		for int64(i)-arrived() >= sendWindow {
+			runtime.Gosched()
+		}
+	}
+	for arrived() < int64(b.N) {
+		if n.Stats().OutboundDrops > 0 {
+			b.Fatal("frames dropped")
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -69,12 +114,11 @@ func BenchmarkEncodeFrame(b *testing.B) {
 // acquisition plus borrow-mode decode, as performed by readLoop.
 func BenchmarkReadFramePath(b *testing.B) {
 	n := newBenchNode(3)
-	src := newBenchNode(4)
-	f, err := src.encodeFrame(4, benchAccept())
-	if err != nil {
-		b.Fatal(err)
+	src := &shard{n: newBenchNode(4), pid: 4}
+	wireBytes, ok := src.encode(benchAccept())
+	if !ok {
+		b.Fatal("encode failed")
 	}
-	wireBytes := append([]byte(nil), f.buf...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,7 +134,7 @@ func BenchmarkReadFramePath(b *testing.B) {
 // BenchmarkReadLoop measures the whole inbound stage — buffered read,
 // pooled frame, borrow decode, post to the shard's mailbox — over an
 // in-memory pipe, with the writer handing over benchFramesPerWrite frames
-// at a time as a peer's coalescing writeLoop does under load. reads/frame
+// at a time as a peer's link does under load. reads/frame
 // is the number of Read calls (read(2) on a real connection) per frame.
 func BenchmarkReadLoop(b *testing.B) {
 	const benchFramesPerWrite = 8

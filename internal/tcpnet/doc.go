@@ -4,23 +4,30 @@
 // per peer address, and runs each hosted shard (groups are disjoint, so a
 // handler is one ordering shard) on the shared shard driver — its own
 // node.Mailbox and node.Step, the same loop as the in-process runtime. The
-// ordering path is pipelined across three stages (docs/CONCURRENCY.md):
+// path of a frame crosses two goroutines per hop (docs/CONCURRENCY.md):
 //
-//	read loops   — one buffered read(2) takes in every frame a segment
-//	               carried; each is borrow-decoded and routed to the
-//	               mailboxes of the shards its header names;
-//	shard loops  — Handle serially per shard, persist-before-release (the
-//	               driver), then post local sends straight to the
-//	               destination shard's mailbox and hand remote sends to the
-//	               encode stage;
-//	encode stage — serialise each send exactly once (encode-once fan-out,
-//	               shared by reference counting across the writers of every
-//	               destination address), batching ack-class unicasts per
-//	               (address, shard) into AckBatch frames.
+//	read loops  — one buffered read(2) takes in every frame a segment
+//	              carried; each is borrow-decoded and routed to the
+//	              mailboxes of the shards its header names;
+//	shard loops — Handle serially per shard, persist-before-release (the
+//	              driver), then post local sends straight to the
+//	              destination shard's mailbox, serialise each remote send
+//	              exactly once (encode-once fan-out) and append the bytes to
+//	              the link of every destination address, batching ack-class
+//	              unicasts per link into AckBatch frames; at the end of each
+//	              mailbox drain, flush the links the drain touched.
 //
-// Every hand-off between stages is a non-blocking mailbox (a bounded MPSC
-// ring with an unbounded overflow, internal/ring), so no stage can deadlock
-// another; sustained overload shows up as mailbox depth, not as
+// A link is the outbound half of one peer address: a byte buffer under a
+// mutex and the connection. The flush offers the buffer to the socket once,
+// on the shard loop, without blocking; what the socket does not take — and
+// everything while the link is not connected — goes to the link's writer
+// goroutine, which dials, writes and ends when nothing is left. One byte
+// stream per link: per-link FIFO holds by construction. A backlog past
+// linkBacklog drops frames rather than block a shard loop.
+//
+// The hand-off between the two stages is a non-blocking mailbox (a bounded
+// MPSC ring with an unbounded overflow, internal/ring), so no loop can
+// deadlock another; sustained overload shows up as mailbox depth, not as
 // backpressure.
 //
 // Frame format: 4-byte big-endian length, a uvarint destination count and
@@ -32,9 +39,10 @@
 // The hot path is allocation-lean end to end:
 //
 //   - Outbound, each distinct message of a Handle call is serialised exactly
-//     once, regardless of how many recipients its Send fans out to; the
-//     encoded frame is shared (reference-counted) across all peer writer
-//     queues and returned to a sync.Pool once every writer is done with it.
+//     once, into the shard's scratch, regardless of how many recipients its
+//     Send fans out to, and copied into the buffer of each destination
+//     address's link; a link alternates between two buffers, so the steady
+//     state allocates nothing.
 //   - Inbound, read frames come from a sync.Pool and are decoded in borrow
 //     mode (wire.DecodeBorrowed): the message's byte fields alias the frame,
 //     which is recycled as soon as the handler returns. Handlers must

@@ -1,203 +1,294 @@
 package tcpnet
 
 import (
+	"encoding/binary"
+	"io"
+	"net"
 	"testing"
+	"time"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
 )
 
-// encTestNode builds a listener-less node with captured writers for the
-// given pid→addr book, so encoder-stage behaviour is fully deterministic.
-func encTestNode(book map[mcast.ProcessID]string) (*Node, map[string]*writer) {
-	n := newBenchNode(1)
-	ws := make(map[string]*writer)
-	for pid, addr := range book {
-		n.addrs[pid] = addr
-		if _, ok := ws[addr]; !ok {
-			w := &writer{addr: addr, out: make(chan outEntry, 64)}
-			ws[addr] = w
-			n.writers[addr] = w
+// waitFor polls cond until it holds or a deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
+		time.Sleep(time.Millisecond)
 	}
-	return n, ws
 }
 
-func takeEntry(t *testing.T, w *writer) outEntry {
+// scripted serves a node whose shards run script(pid, k, fx) when the test
+// injects step k into shard pid: the sends of one step are one Handle call's,
+// and — the node being otherwise idle — one drain's.
+func scripted(t *testing.T, script func(pid mcast.ProcessID, k uint64, fx *node.Effects), pids ...mcast.ProcessID) *Node {
+	t.Helper()
+	cfg := Config{ListenAddr: "127.0.0.1:0"}
+	for _, pid := range pids {
+		cfg.Shards = append(cfg.Shards, ShardConfig{Handler: node.Func{PID: pid, F: func(in node.Input, fx *node.Effects) {
+			if tm, ok := in.(node.Timer); ok {
+				script(pid, tm.Data, fx)
+			}
+		}}})
+	}
+	n, err := Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n
+}
+
+func step(t *testing.T, n *Node, pid mcast.ProcessID, k uint64) {
+	t.Helper()
+	if err := n.InjectTo(pid, node.Timer{Kind: node.TimerApp, Data: k}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sinkFrame is one frame as a peer's socket saw it.
+type sinkFrame struct {
+	tos  []mcast.ProcessID // the header's destination list
+	from mcast.ProcessID
+	msg  msgs.Message
+	conn int // which accepted connection carried it, counting from 1
+}
+
+// sink is a peer address that only listens: it decodes the frames written to
+// it, in stream order, so a test sees what the link put on the wire. While
+// hold is non-nil and open, it accepts but does not read.
+type sink struct {
+	ln     net.Listener
+	frames chan sinkFrame
+	hold   chan struct{}
+	conns  chan net.Conn
+}
+
+func newSink(t *testing.T, hold chan struct{}) *sink {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &sink{ln: ln, frames: make(chan sinkFrame, 4096), hold: hold, conns: make(chan net.Conn, 16)}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for id := 1; ; id++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { c.Close() })
+			k.conns <- c
+			go k.read(t, c, id)
+		}
+	}()
+	return k
+}
+
+func (k *sink) addr() string { return k.ln.Addr().String() }
+
+func (k *sink) read(t *testing.T, c net.Conn, id int) {
+	if k.hold != nil {
+		<-k.hold
+	}
+	var lenBuf [4]byte
+	for {
+		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
+			return
+		}
+		buf := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
+		if _, err := io.ReadFull(c, buf); err != nil {
+			t.Errorf("sink: stream ends inside a frame: %v", err)
+			return
+		}
+		f := sinkFrame{conn: id}
+		nd, off := binary.Uvarint(buf)
+		for i := uint64(0); i < nd; i++ {
+			d, w := binary.Varint(buf[off:])
+			off += w
+			f.tos = append(f.tos, mcast.ProcessID(d))
+		}
+		rcv, err := decodeFrameBody(buf[off:])
+		if err != nil {
+			t.Errorf("sink: undecodable frame: %v", err)
+			return
+		}
+		f.from, f.msg = rcv.From, rcv.Msg
+		k.frames <- f
+	}
+}
+
+func (k *sink) next(t *testing.T) sinkFrame {
 	t.Helper()
 	select {
-	case e := <-w.out:
-		return e
-	default:
-		t.Fatalf("writer %s: queue empty", w.addr)
-		return outEntry{}
+	case f := <-k.frames:
+		return f
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for a frame at the sink")
+		return sinkFrame{}
 	}
 }
 
-func assertEmpty(t *testing.T, w *writer) {
+func ackEntries(t *testing.T, f sinkFrame) []msgs.AckEntry {
 	t.Helper()
-	if len(w.out) != 0 {
-		t.Fatalf("writer %s: %d unexpected frames", w.addr, len(w.out))
-	}
-}
-
-// TestAckBatchingFlushRules pins the encode stage's ack-batching contract:
-// ack-class unicasts accumulate per (address, sending shard); a non-ack
-// frame to the same stream flushes the pending acks first (per-link FIFO);
-// the end of a drain pass flushes every stream.
-func TestAckBatchingFlushRules(t *testing.T) {
-	n, ws := encTestNode(map[mcast.ProcessID]string{10: "addr-a", 11: "addr-a", 12: "addr-b"})
-	e := newEncoder(n)
-
-	ackTo10 := msgs.AcceptAck{ID: mcast.MakeMsgID(9, 1), Group: 1}
-	ackTo11 := msgs.HeartbeatAck{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}}
-	ackTo12 := msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 6, Proc: 1}, Slot: 9}
-
-	e.batch(&sendBatch{from: 1, sends: []node.Send{
-		{To: 10, Msg: ackTo10},
-		{To: 11, Msg: ackTo11},
-		{To: 12, Msg: ackTo12},
-	}})
-	// Acks are pending, nothing on the wire yet.
-	assertEmpty(t, ws["addr-a"])
-	assertEmpty(t, ws["addr-b"])
-
-	// A non-ack to addr-a flushes addr-a's pending acks ahead of itself;
-	// addr-b's stream is untouched.
-	e.batch(&sendBatch{from: 1, sends: []node.Send{
-		{To: 10, Msg: msgs.Heartbeat{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}}},
-	}})
-	first := takeEntry(t, ws["addr-a"])
-	if !first.ackBatch {
-		t.Fatal("non-ack frame overtook the pending acks on its link")
-	}
-	rcv, err := decodeFrameBody(first.f.buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, ok := rcv.Msg.(msgs.AckBatch)
+	ab, ok := f.msg.(msgs.AckBatch)
 	if !ok {
-		t.Fatalf("decoded %T, want AckBatch", rcv.Msg)
+		t.Fatalf("frame carries %T, want an AckBatch", f.msg)
 	}
-	if len(ab.Entries) != 2 || ab.Entries[0].To != 10 || ab.Entries[1].To != 11 {
-		t.Fatalf("ack batch entries = %+v, want acks to 10 then 11", ab.Entries)
+	if len(f.tos) != 0 {
+		t.Fatalf("AckBatch frame names destinations %v in its header", f.tos)
 	}
-	if rcv.From != 1 {
-		t.Errorf("ack batch sender = %d, want 1", rcv.From)
-	}
-	second := takeEntry(t, ws["addr-a"])
-	if second.ackBatch || second.to != 10 {
-		t.Fatalf("second frame = %+v, want the heartbeat to 10", second)
-	}
-	assertEmpty(t, ws["addr-b"])
-
-	// End of drain pass: the remaining stream flushes.
-	e.flushAll()
-	bEntry := takeEntry(t, ws["addr-b"])
-	rcv, err = decodeFrameBody(bEntry.f.buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, ok = rcv.Msg.(msgs.AckBatch)
-	if !ok || len(ab.Entries) != 1 || ab.Entries[0].To != 12 {
-		t.Fatalf("addr-b flush = %#v, want one ack to 12", rcv.Msg)
-	}
-	if e.pending != 0 {
-		t.Errorf("pending = %d after flushAll, want 0", e.pending)
-	}
-	// Flushing again is a no-op.
-	e.flushAll()
-	assertEmpty(t, ws["addr-a"])
-	assertEmpty(t, ws["addr-b"])
+	return ab.Entries
 }
 
-// TestAckBatchMaxFlush: a stream that accumulates ackBatchMax acks flushes
-// immediately, without waiting for the drain pass to end.
+// TestAckBatchingFlushRules pins the ack-batching contract of the send path:
+// ack-class unicasts accumulate per link; a non-ack frame to the same link
+// is not allowed past them (per-link FIFO); the end of the drain flushes
+// every link, with no further input.
+func TestAckBatchingFlushRules(t *testing.T) {
+	a, b := newSink(t, nil), newSink(t, nil)
+	hb := msgs.Heartbeat{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}}
+	n := scripted(t, func(_ mcast.ProcessID, k uint64, fx *node.Effects) {
+		fx.Send(10, msgs.AcceptAck{ID: mcast.MakeMsgID(9, 1), Group: 1})
+		fx.Send(11, msgs.HeartbeatAck{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}})
+		fx.Send(12, msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 6, Proc: 1}, Slot: 9})
+		if k == 1 {
+			fx.Send(10, hb)
+		}
+	}, 1)
+	n.SetPeer(10, a.addr())
+	n.SetPeer(11, a.addr())
+	n.SetPeer(12, b.addr())
+
+	// Three acks, then a non-ack to a's address: a's acks leave ahead of it
+	// as one frame, b's at the end of the drain.
+	step(t, n, 1, 1)
+	first := a.next(t)
+	if ents := ackEntries(t, first); len(ents) != 2 || ents[0].To != 10 || ents[1].To != 11 || first.from != 1 {
+		t.Fatalf("first frame to a = %+v, want shard 1's acks to 10 then 11", first)
+	}
+	if second := a.next(t); second.msg != hb || len(second.tos) != 1 || second.tos[0] != 10 {
+		t.Fatalf("second frame to a = %+v, want the heartbeat to 10", second)
+	}
+	if ents := ackEntries(t, b.next(t)); len(ents) != 1 || ents[0].To != 12 {
+		t.Fatalf("b's flush = %+v, want one ack to 12", ents)
+	}
+
+	// Acks alone: nothing follows them on their links, and the node gets no
+	// further input — the end of the drain is what sends them.
+	step(t, n, 1, 2)
+	if ents := ackEntries(t, a.next(t)); len(ents) != 2 {
+		t.Fatalf("a's drain-end flush = %+v, want two acks", ents)
+	}
+	if ents := ackEntries(t, b.next(t)); len(ents) != 1 {
+		t.Fatalf("b's drain-end flush = %+v, want one ack", ents)
+	}
+	st := n.Stats()
+	if st.MessagesEncoded != 5 || st.FramesSent != 5 {
+		t.Errorf("encoded %d messages into %d frames, want 5 and 5 (four ack batches, one heartbeat)", st.MessagesEncoded, st.FramesSent)
+	}
+	if got := n.rt.AckBatchSize.Snapshot().Count; got != 4 {
+		t.Errorf("ack batch size observed %d times, want 4", got)
+	}
+}
+
+// TestAckBatchMaxFlush: a link that accumulates ackBatchMax acks within one
+// call flushes them at once; the rest follow in order at the drain's end.
 func TestAckBatchMaxFlush(t *testing.T) {
-	n, ws := encTestNode(map[mcast.ProcessID]string{10: "addr-a"})
-	e := newEncoder(n)
-	sends := make([]node.Send, ackBatchMax)
-	for i := range sends {
-		sends[i] = node.Send{To: 10, Msg: msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}, Slot: uint64(i)}}
-	}
-	e.batch(&sendBatch{from: 1, sends: sends})
-	entry := takeEntry(t, ws["addr-a"])
-	rcv, err := decodeFrameBody(entry.f.buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, ok := rcv.Msg.(msgs.AckBatch)
-	if !ok || len(ab.Entries) != ackBatchMax {
-		t.Fatalf("decoded %#v, want an AckBatch of %d", rcv.Msg, ackBatchMax)
-	}
-	for i, ent := range ab.Entries {
-		if ent.Msg.(msgs.P2b).Slot != uint64(i) {
-			t.Fatalf("entry %d out of order: %+v", i, ent)
+	const extra = 5
+	a := newSink(t, nil)
+	n := scripted(t, func(_ mcast.ProcessID, _ uint64, fx *node.Effects) {
+		for i := 0; i < ackBatchMax+extra; i++ {
+			fx.Send(10, msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}, Slot: uint64(i)})
+		}
+	}, 1)
+	n.SetPeer(10, a.addr())
+	step(t, n, 1, 0)
+	slot := uint64(0)
+	for _, want := range []int{ackBatchMax, extra} {
+		ents := ackEntries(t, a.next(t))
+		if len(ents) != want {
+			t.Fatalf("ack batch of %d, want %d", len(ents), want)
+		}
+		for _, ent := range ents {
+			if ent.Msg.(msgs.P2b).Slot != slot {
+				t.Fatalf("entry out of order: slot %d, want %d", ent.Msg.(msgs.P2b).Slot, slot)
+			}
+			slot++
 		}
 	}
 }
 
 // TestFanoutGroupsByAddr: a fan-out send whose recipients share addresses
-// produces one frame per address with a multi-destination header entry,
-// sharing a single encoded buffer.
+// produces one frame per address, naming every recipient there in its
+// header, from a single encode.
 func TestFanoutGroupsByAddr(t *testing.T) {
-	n, ws := encTestNode(map[mcast.ProcessID]string{10: "addr-a", 11: "addr-a", 12: "addr-b"})
-	e := newEncoder(n)
-	var fx node.Effects
-	fx.SendAll([]mcast.ProcessID{10, 11, 12}, benchAccept())
-	e.batch(&sendBatch{from: 1, sends: fx.Sends})
-
-	ea := takeEntry(t, ws["addr-a"])
-	eb := takeEntry(t, ws["addr-b"])
-	if len(ea.tos) != 2 || ea.tos[0] != 10 || ea.tos[1] != 11 {
-		t.Fatalf("addr-a destinations = %v, want [10 11]", ea.tos)
+	a, b := newSink(t, nil), newSink(t, nil)
+	n := scripted(t, func(_ mcast.ProcessID, _ uint64, fx *node.Effects) {
+		fx.SendAll([]mcast.ProcessID{10, 11, 12}, benchAccept())
+	}, 1)
+	n.SetPeer(10, a.addr())
+	n.SetPeer(11, a.addr())
+	n.SetPeer(12, b.addr())
+	step(t, n, 1, 0)
+	if fa := a.next(t); len(fa.tos) != 2 || fa.tos[0] != 10 || fa.tos[1] != 11 {
+		t.Fatalf("a's destinations = %v, want [10 11]", fa.tos)
 	}
-	if eb.tos != nil || eb.to != 12 {
-		t.Fatalf("addr-b entry = %+v, want unicast to 12", eb)
+	if fb := b.next(t); len(fb.tos) != 1 || fb.tos[0] != 12 {
+		t.Fatalf("b's destinations = %v, want [12]", fb.tos)
 	}
-	if ea.f != eb.f {
-		t.Fatal("addresses got distinct frames; want one shared encode")
-	}
-	if got := n.rt.Encoded.Load(); got != 1 {
-		t.Errorf("Encoded = %d, want 1", got)
-	}
-	if got := n.rt.FramesSent.Load(); got != 2 {
-		t.Errorf("FramesSent = %d, want 2 (one per address)", got)
+	if st := n.Stats(); st.MessagesEncoded != 1 || st.FramesSent != 2 {
+		t.Errorf("encoded %d, sent %d frames; want 1 encode, 2 frames (one per address)", st.MessagesEncoded, st.FramesSent)
 	}
 }
 
-// TestReadLoopRoutesMultiDest exercises the inbound side of the
-// multi-destination header via Serve-level loopback below (see
-// tcpnet_test.TestMultiShardAckBatchOverTCP); here we pin the header
-// encoding the write loop produces for each entry shape by round-tripping
-// through the same append logic.
+// TestHostedRecipientsSkipWire: a node hosting shards 1 and 2 — a send from
+// shard 1 to {2, 12} reaches shard 2 through its mailbox and puts only the
+// frame for 12 on the wire.
 func TestHostedRecipientsSkipWire(t *testing.T) {
-	// A node hosting shards 1 and 2: a send from shard 1 to {2, 12} must
-	// post locally to shard 2 and hand only pid 12 to the encode stage.
+	b := newSink(t, nil)
+	hb := msgs.Heartbeat{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}}
+	local := make(chan node.Recv, 1)
 	n, err := Serve(Config{
 		ListenAddr: "127.0.0.1:0",
 		Shards: []ShardConfig{
-			{Handler: node.Func{PID: 1, F: func(node.Input, *node.Effects) {}}},
-			{Handler: node.Func{PID: 2, F: func(node.Input, *node.Effects) {}}},
+			{Handler: node.Func{PID: 1, F: func(in node.Input, fx *node.Effects) {
+				if _, ok := in.(node.Timer); ok {
+					fx.SendAll([]mcast.ProcessID{2, 12}, hb)
+				}
+			}}},
+			{Handler: node.Func{PID: 2, F: func(in node.Input, _ *node.Effects) {
+				if rcv, ok := in.(node.Recv); ok {
+					local <- rcv
+				}
+			}}},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	w := captureWriter(n, "addr-b")
-	n.SetPeer(12, "addr-b")
-
-	var fx node.Effects
-	fx.SendAll([]mcast.ProcessID{2, 12}, msgs.Heartbeat{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}})
-	n.shards[0].send(nil, fx.Sends)
-	waitFor(t, "encode stage", func() bool { return n.Stats().FramesSent == 1 })
-	e := takeEntry(t, w)
-	if e.tos != nil || e.to != 12 {
-		t.Fatalf("wire entry = %+v, want unicast to 12 only", e)
+	n.SetPeer(12, b.addr())
+	step(t, n, 1, 0)
+	if f := b.next(t); len(f.tos) != 1 || f.tos[0] != 12 || f.msg != hb {
+		t.Fatalf("wire frame = %+v, want the heartbeat to 12 only", f)
 	}
-	if st := n.Stats(); st.MessagesEncoded != 1 {
-		t.Errorf("MessagesEncoded = %d, want 1", st.MessagesEncoded)
+	select {
+	case rcv := <-local:
+		if rcv.From != 1 || rcv.Msg != hb {
+			t.Fatalf("shard 2 received %+v", rcv)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the co-hosted shard never got the message")
+	}
+	if st := n.Stats(); st.MessagesEncoded != 1 || st.FramesSent != 1 {
+		t.Errorf("stats %+v, want one encode and one frame", st)
 	}
 }

@@ -2,7 +2,6 @@ package tcpnet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -43,7 +42,6 @@ type readRig struct {
 func newReadRig(tb testing.TB, onRecv func(node.Recv)) *readRig {
 	tb.Helper()
 	n := newBenchNode(3)
-	n.quit = make(chan struct{})
 	s := &shard{n: n, pid: 3, box: node.NewMailbox[boxedInput](64, n.quit)}
 	n.shards = append(n.shards, s)
 	n.shardByPID[3] = s
@@ -74,18 +72,17 @@ func newReadRig(tb testing.TB, onRecv func(node.Recv)) *readRig {
 	return r
 }
 
-// rawFrame builds the bytes a peer's writeLoop puts on the wire for one
-// message from process 4 to shard 3.
+// rawFrame builds the bytes a peer's link puts on the wire for one message
+// from process 4 to shard 3.
 func rawFrame(tb testing.TB, n *Node, m msgs.Message) []byte {
 	tb.Helper()
-	f, err := n.encodeFrame(4, m)
-	if err != nil {
-		tb.Fatal(err)
+	body, ok := (&shard{n: n, pid: 4}).encode(m)
+	if !ok {
+		tb.Fatal("encode failed")
 	}
-	hdr := binary.AppendUvarint([]byte{0, 0, 0, 0}, 1)
-	hdr = binary.AppendVarint(hdr, 3)
-	binary.BigEndian.PutUint32(hdr, uint32(len(hdr)-4+len(f.buf)))
-	return append(hdr, f.buf...)
+	l := newLink(n, "")
+	l.append([]mcast.ProcessID{3}, body)
+	return l.buf
 }
 
 func (r *readRig) next(t *testing.T) node.Recv {

@@ -25,27 +25,26 @@ const MaxFrame = 16 << 20
 // real fan-out is bounded by the topology size).
 const maxDests = 1 << 10
 
-// Outbound write coalescing bounds: a writeLoop drains up to
-// coalesceFrames queued frames (or coalesceBytes bytes) into one
-// vectored write, so bursts — batch envelopes, ACK fans — cost one
-// syscall instead of one per frame.
-const (
-	coalesceFrames = 64
-	coalesceBytes  = 256 << 10
-)
+// linkBacklog bounds the bytes pending on one link — frames appended
+// and not yet taken by a write. A frame that would grow a non-empty backlog
+// past it is dropped and counted; an empty link takes any frame, so one of
+// MaxFrame bytes always fits. With the batch being written beside it, a link
+// holds at most twice this much (or two frames, if they are larger).
+const linkBacklog = 4 << 20
 
 // readBufSize is the per-connection read buffer: one read(2) takes in every
 // frame the kernel has queued up to this many bytes, instead of two reads
 // (length prefix, body) per frame. A larger frame bypasses the buffer.
 const readBufSize = 32 << 10
 
-// ackBatchMax bounds how many ack-class messages accumulate for one
-// (address, sending shard) stream before the encode stage flushes them as
-// one AckBatch frame regardless of queue pressure.
+// ackBatchMax bounds how many ack-class messages one shard accumulates for
+// one link before they leave as one AckBatch frame regardless of where the
+// drain stands.
 const ackBatchMax = 64
 
-// pooledFrameCap bounds the capacity of buffers returned to the frame
-// pools, so one jumbo frame does not pin megabytes inside the pool.
+// pooledFrameCap bounds the capacity of the buffers kept for reuse (the read
+// pool's frames, a link's two buffers), so one jumbo frame does not pin
+// megabytes.
 const pooledFrameCap = 1 << 20
 
 // ShardConfig describes one protocol shard hosted by a Node: its handler
@@ -117,16 +116,16 @@ type Stats struct {
 	// send addresses, plus one per flushed AckBatch (each covering many
 	// ack sends).
 	MessagesEncoded int64
-	// FramesSent counts frames enqueued to peer writers — one per
+	// FramesSent counts frames appended to peer links — one per
 	// destination address per send (self- and co-hosted sends excluded).
 	// FramesSent / MessagesEncoded is the achieved fan-out sharing factor.
 	FramesSent int64
-	// FramesCoalesced counts frames that rode along in a multi-frame
-	// vectored write instead of costing their own syscall.
+	// FramesCoalesced counts frames beyond the first in one write: those
+	// that rode along instead of costing their own syscall.
 	FramesCoalesced int64
-	// OutboundDrops counts frames dropped because a peer's writer queue
-	// was full or its address was unknown/retracted. Dropped frames are
-	// recovered by the protocols' retry machinery.
+	// OutboundDrops counts frames dropped because a peer's link was past
+	// linkBacklog, its address was unknown, or it could not be reached.
+	// Dropped frames are recovered by the protocols' retry machinery.
 	OutboundDrops int64
 	// Reconnects counts outbound redials after a connection failure.
 	Reconnects int64
@@ -155,19 +154,14 @@ type Node struct {
 	shards     []*shard
 	shardByPID map[mcast.ProcessID]*shard
 
-	// The encode stage's input: shard loops post sendBatches, the encode
-	// goroutine is the single consumer.
-	encodeQ *node.Mailbox[*sendBatch]
+	// The address book: every known peer's link, and the one link of each
+	// address (several processes may share one).
+	mu    sync.Mutex
+	peers map[mcast.ProcessID]*link
+	links map[string]*link
 
-	mu      sync.Mutex
-	addrs   map[mcast.ProcessID]string
-	writers map[string]*writer
-
-	// readPool recycles inbound frame buffers; outPool recycles outbound
-	// reference-counted frames; batchPool recycles sendBatches.
-	readPool  sync.Pool
-	outPool   sync.Pool
-	batchPool sync.Pool
+	// readPool recycles inbound frame buffers.
+	readPool sync.Pool
 
 	// rt holds the node's I/O counters (cfg.Metrics, or an unregistered
 	// handle when the caller passed none).
@@ -181,6 +175,7 @@ type Node struct {
 type shard struct {
 	n         *Node
 	pid       mcast.ProcessID
+	idx       int // in n.shards: the shard's lane on every link
 	step      *node.Step
 	onDeliver func(d mcast.Delivery)
 	box       *node.Mailbox[boxedInput]
@@ -189,6 +184,14 @@ type shard struct {
 	// hand-off in flight — staged entries alias them until its Append has
 	// returned: composite readFrames, nil when none.
 	held, flying *readFrame
+
+	// The send path's scratch, used by the shard's loop alone: the encoded
+	// body of the send being released, its recipients grouped by link, and
+	// the links appended to since the last flush.
+	enc     []byte
+	groups  []linkGroup
+	ngroups int
+	touched []*link
 }
 
 // boxedInput pairs an input with the pooled read frame its decoded message
@@ -210,45 +213,6 @@ type readFrame struct {
 	buf   []byte
 	refs  atomic.Int32
 	parts []*readFrame
-}
-
-// outFrame is one encoded outbound frame body — [sender varint][wire
-// message] — shared by reference counting across the writer queues of
-// every destination address of a fan-out send. The per-address frame
-// header ([len][ndests][dests...]) is built by each writeLoop.
-type outFrame struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-// outEntry is one frame queued to one address's writer, carrying the
-// destination list for the header.
-type outEntry struct {
-	f *outFrame
-	// to is the single destination when tos is nil; tos is the
-	// destination list when the address hosts several of the send's
-	// recipients.
-	to  mcast.ProcessID
-	tos []mcast.ProcessID
-	// ackBatch marks an AckBatch frame: the header carries zero
-	// destinations and the receiver routes by the per-entry To fields.
-	ackBatch bool
-}
-
-// sendBatch is one release's remote sends, handed from a shard loop to
-// the encode stage. frame (if non-nil) holds a reference to the inbound
-// frame the send messages may borrow from; the encode stage releases it
-// once every send is serialised.
-type sendBatch struct {
-	from  mcast.ProcessID
-	sends []node.Send
-	frame *readFrame
-}
-
-// writer is the outbound queue for one peer address.
-type writer struct {
-	addr string
-	out  chan outEntry
 }
 
 // Serve starts listening and processing.
@@ -295,33 +259,29 @@ func Serve(cfg Config) (*Node, error) {
 		ln:         ln,
 		quit:       make(chan struct{}),
 		shardByPID: make(map[mcast.ProcessID]*shard, len(specs)),
-		addrs:      make(map[mcast.ProcessID]string, len(cfg.Peers)),
-		writers:    make(map[string]*writer),
+		peers:      make(map[mcast.ProcessID]*link, len(cfg.Peers)),
+		links:      make(map[string]*link),
 		rt:         rt,
 	}
-	n.encodeQ = node.NewMailbox[*sendBatch](max(cfg.MailboxSize, 64), n.quit)
 	n.readPool.New = func() any { return &readFrame{} }
-	n.outPool.New = func() any { return &outFrame{} }
-	n.batchPool.New = func() any { return &sendBatch{} }
-	for pid, addr := range cfg.Peers {
-		n.addrs[pid] = addr
-	}
 	for _, sp := range specs {
 		if _, dup := n.shardByPID[sp.pid]; dup {
 			ln.Close()
 			return nil, fmt.Errorf("tcpnet: duplicate shard %d", sp.pid)
 		}
 		s := &shard{
-			n: n, pid: sp.pid, onDeliver: sp.sc.OnDeliver,
+			n: n, pid: sp.pid, idx: len(n.shards), onDeliver: sp.sc.OnDeliver,
 			step: node.NewStep(sp.sc.Handler, sp.sc.Storage),
 			box:  node.NewMailbox[boxedInput](cfg.MailboxSize, n.quit),
 		}
 		n.shards = append(n.shards, s)
 		n.shardByPID[sp.pid] = s
 	}
-	n.wg.Add(2 + len(n.shards))
+	for pid, addr := range cfg.Peers {
+		n.SetPeer(pid, addr)
+	}
+	n.wg.Add(1 + len(n.shards))
 	go n.acceptLoop()
-	go n.encodeLoop()
 	for _, s := range n.shards {
 		go func() {
 			defer n.wg.Done()
@@ -371,21 +331,31 @@ func (n *Node) ShardDepth(pid mcast.ProcessID) int64 {
 }
 
 // SetPeer registers (or updates) the address of a peer process. The
-// address book is consulted when each send is encoded, so an update takes
-// effect for all subsequent sends; a writer for a stale address idles
-// until the node closes.
+// address book is consulted for each send, so an update takes effect for
+// all subsequent sends; the link of a stale address idles until the node
+// closes.
 func (n *Node) SetPeer(pid mcast.ProcessID, addr string) {
 	n.mu.Lock()
-	n.addrs[pid] = addr
+	l, ok := n.links[addr]
+	if !ok {
+		l = newLink(n, addr)
+		n.links[addr] = l
+	}
+	n.peers[pid] = l
 	n.mu.Unlock()
 }
 
-// peerAddr looks up the current address of a peer.
-func (n *Node) peerAddr(pid mcast.ProcessID) (string, bool) {
+// linkTo returns the link of a peer's current address. A peer without one
+// is a counted drop.
+func (n *Node) linkTo(pid mcast.ProcessID) *link {
 	n.mu.Lock()
-	addr, ok := n.addrs[pid]
+	l := n.peers[pid]
 	n.mu.Unlock()
-	return addr, ok
+	if l == nil {
+		n.rt.OutboundDrops.Inc()
+		n.logf("tcpnet: no address for process %d", pid)
+	}
+	return l
 }
 
 // Inject posts a local input (e.g. a client Submit) to a single-shard
@@ -417,6 +387,13 @@ func (n *Node) InjectTo(pid mcast.ProcessID, in node.Input) error {
 func (n *Node) stop() {
 	n.quitOnce.Do(func() { close(n.quit) })
 	n.ln.Close()
+	// Release the writers blocked on a peer that does not read. A writer
+	// that connects from here on sees quit and closes its own.
+	n.mu.Lock()
+	for _, l := range n.links {
+		l.setConn(nil)
+	}
+	n.mu.Unlock()
 }
 
 // Close stops the node and joins its goroutines.
@@ -612,10 +589,20 @@ func (s *shard) consume(b boxedInput) {
 	s.release(b.frame, rel, err)
 }
 
-// commit is the mailbox's commit hook: what the drain staged goes to the
-// store — one Append, one Sync — on a goroutine beside the loop, with the
-// frames it may alias, and comes back through the mailbox.
+// commit is the mailbox's commit hook, the end of a drain. First the links
+// the drain appended to are flushed — so a frame waits for the rest of its
+// drain and no longer, and whatever the drain produced for one peer leaves
+// in one write. Then what the drain staged goes to the store — one Append,
+// one Sync — on a goroutine beside the loop, with the frames it may alias,
+// and comes back through the mailbox.
 func (s *shard) commit() {
+	for _, l := range s.touched {
+		ln := &l.lanes[s.idx]
+		s.flushAcks(l, ln)
+		ln.touched = false
+		l.flush()
+	}
+	s.touched = s.touched[:0] // links live as long as the node: nothing to unpin
 	c := s.step.Handoff()
 	if c == nil {
 		return
@@ -654,370 +641,301 @@ func (s *shard) release(rf *readFrame, rel node.Release, err error) {
 	n.releaseRead(rf)
 }
 
-// send releases one release's sends. Sends to co-hosted shards are posted
-// straight to their mailboxes; sends with any remote recipient are handed
-// to the encode stage as one sendBatch, carrying a reference to the
-// inbound frame rf so borrowed message bytes stay alive until serialised.
+// linkGroup collects the recipients of one send that share a link, so the
+// address gets one frame whatever it hosts.
+type linkGroup struct {
+	l   *link
+	tos []mcast.ProcessID
+}
+
+// send releases one release's sends. A hosted recipient (self-send or a
+// co-hosted shard) gets the message through its mailbox without touching
+// the wire: the value is shared, not re-encoded — handlers treat received
+// messages as immutable either way — and the posted input keeps a reference
+// to rf in case the message borrows from it. For the remote recipients the
+// message is serialised once, here, whatever the fan-out, and the bytes are
+// appended to the link of every destination address; commit flushes them.
+// Ack-class unicasts accumulate per link and leave as one AckBatch frame —
+// before any later frame of this shard to the same link (per-link FIFO),
+// when ackBatchMax have gathered, and at the end of the drain.
 func (s *shard) send(rf *readFrame, sends []node.Send) {
 	n := s.n
-	remote := false
 	for i := range sends {
 		snd := &sends[i]
+		ack := snd.Tos == nil && snd.Msg.Kind().IsAck()
+		s.ngroups = 0
 		for r := 0; r < snd.NumRecipients(); r++ {
 			to := snd.Recipient(r)
 			if t, ok := n.shardByPID[to]; ok {
-				// Hosted recipient (self-send or a co-hosted shard): loop
-				// back through its mailbox without touching the wire. The
-				// message value is shared, not re-encoded; handlers treat
-				// received messages as immutable either way, and the posted
-				// input keeps a reference to rf in case the message borrows
-				// from it.
 				n.retainRead(rf)
 				t.box.Post(boxedInput{in: node.Recv{From: s.pid, Msg: snd.Msg}, frame: rf})
+			} else if l := n.linkTo(to); l == nil {
+				continue
+			} else if ack {
+				ln := s.lane(l)
+				ln.acks = append(ln.acks, msgs.AckEntry{To: to, Msg: snd.Msg})
+				if len(ln.acks) >= ackBatchMax {
+					s.flushAcks(l, ln)
+				}
 			} else {
-				remote = true
+				s.addTo(l, to)
+			}
+		}
+		if s.ngroups == 0 {
+			continue
+		}
+		groups := s.groups[:s.ngroups]
+		for j := range groups {
+			s.flushAcks(groups[j].l, s.lane(groups[j].l))
+		}
+		if body, ok := s.encode(snd.Msg); ok {
+			for j := range groups {
+				groups[j].l.append(groups[j].tos, body)
 			}
 		}
 	}
-	if remote {
-		n.retainRead(rf)
-		b := n.batchPool.Get().(*sendBatch)
-		b.from = s.pid
-		b.frame = rf
-		b.sends = append(b.sends[:0], sends...)
-		n.encodeQ.Post(b)
-	}
 }
 
-// putBatch recycles a sendBatch, clearing message references so the pool
-// does not pin frames or payloads.
-func (n *Node) putBatch(b *sendBatch) {
-	clear(b.sends)
-	b.sends = b.sends[:0]
-	b.frame = nil
-	n.batchPool.Put(b)
-}
-
-// ackKey identifies one ack-accumulation stream of the encode stage: acks
-// from one hosted shard to one peer address. Keeping streams separate per
-// sending shard preserves per-link FIFO (an AckBatch frame carries one
-// sender).
-type ackKey struct {
-	addr string
-	from mcast.ProcessID
-}
-
-// encoder is the encode stage's state: the address-grouping scratch for
-// one send's fan-out and the pending ack batches. It is owned by the
-// single encodeLoop goroutine.
-type encoder struct {
-	n       *Node
-	groups  []addrGroup
-	ngroups int
-	acks    map[ackKey][]msgs.AckEntry
-	pending int
-}
-
-// addrGroup collects the recipients of one send that share a destination
-// address, so the address gets one frame whatever it hosts.
-type addrGroup struct {
-	addr string
-	tos  []mcast.ProcessID
-}
-
-func newEncoder(n *Node) *encoder {
-	return &encoder{n: n, acks: make(map[ackKey][]msgs.AckEntry)}
-}
-
-// encodeLoop drains sendBatches from the shard loops, serialising each
-// send exactly once and fanning the shared frame out per destination
-// address. Ack-class unicasts are buffered per (address, shard) and
-// flushed as one AckBatch frame — before any non-ack frame to the same
-// stream (preserving per-link FIFO), when ackBatchMax accumulate, and at
-// the mailbox's commit points (so an idle queue never delays acks).
-func (n *Node) encodeLoop() {
-	defer n.wg.Done()
-	e := newEncoder(n)
-	n.encodeQ.Run(func(b *sendBatch) {
-		e.batch(b)
-		n.releaseRead(b.frame)
-		n.putBatch(b)
-	}, e.flushAll)
-}
-
-// addTo adds one recipient to the send's address grouping scratch.
-func (e *encoder) addTo(addr string, to mcast.ProcessID) {
-	for j := 0; j < e.ngroups; j++ {
-		if e.groups[j].addr == addr {
-			e.groups[j].tos = append(e.groups[j].tos, to)
+// addTo adds one recipient to the send's link grouping scratch.
+func (s *shard) addTo(l *link, to mcast.ProcessID) {
+	for j := 0; j < s.ngroups; j++ {
+		if s.groups[j].l == l {
+			s.groups[j].tos = append(s.groups[j].tos, to)
 			return
 		}
 	}
-	if e.ngroups < len(e.groups) {
-		g := &e.groups[e.ngroups]
-		g.addr = addr
-		g.tos = append(g.tos[:0], to)
-	} else {
-		e.groups = append(e.groups, addrGroup{addr: addr, tos: []mcast.ProcessID{to}})
+	if s.ngroups == len(s.groups) {
+		s.groups = append(s.groups, linkGroup{})
 	}
-	e.ngroups++
+	g := &s.groups[s.ngroups]
+	g.l, g.tos = l, append(g.tos[:0], to)
+	s.ngroups++
 }
 
-// batch serialises one sendBatch.
-func (e *encoder) batch(b *sendBatch) {
-	n := e.n
-	for i := range b.sends {
-		snd := &b.sends[i]
-		if snd.Tos == nil && snd.Msg.Kind().IsAck() {
-			// Ack-class unicast: accumulate for batching.
-			to := snd.To
-			if _, hosted := n.shardByPID[to]; hosted {
-				continue // already posted locally by the shard loop
-			}
-			addr, ok := n.peerAddr(to)
-			if !ok {
-				n.rt.OutboundDrops.Inc()
-				n.logf("tcpnet: no address for process %d", to)
-				continue
-			}
-			k := ackKey{addr: addr, from: b.from}
-			e.acks[k] = append(e.acks[k], msgs.AckEntry{To: to, Msg: snd.Msg})
-			e.pending++
-			if len(e.acks[k]) >= ackBatchMax {
-				e.flushAcks(k)
-			}
-			continue
-		}
-		// Group the remote recipients by destination address: one frame
-		// per address, shared by reference counting.
-		e.ngroups = 0
-		for r := 0; r < snd.NumRecipients(); r++ {
-			to := snd.Recipient(r)
-			if _, hosted := n.shardByPID[to]; hosted {
-				continue // posted locally by the shard loop
-			}
-			addr, ok := n.peerAddr(to)
-			if !ok {
-				n.rt.OutboundDrops.Inc()
-				n.logf("tcpnet: no address for process %d", to)
-				continue
-			}
-			e.addTo(addr, to)
-		}
-		if e.ngroups == 0 {
-			continue
-		}
-		// Per-link FIFO: pending acks from this shard to any address this
-		// frame targets must hit the wire first.
-		for j := 0; j < e.ngroups; j++ {
-			e.flushAcks(ackKey{addr: e.groups[j].addr, from: b.from})
-		}
-		f, err := n.encodeFrame(b.from, snd.Msg)
-		if err != nil {
-			n.logf("tcpnet: encode %v: %v", snd.Msg.Kind(), err)
-			continue
-		}
-		// Hand out one reference per destination address before the first
-		// enqueue, so a fast writer finishing early cannot free the frame
-		// while we are still fanning it out.
-		f.refs.Store(int32(e.ngroups))
-		for j := 0; j < e.ngroups; j++ {
-			g := &e.groups[j]
-			ent := outEntry{f: f}
-			if len(g.tos) == 1 {
-				ent.to = g.tos[0]
-			} else {
-				// The scratch is reused per send; a multi-recipient
-				// destination list must survive until its writer builds
-				// the header.
-				ent.tos = append([]mcast.ProcessID(nil), g.tos...)
-			}
-			n.enqueueAddr(g.addr, ent)
-		}
+// lane returns the shard's lane on l, entering l among the links commit
+// flushes.
+func (s *shard) lane(l *link) *lane {
+	ln := &l.lanes[s.idx]
+	if !ln.touched {
+		ln.touched = true
+		s.touched = append(s.touched, l)
 	}
+	return ln
 }
 
-// flushAcks encodes and enqueues one stream's pending acks as a single
-// AckBatch frame.
-func (e *encoder) flushAcks(k ackKey) {
-	entries := e.acks[k]
-	if len(entries) == 0 {
+// flushAcks appends the acks the shard has accumulated for l as a single
+// AckBatch frame: no destinations in the header, the receiver routes by the
+// per-entry To fields.
+func (s *shard) flushAcks(l *link, ln *lane) {
+	if len(ln.acks) == 0 {
 		return
 	}
-	e.pending -= len(entries)
-	n := e.n
-	f, err := n.encodeFrame(k.from, msgs.AckBatch{Entries: entries})
-	n.rt.AckBatchSize.Observe(time.Duration(len(entries)) * time.Second)
-	e.acks[k] = entries[:0]
-	if err != nil {
-		n.logf("tcpnet: encode ack batch: %v", err)
-		return
-	}
-	f.refs.Store(1)
-	n.enqueueAddr(k.addr, outEntry{f: f, ackBatch: true})
-}
-
-// flushAll flushes every pending ack stream (end of a drain pass).
-func (e *encoder) flushAll() {
-	if e.pending == 0 {
-		return
-	}
-	for k := range e.acks {
-		e.flushAcks(k)
+	s.n.rt.AckBatchSize.Observe(time.Duration(len(ln.acks)) * time.Second)
+	body, ok := s.encode(msgs.AckBatch{Entries: ln.acks})
+	clear(ln.acks)
+	ln.acks = ln.acks[:0]
+	if ok {
+		l.append(nil, body)
 	}
 }
 
-// encodeFrame builds a frame body — [sender varint][wire message] — into a
-// pooled buffer. The caller owns the returned frame's references.
-func (n *Node) encodeFrame(from mcast.ProcessID, m msgs.Message) (*outFrame, error) {
+// encode serialises one frame body — [sender varint][wire message] — into
+// the shard's scratch, valid until the next call.
+func (s *shard) encode(m msgs.Message) ([]byte, bool) {
 	start := time.Now()
-	f := n.outPool.Get().(*outFrame)
-	buf := binary.AppendVarint(f.buf[:0], int64(from))
-	buf, err := wire.Encode(buf, m)
+	buf, err := wire.Encode(binary.AppendVarint(s.enc[:0], int64(s.pid)), m)
+	if s.enc = buf[:0]; cap(buf) > pooledFrameCap {
+		s.enc = nil
+	}
 	if err != nil {
-		f.buf = buf[:0]
-		n.outPool.Put(f)
-		return nil, err
+		s.n.logf("tcpnet: encode %v: %v", m.Kind(), err)
+		return nil, false
 	}
-	f.buf = buf
-	n.rt.Encoded.Inc()
-	n.rt.EncodeStage.Observe(time.Since(start))
-	return f, nil
+	s.n.rt.Encoded.Inc()
+	s.n.rt.EncodeStage.Observe(time.Since(start))
+	return buf, true
 }
 
-// release drops one reference; the last reference returns the frame to the
-// pool.
-func (n *Node) release(f *outFrame) {
-	if f.refs.Add(-1) == 0 {
-		if cap(f.buf) > pooledFrameCap {
-			return
-		}
-		n.outPool.Put(f)
+// link is the outbound half of one peer address: one byte stream, so
+// per-link FIFO holds by construction. Shard loops append whole frames to
+// buf under mu; whoever takes buf — swapping in the spare — writes it, and
+// at most one taker exists at a time: a shard loop's flush, which holds mu
+// across one write that cannot block, or the writer goroutine, which does
+// not hold mu while it writes and is the only one to dial. While the writer
+// runs (writing), loops only append and it drains what they add.
+type link struct {
+	n    *Node
+	addr string
+	// lanes[i] is used by shard i's loop alone.
+	lanes []lane
+
+	mu      sync.Mutex
+	buf     []byte // whole frames, not yet taken by a write
+	frames  int    // how many
+	spare   []byte // the buffer of the last finished write
+	conn    net.Conn
+	try     tryWriter // conn's non-blocking write, where the platform has one
+	writing bool
+}
+
+// lane is one shard's part of a link: the acks it has accumulated for the
+// address, and whether the link is on its touched list.
+type lane struct {
+	acks    []msgs.AckEntry
+	touched bool
+}
+
+func newLink(n *Node, addr string) *link {
+	return &link{n: n, addr: addr, lanes: make([]lane, len(n.shards))}
+}
+
+// append adds one frame — [len u32][ndests uvarint][dest varint...][body]
+// — to the link's backlog, or drops it when the backlog is past its bound:
+// a slow peer never blocks a shard loop, and the protocols' retry machinery
+// recovers the frame (the model's reliable channel is an eventual property).
+func (l *link) append(tos []mcast.ProcessID, body []byte) {
+	l.mu.Lock()
+	if len(l.buf) > 0 && len(l.buf)+len(body) > linkBacklog {
+		l.mu.Unlock()
+		l.n.rt.OutboundDrops.Inc()
+		l.n.logf("tcpnet: backlog to %s full; dropping frame", l.addr)
+		return
+	}
+	start := len(l.buf)
+	buf := binary.AppendUvarint(append(l.buf, 0, 0, 0, 0), uint64(len(tos)))
+	for _, to := range tos {
+		buf = binary.AppendVarint(buf, int64(to))
+	}
+	buf = append(buf, body...)
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	l.buf = buf
+	l.frames++
+	l.mu.Unlock()
+	l.n.rt.FramesSent.Inc()
+}
+
+// take hands the backlog to a write. Callers hold mu.
+func (l *link) take() (out []byte, frames int) {
+	out, frames = l.buf, l.frames
+	l.buf, l.spare, l.frames = l.spare[:0], nil, 0
+	if frames > 1 {
+		l.n.rt.FramesCoalesced.Add(uint64(frames - 1))
+	}
+	return out, frames
+}
+
+// done takes back the buffer of a finished write. Callers hold mu.
+func (l *link) done(out []byte) {
+	if cap(out) <= pooledFrameCap {
+		l.spare = out[:0]
 	}
 }
 
-// enqueueAddr hands a frame reference to the address's writer, creating it
-// on demand. On a full queue the reference is released and the drop is
-// counted; dropped frames are recovered by the protocols' retry machinery
-// (the reliable-channel assumption of the model is an eventual property).
-func (n *Node) enqueueAddr(addr string, e outEntry) {
-	n.mu.Lock()
-	w, ok := n.writers[addr]
-	if !ok {
-		w = &writer{addr: addr, out: make(chan outEntry, 1024)}
-		n.writers[addr] = w
-		n.wg.Add(1)
-		go n.writeLoop(w)
+// flush writes the link's backlog, on the calling shard loop if that cannot
+// block: with the link connected and its writer idle, the socket is offered
+// the bytes once, without waiting for it. What it does not take — or
+// everything, when the link is not connected, the connection is broken or
+// the platform has no such write — goes to the writer goroutine; while that
+// runs, flush leaves the backlog to it.
+func (l *link) flush() {
+	l.mu.Lock()
+	if l.writing || len(l.buf) == 0 {
+		l.mu.Unlock()
+		return
 	}
-	n.mu.Unlock()
-	select {
-	case w.out <- e:
-		n.rt.FramesSent.Inc()
-	default:
-		// Never block the encode stage on a slow peer.
-		n.rt.OutboundDrops.Inc()
-		n.release(e.f)
-		n.logf("tcpnet: outbound queue to %s full; dropping frame", addr)
+	out, frames := l.take()
+	off := l.try.write(out)
+	if off == len(out) {
+		l.done(out)
+		l.mu.Unlock()
+		return
 	}
+	l.writing = true
+	l.mu.Unlock()
+	l.n.wg.Add(1)
+	go l.writeLoop(out, off, frames)
 }
 
-// writeLoop owns the outbound connection to one peer address, dialling
-// lazily and reconnecting once per write on failure. Queued frames are
-// coalesced into a single vectored write, which pipelines bursts (batch
-// envelopes, quorum ACK fans) through one syscall. Each frame's header —
-// [len u32][ndests uvarint][dest varint...] — is built here into a scratch
-// arena, so the shared body buffer is written as-is however many addresses
-// it fans out to.
-func (n *Node) writeLoop(w *writer) {
-	defer n.wg.Done()
-	var conn net.Conn
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
-	held := make([]outEntry, 0, coalesceFrames)
-	var hdr []byte // header arena for one coalesced write
-	var ends []int // per-frame header end offsets into hdr
-	var bufs, scratch net.Buffers
+// writeLoop is the link's writer goroutine, started by the flush that could
+// not finish on its own: it completes that write — out from off — then
+// writes whatever the loops have appended meanwhile, and ends when nothing
+// is left.
+func (l *link) writeLoop(out []byte, off, frames int) {
+	defer l.n.wg.Done()
 	for {
+		l.write(out, off, frames)
+		l.mu.Lock()
+		l.done(out)
 		select {
-		case <-n.quit:
-			return
-		case e := <-w.out:
-			held = append(held[:0], e)
-			size := len(e.f.buf)
-		drain:
-			for len(held) < coalesceFrames && size < coalesceBytes {
-				select {
-				case e := <-w.out:
-					held = append(held, e)
-					size += len(e.f.buf)
-				default:
-					break drain
-				}
-			}
-			if len(held) > 1 {
-				n.rt.FramesCoalesced.Add(uint64(len(held) - 1))
-			}
-			// Build the headers first (appends may grow hdr, so record
-			// offsets and slice afterwards).
-			hdr, ends = hdr[:0], ends[:0]
-			for _, e := range held {
-				s := len(hdr)
-				hdr = append(hdr, 0, 0, 0, 0) // length prefix, patched below
-				switch {
-				case e.ackBatch:
-					hdr = binary.AppendUvarint(hdr, 0)
-				case e.tos == nil:
-					hdr = binary.AppendUvarint(hdr, 1)
-					hdr = binary.AppendVarint(hdr, int64(e.to))
-				default:
-					hdr = binary.AppendUvarint(hdr, uint64(len(e.tos)))
-					for _, t := range e.tos {
-						hdr = binary.AppendVarint(hdr, int64(t))
-					}
-				}
-				binary.BigEndian.PutUint32(hdr[s:], uint32(len(hdr)-s-4+len(e.f.buf)))
-				ends = append(ends, len(hdr))
-			}
-			bufs = bufs[:0]
-			prev := 0
-			for i, e := range held {
-				bufs = append(bufs, hdr[prev:ends[i]], e.f.buf)
-				prev = ends[i]
-			}
-			written := false
-			for attempt := 0; attempt < 2; attempt++ {
-				if conn == nil {
-					c, err := net.DialTimeout("tcp", w.addr, n.cfg.DialTimeout)
-					if err != nil {
-						n.logf("tcpnet: dial %s: %v", w.addr, err)
-						break // drop; retries re-send
-					}
-					conn = c
-				}
-				// WriteTo consumes its receiver; give each attempt a copy.
-				scratch = append(scratch[:0], bufs...)
-				if _, err := scratch.WriteTo(conn); err != nil {
-					n.logf("tcpnet: write to %s: %v", w.addr, err)
-					conn.Close()
-					conn = nil
-					n.rt.Reconnects.Inc()
-					continue
-				}
-				written = true
-				break
-			}
-			if !written {
-				// Every un-written frame is a drop, whatever path led
-				// here (dial failure, both write attempts failing).
-				n.rt.OutboundDrops.Add(uint64(len(held)))
-			}
-			for i := range held {
-				n.release(held[i].f)
-				held[i] = outEntry{}
-			}
+		case <-l.n.quit:
+			l.buf, l.frames = l.buf[:0], 0
+		default:
 		}
+		if len(l.buf) == 0 {
+			l.writing = false
+			l.mu.Unlock()
+			return
+		}
+		out, frames = l.take()
+		off = 0
+		l.mu.Unlock()
+	}
+}
+
+// write blocks until out[off:] is written, dialling when the link has no
+// connection. A failed write closes the connection and is retried once, from
+// the start of out, on a fresh one: a stale connection (the peer restarted)
+// costs nothing, and frames the dead connection did take may arrive twice,
+// which the protocols tolerate. Failing that, the frames are dropped and
+// counted.
+func (l *link) write(out []byte, off, frames int) {
+	n := l.n
+	l.mu.Lock()
+	conn := l.conn
+	l.mu.Unlock()
+	for attempt := 0; attempt < 2; attempt++ {
+		if conn == nil {
+			select {
+			case <-n.quit:
+				return
+			default:
+			}
+			c, err := net.DialTimeout("tcp", l.addr, n.cfg.DialTimeout)
+			if err != nil {
+				n.logf("tcpnet: dial %s: %v", l.addr, err)
+				break // drop; retries re-send
+			}
+			l.setConn(c)
+			conn, off = c, 0
+		}
+		_, err := conn.Write(out[off:])
+		if err == nil {
+			return
+		}
+		n.logf("tcpnet: write to %s: %v", l.addr, err)
+		n.rt.Reconnects.Inc()
+		l.setConn(nil)
+		conn = nil
+	}
+	n.rt.OutboundDrops.Add(uint64(frames))
+}
+
+// setConn replaces the link's connection, closing the old one; a connection
+// made after the node has quit is closed at once.
+func (l *link) setConn(c net.Conn) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conn != nil {
+		l.conn.Close()
+	}
+	l.conn, l.try = c, tryWriter{}
+	if c == nil {
+		return
+	}
+	select {
+	case <-l.n.quit:
+		c.Close()
+	default:
+		l.try = newTryWriter(c)
 	}
 }

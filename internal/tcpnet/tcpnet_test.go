@@ -128,13 +128,17 @@ func TestWhiteBoxOverTCP(t *testing.T) {
 // ordering path: a multi-destination frame fans into both hosted shards
 // off one wire frame, a shard-to-shard send bypasses the wire, and the
 // acks flowing back to the driver ride AckBatch frames that the driver's
-// read loop expands back into per-link-FIFO Recv inputs.
+// read loop expands back into per-link-FIFO Recv inputs. Both hosted shards
+// answer the driver, so two shard loops interleave their appends and flushes
+// on one link (run under -race): each sender's frames must stay whole and in
+// its own order.
 func TestMultiShardAckBatchOverTCP(t *testing.T) {
 	const numPings = 200
 
 	var mu sync.Mutex
 	var shard2From []mcast.ProcessID // senders shard 2 saw
 	var ackOrder []uint64            // Delivered.Time of acks at the driver
+	var echoOrder []uint64           // Bal.N of shard 2's echoes at the driver
 	ackDone := make(chan struct{})
 
 	// Shard 1: forward every heartbeat to co-hosted shard 2 and ack the
@@ -154,9 +158,11 @@ func TestMultiShardAckBatchOverTCP(t *testing.T) {
 			Delivered: mcast.Timestamp{Time: hb.Bal.N},
 		})
 	}}
+	// Shard 2: tell the driver about every message it sees, numbered.
 	shard2 := node.Func{PID: 2, F: func(in node.Input, fx *node.Effects) {
 		if rcv, ok := in.(node.Recv); ok {
 			mu.Lock()
+			fx.Send(3, msgs.Heartbeat{Group: 9, Bal: mcast.Ballot{N: uint64(len(shard2From)), Proc: 2}})
 			shard2From = append(shard2From, rcv.From)
 			mu.Unlock()
 		}
@@ -180,14 +186,17 @@ func TestMultiShardAckBatchOverTCP(t *testing.T) {
 			// address, so this is a single ndests=2 frame on the wire.
 			fx.SendAll([]mcast.ProcessID{1, 2}, msgs.Heartbeat{Group: 7, Bal: mcast.Ballot{N: numPings, Proc: 3}})
 		case node.Recv:
-			if ack, ok := in.Msg.(msgs.HeartbeatAck); ok {
-				mu.Lock()
-				ackOrder = append(ackOrder, ack.Delivered.Time)
-				if len(ackOrder) == numPings+1 {
-					close(ackDone)
-				}
-				mu.Unlock()
+			mu.Lock()
+			switch m := in.Msg.(type) {
+			case msgs.HeartbeatAck:
+				ackOrder = append(ackOrder, m.Delivered.Time)
+			case msgs.Heartbeat:
+				echoOrder = append(echoOrder, m.Bal.N)
 			}
+			if len(ackOrder)+len(echoOrder) == 2*numPings+3 {
+				close(ackDone)
+			}
+			mu.Unlock()
 		}
 	}}
 	dn, err := tcpnet.Serve(tcpnet.Config{PID: 3, ListenAddr: "127.0.0.1:0", Handler: driver})
@@ -208,9 +217,9 @@ func TestMultiShardAckBatchOverTCP(t *testing.T) {
 	case <-ackDone:
 	case <-time.After(20 * time.Second):
 		mu.Lock()
-		n := len(ackOrder)
+		n, m := len(ackOrder), len(echoOrder)
 		mu.Unlock()
-		t.Fatalf("timed out after %d of %d acks", n, numPings+1)
+		t.Fatalf("timed out after %d of %d acks and %d of %d echoes", n, numPings+1, m, numPings+2)
 	}
 
 	// Shard 2 runs on its own loop: the driver having every ack does not
@@ -232,6 +241,11 @@ func TestMultiShardAckBatchOverTCP(t *testing.T) {
 			t.Fatalf("ack %d carries Delivered.Time %d; ack batching broke per-link FIFO", i, got)
 		}
 	}
+	for i, got := range echoOrder {
+		if got != uint64(i) {
+			t.Fatalf("echo %d of shard 2 is number %d; sharing the link with shard 1 broke per-link FIFO", i, got)
+		}
+	}
 	// Shard 2 saw every forwarded heartbeat from co-hosted shard 1 plus
 	// the driver's direct multi-destination one.
 	var from1, from3 int
@@ -250,8 +264,8 @@ func TestMultiShardAckBatchOverTCP(t *testing.T) {
 	// The driver's acks arrived batched: strictly fewer ack frames than
 	// acks would be flaky to assert under arbitrary scheduling, but the
 	// host must have encoded at most one frame per ack plus the forwards.
-	if st := host.Stats(); st.MessagesEncoded > numPings+2 {
-		t.Errorf("host encoded %d messages for %d acks; batching regressed badly", st.MessagesEncoded, numPings+1)
+	if st := host.Stats(); st.MessagesEncoded > 2*numPings+4 {
+		t.Errorf("host encoded %d messages for %d acks and %d echoes; batching regressed badly", st.MessagesEncoded, numPings+1, numPings+2)
 	}
 }
 

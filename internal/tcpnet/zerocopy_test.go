@@ -11,124 +11,62 @@ import (
 	"wbcast/internal/wire"
 )
 
-// waitFor polls cond until it holds or a deadline passes. The encode stage
-// runs asynchronously off the shard loops, so counter assertions after an
-// apply must wait for the pipeline to drain.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// captureWriter pre-registers a writer for addr whose queue is not drained
-// by a writeLoop, so tests can inspect exactly what the encode stage
-// enqueued.
-func captureWriter(n *Node, addr string) *writer {
-	w := &writer{addr: addr, out: make(chan outEntry, 1024)}
-	n.mu.Lock()
-	n.writers[addr] = w
-	n.mu.Unlock()
-	return w
-}
-
 // TestEncodeOnceFanout is the acceptance check for encode-once fan-out: one
-// Handle call whose effects fan a message out to many recipients must
-// serialise that message exactly once, however many peers it reaches, and
-// enqueue one shared frame per destination address.
+// Handle call whose effects fan a message out to many recipients serialises
+// that message exactly once, however many peers it reaches, and every
+// address receives it whole. The encoded body is copied into each link's
+// buffer — for the protocol's frames (an ACCEPT with a 64-byte payload is
+// ~110 bytes) that is a few nanoseconds per address; it reaches the order of
+// a frame's fixed cost (about a microsecond) at bodies of some 16 KiB.
 func TestEncodeOnceFanout(t *testing.T) {
-	// An echo handler is irrelevant here; we drive the send path directly.
-	n, err := Serve(Config{
-		PID:        100,
-		ListenAddr: "127.0.0.1:0",
-		Handler:    node.Func{PID: 100, F: func(node.Input, *node.Effects) {}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
-	// Nine remote recipients across three "groups", each at its own
-	// address, captured so the writer queues are observable.
-	addrs := []string{"cap-a", "cap-b", "cap-c", "cap-d", "cap-e", "cap-f", "cap-g", "cap-h", "cap-i"}
+	const peers = 9
+	sinks := make([]*sink, peers)
 	var tos []mcast.ProcessID
-	for pid := mcast.ProcessID(0); pid < 9; pid++ {
-		captureWriter(n, addrs[pid])
-		n.SetPeer(pid, addrs[pid])
+	del := msgs.Deliver{ID: mcast.MakeMsgID(30, 7), Bal: mcast.Ballot{N: 1, Proc: 0}}
+	n := scripted(t, func(_ mcast.ProcessID, k uint64, fx *node.Effects) {
+		switch k {
+		case 1:
+			fx.SendAll(tos, benchAccept())
+		case 2: // two distinct messages: two encodes, whatever the recipient counts
+			fx.SendAll(tos[:6], benchAccept())
+			fx.SendAll(tos, del)
+		}
+	}, 100)
+	for pid := mcast.ProcessID(0); pid < peers; pid++ {
+		sinks[pid] = newSink(t, nil)
+		n.SetPeer(pid, sinks[pid].addr())
 		tos = append(tos, pid)
 	}
 
-	var fx node.Effects
-	fx.SendAll(tos, benchAccept())
-	n.shards[0].send(nil, fx.Sends)
-	waitFor(t, "fan-out to drain", func() bool { return n.Stats().FramesSent >= 9 })
-
-	st := n.Stats()
-	if st.MessagesEncoded != 1 {
-		t.Errorf("MessagesEncoded = %d, want 1 (encode-once fan-out)", st.MessagesEncoded)
-	}
-	if st.FramesSent != 9 {
-		t.Errorf("FramesSent = %d, want 9", st.FramesSent)
-	}
-
-	// A second Handle's worth of effects with two distinct messages → two
-	// encodes, regardless of recipient counts.
-	fx.Reset()
-	fx.SendAll(tos[:6], benchAccept())
-	fx.SendAll(tos, msgs.Deliver{ID: mcast.MakeMsgID(30, 7), Bal: mcast.Ballot{N: 1, Proc: 0}})
-	n.shards[0].send(nil, fx.Sends)
-	waitFor(t, "second fan-out to drain", func() bool { return n.Stats().FramesSent >= 9+6+9 })
-	st = n.Stats()
-	if st.MessagesEncoded != 3 {
-		t.Errorf("MessagesEncoded = %d, want 3 total", st.MessagesEncoded)
-	}
-	if st.FramesSent != 9+6+9 {
-		t.Errorf("FramesSent = %d, want %d", st.FramesSent, 9+6+9)
-	}
-}
-
-// TestFanoutSharesOneFrame verifies the shared frame actually reaches every
-// writer queue as the same buffer (pointer-identical), i.e. the fan-out does
-// not copy per destination address.
-func TestFanoutSharesOneFrame(t *testing.T) {
-	n, err := Serve(Config{
-		PID:        100,
-		ListenAddr: "127.0.0.1:0",
-		Handler:    node.Func{PID: 100, F: func(node.Input, *node.Effects) {}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	ws := make([]*writer, 3)
-	addrs := []string{"cap-x", "cap-y", "cap-z"}
-	for pid := mcast.ProcessID(0); pid < 3; pid++ {
-		ws[pid] = captureWriter(n, addrs[pid])
-		n.SetPeer(pid, addrs[pid])
-	}
-
-	var fx node.Effects
-	fx.SendAll([]mcast.ProcessID{0, 1, 2}, benchAccept())
-	n.shards[0].send(nil, fx.Sends)
-	waitFor(t, "fan-out to drain", func() bool { return n.Stats().FramesSent == 3 })
-
-	var frames []*outFrame
-	for _, w := range ws {
-		select {
-		case e := <-w.out:
-			frames = append(frames, e.f)
-		default:
-			t.Fatal("writer queue empty after fan-out")
+	step(t, n, 100, 1)
+	want := benchAccept()
+	for pid, k := range sinks {
+		f := k.next(t)
+		acc, ok := f.msg.(msgs.Accept)
+		if !ok || f.from != 100 || len(f.tos) != 1 || f.tos[0] != mcast.ProcessID(pid) {
+			t.Fatalf("peer %d received %+v", pid, f)
+		}
+		if acc.M.ID != want.M.ID || string(acc.M.Payload) != string(want.M.Payload) || acc.LTS != want.LTS {
+			t.Fatalf("peer %d received a different ACCEPT: %+v", pid, acc)
 		}
 	}
-	for i := 1; i < len(frames); i++ {
-		if frames[i] != frames[0] {
-			t.Fatal("fan-out enqueued distinct frame objects; want one shared frame")
+	if st := n.Stats(); st.MessagesEncoded != 1 || st.FramesSent != peers {
+		t.Errorf("encoded %d, sent %d frames; want 1 encode, %d frames", st.MessagesEncoded, st.FramesSent, peers)
+	}
+
+	step(t, n, 100, 2)
+	for pid, k := range sinks {
+		if pid < 6 {
+			if _, ok := k.next(t).msg.(msgs.Accept); !ok {
+				t.Fatalf("peer %d: the ACCEPT did not come first", pid)
+			}
 		}
+		if f := k.next(t); f.msg != del {
+			t.Fatalf("peer %d received %+v, want the DELIVER", pid, f)
+		}
+	}
+	if st := n.Stats(); st.MessagesEncoded != 3 || st.FramesSent != peers+6+peers {
+		t.Errorf("encoded %d, sent %d frames; want 3 encodes, %d frames", st.MessagesEncoded, st.FramesSent, peers+6+peers)
 	}
 }
 
@@ -140,10 +78,13 @@ func TestSelfSendBypassesWire(t *testing.T) {
 	n, err := Serve(Config{
 		PID:        100,
 		ListenAddr: "127.0.0.1:0",
-		Handler: node.Func{PID: 100, F: func(in node.Input, _ *node.Effects) {
-			if rcv, ok := in.(node.Recv); ok {
+		Handler: node.Func{PID: 100, F: func(in node.Input, fx *node.Effects) {
+			switch in := in.(type) {
+			case node.Timer:
+				fx.SendAll([]mcast.ProcessID{100}, msgs.Heartbeat{Group: 2, Bal: mcast.Ballot{N: 1, Proc: 100}})
+			case node.Recv:
 				mu.Lock()
-				got = append(got, rcv.Msg.Kind())
+				got = append(got, in.Msg.Kind())
 				mu.Unlock()
 			}
 		}},
@@ -152,11 +93,7 @@ func TestSelfSendBypassesWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-
-	var fx node.Effects
-	fx.SendAll([]mcast.ProcessID{100}, msgs.Heartbeat{Group: 2, Bal: mcast.Ballot{N: 1, Proc: 100}})
-	n.shards[0].send(nil, fx.Sends)
-
+	step(t, n, 100, 0)
 	waitFor(t, "self-send to loop back", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -212,32 +149,24 @@ func TestElasticMailboxNeverBlocks(t *testing.T) {
 
 // TestStatsCountsDrops verifies OutboundDrops counts address-less sends.
 func TestStatsCountsDrops(t *testing.T) {
-	n, err := Serve(Config{
-		PID:        100,
-		ListenAddr: "127.0.0.1:0",
-		Handler:    node.Func{PID: 100, F: func(node.Input, *node.Effects) {}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	var fx node.Effects
-	fx.Send(55, msgs.Heartbeat{Group: 0}) // no address registered
-	n.shards[0].send(nil, fx.Sends)
+	n := scripted(t, func(_ mcast.ProcessID, _ uint64, fx *node.Effects) {
+		fx.Send(55, msgs.Heartbeat{Group: 0}) // no address registered
+	}, 100)
+	step(t, n, 100, 0)
 	waitFor(t, "drop to be counted", func() bool { return n.Stats().OutboundDrops == 1 })
 }
 
-// TestFrameRoundTripPreservesWire round-trips a frame body through
-// encodeFrame and decodeFrameBody, checking the borrow-decoded message
+// TestFrameRoundTripPreservesWire round-trips a frame body through the send
+// path's encode and decodeFrameBody, checking the borrow-decoded message
 // against the original.
 func TestFrameRoundTripPreservesWire(t *testing.T) {
-	n := newBenchNode(7)
+	s := &shard{n: newBenchNode(7), pid: 7}
 	orig := benchAccept()
-	f, err := n.encodeFrame(7, orig)
-	if err != nil {
-		t.Fatal(err)
+	body, ok := s.encode(orig)
+	if !ok {
+		t.Fatal("encode failed")
 	}
-	rcv, err := decodeFrameBody(f.buf)
+	rcv, err := decodeFrameBody(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +183,7 @@ func TestFrameRoundTripPreservesWire(t *testing.T) {
 	// The borrow-decoded payload aliases the frame: mutating the frame must
 	// show through (this is the ownership hazard the Handler contract and
 	// Clone() discipline exist for).
-	f.buf[len(f.buf)-1] ^= 0xFF
+	body[len(body)-1] ^= 0xFF
 	enc, _ := wire.Encode(nil, orig)
 	if string(acc.M.Payload) == string(enc[len(enc)-len(acc.M.Payload):]) {
 		t.Error("payload did not alias the frame; borrow decode is copying")

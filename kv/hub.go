@@ -7,9 +7,13 @@ import (
 )
 
 // maxPending bounds the buffer of responses that arrived before their call
-// registered (the submit/apply race) or after their caller gave up. When
-// full, the oldest orphan is evicted FIFO.
+// registered (the submit/apply race). When full, the oldest is evicted FIFO.
 const maxPending = 4096
+
+// doneRing is how many of one sender's latest completed (or abandoned)
+// operations the hub remembers, to tell their late duplicates from early
+// responses. A duplicate that trails by more lands in pending and ages out.
+const doneRing = 1024
 
 // call tracks one in-flight operation: the shards still awaited and the
 // per-shard results collected so far.
@@ -25,16 +29,24 @@ type call struct {
 // hub keeps the first response per (ID, shard) — with Sub recorded for the
 // duplicate-delivery cross-check — and completes a call once every
 // addressed shard has answered, which is exactly the delivery-frontier
-// wait that gives clients read-your-writes.
+// wait that gives clients read-your-writes. The responses of the other
+// replicas arrive after the call is gone and are dropped.
 type hub struct {
-	mu      sync.Mutex
-	calls   map[wbcast.MsgID]*call
+	mu    sync.Mutex
+	calls map[wbcast.MsgID]*call
+	// done remembers, per sender, the IDs whose call is over: slot seq mod
+	// doneRing holds seq+1.
+	done    map[wbcast.ProcessID]*[doneRing]uint64
 	pending map[wbcast.MsgID][]Resp
 	order   []wbcast.MsgID // FIFO eviction order for pending
 }
 
 func newHub() *hub {
-	return &hub{calls: make(map[wbcast.MsgID]*call), pending: make(map[wbcast.MsgID][]Resp)}
+	return &hub{
+		calls:   make(map[wbcast.MsgID]*call),
+		done:    make(map[wbcast.ProcessID]*[doneRing]uint64),
+		pending: make(map[wbcast.MsgID][]Resp),
+	}
 }
 
 // register creates the waiter for id before (or concurrently with) its
@@ -62,39 +74,50 @@ func (h *hub) register(id wbcast.MsgID, dest wbcast.GroupSet) *call {
 }
 
 // cancel drops the waiter for id (the caller timed out); later responses
-// for it join the pending buffer and age out.
+// for it are dropped.
 func (h *hub) cancel(id wbcast.MsgID) {
 	h.mu.Lock()
-	delete(h.calls, id)
+	h.finishLocked(id)
 	h.mu.Unlock()
+}
+
+// finishLocked forgets id's call and remembers id as over. Callers hold h.mu.
+func (h *hub) finishLocked(id wbcast.MsgID) {
+	delete(h.calls, id)
+	ring := h.done[id.Sender()]
+	if ring == nil {
+		ring = new([doneRing]uint64)
+		h.done[id.Sender()] = ring
+	}
+	ring[id.Seq()%doneRing] = uint64(id.Seq()) + 1
 }
 
 // dispatch routes one engine response. Safe from any engine goroutine.
 func (h *hub) dispatch(r Resp) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	c, ok := h.calls[r.ID]
-	if !ok {
-		// Not registered (yet): buffer, bounded.
-		if len(h.pending[r.ID]) == 0 {
-			if len(h.order) >= maxPending {
-				delete(h.pending, h.order[0])
-				h.order = h.order[1:]
-			}
-			h.order = append(h.order, r.ID)
-		}
-		h.pending[r.ID] = append(h.pending[r.ID], r)
+	if c, ok := h.calls[r.ID]; ok {
+		h.applyLocked(c, r)
 		return
 	}
-	h.applyLocked(c, r)
-	if len(c.need) == 0 {
-		delete(h.calls, r.ID)
+	if ring := h.done[r.ID.Sender()]; ring != nil && ring[r.ID.Seq()%doneRing] == uint64(r.ID.Seq())+1 {
+		return // a late duplicate: another replica already answered
 	}
+	// Not registered yet: buffer, bounded.
+	if len(h.pending[r.ID]) == 0 {
+		if len(h.order) >= maxPending {
+			delete(h.pending, h.order[0])
+			h.order = h.order[1:]
+		}
+		h.order = append(h.order, r.ID)
+	}
+	h.pending[r.ID] = append(h.pending[r.ID], r)
 }
 
-// applyLocked folds one response into a call. Duplicate responses for an
-// already-answered shard (other replicas of the group, or a replay after a
-// restart) are idempotently ignored. Callers hold h.mu.
+// applyLocked folds one response into a call, and finishes the call with
+// the last shard's. Duplicate responses for an already-answered shard (other
+// replicas of the group, or a replay after a restart) are idempotently
+// ignored. Callers hold h.mu.
 func (h *hub) applyLocked(c *call, r Resp) {
 	if !c.need[r.Group] {
 		return
@@ -106,6 +129,7 @@ func (h *hub) applyLocked(c *call, r Resp) {
 	}
 	if len(c.need) == 0 {
 		close(c.done)
+		h.finishLocked(r.ID)
 	}
 }
 

@@ -97,14 +97,15 @@ type TransportStats struct {
 	// MessagesEncoded counts distinct messages serialised to wire form
 	// (one per send, however many recipients it fans out to).
 	MessagesEncoded int64
-	// FramesSent counts per-recipient frames enqueued to peer writers.
+	// FramesSent counts frames appended to peer links, one per destination
+	// address per send.
 	FramesSent int64
-	// FramesCoalesced counts frames that rode along in a multi-frame
-	// vectored write instead of costing their own syscall.
+	// FramesCoalesced counts frames beyond the first in one write: those
+	// that rode along instead of costing their own syscall.
 	FramesCoalesced int64
-	// OutboundDrops counts frames dropped on the way out (full writer
-	// queue, unknown or unreachable peer). Dropped frames are recovered by
-	// the protocols' retry machinery.
+	// OutboundDrops counts frames dropped on the way out (a link's backlog
+	// past its byte bound, unknown or unreachable peer). Dropped frames are
+	// recovered by the protocols' retry machinery.
 	OutboundDrops int64
 	// Reconnects counts outbound redials after a connection failure.
 	Reconnects int64

@@ -37,7 +37,10 @@
 // order; the GTS exposes the system-wide total order to applications such
 // as replicated state machines and shared logs. Deliveries are consumed
 // through pull-based subscriptions (Replica.Deliveries, with configurable
-// buffering and drop policy — see DeliveryPolicy).
+// buffering and drop policy — see DeliveryPolicy). A subscription's channel
+// is its buffer: the delivering process sends on it directly, no goroutine
+// in between, and once the subscription is closed the deliveries still
+// buffered remain receivable before the channel reports closed.
 //
 // # Batching
 //
