@@ -3,6 +3,7 @@ package wbcast
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -195,5 +196,61 @@ func TestStalledDiskIsNotADeadLeader(t *testing.T) {
 			}
 			quiet("after")
 		})
+	}
+}
+
+// TestInProcessStorageFailureIsLogged: a store that fails a Sync crash-stops
+// its process on every transport, and every transport reports it through
+// Config.Logf — the in-process one used to keep it to itself. One group of
+// three in-process, the leader's store fails its fifth Sync: Logf names the
+// process, and the group goes on delivering under a successor.
+func TestInProcessStorageFailureIsLogged(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	c, err := New(Config{
+		Groups: 1, Replicas: 3, Delta: 5 * time.Millisecond, Transport: InProcess(),
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+		Storage: func(pid ProcessID) (Storage, error) {
+			if pid == 0 {
+				return &wal.Flaky{Inner: wal.NewMemory(), FailSyncEvery: 5}, nil
+			}
+			return wal.NewMemory(), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	reported := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range lines {
+			if strings.Contains(l, "p0 crash-stopping on storage failure") {
+				return true
+			}
+		}
+		return false
+	}
+	after := 0 // multicasts completed once the failure was reported
+	for i := 0; i < 100 && after < 10; i++ {
+		if _, err := cl.Multicast(ctx, []byte("op"), 0); err != nil {
+			t.Fatalf("multicast %d: %v", i, err)
+		}
+		if reported() {
+			after++
+		}
+	}
+	if after < 10 {
+		t.Fatalf("the leader's store failed its fifth Sync and Logf never said so; it got %q", lines)
 	}
 }

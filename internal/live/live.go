@@ -19,11 +19,6 @@ type LatencyFunc func(from, to mcast.ProcessID) time.Duration
 type Config struct {
 	// Latency is the injected one-way delay; nil means no injection.
 	Latency LatencyFunc
-	// MailboxSize is the ring capacity of each process's input mailbox
-	// (node.Mailbox). Posts beyond it spill to an unbounded overflow, so
-	// senders never block; in-flight load is limited by the closed-loop
-	// pacing of the submitters.
-	MailboxSize int
 	// OnDeliver receives every application delivery; it is invoked from
 	// the delivering process's goroutine and must not block for long.
 	OnDeliver func(p mcast.ProcessID, d mcast.Delivery)
@@ -31,22 +26,25 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Network hosts a set of processes. Construct with New, register handlers
-// with Add, then Start; Close stops and joins every goroutine.
+// mailboxSize is the ring capacity of each process's input mailbox
+// (node.Mailbox). Posts beyond it spill to an unbounded overflow, so senders
+// never block; in-flight load is limited by the closed-loop pacing of the
+// submitters.
+const mailboxSize = 64
+
+// Network hosts a set of processes. Construct with New and register
+// handlers with Add, which starts them; Close stops and joins every
+// goroutine.
 type Network struct {
-	cfg     Config
-	mu      sync.Mutex
-	procs   map[mcast.ProcessID]*proc
-	started bool
-	closed  bool
-	wg      sync.WaitGroup
+	cfg    Config
+	mu     sync.Mutex
+	procs  map[mcast.ProcessID]*proc
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // New creates an empty network.
 func New(cfg Config) *Network {
-	if cfg.MailboxSize <= 0 {
-		cfg.MailboxSize = 64
-	}
 	return &Network{cfg: cfg, procs: make(map[mcast.ProcessID]*proc)}
 }
 
@@ -73,16 +71,12 @@ type proc struct {
 	commits sync.WaitGroup
 }
 
-// Add registers a handler. Handlers added after Start (e.g. late-joining
-// clients) are launched immediately.
-func (n *Network) Add(h node.Handler) error { return n.AddStored(h, nil) }
-
-// AddStored registers a handler backed by a durable store: what a mailbox
-// drain staged is appended and synced by one hand-off (node.Step) that runs
-// beside the loop, effects that vouch for an entry wait for it, and a
-// storage error crash-stops the process. A nil store discards persist
-// effects (no durability).
-func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
+// Add registers a handler, starts its loop and delivers the Start input.
+// With a durable store, what a mailbox drain staged is appended and synced
+// by one hand-off (node.Step) that runs beside the loop, effects that vouch
+// for an entry wait for it, and a storage error crash-stops the process. A
+// nil store discards persist effects (no durability).
+func (n *Network) Add(h node.Handler, st wal.Storage) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -97,37 +91,17 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 		net:     n,
 		pid:     pid,
 		step:    node.NewStep(h, st),
-		box:     node.NewMailbox[envelope](n.cfg.MailboxSize, quit),
+		box:     node.NewMailbox[envelope](mailboxSize, quit),
 		quit:    quit,
 		crashed: make(chan struct{}),
 	}
 	n.procs[pid] = p
-	if n.started {
-		n.launch(p)
-	}
-	return nil
-}
-
-func (n *Network) launch(p *proc) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		p.box.Run(p.consume, p.commit)
 	}()
 	p.box.Post(envelope{in: node.Start{}})
-}
-
-// Start launches every process goroutine and delivers the Start input.
-func (n *Network) Start() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.started {
-		return fmt.Errorf("live: already started")
-	}
-	n.started = true
-	for _, p := range n.procs {
-		n.launch(p)
-	}
 	return nil
 }
 

@@ -37,13 +37,10 @@ func TestRoundTrip(t *testing.T) {
 	n := live.New(live.Config{})
 	a := &echo{pid: 1}
 	b := &echo{pid: 2}
-	if err := n.Add(a); err != nil {
+	if err := n.Add(a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Add(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(); err != nil {
+	if err := n.Add(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
@@ -63,13 +60,10 @@ func TestLatencyInjection(t *testing.T) {
 	const lat = 30 * time.Millisecond
 	n := live.New(live.Config{Latency: func(from, to mcast.ProcessID) time.Duration { return lat }})
 	b := &echo{pid: 2}
-	if err := n.Add(&echo{pid: 1}); err != nil {
+	if err := n.Add(&echo{pid: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Add(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(); err != nil {
+	if err := n.Add(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
@@ -95,10 +89,7 @@ func TestLatencyInjection(t *testing.T) {
 func TestCrashStopsDelivery(t *testing.T) {
 	n := live.New(live.Config{})
 	b := &echo{pid: 2}
-	if err := n.Add(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(); err != nil {
+	if err := n.Add(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
@@ -130,7 +121,7 @@ func TestWhiteBoxEndToEndLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.Add(r); err != nil {
+		if err := n.Add(r, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,10 +136,7 @@ func TestWhiteBoxEndToEndLive(t *testing.T) {
 		RetryContacts: func(g mcast.GroupID) []mcast.ProcessID { return top.Members(g) },
 		OnComplete:    func(id mcast.MsgID) { done <- id },
 	})
-	if err := n.Add(cl); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(); err != nil {
+	if err := n.Add(cl, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()

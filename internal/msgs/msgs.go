@@ -402,21 +402,14 @@ type Prune struct {
 // Transport-level aggregation
 // ---------------------------------------------------------------------------
 
-// AckEntry is one acknowledgement inside an AckBatch, addressed to process
-// To. Msg must be ack-class (Kind.IsAck).
-type AckEntry struct {
-	To  mcast.ProcessID
-	Msg Message
-}
-
 // AckBatch coalesces ack-class messages (ACCEPT_ACK, HEARTBEAT_ACK,
-// PAXOS_2B) bound for processes behind one transport endpoint into a single
-// frame, cutting per-frame overhead on the quorum-ack fan-in at high client
+// PAXOS_2B; Kind.IsAck) from one process to another into a single frame,
+// cutting per-frame overhead on the quorum-ack fan-in at high client
 // counts. It is transport-internal: runtimes build it on the send path
 // and expand it back into the individual messages on receipt, so protocol
 // handlers never see it.
 type AckBatch struct {
-	Entries []AckEntry
+	Entries []Message
 }
 
 // ---------------------------------------------------------------------------

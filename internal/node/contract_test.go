@@ -138,7 +138,7 @@ var shardRuntimes = []struct {
 	}},
 	{"live", false, func(t *testing.T, actor, witness node.Handler, st wal.Storage, onDeliver func(mcast.Delivery)) hosted {
 		n := live.New(live.Config{OnDeliver: func(_ mcast.ProcessID, d mcast.Delivery) { onDeliver(d) }})
-		if err := errors.Join(n.AddStored(actor, st), n.Add(witness), n.Start()); err != nil {
+		if err := errors.Join(n.Add(actor, st), n.Add(witness, nil)); err != nil {
 			t.Fatal(err)
 		}
 		return hosted{
@@ -148,21 +148,44 @@ var shardRuntimes = []struct {
 		}
 	}},
 	{"tcpnet", false, func(t *testing.T, actor, witness node.Handler, st wal.Storage, onDeliver func(mcast.Delivery)) hosted {
-		n, err := tcpnet.Serve(tcpnet.Config{ListenAddr: "127.0.0.1:0", Shards: []tcpnet.ShardConfig{
-			{Handler: actor, Storage: st, OnDeliver: onDeliver},
-			{Handler: witness},
-		}})
+		// Two processes, two nodes, one socket each way. What the delivery
+		// callback injects at the witness must not overtake the sends released
+		// before it, and the only path that cannot is the actor's link: the
+		// marker enters the actor's node and crosses as a message.
+		an, err := tcpnet.Serve(tcpnet.Config{PID: actorPID, ListenAddr: "127.0.0.1:0", Storage: st, OnDeliver: onDeliver,
+			Handler: node.Func{PID: actorPID, F: func(in node.Input, fx *node.Effects) {
+				if h, ok := in.(node.GCHorizon); ok {
+					fx.Send(witnessPID, msgs.ClientReply{ID: mcast.MsgID(h.TS.Time)})
+					return
+				}
+				actor.Handle(in, fx)
+			}}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		wn, err := tcpnet.Serve(tcpnet.Config{PID: witnessPID, ListenAddr: "127.0.0.1:0",
+			Handler: node.Func{PID: witnessPID, F: func(in node.Input, fx *node.Effects) {
+				if rcv, ok := in.(node.Recv); ok {
+					if m, ok := rcv.Msg.(msgs.ClientReply); ok {
+						in = node.GCHorizon{TS: mcast.Timestamp{Time: uint64(m.ID)}}
+					}
+				}
+				witness.Handle(in, fx)
+			}}})
+		if err != nil {
+			an.Close()
+			t.Fatal(err)
+		}
+		an.SetPeer(witnessPID, wn.Addr().String())
+		wn.SetPeer(actorPID, an.Addr().String())
 		return hosted{
-			// A storage failure stops the node; injecting into it then
-			// fails, which is also how idle recognises the crash-stop.
-			inject: func(pid mcast.ProcessID, in node.Input) { _ = n.InjectTo(pid, in) },
+			// A storage failure stops the actor's node; injecting into it
+			// then fails, which is also how idle recognises the crash-stop.
+			inject: func(_ mcast.ProcessID, in node.Input) { _ = an.Inject(in) },
 			idle: func() bool {
-				return n.MailboxDepth() == 0 || n.InjectTo(witnessPID, node.Start{}) != nil
+				return an.MailboxDepth()+wn.MailboxDepth() == 0 || an.Inject(node.Start{}) != nil
 			},
-			stop: n.Close,
+			stop: func() { an.Close(); wn.Close() },
 		}
 	}},
 }
@@ -367,7 +390,7 @@ func TestShardContract(t *testing.T) {
 						c.await("send %d", 8) // its delivery waits behind call 1's
 					}
 				case n == failAt:
-					c.await("send %d", 6) // a crash-stop takes tcpnet's witness down too
+					c.await("send %d", 6) // a crash-stop closes tcpnet's link under it
 					c.await("timer %d", 6)
 				}
 			}

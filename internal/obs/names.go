@@ -52,7 +52,7 @@ const (
 	// form (once per send, however many recipients it fans out to).
 	MetricMessagesEncoded = "wbcast_messages_encoded_total"
 	// MetricFramesSent counts frames appended to peer links, one per
-	// destination address per send.
+	// destination process per send.
 	MetricFramesSent = "wbcast_frames_sent_total"
 	// MetricFramesCoalesced counts frames beyond the first in one write:
 	// those that rode along instead of costing their own syscall.
@@ -66,17 +66,12 @@ const (
 	// MetricDeliveriesDropped counts deliveries discarded by a replica's
 	// subscriptions under the DropOldest/DropNewest policies.
 	MetricDeliveriesDropped = "wbcast_deliveries_dropped_total"
-	// MetricShardQueueDepth is the current input-mailbox depth of one
-	// protocol shard, labelled {shard="p<pid>"} — the per-shard view of
-	// MetricMailboxDepth on runtimes that host several ordering shards.
-	MetricShardQueueDepth = "wbcast_shard_queue_depth"
 	// MetricEncodeStage is the outbound codec-stage latency histogram:
-	// time to serialise one message to wire form on the dedicated encode
-	// stage (off the protocol shard loops).
+	// time to serialise one message to wire form on the process's loop.
 	MetricEncodeStage = "wbcast_encode_stage_seconds"
 	// MetricDecodeStage is the inbound codec-stage latency histogram:
 	// time to parse one frame (header + borrow-mode message decode) on a
-	// read loop, before it is routed to a shard mailbox.
+	// read loop, before it is posted to the mailbox.
 	MetricDecodeStage = "wbcast_decode_stage_seconds"
 	// MetricAckBatchSize is the acknowledgements-per-flush histogram of
 	// the send path's ack batcher. The value is a unitless count

@@ -21,5 +21,5 @@
 // moment the batch is taken go before it, and the batch is consumed
 // completely before any later ticket).
 // Degraded mode costs what the old elastic FIFO cost; the ring is the
-// fast path, sized by the runtime's MailboxSize knob.
+// fast path, 64 slots in both wall-clock runtimes (their mailboxSize).
 package ring

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
@@ -33,31 +32,30 @@ func benchAccept() msgs.Accept {
 	}
 }
 
-// newBenchNode builds a Node with an initialised pool and address book but
-// no listener and no shard loops, for driving single stages directly.
+// newBenchNode builds a Node with an initialised pool, mailbox and address
+// book but no listener and no loop, for driving single stages directly.
 func newBenchNode(pid mcast.ProcessID) *Node {
 	n := &Node{
-		cfg:        Config{PID: pid, DialTimeout: 3 * time.Second},
-		quit:       make(chan struct{}),
-		rt:         obs.NewRuntime(nil),
-		shardByPID: make(map[mcast.ProcessID]*shard),
-		peers:      make(map[mcast.ProcessID]*link),
-		links:      make(map[string]*link),
+		cfg:   Config{PID: pid},
+		quit:  make(chan struct{}),
+		rt:    obs.NewRuntime(nil),
+		peers: make(map[mcast.ProcessID]*link),
 	}
+	n.box = node.NewMailbox[boxedInput](mailboxSize, n.quit)
 	n.readPool.New = func() any { return &readFrame{} }
 	return n
 }
 
 // BenchmarkEncodeFrame measures the cost of producing one outbound frame
 // body (sender varint + wire encoding) for a hot-path message, into the
-// shard's scratch as on the live send path.
+// node's scratch as on the live send path.
 func BenchmarkEncodeFrame(b *testing.B) {
-	s := &shard{n: newBenchNode(3), pid: 3}
+	n := newBenchNode(3)
 	m := benchAccept()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.encode(m); !ok {
+		if _, ok := n.encode(m); !ok {
 			b.Fatal("encode failed")
 		}
 	}
@@ -66,15 +64,14 @@ func BenchmarkEncodeFrame(b *testing.B) {
 // BenchmarkSendPath measures a frame's whole trip on the real send path: the
 // release of one ACCEPT fan-out to two loopback peers — encode, append to
 // both links, drain-end flush — through the peers' read loops into their
-// mailboxes and handlers. The benchmark goroutine is the sending shard's
+// mailboxes and handlers. The benchmark goroutine is the sending node's
 // loop; at most sendWindow fan-outs are in flight.
 func BenchmarkSendPath(b *testing.B) {
 	const sendWindow = 64
 	var got [2]atomic.Int64
 	n := newBenchNode(3)
 	n.ln, _ = net.Listen("tcp", "127.0.0.1:0") // for Close only
-	s := &shard{n: n, pid: 3, step: node.NewStep(node.Func{PID: 3, F: func(node.Input, *node.Effects) {}}, nil)}
-	n.shards = append(n.shards, s)
+	n.step = node.NewStep(node.Func{PID: 3, F: func(node.Input, *node.Effects) {}}, nil)
 	defer n.Close()
 	for i := range got {
 		peer, err := Serve(Config{PID: mcast.ProcessID(i), ListenAddr: "127.0.0.1:0",
@@ -96,8 +93,8 @@ func BenchmarkSendPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.release(nil, rel, nil)
-		s.commit()
+		n.release(nil, rel, nil)
+		n.commit()
 		for int64(i)-arrived() >= sendWindow {
 			runtime.Gosched()
 		}
@@ -114,8 +111,7 @@ func BenchmarkSendPath(b *testing.B) {
 // acquisition plus borrow-mode decode, as performed by readLoop.
 func BenchmarkReadFramePath(b *testing.B) {
 	n := newBenchNode(3)
-	src := &shard{n: newBenchNode(4), pid: 4}
-	wireBytes, ok := src.encode(benchAccept())
+	wireBytes, ok := newBenchNode(4).encode(benchAccept())
 	if !ok {
 		b.Fatal("encode failed")
 	}
@@ -132,7 +128,7 @@ func BenchmarkReadFramePath(b *testing.B) {
 }
 
 // BenchmarkReadLoop measures the whole inbound stage — buffered read,
-// pooled frame, borrow decode, post to the shard's mailbox — over an
+// pooled frame, borrow decode, post to the mailbox — over an
 // in-memory pipe, with the writer handing over benchFramesPerWrite frames
 // at a time as a peer's link does under load. reads/frame
 // is the number of Read calls (read(2) on a real connection) per frame.
@@ -145,7 +141,7 @@ func BenchmarkReadLoop(b *testing.B) {
 			close(done)
 		}
 	})
-	frame := rawFrame(b, r.n, benchAccept())
+	frame := rawFrame(b, benchAccept())
 	burst := bytes.Repeat(frame, benchFramesPerWrite)
 	b.ReportAllocs()
 	b.ResetTimer()

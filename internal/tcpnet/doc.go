@@ -1,48 +1,53 @@
-// Package tcpnet hosts protocol shards as a real TCP server: it turns any
+// Package tcpnet hosts a protocol process as a real TCP server: it turns any
 // node.Handler — a white-box replica, a baseline replica or a client — into
-// a network server. One Node owns one listener and one outbound connection
-// per peer address, and runs each hosted shard (groups are disjoint, so a
-// handler is one ordering shard) on the shared shard driver — its own
-// node.Mailbox and node.Step, the same loop as the in-process runtime. The
-// path of a frame crosses two goroutines per hop (docs/CONCURRENCY.md):
+// a network server. One Node is one process: one listener, one handler on
+// the shared shard driver — a node.Mailbox and a node.Step, the same loop as
+// the in-process runtime — and one outbound link per peer process. The path
+// of a frame crosses two goroutines per hop (docs/CONCURRENCY.md):
 //
-//	read loops  — one buffered read(2) takes in every frame a segment
-//	              carried; each is borrow-decoded and routed to the
-//	              mailboxes of the shards its header names;
-//	shard loops — Handle serially per shard, persist-before-release (the
-//	              driver), then post local sends straight to the
-//	              destination shard's mailbox, serialise each remote send
-//	              exactly once (encode-once fan-out) and append the bytes to
-//	              the link of every destination address, batching ack-class
-//	              unicasts per link into AckBatch frames; at the end of each
-//	              mailbox drain, flush the links the drain touched.
+//	read loops — one buffered read(2) takes in every frame a segment
+//	             carried; each one addressed to this process is
+//	             borrow-decoded and posted to the mailbox, any other is
+//	             dropped unread;
+//	the loop   — Handle serially, persist-before-release (the driver), then
+//	             post self-sends straight to the mailbox, serialise each
+//	             remote send exactly once (encode-once fan-out) and append
+//	             the bytes to the link of every destination, batching
+//	             ack-class unicasts per link into AckBatch frames; at the
+//	             end of each mailbox drain, flush the links the drain
+//	             touched.
 //
-// A link is the outbound half of one peer address: a byte buffer under a
+// A link is the outbound half of one peer process: a byte buffer under a
 // mutex and the connection. The flush offers the buffer to the socket once,
-// on the shard loop, without blocking; what the socket does not take — and
+// on the loop, without blocking; what the socket does not take — and
 // everything while the link is not connected — goes to the link's writer
 // goroutine, which dials, writes and ends when nothing is left. One byte
 // stream per link: per-link FIFO holds by construction. A backlog past
-// linkBacklog drops frames rather than block a shard loop.
+// linkBacklog drops frames rather than block the loop. Registering a peer
+// at a new address (SetPeer) replaces its link and closes the old one.
 //
 // The hand-off between the two stages is a non-blocking mailbox (a bounded
 // MPSC ring with an unbounded overflow, internal/ring), so no loop can
 // deadlock another; sustained overload shows up as mailbox depth, not as
 // backpressure.
 //
-// Frame format: 4-byte big-endian length, a uvarint destination count and
-// that many varint destination ProcessIDs (zero for an AckBatch, routed by
-// its entries), then a varint sender ProcessID and one wire-encoded message.
+// Frame format: 4-byte big-endian length, the varint ProcessID of the one
+// destination, the varint ProcessID of the sender, one wire-encoded message.
+// The processes of the model are what frames name: a node that reads a
+// frame for somebody else — an address book gone stale over reused ports —
+// drops it, so no handler takes part in ordering a message it is not a
+// destination of. An AckBatch travels under the same header and is expanded
+// into its entries on receipt.
 //
 // # Memory discipline
 //
 // The hot path is allocation-lean end to end:
 //
 //   - Outbound, each distinct message of a Handle call is serialised exactly
-//     once, into the shard's scratch, regardless of how many recipients its
-//     Send fans out to, and copied into the buffer of each destination
-//     address's link; a link alternates between two buffers, so the steady
-//     state allocates nothing.
+//     once, into the node's scratch, regardless of how many recipients its
+//     Send fans out to, and copied into the buffer of each destination's
+//     link; a link alternates between two buffers, so the steady state
+//     allocates nothing.
 //   - Inbound, read frames come from a sync.Pool and are decoded in borrow
 //     mode (wire.DecodeBorrowed): the message's byte fields alias the frame,
 //     which is recycled as soon as the handler returns. Handlers must

@@ -74,7 +74,7 @@ func TestStagedEntriesKeepTheirFrames(t *testing.T) {
 	send := func(fill byte) {
 		t.Helper()
 		m := mcast.AppMsg{ID: mcast.MakeMsgID(4, 1), Dest: mcast.NewGroupSet(0), Payload: bytes.Repeat([]byte{fill}, 1024)}
-		if _, err := conn.Write(rawFrame(t, n, msgs.Multicast{M: m})); err != nil {
+		if _, err := conn.Write(rawFrame(t, msgs.Multicast{M: m})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,10 +20,10 @@ import (
 func TestIdleSendIsFlushed(t *testing.T) {
 	a := newSink(t, nil)
 	hb := msgs.Heartbeat{Group: 1, Bal: mcast.Ballot{N: 2, Proc: 1}}
-	n := scripted(t, func(_ mcast.ProcessID, _ uint64, fx *node.Effects) { fx.Send(10, hb) }, 1)
+	n := scripted(t, 1, func(_ uint64, fx *node.Effects) { fx.Send(10, hb) })
 	n.SetPeer(10, a.addr())
 	for i := 0; i < 3; i++ { // the first goes through the writer's dial, the rest through an idle connected link
-		step(t, n, 1, 0)
+		step(t, n, 0)
 		if f := a.next(t); f.msg != hb || f.from != 1 {
 			t.Fatalf("send %d arrived as %+v", i, f)
 		}
@@ -44,7 +44,7 @@ func TestIdleSendIsFlushed(t *testing.T) {
 	defer held.Close()
 	held.SetPeer(10, a.addr())
 	for i := 0; i < 3; i++ {
-		step(t, held, 2, 0)
+		step(t, held, 0)
 		if f := a.next(t); f.msg != hb || f.from != 2 {
 			t.Fatalf("held send %d arrived as %+v", i, f)
 		}
@@ -61,15 +61,15 @@ func TestStalledPeer(t *testing.T) {
 	resume := make(chan struct{})
 	a := newSink(t, resume)
 	var sent atomic.Int64
-	n := scripted(t, func(_ mcast.ProcessID, k uint64, fx *node.Effects) {
+	n := scripted(t, 1, func(k uint64, fx *node.Effects) {
 		fx.Send(10, msgs.Multicast{M: mcast.AppMsg{
 			ID: mcast.MakeMsgID(1, uint32(k)), Dest: mcast.NewGroupSet(0), Payload: bytes.Repeat([]byte{byte(k)}, payload),
 		}})
 		sent.Add(1)
-	}, 1)
+	})
 	n.SetPeer(10, a.addr())
 	for k := uint64(1); k <= frames; k++ {
-		step(t, n, 1, k)
+		step(t, n, k)
 	}
 	waitFor(t, "the shard loop to get through every send", func() bool { return sent.Load() == frames })
 	drops := n.Stats().OutboundDrops
@@ -119,13 +119,13 @@ func TestStalledPeer(t *testing.T) {
 // one Reconnects and nothing else: the link redials and later frames arrive.
 func TestCoalescedWritesAndReconnects(t *testing.T) {
 	a := newSink(t, nil)
-	n := scripted(t, func(_ mcast.ProcessID, k uint64, fx *node.Effects) {
+	n := scripted(t, 1, func(k uint64, fx *node.Effects) {
 		for i := uint64(0); i < k; i++ {
 			fx.Send(10, msgs.Heartbeat{Group: 0, Bal: mcast.Ballot{N: i, Proc: 1}})
 		}
-	}, 1)
+	})
 	n.SetPeer(10, a.addr())
-	step(t, n, 1, 5)
+	step(t, n, 5)
 	for i := uint64(0); i < 5; i++ {
 		if f := a.next(t); f.msg.(msgs.Heartbeat).Bal.N != i || f.conn != 1 {
 			t.Fatalf("frame %d arrived as %+v", i, f)
@@ -137,7 +137,7 @@ func TestCoalescedWritesAndReconnects(t *testing.T) {
 
 	(<-a.conns).Close() // the peer goes away; writes into the dead connection fail sooner or later
 	waitFor(t, "a frame on a fresh connection", func() bool {
-		step(t, n, 1, 1)
+		step(t, n, 1)
 		select {
 		case f := <-a.frames:
 			return f.conn == 2
@@ -154,4 +154,43 @@ func TestCoalescedWritesAndReconnects(t *testing.T) {
 		defer l.mu.Unlock()
 		return !l.writing
 	})
+}
+
+// TestSetPeerMovesTheLink: a peer registered at a new address gets a new
+// link, and the connection to the old address is closed then — not left to
+// idle until the node closes. Registering the same address again changes
+// nothing.
+func TestSetPeerMovesTheLink(t *testing.T) {
+	a, b := newSink(t, nil), newSink(t, nil)
+	hb := msgs.Heartbeat{Group: 1, Bal: mcast.Ballot{N: 2, Proc: 1}}
+	n := scripted(t, 1, func(_ uint64, fx *node.Effects) { fx.Send(10, hb) })
+	n.SetPeer(10, a.addr())
+	step(t, n, 0)
+	if f := a.next(t); f.msg != hb || f.conn != 1 {
+		t.Fatalf("the frame to the first address arrived as %+v", f)
+	}
+	n.SetPeer(10, a.addr())
+	step(t, n, 0)
+	if f := a.next(t); f.conn != 1 {
+		t.Fatalf("registering the same address again cost a connection: %+v", f)
+	}
+
+	n.SetPeer(10, b.addr())
+	select {
+	case id := <-a.ended:
+		if id != 1 {
+			t.Fatalf("connection %d to the old address ended, want the first", id)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection to the old address is still open")
+	}
+	step(t, n, 0)
+	if f := b.next(t); f.msg != hb || f.to != 10 {
+		t.Fatalf("the frame to the new address arrived as %+v", f)
+	}
+	select {
+	case f := <-a.frames:
+		t.Fatalf("a frame still went to the old address: %+v", f)
+	case <-time.After(50 * time.Millisecond):
+	}
 }

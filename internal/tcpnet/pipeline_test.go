@@ -24,20 +24,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// scripted serves a node whose shards run script(pid, k, fx) when the test
-// injects step k into shard pid: the sends of one step are one Handle call's,
-// and — the node being otherwise idle — one drain's.
-func scripted(t *testing.T, script func(pid mcast.ProcessID, k uint64, fx *node.Effects), pids ...mcast.ProcessID) *Node {
+// scripted serves process pid running script(k, fx) when the test injects
+// step k: the sends of one step are one Handle call's, and — the node being
+// otherwise idle — one drain's.
+func scripted(t *testing.T, pid mcast.ProcessID, script func(k uint64, fx *node.Effects)) *Node {
 	t.Helper()
-	cfg := Config{ListenAddr: "127.0.0.1:0"}
-	for _, pid := range pids {
-		cfg.Shards = append(cfg.Shards, ShardConfig{Handler: node.Func{PID: pid, F: func(in node.Input, fx *node.Effects) {
-			if tm, ok := in.(node.Timer); ok {
-				script(pid, tm.Data, fx)
-			}
-		}}})
-	}
-	n, err := Serve(cfg)
+	n, err := Serve(Config{PID: pid, ListenAddr: "127.0.0.1:0", Handler: node.Func{PID: pid, F: func(in node.Input, fx *node.Effects) {
+		if tm, ok := in.(node.Timer); ok {
+			script(tm.Data, fx)
+		}
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +41,16 @@ func scripted(t *testing.T, script func(pid mcast.ProcessID, k uint64, fx *node.
 	return n
 }
 
-func step(t *testing.T, n *Node, pid mcast.ProcessID, k uint64) {
+func step(t *testing.T, n *Node, k uint64) {
 	t.Helper()
-	if err := n.InjectTo(pid, node.Timer{Kind: node.TimerApp, Data: k}); err != nil {
+	if err := n.Inject(node.Timer{Kind: node.TimerApp, Data: k}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // sinkFrame is one frame as a peer's socket saw it.
 type sinkFrame struct {
-	tos  []mcast.ProcessID // the header's destination list
+	to   mcast.ProcessID // the header's destination
 	from mcast.ProcessID
 	msg  msgs.Message
 	conn int // which accepted connection carried it, counting from 1
@@ -62,12 +58,14 @@ type sinkFrame struct {
 
 // sink is a peer address that only listens: it decodes the frames written to
 // it, in stream order, so a test sees what the link put on the wire. While
-// hold is non-nil and open, it accepts but does not read.
+// hold is non-nil and open, it accepts but does not read. A connection the
+// writing side has closed is reported on ended.
 type sink struct {
 	ln     net.Listener
 	frames chan sinkFrame
 	hold   chan struct{}
 	conns  chan net.Conn
+	ended  chan int
 }
 
 func newSink(t *testing.T, hold chan struct{}) *sink {
@@ -76,7 +74,7 @@ func newSink(t *testing.T, hold chan struct{}) *sink {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := &sink{ln: ln, frames: make(chan sinkFrame, 4096), hold: hold, conns: make(chan net.Conn, 16)}
+	k := &sink{ln: ln, frames: make(chan sinkFrame, 4096), hold: hold, conns: make(chan net.Conn, 16), ended: make(chan int, 16)}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for id := 1; ; id++ {
@@ -101,6 +99,7 @@ func (k *sink) read(t *testing.T, c net.Conn, id int) {
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
+			k.ended <- id
 			return
 		}
 		buf := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
@@ -109,12 +108,8 @@ func (k *sink) read(t *testing.T, c net.Conn, id int) {
 			return
 		}
 		f := sinkFrame{conn: id}
-		nd, off := binary.Uvarint(buf)
-		for i := uint64(0); i < nd; i++ {
-			d, w := binary.Varint(buf[off:])
-			off += w
-			f.tos = append(f.tos, mcast.ProcessID(d))
-		}
+		to, off := binary.Varint(buf)
+		f.to = mcast.ProcessID(to)
 		rcv, err := decodeFrameBody(buf[off:])
 		if err != nil {
 			t.Errorf("sink: undecodable frame: %v", err)
@@ -136,14 +131,15 @@ func (k *sink) next(t *testing.T) sinkFrame {
 	}
 }
 
-func ackEntries(t *testing.T, f sinkFrame) []msgs.AckEntry {
+// ackEntries returns what an AckBatch frame to process to carries.
+func ackEntries(t *testing.T, f sinkFrame, to mcast.ProcessID) []msgs.Message {
 	t.Helper()
 	ab, ok := f.msg.(msgs.AckBatch)
 	if !ok {
 		t.Fatalf("frame carries %T, want an AckBatch", f.msg)
 	}
-	if len(f.tos) != 0 {
-		t.Fatalf("AckBatch frame names destinations %v in its header", f.tos)
+	if f.to != to {
+		t.Fatalf("AckBatch frame addressed to %d, want %d", f.to, to)
 	}
 	return ab.Entries
 }
@@ -155,40 +151,44 @@ func ackEntries(t *testing.T, f sinkFrame) []msgs.AckEntry {
 func TestAckBatchingFlushRules(t *testing.T) {
 	a, b := newSink(t, nil), newSink(t, nil)
 	hb := msgs.Heartbeat{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}}
-	n := scripted(t, func(_ mcast.ProcessID, k uint64, fx *node.Effects) {
-		fx.Send(10, msgs.AcceptAck{ID: mcast.MakeMsgID(9, 1), Group: 1})
-		fx.Send(11, msgs.HeartbeatAck{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}})
-		fx.Send(12, msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 6, Proc: 1}, Slot: 9})
+	acks := []msgs.Message{
+		msgs.AcceptAck{ID: mcast.MakeMsgID(9, 1), Group: 1},
+		msgs.HeartbeatAck{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}},
+		msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 6, Proc: 1}, Slot: 9},
+	}
+	n := scripted(t, 1, func(k uint64, fx *node.Effects) {
+		fx.Send(10, acks[0])
+		fx.Send(10, acks[1])
+		fx.Send(12, acks[2])
 		if k == 1 {
 			fx.Send(10, hb)
 		}
-	}, 1)
+	})
 	n.SetPeer(10, a.addr())
-	n.SetPeer(11, a.addr())
 	n.SetPeer(12, b.addr())
 
-	// Three acks, then a non-ack to a's address: a's acks leave ahead of it
-	// as one frame, b's at the end of the drain.
-	step(t, n, 1, 1)
+	// Three acks, then a non-ack to 10: 10's acks leave ahead of it as one
+	// frame, 12's at the end of the drain.
+	step(t, n, 1)
 	first := a.next(t)
-	if ents := ackEntries(t, first); len(ents) != 2 || ents[0].To != 10 || ents[1].To != 11 || first.from != 1 {
-		t.Fatalf("first frame to a = %+v, want shard 1's acks to 10 then 11", first)
+	if ents := ackEntries(t, first, 10); len(ents) != 2 || ents[0].Kind() != acks[0].Kind() || ents[1] != acks[1] || first.from != 1 {
+		t.Fatalf("first frame to 10 = %+v, want process 1's two acks in order", first)
 	}
-	if second := a.next(t); second.msg != hb || len(second.tos) != 1 || second.tos[0] != 10 {
-		t.Fatalf("second frame to a = %+v, want the heartbeat to 10", second)
+	if second := a.next(t); second.msg != hb || second.to != 10 {
+		t.Fatalf("second frame to 10 = %+v, want the heartbeat", second)
 	}
-	if ents := ackEntries(t, b.next(t)); len(ents) != 1 || ents[0].To != 12 {
-		t.Fatalf("b's flush = %+v, want one ack to 12", ents)
+	if ents := ackEntries(t, b.next(t), 12); len(ents) != 1 || ents[0] != acks[2] {
+		t.Fatalf("12's flush = %+v, want its one ack", ents)
 	}
 
 	// Acks alone: nothing follows them on their links, and the node gets no
 	// further input — the end of the drain is what sends them.
-	step(t, n, 1, 2)
-	if ents := ackEntries(t, a.next(t)); len(ents) != 2 {
-		t.Fatalf("a's drain-end flush = %+v, want two acks", ents)
+	step(t, n, 2)
+	if ents := ackEntries(t, a.next(t), 10); len(ents) != 2 {
+		t.Fatalf("10's drain-end flush = %+v, want two acks", ents)
 	}
-	if ents := ackEntries(t, b.next(t)); len(ents) != 1 {
-		t.Fatalf("b's drain-end flush = %+v, want one ack", ents)
+	if ents := ackEntries(t, b.next(t), 12); len(ents) != 1 {
+		t.Fatalf("12's drain-end flush = %+v, want one ack", ents)
 	}
 	st := n.Stats()
 	if st.MessagesEncoded != 5 || st.FramesSent != 5 {
@@ -204,91 +204,24 @@ func TestAckBatchingFlushRules(t *testing.T) {
 func TestAckBatchMaxFlush(t *testing.T) {
 	const extra = 5
 	a := newSink(t, nil)
-	n := scripted(t, func(_ mcast.ProcessID, _ uint64, fx *node.Effects) {
+	n := scripted(t, 1, func(_ uint64, fx *node.Effects) {
 		for i := 0; i < ackBatchMax+extra; i++ {
 			fx.Send(10, msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}, Slot: uint64(i)})
 		}
-	}, 1)
+	})
 	n.SetPeer(10, a.addr())
-	step(t, n, 1, 0)
+	step(t, n, 0)
 	slot := uint64(0)
 	for _, want := range []int{ackBatchMax, extra} {
-		ents := ackEntries(t, a.next(t))
+		ents := ackEntries(t, a.next(t), 10)
 		if len(ents) != want {
 			t.Fatalf("ack batch of %d, want %d", len(ents), want)
 		}
 		for _, ent := range ents {
-			if ent.Msg.(msgs.P2b).Slot != slot {
-				t.Fatalf("entry out of order: slot %d, want %d", ent.Msg.(msgs.P2b).Slot, slot)
+			if ent.(msgs.P2b).Slot != slot {
+				t.Fatalf("entry out of order: slot %d, want %d", ent.(msgs.P2b).Slot, slot)
 			}
 			slot++
 		}
-	}
-}
-
-// TestFanoutGroupsByAddr: a fan-out send whose recipients share addresses
-// produces one frame per address, naming every recipient there in its
-// header, from a single encode.
-func TestFanoutGroupsByAddr(t *testing.T) {
-	a, b := newSink(t, nil), newSink(t, nil)
-	n := scripted(t, func(_ mcast.ProcessID, _ uint64, fx *node.Effects) {
-		fx.SendAll([]mcast.ProcessID{10, 11, 12}, benchAccept())
-	}, 1)
-	n.SetPeer(10, a.addr())
-	n.SetPeer(11, a.addr())
-	n.SetPeer(12, b.addr())
-	step(t, n, 1, 0)
-	if fa := a.next(t); len(fa.tos) != 2 || fa.tos[0] != 10 || fa.tos[1] != 11 {
-		t.Fatalf("a's destinations = %v, want [10 11]", fa.tos)
-	}
-	if fb := b.next(t); len(fb.tos) != 1 || fb.tos[0] != 12 {
-		t.Fatalf("b's destinations = %v, want [12]", fb.tos)
-	}
-	if st := n.Stats(); st.MessagesEncoded != 1 || st.FramesSent != 2 {
-		t.Errorf("encoded %d, sent %d frames; want 1 encode, 2 frames (one per address)", st.MessagesEncoded, st.FramesSent)
-	}
-}
-
-// TestHostedRecipientsSkipWire: a node hosting shards 1 and 2 — a send from
-// shard 1 to {2, 12} reaches shard 2 through its mailbox and puts only the
-// frame for 12 on the wire.
-func TestHostedRecipientsSkipWire(t *testing.T) {
-	b := newSink(t, nil)
-	hb := msgs.Heartbeat{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}}
-	local := make(chan node.Recv, 1)
-	n, err := Serve(Config{
-		ListenAddr: "127.0.0.1:0",
-		Shards: []ShardConfig{
-			{Handler: node.Func{PID: 1, F: func(in node.Input, fx *node.Effects) {
-				if _, ok := in.(node.Timer); ok {
-					fx.SendAll([]mcast.ProcessID{2, 12}, hb)
-				}
-			}}},
-			{Handler: node.Func{PID: 2, F: func(in node.Input, _ *node.Effects) {
-				if rcv, ok := in.(node.Recv); ok {
-					local <- rcv
-				}
-			}}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	n.SetPeer(12, b.addr())
-	step(t, n, 1, 0)
-	if f := b.next(t); len(f.tos) != 1 || f.tos[0] != 12 || f.msg != hb {
-		t.Fatalf("wire frame = %+v, want the heartbeat to 12 only", f)
-	}
-	select {
-	case rcv := <-local:
-		if rcv.From != 1 || rcv.Msg != hb {
-			t.Fatalf("shard 2 received %+v", rcv)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the co-hosted shard never got the message")
-	}
-	if st := n.Stats(); st.MessagesEncoded != 1 || st.FramesSent != 1 {
-		t.Errorf("stats %+v, want one encode and one frame", st)
 	}
 }

@@ -21,10 +21,6 @@ import (
 // MaxFrame bounds accepted frame sizes (defensive).
 const MaxFrame = 16 << 20
 
-// maxDests bounds the destination list of one frame header (defensive; a
-// real fan-out is bounded by the topology size).
-const maxDests = 1 << 10
-
 // linkBacklog bounds the bytes pending on one link — frames appended
 // and not yet taken by a write. A frame that would grow a non-empty backlog
 // past it is dropped and counted; an empty link takes any frame, so one of
@@ -37,71 +33,50 @@ const linkBacklog = 4 << 20
 // (length prefix, body) per frame. A larger frame bypasses the buffer.
 const readBufSize = 32 << 10
 
-// ackBatchMax bounds how many ack-class messages one shard accumulates for
-// one link before they leave as one AckBatch frame regardless of where the
-// drain stands.
+// ackBatchMax bounds how many ack-class messages accumulate for one link
+// before they leave as one AckBatch frame regardless of where the drain
+// stands.
 const ackBatchMax = 64
+
+// mailboxSize is the ring capacity of the input mailbox. Posts beyond it
+// spill to an unbounded overflow, so senders never block the loop — this
+// bounds the fast path, not the queue.
+const mailboxSize = 64
+
+// dialTimeout bounds one outbound connection attempt.
+const dialTimeout = 3 * time.Second
 
 // pooledFrameCap bounds the capacity of the buffers kept for reuse (the read
 // pool's frames, a link's two buffers), so one jumbo frame does not pin
 // megabytes.
 const pooledFrameCap = 1 << 20
 
-// ShardConfig describes one protocol shard hosted by a Node: its handler
-// plus the per-shard durable store and delivery sink.
-type ShardConfig struct {
-	// Handler is the shard's protocol state machine; its ID() is the
-	// shard's process ID.
-	Handler node.Handler
-	// Storage, if non-nil, backs the shard's persist effects (see
-	// Config.Storage).
-	Storage wal.Storage
-	// OnDeliver, if non-nil, receives the shard's application deliveries,
-	// invoked from the shard's loop.
-	OnDeliver func(d mcast.Delivery)
-}
-
 // Config parametrises a Node.
 type Config struct {
-	// PID is this process's ID (single-shard form; ignored when Shards is
-	// set — each shard's ID comes from its handler).
+	// PID is this process's ID; frames addressed to any other are dropped.
 	PID mcast.ProcessID
 	// ListenAddr is the TCP address to accept peer connections on.
 	ListenAddr string
 	// Peers maps every process (replicas and clients) to its address. It
 	// is copied at Serve time; peers learned later (e.g. port-0 test
 	// clusters, late-joining clients) are registered with Node.SetPeer.
-	// Several processes may share one address (a multi-shard peer).
 	Peers map[mcast.ProcessID]string
-	// Handler is the protocol state machine to run (single-shard form:
-	// exactly one of Handler and Shards must be set).
+	// Handler is the protocol state machine to run.
 	Handler node.Handler
 	// Storage, if non-nil, backs the handler's persist effects: every eager
 	// entry is appended and synced before any send or delivery of the same
 	// Handle call is released; lazy ones ride the next sync (node.Step). The
-	// store calls run on a goroutine beside the shard's loop, one at a time;
+	// store calls run on a goroutine beside the node's loop, one at a time;
 	// Close returns after the last. A storage error crash-stops the node (it
 	// closes as if killed; the durable prefix is what a restart recovers).
 	// When nil, persist effects are discarded and the node provides no
-	// durability. Single-shard form; per-shard stores go in Shards.
+	// durability.
 	Storage wal.Storage
-	// Shards, when non-empty, lists the protocol shards this node hosts
-	// (multi-shard form). Handler, Storage and OnDeliver must be unset;
-	// shard IDs must be distinct. Each shard gets its own mailbox and
-	// loop; sends between co-hosted shards bypass the wire.
-	Shards []ShardConfig
 	// Logf, if non-nil, receives diagnostics (connection errors etc.).
 	Logf func(format string, args ...any)
-	// OnDeliver, if non-nil, receives the handler's application deliveries
-	// (single-shard form).
+	// OnDeliver, if non-nil, receives the handler's application deliveries,
+	// invoked from the node's loop.
 	OnDeliver func(d mcast.Delivery)
-	// DialTimeout bounds outbound connection attempts (default 3s).
-	DialTimeout time.Duration
-	// MailboxSize is the ring capacity of each shard's input mailbox
-	// (default 64). Enqueues beyond it spill to an unbounded overflow, so
-	// senders never block the shard loops — this bounds the fast path,
-	// not the queue.
-	MailboxSize int
 	// Metrics, if non-nil, supplies the counters the node maintains on its
 	// I/O paths. Pass a registered obs.NewRuntime to scrape them; when nil
 	// the node creates an unregistered one, so Stats() always works. Either
@@ -117,7 +92,7 @@ type Stats struct {
 	// ack sends).
 	MessagesEncoded int64
 	// FramesSent counts frames appended to peer links — one per
-	// destination address per send (self- and co-hosted sends excluded).
+	// destination process per send (self-sends excluded).
 	// FramesSent / MessagesEncoded is the achieved fan-out sharing factor.
 	FramesSent int64
 	// FramesCoalesced counts frames beyond the first in one write: those
@@ -129,18 +104,20 @@ type Stats struct {
 	OutboundDrops int64
 	// Reconnects counts outbound redials after a connection failure.
 	Reconnects int64
-	// FramesRead counts inbound frames successfully decoded.
+	// FramesRead counts inbound frames successfully decoded; one dropped
+	// for naming another process is not among them.
 	FramesRead int64
-	// MailboxHighWater is the largest input-mailbox depth observed across
-	// the hosted shards. Mailboxes never block senders (ring + overflow,
+	// MailboxHighWater is the largest input-mailbox depth observed.
+	// Mailboxes never block senders (ring + overflow,
 	// which rules out buffer deadlocks), so sustained overload shows up
 	// here rather than as TCP backpressure — monitor it when
 	// perf-debugging a saturated node.
 	MailboxHighWater int64
 }
 
-// Node is a running TCP-hosted process (one or more protocol shards behind
-// one listener).
+// Node is a running TCP-hosted process: one listener, one handler behind the
+// shared shard driver — its Step and its Mailbox, consumed only by the
+// node's loop — and one link per peer process.
 type Node struct {
 	cfg Config
 	ln  net.Listener
@@ -149,16 +126,26 @@ type Node struct {
 	quitOnce sync.Once
 	wg       sync.WaitGroup
 
-	// Hosted shards. shardByPID is immutable after Serve, so the hot
-	// paths read it without locking.
-	shards     []*shard
-	shardByPID map[mcast.ProcessID]*shard
+	step *node.Step
+	box  *node.Mailbox[boxedInput]
+	// held keeps the borrowed frames of the inputs that left entries or
+	// effects with the Step for its next hand-off, flying those of the
+	// hand-off in flight — staged entries alias them until its Append has
+	// returned: composite readFrames, nil when none.
+	held, flying *readFrame
 
-	// The address book: every known peer's link, and the one link of each
-	// address (several processes may share one).
-	mu    sync.Mutex
-	peers map[mcast.ProcessID]*link
-	links map[string]*link
+	// The send path's scratch, used by the loop alone: the encoded body of
+	// the send being released, the links it goes to, and the links appended
+	// to since the last flush.
+	enc     []byte
+	dests   []*link
+	touched []*link
+
+	// The address book: the link of every known peer, and whether stop has
+	// closed them (a link registered after that starts closed).
+	mu      sync.Mutex
+	peers   map[mcast.ProcessID]*link
+	stopped bool
 
 	// readPool recycles inbound frame buffers.
 	readPool sync.Pool
@@ -168,36 +155,10 @@ type Node struct {
 	rt *obs.Runtime
 }
 
-// shard is one hosted protocol shard: a handler behind the shared shard
-// driver — its Step and its Mailbox, consumed only by the shard's loop.
-// Shards share no mutable protocol state; the only cross-shard edge is a
-// posted message (see the node.Handler shard-model contract).
-type shard struct {
-	n         *Node
-	pid       mcast.ProcessID
-	idx       int // in n.shards: the shard's lane on every link
-	step      *node.Step
-	onDeliver func(d mcast.Delivery)
-	box       *node.Mailbox[boxedInput]
-	// held keeps the borrowed frames of the inputs that left entries or
-	// effects with the Step for its next hand-off, flying those of the
-	// hand-off in flight — staged entries alias them until its Append has
-	// returned: composite readFrames, nil when none.
-	held, flying *readFrame
-
-	// The send path's scratch, used by the shard's loop alone: the encoded
-	// body of the send being released, its recipients grouped by link, and
-	// the links appended to since the last flush.
-	enc     []byte
-	groups  []linkGroup
-	ngroups int
-	touched []*link
-}
-
 // boxedInput pairs an input with the pooled read frame its decoded message
 // borrows from (nil for timers, injected inputs and expanded ack-batch
 // entries); the frame is released after the handler has consumed the input.
-// One with done set carries no input: it is the shard's hand-off coming back
+// One with done set carries no input: it is the node's hand-off coming back
 // from the store.
 type boxedInput struct {
 	in    node.Input
@@ -205,10 +166,11 @@ type boxedInput struct {
 	done  *node.Commit
 }
 
-// readFrame is one inbound frame buffer, shared by reference counting
-// across the mailboxes of every hosted destination shard. A composite has
-// no bytes of its own: it holds one reference on each of its parts — the
-// frames of the inputs one commit covers — and drops them with its last.
+// readFrame is one inbound frame buffer, reference-counted: the mailbox
+// entry holds one reference, and so does every composite it is a part of. A
+// composite has no bytes of its own: it holds one reference on each of its
+// parts — the frames of the inputs one commit covers — and drops them with
+// its last.
 type readFrame struct {
 	buf   []byte
 	refs  atomic.Int32
@@ -217,34 +179,8 @@ type readFrame struct {
 
 // Serve starts listening and processing.
 func Serve(cfg Config) (*Node, error) {
-	type shardSpec struct {
-		pid mcast.ProcessID
-		sc  ShardConfig
-	}
-	var specs []shardSpec
-	if len(cfg.Shards) > 0 {
-		if cfg.Handler != nil || cfg.Storage != nil || cfg.OnDeliver != nil {
-			return nil, fmt.Errorf("tcpnet: Shards and single-shard fields are mutually exclusive")
-		}
-		for i, sc := range cfg.Shards {
-			if sc.Handler == nil {
-				return nil, fmt.Errorf("tcpnet: shard %d: nil handler", i)
-			}
-			specs = append(specs, shardSpec{sc.Handler.ID(), sc})
-		}
-	} else {
-		if cfg.Handler == nil {
-			return nil, fmt.Errorf("tcpnet: nil handler")
-		}
-		specs = append(specs, shardSpec{cfg.PID, ShardConfig{
-			Handler: cfg.Handler, Storage: cfg.Storage, OnDeliver: cfg.OnDeliver,
-		}})
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.MailboxSize <= 0 {
-		cfg.MailboxSize = 64
+	if cfg.Handler == nil {
+		return nil, fmt.Errorf("tcpnet: nil handler")
 	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
@@ -255,40 +191,25 @@ func Serve(cfg Config) (*Node, error) {
 		rt = obs.NewRuntime(nil)
 	}
 	n := &Node{
-		cfg:        cfg,
-		ln:         ln,
-		quit:       make(chan struct{}),
-		shardByPID: make(map[mcast.ProcessID]*shard, len(specs)),
-		peers:      make(map[mcast.ProcessID]*link, len(cfg.Peers)),
-		links:      make(map[string]*link),
-		rt:         rt,
+		cfg:   cfg,
+		ln:    ln,
+		quit:  make(chan struct{}),
+		step:  node.NewStep(cfg.Handler, cfg.Storage),
+		peers: make(map[mcast.ProcessID]*link, len(cfg.Peers)),
+		rt:    rt,
 	}
+	n.box = node.NewMailbox[boxedInput](mailboxSize, n.quit)
 	n.readPool.New = func() any { return &readFrame{} }
-	for _, sp := range specs {
-		if _, dup := n.shardByPID[sp.pid]; dup {
-			ln.Close()
-			return nil, fmt.Errorf("tcpnet: duplicate shard %d", sp.pid)
-		}
-		s := &shard{
-			n: n, pid: sp.pid, idx: len(n.shards), onDeliver: sp.sc.OnDeliver,
-			step: node.NewStep(sp.sc.Handler, sp.sc.Storage),
-			box:  node.NewMailbox[boxedInput](cfg.MailboxSize, n.quit),
-		}
-		n.shards = append(n.shards, s)
-		n.shardByPID[sp.pid] = s
-	}
 	for pid, addr := range cfg.Peers {
 		n.SetPeer(pid, addr)
 	}
-	n.wg.Add(1 + len(n.shards))
+	n.wg.Add(2)
 	go n.acceptLoop()
-	for _, s := range n.shards {
-		go func() {
-			defer n.wg.Done()
-			s.box.Run(s.consume, s.commit)
-		}()
-		s.box.Post(boxedInput{in: node.Start{}})
-	}
+	go func() {
+		defer n.wg.Done()
+		n.box.Run(n.consume, n.commit)
+	}()
+	n.box.Post(boxedInput{in: node.Start{}})
 	return n, nil
 }
 
@@ -309,44 +230,31 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// MailboxDepth returns the summed current input-mailbox depth across the
-// hosted shards. Exposed as the wbcast_mailbox_depth gauge view by the
-// public TCP transport.
-func (n *Node) MailboxDepth() int64 {
-	var d int64
-	for _, s := range n.shards {
-		d += s.box.Depth()
-	}
-	return d
-}
-
-// ShardDepth returns the current input-mailbox depth of one hosted shard
-// (0 for an unhosted pid). Exposed as the wbcast_shard_queue_depth gauge.
-func (n *Node) ShardDepth(pid mcast.ProcessID) int64 {
-	s, ok := n.shardByPID[pid]
-	if !ok {
-		return 0
-	}
-	return s.box.Depth()
-}
+// MailboxDepth returns the current depth of the input mailbox. Exposed as
+// the wbcast_mailbox_depth gauge view by the public TCP transport.
+func (n *Node) MailboxDepth() int64 { return n.box.Depth() }
 
 // SetPeer registers (or updates) the address of a peer process. The
 // address book is consulted for each send, so an update takes effect for
-// all subsequent sends; the link of a stale address idles until the node
-// closes.
+// all subsequent sends; a new address gets a new link, and the old one's
+// connection is closed with whatever it had not yet written.
 func (n *Node) SetPeer(pid mcast.ProcessID, addr string) {
 	n.mu.Lock()
-	l, ok := n.links[addr]
-	if !ok {
-		l = newLink(n, addr)
-		n.links[addr] = l
+	old := n.peers[pid]
+	if old != nil && old.addr == addr {
+		n.mu.Unlock()
+		return
 	}
+	l := &link{n: n, pid: pid, addr: addr}
+	l.closed.Store(n.stopped) // the loop may still be finishing its drain
 	n.peers[pid] = l
 	n.mu.Unlock()
+	if old != nil {
+		old.close()
+	}
 }
 
-// linkTo returns the link of a peer's current address. A peer without one
-// is a counted drop.
+// linkTo returns the link of a peer. A peer without one is a counted drop.
 func (n *Node) linkTo(pid mcast.ProcessID) *link {
 	n.mu.Lock()
 	l := n.peers[pid]
@@ -358,40 +266,27 @@ func (n *Node) linkTo(pid mcast.ProcessID) *link {
 	return l
 }
 
-// Inject posts a local input (e.g. a client Submit) to a single-shard
-// node. Multi-shard nodes must use InjectTo.
+// Inject posts a local input (e.g. a client Submit).
 func (n *Node) Inject(in node.Input) error {
-	if len(n.shards) != 1 {
-		return fmt.Errorf("tcpnet: Inject on a %d-shard node; use InjectTo", len(n.shards))
-	}
-	return n.InjectTo(n.shards[0].pid, in)
-}
-
-// InjectTo posts a local input to one hosted shard.
-func (n *Node) InjectTo(pid mcast.ProcessID, in node.Input) error {
 	select {
 	case <-n.quit:
 		return fmt.Errorf("tcpnet: node closed")
 	default:
 	}
-	s, ok := n.shardByPID[pid]
-	if !ok {
-		return fmt.Errorf("tcpnet: shard %d not hosted here", pid)
-	}
-	s.box.Post(boxedInput{in: in})
+	n.box.Post(boxedInput{in: in})
 	return nil
 }
 
 // stop initiates shutdown without joining goroutines (safe to call from
-// a shard loop itself, e.g. on a storage failure).
+// the node's loop itself, e.g. on a storage failure).
 func (n *Node) stop() {
 	n.quitOnce.Do(func() { close(n.quit) })
 	n.ln.Close()
-	// Release the writers blocked on a peer that does not read. A writer
-	// that connects from here on sees quit and closes its own.
+	// Release the writers blocked on a peer that does not read.
 	n.mu.Lock()
-	for _, l := range n.links {
-		l.setConn(nil)
+	n.stopped = true
+	for _, l := range n.peers {
+		l.close()
 	}
 	n.mu.Unlock()
 }
@@ -427,11 +322,12 @@ func (n *Node) acceptLoop() {
 }
 
 // readLoop parses frames off one inbound connection, read through one
-// buffer per connection, and routes each to the mailboxes of the hosted
-// destination shards named in its header. A frame with several hosted
-// destinations is posted once per shard with a shared reference-counted
-// buffer; an AckBatch frame is expanded into per-entry Recv posts (ack
-// messages carry no byte slices, so the frame is recycled immediately).
+// buffer per connection, and posts each one addressed to this process to
+// the mailbox. A frame for anybody else — a peer's address book is stale —
+// is dropped unread: no handler may see a message its process is not a
+// destination of. An AckBatch frame is expanded into per-entry Recv posts
+// (ack messages carry no byte slices, so the frame is recycled immediately).
+// A malformed frame ends the connection.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
@@ -446,7 +342,6 @@ func (n *Node) readLoop(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, readBufSize)
 	var lenBuf [4]byte
-	var targets []*shard
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
@@ -462,29 +357,16 @@ func (n *Node) readLoop(conn net.Conn) {
 			return
 		}
 		start := time.Now()
-		nd, off := binary.Uvarint(rf.buf)
-		if off <= 0 || nd > maxDests {
+		dest, off := binary.Varint(rf.buf)
+		if off <= 0 {
 			n.putReadFrame(rf)
-			n.logf("tcpnet: bad destination count from %s", conn.RemoteAddr())
+			n.logf("tcpnet: bad destination from %s", conn.RemoteAddr())
 			return
 		}
-		targets = targets[:0]
-		bad := false
-		for i := uint64(0); i < nd; i++ {
-			d, k := binary.Varint(rf.buf[off:])
-			if k <= 0 {
-				bad = true
-				break
-			}
-			off += k
-			if s, ok := n.shardByPID[mcast.ProcessID(d)]; ok {
-				targets = append(targets, s)
-			}
-		}
-		if bad {
+		if dest != int64(n.cfg.PID) {
 			n.putReadFrame(rf)
-			n.logf("tcpnet: bad destination list from %s", conn.RemoteAddr())
-			return
+			n.logf("tcpnet: dropping a frame for process %d from %s", dest, conn.RemoteAddr())
+			continue
 		}
 		rcv, err := decodeFrameBody(rf.buf[off:])
 		if err != nil {
@@ -495,22 +377,14 @@ func (n *Node) readLoop(conn net.Conn) {
 		n.rt.FramesRead.Inc()
 		n.rt.DecodeStage.Observe(time.Since(start))
 		if ab, ok := rcv.Msg.(msgs.AckBatch); ok {
-			for _, ent := range ab.Entries {
-				if s, ok := n.shardByPID[ent.To]; ok {
-					s.box.Post(boxedInput{in: node.Recv{From: rcv.From, Msg: ent.Msg}})
-				}
+			for _, m := range ab.Entries {
+				n.box.Post(boxedInput{in: node.Recv{From: rcv.From, Msg: m}})
 			}
 			n.putReadFrame(rf)
 			continue
 		}
-		if len(targets) == 0 {
-			n.putReadFrame(rf) // none of the destinations is hosted here
-			continue
-		}
-		rf.refs.Store(int32(len(targets)))
-		for _, s := range targets {
-			s.box.Post(boxedInput{in: rcv, frame: rf})
-		}
+		rf.refs.Store(1)
+		n.box.Post(boxedInput{in: rcv, frame: rf})
 	}
 }
 
@@ -564,29 +438,28 @@ func (n *Node) releaseRead(rf *readFrame) {
 	}
 }
 
-// consume runs one input through the shard's Step, or takes back the
+// consume runs one input through the node's Step, or takes back the
 // hand-off that has run. What the call left with the Step keeps a reference
 // on its borrowed frame; the rest is released at once.
-func (s *shard) consume(b boxedInput) {
-	n := s.n
-	n.rt.MailboxHW.SetMax(s.box.HighWater())
+func (n *Node) consume(b boxedInput) {
+	n.rt.MailboxHW.SetMax(n.box.HighWater())
 	if b.done != nil {
-		rel, err := s.step.Complete(b.done)
-		rf := s.flying
-		s.flying = nil
-		s.release(rf, rel, err)
+		rel, err := n.step.Complete(b.done)
+		rf := n.flying
+		n.flying = nil
+		n.release(rf, rel, err)
 		return
 	}
-	rel, kept, err := s.step.Do(b.in)
+	rel, kept, err := n.step.Do(b.in)
 	if kept && b.frame != nil {
-		if s.held == nil {
-			s.held = n.getReadFrame(0)
-			s.held.refs.Store(1)
+		if n.held == nil {
+			n.held = n.getReadFrame(0)
+			n.held.refs.Store(1)
 		}
 		n.retainRead(b.frame)
-		s.held.parts = append(s.held.parts, b.frame)
+		n.held.parts = append(n.held.parts, b.frame)
 	}
-	s.release(b.frame, rel, err)
+	n.release(b.frame, rel, err)
 }
 
 // commit is the mailbox's commit hook, the end of a drain. First the links
@@ -595,179 +468,147 @@ func (s *shard) consume(b boxedInput) {
 // in one write. Then what the drain staged goes to the store — one Append,
 // one Sync — on a goroutine beside the loop, with the frames it may alias,
 // and comes back through the mailbox.
-func (s *shard) commit() {
-	for _, l := range s.touched {
-		ln := &l.lanes[s.idx]
-		s.flushAcks(l, ln)
-		ln.touched = false
+func (n *Node) commit() {
+	for _, l := range n.touched {
+		n.flushAcks(l)
+		l.touched = false
 		l.flush()
 	}
-	s.touched = s.touched[:0] // links live as long as the node: nothing to unpin
-	c := s.step.Handoff()
+	n.touched = n.touched[:0]
+	c := n.step.Handoff()
 	if c == nil {
 		return
 	}
 	if held := c.Calls(); held > 0 {
-		s.n.rt.CommitInputs.Observe(time.Duration(held) * time.Second)
+		n.rt.CommitInputs.Observe(time.Duration(held) * time.Second)
 	}
-	s.flying, s.held = s.held, nil
-	c.Go(&s.n.wg, func() { s.box.Post(boxedInput{done: c}) })
+	n.flying, n.held = n.held, nil
+	c.Go(&n.wg, func() { n.box.Post(boxedInput{done: c}) })
 }
 
 // release acts on what the Step handed back, in the driver's order: timers,
-// sends, deliveries; then the shard's reference on rf, the frame the
-// effects may borrow from, can go. A storage failure crash-stops the whole
-// node — it closes as if killed, and the durable prefix is what a restart
-// recovers.
-func (s *shard) release(rf *readFrame, rel node.Release, err error) {
-	n := s.n
+// sends, deliveries; then the loop's reference on rf, the frame the effects
+// may borrow from, can go. A storage failure crash-stops the node — it
+// closes as if killed, and the durable prefix is what a restart recovers.
+func (n *Node) release(rf *readFrame, rel node.Release, err error) {
 	if err != nil {
-		n.logf("tcpnet: p%d crash-stopping on storage failure: %v", s.pid, err)
+		n.logf("tcpnet: p%d crash-stopping on storage failure: %v", n.cfg.PID, err)
 		n.stop()
-		n.releaseRead(s.held)
-		n.releaseRead(s.flying)
-		s.held, s.flying = nil, nil
+		n.releaseRead(n.held)
+		n.releaseRead(n.flying)
+		n.held, n.flying = nil, nil
 	} else {
 		for _, tm := range rel.Timers {
-			s.box.PostAfter(tm.After, boxedInput{in: node.Timer{Kind: tm.Kind, Data: tm.Data}})
+			n.box.PostAfter(tm.After, boxedInput{in: node.Timer{Kind: tm.Kind, Data: tm.Data}})
 		}
-		s.send(rf, rel.Sends)
-		if s.onDeliver != nil {
+		n.send(rf, rel.Sends)
+		if n.cfg.OnDeliver != nil {
 			for _, d := range rel.Deliveries {
-				s.onDeliver(d)
+				n.cfg.OnDeliver(d)
 			}
 		}
 	}
 	n.releaseRead(rf)
 }
 
-// linkGroup collects the recipients of one send that share a link, so the
-// address gets one frame whatever it hosts.
-type linkGroup struct {
-	l   *link
-	tos []mcast.ProcessID
-}
-
-// send releases one release's sends. A hosted recipient (self-send or a
-// co-hosted shard) gets the message through its mailbox without touching
-// the wire: the value is shared, not re-encoded — handlers treat received
-// messages as immutable either way — and the posted input keeps a reference
-// to rf in case the message borrows from it. For the remote recipients the
-// message is serialised once, here, whatever the fan-out, and the bytes are
-// appended to the link of every destination address; commit flushes them.
-// Ack-class unicasts accumulate per link and leave as one AckBatch frame —
-// before any later frame of this shard to the same link (per-link FIFO),
-// when ackBatchMax have gathered, and at the end of the drain.
-func (s *shard) send(rf *readFrame, sends []node.Send) {
-	n := s.n
+// send releases one release's sends. A self-send gets the message through
+// the mailbox without touching the wire: the value is shared, not
+// re-encoded — handlers treat received messages as immutable either way —
+// and the posted input keeps a reference to rf in case the message borrows
+// from it. For the remote recipients the message is serialised once, here,
+// whatever the fan-out, and the bytes are appended to the link of every
+// destination; commit flushes them. Ack-class unicasts accumulate per link
+// and leave as one AckBatch frame — before any later frame to the same link
+// (per-link FIFO), when ackBatchMax have gathered, and at the end of the
+// drain.
+func (n *Node) send(rf *readFrame, sends []node.Send) {
 	for i := range sends {
 		snd := &sends[i]
 		ack := snd.Tos == nil && snd.Msg.Kind().IsAck()
-		s.ngroups = 0
+		n.dests = n.dests[:0]
 		for r := 0; r < snd.NumRecipients(); r++ {
 			to := snd.Recipient(r)
-			if t, ok := n.shardByPID[to]; ok {
+			if to == n.cfg.PID {
 				n.retainRead(rf)
-				t.box.Post(boxedInput{in: node.Recv{From: s.pid, Msg: snd.Msg}, frame: rf})
-			} else if l := n.linkTo(to); l == nil {
+				n.box.Post(boxedInput{in: node.Recv{From: to, Msg: snd.Msg}, frame: rf})
 				continue
-			} else if ack {
-				ln := s.lane(l)
-				ln.acks = append(ln.acks, msgs.AckEntry{To: to, Msg: snd.Msg})
-				if len(ln.acks) >= ackBatchMax {
-					s.flushAcks(l, ln)
-				}
-			} else {
-				s.addTo(l, to)
+			}
+			l := n.linkTo(to)
+			if l == nil {
+				continue
+			}
+			if !l.touched {
+				l.touched = true
+				n.touched = append(n.touched, l)
+			}
+			if !ack {
+				n.flushAcks(l) // into the scratch the body takes after the loop
+				n.dests = append(n.dests, l)
+				continue
+			}
+			l.acks = append(l.acks, snd.Msg)
+			if len(l.acks) >= ackBatchMax {
+				n.flushAcks(l)
 			}
 		}
-		if s.ngroups == 0 {
+		if len(n.dests) == 0 {
 			continue
 		}
-		groups := s.groups[:s.ngroups]
-		for j := range groups {
-			s.flushAcks(groups[j].l, s.lane(groups[j].l))
-		}
-		if body, ok := s.encode(snd.Msg); ok {
-			for j := range groups {
-				groups[j].l.append(groups[j].tos, body)
+		if body, ok := n.encode(snd.Msg); ok {
+			for _, l := range n.dests {
+				l.append(body)
 			}
 		}
 	}
 }
 
-// addTo adds one recipient to the send's link grouping scratch.
-func (s *shard) addTo(l *link, to mcast.ProcessID) {
-	for j := 0; j < s.ngroups; j++ {
-		if s.groups[j].l == l {
-			s.groups[j].tos = append(s.groups[j].tos, to)
-			return
-		}
-	}
-	if s.ngroups == len(s.groups) {
-		s.groups = append(s.groups, linkGroup{})
-	}
-	g := &s.groups[s.ngroups]
-	g.l, g.tos = l, append(g.tos[:0], to)
-	s.ngroups++
-}
-
-// lane returns the shard's lane on l, entering l among the links commit
-// flushes.
-func (s *shard) lane(l *link) *lane {
-	ln := &l.lanes[s.idx]
-	if !ln.touched {
-		ln.touched = true
-		s.touched = append(s.touched, l)
-	}
-	return ln
-}
-
-// flushAcks appends the acks the shard has accumulated for l as a single
-// AckBatch frame: no destinations in the header, the receiver routes by the
-// per-entry To fields.
-func (s *shard) flushAcks(l *link, ln *lane) {
-	if len(ln.acks) == 0 {
+// flushAcks appends the acks accumulated for l as a single AckBatch frame.
+func (n *Node) flushAcks(l *link) {
+	if len(l.acks) == 0 {
 		return
 	}
-	s.n.rt.AckBatchSize.Observe(time.Duration(len(ln.acks)) * time.Second)
-	body, ok := s.encode(msgs.AckBatch{Entries: ln.acks})
-	clear(ln.acks)
-	ln.acks = ln.acks[:0]
+	n.rt.AckBatchSize.Observe(time.Duration(len(l.acks)) * time.Second)
+	body, ok := n.encode(msgs.AckBatch{Entries: l.acks})
+	clear(l.acks)
+	l.acks = l.acks[:0]
 	if ok {
-		l.append(nil, body)
+		l.append(body)
 	}
 }
 
 // encode serialises one frame body — [sender varint][wire message] — into
-// the shard's scratch, valid until the next call.
-func (s *shard) encode(m msgs.Message) ([]byte, bool) {
+// the node's scratch, valid until the next call.
+func (n *Node) encode(m msgs.Message) ([]byte, bool) {
 	start := time.Now()
-	buf, err := wire.Encode(binary.AppendVarint(s.enc[:0], int64(s.pid)), m)
-	if s.enc = buf[:0]; cap(buf) > pooledFrameCap {
-		s.enc = nil
+	buf, err := wire.Encode(binary.AppendVarint(n.enc[:0], int64(n.cfg.PID)), m)
+	if n.enc = buf[:0]; cap(buf) > pooledFrameCap {
+		n.enc = nil
 	}
 	if err != nil {
-		s.n.logf("tcpnet: encode %v: %v", m.Kind(), err)
+		n.logf("tcpnet: encode %v: %v", m.Kind(), err)
 		return nil, false
 	}
-	s.n.rt.Encoded.Inc()
-	s.n.rt.EncodeStage.Observe(time.Since(start))
+	n.rt.Encoded.Inc()
+	n.rt.EncodeStage.Observe(time.Since(start))
 	return buf, true
 }
 
-// link is the outbound half of one peer address: one byte stream, so
-// per-link FIFO holds by construction. Shard loops append whole frames to
-// buf under mu; whoever takes buf — swapping in the spare — writes it, and
-// at most one taker exists at a time: a shard loop's flush, which holds mu
+// link is the outbound half of one peer process: one byte stream, so
+// per-link FIFO holds by construction. The node's loop appends whole frames
+// to buf under mu; whoever takes buf — swapping in the spare — writes it, and
+// at most one taker exists at a time: the loop's flush, which holds mu
 // across one write that cannot block, or the writer goroutine, which does
 // not hold mu while it writes and is the only one to dial. While the writer
-// runs (writing), loops only append and it drains what they add.
+// runs (writing), the loop only appends and it drains what the loop adds.
 type link struct {
 	n    *Node
+	pid  mcast.ProcessID
 	addr string
-	// lanes[i] is used by shard i's loop alone.
-	lanes []lane
+
+	// Used by the node's loop alone: the acks accumulated for the peer, and
+	// whether the link is on the loop's touched list.
+	acks    []msgs.Message
+	touched bool
 
 	mu      sync.Mutex
 	buf     []byte // whole frames, not yet taken by a write
@@ -776,24 +617,15 @@ type link struct {
 	conn    net.Conn
 	try     tryWriter // conn's non-blocking write, where the platform has one
 	writing bool
+	// closed: the node has stopped, or SetPeer has replaced the link.
+	closed atomic.Bool
 }
 
-// lane is one shard's part of a link: the acks it has accumulated for the
-// address, and whether the link is on its touched list.
-type lane struct {
-	acks    []msgs.AckEntry
-	touched bool
-}
-
-func newLink(n *Node, addr string) *link {
-	return &link{n: n, addr: addr, lanes: make([]lane, len(n.shards))}
-}
-
-// append adds one frame — [len u32][ndests uvarint][dest varint...][body]
-// — to the link's backlog, or drops it when the backlog is past its bound:
-// a slow peer never blocks a shard loop, and the protocols' retry machinery
-// recovers the frame (the model's reliable channel is an eventual property).
-func (l *link) append(tos []mcast.ProcessID, body []byte) {
+// append adds one frame — [len u32][dest varint][body] — to the link's
+// backlog, or drops it when the backlog is past its bound: a slow peer never
+// blocks the loop, and the protocols' retry machinery recovers the frame (the
+// model's reliable channel is an eventual property).
+func (l *link) append(body []byte) {
 	l.mu.Lock()
 	if len(l.buf) > 0 && len(l.buf)+len(body) > linkBacklog {
 		l.mu.Unlock()
@@ -802,10 +634,7 @@ func (l *link) append(tos []mcast.ProcessID, body []byte) {
 		return
 	}
 	start := len(l.buf)
-	buf := binary.AppendUvarint(append(l.buf, 0, 0, 0, 0), uint64(len(tos)))
-	for _, to := range tos {
-		buf = binary.AppendVarint(buf, int64(to))
-	}
+	buf := binary.AppendVarint(append(l.buf, 0, 0, 0, 0), int64(l.pid))
 	buf = append(buf, body...)
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	l.buf = buf
@@ -831,9 +660,9 @@ func (l *link) done(out []byte) {
 	}
 }
 
-// flush writes the link's backlog, on the calling shard loop if that cannot
-// block: with the link connected and its writer idle, the socket is offered
-// the bytes once, without waiting for it. What it does not take — or
+// flush writes the link's backlog, on the node's loop if that cannot block:
+// with the link connected and its writer idle, the socket is offered the
+// bytes once, without waiting for it. What it does not take — or
 // everything, when the link is not connected, the connection is broken or
 // the platform has no such write — goes to the writer goroutine; while that
 // runs, flush leaves the backlog to it.
@@ -858,18 +687,16 @@ func (l *link) flush() {
 
 // writeLoop is the link's writer goroutine, started by the flush that could
 // not finish on its own: it completes that write — out from off — then
-// writes whatever the loops have appended meanwhile, and ends when nothing
-// is left.
+// writes whatever the loop has appended meanwhile, and ends when nothing is
+// left, or the link is closed.
 func (l *link) writeLoop(out []byte, off, frames int) {
 	defer l.n.wg.Done()
 	for {
 		l.write(out, off, frames)
 		l.mu.Lock()
 		l.done(out)
-		select {
-		case <-l.n.quit:
+		if l.closed.Load() {
 			l.buf, l.frames = l.buf[:0], 0
-		default:
 		}
 		if len(l.buf) == 0 {
 			l.writing = false
@@ -887,7 +714,7 @@ func (l *link) writeLoop(out []byte, off, frames int) {
 // the start of out, on a fresh one: a stale connection (the peer restarted)
 // costs nothing, and frames the dead connection did take may arrive twice,
 // which the protocols tolerate. Failing that, the frames are dropped and
-// counted.
+// counted; a closed link drops them uncounted.
 func (l *link) write(out []byte, off, frames int) {
 	n := l.n
 	l.mu.Lock()
@@ -895,12 +722,10 @@ func (l *link) write(out []byte, off, frames int) {
 	l.mu.Unlock()
 	for attempt := 0; attempt < 2; attempt++ {
 		if conn == nil {
-			select {
-			case <-n.quit:
+			if l.closed.Load() {
 				return
-			default:
 			}
-			c, err := net.DialTimeout("tcp", l.addr, n.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", l.addr, dialTimeout)
 			if err != nil {
 				n.logf("tcpnet: dial %s: %v", l.addr, err)
 				break // drop; retries re-send
@@ -921,7 +746,7 @@ func (l *link) write(out []byte, off, frames int) {
 }
 
 // setConn replaces the link's connection, closing the old one; a connection
-// made after the node has quit is closed at once.
+// made for a closed link is closed at once.
 func (l *link) setConn(c net.Conn) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -932,10 +757,17 @@ func (l *link) setConn(c net.Conn) {
 	if c == nil {
 		return
 	}
-	select {
-	case <-l.n.quit:
+	if l.closed.Load() {
 		c.Close()
-	default:
+	} else {
 		l.try = newTryWriter(c)
 	}
+}
+
+// close ends the link: its connection is closed, which releases a writer
+// blocked on a peer that does not read, and nothing is dialled or written
+// for it again.
+func (l *link) close() {
+	l.closed.Store(true)
+	l.setConn(nil)
 }

@@ -123,58 +123,37 @@ func TestWhiteBoxOverTCP(t *testing.T) {
 	}
 }
 
-// TestMultiShardAckBatchOverTCP runs a two-shard node (pids 1 and 2) and a
-// single-shard driver (pid 3) over real TCP, covering the full pipelined
-// ordering path: a multi-destination frame fans into both hosted shards
-// off one wire frame, a shard-to-shard send bypasses the wire, and the
-// acks flowing back to the driver ride AckBatch frames that the driver's
-// read loop expands back into per-link-FIFO Recv inputs. Both hosted shards
-// answer the driver, so two shard loops interleave their appends and flushes
-// on one link (run under -race): each sender's frames must stay whole and in
-// its own order.
-func TestMultiShardAckBatchOverTCP(t *testing.T) {
-	const numPings = 200
+// TestAckBatchOverTCP runs an answering process (pid 1) and a driver (pid 3)
+// as two nodes over real TCP. The driver pings; the answerer acks every ping
+// and follows every tenth ack with a non-ack echo, so AckBatch frames and
+// plain frames interleave on its one link to the driver. The driver's read
+// loop must expand the batches back into Recv inputs in the order the
+// answerer issued them: acks in ping order, echoes in their own order, and
+// no echo ahead of the ack it followed (per-link FIFO through batching).
+func TestAckBatchOverTCP(t *testing.T) {
+	const numPings, echoEvery = 200, 10
 
 	var mu sync.Mutex
-	var shard2From []mcast.ProcessID // senders shard 2 saw
-	var ackOrder []uint64            // Delivered.Time of acks at the driver
-	var echoOrder []uint64           // Bal.N of shard 2's echoes at the driver
-	ackDone := make(chan struct{})
+	var acks, echoes []uint64 // Delivered.Time of acks, Bal.N of echoes, as the driver saw them
+	var acksAtEcho []int      // how many acks had arrived when each echo did
+	allIn := make(chan struct{})
 
-	// Shard 1: forward every heartbeat to co-hosted shard 2 and ack the
-	// driver with the heartbeat's ballot number echoed in Delivered.Time.
-	shard1 := node.Func{PID: 1, F: func(in node.Input, fx *node.Effects) {
+	answerer := node.Func{PID: 1, F: func(in node.Input, fx *node.Effects) {
 		rcv, ok := in.(node.Recv)
 		if !ok {
 			return
 		}
-		hb, ok := rcv.Msg.(msgs.Heartbeat)
-		if !ok {
-			return
-		}
-		fx.Send(2, hb)
-		fx.Send(rcv.From, msgs.HeartbeatAck{
-			Group: hb.Group, Bal: hb.Bal,
-			Delivered: mcast.Timestamp{Time: hb.Bal.N},
-		})
-	}}
-	// Shard 2: tell the driver about every message it sees, numbered.
-	shard2 := node.Func{PID: 2, F: func(in node.Input, fx *node.Effects) {
-		if rcv, ok := in.(node.Recv); ok {
-			mu.Lock()
-			fx.Send(3, msgs.Heartbeat{Group: 9, Bal: mcast.Ballot{N: uint64(len(shard2From)), Proc: 2}})
-			shard2From = append(shard2From, rcv.From)
-			mu.Unlock()
+		hb := rcv.Msg.(msgs.Heartbeat)
+		fx.Send(rcv.From, msgs.HeartbeatAck{Group: hb.Group, Bal: hb.Bal, Delivered: mcast.Timestamp{Time: hb.Bal.N}})
+		if hb.Bal.N%echoEvery == echoEvery-1 {
+			fx.Send(rcv.From, msgs.Heartbeat{Group: 9, Bal: mcast.Ballot{N: hb.Bal.N, Proc: 1}})
 		}
 	}}
-	host, err := tcpnet.Serve(tcpnet.Config{
-		ListenAddr: "127.0.0.1:0",
-		Shards:     []tcpnet.ShardConfig{{Handler: shard1}, {Handler: shard2}},
-	})
+	an, err := tcpnet.Serve(tcpnet.Config{PID: 1, ListenAddr: "127.0.0.1:0", Handler: answerer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer host.Close()
+	defer an.Close()
 
 	driver := node.Func{PID: 3, F: func(in node.Input, fx *node.Effects) {
 		switch in := in.(type) {
@@ -182,19 +161,17 @@ func TestMultiShardAckBatchOverTCP(t *testing.T) {
 			for i := 0; i < numPings; i++ {
 				fx.Send(1, msgs.Heartbeat{Group: 0, Bal: mcast.Ballot{N: uint64(i), Proc: 3}})
 			}
-			// One multi-destination fan-out: both hosted shards share an
-			// address, so this is a single ndests=2 frame on the wire.
-			fx.SendAll([]mcast.ProcessID{1, 2}, msgs.Heartbeat{Group: 7, Bal: mcast.Ballot{N: numPings, Proc: 3}})
 		case node.Recv:
 			mu.Lock()
 			switch m := in.Msg.(type) {
 			case msgs.HeartbeatAck:
-				ackOrder = append(ackOrder, m.Delivered.Time)
+				acks = append(acks, m.Delivered.Time)
 			case msgs.Heartbeat:
-				echoOrder = append(echoOrder, m.Bal.N)
+				echoes = append(echoes, m.Bal.N)
+				acksAtEcho = append(acksAtEcho, len(acks))
 			}
-			if len(ackOrder)+len(echoOrder) == 2*numPings+3 {
-				close(ackDone)
+			if len(acks)+len(echoes) == numPings+numPings/echoEvery {
+				close(allIn)
 			}
 			mu.Unlock()
 		}
@@ -204,68 +181,41 @@ func TestMultiShardAckBatchOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dn.Close()
-
-	hostAddr := host.Addr().String()
-	dn.SetPeer(1, hostAddr)
-	dn.SetPeer(2, hostAddr)
-	host.SetPeer(3, dn.Addr().String())
+	dn.SetPeer(1, an.Addr().String())
+	an.SetPeer(3, dn.Addr().String())
 
 	if err := dn.Inject(node.Submit{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-ackDone:
+	case <-allIn:
 	case <-time.After(20 * time.Second):
 		mu.Lock()
-		n, m := len(ackOrder), len(echoOrder)
+		n, m := len(acks), len(echoes)
 		mu.Unlock()
-		t.Fatalf("timed out after %d of %d acks and %d of %d echoes", n, numPings+1, m, numPings+2)
+		t.Fatalf("timed out after %d of %d acks and %d of %d echoes", n, numPings, m, numPings/echoEvery)
 	}
 
-	// Shard 2 runs on its own loop: the driver having every ack does not
-	// mean shard 2 has consumed every forward yet.
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		mu.Lock()
-		n := len(shard2From)
-		mu.Unlock()
-		if n >= numPings+2 {
-			break
-		}
-	}
 	mu.Lock()
 	defer mu.Unlock()
-	// Per-link FIFO through ack batching: the driver must see the acks in
-	// exactly the order shard 1 issued them.
-	for i, got := range ackOrder {
+	for i, got := range acks {
 		if got != uint64(i) {
 			t.Fatalf("ack %d carries Delivered.Time %d; ack batching broke per-link FIFO", i, got)
 		}
 	}
-	for i, got := range echoOrder {
-		if got != uint64(i) {
-			t.Fatalf("echo %d of shard 2 is number %d; sharing the link with shard 1 broke per-link FIFO", i, got)
+	for i, got := range echoes {
+		if want := uint64(i*echoEvery + echoEvery - 1); got != want {
+			t.Fatalf("echo %d is of ping %d, want %d", i, got, want)
+		}
+		if acksAtEcho[i] != int(got)+1 {
+			t.Fatalf("the echo of ping %d arrived after %d acks, want %d: a frame passed an ack batch or fell behind one", got, acksAtEcho[i], got+1)
 		}
 	}
-	// Shard 2 saw every forwarded heartbeat from co-hosted shard 1 plus
-	// the driver's direct multi-destination one.
-	var from1, from3 int
-	for _, f := range shard2From {
-		switch f {
-		case 1:
-			from1++
-		case 3:
-			from3++
-		}
-	}
-	if from1 != numPings+1 || from3 != 1 {
-		t.Fatalf("shard 2 saw %d from shard 1 and %d from the driver, want %d and 1",
-			from1, from3, numPings+1)
-	}
-	// The driver's acks arrived batched: strictly fewer ack frames than
-	// acks would be flaky to assert under arbitrary scheduling, but the
-	// host must have encoded at most one frame per ack plus the forwards.
-	if st := host.Stats(); st.MessagesEncoded > 2*numPings+4 {
-		t.Errorf("host encoded %d messages for %d acks and %d echoes; batching regressed badly", st.MessagesEncoded, numPings+1, numPings+2)
+	// Strictly fewer ack frames than acks would be flaky to assert under
+	// arbitrary scheduling, but batching must never cost more than a frame
+	// per ack.
+	if st := an.Stats(); st.MessagesEncoded > numPings+numPings/echoEvery {
+		t.Errorf("the answerer encoded %d messages for %d acks and %d echoes", st.MessagesEncoded, numPings, numPings/echoEvery)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestEncodeOnceFanout(t *testing.T) {
 	sinks := make([]*sink, peers)
 	var tos []mcast.ProcessID
 	del := msgs.Deliver{ID: mcast.MakeMsgID(30, 7), Bal: mcast.Ballot{N: 1, Proc: 0}}
-	n := scripted(t, func(_ mcast.ProcessID, k uint64, fx *node.Effects) {
+	n := scripted(t, 100, func(k uint64, fx *node.Effects) {
 		switch k {
 		case 1:
 			fx.SendAll(tos, benchAccept())
@@ -31,19 +31,19 @@ func TestEncodeOnceFanout(t *testing.T) {
 			fx.SendAll(tos[:6], benchAccept())
 			fx.SendAll(tos, del)
 		}
-	}, 100)
+	})
 	for pid := mcast.ProcessID(0); pid < peers; pid++ {
 		sinks[pid] = newSink(t, nil)
 		n.SetPeer(pid, sinks[pid].addr())
 		tos = append(tos, pid)
 	}
 
-	step(t, n, 100, 1)
+	step(t, n, 1)
 	want := benchAccept()
 	for pid, k := range sinks {
 		f := k.next(t)
 		acc, ok := f.msg.(msgs.Accept)
-		if !ok || f.from != 100 || len(f.tos) != 1 || f.tos[0] != mcast.ProcessID(pid) {
+		if !ok || f.from != 100 || f.to != mcast.ProcessID(pid) {
 			t.Fatalf("peer %d received %+v", pid, f)
 		}
 		if acc.M.ID != want.M.ID || string(acc.M.Payload) != string(want.M.Payload) || acc.LTS != want.LTS {
@@ -54,7 +54,7 @@ func TestEncodeOnceFanout(t *testing.T) {
 		t.Errorf("encoded %d, sent %d frames; want 1 encode, %d frames", st.MessagesEncoded, st.FramesSent, peers)
 	}
 
-	step(t, n, 100, 2)
+	step(t, n, 2)
 	for pid, k := range sinks {
 		if pid < 6 {
 			if _, ok := k.next(t).msg.(msgs.Accept); !ok {
@@ -93,7 +93,7 @@ func TestSelfSendBypassesWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	step(t, n, 100, 0)
+	step(t, n, 0)
 	waitFor(t, "self-send to loop back", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -149,10 +149,10 @@ func TestElasticMailboxNeverBlocks(t *testing.T) {
 
 // TestStatsCountsDrops verifies OutboundDrops counts address-less sends.
 func TestStatsCountsDrops(t *testing.T) {
-	n := scripted(t, func(_ mcast.ProcessID, _ uint64, fx *node.Effects) {
+	n := scripted(t, 100, func(_ uint64, fx *node.Effects) {
 		fx.Send(55, msgs.Heartbeat{Group: 0}) // no address registered
-	}, 100)
-	step(t, n, 100, 0)
+	})
+	step(t, n, 0)
 	waitFor(t, "drop to be counted", func() bool { return n.Stats().OutboundDrops == 1 })
 }
 
@@ -160,9 +160,8 @@ func TestStatsCountsDrops(t *testing.T) {
 // path's encode and decodeFrameBody, checking the borrow-decoded message
 // against the original.
 func TestFrameRoundTripPreservesWire(t *testing.T) {
-	s := &shard{n: newBenchNode(7), pid: 7}
 	orig := benchAccept()
-	body, ok := s.encode(orig)
+	body, ok := newBenchNode(7).encode(orig)
 	if !ok {
 		t.Fatal("encode failed")
 	}

@@ -109,13 +109,12 @@ func Encode(dst []byte, m msgs.Message) ([]byte, error) {
 	case msgs.AckBatch:
 		e.u64(uint64(len(m.Entries)))
 		for _, ent := range m.Entries {
-			if ent.Msg == nil || !ent.Msg.Kind().IsAck() {
+			if ent == nil || !ent.Kind().IsAck() {
 				return nil, fmt.Errorf("wire: ack batch entry is not ack-class")
 			}
-			e.i32(int32(ent.To))
 			// Entries nest a complete [kind][body] encoding, so the
 			// same top-level codec handles them.
-			buf, err := Encode(e.buf, ent.Msg)
+			buf, err := Encode(e.buf, ent)
 			if err != nil {
 				return nil, err
 			}
@@ -250,12 +249,8 @@ func (d *decoder) message(kind msgs.Kind) msgs.Message {
 		ab := msgs.AckBatch{}
 		n := d.u64()
 		if d.validCount(n) {
-			ab.Entries = make([]msgs.AckEntry, 0, n)
+			ab.Entries = make([]msgs.Message, 0, n)
 			for i := uint64(0); i < n; i++ {
-				to := mcast.ProcessID(d.i32())
-				if d.err != nil {
-					break
-				}
 				if len(d.buf) == 0 {
 					d.fail(fmt.Errorf("truncated ack batch entry"))
 					break
@@ -271,7 +266,7 @@ func (d *decoder) message(kind msgs.Kind) msgs.Message {
 				if d.err != nil {
 					break
 				}
-				ab.Entries = append(ab.Entries, msgs.AckEntry{To: to, Msg: sub})
+				ab.Entries = append(ab.Entries, sub)
 			}
 		}
 		m = ab

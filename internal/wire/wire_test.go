@@ -65,12 +65,12 @@ func allMessages() []msgs.Message {
 			{ID: mcast.MakeMsgID(7, 15), Payload: []byte("second")},
 			{ID: mcast.MakeMsgID(9, 1), Payload: []byte{}},
 		}},
-		msgs.AckBatch{Entries: []msgs.AckEntry{
-			{To: 4, Msg: msgs.AcceptAck{ID: mcast.MakeMsgID(7, 16), Group: 1, Bals: []msgs.GroupBallot{
+		msgs.AckBatch{Entries: []msgs.Message{
+			msgs.AcceptAck{ID: mcast.MakeMsgID(7, 16), Group: 1, Bals: []msgs.GroupBallot{
 				{Group: 0, Bal: bal(1, 0)}, {Group: 1, Bal: bal(2, 4)},
-			}}},
-			{To: 5, Msg: msgs.HeartbeatAck{Group: 2, Bal: bal(5, 8), Delivered: ts(42, 1), Executed: 7}},
-			{To: 6, Msg: msgs.P2b{Group: 0, Bal: bal(6, 1), Slot: 9}},
+			}},
+			msgs.HeartbeatAck{Group: 2, Bal: bal(5, 8), Delivered: ts(42, 1), Executed: 7},
+			msgs.P2b{Group: 0, Bal: bal(6, 1), Slot: 9},
 		}},
 		msgs.ClientReplies{Group: 2, IDs: []mcast.MsgID{mcast.MakeMsgID(7, 17), mcast.MakeMsgID(7, 18), mcast.MakeMsgID(7, 20)}},
 		msgs.ClientReplies{Group: 2, Bal: bal(3, 7), IDs: []mcast.MsgID{mcast.MakeMsgID(7, 22)}},
@@ -112,8 +112,8 @@ func TestClientRepliesRoundTrip(t *testing.T) {
 // TestAckBatchRejectsNonAckEntries: only ack-class kinds may nest inside an
 // AckBatch — in particular another AckBatch must be rejected on both paths.
 func TestAckBatchRejectsNonAckEntries(t *testing.T) {
-	if _, err := wire.Encode(nil, msgs.AckBatch{Entries: []msgs.AckEntry{
-		{To: 1, Msg: msgs.Heartbeat{Group: 1, Bal: bal(1, 1)}},
+	if _, err := wire.Encode(nil, msgs.AckBatch{Entries: []msgs.Message{
+		msgs.Heartbeat{Group: 1, Bal: bal(1, 1)},
 	}}); err == nil {
 		t.Error("encoded an ack batch with a non-ack entry")
 	}
@@ -121,7 +121,7 @@ func TestAckBatchRejectsNonAckEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := []byte{byte(msgs.KindAckBatch), 1, 2 /* to=1 zigzag */}
+	raw := []byte{byte(msgs.KindAckBatch), 1}
 	raw = append(raw, inner...)
 	if _, err := wire.Decode(raw); err == nil {
 		t.Error("decoded an ack batch with a non-ack entry")

@@ -154,8 +154,9 @@ func (t *inProcTransport) open(cfg *Config) error {
 	t.net = live.New(live.Config{
 		Latency:   cfg.Latency,
 		OnDeliver: t.dispatch,
+		Logf:      cfg.Logf,
 	})
-	return t.net.Start()
+	return nil
 }
 
 func (t *inProcTransport) dispatch(p mcast.ProcessID, d mcast.Delivery) {
@@ -185,7 +186,7 @@ func (t *inProcTransport) add(h node.Handler, opts hostOptions) error {
 		func() int64 { return n.MailboxDepth(pid) })
 	opts.reg.RegisterFunc(obs.MetricMailboxHighWater, "largest input-queue length observed", obs.KindGauge,
 		func() int64 { return n.MailboxHighWater(pid) })
-	return n.AddStored(h, opts.store)
+	return n.Add(h, opts.store)
 }
 
 func (t *inProcTransport) inject(pid ProcessID, in node.Input) error {
@@ -618,9 +619,6 @@ func (t *tcpTransport) add(h node.Handler, opts hostOptions) error {
 	// over the node's live queue.
 	opts.reg.RegisterFunc(obs.MetricMailboxDepth, "current input-queue length", obs.KindGauge,
 		n.MailboxDepth)
-	opts.reg.RegisterFunc(obs.MetricShardQueueDepth+fmt.Sprintf(`{shard="p%d"}`, pid),
-		"current input-mailbox depth of one protocol shard", obs.KindGauge,
-		func() int64 { return n.ShardDepth(pid) })
 	t.nodes[pid] = n
 	// Ephemeral-port fix-up: when the configured address left the port to
 	// the kernel, adopt the actual bound address and teach every local node
