@@ -46,7 +46,7 @@ func runSequentialWorkload(t *testing.T, p harness.Protocol, batching *batch.Opt
 	for i := 0; i < n; i++ {
 		c.Submit(time.Duration(i)*time.Millisecond, 0, dest, []byte(fmt.Sprintf("payload-%03d", i)))
 	}
-	c.Sim.RunQuiescent(30 * time.Second)
+	c.Sim.Run(30 * time.Second)
 	return c
 }
 
@@ -113,7 +113,7 @@ func TestBatchedRandomWorkload(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(7))
 			c.RandomWorkload(rng, 80, 3, 150*time.Millisecond)
-			c.Sim.RunQuiescent(60 * time.Second)
+			c.Sim.Run(60 * time.Second)
 			for _, err := range c.Check(true) {
 				t.Error(err)
 			}
@@ -142,7 +142,7 @@ func TestBatchedCompletionSemantics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ids = append(ids, c.Submit(time.Duration(i)*time.Millisecond, i%2, dest, []byte{byte(i)}))
 	}
-	c.Sim.RunQuiescent(30 * time.Second)
+	c.Sim.Run(30 * time.Second)
 	for _, id := range ids {
 		if completions[id] != 1 {
 			t.Errorf("payload %v completed %d times, want 1", id, completions[id])

@@ -359,7 +359,7 @@ func (r *Replica) deliver(d mcast.Delivery, fx *node.Effects) {
 		// The advanced frontier is durable before the application sees the
 		// delivery, so a replayed store never re-delivers.
 		if r.durable {
-			fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS, Last: d.GTS})
+			fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS})
 		}
 		if r.obs != nil {
 			r.obs.Stage(obs.StageDeliver, id, r.stageAt(id))

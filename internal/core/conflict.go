@@ -224,7 +224,7 @@ func (r *Replica) onDeliverConflict(d msgs.Deliver, fx *node.Effects) {
 	r.persistRecord(st, fx, false)
 	if r.cfg.Durable {
 		fx.Persist(wal.Entry{Kind: wal.EntryDelivered, IDs: []mcast.MsgID{d.ID}})
-		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: r.maxDeliveredGTS, Last: r.maxDeliveredGTS})
+		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: r.maxDeliveredGTS})
 	}
 	r.queue.Remove(d.ID)
 	batch.ExpandInto(fx, mcast.Delivery{Msg: st.app, GTS: d.GTS})

@@ -342,7 +342,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		r.clock = rs.Clock
 		r.maxDeliveredGTS = rs.MaxDelivered
 		r.vouchedFrontier = rs.MaxDelivered
-		r.lastDeliverGTS = rs.LastDeliver
+		r.lastDeliverGTS = rs.MaxDelivered
 		if r.conflictMode() {
 			// The durable applied set, not the frontier, says what the
 			// application has seen (releases are not in GTS order).
@@ -774,7 +774,7 @@ func (r *Replica) onDeliver(d msgs.Deliver, fx *node.Effects) {
 		r.persistRecord(st, fx, r.cfg.AppGCHorizon)
 	}
 	if r.cfg.Durable {
-		r.persist(fx, r.cfg.AppGCHorizon, wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS, Last: d.GTS})
+		r.persist(fx, r.cfg.AppGCHorizon, wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS})
 	}
 	r.queue.Remove(d.ID)
 	// line 31, unpacking batch envelopes into per-payload deliveries.
@@ -903,7 +903,7 @@ func (r *Replica) persist(fx *node.Effects, lazy bool, e wal.Entry) {
 func (r *Replica) vouchFrontier(fx *node.Effects) {
 	if r.cfg.Durable && r.cfg.AppGCHorizon && !r.conflictMode() && r.vouchedFrontier.Less(r.maxDeliveredGTS) {
 		r.vouchedFrontier = r.maxDeliveredGTS
-		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: r.maxDeliveredGTS, Last: r.maxDeliveredGTS})
+		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: r.maxDeliveredGTS})
 	}
 }
 

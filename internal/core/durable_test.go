@@ -63,7 +63,7 @@ func TestRecordsLoggedOncePerPhase(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				ids = append(ids, c.Submit(0, 0, mcast.NewGroupSet(0), []byte{byte(i)}))
 			}
-			c.Sim.RunQuiescent(100 * delta)
+			c.Sim.Run(100 * delta)
 			if errs := c.Check(true); len(errs) > 0 {
 				t.Fatal(errs)
 			}
@@ -115,7 +115,7 @@ func TestOneSyncOnTheCriticalPath(t *testing.T) {
 		var answered time.Duration
 		c.OnComplete(func(mcast.MsgID) { answered = c.Sim.Now() })
 		id := c.Submit(0, 0, mcast.NewGroupSet(0), []byte("m"))
-		c.Sim.RunQuiescent(100 * delta)
+		c.Sim.Run(100 * delta)
 		if errs := c.Check(true); len(errs) > 0 {
 			t.Fatal(errs)
 		}

@@ -203,6 +203,39 @@ func TestEngineSnapshotRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEngineRecoverRepeatedLog: a crash between a WAL snapshot's rename and
+// the WAL's truncation hands Recover the untruncated WAL's app records a
+// second time (docs/DURABILITY.md). Recover over that log must end with the
+// shard that crashed: the same digest and the same frontier.
+func TestEngineRecoverRepeatedLog(t *testing.T) {
+	for _, unordered := range []bool{false, true} {
+		p := &memPersist{}
+		e := NewEngine(EngineConfig{Group: 0, Persist: p, SnapshotEvery: 4, Unordered: unordered})
+		for i := uint32(0); i < 7; i++ {
+			op := Op{Kind: OpPut, Key: []byte(fmt.Sprintf("k%d", i%3)), Val: []byte(fmt.Sprintf("v%d", i))}
+			if i == 5 {
+				op = Op{Kind: OpDelete, Key: []byte("k2")}
+			}
+			e.Apply(deliver(i+1, op, uint64(i+1), 0))
+		}
+		if p.snap == nil || len(p.log) != 3 {
+			t.Fatalf("persist state: snap=%v logs=%d, want a snapshot and 3 records", p.snap != nil, len(p.log))
+		}
+		repeated := append(slices.Clone(p.log), p.log[1:]...)
+		r := NewEngine(EngineConfig{Group: 0, Unordered: unordered})
+		if err := r.Recover(p.snap, repeated, nil); err != nil {
+			t.Fatal(err)
+		}
+		if r.Digest() != e.Digest() {
+			t.Fatalf("unordered=%v: digest after recovering a repeated log differs", unordered)
+		}
+		wantGTS, wantSub := e.Frontier()
+		if gts, sub := r.Frontier(); gts != wantGTS || sub != wantSub {
+			t.Fatalf("unordered=%v: frontier (%v,%d), want (%v,%d)", unordered, gts, sub, wantGTS, wantSub)
+		}
+	}
+}
+
 // TestEngineDurableFrontierHook pins the GC-horizon contract: the hook
 // fires with the PREVIOUS global timestamp only when the applied GTS
 // advances past it under a successful persist — never for further subs of

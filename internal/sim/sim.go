@@ -312,12 +312,6 @@ func (s *Sim) Run(until time.Duration) int {
 	return n
 }
 
-// RunQuiescent processes events until none remain or maxTime is reached.
-// Protocols with periodic timers (heartbeats) never quiesce; use Run.
-func (s *Sim) RunQuiescent(maxTime time.Duration) int {
-	return s.Run(maxTime)
-}
-
 func (s *Sim) dispatch(ev event) {
 	if ev.ctl != nil {
 		ev.ctl()

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,8 +79,11 @@ func (d *Disk) SetMetrics(m *obs.Store) {
 const (
 	walName  = "wal"
 	snapName = "snapshot"
-	snapMag  = "wbsnap01"
+	snapMag  = "wbsnap02"
 	frameHdr = 8 // u32 length + u32 crc
+	// oldSnapMag heads the retired snapshot layout (a versioned state
+	// encoding), which this version refuses rather than reads.
+	oldSnapMag = "wbsnap01"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -123,6 +127,9 @@ func (d *Disk) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	if bytes.HasPrefix(data, []byte(oldSnapMag)) {
+		return fmt.Errorf("wal: snapshot is %s, a format this version does not read (docs/DURABILITY.md)", oldSnapMag)
+	}
 	if len(data) < len(snapMag)+frameHdr || string(data[:len(snapMag)]) != snapMag {
 		return fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
@@ -133,11 +140,9 @@ func (d *Disk) loadSnapshot() error {
 	if uint64(n) != uint64(len(payload)) || crc32.Checksum(payload, crcTable) != sum {
 		return fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
 	}
-	st, err := DecodeState(payload)
-	if err != nil {
+	if err := foldFramed(d.state, payload); err != nil {
 		return fmt.Errorf("%w: snapshot: %v", ErrCorrupt, err)
 	}
-	d.state = st
 	return nil
 }
 
@@ -200,7 +205,7 @@ func (d *Disk) Load() (*State, error) {
 	if d.f == nil {
 		return nil, errors.New("wal: load from closed store")
 	}
-	return d.state.Clone(), nil
+	return copyState(d.state), nil
 }
 
 // Append implements Storage: each entry is framed, checksummed and written
@@ -211,13 +216,10 @@ func (d *Disk) Append(entries ...Entry) error {
 	}
 	start := time.Now()
 	d.buf = d.buf[:0]
-	for _, e := range entries {
+	for i := range entries {
 		from := len(d.buf)
-		d.buf = append(d.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-		d.buf = appendEntry(d.buf, e)
-		payload := d.buf[from+frameHdr:]
-		binary.LittleEndian.PutUint32(d.buf[from:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(d.buf[from+4:], crc32.Checksum(payload, crcTable))
+		d.buf = appendEntry(append(d.buf, 0, 0, 0, 0, 0, 0, 0, 0), &entries[i])
+		sealFrame(d.buf, from)
 	}
 	if _, err := d.f.Write(d.buf); err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -251,20 +253,20 @@ func (d *Disk) Sync() error {
 	return nil
 }
 
-// Snapshot implements Storage: the mirror state is written to a temporary
-// file, fsynced, atomically renamed over the previous snapshot, and the
-// WAL is truncated to empty (log GC).
+// Snapshot implements Storage: the mirror state's Entries, framed as one
+// checksummed payload, are written to a temporary file, fsynced,
+// atomically renamed over the previous snapshot, and the WAL is truncated
+// to empty (log GC).
 func (d *Disk) Snapshot() error {
 	if d.f == nil {
 		return errors.New("wal: snapshot of closed store")
 	}
 	start := time.Now()
-	d.buf = append(d.buf[:0], snapMag...)
-	d.buf = append(d.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	d.buf = d.state.Encode(d.buf)
-	payload := d.buf[len(snapMag)+frameHdr:]
-	binary.LittleEndian.PutUint32(d.buf[len(snapMag):], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(d.buf[len(snapMag)+4:], crc32.Checksum(payload, crcTable))
+	d.buf = append(append(d.buf[:0], snapMag...), 0, 0, 0, 0, 0, 0, 0, 0)
+	for e := range d.state.Entries() {
+		d.buf = appendFramed(d.buf, e)
+	}
+	sealFrame(d.buf, len(snapMag))
 
 	tmp := filepath.Join(d.dir, snapName+".tmp")
 	if err := writeFileSync(tmp, d.buf); err != nil {
@@ -310,6 +312,14 @@ func (d *Disk) Close() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
+}
+
+// sealFrame fills in the [u32 length][u32 crc] header reserved at buf[at:]
+// for the payload that follows it to the end of buf.
+func sealFrame(buf []byte, at int) {
+	payload := buf[at+frameHdr:]
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(payload, crcTable))
 }
 
 func writeFileSync(path string, data []byte) error {

@@ -14,9 +14,17 @@
 // under virtual time.
 //
 // The durability contract is two-phase: Append stages entries, Sync makes
-// everything staged durable. Runtimes call Append+Sync for a Handle call's
-// entries before releasing any of its sends or deliveries, so every
-// message a replica emits is backed by durable state; a storage error
-// crash-stops the process rather than letting it equivocate. See
-// docs/DURABILITY.md for the full contract and recovery sequence.
+// everything staged durable. The runtimes' shard driver (node.Step) hands
+// the store what a mailbox drain staged as one Append and, if a message
+// released by those calls vouches for an entry, one Sync; a call whose
+// message vouches for an entry is held until that Sync returns, everything
+// else leaves at once. So no process acts on a transition the sender can
+// lose; a storage error crash-stops the process rather than letting it
+// equivocate.
+//
+// There is one encoding of an entry (appendEntry/decodeEntry). The WAL
+// frames each entry with a checksum; a snapshot is State.Entries, the
+// entries that rebuild the state, under one checksum; Memory stages
+// encoded entries and decodes them at Sync. See docs/DURABILITY.md for the
+// full contract, the on-disk format and the recovery sequence.
 package wal

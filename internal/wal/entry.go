@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"wbcast/internal/mcast"
@@ -22,11 +23,11 @@ const (
 	// this replica — logged before the corresponding ACCEPT_ACK or DELIVER
 	// leaves the process.
 	EntryRecord
-	// EntryFrontier records the delivery frontier (the max delivered GTS
-	// and the last GTS this replica handed to the application) — logged
-	// before the delivery itself, so restarts never re-deliver; lazily when
-	// the application keeps a frontier of its own, and then eagerly before
-	// the frontier is reported to a peer (docs/DURABILITY.md).
+	// EntryFrontier records the delivery frontier (the max delivered GTS) —
+	// logged before the delivery itself, so restarts never re-deliver;
+	// lazily when the application keeps a frontier of its own, and then
+	// eagerly before the frontier is reported to a peer
+	// (docs/DURABILITY.md).
 	EntryFrontier
 	// EntryPrune removes garbage-collected message records.
 	EntryPrune
@@ -75,9 +76,8 @@ type Entry struct {
 	// Rec — EntryRecord.
 	Rec msgs.MsgRecord
 
-	// Max, Last — EntryFrontier: max delivered GTS, last app-delivery GTS.
-	Max  mcast.Timestamp
-	Last mcast.Timestamp
+	// Max — EntryFrontier: max delivered GTS.
+	Max mcast.Timestamp
 
 	// IDs — EntryPrune, EntryDelivered.
 	IDs []mcast.MsgID
@@ -96,7 +96,7 @@ type Entry struct {
 }
 
 // appendEntry serialises e, appending to dst.
-func appendEntry(dst []byte, e Entry) []byte {
+func appendEntry(dst []byte, e *Entry) []byte {
 	dst = append(dst, byte(e.Kind))
 	switch e.Kind {
 	case EntryBallot, EntryPaxosBallot:
@@ -107,7 +107,6 @@ func appendEntry(dst []byte, e Entry) []byte {
 		dst = wire.AppendRecord(dst, e.Rec)
 	case EntryFrontier:
 		dst = wire.AppendTS(dst, e.Max)
-		dst = wire.AppendTS(dst, e.Last)
 	case EntryPrune, EntryDelivered:
 		dst = wire.AppendUint(dst, uint64(len(e.IDs)))
 		for _, id := range e.IDs {
@@ -137,7 +136,8 @@ func appendEntry(dst []byte, e Entry) []byte {
 	return dst
 }
 
-// decodeEntry parses one serialised entry. The result owns all its memory.
+// decodeEntry parses one serialised entry. The result's App aliases data;
+// State.Apply copies it.
 func decodeEntry(data []byte) (Entry, error) {
 	if len(data) == 0 {
 		return Entry{}, fmt.Errorf("wal: empty entry")
@@ -164,16 +164,13 @@ func decodeEntry(data []byte) (Entry, error) {
 		if e.Max, buf, err = wire.ConsumeTS(buf); err != nil {
 			return e, err
 		}
-		if e.Last, buf, err = wire.ConsumeTS(buf); err != nil {
-			return e, err
-		}
 	case EntryPrune, EntryDelivered:
 		var n uint64
 		if n, buf, err = wire.ConsumeUint(buf); err != nil {
 			return e, err
 		}
-		if n > maxLoadCount {
-			return e, fmt.Errorf("wal: prune of %d ids exceeds limit", n)
+		if n > uint64(len(buf)) {
+			return e, fmt.Errorf("wal: %d ids exceed %d remaining bytes", n, len(buf))
 		}
 		e.IDs = make([]mcast.MsgID, 0, n)
 		for i := uint64(0); i < n; i++ {
@@ -197,8 +194,8 @@ func decodeEntry(data []byte) (Entry, error) {
 		if n, buf, err = wire.ConsumeUint(buf); err != nil {
 			return e, err
 		}
-		if n > maxLoadCount {
-			return e, fmt.Errorf("wal: state of %d records exceeds limit", n)
+		if n > uint64(len(buf)) {
+			return e, fmt.Errorf("wal: %d records exceed %d remaining bytes", n, len(buf))
 		}
 		e.Recs = make([]msgs.MsgRecord, 0, n)
 		for i := uint64(0); i < n; i++ {
@@ -231,9 +228,7 @@ func decodeEntry(data []byte) (Entry, error) {
 		if n > uint64(len(buf)) {
 			return e, fmt.Errorf("wal: app record of %d bytes exceeds %d remaining", n, len(buf))
 		}
-		e.App = make([]byte, n)
-		copy(e.App, buf[:n])
-		buf = buf[n:]
+		e.App, buf = buf[:n:n], buf[n:]
 	default:
 		return e, fmt.Errorf("wal: unknown entry kind %d", e.Kind)
 	}
@@ -243,5 +238,32 @@ func decodeEntry(data []byte) (Entry, error) {
 	return e, nil
 }
 
-// maxLoadCount bounds decoded collection sizes against corrupt input.
-const maxLoadCount = 1 << 22
+// appendFramed appends e as [u32 LE length][appendEntry bytes]: the unit of
+// a snapshot's payload and of Memory's staged tail. It needs no checksum of
+// its own; a snapshot carries one for the whole payload.
+func appendFramed(dst []byte, e *Entry) []byte {
+	at := len(dst)
+	dst = appendEntry(append(dst, 0, 0, 0, 0), e)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
+}
+
+// foldFramed applies a run of appendFramed entries to s.
+func foldFramed(s *State, data []byte) error {
+	for len(data) > 0 {
+		if len(data) < 4 {
+			return fmt.Errorf("wal: truncated entry length")
+		}
+		n := binary.LittleEndian.Uint32(data)
+		if uint64(n) > uint64(len(data)-4) {
+			return fmt.Errorf("wal: entry of %d bytes exceeds %d remaining", n, len(data)-4)
+		}
+		e, err := decodeEntry(data[4 : 4+n])
+		if err != nil {
+			return err
+		}
+		s.Apply(e)
+		data = data[4+n:]
+	}
+	return nil
+}

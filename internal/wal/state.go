@@ -1,12 +1,12 @@
 package wal
 
 import (
-	"fmt"
-	"sort"
+	"iter"
+	"maps"
+	"slices"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
-	"wbcast/internal/wire"
 )
 
 // State is the aggregate durable state of one replica: the result of
@@ -21,11 +21,10 @@ type State struct {
 	CBallot mcast.Ballot
 	Clock   uint64
 	Records map[mcast.MsgID]msgs.MsgRecord
-	// MaxDelivered is the GTS of the newest protocol-level delivery;
-	// LastDeliver is the GTS most recently handed to the application (they
-	// differ transiently in protocols that replicate DELIVER).
+	// MaxDelivered is the GTS of the newest delivery: the frontier below
+	// which nothing is re-delivered, and the DELIVER chain cursor a
+	// recovered replica resumes from.
 	MaxDelivered mcast.Timestamp
-	LastDeliver  mcast.Timestamp
 	// Delivered is the applied-message set of the conflict-aware (genmcast)
 	// protocol, whose out-of-GTS-order releases make the frontier
 	// insufficient for re-delivery detection. Like the frontier it survives
@@ -67,8 +66,7 @@ func NewState() *State {
 func (s *State) Empty() bool {
 	return s == nil ||
 		(s.Ballot.IsZero() && s.CBallot.IsZero() && s.Clock == 0 &&
-			len(s.Records) == 0 && s.MaxDelivered.IsZero() && s.LastDeliver.IsZero() &&
-			len(s.Delivered) == 0 &&
+			len(s.Records) == 0 && s.MaxDelivered.IsZero() && len(s.Delivered) == 0 &&
 			s.PaxosBal.IsZero() && s.PaxosCBal.IsZero() && len(s.PaxosLog) == 0 &&
 			len(s.AppSnapshot) == 0 && len(s.AppLog) == 0)
 }
@@ -87,9 +85,6 @@ func (s *State) Apply(e Entry) {
 	case EntryFrontier:
 		if s.MaxDelivered.Less(e.Max) {
 			s.MaxDelivered = e.Max
-		}
-		if s.LastDeliver.Less(e.Last) {
-			s.LastDeliver = e.Last
 		}
 	case EntryPrune:
 		for _, id := range e.IDs {
@@ -124,221 +119,47 @@ func (s *State) Apply(e Entry) {
 	}
 }
 
-// Clone returns an independent deep copy.
-func (s *State) Clone() *State {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	out.Records = make(map[mcast.MsgID]msgs.MsgRecord, len(s.Records))
-	for id, r := range s.Records {
-		out.Records[id] = r.Clone()
-	}
-	out.Delivered = make(map[mcast.MsgID]bool, len(s.Delivered))
-	for id := range s.Delivered {
-		out.Delivered[id] = true
-	}
-	out.PaxosLog = make(map[uint64]PaxosSlot, len(s.PaxosLog))
-	for slot, ps := range s.PaxosLog {
-		ps.Cmd = ps.Cmd.Clone()
-		out.PaxosLog[slot] = ps
-	}
-	if s.AppSnapshot != nil {
-		out.AppSnapshot = append([]byte(nil), s.AppSnapshot...)
-	}
-	if s.AppLog != nil {
-		out.AppLog = make([][]byte, len(s.AppLog))
-		for i, rec := range s.AppLog {
-			out.AppLog[i] = append([]byte(nil), rec...)
+// Entries yields entries whose fold into an empty State reproduces s: the
+// ballot pair and clock, the records by ID, the frontier, the applied set,
+// the Paxos ballot pair, the Paxos slots by number, the application
+// snapshot, then the application records. The order is fixed, so equal
+// states yield identical sequences; this is what a snapshot holds. The
+// yielded entry aliases s and is overwritten by the next one, so that a
+// long application log costs no copy per record: copy what you keep
+// (Apply does).
+func (s *State) Entries() iter.Seq[*Entry] {
+	return func(yield func(*Entry) bool) {
+		e, ok := new(Entry), true
+		emit := func(next Entry) { *e = next; ok = ok && yield(e) }
+		emit(Entry{Kind: EntryBallot, Bal: s.Ballot, CBal: s.CBallot, Clock: s.Clock})
+		for _, id := range slices.Sorted(maps.Keys(s.Records)) {
+			emit(Entry{Kind: EntryRecord, Rec: s.Records[id]})
+		}
+		emit(Entry{Kind: EntryFrontier, Max: s.MaxDelivered})
+		if len(s.Delivered) > 0 {
+			emit(Entry{Kind: EntryDelivered, IDs: slices.Sorted(maps.Keys(s.Delivered))})
+		}
+		emit(Entry{Kind: EntryPaxosBallot, Bal: s.PaxosBal, CBal: s.PaxosCBal})
+		for _, slot := range slices.Sorted(maps.Keys(s.PaxosLog)) {
+			ps := s.PaxosLog[slot]
+			emit(Entry{Kind: EntryPaxosCmd, Slot: slot, Bal: ps.VBal, Cmd: ps.Cmd, Committed: ps.Committed})
+		}
+		if s.AppSnapshot != nil {
+			emit(Entry{Kind: EntryAppSnapshot, App: s.AppSnapshot})
+		}
+		*e = Entry{Kind: EntryApp}
+		for _, e.App = range s.AppLog {
+			ok = ok && yield(e)
 		}
 	}
-	return &out
 }
 
-// stateVersion guards the snapshot layout. Version 2 appended the
-// application-state section (AppSnapshot, AppLog); version 3 appended the
-// conflict-mode applied set (Delivered). Snapshots of earlier versions
-// still decode, with the missing sections empty.
-const stateVersion = 3
-
-// Encode serialises the state deterministically (maps sorted by key),
-// appending to dst. Two equal states encode to identical bytes, which is
-// what the snapshot round-trip tests rely on.
-func (s *State) Encode(dst []byte) []byte {
-	dst = append(dst, stateVersion)
-	dst = wire.AppendBallot(dst, s.Ballot)
-	dst = wire.AppendBallot(dst, s.CBallot)
-	dst = wire.AppendUint(dst, s.Clock)
-	ids := make([]mcast.MsgID, 0, len(s.Records))
-	for id := range s.Records {
-		ids = append(ids, id)
+// copyState returns an independent deep copy of s: the fold of its
+// Entries, since Apply copies whatever it keeps.
+func copyState(s *State) *State {
+	out := NewState()
+	for e := range s.Entries() {
+		out.Apply(*e)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dst = wire.AppendUint(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = wire.AppendRecord(dst, s.Records[id])
-	}
-	dst = wire.AppendTS(dst, s.MaxDelivered)
-	dst = wire.AppendTS(dst, s.LastDeliver)
-	dst = wire.AppendBallot(dst, s.PaxosBal)
-	dst = wire.AppendBallot(dst, s.PaxosCBal)
-	slots := make([]uint64, 0, len(s.PaxosLog))
-	for slot := range s.PaxosLog {
-		slots = append(slots, slot)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	dst = wire.AppendUint(dst, uint64(len(slots)))
-	for _, slot := range slots {
-		ps := s.PaxosLog[slot]
-		dst = wire.AppendUint(dst, slot)
-		dst = wire.AppendBallot(dst, ps.VBal)
-		if ps.Committed {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = wire.AppendCommand(dst, ps.Cmd)
-	}
-	dst = wire.AppendUint(dst, uint64(len(s.AppSnapshot)))
-	dst = append(dst, s.AppSnapshot...)
-	dst = wire.AppendUint(dst, uint64(len(s.AppLog)))
-	for _, rec := range s.AppLog {
-		dst = wire.AppendUint(dst, uint64(len(rec)))
-		dst = append(dst, rec...)
-	}
-	delivered := make([]mcast.MsgID, 0, len(s.Delivered))
-	for id := range s.Delivered {
-		delivered = append(delivered, id)
-	}
-	sort.Slice(delivered, func(i, j int) bool { return delivered[i] < delivered[j] })
-	dst = wire.AppendUint(dst, uint64(len(delivered)))
-	for _, id := range delivered {
-		dst = wire.AppendUint(dst, uint64(id))
-	}
-	return dst
-}
-
-// DecodeState parses a serialised state.
-func DecodeState(data []byte) (*State, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("wal: empty state")
-	}
-	version := data[0]
-	if version < 1 || version > stateVersion {
-		return nil, fmt.Errorf("wal: unknown state version %d", version)
-	}
-	buf := data[1:]
-	s := NewState()
-	var err error
-	if s.Ballot, buf, err = wire.ConsumeBallot(buf); err != nil {
-		return nil, err
-	}
-	if s.CBallot, buf, err = wire.ConsumeBallot(buf); err != nil {
-		return nil, err
-	}
-	if s.Clock, buf, err = wire.ConsumeUint(buf); err != nil {
-		return nil, err
-	}
-	var n uint64
-	if n, buf, err = wire.ConsumeUint(buf); err != nil {
-		return nil, err
-	}
-	if n > maxLoadCount {
-		return nil, fmt.Errorf("wal: state of %d records exceeds limit", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var r msgs.MsgRecord
-		if r, buf, err = wire.ConsumeRecord(buf); err != nil {
-			return nil, err
-		}
-		s.Records[r.M.ID] = r
-	}
-	if s.MaxDelivered, buf, err = wire.ConsumeTS(buf); err != nil {
-		return nil, err
-	}
-	if s.LastDeliver, buf, err = wire.ConsumeTS(buf); err != nil {
-		return nil, err
-	}
-	if s.PaxosBal, buf, err = wire.ConsumeBallot(buf); err != nil {
-		return nil, err
-	}
-	if s.PaxosCBal, buf, err = wire.ConsumeBallot(buf); err != nil {
-		return nil, err
-	}
-	if n, buf, err = wire.ConsumeUint(buf); err != nil {
-		return nil, err
-	}
-	if n > maxLoadCount {
-		return nil, fmt.Errorf("wal: state of %d slots exceeds limit", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var slot uint64
-		if slot, buf, err = wire.ConsumeUint(buf); err != nil {
-			return nil, err
-		}
-		var ps PaxosSlot
-		if ps.VBal, buf, err = wire.ConsumeBallot(buf); err != nil {
-			return nil, err
-		}
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("wal: truncated committed flag")
-		}
-		ps.Committed = buf[0] != 0
-		buf = buf[1:]
-		if ps.Cmd, buf, err = wire.ConsumeCommand(buf); err != nil {
-			return nil, err
-		}
-		s.PaxosLog[slot] = ps
-	}
-	if version >= 2 {
-		if n, buf, err = wire.ConsumeUint(buf); err != nil {
-			return nil, err
-		}
-		if n > uint64(len(buf)) {
-			return nil, fmt.Errorf("wal: app snapshot of %d bytes exceeds %d remaining", n, len(buf))
-		}
-		if n > 0 {
-			s.AppSnapshot = make([]byte, n)
-			copy(s.AppSnapshot, buf[:n])
-		}
-		buf = buf[n:]
-		if n, buf, err = wire.ConsumeUint(buf); err != nil {
-			return nil, err
-		}
-		if n > maxLoadCount {
-			return nil, fmt.Errorf("wal: state of %d app records exceeds limit", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			var sz uint64
-			if sz, buf, err = wire.ConsumeUint(buf); err != nil {
-				return nil, err
-			}
-			if sz > uint64(len(buf)) {
-				return nil, fmt.Errorf("wal: app record of %d bytes exceeds %d remaining", sz, len(buf))
-			}
-			rec := make([]byte, sz)
-			copy(rec, buf[:sz])
-			buf = buf[sz:]
-			s.AppLog = append(s.AppLog, rec)
-		}
-	}
-	if version >= 3 {
-		if n, buf, err = wire.ConsumeUint(buf); err != nil {
-			return nil, err
-		}
-		if n > maxLoadCount {
-			return nil, fmt.Errorf("wal: state of %d delivered ids exceeds limit", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			var v uint64
-			if v, buf, err = wire.ConsumeUint(buf); err != nil {
-				return nil, err
-			}
-			s.Delivered[mcast.MsgID(v)] = true
-		}
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("wal: %d trailing bytes after state", len(buf))
-	}
-	return s, nil
+	return out
 }

@@ -1,11 +1,6 @@
 package wal
 
-import (
-	"errors"
-
-	"wbcast/internal/mcast"
-	"wbcast/internal/msgs"
-)
+import "errors"
 
 // Storage is a replica's durable store. The contract is two-phase:
 // Append stages entries, Sync makes everything staged durable. A runtime
@@ -37,13 +32,14 @@ type Storage interface {
 }
 
 // Memory is an in-memory Storage whose durability boundary is Sync:
-// appended entries stage in a tail buffer and fold into the durable state
-// only when Sync succeeds, exactly mirroring a disk WAL whose unsynced
-// tail is torn off by a crash. It is the default store for simulator
-// restarts and the base of the chaos fake.
+// appended entries stage, encoded, in a tail buffer and fold into the
+// durable state only when Sync succeeds, exactly mirroring a disk WAL whose
+// unsynced tail is torn off by a crash. It is the default store for
+// simulator restarts and the base of the chaos fake; every simulated
+// durable run exercises the entry codec Disk writes.
 type Memory struct {
 	durable *State
-	staged  []Entry
+	staged  []byte // appendFramed entries since the last Sync
 	closed  bool
 }
 
@@ -58,7 +54,7 @@ func NewMemory() *Memory {
 func (m *Memory) Load() (*State, error) {
 	m.staged = m.staged[:0]
 	m.closed = false
-	return m.durable.Clone(), nil
+	return copyState(m.durable), nil
 }
 
 // Append implements Storage.
@@ -66,8 +62,8 @@ func (m *Memory) Append(entries ...Entry) error {
 	if m.closed {
 		return errors.New("wal: append to closed store")
 	}
-	for _, e := range entries {
-		m.staged = append(m.staged, cloneEntry(e))
+	for i := range entries {
+		m.staged = appendFramed(m.staged, &entries[i])
 	}
 	return nil
 }
@@ -77,11 +73,9 @@ func (m *Memory) Sync() error {
 	if m.closed {
 		return errors.New("wal: sync of closed store")
 	}
-	for _, e := range m.staged {
-		m.durable.Apply(e)
-	}
+	err := foldFramed(m.durable, m.staged)
 	m.staged = m.staged[:0]
-	return nil
+	return err
 }
 
 // Snapshot implements Storage (a no-op beyond Sync: the folded state is
@@ -94,24 +88,4 @@ func (m *Memory) Close() error {
 	err := m.Sync()
 	m.closed = true
 	return err
-}
-
-// cloneEntry deep-copies an entry so it is safe to stage past the Handle
-// call that produced it (entry fields may alias borrowed network frames).
-func cloneEntry(e Entry) Entry {
-	out := e
-	out.Rec = e.Rec.Clone()
-	out.Cmd = e.Cmd.Clone()
-	if e.IDs != nil {
-		out.IDs = make([]mcast.MsgID, len(e.IDs))
-		copy(out.IDs, e.IDs)
-	}
-	if e.Recs != nil {
-		out.Recs = msgs.CloneRecords(e.Recs)
-	}
-	if e.App != nil {
-		out.App = make([]byte, len(e.App))
-		copy(out.App, e.App)
-	}
-	return out
 }

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"wbcast/internal/mcast"
@@ -32,7 +37,7 @@ func testEntries() []Entry {
 			LTS: mcast.Timestamp{Time: 4, Group: 0},
 			GTS: mcast.Timestamp{Time: 5, Group: 2},
 		}},
-		{Kind: EntryFrontier, Max: mcast.Timestamp{Time: 5, Group: 2}, Last: mcast.Timestamp{Time: 5, Group: 2}},
+		{Kind: EntryFrontier, Max: mcast.Timestamp{Time: 5, Group: 2}},
 		{Kind: EntryState, Bal: mcast.Ballot{N: 3, Proc: 2}, CBal: mcast.Ballot{N: 3, Proc: 2}, Clock: 12,
 			Recs: []msgs.MsgRecord{{
 				M:     mcast.AppMsg{ID: mcast.MakeMsgID(8, 1), Dest: mcast.NewGroupSet(1), Payload: []byte("b")},
@@ -42,17 +47,35 @@ func testEntries() []Entry {
 		{Kind: EntryPaxosBallot, Bal: mcast.Ballot{N: 4, Proc: 0}, CBal: mcast.Ballot{N: 4, Proc: 0}},
 		{Kind: EntryPaxosCmd, Slot: 2, Bal: mcast.Ballot{N: 4, Proc: 0}, Committed: true,
 			Cmd: msgs.Command{Op: msgs.CmdAssign, M: msg, LTS: mcast.Timestamp{Time: 4, Group: 0}}},
+		{Kind: EntryDelivered, IDs: []mcast.MsgID{msg.ID}},
+		{Kind: EntryAppSnapshot, App: []byte("app-snapshot")},
+		{Kind: EntryApp, App: []byte("app-record-1")},
+		{Kind: EntryApp, App: []byte("app-record-2")},
 	}
 }
 
-// encodeStorage folds a store's Load result to canonical bytes.
-func encodeStorage(t *testing.T, s Storage) []byte {
+// stateBytes is a state's snapshot payload: its canonical encoding.
+func stateBytes(s *State) []byte {
+	var b []byte
+	for e := range s.Entries() {
+		b = appendFramed(b, e)
+	}
+	return b
+}
+
+func mustLoad(t *testing.T, s Storage) *State {
 	t.Helper()
 	st, err := s.Load()
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	return st.Encode(nil)
+	return st
+}
+
+// encodeStorage folds a store's Load result to canonical bytes.
+func encodeStorage(t *testing.T, s Storage) []byte {
+	t.Helper()
+	return stateBytes(mustLoad(t, s))
 }
 
 func TestMemoryStagedUntilSync(t *testing.T) {
@@ -288,7 +311,7 @@ func TestDiskTornTailTruncated(t *testing.T) {
 			if !d.torn {
 				t.Fatal("torn tail not reported")
 			}
-			if got := encodeStorage(t, d); !bytes.Equal(got, want.Encode(nil)) {
+			if got := encodeStorage(t, d); !bytes.Equal(got, stateBytes(want)) {
 				t.Fatalf("recovered state is not the pre-tear prefix")
 			}
 			// The torn bytes must be physically gone so new appends start a
@@ -426,22 +449,187 @@ func TestFlakyFailSync(t *testing.T) {
 }
 
 func TestStateEncodeDeterministic(t *testing.T) {
-	build := func() *State {
-		s := NewState()
-		for _, e := range testEntries() {
-			s.Apply(e)
+	// Two equal states, built by folding independent entries in opposite
+	// orders, snapshot to identical files, and decoding the snapshot
+	// payload re-encodes to the same bytes.
+	entries := []Entry{
+		{Kind: EntryRecord, Rec: randRecord(rand.New(rand.NewPCG(1, 1)), 1)},
+		{Kind: EntryRecord, Rec: randRecord(rand.New(rand.NewPCG(2, 2)), 2)},
+		{Kind: EntryPaxosCmd, Slot: 9, Cmd: msgs.Command{Op: msgs.CmdCommit, ID: 3}},
+		{Kind: EntryPaxosCmd, Slot: 4, Cmd: msgs.Command{Op: msgs.CmdNoop}},
+		{Kind: EntryDelivered, IDs: []mcast.MsgID{5, 1}},
+		{Kind: EntryDelivered, IDs: []mcast.MsgID{2}},
+	}
+	var snaps [2][]byte
+	for i := range snaps {
+		dir := t.TempDir()
+		d, err := OpenDisk(dir, DiskOptions{Policy: SyncNone})
+		if err != nil {
+			t.Fatalf("OpenDisk: %v", err)
 		}
-		return s
+		for j := range entries {
+			if i == 1 {
+				j = len(entries) - 1 - j
+			}
+			if err := d.Append(entries[j]); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+		}
+		if err := d.Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if snaps[i], err = os.ReadFile(filepath.Join(dir, snapName)); err != nil {
+			t.Fatalf("read snapshot: %v", err)
+		}
 	}
-	a, b := build().Encode(nil), build().Encode(nil)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two identical states encoded differently")
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatal("two equal states snapshot differently")
 	}
-	dec, err := DecodeState(a)
-	if err != nil {
-		t.Fatalf("DecodeState: %v", err)
+	payload := snaps[0][len(snapMag)+frameHdr:]
+	dec := NewState()
+	if err := foldFramed(dec, payload); err != nil {
+		t.Fatalf("foldFramed: %v", err)
 	}
-	if got := dec.Encode(nil); !bytes.Equal(got, a) {
+	if got := stateBytes(dec); !bytes.Equal(got, payload) {
 		t.Fatal("decode/encode round trip not identical")
+	}
+}
+
+// randRecord returns a record of message id with random content.
+func randRecord(rng *rand.Rand, id uint64) msgs.MsgRecord {
+	payload := make([]byte, rng.IntN(16))
+	for i := range payload {
+		payload[i] = byte(rng.Uint32())
+	}
+	return msgs.MsgRecord{
+		M:     mcast.AppMsg{ID: mcast.MsgID(id), Dest: mcast.NewGroupSet(mcast.GroupID(rng.IntN(3))), Payload: payload},
+		Phase: msgs.Phase(rng.IntN(3)),
+		LTS:   mcast.Timestamp{Time: rng.Uint64N(100), Group: mcast.GroupID(rng.IntN(3))},
+		GTS:   mcast.Timestamp{Time: rng.Uint64N(100), Group: mcast.GroupID(rng.IntN(3))},
+	}
+}
+
+// randEntry returns a random entry of a random kind over a small ID space,
+// so records, prunes and deliveries collide.
+func randEntry(rng *rand.Rand) Entry {
+	ballot := func() mcast.Ballot { return mcast.Ballot{N: rng.Uint64N(10), Proc: mcast.ProcessID(rng.IntN(5))} }
+	ids := func() []mcast.MsgID {
+		out := make([]mcast.MsgID, rng.IntN(4))
+		for i := range out {
+			out[i] = mcast.MsgID(rng.IntN(20))
+		}
+		return out
+	}
+	app := func() []byte { return []byte(strings.Repeat("x", rng.IntN(8))) }
+	switch kind := EntryKind(1 + rng.IntN(int(EntryDelivered))); kind {
+	case EntryBallot, EntryPaxosBallot:
+		return Entry{Kind: kind, Bal: ballot(), CBal: ballot(), Clock: rng.Uint64N(100)}
+	case EntryRecord:
+		return Entry{Kind: kind, Rec: randRecord(rng, rng.Uint64N(20))}
+	case EntryFrontier:
+		return Entry{Kind: kind, Max: mcast.Timestamp{Time: rng.Uint64N(100)}}
+	case EntryPrune, EntryDelivered:
+		return Entry{Kind: kind, IDs: ids()}
+	case EntryState:
+		recs := make([]msgs.MsgRecord, rng.IntN(4))
+		for i := range recs {
+			recs[i] = randRecord(rng, rng.Uint64N(20))
+		}
+		return Entry{Kind: kind, Bal: ballot(), CBal: ballot(), Clock: rng.Uint64N(100), Recs: recs}
+	case EntryPaxosCmd:
+		return Entry{Kind: kind, Slot: rng.Uint64N(10), Bal: ballot(), Committed: rng.IntN(2) == 0,
+			Cmd: msgs.Command{Op: msgs.CmdAssign, M: randRecord(rng, rng.Uint64N(20)).M}}
+	default:
+		return Entry{Kind: kind, App: app()}
+	}
+}
+
+func TestEntriesFoldReproducesState(t *testing.T) {
+	check := func(name string, s *State) {
+		t.Helper()
+		if got := copyState(s); !reflect.DeepEqual(got, s) {
+			t.Fatalf("%s: folding Entries changed the state\n got %+v\nwant %+v", name, got, s)
+		}
+	}
+	every := NewState()
+	for _, e := range testEntries() {
+		every.Apply(e)
+	}
+	check("one entry of every kind", every)
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		s := NewState()
+		for range rng.IntN(40) {
+			s.Apply(randEntry(rng))
+		}
+		check(fmt.Sprintf("seed %d", seed), s)
+	}
+}
+
+func TestDiskRefusesOldSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapName), []byte(oldSnapMag+"\x05\x00\x00\x00old state"), 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if _, err := OpenDisk(dir, DiskOptions{}); err == nil || !strings.Contains(err.Error(), oldSnapMag) {
+		t.Fatalf("OpenDisk = %v, want an error naming %s", err, oldSnapMag)
+	}
+}
+
+// TestDiskCrashBetweenSnapshotAndTruncate reopens a store whose snapshot
+// was renamed into place but whose WAL was not yet truncated: every entry
+// kind folds idempotently except EntryApp, whose records come back twice.
+func TestDiskCrashBetweenSnapshotAndTruncate(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, DiskOptions{})
+	if err != nil {
+		t.Fatalf("OpenDisk: %v", err)
+	}
+	if err := d.Append(testEntries()...); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := d.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	tail := testEntries()[:4] // ballot, two records, frontier
+	tail = append(tail, Entry{Kind: EntryApp, App: []byte("tail-1")}, Entry{Kind: EntryApp, App: []byte("tail-2")})
+	if err := d.Append(tail...); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	want := mustLoad(t, d)
+	walPath := filepath.Join(dir, walName)
+	untruncated, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatalf("read wal: %v", err)
+	}
+	if err := d.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := os.WriteFile(walPath, untruncated, 0o644); err != nil {
+		t.Fatalf("restore wal: %v", err)
+	}
+
+	re, err := OpenDisk(dir, DiskOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	got := mustLoad(t, re)
+	wantLog := append(slices.Clone(want.AppLog), []byte("tail-1"), []byte("tail-2"))
+	if !reflect.DeepEqual(got.AppLog, wantLog) {
+		t.Fatalf("app log = %q, want the WAL's app records repeated: %q", got.AppLog, wantLog)
+	}
+	got.AppLog = want.AppLog
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("protocol state changed by replaying the untruncated WAL\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -382,7 +382,7 @@ func appReplay(rs *wal.State, g GroupID) []Delivery {
 		return nil
 	}
 	conflictMode := len(rs.Delivered) > 0
-	if !conflictMode && rs.LastDeliver.IsZero() {
+	if !conflictMode && rs.MaxDelivered.IsZero() {
 		return nil
 	}
 	var ds []Delivery
@@ -397,7 +397,7 @@ func appReplay(rs *wal.State, g GroupID) []Delivery {
 			if !rs.Delivered[id] {
 				continue
 			}
-		} else if rs.LastDeliver.Less(rec.GTS) {
+		} else if rs.MaxDelivered.Less(rec.GTS) {
 			continue
 		}
 		ds = append(ds, batch.Expand(mcast.Delivery{Msg: rec.M.Clone(), GTS: rec.GTS})...)

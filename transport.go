@@ -66,7 +66,6 @@ type Transport interface {
 	crash(pid ProcessID)
 	stats(pid ProcessID) TransportStats
 	addr(pid ProcessID) string
-	deterministic() bool
 	// backgroundTimers reports whether processes hosted here should keep
 	// their timer-driven machinery (retries, heartbeats, failure
 	// detection, GC). False only on the plain simulated transport, whose
@@ -74,7 +73,6 @@ type Transport interface {
 	// (SimulatedOptions.Faults) turns timers back on because fault
 	// recovery is timer-driven.
 	backgroundTimers() bool
-	name() string
 }
 
 // hostOptions carries the per-process extras of Transport.add: the
@@ -219,9 +217,7 @@ func (t *inProcTransport) stats(pid ProcessID) TransportStats {
 }
 
 func (t *inProcTransport) addr(ProcessID) string  { return "" }
-func (t *inProcTransport) deterministic() bool    { return false }
 func (t *inProcTransport) backgroundTimers() bool { return true }
-func (t *inProcTransport) name() string           { return "in-process" }
 
 // Close implements Transport.
 func (t *inProcTransport) Close() {
@@ -494,9 +490,7 @@ func (t *simTransport) crash(pid ProcessID) {
 
 func (t *simTransport) stats(ProcessID) TransportStats { return TransportStats{} }
 func (t *simTransport) addr(ProcessID) string          { return "" }
-func (t *simTransport) deterministic() bool            { return true }
 func (t *simTransport) backgroundTimers() bool         { return t.opts.Faults != nil }
-func (t *simTransport) name() string                   { return "simulated" }
 
 // Close implements Transport: it stops the pump and joins it.
 func (t *simTransport) Close() {
@@ -694,9 +688,7 @@ func (t *tcpTransport) addr(pid ProcessID) string {
 	return t.peers[pid]
 }
 
-func (t *tcpTransport) deterministic() bool    { return false }
 func (t *tcpTransport) backgroundTimers() bool { return true }
-func (t *tcpTransport) name() string           { return "tcp" }
 
 // Close implements Transport: it closes every hosted node.
 func (t *tcpTransport) Close() {
