@@ -125,27 +125,36 @@ func (h *History) Check(cfg Config) []error {
 	return errs
 }
 
-// checkOrdering builds the precedence graph (edge m1→m2 when some process
-// delivers m1 before m2) and reports cycles. Pairwise disagreement between
-// two processes is a 2-cycle and is reported with a specific message. With
-// a conflict relation, only conflicting pairs constrain the order — the
-// graph omits edges between commuting messages, so processes may disagree
-// on their relative order without creating a cycle.
+// checkOrdering builds the precedence graph (m1 precedes m2 when some
+// process delivers m1 before m2) and reports cycles: each pair two
+// processes deliver in opposite orders that the graph links directly (in
+// total order, a pair adjacent at both), then how many messages lie on or
+// behind a cycle.
+//
+// In total order the graph holds only each process's chain of consecutive
+// deliveries, Σ nₚ edges rather than Σ nₚ²/2. A process's precedence is the
+// transitive closure of its chain, so the union of the closures and the
+// union of the chains reach the same messages from every message: one is
+// acyclic exactly when the other is, and Kahn's algorithm leaves the same
+// messages unvisited in both. With a conflict relation the graph omits
+// commuting pairs — processes may disagree on their relative order without
+// creating a cycle — and that relation is not transitive, so every
+// conflicting pair keeps its edge.
 func (h *History) checkOrdering(conflicts func(a, b mcast.AppMsg) bool) []error {
 	var errs []error
 	type edge struct{ a, b mcast.MsgID }
 	edges := make(map[edge]mcast.ProcessID)
 	adj := make(map[mcast.MsgID][]mcast.MsgID)
-	indeg := make(map[mcast.MsgID]int)
-	nodes := make(map[mcast.MsgID]bool)
+	indeg := make(map[mcast.MsgID]int) // a key for every delivered message
 
 	for _, p := range h.procs {
 		ds := h.deliveries[p]
 		for i := range ds {
-			nodes[ds[i].Msg.ID] = true
-		}
-		for i := 0; i < len(ds); i++ {
+			indeg[ds[i].Msg.ID] += 0
 			for j := i + 1; j < len(ds); j++ {
+				if conflicts == nil && j > i+1 {
+					break // the chain edge is enough (see above)
+				}
 				a, b := ds[i].Msg.ID, ds[j].Msg.ID
 				if a == b {
 					continue // integrity violation reported elsewhere
@@ -156,7 +165,6 @@ func (h *History) checkOrdering(conflicts func(a, b mcast.AppMsg) bool) []error 
 				if q, rev := edges[edge{b, a}]; rev {
 					errs = append(errs, fmt.Errorf(
 						"ordering: p%d delivers %v before %v but p%d delivers them in the opposite order", p, a, b, q))
-					continue
 				}
 				if _, dup := edges[edge{a, b}]; !dup {
 					edges[edge{a, b}] = p
@@ -166,13 +174,10 @@ func (h *History) checkOrdering(conflicts func(a, b mcast.AppMsg) bool) []error 
 			}
 		}
 	}
-	if len(errs) > 0 {
-		return errs // 2-cycles already explain the problem
-	}
-	// Kahn's algorithm: leftover nodes indicate a (longer) cycle.
+	// Kahn's algorithm: leftover nodes lie on a cycle or behind one.
 	var queue []mcast.MsgID
-	for n := range nodes {
-		if indeg[n] == 0 {
+	for n, d := range indeg {
+		if d == 0 {
 			queue = append(queue, n)
 		}
 	}
@@ -188,8 +193,8 @@ func (h *History) checkOrdering(conflicts func(a, b mcast.AppMsg) bool) []error 
 			}
 		}
 	}
-	if visited != len(nodes) {
-		errs = append(errs, fmt.Errorf("ordering: delivery precedence graph has a cycle (%d of %d messages in cycles)", len(nodes)-visited, len(nodes)))
+	if visited != len(indeg) {
+		errs = append(errs, fmt.Errorf("ordering: delivery precedence graph has a cycle (%d of %d messages in cycles)", len(indeg)-visited, len(indeg)))
 	}
 	return errs
 }

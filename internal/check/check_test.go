@@ -1,6 +1,10 @@
 package check_test
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"wbcast/internal/check"
@@ -272,5 +276,224 @@ func TestPartialOrderKeepsStampInvariants(t *testing.T) {
 	}
 	if !has3b || !has4 {
 		t.Fatalf("stamp invariants missed (3b=%v 4=%v)", has3b, has4)
+	}
+}
+
+// orderingErrs runs the full check and keeps the Ordering violations.
+func orderingErrs(h *check.History, cfg check.Config) []string {
+	var out []string
+	for _, err := range h.Check(cfg) {
+		if strings.HasPrefix(err.Error(), "ordering:") {
+			out = append(out, err.Error())
+		}
+	}
+	return out
+}
+
+// TestOrderingCycleWithoutPairwiseDisagreement: no two processes deliver a
+// pair in opposite orders, yet p0: a b, p1: b c, p2: c a admit no total
+// order. Only the cycle search sees it.
+func TestOrderingCycleWithoutPairwiseDisagreement(t *testing.T) {
+	top := mcast.UniformTopology(1, 3)
+	h := check.NewHistory()
+	a, b, c := msg(1, 0), msg(2, 0), msg(3, 0)
+	for _, m := range []mcast.AppMsg{a, b, c} {
+		h.AddSubmit(100, m)
+	}
+	for p, pair := range [][2]mcast.AppMsg{{a, b}, {b, c}, {c, a}} {
+		h.AddDelivery(mcast.ProcessID(p), del(pair[0], 1, 0))
+		h.AddDelivery(mcast.ProcessID(p), del(pair[1], 2, 0))
+	}
+	errs := orderingErrs(h, check.Config{Topology: top})
+	want := "ordering: delivery precedence graph has a cycle (3 of 3 messages in cycles)"
+	if len(errs) != 1 || errs[0] != want {
+		t.Fatalf("ordering errors = %q, want [%q]", errs, want)
+	}
+}
+
+// allPairsOrdering is the Ordering check's graph before it kept only each
+// process's chain of consecutive deliveries: an edge between every ordered
+// pair of a process's deliveries, then Kahn's algorithm. It returns how many
+// of the n messages lie on or behind a cycle, and whether some pair is
+// delivered in both orders (by two processes, or around a duplicate).
+func allPairsOrdering(seqs [][]mcast.MsgID) (inCycles, n int, pairwise bool) {
+	type edge struct{ a, b mcast.MsgID }
+	edges := make(map[edge]bool)
+	adj := make(map[mcast.MsgID][]mcast.MsgID)
+	indeg := make(map[mcast.MsgID]int)
+	nodes := make(map[mcast.MsgID]bool)
+	for _, ds := range seqs {
+		for i := range ds {
+			nodes[ds[i]] = true
+			for j := i + 1; j < len(ds); j++ {
+				a, b := ds[i], ds[j]
+				if a == b {
+					continue
+				}
+				if edges[edge{b, a}] {
+					pairwise = true
+				}
+				if !edges[edge{a, b}] {
+					edges[edge{a, b}] = true
+					adj[a] = append(adj[a], b)
+					indeg[b]++
+				}
+			}
+		}
+	}
+	var queue []mcast.MsgID
+	for m := range nodes {
+		if indeg[m] == 0 {
+			queue = append(queue, m)
+		}
+	}
+	visited := 0
+	for len(queue) > 0 {
+		m := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		visited++
+		for _, s := range adj[m] {
+			if indeg[s]--; indeg[s] == 0 {
+				queue = append(queue, s)
+			}
+		}
+	}
+	return len(nodes) - visited, len(nodes), pairwise
+}
+
+// randomHistory projects a total order of 5–24 messages onto 3–6
+// processes, then perturbs up to three times: a swap of two deliveries at
+// one process, a rotation of three fresh messages through three processes —
+// x y at one, y z at the next, z x at the third, all at one cut of the
+// order, so that no two processes disagree on a pair and the messages after
+// the cut lie behind the cycle — or a duplicate delivery.
+func randomHistory(rng *rand.Rand) [][]mcast.MsgID {
+	procs, n := 3+rng.Intn(4), 5+rng.Intn(20)
+	id := func(seq int) mcast.MsgID { return mcast.MakeMsgID(100, uint32(seq)) }
+	seqs := make([][]mcast.MsgID, procs)
+	for seq := 0; seq < n; seq++ {
+		for p := range seqs {
+			if rng.Intn(5) < 3 {
+				seqs[p] = append(seqs[p], id(seq))
+			}
+		}
+	}
+	fresh := n
+	for k := rng.Intn(4); k > 0; k-- {
+		p := rng.Intn(procs)
+		switch s := seqs[p]; rng.Intn(3) {
+		case 0:
+			if len(s) > 1 {
+				i, j := rng.Intn(len(s)), rng.Intn(len(s))
+				s[i], s[j] = s[j], s[i]
+			}
+		case 1:
+			cut := id(rng.Intn(n + 1))
+			x, y, z := id(fresh), id(fresh+1), id(fresh+2)
+			fresh += 3
+			for r, pair := range [][]mcast.MsgID{{x, y}, {y, z}, {z, x}} {
+				q := (p + r) % procs
+				at := slices.IndexFunc(seqs[q], func(m mcast.MsgID) bool { return m >= cut && m < id(n) })
+				if at < 0 {
+					at = len(seqs[q])
+				}
+				seqs[q] = slices.Insert(seqs[q], at, pair...)
+			}
+		case 2:
+			if len(s) > 0 {
+				seqs[p] = slices.Insert(s, rng.Intn(len(s)+1), s[rng.Intn(len(s))])
+			}
+		}
+	}
+	return seqs
+}
+
+// TestOrderingMatchesAllPairs: on 2 000 random histories the chain graph
+// and the all-pairs oracle agree on the verdict and on how many messages
+// lie on or behind a cycle. The histories must include acyclic ones, cycles
+// with a pairwise disagreement, and cycles without one.
+func TestOrderingMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var acyclic, withPair, withoutPair int
+	for i := 0; i < 2000; i++ {
+		seqs := randomHistory(rng)
+		top := mcast.UniformTopology(len(seqs), 1)
+		all := make([]mcast.GroupID, len(seqs))
+		for g := range all {
+			all[g] = mcast.GroupID(g)
+		}
+		h := check.NewHistory()
+		submitted := make(map[mcast.MsgID]bool)
+		for p, ds := range seqs {
+			for _, id := range ds {
+				m := mcast.AppMsg{ID: id, Dest: mcast.NewGroupSet(all...)}
+				if !submitted[id] {
+					submitted[id] = true
+					h.AddSubmit(100, m)
+				}
+				h.AddDelivery(mcast.ProcessID(p), mcast.Delivery{Msg: m})
+			}
+		}
+		inCycles, n, pairwise := allPairsOrdering(seqs)
+		errs := orderingErrs(h, check.Config{Topology: top})
+		switch {
+		case inCycles == 0:
+			acyclic++
+			if len(errs) > 0 {
+				t.Fatalf("history %d %v: the oracle finds no cycle, the check reports %q", i, seqs, errs)
+			}
+			continue
+		case pairwise:
+			withPair++
+		default:
+			withoutPair++
+		}
+		var k, of int
+		last := ""
+		if len(errs) > 0 {
+			last = errs[len(errs)-1]
+		}
+		if _, err := fmt.Sscanf(last, "ordering: delivery precedence graph has a cycle (%d of %d messages in cycles)", &k, &of); err != nil || k != inCycles || of != n {
+			t.Fatalf("history %d %v: the oracle finds %d of %d messages in cycles, the check reports %q", i, seqs, inCycles, n, errs)
+		}
+	}
+	t.Logf("%d acyclic, %d cyclic with a pairwise disagreement, %d cyclic without", acyclic, withPair, withoutPair)
+	if acyclic < 200 || withPair < 200 || withoutPair < 100 {
+		t.Fatalf("the generator is lopsided: %d acyclic, %d with a pairwise disagreement, %d without", acyclic, withPair, withoutPair)
+	}
+}
+
+// BenchmarkHistoryCheck is the end-of-run check of a 3×3 cluster's clean
+// total-order history, at about 10³, 10⁴ and 10⁵ deliveries per process:
+// random 1–2-group destinations, projected in one global order.
+func BenchmarkHistoryCheck(b *testing.B) {
+	for _, perProc := range []int{1e3, 1e4, 1e5} {
+		b.Run(fmt.Sprintf("deliveries=%d", perProc), func(b *testing.B) {
+			top := mcast.UniformTopology(3, 3)
+			rng := rand.New(rand.NewSource(1))
+			h := check.NewHistory()
+			for seq := 1; seq <= 2*perProc; seq++ { // half the messages reach a group
+				gs := rng.Perm(3)[:1+rng.Intn(2)]
+				dest := make([]mcast.GroupID, len(gs))
+				for i, g := range gs {
+					dest[i] = mcast.GroupID(g)
+				}
+				m := mcast.AppMsg{ID: mcast.MakeMsgID(100, uint32(seq)), Dest: mcast.NewGroupSet(dest...)}
+				h.AddSubmit(100, m)
+				for _, g := range m.Dest {
+					for _, p := range top.Members(g) {
+						h.AddDelivery(p, mcast.Delivery{Msg: m, GTS: mcast.Timestamp{Time: uint64(seq)}})
+					}
+				}
+			}
+			cfg := check.Config{Topology: top, AtQuiescence: true, CheckGTS: true}
+			if errs := h.Check(cfg); len(errs) > 0 {
+				b.Fatalf("a clean history fails the check: %v", errs[0])
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				h.Check(cfg)
+			}
+		})
 	}
 }

@@ -290,6 +290,50 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
+// TestChaosLongRun is a chaos run long enough for the checkers' cost to
+// matter: 20 000 multicasts from two clients over 10 s on a 3×3 WhiteBox
+// cluster with its timers on, while the leader of group 0 crashes and
+// restarts and the link from group 1's leader to a replica of group 0
+// loses, duplicates and reorders messages until it heals at 15 s. Every
+// invariant holds at the horizon, Termination and genuineness included:
+// about 10⁴ deliveries per replica, which the end-of-run Ordering check
+// takes in linear time.
+func TestChaosLongRun(t *testing.T) {
+	top := mcast.UniformTopology(3, 3)
+	leader := top.InitialLeader(0)
+	plan := &faults.Plan{}
+	plan.At(time.Second, faults.SetLink{From: 3, To: 1, Fault: faults.LinkFault{
+		DropProb: 0.2, DupProb: 0.1, ReorderProb: 0.2, Jitter: chaosDelta,
+	}})
+	plan.At(3*time.Second, faults.Crash{P: leader})
+	plan.At(4*time.Second, faults.Restart{P: leader})
+	plan.At(15*time.Second, faults.ClearLinks{})
+	c, err := harness.NewCluster(chaosRows()[0].proto, harness.Options{
+		Groups: 3, GroupSize: 3, NumClients: 2,
+		Latency: sim.Uniform(chaosDelta),
+		Seed:    1,
+		Retry:   30 * chaosDelta,
+		Faults:  plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RandomWorkload(rand.New(rand.NewSource(1)), 20000, 2, 10*time.Second)
+	if errs := c.RunChecked(chaosHorizon, 50*time.Millisecond); len(errs) > 0 {
+		t.Fatalf("continuous invariant violated at t=%v: %v", c.Sim.Now(), errs[0])
+	}
+	if errs := c.Check(true); len(errs) > 0 {
+		for _, e := range errs {
+			t.Errorf("%v", e)
+		}
+		t.Fatalf("%d violation(s) at the horizon", len(errs))
+	}
+	if c.Sim.TotalDropped() == 0 {
+		t.Error("the lossy link dropped nothing")
+	}
+	t.Logf("%d deliveries, %d transmissions, %d dropped", c.CollectHistory().NumDeliveries(), c.Sim.TotalSent(), c.Sim.TotalDropped())
+}
+
 // TestChaosLeaderPartitionReplicaRestart is the named scenario of the
 // acceptance criteria: the leader of group 0 is partitioned away while a
 // follower of group 1 crashes and restarts; after the heal, every

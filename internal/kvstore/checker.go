@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"wbcast/internal/mcast"
 )
@@ -39,7 +41,7 @@ type pos struct {
 //     stamps, as Check's longest-log rule.
 //
 // conflicts is the payload-level relation the protocol ran under (nil means
-// every pair conflicts).
+// every pair conflicts). Like Check, it returns the first violation found.
 func CheckPartial(hs []History, complete bool, conflicts func(a, b []byte) bool) error {
 	if conflicts == nil {
 		conflicts = func(a, b []byte) bool { return true }
@@ -90,7 +92,8 @@ func CheckPartial(hs []History, complete bool, conflicts func(a, b []byte) bool)
 		}
 	}
 
-	for g, states := range byGroup {
+	for _, g := range slices.Sorted(maps.Keys(byGroup)) {
+		states := byGroup[g]
 		for i := 0; i < len(states); i++ {
 			for j := i + 1; j < len(states); j++ {
 				a, b := states[i], states[j]
@@ -150,6 +153,10 @@ func sameStampSet(a, b map[stamp]bool) bool {
 // Together 2-4 are the atomicity acceptance check: a transaction spanning
 // several shards occupies a single position of the global order and either
 // executes at all its shards or none.
+//
+// Check returns the first violation found, taking the histories in the
+// order given and the shards in ascending order, so a replayed run reports
+// the same one.
 func Check(hs []History, complete bool) error {
 	stamp := make(map[pos]mcast.Timestamp)
 	for _, h := range hs {
@@ -182,7 +189,8 @@ func Check(hs []History, complete bool) error {
 	for _, h := range hs {
 		byGroup[h.Group] = append(byGroup[h.Group], h)
 	}
-	for g, ghs := range byGroup {
+	for _, g := range slices.Sorted(maps.Keys(byGroup)) {
+		ghs := byGroup[g]
 		for i := 0; i < len(ghs); i++ {
 			for j := i + 1; j < len(ghs); j++ {
 				a, b := ghs[i], ghs[j]

@@ -533,3 +533,34 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		t.Error("non-atomic txn accepted by complete check")
 	}
 }
+
+// TestCheckerReportsTheSameViolation: with a divergence in every shard, both
+// checkers name the lowest shard, on every run.
+func TestCheckerReportsTheSameViolation(t *testing.T) {
+	ap := func(id uint32, time uint64, g mcast.GroupID) Applied {
+		return Applied{ID: mcast.MakeMsgID(1, id), GTS: mcast.Timestamp{Time: time}, Dest: mcast.NewGroupSet(g)}
+	}
+	// In every shard the second replica applied another operation at the
+	// same stamp: the logs diverge, and the stamp sets are equal.
+	var hs []History
+	for g := mcast.GroupID(0); g < 8; g++ {
+		id := 10 * uint32(g)
+		hs = append(hs,
+			History{PID: mcast.ProcessID(2 * g), Group: g, Log: []Applied{ap(id+1, 1, g), ap(id+2, 2, g)}, Digest: 1},
+			History{PID: mcast.ProcessID(2*g + 1), Group: g, Log: []Applied{ap(id+1, 1, g), ap(id+3, 2, g)}, Digest: 2})
+	}
+	for _, c := range []struct {
+		name  string
+		check func() error
+		want  string
+	}{
+		{"Check", func() error { return Check(hs, false) }, "kvstore: shard 0: replicas 0 and 1 diverge at 1"},
+		{"CheckPartial", func() error { return CheckPartial(hs, false, nil) }, "kvstore: shard 0: replicas 0 and 1 applied the same set but digests differ"},
+	} {
+		for run := 0; run < 10; run++ {
+			if err := c.check(); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Fatalf("%s, run %d: %v, want %q…", c.name, run, err, c.want)
+			}
+		}
+	}
+}

@@ -30,8 +30,9 @@ func TestPostAfterDeadlineOrder(t *testing.T) {
 		m.PostAfter(d, 2*slot+1) // the same deadline, or one a moment later
 	}
 	// The deadlines as armed (the arming loop's own pace shifts them).
+	var want []timed[int]
 	m.tmu.Lock()
-	want := append([]timed[int](nil), m.timers...)
+	m.timers.Filter(func(t timed[int]) bool { want = append(want, t); return true })
 	m.tmu.Unlock()
 	if len(want) != timers {
 		t.Fatalf("%d of %d envelopes still armed after the arming loop: the host stalled", len(want), timers)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wbcast/internal/mcast"
+	"wbcast/internal/pq"
 	"wbcast/internal/ring"
 	"wbcast/internal/wal"
 )
@@ -241,7 +242,7 @@ type Mailbox[E any] struct {
 	// sleeps. Run posts the due ones itself, so an armed envelope costs no
 	// runtime timer, no goroutine and no wake-up of its own.
 	tmu    sync.Mutex
-	timers []timed[E]
+	timers pq.Heap[timed[E]]
 	seq    uint64
 	timer  *time.Timer
 	epoch  time.Time // deadlines count from here
@@ -264,7 +265,7 @@ func (t *timed[E]) before(u *timed[E]) bool {
 func NewMailbox[E any](capacity int, quit <-chan struct{}) *Mailbox[E] {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &Mailbox[E]{box: ring.New[E](capacity), wake: make(chan struct{}, 1), quit: quit, timer: t, epoch: time.Now()}
+	return &Mailbox[E]{box: ring.New[E](capacity), wake: make(chan struct{}, 1), quit: quit, timers: pq.New((*timed[E]).before), timer: t, epoch: time.Now()}
 }
 
 // Post enqueues e; safe from any goroutine, including the consumer.
@@ -288,13 +289,10 @@ func (m *Mailbox[E]) PostAfter(d time.Duration, e E) {
 	m.tmu.Lock()
 	m.seq++
 	t.seq = m.seq
-	m.timers = append(m.timers, t)
-	i := len(m.timers) - 1
-	for up := (i - 1) / 2; i > 0 && m.timers[i].before(&m.timers[up]); i, up = up, (up-1)/2 {
-		m.timers[i], m.timers[up] = m.timers[up], m.timers[i]
-	}
+	m.timers.Push(t)
+	first := m.timers.Min().seq == t.seq
 	m.tmu.Unlock()
-	if i == 0 {
+	if first {
 		m.nudge() // Run may be asleep until a later deadline
 	}
 }
@@ -305,32 +303,17 @@ func (m *Mailbox[E]) PostAfter(d time.Duration, e E) {
 func (m *Mailbox[E]) expire(sleep bool) bool {
 	m.tmu.Lock()
 	defer m.tmu.Unlock()
-	if len(m.timers) == 0 {
+	if m.timers.Len() == 0 {
 		return false
 	}
 	now := time.Since(m.epoch)
 	due := false
-	for len(m.timers) > 0 && m.timers[0].at <= now {
-		m.box.Enqueue(m.timers[0].e)
+	for m.timers.Len() > 0 && m.timers.Min().at <= now {
+		m.box.Enqueue(m.timers.Pop().e)
 		due = true
-		last := len(m.timers) - 1
-		m.timers[0] = m.timers[last]
-		m.timers[last] = timed[E]{}
-		m.timers = m.timers[:last]
-		for i := 0; ; { // sift down
-			c := 2*i + 1
-			if c+1 < last && m.timers[c+1].before(&m.timers[c]) {
-				c++
-			}
-			if c >= last || !m.timers[c].before(&m.timers[i]) {
-				break
-			}
-			m.timers[i], m.timers[c] = m.timers[c], m.timers[i]
-			i = c
-		}
 	}
-	if sleep && !due && len(m.timers) > 0 {
-		m.timer.Reset(m.timers[0].at - now)
+	if sleep && !due && m.timers.Len() > 0 {
+		m.timer.Reset(m.timers.Min().at - now)
 	}
 	return due
 }

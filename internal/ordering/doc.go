@@ -8,10 +8,10 @@
 //
 // Queue maintains the pending set keyed by local timestamp and the
 // committed-undelivered set keyed by global timestamp, answering the rule in
-// O(log n) per operation via two lazily-pruned binary heaps.
+// O(log n) per operation via two lazily-pruned binary heaps (internal/pq).
 //
 // # Layering
 //
-// ordering is a pure data structure above internal/mcast, used by
+// ordering is a pure data structure above internal/mcast and internal/pq, used by
 // internal/core directly and by the baselines through internal/rsm.
 package ordering

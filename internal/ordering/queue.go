@@ -1,16 +1,15 @@
 package ordering
 
 import (
-	"container/heap"
-
 	"wbcast/internal/mcast"
+	"wbcast/internal/pq"
 )
 
 // Queue tracks pending and committed-undelivered messages at one process.
 // The zero value is not ready to use; call NewQueue.
 type Queue struct {
-	pending   tsHeap
-	committed tsHeap
+	pending   pq.Heap[tsEntry]
+	committed pq.Heap[tsEntry]
 	pendingTS map[mcast.MsgID]mcast.Timestamp
 	commitTS  map[mcast.MsgID]mcast.Timestamp
 }
@@ -18,6 +17,8 @@ type Queue struct {
 // NewQueue returns an empty delivery queue.
 func NewQueue() *Queue {
 	return &Queue{
+		pending:   pq.New(byTS),
+		committed: pq.New(byTS),
 		pendingTS: make(map[mcast.MsgID]mcast.Timestamp),
 		commitTS:  make(map[mcast.MsgID]mcast.Timestamp),
 	}
@@ -29,7 +30,7 @@ func NewQueue() *Queue {
 func (q *Queue) SetPending(id mcast.MsgID, lts mcast.Timestamp) {
 	delete(q.commitTS, id)
 	q.pendingTS[id] = lts
-	heap.Push(&q.pending, tsEntry{ts: lts, id: id})
+	q.pending.Push(tsEntry{ts: lts, id: id})
 }
 
 // Commit moves message id from pending (if present) to the
@@ -37,7 +38,7 @@ func (q *Queue) SetPending(id mcast.MsgID, lts mcast.Timestamp) {
 func (q *Queue) Commit(id mcast.MsgID, gts mcast.Timestamp) {
 	delete(q.pendingTS, id)
 	q.commitTS[id] = gts
-	heap.Push(&q.committed, tsEntry{ts: gts, id: id})
+	q.committed.Push(tsEntry{ts: gts, id: id})
 }
 
 // Remove forgets message id entirely (delivered elsewhere, recovery reset,
@@ -78,7 +79,7 @@ func (q *Queue) PopDeliverable() (mcast.MsgID, mcast.Timestamp, bool) {
 	if !ok {
 		return 0, mcast.Timestamp{}, false
 	}
-	heap.Pop(&q.committed)
+	q.committed.Pop()
 	delete(q.commitTS, id)
 	return id, ts, true
 }
@@ -94,21 +95,20 @@ func (q *Queue) NumCommitted() int { return len(q.commitTS) }
 
 // Clear empties the queue (state overwrite during recovery).
 func (q *Queue) Clear() {
-	q.pending = q.pending[:0]
-	q.committed = q.committed[:0]
+	q.pending, q.committed = pq.New(byTS), pq.New(byTS)
 	clear(q.pendingTS)
 	clear(q.commitTS)
 }
 
 // peek returns the minimal live entry of h, pruning entries that no longer
 // match the authoritative map (lazy deletion).
-func (q *Queue) peek(h *tsHeap, live map[mcast.MsgID]mcast.Timestamp) (tsEntry, bool) {
+func (q *Queue) peek(h *pq.Heap[tsEntry], live map[mcast.MsgID]mcast.Timestamp) (tsEntry, bool) {
 	for h.Len() > 0 {
-		e := (*h)[0]
+		e := *h.Min()
 		if ts, ok := live[e.id]; ok && ts == e.ts {
 			return e, true
 		}
-		heap.Pop(h)
+		h.Pop()
 	}
 	return tsEntry{}, false
 }
@@ -118,16 +118,4 @@ type tsEntry struct {
 	id mcast.MsgID
 }
 
-type tsHeap []tsEntry
-
-func (h tsHeap) Len() int            { return len(h) }
-func (h tsHeap) Less(i, j int) bool  { return h[i].ts.Less(h[j].ts) }
-func (h tsHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *tsHeap) Push(x interface{}) { *h = append(*h, x.(tsEntry)) }
-func (h *tsHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
+func byTS(a, b *tsEntry) bool { return a.ts.Less(b.ts) }

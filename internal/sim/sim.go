@@ -1,14 +1,16 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"time"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
+	"wbcast/internal/pq"
 	"wbcast/internal/wal"
 )
 
@@ -116,7 +118,8 @@ type Sim struct {
 	rng *rand.Rand
 	now time.Duration
 	seq uint64
-	pq  eventHeap
+	// events is the queue, ordered by (at, seq).
+	events pq.Heap[event]
 	// nodes holds each process's handler behind its Step, the shared shard
 	// driver's Handle → persist → release step; the event heap plays the
 	// part of the mailbox.
@@ -155,6 +158,7 @@ func New(cfg Config) *Sim {
 	return &Sim{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		events:      pq.New(eventBefore),
 		nodes:       make(map[mcast.ProcessID]*node.Step),
 		crashed:     make(map[mcast.ProcessID]bool),
 		lastArrival: make(map[linkKey]time.Duration),
@@ -216,17 +220,10 @@ func (s *Sim) Restart(pid mcast.ProcessID) {
 		return
 	}
 	delete(s.crashed, pid)
-	kept := s.pq[:0]
-	for _, ev := range s.pq {
-		if ev.proc == pid {
-			if _, isTimer := ev.in.(node.Timer); isTimer || ev.commit != nil {
-				continue
-			}
-		}
-		kept = append(kept, ev)
-	}
-	s.pq = kept
-	heap.Init(&s.pq)
+	s.events.Filter(func(ev event) bool {
+		_, isTimer := ev.in.(node.Timer)
+		return ev.proc != pid || !isTimer && ev.commit == nil
+	})
 	st, ok := s.nodes[pid]
 	if !ok {
 		return
@@ -256,7 +253,7 @@ func (s *Sim) ControlAt(at time.Duration, fn func()) {
 		at = s.now
 	}
 	s.seq++
-	heap.Push(&s.pq, event{at: at, seq: s.seq, proc: mcast.NoProcess, ctl: fn})
+	s.events.Push(event{at: at, seq: s.seq, proc: mcast.NoProcess, ctl: fn})
 }
 
 // Now returns the current virtual time.
@@ -265,7 +262,7 @@ func (s *Sim) Now() time.Duration { return s.now }
 // Pending returns the number of events still queued. A driver that pumps
 // the simulator to quiescence loops until Pending reaches zero; protocols
 // with periodic timers (heartbeats, GC) never quiesce.
-func (s *Sim) Pending() int { return s.pq.Len() }
+func (s *Sim) Pending() int { return s.events.Len() }
 
 // SubmitAt schedules a Submit input for the client handler at time at,
 // recording the message for the latency and genuineness audits.
@@ -296,12 +293,8 @@ func (s *Sim) Inject(at time.Duration, pid mcast.ProcessID, in node.Input) {
 // exceed until. Returns the number of events processed.
 func (s *Sim) Run(until time.Duration) int {
 	n := 0
-	for s.pq.Len() > 0 {
-		ev := s.pq[0]
-		if ev.at > until {
-			break
-		}
-		heap.Pop(&s.pq)
+	for s.events.Len() > 0 && s.events.Min().at <= until {
+		ev := s.events.Pop()
 		s.now = ev.at
 		n++
 		s.dispatch(ev)
@@ -369,7 +362,7 @@ func (s *Sim) dispatch(ev event) {
 		}
 		if s.cfg.CommitTime > 0 {
 			s.seq++
-			heap.Push(&s.pq, event{at: s.now + s.cfg.CommitTime, seq: s.seq, proc: ev.proc, commit: c})
+			s.events.Push(event{at: s.now + s.cfg.CommitTime, seq: s.seq, proc: ev.proc, commit: c})
 			return
 		}
 	}
@@ -444,7 +437,7 @@ func (s *Sim) release(from mcast.ProcessID, rel node.Release) {
 
 func (s *Sim) schedule(at time.Duration, pid mcast.ProcessID, in node.Input) {
 	s.seq++
-	heap.Push(&s.pq, event{at: at, seq: s.seq, proc: pid, in: in})
+	s.events.Push(event{at: at, seq: s.seq, proc: pid, in: in})
 }
 
 // Deliveries returns all recorded deliveries in processing order.
@@ -498,16 +491,17 @@ func (s *Sim) TotalDropped() int { return s.dropped }
 // AuditGenuineness verifies the minimality property of paper §II: every
 // process that received a message concerning application message m is either
 // m's sender or a member of a destination group of m. It returns one error
-// per violation.
+// per violation, in ascending (message ID, process) order, so a replayed run
+// reports the same first violation.
 func (s *Sim) AuditGenuineness(top *mcast.Topology) []error {
 	var errs []error
-	for id, procs := range s.touched {
+	for _, id := range slices.Sorted(maps.Keys(s.touched)) {
 		rec, ok := s.submitted[id]
 		if !ok {
 			errs = append(errs, fmt.Errorf("sim: message %v was never submitted but was ordered", id))
 			continue
 		}
-		for p := range procs {
+		for _, p := range slices.Sorted(maps.Keys(s.touched[id])) {
 			if p == rec.sender {
 				continue
 			}
@@ -533,21 +527,4 @@ type event struct {
 	commit *node.Commit
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
+func eventBefore(a, b *event) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -220,6 +221,49 @@ func TestGenuinenessAuditFlagsOutsider(t *testing.T) {
 	errs := s.AuditGenuineness(top)
 	if len(errs) != 1 {
 		t.Fatalf("audit errors = %v, want exactly 1", errs)
+	}
+}
+
+// TestGenuinenessAuditIsReplayable: a run with many violations reports them
+// in ascending (message ID, process) order, so two replays of one seed name
+// the same first violation.
+func TestGenuinenessAuditIsReplayable(t *testing.T) {
+	top := mcast.UniformTopology(4, 1)
+	run := func() []string {
+		s := New(Config{Latency: Uniform(time.Millisecond)})
+		client := node.Func{PID: 100, F: func(in node.Input, fx *node.Effects) {
+			if sub, ok := in.(node.Submit); ok {
+				fx.SendAll([]mcast.ProcessID{0, 1, 2, 3}, msgs.Multicast{M: sub.Msg}) // leaks to 1, 2, 3
+			}
+		}}
+		s.Add(client)
+		for pid := mcast.ProcessID(0); pid < 4; pid++ {
+			s.Add(node.Func{PID: pid, F: func(node.Input, *node.Effects) {}})
+		}
+		for seq := uint32(1); seq <= 20; seq++ {
+			s.SubmitAt(0, 100, mcast.AppMsg{ID: mcast.MakeMsgID(100, seq), Dest: mcast.NewGroupSet(0)})
+		}
+		// Ordered but never submitted.
+		s.Inject(0, 2, node.Recv{From: 100, Msg: msgs.Multicast{M: mcast.AppMsg{ID: mcast.MakeMsgID(100, 99)}}})
+		s.Run(time.Second)
+		var out []string
+		for _, err := range s.AuditGenuineness(top) {
+			out = append(out, err.Error())
+		}
+		return out
+	}
+	first := run()
+	if len(first) != 20*3+1 {
+		t.Fatalf("%d violations, want %d: %q", len(first), 20*3+1, first)
+	}
+	want := "sim: process 1 participated in ordering m(100.1) with dest {g0} (genuineness violation)"
+	if first[0] != want {
+		t.Fatalf("first violation %q, want %q", first[0], want)
+	}
+	for replay := 0; replay < 5; replay++ {
+		if again := run(); !slices.Equal(again, first) {
+			t.Fatalf("a replay reports\n%q\nwhere the first run reported\n%q", again, first)
+		}
 	}
 }
 
