@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"wbcast/internal/batch"
 	"wbcast/internal/client"
 	"wbcast/internal/mcast"
 	"wbcast/internal/node"
@@ -24,7 +23,7 @@ type Client struct {
 	top *mcast.Topology
 	tr  Transport
 	pid ProcessID
-	h   node.Handler
+	h   *client.Client
 	reg *obs.Registry // nil when Observability.Disabled
 
 	mu      sync.Mutex
@@ -60,11 +59,6 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 		cl.reg = obs.NewRegistry(fmt.Sprintf(`proc="%d"`, pid))
 		co = obs.NewClient(cl.reg, cfg.clock, cfg.tracer, pid)
 	}
-	var opts *batch.Options
-	if cfg.Batching != nil {
-		o := cfg.Batching.options()
-		opts = &o
-	}
 	retry := 50 * cfg.Delta
 	if !cfg.Transport.backgroundTimers() {
 		// The plain simulated transport pumps submissions to quiescence;
@@ -73,7 +67,7 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 		// recovery path for faulted messages.)
 		retry = 0
 	}
-	cl.h = batch.NewHandler(client.Config{
+	cl.h = client.New(client.Config{
 		PID: pid,
 		Contacts: func(g GroupID) []ProcessID {
 			return []ProcessID{top.InitialLeader(g)}
@@ -82,7 +76,7 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 		Retry:         retry,
 		OnComplete:    cl.complete,
 		Obs:           co,
-	}, opts)
+	})
 	if err := cfg.Transport.add(cl.h, hostOptions{reg: cl.reg}); err != nil {
 		return nil, err
 	}
@@ -92,20 +86,15 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 // ID returns the client's process ID (the sender of its messages).
 func (cl *Client) ID() ProcessID { return cl.pid }
 
-// BatchesSent returns how many protocol-level batch envelopes the client
-// has flushed, or 0 when batching is disabled. Throughput reporters divide
-// payloads by batches to obtain the achieved mean batch size.
-func (cl *Client) BatchesSent() int64 {
-	if bc, ok := cl.h.(*batch.Client); ok {
-		return bc.BatchesSent()
-	}
-	return 0
-}
+// BatchesSent returns how many protocol-level multicasts the client has
+// sent, retries not counted: one per destination set per drain of its
+// mailbox. Throughput reporters divide payloads by it to obtain the achieved
+// mean batch size.
+func (cl *Client) BatchesSent() int64 { return cl.h.BatchesSent() }
 
 // Metrics returns a snapshot of the client's metrics: the end-to-end
-// submit-to-complete latency histogram, retry counts and (when batching is
-// enabled) the flush-trigger breakdown. Empty when Observability.Disabled
-// is set.
+// submit-to-complete latency histogram and retry counts. Empty when
+// Observability.Disabled is set.
 func (cl *Client) Metrics() MetricsSnapshot { return cl.reg.Snapshot() }
 
 // Close crash-stops the client's process on its transport. In-flight

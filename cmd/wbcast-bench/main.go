@@ -13,13 +13,14 @@
 //	    -clients 16,64,256,1024 -dest 1,2,4 \
 //	    -warmup 500ms -measure 2s
 //
-// Batching is enabled with -batch-msgs / -batch-bytes / -batch-delay;
-// -outstanding sets each client's pipelining depth (workers per client) so
-// the accumulator has payloads to aggregate. With batching on, the tool
-// prints both msgs/sec (application throughput) and batch/sec
-// (protocol-level multicasts), whose ratio is the achieved mean batch size:
+// -outstanding sets each client's pipelining depth (workers per client). A
+// client sends what one drain of its mailbox holds as one multicast per
+// destination set, so deeper pipelines batch more. The tool prints both
+// msgs/sec (application throughput) and batch/sec (protocol-level
+// multicasts, Client.BatchesSent), whose ratio is the achieved mean batch
+// size:
 //
-//	wbcast-bench -net lan -batch-msgs 64 -batch-delay 1ms -outstanding 256
+//	wbcast-bench -net lan -outstanding 64
 //
 // Each point also reports mbox_hw, the largest replica input-queue length
 // observed (Replica.Stats): the saturation indicator of the elastic
@@ -71,9 +72,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed for destination-group choices")
 
 		outstanding = flag.Int("outstanding", 1, "multicasts each client keeps in flight (pipelining depth)")
-		batchMsgs   = flag.Int("batch-msgs", 0, "flush a batch at this many payloads (0 disables batching unless -batch-bytes/-batch-delay set)")
-		batchBytes  = flag.Int("batch-bytes", 0, "flush a batch at this many payload bytes")
-		batchDelay  = flag.Duration("batch-delay", 0, "flush deadline for a non-empty batch")
 
 		storageMode = flag.String("storage", "none", "durable storage per replica: none, mem or disk (measures durability overhead)")
 		storageDir  = flag.String("storage-dir", "", "root for -storage disk (default: a fresh temp dir per point, removed afterwards)")
@@ -98,15 +96,6 @@ func main() {
 			fmt.Printf("# wrote CPU profile %s\n", *cpuProfile)
 		}()
 	}
-	var batching *wbcast.Batching
-	if *batchMsgs > 0 || *batchBytes > 0 || *batchDelay > 0 {
-		batching = &wbcast.Batching{
-			MaxBatchMsgs:  *batchMsgs,
-			MaxBatchBytes: *batchBytes,
-			MaxBatchDelay: *batchDelay,
-		}
-	}
-
 	var latency func(from, to wbcast.ProcessID) time.Duration
 	switch *netProfile {
 	case "lan":
@@ -147,7 +136,7 @@ func main() {
 	}
 	common := pointConfig{
 		groups: *groups, size: *size, outstanding: *outstanding,
-		payloadSize: *payload, batching: batching, latency: latency,
+		payloadSize: *payload, latency: latency,
 		warmup: *warmup, measure: *measure, seed: *seed,
 		storageMode: *storageMode, storageDir: *storageDir,
 		syncPolicy: policy,
@@ -161,10 +150,6 @@ func runMulticastSweep(common pointConfig, protos []wbcast.Protocol, clientCount
 	fmt.Printf("# figure: %s — %d groups × %d replicas, %d-byte payloads, closed-loop clients ×%d outstanding\n",
 		map[string]string{"lan": "Fig. 7 (LAN profile)", "wan": "Fig. 8 (WAN profile)"}[netProfile],
 		common.groups, common.size, common.payloadSize, common.outstanding)
-	if common.batching != nil {
-		fmt.Printf("# batching: msgs=%d bytes=%d delay=%v\n",
-			common.batching.MaxBatchMsgs, common.batching.MaxBatchBytes, common.batching.MaxBatchDelay)
-	}
 	printStorageLine(common)
 	printSkeenLine(common, protos)
 	fmt.Printf("%-10s %5s %8s %14s %14s %12s %12s %12s %9s\n",
@@ -227,7 +212,6 @@ type pointConfig struct {
 	outstanding int
 	destGroups  int
 	payloadSize int
-	batching    *wbcast.Batching
 	latency     func(from, to wbcast.ProcessID) time.Duration
 	warmup      time.Duration
 	measure     time.Duration
@@ -239,7 +223,7 @@ type pointConfig struct {
 
 type pointResult struct {
 	throughput     float64 // completed payloads per second
-	batches        float64 // protocol-level multicasts per second
+	batches        float64 // protocol-level multicasts per second (Client.BatchesSent)
 	mean, p50, p99 time.Duration
 	mailboxHW      int64 // max replica input-queue depth (Replica.Stats)
 }
@@ -266,7 +250,7 @@ func newStorage(cfg pointConfig) (func(wbcast.ProcessID) (wbcast.Storage, error)
 // closed-loop clients against it: each client runs `outstanding` workers,
 // each with one synchronous Multicast in flight — the evaluation
 // methodology of the paper (§VI, following Coelho et al.), generalised
-// with client pipelining and optional batching.
+// with client pipelining.
 func runPoint(cfg pointConfig) (pointResult, error) {
 	// Durable mode: every replica appends and fsyncs its WAL on the hot
 	// path, so these points measure the durability overhead against the
@@ -284,7 +268,6 @@ func runPoint(cfg pointConfig) (pointResult, error) {
 		Replicas:  cfg.size,
 		Transport: wbcast.InProcess(),
 		Latency:   cfg.latency,
-		Batching:  cfg.batching,
 		Storage:   storage,
 	})
 	if err != nil {
@@ -355,11 +338,7 @@ func runPoint(cfg pointConfig) (pointResult, error) {
 
 	res := pointResult{
 		throughput: float64(completed.Load()) / cfg.measure.Seconds(),
-	}
-	if cfg.batching != nil {
-		res.batches = float64(batchesAtDeadline-batchesAtWarmup) / cfg.measure.Seconds()
-	} else {
-		res.batches = res.throughput
+		batches:    float64(batchesAtDeadline-batchesAtWarmup) / cfg.measure.Seconds(),
 	}
 	res.mean, res.p50, res.p99 = summarise(samples)
 	for _, r := range cluster.Replicas() {

@@ -25,6 +25,9 @@ func TestRunPointSmoke(t *testing.T) {
 			if res.throughput <= 0 {
 				t.Errorf("throughput %.0f msgs/s: no operation completed in the window", res.throughput)
 			}
+			if res.batches <= 0 {
+				t.Errorf("batch/s %.0f: Client.BatchesSent counted no multicast in the window", res.batches)
+			}
 			if res.p50 <= 0 || res.p99 < res.p50 {
 				t.Errorf("latency p50 %v, p99 %v: want p99 ≥ p50 > 0", res.p50, res.p99)
 			}

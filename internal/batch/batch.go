@@ -2,91 +2,24 @@ package batch
 
 import (
 	"fmt"
-	"time"
 
+	"wbcast/internal/client"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
 	"wbcast/internal/wire"
 )
 
-// Options bounds the accumulator's flush triggers and the pipelining
-// window. The zero value of any field selects its default; use New*Client
-// constructors or normalize to apply them.
-type Options struct {
-	// MaxMsgs flushes a batch once it holds this many payloads
-	// (default 64).
-	MaxMsgs int
-	// MaxBytes flushes a batch once its payloads total this many bytes
-	// (default 64 KiB). A single payload larger than MaxBytes still ships,
-	// as a singleton batch.
-	MaxBytes int
-	// MaxDelay bounds how long the first payload of a batch may wait
-	// before the batch is flushed regardless of size (default 1ms). It is
-	// the batching latency tax and must be positive: without it, a trickle
-	// of payloads below the size triggers would buffer forever.
-	MaxDelay time.Duration
-	// Window is the maximum number of batches in flight per destination
-	// set (default 4). When the window is full, further payloads
-	// accumulate (growing batches) until a completion frees a slot —
-	// the pipelining backpressure.
-	Window int
-}
+// Options is empty: a client batches what one drain of its mailbox holds,
+// with nothing to tune.
+type Options struct{}
 
-// Default flush-trigger values.
-const (
-	DefaultMaxMsgs  = 64
-	DefaultMaxBytes = 64 << 10
-	DefaultMaxDelay = time.Millisecond
-	DefaultWindow   = 4
-)
+// NewHandler builds the client handler for a runtime: client.New(cfg). The
+// options are ignored.
+func NewHandler(cfg client.Config, _ *Options) node.Handler { return client.New(cfg) }
 
-// normalize fills defaulted fields.
-func (o Options) normalize() Options {
-	if o.MaxMsgs <= 0 {
-		o.MaxMsgs = DefaultMaxMsgs
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = DefaultMaxBytes
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = DefaultMaxDelay
-	}
-	if o.Window <= 0 {
-		o.Window = DefaultWindow
-	}
-	return o
-}
-
-// batchSeqBit marks the per-sender sequence numbers reserved for batch
-// envelopes. Payload sequence numbers are allocated from 1 upwards by
-// clients and never reach it in any realistic run (2^31 submissions from
-// one process).
-const batchSeqBit uint32 = 1 << 31
-
-// MakeBatchID packs a batch envelope ID for the given sender. The sender
-// must be the batching client's own process ID: replicas send the
-// per-group ClientReply for a batch to ID.Sender().
-func MakeBatchID(sender mcast.ProcessID, seq uint32) mcast.MsgID {
-	return mcast.MakeMsgID(sender, seq|batchSeqBit)
-}
-
-// IsBatchID reports whether id identifies a batch envelope rather than an
-// individual application message.
-func IsBatchID(id mcast.MsgID) bool { return id.Seq()&batchSeqBit != 0 }
-
-// EncodePayload serialises the entries into the opaque AppMsg payload of a
-// batch envelope, using the wire encoding of msgs.Batch.
-func EncodePayload(entries []msgs.BatchEntry) []byte {
-	buf, err := wire.Encode(nil, msgs.Batch{Entries: entries})
-	if err != nil {
-		// wire.Encode cannot fail for msgs.Batch; keep the invariant loud.
-		panic("batch: encode: " + err.Error())
-	}
-	return buf
-}
-
-// DecodePayload parses a batch envelope payload produced by EncodePayload.
+// DecodePayload parses the payload of a batch envelope: the wire form of a
+// msgs.Batch.
 func DecodePayload(payload []byte) ([]msgs.BatchEntry, error) {
 	m, err := wire.Decode(payload)
 	if err != nil {
@@ -104,10 +37,10 @@ func DecodePayload(payload []byte) ([]msgs.BatchEntry, error) {
 // submission's message ID, the batch's destination set and global
 // timestamp, and its position in the batch as the sub-sequence number.
 // Protocol delivery paths call this instead of fx.Deliver, which keeps
-// batched and unbatched deployments — and all protocol baselines —
+// batched and unbatched runs — and all protocol baselines —
 // observationally identical at the application boundary.
 func ExpandInto(fx *node.Effects, d mcast.Delivery) {
-	if !IsBatchID(d.Msg.ID) {
+	if !mcast.IsBatchID(d.Msg.ID) {
 		fx.Deliver(d)
 		return
 	}
@@ -147,7 +80,7 @@ func Conflicts(rel mcast.ConflictRelation) mcast.MsgConflicts {
 		return nil
 	}
 	payloadsOf := func(m mcast.AppMsg) ([][]byte, bool) {
-		if !IsBatchID(m.ID) {
+		if !mcast.IsBatchID(m.ID) {
 			return [][]byte{m.Payload}, true
 		}
 		entries, err := DecodePayload(m.Payload)

@@ -1,86 +1,96 @@
 package batch_test
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
-	"time"
 
 	"wbcast/internal/batch"
+	"wbcast/internal/client"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
+	"wbcast/internal/wire"
 )
 
 const clientPID = mcast.ProcessID(100)
 
-// testClient builds a batching client whose envelopes are sent to the
-// first member of each destination group, recording payload completions.
-func testClient(opts batch.Options, completed *[]mcast.MsgID) *batch.Client {
-	return batch.New(batch.Config{
+// sub is one submission of a test drain.
+type sub struct {
+	payload []byte
+	groups  []mcast.GroupID
+}
+
+// drain hands a fresh client the submissions as one drain — Submit by
+// Submit, then its end — and returns their IDs, the client and what it
+// sent: the first send of each multicast, in send order.
+func drain(t *testing.T, subs ...sub) ([]mcast.MsgID, *client.Client, []mcast.AppMsg) {
+	t.Helper()
+	c := client.New(client.Config{
 		PID:      clientPID,
 		Contacts: func(g mcast.GroupID) []mcast.ProcessID { return []mcast.ProcessID{mcast.ProcessID(g)} },
-		OnComplete: func(id mcast.MsgID) {
-			if completed != nil {
-				*completed = append(*completed, id)
-			}
-		},
-		Options: opts,
 	})
-}
-
-func submit(t *testing.T, c *batch.Client, fx *node.Effects, seq uint32, payload string, groups ...mcast.GroupID) mcast.MsgID {
-	t.Helper()
-	id := mcast.MakeMsgID(clientPID, seq)
-	c.Handle(node.Submit{Msg: mcast.AppMsg{
-		ID:      id,
-		Dest:    mcast.NewGroupSet(groups...),
-		Payload: []byte(payload),
-	}}, fx)
-	return id
-}
-
-// envelopes extracts the distinct batch envelopes flushed into fx, in
-// flush order.
-func envelopes(t *testing.T, fx *node.Effects) []mcast.AppMsg {
-	t.Helper()
-	var out []mcast.AppMsg
-	seen := map[mcast.MsgID]bool{}
+	var fx node.Effects
+	var ids []mcast.MsgID
+	for i, s := range subs {
+		id := mcast.MakeMsgID(clientPID, uint32(i+1))
+		ids = append(ids, id)
+		c.Handle(node.Submit{Msg: mcast.AppMsg{ID: id, Dest: mcast.NewGroupSet(s.groups...), Payload: s.payload}}, &fx)
+	}
+	if len(fx.Sends) != 0 {
+		t.Fatalf("a Submit sent %v before the drain ended", fx.Sends)
+	}
+	c.EndDrain(&fx)
+	var sent []mcast.AppMsg
 	for _, s := range fx.Sends {
-		mc, ok := s.Msg.(msgs.Multicast)
-		if !ok {
-			continue
-		}
-		if !batch.IsBatchID(mc.M.ID) {
-			t.Fatalf("client flushed non-batch multicast %v", mc.M.ID)
-		}
-		if !seen[mc.M.ID] {
-			seen[mc.M.ID] = true
-			out = append(out, mc.M)
+		m := s.Msg.(msgs.Multicast).M
+		if !slices.ContainsFunc(sent, func(o mcast.AppMsg) bool { return o.ID == m.ID }) {
+			sent = append(sent, m)
 		}
 	}
-	return out
+	return ids, c, sent
 }
 
-// reply feeds the per-group delivery replies for envelope m back into the
-// client, completing it.
-func reply(c *batch.Client, fx *node.Effects, m mcast.AppMsg) {
-	for _, g := range m.Dest {
-		c.Handle(node.Recv{From: mcast.ProcessID(g), Msg: msgs.ClientReply{ID: m.ID, Group: g}}, fx)
+// payloadIDs returns the IDs an envelope carries, in order, or the
+// message's own ID.
+func payloadIDs(t *testing.T, m mcast.AppMsg) []mcast.MsgID {
+	t.Helper()
+	if !mcast.IsBatchID(m.ID) {
+		return []mcast.MsgID{m.ID}
 	}
+	entries, err := batch.DecodePayload(m.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []mcast.MsgID
+	for _, e := range entries {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
+
+func encode(t *testing.T, entries []msgs.BatchEntry) []byte {
+	t.Helper()
+	buf, err := wire.Encode(nil, msgs.Batch{Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 func TestIDHelpers(t *testing.T) {
-	id := batch.MakeBatchID(42, 7)
-	if !batch.IsBatchID(id) {
+	id := mcast.MakeBatchID(42, 7)
+	if !mcast.IsBatchID(id) {
 		t.Error("MakeBatchID result not recognised as batch ID")
 	}
 	if id.Sender() != 42 {
 		t.Errorf("batch ID sender = %v, want 42 (replies must route to the client)", id.Sender())
 	}
-	if batch.IsBatchID(mcast.MakeMsgID(42, 7)) {
+	if mcast.IsBatchID(mcast.MakeMsgID(42, 7)) {
 		t.Error("ordinary message ID recognised as batch ID")
 	}
-	if batch.MakeBatchID(42, 7) == batch.MakeBatchID(42, 8) {
+	if mcast.MakeBatchID(42, 7) == mcast.MakeBatchID(42, 8) {
 		t.Error("distinct batch seqs collide")
 	}
 }
@@ -91,7 +101,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		{ID: mcast.MakeMsgID(9, 2), Payload: []byte("")},
 		{ID: mcast.MakeMsgID(10, 1), Payload: []byte{0, 1, 2, 255}},
 	}
-	got, err := batch.DecodePayload(batch.EncodePayload(entries))
+	got, err := batch.DecodePayload(encode(t, entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,203 +113,77 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCountTrigger: a drain's payloads to one destination set leave in
+// envelopes of at most 64 — what one drain of a wall-clock runtime holds —
+// in submission order; one left over leaves as itself.
 func TestCountTrigger(t *testing.T) {
-	var fx node.Effects
-	c := testClient(batch.Options{MaxMsgs: 3, MaxDelay: time.Hour}, nil)
-	ids := []mcast.MsgID{
-		submit(t, c, &fx, 1, "a", 0, 1),
-		submit(t, c, &fx, 2, "b", 0, 1),
+	subs := make([]sub, 129)
+	for i := range subs {
+		subs[i] = sub{[]byte{byte(i)}, []mcast.GroupID{0, 1}}
 	}
-	if env := envelopes(t, &fx); len(env) != 0 {
-		t.Fatalf("flushed %d envelopes below the count trigger", len(env))
+	ids, c, sent := drain(t, subs...)
+	if len(sent) != 3 {
+		t.Fatalf("129 payloads left in %d multicasts, want 3", len(sent))
 	}
-	if c.Buffered() != 2 {
-		t.Errorf("Buffered = %d, want 2", c.Buffered())
-	}
-	ids = append(ids, submit(t, c, &fx, 3, "c", 0, 1))
-	env := envelopes(t, &fx)
-	if len(env) != 1 {
-		t.Fatalf("flushed %d envelopes at the count trigger, want 1", len(env))
-	}
-	entries, err := batch.DecodePayload(env[0].Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("envelope has %d entries, want 3", len(entries))
-	}
-	for i, e := range entries {
-		if e.ID != ids[i] {
-			t.Errorf("entry %d = %v, want %v (submission order)", i, e.ID, ids[i])
+	for i, want := range [][]mcast.MsgID{ids[:64], ids[64:128]} {
+		if !mcast.IsBatchID(sent[i].ID) || !slices.Equal(payloadIDs(t, sent[i]), want) {
+			t.Errorf("multicast %d carries %v, want an envelope of %v", i, payloadIDs(t, sent[i]), want)
+		}
+		if !sent[i].Dest.Equal(mcast.NewGroupSet(0, 1)) {
+			t.Errorf("envelope dest = %v", sent[i].Dest)
 		}
 	}
-	if !env[0].Dest.Equal(mcast.NewGroupSet(0, 1)) {
-		t.Errorf("envelope dest = %v", env[0].Dest)
+	if sent[2].ID != ids[128] || !bytes.Equal(sent[2].Payload, []byte{128}) {
+		t.Errorf("the leftover left as %v, want the submitted message %v", sent[2].ID, ids[128])
 	}
-	if c.Buffered() != 0 || c.BatchesSent() != 1 {
-		t.Errorf("Buffered=%d BatchesSent=%d", c.Buffered(), c.BatchesSent())
+	if c.BatchesSent() != 3 || c.Inflight() != 3 {
+		t.Errorf("BatchesSent=%d Inflight=%d, want 3 and 3", c.BatchesSent(), c.Inflight())
 	}
 }
 
+// TestBytesTrigger: an envelope stops short of 64 KiB of payloads.
 func TestBytesTrigger(t *testing.T) {
-	var fx node.Effects
-	c := testClient(batch.Options{MaxMsgs: 1000, MaxBytes: 10, MaxDelay: time.Hour}, nil)
-	submit(t, c, &fx, 1, "abcd", 0)
-	if env := envelopes(t, &fx); len(env) != 0 {
-		t.Fatal("flushed below the bytes trigger")
-	}
-	submit(t, c, &fx, 2, "efghijk", 0) // total 11 ≥ 10
-	env := envelopes(t, &fx)
-	if len(env) != 1 {
-		t.Fatalf("flushed %d envelopes at the bytes trigger, want 1", len(env))
-	}
-	entries, err := batch.DecodePayload(env[0].Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Errorf("envelope has %d entries, want 2", len(entries))
+	big, small := make([]byte, 40<<10), make([]byte, 10<<10)
+	ids, _, sent := drain(t, sub{big, []mcast.GroupID{0}}, sub{big, []mcast.GroupID{0}}, sub{small, []mcast.GroupID{0}})
+	if len(sent) != 2 || sent[0].ID != ids[0] || !slices.Equal(payloadIDs(t, sent[1]), ids[1:]) {
+		t.Fatalf("40+40+10 KiB left as %v, want the first alone and an envelope of the other two", sent)
 	}
 }
 
-func TestDelayTrigger(t *testing.T) {
-	var fx node.Effects
-	c := testClient(batch.Options{MaxMsgs: 1000, MaxDelay: 5 * time.Millisecond}, nil)
-	submit(t, c, &fx, 1, "lonely", 0)
-	if env := envelopes(t, &fx); len(env) != 0 {
-		t.Fatal("flushed before the delay trigger")
-	}
-	var timer *node.SetTimer
-	for i := range fx.Timers {
-		if fx.Timers[i].Kind == node.TimerBatch {
-			timer = &fx.Timers[i]
-		}
-	}
-	if timer == nil {
-		t.Fatal("no TimerBatch armed for the first buffered payload")
-	}
-	if timer.After != 5*time.Millisecond {
-		t.Errorf("flush timer after %v, want 5ms", timer.After)
-	}
-	var fx2 node.Effects
-	c.Handle(node.Timer{Kind: node.TimerBatch, Data: timer.Data}, &fx2)
-	env := envelopes(t, &fx2)
-	if len(env) != 1 {
-		t.Fatalf("timer expiry flushed %d envelopes, want 1", len(env))
-	}
-	entries, _ := batch.DecodePayload(env[0].Payload)
-	if len(entries) != 1 || string(entries[0].Payload) != "lonely" {
-		t.Errorf("entries = %v", entries)
-	}
-	// A stale expiry for the now-empty bucket must be a no-op.
-	var fx3 node.Effects
-	c.Handle(node.Timer{Kind: node.TimerBatch, Data: timer.Data}, &fx3)
-	if env := envelopes(t, &fx3); len(env) != 0 {
-		t.Error("stale timer flushed an empty bucket")
-	}
-}
-
-func TestSeparateBucketsPerDestinationSet(t *testing.T) {
-	var fx node.Effects
-	c := testClient(batch.Options{MaxMsgs: 2, MaxDelay: time.Hour}, nil)
-	submit(t, c, &fx, 1, "a", 0)
-	submit(t, c, &fx, 2, "b", 0, 1)
-	if env := envelopes(t, &fx); len(env) != 0 {
-		t.Fatal("payloads with different destination sets shared a batch")
-	}
-	submit(t, c, &fx, 3, "c", 0)
-	env := envelopes(t, &fx)
-	if len(env) != 1 || !env[0].Dest.Equal(mcast.NewGroupSet(0)) {
-		t.Fatalf("envelopes = %v", env)
-	}
-}
-
-func TestWindowBackpressureAndCompletion(t *testing.T) {
-	var completed []mcast.MsgID
-	var fx node.Effects
-	c := testClient(batch.Options{MaxMsgs: 2, MaxDelay: time.Hour, Window: 1}, &completed)
-	first := []mcast.MsgID{
-		submit(t, c, &fx, 1, "a", 0, 1),
-		submit(t, c, &fx, 2, "b", 0, 1),
-	}
-	env := envelopes(t, &fx)
-	if len(env) != 1 {
-		t.Fatalf("first batch: %d envelopes", len(env))
-	}
-	// Window of 1 is occupied: further due payloads must accumulate.
-	second := []mcast.MsgID{
-		submit(t, c, &fx, 3, "c", 0, 1),
-		submit(t, c, &fx, 4, "d", 0, 1),
-		submit(t, c, &fx, 5, "e", 0, 1),
-	}
-	if got := envelopes(t, &fx); len(got) != 1 {
-		t.Fatalf("window full but %d envelopes flushed", len(got))
-	}
-	if c.Buffered() != 3 || c.InflightBatches() != 1 {
-		t.Fatalf("Buffered=%d InflightBatches=%d", c.Buffered(), c.InflightBatches())
-	}
-	// Completing the first batch frees the slot: the backlog ships in the
-	// same handler call, honouring MaxMsgs per envelope.
-	var fx2 node.Effects
-	reply(c, &fx2, env[0])
-	if !reflect.DeepEqual(completed, first) {
-		t.Errorf("completions = %v, want %v", completed, first)
-	}
-	env2 := envelopes(t, &fx2)
-	if len(env2) != 1 {
-		t.Fatalf("completion flushed %d envelopes, want 1 (window is 1)", len(env2))
-	}
-	entries, _ := batch.DecodePayload(env2[0].Payload)
-	if len(entries) != 2 || entries[0].ID != second[0] || entries[1].ID != second[1] {
-		t.Errorf("second envelope entries = %v, want %v", entries, second[:2])
-	}
-	// The trailing payload is below every size trigger: completing the
-	// second batch must NOT ship it early — its deadline is MaxDelay.
-	var fx3 node.Effects
-	reply(c, &fx3, env2[0])
-	if got := envelopes(t, &fx3); len(got) != 0 {
-		t.Fatalf("sub-trigger leftover shipped on completion: %v", got)
-	}
-	if c.Buffered() != 1 {
-		t.Fatalf("Buffered = %d, want 1", c.Buffered())
-	}
-	var token uint64
-	found := false
-	for _, tm := range fx.Timers {
-		if tm.Kind == node.TimerBatch {
-			token, found = tm.Data, true
-		}
-	}
-	if !found {
-		t.Fatal("no flush timer armed for the bucket")
-	}
-	c.Handle(node.Timer{Kind: node.TimerBatch, Data: token}, &fx3)
-	env3 := envelopes(t, &fx3)
-	if len(env3) != 1 {
-		t.Fatalf("deadline flush shipped %d envelopes, want 1", len(env3))
-	}
-	var fx4 node.Effects
-	reply(c, &fx4, env3[0])
-	if c.Buffered() != 0 || c.InflightBatches() != 0 || c.Completed() != 5 {
-		t.Errorf("Buffered=%d InflightBatches=%d Completed=%d", c.Buffered(), c.InflightBatches(), c.Completed())
-	}
-	want := append(append([]mcast.MsgID{}, first...), second...)
-	if !reflect.DeepEqual(completed, want) {
-		t.Errorf("completions = %v, want %v", completed, want)
-	}
-}
-
+// TestOversizedPayloadShipsAlone: a payload above the byte bound leaves as
+// itself, and the payloads around it keep their order.
 func TestOversizedPayloadShipsAlone(t *testing.T) {
-	var fx node.Effects
-	c := testClient(batch.Options{MaxMsgs: 10, MaxBytes: 4, MaxDelay: time.Hour}, nil)
-	submit(t, c, &fx, 1, "way-past-the-bytes-bound", 0)
-	env := envelopes(t, &fx)
-	if len(env) != 1 {
-		t.Fatalf("oversized payload flushed %d envelopes, want singleton batch", len(env))
+	g0 := []mcast.GroupID{0}
+	ids, _, sent := drain(t, sub{[]byte("a"), g0}, sub{[]byte("b"), g0}, sub{make([]byte, 100<<10), g0}, sub{[]byte("c"), g0}, sub{[]byte("d"), g0})
+	var got [][]mcast.MsgID
+	for _, m := range sent {
+		got = append(got, payloadIDs(t, m))
 	}
-	entries, _ := batch.DecodePayload(env[0].Payload)
-	if len(entries) != 1 {
-		t.Errorf("entries = %d, want 1", len(entries))
+	want := [][]mcast.MsgID{ids[:2], ids[2:3], ids[3:]}
+	if !reflect.DeepEqual(got, want) || mcast.IsBatchID(sent[1].ID) {
+		t.Fatalf("left as %v, want %v with the oversized one as itself", got, want)
+	}
+}
+
+// TestSeparateBucketsPerDestinationSet: one multicast per destination set,
+// in the order of their first submission; a lone submission leaves as the
+// submitted message, bytes and all.
+func TestSeparateBucketsPerDestinationSet(t *testing.T) {
+	g0, g01, g1 := []mcast.GroupID{0}, []mcast.GroupID{0, 1}, []mcast.GroupID{1}
+	ids, _, sent := drain(t, sub{[]byte("a"), g0}, sub{[]byte("b"), g01}, sub{[]byte("c"), g0}, sub{[]byte("d"), g01}, sub{[]byte("e"), g1})
+	if len(sent) != 3 {
+		t.Fatalf("left in %d multicasts, want 3", len(sent))
+	}
+	for i, want := range []struct {
+		dest mcast.GroupSet
+		ids  []mcast.MsgID
+	}{{mcast.NewGroupSet(0), []mcast.MsgID{ids[0], ids[2]}}, {mcast.NewGroupSet(0, 1), []mcast.MsgID{ids[1], ids[3]}}, {mcast.NewGroupSet(1), ids[4:]}} {
+		if !sent[i].Dest.Equal(want.dest) || !slices.Equal(payloadIDs(t, sent[i]), want.ids) {
+			t.Errorf("multicast %d: %v carrying %v, want %v carrying %v", i, sent[i].Dest, payloadIDs(t, sent[i]), want.dest, want.ids)
+		}
+	}
+	if lone := sent[2]; lone.ID != ids[4] || string(lone.Payload) != "e" {
+		t.Errorf("the lone submission left as %v %q", lone.ID, lone.Payload)
 	}
 }
 
@@ -311,7 +195,7 @@ func TestExpandInto(t *testing.T) {
 	dest := mcast.NewGroupSet(0, 2)
 	gts := mcast.Timestamp{Time: 7, Group: 2}
 	env := mcast.Delivery{
-		Msg: mcast.AppMsg{ID: batch.MakeBatchID(9, 1), Dest: dest, Payload: batch.EncodePayload(entries)},
+		Msg: mcast.AppMsg{ID: mcast.MakeBatchID(9, 1), Dest: dest, Payload: encode(t, entries)},
 		GTS: gts,
 	}
 	var fx node.Effects

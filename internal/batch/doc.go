@@ -1,32 +1,25 @@
-// Package batch implements message batching and pipelining for atomic
-// multicast: many application payloads destined for the same group set are
-// aggregated into a single protocol-level multicast (amortising the
-// fixed per-message ordering cost — timestamp proposals, ACK quorums, a
-// delivery-queue pass), and unpacked back into individual ordered
-// deliveries on the far side.
+// Package batch holds the delivery side of batching: many application
+// payloads for the same destination set travel as one protocol-level
+// multicast, a batch envelope (amortising the fixed per-message ordering
+// cost — timestamp proposals, ACK quorums, a delivery-queue pass), and are
+// unpacked back into individual ordered deliveries on the far side.
 //
-// The subsystem has three parts:
+// Envelopes are formed by the client (internal/client) under one rule: what
+// one drain of its mailbox submitted leaves at the drain's end as one
+// multicast per destination set. A lone submission leaves as itself, so a
+// closed-loop caller never waits for a batch; there is no timer and no
+// setting. An envelope's ID is marked by mcast.MakeBatchID, so the delivery
+// path recognises it without sniffing payloads, and its payload is the wire
+// form of a msgs.Batch (DecodePayload).
 //
-//   - Options and Client: a client-side accumulator with size-, count- and
-//     latency-bound flush triggers plus a pipelining window bounding how
-//     many batches per destination set may be in flight concurrently.
-//   - MakeBatchID/IsBatchID: a reserved slice of the per-sender MsgID
-//     sequence space that marks batch envelopes, so the delivery path can
-//     recognise them without sniffing payloads.
-//   - ExpandInto: the delivery-side unpacker used by every protocol
-//     (white-box core, FT-Skeen, FastCast, Skeen), which turns one batch
-//     delivery into per-payload deliveries sharing the batch's GTS and
-//     sub-sequenced by their position in the batch.
+// ExpandInto is the delivery-side unpacker used by every protocol
+// (white-box core, FT-Skeen, FastCast, Skeen): it turns one envelope's
+// delivery into per-payload deliveries sharing the envelope's GTS and
+// sub-sequenced by their position in it. Conflicts lifts a payload conflict
+// relation to envelopes.
 //
-// Ordering: all payloads of a batch inherit the batch's global timestamp
-// and are delivered in batch order, so the per-payload total order is the
+// Ordering: all payloads of an envelope inherit its global timestamp and
+// are delivered in envelope order, so the per-payload total order is the
 // lexicographic (GTS, Sub) order. Because every replica decodes the same
-// batch bytes, all replicas agree on the sub-order by construction.
-//
-// # Layering
-//
-// batch sits between the client layer (internal/client) and the
-// protocols: it wraps submissions into envelope multicasts on the way in,
-// and every protocol's delivery path unpacks envelopes via ExpandInto on
-// the way out. The public Config.Batching knob configures it.
+// envelope bytes, all replicas agree on the sub-order by construction.
 package batch

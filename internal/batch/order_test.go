@@ -7,18 +7,37 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/batch"
-	"wbcast/internal/blackbox"
-	"wbcast/internal/core"
+	"wbcast/internal/bench"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/sim"
 )
 
-// protocols under test: the three fault-tolerant implementations, all of
-// which unpack batch envelopes on their delivery paths.
-func protocolsUnderTest() []harness.Protocol {
-	return []harness.Protocol{core.Protocol{}, blackbox.FastCast(blackbox.Options{}), blackbox.FTSkeen(blackbox.Options{})}
+// protocolsUnderTest are the five protocols, all of which unpack batch
+// envelopes on their delivery paths, with the group size each runs on.
+func protocolsUnderTest(t *testing.T) []struct {
+	p    harness.Protocol
+	size int
+} {
+	var out []struct {
+		p    harness.Protocol
+		size int
+	}
+	for _, name := range []string{"wbcast", "fastcast", "ftskeen", "skeen", "genmcast"} {
+		p, err := bench.ProtocolByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := 3
+		if name == "skeen" {
+			size = 1 // Skeen's protocol assumes reliable singleton groups
+		}
+		out = append(out, struct {
+			p    harness.Protocol
+			size int
+		}{p, size})
+	}
+	return out
 }
 
 // deliverySeq returns, per process, the payload IDs it delivered in order.
@@ -31,37 +50,41 @@ func deliverySeq(c *harness.Cluster) map[mcast.ProcessID][]mcast.MsgID {
 }
 
 // runSequentialWorkload submits n payloads from one client to groups
-// {0, 1} at 1ms intervals and runs to quiescence.
-func runSequentialWorkload(t *testing.T, p harness.Protocol, batching *batch.Options, n int) *harness.Cluster {
+// {0, 1}, burst at a time — one drain each, 1ms apart — and runs to
+// quiescence. A burst of one is a submission per event.
+func runSequentialWorkload(t *testing.T, p harness.Protocol, size, burst, n int) *harness.Cluster {
 	t.Helper()
 	c, err := harness.NewCluster(p, harness.Options{
-		Groups: 2, GroupSize: 3, NumClients: 1,
-		Latency:  sim.Uniform(10 * time.Millisecond),
-		Batching: batching,
+		Groups: 2, GroupSize: size, NumClients: 1,
+		Latency: sim.Uniform(10 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dest := mcast.NewGroupSet(0, 1)
-	for i := 0; i < n; i++ {
-		c.Submit(time.Duration(i)*time.Millisecond, 0, dest, []byte(fmt.Sprintf("payload-%03d", i)))
+	for i := 0; i < n; i += burst {
+		var dests []mcast.GroupSet
+		var payloads [][]byte
+		for j := i; j < min(i+burst, n); j++ {
+			dests = append(dests, dest)
+			payloads = append(payloads, []byte(fmt.Sprintf("payload-%03d", j)))
+		}
+		c.SubmitBurst(time.Duration(i)*time.Millisecond, 0, dests, payloads)
 	}
 	c.Sim.Run(30 * time.Second)
 	return c
 }
 
 // TestBatchedOrderMatchesUnbatched is the batching-transparency theorem in
-// test form: for a deterministic workload, the batched run delivers
-// exactly the same per-payload sequence at every replica as the unbatched
-// run, for every protocol.
+// test form: for a deterministic workload, the run whose client drains
+// bursts of eight delivers exactly the same per-payload sequence at every
+// replica as the run with one submission per event, for every protocol.
 func TestBatchedOrderMatchesUnbatched(t *testing.T) {
 	const n = 60
-	for _, p := range protocolsUnderTest() {
-		t.Run(p.Name(), func(t *testing.T) {
-			plain := runSequentialWorkload(t, p, nil, n)
-			batched := runSequentialWorkload(t, p, &batch.Options{
-				MaxMsgs: 8, MaxDelay: 5 * time.Millisecond, Window: 2,
-			}, n)
+	for _, pt := range protocolsUnderTest(t) {
+		t.Run(pt.p.Name(), func(t *testing.T) {
+			plain := runSequentialWorkload(t, pt.p, pt.size, 1, n)
+			batched := runSequentialWorkload(t, pt.p, pt.size, 8, n)
 
 			plainSeq := deliverySeq(plain)
 			batchedSeq := deliverySeq(batched)
@@ -84,8 +107,11 @@ func TestBatchedOrderMatchesUnbatched(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			// The batched run must actually have batched: fewer protocol
-			// messages than the unbatched run.
+			// The batched run must actually have batched: one envelope per
+			// burst, and fewer protocol messages than the unbatched run.
+			if got := batched.Clients[0].BatchesSent(); got != n/8+1 {
+				t.Errorf("%d bursts left as %d multicasts", n/8+1, got)
+			}
 			if bs, ps := batched.Sim.TotalSent(), plain.Sim.TotalSent(); bs >= ps {
 				t.Errorf("batched run sent %d protocol messages, unbatched %d — no amortisation", bs, ps)
 			}
@@ -93,32 +119,46 @@ func TestBatchedOrderMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// TestBatchedRandomWorkload runs a concurrent multi-client, multi-bucket
-// random workload under batching and verifies the full specification:
+// TestBatchedRandomWorkload runs a concurrent multi-client random workload
+// of bursts to {0}, {0,1} and {1,2} and verifies the full specification:
 // Validity, Integrity, Ordering, Termination, the (GTS, Sub) invariants
-// and the genuineness audit.
+// and the genuineness audit — which sees the envelopes originate at the
+// clients.
 func TestBatchedRandomWorkload(t *testing.T) {
-	for _, p := range protocolsUnderTest() {
-		t.Run(p.Name(), func(t *testing.T) {
-			c, err := harness.NewCluster(p, harness.Options{
-				Groups: 3, GroupSize: 3, NumClients: 4,
+	dests := []mcast.GroupSet{mcast.NewGroupSet(0), mcast.NewGroupSet(0, 1), mcast.NewGroupSet(1, 2)}
+	for _, pt := range protocolsUnderTest(t) {
+		t.Run(pt.p.Name(), func(t *testing.T) {
+			c, err := harness.NewCluster(pt.p, harness.Options{
+				Groups: 3, GroupSize: pt.size, NumClients: 4,
 				Latency: sim.Uniform(5 * time.Millisecond),
 				Seed:    42,
-				Batching: &batch.Options{
-					MaxMsgs: 4, MaxDelay: 3 * time.Millisecond, Window: 2,
-				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(7))
-			c.RandomWorkload(rng, 80, 3, 150*time.Millisecond)
+			total := 0
+			for b := 0; b < 30; b++ {
+				var ds []mcast.GroupSet
+				var payloads [][]byte
+				for k := 1 + rng.Intn(5); k > 0; k-- {
+					ds = append(ds, dests[rng.Intn(len(dests))])
+					payloads = append(payloads, []byte(fmt.Sprintf("msg-%d", total)))
+					total++
+				}
+				at := time.Duration(rng.Int63n(int64(150 * time.Millisecond)))
+				c.SubmitBurst(at, rng.Intn(len(c.Clients)), ds, payloads)
+			}
 			c.Sim.Run(60 * time.Second)
 			for _, err := range c.Check(true) {
 				t.Error(err)
 			}
-			if got := c.CollectHistory().NumDeliveries(); got == 0 {
-				t.Fatal("no deliveries recorded")
+			var sent int64
+			for _, cl := range c.Clients {
+				sent += cl.BatchesSent()
+			}
+			if sent >= int64(total) {
+				t.Errorf("%d payloads left in %d multicasts: no envelope formed", total, sent)
 			}
 		})
 	}
@@ -127,10 +167,13 @@ func TestBatchedRandomWorkload(t *testing.T) {
 // TestBatchedCompletionSemantics verifies the client-facing contract under
 // batching: every submitted payload's completion fires exactly once.
 func TestBatchedCompletionSemantics(t *testing.T) {
-	c, err := harness.NewCluster(core.Protocol{}, harness.Options{
+	p, err := bench.ProtocolByName("wbcast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := harness.NewCluster(p, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
-		Latency:  sim.Uniform(5 * time.Millisecond),
-		Batching: &batch.Options{MaxMsgs: 4, MaxDelay: 2 * time.Millisecond},
+		Latency: sim.Uniform(5 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,14 +181,18 @@ func TestBatchedCompletionSemantics(t *testing.T) {
 	completions := make(map[mcast.MsgID]int)
 	c.OnComplete(func(id mcast.MsgID) { completions[id]++ })
 	var ids []mcast.MsgID
-	dest := mcast.NewGroupSet(0, 1)
+	dests := []mcast.GroupSet{mcast.NewGroupSet(0, 1), mcast.NewGroupSet(0, 1), mcast.NewGroupSet(1), mcast.NewGroupSet(0, 1)}
 	for i := 0; i < 10; i++ {
-		ids = append(ids, c.Submit(time.Duration(i)*time.Millisecond, i%2, dest, []byte{byte(i)}))
+		payloads := [][]byte{{byte(i)}, {byte(i), 1}, {byte(i), 2}, {byte(i), 3}}
+		ids = append(ids, c.SubmitBurst(time.Duration(i)*time.Millisecond, i%2, dests, payloads)...)
 	}
 	c.Sim.Run(30 * time.Second)
 	for _, id := range ids {
 		if completions[id] != 1 {
 			t.Errorf("payload %v completed %d times, want 1", id, completions[id])
 		}
+	}
+	if len(completions) != len(ids) {
+		t.Errorf("%d completions for %d payloads", len(completions), len(ids))
 	}
 }

@@ -3,17 +3,34 @@
 // lines 1–2), collects the per-group delivery replies — learning from their
 // ballots who leads each group now — and re-sends MULTICAST on a timer, the
 // paper's message-recovery mechanism (§IV).
+//
+// A Submit is only recorded. At the end of the drain that consumed it
+// (node.Drainer), what the drain submitted leaves as one MULTICAST per
+// destination set: a lone submission as the message itself, several as one
+// batch envelope, which the replicas' delivery paths unpack
+// (internal/batch). Retries and leader changes re-send the whole envelope.
 package client
 
 import (
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
+	"wbcast/internal/wire"
 )
+
+// maxEnvelopeMsgs bounds the payloads of one envelope: as many inputs as one
+// drain of a wall-clock runtime's mailbox holds (node.Mailbox.Run).
+const maxEnvelopeMsgs = 64
+
+// maxEnvelopeBytes bounds the payload bytes of one envelope; a drain's
+// payloads to one destination set that exceed it leave in several, and a
+// payload larger than it leaves alone.
+const maxEnvelopeBytes = 64 << 10
 
 // Contacts returns the processes to which MULTICAST(m) should be sent for
 // destination group g: the single member for Skeen's protocol, the current
@@ -39,8 +56,9 @@ type Config struct {
 	// from the replies so far, Contacts before that.
 	RetryContacts Contacts
 	// OnComplete, if non-nil, is invoked during Handle when replies from
-	// every destination group of a message have arrived. Runtimes use it to
-	// drive closed-loop workloads.
+	// every destination group of a submitted message have arrived — for the
+	// payloads of one envelope, in envelope order. Runtimes use it to drive
+	// closed-loop workloads.
 	OnComplete func(id mcast.MsgID)
 	// Obs is the client's instrumentation handle; nil disables metrics and
 	// tracing.
@@ -49,20 +67,38 @@ type Config struct {
 
 // Client is the client-side protocol handler. It implements node.Handler.
 type Client struct {
-	cfg      Config
+	cfg Config
+	// inflight holds the multicasts sent and not yet answered by every
+	// destination group, by the ID they were sent with.
 	inflight map[mcast.MsgID]*request
 	// ballots is Cur_leader (Fig. 4 line 2): per group, the highest ballot a
 	// reply has carried. Its leader is where first attempts go.
 	ballots map[mcast.GroupID]mcast.Ballot
-	// completed counts finished multicasts.
+	// drain holds what the drain in progress submitted, in order; rest is
+	// EndDrain's scratch.
+	drain, rest []submission
+	envSeq      uint32
+	// completed counts finished submissions.
 	completed int
+	// sent counts the multicasts EndDrain has sent; benchmark reporters read
+	// it from other goroutines.
+	sent atomic.Int64
+}
+
+// submission is a submitted message and its submission time on the
+// observability clock.
+type submission struct {
+	m  mcast.AppMsg
+	at time.Duration
 }
 
 type request struct {
 	m   mcast.AppMsg
 	got map[mcast.GroupID]bool
-	// at is the submission timestamp on the observability clock.
-	at time.Duration
+	at  time.Duration // when m was submitted, unless it is an envelope
+	// payloads are the submissions an envelope carries, in order; nil when m
+	// is a submitted message itself.
+	payloads []submission
 }
 
 // New constructs a Client.
@@ -73,18 +109,29 @@ func New(cfg Config) *Client {
 // ID implements node.Handler.
 func (c *Client) ID() mcast.ProcessID { return c.cfg.PID }
 
-// Inflight returns the number of multicasts awaiting replies.
+// Inflight returns the number of multicasts — messages or envelopes —
+// awaiting replies.
 func (c *Client) Inflight() int { return len(c.inflight) }
 
-// Completed returns the number of multicasts that have completed.
+// Completed returns the number of submissions that have completed.
 func (c *Client) Completed() int { return c.completed }
+
+// BatchesSent returns how many multicasts the client has sent, retries and
+// leader-change re-sends not counted: one per destination set per drain,
+// more where a drain's payloads fill several envelopes. It is safe to call
+// concurrently with the handler.
+func (c *Client) BatchesSent() int64 { return c.sent.Load() }
 
 // Handle implements node.Handler.
 func (c *Client) Handle(in node.Input, fx *node.Effects) {
 	switch in := in.(type) {
 	case node.Start:
 	case node.Submit:
-		c.submit(in.Msg, fx)
+		if _, dup := c.inflight[in.Msg.ID]; !dup {
+			s := submission{m: in.Msg}
+			c.cfg.Obs.OnSubmit(s.m.ID, &s.at)
+			c.drain = append(c.drain, s)
+		}
 	case node.Recv:
 		switch r := in.Msg.(type) {
 		case msgs.ClientReply:
@@ -103,17 +150,66 @@ func (c *Client) Handle(in node.Input, fx *node.Effects) {
 	}
 }
 
-func (c *Client) submit(m mcast.AppMsg, fx *node.Effects) {
-	if _, dup := c.inflight[m.ID]; dup {
-		return
+// EndDrain implements node.Drainer: what the drain submitted leaves, one
+// destination set at a time in the order of their first submission.
+func (c *Client) EndDrain(fx *node.Effects) {
+	ms, rest := c.drain, c.rest
+	for len(ms) > 0 {
+		dest, n := ms[0].m.Dest, 0
+		for _, s := range ms {
+			if s.m.Dest.Equal(dest) {
+				ms[n] = s
+				n++
+			} else {
+				rest = append(rest, s)
+			}
+		}
+		c.ship(ms[:n], fx)
+		clear(ms)
+		ms, rest = rest, ms[:0]
 	}
-	req := &request{m: m, got: make(map[mcast.GroupID]bool, len(m.Dest))}
-	c.inflight[m.ID] = req
-	c.cfg.Obs.OnSubmit(m.ID, &req.at)
-	c.send(m, nil, fx)
-	if c.cfg.Retry > 0 {
-		fx.SetTimer(c.cfg.Retry, node.TimerClient, uint64(m.ID))
+	c.drain, c.rest = ms, rest
+}
+
+// ship sends submissions to one destination set, in order: a lone one as
+// itself, several as envelopes of at most maxEnvelopeMsgs payloads and
+// maxEnvelopeBytes bytes.
+func (c *Client) ship(ms []submission, fx *node.Effects) {
+	for len(ms) > 0 {
+		n, size := 1, len(ms[0].m.Payload)
+		for n < len(ms) && n < maxEnvelopeMsgs && size+len(ms[n].m.Payload) <= maxEnvelopeBytes {
+			size += len(ms[n].m.Payload)
+			n++
+		}
+		req := &request{m: ms[0].m, got: make(map[mcast.GroupID]bool, len(ms[0].m.Dest)), at: ms[0].at}
+		if n > 1 {
+			req.payloads = slices.Clone(ms[:n])
+			c.envSeq++
+			req.m = mcast.AppMsg{ID: mcast.MakeBatchID(c.cfg.PID, c.envSeq), Dest: req.m.Dest, Payload: envelope(req.payloads)}
+		}
+		ms = ms[n:]
+		c.inflight[req.m.ID] = req
+		c.sent.Add(1)
+		c.send(req.m, nil, fx)
+		if c.cfg.Retry > 0 {
+			fx.SetTimer(c.cfg.Retry, node.TimerClient, uint64(req.m.ID))
+		}
 	}
+}
+
+// envelope encodes the payload of a batch envelope: the wire form of a
+// msgs.Batch, decoded by batch.DecodePayload.
+func envelope(subs []submission) []byte {
+	entries := make([]msgs.BatchEntry, len(subs))
+	for i, s := range subs {
+		entries[i] = msgs.BatchEntry{ID: s.m.ID, Payload: s.m.Payload}
+	}
+	buf, err := wire.Encode(nil, msgs.Batch{Entries: entries})
+	if err != nil {
+		// wire.Encode cannot fail for msgs.Batch; keep the invariant loud.
+		panic("client: encode envelope: " + err.Error())
+	}
+	return buf
 }
 
 // send sends MULTICAST(m) to every destination group: to the group's targets
@@ -189,8 +285,18 @@ func (c *Client) onReply(id mcast.MsgID, g mcast.GroupID) {
 		}
 	}
 	delete(c.inflight, id)
+	if req.payloads == nil {
+		c.complete(req.m.ID, req.at)
+	}
+	for _, s := range req.payloads {
+		c.complete(s.m.ID, s.at)
+	}
+}
+
+// complete reports the submission id, made at at, complete.
+func (c *Client) complete(id mcast.MsgID, at time.Duration) {
 	c.completed++
-	c.cfg.Obs.OnComplete(id, req.at)
+	c.cfg.Obs.OnComplete(id, at)
 	if c.cfg.OnComplete != nil {
 		c.cfg.OnComplete(id)
 	}
@@ -209,4 +315,7 @@ func (c *Client) onRetry(id mcast.MsgID, fx *node.Effects) {
 	fx.SetTimer(c.cfg.Retry, node.TimerClient, uint64(id))
 }
 
-var _ node.Handler = (*Client)(nil)
+var (
+	_ node.Handler = (*Client)(nil)
+	_ node.Drainer = (*Client)(nil)
+)

@@ -26,10 +26,12 @@ func newClient(retry time.Duration, completions *[]mcast.MsgID) *client.Client {
 	})
 }
 
+// submit hands the client one submission in a drain of its own.
 func submit(cl *client.Client, seq uint32, dest ...mcast.GroupID) (mcast.MsgID, *node.Effects) {
 	m := mcast.AppMsg{ID: mcast.MakeMsgID(100, seq), Dest: mcast.NewGroupSet(dest...)}
 	var fx node.Effects
 	cl.Handle(node.Submit{Msg: m}, &fx)
+	cl.EndDrain(&fx)
 	return m.ID, &fx
 }
 
@@ -112,6 +114,7 @@ func TestDuplicateSubmitIgnored(t *testing.T) {
 	m := mcast.AppMsg{ID: id, Dest: mcast.NewGroupSet(0)}
 	var fx node.Effects
 	cl.Handle(node.Submit{Msg: m}, &fx)
+	cl.EndDrain(&fx)
 	if len(fx.Sends) != 0 {
 		t.Error("duplicate submit re-sent")
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"wbcast/internal/batch"
 	"wbcast/internal/check"
 	"wbcast/internal/client"
 	"wbcast/internal/faults"
@@ -77,11 +76,6 @@ type Options struct {
 	Seed    int64
 	// Retry is the client re-multicast interval; zero disables retries.
 	Retry time.Duration
-	// Batching, when non-nil, replaces the plain protocol clients with
-	// batching clients (internal/batch): submissions are aggregated into
-	// batch envelopes per destination set and unpacked into per-payload
-	// deliveries at the replicas. Zero-valued fields take their defaults.
-	Batching *batch.Options
 	// Trace is forwarded to the simulator.
 	Trace func(sim.TraceEvent)
 	// Faults, when non-nil, installs a deterministic fault schedule
@@ -125,9 +119,8 @@ type Cluster struct {
 	Proto Protocol
 	Sim   *sim.Sim
 	Top   *mcast.Topology
-	// Clients holds the client handlers: *client.Client, or *batch.Client
-	// when Options.Batching is set.
-	Clients  []node.Handler
+	// Clients holds the client handlers.
+	Clients  []*client.Client
 	Replicas map[mcast.ProcessID]node.Handler
 
 	// Engine is the fault engine, non-nil when Options.Faults was set.
@@ -309,14 +302,14 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		if c.Tracer != nil {
 			co = obs.NewClient(nil, clock, c.Tracer, pid)
 		}
-		cl := batch.NewHandler(client.Config{
+		cl := client.New(client.Config{
 			PID:           pid,
 			Contacts:      contacts,
 			Retry:         opts.Retry,
 			RetryContacts: blanket,
 			OnComplete:    complete,
 			Obs:           co,
-		}, opts.Batching)
+		})
 		c.Clients = append(c.Clients, cl)
 		s.Add(cl)
 	}
@@ -330,13 +323,24 @@ func (c *Cluster) OnComplete(f func(id mcast.MsgID)) { c.onComplete = f }
 // Submit schedules a multicast of payload to dest from client idx at time
 // at, and returns the assigned message ID.
 func (c *Cluster) Submit(at time.Duration, idx int, dest mcast.GroupSet, payload []byte) mcast.MsgID {
-	cl := c.Clients[idx]
-	c.nextSeq++
-	m := mcast.AppMsg{ID: mcast.MakeMsgID(cl.ID(), c.nextSeq), Dest: dest, Payload: payload}
-	c.hist.AddSubmit(cl.ID(), m)
-	c.Monitor.NoteSubmit(cl.ID(), m)
-	c.Sim.SubmitAt(at, cl.ID(), m)
+	m := c.message(idx, dest, payload)
+	c.Sim.SubmitAt(at, m.ID.Sender(), m)
 	return m.ID
+}
+
+// SubmitBurst schedules multicasts of payloads[i] to dests[i] from client idx
+// at time at, consumed by the client in one drain (sim.SubmitBurst), and
+// returns the assigned message IDs: the client sends the ones that share a
+// destination set as one batch envelope.
+func (c *Cluster) SubmitBurst(at time.Duration, idx int, dests []mcast.GroupSet, payloads [][]byte) []mcast.MsgID {
+	ms := make([]mcast.AppMsg, len(payloads))
+	ids := make([]mcast.MsgID, len(payloads))
+	for i, p := range payloads {
+		ms[i] = c.message(idx, dests[i], p)
+		ids[i] = ms[i].ID
+	}
+	c.Sim.SubmitBurst(at, c.Clients[idx].ID(), ms)
+	return ids
 }
 
 // SubmitDirect records a multicast of payload to dest attributed to client
@@ -344,14 +348,21 @@ func (c *Cluster) Submit(at time.Duration, idx int, dest mcast.GroupSet, payload
 // time at, bypassing the client handler (no retries, no reply tracking).
 // Scenario tests use it to hand a message to a specific leader.
 func (c *Cluster) SubmitDirect(at time.Duration, idx int, dest mcast.GroupSet, payload []byte, target mcast.ProcessID) mcast.MsgID {
-	cl := c.Clients[idx]
-	c.nextSeq++
-	m := mcast.AppMsg{ID: mcast.MakeMsgID(cl.ID(), c.nextSeq), Dest: dest, Payload: payload}
-	c.hist.AddSubmit(cl.ID(), m)
-	c.Monitor.NoteSubmit(cl.ID(), m)
-	c.Sim.NoteSubmit(at, cl.ID(), m)
-	c.Sim.Inject(at, target, node.Recv{From: cl.ID(), Msg: msgs.Multicast{M: m}})
+	m := c.message(idx, dest, payload)
+	c.Sim.NoteSubmit(at, m.ID.Sender(), m)
+	c.Sim.Inject(at, target, node.Recv{From: m.ID.Sender(), Msg: msgs.Multicast{M: m}})
 	return m.ID
+}
+
+// message assigns client idx's next message and records its submission for
+// the checks.
+func (c *Cluster) message(idx int, dest mcast.GroupSet, payload []byte) mcast.AppMsg {
+	cl := c.Clients[idx].ID()
+	c.nextSeq++
+	m := mcast.AppMsg{ID: mcast.MakeMsgID(cl, c.nextSeq), Dest: dest, Payload: payload}
+	c.hist.AddSubmit(cl, m)
+	c.Monitor.NoteSubmit(cl, m)
+	return m
 }
 
 // Crash crashes process pid at the current simulation time and records it

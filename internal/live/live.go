@@ -216,15 +216,18 @@ func (p *proc) consume(env envelope) {
 	}
 }
 
-// commit is the mailbox's commit hook: what the drain staged goes to the
+// commit is the mailbox's commit hook, the end of a drain: the handler's
+// end-of-drain effects are released, then what the drain staged goes to the
 // store beside the loop and comes back as an envelope. A process crashed in
 // between loses the batch unreleased.
 func (p *proc) commit() {
 	if p.enter() {
+		rel := p.step.EndDrain()
 		if c := p.step.Handoff(); c != nil {
 			c.Go(&p.commits, func() { p.box.Post(envelope{done: c}) })
 		}
 		p.stepMu.Unlock()
+		p.release(rel, nil)
 	}
 }
 

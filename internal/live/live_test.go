@@ -103,7 +103,8 @@ func TestCrashStopsDelivery(t *testing.T) {
 
 // TestWhiteBoxEndToEndLive runs the full white-box protocol on the live
 // runtime: 2 groups × 3 replicas, several clients, real timers, LAN-style
-// injected latency — and checks delivery counts and per-process GTS order.
+// injected latency — and checks delivery counts and per-process (GTS, Sub)
+// order: submissions a drain of the client holds share an envelope's GTS.
 func TestWhiteBoxEndToEndLive(t *testing.T) {
 	top := mcast.UniformTopology(2, 3)
 	var mu sync.Mutex
@@ -161,8 +162,8 @@ func TestWhiteBoxEndToEndLive(t *testing.T) {
 	defer mu.Unlock()
 	for p, ds := range delivered {
 		for i := 1; i < len(ds); i++ {
-			if !ds[i-1].GTS.Less(ds[i].GTS) {
-				t.Errorf("p%d deliveries out of GTS order at %d", p, i)
+			if !ds[i-1].Before(ds[i]) {
+				t.Errorf("p%d deliveries out of (GTS, Sub) order at %d", p, i)
 			}
 		}
 	}

@@ -32,6 +32,23 @@ func MakeMsgID(sender ProcessID, seq uint32) MsgID {
 	return MsgID(uint64(uint32(sender))<<32 | uint64(seq))
 }
 
+// batchSeqBit marks the per-sender sequence numbers reserved for batch
+// envelopes. Payload sequence numbers are allocated from 1 upwards by
+// clients and never reach it in any realistic run (2^31 submissions from
+// one process).
+const batchSeqBit uint32 = 1 << 31
+
+// MakeBatchID packs a batch envelope ID for the given sender. The sender
+// must be the client's own process ID: replicas send the per-group reply
+// for a batch to ID.Sender().
+func MakeBatchID(sender ProcessID, seq uint32) MsgID {
+	return MakeMsgID(sender, seq|batchSeqBit)
+}
+
+// IsBatchID reports whether id identifies a batch envelope rather than an
+// individual application message.
+func IsBatchID(id MsgID) bool { return id.Seq()&batchSeqBit != 0 }
+
 // Sender extracts the sending process encoded in the MsgID.
 func (id MsgID) Sender() ProcessID { return ProcessID(int32(uint32(id >> 32))) }
 

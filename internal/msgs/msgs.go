@@ -207,13 +207,13 @@ type BatchEntry struct {
 	Payload []byte
 }
 
-// Batch is the payload container of the batching subsystem (internal/batch):
-// many application payloads with a common destination set, aggregated into a
-// single protocol-level multicast. It travels wire-encoded inside the
-// AppMsg.Payload of a batch message (whose ID is marked by
-// batch.MakeBatchID), so the ordering protocols treat it as one opaque
-// message; the delivery path unpacks it back into per-payload deliveries in
-// entry order.
+// Batch is the payload container of a batch envelope: the application
+// payloads one drain of a client submitted to a common destination set,
+// aggregated into a single protocol-level multicast (internal/client). It
+// travels wire-encoded inside the AppMsg.Payload of a batch message (whose ID
+// is marked by mcast.MakeBatchID), so the ordering protocols treat it as one
+// opaque message; the delivery path unpacks it back into per-payload
+// deliveries in entry order (internal/batch).
 type Batch struct {
 	Entries []BatchEntry
 }

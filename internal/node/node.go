@@ -88,9 +88,6 @@ const (
 	TimerGC
 	// TimerClient is the client's per-request retry timer.
 	TimerClient
-	// TimerBatch is the batching client's flush-deadline timer
-	// (internal/batch, MaxDelay trigger).
-	TimerBatch
 	// TimerReplies flushes a white-box follower's queued client replies
 	// (one ClientReplies message per client).
 	TimerReplies
@@ -284,6 +281,14 @@ type Handler interface {
 	ID() mcast.ProcessID
 	// Handle consumes one input and appends requested effects to fx.
 	Handle(in Input, fx *Effects)
+}
+
+// Drainer is a handler that also acts at the end of each drain: the inputs
+// its runtime consumes between two commit hooks (Mailbox.Run), or one
+// simulator dispatch. The client is one: what a drain submitted leaves as one
+// multicast per destination set (internal/client). Step.EndDrain calls it.
+type Drainer interface {
+	EndDrain(fx *Effects)
 }
 
 // Func adapts a function to the Handler interface for tests and small

@@ -15,7 +15,8 @@ import (
 // durable, and it carries neither the entries nor the store, so no runtime
 // can release ahead of the sync. A runtime releases in field order — timers,
 // then sends, then deliveries — so a protocol send never waits behind an
-// application callback. The slices are valid until the Step's next Do or
+// application callback. The slices of one from Do or EndDrain are valid until
+// the Step's next Do or EndDrain, those of one from Complete until its next
 // Handoff.
 type Release struct {
 	Timers     []SetTimer
@@ -36,6 +37,7 @@ type Release struct {
 // shard's loop, or the simulator's dispatch).
 type Step struct {
 	h     Handler
+	d     Drainer     // h, if it is one
 	store wal.Storage // nil discards persist effects: no durability
 	fx    Effects     // the current call's; reused across calls
 	cur   *Commit     // what the calls since the last Handoff staged and hold
@@ -60,7 +62,8 @@ type Commit struct {
 
 // NewStep binds a handler to its durable store (nil for none).
 func NewStep(h Handler, store wal.Storage) *Step {
-	return &Step{h: h, store: store, cur: &Commit{store: store}}
+	d, _ := h.(Drainer)
+	return &Step{h: h, d: d, store: store, cur: &Commit{store: store}}
 }
 
 // Do consumes one input and returns what the runtime may release at once.
@@ -93,9 +96,31 @@ func (s *Step) Do(in Input) (rel Release, kept bool, err error) {
 	if !isLog {
 		s.h.Handle(in, &s.fx)
 	}
+	rel, kept = s.stage(al)
+	return rel, kept, nil
+}
+
+// EndDrain runs the handler's EndDrain, if it is a Drainer, under Do's rules,
+// and returns what the runtime may release at once. Every runtime calls it
+// where a drain ends — the wall-clock ones from their commit hook, before
+// Handoff; the simulator after each dispatch. A crash-stopped Step does
+// nothing.
+func (s *Step) EndDrain() Release {
+	if s.d == nil || s.err != nil {
+		return Release{}
+	}
+	s.fx.Reset()
+	s.d.EndDrain(&s.fx)
+	rel, _ := s.stage(AppLog{})
+	return rel
+}
+
+// stage stages what the call in s.fx persists, and al, and holds the call's
+// effects as Do describes; it returns the effects released at once.
+func (s *Step) stage(al AppLog) (rel Release, kept bool) {
 	rel = Release{Timers: s.fx.Timers, Sends: s.fx.Sends, Deliveries: s.fx.Deliveries}
 	if s.store == nil {
-		return rel, false, nil
+		return rel, false
 	}
 	c := s.cur
 	c.entries = append(append(c.entries, s.fx.Persists...), s.fx.LazyPersists...)
@@ -116,15 +141,15 @@ func (s *Step) Do(in Input) (rel Release, kept bool, err error) {
 	case len(rel.Deliveries) > 0 && (held(c) || held(s.fly)):
 		c.held.Deliveries = append(c.held.Deliveries, rel.Deliveries...)
 		rel.Deliveries = nil
-		return rel, true, nil
+		return rel, true
 	default:
-		return rel, len(s.fx.LazyPersists) > 0, nil
+		return rel, len(s.fx.LazyPersists) > 0
 	}
 	c.held.Timers = append(c.held.Timers, rel.Timers...)
 	c.held.Sends = append(c.held.Sends, rel.Sends...)
 	c.held.Deliveries = append(c.held.Deliveries, rel.Deliveries...)
 	c.calls++
-	return Release{}, true, nil
+	return Release{}, true
 }
 
 func vouches(sends []Send) bool {
@@ -219,6 +244,7 @@ func (c *Commit) reset() {
 func (s *Step) Restart(h Handler) {
 	if h != nil {
 		s.h = h
+		s.d, _ = h.(Drainer)
 	}
 	s.fail(nil)
 }

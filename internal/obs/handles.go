@@ -151,8 +151,8 @@ func (p *Proto) counterFor(event string) *Counter {
 	return nil
 }
 
-// Client is a client process's instrumentation handle: end-to-end latency,
-// retries and the batching flush-trigger breakdown. Nil-safe like Proto.
+// Client is a client process's instrumentation handle: end-to-end latency
+// and retries. Nil-safe like Proto.
 type Client struct {
 	proc   mcast.ProcessID
 	clock  Clock
@@ -160,8 +160,6 @@ type Client struct {
 
 	e2e     *Histogram
 	retries *Counter
-
-	flushMsgs, flushBytes, flushDeadline *Counter
 }
 
 // NewClient builds a client handle, registering its metrics in reg.
@@ -169,13 +167,9 @@ func NewClient(reg *Registry, clock Clock, tracer *Tracer, proc mcast.ProcessID)
 	c := &Client{
 		proc: proc, clock: clock, tracer: tracer,
 		e2e: &Histogram{}, retries: &Counter{},
-		flushMsgs: &Counter{}, flushBytes: &Counter{}, flushDeadline: &Counter{},
 	}
 	reg.RegisterHistogram(MetricClientE2E, "client submit-to-complete latency", c.e2e)
 	reg.RegisterCounter(MetricClientRetries, "client-side MULTICAST re-sends", c.retries)
-	reg.RegisterCounter(MetricBatchFlushes+`{trigger="msgs"}`, "batch flushes triggered by the payload-count bound", c.flushMsgs)
-	reg.RegisterCounter(MetricBatchFlushes+`{trigger="bytes"}`, "batch flushes triggered by the byte-size bound", c.flushBytes)
-	reg.RegisterCounter(MetricBatchFlushes+`{trigger="deadline"}`, "batch flushes triggered by the delay deadline", c.flushDeadline)
 	return c
 }
 
@@ -218,28 +212,6 @@ func (c *Client) OnRetry(id mcast.MsgID) {
 	}
 	c.retries.Inc()
 	c.tracer.Message(c.proc, id, EventClientRetry, "")
-}
-
-// Flush triggers, passed to OnFlush by internal/batch.
-const (
-	FlushMsgs     = "msgs"
-	FlushBytes    = "bytes"
-	FlushDeadline = "deadline"
-)
-
-// OnFlush records one batch-envelope flush by its trigger.
-func (c *Client) OnFlush(trigger string) {
-	if c == nil {
-		return
-	}
-	switch trigger {
-	case FlushMsgs:
-		c.flushMsgs.Inc()
-	case FlushBytes:
-		c.flushBytes.Inc()
-	case FlushDeadline:
-		c.flushDeadline.Inc()
-	}
 }
 
 // Store is a durable-storage instrumentation handle: WAL append/fsync

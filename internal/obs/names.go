@@ -39,10 +39,6 @@ const (
 	MetricClientE2E = "wbcast_client_e2e_latency_seconds"
 	// MetricClientRetries counts client-side MULTICAST re-sends.
 	MetricClientRetries = "wbcast_client_retries_total"
-	// MetricBatchFlushes counts batch-envelope flushes by trigger,
-	// labelled {trigger="msgs|bytes|deadline"}: the flush-trigger
-	// breakdown of internal/batch.
-	MetricBatchFlushes = "wbcast_batch_flushes_total"
 
 	// MetricMailboxDepth is the process's current input-queue length.
 	MetricMailboxDepth = "wbcast_mailbox_depth"

@@ -276,7 +276,6 @@ func TestProtoHandleNil(t *testing.T) {
 	c.OnSubmit(id, &at)
 	c.OnComplete(id, at)
 	c.OnRetry(id)
-	c.OnFlush(FlushMsgs)
 }
 
 func TestProtoHandleStages(t *testing.T) {

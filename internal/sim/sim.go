@@ -146,6 +146,9 @@ type submitRecord struct {
 	sender mcast.ProcessID
 	dest   mcast.GroupSet
 	at     time.Duration
+	// originated: the record is of a MULTICAST its sender sent first, not of
+	// a submission.
+	originated bool
 }
 
 type linkKey struct{ from, to mcast.ProcessID }
@@ -274,6 +277,22 @@ func (s *Sim) SubmitAt(at time.Duration, client mcast.ProcessID, m mcast.AppMsg)
 	s.schedule(at, client, node.Submit{Msg: m})
 }
 
+// SubmitBurst is SubmitAt for several messages the client handler consumes
+// in one dispatch: one drain, at whose end a client sends the messages that
+// share a destination set as one envelope (internal/client). Every other
+// dispatch is a drain of one input.
+func (s *Sim) SubmitBurst(at time.Duration, client mcast.ProcessID, ms []mcast.AppMsg) {
+	if at < s.now {
+		panic("sim: SubmitBurst in the past")
+	}
+	burst := make([]node.Input, len(ms))
+	for i, m := range ms {
+		s.NoteSubmit(at, client, m)
+		burst[i] = node.Submit{Msg: m}
+	}
+	s.ControlAt(at, func() { s.drain(client, nil, burst...) })
+}
+
 // NoteSubmit records a submission for the latency and genuineness audits
 // without scheduling any event. Tests that inject MULTICAST traffic directly
 // (bypassing a client handler) use it to keep the audits accurate.
@@ -310,38 +329,36 @@ func (s *Sim) dispatch(ev event) {
 		ev.ctl()
 		return
 	}
-	if s.crashed[ev.proc] {
+	s.drain(ev.proc, ev.commit, ev.in)
+}
+
+// drain is one dispatch at process pid: with c nil, one drain — each input
+// handled in turn, then the drain's end (Step.EndDrain); otherwise the
+// hand-off c completing.
+func (s *Sim) drain(pid mcast.ProcessID, c *node.Commit, ins ...node.Input) {
+	if s.crashed[pid] {
 		return
 	}
-	st, ok := s.nodes[ev.proc]
+	st, ok := s.nodes[pid]
 	if !ok {
 		return
 	}
 	var rel node.Release
 	var err error
-	c := ev.commit
 	if c == nil {
-		if rcv, ok := ev.in.(node.Recv); ok {
-			s.msgCounts[rcv.Msg.Kind()]++
-			if cn, ok := rcv.Msg.(msgs.Concerner); ok {
-				if id, ok := cn.Concerns(); ok {
-					set := s.touched[id]
-					if set == nil {
-						set = make(map[mcast.ProcessID]bool)
-						s.touched[id] = set
-					}
-					set[ev.proc] = true
-				}
+		for _, in := range ins {
+			if err = s.handle(pid, st, in); err != nil {
+				break
 			}
 		}
-		if s.cfg.Trace != nil {
-			s.cfg.Trace(TraceEvent{At: s.now, Proc: ev.proc, In: ev.in})
+		if err == nil {
+			rel = st.EndDrain()
 		}
-		rel, _, err = st.Do(ev.in)
 	}
-	// Release what the call handed back, then run what is staged by then
-	// through the store: at once, or CommitTime from now as an event — the
-	// hand-off completing, which releases what it held and hands off again.
+	// Release what the drain's end handed back, then run what is staged by
+	// then through the store: at once, or CommitTime from now as an event —
+	// the hand-off completing, which releases what it held and hands off
+	// again.
 	for {
 		if c != nil {
 			c.Run()
@@ -350,22 +367,48 @@ func (s *Sim) dispatch(ev event) {
 		if err != nil {
 			// Crash-stop on a storage failure: nothing held was released,
 			// exactly as if the process had crashed inside Handle.
-			s.crashed[ev.proc] = true
+			s.crashed[pid] = true
 			if s.cfg.OnStorageCrash != nil {
-				s.cfg.OnStorageCrash(ev.proc, err)
+				s.cfg.OnStorageCrash(pid, err)
 			}
 			return
 		}
-		s.release(ev.proc, rel)
+		s.release(pid, rel)
 		if c = st.Handoff(); c == nil {
 			return
 		}
 		if s.cfg.CommitTime > 0 {
 			s.seq++
-			s.events.Push(event{at: s.now + s.cfg.CommitTime, seq: s.seq, proc: ev.proc, commit: c})
+			s.events.Push(event{at: s.now + s.cfg.CommitTime, seq: s.seq, proc: pid, commit: c})
 			return
 		}
 	}
+}
+
+// handle feeds one input to pid's Step, counting it for the audits, and
+// releases what the call handed back.
+func (s *Sim) handle(pid mcast.ProcessID, st *node.Step, in node.Input) error {
+	if rcv, ok := in.(node.Recv); ok {
+		s.msgCounts[rcv.Msg.Kind()]++
+		if cn, ok := rcv.Msg.(msgs.Concerner); ok {
+			if id, ok := cn.Concerns(); ok {
+				set := s.touched[id]
+				if set == nil {
+					set = make(map[mcast.ProcessID]bool)
+					s.touched[id] = set
+				}
+				set[pid] = true
+			}
+		}
+	}
+	if s.cfg.Trace != nil {
+		s.cfg.Trace(TraceEvent{At: s.now, Proc: pid, In: in})
+	}
+	rel, _, err := st.Do(in)
+	if err == nil {
+		s.release(pid, rel)
+	}
+	return err
 }
 
 // release turns one Handle call's released effects into events, in the
@@ -383,13 +426,14 @@ func (s *Sim) release(from mcast.ProcessID, rel node.Release) {
 	}
 	for _, snd := range rel.Sends {
 		// A MULTICAST for an ID the audits have never seen originates here:
-		// the sender synthesised the message itself (e.g. a batching client
-		// flushing an envelope, internal/batch). Record it so genuineness
-		// accounting covers protocol-level messages the test harness did not
-		// submit explicitly.
+		// the sender synthesised the message itself (a client sending a batch
+		// envelope, internal/client). Record it, and that its sender
+		// originated it, so genuineness accounting covers protocol-level
+		// messages nobody submitted explicitly — and flags one a replica
+		// invented.
 		if mc, ok := snd.Msg.(msgs.Multicast); ok {
 			if _, known := s.submitted[mc.M.ID]; !known {
-				s.NoteSubmit(s.now, from, mc.M)
+				s.submitted[mc.M.ID] = submitRecord{sender: from, dest: mc.M.Dest.Clone(), at: s.now, originated: true}
 			}
 		}
 		for i := 0; i < snd.NumRecipients(); i++ {
@@ -490,8 +534,9 @@ func (s *Sim) TotalDropped() int { return s.dropped }
 
 // AuditGenuineness verifies the minimality property of paper §II: every
 // process that received a message concerning application message m is either
-// m's sender or a member of a destination group of m. It returns one error
-// per violation, in ascending (message ID, process) order, so a replayed run
+// m's sender or a member of a destination group of m, and m was submitted —
+// or sent first by a client, never by a replica. It returns one error per
+// violation, in ascending (message ID, process) order, so a replayed run
 // reports the same first violation.
 func (s *Sim) AuditGenuineness(top *mcast.Topology) []error {
 	var errs []error
@@ -500,6 +545,9 @@ func (s *Sim) AuditGenuineness(top *mcast.Topology) []error {
 		if !ok {
 			errs = append(errs, fmt.Errorf("sim: message %v was never submitted but was ordered", id))
 			continue
+		}
+		if rec.originated && top.IsReplica(rec.sender) {
+			errs = append(errs, fmt.Errorf("sim: replica %d originated multicast %v, which nobody submitted (genuineness violation)", rec.sender, id))
 		}
 		for _, p := range slices.Sorted(maps.Keys(s.touched[id])) {
 			if p == rec.sender {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -221,6 +222,85 @@ func TestGenuinenessAuditFlagsOutsider(t *testing.T) {
 	errs := s.AuditGenuineness(top)
 	if len(errs) != 1 {
 		t.Fatalf("audit errors = %v, want exactly 1", errs)
+	}
+}
+
+// TestGenuinenessAuditFlagsReplicaOrigin: a MULTICAST whose ID nobody
+// submitted may originate at a client (a batch envelope), never at a
+// replica. Replica 0 invents one for its own group, whose members are the
+// only recipients: the audit must still report it.
+func TestGenuinenessAuditFlagsReplicaOrigin(t *testing.T) {
+	top := mcast.UniformTopology(1, 3) // group 0: procs 0, 1, 2
+	s := New(Config{Latency: Uniform(time.Millisecond)})
+	invented := mcast.AppMsg{ID: mcast.MakeBatchID(0, 1), Dest: mcast.NewGroupSet(0)}
+	s.Add(node.Func{PID: 0, F: func(in node.Input, fx *node.Effects) {
+		if _, ok := in.(node.Start); ok {
+			fx.SendAll([]mcast.ProcessID{1, 2}, msgs.Multicast{M: invented})
+		}
+	}})
+	client := mcast.AppMsg{ID: mcast.MakeBatchID(100, 1), Dest: mcast.NewGroupSet(0)}
+	s.Add(node.Func{PID: 100, F: func(in node.Input, fx *node.Effects) {
+		if _, ok := in.(node.Start); ok {
+			fx.Send(1, msgs.Multicast{M: client}) // a client's envelope is fine
+		}
+	}})
+	for pid := mcast.ProcessID(1); pid <= 2; pid++ {
+		s.Add(node.Func{PID: pid, F: func(node.Input, *node.Effects) {}})
+	}
+	s.Run(time.Second)
+	errs := s.AuditGenuineness(top)
+	want := "sim: replica 0 originated multicast m(0.2147483649), which nobody submitted (genuineness violation)"
+	if len(errs) != 1 || errs[0].Error() != want {
+		t.Fatalf("audit errors = %v, want exactly %q", errs, want)
+	}
+}
+
+// TestBurstIsOneDrain: a burst's inputs are handled in order, then the
+// drain ends once — EndDrain is called after every dispatch, a burst's
+// included, and its effects are released like a Handle call's.
+func TestBurstIsOneDrain(t *testing.T) {
+	s := New(Config{Latency: Uniform(time.Millisecond)})
+	d := &drainer{pid: 100}
+	s.Add(d)
+	recv := &echoNode{pid: 1, sim: s}
+	s.Add(recv)
+	ms := []mcast.AppMsg{{ID: mcast.MakeMsgID(100, 1)}, {ID: mcast.MakeMsgID(100, 2)}, {ID: mcast.MakeMsgID(100, 3)}}
+	s.SubmitBurst(time.Millisecond, 100, ms)
+	s.SubmitAt(2*time.Millisecond, 100, mcast.AppMsg{ID: mcast.MakeMsgID(100, 4)})
+	s.Run(time.Second)
+	// Start, the burst, the lone Submit, then the two acks: one drain each.
+	want := []string{"drain", "submit 1", "submit 2", "submit 3", "drain", "submit 4", "drain", "drain", "drain"}
+	if !slices.Equal(d.log, want) {
+		t.Fatalf("handler saw %v, want %v", d.log, want)
+	}
+	if len(recv.received) != 2 || recv.at[0] != 2*time.Millisecond || recv.at[1] != 3*time.Millisecond {
+		t.Fatalf("end-of-drain sends arrived %v at %v, want one per drain, δ after it", recv.received, recv.at)
+	}
+	if at, ok := s.SubmitTime(ms[2].ID); !ok || at != time.Millisecond {
+		t.Errorf("SubmitTime of a burst's message = %v, %v", at, ok)
+	}
+}
+
+// drainer logs its Submits and drain ends, and sends one message to process
+// 1 at the end of every drain that had a Submit.
+type drainer struct {
+	pid     mcast.ProcessID
+	log     []string
+	pending bool
+}
+
+func (d *drainer) ID() mcast.ProcessID { return d.pid }
+func (d *drainer) Handle(in node.Input, _ *node.Effects) {
+	if sub, ok := in.(node.Submit); ok {
+		d.log = append(d.log, fmt.Sprintf("submit %d", sub.Msg.ID.Seq()))
+		d.pending = true
+	}
+}
+func (d *drainer) EndDrain(fx *node.Effects) {
+	d.log = append(d.log, "drain")
+	if d.pending {
+		fx.Send(1, msgs.Heartbeat{})
+		d.pending = false
 	}
 }
 

@@ -462,13 +462,15 @@ func (n *Node) consume(b boxedInput) {
 	n.release(b.frame, rel, err)
 }
 
-// commit is the mailbox's commit hook, the end of a drain. First the links
-// the drain appended to are flushed — so a frame waits for the rest of its
-// drain and no longer, and whatever the drain produced for one peer leaves
-// in one write. Then what the drain staged goes to the store — one Append,
-// one Sync — on a goroutine beside the loop, with the frames it may alias,
-// and comes back through the mailbox.
+// commit is the mailbox's commit hook, the end of a drain. First the
+// handler's end-of-drain effects are released, then the links the drain
+// appended to are flushed — so a frame waits for the rest of its drain and no
+// longer, and whatever the drain produced for one peer leaves in one write.
+// Then what the drain staged goes to the store — one Append, one Sync — on a
+// goroutine beside the loop, with the frames it may alias, and comes back
+// through the mailbox.
 func (n *Node) commit() {
+	n.release(nil, n.step.EndDrain(), nil)
 	for _, l := range n.touched {
 		n.flushAcks(l)
 		l.touched = false

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/batch"
 	"wbcast/internal/client"
 	"wbcast/internal/core"
 	"wbcast/internal/mcast"
@@ -237,10 +236,26 @@ func sharePeerAddrs(nodes []*tcpnet.Node, clientPID mcast.ProcessID) {
 	}
 }
 
+// gatedClient blocks its loop on a GCHorizon input until the test opens the
+// gate, so that what the test injects meanwhile is consumed in one drain.
+type gatedClient struct {
+	*client.Client
+	gate chan struct{}
+}
+
+func (g gatedClient) Handle(in node.Input, fx *node.Effects) {
+	if _, ok := in.(node.GCHorizon); ok {
+		<-g.gate
+		return
+	}
+	g.Client.Handle(in, fx)
+}
+
 // TestBatchedClientOverTCP runs a white-box cluster over real TCP with a
-// batching client: batch envelopes must survive the wire (frame encoding,
-// write coalescing) and unpack into per-payload deliveries in submission
-// order at every replica.
+// burst of concurrent submissions queued behind the client's gated loop:
+// the drain that consumes them sends one batch envelope, which must survive
+// the wire (frame encoding, write coalescing) and unpack into per-payload
+// deliveries in the envelope's order at every replica.
 func TestBatchedClientOverTCP(t *testing.T) {
 	top := mcast.UniformTopology(2, 3)
 	const clientPID = mcast.ProcessID(6)
@@ -277,9 +292,10 @@ func TestBatchedClientOverTCP(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 
-	const numMsgs = 24
+	const submitters, perSubmitter = 4, 6
+	const numMsgs = submitters * perSubmitter
 	done := make(chan mcast.MsgID, numMsgs)
-	cl := batch.New(batch.Config{
+	cl := gatedClient{Client: client.New(client.Config{
 		PID: clientPID,
 		Contacts: func(g mcast.GroupID) []mcast.ProcessID {
 			return []mcast.ProcessID{top.InitialLeader(g)}
@@ -287,8 +303,7 @@ func TestBatchedClientOverTCP(t *testing.T) {
 		Retry:         300 * time.Millisecond,
 		RetryContacts: func(g mcast.GroupID) []mcast.ProcessID { return top.Members(g) },
 		OnComplete:    func(id mcast.MsgID) { done <- id },
-		Options:       batch.Options{MaxMsgs: 8, MaxDelay: 2 * time.Millisecond},
-	})
+	}), gate: make(chan struct{})}
 	cn, err := tcpnet.Serve(tcpnet.Config{
 		PID:        clientPID,
 		ListenAddr: "127.0.0.1:0",
@@ -300,18 +315,28 @@ func TestBatchedClientOverTCP(t *testing.T) {
 	nodes = append(nodes, cn)
 	sharePeerAddrs(nodes, clientPID)
 
-	want := make([]mcast.MsgID, numMsgs)
-	for i := 0; i < numMsgs; i++ {
-		m := mcast.AppMsg{
-			ID:      mcast.MakeMsgID(clientPID, uint32(i+1)),
-			Dest:    mcast.NewGroupSet(0, 1),
-			Payload: []byte(fmt.Sprintf("tcp-batched-%d", i)),
-		}
-		want[i] = m.ID
-		if err := cn.Inject(node.Submit{Msg: m}); err != nil {
-			t.Fatal(err)
-		}
+	if err := cn.Inject(node.GCHorizon{}); err != nil {
+		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < perSubmitter; j++ {
+				m := mcast.AppMsg{
+					ID:      mcast.MakeMsgID(clientPID, uint32(w*perSubmitter+j+1)),
+					Dest:    mcast.NewGroupSet(0, 1),
+					Payload: []byte(fmt.Sprintf("tcp-batched-%d-%d", w, j)),
+				}
+				if err := cn.Inject(node.Submit{Msg: m}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	cl.gate <- struct{}{}
 	completed := make(map[mcast.MsgID]bool)
 	for i := 0; i < numMsgs; i++ {
 		select {
@@ -321,29 +346,28 @@ func TestBatchedClientOverTCP(t *testing.T) {
 			t.Fatalf("timed out after %d completions", i)
 		}
 	}
-	for _, id := range want {
-		if !completed[id] {
-			t.Errorf("payload %v never completed", id)
-		}
+	if len(completed) != numMsgs {
+		t.Errorf("%d distinct payloads completed, want %d", len(completed), numMsgs)
+	}
+	if n := cl.BatchesSent(); n != 1 {
+		t.Errorf("one drain of %d payloads left as %d multicasts, want one envelope", numMsgs, n)
 	}
 	time.Sleep(200 * time.Millisecond) // let followers drain
 
 	mu.Lock()
 	defer mu.Unlock()
+	ref := delivered[0]
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
 		ds := delivered[pid]
 		if len(ds) != numMsgs {
 			t.Fatalf("replica %d delivered %d payloads, want %d", pid, len(ds), numMsgs)
 		}
 		for i, d := range ds {
-			if batch.IsBatchID(d.Msg.ID) {
-				t.Fatalf("replica %d surfaced a raw batch envelope %v", pid, d.Msg.ID)
+			if mcast.IsBatchID(d.Msg.ID) || !completed[d.Msg.ID] {
+				t.Fatalf("replica %d delivered %v, not a submitted payload", pid, d.Msg.ID)
 			}
-			if d.Msg.ID != want[i] {
-				t.Errorf("replica %d: delivery %d = %v, want %v (submission order)", pid, i, d.Msg.ID, want[i])
-			}
-			if i > 0 && !ds[i-1].Before(d) {
-				t.Errorf("replica %d: delivery %d not above predecessor in (GTS, Sub)", pid, i)
+			if d.Msg.ID != ref[i].Msg.ID || d.Sub != i || d.GTS != ref[0].GTS {
+				t.Errorf("replica %d: delivery %d = %v at (%v, %d), want %v at (%v, %d): one envelope, its order", pid, i, d.Msg.ID, d.GTS, d.Sub, ref[i].Msg.ID, ref[0].GTS, i)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package wbcast_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,14 +11,13 @@ import (
 )
 
 // simRun drives one deterministic deployment and returns replica 0's
-// delivery sequence as "payload@GTS" strings.
-func simRun(t *testing.T, seed int64, batching *wbcast.Batching) []string {
+// delivery sequence as "payload@GTS" strings, and the client's multicasts.
+func simRun(t *testing.T, seed int64) ([]string, int64) {
 	t.Helper()
 	cluster, err := wbcast.New(wbcast.Config{
 		Groups:    2,
 		Delta:     5 * time.Millisecond,
 		Transport: wbcast.SimulatedWith(wbcast.SimulatedOptions{Seed: seed, Jitter: time.Millisecond}),
-		Batching:  batching,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,14 +49,14 @@ func simRun(t *testing.T, seed int64, batching *wbcast.Batching) []string {
 			t.Fatalf("timed out after %d deliveries: %v", len(got), got)
 		}
 	}
-	return got
+	return got, client.BatchesSent()
 }
 
 // TestSimulatedTransportDeterministic: identical seeds replay the identical
 // schedule — payloads, global timestamps and sub-sequence numbers.
 func TestSimulatedTransportDeterministic(t *testing.T) {
-	a := simRun(t, 42, nil)
-	b := simRun(t, 42, nil)
+	a, _ := simRun(t, 42)
+	b, _ := simRun(t, 42)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverge at %d: %q vs %q", i, a[i], b[i])
@@ -64,11 +64,17 @@ func TestSimulatedTransportDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimulatedTransportBatching: the batching pipeline (flush timers and
-// all) runs in virtual time on the deterministic transport.
+// TestSimulatedTransportBatching: on the deterministic transport every
+// submission is a simulator event, a drain of its own, so each leaves as
+// itself — one multicast per payload, every Sub zero.
 func TestSimulatedTransportBatching(t *testing.T) {
-	got := simRun(t, 7, &wbcast.Batching{MaxBatchMsgs: 4, MaxBatchDelay: time.Millisecond})
-	if len(got) != 8 {
-		t.Fatalf("delivered %d payloads, want 8", len(got))
+	got, sent := simRun(t, 7)
+	if len(got) != 8 || sent != 8 {
+		t.Fatalf("delivered %d payloads from %d multicasts, want 8 and 8", len(got), sent)
+	}
+	for _, d := range got {
+		if !strings.HasSuffix(d, ".0") {
+			t.Errorf("delivery %s is not a message of its own", d)
+		}
 	}
 }

@@ -233,7 +233,7 @@ func (t *inProcTransport) Close() {
 // Simulated transport (internal/sim)
 
 // SimulatedOptions parametrises the deterministic transport beyond the
-// options shared in Config (Delta, Latency, Batching, ...).
+// options shared in Config (Delta, Latency, ...).
 type SimulatedOptions struct {
 	// Seed initialises the simulator's RNG (latency jitter, fault
 	// sampling).
@@ -413,8 +413,8 @@ func (t *simTransport) pumpChaos() {
 }
 
 // pump drives the simulator to quiescence after every external input.
-// Virtual time advances in bounded slices so an armed flush timer (e.g. a
-// batching deadline) is reached however far ahead it was scheduled.
+// Virtual time advances in bounded slices so an armed timer is reached
+// however far ahead it was scheduled.
 func (t *simTransport) pump() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

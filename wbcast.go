@@ -44,35 +44,23 @@
 //
 // # Batching
 //
-// For throughput-bound workloads, Config.Batching aggregates the payloads
-// of each client into protocol-level batches per destination set,
-// amortising the fixed per-message ordering cost (timestamp proposals, ACK
-// quorums, a delivery-queue pass) over up to MaxBatchMsgs payloads:
-//
-//	cluster, err := wbcast.New(wbcast.Config{
-//		Groups: 2,
-//		Batching: &wbcast.Batching{
-//			MaxBatchMsgs:  64,                     // flush at 64 payloads
-//			MaxBatchBytes: 64 << 10,               // ... or at 64 KiB
-//			MaxBatchDelay: 500 * time.Microsecond, // ... or after 500µs
-//			Window:        4,                      // batches in flight per dest set
-//		},
-//	})
-//
-// Batching is transparent to applications: deliveries arrive per payload,
-// with the original message IDs, in the total order (GTS, Sub). Payloads of
-// one batch share a GTS and are sub-sequenced by Delivery.Sub in submission
-// order. Client.Multicast still blocks until the payload's batch has been
-// delivered by every destination group — enable batching together with
-// concurrent (or MulticastAsync-pipelined) submitters, since a lone
-// payload only ships when MaxBatchDelay expires.
+// A client batches on its own: what one drain of its mailbox holds — the
+// Multicast and MulticastAsync calls that queued up while it was busy —
+// leaves as one protocol-level multicast per destination set, amortising the
+// fixed per-message ordering cost (timestamp proposals, ACK quorums, a
+// delivery-queue pass) over the drain. A lone call leaves at once, as
+// itself, so a closed-loop caller never waits for a batch, and there is
+// nothing to configure (on the Simulated transport every call is a drain of
+// its own). Batching is transparent to applications:
+// deliveries arrive per payload, with the original message IDs, in the total
+// order (GTS, Sub); the payloads of one batch share a GTS and are
+// sub-sequenced by Delivery.Sub in submission order.
 package wbcast
 
 import (
 	"fmt"
 	"time"
 
-	"wbcast/internal/batch"
 	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
 	"wbcast/internal/live"
@@ -188,33 +176,6 @@ func ParseProtocol(name string) (Protocol, error) {
 // safety. The zero relation (nil) treats every pair as conflicting, which
 // makes Genmcast deliver exactly like WhiteBox.
 type ConflictRelation = mcast.ConflictRelation
-
-// Batching configures client-side payload batching and pipelining
-// (internal/batch). Zero-valued fields take sensible defaults (64
-// payloads, 64 KiB, 1ms, window 4).
-type Batching struct {
-	// MaxBatchMsgs flushes a batch once it holds this many payloads.
-	MaxBatchMsgs int
-	// MaxBatchBytes flushes a batch once its payloads total this many
-	// bytes.
-	MaxBatchBytes int
-	// MaxBatchDelay bounds how long the first payload of a batch may wait
-	// before the batch is flushed regardless of size — the batching
-	// latency tax.
-	MaxBatchDelay time.Duration
-	// Window is the maximum number of batches in flight per destination
-	// set; further payloads accumulate until a completion frees a slot.
-	Window int
-}
-
-func (b *Batching) options() batch.Options {
-	return batch.Options{
-		MaxMsgs:  b.MaxBatchMsgs,
-		MaxBytes: b.MaxBatchBytes,
-		MaxDelay: b.MaxBatchDelay,
-		Window:   b.Window,
-	}
-}
 
 // Observability configures the deployment's metrics and tracing
 // (internal/obs). Metrics are on by default — every process maintains
@@ -352,11 +313,6 @@ type Config struct {
 	// deliveries above the frontier its log kept (docs/DURABILITY.md).
 	// Without the flag, Deliveries() is exactly-once across restarts.
 	AppGCHorizon bool
-	// Batching, when non-nil, batches each client's payloads into
-	// protocol-level multicasts per destination set (see the package
-	// documentation). Nil disables batching: every payload is ordered
-	// individually.
-	Batching *Batching
 	// Storage, when non-nil, gives every locally hosted replica a durable
 	// store: the factory is invoked once per replica at construction, the
 	// store's Load recovers the replica's durable state (ballot promises,
