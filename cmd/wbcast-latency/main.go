@@ -9,7 +9,9 @@
 //
 // The failure-free latency is found empirically: a sweep of adversarially
 // timed conflicting messages (the convoy schedule of paper Fig. 2) probes
-// the worst delivery delay; more probes give a finer sweep.
+// the worst delivery delay; more probes give a finer sweep. The probes are
+// independent simulations and run concurrently, one goroutine each; the
+// table is the same at any GOMAXPROCS.
 package main
 
 import (

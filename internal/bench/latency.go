@@ -2,12 +2,16 @@
 // Skeen 2δ/4δ, FT-Skeen 6δ/12δ, FastCast 4δ/8δ, WbCast 3δ/5δ) over the
 // discrete-event simulator. cmd/wbcast-latency prints it, the canonical
 // benchmark's sim-reference workload and BenchmarkLatencyTable measure with
-// the same probes.
+// the same probes. The failure-free sweep's probes are independent
+// simulations and run concurrently; the table is the same at any GOMAXPROCS.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
 	"wbcast/internal/harness"
@@ -67,28 +71,38 @@ func CollisionFree(p harness.Protocol, groupSize int) (leader, slowest float64, 
 // (the convoy effect of paper Fig. 2): for a sweep of injection times, m'
 // is delivered to m's group-0 leader with ~zero delay while taking the full
 // δ to the other group, maximising the time m stays blocked. It returns the
-// worst observed latency of m in multiples of δ.
+// worst observed latency of m in multiples of δ. probes <= 0 means 64.
+//
+// Each probe is an independent simulation, so the probes run concurrently,
+// one goroutine each; the result (or the probes' errors, in probe order)
+// does not depend on how they are scheduled.
 func FailureFree(p harness.Protocol, groupSize int, probes int) (float64, error) {
 	if probes <= 0 {
-		probes = 40
+		probes = 64
 	}
-	// m is submitted at T0, after the clock warm-up of group 1 quiesces.
-	const T0 = 20 * latDelta
-	worst := time.Duration(0)
-	// Probe m' injection times across the whole window in which m can be
-	// in flight (up to 8δ covers every protocol here).
-	for i := 0; i < probes; i++ {
-		offset := time.Duration(i) * 8 * latDelta / time.Duration(probes)
-		lat, err := convoyProbe(p, groupSize, T0, T0+offset)
-		if err != nil {
-			return 0, err
-		}
-		if lat > worst {
-			worst = lat
-		}
+	lats := make([]time.Duration, probes)
+	errs := make([]error, probes)
+	var wg sync.WaitGroup
+	for i := range probes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Probe m' injection times across the whole window in which m
+			// can be in flight (up to 8δ covers every protocol here).
+			offset := time.Duration(i) * 8 * latDelta / time.Duration(probes)
+			lats[i], errs[i] = convoyProbe(p, groupSize, probeT0, probeT0+offset)
+		}()
 	}
-	return inDelta(worst), nil
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return 0, err
+	}
+	return inDelta(slices.Max(lats)), nil
 }
+
+// probeT0 is when m is submitted: after the clock warm-up of group 1
+// quiesces.
+const probeT0 = 20 * latDelta
 
 // convoyProbe runs one adversarial schedule: warm-up messages raise group
 // 1's clock, m goes to both groups at tM, and m' is injected at tPrime with

@@ -114,7 +114,10 @@ type Options struct {
 	TraceBuffer int
 }
 
-// Cluster is a simulated deployment of one protocol.
+// Cluster is a simulated deployment of one protocol. It runs on the
+// goroutine that drives its Sim and shares nothing with another Cluster
+// but its Protocol adapter, so independent clusters over an adapter that is
+// safe to share may run side by side (bench.FailureFree's convoy probes do).
 type Cluster struct {
 	Proto Protocol
 	Sim   *sim.Sim
@@ -147,7 +150,8 @@ type Cluster struct {
 	// conflicts is the partial-order conflict relation of a
 	// ConflictProtocol run; nil for the total-order protocols.
 	conflicts func(a, b mcast.AppMsg) bool
-	// Delta is the base latency used by DefaultLatency-derived helpers.
+	// onComplete is the callback OnComplete registers, called when a
+	// client's multicast completes; nil until then.
 	onComplete func(id mcast.MsgID)
 }
 
