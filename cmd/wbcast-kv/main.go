@@ -27,8 +27,11 @@
 // With -data-dir every shard replica is durable: the multicast layer's
 // protocol state and the engine's applied state (snapshot + app log) are
 // synced under <data-dir>/p<id>, and a restart on the same directory
-// recovers the store (see docs/KVSTORE.md; the flag also disables protocol
-// GC so un-snapshotted records stay replayable). -metrics-addr serves
+// recovers the store (see docs/KVSTORE.md). The flag also sets
+// AppGCHorizon: protocol GC waits for the engines' durability horizon, so
+// every record an engine has not yet logged stays replayable. Each log
+// compacts once it outgrows the snapshot that replaces it; there is no
+// setting for it. -metrics-addr serves
 // /metrics with the cluster's white-box pipeline metrics and the kv_*
 // application metrics side by side.
 //
@@ -66,7 +69,6 @@ func main() {
 		protocol = flag.String("protocol", "wbcast", "protocol: wbcast, fastcast, ftskeen, skeen or genmcast")
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		dataDir  = flag.String("data-dir", "", "root directory for durable state (WAL + snapshots + kv app state); empty runs in-memory")
-		snapshot = flag.Int("snapshot-every", 1024, "compact the kv app log after this many applied operations (with -data-dir)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-operation completion timeout")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	)
@@ -95,10 +97,7 @@ func main() {
 	}
 	defer cluster.Close()
 
-	svc, err := kv.NewService(cluster, kv.Options{
-		Persist:       *dataDir != "",
-		SnapshotEvery: *snapshot,
-	})
+	svc, err := kv.NewService(cluster, kv.Options{Persist: *dataDir != ""})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -111,8 +111,8 @@ func TestGCRespectsAppHorizon(t *testing.T) {
 
 // TestGCWithCrashedFollower: a crashed follower freezes its group's
 // watermark, so GC stalls for messages addressed to that group — the safety
-// trade-off documented in DESIGN.md — but the system keeps running and other
-// groups still collect garbage.
+// trade-off documented in the GC paragraph of docs/PROTOCOL.md — but the
+// system keeps running and other groups still collect garbage.
 func TestGCWithCrashedFollower(t *testing.T) {
 	proto := core.Protocol{
 		RetryInterval:     30 * delta,

@@ -16,7 +16,8 @@ import (
 // §IV "Leader recovery", citing [5, 25, 26]), leader-side retries, and
 // garbage collection of delivered messages (the paper's implementation
 // "includes a mechanism to garbage collect delivered messages", §VI; the
-// concrete watermark design here is ours and is documented in DESIGN.md).
+// concrete watermark design here is ours and is documented in the GC
+// paragraph of docs/PROTOCOL.md).
 
 func (r *Replica) onStart(fx *node.Effects) {
 	// A restart that kept this handler in memory lost its timers: replies

@@ -14,6 +14,8 @@
 //
 // Durability is layered on the replica's write-ahead log via the Persister
 // interface (satisfied by *wbcast.Replica): applied operations are logged
-// as opaque app records, periodically compacted into an app snapshot, and
-// folded back by Recover after a crash.
+// as opaque app records, compacted into an app snapshot once the records
+// since the last one have reached its length — so the app log stays
+// smaller than the state plus one apply batch, at O(1) amortised snapshot
+// work per logged byte — and folded back by Recover after a crash.
 package kvstore

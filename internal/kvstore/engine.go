@@ -26,7 +26,10 @@ type Persister interface {
 	// AppendAppState hands over opaque application records, in log order.
 	AppendAppState(recs ...[]byte) error
 	// SaveAppSnapshot replaces the application snapshot and clears the
-	// accumulated application log.
+	// accumulated application log, in order with the records before it. The
+	// engine calls it once the redo bytes it handed over since its last
+	// snapshot reach that snapshot's length, so the log stays smaller than
+	// the state plus one apply batch.
 	SaveAppSnapshot(snap []byte) error
 }
 
@@ -78,9 +81,6 @@ type EngineConfig struct {
 	OnResult func(Resp)
 	// Persist, if non-nil, makes applied state durable (see Persister).
 	Persist Persister
-	// SnapshotEvery compacts the app log into an app snapshot after that
-	// many applied operations (0 disables compaction).
-	SnapshotEvery int
 	// RecordApplied retains the full applied history for the checker.
 	// Tests only: the history grows without bound.
 	RecordApplied bool
@@ -115,16 +115,20 @@ type EngineConfig struct {
 type Engine struct {
 	cfg EngineConfig
 
-	mu        sync.Mutex
-	data      map[string][]byte
-	lastGTS   mcast.Timestamp // position of the last applied delivery (max in unordered mode)
-	lastSub   int
-	seen      map[stamp]bool // applied stamps; unordered mode only
-	sinceSnap int
-	applied   []Applied
-	err       error    // first persistence failure; sticky
-	resps     []Resp   // apply's scratch: the batch's outcomes ...
-	recs      [][]byte // ... and redo records
+	mu      sync.Mutex
+	data    map[string][]byte
+	lastGTS mcast.Timestamp // position of the last applied delivery (max in unordered mode)
+	lastSub int
+	seen    map[stamp]bool // applied stamps; unordered mode only
+	applied []Applied
+	err     error    // first persistence failure; sticky
+	resps   []Resp   // apply's scratch: the batch's outcomes ...
+	recs    [][]byte // ... and redo records
+
+	// The app log's compaction rule: once the redo bytes handed to Persist
+	// since the last app snapshot (logBytes) reach that snapshot's length
+	// (snapBytes), the engine saves a fresh one.
+	logBytes, snapBytes int
 
 	appliedC  obs.Counter
 	replayedC obs.Counter
@@ -235,9 +239,9 @@ func (e *Engine) apply(ds []mcast.Delivery) {
 }
 
 // logLocked hands one batch's redo records to the persister with one
-// append, then reports the frontier they cover and compacts on schedule. It reports
-// false, with the failure recorded in Err, when the append failed. Callers
-// hold e.mu.
+// append, then reports the frontier they cover and compacts the app log once
+// it has reached the snapshot that replaces it. It reports false, with the
+// failure recorded in Err, when the append failed. Callers hold e.mu.
 func (e *Engine) logLocked(recs [][]byte, below mcast.Timestamp) bool {
 	if len(recs) == 0 {
 		return true
@@ -253,10 +257,11 @@ func (e *Engine) logLocked(recs [][]byte, below mcast.Timestamp) bool {
 	if !e.cfg.Unordered && e.cfg.OnDurableFrontier != nil && !below.IsZero() {
 		e.cfg.OnDurableFrontier(below)
 	}
-	e.sinceSnap += len(recs)
-	if e.cfg.SnapshotEvery > 0 && e.sinceSnap >= e.cfg.SnapshotEvery {
-		e.sinceSnap = 0
-		if err := e.cfg.Persist.SaveAppSnapshot(e.snapshotLocked()); err != nil && e.err == nil {
+	e.logBytes += recBytes(recs)
+	if e.logBytes >= e.snapBytes {
+		snap := e.snapshotLocked()
+		e.logBytes, e.snapBytes = 0, len(snap)
+		if err := e.cfg.Persist.SaveAppSnapshot(snap); err != nil && e.err == nil {
 			e.err = fmt.Errorf("kvstore: shard %d: snapshot: %w", e.cfg.Group, err)
 		}
 	}
@@ -345,10 +350,13 @@ func (e *Engine) applyLocked(d mcast.Delivery) (Resp, bool) {
 // app log, then the protocol-level replay of committed deliveries the
 // engine had not yet logged. Replayed deliveries are re-logged in one
 // batch so the next crash recovers them from the app channel directly.
-// Recover must run before the engine consumes live deliveries.
+// Recover must run before the engine consumes live deliveries. The app log
+// it recovers and re-logs counts towards the next compaction, which the
+// first live batch makes if the log has reached the snapshot.
 func (e *Engine) Recover(snapshot []byte, log [][]byte, replay []mcast.Delivery) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.snapBytes, e.logBytes = len(snapshot), recBytes(log)
 	if len(snapshot) > 0 {
 		if err := e.restoreSnapshotLocked(snapshot); err != nil {
 			return err
@@ -379,8 +387,17 @@ func (e *Engine) Recover(snapshot []byte, log [][]byte, replay []mcast.Delivery)
 		if err := e.cfg.Persist.AppendAppState(recs...); err != nil {
 			return fmt.Errorf("kvstore: shard %d: re-log replay: %w", e.cfg.Group, err)
 		}
+		e.logBytes += recBytes(recs)
 	}
 	return e.err
+}
+
+func recBytes(recs [][]byte) int {
+	n := 0
+	for _, rec := range recs {
+		n += len(rec)
+	}
+	return n
 }
 
 // snapshotVersion versions the app snapshot encoding; unordered engines
@@ -406,7 +423,9 @@ func (e *Engine) snapshotLocked() []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	dst := []byte{snapshotVersion}
+	// The encoding outgrows the last snapshot by at most the records
+	// logged since, so one allocation usually holds it.
+	dst := append(make([]byte, 0, e.snapBytes+e.logBytes), snapshotVersion)
 	if e.cfg.Unordered {
 		dst[0] = snapshotVersionUnordered
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wbcast/internal/mcast"
+	"wbcast/internal/wal"
 )
 
 func TestOpCodecRoundTrip(t *testing.T) {
@@ -160,33 +161,34 @@ func (p *memPersist) SaveAppSnapshot(snap []byte) error {
 
 func TestEngineSnapshotRecoverRoundTrip(t *testing.T) {
 	p := &memPersist{}
-	e := NewEngine(EngineConfig{Group: 0, Persist: p, SnapshotEvery: 3})
-	for i := uint32(0); i < 7; i++ {
+	e := NewEngine(EngineConfig{Group: 0, Persist: p})
+	for i := uint32(0); i < 8; i++ {
 		op := Op{Kind: OpPut, Key: []byte(fmt.Sprintf("k%d", i)), Val: []byte(fmt.Sprintf("v%d", i))}
 		e.Apply(deliver(i+1, op, uint64(i+1), 0))
 	}
-	// 7 ops, snapshot every 3: snapshot at op 6, one logged record after.
-	if p.snap == nil || len(p.log) != 1 {
-		t.Fatalf("persist state: snap=%v logs=%d", p.snap != nil, len(p.log))
+	// The log was compacted each time it reached the last snapshot's length,
+	// the last time at op 7; op 8's record is what follows.
+	if p.snap == nil || len(p.log) != 1 || recBytes(p.log) >= len(p.snap) {
+		t.Fatalf("persist state: snap=%d bytes, log=%d records of %d bytes", len(p.snap), len(p.log), recBytes(p.log))
 	}
 
 	// A replica restart also replays committed-but-unlogged deliveries.
 	replay := []mcast.Delivery{
-		deliver(7, Op{Kind: OpPut, Key: []byte("k6"), Val: []byte("v6")}, 7, 0), // duplicate of logged tail
-		deliver(8, Op{Kind: OpDelete, Key: []byte("k0")}, 8, 0),                 // beyond the log
+		deliver(8, Op{Kind: OpPut, Key: []byte("k7"), Val: []byte("v7")}, 8, 0), // duplicate of logged tail
+		deliver(9, Op{Kind: OpDelete, Key: []byte("k0")}, 9, 0),                 // beyond the log
 	}
 	r := NewEngine(EngineConfig{Group: 0, Persist: p})
 	if err := r.Recover(p.snap, p.log, replay); err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 6 { // 7 puts, one deleted
-		t.Fatalf("recovered %d keys, want 6", r.Len())
+	if r.Len() != 7 { // 8 puts, one deleted
+		t.Fatalf("recovered %d keys, want 7", r.Len())
 	}
 	if _, ok := r.Get([]byte("k0")); ok {
 		t.Fatal("k0 survived its replayed delete")
 	}
-	if gts, _ := r.Frontier(); gts.Time != 8 {
-		t.Fatalf("recovered frontier %v, want time 8", gts)
+	if gts, _ := r.Frontier(); gts.Time != 9 {
+		t.Fatalf("recovered frontier %v, want time 9", gts)
 	}
 	// The replayed-but-unlogged delete was re-logged for the next crash.
 	if len(p.log) != 2 {
@@ -203,6 +205,93 @@ func TestEngineSnapshotRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// statePersist folds what an engine hands over into a wal.State, as a
+// replica's log does once it is read back.
+type statePersist struct{ s *wal.State }
+
+func (p statePersist) AppendAppState(recs ...[]byte) error {
+	for _, rec := range recs {
+		p.s.Apply(wal.Entry{Kind: wal.EntryApp, App: rec})
+	}
+	return nil
+}
+
+func (p statePersist) SaveAppSnapshot(snap []byte) error {
+	p.s.Apply(wal.Entry{Kind: wal.EntryAppSnapshot, App: snap})
+	return nil
+}
+
+// TestEngineAppLogBoundedByState holds the compaction rule under load: 10⁵
+// Puts over 10³ keys, in batches of 1 to 64. After every batch the folded
+// app log is no longer than the app snapshot plus that batch's records, and
+// the folded state recovers the live engine's digest and frontier. Then a
+// restart: an engine recovers from the same state and a replay of 200
+// deliveries the log never received, and goes on logging into the state.
+// It counts the log it recovered and the replay it re-logged, so its first
+// batch, which leaves the log shorter than the snapshot, saves none, and the
+// bound holds for 10⁴ Puts more.
+func TestEngineAppLogBoundedByState(t *testing.T) {
+	const puts, keys = 100_000, 1000
+	st := wal.NewState()
+	n, snapshots := 0, 0
+	// run applies Puts up to n = to and checks the bound after every batch.
+	next := func(ds []mcast.Delivery) (recs [][]byte) {
+		for i := range ds {
+			n++
+			op := Op{Kind: OpPut, Key: []byte(fmt.Sprintf("key-%d", n*7919%keys)), Val: []byte(fmt.Sprintf("value-%d", n))}
+			ds[i] = deliver(uint32(n), op, uint64(n), 0)
+			recs = append(recs, EncodeApplied(ds[i]))
+		}
+		return recs
+	}
+	run := func(e *Engine, to int) {
+		t.Helper()
+		for n < to {
+			batch := make([]mcast.Delivery, min(1+n%maxApplyBatch, to-n))
+			recs := next(batch)
+			prev := st.AppSnapshot
+			e.apply(batch)
+			if got, bound := recBytes(st.AppLog), len(st.AppSnapshot)+recBytes(recs); got > bound {
+				t.Fatalf("after %d puts the app log holds %d bytes, more than the %d-byte snapshot plus the batch's %d", n, got, len(st.AppSnapshot), recBytes(recs))
+			}
+			if !bytes.Equal(st.AppSnapshot, prev) {
+				snapshots++
+			}
+		}
+		if e.Err() != nil {
+			t.Fatal(e.Err())
+		}
+	}
+	e := NewEngine(EngineConfig{Group: 0, Persist: statePersist{st}})
+	run(e, puts)
+	t.Logf("%d snapshots; at the end a %d-byte snapshot and a %d-record, %d-byte log", snapshots, len(st.AppSnapshot), len(st.AppLog), recBytes(st.AppLog))
+
+	v := NewEngine(EngineConfig{Group: 0})
+	if err := v.Recover(st.AppSnapshot, st.AppLog, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v.Digest() != e.Digest() || v.Len() != keys {
+		t.Fatalf("recovered %d keys with another digest than the live engine's %d", v.Len(), e.Len())
+	}
+	wantGTS, wantSub := e.Frontier()
+	if gts, sub := v.Frontier(); gts != wantGTS || sub != wantSub {
+		t.Fatalf("recovered frontier (%v,%d), want (%v,%d)", gts, sub, wantGTS, wantSub)
+	}
+
+	r := NewEngine(EngineConfig{Group: 0, Persist: statePersist{st}})
+	replay := make([]mcast.Delivery, 200)
+	next(replay)
+	if err := r.Recover(st.AppSnapshot, st.AppLog, replay); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshots
+	run(r, n+1)
+	if snapshots != before || recBytes(st.AppLog) >= len(st.AppSnapshot) {
+		t.Fatalf("the first batch after recovery saved %d snapshots, with a %d-byte log and a %d-byte snapshot; want none", snapshots-before, recBytes(st.AppLog), len(st.AppSnapshot))
+	}
+	run(r, n+puts/10)
+}
+
 // TestEngineRecoverRepeatedLog: a crash between a WAL snapshot's rename and
 // the WAL's truncation hands Recover the untruncated WAL's app records a
 // second time (docs/DURABILITY.md). Recover over that log must end with the
@@ -210,16 +299,16 @@ func TestEngineSnapshotRecoverRoundTrip(t *testing.T) {
 func TestEngineRecoverRepeatedLog(t *testing.T) {
 	for _, unordered := range []bool{false, true} {
 		p := &memPersist{}
-		e := NewEngine(EngineConfig{Group: 0, Persist: p, SnapshotEvery: 4, Unordered: unordered})
-		for i := uint32(0); i < 7; i++ {
-			op := Op{Kind: OpPut, Key: []byte(fmt.Sprintf("k%d", i%3)), Val: []byte(fmt.Sprintf("v%d", i))}
+		e := NewEngine(EngineConfig{Group: 0, Persist: p, Unordered: unordered})
+		for i := uint32(0); i < 9; i++ {
+			op := Op{Kind: OpPut, Key: []byte(fmt.Sprintf("k%d", i%4)), Val: []byte(fmt.Sprintf("v%d", i))}
 			if i == 5 {
 				op = Op{Kind: OpDelete, Key: []byte("k2")}
 			}
 			e.Apply(deliver(i+1, op, uint64(i+1), 0))
 		}
-		if p.snap == nil || len(p.log) != 3 {
-			t.Fatalf("persist state: snap=%v logs=%d, want a snapshot and 3 records", p.snap != nil, len(p.log))
+		if p.snap == nil || len(p.log) < 2 {
+			t.Fatalf("persist state: snap=%v logs=%d, want a snapshot and at least 2 records", p.snap != nil, len(p.log))
 		}
 		repeated := append(slices.Clone(p.log), p.log[1:]...)
 		r := NewEngine(EngineConfig{Group: 0, Unordered: unordered})
@@ -263,7 +352,7 @@ func TestEngineDurableFrontierHook(t *testing.T) {
 	horizons = nil
 	r := NewEngine(EngineConfig{Group: 0, Persist: p,
 		OnDurableFrontier: func(ts mcast.Timestamp) { horizons = append(horizons, ts) }})
-	if err := r.Recover(nil, p.log, []mcast.Delivery{deliver(4, put("e"), 6, 0)}); err != nil {
+	if err := r.Recover(p.snap, p.log, []mcast.Delivery{deliver(4, put("e"), 6, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(horizons) != 0 {
@@ -358,7 +447,7 @@ func (p queuePersist) SaveAppSnapshot([]byte) error {
 func TestEngineAnswersOnHandOff(t *testing.T) {
 	var q []handed
 	results := 0
-	e := NewEngine(EngineConfig{Group: 0, Persist: queuePersist{&q}, SnapshotEvery: 3,
+	e := NewEngine(EngineConfig{Group: 0, Persist: queuePersist{&q},
 		OnResult:          func(Resp) { results++ },
 		OnDurableFrontier: func(ts mcast.Timestamp) { q = append(q, handed{horizon: ts.Time}) },
 	})

@@ -50,8 +50,9 @@ type GCHorizon struct {
 
 // AppLog carries application state for the process's durable store: redo
 // records for lazy wal.EntryApp entries and, when Snapshot is non-nil, an
-// application snapshot that supersedes them (wal.EntryAppSnapshot, synced,
-// then the store compacts). Step consumes it itself — no Handler ever sees
+// application snapshot that supersedes them, staged behind them as one more
+// lazy entry (wal.EntryAppSnapshot): it rides the next sync, and the store
+// compacts by its own rule. Step consumes it itself — no Handler ever sees
 // one — so application records enter the log in the shard's own order,
 // behind the protocol entries of every delivery they describe. Step owns
 // both slices from the moment the input is posted.

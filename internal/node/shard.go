@@ -53,7 +53,6 @@ type Commit struct {
 	store   wal.Storage
 	entries []wal.Entry
 	sync    bool // an eager entry is among them: Run syncs
-	compact bool // an application snapshot is: Run syncs, then compacts
 	err     error
 
 	held  Release
@@ -79,8 +78,10 @@ func NewStep(h Handler, store wal.Storage) *Step {
 // behind for the next Handoff, which may alias its input (a borrowed frame)
 // until that Commit is complete.
 //
-// An AppLog never reaches Handle: its records are staged as lazy app
-// entries, and a snapshot makes the next Commit sync and then compact.
+// An AppLog never reaches Handle: its records, then its snapshot, are staged
+// as lazy app entries. The snapshot supersedes the records before it when
+// the log is folded, so the store compacts by its own rule and any prefix
+// of the log still recovers a consistent state.
 //
 // A storage error crash-stops the shard: nothing held is released (from
 // outside, the process died before the sync, which is the state a restart
@@ -129,7 +130,6 @@ func (s *Step) stage(al AppLog) (rel Release, kept bool) {
 	}
 	if al.Snapshot != nil {
 		c.entries = append(c.entries, wal.Entry{Kind: wal.EntryAppSnapshot, App: al.Snapshot})
-		c.compact = true
 	}
 	held := func(c *Commit) bool { return c != nil && len(c.held.Deliveries) > 0 }
 	switch {
@@ -187,11 +187,8 @@ func (c *Commit) Run() {
 	if len(c.entries) > 0 {
 		c.err = c.store.Append(c.entries...)
 	}
-	if c.err == nil && (c.sync || c.compact) {
+	if c.err == nil && c.sync {
 		c.err = c.store.Sync()
-	}
-	if c.err == nil && c.compact {
-		c.err = c.store.Snapshot()
 	}
 }
 

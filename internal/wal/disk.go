@@ -34,14 +34,11 @@ const (
 	SyncNone
 )
 
-// DiskOptions tunes a Disk store. The zero value is a production-safe
-// default: SyncAlways, 4 MiB snapshot threshold.
+// DiskOptions tunes a Disk store. The zero value is the production-safe
+// default, SyncAlways.
 type DiskOptions struct {
 	// Policy selects the fsync schedule.
 	Policy SyncPolicy
-	// SnapshotThreshold triggers an automatic snapshot + log truncation
-	// when the WAL exceeds this many bytes (default 4 MiB).
-	SnapshotThreshold int64
 	// Metrics receives WAL instrumentation (nil = off).
 	Metrics *obs.Store
 }
@@ -49,16 +46,20 @@ type DiskOptions struct {
 // Disk is the on-disk Storage: an append-only WAL of length-prefixed,
 // CRC-checksummed entries beside an atomically-replaced snapshot file.
 // Open replays snapshot + log into a folded in-memory mirror; Snapshot
-// writes the mirror and truncates the log (GC).
+// writes the mirror and truncates the log (GC). Sync does so once the WAL
+// has grown larger than both compactFloor and the last snapshot, written or
+// loaded. A snapshot is no larger than the state, so the WAL stays bounded
+// by the state, and each logged byte costs O(1) amortised snapshot work.
 type Disk struct {
 	dir   string
 	f     *os.File
 	state *State
 	opts  DiskOptions
 
-	size    int64 // current WAL length in bytes
-	pending bool  // bytes written since the last fsync
-	buf     []byte
+	size     int64 // current WAL length in bytes
+	snapSize int64 // bytes of the last snapshot written or loaded
+	pending  bool  // bytes written since the last fsync
+	buf      []byte
 
 	// Open-time replay stats, retained so SetMetrics can report a replay
 	// that happened before the instrumentation existed.
@@ -81,6 +82,9 @@ const (
 	snapName = "snapshot"
 	snapMag  = "wbsnap02"
 	frameHdr = 8 // u32 length + u32 crc
+	// compactFloor is the WAL length below which Sync never compacts, so a
+	// small state is not rewritten for every few entries.
+	compactFloor = 4 << 20
 	// oldSnapMag heads the retired snapshot layout (a versioned state
 	// encoding), which this version refuses rather than reads.
 	oldSnapMag = "wbsnap01"
@@ -93,9 +97,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // left incomplete or checksum-broken at the very tail — is truncated away;
 // corruption anywhere earlier returns ErrCorrupt.
 func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
-	if opts.SnapshotThreshold <= 0 {
-		opts.SnapshotThreshold = 4 << 20
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -143,6 +144,7 @@ func (d *Disk) loadSnapshot() error {
 	if err := foldFramed(d.state, payload); err != nil {
 		return fmt.Errorf("%w: snapshot: %v", ErrCorrupt, err)
 	}
+	d.snapSize = int64(len(data))
 	return nil
 }
 
@@ -234,7 +236,7 @@ func (d *Disk) Append(entries ...Entry) error {
 }
 
 // Sync implements Storage, honouring the configured policy, and snapshots
-// + truncates once the WAL outgrows the threshold.
+// + truncates once the WAL outgrows both compactFloor and the last snapshot.
 func (d *Disk) Sync() error {
 	if d.f == nil {
 		return errors.New("wal: sync of closed store")
@@ -247,7 +249,7 @@ func (d *Disk) Sync() error {
 		d.opts.Metrics.OnFsync(time.Since(start))
 		d.pending = false
 	}
-	if d.size > d.opts.SnapshotThreshold {
+	if d.size > max(compactFloor, d.snapSize) {
 		return d.Snapshot()
 	}
 	return nil
@@ -288,7 +290,7 @@ func (d *Disk) Snapshot() error {
 	if err := d.f.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	d.size = 0
+	d.size, d.snapSize = 0, int64(len(d.buf))
 	d.pending = false
 	d.opts.Metrics.OnSnapshot(time.Since(start), int64(len(d.buf)))
 	d.opts.Metrics.SetWALBytes(0)

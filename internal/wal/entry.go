@@ -48,7 +48,8 @@ const (
 	EntryApp
 	// EntryAppSnapshot replaces the application snapshot and clears the
 	// accumulated application log (Replica.SaveAppSnapshot) — the
-	// application-level analog of EntryState.
+	// application-level analog of EntryState. Lazy, like EntryApp: it
+	// supersedes the records before it in fold order.
 	EntryAppSnapshot
 	// EntryDelivered records messages applied to the application under the
 	// conflict-aware (genmcast) protocol, whose releases are not in GTS

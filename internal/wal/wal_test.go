@@ -202,28 +202,68 @@ func TestDiskSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskAutoSnapshot pins Sync's compaction rule: the WAL is compacted
+// once it has grown larger than both compactFloor and the last snapshot,
+// written or loaded. A small state compacts at the floor; a state whose
+// snapshot is larger than the floor compacts only once the WAL exceeds that
+// snapshot, also after a reopen.
 func TestDiskAutoSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{SnapshotThreshold: 64})
+	d, err := OpenDisk(dir, DiskOptions{Policy: SyncNone})
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
 	}
-	defer d.Close()
-	for i := 0; i < 16; i++ {
-		e := testEntries()[1] // a record entry, comfortably > 4 bytes
-		if err := d.Append(e); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-		if err := d.Sync(); err != nil {
-			t.Fatalf("Sync: %v", err)
+	defer func() { d.Close() }()
+	appSnap := func(n int) Entry { return Entry{Kind: EntryAppSnapshot, App: bytes.Repeat([]byte{'s'}, n)} }
+	// compactAt appends e and syncs until a Sync compacts, and requires the
+	// WAL to have passed limit by at most that one entry.
+	compactAt := func(what string, e Entry, limit int64) {
+		t.Helper()
+		for i := 0; ; i++ {
+			if err := d.Append(e); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			size := d.size
+			if err := d.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			if d.size == 0 {
+				if frame := size / int64(i+1); size <= limit || size > limit+frame {
+					t.Fatalf("%s: compacted a %d-byte WAL, want the first length past %d", what, size, limit)
+				}
+				return
+			}
+			if i == 1000 {
+				t.Fatalf("%s: the WAL grew to %d bytes without a compaction (limit %d)", what, d.size, limit)
+			}
 		}
 	}
-	if d.size > 64 {
-		t.Fatalf("WAL grew to %d bytes; auto-snapshot at threshold 64 never fired", d.size)
-	}
+
+	small := appSnap(64 << 10)
+	compactAt("a small state", small, compactFloor)
 	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
-		t.Fatalf("no snapshot file after crossing threshold: %v", err)
+		t.Fatalf("no snapshot file after compacting: %v", err)
 	}
+	if d.snapSize >= compactFloor {
+		t.Fatalf("a small state wrote a %d-byte snapshot", d.snapSize)
+	}
+
+	// A 6 MiB state is past the floor at once; its snapshot is then the limit.
+	compactAt("a large state", appSnap(6<<20), compactFloor)
+	large := d.snapSize
+	compactAt("after a large snapshot", small, large)
+
+	compactAt("a large state again", appSnap(6<<20), compactFloor)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenDisk(dir, DiskOptions{Policy: SyncNone}); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, snapName)); err != nil || d.snapSize != fi.Size() || d.snapSize <= compactFloor {
+		t.Fatalf("reopened with a %d-byte snapshot loaded (%v), want the file's length, past the floor", d.snapSize, err)
+	}
+	compactAt("after loading a large snapshot", small, d.snapSize)
 }
 
 // walFrames parses the raw WAL into frames (offset, length including

@@ -94,7 +94,7 @@ func runKVChaos(t *testing.T, proto wbcast.Protocol, seed int64) {
 		t.Fatalf("pid layout assumption broken: leader of group 1 is %d", got)
 	}
 
-	svc, err := kv.NewService(cluster, kv.Options{Persist: proto != wbcast.Skeen, SnapshotEvery: 64, RecordApplied: true})
+	svc, err := kv.NewService(cluster, kv.Options{Persist: proto != wbcast.Skeen, RecordApplied: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"wbcast"
+	"wbcast/internal/wal"
 )
 
 // Crash-recovery of a kv shard replica, end to end: one replica of shard 1
@@ -23,7 +25,8 @@ import (
 // is down, restarts it on the same data directory, and then requires the
 // restarted engine to converge to the exact state digest of its shard
 // peers — proving the store recovered through the app snapshot + app log
-// + protocol replay path rather than from scratch.
+// + protocol replay path rather than from scratch. It logs how long the
+// restarted victim took to serve.
 
 const (
 	kvHelperEnv   = "WBCAST_KV_HELPER"
@@ -54,8 +57,8 @@ func kvKillConfig(peers map[wbcast.ProcessID]string) wbcast.Config {
 // TestHelperKVShard is not a test: it is the victim's main function, run
 // as a child process by TestKVKillRecovery. It hosts one disk-backed
 // replica with a kv shard engine attached and serves the engine's digest,
-// counters and frontier over HTTP for the parent to poll. It never
-// returns — the parent SIGKILLs it.
+// counters and frontier, and what its store was handed, over HTTP for the
+// parent to poll. It never returns — the parent SIGKILLs it.
 func TestHelperKVShard(t *testing.T) {
 	if os.Getenv(kvHelperEnv) != "1" {
 		t.Skip("helper process for TestKVKillRecovery")
@@ -76,17 +79,14 @@ func TestHelperKVShard(t *testing.T) {
 		peers[wbcast.ProcessID(p)] = parts[1]
 	}
 	cfg := kvKillConfig(peers)
-	cfg.Storage = wbcast.DirStorage(os.Getenv(kvHelperDir))
+	var store countingStore
+	cfg.Storage = store.wrap(wbcast.DirStorage(os.Getenv(kvHelperDir)))
 	rep, err := wbcast.NewReplica(cfg, wbcast.ProcessID(pidN))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kv helper: %v\n", err)
 		os.Exit(1)
 	}
-	shard, err := AttachShard(rep, ShardOptions{
-		Shards:        kvKillShards,
-		Persist:       true,
-		SnapshotEvery: 4, // small, so the test exercises snapshot + log + replay
-	})
+	shard, err := AttachShard(rep, ShardOptions{Shards: kvKillShards, Persist: true})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kv helper: attach: %v\n", err)
 		os.Exit(1)
@@ -94,8 +94,9 @@ func TestHelperKVShard(t *testing.T) {
 	http.HandleFunc("/state", func(w http.ResponseWriter, _ *http.Request) {
 		applied, replayed, dups := shard.Counters()
 		gts, sub := shard.Frontier()
-		fmt.Fprintf(w, "%d %d %d %d %d %d %d\n",
-			shard.Digest(), applied, replayed, dups, shard.Len(), gts.Time, sub)
+		recs, tail, tailBytes, snapBytes := store.counts()
+		fmt.Fprintf(w, "%d %d %d %d %d %d %d %d %d %d %d\n",
+			shard.Digest(), applied, replayed, dups, shard.Len(), gts.Time, sub, recs, tail, tailBytes, snapBytes)
 	})
 	if err := http.ListenAndServe(os.Getenv(kvHelperState), nil); err != nil {
 		fmt.Fprintf(os.Stderr, "kv helper: state server: %v\n", err)
@@ -110,6 +111,9 @@ type kvState struct {
 	keys                    int
 	frontierTime            uint64
 	frontierSub             int
+	// What the store was handed: app records in all, and those since the
+	// last app snapshot, with their bytes and the snapshot's.
+	recs, tail, tailBytes, snapBytes int
 }
 
 func pollKVState(addr string) (kvState, error) {
@@ -123,8 +127,9 @@ func pollKVState(addr string) (kvState, error) {
 		return kvState{}, err
 	}
 	var s kvState
-	_, err = fmt.Sscanf(string(body), "%d %d %d %d %d %d %d",
-		&s.digest, &s.applied, &s.replayed, &s.dups, &s.keys, &s.frontierTime, &s.frontierSub)
+	_, err = fmt.Sscanf(string(body), "%d %d %d %d %d %d %d %d %d %d %d",
+		&s.digest, &s.applied, &s.replayed, &s.dups, &s.keys, &s.frontierTime, &s.frontierSub,
+		&s.recs, &s.tail, &s.tailBytes, &s.snapBytes)
 	return s, err
 }
 
@@ -252,25 +257,35 @@ func TestKVKillRecovery(t *testing.T) {
 		return kvState{}
 	}
 
-	// Phase 1: enough shard-1 writes to cross SnapshotEvery=4 several
-	// times (snapshot AND trailing app-log records on disk), plus
-	// cross-shard transactions, all applied by the victim.
+	// Phase 1: shard-1 writes and a cross-shard transaction, all applied by
+	// the victim. Its engine saves an app snapshot whenever its app log has
+	// reached the last one's length, from the first write on.
 	pre := shardKeys(1, 10, "pre")
 	putAll(pre, "v1")
 	k0, k1 := shardKeys(0, 1, "txa")[0], shardKeys(1, 1, "txb")[0]
 	if _, err := client.Txn(ctx, Op{Kind: OpPut, Key: k0, Val: []byte("t0")}, Op{Kind: OpPut, Key: k1, Val: []byte("t1")}); err != nil {
 		t.Fatal(err)
 	}
-	waitVictim(func(s kvState) bool { return s.applied >= 11 }, "to apply the pre-kill load")
-	// The engine logs what is queued as one batch, so how the load fell into
-	// batches decides whether the last snapshot — which truncates the WAL —
-	// was the victim's last write. One more operation, applied on its own,
-	// then leaves the trailing record this phase is meant to produce.
-	walPath := filepath.Join(dataDir, fmt.Sprintf("p%d", kvKillVictim), "wal")
-	if fi, err := os.Stat(walPath); err == nil && fi.Size() == 0 {
-		putAll(shardKeys(1, 1, "tail"), "v1")
-		waitVictim(func(s kvState) bool { return s.applied >= 12 }, "to apply the trailing write")
+	// How the load fell into batches decides whether the victim's last write
+	// was an app snapshot. Once its store holds the record of every applied
+	// operation, records behind a snapshot and shorter than it mean that
+	// none is pending. Until then, one more write: a record shorter than the
+	// snapshot leaves the snapshot in place, so two are enough.
+	applied := uint64(11)
+	for tail := 0; ; tail++ {
+		s := waitVictim(func(s kvState) bool {
+			return s.applied >= applied && uint64(s.recs) == s.applied
+		}, "to log what it applied")
+		if s.snapBytes > 0 && s.tail > 0 && s.tailBytes < s.snapBytes {
+			break
+		}
+		if tail == 3 {
+			t.Fatalf("the victim's store never ended with app records behind an app snapshot: %+v", s)
+		}
+		putAll(shardKeys(1, 1, fmt.Sprintf("tail%d", tail)), "v1")
+		applied = s.applied + 1
 	}
+	walPath := filepath.Join(dataDir, fmt.Sprintf("p%d", kvKillVictim), "wal")
 
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -291,11 +306,19 @@ func TestKVKillRecovery(t *testing.T) {
 	// Phase 3: restart on the same data directory. The new incarnation
 	// must fold snapshot + app log, re-apply the protocol replay, catch
 	// up on the missed writes, and converge to its peers' digest.
+	restarted := time.Now()
 	victim2 := startVictim()
 	defer func() {
 		victim2.Process.Kill()
 		victim2.Wait()
 	}()
+	for _, err := pollKVState(stateAddr); err != nil; _, err = pollKVState(stateAddr) {
+		if time.Since(restarted) > 60*time.Second {
+			t.Fatalf("the restarted victim does not serve: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("the restarted victim served %v after it was started", time.Since(restarted).Round(time.Millisecond))
 	post := shardKeys(1, 3, "post")
 	putAll(post, "v3")
 
@@ -327,4 +350,49 @@ func TestKVKillRecovery(t *testing.T) {
 	if _, found, err := client.Get(ctx, pre[0]); err != nil || found {
 		t.Errorf("deleted key resurrected (found=%v err=%v)", found, err)
 	}
+}
+
+// countingStore counts the application entries a replica's store is
+// handed, and holds its Append and Sync calls while a test copies it.
+type countingStore struct {
+	wbcast.Storage
+	mu sync.Mutex
+	// App records in all, and since the last app snapshot: how many, their
+	// bytes, and the snapshot's.
+	recs, tail, tailBytes, snapBytes int
+}
+
+// wrap makes s the store that open opens.
+func (s *countingStore) wrap(open func(wbcast.ProcessID) (wbcast.Storage, error)) func(wbcast.ProcessID) (wbcast.Storage, error) {
+	return func(pid wbcast.ProcessID) (wbcast.Storage, error) {
+		st, err := open(pid)
+		s.Storage = st
+		return s, err
+	}
+}
+
+func (s *countingStore) Append(entries ...wal.Entry) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range entries {
+		switch e.Kind {
+		case wal.EntryApp:
+			s.recs, s.tail, s.tailBytes = s.recs+1, s.tail+1, s.tailBytes+len(e.App)
+		case wal.EntryAppSnapshot:
+			s.tail, s.tailBytes, s.snapBytes = 0, 0, len(e.App)
+		}
+	}
+	return s.Storage.Append(entries...)
+}
+
+func (s *countingStore) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.Storage.Sync()
+}
+
+func (s *countingStore) counts() (recs, tail, tailBytes, snapBytes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recs, s.tail, s.tailBytes, s.snapBytes
 }

@@ -57,22 +57,19 @@ type ShardOptions struct {
 	// equal the clients'.
 	Partitioner Partitioner
 	// Persist logs applied state through the replica's WAL (Config.Storage)
-	// and recovers it on restart. Without it the engine rebuilds from the
-	// protocol replay only.
+	// and recovers it on restart. The engine compacts its app log into an
+	// app snapshot once the log has reached the snapshot's length. Without
+	// it the engine rebuilds from the protocol replay only.
 	Persist bool
-	// SnapshotEvery compacts the app log after that many applied ops
-	// (0 disables; meaningful only with Persist).
-	SnapshotEvery int
 	// RecordApplied retains the applied history for Verify. Tests only.
 	RecordApplied bool
-	// Buffer is the delivery-subscription depth (default 1024). The
-	// subscription uses the lossless Backpressure policy: a state machine
-	// must see every delivery.
-	Buffer int
 	// OnResult receives every applied operation's outcome (the Service
 	// wires this to its response hub).
 	OnResult func(Resp)
 }
+
+// shardBuffer is the depth of a shard engine's delivery subscription.
+const shardBuffer = 1024
 
 // Shard is one replica's engine for one shard of the keyspace, consuming
 // the replica's delivery subscription. Created by AttachShard (one-replica
@@ -93,6 +90,9 @@ type Shard struct {
 // applies them on a background goroutine until the subscription closes.
 // Attach exactly one engine per replica, before the replica starts
 // receiving traffic the engine must observe.
+//
+// The subscription holds shardBuffer deliveries and uses the lossless
+// Backpressure policy: a state machine must see every delivery.
 func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
 	if opts.Shards <= 0 {
 		return nil, fmt.Errorf("kv: ShardOptions.Shards must be positive, got %d", opts.Shards)
@@ -129,7 +129,6 @@ func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
 		},
 		OnResult:          opts.OnResult,
 		Persist:           persist,
-		SnapshotEvery:     opts.SnapshotEvery,
 		RecordApplied:     opts.RecordApplied,
 		OnDurableFrontier: onDurable,
 		Registry:          reg,
@@ -139,12 +138,8 @@ func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
 	if err := eng.Recover(rs.Snapshot, rs.Log, rs.Replay); err != nil {
 		return nil, fmt.Errorf("kv: shard %d recovery: %w", g, err)
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = 1024
-	}
 	s := &Shard{eng: eng, reg: reg, group: g, pid: r.ID(), unordered: unordered, done: make(chan struct{})}
-	s.sub = r.Subscribe(buffer, wbcast.Backpressure)
+	s.sub = r.Subscribe(shardBuffer, wbcast.Backpressure)
 	go func() {
 		defer close(s.done)
 		eng.Run(s.sub.C())
@@ -194,12 +189,10 @@ func (s *Shard) Close() {
 type Options struct {
 	// Partitioner maps keys to shards (default HashPartitioner).
 	Partitioner Partitioner
-	// Persist, SnapshotEvery, RecordApplied and Buffer apply to every
-	// shard engine; see ShardOptions.
+	// Persist and RecordApplied apply to every shard engine; see
+	// ShardOptions.
 	Persist       bool
-	SnapshotEvery int
 	RecordApplied bool
-	Buffer        int
 }
 
 // Service runs the key-value state machine over a whole cluster hosted in
@@ -227,9 +220,7 @@ func NewService(c *wbcast.Cluster, opts Options) (*Service, error) {
 			Shards:        s.shards,
 			Partitioner:   part,
 			Persist:       opts.Persist,
-			SnapshotEvery: opts.SnapshotEvery,
 			RecordApplied: opts.RecordApplied,
-			Buffer:        opts.Buffer,
 			OnResult:      s.hub.dispatch,
 		})
 		if err != nil {

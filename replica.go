@@ -338,9 +338,10 @@ func (r *Replica) AppendAppState(recs ...[]byte) error {
 // SaveAppSnapshot replaces the application snapshot in the replica's
 // durable store, by the same route and in the same order as AppendAppState:
 // the snapshot supersedes every record appended so far
-// (RecoveredAppState.Log restarts empty after it), is synced, and the store
-// is asked to compact its WAL. The caller keeps snap. Without
-// Config.Storage it is a no-op.
+// (RecoveredAppState.Log restarts empty after it) and, like them, does not
+// wait for the disk: it is one more lazy entry that rides the replica's
+// next sync, and the store compacts its WAL by its own rule. The caller
+// keeps snap. Without Config.Storage it is a no-op.
 func (r *Replica) SaveAppSnapshot(snap []byte) error {
 	if r.store == nil {
 		return nil

@@ -12,8 +12,9 @@
 #  5. No doc.go and no docs/*.md (nor README.md) names an internal/ package
 #     (or file) or a cmd/ directory that does not exist; README.md and
 #     docs/*.md name no bare file (`X.md`, `X.json`, `X.go`) that exists
-#     nowhere in the repository, no wbcast-bench flag the command does
-#     not define, and not the retired `lockedStorage`.
+#     nowhere in the repository, no flag of a cmd/wbcast-* command that
+#     the command does not define, and none of the retired names
+#     (`lockedStorage`, the compaction knobs `Snapshot{Every,Threshold}`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -98,34 +99,43 @@ while IFS=: read -r file line name; do
   fi
 done < <(grep -n -oE '`[A-Za-z0-9_*<>.-]+\.(md|json|go)`' README.md docs/*.md | sort -u)
 
-# Flags that follow the tool's name: up to the end of the (continued)
-# command line inside a code fence, up to the closing backtick outside.
-bench_flags=$(grep -oE 'flag\.[A-Za-z0-9]+\("[a-z-]+"' cmd/wbcast-bench/main.go | sed -E 's/.*\("//; s/"$//')
-for md in README.md docs/*.md; do
-  while read -r flag; do
-    if ! printf '%s\n' $bench_flags | grep -qx -- "${flag#-}"; then
-      echo "$md: names wbcast-bench flag $flag, which does not exist"
-      fail=1
-    fi
-  done < <(awk '
-    /^```/ { fence = !fence; next }
-    /\\$/ { sub(/\\$/, ""); held = held $0 " "; next }
-    { line = held $0; held = "" }
-    fence { if (match(line, /wbcast-bench .*/)) print substr(line, RSTART); next }
-    { prose = prose " " line }
-    END {
-      n = split(prose, span, "`")
-      for (i = 2; i <= n; i += 2) if (match(span[i], /wbcast-bench .*/)) print substr(span[i], RSTART)
-    }
-  ' "$md" | grep -oE ' -[a-z][a-z-]*' | tr -d ' ' | sort -u)
+# Flags that follow a command's name: up to the end of the (continued)
+# command line inside a code fence, up to the closing backtick outside,
+# and in both up to a shell separator. Every cmd/wbcast-* command is
+# checked against the flags it defines.
+for cmd in cmd/wbcast-*; do
+  tool=$(basename "$cmd")
+  flags=$(find "$cmd" -name '*.go' ! -name '*_test.go' -exec grep -ohE 'flag\.[A-Za-z0-9]+\((&[A-Za-z0-9_.]+, )?"[a-z0-9-]+"' {} + \
+    | sed -E 's/.*"([a-z0-9-]+)"$/\1/')
+  for md in README.md docs/*.md; do
+    while read -r flag; do
+      if ! printf '%s\n' $flags | grep -qx -- "${flag#-}"; then
+        echo "$md: names $tool flag $flag, which does not exist"
+        fail=1
+      fi
+    done < <(awk -v tool="$tool" '
+      /^```/ { fence = !fence; next }
+      /\\$/ { sub(/\\$/, ""); held = held $0 " "; next }
+      { line = held $0; held = "" }
+      fence { if (match(line, tool " [^|;&]*")) print substr(line, RSTART, RLENGTH); next }
+      { prose = prose " " line }
+      END {
+        n = split(prose, span, "`")
+        for (i = 2; i <= n; i += 2) if (match(span[i], tool " [^|;&]*")) print substr(span[i], RSTART, RLENGTH)
+      }
+    ' "$md" | grep -oE ' -[a-z][a-z0-9-]*' | tr -d ' ' | sort -u)
+  done
 done
 
 # Names the code no longer has: the store's lock wrapper went when node.Step
-# became the store's only writer.
-if grep -n 'lockedStorage' README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
-  echo "documentation names lockedStorage, which does not exist"
-  fail=1
-fi
+# became the store's only writer, and the compaction knobs when both logs
+# began to compact once they outgrow their snapshot.
+for gone in lockedStorage Snapshot{Every,Threshold}; do
+  if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
+    echo "documentation names $gone, which does not exist"
+    fail=1
+  fi
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAILED"

@@ -54,20 +54,18 @@ const (
 )
 
 // StorageOptions tunes the disk-backed stores built by DirStorageWith.
-// The zero value is the production-safe default: SyncAlways, 4 MiB
-// snapshot threshold.
+// The zero value is the production-safe default, SyncAlways. There is no
+// compaction setting: a store snapshots and truncates its WAL once the log
+// has grown larger than both 4 MiB and its last snapshot.
 type StorageOptions struct {
 	// Policy selects the fsync schedule (default SyncAlways).
 	Policy SyncPolicy
-	// SnapshotThreshold triggers an automatic snapshot + WAL truncation
-	// when the log exceeds this many bytes (default 4 MiB).
-	SnapshotThreshold int64
 }
 
 // DirStorage returns a Config.Storage factory that roots each locally
 // hosted replica's store in its own subdirectory dir/p<pid>, with the
-// default options (SyncAlways, 4 MiB snapshot threshold). Restarting a
-// replica on the same directory recovers its durable state:
+// default options (SyncAlways). Restarting a replica on the same directory
+// recovers its durable state:
 //
 //	cfg.Storage = wbcast.DirStorage("/var/lib/wbcast")
 func DirStorage(dir string) func(ProcessID) (Storage, error) {
@@ -77,10 +75,7 @@ func DirStorage(dir string) func(ProcessID) (Storage, error) {
 // DirStorageWith is DirStorage with explicit options.
 func DirStorageWith(dir string, opts StorageOptions) func(ProcessID) (Storage, error) {
 	return func(pid ProcessID) (Storage, error) {
-		return wal.OpenDisk(filepath.Join(dir, fmt.Sprintf("p%d", pid)), wal.DiskOptions{
-			Policy:            opts.Policy,
-			SnapshotThreshold: opts.SnapshotThreshold,
-		})
+		return wal.OpenDisk(filepath.Join(dir, fmt.Sprintf("p%d", pid)), wal.DiskOptions{Policy: opts.Policy})
 	}
 }
 

@@ -54,12 +54,14 @@ type Transport interface {
 	// add hosts a handler; opts.reg, when non-nil, is the process's metrics
 	// registry, into which the transport registers its runtime counters
 	// (frame I/O on TCP, mailbox depth/high-water in-process). opts.store,
-	// when non-nil, backs the process's persist effects: append + sync
-	// before any send or delivery of the same Handle call, storage error ⇒
-	// crash-stop. crash returns only once neither the process's loop nor a
-	// hand-off it started can touch that store any more. opts.rebuild, when non-nil, reconstructs the handler from
-	// its store — the simulated transport uses it so FaultPlan restarts
-	// replay the durable state instead of resurrecting in-memory state.
+	// when non-nil, backs the process's persist effects under node.Step's
+	// contract (Step.Do: what a call stages, what it holds until the sync,
+	// what leaves at once); a storage error crash-stops the process. crash
+	// returns only once neither the process's loop nor a hand-off it
+	// started can touch that store any more. opts.rebuild, when non-nil,
+	// reconstructs the handler from its store — the simulated transport
+	// uses it so FaultPlan restarts replay the durable state instead of
+	// resurrecting in-memory state.
 	open(cfg *Config) error
 	add(h node.Handler, opts hostOptions) error
 	inject(pid ProcessID, in node.Input) error
