@@ -68,7 +68,7 @@ func TestProtocolStringUnknown(t *testing.T) {
 
 // TestValidateEdgeCases covers the rejections Validate must make beyond
 // the basics already in TestConfigValidation: unknown protocol values,
-// negative knobs, unknown policies, and the per-transport rules.
+// negative knobs, and the per-protocol and per-transport rules.
 func TestValidateEdgeCases(t *testing.T) {
 	valid := wbcast.Config{Groups: 2}
 	cases := []struct {
@@ -81,8 +81,6 @@ func TestValidateEdgeCases(t *testing.T) {
 		{"negative replicas", func(c *wbcast.Config) { c.Replicas = -3 }, "Replicas"},
 		{"even replicas", func(c *wbcast.Config) { c.Replicas = 4 }, "Replicas"},
 		{"negative delta", func(c *wbcast.Config) { c.Delta = -time.Millisecond }, "Delta"},
-		{"negative delivery buffer", func(c *wbcast.Config) { c.DeliveryBuffer = -1 }, "DeliveryBuffer"},
-		{"unknown delivery policy", func(c *wbcast.Config) { c.DeliveryPolicy = wbcast.DeliveryPolicy(7) }, "DeliveryPolicy"},
 		{"latency on tcp", func(c *wbcast.Config) {
 			c.Latency = wbcast.LAN()
 			c.Transport = wbcast.TCP("", map[wbcast.ProcessID]string{})

@@ -110,8 +110,6 @@ type Options struct {
 	// the simulator's virtual time, so a seeded run's trace is
 	// byte-for-byte reproducible (TestTraceDeterministic). 0 disables.
 	TraceSample int
-	// TraceBuffer bounds retained trace events (0 = default).
-	TraceBuffer int
 }
 
 // Cluster is a simulated deployment of one protocol. It runs on the
@@ -186,7 +184,7 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	var clock obs.Clock
 	if opts.TraceSample > 0 {
 		clock = func() time.Duration { return c.Sim.Now() }
-		c.Tracer = obs.NewTracer(opts.TraceSample, opts.TraceBuffer, clock)
+		c.Tracer = obs.NewTracer(opts.TraceSample, 0, clock)
 	}
 	// Storage-backed restarts: sim.Restart consults Rebuild, which replays
 	// the process's store into a fresh handler. The map is populated by the

@@ -52,105 +52,60 @@ const opCodecVersion = 1
 
 // EncodeOp serialises op, appending to dst (which may be nil).
 func EncodeOp(dst []byte, op Op) []byte {
-	dst = append(dst, opCodecVersion)
-	return appendOp(dst, op)
+	w := wire.Writer(append(dst, opCodecVersion))
+	writeOp(&w, op)
+	return w
 }
 
-func appendOp(dst []byte, op Op) []byte {
-	dst = append(dst, byte(op.Kind))
+func writeOp(w *wire.Writer, op Op) {
+	w.Byte(byte(op.Kind))
 	switch op.Kind {
 	case OpTxn:
-		dst = wire.AppendUint(dst, uint64(len(op.Subs)))
+		w.Uint(uint64(len(op.Subs)))
 		for _, sub := range op.Subs {
-			dst = appendOp(dst, sub)
+			writeOp(w, sub)
 		}
+	case OpPut:
+		w.Bytes(op.Key)
+		w.Bytes(op.Val)
 	default:
-		dst = wire.AppendUint(dst, uint64(len(op.Key)))
-		dst = append(dst, op.Key...)
-		if op.Kind == OpPut {
-			dst = wire.AppendUint(dst, uint64(len(op.Val)))
-			dst = append(dst, op.Val...)
-		}
+		w.Bytes(op.Key)
 	}
-	return dst
 }
 
 // DecodeOp parses an operation previously encoded with EncodeOp. The result
 // is fully independent of data.
 func DecodeOp(data []byte) (Op, error) {
-	if len(data) == 0 {
-		return Op{}, fmt.Errorf("kvstore: empty op payload")
+	r := wire.NewReader(data, false)
+	if v := r.Byte(); v != opCodecVersion {
+		r.Fail(fmt.Errorf("unknown op codec version %d", v))
 	}
-	if data[0] != opCodecVersion {
-		return Op{}, fmt.Errorf("kvstore: unknown op codec version %d", data[0])
-	}
-	op, rest, err := consumeOp(data[1:], false)
-	if err != nil {
-		return Op{}, err
-	}
-	if len(rest) != 0 {
-		return Op{}, fmt.Errorf("kvstore: %d trailing bytes after op", len(rest))
+	op := readOp(&r, false)
+	if err := r.Done(); err != nil {
+		return Op{}, fmt.Errorf("kvstore: op: %w", err)
 	}
 	return op, nil
 }
 
-func consumeOp(buf []byte, nested bool) (Op, []byte, error) {
-	if len(buf) == 0 {
-		return Op{}, nil, fmt.Errorf("kvstore: truncated op")
-	}
-	op := Op{Kind: OpKind(buf[0])}
-	buf = buf[1:]
+func readOp(r *wire.Reader, nested bool) Op {
+	op := Op{Kind: OpKind(r.Byte())}
 	switch op.Kind {
 	case OpTxn:
 		if nested {
-			return Op{}, nil, fmt.Errorf("kvstore: nested txn")
+			r.Fail(fmt.Errorf("nested txn"))
 		}
-		n, rest, err := wire.ConsumeUint(buf)
-		if err != nil {
-			return Op{}, nil, fmt.Errorf("kvstore: txn size: %w", err)
+		op.Subs = make([]Op, r.Count())
+		for i := range op.Subs {
+			op.Subs[i] = readOp(r, true)
 		}
-		if n > uint64(len(rest)) {
-			return Op{}, nil, fmt.Errorf("kvstore: txn claims %d sub-ops in %d bytes", n, len(rest))
-		}
-		buf = rest
-		op.Subs = make([]Op, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var sub Op
-			sub, buf, err = consumeOp(buf, true)
-			if err != nil {
-				return Op{}, nil, err
-			}
-			op.Subs = append(op.Subs, sub)
-		}
-	case OpGet, OpPut, OpDelete:
-		var err error
-		op.Key, buf, err = consumeBytes(buf)
-		if err != nil {
-			return Op{}, nil, fmt.Errorf("kvstore: op key: %w", err)
-		}
-		if op.Kind == OpPut {
-			op.Val, buf, err = consumeBytes(buf)
-			if err != nil {
-				return Op{}, nil, fmt.Errorf("kvstore: op value: %w", err)
-			}
-		}
+	case OpPut:
+		op.Key, op.Val = r.Bytes(), r.Bytes()
+	case OpGet, OpDelete:
+		op.Key = r.Bytes()
 	default:
-		return Op{}, nil, fmt.Errorf("kvstore: unknown op kind %d", uint8(op.Kind))
+		r.Fail(fmt.Errorf("unknown op kind %d", uint8(op.Kind)))
 	}
-	return op, buf, nil
-}
-
-func consumeBytes(buf []byte) ([]byte, []byte, error) {
-	n, rest, err := wire.ConsumeUint(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("length %d exceeds %d remaining bytes", n, len(rest))
-	}
-	out := make([]byte, n)
-	copy(out, rest[:n])
-	return out, rest[n:], nil
+	return op
 }
 
 // Flatten returns the single-key operations op performs: itself for
@@ -167,29 +122,21 @@ func (op Op) Flatten() []Op {
 // engine re-appends these through the Persister so recovery can rebuild
 // shard state without replaying the protocol.
 func EncodeApplied(d mcast.Delivery) []byte {
-	dst := wire.AppendTS(nil, d.GTS)
-	dst = wire.AppendUint(dst, uint64(d.Sub))
-	dst = wire.AppendUint(dst, uint64(len(d.Msg.Payload)))
-	return append(dst, d.Msg.Payload...)
+	w := make(wire.Writer, 0, 16+len(d.Msg.Payload)) // 16: the varints, as a rule
+	w.TS(d.GTS)
+	w.Uint(uint64(d.Sub))
+	w.Bytes(d.Msg.Payload)
+	return w
 }
 
 // DecodeApplied parses a record written by EncodeApplied. Only the fields
 // recovery needs are rebuilt: the global position and the payload.
 func DecodeApplied(data []byte) (mcast.Delivery, error) {
-	gts, rest, err := wire.ConsumeTS(data)
-	if err != nil {
-		return mcast.Delivery{}, fmt.Errorf("kvstore: applied record gts: %w", err)
+	r := wire.NewReader(data, false)
+	d := mcast.Delivery{GTS: r.TS(), Sub: int(r.Uint())}
+	d.Msg.Payload = r.Bytes()
+	if err := r.Done(); err != nil {
+		return mcast.Delivery{}, fmt.Errorf("kvstore: applied record: %w", err)
 	}
-	sub, rest, err := wire.ConsumeUint(rest)
-	if err != nil {
-		return mcast.Delivery{}, fmt.Errorf("kvstore: applied record sub: %w", err)
-	}
-	payload, rest, err := consumeBytes(rest)
-	if err != nil {
-		return mcast.Delivery{}, fmt.Errorf("kvstore: applied record payload: %w", err)
-	}
-	if len(rest) != 0 {
-		return mcast.Delivery{}, fmt.Errorf("kvstore: %d trailing bytes after applied record", len(rest))
-	}
-	return mcast.Delivery{Msg: mcast.AppMsg{Payload: payload}, GTS: gts, Sub: int(sub)}, nil
+	return d, nil
 }

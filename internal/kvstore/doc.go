@@ -1,7 +1,9 @@
 // Package kvstore implements the replicated key-value state machine behind
 // the public kv package: the operation codec, the deterministic per-shard
 // Engine that consumes atomic-multicast deliveries, and the history checker
-// the chaos tests use to validate cross-shard atomicity.
+// the chaos tests use to validate cross-shard atomicity. Ops, applied
+// records and app snapshots are written and read through internal/wire's
+// Writer and Reader.
 //
 // Each shard of the key-value service is one multicast group. An Engine is
 // one replica's copy of one shard: it consumes that replica's delivery

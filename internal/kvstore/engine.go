@@ -1,9 +1,11 @@
 package kvstore
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"wbcast/internal/mcast"
@@ -418,106 +420,73 @@ func (e *Engine) Snapshot() []byte {
 }
 
 func (e *Engine) snapshotLocked() []byte {
-	keys := make([]string, 0, len(e.data))
-	for k := range e.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	// The encoding outgrows the last snapshot by at most the records
 	// logged since, so one allocation usually holds it.
-	dst := append(make([]byte, 0, e.snapBytes+e.logBytes), snapshotVersion)
+	w := make(wire.Writer, 0, e.snapBytes+e.logBytes)
+	w.Byte(snapshotVersion)
 	if e.cfg.Unordered {
-		dst[0] = snapshotVersionUnordered
+		w[0] = snapshotVersionUnordered
 	}
-	dst = wire.AppendTS(dst, e.lastGTS)
-	dst = wire.AppendUint(dst, uint64(e.lastSub))
+	w.TS(e.lastGTS)
+	w.Uint(uint64(e.lastSub))
 	if e.cfg.Unordered {
-		stamps := make([]stamp, 0, len(e.seen))
-		for s := range e.seen {
-			stamps = append(stamps, s)
-		}
-		sort.Slice(stamps, func(i, j int) bool {
-			if stamps[i].gts != stamps[j].gts {
-				return stamps[i].gts.Less(stamps[j].gts)
-			}
-			return stamps[i].sub < stamps[j].sub
+		stamps := slices.AppendSeq(make([]stamp, 0, len(e.seen)), maps.Keys(e.seen))
+		slices.SortFunc(stamps, func(a, b stamp) int {
+			return cmp.Or(a.gts.Compare(b.gts), cmp.Compare(a.sub, b.sub))
 		})
-		dst = wire.AppendUint(dst, uint64(len(stamps)))
+		w.Uint(uint64(len(stamps)))
 		for _, s := range stamps {
-			dst = wire.AppendTS(dst, s.gts)
-			dst = wire.AppendUint(dst, uint64(s.sub))
+			w.TS(s.gts)
+			w.Uint(uint64(s.sub))
 		}
 	}
-	dst = wire.AppendUint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = wire.AppendUint(dst, uint64(len(k)))
-		dst = append(dst, k...)
-		v := e.data[k]
-		dst = wire.AppendUint(dst, uint64(len(v)))
-		dst = append(dst, v...)
+	w.Uint(uint64(len(e.data)))
+	for _, k := range e.sortedKeys() {
+		w.Uint(uint64(len(k)))
+		w = append(w, k...)
+		w.Bytes(e.data[k])
 	}
-	return dst
+	return w
+}
+
+// sortedKeys returns the stored keys in order, so that equal states
+// encode and hash identically. Callers hold e.mu.
+func (e *Engine) sortedKeys() []string {
+	keys := slices.AppendSeq(make([]string, 0, len(e.data)), maps.Keys(e.data))
+	slices.Sort(keys)
+	return keys
 }
 
 // restoreSnapshotLocked replaces the engine's state with a snapshot's.
 // Callers hold e.mu.
 func (e *Engine) restoreSnapshotLocked(snap []byte) error {
-	if len(snap) == 0 {
-		return fmt.Errorf("kvstore: bad app snapshot header")
-	}
-	wantVersion := byte(snapshotVersion)
+	version := byte(snapshotVersion)
 	if e.cfg.Unordered {
-		wantVersion = snapshotVersionUnordered
+		version = snapshotVersionUnordered
 	}
-	if snap[0] != wantVersion {
-		return fmt.Errorf("kvstore: app snapshot version %d, want %d (ordered/unordered mode mismatch?)", snap[0], wantVersion)
+	r := wire.NewReader(snap, false)
+	if v := r.Byte(); v != version {
+		r.Fail(fmt.Errorf("version %d, want %d (ordered/unordered mode mismatch?)", v, version))
 	}
-	gts, rest, err := wire.ConsumeTS(snap[1:])
-	if err != nil {
-		return fmt.Errorf("kvstore: app snapshot frontier: %w", err)
-	}
-	sub, rest, err := wire.ConsumeUint(rest)
-	if err != nil {
-		return fmt.Errorf("kvstore: app snapshot frontier sub: %w", err)
-	}
-	seen := map[stamp]bool(nil)
+	gts, sub := r.TS(), int(r.Uint())
+	var seen map[stamp]bool
 	if e.cfg.Unordered {
-		var ns uint64
-		if ns, rest, err = wire.ConsumeUint(rest); err != nil {
-			return fmt.Errorf("kvstore: app snapshot stamp-set size: %w", err)
-		}
-		seen = make(map[stamp]bool, ns)
-		for i := uint64(0); i < ns; i++ {
-			var sgts mcast.Timestamp
-			var ssub uint64
-			if sgts, rest, err = wire.ConsumeTS(rest); err != nil {
-				return fmt.Errorf("kvstore: app snapshot stamp: %w", err)
-			}
-			if ssub, rest, err = wire.ConsumeUint(rest); err != nil {
-				return fmt.Errorf("kvstore: app snapshot stamp sub: %w", err)
-			}
-			seen[stamp{gts: sgts, sub: int(ssub)}] = true
+		n := r.Count()
+		seen = make(map[stamp]bool, n)
+		for range n {
+			seen[stamp{gts: r.TS(), sub: int(r.Uint())}] = true
 		}
 	}
-	n, rest, err := wire.ConsumeUint(rest)
-	if err != nil {
-		return fmt.Errorf("kvstore: app snapshot size: %w", err)
-	}
+	n := r.Count()
 	data := make(map[string][]byte, n)
-	for i := uint64(0); i < n; i++ {
-		var k, v []byte
-		if k, rest, err = consumeBytes(rest); err != nil {
-			return fmt.Errorf("kvstore: app snapshot key: %w", err)
-		}
-		if v, rest, err = consumeBytes(rest); err != nil {
-			return fmt.Errorf("kvstore: app snapshot value: %w", err)
-		}
-		data[string(k)] = v
+	for range n {
+		k := r.Bytes()
+		data[string(k)] = r.Bytes()
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("kvstore: %d trailing bytes after app snapshot", len(rest))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("kvstore: app snapshot: %w", err)
 	}
-	e.data, e.lastGTS, e.lastSub = data, gts, int(sub)
+	e.data, e.lastGTS, e.lastSub = data, gts, sub
 	if e.cfg.Unordered {
 		e.seen = seen
 	}
@@ -529,18 +498,17 @@ func (e *Engine) restoreSnapshotLocked(snap []byte) error {
 func (e *Engine) Digest() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var w wire.Writer
+	w.TS(e.lastGTS)
+	w.Uint(uint64(e.lastSub))
 	h := fnv.New64a()
-	h.Write(wire.AppendUint(wire.AppendTS(nil, e.lastGTS), uint64(e.lastSub))) //nolint:errcheck
-	keys := make([]string, 0, len(e.data))
-	for k := range e.data {
-		keys = append(keys, k)
+	for _, k := range e.sortedKeys() {
+		w.Uint(uint64(len(k)))
+		w = append(append(w, k...), e.data[k]...)
+		h.Write(w) //nolint:errcheck
+		w = w[:0]
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.Write(wire.AppendUint(nil, uint64(len(k)))) //nolint:errcheck
-		h.Write([]byte(k))                            //nolint:errcheck
-		h.Write(e.data[k])                            //nolint:errcheck
-	}
+	h.Write(w) //nolint:errcheck
 	return h.Sum64()
 }
 

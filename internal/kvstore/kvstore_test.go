@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -202,6 +204,34 @@ func TestEngineSnapshotRecoverRoundTrip(t *testing.T) {
 		return e2.Digest() != r.Digest()
 	}() {
 		t.Fatal("digest mismatch after second recovery")
+	}
+}
+
+// TestSnapshotCountsBoundedByInput: a snapshot's key count and stamp-set
+// count are refused when they exceed the bytes left, before anything is
+// allocated for them. Taken at its word, the 10-byte snapshot below would
+// reserve a map of ≈ 6 GiB.
+func TestSnapshotCountsBoundedByInput(t *testing.T) {
+	claim := binary.AppendUvarint(nil, 1<<26)
+	for _, unordered := range []bool{false, true} {
+		// Version, frontier (0, 0) and sub 0, then the count: of keys
+		// (ordered), of applied stamps (unordered).
+		snap := append([]byte{snapshotVersion, 0, 0, 0}, claim...)
+		if unordered {
+			snap[0] = snapshotVersionUnordered
+		}
+		snap = append(snap, 0, 0) // one empty key, or a stamp's first bytes
+		e := NewEngine(EngineConfig{Unordered: unordered})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := e.Recover(snap, nil, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("unordered=%v: a %d-byte snapshot claiming 2^26 entries restored", unordered, len(snap))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("unordered=%v: refusing the snapshot allocated %d bytes", unordered, grew)
+		}
 	}
 }
 

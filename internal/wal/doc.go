@@ -6,7 +6,8 @@
 //
 // Layering: wal sits beside the runtimes, below the public package and
 // above the codec. It imports only internal/mcast, internal/msgs,
-// internal/wire (the WAL reuses the message wire format for its payloads)
+// internal/wire (an entry is written and read through wire's Writer and
+// Reader, a message record in the layout NEW_STATE carries)
 // and internal/obs (instrumentation). It must never import internal/node
 // or any runtime: handlers describe persistence as node.Effects entries,
 // and the runtimes — which own all I/O — apply them here. That keeps
@@ -22,7 +23,9 @@
 // lose; a storage error crash-stops the process rather than letting it
 // equivocate.
 //
-// There is one encoding of an entry (appendEntry/decodeEntry). The WAL
+// There is one encoding of an entry (appendEntry/decodeEntry); a decoded
+// entry borrows its bytes from the buffer, and State.Apply copies what it
+// keeps. The WAL
 // frames each entry with a checksum; a snapshot is State.Entries, the
 // entries that rebuild the state, under one checksum; Memory stages
 // encoded entries and decodes them at Sync. See docs/DURABILITY.md for the

@@ -98,143 +98,75 @@ type Entry struct {
 
 // appendEntry serialises e, appending to dst.
 func appendEntry(dst []byte, e *Entry) []byte {
-	dst = append(dst, byte(e.Kind))
+	w := wire.Writer(dst)
+	w.Byte(byte(e.Kind))
 	switch e.Kind {
-	case EntryBallot, EntryPaxosBallot:
-		dst = wire.AppendBallot(dst, e.Bal)
-		dst = wire.AppendBallot(dst, e.CBal)
-		dst = wire.AppendUint(dst, e.Clock)
-	case EntryRecord:
-		dst = wire.AppendRecord(dst, e.Rec)
-	case EntryFrontier:
-		dst = wire.AppendTS(dst, e.Max)
-	case EntryPrune, EntryDelivered:
-		dst = wire.AppendUint(dst, uint64(len(e.IDs)))
-		for _, id := range e.IDs {
-			dst = wire.AppendUint(dst, uint64(id))
+	case EntryBallot, EntryPaxosBallot, EntryState:
+		w.Ballot(e.Bal)
+		w.Ballot(e.CBal)
+		w.Uint(e.Clock)
+		if e.Kind == EntryState {
+			w.Uint(uint64(len(e.Recs)))
+			for _, r := range e.Recs {
+				w.Record(r)
+			}
 		}
-	case EntryState:
-		dst = wire.AppendBallot(dst, e.Bal)
-		dst = wire.AppendBallot(dst, e.CBal)
-		dst = wire.AppendUint(dst, e.Clock)
-		dst = wire.AppendUint(dst, uint64(len(e.Recs)))
-		for _, r := range e.Recs {
-			dst = wire.AppendRecord(dst, r)
+	case EntryRecord:
+		w.Record(e.Rec)
+	case EntryFrontier:
+		w.TS(e.Max)
+	case EntryPrune, EntryDelivered:
+		w.Uint(uint64(len(e.IDs)))
+		for _, id := range e.IDs {
+			w.Uint(uint64(id))
 		}
 	case EntryPaxosCmd:
-		dst = wire.AppendUint(dst, e.Slot)
-		dst = wire.AppendBallot(dst, e.Bal)
+		w.Uint(e.Slot)
+		w.Ballot(e.Bal)
+		var committed byte
 		if e.Committed {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
+			committed = 1
 		}
-		dst = wire.AppendCommand(dst, e.Cmd)
+		w.Byte(committed)
+		w.Command(e.Cmd)
 	case EntryApp, EntryAppSnapshot:
-		dst = wire.AppendUint(dst, uint64(len(e.App)))
-		dst = append(dst, e.App...)
+		w.Bytes(e.App)
 	}
-	return dst
+	return w
 }
 
-// decodeEntry parses one serialised entry. The result's App aliases data;
-// State.Apply copies it.
+// decodeEntry parses one serialised entry. Its byte strings (App and the
+// payloads of Rec, Recs and Cmd) alias data; State.Apply copies them.
 func decodeEntry(data []byte) (Entry, error) {
-	if len(data) == 0 {
-		return Entry{}, fmt.Errorf("wal: empty entry")
-	}
-	e := Entry{Kind: EntryKind(data[0])}
-	buf := data[1:]
-	var err error
+	r := wire.NewReader(data, true)
+	e := Entry{Kind: EntryKind(r.Byte())}
 	switch e.Kind {
-	case EntryBallot, EntryPaxosBallot:
-		if e.Bal, buf, err = wire.ConsumeBallot(buf); err != nil {
-			return e, err
-		}
-		if e.CBal, buf, err = wire.ConsumeBallot(buf); err != nil {
-			return e, err
-		}
-		if e.Clock, buf, err = wire.ConsumeUint(buf); err != nil {
-			return e, err
+	case EntryBallot, EntryPaxosBallot, EntryState:
+		e.Bal, e.CBal, e.Clock = r.Ballot(), r.Ballot(), r.Uint()
+		if e.Kind == EntryState {
+			e.Recs = make([]msgs.MsgRecord, r.Count())
+			for i := range e.Recs {
+				e.Recs[i] = r.Record()
+			}
 		}
 	case EntryRecord:
-		if e.Rec, buf, err = wire.ConsumeRecord(buf); err != nil {
-			return e, err
-		}
+		e.Rec = r.Record()
 	case EntryFrontier:
-		if e.Max, buf, err = wire.ConsumeTS(buf); err != nil {
-			return e, err
-		}
+		e.Max = r.TS()
 	case EntryPrune, EntryDelivered:
-		var n uint64
-		if n, buf, err = wire.ConsumeUint(buf); err != nil {
-			return e, err
-		}
-		if n > uint64(len(buf)) {
-			return e, fmt.Errorf("wal: %d ids exceed %d remaining bytes", n, len(buf))
-		}
-		e.IDs = make([]mcast.MsgID, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var v uint64
-			if v, buf, err = wire.ConsumeUint(buf); err != nil {
-				return e, err
-			}
-			e.IDs = append(e.IDs, mcast.MsgID(v))
-		}
-	case EntryState:
-		if e.Bal, buf, err = wire.ConsumeBallot(buf); err != nil {
-			return e, err
-		}
-		if e.CBal, buf, err = wire.ConsumeBallot(buf); err != nil {
-			return e, err
-		}
-		if e.Clock, buf, err = wire.ConsumeUint(buf); err != nil {
-			return e, err
-		}
-		var n uint64
-		if n, buf, err = wire.ConsumeUint(buf); err != nil {
-			return e, err
-		}
-		if n > uint64(len(buf)) {
-			return e, fmt.Errorf("wal: %d records exceed %d remaining bytes", n, len(buf))
-		}
-		e.Recs = make([]msgs.MsgRecord, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var r msgs.MsgRecord
-			if r, buf, err = wire.ConsumeRecord(buf); err != nil {
-				return e, err
-			}
-			e.Recs = append(e.Recs, r)
+		e.IDs = make([]mcast.MsgID, r.Count())
+		for i := range e.IDs {
+			e.IDs[i] = mcast.MsgID(r.Uint())
 		}
 	case EntryPaxosCmd:
-		if e.Slot, buf, err = wire.ConsumeUint(buf); err != nil {
-			return e, err
-		}
-		if e.Bal, buf, err = wire.ConsumeBallot(buf); err != nil {
-			return e, err
-		}
-		if len(buf) == 0 {
-			return e, fmt.Errorf("wal: truncated committed flag")
-		}
-		e.Committed = buf[0] != 0
-		buf = buf[1:]
-		if e.Cmd, buf, err = wire.ConsumeCommand(buf); err != nil {
-			return e, err
-		}
+		e.Slot, e.Bal, e.Committed, e.Cmd = r.Uint(), r.Ballot(), r.Byte() != 0, r.Command()
 	case EntryApp, EntryAppSnapshot:
-		var n uint64
-		if n, buf, err = wire.ConsumeUint(buf); err != nil {
-			return e, err
-		}
-		if n > uint64(len(buf)) {
-			return e, fmt.Errorf("wal: app record of %d bytes exceeds %d remaining", n, len(buf))
-		}
-		e.App, buf = buf[:n:n], buf[n:]
+		e.App = r.Bytes()
 	default:
-		return e, fmt.Errorf("wal: unknown entry kind %d", e.Kind)
+		r.Fail(fmt.Errorf("unknown entry kind %d", e.Kind))
 	}
-	if len(buf) != 0 {
-		return e, fmt.Errorf("wal: %d trailing bytes after entry kind %d", len(buf), e.Kind)
+	if err := r.Done(); err != nil {
+		return e, fmt.Errorf("wal: entry kind %d: %w", e.Kind, err)
 	}
 	return e, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
@@ -10,127 +11,127 @@ import (
 
 // Encode serialises a message, appending to dst (which may be nil).
 func Encode(dst []byte, m msgs.Message) ([]byte, error) {
-	e := encoder{buf: append(dst, byte(m.Kind()))}
+	e := Writer(append(dst, byte(m.Kind())))
 	switch m := m.(type) {
 	case msgs.Multicast:
 		e.appMsg(m.M)
 	case msgs.ClientReply:
-		e.u64(uint64(m.ID))
+		e.Uint(uint64(m.ID))
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
+		e.Ballot(m.Bal)
 	case msgs.Propose:
-		e.u64(uint64(m.ID))
+		e.Uint(uint64(m.ID))
 		e.i32(int32(m.Group))
-		e.ts(m.LTS)
+		e.TS(m.LTS)
 	case msgs.Confirm:
-		e.u64(uint64(m.ID))
+		e.Uint(uint64(m.ID))
 		e.i32(int32(m.Group))
-		e.ts(m.LTS)
+		e.TS(m.LTS)
 	case msgs.Accept:
 		e.appMsg(m.M)
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
-		e.ts(m.LTS)
+		e.Ballot(m.Bal)
+		e.TS(m.LTS)
 	case msgs.AcceptAck:
-		e.u64(uint64(m.ID))
+		e.Uint(uint64(m.ID))
 		e.i32(int32(m.Group))
-		e.u64(uint64(len(m.Bals)))
+		e.Uint(uint64(len(m.Bals)))
 		for _, gb := range m.Bals {
 			e.i32(int32(gb.Group))
-			e.ballot(gb.Bal)
+			e.Ballot(gb.Bal)
 		}
 	case msgs.Deliver:
-		e.u64(uint64(m.ID))
-		e.ballot(m.Bal)
-		e.ts(m.LTS)
-		e.ts(m.GTS)
-		e.ts(m.Prev)
-		e.u64(m.Seq)
+		e.Uint(uint64(m.ID))
+		e.Ballot(m.Bal)
+		e.TS(m.LTS)
+		e.TS(m.GTS)
+		e.TS(m.Prev)
+		e.Uint(m.Seq)
 	case msgs.NewLeader:
-		e.ballot(m.Bal)
+		e.Ballot(m.Bal)
 	case msgs.NewLeaderAck:
-		e.ballot(m.Bal)
-		e.ballot(m.CBal)
-		e.u64(m.Clock)
+		e.Ballot(m.Bal)
+		e.Ballot(m.CBal)
+		e.Uint(m.Clock)
 		e.records(m.State)
 	case msgs.NewState:
-		e.ballot(m.Bal)
-		e.u64(m.Clock)
+		e.Ballot(m.Bal)
+		e.Uint(m.Clock)
 		e.records(m.State)
 	case msgs.NewStateAck:
-		e.ballot(m.Bal)
+		e.Ballot(m.Bal)
 	case msgs.Heartbeat:
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
+		e.Ballot(m.Bal)
 	case msgs.HeartbeatAck:
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
-		e.ts(m.Delivered)
-		e.u64(m.Executed)
-		e.u64(m.Seq)
+		e.Ballot(m.Bal)
+		e.TS(m.Delivered)
+		e.Uint(m.Executed)
+		e.Uint(m.Seq)
 	case msgs.GCMark:
 		e.i32(int32(m.Group))
-		e.ts(m.Watermark)
+		e.TS(m.Watermark)
 	case msgs.Prune:
 		e.i32(int32(m.Group))
 		e.groupTS(m.Marks)
 	case msgs.P1a:
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
+		e.Ballot(m.Bal)
 	case msgs.P1b:
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
-		e.u64(m.Executed)
-		e.u64(uint64(len(m.Entries)))
+		e.Ballot(m.Bal)
+		e.Uint(m.Executed)
+		e.Uint(uint64(len(m.Entries)))
 		for _, ent := range m.Entries {
-			e.u64(ent.Slot)
-			e.ballot(ent.VBal)
-			e.command(ent.Cmd)
+			e.Uint(ent.Slot)
+			e.Ballot(ent.VBal)
+			e.Command(ent.Cmd)
 		}
 	case msgs.P2a:
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
-		e.u64(m.Slot)
-		e.command(m.Cmd)
+		e.Ballot(m.Bal)
+		e.Uint(m.Slot)
+		e.Command(m.Cmd)
 	case msgs.P2b:
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
-		e.u64(m.Slot)
+		e.Ballot(m.Bal)
+		e.Uint(m.Slot)
 	case msgs.Learn:
 		e.i32(int32(m.Group))
-		e.u64(m.Slot)
-		e.command(m.Cmd)
+		e.Uint(m.Slot)
+		e.Command(m.Cmd)
 	case msgs.Batch:
-		e.u64(uint64(len(m.Entries)))
+		e.Uint(uint64(len(m.Entries)))
 		for _, ent := range m.Entries {
-			e.u64(uint64(ent.ID))
-			e.bytes(ent.Payload)
+			e.Uint(uint64(ent.ID))
+			e.Bytes(ent.Payload)
 		}
 	case msgs.AckBatch:
-		e.u64(uint64(len(m.Entries)))
+		e.Uint(uint64(len(m.Entries)))
 		for _, ent := range m.Entries {
 			if ent == nil || !ent.Kind().IsAck() {
 				return nil, fmt.Errorf("wire: ack batch entry is not ack-class")
 			}
 			// Entries nest a complete [kind][body] encoding, so the
 			// same top-level codec handles them.
-			buf, err := Encode(e.buf, ent)
+			buf, err := Encode(e, ent)
 			if err != nil {
 				return nil, err
 			}
-			e.buf = buf
+			e = buf
 		}
 	case msgs.ClientReplies:
 		e.i32(int32(m.Group))
-		e.ballot(m.Bal)
-		e.u64(uint64(len(m.IDs)))
+		e.Ballot(m.Bal)
+		e.Uint(uint64(len(m.IDs)))
 		for _, id := range m.IDs {
-			e.u64(uint64(id))
+			e.Uint(uint64(id))
 		}
 	default:
 		return nil, fmt.Errorf("wire: cannot encode message kind %v", m.Kind())
 	}
-	return e.buf, nil
+	return e, nil
 }
 
 // Decode parses one message from data, which must contain exactly one
@@ -158,350 +159,358 @@ func DecodeBorrowed(data []byte) (msgs.Message, error) {
 }
 
 func decode(data []byte, borrow bool) (msgs.Message, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("wire: empty message")
-	}
-	d := decoder{buf: data[1:], borrow: borrow}
-	kind := msgs.Kind(data[0])
-	m := d.message(kind)
-	if d.err != nil {
-		return nil, fmt.Errorf("wire: decoding %v: %w", kind, d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v", len(d.buf), kind)
+	r := NewReader(data, borrow)
+	kind := msgs.Kind(r.Byte())
+	m := r.message(kind)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("wire: decoding %v: %w", kind, err)
 	}
 	return m, nil
 }
 
+// maxCount caps a message's collections against corrupt or hostile input;
+// storage formats are bounded by their bytes alone (Reader.Count).
+const maxCount = 1 << 20
+
 // message decodes one message body of the given kind from the cursor,
 // leaving any following bytes in place (the top-level decode checks for
 // trailing bytes; AckBatch entries decode in sequence).
-func (d *decoder) message(kind msgs.Kind) msgs.Message {
+func (r *Reader) message(kind msgs.Kind) msgs.Message {
 	var m msgs.Message
 	switch kind {
 	case msgs.KindMulticast:
-		m = msgs.Multicast{M: d.appMsg()}
+		m = msgs.Multicast{M: r.appMsg()}
 	case msgs.KindClientReply:
-		m = msgs.ClientReply{ID: mcast.MsgID(d.u64()), Group: mcast.GroupID(d.i32()), Bal: d.ballot()}
+		m = msgs.ClientReply{ID: mcast.MsgID(r.Uint()), Group: mcast.GroupID(r.i32()), Bal: r.Ballot()}
 	case msgs.KindPropose:
-		m = msgs.Propose{ID: mcast.MsgID(d.u64()), Group: mcast.GroupID(d.i32()), LTS: d.ts()}
+		m = msgs.Propose{ID: mcast.MsgID(r.Uint()), Group: mcast.GroupID(r.i32()), LTS: r.TS()}
 	case msgs.KindConfirm:
-		m = msgs.Confirm{ID: mcast.MsgID(d.u64()), Group: mcast.GroupID(d.i32()), LTS: d.ts()}
+		m = msgs.Confirm{ID: mcast.MsgID(r.Uint()), Group: mcast.GroupID(r.i32()), LTS: r.TS()}
 	case msgs.KindAccept:
-		m = msgs.Accept{M: d.appMsg(), Group: mcast.GroupID(d.i32()), Bal: d.ballot(), LTS: d.ts()}
+		m = msgs.Accept{M: r.appMsg(), Group: mcast.GroupID(r.i32()), Bal: r.Ballot(), LTS: r.TS()}
 	case msgs.KindAcceptAck:
-		a := msgs.AcceptAck{ID: mcast.MsgID(d.u64()), Group: mcast.GroupID(d.i32())}
-		n := d.u64()
-		if d.validCount(n) {
-			a.Bals = make([]msgs.GroupBallot, 0, n)
-			for i := uint64(0); i < n; i++ {
-				a.Bals = append(a.Bals, msgs.GroupBallot{Group: mcast.GroupID(d.i32()), Bal: d.ballot()})
-			}
+		a := msgs.AcceptAck{ID: mcast.MsgID(r.Uint()), Group: mcast.GroupID(r.i32())}
+		a.Bals = make([]msgs.GroupBallot, r.count(maxCount))
+		for i := range a.Bals {
+			a.Bals[i] = msgs.GroupBallot{Group: mcast.GroupID(r.i32()), Bal: r.Ballot()}
 		}
 		m = a
 	case msgs.KindDeliver:
-		m = msgs.Deliver{ID: mcast.MsgID(d.u64()), Bal: d.ballot(), LTS: d.ts(), GTS: d.ts(), Prev: d.ts(), Seq: d.u64()}
+		m = msgs.Deliver{ID: mcast.MsgID(r.Uint()), Bal: r.Ballot(), LTS: r.TS(), GTS: r.TS(), Prev: r.TS(), Seq: r.Uint()}
 	case msgs.KindNewLeader:
-		m = msgs.NewLeader{Bal: d.ballot()}
+		m = msgs.NewLeader{Bal: r.Ballot()}
 	case msgs.KindNewLeaderAck:
-		m = msgs.NewLeaderAck{Bal: d.ballot(), CBal: d.ballot(), Clock: d.u64(), State: d.records()}
+		m = msgs.NewLeaderAck{Bal: r.Ballot(), CBal: r.Ballot(), Clock: r.Uint(), State: r.records()}
 	case msgs.KindNewState:
-		m = msgs.NewState{Bal: d.ballot(), Clock: d.u64(), State: d.records()}
+		m = msgs.NewState{Bal: r.Ballot(), Clock: r.Uint(), State: r.records()}
 	case msgs.KindNewStateAck:
-		m = msgs.NewStateAck{Bal: d.ballot()}
+		m = msgs.NewStateAck{Bal: r.Ballot()}
 	case msgs.KindHeartbeat:
-		m = msgs.Heartbeat{Group: mcast.GroupID(d.i32()), Bal: d.ballot()}
+		m = msgs.Heartbeat{Group: mcast.GroupID(r.i32()), Bal: r.Ballot()}
 	case msgs.KindHeartbeatAck:
-		m = msgs.HeartbeatAck{Group: mcast.GroupID(d.i32()), Bal: d.ballot(), Delivered: d.ts(), Executed: d.u64(), Seq: d.u64()}
+		m = msgs.HeartbeatAck{Group: mcast.GroupID(r.i32()), Bal: r.Ballot(), Delivered: r.TS(), Executed: r.Uint(), Seq: r.Uint()}
 	case msgs.KindGCMark:
-		m = msgs.GCMark{Group: mcast.GroupID(d.i32()), Watermark: d.ts()}
+		m = msgs.GCMark{Group: mcast.GroupID(r.i32()), Watermark: r.TS()}
 	case msgs.KindPrune:
-		m = msgs.Prune{Group: mcast.GroupID(d.i32()), Marks: d.groupTS()}
+		m = msgs.Prune{Group: mcast.GroupID(r.i32()), Marks: r.groupTS()}
 	case msgs.KindP1a:
-		m = msgs.P1a{Group: mcast.GroupID(d.i32()), Bal: d.ballot()}
+		m = msgs.P1a{Group: mcast.GroupID(r.i32()), Bal: r.Ballot()}
 	case msgs.KindP1b:
-		p := msgs.P1b{Group: mcast.GroupID(d.i32()), Bal: d.ballot(), Executed: d.u64()}
-		n := d.u64()
-		if d.validCount(n) {
-			p.Entries = make([]msgs.P1bEntry, 0, n)
-			for i := uint64(0); i < n; i++ {
-				p.Entries = append(p.Entries, msgs.P1bEntry{Slot: d.u64(), VBal: d.ballot(), Cmd: d.command()})
-			}
+		p := msgs.P1b{Group: mcast.GroupID(r.i32()), Bal: r.Ballot(), Executed: r.Uint()}
+		p.Entries = make([]msgs.P1bEntry, r.count(maxCount))
+		for i := range p.Entries {
+			p.Entries[i] = msgs.P1bEntry{Slot: r.Uint(), VBal: r.Ballot(), Cmd: r.Command()}
 		}
 		m = p
 	case msgs.KindP2a:
-		m = msgs.P2a{Group: mcast.GroupID(d.i32()), Bal: d.ballot(), Slot: d.u64(), Cmd: d.command()}
+		m = msgs.P2a{Group: mcast.GroupID(r.i32()), Bal: r.Ballot(), Slot: r.Uint(), Cmd: r.Command()}
 	case msgs.KindP2b:
-		m = msgs.P2b{Group: mcast.GroupID(d.i32()), Bal: d.ballot(), Slot: d.u64()}
+		m = msgs.P2b{Group: mcast.GroupID(r.i32()), Bal: r.Ballot(), Slot: r.Uint()}
 	case msgs.KindLearn:
-		m = msgs.Learn{Group: mcast.GroupID(d.i32()), Slot: d.u64(), Cmd: d.command()}
+		m = msgs.Learn{Group: mcast.GroupID(r.i32()), Slot: r.Uint(), Cmd: r.Command()}
 	case msgs.KindBatch:
-		b := msgs.Batch{}
-		n := d.u64()
-		if d.validCount(n) {
-			b.Entries = make([]msgs.BatchEntry, 0, n)
-			for i := uint64(0); i < n; i++ {
-				b.Entries = append(b.Entries, msgs.BatchEntry{ID: mcast.MsgID(d.u64()), Payload: d.bytes()})
-			}
+		b := msgs.Batch{Entries: make([]msgs.BatchEntry, r.count(maxCount))}
+		for i := range b.Entries {
+			b.Entries[i] = msgs.BatchEntry{ID: mcast.MsgID(r.Uint()), Payload: r.Bytes()}
 		}
 		m = b
 	case msgs.KindAckBatch:
-		ab := msgs.AckBatch{}
-		n := d.u64()
-		if d.validCount(n) {
-			ab.Entries = make([]msgs.Message, 0, n)
-			for i := uint64(0); i < n; i++ {
-				if len(d.buf) == 0 {
-					d.fail(fmt.Errorf("truncated ack batch entry"))
-					break
-				}
-				k := msgs.Kind(d.buf[0])
-				if !k.IsAck() {
-					// Also rules out nested AckBatch.
-					d.fail(fmt.Errorf("ack batch entry of non-ack kind %v", k))
-					break
-				}
-				d.buf = d.buf[1:]
-				sub := d.message(k)
-				if d.err != nil {
-					break
-				}
-				ab.Entries = append(ab.Entries, sub)
+		ab := msgs.AckBatch{Entries: make([]msgs.Message, r.count(maxCount))}
+		for i := range ab.Entries {
+			// Only ack kinds nest, which also rules out a nested AckBatch.
+			if k := msgs.Kind(r.Byte()); k.IsAck() {
+				ab.Entries[i] = r.message(k)
+			} else {
+				r.Fail(fmt.Errorf("ack batch entry of non-ack kind %v", k))
 			}
 		}
 		m = ab
 	case msgs.KindClientReplies:
-		r := msgs.ClientReplies{Group: mcast.GroupID(d.i32()), Bal: d.ballot()}
-		n := d.u64()
-		if d.validCount(n) {
-			r.IDs = make([]mcast.MsgID, 0, n)
-			for i := uint64(0); i < n; i++ {
-				r.IDs = append(r.IDs, mcast.MsgID(d.u64()))
-			}
+		cr := msgs.ClientReplies{Group: mcast.GroupID(r.i32()), Bal: r.Ballot()}
+		cr.IDs = make([]mcast.MsgID, r.count(maxCount))
+		for i := range cr.IDs {
+			cr.IDs[i] = mcast.MsgID(r.Uint())
 		}
-		m = r
+		m = cr
 	default:
-		d.fail(fmt.Errorf("unknown message kind %d", kind))
+		r.Fail(fmt.Errorf("unknown message kind %d", kind))
 	}
 	return m
 }
 
 // --------------------------------------------------------------------------
-// encoder
+// Writer
 // --------------------------------------------------------------------------
 
-type encoder struct{ buf []byte }
+// Writer appends the format's fields to a byte slice: messages (Encode),
+// WAL entries and the kv store's ops, applied records and snapshots all
+// write through it. Convert a slice to start one (Writer(dst)); a Writer
+// is its bytes so far.
+type Writer []byte
 
-func (e *encoder) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) i32(v int32)  { e.buf = binary.AppendVarint(e.buf, int64(v)) }
-func (e *encoder) bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
+// Uint appends v as a uvarint.
+func (w *Writer) Uint(v uint64) { *w = binary.AppendUvarint(*w, v) }
+
+// Byte appends b as is.
+func (w *Writer) Byte(b byte) { *w = append(*w, b) }
+
+// Bytes appends b behind its length.
+func (w *Writer) Bytes(b []byte) {
+	w.Uint(uint64(len(b)))
+	*w = append(*w, b...)
 }
 
-func (e *encoder) ts(ts mcast.Timestamp) {
-	e.u64(ts.Time)
-	e.i32(int32(ts.Group))
+// TS appends a timestamp.
+func (w *Writer) TS(ts mcast.Timestamp) {
+	w.Uint(ts.Time)
+	w.i32(int32(ts.Group))
 }
 
-func (e *encoder) ballot(b mcast.Ballot) {
-	e.u64(b.N)
-	e.i32(int32(b.Proc))
+// Ballot appends a ballot.
+func (w *Writer) Ballot(b mcast.Ballot) {
+	w.Uint(b.N)
+	w.i32(int32(b.Proc))
 }
 
-func (e *encoder) appMsg(m mcast.AppMsg) {
-	e.u64(uint64(m.ID))
-	e.u64(uint64(len(m.Dest)))
-	for _, g := range m.Dest {
-		e.i32(int32(g))
-	}
-	e.bytes(m.Payload)
+// Record appends one per-message record (Fig. 3: message, phase, local and
+// global timestamp), the layout NEW_STATE carries and the WAL logs.
+func (w *Writer) Record(r msgs.MsgRecord) {
+	w.appMsg(r.M)
+	w.Byte(byte(r.Phase))
+	w.TS(r.LTS)
+	w.TS(r.GTS)
 }
 
-func (e *encoder) groupTS(v []msgs.GroupTS) {
-	e.u64(uint64(len(v)))
-	for _, gt := range v {
-		e.i32(int32(gt.Group))
-		e.ts(gt.TS)
-	}
-}
-
-func (e *encoder) command(c msgs.Command) {
-	e.buf = append(e.buf, byte(c.Op))
+// Command appends a replicated Paxos command.
+func (w *Writer) Command(c msgs.Command) {
+	w.Byte(byte(c.Op))
 	switch c.Op {
 	case msgs.CmdAssign:
-		e.appMsg(c.M)
-		e.ts(c.LTS)
+		w.appMsg(c.M)
+		w.TS(c.LTS)
 	case msgs.CmdCommit:
-		e.u64(uint64(c.ID))
-		e.groupTS(c.LTSs)
+		w.Uint(uint64(c.ID))
+		w.groupTS(c.LTSs)
 	}
 }
 
-func (e *encoder) records(recs []msgs.MsgRecord) {
-	e.u64(uint64(len(recs)))
+func (w *Writer) i32(v int32) { *w = binary.AppendVarint(*w, int64(v)) }
+
+func (w *Writer) appMsg(m mcast.AppMsg) {
+	w.Uint(uint64(m.ID))
+	w.Uint(uint64(len(m.Dest)))
+	for _, g := range m.Dest {
+		w.i32(int32(g))
+	}
+	w.Bytes(m.Payload)
+}
+
+func (w *Writer) groupTS(v []msgs.GroupTS) {
+	w.Uint(uint64(len(v)))
+	for _, gt := range v {
+		w.i32(int32(gt.Group))
+		w.TS(gt.TS)
+	}
+}
+
+func (w *Writer) records(recs []msgs.MsgRecord) {
+	w.Uint(uint64(len(recs)))
 	for _, r := range recs {
-		e.appMsg(r.M)
-		e.buf = append(e.buf, byte(r.Phase))
-		e.ts(r.LTS)
-		e.ts(r.GTS)
+		w.Record(r)
 	}
 }
 
 // --------------------------------------------------------------------------
-// decoder
+// Reader
 // --------------------------------------------------------------------------
 
-type decoder struct {
+// Reader is a cursor over bytes a Writer wrote. Its error is sticky: the
+// first malformed field fails the Reader, and every later read returns a
+// zero value, so a decoder reads straight through and checks once, with
+// Done.
+type Reader struct {
 	buf []byte
 	err error
-	// borrow makes bytes() alias the input instead of copying
-	// (DecodeBorrowed).
+	// borrow makes Bytes alias the input instead of copying.
 	borrow bool
 }
 
-// maxCount bounds decoded collection sizes against corrupt or hostile input.
-const maxCount = 1 << 20
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
+// NewReader returns a Reader over data. With borrow set, the byte strings
+// it returns alias data, and are valid only while data is; otherwise they
+// are copies. Other slices are always fresh.
+func NewReader(data []byte, borrow bool) Reader {
+	return Reader{buf: data, borrow: borrow}
 }
 
-func (d *decoder) validCount(n uint64) bool {
-	if n > maxCount {
-		d.fail(fmt.Errorf("collection of %d elements exceeds limit", n))
-		return false
+// Fail records err, unless the Reader has failed already, and drops the
+// bytes left.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	return d.err == nil
+	r.buf = nil
 }
 
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
+// Done returns the Reader's error, or one for bytes left unread.
+func (r *Reader) Done() error {
+	if r.err == nil && len(r.buf) != 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.buf))
+	}
+	return r.err
+}
+
+// Uint reads a uvarint. Only the shortest encoding of a value is
+// accepted, so that whatever decodes re-encodes to its input.
+func (r *Reader) Uint() uint64 {
+	// Most counts, lengths, groups and processes fit one byte.
+	if len(r.buf) > 0 && r.buf[0] < 0x80 {
+		v := r.buf[0]
+		r.buf = r.buf[1:]
+		return uint64(v)
+	}
+	// A failed Reader has no bytes left, so it fails here again, harmlessly.
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
+		r.Fail(fmt.Errorf("malformed uvarint"))
 		return 0
 	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail(fmt.Errorf("truncated uvarint"))
-		return 0
-	}
-	d.buf = d.buf[n:]
+	r.buf = r.buf[n:]
 	return v
 }
 
-func (d *decoder) i32() int32 {
-	if d.err != nil {
-		return 0
+// Count reads a collection's length, which may not exceed the bytes left:
+// every element takes one byte at least, so what a decoder allocates for
+// the collection is bounded by its input.
+func (r *Reader) Count() int { return r.count(math.MaxUint64) }
+
+func (r *Reader) count(limit uint64) int {
+	n := r.Uint()
+	switch {
+	case n > limit:
+		r.Fail(fmt.Errorf("collection of %d elements exceeds limit", n))
+	case n > uint64(len(r.buf)):
+		r.Fail(fmt.Errorf("collection of %d elements exceeds remaining %d bytes", n, len(r.buf)))
+	default:
+		return int(n)
 	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail(fmt.Errorf("truncated varint"))
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return int32(v)
+	return 0
 }
 
-func (d *decoder) bytes() []byte {
-	n := d.u64()
-	if d.err != nil {
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if len(r.buf) == 0 {
+		r.Fail(fmt.Errorf("truncated byte"))
+		return 0
+	}
+	b := r.buf[0]
+	r.buf = r.buf[1:]
+	return b
+}
+
+// Bytes reads a length-prefixed byte string, copied or borrowed as the
+// Reader was made.
+func (r *Reader) Bytes() []byte {
+	n := r.Uint()
+	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(d.buf)) {
-		d.fail(fmt.Errorf("byte string of %d exceeds remaining %d", n, len(d.buf)))
+	if n > uint64(len(r.buf)) {
+		r.Fail(fmt.Errorf("byte string of %d exceeds remaining %d", n, len(r.buf)))
 		return nil
 	}
-	var out []byte
-	if d.borrow {
-		out = d.buf[:n:n]
-	} else {
-		out = make([]byte, n)
-		copy(out, d.buf[:n])
+	out := r.buf[:n:n]
+	if !r.borrow {
+		out = append(make([]byte, 0, n), out...)
 	}
-	d.buf = d.buf[n:]
+	r.buf = r.buf[n:]
 	return out
 }
 
-func (d *decoder) ts() mcast.Timestamp {
-	return mcast.Timestamp{Time: d.u64(), Group: mcast.GroupID(d.i32())}
+// TS reads a timestamp.
+func (r *Reader) TS() mcast.Timestamp {
+	return mcast.Timestamp{Time: r.Uint(), Group: mcast.GroupID(r.i32())}
 }
 
-func (d *decoder) ballot() mcast.Ballot {
-	return mcast.Ballot{N: d.u64(), Proc: mcast.ProcessID(d.i32())}
+// Ballot reads a ballot.
+func (r *Reader) Ballot() mcast.Ballot {
+	return mcast.Ballot{N: r.Uint(), Proc: mcast.ProcessID(r.i32())}
 }
 
-func (d *decoder) appMsg() mcast.AppMsg {
-	m := mcast.AppMsg{ID: mcast.MsgID(d.u64())}
-	n := d.u64()
-	if d.validCount(n) {
-		dest := make(mcast.GroupSet, 0, n)
-		for i := uint64(0); i < n; i++ {
-			dest = append(dest, mcast.GroupID(d.i32()))
-		}
-		m.Dest = dest
-	}
-	m.Payload = d.bytes()
-	return m
+// Record reads what Writer.Record wrote.
+func (r *Reader) Record() msgs.MsgRecord {
+	return msgs.MsgRecord{M: r.appMsg(), Phase: msgs.Phase(r.Byte()), LTS: r.TS(), GTS: r.TS()}
 }
 
-func (d *decoder) groupTS() []msgs.GroupTS {
-	n := d.u64()
-	if !d.validCount(n) {
-		return nil
-	}
-	out := make([]msgs.GroupTS, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, msgs.GroupTS{Group: mcast.GroupID(d.i32()), TS: d.ts()})
-	}
-	return out
-}
-
-func (d *decoder) command() msgs.Command {
-	if d.err != nil {
-		return msgs.Command{}
-	}
-	if len(d.buf) == 0 {
-		d.fail(fmt.Errorf("truncated command"))
-		return msgs.Command{}
-	}
-	op := msgs.CmdOp(d.buf[0])
-	d.buf = d.buf[1:]
-	c := msgs.Command{Op: op}
-	switch op {
+// Command reads what Writer.Command wrote.
+func (r *Reader) Command() msgs.Command {
+	c := msgs.Command{Op: msgs.CmdOp(r.Byte())}
+	switch c.Op {
 	case msgs.CmdNoop:
 	case msgs.CmdAssign:
-		c.M = d.appMsg()
-		c.LTS = d.ts()
+		c.M = r.appMsg()
+		c.LTS = r.TS()
 	case msgs.CmdCommit:
-		c.ID = mcast.MsgID(d.u64())
-		c.LTSs = d.groupTS()
+		c.ID = mcast.MsgID(r.Uint())
+		c.LTSs = r.groupTS()
 	default:
-		d.fail(fmt.Errorf("unknown command op %d", op))
+		r.Fail(fmt.Errorf("unknown command op %d", c.Op))
 	}
 	return c
 }
 
-func (d *decoder) records() []msgs.MsgRecord {
-	n := d.u64()
-	if !d.validCount(n) {
-		return nil
+// i32 reads what binary.AppendVarint wrote for an int32: a zigzag uvarint.
+func (r *Reader) i32() int32 {
+	u := r.Uint()
+	v := int64(u>>1) ^ -int64(u&1)
+	if v != int64(int32(v)) {
+		r.Fail(fmt.Errorf("varint %d overflows int32", v))
+		return 0
 	}
-	out := make([]msgs.MsgRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		r := msgs.MsgRecord{M: d.appMsg()}
-		if d.err != nil {
-			return nil
-		}
-		if len(d.buf) == 0 {
-			d.fail(fmt.Errorf("truncated record phase"))
-			return nil
-		}
-		r.Phase = msgs.Phase(d.buf[0])
-		d.buf = d.buf[1:]
-		r.LTS = d.ts()
-		r.GTS = d.ts()
-		out = append(out, r)
+	return int32(v)
+}
+
+func (r *Reader) appMsg() mcast.AppMsg {
+	m := mcast.AppMsg{ID: mcast.MsgID(r.Uint())}
+	m.Dest = make(mcast.GroupSet, r.count(maxCount))
+	for i := range m.Dest {
+		m.Dest[i] = mcast.GroupID(r.i32())
+	}
+	m.Payload = r.Bytes()
+	return m
+}
+
+func (r *Reader) groupTS() []msgs.GroupTS {
+	out := make([]msgs.GroupTS, r.count(maxCount))
+	for i := range out {
+		out[i] = msgs.GroupTS{Group: mcast.GroupID(r.i32()), TS: r.TS()}
+	}
+	return out
+}
+
+func (r *Reader) records() []msgs.MsgRecord {
+	out := make([]msgs.MsgRecord, r.count(maxCount))
+	for i := range out {
+		out[i] = r.Record()
 	}
 	return out
 }

@@ -17,7 +17,6 @@ import (
 // Clients are safe for concurrent use.
 type Client struct {
 	cl     *wbcast.Client
-	part   Partitioner
 	shards int
 	hub    *hub
 
@@ -27,8 +26,8 @@ type Client struct {
 	latMulti  obs.Histogram
 }
 
-func newClient(cl *wbcast.Client, part Partitioner, shards int, h *hub) *Client {
-	c := &Client{cl: cl, part: part, shards: shards, hub: h}
+func newClient(cl *wbcast.Client, shards int, h *hub) *Client {
+	c := &Client{cl: cl, shards: shards, hub: h}
 	c.reg = obs.NewRegistry(fmt.Sprintf(`proc="%d"`, cl.ID()))
 	for i, op := range [4]string{"get", "put", "delete", "txn"} {
 		c.reg.RegisterCounter(obs.MetricKVOps+`{op="`+op+`"}`,
@@ -44,8 +43,8 @@ func newClient(cl *wbcast.Client, part Partitioner, shards int, h *hub) *Client 
 // ID returns the client's multicast process ID.
 func (c *Client) ID() wbcast.ProcessID { return c.cl.ID() }
 
-// Shard returns the shard that owns key under the client's partitioner.
-func (c *Client) Shard(key []byte) int { return c.part.Shard(key, c.shards) }
+// Shard returns the shard that owns key (HashPartitioner).
+func (c *Client) Shard(key []byte) int { return HashPartitioner{}.Shard(key, c.shards) }
 
 // Get reads key, reporting its value and whether it existed.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
@@ -94,7 +93,7 @@ func (c *Client) do(ctx context.Context, op Op, counter int) ([]OpResult, error)
 	flat := op.Flatten()
 	var groups []wbcast.GroupID
 	for _, sub := range flat {
-		g := wbcast.GroupID(c.part.Shard(sub.Key, c.shards))
+		g := wbcast.GroupID(c.Shard(sub.Key))
 		seen := false
 		for _, have := range groups {
 			if have == g {

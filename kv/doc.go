@@ -10,7 +10,7 @@
 // A Service wraps a wbcast.Cluster: it attaches one deterministic shard
 // engine to every replica (consuming its delivery subscription) and routes
 // results back to waiting clients by message ID. A Client maps keys to
-// shards through a pluggable Partitioner and offers Get/Put/Delete and
+// shards by hash (HashPartitioner) and offers Get/Put/Delete and
 // multi-key Txn; operations complete when every addressed shard has
 // applied them, so a client that completes a Put and then issues a Get
 // observes its own write (both occupy positions of the same total order).

@@ -208,7 +208,7 @@ func TestKVKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := newClient(wcl, HashPartitioner{}, kvKillShards, h)
+	client := newClient(wcl, kvKillShards, h)
 
 	victim := startVictim()
 	killed := false

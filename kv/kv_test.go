@@ -45,23 +45,6 @@ func TestHashPartitionerEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRangePartitioner(t *testing.T) {
-	p := kv.RangePartitioner{Splits: [][]byte{[]byte("g"), []byte("p")}}
-	cases := map[string]int{"": 0, "a": 0, "f": 0, "g": 1, "m": 1, "p": 2, "z": 2}
-	for key, want := range cases {
-		if got := p.Shard([]byte(key), 3); got != want {
-			t.Errorf("Shard(%q) = %d, want %d", key, got, want)
-		}
-	}
-	// Shard counts smaller than splits+1 clamp to the last shard.
-	if got := p.Shard([]byte("z"), 2); got != 1 {
-		t.Errorf("clamped Shard = %d, want 1", got)
-	}
-	if got := p.Shard([]byte("z"), 1); got != 0 {
-		t.Errorf("single-shard Shard = %d", got)
-	}
-}
-
 // service spins up an in-process cluster plus a kv service over it.
 func service(t *testing.T, groups, replicas int, opts kv.Options) (*wbcast.Cluster, *kv.Service) {
 	t.Helper()

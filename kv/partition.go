@@ -1,26 +1,15 @@
 package kv
 
-import (
-	"bytes"
-	"hash/fnv"
-	"sort"
-)
+import "hash/fnv"
 
-// A Partitioner maps keys to shards. Implementations must be deterministic
-// and safe for concurrent use: every client and every shard engine of a
-// deployment consult the same Partitioner, and they must agree.
-type Partitioner interface {
-	// Shard returns the shard owning key, in [0, shards). shards is
-	// always >= 1; the empty key is a valid key.
-	Shard(key []byte, shards int) int
-}
-
-// HashPartitioner assigns keys to shards by FNV-1a hash modulo the shard
-// count: placement is uniform and stateless, at the cost of losing key
-// locality. It is the default Partitioner.
+// HashPartitioner places keys on shards: by FNV-1a hash modulo the shard
+// count, uniform and stateless, at the cost of key locality. Every client
+// and every shard engine of a deployment places keys with it, so they
+// agree.
 type HashPartitioner struct{}
 
-// Shard implements Partitioner.
+// Shard returns the shard owning key, in [0, shards); the empty key is a
+// valid key.
 func (HashPartitioner) Shard(key []byte, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -28,27 +17,4 @@ func (HashPartitioner) Shard(key []byte, shards int) int {
 	h := fnv.New64a()
 	h.Write(key) //nolint:errcheck // hash.Hash never errors
 	return int(h.Sum64() % uint64(shards))
-}
-
-// RangePartitioner assigns keys to shards by sorted split points: shard i
-// owns keys in [Splits[i-1], Splits[i]) (shard 0 owns everything below
-// Splits[0], the last shard everything at or above the last split). Range
-// placement keeps adjacent keys together, so range-local transactions stay
-// single-shard. With fewer than shards-1 splits the trailing shards own
-// nothing; extra splits are ignored.
-type RangePartitioner struct {
-	// Splits are the boundary keys, in strictly ascending order.
-	Splits [][]byte
-}
-
-// Shard implements Partitioner.
-func (p RangePartitioner) Shard(key []byte, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	s := sort.Search(len(p.Splits), func(i int) bool { return bytes.Compare(p.Splits[i], key) > 0 })
-	if s >= shards {
-		return shards - 1
-	}
-	return s
 }

@@ -53,9 +53,6 @@ type ShardOptions struct {
 	// Shards is the total number of shards (the cluster's group count).
 	// Required.
 	Shards int
-	// Partitioner maps keys to shards (default HashPartitioner). It must
-	// equal the clients'.
-	Partitioner Partitioner
 	// Persist logs applied state through the replica's WAL (Config.Storage)
 	// and recovers it on restart. The engine compacts its app log into an
 	// app snapshot once the log has reached the snapshot's length. Without
@@ -97,10 +94,6 @@ func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
 	if opts.Shards <= 0 {
 		return nil, fmt.Errorf("kv: ShardOptions.Shards must be positive, got %d", opts.Shards)
 	}
-	part := opts.Partitioner
-	if part == nil {
-		part = HashPartitioner{}
-	}
 	g := r.Group()
 	reg := obs.NewRegistry(fmt.Sprintf(`proc="%d"`, r.ID()))
 	// Conflict-aware protocol (Genmcast): install the key-based relation so
@@ -125,7 +118,7 @@ func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
 		Group: g,
 		PID:   r.ID(),
 		Owns: func(key []byte) bool {
-			return part.Shard(key, opts.Shards) == int(g)
+			return HashPartitioner{}.Shard(key, opts.Shards) == int(g)
 		},
 		OnResult:          opts.OnResult,
 		Persist:           persist,
@@ -187,8 +180,6 @@ func (s *Shard) Close() {
 
 // Options configures a Service.
 type Options struct {
-	// Partitioner maps keys to shards (default HashPartitioner).
-	Partitioner Partitioner
 	// Persist and RecordApplied apply to every shard engine; see
 	// ShardOptions.
 	Persist       bool
@@ -201,7 +192,6 @@ type Options struct {
 // of the keyspace.
 type Service struct {
 	cluster *wbcast.Cluster
-	part    Partitioner
 	shards  int
 	hub     *hub
 	reps    []*Shard
@@ -210,15 +200,10 @@ type Service struct {
 // NewService attaches shard engines to every replica of c. Create the
 // Service before submitting kv traffic, so no engine misses a delivery.
 func NewService(c *wbcast.Cluster, opts Options) (*Service, error) {
-	part := opts.Partitioner
-	if part == nil {
-		part = HashPartitioner{}
-	}
-	s := &Service{cluster: c, part: part, shards: c.NumGroups(), hub: newHub()}
+	s := &Service{cluster: c, shards: c.NumGroups(), hub: newHub()}
 	for _, r := range c.Replicas() {
 		sh, err := AttachShard(r, ShardOptions{
 			Shards:        s.shards,
-			Partitioner:   part,
 			Persist:       opts.Persist,
 			RecordApplied: opts.RecordApplied,
 			OnResult:      s.hub.dispatch,
@@ -239,15 +224,14 @@ func (s *Service) NewClient() (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newClient(cl, s.part, s.shards, s.hub), nil
+	return newClient(cl, s.shards, s.hub), nil
 }
 
 // NumShards returns the number of shards (the cluster's group count).
 func (s *Service) NumShards() int { return s.shards }
 
-// Partitioner returns the key-placement function the service was built
-// with.
-func (s *Service) Partitioner() Partitioner { return s.part }
+// Partitioner returns the key placement every shard and client uses.
+func (s *Service) Partitioner() HashPartitioner { return HashPartitioner{} }
 
 // Replicas returns every attached shard engine (cluster replica order).
 func (s *Service) Replicas() []*Shard { return append([]*Shard(nil), s.reps...) }

@@ -166,12 +166,12 @@ func (r *Replica) Group() GroupID { return r.top.GroupOf(r.pid) }
 // transports without addresses (in-process, simulated).
 func (r *Replica) Addr() string { return r.tr.addr(r.pid) }
 
-// Deliveries subscribes to the replica's deliveries with the buffering and
-// drop policy configured in Config (DeliveryBuffer, DeliveryPolicy). Each
-// call creates an independent subscription that observes every delivery
-// from the point of subscription on.
+// Deliveries subscribes to the replica's deliveries with a 1024-delivery
+// buffer and the lossless Backpressure policy. Each call creates an
+// independent subscription that observes every delivery from the point of
+// subscription on.
 func (r *Replica) Deliveries() *Subscription {
-	return r.Subscribe(r.cfg.DeliveryBuffer, r.cfg.DeliveryPolicy)
+	return r.Subscribe(1024, Backpressure)
 }
 
 // Subscribe is Deliveries with explicit buffering and drop policy.

@@ -14,7 +14,9 @@
 #     docs/*.md name no bare file (`X.md`, `X.json`, `X.go`) that exists
 #     nowhere in the repository, no flag of a cmd/wbcast-* command that
 #     the command does not define, and none of the retired names
-#     (`lockedStorage`, the compaction knobs `Snapshot{Every,Threshold}`).
+#     (`lockedStorage`, the compaction knobs `Snapshot{Every,Threshold}`,
+#     wire's `{Append,Consume}*` storage wrappers, the buffer knobs
+#     `{Trace,Delivery}Buffer`, the range partitioner).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -128,9 +130,13 @@ for cmd in cmd/wbcast-*; do
 done
 
 # Names the code no longer has: the store's lock wrapper went when node.Step
-# became the store's only writer, and the compaction knobs when both logs
-# began to compact once they outgrow their snapshot.
-for gone in lockedStorage Snapshot{Every,Threshold}; do
+# became the store's only writer; the compaction knobs when both logs
+# began to compact once they outgrow their snapshot; wire's storage
+# wrappers when every format began to read and write through
+# wire.Writer/Reader; the trace and delivery buffer knobs and the range
+# partitioner when nothing set them.
+for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
+  {Trace,Delivery}Buffer Range''Partitioner; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

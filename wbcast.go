@@ -36,11 +36,12 @@
 // Deliveries at each replica happen in increasing global-timestamp (GTS)
 // order; the GTS exposes the system-wide total order to applications such
 // as replicated state machines and shared logs. Deliveries are consumed
-// through pull-based subscriptions (Replica.Deliveries, with configurable
-// buffering and drop policy — see DeliveryPolicy). A subscription's channel
-// is its buffer: the delivering process sends on it directly, no goroutine
-// in between, and once the subscription is closed the deliveries still
-// buffered remain receivable before the channel reports closed.
+// through pull-based subscriptions (Replica.Deliveries, or
+// Replica.Subscribe with explicit buffering and drop policy — see
+// DeliveryPolicy). A subscription's channel is its buffer: the delivering
+// process sends on it directly, no goroutine in between, and once the
+// subscription is closed the deliveries still buffered remain receivable
+// before the channel reports closed.
 //
 // # Batching
 //
@@ -193,11 +194,9 @@ type Observability struct {
 	// the same messages) has its stage events recorded. 1 traces every
 	// message; 0 disables tracing. Rare system events (step-downs,
 	// elections, injected faults) are recorded regardless of sampling.
+	// The tracer retains at most 65536 events; overflow increments
+	// wbcast_trace_dropped_total instead of growing without bound.
 	TraceSample int
-	// TraceBuffer bounds the number of retained trace events (default
-	// 65536); overflow increments wbcast_trace_dropped_total instead of
-	// growing without bound.
-	TraceBuffer int
 }
 
 // MetricsSnapshot is a point-in-time copy of a process's metrics, keyed by
@@ -284,12 +283,6 @@ type Config struct {
 	// WAN for the paper's testbed profiles). Setting it on a TCP
 	// transport is a validation error — real networks have real latency.
 	Latency func(from, to ProcessID) time.Duration
-	// DeliveryBuffer is the capacity of delivery subscriptions created by
-	// Replica.Deliveries (default 1024).
-	DeliveryBuffer int
-	// DeliveryPolicy decides what a full subscription does with further
-	// deliveries (default Backpressure — lossless).
-	DeliveryPolicy DeliveryPolicy
 	// Conflicts is the application's conflict relation, honoured by the
 	// Genmcast protocol only (setting it with any other protocol is a
 	// validation error). Nil treats every pair of payloads as conflicting.
@@ -360,7 +353,7 @@ func (cfg Config) newTracer(clock obs.Clock) *obs.Tracer {
 	if o == nil || o.Disabled || o.TraceSample <= 0 {
 		return nil
 	}
-	return obs.NewTracer(o.TraceSample, o.TraceBuffer, clock)
+	return obs.NewTracer(o.TraceSample, 0, clock)
 }
 
 // Validate reports whether the configuration is well-formed: it is the
@@ -408,24 +401,8 @@ func (cfg Config) normalized() (Config, error) {
 	if cfg.Delta < 0 {
 		return cfg, fmt.Errorf("wbcast: Config.Delta must be positive, got %v", cfg.Delta)
 	}
-	if cfg.DeliveryBuffer == 0 {
-		cfg.DeliveryBuffer = 1024
-	}
-	if cfg.DeliveryBuffer < 0 {
-		return cfg, fmt.Errorf("wbcast: Config.DeliveryBuffer must be positive, got %d", cfg.DeliveryBuffer)
-	}
-	switch cfg.DeliveryPolicy {
-	case Backpressure, DropOldest, DropNewest:
-	default:
-		return cfg, fmt.Errorf("wbcast: unknown DeliveryPolicy %d", cfg.DeliveryPolicy)
-	}
-	if o := cfg.Observability; o != nil {
-		if o.TraceSample < 0 {
-			return cfg, fmt.Errorf("wbcast: Observability.TraceSample must be ≥ 0, got %d", o.TraceSample)
-		}
-		if o.TraceBuffer < 0 {
-			return cfg, fmt.Errorf("wbcast: Observability.TraceBuffer must be ≥ 0, got %d", o.TraceBuffer)
-		}
+	if o := cfg.Observability; o != nil && o.TraceSample < 0 {
+		return cfg, fmt.Errorf("wbcast: Observability.TraceSample must be ≥ 0, got %d", o.TraceSample)
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = InProcess()
