@@ -122,7 +122,9 @@ func (op Op) Flatten() []Op {
 // engine re-appends these through the Persister so recovery can rebuild
 // shard state without replaying the protocol.
 func EncodeApplied(d mcast.Delivery) []byte {
-	w := make(wire.Writer, 0, 16+len(d.Msg.Payload)) // 16: the varints, as a rule
+	// 16 bytes hold the stamp and lengths of all but huge values: one
+	// allocation per record.
+	w := make(wire.Writer, 0, 16+len(d.Msg.Payload))
 	w.TS(d.GTS)
 	w.Uint(uint64(d.Sub))
 	w.Bytes(d.Msg.Payload)
