@@ -51,6 +51,17 @@ func traced(o harness.Options) harness.Options {
 	return o
 }
 
+// passed runs a narrated scenario's end-of-run correctness check and, when
+// it holds, prints the stage timelines of a traced run.
+func passed(c *harness.Cluster) error {
+	if errs := c.Check(true); len(errs) > 0 {
+		return fmt.Errorf("correctness check failed: %v", errs[0])
+	}
+	fmt.Println("         correctness check: PASS (ordering, integrity, termination, genuineness)")
+	printTrace(c)
+	return nil
+}
+
 // printTrace renders the per-message stage timelines of a traced run.
 func printTrace(c *harness.Cluster) {
 	if !traceOn || c.Tracer == nil {
@@ -125,12 +136,7 @@ func failover() error {
 	sub, _ := c.Sim.SubmitTime(m2)
 	fmt.Printf("t=%v  m2 delivered in group 0, %v after submission (recovery included)\n",
 		(sub + lat2).Round(time.Millisecond), lat2.Round(time.Millisecond))
-	if errs := c.Check(true); len(errs) > 0 {
-		return fmt.Errorf("correctness check failed: %v", errs[0])
-	}
-	fmt.Println("         correctness check: PASS (ordering, integrity, termination, genuineness)")
-	printTrace(c)
-	return nil
+	return passed(c)
 }
 
 func clockDecrease() error {
@@ -162,12 +168,7 @@ func clockDecrease() error {
 		return fmt.Errorf("m never recovered")
 	}
 	fmt.Printf("         m re-introduced by client retry and delivered; final clock=%d\n", r1.Clock())
-	if errs := c.Check(true); len(errs) > 0 {
-		return fmt.Errorf("correctness check failed: %v", errs[0])
-	}
-	fmt.Println("         correctness check: PASS")
-	printTrace(c)
-	return nil
+	return passed(c)
 }
 
 func convoy() error {
@@ -195,12 +196,7 @@ func convoy() error {
 	fmt.Printf("         m delivered in group 0 after %.2fδ (collision-free would be 3δ;\n", float64(lat0)/float64(delta))
 	fmt.Println("         the adversarial conflicting message m' delays it to ≈5δ, not 6δ,")
 	fmt.Println("         thanks to the speculative clock advance of Fig. 4 line 14)")
-	if errs := c.Check(true); len(errs) > 0 {
-		return fmt.Errorf("correctness check failed: %v", errs[0])
-	}
-	fmt.Println("         correctness check: PASS")
-	printTrace(c)
-	return nil
+	return passed(c)
 }
 
 // chaos runs a seeded chaos schedule against one protocol: the leader of

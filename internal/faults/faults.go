@@ -23,6 +23,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -277,7 +278,7 @@ func (e *Engine) blocked(from, to mcast.ProcessID) bool {
 		}
 	}
 	for _, ow := range e.oneWays {
-		if containsPID(ow.From, from) && containsPID(ow.To, to) {
+		if slices.Contains(ow.From, from) && slices.Contains(ow.To, to) {
 			return true
 		}
 	}
@@ -301,15 +302,6 @@ func (e *Engine) linkFor(from, to mcast.ProcessID) (LinkFault, bool) {
 		}
 	}
 	return LinkFault{}, false
-}
-
-func containsPID(ps []mcast.ProcessID, p mcast.ProcessID) bool {
-	for _, q := range ps {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 func (a Crash) fire(e *Engine) {

@@ -106,20 +106,7 @@ func CheckPartial(hs []History, complete bool, conflicts func(a, b []byte) bool)
 	}
 
 	if complete {
-		for _, h := range hs {
-			for _, a := range h.Log {
-				for _, g := range a.Dest {
-					set, hosted := union[g]
-					if !hosted {
-						continue // shard not under test
-					}
-					if !set[pos{a.ID, a.Sub}] {
-						return fmt.Errorf("kvstore: %v sub %d (dest %v) applied at shard %d but missing at shard %d: transaction not atomic",
-							a.ID, a.Sub, a.Dest, h.Group, g)
-					}
-				}
-			}
-		}
+		return atomic(hs, union)
 	}
 	return nil
 }
@@ -194,11 +181,7 @@ func Check(hs []History, complete bool) error {
 		for i := 0; i < len(ghs); i++ {
 			for j := i + 1; j < len(ghs); j++ {
 				a, b := ghs[i], ghs[j]
-				n := len(a.Log)
-				if len(b.Log) < n {
-					n = len(b.Log)
-				}
-				for k := 0; k < n; k++ {
+				for k := range min(len(a.Log), len(b.Log)) {
 					if a.Log[k].ID != b.Log[k].ID || a.Log[k].Sub != b.Log[k].Sub || a.Log[k].GTS != b.Log[k].GTS {
 						return fmt.Errorf("kvstore: shard %d: replicas %d and %d diverge at %d: %v vs %v",
 							g, a.PID, b.PID, k, a.Log[k].ID, b.Log[k].ID)
@@ -229,17 +212,24 @@ func Check(hs []History, complete bool) error {
 			}
 			longest[g] = set
 		}
-		for _, h := range hs {
-			for _, a := range h.Log {
-				for _, g := range a.Dest {
-					set, hosted := longest[g]
-					if !hosted {
-						continue // shard not under test
-					}
-					if !set[pos{a.ID, a.Sub}] {
-						return fmt.Errorf("kvstore: %v sub %d (dest %v) applied at shard %d but missing at shard %d: transaction not atomic",
-							a.ID, a.Sub, a.Dest, h.Group, g)
-					}
+		return atomic(hs, longest)
+	}
+	return nil
+}
+
+// atomic checks that every payload applied anywhere is in the applied set
+// of each shard under test it was addressed to.
+func atomic(hs []History, applied map[mcast.GroupID]map[pos]bool) error {
+	for _, h := range hs {
+		for _, a := range h.Log {
+			for _, g := range a.Dest {
+				set, hosted := applied[g]
+				if !hosted {
+					continue // shard not under test
+				}
+				if !set[pos{a.ID, a.Sub}] {
+					return fmt.Errorf("kvstore: %v sub %d (dest %v) applied at shard %d but missing at shard %d: transaction not atomic",
+						a.ID, a.Sub, a.Dest, h.Group, g)
 				}
 			}
 		}

@@ -1,9 +1,10 @@
 // Package workload generates key-value workloads for the kv service
 // benchmarks: a million-key keyspace addressed with a Zipfian (YCSB-style
 // scrambled) or uniform distribution, and a configurable mix of
-// single-shard operations and multi-shard transactions. The public kv
-// package re-exports it for wbcast-bench, which must not import internal
-// packages.
+// single-shard operations and multi-shard transactions. Building one costs
+// microseconds whatever the keyspace: the Zipfian normalising constant is
+// evaluated in closed form, not summed key by key. The public kv package
+// re-exports it for wbcast-bench, which must not import internal packages.
 package workload
 
 import (
@@ -74,9 +75,8 @@ type Op struct {
 	Shards []int
 }
 
-// Workload holds a validated configuration and the precomputed Zipfian
-// constants (the zeta sum over a million-key keyspace is computed once
-// here, not per generator).
+// Workload holds a validated configuration and the Zipfian constants New
+// evaluates for it.
 type Workload struct {
 	cfg   Config
 	zetan float64
@@ -86,7 +86,8 @@ type Workload struct {
 }
 
 // New validates cfg, fills defaults, and precomputes distribution
-// constants.
+// constants. It refuses a transaction mix whose keys cannot reach TxnSize
+// distinct shards.
 func New(cfg Config) (*Workload, error) {
 	if cfg.Keys == 0 {
 		cfg.Keys = 1_000_000
@@ -131,23 +132,57 @@ func New(cfg Config) (*Workload, error) {
 	}
 	w := &Workload{cfg: cfg}
 	if cfg.Dist == Zipfian {
-		for i := 1; i <= cfg.Keys; i++ {
-			w.zetan += 1 / math.Pow(float64(i), cfg.Theta)
-			if i == 2 {
-				w.zeta2 = w.zetan
-			}
-		}
-		if cfg.Keys == 1 {
-			w.zeta2 = w.zetan
-		}
+		w.zetan, w.zeta2 = zeta(cfg.Keys, cfg.Theta), zeta(min(cfg.Keys, 2), cfg.Theta)
 		w.alpha = 1 / (1 - cfg.Theta)
 		w.eta = (1 - math.Pow(2/float64(cfg.Keys), 1-cfg.Theta)) / (1 - w.zeta2/w.zetan)
+	}
+	if cfg.MultiShard > 0 && !w.spansTxn() {
+		return nil, fmt.Errorf("workload: the %d keys lie on fewer than TxnSize=%d shards, so no transaction can be drawn", cfg.Keys, cfg.TxnSize)
 	}
 	return w, nil
 }
 
-// Config returns the validated configuration (defaults filled in).
-func (w *Workload) Config() Config { return w.cfg }
+// zetaHead is how many terms of the zeta sum are added one by one.
+const zetaHead = 256
+
+// zeta returns Σ i^-θ for i = 1..n: the first zetaHead terms added in
+// order, the rest by Euler–Maclaurin over [a, n], a = zetaHead+1 — the
+// integral, both end points and the B₂ and B₄ terms. The remainder is below
+// 10⁻¹⁷ of the sum, so the result is as close to the exact sum as the head
+// is (2×10⁻¹⁵ relative), in constant time for any n.
+func zeta(n int, theta float64) float64 {
+	var sum float64
+	for i := 1; i <= min(n, zetaHead); i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+	}
+	if n <= zetaHead {
+		return sum
+	}
+	a, b := float64(zetaHead+1), float64(n)
+	fa, fb := math.Pow(a, -theta), math.Pow(b, -theta)
+	// The integral of x^-θ over [a, b] is a^(1-θ)·(e^((1-θ)·ln(b/a)) - 1)/(1-θ);
+	// Expm1 keeps it exact as θ → 1.
+	integral := a * fa * math.Expm1((1-theta)*math.Log(b/a)) / (1 - theta)
+	d1 := theta * (fa/a - fb/b)                                         // f'(b) - f'(a)
+	d3 := theta * (theta + 1) * (theta + 2) * (fa/(a*a*a) - fb/(b*b*b)) // f'''(b) - f'''(a)
+	return sum + integral + (fa+fb)/2 + d1/12 - d3/720
+}
+
+// spansTxn reports whether the keys the distribution can draw lie on
+// TxnSize distinct shards; if not, txn would redraw keys forever. It walks
+// them likeliest first (items for Uniform, scrambled ranks for Zipfian), so
+// a real config stops after a handful.
+func (w *Workload) spansTxn() bool {
+	seen := make(map[int]bool, w.cfg.TxnSize)
+	for i := 0; i < w.cfg.Keys && len(seen) < w.cfg.TxnSize; i++ {
+		item := i
+		if w.cfg.Dist == Zipfian {
+			item = scramble(i, w.cfg.Keys)
+		}
+		seen[w.cfg.Shard(Key(item, w.cfg.Keys))] = true
+	}
+	return len(seen) == w.cfg.TxnSize
+}
 
 // Generator returns an independent deterministic op stream. Generators are
 // not safe for concurrent use; give each driver goroutine its own, seeded
@@ -243,13 +278,19 @@ func (g *Gen) zipf() int {
 			rank = w.cfg.Keys - 1
 		}
 	}
+	return scramble(rank, w.cfg.Keys)
+}
+
+// scramble maps a Zipf rank to its item in [0, keys): FNV-1a over the
+// rank's eight little-endian bytes.
+func scramble(rank, keys int) int {
 	h := fnv.New64a()
 	var b [8]byte
 	for i := 0; i < 8; i++ {
 		b[i] = byte(rank >> (8 * i))
 	}
 	h.Write(b[:]) //nolint:errcheck
-	return int(h.Sum64() % uint64(w.cfg.Keys))
+	return int(h.Sum64() % uint64(keys))
 }
 
 // value returns the next Put payload (pseudorandom).

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -172,15 +173,12 @@ func TestKVKillRecovery(t *testing.T) {
 		kvHelperPeer+"="+strings.Join(peerParts, ";"),
 		kvHelperState+"="+stateAddr,
 	)
-	startVictim := func() *exec.Cmd {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestHelperKVShard$", "-test.v")
-		cmd.Env = env
-		cmd.Stdout = io.Discard
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return cmd
+	startVictim := func() (*victim, time.Duration) {
+		t.Helper()
+		return startServing(t, "^TestHelperKVShard$", env, func() bool {
+			_, err := pollKVState(stateAddr)
+			return err == nil
+		})
 	}
 
 	// The parent hosts the other five replicas (volatile) with their shard
@@ -210,14 +208,8 @@ func TestKVKillRecovery(t *testing.T) {
 	}
 	client := newClient(wcl, kvKillShards, h)
 
-	victim := startVictim()
-	killed := false
-	defer func() {
-		if !killed {
-			victim.Process.Kill()
-			victim.Wait()
-		}
-	}()
+	first, _ := startVictim()
+	defer first.kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -287,11 +279,9 @@ func TestKVKillRecovery(t *testing.T) {
 	}
 	walPath := filepath.Join(dataDir, fmt.Sprintf("p%d", kvKillVictim), "wal")
 
-	if err := victim.Process.Kill(); err != nil {
+	if err := first.kill(); err != nil {
 		t.Fatal(err)
 	}
-	victim.Wait()
-	killed = true
 	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("victim left no WAL to recover from (err=%v)", err)
 	}
@@ -306,19 +296,9 @@ func TestKVKillRecovery(t *testing.T) {
 	// Phase 3: restart on the same data directory. The new incarnation
 	// must fold snapshot + app log, re-apply the protocol replay, catch
 	// up on the missed writes, and converge to its peers' digest.
-	restarted := time.Now()
-	victim2 := startVictim()
-	defer func() {
-		victim2.Process.Kill()
-		victim2.Wait()
-	}()
-	for _, err := pollKVState(stateAddr); err != nil; _, err = pollKVState(stateAddr) {
-		if time.Since(restarted) > 60*time.Second {
-			t.Fatalf("the restarted victim does not serve: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Logf("the restarted victim served %v after it was started", time.Since(restarted).Round(time.Millisecond))
+	second, served := startVictim()
+	defer second.kill()
+	t.Logf("the restarted victim served %v after it was started", served.Round(time.Millisecond))
 	post := shardKeys(1, 3, "post")
 	putAll(post, "v3")
 
@@ -349,6 +329,66 @@ func TestKVKillRecovery(t *testing.T) {
 	}
 	if _, found, err := client.Get(ctx, pre[0]); err != nil || found {
 		t.Errorf("deleted key resurrected (found=%v err=%v)", found, err)
+	}
+}
+
+// victim is a helper child process.
+type victim struct {
+	cmd    *exec.Cmd
+	stderr bytes.Buffer  // what it wrote to stderr; read it only once done is closed
+	done   chan struct{} // closed once the process has exited and been reaped
+	err    error         // its exit, once done is closed
+}
+
+// kill SIGKILLs the victim and reaps it. The error is Kill's: the victim
+// had exited already.
+func (v *victim) kill() error {
+	err := v.cmd.Process.Kill()
+	<-v.done
+	return err
+}
+
+// startServing runs the test named by run as a child process with env, and
+// waits until serving reports that it serves. Its pinned ports were only
+// reserved (listened on and closed), so another process may have bound one
+// meanwhile: a victim that exits with a bind error is started again, at
+// most victimStarts times, 300 ms apart. It returns the victim and how long
+// the start that succeeded took to serve.
+func startServing(t *testing.T, run string, env []string, serving func() bool) (*victim, time.Duration) {
+	t.Helper()
+	const victimStarts = 10
+starts:
+	for try := 1; ; try++ {
+		v := &victim{cmd: exec.Command(os.Args[0], "-test.run="+run, "-test.v"), done: make(chan struct{})}
+		v.cmd.Env = env
+		v.cmd.Stdout = io.Discard
+		v.cmd.Stderr = io.MultiWriter(os.Stderr, &v.stderr)
+		started := time.Now()
+		if err := v.cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			v.err = v.cmd.Wait()
+			close(v.done)
+		}()
+		for !serving() {
+			select {
+			case <-v.done:
+				if try == victimStarts || !strings.Contains(v.stderr.String(), "address already in use") {
+					t.Fatalf("start %d of the victim exited before it served: %v", try, v.err)
+				}
+				t.Logf("start %d of the victim lost a pinned port to another process (%v); starting it again", try, v.err)
+				time.Sleep(300 * time.Millisecond)
+				continue starts
+			default:
+			}
+			if time.Since(started) > time.Minute {
+				v.kill()
+				t.Fatal("the victim does not serve a minute after it was started")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return v, time.Since(started)
 	}
 }
 

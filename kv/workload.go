@@ -32,8 +32,8 @@ const (
 	Zipfian = workload.Zipfian
 )
 
-// NewWorkload validates cfg, fills defaults, and precomputes the
-// distribution constants (the Zipfian zeta sum is computed once here).
+// NewWorkload validates cfg, fills defaults, and computes the distribution
+// constants (the Zipfian zeta sum in closed form, in microseconds).
 func NewWorkload(cfg WorkloadConfig) (*Workload, error) { return workload.New(cfg) }
 
 // WorkloadKey renders item (in [0, space)) as its canonical workload key,

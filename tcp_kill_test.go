@@ -2,6 +2,7 @@ package wbcast_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -115,6 +116,66 @@ func reserveAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
+// victim is a helper child process.
+type victim struct {
+	cmd    *exec.Cmd
+	stderr bytes.Buffer  // what it wrote to stderr; read it only once done is closed
+	done   chan struct{} // closed once the process has exited and been reaped
+	err    error         // its exit, once done is closed
+}
+
+// kill SIGKILLs the victim and reaps it. The error is Kill's: the victim
+// had exited already.
+func (v *victim) kill() error {
+	err := v.cmd.Process.Kill()
+	<-v.done
+	return err
+}
+
+// startServing runs the test named by run as a child process with env, and
+// waits until serving reports that it serves. Its pinned ports were only
+// reserved by reserveAddrs, so another process may have bound one
+// meanwhile: a victim that exits with a bind error is started again, at
+// most victimStarts times, 300 ms apart. It returns the victim and how long
+// the start that succeeded took to serve.
+func startServing(t *testing.T, run string, env []string, serving func() bool) (*victim, time.Duration) {
+	t.Helper()
+	const victimStarts = 10
+starts:
+	for try := 1; ; try++ {
+		v := &victim{cmd: exec.Command(os.Args[0], "-test.run="+run, "-test.v"), done: make(chan struct{})}
+		v.cmd.Env = env
+		v.cmd.Stdout = io.Discard
+		v.cmd.Stderr = io.MultiWriter(os.Stderr, &v.stderr)
+		started := time.Now()
+		if err := v.cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			v.err = v.cmd.Wait()
+			close(v.done)
+		}()
+		for !serving() {
+			select {
+			case <-v.done:
+				if try == victimStarts || !strings.Contains(v.stderr.String(), "address already in use") {
+					t.Fatalf("start %d of the victim exited before it served: %v", try, v.err)
+				}
+				t.Logf("start %d of the victim lost a pinned port to another process (%v); starting it again", try, v.err)
+				time.Sleep(300 * time.Millisecond)
+				continue starts
+			default:
+			}
+			if time.Since(started) > time.Minute {
+				v.kill()
+				t.Fatal("the victim does not serve a minute after it was started")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return v, time.Since(started)
+	}
+}
+
 // helperLine is one parsed delivery of the victim's log.
 type helperLine struct {
 	id      uint64
@@ -172,15 +233,16 @@ func TestTCPKillRecovery(t *testing.T) {
 		helperPeer+"="+strings.Join(peerParts, ";"),
 		helperMet+"="+metricsAddr,
 	)
-	startVictim := func() *exec.Cmd {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestHelperNode$", "-test.v")
-		cmd.Env = env
-		cmd.Stdout = io.Discard
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return cmd
+	startVictim := func() (*victim, time.Duration) {
+		t.Helper()
+		return startServing(t, "^TestHelperNode$", env, func() bool {
+			resp, err := http.Get("http://" + metricsAddr + "/metrics")
+			if err != nil {
+				return false
+			}
+			resp.Body.Close()
+			return resp.StatusCode == http.StatusOK
+		})
 	}
 
 	cfg := wbcast.Config{
@@ -202,7 +264,8 @@ func TestTCPKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	victim := startVictim()
+	first, _ := startVictim()
+	defer first.kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 
@@ -235,10 +298,9 @@ func TestTCPKillRecovery(t *testing.T) {
 	// durably logged) deliveries, then SIGKILL it mid-operation.
 	mcastAll("pre", 8)
 	waitForPayload("pre-7")
-	if err := victim.Process.Kill(); err != nil {
+	if err := first.kill(); err != nil {
 		t.Fatal(err)
 	}
-	victim.Wait() // reaps the child; the error is the kill signal
 
 	// The data directory must hold durable state for the restart to replay.
 	if fi, err := os.Stat(filepath.Join(dataDir, fmt.Sprintf("p%d", killVictim), "wal")); err != nil || fi.Size() == 0 {
@@ -250,11 +312,9 @@ func TestTCPKillRecovery(t *testing.T) {
 
 	// Phase 3: restart on the same data directory; the new incarnation
 	// replays snapshot+WAL, rejoins, catches up, and keeps delivering.
-	victim2 := startVictim()
-	defer func() {
-		victim2.Process.Kill()
-		victim2.Wait()
-	}()
+	second, served := startVictim()
+	defer second.kill()
+	t.Logf("the restarted victim served %v after it was started", served.Round(time.Millisecond))
 	mcastAll("post", 4)
 	waitForPayload("post-3")
 
