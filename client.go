@@ -33,8 +33,12 @@ type Client struct {
 
 // NewClient builds and starts a client with the given process ID on
 // cfg.Transport. pid must not collide with a replica slot of the topology
-// (replicas occupy 0..Groups×Replicas-1). Cluster.NewClient does the same
-// with automatic ID assignment.
+// (replicas occupy 0..Groups×Replicas-1), and on a durable deployment it
+// must not be reused across restarts: a client numbers its messages from 1,
+// and a replica that recovered a message of an earlier client with the same
+// ID takes the new message for a retry of that one — it answers, and
+// delivers nothing. Cluster.NewClient does the same with automatic ID
+// assignment, past every client the recovered stores know of.
 func NewClient(cfg Config, pid ProcessID) (*Client, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {

@@ -47,14 +47,19 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.replicas = append(c.replicas, r)
+		c.nextClient = max(c.nextClient, r.lastSender+1)
 	}
 	return c, nil
 }
 
 // NewClient attaches a new client process to the cluster, assigning it the
-// next free process ID after the replicas. On a TCP transport every client
-// ID the deployment will use must have a peers entry (replicas send
-// delivery replies to it); ClientID helps lay those out.
+// next free process ID after the replicas. On a deployment reopened on
+// durable stores, that is past every client its replicas recovered a message
+// of: a client numbers its messages from 1, so a reused ID would resend
+// message IDs the replicas already hold, and they would take each one for a
+// retry of the old message. On a TCP transport every client ID the
+// deployment will use must have a peers entry (replicas send delivery
+// replies to it); ClientID helps lay those out.
 func (c *Cluster) NewClient() (*Client, error) {
 	c.mu.Lock()
 	pid := c.nextClient
@@ -64,8 +69,8 @@ func (c *Cluster) NewClient() (*Client, error) {
 }
 
 // ClientID returns the process ID Cluster.NewClient assigns to the i-th
-// client of a topology configured like cfg: the slot right after the
-// replicas. Use it to lay out the peer address map of a TCP deployment.
+// client of a fresh deployment configured like cfg: the slot right after
+// the replicas. Use it to lay out the peer address map of a TCP deployment.
 func ClientID(cfg Config, i int) ProcessID {
 	cfg, err := cfg.normalized()
 	if err != nil {

@@ -24,8 +24,6 @@ type Options struct {
 	// HeartbeatInterval/SuspectTimeout drive the Paxos failure detector.
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
-	// ColdStart starts without an established leader.
-	ColdStart bool
 }
 
 // strategy is where FT-Skeen and FastCast differ: how the leader obtains a
@@ -122,7 +120,6 @@ func newReplica(v *variant, o Options, pid mcast.ProcessID, top *mcast.Topology,
 		PID: pid, Top: top,
 		HeartbeatInterval: o.HeartbeatInterval,
 		SuspectTimeout:    o.SuspectTimeout,
-		ColdStart:         o.ColdStart,
 		OnLead:            r.onLead,
 		Obs:               po,
 		Durable:           r.durable,
@@ -197,8 +194,7 @@ func (r *Replica) onMulticast(app mcast.AppMsg, fx *node.Effects) {
 	if !r.px.Leading() || r.st.announce(app.ID, app.Dest, false, fx) {
 		return
 	}
-	// Clone at the retention boundary: the Paxos log outlives this call.
-	r.st.assign(app.Clone(), fx)
+	r.st.assign(app, fx)
 	r.armRetry(app.ID, fx)
 }
 

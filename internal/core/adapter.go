@@ -23,7 +23,6 @@ type Protocol struct {
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
 	GCInterval        time.Duration
-	ColdStart         bool
 	// AppGCHorizon forwards Config.AppGCHorizon: pruning additionally
 	// waits for node.GCHorizon inputs raising the app durability horizon.
 	AppGCHorizon bool
@@ -66,7 +65,6 @@ func (p Protocol) NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po 
 		HeartbeatInterval: p.HeartbeatInterval,
 		SuspectTimeout:    p.SuspectTimeout,
 		GCInterval:        p.GCInterval,
-		ColdStart:         p.ColdStart,
 		AppGCHorizon:      p.AppGCHorizon,
 		Obs:               po,
 		Durable:           rs != nil,

@@ -351,7 +351,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 			}
 		}
 		for id, rec := range rs.Records {
-			st := &mstate{app: rec.M.Clone(), hasApp: true, phase: rec.Phase, lts: rec.LTS, gts: rec.GTS}
+			st := &mstate{app: rec.M, hasApp: true, phase: rec.Phase, lts: rec.LTS, gts: rec.GTS}
 			if r.conflictMode() {
 				st.delivered = r.applied[id]
 			} else if rec.Phase == msgs.PhaseCommitted && !r.maxDeliveredGTS.Less(rec.GTS) {
@@ -478,7 +478,7 @@ func (r *Replica) onMulticast(from mcast.ProcessID, app mcast.AppMsg, fx *node.E
 	}
 	st := r.get(app.ID)
 	if !st.hasApp {
-		st.app = app.Clone()
+		st.app = app
 		st.hasApp = true
 		r.cfg.Obs.Begin(app.ID, &st.at)
 		r.trackPending(app.ID, st)
@@ -507,7 +507,7 @@ func (r *Replica) onAccept(a msgs.Accept, fx *node.Effects) {
 	}
 	st := r.get(a.M.ID)
 	if !st.hasApp {
-		st.app = a.M.Clone()
+		st.app = a.M
 		st.hasApp = true
 		r.cfg.Obs.Begin(a.M.ID, &st.at)
 		r.trackPending(a.M.ID, st)

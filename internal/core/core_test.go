@@ -15,7 +15,7 @@ import (
 
 const delta = 10 * time.Millisecond
 
-func newAuditedCluster(t *testing.T, opts harness.Options, proto core.Protocol) (*harness.Cluster, *check.WbAudit) {
+func newAuditedCluster(t *testing.T, opts harness.Options, proto harness.Protocol) (*harness.Cluster, *check.WbAudit) {
 	t.Helper()
 	top := mcast.UniformTopology(opts.Groups, opts.GroupSize)
 	audit := check.NewWbAudit(top)

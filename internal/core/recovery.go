@@ -76,9 +76,8 @@ func (r *Replica) onNewLeader(from mcast.ProcessID, m msgs.NewLeader, fx *node.E
 // exportState snapshots the ACCEPTED/COMMITTED message records, in MsgID
 // order so NEW_STATE and wal.EntryState bytes do not depend on map
 // iteration (a seeded run replays exactly). The records share the replica's
-// stored (owned, immutable) application messages rather than cloning them:
-// sending never mutates, network receivers decode their own copies, and
-// in-process receivers clone at their retention boundary.
+// stored application messages: messages are immutable, so every receiver
+// may keep them as they are.
 func (r *Replica) exportState() []msgs.MsgRecord {
 	recs := make([]msgs.MsgRecord, 0, len(r.state))
 	for _, st := range r.state {
@@ -108,10 +107,6 @@ func (r *Replica) onNewLeaderAck(from mcast.ProcessID, m msgs.NewLeaderAck, fx *
 	if r.cballot == r.ballot {
 		return // merge already performed for this ballot
 	}
-	// Retention boundary: the vote outlives this Handle call, and its
-	// records may alias a borrowed network frame. Clone once here; the
-	// merge below then adopts the records without further copying.
-	m.State = msgs.CloneRecords(m.State)
 	r.nlAcks[from] = m
 	if len(r.nlAcks) < r.cfg.Top.QuorumSize(r.group) {
 		return
@@ -213,7 +208,7 @@ func (r *Replica) onNewState(from mcast.ProcessID, m msgs.NewState, fx *node.Eff
 	r.clock = m.Clock
 	r.state = make(map[mcast.MsgID]*mstate, len(m.State))
 	for _, rec := range m.State {
-		st := &mstate{app: rec.M.Clone(), hasApp: true, phase: rec.Phase, lts: rec.LTS, gts: rec.GTS}
+		st := &mstate{app: rec.M, hasApp: true, phase: rec.Phase, lts: rec.LTS, gts: rec.GTS}
 		if r.conflictMode() {
 			st.delivered = r.applied[rec.M.ID]
 		} else if rec.Phase == msgs.PhaseCommitted && !r.maxDeliveredGTS.Less(rec.GTS) {

@@ -253,15 +253,26 @@ func TestAutomaticFailover(t *testing.T) {
 	}
 }
 
+// coldStart is the white-box protocol with every replica started as a
+// follower and nobody leading (core.Config.ColdStart). It has none of the
+// harness's optional extensions, so every replica is built by NewReplica.
+type coldStart struct{ retry, heartbeat, suspect time.Duration }
+
+func (coldStart) Name() string { return "wbcast" }
+
+func (p coldStart) NewReplica(pid mcast.ProcessID, top *mcast.Topology) (node.Handler, error) {
+	return core.NewReplica(core.Config{PID: pid, Top: top, RetryInterval: p.retry,
+		HeartbeatInterval: p.heartbeat, SuspectTimeout: p.suspect, ColdStart: true})
+}
+
+func (coldStart) Contacts(top *mcast.Topology) func(g mcast.GroupID) []mcast.ProcessID {
+	return core.Protocol{}.Contacts(top)
+}
+
 // TestColdStartElection: with ColdStart nobody leads initially; the failure
 // detector must bootstrap a leader in every group before any delivery.
 func TestColdStartElection(t *testing.T) {
-	proto := core.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 5 * delta,
-		SuspectTimeout:    20 * delta,
-		ColdStart:         true,
-	}
+	proto := coldStart{retry: 30 * delta, heartbeat: 5 * delta, suspect: 20 * delta}
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
 		Latency: sim.Uniform(delta), Retry: 30 * delta,

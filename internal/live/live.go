@@ -209,7 +209,7 @@ func (p *proc) consume(env envelope) {
 		if env.done != nil {
 			rel, err = p.step.Complete(env.done)
 		} else {
-			rel, _, err = p.step.Do(env.in)
+			rel, err = p.step.Do(env.in)
 		}
 		p.stepMu.Unlock()
 		p.release(rel, err)

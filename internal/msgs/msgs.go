@@ -64,8 +64,8 @@ var kindNames = map[Kind]string{
 
 // IsAck reports whether the kind is ack-class: a small fixed-size
 // acknowledgement that transports may coalesce into an AckBatch. Ack-class
-// messages carry no byte strings, so their decoded form never aliases a
-// network frame.
+// messages carry no byte strings, so their decoded form never keeps a
+// network frame alive.
 func (k Kind) IsAck() bool {
 	switch k {
 	case KindAcceptAck, KindHeartbeatAck, KindP2b:
@@ -302,24 +302,11 @@ type MsgRecord struct {
 	GTS   mcast.Timestamp
 }
 
-// Clone deep-copies the record's application message (the only part that
-// may alias a borrowed network frame).
+// Clone deep-copies the record's application message, the only part that
+// holds a byte slice.
 func (r MsgRecord) Clone() MsgRecord {
 	r.M = r.M.Clone()
 	return r
-}
-
-// CloneRecords deep-copies a state-transfer record list for retention
-// across handler calls.
-func CloneRecords(recs []MsgRecord) []MsgRecord {
-	if recs == nil {
-		return nil
-	}
-	out := make([]MsgRecord, len(recs))
-	for i, r := range recs {
-		out[i] = r.Clone()
-	}
-	return out
 }
 
 // NewLeader asks the members of the sender's group to join ballot Bal
@@ -443,11 +430,8 @@ type Command struct {
 	LTSs []GroupTS       // CmdCommit only, sorted by group
 }
 
-// Clone deep-copies the parts of a command that may alias a borrowed
-// network frame (the application message's payload; see the frame-ownership
-// notes on node.Handler). Components that retain a command across handler
-// calls — the Paxos log, recovery vote sets — clone it once at the
-// retention boundary; downstream consumers may then alias it freely.
+// Clone deep-copies the application message of a command, the part that
+// holds the payload bytes.
 func (c Command) Clone() Command {
 	c.M = c.M.Clone()
 	return c

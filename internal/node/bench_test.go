@@ -38,7 +38,7 @@ func BenchmarkStepCommit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 1; i <= b.N; i++ {
-				if _, _, err := step.Do(node.Start{}); err != nil {
+				if _, err := step.Do(node.Start{}); err != nil {
 					b.Fatal(err)
 				}
 				if i%batch == 0 || i == b.N {

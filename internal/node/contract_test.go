@@ -540,10 +540,10 @@ func TestShardContractNoStore(t *testing.T) {
 		fx.Deliver(mcast.Delivery{})
 	}}, nil)
 	for _, in := range []node.Input{persisting(1), node.AppLog{Recs: [][]byte{{1}}, Snapshot: []byte{2}}} {
-		rel, kept, err := step.Do(in)
+		rel, err := step.Do(in)
 		_, isCall := in.(node.Submit)
-		if err != nil || kept || step.Handoff() != nil || (len(rel.Deliveries) == 1) != isCall {
-			t.Errorf("Do(%T) = %d deliveries, kept %v, %v, or something to hand off", in, len(rel.Deliveries), kept, err)
+		if err != nil || step.Handoff() != nil || (len(rel.Deliveries) == 1) != isCall {
+			t.Errorf("Do(%T) = %d deliveries, %v, or something to hand off", in, len(rel.Deliveries), err)
 		}
 	}
 	if handled != 1 {

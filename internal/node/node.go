@@ -104,8 +104,7 @@ const (
 // runtime only the remainder, as a Release — see docs/CONCURRENCY.md, "The
 // shard driver". LazyPersists are logged with the call, after its
 // Persists, but gate nothing: they ride the log's next sync. Entries may
-// alias borrowed network frames, like Sends: stores copy during Append,
-// and a runtime keeps the frame until then (Step.Do's kept).
+// alias received messages, like Sends; a store never writes through them.
 type Effects struct {
 	Sends        []Send
 	Deliveries   []mcast.Delivery
@@ -229,7 +228,7 @@ func (fx *Effects) PersistLazy(e wal.Entry) {
 // Reset empties the sink for reuse, retaining capacity but no reference:
 // the used prefix is cleared, so a long-lived Effects does not pin the
 // largest burst it ever carried (a NEW_STATE, a catch-up's ACCEPT payloads,
-// persist entries aliasing network frames).
+// the received messages its entries alias).
 func (fx *Effects) Reset() {
 	clear(fx.Sends)
 	clear(fx.Deliveries)
@@ -260,23 +259,12 @@ func (fx *Effects) Reset() {
 // totally ordered and each call's effects are applied before the next
 // input is consumed.
 //
-// # Frame ownership
+// # Received messages
 //
-// The []byte fields of a received message (application payloads, batch
-// entries) may alias a network frame buffer owned by the runtime — the TCP
-// runtime decodes inbound frames in borrow mode (wire.DecodeBorrowed) and
-// recycles the frame as soon as Handle returns. A handler that stores any
-// part of a received message across Handle calls must therefore deep-copy
-// it first (AppMsg.Clone, Command.Clone, MsgRecord.Clone). Non-byte slices
-// of a decoded message (destination sets, ballot vectors, timestamp
-// vectors) are always freshly allocated by the decoder and safe to retain.
-// Once cloned, messages are immutable by convention and may be shared
-// freely — including being re-sent via Effects. Re-sending counts as
-// retention whenever the send can outlive the Handle call — in particular
-// a self-send, which loops back through the runtime's mailbox — so a
-// handler forwards borrowed payload-carrying messages only after cloning
-// them. (Remote sends are encoded before the frame is recycled and are
-// safe either way.)
+// A received message is immutable, and a handler may keep any part of it —
+// store it, re-send it, log it — for as long as it likes. No runtime reuses
+// the memory a message lives in (the TCP runtime reads each frame into a
+// buffer of its own), and no handler writes into one.
 type Handler interface {
 	// ID returns the process this handler implements.
 	ID() mcast.ProcessID

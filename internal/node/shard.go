@@ -74,9 +74,7 @@ func NewStep(h Handler, store wal.Storage) *Step {
 // order, so one behind a held delivery waits with it. Nothing else waits:
 // a held send may be overtaken on its link by later sends that vouch for
 // nothing, for as long as one commit takes. With no store everything is
-// released at once. kept reports that the call left entries or effects
-// behind for the next Handoff, which may alias its input (a borrowed frame)
-// until that Commit is complete.
+// released at once.
 //
 // An AppLog never reaches Handle: its records, then its snapshot, are staged
 // as lazy app entries. The snapshot supersedes the records before it when
@@ -88,17 +86,16 @@ func NewStep(h Handler, store wal.Storage) *Step {
 // recovers from — what left ungated vouched for nothing), and every later
 // call returns the same error without calling Handle; the runtime's part is
 // to stop feeding it and to mark the process down in its own way.
-func (s *Step) Do(in Input) (rel Release, kept bool, err error) {
+func (s *Step) Do(in Input) (Release, error) {
 	if s.err != nil {
-		return Release{}, false, s.err
+		return Release{}, s.err
 	}
 	s.fx.Reset()
 	al, isLog := in.(AppLog)
 	if !isLog {
 		s.h.Handle(in, &s.fx)
 	}
-	rel, kept = s.stage(al)
-	return rel, kept, nil
+	return s.stage(al), nil
 }
 
 // EndDrain runs the handler's EndDrain, if it is a Drainer, under Do's rules,
@@ -112,16 +109,15 @@ func (s *Step) EndDrain() Release {
 	}
 	s.fx.Reset()
 	s.d.EndDrain(&s.fx)
-	rel, _ := s.stage(AppLog{})
-	return rel
+	return s.stage(AppLog{})
 }
 
 // stage stages what the call in s.fx persists, and al, and holds the call's
 // effects as Do describes; it returns the effects released at once.
-func (s *Step) stage(al AppLog) (rel Release, kept bool) {
-	rel = Release{Timers: s.fx.Timers, Sends: s.fx.Sends, Deliveries: s.fx.Deliveries}
+func (s *Step) stage(al AppLog) Release {
+	rel := Release{Timers: s.fx.Timers, Sends: s.fx.Sends, Deliveries: s.fx.Deliveries}
 	if s.store == nil {
-		return rel, false
+		return rel
 	}
 	c := s.cur
 	c.entries = append(append(c.entries, s.fx.Persists...), s.fx.LazyPersists...)
@@ -141,15 +137,15 @@ func (s *Step) stage(al AppLog) (rel Release, kept bool) {
 	case len(rel.Deliveries) > 0 && (held(c) || held(s.fly)):
 		c.held.Deliveries = append(c.held.Deliveries, rel.Deliveries...)
 		rel.Deliveries = nil
-		return rel, true
+		return rel
 	default:
-		return rel, len(s.fx.LazyPersists) > 0
+		return rel
 	}
 	c.held.Timers = append(c.held.Timers, rel.Timers...)
 	c.held.Sends = append(c.held.Sends, rel.Sends...)
 	c.held.Deliveries = append(c.held.Deliveries, rel.Deliveries...)
 	c.calls++
-	return Release{}, true
+	return Release{}
 }
 
 func vouches(sends []Send) bool {
@@ -250,9 +246,9 @@ func (s *Step) Restart(h Handler) {
 // lock-free MPSC ring with an unbounded overflow (internal/ring), so a post
 // never blocks — which rules out buffer-deadlock cycles between shards; load
 // shows up as Depth, not as backpressure. The envelope type is the
-// runtime's: the input plus whatever must travel with it (the TCP runtime's
-// borrowed frame). Envelopes from one producer are consumed in the order it
-// posted them, which is what preserves per-link FIFO.
+// runtime's: the input plus whatever must travel with it. Envelopes from one
+// producer are consumed in the order it posted them, which is what preserves
+// per-link FIFO.
 type Mailbox[E any] struct {
 	box *ring.MPSC[E]
 	// wake nudges Run after a post (capacity 1: a pending wake-up covers

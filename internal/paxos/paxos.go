@@ -132,7 +132,7 @@ func New(cfg Config, app App) (*Replica, error) {
 			r.bal = r.cbal
 		}
 		for slot, ps := range rs.PaxosLog {
-			r.log[slot] = &entry{vbal: ps.VBal, cmd: ps.Cmd.Clone(), committed: ps.Committed}
+			r.log[slot] = &entry{vbal: ps.VBal, cmd: ps.Cmd, committed: ps.Committed}
 			if slot >= r.nextSlot {
 				r.nextSlot = slot + 1
 			}
@@ -197,11 +197,7 @@ func (r *Replica) Start(fx *node.Effects) {
 
 // Propose appends cmd to the replicated log. Only the leader may call it;
 // it returns the assigned slot. The command is chosen once a quorum accepts
-// it, then applied everywhere in slot order.
-//
-// Ownership: the log retains cmd, so the caller must pass an owned command
-// — one it built itself or cloned from a received message (never one whose
-// payload still aliases a borrowed network frame).
+// it, then applied everywhere in slot order. The log retains cmd as it is.
 func (r *Replica) Propose(cmd msgs.Command, fx *node.Effects) (uint64, bool) {
 	if !r.leading {
 		return 0, false
@@ -289,9 +285,7 @@ func (r *Replica) onP2a(from mcast.ProcessID, m msgs.P2a, fx *node.Effects) {
 	e := r.log[m.Slot]
 	if e == nil || e.vbal.Less(m.Bal) {
 		if e == nil || !e.committed {
-			// Retention boundary: the log outlives this Handle call, so
-			// deep-copy the command off the (possibly borrowed) frame.
-			ne := &entry{vbal: m.Bal, cmd: m.Cmd.Clone()}
+			ne := &entry{vbal: m.Bal, cmd: m.Cmd}
 			r.log[m.Slot] = ne
 			// The P2b below promises this acceptance; it must survive a
 			// crash or a choosing quorum could include a vote that a
@@ -338,8 +332,7 @@ func (r *Replica) onLearn(m msgs.Learn, fx *node.Effects) {
 	if e != nil && e.committed {
 		return
 	}
-	// Retention boundary (see onP2a).
-	ne := &entry{vbal: r.cbal, cmd: m.Cmd.Clone(), committed: true}
+	ne := &entry{vbal: r.cbal, cmd: m.Cmd, committed: true}
 	r.log[m.Slot] = ne
 	// Learned decisions are durable before execution reaches the app.
 	r.persistSlot(m.Slot, ne, fx)
@@ -401,16 +394,6 @@ func (r *Replica) onP1b(from mcast.ProcessID, m msgs.P1b, fx *node.Effects) {
 	}
 	if r.cbal == r.bal {
 		return // already took over in this ballot
-	}
-	// Retention boundary: the vote set outlives this Handle call, and the
-	// reported entries' commands may alias a borrowed frame.
-	if len(m.Entries) > 0 {
-		ents := make([]msgs.P1bEntry, len(m.Entries))
-		for i, ent := range m.Entries {
-			ent.Cmd = ent.Cmd.Clone()
-			ents[i] = ent
-		}
-		m.Entries = ents
 	}
 	r.p1bs[from] = m
 	if len(r.p1bs) < r.cfg.Top.QuorumSize(r.group) {

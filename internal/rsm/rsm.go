@@ -132,10 +132,8 @@ func (m *Machine) ApplyAssign(app mcast.AppMsg, lts mcast.Timestamp) (mcast.Time
 		lts = mcast.Timestamp{Time: m.clock + 1, Group: m.group}
 	}
 	m.assigned[lts.Time] = true
-	// The machine retains app. Callers apply commands out of the Paxos
-	// log, which owns its commands (cloned off the wire at its retention
-	// boundary), so sharing the immutable message here is safe and avoids
-	// a second copy per assignment.
+	// The machine retains app: messages are immutable, so sharing the
+	// Paxos log's copy is safe and costs nothing.
 	e.app = app
 	e.phase = msgs.PhaseProposed
 	e.lts = lts

@@ -404,7 +404,7 @@ func (s *Sim) handle(pid mcast.ProcessID, st *node.Step, in node.Input) error {
 	if s.cfg.Trace != nil {
 		s.cfg.Trace(TraceEvent{At: s.now, Proc: pid, In: in})
 	}
-	rel, _, err := st.Do(in)
+	rel, err := st.Do(in)
 	if err == nil {
 		s.release(pid, rel)
 	}

@@ -85,7 +85,7 @@ func (n *Node) Handle(in node.Input, fx *node.Effects) {
 func (n *Node) onMulticast(app mcast.AppMsg, fx *node.Effects) {
 	st := n.get(app.ID)
 	if !st.havApp {
-		st.app = app.Clone()
+		st.app = app
 		st.havApp = true
 	}
 	if st.phase == msgs.PhaseStart {

@@ -32,8 +32,8 @@ func benchAccept() msgs.Accept {
 	}
 }
 
-// newBenchNode builds a Node with an initialised pool, mailbox and address
-// book but no listener and no loop, for driving single stages directly.
+// newBenchNode builds a Node with an initialised mailbox and address book but
+// no listener and no loop, for driving single stages directly.
 func newBenchNode(pid mcast.ProcessID) *Node {
 	n := &Node{
 		cfg:   Config{PID: pid},
@@ -42,7 +42,6 @@ func newBenchNode(pid mcast.ProcessID) *Node {
 		peers: make(map[mcast.ProcessID]*link),
 	}
 	n.box = node.NewMailbox[boxedInput](mailboxSize, n.quit)
-	n.readPool.New = func() any { return &readFrame{} }
 	return n
 }
 
@@ -93,7 +92,7 @@ func BenchmarkSendPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.release(nil, rel, nil)
+		n.release(rel, nil)
 		n.commit()
 		for int64(i)-arrived() >= sendWindow {
 			runtime.Gosched()
@@ -107,10 +106,9 @@ func BenchmarkSendPath(b *testing.B) {
 	}
 }
 
-// BenchmarkReadFramePath measures the inbound hot path: pooled frame
-// acquisition plus borrow-mode decode, as performed by readLoop.
+// BenchmarkReadFramePath measures the inbound hot path: a frame's own buffer
+// plus borrow-mode decode, as performed by readLoop.
 func BenchmarkReadFramePath(b *testing.B) {
-	n := newBenchNode(3)
 	wireBytes, ok := newBenchNode(4).encode(benchAccept())
 	if !ok {
 		b.Fatal("encode failed")
@@ -118,17 +116,16 @@ func BenchmarkReadFramePath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rf := n.getReadFrame(len(wireBytes))
-		copy(rf.buf, wireBytes)
-		if _, err := decodeFrameBody(rf.buf); err != nil {
+		buf := make([]byte, len(wireBytes))
+		copy(buf, wireBytes)
+		if _, err := decodeFrameBody(buf); err != nil {
 			b.Fatal(err)
 		}
-		n.putReadFrame(rf)
 	}
 }
 
 // BenchmarkReadLoop measures the whole inbound stage — buffered read,
-// pooled frame, borrow decode, post to the mailbox — over an
+// the frame's buffer, borrow decode, post to the mailbox — over an
 // in-memory pipe, with the writer handing over benchFramesPerWrite frames
 // at a time as a peer's link does under load. reads/frame
 // is the number of Read calls (read(2) on a real connection) per frame.

@@ -48,11 +48,13 @@
 //     Send fans out to, and copied into the buffer of each destination's
 //     link; a link alternates between two buffers, so the steady state
 //     allocates nothing.
-//   - Inbound, read frames come from a sync.Pool and are decoded in borrow
-//     mode (wire.DecodeBorrowed): the message's byte fields alias the frame,
-//     which is recycled as soon as the handler returns. Handlers must
-//     deep-copy anything they retain (see the frame-ownership notes on
-//     node.Handler).
+//   - Inbound, each frame is read into a buffer of its own and decoded in
+//     borrow mode (wire.DecodeBorrowed): the message's byte fields alias the
+//     frame, which nothing reuses — the garbage collector frees it once no
+//     part of the message is kept. A handler may keep any part of a received
+//     message as it is (node.Handler). A kept payload pins only its own
+//     message's bytes: a frame carries one message, and the entries of an
+//     AckBatch, the one frame expanded into several inputs, carry no bytes.
 //
 // # Layering
 //

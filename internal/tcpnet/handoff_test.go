@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
@@ -96,5 +97,60 @@ func TestStagedEntriesKeepTheirFrames(t *testing.T) {
 		if !bytes.Equal(app, bytes.Repeat([]byte{want}, 1024)) {
 			t.Fatalf("entry %d reached the store as %q…, want 1024 × %q: its frame was recycled under it", i, app[:8], want)
 		}
+	}
+}
+
+// TestRetainedMessageKeepsItsBytes: a received message is the handler's to
+// keep, whole and uncopied. A handler keeps the first MULTICAST's payload
+// as it arrived; 256 later frames of the same size, filled with another
+// byte, pass through the read loop and the shard. Had the first frame's
+// buffer gone back to the read path, one of them would have refilled it
+// under the kept payload.
+func TestRetainedMessageKeepsItsBytes(t *testing.T) {
+	const later = 256
+	var kept []byte
+	seen, done := 0, make(chan struct{})
+	n, err := Serve(Config{
+		PID: 3, ListenAddr: "127.0.0.1:0",
+		Handler: node.Func{PID: 3, F: func(in node.Input, _ *node.Effects) {
+			rcv, ok := in.(node.Recv)
+			if !ok {
+				return
+			}
+			if seen++; seen == 1 {
+				kept = rcv.Msg.(msgs.Multicast).M.Payload
+			}
+			if seen == 1+later {
+				close(done)
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	conn, err := net.Dial("tcp", n.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(fill byte) {
+		t.Helper()
+		m := mcast.AppMsg{ID: mcast.MakeMsgID(4, 1), Dest: mcast.NewGroupSet(0), Payload: bytes.Repeat([]byte{fill}, 1024)}
+		if _, err := conn.Write(rawFrame(t, msgs.Multicast{M: m})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send('A')
+	for i := 0; i < later; i++ {
+		send('B')
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the later frames did not reach the handler")
+	}
+	if !bytes.Equal(kept, bytes.Repeat([]byte{'A'}, 1024)) {
+		t.Fatalf("the kept payload reads %q…, want 1024 × 'A': its frame was reused under it", kept[:8])
 	}
 }

@@ -28,7 +28,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 
 // readRig is a node for process 3 whose readLoop reads the far end of an
 // in-memory pipe: whatever is written to peer arrives as Recv inputs on
-// got, payloads copied out of their frames. net.Pipe does not buffer, so
+// got. net.Pipe does not buffer, so
 // one Write is consumed by exactly as many Reads as the reader's buffer
 // needs — the read count repeats exactly.
 type readRig struct {
@@ -39,27 +39,19 @@ type readRig struct {
 }
 
 // newReadRig starts the rig; onRecv (optional) replaces the default
-// consumer, which clones each message and posts it to got.
+// consumer, which posts each message to got.
 func newReadRig(tb testing.TB, onRecv func(node.Recv)) *readRig {
 	tb.Helper()
 	n := newBenchNode(3)
 	near, far := net.Pipe()
 	r := &readRig{n: n, conn: &countingConn{Conn: near}, peer: far, got: make(chan node.Recv, 256)}
 	if onRecv == nil {
-		onRecv = func(rcv node.Recv) {
-			if m, ok := rcv.Msg.(msgs.Multicast); ok {
-				rcv.Msg = msgs.Multicast{M: m.M.Clone()} // the frame is recycled below
-			}
-			r.got <- rcv
-		}
+		onRecv = func(rcv node.Recv) { r.got <- rcv }
 	}
 	n.wg.Add(2)
 	go func() {
 		defer n.wg.Done()
-		n.box.Run(func(b boxedInput) {
-			onRecv(b.in.(node.Recv))
-			n.releaseRead(b.frame)
-		}, func() {})
+		n.box.Run(func(b boxedInput) { onRecv(b.in.(node.Recv)) }, func() {})
 	}()
 	go n.readLoop(r.conn)
 	tb.Cleanup(func() {
@@ -206,8 +198,7 @@ func TestReconnectsLeakNoGoroutine(t *testing.T) {
 }
 
 // recvNode serves process 3 with a handler that reports every Recv on the
-// returned channel as whether it is want (messages borrow from their frames,
-// so they are compared in place).
+// returned channel as whether it is want.
 func recvNode(tb testing.TB, want msgs.Message) (*Node, chan bool) {
 	tb.Helper()
 	got := make(chan bool, 1024)

@@ -46,8 +46,8 @@ const mailboxSize = 64
 // dialTimeout bounds one outbound connection attempt.
 const dialTimeout = 3 * time.Second
 
-// pooledFrameCap bounds the capacity of the buffers kept for reuse (the read
-// pool's frames, a link's two buffers), so one jumbo frame does not pin
+// pooledFrameCap bounds the capacity of the send-side buffers kept for reuse
+// (the encode scratch, a link's two buffers), so one jumbo frame does not pin
 // megabytes.
 const pooledFrameCap = 1 << 20
 
@@ -128,11 +128,6 @@ type Node struct {
 
 	step *node.Step
 	box  *node.Mailbox[boxedInput]
-	// held keeps the borrowed frames of the inputs that left entries or
-	// effects with the Step for its next hand-off, flying those of the
-	// hand-off in flight — staged entries alias them until its Append has
-	// returned: composite readFrames, nil when none.
-	held, flying *readFrame
 
 	// The send path's scratch, used by the loop alone: the encoded body of
 	// the send being released, the links it goes to, and the links appended
@@ -147,34 +142,16 @@ type Node struct {
 	peers   map[mcast.ProcessID]*link
 	stopped bool
 
-	// readPool recycles inbound frame buffers.
-	readPool sync.Pool
-
 	// rt holds the node's I/O counters (cfg.Metrics, or an unregistered
 	// handle when the caller passed none).
 	rt *obs.Runtime
 }
 
-// boxedInput pairs an input with the pooled read frame its decoded message
-// borrows from (nil for timers, injected inputs and expanded ack-batch
-// entries); the frame is released after the handler has consumed the input.
-// One with done set carries no input: it is the node's hand-off coming back
-// from the store.
+// boxedInput is one mailbox entry: an input, or, with done set, the node's
+// hand-off coming back from the store.
 type boxedInput struct {
-	in    node.Input
-	frame *readFrame
-	done  *node.Commit
-}
-
-// readFrame is one inbound frame buffer, reference-counted: the mailbox
-// entry holds one reference, and so does every composite it is a part of. A
-// composite has no bytes of its own: it holds one reference on each of its
-// parts — the frames of the inputs one commit covers — and drops them with
-// its last.
-type readFrame struct {
-	buf   []byte
-	refs  atomic.Int32
-	parts []*readFrame
+	in   node.Input
+	done *node.Commit
 }
 
 // Serve starts listening and processing.
@@ -199,7 +176,6 @@ func Serve(cfg Config) (*Node, error) {
 		rt:    rt,
 	}
 	n.box = node.NewMailbox[boxedInput](mailboxSize, n.quit)
-	n.readPool.New = func() any { return &readFrame{} }
 	for pid, addr := range cfg.Peers {
 		n.SetPeer(pid, addr)
 	}
@@ -325,9 +301,10 @@ func (n *Node) acceptLoop() {
 // buffer per connection, and posts each one addressed to this process to
 // the mailbox. A frame for anybody else — a peer's address book is stale —
 // is dropped unread: no handler may see a message its process is not a
-// destination of. An AckBatch frame is expanded into per-entry Recv posts
-// (ack messages carry no byte slices, so the frame is recycled immediately).
-// A malformed frame ends the connection.
+// destination of. Each frame is read into a buffer of its own, which the
+// decoded message borrows and nothing reuses: the garbage collector frees it
+// with the last part of the message anybody keeps. An AckBatch frame is
+// expanded into per-entry Recv posts. A malformed frame ends the connection.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
@@ -351,26 +328,22 @@ func (n *Node) readLoop(conn net.Conn) {
 			n.logf("tcpnet: bad frame size %d from %s", size, conn.RemoteAddr())
 			return
 		}
-		rf := n.getReadFrame(int(size))
-		if _, err := io.ReadFull(br, rf.buf); err != nil {
-			n.putReadFrame(rf)
+		buf := make([]byte, size)
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return
 		}
 		start := time.Now()
-		dest, off := binary.Varint(rf.buf)
+		dest, off := binary.Varint(buf)
 		if off <= 0 {
-			n.putReadFrame(rf)
 			n.logf("tcpnet: bad destination from %s", conn.RemoteAddr())
 			return
 		}
 		if dest != int64(n.cfg.PID) {
-			n.putReadFrame(rf)
 			n.logf("tcpnet: dropping a frame for process %d from %s", dest, conn.RemoteAddr())
 			continue
 		}
-		rcv, err := decodeFrameBody(rf.buf[off:])
+		rcv, err := decodeFrameBody(buf[off:])
 		if err != nil {
-			n.putReadFrame(rf)
 			n.logf("tcpnet: %v (from %s)", err, conn.RemoteAddr())
 			return
 		}
@@ -380,11 +353,9 @@ func (n *Node) readLoop(conn net.Conn) {
 			for _, m := range ab.Entries {
 				n.box.Post(boxedInput{in: node.Recv{From: rcv.From, Msg: m}})
 			}
-			n.putReadFrame(rf)
 			continue
 		}
-		rf.refs.Store(1)
-		n.box.Post(boxedInput{in: rcv, frame: rf})
+		n.box.Post(boxedInput{in: rcv})
 	}
 }
 
@@ -402,64 +373,15 @@ func decodeFrameBody(buf []byte) (node.Recv, error) {
 	return node.Recv{From: mcast.ProcessID(from), Msg: m}, nil
 }
 
-func (n *Node) getReadFrame(size int) *readFrame {
-	rf := n.readPool.Get().(*readFrame)
-	if cap(rf.buf) < size {
-		rf.buf = make([]byte, size)
-	}
-	rf.buf = rf.buf[:size]
-	return rf
-}
-
-func (n *Node) putReadFrame(rf *readFrame) {
-	if rf == nil || cap(rf.buf) > pooledFrameCap {
-		return
-	}
-	n.readPool.Put(rf)
-}
-
-// retainRead takes one extra reference on an inbound frame (nil-safe).
-func (n *Node) retainRead(rf *readFrame) {
-	if rf != nil {
-		rf.refs.Add(1)
-	}
-}
-
-// releaseRead drops one reference on an inbound frame (nil-safe); the last
-// reference releases a composite's parts and recycles the buffer.
-func (n *Node) releaseRead(rf *readFrame) {
-	if rf != nil && rf.refs.Add(-1) == 0 {
-		for _, part := range rf.parts {
-			n.releaseRead(part)
-		}
-		clear(rf.parts)
-		rf.parts = rf.parts[:0]
-		n.putReadFrame(rf)
-	}
-}
-
 // consume runs one input through the node's Step, or takes back the
-// hand-off that has run. What the call left with the Step keeps a reference
-// on its borrowed frame; the rest is released at once.
+// hand-off that has run.
 func (n *Node) consume(b boxedInput) {
 	n.rt.MailboxHW.SetMax(n.box.HighWater())
 	if b.done != nil {
-		rel, err := n.step.Complete(b.done)
-		rf := n.flying
-		n.flying = nil
-		n.release(rf, rel, err)
+		n.release(n.step.Complete(b.done))
 		return
 	}
-	rel, kept, err := n.step.Do(b.in)
-	if kept && b.frame != nil {
-		if n.held == nil {
-			n.held = n.getReadFrame(0)
-			n.held.refs.Store(1)
-		}
-		n.retainRead(b.frame)
-		n.held.parts = append(n.held.parts, b.frame)
-	}
-	n.release(b.frame, rel, err)
+	n.release(n.step.Do(b.in))
 }
 
 // commit is the mailbox's commit hook, the end of a drain. First the
@@ -467,10 +389,9 @@ func (n *Node) consume(b boxedInput) {
 // appended to are flushed — so a frame waits for the rest of its drain and no
 // longer, and whatever the drain produced for one peer leaves in one write.
 // Then what the drain staged goes to the store — one Append, one Sync — on a
-// goroutine beside the loop, with the frames it may alias, and comes back
-// through the mailbox.
+// goroutine beside the loop, and comes back through the mailbox.
 func (n *Node) commit() {
-	n.release(nil, n.step.EndDrain(), nil)
+	n.release(n.step.EndDrain(), nil)
 	for _, l := range n.touched {
 		n.flushAcks(l)
 		l.touched = false
@@ -484,46 +405,39 @@ func (n *Node) commit() {
 	if held := c.Calls(); held > 0 {
 		n.rt.CommitInputs.Observe(time.Duration(held) * time.Second)
 	}
-	n.flying, n.held = n.held, nil
 	c.Go(&n.wg, func() { n.box.Post(boxedInput{done: c}) })
 }
 
 // release acts on what the Step handed back, in the driver's order: timers,
-// sends, deliveries; then the loop's reference on rf, the frame the effects
-// may borrow from, can go. A storage failure crash-stops the node — it
-// closes as if killed, and the durable prefix is what a restart recovers.
-func (n *Node) release(rf *readFrame, rel node.Release, err error) {
+// sends, deliveries. A storage failure crash-stops the node — it closes as
+// if killed, and the durable prefix is what a restart recovers.
+func (n *Node) release(rel node.Release, err error) {
 	if err != nil {
 		n.logf("tcpnet: p%d crash-stopping on storage failure: %v", n.cfg.PID, err)
 		n.stop()
-		n.releaseRead(n.held)
-		n.releaseRead(n.flying)
-		n.held, n.flying = nil, nil
-	} else {
-		for _, tm := range rel.Timers {
-			n.box.PostAfter(tm.After, boxedInput{in: node.Timer{Kind: tm.Kind, Data: tm.Data}})
-		}
-		n.send(rf, rel.Sends)
-		if n.cfg.OnDeliver != nil {
-			for _, d := range rel.Deliveries {
-				n.cfg.OnDeliver(d)
-			}
+		return
+	}
+	for _, tm := range rel.Timers {
+		n.box.PostAfter(tm.After, boxedInput{in: node.Timer{Kind: tm.Kind, Data: tm.Data}})
+	}
+	n.send(rel.Sends)
+	if n.cfg.OnDeliver != nil {
+		for _, d := range rel.Deliveries {
+			n.cfg.OnDeliver(d)
 		}
 	}
-	n.releaseRead(rf)
 }
 
 // send releases one release's sends. A self-send gets the message through
 // the mailbox without touching the wire: the value is shared, not
-// re-encoded — handlers treat received messages as immutable either way —
-// and the posted input keeps a reference to rf in case the message borrows
-// from it. For the remote recipients the message is serialised once, here,
+// re-encoded — received messages are immutable either way. For the remote
+// recipients the message is serialised once, here,
 // whatever the fan-out, and the bytes are appended to the link of every
 // destination; commit flushes them. Ack-class unicasts accumulate per link
 // and leave as one AckBatch frame — before any later frame to the same link
 // (per-link FIFO), when ackBatchMax have gathered, and at the end of the
 // drain.
-func (n *Node) send(rf *readFrame, sends []node.Send) {
+func (n *Node) send(sends []node.Send) {
 	for i := range sends {
 		snd := &sends[i]
 		ack := snd.Tos == nil && snd.Msg.Kind().IsAck()
@@ -531,8 +445,7 @@ func (n *Node) send(rf *readFrame, sends []node.Send) {
 		for r := 0; r < snd.NumRecipients(); r++ {
 			to := snd.Recipient(r)
 			if to == n.cfg.PID {
-				n.retainRead(rf)
-				n.box.Post(boxedInput{in: node.Recv{From: to, Msg: snd.Msg}, frame: rf})
+				n.box.Post(boxedInput{in: node.Recv{From: to, Msg: snd.Msg}})
 				continue
 			}
 			l := n.linkTo(to)

@@ -180,8 +180,8 @@ func TestFrameRoundTripPreservesWire(t *testing.T) {
 		t.Error("borrow-decoded message differs from original")
 	}
 	// The borrow-decoded payload aliases the frame: mutating the frame must
-	// show through (this is the ownership hazard the Handler contract and
-	// Clone() discipline exist for).
+	// show through. readLoop reads every frame into a buffer of its own and
+	// never writes it again, so the alias is safe to keep.
 	body[len(body)-1] ^= 0xFF
 	enc, _ := wire.Encode(nil, orig)
 	if string(acc.M.Payload) == string(enc[len(enc)-len(acc.M.Payload):]) {

@@ -62,9 +62,9 @@ const (
 
 // Entry is one durable state transition. Which fields are meaningful
 // depends on Kind (see the kind constants). Entries appended to a
-// node.Effects may alias borrowed network frames; Storage implementations
-// must encode or deep-copy them during Append and never retain the entry's
-// slices afterwards.
+// node.Effects may alias the received messages they record; Storage
+// implementations must encode or deep-copy them during Append and never
+// retain or write the entry's slices afterwards.
 type Entry struct {
 	Kind EntryKind
 

@@ -72,7 +72,8 @@ func (s *State) Empty() bool {
 }
 
 // Apply folds one entry into the state. Anything retained from e is
-// deep-copied, so entries aliasing borrowed network frames are safe.
+// deep-copied: Memory decodes entries out of a staging buffer it reuses, and
+// Disk replay decodes them out of the whole log file.
 func (s *State) Apply(e Entry) {
 	switch e.Kind {
 	case EntryBallot:

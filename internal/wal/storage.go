@@ -16,9 +16,9 @@ import "errors"
 type Storage interface {
 	// Load returns the durable state. The caller owns the result.
 	Load() (*State, error)
-	// Append stages entries for durability. Entries may alias borrowed
-	// network frames: implementations must encode or deep-copy during the
-	// call and not retain any entry slice afterwards.
+	// Append stages entries for durability. Entries may alias received
+	// messages: implementations must encode or deep-copy during the call
+	// and not retain any entry slice afterwards.
 	Append(entries ...Entry) error
 	// Sync makes every staged entry durable.
 	Sync() error

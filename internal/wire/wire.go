@@ -144,16 +144,15 @@ func Decode(data []byte) (msgs.Message, error) {
 // DecodeBorrowed parses one message from data like Decode, but without
 // copying byte strings: the []byte fields of the returned message
 // (application payloads, batch entries) alias data directly. It is the
-// zero-copy dispatch path for runtimes that own the frame buffer and
-// control its lifetime.
+// zero-copy dispatch path for runtimes that own the frame buffer.
 //
-// Ownership contract: the returned message is valid only while data is.
-// A caller that recycles data (e.g. returns a pooled read frame) must do so
-// only after the message has been fully processed, and consumers that
-// retain any part of the message must deep-copy it first (see the frame-
-// ownership notes on node.Handler). Non-byte slices — destination sets,
-// ballot vectors, timestamp vectors, record lists — are freshly allocated
-// either way and never alias data.
+// The message is only as stable as data: a caller must not write data again
+// while any part of the message may be in use. The TCP runtime reads every
+// frame into a buffer of its own and never reuses it, so what it decodes is
+// safe to keep for as long as anybody likes; the garbage collector frees the
+// frame with the last part kept. Non-byte slices — destination sets, ballot
+// vectors, timestamp vectors, record lists — are freshly allocated either
+// way and never alias data.
 func DecodeBorrowed(data []byte) (msgs.Message, error) {
 	return decode(data, true)
 }

@@ -121,3 +121,36 @@ func TestRestartCostFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestPutAfterReopen: a kv deployment closed and reopened on its data
+// directory answers a fresh client's Puts. The fresh client must not get the
+// process ID of the one before the restart: its first message would reuse
+// that client's first message ID, whose record the replica still holds
+// (under AppGCHorizon a record outlives its delivery until the app's durable
+// horizon passes it) — the replica would take the Put for a retry of the old
+// one, and the client would wait for an answer that never comes.
+func TestPutAfterReopen(t *testing.T) {
+	cfg := wbcast.Config{Groups: 1, Replicas: 1, Storage: wbcast.DirStorage(t.TempDir()), AppGCHorizon: true}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, val := range []string{"before", "after"} {
+		cluster, err := wbcast.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := NewService(cluster, Options{Persist: true})
+		if err != nil {
+			cluster.Close()
+			t.Fatal(err)
+		}
+		cl, err := svc.NewClient()
+		if err == nil {
+			err = cl.Put(ctx, []byte("k"), []byte(val))
+		}
+		svc.Close()
+		cluster.Close()
+		if err != nil {
+			t.Fatalf("Put %q: %v", val, err)
+		}
+	}
+}

@@ -29,6 +29,9 @@ type Replica struct {
 	// do once crash has stopped the loop and joined the hand-off in flight.
 	store wal.Storage
 	app   AppState // application state recovered at construction
+	// lastSender is the largest sender ID among the messages the recovered
+	// state records, NoProcess when it records none.
+	lastSender ProcessID
 
 	mu     sync.Mutex
 	subs   []*Subscription
@@ -109,8 +112,9 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 		}
 		return nil, err
 	}
-	r := &Replica{cfg: cfg, top: top, pid: pid, tr: cfg.Transport, reg: reg, store: store}
+	r := &Replica{cfg: cfg, top: top, pid: pid, tr: cfg.Transport, reg: reg, store: store, lastSender: NoProcess}
 	if rs != nil {
+		r.lastSender = lastSender(rs)
 		r.app = AppState{
 			Snapshot: rs.AppSnapshot,
 			Log:      rs.AppLog,
@@ -364,6 +368,23 @@ func (r *Replica) AdvanceGCHorizon(ts Timestamp) {
 	_ = r.tr.inject(r.pid, node.GCHorizon{TS: ts})
 }
 
+// lastSender returns the largest sender ID among the messages rs records —
+// white-box records, the applied set, the Paxos log's commands — or
+// NoProcess when it records none.
+func lastSender(rs *wal.State) ProcessID {
+	last := NoProcess
+	for id := range rs.Records {
+		last = max(last, id.Sender())
+	}
+	for id := range rs.Delivered {
+		last = max(last, id.Sender())
+	}
+	for _, ps := range rs.PaxosLog {
+		last = max(last, ps.Cmd.M.ID.Sender(), ps.Cmd.ID.Sender())
+	}
+	return last
+}
+
 // appReplay reconstructs the deliveries replica group g had already
 // exposed before a crash, from the protocol's durable message records:
 // committed records addressed to g that the replica had applied, in
@@ -401,7 +422,7 @@ func appReplay(rs *wal.State, g GroupID) []Delivery {
 		} else if rs.MaxDelivered.Less(rec.GTS) {
 			continue
 		}
-		ds = append(ds, batch.Expand(mcast.Delivery{Msg: rec.M.Clone(), GTS: rec.GTS})...)
+		ds = append(ds, batch.Expand(mcast.Delivery{Msg: rec.M, GTS: rec.GTS})...)
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].Before(ds[j]) })
 	return ds

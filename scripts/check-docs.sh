@@ -16,7 +16,8 @@
 #     the command does not define, and none of the retired names
 #     (`lockedStorage`, the compaction knobs `Snapshot{Every,Threshold}`,
 #     wire's `{Append,Consume}*` storage wrappers, the buffer knobs
-#     `{Trace,Delivery}Buffer`, the range partitioner).
+#     `{Trace,Delivery}Buffer`, the range partitioner, the inbound frames'
+#     reference counting and the record-list clone).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -134,9 +135,11 @@ done
 # began to compact once they outgrow their snapshot; wire's storage
 # wrappers when every format began to read and write through
 # wire.Writer/Reader; the trace and delivery buffer knobs and the range
-# partitioner when nothing set them.
+# partitioner when nothing set them; the inbound frames' reference counts and
+# the handlers' clones of received messages when frames stopped being
+# reused.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
-  {Trace,Delivery}Buffer Range''Partitioner; do
+  {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary'; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1
