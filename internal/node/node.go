@@ -241,9 +241,9 @@ func (fx *Effects) Reset() {
 	fx.LazyPersists = fx.LazyPersists[:0]
 }
 
-// Handler is a deterministic protocol node. Handle must not retain in or fx
-// and must not perform I/O or read clocks; runtimes may call it from
-// different goroutines over time but never concurrently.
+// Handler is a deterministic protocol node. Handle must not retain fx, which
+// the runtime reuses, and must not perform I/O or read clocks; runtimes may
+// call it from different goroutines over time but never concurrently.
 //
 // # Shard model
 //
