@@ -77,6 +77,22 @@ func BenchmarkReferenceSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkConvoyProbe is one convoy probe of the white-box protocol on two
+// groups of three: a fresh cluster, ten multicasts, a run to quiescence and
+// the full correctness check — the shape of a small model-checking leaf.
+func BenchmarkConvoyProbe(b *testing.B) {
+	p, err := ProtocolByName("wbcast")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := convoyProbe(p, 3, probeT0, probeT0+4*latDelta); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // brokenProtocol is an adapter none of whose replicas can be built.
 type brokenProtocol struct{}
 

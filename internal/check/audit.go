@@ -23,7 +23,7 @@ type WbAudit struct {
 	deliverLTS map[deliverKey]mcast.Timestamp
 	deliverGTS map[mcast.MsgID]mcast.Timestamp
 	gtsOwner   map[mcast.Timestamp]mcast.MsgID
-	errs       []error
+	errs       errList
 	accepts    int
 	delivers   int
 }
@@ -59,41 +59,38 @@ func (a *WbAudit) Trace(ev sim.TraceEvent) {
 	switch m := rcv.Msg.(type) {
 	case msgs.Accept:
 		a.accepts++
-		k := acceptKey{id: m.M.ID, group: m.Group, bal: m.Bal}
-		if prev, seen := a.acceptLTS[k]; seen {
-			if prev != m.LTS {
-				a.errs = append(a.errs, fmt.Errorf(
-					"invariant 1: ACCEPT(%v, g%d, %v) carried lts %v and %v", m.M.ID, m.Group, m.Bal, prev, m.LTS))
-			}
-		} else {
-			a.acceptLTS[k] = m.LTS
+		if prev, _ := record(a.acceptLTS, acceptKey{id: m.M.ID, group: m.Group, bal: m.Bal}, m.LTS); prev != m.LTS {
+			a.errs.add(fmt.Errorf(
+				"invariant 1: ACCEPT(%v, g%d, %v) carried lts %v and %v", m.M.ID, m.Group, m.Bal, prev, m.LTS))
 		}
 	case msgs.Deliver:
 		a.delivers++
 		g := a.top.GroupOf(ev.Proc)
-		dk := deliverKey{id: m.ID, group: g}
-		if prev, seen := a.deliverLTS[dk]; seen {
-			if prev != m.LTS {
-				a.errs = append(a.errs, fmt.Errorf(
-					"invariant 3a: DELIVER(%v) to group %d carried lts %v and %v", m.ID, g, prev, m.LTS))
-			}
-		} else {
-			a.deliverLTS[dk] = m.LTS
+		if prev, _ := record(a.deliverLTS, deliverKey{id: m.ID, group: g}, m.LTS); prev != m.LTS {
+			a.errs.add(fmt.Errorf(
+				"invariant 3a: DELIVER(%v) to group %d carried lts %v and %v", m.ID, g, prev, m.LTS))
 		}
-		if prev, seen := a.deliverGTS[m.ID]; seen {
-			if prev != m.GTS {
-				a.errs = append(a.errs, fmt.Errorf(
-					"invariant 3b: DELIVER(%v) carried gts %v and %v", m.ID, prev, m.GTS))
-			}
-		} else {
-			a.deliverGTS[m.ID] = m.GTS
+		if prev, fresh := record(a.deliverGTS, m.ID, m.GTS); prev != m.GTS {
+			a.errs.add(fmt.Errorf(
+				"invariant 3b: DELIVER(%v) carried gts %v and %v", m.ID, prev, m.GTS))
+		} else if fresh {
 			if other, clash := a.gtsOwner[m.GTS]; clash && other != m.ID {
-				a.errs = append(a.errs, fmt.Errorf(
+				a.errs.add(fmt.Errorf(
 					"invariant 4: %v and %v share gts %v", m.ID, other, m.GTS))
 			}
 			a.gtsOwner[m.GTS] = m.ID
 		}
 	}
+}
+
+// record stores v under k unless k holds a value already, and returns what
+// k holds and whether it was stored now.
+func record[K, V comparable](seen map[K]V, k K, v V) (held V, stored bool) {
+	if held, ok := seen[k]; ok {
+		return held, false
+	}
+	seen[k] = v
+	return v, true
 }
 
 // Errors returns all invariant violations observed so far.

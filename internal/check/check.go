@@ -8,16 +8,20 @@ package check
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"wbcast/internal/mcast"
 )
 
 // History accumulates the observable behaviour of a run.
 type History struct {
-	submitted  map[mcast.MsgID]submitInfo
-	deliveries map[mcast.ProcessID][]mcast.Delivery
+	submitted map[mcast.MsgID]submitInfo
+	// deliveries[p] is process p's delivery sequence; procs lists the
+	// processes with any, in the order of their first delivery, which is the
+	// order the checks visit them in.
+	deliveries [][]mcast.Delivery
 	procs      []mcast.ProcessID
+	n          int // deliveries in all
 }
 
 type submitInfo struct {
@@ -27,10 +31,7 @@ type submitInfo struct {
 
 // NewHistory returns an empty history.
 func NewHistory() *History {
-	return &History{
-		submitted:  make(map[mcast.MsgID]submitInfo),
-		deliveries: make(map[mcast.ProcessID][]mcast.Delivery),
-	}
+	return &History{submitted: make(map[mcast.MsgID]submitInfo)}
 }
 
 // AddSubmit records that sender multicast message m.
@@ -41,19 +42,99 @@ func (h *History) AddSubmit(sender mcast.ProcessID, m mcast.AppMsg) {
 // AddDelivery records that process p delivered d (in p's local order; call in
 // sequence).
 func (h *History) AddDelivery(p mcast.ProcessID, d mcast.Delivery) {
-	if _, seen := h.deliveries[p]; !seen {
+	if int(p) >= len(h.deliveries) {
+		h.deliveries = append(h.deliveries, make([][]mcast.Delivery, int(p)+1-len(h.deliveries))...)
+	}
+	if len(h.deliveries[p]) == 0 {
 		h.procs = append(h.procs, p)
 	}
 	h.deliveries[p] = append(h.deliveries[p], d)
+	h.n++
 }
 
 // NumDeliveries returns the total number of recorded deliveries.
-func (h *History) NumDeliveries() int {
-	n := 0
-	for _, ds := range h.deliveries {
-		n += len(ds)
+func (h *History) NumDeliveries() int { return h.n }
+
+// msgState is what a checker knows of one message.
+type msgState struct {
+	id        mcast.MsgID
+	info      submitInfo
+	submitted bool
+	by        mcast.ProcSet // the processes that delivered it
+	stamp     stampKey      // the stamp of its first delivery
+	stamped   bool
+}
+
+// validity returns the violation, if any, of p delivering the message.
+func (m *msgState) validity(top *mcast.Topology, p mcast.ProcessID) error {
+	if !m.submitted {
+		return fmt.Errorf("validity: %v delivered at p%d but never multicast", m.id, p)
 	}
-	return n
+	if g := top.GroupOf(p); g == mcast.NoGroup || !m.info.dest.Contains(g) {
+		return fmt.Errorf("validity: p%d (group %d) delivered %v addressed to %v", p, g, m.id, m.info.dest)
+	}
+	return nil
+}
+
+// stampAt records that p delivered the message with stamp st and returns
+// the violation of Invariant 3b or 4 that shows, if any; used maps each
+// stamp seen to its message.
+func (m *msgState) stampAt(p mcast.ProcessID, st stampKey, used map[stampKey]mcast.MsgID) error {
+	if m.stamped {
+		if m.stamp != st {
+			return fmt.Errorf("gts: %v has (GTS,sub) (%v,%d) at p%d but (%v,%d) elsewhere (Invariant 3b)",
+				m.id, st.gts, st.sub, p, m.stamp.gts, m.stamp.sub)
+		}
+		return nil
+	}
+	m.stamp, m.stamped = st, true
+	other, clash := used[st]
+	used[st] = m.id
+	if clash && other != m.id {
+		return fmt.Errorf("gts: %v and %v share (GTS,sub) (%v,%d) (Invariant 4)", m.id, other, st.gts, st.sub)
+	}
+	return nil
+}
+
+// errList collects violations.
+type errList []error
+
+func (l *errList) add(err error) {
+	if err != nil {
+		*l = append(*l, err)
+	}
+}
+
+// checker is one History.Check. It numbers the delivered messages 0, 1, …
+// in the order the checks meet them, so that the checks keep their
+// per-message state in a slice and look each message up in a map once.
+type checker struct {
+	*History
+	Config
+	num  map[mcast.MsgID]int32
+	msgs []msgState // by number
+	// seqs[i][k] is the number of deliveries[procs[i]][k].
+	seqs [][]int32
+	errs errList
+}
+
+func (h *History) checker(cfg Config) *checker {
+	c := &checker{History: h, Config: cfg, num: make(map[mcast.MsgID]int32, len(h.submitted)),
+		msgs: make([]msgState, 0, len(h.submitted)), seqs: make([][]int32, len(h.procs))}
+	for i, p := range h.procs {
+		c.seqs[i] = make([]int32, 0, len(h.deliveries[p]))
+		for _, d := range h.deliveries[p] {
+			n, ok := c.num[d.Msg.ID]
+			if !ok {
+				n = int32(len(c.msgs))
+				c.num[d.Msg.ID] = n
+				info, submitted := h.submitted[d.Msg.ID]
+				c.msgs = append(c.msgs, msgState{id: d.Msg.ID, info: info, submitted: submitted})
+			}
+			c.seqs[i] = append(c.seqs[i], n)
+		}
+	}
+	return c
 }
 
 // Config parametrises a check.
@@ -87,42 +168,35 @@ type Config struct {
 
 // Check verifies the history and returns all violations found.
 func (h *History) Check(cfg Config) []error {
-	var errs []error
-	top := cfg.Topology
+	c := h.checker(cfg)
 
 	// Validity + Integrity.
-	for _, p := range h.procs {
-		seen := make(map[mcast.MsgID]bool)
-		for _, d := range h.deliveries[p] {
-			info, ok := h.submitted[d.Msg.ID]
-			if !ok {
-				errs = append(errs, fmt.Errorf("validity: %v delivered at p%d but never multicast", d.Msg.ID, p))
+	for i, p := range h.procs {
+		for _, n := range c.seqs[i] {
+			m := &c.msgs[n]
+			if c.errs.add(m.validity(cfg.Topology, p)); !m.submitted {
 				continue
 			}
-			g := top.GroupOf(p)
-			if g == mcast.NoGroup || !info.dest.Contains(g) {
-				errs = append(errs, fmt.Errorf("validity: p%d (group %d) delivered %v addressed to %v", p, g, d.Msg.ID, info.dest))
+			if m.by.Has(p) {
+				c.errs.add(fmt.Errorf("integrity: p%d delivered %v twice", p, m.id))
 			}
-			if seen[d.Msg.ID] {
-				errs = append(errs, fmt.Errorf("integrity: p%d delivered %v twice", p, d.Msg.ID))
-			}
-			seen[d.Msg.ID] = true
+			m.by = m.by.Add(p)
 		}
 	}
 
 	// Ordering: the union of per-process delivery precedences (restricted
 	// to conflicting pairs in partial-order mode) must be acyclic; then a
 	// topological extension is a valid total order ≺.
-	errs = append(errs, h.checkOrdering(cfg.Conflicts)...)
+	c.checkOrdering()
 
 	if cfg.CheckGTS {
-		errs = append(errs, h.checkGTS(cfg.Conflicts)...)
+		c.checkGTS()
 	}
 
 	if cfg.AtQuiescence {
-		errs = append(errs, h.checkTermination(cfg)...)
+		c.checkTermination()
 	}
-	return errs
+	return c.errs
 }
 
 // checkOrdering builds the precedence graph (m1 precedes m2 when some
@@ -140,34 +214,33 @@ func (h *History) Check(cfg Config) []error {
 // commuting pairs — processes may disagree on their relative order without
 // creating a cycle — and that relation is not transitive, so every
 // conflicting pair keeps its edge.
-func (h *History) checkOrdering(conflicts func(a, b mcast.AppMsg) bool) []error {
-	var errs []error
-	type edge struct{ a, b mcast.MsgID }
-	edges := make(map[edge]mcast.ProcessID)
-	adj := make(map[mcast.MsgID][]mcast.MsgID)
-	indeg := make(map[mcast.MsgID]int) // a key for every delivered message
+func (c *checker) checkOrdering() {
+	// edges maps the edge a → b, keyed a<<32 | b by message number, to the
+	// first process that delivered a before b.
+	edges := make(map[uint64]mcast.ProcessID, len(c.msgs))
+	adj := make([][]int32, len(c.msgs))
+	indeg := make([]int32, len(c.msgs)) // a node for every delivered message
 
-	for _, p := range h.procs {
-		ds := h.deliveries[p]
+	for pi, p := range c.procs {
+		ds, seq := c.deliveries[p], c.seqs[pi]
 		for i := range ds {
-			indeg[ds[i].Msg.ID] += 0
 			for j := i + 1; j < len(ds); j++ {
-				if conflicts == nil && j > i+1 {
+				if c.Conflicts == nil && j > i+1 {
 					break // the chain edge is enough (see above)
 				}
-				a, b := ds[i].Msg.ID, ds[j].Msg.ID
+				a, b := seq[i], seq[j]
 				if a == b {
 					continue // integrity violation reported elsewhere
 				}
-				if conflicts != nil && !conflicts(ds[i].Msg, ds[j].Msg) {
+				if c.Conflicts != nil && !c.Conflicts(ds[i].Msg, ds[j].Msg) {
 					continue // commuting pair: order unconstrained
 				}
-				if q, rev := edges[edge{b, a}]; rev {
-					errs = append(errs, fmt.Errorf(
-						"ordering: p%d delivers %v before %v but p%d delivers them in the opposite order", p, a, b, q))
+				if q, rev := edges[uint64(b)<<32|uint64(a)]; rev {
+					c.errs.add(fmt.Errorf(
+						"ordering: p%d delivers %v before %v but p%d delivers them in the opposite order", p, c.msgs[a].id, c.msgs[b].id, q))
 				}
-				if _, dup := edges[edge{a, b}]; !dup {
-					edges[edge{a, b}] = p
+				if _, dup := edges[uint64(a)<<32|uint64(b)]; !dup {
+					edges[uint64(a)<<32|uint64(b)] = p
 					adj[a] = append(adj[a], b)
 					indeg[b]++
 				}
@@ -175,10 +248,10 @@ func (h *History) checkOrdering(conflicts func(a, b mcast.AppMsg) bool) []error 
 		}
 	}
 	// Kahn's algorithm: leftover nodes lie on a cycle or behind one.
-	var queue []mcast.MsgID
+	var queue []int32
 	for n, d := range indeg {
 		if d == 0 {
-			queue = append(queue, n)
+			queue = append(queue, int32(n))
 		}
 	}
 	visited := 0
@@ -194,9 +267,8 @@ func (h *History) checkOrdering(conflicts func(a, b mcast.AppMsg) bool) []error 
 		}
 	}
 	if visited != len(indeg) {
-		errs = append(errs, fmt.Errorf("ordering: delivery precedence graph has a cycle (%d of %d messages in cycles)", len(indeg)-visited, len(indeg)))
+		c.errs.add(fmt.Errorf("ordering: delivery precedence graph has a cycle (%d of %d messages in cycles)", len(indeg)-visited, len(indeg)))
 	}
-	return errs
 }
 
 // checkGTS verifies the timestamp-facing guarantees over the (GTS, Sub)
@@ -204,93 +276,49 @@ func (h *History) checkOrdering(conflicts func(a, b mcast.AppMsg) bool) []error 
 // per-process sequence check relaxes to conflicting pairs: every pair of
 // conflicting deliveries at one process must appear in stamp order, while
 // commuting deliveries may interleave out of stamp order.
-func (h *History) checkGTS(conflicts func(a, b mcast.AppMsg) bool) []error {
-	type stamp struct {
-		gts mcast.Timestamp
-		sub int
-	}
-	var errs []error
-	gtsOf := make(map[mcast.MsgID]stamp)
-	tsUsed := make(map[stamp]mcast.MsgID)
-	for _, p := range h.procs {
-		ds := h.deliveries[p]
+func (c *checker) checkGTS() {
+	tsUsed := make(map[stampKey]mcast.MsgID, len(c.msgs))
+	for pi, p := range c.procs {
+		ds, seq := c.deliveries[p], c.seqs[pi]
 		for i, d := range ds {
-			if conflicts == nil {
+			if c.Conflicts == nil {
 				if i > 0 && !ds[i-1].Before(d) {
-					errs = append(errs, fmt.Errorf("gts: p%d delivered %v with (GTS,sub) (%v,%d) not above previous (%v,%d)",
+					c.errs.add(fmt.Errorf("gts: p%d delivered %v with (GTS,sub) (%v,%d) not above previous (%v,%d)",
 						p, d.Msg.ID, d.GTS, d.Sub, ds[i-1].GTS, ds[i-1].Sub))
 				}
 			} else {
 				for j := 0; j < i; j++ {
-					if d.Before(ds[j]) && conflicts(ds[j].Msg, d.Msg) {
-						errs = append(errs, fmt.Errorf("gts: p%d delivered conflicting %v (GTS,sub) (%v,%d) after %v (%v,%d) — stamp order inverted",
+					if d.Before(ds[j]) && c.Conflicts(ds[j].Msg, d.Msg) {
+						c.errs.add(fmt.Errorf("gts: p%d delivered conflicting %v (GTS,sub) (%v,%d) after %v (%v,%d) — stamp order inverted",
 							p, d.Msg.ID, d.GTS, d.Sub, ds[j].Msg.ID, ds[j].GTS, ds[j].Sub))
 					}
 				}
 			}
-			st := stamp{gts: d.GTS, sub: d.Sub}
-			if want, ok := gtsOf[d.Msg.ID]; ok {
-				if want != st {
-					errs = append(errs, fmt.Errorf("gts: %v has (GTS,sub) (%v,%d) at p%d but (%v,%d) elsewhere (Invariant 3b)",
-						d.Msg.ID, d.GTS, d.Sub, p, want.gts, want.sub))
-				}
-			} else {
-				gtsOf[d.Msg.ID] = st
-				if other, clash := tsUsed[st]; clash && other != d.Msg.ID {
-					errs = append(errs, fmt.Errorf("gts: %v and %v share (GTS,sub) (%v,%d) (Invariant 4)", d.Msg.ID, other, d.GTS, d.Sub))
-				}
-				tsUsed[st] = d.Msg.ID
-			}
+			c.errs.add(c.msgs[seq[i]].stampAt(p, stampKey{gts: d.GTS, sub: d.Sub}, tsUsed))
 		}
 	}
-	return errs
 }
 
 // checkTermination verifies the paper's Termination property at quiescence.
-func (h *History) checkTermination(cfg Config) []error {
-	var errs []error
-	top := cfg.Topology
-	deliveredBy := make(map[mcast.MsgID]map[mcast.ProcessID]bool)
-	for _, p := range h.procs {
-		for _, d := range h.deliveries[p] {
-			set := deliveredBy[d.Msg.ID]
-			if set == nil {
-				set = make(map[mcast.ProcessID]bool)
-				deliveredBy[d.Msg.ID] = set
-			}
-			set[p] = true
-		}
-	}
-	// Required: delivered anywhere, or multicast by a correct client.
-	required := make(map[mcast.MsgID]bool)
-	for id := range deliveredBy {
-		required[id] = true
-	}
-	for id, info := range h.submitted {
-		if !cfg.Crashed[info.sender] {
-			required[id] = true
-		}
-	}
+// A message is required everywhere it is addressed once it was delivered
+// anywhere or multicast by a correct client; one delivered but never
+// multicast is a validity violation, reported elsewhere.
+func (c *checker) checkTermination() {
 	var ids []mcast.MsgID
-	for id := range required {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		info, ok := h.submitted[id]
-		if !ok {
-			continue // validity violation reported elsewhere
+	for id, info := range c.submitted {
+		if _, delivered := c.num[id]; delivered || !c.Crashed[info.sender] {
+			ids = append(ids, id)
 		}
-		for _, g := range info.dest {
-			for _, p := range top.Members(g) {
-				if cfg.Crashed[p] {
-					continue
-				}
-				if !deliveredBy[id][p] {
-					errs = append(errs, fmt.Errorf("termination: correct p%d (group %d) never delivered %v", p, g, id))
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		n, delivered := c.num[id]
+		for _, g := range c.submitted[id].dest {
+			for _, p := range c.Topology.Members(g) {
+				if !c.Crashed[p] && !(delivered && c.msgs[n].by.Has(p)) {
+					c.errs.add(fmt.Errorf("termination: correct p%d (group %d) never delivered %v", p, g, id))
 				}
 			}
 		}
 	}
-	return errs
 }

@@ -9,7 +9,10 @@ import (
 // Monitor is the incremental safety checker used during chaos runs: it
 // verifies every delivery as it happens, in O(1) amortised per delivery,
 // so an invariant violation is caught at the moment (and virtual time) it
-// occurs rather than at the end of the run. It checks, continuously:
+// occurs rather than at the end of the run. A delivery costs one lookup in
+// a map keyed by message, one more keyed by stamp for a message's first
+// delivery, and indexing into slices by process and group; appends grow
+// those slices and maps by doubling. It checks, continuously:
 //
 //   - validity: only submitted messages are delivered, and only at members
 //     of an addressed group;
@@ -34,27 +37,33 @@ import (
 // while commuting deliveries may interleave freely (so the strict
 // stamp-monotonicity and group gap-freedom checks do not apply).
 type Monitor struct {
-	top       *mcast.Topology
-	submitted map[mcast.MsgID]submitInfo
-	stampOf   map[mcast.MsgID]stampKey
+	top *mcast.Topology
+	// msgs holds what is known of each message: its submission, its stamp
+	// and who delivered it.
+	msgs      map[mcast.MsgID]*msgState
 	stampUsed map[stampKey]mcast.MsgID
-	last      map[mcast.ProcessID]stampKey
-	hasLast   map[mcast.ProcessID]bool
-	seen      map[mcast.ProcessID]map[mcast.MsgID]bool
-	// groupLog is the canonical per-group delivery sequence, grown by
-	// whichever member is furthest ahead; pos is each process's index into
-	// its group's log.
-	groupLog map[mcast.GroupID][]groupEntry
-	pos      map[mcast.ProcessID]int
+	// procs is each process's delivery state, indexed by pid.
+	procs []monProc
+	// groupLog[g] is group g's canonical delivery sequence, grown by
+	// whichever member is furthest ahead.
+	groupLog [][]groupEntry
 
-	// Partial-order mode (NewPartialMonitor): the conflict relation over
-	// delivered payloads, and each process's full delivery log — every new
-	// delivery is checked for stamp order against all prior conflicting
-	// deliveries at that process.
+	// conflicts is the conflict relation over delivered payloads in
+	// partial-order mode (NewPartialMonitor), nil in total-order mode.
 	conflicts func(a, b mcast.AppMsg) bool
-	plog      map[mcast.ProcessID][]pdeliv
 
-	errs []error
+	errs errList
+}
+
+// monProc is the monitor's state of one process.
+type monProc struct {
+	last    stampKey // the stamp of its latest delivery, in total-order mode
+	hasLast bool
+	pos     int // its index into its group's log
+	// plog is its full delivery log in partial-order mode: every new
+	// delivery is checked for stamp order against all prior conflicting
+	// deliveries at the process.
+	plog []pdeliv
 }
 
 type pdeliv struct {
@@ -76,14 +85,10 @@ type groupEntry struct {
 func NewMonitor(top *mcast.Topology) *Monitor {
 	return &Monitor{
 		top:       top,
-		submitted: make(map[mcast.MsgID]submitInfo),
-		stampOf:   make(map[mcast.MsgID]stampKey),
+		msgs:      make(map[mcast.MsgID]*msgState),
 		stampUsed: make(map[stampKey]mcast.MsgID),
-		last:      make(map[mcast.ProcessID]stampKey),
-		hasLast:   make(map[mcast.ProcessID]bool),
-		seen:      make(map[mcast.ProcessID]map[mcast.MsgID]bool),
-		groupLog:  make(map[mcast.GroupID][]groupEntry),
-		pos:       make(map[mcast.ProcessID]int),
+		procs:     make([]monProc, top.NumReplicas()),
+		groupLog:  make([][]groupEntry, top.NumGroups()),
 	}
 }
 
@@ -98,16 +103,24 @@ func NewPartialMonitor(top *mcast.Topology, conflicts func(a, b mcast.AppMsg) bo
 		conflicts = func(a, b mcast.AppMsg) bool { return true }
 	}
 	mo.conflicts = conflicts
-	mo.plog = make(map[mcast.ProcessID][]pdeliv)
 	return mo
+}
+
+// msg returns id's state, adding it if it is new.
+func (mo *Monitor) msg(id mcast.MsgID) *msgState {
+	m := mo.msgs[id]
+	if m == nil {
+		m = &msgState{id: id}
+		mo.msgs[id] = m
+	}
+	return m
 }
 
 // NoteSubmit records that sender multicast m.
 func (mo *Monitor) NoteSubmit(sender mcast.ProcessID, m mcast.AppMsg) {
-	if _, dup := mo.submitted[m.ID]; dup {
-		return
+	if st := mo.msg(m.ID); !st.submitted {
+		st.info, st.submitted = submitInfo{sender: sender, dest: m.Dest.Clone()}, true
 	}
-	mo.submitted[m.ID] = submitInfo{sender: sender, dest: m.Dest.Clone()}
 }
 
 // NoteDelivery checks one delivery at process p against every continuous
@@ -115,58 +128,39 @@ func (mo *Monitor) NoteSubmit(sender mcast.ProcessID, m mcast.AppMsg) {
 func (mo *Monitor) NoteDelivery(p mcast.ProcessID, d mcast.Delivery) {
 	id := d.Msg.ID
 	st := stampKey{gts: d.GTS, sub: d.Sub}
-
-	info, ok := mo.submitted[id]
-	if !ok {
-		mo.fail("validity: %v delivered at p%d but never multicast", id, p)
-	} else {
-		g := mo.top.GroupOf(p)
-		if g == mcast.NoGroup || !info.dest.Contains(g) {
-			mo.fail("validity: p%d (group %d) delivered %v addressed to %v", p, g, id, info.dest)
-		}
-	}
-
-	if mo.seen[p] == nil {
-		mo.seen[p] = make(map[mcast.MsgID]bool)
-	}
-	if mo.seen[p][id] {
+	m := mo.msg(id)
+	mo.errs.add(m.validity(mo.top, p))
+	if m.by.Has(p) {
 		mo.fail("integrity: p%d delivered %v twice", p, id)
 		return // the sequence checks below would only cascade
 	}
-	mo.seen[p][id] = true
+	m.by = m.by.Add(p)
 
-	if mo.plog == nil {
-		if mo.hasLast[p] && !less(mo.last[p], st) {
+	if int(p) >= len(mo.procs) {
+		mo.procs = append(mo.procs, make([]monProc, int(p)+1-len(mo.procs))...)
+	}
+	pr := &mo.procs[p]
+	if mo.conflicts == nil {
+		if pr.hasLast && !less(pr.last, st) {
 			mo.fail("gts: p%d delivered %v with (GTS,sub) (%v,%d) not above previous (%v,%d)",
-				p, id, st.gts, st.sub, mo.last[p].gts, mo.last[p].sub)
+				p, id, st.gts, st.sub, pr.last.gts, pr.last.sub)
 		}
-		mo.last[p], mo.hasLast[p] = st, true
+		pr.last, pr.hasLast = st, true
 	}
 
-	if want, ok := mo.stampOf[id]; ok {
-		if want != st {
-			mo.fail("gts: %v has (GTS,sub) (%v,%d) at p%d but (%v,%d) elsewhere (Invariant 3b)",
-				id, st.gts, st.sub, p, want.gts, want.sub)
-		}
-	} else {
-		mo.stampOf[id] = st
-		if other, clash := mo.stampUsed[st]; clash && other != id {
-			mo.fail("gts: %v and %v share (GTS,sub) (%v,%d) (Invariant 4)", id, other, st.gts, st.sub)
-		}
-		mo.stampUsed[st] = id
-	}
+	mo.errs.add(m.stampAt(p, st, mo.stampUsed))
 
-	if mo.plog != nil {
+	if mo.conflicts != nil {
 		// Partial order: every prior conflicting delivery at p must carry a
 		// smaller stamp. Commuting deliveries may interleave freely, so the
 		// strict sequence and gap checks below do not apply.
-		for _, prev := range mo.plog[p] {
+		for _, prev := range pr.plog {
 			if less(st, prev.stamp) && mo.conflicts(prev.msg, d.Msg) {
 				mo.fail("order: p%d delivered conflicting %v (GTS,sub) (%v,%d) after %v (%v,%d) — stamp order inverted",
 					p, id, st.gts, st.sub, prev.msg.ID, prev.stamp.gts, prev.stamp.sub)
 			}
 		}
-		mo.plog[p] = append(mo.plog[p], pdeliv{stamp: st, msg: d.Msg.Clone()})
+		pr.plog = append(pr.plog, pdeliv{stamp: st, msg: d.Msg.Clone()})
 		return
 	}
 
@@ -176,7 +170,7 @@ func (mo *Monitor) NoteDelivery(p mcast.ProcessID, d mcast.Delivery) {
 	if g == mcast.NoGroup {
 		return // validity violation reported above
 	}
-	i := mo.pos[p]
+	i := pr.pos
 	log := mo.groupLog[g]
 	if i < len(log) {
 		if log[i].id != id {
@@ -186,14 +180,14 @@ func (mo *Monitor) NoteDelivery(p mcast.ProcessID, d mcast.Delivery) {
 	} else {
 		mo.groupLog[g] = append(log, groupEntry{id: id, stamp: st})
 	}
-	mo.pos[p] = i + 1
+	pr.pos = i + 1
 }
 
 // Errs returns every violation observed so far, in detection order.
 func (mo *Monitor) Errs() []error { return mo.errs }
 
 func (mo *Monitor) fail(format string, args ...any) {
-	mo.errs = append(mo.errs, fmt.Errorf(format, args...))
+	mo.errs.add(fmt.Errorf(format, args...))
 }
 
 func less(a, b stampKey) bool {

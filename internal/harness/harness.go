@@ -137,14 +137,15 @@ type Cluster struct {
 	Monitor *check.Monitor
 
 	hist *check.History
-	// applied is what the checks and logs run on: every delivery the
-	// replicas released, or with Options.AppHorizon what their applications
-	// applied of them.
-	applied   []sim.DeliveryRecord
-	collected int // prefix of applied already poured into hist
-	monitored int // prefix already poured into Monitor
-	nextSeq   uint32
-	crashed   map[mcast.ProcessID]bool
+	// applied is what the applications applied of the deliveries the
+	// replicas released, kept only with Options.AppHorizon; without it the
+	// checks and logs read the simulator's log (see log).
+	applied    []sim.DeliveryRecord
+	appHorizon bool
+	collected  int // prefix of log already poured into hist
+	monitored  int // prefix already poured into Monitor
+	nextSeq    uint32
+	crashed    map[mcast.ProcessID]bool
 	// conflicts is the partial-order conflict relation of a
 	// ConflictProtocol run; nil for the total-order protocols.
 	conflicts func(a, b mcast.AppMsg) bool
@@ -168,11 +169,12 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	}
 	top := mcast.UniformTopology(opts.Groups, opts.GroupSize)
 	c := &Cluster{
-		Proto:    p,
-		Top:      top,
-		Replicas: make(map[mcast.ProcessID]node.Handler),
-		hist:     check.NewHistory(),
-		crashed:  make(map[mcast.ProcessID]bool),
+		Proto:      p,
+		Top:        top,
+		Replicas:   make(map[mcast.ProcessID]node.Handler),
+		hist:       check.NewHistory(),
+		crashed:    make(map[mcast.ProcessID]bool),
+		appHorizon: opts.AppHorizon,
 	}
 	c.Monitor = check.NewMonitor(top)
 	if cp, ok := p.(ConflictProtocol); ok && cp.Conflicts() != nil {
@@ -191,9 +193,10 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	// replica loop below; the closure only runs once the simulation does.
 	rebuilds := make(map[mcast.ProcessID]func() (node.Handler, error))
 	simCfg := sim.Config{Latency: opts.Latency, CommitTime: opts.CommitTime, Seed: opts.Seed, Trace: opts.Trace}
-	last := make(map[mcast.ProcessID]mcast.Delivery) // the applications' frontiers
-	simCfg.OnDeliver = func(p mcast.ProcessID, d mcast.Delivery) {
-		if prev := last[p]; opts.AppHorizon {
+	if opts.AppHorizon {
+		last := make(map[mcast.ProcessID]mcast.Delivery) // the applications' frontiers
+		simCfg.OnDeliver = func(p mcast.ProcessID, d mcast.Delivery) {
+			prev := last[p]
 			if !prev.Before(d) {
 				return // a repeat at or below the application's frontier
 			}
@@ -202,10 +205,11 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 				// Every sub-delivery of prev's timestamp has been applied.
 				c.Sim.Inject(c.Sim.Now(), p, node.GCHorizon{TS: prev.GTS})
 			}
+			c.applied = append(c.applied, sim.DeliveryRecord{Proc: p, At: c.Sim.Now(), D: d})
 		}
-		c.applied = append(c.applied, sim.DeliveryRecord{Proc: p, At: c.Sim.Now(), D: d})
 	}
 	if opts.Storage != nil {
+		c.Stores = make(map[mcast.ProcessID]wal.Storage)
 		simCfg.Rebuild = func(p mcast.ProcessID) (node.Handler, error) {
 			if rb := rebuilds[p]; rb != nil {
 				return rb()
@@ -248,9 +252,6 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	if opts.Storage != nil && sp == nil {
 		return nil, fmt.Errorf("harness: Options.Storage set but %s's adapter does not implement StorageProtocol", p.Name())
 	}
-	if opts.Storage != nil {
-		c.Stores = make(map[mcast.ProcessID]wal.Storage)
-	}
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
 		var ph *obs.Proto
 		if c.Tracer != nil && po != nil {
@@ -267,12 +268,6 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 				return nil, fmt.Errorf("harness: storage for replica %d: %w", pid, err)
 			}
 			c.Stores[pid] = st
-			rs, lerr := st.Load()
-			if lerr != nil {
-				return nil, fmt.Errorf("harness: recovering replica %d: %w", pid, lerr)
-			}
-			h, err = sp.NewReplicaStored(pid, top, ph, rs)
-			pid, ph := pid, ph
 			rebuilds[pid] = func() (node.Handler, error) {
 				rs, err := st.Load()
 				if err != nil {
@@ -280,6 +275,7 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 				}
 				return sp.NewReplicaStored(pid, top, ph, rs)
 			}
+			h, err = rebuilds[pid]()
 		case ph != nil:
 			h, err = po.NewReplicaObs(pid, top, ph)
 		default:
@@ -292,7 +288,6 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		s.AddStored(h, st)
 	}
 	contacts := p.Contacts(top)
-	blanket := func(g mcast.GroupID) []mcast.ProcessID { return top.Members(g) }
 	complete := func(id mcast.MsgID) {
 		if c.onComplete != nil {
 			c.onComplete(id)
@@ -308,7 +303,7 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 			PID:           pid,
 			Contacts:      contacts,
 			Retry:         opts.Retry,
-			RetryContacts: blanket,
+			RetryContacts: top.Members,
 			OnComplete:    complete,
 			Obs:           co,
 		})
@@ -386,9 +381,7 @@ func (c *Cluster) Restart(pid mcast.ProcessID) {
 // uniformly random non-empty destination set of size ≤ maxDest, from random
 // clients.
 func (c *Cluster) RandomWorkload(rng *rand.Rand, n int, maxDest int, window time.Duration) []mcast.MsgID {
-	if maxDest > c.Top.NumGroups() {
-		maxDest = c.Top.NumGroups()
-	}
+	maxDest = min(maxDest, c.Top.NumGroups())
 	ids := make([]mcast.MsgID, 0, n)
 	for i := 0; i < n; i++ {
 		k := 1 + rng.Intn(maxDest)
@@ -408,39 +401,48 @@ func (c *Cluster) RandomWorkload(rng *rand.Rand, n int, maxDest int, window time
 // history and the continuous monitor. It is idempotent: repeated calls
 // only append new records.
 func (c *Cluster) CollectHistory() *check.History {
-	ds := c.applied
-	for _, d := range ds[c.collected:] {
-		c.hist.AddDelivery(d.Proc, d.D)
-	}
-	c.collected = len(ds)
-	c.pourMonitor()
-	return c.hist
-}
-
-func (c *Cluster) pourMonitor() {
-	ds := c.applied
+	ds := c.log()
 	for _, d := range ds[c.monitored:] {
 		c.Monitor.NoteDelivery(d.Proc, d.D)
 	}
 	c.monitored = len(ds)
+	return c.history()
 }
 
-// RunChecked advances virtual time to until in slices of step, feeding
-// every new delivery through the continuous invariant monitor after each
-// slice. It stops early and returns the violations as soon as any
-// invariant breaks, so a chaos failure is pinned near the virtual time it
-// occurred; nil means the run reached until with every check green.
+// history pours the records into the checker history alone: Check reads
+// nothing of the Monitor, so a run that only ends in Check never feeds it.
+func (c *Cluster) history() *check.History {
+	ds := c.log()
+	for _, d := range ds[c.collected:] {
+		c.hist.AddDelivery(d.Proc, d.D)
+	}
+	c.collected = len(ds)
+	return c.hist
+}
+
+// log is what the checks and logs run on: every delivery the replicas
+// released, or with Options.AppHorizon what their applications applied of
+// them.
+func (c *Cluster) log() []sim.DeliveryRecord {
+	if c.appHorizon {
+		return c.applied
+	}
+	return c.Sim.Deliveries()
+}
+
+// RunChecked advances virtual time to until in slices of step, pouring
+// every new delivery into the continuous invariant monitor (and the
+// history, CollectHistory) after each slice. It stops early and returns
+// the violations as soon as any invariant breaks, so a chaos failure is
+// pinned near the virtual time it occurred; nil means the run reached
+// until with every check green.
 func (c *Cluster) RunChecked(until, step time.Duration) []error {
 	if step <= 0 {
 		step = 10 * time.Millisecond
 	}
 	for c.Sim.Now() < until {
-		next := c.Sim.Now() + step
-		if next > until {
-			next = until
-		}
-		c.Sim.Run(next)
-		c.pourMonitor()
+		c.Sim.Run(min(c.Sim.Now()+step, until))
+		c.CollectHistory()
 		if errs := c.Monitor.Errs(); len(errs) > 0 {
 			return errs
 		}
@@ -454,7 +456,7 @@ func (c *Cluster) RunChecked(until, step time.Duration) []error {
 // of the chaos harness (TestChaosDeterministic).
 func (c *Cluster) DeliveryLog() []byte {
 	var b strings.Builder
-	for _, d := range c.applied {
+	for _, d := range c.log() {
 		fmt.Fprintf(&b, "t=%d p%d %v gts=(%d,g%d) sub=%d payload=%q\n",
 			int64(d.At), d.Proc, d.D.Msg.ID, d.D.GTS.Time, d.D.GTS.Group, d.D.Sub, d.D.Msg.Payload)
 	}
@@ -473,16 +475,14 @@ func (c *Cluster) TraceLog() []byte {
 // Check runs the full correctness check (with GTS checks on) and the
 // genuineness audit, returning all violations.
 func (c *Cluster) Check(atQuiescence bool) []error {
-	h := c.CollectHistory()
-	errs := h.Check(check.Config{
+	errs := c.history().Check(check.Config{
 		Topology:     c.Top,
 		Crashed:      c.crashed,
 		AtQuiescence: atQuiescence,
 		CheckGTS:     true,
 		Conflicts:    c.conflicts,
 	})
-	errs = append(errs, c.Sim.AuditGenuineness(c.Top)...)
-	return errs
+	return append(errs, c.Sim.AuditGenuineness(c.Top)...)
 }
 
 // DeliveryLatency returns, for message id, the latency from its submission
@@ -503,15 +503,13 @@ func (c *Cluster) DeliveryLatency(id mcast.MsgID, g mcast.GroupID) (time.Duratio
 // delivery latency of id — the paper's "delivery latency with respect to
 // all groups in dest(m)".
 func (c *Cluster) MaxDeliveryLatency(id mcast.MsgID, dest mcast.GroupSet) (time.Duration, bool) {
-	var max time.Duration
+	var worst time.Duration
 	for _, g := range dest {
 		l, ok := c.DeliveryLatency(id, g)
 		if !ok {
 			return 0, false
 		}
-		if l > max {
-			max = l
-		}
+		worst = max(worst, l)
 	}
-	return max, true
+	return worst, true
 }

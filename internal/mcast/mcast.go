@@ -220,6 +220,23 @@ func (gs GroupSet) String() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
+// ProcSet is a set of processes, one bit per ProcessID; the zero value is
+// empty. IDs must be non-negative. Add may grow the slice, so keep what it
+// returns.
+type ProcSet []uint64
+
+// Has reports whether p is in the set.
+func (s ProcSet) Has(p ProcessID) bool { return int(p>>6) < len(s) && s[p>>6]&(1<<(p&63)) != 0 }
+
+// Add returns the set with p in it.
+func (s ProcSet) Add(p ProcessID) ProcSet {
+	for int(p>>6) >= len(s) {
+		s = append(s, 0)
+	}
+	s[p>>6] |= 1 << (p & 63)
+	return s
+}
+
 // AppMsg is an application message submitted to atomic multicast: a unique
 // ID, the destination groups dest(m), and an opaque payload.
 type AppMsg struct {

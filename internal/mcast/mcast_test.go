@@ -202,6 +202,26 @@ func TestGroupSetIntersectsProperty(t *testing.T) {
 	}
 }
 
+// TestProcSet: a set built by Add holds exactly what was added, across word
+// boundaries.
+func TestProcSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		var s ProcSet
+		want := map[ProcessID]bool{}
+		for i := rng.Intn(20); i > 0; i-- {
+			p := ProcessID(rng.Intn(200))
+			s = s.Add(p)
+			want[p] = true
+		}
+		for p := ProcessID(0); p < 260; p++ {
+			if s.Has(p) != want[p] {
+				t.Fatalf("round %d: Has(%d) = %v", round, p, s.Has(p))
+			}
+		}
+	}
+}
+
 func TestAppMsgClone(t *testing.T) {
 	m := AppMsg{ID: MakeMsgID(9, 1), Dest: NewGroupSet(0, 1), Payload: []byte("hello")}
 	c := m.Clone()

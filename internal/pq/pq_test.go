@@ -7,7 +7,7 @@ import (
 )
 
 // item is ordered by (key, seq), unique like every caller's key; pad makes
-// it as large as a simulator event, so a boxed copy would show as an
+// it too large to fit an interface word, so a boxed copy would show as an
 // allocation.
 type item struct {
 	key, seq int

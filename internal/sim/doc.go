@@ -17,6 +17,18 @@
 // (Config.TimerScale) and virtual-time control callbacks (ControlAt).
 // Without a Filter, channels never drop or reorder messages.
 //
+// # Layout
+//
+// A small run should cost what its handlers cost. The event queue is a
+// binary heap (internal/pq) of pointer-free (at, seq, slot) keys over a
+// slab of event payloads: sifting moves no pointers, the garbage collector
+// does not scan the heap, and the slots of popped and purged events are
+// reused. Per-process state (the Step, the crashed flag, the FIFO floor of
+// each outgoing link) lives in slices indexed by pid, the genuineness
+// audit keeps one bit set of processes per message, a send's Recv is
+// boxed once for all of its recipients, and the RNG is seeded on its first
+// draw. None of it changes the order in which events run.
+//
 // # Layering
 //
 // sim is one of the three runtimes driving node.Handler (with

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"wbcast/internal/mcast"
@@ -118,28 +119,38 @@ type Sim struct {
 	rng *rand.Rand
 	now time.Duration
 	seq uint64
-	// events is the queue, ordered by (at, seq).
-	events pq.Heap[event]
-	// nodes holds each process's handler behind its Step, the shared shard
-	// driver's Handle → persist → release step; the event heap plays the
-	// part of the mailbox.
-	nodes   map[mcast.ProcessID]*node.Step
-	crashed map[mcast.ProcessID]bool
-	// lastArrival enforces FIFO per ordered process pair: arrival times on a
-	// link never decrease, and equal-time events are dispatched in schedule
-	// (seq) order.
-	lastArrival map[linkKey]time.Duration
+	// events is the queue: pointer-free keys ordered by (at, seq), each
+	// naming the slot of its event in slab. free lists the slots the queue
+	// gave back, which the next events reuse.
+	events pq.Heap[eventKey]
+	slab   []event
+	free   []int32
+	// procs holds each process's state, indexed by pid.
+	procs []proc
 
 	deliveries []DeliveryRecord
-	msgCounts  map[msgs.Kind]int
+	msgCounts  [256]int // by msgs.Kind
 	sent       int
 	dropped    int
 
 	// Genuineness audit (paper §II): for every application message, the set
 	// of processes that received a protocol message concerning it.
-	touched map[mcast.MsgID]map[mcast.ProcessID]bool
+	touched map[mcast.MsgID]mcast.ProcSet
 	// submitted records dest(m) and the sender for every Submit.
 	submitted map[mcast.MsgID]submitRecord
+}
+
+// proc is the simulator's state of one process.
+type proc struct {
+	// step holds the process's handler behind the shared shard driver's
+	// Handle → persist → release step, nil for a pid no handler was added
+	// for; the event queue plays the part of the mailbox.
+	step    *node.Step
+	crashed bool
+	// floor[to] enforces FIFO on the link to process to: arrival times on a
+	// link never decrease, and equal-time events are dispatched in schedule
+	// (seq) order. A link never used has floor 0, which no arrival is below.
+	floor []time.Duration
 }
 
 type submitRecord struct {
@@ -151,24 +162,38 @@ type submitRecord struct {
 	originated bool
 }
 
-type linkKey struct{ from, to mcast.ProcessID }
-
 // New creates a simulator.
 func New(cfg Config) *Sim {
 	if cfg.Latency == nil {
 		cfg.Latency = Uniform(10 * time.Millisecond)
 	}
 	return &Sim{
-		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		events:      pq.New(eventBefore),
-		nodes:       make(map[mcast.ProcessID]*node.Step),
-		crashed:     make(map[mcast.ProcessID]bool),
-		lastArrival: make(map[linkKey]time.Duration),
-		msgCounts:   make(map[msgs.Kind]int),
-		touched:     make(map[mcast.MsgID]map[mcast.ProcessID]bool),
-		submitted:   make(map[mcast.MsgID]submitRecord),
+		cfg: cfg,
+		rng: rand.New(lazySource(sync.OnceValue(func() rand.Source64 {
+			return rand.NewSource(cfg.Seed).(rand.Source64)
+		}))),
+		events:    pq.New(keyBefore),
+		touched:   make(map[mcast.MsgID]mcast.ProcSet),
+		submitted: make(map[mcast.MsgID]submitRecord),
 	}
+}
+
+// lazySource is a math/rand source made and seeded on the first draw: most
+// simulations never draw, and seeding costs more than the rest of New. It
+// is a rand.Source64 like the source it wraps, so a rand.Rand over it
+// yields the same stream.
+type lazySource func() rand.Source64
+
+func (l lazySource) Int63() int64    { return l().Int63() }
+func (l lazySource) Uint64() uint64  { return l().Uint64() }
+func (l lazySource) Seed(seed int64) { l().Seed(seed) }
+
+// proc returns pid's state, growing the table to it.
+func (s *Sim) proc(pid mcast.ProcessID) *proc {
+	if int(pid) >= len(s.procs) {
+		s.procs = append(s.procs, make([]proc, int(pid)+1-len(s.procs))...)
+	}
+	return &s.procs[pid]
 }
 
 // Add registers a handler and schedules its Start input at the current time.
@@ -182,21 +207,22 @@ func (s *Sim) Add(h node.Handler) { s.AddStored(h, nil) }
 // Config.CommitTime later. A nil store discards persist effects.
 func (s *Sim) AddStored(h node.Handler, st wal.Storage) {
 	pid := h.ID()
-	if _, dup := s.nodes[pid]; dup {
+	p := s.proc(pid)
+	if p.step != nil {
 		panic(fmt.Sprintf("sim: duplicate handler for process %d", pid))
 	}
-	s.nodes[pid] = node.NewStep(h, st)
-	s.schedule(s.now, pid, node.Start{})
+	p.step = node.NewStep(h, st)
+	s.push(s.now, event{proc: pid, in: node.Start{}})
 }
 
 // Crash marks a process as crashed: it processes no further events —
 // inputs that arrive (or timers that fire) while it is down are lost.
 // Crashes are permanent (crash-stop model, paper §II) unless undone by
 // Restart.
-func (s *Sim) Crash(pid mcast.ProcessID) { s.crashed[pid] = true }
+func (s *Sim) Crash(pid mcast.ProcessID) { s.proc(pid).crashed = true }
 
 // Crashed reports whether pid has crashed.
-func (s *Sim) Crashed(pid mcast.ProcessID) bool { return s.crashed[pid] }
+func (s *Sim) Crashed(pid mcast.ProcessID) bool { return s.proc(pid).crashed }
 
 // Restart brings a crashed process back at the current virtual time and
 // re-delivers Start so it re-arms its background timers. It is a no-op if
@@ -216,19 +242,26 @@ func (s *Sim) Crashed(pid mcast.ProcessID) bool { return s.crashed[pid] }
 // process-local state a real crash loses, and leaving them queued would
 // run the pre-crash timer chains concurrently with the ones the fresh
 // Start arms (e.g. two interleaved suspicion chains, each consuming the
-// other's heartbeat evidence). In-flight messages are NOT purged — a
-// message already in the network legitimately arrives after the restart.
+// other's heartbeat evidence). So is a commit in flight (Config.CommitTime):
+// what it carried is lost. The purged events' slab slots are reused.
+// In-flight messages are NOT purged — a message already in the network
+// legitimately arrives after the restart, and so do ControlAt callbacks.
 func (s *Sim) Restart(pid mcast.ProcessID) {
-	if !s.crashed[pid] {
+	p := s.proc(pid)
+	if !p.crashed {
 		return
 	}
-	delete(s.crashed, pid)
-	s.events.Filter(func(ev event) bool {
-		_, isTimer := ev.in.(node.Timer)
-		return ev.proc != pid || !isTimer && ev.commit == nil
+	p.crashed = false
+	s.events.Filter(func(k eventKey) bool {
+		ev := &s.slab[k.slot]
+		if _, isTimer := ev.in.(node.Timer); ev.proc != pid || !isTimer && ev.commit == nil {
+			return true
+		}
+		s.recycle(k.slot)
+		return false
 	})
-	st, ok := s.nodes[pid]
-	if !ok {
+	st := p.step
+	if st == nil {
 		return
 	}
 	var h node.Handler // nil keeps the in-memory handler
@@ -237,7 +270,7 @@ func (s *Sim) Restart(pid mcast.ProcessID) {
 		if h, err = s.cfg.Rebuild(pid); err != nil {
 			// A process whose store cannot be replayed stays down (its peers
 			// carry on; a later Restart retries).
-			s.crashed[pid] = true
+			p.crashed = true
 			if s.cfg.OnStorageCrash != nil {
 				s.cfg.OnStorageCrash(pid, err)
 			}
@@ -245,7 +278,7 @@ func (s *Sim) Restart(pid mcast.ProcessID) {
 		}
 	}
 	st.Restart(h)
-	s.schedule(s.now, pid, node.Start{})
+	s.push(s.now, event{proc: pid, in: node.Start{}})
 }
 
 // ControlAt schedules fn to run at virtual time at, between handler events.
@@ -255,8 +288,7 @@ func (s *Sim) ControlAt(at time.Duration, fn func()) {
 	if at < s.now {
 		at = s.now
 	}
-	s.seq++
-	s.events.Push(event{at: at, seq: s.seq, proc: mcast.NoProcess, ctl: fn})
+	s.push(at, event{proc: mcast.NoProcess, ctl: fn})
 }
 
 // Now returns the current virtual time.
@@ -274,7 +306,7 @@ func (s *Sim) SubmitAt(at time.Duration, client mcast.ProcessID, m mcast.AppMsg)
 		panic("sim: SubmitAt in the past")
 	}
 	s.NoteSubmit(at, client, m)
-	s.schedule(at, client, node.Submit{Msg: m})
+	s.push(at, event{proc: client, in: node.Submit{Msg: m}})
 }
 
 // SubmitBurst is SubmitAt for several messages the client handler consumes
@@ -305,7 +337,7 @@ func (s *Sim) Inject(at time.Duration, pid mcast.ProcessID, in node.Input) {
 	if at < s.now {
 		panic("sim: Inject in the past")
 	}
-	s.schedule(at, pid, in)
+	s.push(at, event{proc: pid, in: in})
 }
 
 // Run processes events until the queue is exhausted or virtual time would
@@ -313,10 +345,8 @@ func (s *Sim) Inject(at time.Duration, pid mcast.ProcessID, in node.Input) {
 func (s *Sim) Run(until time.Duration) int {
 	n := 0
 	for s.events.Len() > 0 && s.events.Min().at <= until {
-		ev := s.events.Pop()
-		s.now = ev.at
+		s.dispatch(s.pop())
 		n++
-		s.dispatch(ev)
 	}
 	if s.now < until {
 		s.now = until
@@ -336,11 +366,9 @@ func (s *Sim) dispatch(ev event) {
 // handled in turn, then the drain's end (Step.EndDrain); otherwise the
 // hand-off c completing.
 func (s *Sim) drain(pid mcast.ProcessID, c *node.Commit, ins ...node.Input) {
-	if s.crashed[pid] {
-		return
-	}
-	st, ok := s.nodes[pid]
-	if !ok {
+	p := s.proc(pid)
+	st := p.step
+	if p.crashed || st == nil {
 		return
 	}
 	var rel node.Release
@@ -367,7 +395,7 @@ func (s *Sim) drain(pid mcast.ProcessID, c *node.Commit, ins ...node.Input) {
 		if err != nil {
 			// Crash-stop on a storage failure: nothing held was released,
 			// exactly as if the process had crashed inside Handle.
-			s.crashed[pid] = true
+			p.crashed = true
 			if s.cfg.OnStorageCrash != nil {
 				s.cfg.OnStorageCrash(pid, err)
 			}
@@ -378,8 +406,7 @@ func (s *Sim) drain(pid mcast.ProcessID, c *node.Commit, ins ...node.Input) {
 			return
 		}
 		if s.cfg.CommitTime > 0 {
-			s.seq++
-			s.events.Push(event{at: s.now + s.cfg.CommitTime, seq: s.seq, proc: pid, commit: c})
+			s.push(s.now+s.cfg.CommitTime, event{proc: pid, commit: c})
 			return
 		}
 	}
@@ -392,12 +419,9 @@ func (s *Sim) handle(pid mcast.ProcessID, st *node.Step, in node.Input) error {
 		s.msgCounts[rcv.Msg.Kind()]++
 		if cn, ok := rcv.Msg.(msgs.Concerner); ok {
 			if id, ok := cn.Concerns(); ok {
-				set := s.touched[id]
-				if set == nil {
-					set = make(map[mcast.ProcessID]bool)
-					s.touched[id] = set
+				if set := s.touched[id]; !set.Has(pid) {
+					s.touched[id] = set.Add(pid)
 				}
-				set[pid] = true
 			}
 		}
 	}
@@ -417,12 +441,9 @@ func (s *Sim) release(from mcast.ProcessID, rel node.Release) {
 	for _, tm := range rel.Timers {
 		after := tm.After
 		if s.cfg.TimerScale != nil {
-			after = s.cfg.TimerScale(from, after)
-			if after < 0 {
-				after = 0
-			}
+			after = max(s.cfg.TimerScale(from, after), 0)
 		}
-		s.schedule(s.now+after, from, node.Timer{Kind: tm.Kind, Data: tm.Data})
+		s.push(s.now+after, event{proc: from, in: node.Timer{Kind: tm.Kind, Data: tm.Data}})
 	}
 	for _, snd := range rel.Sends {
 		// A MULTICAST for an ID the audits have never seen originates here:
@@ -436,6 +457,9 @@ func (s *Sim) release(from mcast.ProcessID, rel node.Release) {
 				s.submitted[mc.M.ID] = submitRecord{sender: from, dest: mc.M.Dest.Clone(), at: s.now, originated: true}
 			}
 		}
+		// Every copy of the send carries one Recv, boxed once.
+		in := node.Input(node.Recv{From: from, Msg: snd.Msg})
+		floor := s.procs[from].floor
 		for i := 0; i < snd.NumRecipients(); i++ {
 			to := snd.Recipient(i)
 			s.sent++
@@ -450,24 +474,21 @@ func (s *Sim) release(from mcast.ProcessID, rel node.Release) {
 			for copies := 1 + v.Duplicates; copies > 0; copies-- {
 				var lat time.Duration
 				if to != from {
-					lat = s.cfg.Latency(from, to, snd.Msg, s.now, s.rng)
-					if lat < 0 {
-						lat = 0
-					}
-					lat += v.Delay
+					lat = max(s.cfg.Latency(from, to, snd.Msg, s.now, s.rng), 0) + v.Delay
 				}
 				at := s.now + lat
 				if !v.Reorder {
 					// FIFO: never deliver before an earlier message on the
 					// same link. Reordered transmissions skip the floor (and
 					// do not raise it for later messages).
-					lk := linkKey{from, to}
-					if prev, ok := s.lastArrival[lk]; ok && at < prev {
-						at = prev
+					if int(to) >= len(floor) {
+						floor = append(floor, make([]time.Duration, max(int(to)+1, len(s.procs))-len(floor))...)
+						s.procs[from].floor = floor
 					}
-					s.lastArrival[lk] = at
+					at = max(at, floor[to])
+					floor[to] = at
 				}
-				s.schedule(at, to, node.Recv{From: from, Msg: snd.Msg})
+				s.push(at, event{proc: to, in: in})
 			}
 		}
 	}
@@ -479,9 +500,33 @@ func (s *Sim) release(from mcast.ProcessID, rel node.Release) {
 	}
 }
 
-func (s *Sim) schedule(at time.Duration, pid mcast.ProcessID, in node.Input) {
+// push queues ev at time at, after every event already queued for at.
+func (s *Sim) push(at time.Duration, ev event) {
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+		s.slab[slot] = ev
+	} else {
+		slot = int32(len(s.slab))
+		s.slab = append(s.slab, ev)
+	}
 	s.seq++
-	s.events.Push(event{at: at, seq: s.seq, proc: pid, in: in})
+	s.events.Push(eventKey{at: at, seq: s.seq, slot: slot})
+}
+
+// pop removes the next event from the queue and advances the clock to it.
+func (s *Sim) pop() event {
+	k := s.events.Pop()
+	ev := s.slab[k.slot]
+	s.recycle(k.slot)
+	s.now = k.at
+	return ev
+}
+
+// recycle frees a slot of the slab; its event must not stay reachable.
+func (s *Sim) recycle(slot int32) {
+	s.slab[slot] = event{}
+	s.free = append(s.free, slot)
 }
 
 // Deliveries returns all recorded deliveries in processing order.
@@ -489,32 +534,21 @@ func (s *Sim) Deliveries() []DeliveryRecord { return s.deliveries }
 
 // DeliveriesAt returns the deliveries observed at one process, in order.
 func (s *Sim) DeliveriesAt(pid mcast.ProcessID) []DeliveryRecord {
-	var out []DeliveryRecord
-	for _, d := range s.deliveries {
-		if d.Proc == pid {
-			out = append(out, d)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(s.deliveries), func(d DeliveryRecord) bool { return d.Proc != pid })
 }
 
 // FirstDelivery returns the earliest delivery time of message id at any
 // member of group g, and false if it was never delivered there. This is the
-// paper's per-group delivery latency reference point (§II).
+// paper's per-group delivery latency reference point (§II). Deliveries are
+// recorded as virtual time advances, so the first one found is the
+// earliest.
 func (s *Sim) FirstDelivery(top *mcast.Topology, id mcast.MsgID, g mcast.GroupID) (time.Duration, bool) {
-	best := time.Duration(-1)
 	for _, d := range s.deliveries {
-		if d.D.Msg.ID != id || top.GroupOf(d.Proc) != g {
-			continue
-		}
-		if best < 0 || d.At < best {
-			best = d.At
+		if d.D.Msg.ID == id && top.GroupOf(d.Proc) == g {
+			return d.At, true
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	return 0, false
 }
 
 // SubmitTime returns when message id was submitted.
@@ -549,11 +583,8 @@ func (s *Sim) AuditGenuineness(top *mcast.Topology) []error {
 		if rec.originated && top.IsReplica(rec.sender) {
 			errs = append(errs, fmt.Errorf("sim: replica %d originated multicast %v, which nobody submitted (genuineness violation)", rec.sender, id))
 		}
-		for _, p := range slices.Sorted(maps.Keys(s.touched[id])) {
-			if p == rec.sender {
-				continue
-			}
-			if g := top.GroupOf(p); g != mcast.NoGroup && rec.dest.Contains(g) {
+		for p, set := mcast.ProcessID(0), s.touched[id]; int(p) < 64*len(set); p++ {
+			if !set.Has(p) || p == rec.sender || rec.dest.Contains(top.GroupOf(p)) {
 				continue
 			}
 			errs = append(errs, fmt.Errorf("sim: process %d participated in ordering %v with dest %v (genuineness violation)", p, id, rec.dest))
@@ -562,9 +593,19 @@ func (s *Sim) AuditGenuineness(top *mcast.Topology) []error {
 	return errs
 }
 
-type event struct {
+// eventKey is an event's place in the queue. It holds no pointers, so the
+// heap's sifting moves it without write barriers and the garbage collector
+// never scans the heap.
+type eventKey struct {
 	at   time.Duration
 	seq  uint64
+	slot int32 // of the event in Sim.slab
+}
+
+func keyBefore(a, b *eventKey) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
+// event is what a queued key stands for.
+type event struct {
 	proc mcast.ProcessID
 	in   node.Input
 	// ctl, when non-nil, makes this a control event (ControlAt): dispatch
@@ -574,5 +615,3 @@ type event struct {
 	// and releases what it held.
 	commit *node.Commit
 }
-
-func eventBefore(a, b *event) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
