@@ -103,7 +103,8 @@ func (cl *Client) Metrics() MetricsSnapshot { return cl.reg.Snapshot() }
 
 // Close crash-stops the client's process on its transport. In-flight
 // multicasts never complete (their contexts expire); messages already
-// handed to the protocol may still be delivered.
+// handed to the protocol may still be delivered. On the TCP and in-process
+// transports a Multicast after Close returns an error.
 func (cl *Client) Close() { cl.tr.crash(cl.pid) }
 
 // Multicast sends payload to the given destination groups and waits until

@@ -140,8 +140,9 @@ func (c *Cluster) GroupMembers(g GroupID) []ProcessID {
 func (c *Cluster) AllGroups() GroupSet { return c.top.AllGroups() }
 
 // CrashReplica injects a crash-stop failure: the replica stops processing
-// (on the TCP transport, its node shuts down). The cluster tolerates up to
-// (Replicas-1)/2 crashes per group.
+// (on the TCP and in-process transports, its node shuts down, and what is
+// sent to it is dropped). The cluster tolerates up to (Replicas-1)/2
+// crashes per group.
 func (c *Cluster) CrashReplica(pid ProcessID) {
 	if r := c.Replica(pid); r != nil {
 		r.Close()

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/live"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
@@ -109,7 +108,9 @@ type hosted struct {
 	stop func()
 }
 
-// shardRuntimes hosts the same two handlers on each of the three runtimes.
+// shardRuntimes hosts the same two handlers on each of the three hosts: the
+// simulator, wall-clock nodes in memory ("live", the public InProcess
+// transport's) and wall-clock nodes over loopback TCP.
 // virtual marks the simulator, whose single event order also shows where
 // a timer was armed relative to a send; on the wall-clock runtimes a
 // timer's expiry races the send's arrival, so only its place after the
@@ -137,14 +138,15 @@ var shardRuntimes = []struct {
 		}
 	}},
 	{"live", false, func(t *testing.T, actor, witness node.Handler, st wal.Storage, onDeliver func(mcast.Delivery)) hosted {
-		n := live.New(live.Config{OnDeliver: func(_ mcast.ProcessID, d mcast.Delivery) { onDeliver(d) }})
-		if err := errors.Join(n.Add(actor, st), n.Add(witness, nil)); err != nil {
-			t.Fatal(err)
-		}
+		ns := inMemory(t, tcpnet.Config{Handler: actor, Storage: st, OnDeliver: onDeliver}, tcpnet.Config{Handler: witness})
+		an, wn := ns[actorPID], ns[witnessPID]
 		return hosted{
-			inject: func(pid mcast.ProcessID, in node.Input) { _ = n.Inject(pid, in) }, // fails only after Close
-			idle:   func() bool { return n.MailboxDepth(actorPID)+n.MailboxDepth(witnessPID) == 0 },
-			stop:   n.Close,
+			// As on tcpnet: a storage failure stops the actor's node.
+			inject: func(pid mcast.ProcessID, in node.Input) { _ = ns[pid].Inject(in) },
+			idle: func() bool {
+				return an.MailboxDepth()+wn.MailboxDepth() == 0 || an.Inject(node.Start{}) != nil
+			},
+			stop: func() { an.Close(); wn.Close() },
 		}
 	}},
 	{"tcpnet", false, func(t *testing.T, actor, witness node.Handler, st wal.Storage, onDeliver func(mcast.Delivery)) hosted {
@@ -188,6 +190,33 @@ var shardRuntimes = []struct {
 			stop: func() { an.Close(); wn.Close() },
 		}
 	}},
+}
+
+// inMemory starts the wall-clock nodes of the public InProcess transport:
+// tcpnet nodes that listen on nothing and reach each other through one
+// registry. Each config names its handler and what else its node needs.
+func inMemory(t *testing.T, cfgs ...tcpnet.Config) map[mcast.ProcessID]*tcpnet.Node {
+	t.Helper()
+	var reg sync.Map
+	ns := make(map[mcast.ProcessID]*tcpnet.Node, len(cfgs))
+	for _, cfg := range cfgs {
+		cfg.PID = cfg.Handler.ID()
+		cfg.Peer = func(pid mcast.ProcessID) *tcpnet.Node {
+			v, _ := reg.Load(pid)
+			n, _ := v.(*tcpnet.Node)
+			return n
+		}
+		n, err := tcpnet.Serve(cfg)
+		if err != nil {
+			for _, n := range ns {
+				n.Close()
+			}
+			t.Fatal(err)
+		}
+		reg.Store(cfg.PID, n)
+		ns[cfg.PID] = n
+	}
+	return ns
 }
 
 // The actor's inputs: a Submit whose message ID is k is call k. Its payload

@@ -22,7 +22,7 @@
 //
 // node is the seam of the architecture: protocol packages (core, paxos,
 // skeen, blackbox, client, batch) implement Handler, and the
-// runtimes (internal/sim, internal/live, internal/tcpnet — selected via
-// the public wbcast.Transport) drive it. Nothing above this package does
+// runtimes (internal/sim, and internal/tcpnet in memory or over TCP —
+// selected via the public wbcast.Transport) drive it. Nothing above this package does
 // I/O; nothing below it contains protocol logic.
 package node

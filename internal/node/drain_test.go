@@ -8,7 +8,6 @@ import (
 
 	"wbcast/internal/batch"
 	"wbcast/internal/client"
-	"wbcast/internal/live"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
@@ -86,21 +85,24 @@ var drainRuntimes = []struct {
 		r.stop = func() {}
 	}},
 	{"live", func(r *drainRun, g gatedClient, replicas []node.Handler) {
-		n := live.New(live.Config{})
-		for _, h := range append([]node.Handler{g}, replicas...) {
-			if err := n.Add(h, nil); err != nil {
-				r.t.Fatal(err)
-			}
+		cfgs := []tcpnet.Config{{Handler: g}}
+		for _, h := range replicas {
+			cfgs = append(cfgs, tcpnet.Config{Handler: h})
 		}
+		ns := inMemory(r.t, cfgs...)
 		r.queue = func(ms []mcast.AppMsg) {
-			_ = n.Inject(clientPID, node.GCHorizon{}) // fails only after Close
+			_ = ns[clientPID].Inject(node.GCHorizon{}) // fails only after Close
 			for _, m := range ms {
-				_ = n.Submit(clientPID, m)
+				_ = ns[clientPID].Inject(node.Submit{Msg: m})
 			}
 			g.gate <- struct{}{}
 		}
 		r.settle = func() { time.Sleep(time.Millisecond) }
-		r.stop = n.Close
+		r.stop = func() {
+			for _, n := range ns {
+				n.Close()
+			}
+		}
 	}},
 	{"tcpnet", func(r *drainRun, g gatedClient, replicas []node.Handler) {
 		var nodes []*tcpnet.Node

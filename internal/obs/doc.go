@@ -8,7 +8,7 @@
 // obs sits below every other layer: it imports only internal/mcast (for
 // process and message identifiers) and the standard library, so the
 // protocol cores (internal/core, paxos, blackbox), the runtimes
-// (internal/live, sim, tcpnet), the clients (internal/client, batch) and
+// (internal/sim, tcpnet), the clients (internal/client, batch) and
 // the public wbcast package can all instrument themselves against it
 // without import cycles. Instrumented packages hold pre-resolved metric
 // pointers — the registry's lock is only taken at registration and scrape

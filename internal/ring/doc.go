@@ -1,7 +1,7 @@
 // Package ring provides the bounded MPSC (multi-producer,
 // single-consumer) ring buffer used as the input mailbox of every
-// protocol shard (internal/live processes, internal/tcpnet shard
-// loops).
+// protocol shard (the loops of internal/tcpnet's nodes, in memory or over
+// TCP).
 //
 // The ring replaces the mutex-guarded elastic FIFO of earlier
 // revisions: producers claim slots with a single CAS on the tail
@@ -21,5 +21,5 @@
 // moment the batch is taken go before it, and the batch is consumed
 // completely before any later ticket).
 // Degraded mode costs what the old elastic FIFO cost; the ring is the
-// fast path, 64 slots in both wall-clock runtimes (their mailboxSize).
+// fast path, 64 slots in a wall-clock node (tcpnet's mailboxSize).
 package ring

@@ -31,8 +31,8 @@
 //
 // # Layering
 //
-// sim is one of the three runtimes driving node.Handler (with
-// internal/live and internal/tcpnet). internal/faults plugs into its
+// sim is one of the two runtimes driving node.Handler (with
+// internal/tcpnet, the wall-clock one). internal/faults plugs into its
 // Filter/TimerScale/ControlAt hooks for chaos runs; internal/harness
 // wires simulator, protocols and checkers into ready-made clusters; the
 // public Simulated transport wraps it for API users.

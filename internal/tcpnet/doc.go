@@ -1,9 +1,18 @@
-// Package tcpnet hosts a protocol process as a real TCP server: it turns any
-// node.Handler — a white-box replica, a baseline replica or a client — into
-// a network server. One Node is one process: one listener, one handler on
-// the shared shard driver — a node.Mailbox and a node.Step, the same loop as
-// the in-process runtime — and one outbound link per peer process. The path
-// of a frame crosses two goroutines per hop (docs/CONCURRENCY.md):
+// Package tcpnet hosts one protocol process on the wall clock, over TCP or in
+// memory: it turns any node.Handler — a white-box replica, a baseline
+// replica or a client — into a running process. One Node is one process:
+// one handler on the shared shard driver — a node.Mailbox and a node.Step —
+// with one loop, one commit hook and one release path, whichever way its
+// messages travel.
+//
+// In memory (Config.Peer; the public InProcess transport) a node listens on
+// nothing and encodes nothing: a send is the message value itself, posted
+// into each recipient node's mailbox — after Config.Latency, through the
+// mailbox's PostAfter, which keeps per-link FIFO for a latency constant per
+// pair. A recipient that is gone is a counted drop.
+//
+// Over TCP a node has one listener and one outbound link per peer process.
+// The path of a frame crosses two goroutines per hop (docs/CONCURRENCY.md):
 //
 //	read loops — one buffered read(2) takes in every frame a segment
 //	             carried; each one addressed to this process is
@@ -24,7 +33,9 @@
 // goroutine, which dials, writes and ends when nothing is left. One byte
 // stream per link: per-link FIFO holds by construction. A backlog past
 // linkBacklog drops frames rather than block the loop. Registering a peer
-// at a new address (SetPeer) replaces its link and closes the old one.
+// at a new address (SetPeer) replaces its link and closes the old one; an
+// address whose port is 0 is a placeholder for a peer that has not bound
+// its port yet, and a send to it is a counted drop, with no dial.
 //
 // The hand-off between the two stages is a non-blocking mailbox (a bounded
 // MPSC ring with an unbounded overflow, internal/ring), so no loop can
@@ -58,7 +69,7 @@
 //
 // # Layering
 //
-// tcpnet is the real-network runtime driving node.Handler: it encodes
-// messages via internal/wire and backs the public TCP transport. It is
-// the only package that touches sockets.
+// tcpnet is the wall-clock runtime driving node.Handler: it encodes
+// messages via internal/wire and backs the public TCP and InProcess
+// transports. It is the only package that touches sockets.
 package tcpnet

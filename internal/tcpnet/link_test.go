@@ -2,6 +2,10 @@ package tcpnet
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,7 +75,12 @@ func TestStalledPeer(t *testing.T) {
 	for k := uint64(1); k <= frames; k++ {
 		step(t, n, k)
 	}
-	waitFor(t, "the shard loop to get through every send", func() bool { return sent.Load() == frames })
+	// Handle counts a send before the loop appends it to the link or drops
+	// it, so the drops are read once every frame has been one or the other.
+	waitFor(t, "the shard loop to get through every send", func() bool {
+		st := n.Stats()
+		return sent.Load() == frames && st.FramesSent+st.OutboundDrops == frames
+	})
 	drops := n.Stats().OutboundDrops
 	if drops == 0 || drops >= frames {
 		t.Fatalf("%d of %d frames dropped, want some but not all: the backlog is bounded at %d bytes", drops, frames, linkBacklog)
@@ -192,5 +201,57 @@ func TestSetPeerMovesTheLink(t *testing.T) {
 	case f := <-a.frames:
 		t.Fatalf("a frame still went to the old address: %+v", f)
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestPlaceholderPeerIsADrop: a peer registered at port 0 has not bound its
+// port yet — a TCP transport's processes start one by one and learn each
+// other's ephemeral ports as they bind. A send to it is a counted drop and
+// nothing more: no writer goroutine, no dial, no reconnect, no log line. A
+// real address then replaces the placeholder.
+func TestPlaceholderPeerIsADrop(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	hb := msgs.Heartbeat{Group: 1, Bal: mcast.Ballot{N: 2, Proc: 1}}
+	n, err := Serve(Config{
+		PID: 1, ListenAddr: "127.0.0.1:0", Peers: map[mcast.ProcessID]string{10: "127.0.0.1:0"},
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+		Handler: node.Func{PID: 1, F: func(in node.Input, fx *node.Effects) {
+			if _, ok := in.(node.Timer); ok {
+				fx.Send(10, hb)
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	base := runtime.NumGoroutine()
+	step(t, n, 0)
+	waitFor(t, "the drop", func() bool { return n.Stats().OutboundDrops == 1 })
+	time.Sleep(20 * time.Millisecond) // room for a dial that should not happen
+	if s := n.Stats(); s.OutboundDrops != 1 || s.Reconnects != 0 || s.FramesSent != 0 {
+		t.Errorf("stats after one send to a placeholder: %+v", s)
+	}
+	if g := runtime.NumGoroutine(); g > base {
+		t.Errorf("%d goroutines after the send, %d before", g, base)
+	}
+	mu.Lock()
+	for _, line := range logged {
+		if strings.Contains(line, "dial") {
+			t.Errorf("logged %q", line)
+		}
+	}
+	mu.Unlock()
+
+	a := newSink(t, nil)
+	n.SetPeer(10, a.addr())
+	step(t, n, 0)
+	if f := a.next(t); f.msg != hb {
+		t.Fatalf("the send after the real address arrived as %+v", f)
 	}
 }

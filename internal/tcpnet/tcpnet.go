@@ -82,6 +82,18 @@ type Config struct {
 	// the node creates an unregistered one, so Stats() always works. Either
 	// way the counters are the single source of truth — Stats() is a view.
 	Metrics *obs.Runtime
+	// Peer, if non-nil, hosts the node in memory: it listens on nothing
+	// (ListenAddr and Peers are ignored), and a send reaches each recipient
+	// as the message value itself, posted into the mailbox of the node Peer
+	// returns for it. A recipient Peer returns nil for, or whose node has
+	// closed, is a counted drop. Peer is called from the node's loop.
+	Peer func(pid mcast.ProcessID) *Node
+	// Latency, if non-nil, delays every in-memory message between two
+	// distinct processes by Latency(from, to). It must be constant per
+	// ordered pair: one sender's deadlines to one recipient are then
+	// monotone, and a mailbox posts equal deadlines in arming order, so
+	// per-link FIFO holds. It requires Peer.
+	Latency func(from, to mcast.ProcessID) time.Duration
 }
 
 // Stats is a snapshot of a Node's I/O counters (see Node.Stats).
@@ -99,7 +111,8 @@ type Stats struct {
 	// that rode along instead of costing their own syscall.
 	FramesCoalesced int64
 	// OutboundDrops counts frames dropped because a peer's link was past
-	// linkBacklog, its address was unknown, or it could not be reached.
+	// linkBacklog, its address was unknown or still a placeholder (port 0),
+	// or it could not be reached — in memory, sends to a peer that is gone.
 	// Dropped frames are recovered by the protocols' retry machinery.
 	OutboundDrops int64
 	// Reconnects counts outbound redials after a connection failure.
@@ -115,9 +128,9 @@ type Stats struct {
 	MailboxHighWater int64
 }
 
-// Node is a running TCP-hosted process: one listener, one handler behind the
-// shared shard driver — its Step and its Mailbox, consumed only by the
-// node's loop — and one link per peer process.
+// Node is a running process: one handler behind the shared shard driver — its
+// Step and its Mailbox, consumed only by the node's loop — and, over TCP, one
+// listener and one link per peer process.
 type Node struct {
 	cfg Config
 	ln  net.Listener
@@ -154,14 +167,14 @@ type boxedInput struct {
 	done *node.Commit
 }
 
-// Serve starts listening and processing.
+// Serve starts listening, unless the node is hosted in memory (Config.Peer),
+// and processing.
 func Serve(cfg Config) (*Node, error) {
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("tcpnet: nil handler")
 	}
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet: listen %s: %w", cfg.ListenAddr, err)
+	if cfg.Latency != nil && cfg.Peer == nil {
+		return nil, fmt.Errorf("tcpnet: Latency applies in memory only")
 	}
 	rt := cfg.Metrics
 	if rt == nil {
@@ -169,18 +182,25 @@ func Serve(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:   cfg,
-		ln:    ln,
 		quit:  make(chan struct{}),
 		step:  node.NewStep(cfg.Handler, cfg.Storage),
 		peers: make(map[mcast.ProcessID]*link, len(cfg.Peers)),
 		rt:    rt,
 	}
 	n.box = node.NewMailbox[boxedInput](mailboxSize, n.quit)
-	for pid, addr := range cfg.Peers {
-		n.SetPeer(pid, addr)
+	if cfg.Peer == nil {
+		ln, err := net.Listen("tcp", cfg.ListenAddr)
+		if err != nil {
+			return nil, fmt.Errorf("tcpnet: listen %s: %w", cfg.ListenAddr, err)
+		}
+		n.ln = ln
+		for pid, addr := range cfg.Peers {
+			n.SetPeer(pid, addr)
+		}
+		n.wg.Add(1)
+		go n.acceptLoop()
 	}
-	n.wg.Add(2)
-	go n.acceptLoop()
+	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		n.box.Run(n.consume, n.commit)
@@ -189,8 +209,13 @@ func Serve(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Addr returns the bound listen address.
-func (n *Node) Addr() net.Addr { return n.ln.Addr() }
+// Addr returns the bound listen address; nil in memory.
+func (n *Node) Addr() net.Addr {
+	if n.ln == nil {
+		return nil
+	}
+	return n.ln.Addr()
+}
 
 // Stats returns a snapshot of the node's I/O counters: a view over the
 // obs.Runtime handle that the I/O paths maintain (one source of truth).
@@ -213,7 +238,10 @@ func (n *Node) MailboxDepth() int64 { return n.box.Depth() }
 // SetPeer registers (or updates) the address of a peer process. The
 // address book is consulted for each send, so an update takes effect for
 // all subsequent sends; a new address gets a new link, and the old one's
-// connection is closed with whatever it had not yet written.
+// connection is closed with whatever it had not yet written. An address
+// whose port is 0 is a placeholder — the peer has not bound its port yet:
+// sends to it are counted drops, with no dial and no log line, until a real
+// address replaces it.
 func (n *Node) SetPeer(pid mcast.ProcessID, addr string) {
 	n.mu.Lock()
 	old := n.peers[pid]
@@ -221,7 +249,7 @@ func (n *Node) SetPeer(pid mcast.ProcessID, addr string) {
 		n.mu.Unlock()
 		return
 	}
-	l := &link{n: n, pid: pid, addr: addr}
+	l := &link{n: n, pid: pid, addr: addr, placeholder: HasEphemeralPort(addr)}
 	l.closed.Store(n.stopped) // the loop may still be finishing its drain
 	n.peers[pid] = l
 	n.mu.Unlock()
@@ -230,34 +258,56 @@ func (n *Node) SetPeer(pid mcast.ProcessID, addr string) {
 	}
 }
 
-// linkTo returns the link of a peer. A peer without one is a counted drop.
+// HasEphemeralPort reports whether addr leaves its port to the kernel: as a
+// listen address it binds an ephemeral port, as a peer's it is a placeholder.
+func HasEphemeralPort(addr string) bool {
+	_, port, err := net.SplitHostPort(addr)
+	return err == nil && (port == "0" || port == "")
+}
+
+// linkTo returns the link of a peer. A peer without one is a counted drop,
+// logged unless its address is a placeholder.
 func (n *Node) linkTo(pid mcast.ProcessID) *link {
 	n.mu.Lock()
 	l := n.peers[pid]
 	n.mu.Unlock()
-	if l == nil {
+	if l == nil || l.placeholder {
 		n.rt.OutboundDrops.Inc()
-		n.logf("tcpnet: no address for process %d", pid)
+		if l == nil {
+			n.logf("tcpnet: no address for process %d", pid)
+		}
+		return nil
 	}
 	return l
 }
 
 // Inject posts a local input (e.g. a client Submit).
 func (n *Node) Inject(in node.Input) error {
-	select {
-	case <-n.quit:
+	if n.closed() {
 		return fmt.Errorf("tcpnet: node closed")
-	default:
 	}
 	n.box.Post(boxedInput{in: in})
 	return nil
+}
+
+// closed reports whether the node has stopped: its loop is gone or going,
+// and nothing may be posted to its mailbox any more.
+func (n *Node) closed() bool {
+	select {
+	case <-n.quit:
+		return true
+	default:
+		return false
+	}
 }
 
 // stop initiates shutdown without joining goroutines (safe to call from
 // the node's loop itself, e.g. on a storage failure).
 func (n *Node) stop() {
 	n.quitOnce.Do(func() { close(n.quit) })
-	n.ln.Close()
+	if n.ln != nil {
+		n.ln.Close()
+	}
 	// Release the writers blocked on a peer that does not read.
 	n.mu.Lock()
 	n.stopped = true
@@ -440,6 +490,10 @@ func (n *Node) release(rel node.Release, err error) {
 func (n *Node) send(sends []node.Send) {
 	for i := range sends {
 		snd := &sends[i]
+		if n.cfg.Peer != nil {
+			n.sendInMemory(snd)
+			continue
+		}
 		ack := snd.Tos == nil && snd.Msg.Kind().IsAck()
 		n.dests = n.dests[:0]
 		for r := 0; r < snd.NumRecipients(); r++ {
@@ -474,6 +528,30 @@ func (n *Node) send(sends []node.Send) {
 				l.append(body)
 			}
 		}
+	}
+}
+
+// sendInMemory posts one send into the mailbox of every recipient's node,
+// after the configured latency: the message value itself, shared by all of
+// them, as on a self-send. A recipient that is gone is a counted drop: a
+// closed node's mailbox has no loop left to drain it.
+func (n *Node) sendInMemory(snd *node.Send) {
+	in := boxedInput{in: node.Recv{From: n.cfg.PID, Msg: snd.Msg}}
+	for r := 0; r < snd.NumRecipients(); r++ {
+		to, q := snd.Recipient(r), n
+		if to != n.cfg.PID {
+			if q = n.cfg.Peer(to); q == nil || q.closed() {
+				n.rt.OutboundDrops.Inc()
+				continue
+			}
+			if n.cfg.Latency != nil {
+				if lat := n.cfg.Latency(n.cfg.PID, to); lat > 0 {
+					q.box.PostAfter(lat, in)
+					continue
+				}
+			}
+		}
+		q.box.Post(in)
 	}
 }
 
@@ -519,6 +597,8 @@ type link struct {
 	n    *Node
 	pid  mcast.ProcessID
 	addr string
+	// placeholder: addr's port is 0, so nothing is sent, dialled or logged.
+	placeholder bool
 
 	// Used by the node's loop alone: the acks accumulated for the peer, and
 	// whether the link is on the loop's touched list.

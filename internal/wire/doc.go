@@ -22,7 +22,7 @@
 // # Layering
 //
 // wire sits below internal/msgs's typed messages and the stores. Protocol
-// logic never sees bytes. The simulator and the in-process runtime send
+// logic never sees bytes. The simulator and in-memory tcpnet nodes pass
 // messages unencoded, but their durable runs write and read WAL entries,
 // and kv runs encode and decode ops on every runtime. internal/tcpnet
 // frames encoded messages.

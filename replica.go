@@ -195,9 +195,9 @@ func (r *Replica) Subscribe(buffer int, policy DeliveryPolicy) *Subscription {
 	return s
 }
 
-// Stats returns the replica's transport-level counters: the TCP node's I/O
-// statistics on the TCP transport, the mailbox high-water mark on the
-// in-process transport, plus the deliveries its subscriptions have dropped.
+// Stats returns the replica's transport-level counters — its node's I/O
+// statistics on the TCP and in-process transports — plus the deliveries its
+// subscriptions have dropped.
 func (r *Replica) Stats() TransportStats {
 	s := r.tr.stats(r.pid)
 	r.mu.Lock()

@@ -17,7 +17,8 @@
 #     (`lockedStorage`, the compaction knobs `Snapshot{Every,Threshold}`,
 #     wire's `{Append,Consume}*` storage wrappers, the buffer knobs
 #     `{Trace,Delivery}Buffer`, the range partitioner, the inbound frames'
-#     reference counting and the record-list clone).
+#     reference counting, the record-list clone and the goroutine runtime
+#     the in-memory tcpnet node replaced).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -137,9 +138,10 @@ done
 # wire.Writer/Reader; the trace and delivery buffer knobs and the range
 # partitioner when nothing set them; the inbound frames' reference counts and
 # the handlers' clones of received messages when frames stopped being
-# reused.
+# reused; the separate in-process runtime when InProcess began to host
+# in-memory tcpnet nodes.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
-  {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary'; do
+  {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

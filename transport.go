@@ -2,13 +2,12 @@ package wbcast
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
 	"wbcast/internal/faults"
-	"wbcast/internal/live"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
@@ -22,8 +21,9 @@ import (
 // deployment. The same protocol state machines run unchanged on every
 // transport; the transport decides how messages move between them:
 //
-//   - InProcess hosts every process as a goroutine in this OS process,
-//     connected by in-memory links with optionally injected latency
+//   - InProcess hosts every process as a goroutine in this OS process: the
+//     TCP transport's runtime, with each message posted straight into its
+//     recipients' mailboxes after an optionally injected latency
 //     (Config.Latency). This is the default and the right choice for
 //     embedded use and benchmarks on one machine.
 //   - Simulated hosts every process on a deterministic discrete-event
@@ -37,8 +37,7 @@ import (
 //
 // A Transport value is single-use: it hosts one deployment and is shut down
 // by Close (or by the Close of the Cluster built on it). The interface is
-// sealed; the three constructors in this package are the only
-// implementations.
+// sealed: the constructors in this package make the only implementations.
 type Transport interface {
 	// Close shuts down every process hosted on this transport and joins
 	// their goroutines.
@@ -53,7 +52,7 @@ type Transport interface {
 	//
 	// add hosts a handler; opts.reg, when non-nil, is the process's metrics
 	// registry, into which the transport registers its runtime counters
-	// (frame I/O on TCP, mailbox depth/high-water in-process). opts.store,
+	// (frame I/O, drops, mailbox depth and high-water). opts.store,
 	// when non-nil, backs the process's persist effects under node.Step's
 	// contract (Step.Do: what a call stages, what it holds until the sync,
 	// what leaves at once); a storage error crash-stops the process. crash
@@ -89,10 +88,11 @@ type hostOptions struct {
 }
 
 // TransportStats is a snapshot of a process's transport-level counters,
-// surfaced by Replica.Stats. The frame counters are maintained by the TCP
-// transport (see internal/tcpnet); the in-process transport reports only
-// MailboxHighWater, and the simulated transport reports only
-// DeliveriesDropped.
+// surfaced by Replica.Stats. The counters are maintained by the TCP and
+// in-process transports (see internal/tcpnet) — in process, nothing is
+// encoded, sent or read as a frame, so those counts stay 0, and
+// OutboundDrops counts sends to processes that are gone — and the simulated
+// transport reports only DeliveriesDropped.
 type TransportStats struct {
 	// MessagesEncoded counts distinct messages serialised to wire form
 	// (one per send, however many recipients it fans out to).
@@ -104,8 +104,9 @@ type TransportStats struct {
 	// that rode along instead of costing their own syscall.
 	FramesCoalesced int64
 	// OutboundDrops counts frames dropped on the way out (a link's backlog
-	// past its byte bound, unknown or unreachable peer). Dropped frames are
-	// recovered by the protocols' retry machinery.
+	// past its byte bound, unknown or unreachable peer; in process, a peer
+	// that is gone). Dropped frames are recovered by the protocols' retry
+	// machinery.
 	OutboundDrops int64
 	// Reconnects counts outbound redials after a connection failure.
 	Reconnects int64
@@ -118,117 +119,6 @@ type TransportStats struct {
 	// DeliveriesDropped counts deliveries discarded by this process's
 	// subscriptions under the DropOldest/DropNewest policies.
 	DeliveriesDropped uint64
-}
-
-// ---------------------------------------------------------------------------
-// In-process transport (internal/live)
-
-// InProcess returns a transport hosting every process as a goroutine in
-// this OS process, connected by in-memory links. Config.Latency, when set,
-// injects artificial one-way delays (see LAN and WAN for the paper's
-// testbed profiles).
-func InProcess() Transport {
-	return &inProcTransport{deliver: make(map[ProcessID]func(Delivery))}
-}
-
-type inProcTransport struct {
-	mu      sync.Mutex
-	net     *live.Network
-	deliver map[ProcessID]func(Delivery)
-	clock   obs.Clock
-	tracer  *obs.Tracer
-}
-
-func (t *inProcTransport) open(cfg *Config) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.clock == nil {
-		start := time.Now()
-		t.clock = func() time.Duration { return time.Since(start) }
-		t.tracer = cfg.newTracer(t.clock)
-	}
-	cfg.clock, cfg.tracer = t.clock, t.tracer
-	if t.net != nil {
-		return nil
-	}
-	t.net = live.New(live.Config{
-		Latency:   cfg.Latency,
-		OnDeliver: t.dispatch,
-		Logf:      cfg.Logf,
-	})
-	return nil
-}
-
-func (t *inProcTransport) dispatch(p mcast.ProcessID, d mcast.Delivery) {
-	t.mu.Lock()
-	fn := t.deliver[p]
-	t.mu.Unlock()
-	if fn != nil {
-		fn(d)
-	}
-}
-
-func (t *inProcTransport) add(h node.Handler, opts hostOptions) error {
-	t.mu.Lock()
-	if t.net == nil {
-		t.mu.Unlock()
-		return fmt.Errorf("wbcast: transport not opened")
-	}
-	if opts.onDeliver != nil {
-		t.deliver[h.ID()] = opts.onDeliver
-	}
-	n := t.net
-	t.mu.Unlock()
-	// Mailbox gauges are views over the network's single-source counters
-	// (evaluated at scrape time), never double-maintained.
-	pid := h.ID()
-	opts.reg.RegisterFunc(obs.MetricMailboxDepth, "current input-queue length", obs.KindGauge,
-		func() int64 { return n.MailboxDepth(pid) })
-	opts.reg.RegisterFunc(obs.MetricMailboxHighWater, "largest input-queue length observed", obs.KindGauge,
-		func() int64 { return n.MailboxHighWater(pid) })
-	return n.Add(h, opts.store)
-}
-
-func (t *inProcTransport) inject(pid ProcessID, in node.Input) error {
-	t.mu.Lock()
-	n := t.net
-	t.mu.Unlock()
-	if n == nil {
-		return fmt.Errorf("wbcast: transport not opened")
-	}
-	return n.Inject(pid, in)
-}
-
-func (t *inProcTransport) crash(pid ProcessID) {
-	t.mu.Lock()
-	n := t.net
-	t.mu.Unlock()
-	if n != nil {
-		n.Crash(pid)
-	}
-}
-
-func (t *inProcTransport) stats(pid ProcessID) TransportStats {
-	t.mu.Lock()
-	n := t.net
-	t.mu.Unlock()
-	if n == nil {
-		return TransportStats{}
-	}
-	return TransportStats{MailboxHighWater: n.MailboxHighWater(pid)}
-}
-
-func (t *inProcTransport) addr(ProcessID) string  { return "" }
-func (t *inProcTransport) backgroundTimers() bool { return true }
-
-// Close implements Transport.
-func (t *inProcTransport) Close() {
-	t.mu.Lock()
-	n := t.net
-	t.mu.Unlock()
-	if n != nil {
-		n.Close()
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -507,7 +397,14 @@ func (t *simTransport) Close() {
 }
 
 // ---------------------------------------------------------------------------
-// TCP transport (internal/tcpnet)
+// TCP and in-process transports (internal/tcpnet)
+
+// InProcess returns a transport hosting every process as a goroutine in
+// this OS process: the TCP transport's nodes, listening on nothing, each
+// posting a message straight into its recipients' mailboxes. Config.Latency,
+// when set, injects artificial one-way delays (see LAN and WAN for the
+// paper's testbed profiles).
+func InProcess() Transport { return &tcpTransport{memory: true} }
 
 // TCP returns a transport that hosts the processes started on it in this OS
 // process and reaches the rest of the cluster over TCP. peers maps every
@@ -525,27 +422,28 @@ func (t *simTransport) Close() {
 // are hosted on the same Transport value; multi-host deployments need real
 // addresses.
 func TCP(listen string, peers map[ProcessID]string) Transport {
-	t := &tcpTransport{
-		listen: listen,
-		peers:  make(map[ProcessID]string, len(peers)),
-		nodes:  make(map[ProcessID]*tcpnet.Node),
-	}
-	for pid, addr := range peers {
-		t.peers[pid] = addr
-	}
+	t := &tcpTransport{listen: listen, peers: make(map[ProcessID]string, len(peers))}
+	maps.Copy(t.peers, peers)
 	return t
 }
 
+// tcpTransport hosts each process on a tcpnet.Node: over TCP, or in memory
+// (InProcess), where a node reaches its peers through the registry.
 type tcpTransport struct {
 	listen string
+	memory bool
+	// nodes is the registry of hosted nodes, ProcessID → *tcpnet.Node. It
+	// changes under mu; readers — an in-memory node's send path among them —
+	// look a node up without a lock.
+	nodes sync.Map
 
 	mu         sync.Mutex
 	opened     bool
 	listenUsed bool
 	peers      map[ProcessID]string
-	nodes      map[ProcessID]*tcpnet.Node
 	closed     map[ProcessID]bool
 	logf       func(format string, args ...any)
+	latency    func(from, to ProcessID) time.Duration
 	clock      obs.Clock
 	tracer     *obs.Tracer
 }
@@ -563,10 +461,17 @@ func (t *tcpTransport) open(cfg *Config) error {
 		return nil
 	}
 	// Latency×TCP is rejected earlier, by Config.normalized.
-	t.logf = cfg.Logf
+	t.logf, t.latency = cfg.Logf, cfg.Latency
 	t.closed = make(map[ProcessID]bool)
 	t.opened = true
 	return nil
+}
+
+// node returns the node hosting pid, or nil.
+func (t *tcpTransport) node(pid ProcessID) *tcpnet.Node {
+	v, _ := t.nodes.Load(pid)
+	n, _ := v.(*tcpnet.Node)
+	return n
 }
 
 func (t *tcpTransport) add(h node.Handler, opts hostOptions) error {
@@ -576,38 +481,31 @@ func (t *tcpTransport) add(h node.Handler, opts hostOptions) error {
 		return fmt.Errorf("wbcast: transport not opened")
 	}
 	pid := h.ID()
-	if _, dup := t.nodes[pid]; dup || t.closed[pid] {
+	if _, dup := t.nodes.Load(pid); dup || t.closed[pid] {
 		return fmt.Errorf("wbcast: process %d already hosted on this transport", pid)
 	}
-	listen := ""
-	if t.listen != "" && !t.listenUsed {
-		listen = t.listen
-		t.listenUsed = true
-	} else if addr, ok := t.peers[pid]; ok {
-		listen = addr
-	} else {
-		return fmt.Errorf("wbcast: no TCP address for process %d: add a peers entry or a listen address", pid)
-	}
-	peers := make(map[ProcessID]string, len(t.peers))
-	for p, a := range t.peers {
-		peers[p] = a
-	}
-	var deliver func(mcast.Delivery)
-	if opts.onDeliver != nil {
-		deliver = opts.onDeliver
-	}
-	n, err := tcpnet.Serve(tcpnet.Config{
-		PID:        pid,
-		ListenAddr: listen,
-		Peers:      peers,
-		Handler:    h,
-		OnDeliver:  deliver,
-		Storage:    opts.store,
-		Logf:       t.logf,
+	cfg := tcpnet.Config{
+		PID:       pid,
+		Peers:     maps.Clone(t.peers),
+		Handler:   h,
+		OnDeliver: opts.onDeliver,
+		Storage:   opts.store,
+		Logf:      t.logf,
 		// The node maintains these counters directly; its Stats() and the
 		// registry scrape are two views over the same atomics.
 		Metrics: obs.NewRuntime(opts.reg),
-	})
+	}
+	switch addr, ok := t.peers[pid]; {
+	case t.memory:
+		cfg.Peer, cfg.Latency = t.node, t.latency
+	case t.listen != "" && !t.listenUsed:
+		cfg.ListenAddr, t.listenUsed = t.listen, true
+	case ok:
+		cfg.ListenAddr = addr
+	default:
+		return fmt.Errorf("wbcast: no TCP address for process %d: add a peers entry or a listen address", pid)
+	}
+	n, err := tcpnet.Serve(cfg)
 	if err != nil {
 		return err
 	}
@@ -615,58 +513,48 @@ func (t *tcpTransport) add(h node.Handler, opts hostOptions) error {
 	// over the node's live queue.
 	opts.reg.RegisterFunc(obs.MetricMailboxDepth, "current input-queue length", obs.KindGauge,
 		n.MailboxDepth)
-	t.nodes[pid] = n
+	t.nodes.Store(pid, n)
 	// Ephemeral-port fix-up: when the configured address left the port to
 	// the kernel, adopt the actual bound address and teach every local node
 	// about it. Remote hosts cannot learn it this way — they need real
 	// addresses in their peers map.
-	if prev, ok := t.peers[pid]; !ok || hasEphemeralPort(prev) {
+	if prev, ok := t.peers[pid]; !t.memory && (!ok || tcpnet.HasEphemeralPort(prev)) {
 		actual := n.Addr().String()
 		t.peers[pid] = actual
-		for _, other := range t.nodes {
-			other.SetPeer(pid, actual)
-		}
+		t.nodes.Range(func(_, other any) bool {
+			other.(*tcpnet.Node).SetPeer(pid, actual)
+			return true
+		})
 	}
 	return nil
 }
 
-// hasEphemeralPort reports whether addr leaves the port to the kernel.
-func hasEphemeralPort(addr string) bool {
-	_, port, err := net.SplitHostPort(addr)
-	return err == nil && (port == "0" || port == "")
-}
-
 func (t *tcpTransport) inject(pid ProcessID, in node.Input) error {
-	t.mu.Lock()
-	n, ok := t.nodes[pid]
-	t.mu.Unlock()
-	if !ok {
+	n := t.node(pid)
+	if n == nil {
 		return fmt.Errorf("wbcast: process %d is not hosted on this transport", pid)
 	}
 	return n.Inject(in)
 }
 
-// crash closes the process's TCP node: it stops accepting, reading and
-// writing, which is exactly what a crash-stop failure looks like to the
-// rest of the cluster.
+// crash closes the process's node: over TCP it stops accepting, reading and
+// writing, which is exactly what a crash-stop failure looks like to the rest
+// of the cluster; in memory, sends to it become counted drops.
 func (t *tcpTransport) crash(pid ProcessID) {
 	t.mu.Lock()
-	n, ok := t.nodes[pid]
+	n, ok := t.nodes.LoadAndDelete(pid)
 	if ok {
-		delete(t.nodes, pid)
 		t.closed[pid] = true
 	}
 	t.mu.Unlock()
 	if ok {
-		n.Close()
+		n.(*tcpnet.Node).Close()
 	}
 }
 
 func (t *tcpTransport) stats(pid ProcessID) TransportStats {
-	t.mu.Lock()
-	n, ok := t.nodes[pid]
-	t.mu.Unlock()
-	if !ok {
+	n := t.node(pid)
+	if n == nil {
 		return TransportStats{}
 	}
 	s := n.Stats()
@@ -682,11 +570,11 @@ func (t *tcpTransport) stats(pid ProcessID) TransportStats {
 }
 
 func (t *tcpTransport) addr(pid ProcessID) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n, ok := t.nodes[pid]; ok {
+	if n := t.node(pid); n != nil && n.Addr() != nil {
 		return n.Addr().String()
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.peers[pid]
 }
 
@@ -694,13 +582,14 @@ func (t *tcpTransport) backgroundTimers() bool { return true }
 
 // Close implements Transport: it closes every hosted node.
 func (t *tcpTransport) Close() {
+	var nodes []*tcpnet.Node
 	t.mu.Lock()
-	nodes := make([]*tcpnet.Node, 0, len(t.nodes))
-	for pid, n := range t.nodes {
-		nodes = append(nodes, n)
-		t.closed[pid] = true
-	}
-	t.nodes = make(map[ProcessID]*tcpnet.Node)
+	t.nodes.Range(func(pid, n any) bool {
+		t.nodes.Delete(pid)
+		t.closed[pid.(ProcessID)] = true
+		nodes = append(nodes, n.(*tcpnet.Node))
+		return true
+	})
 	t.mu.Unlock()
 	for _, n := range nodes {
 		n.Close()

@@ -64,7 +64,6 @@ import (
 
 	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
-	"wbcast/internal/live"
 	"wbcast/internal/mcast"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
@@ -280,8 +279,10 @@ type Config struct {
 	Transport Transport
 	// Latency optionally injects artificial one-way delays between
 	// processes on the InProcess and Simulated transports (see LAN and
-	// WAN for the paper's testbed profiles). Setting it on a TCP
-	// transport is a validation error — real networks have real latency.
+	// WAN for the paper's testbed profiles). On InProcess it must be
+	// constant per ordered pair of processes, which keeps each link FIFO.
+	// Setting it on a TCP transport is a validation error — real networks
+	// have real latency.
 	Latency func(from, to ProcessID) time.Duration
 	// Conflicts is the application's conflict relation, honoured by the
 	// Genmcast protocol only (setting it with any other protocol is a
@@ -408,7 +409,7 @@ func (cfg Config) normalized() (Config, error) {
 		cfg.Transport = InProcess()
 	}
 	if cfg.Latency != nil {
-		if _, isTCP := cfg.Transport.(*tcpTransport); isTCP {
+		if t, ok := cfg.Transport.(*tcpTransport); ok && !t.memory {
 			return cfg, fmt.Errorf("wbcast: Config.Latency applies to the InProcess and Simulated transports only; a TCP deployment has real network latency")
 		}
 	}
@@ -471,7 +472,16 @@ func newProtocolHandler(cfg Config, top *mcast.Topology, pid ProcessID, po *obs.
 // uniform 50µs one-way delay on every link (the CloudLab testbed of §VI
 // has ~0.1ms round trips).
 func LAN() func(from, to ProcessID) time.Duration {
-	return live.LAN()
+	return func(from, to ProcessID) time.Duration { return 50 * time.Microsecond }
+}
+
+// wanOneWay holds the one-way delays between the paper's three data centres
+// — Oregon, N. Virginia, England — half the §VI round trips of 60ms (R1–R2),
+// 75ms (R2–R3) and 130ms (R1–R3); 250µs within one.
+var wanOneWay = [3][3]time.Duration{
+	{250 * time.Microsecond, 30 * time.Millisecond, 65 * time.Millisecond},
+	{30 * time.Millisecond, 250 * time.Microsecond, 37500 * time.Microsecond},
+	{65 * time.Millisecond, 37500 * time.Microsecond, 250 * time.Microsecond},
 }
 
 // WAN returns the paper's WAN latency profile for Config.Latency on a
@@ -481,5 +491,11 @@ func LAN() func(from, to ProcessID) time.Duration {
 // the data centres.
 func WAN(groups, replicas int) func(from, to ProcessID) time.Duration {
 	top := mcast.UniformTopology(groups, replicas)
-	return live.WAN(live.PaperWANAssign(top))
+	dc := func(p ProcessID) int {
+		if top.IsReplica(p) {
+			return top.Rank(p) % 3
+		}
+		return int(p) % 3
+	}
+	return func(from, to ProcessID) time.Duration { return wanOneWay[dc(from)][dc(to)] }
 }

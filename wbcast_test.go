@@ -191,8 +191,56 @@ func TestFailoverThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestCrashInProcess pins what a crash does on the in-process transport:
+// the crashed replica's node is closed, what its group still sends it is
+// counted as dropped at the sender, and its mailbox does not grow while
+// multicasts and heartbeats go on. A closed client's Multicast is refused,
+// as on TCP.
+func TestCrashInProcess(t *testing.T) {
+	c, err := wbcast.New(wbcast.Config{Groups: 1, Delta: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	multicast := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := cl.Multicast(ctx, []byte("x"), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	multicast(1)
+	leader := c.Replica(c.InitialLeader(0))
+	crashed := c.Replica(c.GroupMembers(0)[2])
+	c.CrashReplica(crashed.ID())
+	depth := func() int64 { return crashed.Metrics().Gauges["wbcast_mailbox_depth"] }
+	drops := leader.Stats().OutboundDrops
+	multicast(20)
+	before := depth()
+	time.Sleep(100 * time.Millisecond) // heartbeats every 10δ
+	multicast(20)
+	if got := leader.Stats().OutboundDrops; got < drops+40 {
+		t.Errorf("the leader counted %d drops over 40 multicasts to a crashed follower, want ≥ 40", got-drops)
+	}
+	if after := depth(); after != before {
+		t.Errorf("the crashed replica's mailbox went from %d to %d", before, after)
+	}
+
+	cl.Close()
+	if _, _, err := cl.MulticastAsync([]byte("x"), 0); err == nil {
+		t.Error("a closed client's multicast was accepted")
+	}
+}
+
 // TestBatchingPublicAPI drives bursts of concurrent MulticastAsync calls
-// through the public API on the live runtime: payload-level deliveries,
+// through the public API on the in-process transport: payload-level deliveries,
 // identical (GTS, Sub) total order at every replica, and fewer multicasts
 // than payloads — the calls that queue up while the client's loop is busy
 // leave together, one envelope per drain.
