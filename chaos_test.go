@@ -2,6 +2,7 @@ package wbcast_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestFaultPlanSimulated(t *testing.T) {
 			const n = 20
 			subs := make([]*wbcast.Subscription, 6)
 			for pid := wbcast.ProcessID(0); pid < 6; pid++ {
-				subs[pid] = cluster.Replica(pid).Subscribe(4*n, wbcast.Backpressure)
+				subs[pid] = cluster.Replica(pid).Deliveries()
 			}
 			client, err := cluster.NewClient()
 			if err != nil {
@@ -121,6 +122,133 @@ func TestFaultPlanSimulated(t *testing.T) {
 			mu.Unlock()
 			if nf == 0 {
 				t.Fatal("no fault action fired — the schedule did not run")
+			}
+		})
+	}
+}
+
+// TestFaultBuildersSimulated: the partition builders and the message-count
+// trigger fire on the Simulated transport. Each row cuts a 2×3 cluster
+// between its groups until a Heal: OnFault narrates the cut exactly once,
+// at its trigger, and the trace shows that no message submitted during the
+// cut is delivered on the cut's receiving side before the Heal — every
+// multicast goes to both groups, so none can commit without crossing it.
+func TestFaultBuildersSimulated(t *testing.T) {
+	g0, g1 := []wbcast.ProcessID{0, 1, 2}, []wbcast.ProcessID{3, 4, 5}
+	// The cut falls before the first cross-group send can leave (one δ
+	// after the first submission); the heal lies far enough in virtual
+	// time that the submissions, made in wall-clock time while the chaos
+	// pump advances it, all fall inside the cut.
+	const cutAt, healAt = time.Millisecond, 10 * time.Second
+	for _, tc := range []struct {
+		name string
+		cut  func(*wbcast.FaultPlan)
+		// desc prefixes the cut's narration; at is its virtual time, or
+		// -1 for a message-count trigger (no later than the first submit).
+		desc string
+		at   time.Duration
+		// receivers are the processes the cut keeps a message from.
+		receivers []wbcast.ProcessID
+	}{
+		{"Partition", func(p *wbcast.FaultPlan) { p.At(cutAt).Partition(g0, g1) },
+			"partition ", cutAt, append(g0, g1...)},
+		{"PartitionOneWay", func(p *wbcast.FaultPlan) { p.At(cutAt).PartitionOneWay(g0, g1) },
+			"one-way partition ", cutAt, g1},
+		{"AfterMessages", func(p *wbcast.FaultPlan) { p.AfterMessages(1).Partition(g0, g1) },
+			"partition ", -1, append(g0, g1...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := wbcast.NewFaultPlan()
+			tc.cut(plan)
+			plan.At(healAt).Heal()
+			var mu sync.Mutex
+			narrated := map[string][]time.Duration{}
+			cluster, err := wbcast.New(wbcast.Config{
+				Groups:      2,
+				TraceSample: 1,
+				Transport: wbcast.SimulatedWith(wbcast.SimulatedOptions{
+					Seed:   1,
+					Faults: plan,
+					OnFault: func(at time.Duration, desc string) {
+						mu.Lock()
+						narrated[desc] = append(narrated[desc], at)
+						mu.Unlock()
+					},
+				}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			client, err := cluster.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dones []<-chan struct{}
+			for i := 0; i < 3; i++ {
+				_, done, err := client.MulticastAsync([]byte{byte(i)}, 0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dones = append(dones, done)
+			}
+			for i, done := range dones {
+				select {
+				case <-done:
+				case <-time.After(60 * time.Second):
+					t.Fatalf("multicast %d never completed", i)
+				}
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			var cut []time.Duration
+			for desc, ats := range narrated {
+				switch {
+				case desc == "heal all partitions":
+					if len(ats) != 1 || ats[0] != healAt {
+						t.Errorf("heal narrated at %v, want once at %v", ats, healAt)
+					}
+				case strings.HasPrefix(desc, tc.desc):
+					cut = ats
+				default:
+					t.Errorf("unexpected narration %q at %v", desc, ats)
+				}
+			}
+			if len(cut) != 1 {
+				t.Fatalf("cut narrated %d times (%v), want once", len(cut), narrated)
+			}
+
+			var firstSubmit time.Duration = -1
+			var crossed int
+			blocked := map[wbcast.ProcessID]bool{}
+			for _, p := range tc.receivers {
+				blocked[p] = true
+			}
+			for _, e := range cluster.Trace() {
+				switch {
+				case e.Stage == "submit":
+					if firstSubmit < 0 {
+						firstSubmit = e.At
+					}
+					if e.At >= healAt {
+						t.Fatalf("message %v submitted at %v, after the heal: the cut went untested", e.ID, e.At)
+					}
+				case e.Stage == "deliver" && blocked[e.Proc]:
+					crossed++
+					if e.At <= healAt {
+						t.Errorf("p%d delivered %v at %v, before the heal at %v", e.Proc, e.ID, e.At, healAt)
+					}
+				}
+			}
+			if crossed == 0 {
+				t.Error("the trace shows no delivery on the cut's receiving side")
+			}
+			switch {
+			case tc.at >= 0 && cut[0] != tc.at:
+				t.Errorf("cut narrated at %v, want %v", cut[0], tc.at)
+			case tc.at < 0 && cut[0] > firstSubmit:
+				t.Errorf("cut narrated at %v, after the first submission at %v", cut[0], firstSubmit)
 			}
 		})
 	}

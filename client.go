@@ -24,7 +24,7 @@ type Client struct {
 	tr  Transport
 	pid ProcessID
 	h   *client.Client
-	reg *obs.Registry // nil when Observability.Disabled
+	reg *obs.Registry
 
 	mu      sync.Mutex
 	seq     uint32
@@ -57,12 +57,8 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 	if top.IsReplica(pid) {
 		return nil, fmt.Errorf("wbcast: client ID %d collides with a replica of the %d×%d topology", pid, cfg.Groups, cfg.Replicas)
 	}
-	cl := &Client{top: top, tr: cfg.Transport, pid: pid, waiters: make(map[MsgID]chan struct{})}
-	var co *obs.Client
-	if cfg.obsOn() {
-		cl.reg = obs.NewRegistry(fmt.Sprintf(`proc="%d"`, pid))
-		co = obs.NewClient(cl.reg, cfg.clock, cfg.tracer, pid)
-	}
+	reg := obs.NewRegistry(fmt.Sprintf(`proc="%d"`, pid))
+	cl := &Client{top: top, tr: cfg.Transport, pid: pid, reg: reg, waiters: make(map[MsgID]chan struct{})}
 	retry := 50 * cfg.Delta
 	if !cfg.Transport.backgroundTimers() {
 		// The plain simulated transport pumps submissions to quiescence;
@@ -79,7 +75,7 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 		RetryContacts: func(g GroupID) []ProcessID { return top.Members(g) },
 		Retry:         retry,
 		OnComplete:    cl.complete,
-		Obs:           co,
+		Obs:           obs.NewClient(reg, cfg.clock, cfg.tracer, pid),
 	})
 	if err := cfg.Transport.add(cl.h, hostOptions{reg: cl.reg}); err != nil {
 		return nil, err
@@ -97,8 +93,7 @@ func (cl *Client) ID() ProcessID { return cl.pid }
 func (cl *Client) BatchesSent() int64 { return cl.h.BatchesSent() }
 
 // Metrics returns a snapshot of the client's metrics: the end-to-end
-// submit-to-complete latency histogram and retry counts. Empty when
-// Observability.Disabled is set.
+// submit-to-complete latency histogram and retry counts.
 func (cl *Client) Metrics() MetricsSnapshot { return cl.reg.Snapshot() }
 
 // Close crash-stops the client's process on its transport. In-flight

@@ -123,7 +123,7 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 }
 
 // Trace returns the deployment-wide trace recorded so far (see
-// Replica.Trace); empty unless Observability.TraceSample is set.
+// Replica.Trace); empty unless Config.TraceSample is set.
 func (c *Cluster) Trace() []TraceEvent { return c.cfg.tracer.Events() }
 
 // NumGroups returns the number of groups.

@@ -34,8 +34,8 @@ func main() {
 	defer cluster.Close()
 
 	// Subscribe to every replica's delivery stream. Each subscription is
-	// an independent bounded buffer; the default policy (Backpressure) is
-	// lossless.
+	// an independent, lossless 1024-delivery buffer: a full one makes its
+	// replica wait.
 	var mu sync.Mutex
 	deliveries := make(map[wbcast.ProcessID][]wbcast.Delivery)
 	var wg sync.WaitGroup

@@ -59,9 +59,6 @@ const (
 	MetricReconnects = "wbcast_reconnects_total"
 	// MetricFramesRead counts inbound frames successfully decoded.
 	MetricFramesRead = "wbcast_frames_read_total"
-	// MetricDeliveriesDropped counts deliveries discarded by a replica's
-	// subscriptions under the DropOldest/DropNewest policies.
-	MetricDeliveriesDropped = "wbcast_deliveries_dropped_total"
 	// MetricEncodeStage is the outbound codec-stage latency histogram:
 	// time to serialise one message to wire form on the process's loop.
 	MetricEncodeStage = "wbcast_encode_stage_seconds"

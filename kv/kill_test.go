@@ -302,18 +302,25 @@ func TestKVKillRecovery(t *testing.T) {
 	post := shardKeys(1, 3, "post")
 	putAll(post, "v3")
 
+	// putAll returned on the first shard-1 reply, so the peer may still be
+	// applying the last write: digest and frontier must match in one poll,
+	// or a digest matched at an intermediate state meets a later frontier.
+	var peerTime uint64
+	var peerSub int
 	final := waitVictim(func(s kvState) bool {
-		return s.digest == shard1Peer.Digest()
-	}, "digest to converge with its shard peer")
+		gts, sub := shard1Peer.Frontier()
+		peerTime, peerSub = gts.Time, sub
+		return s.digest == shard1Peer.Digest() && s.frontierTime == peerTime && s.frontierSub == peerSub
+	}, "digest and frontier to converge with its shard peer")
 	if final.replayed == 0 {
 		t.Error("restarted victim reports no replayed operations; recovery rebuilt nothing")
 	}
 	if final.keys == 0 {
 		t.Error("restarted victim holds no keys")
 	}
-	if gts, sub := shard1Peer.Frontier(); final.frontierTime != gts.Time || final.frontierSub != sub {
+	if final.frontierTime != peerTime || final.frontierSub != peerSub {
 		t.Errorf("victim frontier (%d,%d) behind peer (%d,%d) despite digest match",
-			final.frontierTime, final.frontierSub, gts.Time, sub)
+			final.frontierTime, final.frontierSub, peerTime, peerSub)
 	}
 
 	// The recovered store serves the full history: pre-kill writes, the

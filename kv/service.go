@@ -65,9 +65,6 @@ type ShardOptions struct {
 	OnResult func(Resp)
 }
 
-// shardBuffer is the depth of a shard engine's delivery subscription.
-const shardBuffer = 1024
-
 // Shard is one replica's engine for one shard of the keyspace, consuming
 // the replica's delivery subscription. Created by AttachShard (one-replica
 // processes) or NewService (whole-cluster hosts).
@@ -88,8 +85,8 @@ type Shard struct {
 // Attach exactly one engine per replica, before the replica starts
 // receiving traffic the engine must observe.
 //
-// The subscription holds shardBuffer deliveries and uses the lossless
-// Backpressure policy: a state machine must see every delivery.
+// The subscription is the replica's lossless Deliveries stream: a state
+// machine must see every delivery.
 func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
 	if opts.Shards <= 0 {
 		return nil, fmt.Errorf("kv: ShardOptions.Shards must be positive, got %d", opts.Shards)
@@ -132,7 +129,7 @@ func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
 		return nil, fmt.Errorf("kv: shard %d recovery: %w", g, err)
 	}
 	s := &Shard{eng: eng, reg: reg, group: g, pid: r.ID(), unordered: unordered, done: make(chan struct{})}
-	s.sub = r.Subscribe(shardBuffer, wbcast.Backpressure)
+	s.sub = r.Deliveries()
 	go func() {
 		defer close(s.done)
 		eng.Run(s.sub.C())

@@ -12,8 +12,7 @@ import (
 )
 
 // MetricsSource is anything whose metrics a MetricsServer can expose:
-// *Replica, *Client and *Cluster implement it. Sources with observability
-// disabled contribute nothing.
+// *Replica, *Client and *Cluster implement it.
 type MetricsSource interface {
 	obsRegistries() []*obs.Registry
 }
@@ -34,32 +33,20 @@ func (s *appSource) obsRegistries() []*obs.Registry { return s.regs }
 // type lives in an internal package, so external modules use the sources
 // those layers expose (e.g. kv.Service.MetricsSource) rather than calling
 // this directly.
-func NewAppSource(regs ...*obs.Registry) MetricsSource {
-	kept := make([]*obs.Registry, 0, len(regs))
-	for _, r := range regs {
-		if r != nil {
-			kept = append(kept, r)
-		}
-	}
-	return &appSource{regs: kept}
-}
+func NewAppSource(regs ...*obs.Registry) MetricsSource { return &appSource{regs: regs} }
 
 func (c *Cluster) obsRegistries() []*obs.Registry {
 	regs := make([]*obs.Registry, 0, len(c.replicas))
 	for _, r := range c.replicas {
-		if r.reg != nil {
-			regs = append(regs, r.reg)
-		}
+		regs = append(regs, r.reg)
 	}
 	return regs
 }
 
 // MetricsServer is the HTTP observability endpoint started by ServeMetrics.
 type MetricsServer struct {
-	ln  net.Listener
-	srv *http.Server
-
-	mu      sync.Mutex
+	ln      net.Listener
+	srv     *http.Server
 	sources []MetricsSource
 }
 
@@ -83,9 +70,8 @@ var (
 //     goroutine, ...), so a running node can be profiled without rebuild.
 //
 // addr follows net.Listen conventions (e.g. "127.0.0.1:9100"; ":0" picks a
-// free port — see Addr). Sources can be added later with AddSource; Close
-// shuts the listener down. Used by wbcast-node and wbcast-kv via their
-// -metrics-addr flag.
+// free port — see Addr). Close shuts the listener down. Used by wbcast-node
+// and wbcast-kv via their -metrics-addr flag.
 func ServeMetrics(addr string, sources ...MetricsSource) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -128,23 +114,13 @@ func ServeMetrics(addr string, sources ...MetricsSource) (*MetricsServer, error)
 	return s, nil
 }
 
-// registries snapshots the current source list's registries.
+// registries returns the sources' registries.
 func (s *MetricsServer) registries() []*obs.Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var regs []*obs.Registry
 	for _, src := range s.sources {
 		regs = append(regs, src.obsRegistries()...)
 	}
 	return regs
-}
-
-// AddSource exposes another source's metrics on this endpoint (e.g. a
-// client started after the server).
-func (s *MetricsServer) AddSource(src MetricsSource) {
-	s.mu.Lock()
-	s.sources = append(s.sources, src)
-	s.mu.Unlock()
 }
 
 // Addr returns the address the server is listening on (useful with ":0").

@@ -14,13 +14,13 @@ import (
 
 // obsRun drives a small deterministic deployment with tracing on and
 // returns the cluster's merged metrics plus the canonical trace timeline.
-func obsRun(t *testing.T, seed int64, o *wbcast.Observability) (wbcast.MetricsSnapshot, string) {
+func obsRun(t *testing.T, seed int64, traceSample int) (wbcast.MetricsSnapshot, string) {
 	t.Helper()
 	cluster, err := wbcast.New(wbcast.Config{
-		Groups:        2,
-		Delta:         5 * time.Millisecond,
-		Transport:     wbcast.SimulatedWith(wbcast.SimulatedOptions{Seed: seed}),
-		Observability: o,
+		Groups:      2,
+		Delta:       5 * time.Millisecond,
+		Transport:   wbcast.SimulatedWith(wbcast.SimulatedOptions{Seed: seed}),
+		TraceSample: traceSample,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,10 +44,10 @@ func obsRun(t *testing.T, seed int64, o *wbcast.Observability) (wbcast.MetricsSn
 	return cluster.Metrics(), wbcast.FormatTimeline(cluster.Trace())
 }
 
-// TestMetricsSnapshot: the default configuration (metrics on) counts every
-// delivery and populates the per-stage histograms.
+// TestMetricsSnapshot: the always-on metrics count every
+// delivery and populate the per-stage histograms.
 func TestMetricsSnapshot(t *testing.T) {
-	snap, _ := obsRun(t, 1, nil)
+	snap, _ := obsRun(t, 1, 0)
 	// 6 messages; the 2 multi-group ones deliver at both groups' replicas.
 	// Each group has 3 replicas, so deliveries ≥ 6×3.
 	if n := snap.Counters[wbcast.MetricDeliveries]; n < 18 {
@@ -64,23 +64,12 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestObservabilityDisabled: Disabled yields empty snapshots and traces.
-func TestObservabilityDisabled(t *testing.T) {
-	snap, trace := obsRun(t, 1, &wbcast.Observability{Disabled: true})
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Latencies) != 0 {
-		t.Errorf("disabled observability produced a non-empty snapshot: %v", snap)
-	}
-	if trace != "" {
-		t.Errorf("disabled observability produced a trace:\n%s", trace)
-	}
-}
-
 // TestTraceDeterministicPublic: on the simulated transport, two runs of
 // the same seed produce byte-identical trace timelines — virtual-time
 // stamps and sequence-number sampling leave nothing scheduler-dependent.
 func TestTraceDeterministicPublic(t *testing.T) {
-	_, a := obsRun(t, 42, &wbcast.Observability{TraceSample: 1})
-	_, b := obsRun(t, 42, &wbcast.Observability{TraceSample: 1})
+	_, a := obsRun(t, 42, 1)
+	_, b := obsRun(t, 42, 1)
 	if a == "" {
 		t.Fatal("empty trace")
 	}
@@ -112,12 +101,11 @@ func TestServeMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := wbcast.ServeMetrics("127.0.0.1:0", cluster)
+	srv, err := wbcast.ServeMetrics("127.0.0.1:0", cluster, client)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.AddSource(client)
 
 	get := func(path string) string {
 		resp, err := http.Get("http://" + srv.Addr() + path)

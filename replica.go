@@ -23,7 +23,7 @@ type Replica struct {
 	top *mcast.Topology
 	pid ProcessID
 	tr  Transport
-	reg *obs.Registry // nil when Observability.Disabled
+	reg *obs.Registry
 	// store is nil without Config.Storage. While the replica runs, only its
 	// shard's node.Step uses it, one hand-off at a time; Close and Shutdown
 	// do once crash has stopped the loop and joined the hand-off in flight.
@@ -44,7 +44,7 @@ type Replica struct {
 // NewReplica builds, starts and returns replica pid of the topology
 // described by cfg, hosted on cfg.Transport. The replica participates in
 // ordering from the moment NewReplica returns; deliveries are observed
-// through Deliveries/Subscribe.
+// through Deliveries.
 //
 // pid must be a replica slot of the topology: 0 ≤ pid < Groups×Replicas,
 // assigned group-major (replica pid belongs to group pid/Replicas).
@@ -66,12 +66,8 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 	if !top.IsReplica(pid) {
 		return nil, fmt.Errorf("wbcast: process %d is not a replica of a %d×%d topology", pid, cfg.Groups, cfg.Replicas)
 	}
-	var reg *obs.Registry
-	var po *obs.Proto
-	if cfg.obsOn() {
-		reg = obs.NewRegistry(fmt.Sprintf(`proc="%d"`, pid))
-		po = obs.NewProto(reg, cfg.clock, cfg.tracer, pid)
-	}
+	reg := obs.NewRegistry(fmt.Sprintf(`proc="%d"`, pid))
+	po := obs.NewProto(reg, cfg.clock, cfg.tracer, pid)
 	// Durability: open the replica's store, recover its folded state, and
 	// hand the protocol a handler that replays it before joining. The
 	// rebuild closure re-runs exactly this load-and-construct sequence —
@@ -87,10 +83,8 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 		if store, err = cfg.Storage(pid); err != nil {
 			return nil, fmt.Errorf("wbcast: opening storage for process %d: %w", pid, err)
 		}
-		if reg != nil {
-			if im, ok := store.(interface{ SetMetrics(*obs.Store) }); ok {
-				im.SetMetrics(obs.NewStore(reg))
-			}
+		if im, ok := store.(interface{ SetMetrics(*obs.Store) }); ok {
+			im.SetMetrics(obs.NewStore(reg))
 		}
 		rs, err = store.Load()
 		if err != nil {
@@ -121,19 +115,6 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 			Replay:   appReplay(rs, top.GroupOf(pid)),
 		}
 	}
-	// Subscription drops join the registry as a view over the
-	// subscriptions' own counters — the same numbers Stats reports.
-	reg.RegisterFunc(obs.MetricDeliveriesDropped, "deliveries discarded by full subscriptions", obs.KindCounter,
-		func() int64 {
-			r.mu.Lock()
-			subs := r.subs
-			r.mu.Unlock()
-			var n int64
-			for _, s := range subs {
-				n += int64(s.Dropped())
-			}
-			return n
-		})
 	if err := cfg.Transport.add(h, hostOptions{
 		onDeliver: r.dispatch,
 		reg:       reg,
@@ -170,57 +151,39 @@ func (r *Replica) Group() GroupID { return r.top.GroupOf(r.pid) }
 // transports without addresses (in-process, simulated).
 func (r *Replica) Addr() string { return r.tr.addr(r.pid) }
 
-// Deliveries subscribes to the replica's deliveries with a 1024-delivery
-// buffer and the lossless Backpressure policy. Each call creates an
+// Deliveries subscribes to the replica's deliveries: a lossless
+// subscription with a 1024-delivery buffer. Each call creates an
 // independent subscription that observes every delivery from the point of
 // subscription on.
 func (r *Replica) Deliveries() *Subscription {
-	return r.Subscribe(1024, Backpressure)
-}
-
-// Subscribe is Deliveries with explicit buffering and drop policy.
-func (r *Replica) Subscribe(buffer int, policy DeliveryPolicy) *Subscription {
-	s := newSubscription(buffer, policy)
+	s := newSubscription(1024)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		s.Close()
-		return s
+	} else {
+		// Copy on write: dispatch reads r.subs outside the lock.
+		r.subs = append(slices.Clip(r.subs), s)
 	}
-	subs := make([]*Subscription, len(r.subs)+1)
-	copy(subs, r.subs)
-	subs[len(subs)-1] = s
-	r.subs = subs
-	r.mu.Unlock()
 	return s
 }
 
-// Stats returns the replica's transport-level counters — its node's I/O
-// statistics on the TCP and in-process transports — plus the deliveries its
-// subscriptions have dropped.
-func (r *Replica) Stats() TransportStats {
-	s := r.tr.stats(r.pid)
-	r.mu.Lock()
-	subs := r.subs
-	r.mu.Unlock()
-	for _, sub := range subs {
-		s.DeliveriesDropped += sub.Dropped()
-	}
-	return s
-}
+// Stats returns the replica's transport-level counters: its node's I/O
+// statistics on the TCP and in-process transports, all zeros on the
+// simulated one.
+func (r *Replica) Stats() TransportStats { return r.tr.stats(r.pid) }
 
 // Metrics returns a snapshot of the replica's metrics: per-stage latency
 // histograms, recovery counters, delivery counts and the transport's
 // runtime counters, keyed by metric name (see docs/OBSERVABILITY.md for
-// the catalog). The snapshot is empty when Observability.Disabled is set.
-// Snapshots of many processes merge with MergeMetrics.
+// the catalog). Snapshots of many processes merge with MergeMetrics.
 func (r *Replica) Metrics() MetricsSnapshot { return r.reg.Snapshot() }
 
 // Trace returns the deployment-wide trace recorded so far: the stage
 // timelines of sampled messages interleaved with recovery and fault
 // events, in recording order. The tracer is shared by every process of the
 // deployment (any replica returns the same events); it is nil — and Trace
-// returns nothing — unless Observability.TraceSample is set.
+// returns nothing — unless Config.TraceSample is set.
 func (r *Replica) Trace() []TraceEvent { return r.cfg.tracer.Events() }
 
 // Close crash-stops the replica: it stops processing inputs (and, on the
@@ -242,9 +205,9 @@ func (r *Replica) Shutdown() error { return r.stop(true) }
 // stop is Close and Shutdown: the first call crashes the process and tears
 // its store down, with a final snapshot or without.
 func (r *Replica) stop(snapshot bool) (err error) {
-	// Subscriptions first: a full Backpressure subscription blocks the
-	// delivering goroutine inside push, and the transports' crash paths
-	// join (or lock against) exactly that goroutine. Closing the
+	// Subscriptions first: a full subscription blocks the delivering
+	// goroutine inside push, and the transports' crash paths join (or lock
+	// against) exactly that goroutine. Closing the
 	// subscriptions releases it; Cluster.Close orders the same way.
 	r.closeSubs()
 	r.stopOnce.Do(func() {

@@ -44,7 +44,6 @@ for name in \
   wbcast_messages_encoded_total \
   wbcast_frames_sent_total \
   wbcast_frames_read_total \
-  wbcast_deliveries_dropped_total \
 ; do
   if ! grep -q "$name" /tmp/metrics-smoke.txt; then
     echo "metrics-smoke: /metrics lacks $name"

@@ -3,6 +3,7 @@ package wbcast_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -10,14 +11,22 @@ import (
 	"wbcast"
 )
 
-// simRun drives one deterministic deployment and returns replica 0's
-// delivery sequence as "payload@GTS" strings, and the client's multicasts.
+// simRun drives one deterministic deployment, every link delay drawn from
+// [δ, δ+1ms) by an RNG seeded with seed, and returns replica 0's delivery
+// sequence as "payload@GTS" strings, and the client's multicasts.
 func simRun(t *testing.T, seed int64) ([]string, int64) {
 	t.Helper()
+	const delta = 5 * time.Millisecond
+	// The simulator asks for delays from one goroutine, in its
+	// deterministic event order, so a seeded RNG replays the same schedule.
+	rng := rand.New(rand.NewSource(seed))
 	cluster, err := wbcast.New(wbcast.Config{
-		Groups:    2,
-		Delta:     5 * time.Millisecond,
-		Transport: wbcast.SimulatedWith(wbcast.SimulatedOptions{Seed: seed, Jitter: time.Millisecond}),
+		Groups: 2,
+		Delta:  delta,
+		Latency: func(_, _ wbcast.ProcessID) time.Duration {
+			return delta + time.Duration(rng.Int63n(int64(time.Millisecond)))
+		},
+		Transport: wbcast.SimulatedWith(wbcast.SimulatedOptions{Seed: seed}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -200,9 +200,8 @@ func TestTCPStandaloneReplicasAndClient(t *testing.T) {
 }
 
 // TestReplicaCloseWithStalledSubscription: closing a replica whose full
-// Backpressure subscription has stalled its delivery path must not
-// deadlock — Close releases the subscription before joining the
-// transport's goroutines.
+// subscription has stalled its delivery path must not deadlock — Close
+// releases the subscription before joining the transport's goroutines.
 func TestReplicaCloseWithStalledSubscription(t *testing.T) {
 	peers := map[wbcast.ProcessID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
 	cfg := wbcast.Config{Groups: 1, Replicas: 1, Transport: wbcast.TCP("", peers)}
@@ -210,18 +209,25 @@ func TestReplicaCloseWithStalledSubscription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Subscribe(1, wbcast.Backpressure) // never consumed
+	sub := rep.Deliveries() // never consumed
 	cl, err := wbcast.NewClient(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	// More payloads than the subscription holds: the replica fills it and
+	// then blocks delivering the rest.
+	for i := 0; i < cap(sub.C())+76; i++ {
 		if _, _, err := cl.MulticastAsync([]byte("x"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Let the replica deliver until it blocks on the full subscription.
-	time.Sleep(300 * time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(sub.C()) < cap(sub.C()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("subscription holds %d of %d deliveries: the replica never stalled on it", len(sub.C()), cap(sub.C()))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	done := make(chan struct{})
 	go func() {
 		rep.Close()
@@ -231,52 +237,6 @@ func TestReplicaCloseWithStalledSubscription(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Replica.Close deadlocked on a stalled Backpressure subscription")
-	}
-}
-
-// TestDeliveriesDropPolicyThroughCluster exercises the bounded-subscription
-// contract end to end: a slow consumer with a tiny DropOldest buffer must
-// not stall the cluster, and the drops must be visible in Stats.
-func TestDeliveriesDropPolicyThroughCluster(t *testing.T) {
-	cluster, err := wbcast.New(wbcast.Config{Groups: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	lagging := cluster.Replica(0).Subscribe(2, wbcast.DropOldest)
-	client, err := cluster.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	const n = 30
-	for i := 0; i < n; i++ {
-		// Nobody consumes `lagging`; with Backpressure this would stall
-		// the replica and time the multicasts out.
-		if _, err := client.Multicast(ctx, []byte(fmt.Sprintf("m%d", i)), 0); err != nil {
-			t.Fatalf("multicast %d: %v", i, err)
-		}
-	}
-	if lagging.Dropped() == 0 {
-		t.Error("expected drops on a 2-slot DropOldest subscription after 30 deliveries")
-	}
-	if st := cluster.Replica(0).Stats(); st.DeliveriesDropped == 0 {
-		t.Errorf("Stats().DeliveriesDropped = 0, want the subscription's drops (%d)", lagging.Dropped())
-	}
-	// What did get through is still in order.
-	var prev *wbcast.Delivery
-	for {
-		select {
-		case d := <-lagging.C():
-			if prev != nil && !prev.Before(d) {
-				t.Fatal("lagging subscription saw deliveries out of order")
-			}
-			cp := d
-			prev = &cp
-		case <-time.After(200 * time.Millisecond):
-			return
-		}
+		t.Fatal("Replica.Close deadlocked on a stalled subscription")
 	}
 }

@@ -50,9 +50,9 @@ type Transport interface {
 	// — on every call, not just the first, so processes started later with
 	// fresh Config values share the same clock and tracer.
 	//
-	// add hosts a handler; opts.reg, when non-nil, is the process's metrics
-	// registry, into which the transport registers its runtime counters
-	// (frame I/O, drops, mailbox depth and high-water). opts.store,
+	// add hosts a handler; opts.reg is the process's metrics registry, into
+	// which the transport registers its runtime counters (frame I/O, drops,
+	// mailbox depth and high-water). opts.store,
 	// when non-nil, backs the process's persist effects under node.Step's
 	// contract (Step.Do: what a call stages, what it holds until the sync,
 	// what leaves at once); a storage error crash-stops the process. crash
@@ -92,7 +92,7 @@ type hostOptions struct {
 // in-process transports (see internal/tcpnet) — in process, nothing is
 // encoded, sent or read as a frame, so those counts stay 0, and
 // OutboundDrops counts sends to processes that are gone — and the simulated
-// transport reports only DeliveriesDropped.
+// transport reports all zeros.
 type TransportStats struct {
 	// MessagesEncoded counts distinct messages serialised to wire form
 	// (one per send, however many recipients it fans out to).
@@ -116,9 +116,6 @@ type TransportStats struct {
 	// queues are elastic (senders never block), so sustained overload
 	// shows up here rather than as backpressure.
 	MailboxHighWater int64
-	// DeliveriesDropped counts deliveries discarded by this process's
-	// subscriptions under the DropOldest/DropNewest policies.
-	DeliveriesDropped uint64
 }
 
 // ---------------------------------------------------------------------------
@@ -127,13 +124,9 @@ type TransportStats struct {
 // SimulatedOptions parametrises the deterministic transport beyond the
 // options shared in Config (Delta, Latency, ...).
 type SimulatedOptions struct {
-	// Seed initialises the simulator's RNG (latency jitter, fault
-	// sampling).
+	// Seed initialises the simulator's RNG, which samples the link faults
+	// of SimulatedOptions.Faults.
 	Seed int64
-	// Jitter widens the default per-message latency from exactly
-	// Config.Delta to uniform in [Delta, Delta+Jitter). Ignored when
-	// Config.Latency is set.
-	Jitter time.Duration
 	// Faults, when non-nil, switches the transport into chaos mode and
 	// injects the plan's fault schedule: crash/restart, partitions,
 	// per-link drop/duplicate/delay/reorder and clock skew, fired at
@@ -214,7 +207,7 @@ func (t *simTransport) open(cfg *Config) error {
 			return user(from, to)
 		}
 	} else {
-		lat = sim.UniformJitter(cfg.Delta, t.opts.Jitter)
+		lat = sim.Uniform(cfg.Delta)
 	}
 	simCfg := sim.Config{
 		Latency:   lat,
@@ -287,7 +280,7 @@ func (t *simTransport) dispatchLocked(p mcast.ProcessID, d mcast.Delivery) {
 // enabled the event queue never drains (heartbeats re-arm forever), so
 // instead of pumping to quiescence, virtual time advances continuously in
 // bounded slices; the lock is released between slices so application
-// goroutines (Multicast, Subscribe consumers) interleave, and a short real
+// goroutines (Multicast, subscription consumers) interleave, and a short real
 // sleep keeps an idle simulation from spinning a core. Virtual time runs as
 // fast as the CPU allows — a multi-second recovery story plays out in
 // milliseconds of wall-clock time.

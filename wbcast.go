@@ -36,9 +36,10 @@
 // Deliveries at each replica happen in increasing global-timestamp (GTS)
 // order; the GTS exposes the system-wide total order to applications such
 // as replicated state machines and shared logs. Deliveries are consumed
-// through pull-based subscriptions (Replica.Deliveries, or
-// Replica.Subscribe with explicit buffering and drop policy — see
-// DeliveryPolicy). A subscription's channel is its buffer: the delivering
+// through pull-based, lossless subscriptions (Replica.Deliveries): each
+// holds up to 1024 deliveries, and a full one makes the delivering process
+// wait, so every subscriber sees its group's projection of the total order
+// without gaps. A subscription's channel is its buffer: the delivering
 // process sends on it directly, no goroutine in between, and once the
 // subscription is closed the deliveries still buffered remain receivable
 // before the channel reports closed.
@@ -177,27 +178,6 @@ func ParseProtocol(name string) (Protocol, error) {
 // makes Genmcast deliver exactly like WhiteBox.
 type ConflictRelation = mcast.ConflictRelation
 
-// Observability configures the deployment's metrics and tracing
-// (internal/obs). Metrics are on by default — every process maintains
-// atomic counters, gauges and per-stage latency histograms, readable via
-// Replica.Metrics / Client.Metrics and scrapeable through ServeMetrics.
-// Message-lifecycle tracing is off by default and enabled by TraceSample.
-type Observability struct {
-	// Disabled turns the whole layer off: no registries, no handles, no
-	// tracer. The hot paths then pay one nil-check branch per
-	// instrumentation point.
-	Disabled bool
-	// TraceSample enables message-lifecycle tracing: every TraceSample-th
-	// message of each sender (by client-local sequence number — a
-	// deterministic rule, so two runs of the same seeded simulation trace
-	// the same messages) has its stage events recorded. 1 traces every
-	// message; 0 disables tracing. Rare system events (step-downs,
-	// elections, injected faults) are recorded regardless of sampling.
-	// The tracer retains at most 65536 events; overflow increments
-	// wbcast_trace_dropped_total instead of growing without bound.
-	TraceSample int
-}
-
 // MetricsSnapshot is a point-in-time copy of a process's metrics, keyed by
 // metric name (including the label set, e.g.
 // `wbcast_stage_latency_seconds{stage="commit"}`). See docs/OBSERVABILITY.md
@@ -319,9 +299,16 @@ type Config struct {
 	// no durability: replicas are volatile (the crash-stop model), and a
 	// returning process rejoins empty through the NEW_STATE transfer.
 	Storage func(pid ProcessID) (Storage, error)
-	// Observability configures metrics and message-lifecycle tracing; nil
-	// means the default (metrics on, tracing off).
-	Observability *Observability
+	// TraceSample enables message-lifecycle tracing (internal/obs; metrics
+	// are always on): every TraceSample-th message of each sender (by
+	// client-local sequence number — a deterministic rule, so two runs of
+	// the same seeded simulation trace the same messages) has its stage
+	// events recorded. 1 traces every message; 0 disables tracing. Rare
+	// system events (step-downs, elections, injected faults) are recorded
+	// regardless of sampling. The tracer retains at most 65536 events;
+	// overflow increments wbcast_trace_dropped_total instead of growing
+	// without bound.
+	TraceSample int
 	// Logf, when non-nil, receives transport diagnostics (connection
 	// errors, dropped frames) on transports that produce them (TCP).
 	Logf func(format string, args ...any)
@@ -342,19 +329,13 @@ type Config struct {
 	conflicts *mcast.ConflictHolder
 }
 
-// obsOn reports whether the observability layer is enabled.
-func (cfg Config) obsOn() bool {
-	return cfg.Observability == nil || !cfg.Observability.Disabled
-}
-
-// newTracer builds the deployment tracer per cfg.Observability, or nil
-// when tracing is off.
+// newTracer builds the deployment tracer per cfg.TraceSample, or nil when
+// tracing is off.
 func (cfg Config) newTracer(clock obs.Clock) *obs.Tracer {
-	o := cfg.Observability
-	if o == nil || o.Disabled || o.TraceSample <= 0 {
+	if cfg.TraceSample <= 0 {
 		return nil
 	}
-	return obs.NewTracer(o.TraceSample, 0, clock)
+	return obs.NewTracer(cfg.TraceSample, 0, clock)
 }
 
 // Validate reports whether the configuration is well-formed: it is the
@@ -402,8 +383,8 @@ func (cfg Config) normalized() (Config, error) {
 	if cfg.Delta < 0 {
 		return cfg, fmt.Errorf("wbcast: Config.Delta must be positive, got %v", cfg.Delta)
 	}
-	if o := cfg.Observability; o != nil && o.TraceSample < 0 {
-		return cfg, fmt.Errorf("wbcast: Observability.TraceSample must be ≥ 0, got %d", o.TraceSample)
+	if cfg.TraceSample < 0 {
+		return cfg, fmt.Errorf("wbcast: Config.TraceSample must be ≥ 0, got %d", cfg.TraceSample)
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = InProcess()
