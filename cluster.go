@@ -14,7 +14,7 @@ import (
 //
 // Distributed deployments that host one replica per machine skip Cluster
 // and start their local processes directly with NewReplica and NewClient
-// on a TCP transport (see cmd/wbcast-node and cmd/wbcast-client).
+// on a TCP transport (see cmd/wbcast-node).
 type Cluster struct {
 	cfg Config // normalised
 	top *mcast.Topology

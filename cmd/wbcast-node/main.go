@@ -1,18 +1,27 @@
-// Command wbcast-node runs one multicast replica as a TCP server, built
-// entirely on the public wbcast API: a TCP transport plus one NewReplica.
+// Command wbcast-node runs one process of a multicast deployment over TCP,
+// built entirely on the public wbcast API: a TCP transport plus one
+// NewReplica, or one NewClient.
 //
 // The cluster layout is given as an ordered address list: the first
 // groups×size addresses are the replicas (group-major, so replica i belongs
-// to group i/size); any further addresses are clients. Every node of the
-// cluster must be started with the same -peers list.
+// to group i/size); any further addresses are clients. Every process of the
+// deployment must be started with the same -peers list. An -id in a replica
+// slot runs that replica until SIGINT/SIGTERM; an -id in a later slot runs
+// a client, which multicasts -count messages to the -dest groups, prints
+// each one's completion latency (replies received from every destination
+// group) and exits.
 //
-// Example — a 2-group × 3-replica cluster on one machine:
+// Example — a 2-group × 3-replica cluster on one machine, and a client:
 //
 //	PEERS=127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003,127.0.0.1:7004,127.0.0.1:7005,127.0.0.1:7100
 //	for i in 0 1 2 3 4 5; do
 //	  wbcast-node -id $i -groups 2 -size 3 -peers $PEERS &
 //	done
-//	wbcast-client -id 6 -groups 2 -size 3 -peers $PEERS -dest 0,1 -count 10
+//	wbcast-node -id 6 -groups 2 -size 3 -peers $PEERS -dest 0,1 -count 10
+//
+// -id, -groups, -size, -peers, -listen, -protocol, -delta and -v apply to
+// both. -data-dir, -metrics-addr apply to a replica only; -dest, -count,
+// -payload and -timeout to a client only.
 //
 // With -data-dir the replica is durable: its ballot promises, accepted
 // records and delivery frontier are synced to a write-ahead log under
@@ -20,17 +29,18 @@
 // restarting the node on the same directory recovers that state (see
 // docs/DURABILITY.md).
 //
-// On shutdown (SIGINT/SIGTERM) the node prints its transport statistics
+// On shutdown (SIGINT/SIGTERM) a replica prints its transport statistics
 // (messages encoded, frames sent/coalesced/read, outbound drops, reconnects
 // and the mailbox high-water mark) and — with -data-dir — writes a final
 // synced snapshot so the next start recovers without WAL replay.
 //
-// With -metrics-addr the node also serves its observability endpoint:
+// With -metrics-addr the replica also serves its observability endpoint:
 // /metrics (Prometheus text), /debug/vars (expvar) and /debug/pprof/
 // (profiling). See docs/OBSERVABILITY.md for the metric catalog.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -45,7 +55,7 @@ import (
 
 func main() {
 	var (
-		id       = flag.Int("id", -1, "this replica's process ID (index into -peers)")
+		id       = flag.Int("id", -1, "this process's ID (index into -peers): a replica slot, or a later client slot")
 		groups   = flag.Int("groups", 2, "number of groups")
 		size     = flag.Int("size", 3, "replicas per group (2f+1)")
 		peersArg = flag.String("peers", "", "comma-separated addresses of all processes, replicas first")
@@ -53,28 +63,31 @@ func main() {
 		protocol = flag.String("protocol", "wbcast", "protocol: wbcast, fastcast, ftskeen, skeen or genmcast")
 		delta    = flag.Duration("delta", 5*time.Millisecond, "expected one-way network delay (drives timeouts)")
 		verbose  = flag.Bool("v", false, "log deliveries and transport diagnostics")
-		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-		dataDir  = flag.String("data-dir", "", "root directory for durable state (WAL + snapshots); empty runs in-memory")
+		metrics  = flag.String("metrics-addr", "", "replica: serve /metrics, /debug/vars and /debug/pprof on this address")
+		dataDir  = flag.String("data-dir", "", "replica: root directory for durable state (WAL + snapshots); empty runs in-memory")
+		destArg  = flag.String("dest", "0", "client: comma-separated destination groups")
+		count    = flag.Int("count", 10, "client: number of messages to multicast")
+		payload  = flag.String("payload", "hello", "client: payload prefix")
+		timeout  = flag.Duration("timeout", 30*time.Second, "client: per-message completion timeout")
 	)
 	flag.Parse()
 
 	addrs := strings.Split(*peersArg, ",")
-	if *peersArg == "" || len(addrs) < *groups**size {
-		log.Fatalf("need at least %d addresses in -peers", *groups**size)
+	replicas := *groups * *size
+	if *peersArg == "" || len(addrs) < replicas {
+		log.Fatalf("need at least %d addresses in -peers", replicas)
 	}
-	if *id < 0 || *id >= *groups**size {
-		log.Fatalf("-id %d is not a replica index (0..%d)", *id, *groups**size-1)
+	if *id < 0 || *id >= len(addrs) {
+		log.Fatalf("-id %d is not an index into -peers (0..%d)", *id, len(addrs)-1)
 	}
 	proto, err := wbcast.ParseProtocol(*protocol)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pid := wbcast.ProcessID(*id)
 	peers := make(map[wbcast.ProcessID]string, len(addrs))
 	for i, a := range addrs {
 		peers[wbcast.ProcessID(i)] = strings.TrimSpace(a)
 	}
-
 	cfg := wbcast.Config{
 		Protocol:  proto,
 		Groups:    *groups,
@@ -85,18 +98,32 @@ func main() {
 	if *verbose {
 		cfg.Logf = log.Printf
 	}
-	if *dataDir != "" {
+	pid := wbcast.ProcessID(*id)
+	if *id < replicas {
+		err = runReplica(cfg, pid, *verbose, *metrics, *dataDir)
+	} else {
+		err = runClient(cfg, pid, *destArg, *count, *payload, *timeout)
+	}
+	cfg.Transport.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// runReplica hosts replica pid until SIGINT/SIGTERM.
+func runReplica(cfg wbcast.Config, pid wbcast.ProcessID, verbose bool, metrics, dataDir string) error {
+	if dataDir != "" {
 		// Durable mode: every crash-surviving state transition is synced to
 		// an append-only WAL under <data-dir>/p<id> before the corresponding
 		// message leaves the process; restarting on the same directory
 		// recovers the replica's promises, records and delivery frontier.
-		cfg.Storage = wbcast.DirStorage(*dataDir)
+		cfg.Storage = wbcast.DirStorage(dataDir)
 	}
 	rep, err := wbcast.NewReplica(cfg, pid)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if *verbose {
+	if verbose {
 		sub := rep.Deliveries()
 		go func() {
 			for d := range sub.C() {
@@ -104,11 +131,12 @@ func main() {
 			}
 		}()
 	}
-	fmt.Printf("wbcast-node %d (%s, group %d) listening on %s\n", pid, proto, rep.Group(), rep.Addr())
-	if *metrics != "" {
-		ms, err := wbcast.ServeMetrics(*metrics, rep)
+	fmt.Printf("wbcast-node %d (%s, group %d) listening on %s\n", pid, cfg.Protocol, rep.Group(), rep.Addr())
+	if metrics != "" {
+		ms, err := wbcast.ServeMetrics(metrics, rep)
 		if err != nil {
-			log.Fatal(err)
+			rep.Close()
+			return err
 		}
 		defer ms.Close()
 		fmt.Printf("metrics on http://%s/metrics (expvar: /debug/vars, profiling: /debug/pprof/)\n", ms.Addr())
@@ -127,5 +155,35 @@ func main() {
 	if err := rep.Shutdown(); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
-	cfg.Transport.Close()
+	return nil
+}
+
+// runClient multicasts count messages to the groups of destArg from client
+// pid, one at a time, and prints each one's completion latency.
+func runClient(cfg wbcast.Config, pid wbcast.ProcessID, destArg string, count int, payload string, timeout time.Duration) error {
+	var dest []wbcast.GroupID
+	for _, part := range strings.Split(destArg, ",") {
+		var g int
+		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &g); err != nil || g < 0 || g >= cfg.Groups {
+			return fmt.Errorf("bad destination group %q", part)
+		}
+		dest = append(dest, wbcast.GroupID(g))
+	}
+	destSet := wbcast.NewGroupSet(dest...)
+	cl, err := wbcast.NewClient(cfg, pid)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < count; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		start := time.Now()
+		id, err := cl.Multicast(ctx, []byte(fmt.Sprintf("%s-%d", payload, i)), destSet...)
+		cancel()
+		if err != nil {
+			return fmt.Errorf("message %d: %v", i, err)
+		}
+		fmt.Printf("%v delivered by groups %v in %v\n", id, destSet, time.Since(start).Round(10*time.Microsecond))
+	}
+	fmt.Printf("completed %d multicasts to %v\n", count, destSet)
+	return nil
 }

@@ -206,20 +206,17 @@ func convoy() error {
 // clock run throughout, and every delivery passes the continuous invariant
 // monitor. The same seed replays the identical schedule.
 func chaos(protocol string, seed int64, n int) error {
-	var proto harness.Protocol
-	cfg := struct{ retry, hb, suspect time.Duration }{20 * delta, 10 * delta, 40 * delta}
-	switch protocol {
-	case "wbcast":
-		proto = core.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect, GCInterval: 50 * delta}
-	case "fastcast":
-		proto = blackbox.FastCast(blackbox.Options{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect})
-	case "ftskeen":
-		proto = blackbox.FTSkeen(blackbox.Options{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect})
-	case "genmcast":
-		// Conflict-aware delivery under a 4-class payload relation; the
-		// harness swaps in the partial-order monitor automatically.
-		proto = core.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect, Generic: core.Relation(core.PayloadClasses(4))}
-	default:
+	// The timers a deployment derives from δ (wbcast.New's rule).
+	dc := core.DefaultConfig(0, nil, delta)
+	wb := core.Protocol{RetryInterval: dc.RetryInterval, HeartbeatInterval: dc.HeartbeatInterval, SuspectTimeout: dc.SuspectTimeout, GCInterval: dc.GCInterval}
+	bb := blackbox.Options{RetryInterval: dc.RetryInterval, HeartbeatInterval: dc.HeartbeatInterval, SuspectTimeout: dc.SuspectTimeout}
+	// genmcast: conflict-aware delivery under a 4-class payload relation
+	// (it ignores GCInterval); the harness swaps in the partial-order
+	// monitor automatically.
+	gen := wb
+	gen.Generic = core.Relation(core.PayloadClasses(4))
+	proto, ok := map[string]harness.Protocol{"wbcast": wb, "fastcast": blackbox.FastCast(bb), "ftskeen": blackbox.FTSkeen(bb), "genmcast": gen}[protocol]
+	if !ok {
 		return fmt.Errorf("unknown protocol %q (want wbcast, fastcast, ftskeen or genmcast)", protocol)
 	}
 	fmt.Printf("scenario: chaos, protocol=%s seed=%d msgs=%d (δ = 10ms, 2 groups × 3 replicas)\n", protocol, seed, n)

@@ -66,21 +66,11 @@ func (p *FaultPlan) Events() int { return len(p.plan.Events) }
 func (p *FaultPlan) compile() faults.Plan { return p.plan }
 
 // LinkFaults parametrises probabilistic misbehaviour of one link for
-// FaultStep.Link. Probabilities are in [0, 1].
-type LinkFaults struct {
-	// DropProb loses each message with this probability (the protocols'
-	// retry machinery recovers).
-	DropProb float64
-	// DupProb delivers each message twice with this probability.
-	DupProb float64
-	// ReorderProb lets each message overtake earlier traffic on the link
-	// with this probability (bypassing FIFO).
-	ReorderProb float64
-	// Delay adds a fixed extra latency to every message.
-	Delay time.Duration
-	// Jitter adds a uniform random extra latency in [0, Jitter).
-	Jitter time.Duration
-}
+// FaultStep.Link: DropProb loses a message, DupProb delivers it twice,
+// ReorderProb lets it overtake earlier traffic on the link (probabilities
+// in [0, 1]); Delay adds a fixed extra latency to every message and Jitter
+// a uniform random one in [0, Jitter).
+type LinkFaults = faults.LinkFault
 
 // FaultStep attaches actions to one trigger of a FaultPlan. Methods return
 // the step so several actions can share a trigger:
@@ -149,13 +139,7 @@ func (s *FaultStep) Heal() *FaultStep { return s.add(faults.Heal{}) }
 // wildcard). A later Link for the same pair replaces the earlier one; a
 // zero LinkFaults clears it.
 func (s *FaultStep) Link(from, to ProcessID, f LinkFaults) *FaultStep {
-	return s.add(faults.SetLink{From: from, To: to, Fault: faults.LinkFault{
-		DropProb:    f.DropProb,
-		DupProb:     f.DupProb,
-		ReorderProb: f.ReorderProb,
-		Delay:       f.Delay,
-		Jitter:      f.Jitter,
-	}})
+	return s.add(faults.SetLink{From: from, To: to, Fault: f})
 }
 
 // ClearLinks removes every fault installed by Link.

@@ -96,7 +96,13 @@ type Config struct {
 	Latency func(from, to mcast.ProcessID) time.Duration
 }
 
-// Stats is a snapshot of a Node's I/O counters (see Node.Stats).
+// Stats is a snapshot of a Node's I/O counters (see Node.Stats). It is
+// also the public wbcast.TransportStats, which Replica.Stats returns: on
+// the TCP transport every field counts as documented below; on the
+// in-process transport (a node with Config.Peer) nothing is encoded, sent
+// or read as a frame, so those four counts and Reconnects stay 0, and
+// OutboundDrops counts sends to processes that are gone; on the simulated
+// transport every field is 0.
 type Stats struct {
 	// MessagesEncoded counts distinct messages serialised to wire form:
 	// one per send with encode-once fan-out, however many recipients the

@@ -91,24 +91,14 @@ func (c *Client) Txn(ctx context.Context, ops ...Op) ([]OpResult, error) {
 // every addressed shard's application result. counter indexes ops.
 func (c *Client) do(ctx context.Context, op Op, counter int) ([]OpResult, error) {
 	flat := op.Flatten()
-	var groups []wbcast.GroupID
-	for _, sub := range flat {
-		g := wbcast.GroupID(c.Shard(sub.Key))
-		seen := false
-		for _, have := range groups {
-			if have == g {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			groups = append(groups, g)
-		}
+	groups := make([]wbcast.GroupID, len(flat))
+	for i, sub := range flat {
+		groups[i] = wbcast.GroupID(c.Shard(sub.Key))
 	}
 	dest := wbcast.NewGroupSet(groups...)
 
 	start := time.Now()
-	id, _, err := c.cl.MulticastAsync(kvstore.EncodeOp(nil, op), groups...)
+	id, _, err := c.cl.MulticastAsync(kvstore.EncodeOp(nil, op), dest...)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -134,15 +135,40 @@ func pollKVState(addr string) (kvState, error) {
 	return s, err
 }
 
+// kvReserveAddrs picks n distinct loopback ports that parent and child agree
+// on as a fixed address book. A port in the kernel's ephemeral range
+// (ip_local_port_range) is what the kernel hands to every bind to port 0
+// and every outbound connection on the host, so while the victim is down a
+// test package running in parallel — its listeners, its dials — can take
+// it and hold it for the rest of its run. So on Linux the ports come from
+// the band just below that range, scanned from a random start, each kept
+// once a probe listen accepts it. Where the range cannot be read, the
+// kernel picks them (port 0).
 func kvReserveAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
+	const band = 4096
+	low := 0
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(b)); len(f) == 2 {
+			low, _ = strconv.Atoi(f[0])
+		}
+	}
+	var addrs []string
+	if low > band+1024 {
+		start := rand.Intn(band)
+		for i := 0; i < band && len(addrs) < n; i++ {
+			if ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", low-band+(start+i)%band)); err == nil {
+				addrs = append(addrs, ln.Addr().String())
+				ln.Close()
+			}
+		}
+	}
+	for len(addrs) < n {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = ln.Addr().String()
+		addrs = append(addrs, ln.Addr().String())
 		ln.Close()
 	}
 	return addrs

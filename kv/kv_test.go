@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"wbcast"
+	"wbcast/internal/kvstore"
 	"wbcast/kv"
 )
 
@@ -110,27 +112,67 @@ func TestKVTxnAcrossShards(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Find two keys on distinct shards.
+	// Find two keys on distinct shards, and a third on a's shard.
 	a := []byte("acct-a")
-	var b []byte
-	for i := 0; ; i++ {
-		b = []byte(fmt.Sprintf("acct-b%d", i))
-		if cl.Shard(b) != cl.Shard(a) {
-			break
+	var b, c []byte
+	for i := 0; b == nil || c == nil; i++ {
+		k := []byte(fmt.Sprintf("acct-%d", i))
+		switch {
+		case b == nil && cl.Shard(k) != cl.Shard(a):
+			b = k
+		case c == nil && cl.Shard(k) == cl.Shard(a):
+			c = k
 		}
 	}
 
-	if _, err := cl.Txn(ctx, kv.Op{Kind: kv.OpPut, Key: a, Val: []byte("100")},
-		kv.Op{Kind: kv.OpPut, Key: b, Val: []byte("200")}); err != nil {
+	write := []kv.Op{{Kind: kv.OpPut, Key: a, Val: []byte("100")},
+		{Kind: kv.OpPut, Key: b, Val: []byte("200")},
+		{Kind: kv.OpPut, Key: c, Val: []byte("300")}}
+	if _, err := cl.Txn(ctx, write...); err != nil {
 		t.Fatal(err)
 	}
-	// A cross-shard read txn observes both writes, positionally.
-	res, err := cl.Txn(ctx, kv.Op{Kind: kv.OpGet, Key: a}, kv.Op{Kind: kv.OpGet, Key: b})
+	// A cross-shard read txn observes every write, positionally — two of
+	// its three results come from one shard.
+	res, err := cl.Txn(ctx, kv.Op{Kind: kv.OpGet, Key: a}, kv.Op{Kind: kv.OpGet, Key: b}, kv.Op{Kind: kv.OpGet, Key: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res[0].Val) != "100" || string(res[1].Val) != "200" {
-		t.Fatalf("txn read %q/%q", res[0].Val, res[1].Val)
+	if string(res[0].Val) != "100" || string(res[1].Val) != "200" || string(res[2].Val) != "300" {
+		t.Fatalf("txn read %q/%q/%q", res[0].Val, res[1].Val, res[2].Val)
+	}
+	// Two keys on one shard make a single-shard txn.
+	res, err = cl.Txn(ctx, kv.Op{Kind: kv.OpGet, Key: c}, kv.Op{Kind: kv.OpGet, Key: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(res[0].Val) != "300" || string(res[1].Val) != "100" {
+		t.Fatalf("single-shard txn read %q/%q", res[0].Val, res[1].Val)
+	}
+	m := cl.Metrics()
+	if single, multi := m.Latencies[wbcast.MetricKVOpLatency+`{dests="single"}`].Count, m.Latencies[wbcast.MetricKVOpLatency+`{dests="multi"}`].Count; single != 1 || multi != 2 {
+		t.Errorf("latency histograms count %d single-shard and %d multi-shard ops, want 1 and 2", single, multi)
+	}
+	// The write went to each of its two shards once: a and c share one
+	// destination.
+	dest := wbcast.NewGroupSet(wbcast.GroupID(cl.Shard(a)), wbcast.GroupID(cl.Shard(b)))
+	payload := kvstore.EncodeOp(nil, kv.Op{Kind: kv.OpTxn, Subs: write})
+	for _, sh := range svc.Replicas() {
+		var found []kv.Applied
+		for _, e := range sh.AppliedLog() {
+			if bytes.Equal(e.Payload, payload) {
+				found = append(found, e)
+			}
+		}
+		switch {
+		case !dest.Contains(sh.Group()):
+			if len(found) != 0 {
+				t.Errorf("shard %d applied the write txn addressed to %v", sh.Group(), dest)
+			}
+		case len(found) != 1:
+			t.Errorf("shard %d applied the write txn %d times", sh.Group(), len(found))
+		case !slices.Equal(found[0].Dest, dest):
+			t.Errorf("shard %d applied the write txn with Dest %v, want %v", sh.Group(), found[0].Dest, dest)
+		}
 	}
 
 	// Malformed transactions are rejected client-side.

@@ -141,3 +141,80 @@ func TestServeMetrics(t *testing.T) {
 		t.Errorf("/debug/pprof/ lacks profile index")
 	}
 }
+
+// TestStatsIsAViewOfTheMetrics: Replica.Stats and the transport counters in
+// Replica.Metrics read the same counters. Heartbeats keep them moving, so
+// each metric must lie between two Stats readings taken around it. On the
+// simulated transport Stats is all zeros.
+func TestStatsIsAViewOfTheMetrics(t *testing.T) {
+	tcpPeers := make(map[wbcast.ProcessID]string)
+	for pid := wbcast.ProcessID(0); pid <= 3; pid++ {
+		tcpPeers[pid] = "127.0.0.1:0"
+	}
+	for _, tc := range []struct {
+		name string
+		tr   wbcast.Transport
+	}{
+		{"TCP", wbcast.TCP("", tcpPeers)},
+		{"InProcess", wbcast.InProcess()},
+		{"Simulated", wbcast.Simulated()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := wbcast.New(wbcast.Config{Groups: 1, Delta: time.Millisecond, Transport: tc.tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			cl, err := c.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			for i := 0; i < 5; i++ {
+				if _, err := cl.Multicast(ctx, []byte("m"), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, r := range c.Replicas() {
+				before, snap, after := r.Stats(), r.Metrics(), r.Stats()
+				if tc.name == "Simulated" {
+					if before != (wbcast.TransportStats{}) {
+						t.Errorf("replica %d: simulated Stats = %+v, want zeros", r.ID(), before)
+					}
+					continue
+				}
+				for _, m := range []struct {
+					name   string
+					lo, hi int64
+				}{
+					{"wbcast_messages_encoded_total", before.MessagesEncoded, after.MessagesEncoded},
+					{"wbcast_frames_sent_total", before.FramesSent, after.FramesSent},
+					{"wbcast_frames_coalesced_total", before.FramesCoalesced, after.FramesCoalesced},
+					{"wbcast_outbound_drops_total", before.OutboundDrops, after.OutboundDrops},
+					{"wbcast_reconnects_total", before.Reconnects, after.Reconnects},
+					{"wbcast_frames_read_total", before.FramesRead, after.FramesRead},
+					{"wbcast_mailbox_high_water", before.MailboxHighWater, after.MailboxHighWater},
+				} {
+					got, ok := snap.Counters[m.name]
+					if g, gauge := snap.Gauges[m.name]; gauge {
+						got, ok = g, true
+					}
+					if !ok || got < m.lo || got > m.hi {
+						t.Errorf("replica %d: %s = %d (present %v), outside its Stats readings [%d, %d]", r.ID(), m.name, got, ok, m.lo, m.hi)
+					}
+				}
+				// In memory nothing is encoded, framed or redialled.
+				if tc.name == "InProcess" && before.MessagesEncoded+before.FramesSent+before.FramesCoalesced+before.FramesRead+before.Reconnects != 0 {
+					t.Errorf("replica %d: in-process Stats count frames: %+v", r.ID(), before)
+				}
+				if tc.name == "TCP" && (before.FramesSent == 0 || before.FramesRead == 0) {
+					t.Errorf("replica %d: no frames counted over TCP: %+v", r.ID(), before)
+				}
+				if before.MailboxHighWater == 0 {
+					t.Errorf("replica %d: no mailbox high-water after traffic: %+v", r.ID(), before)
+				}
+			}
+		})
+	}
+}

@@ -18,8 +18,8 @@
 #     wire's `{Append,Consume}*` storage wrappers, the buffer knobs
 #     `{Trace,Delivery}Buffer`, the range partitioner, the inbound frames'
 #     reference counting, the record-list clone, the goroutine runtime
-#     the in-memory tcpnet node replaced, the subscription drop policies
-#     and the observability off switch).
+#     the in-memory tcpnet node replaced, the subscription drop policies,
+#     the observability off switch and the separate client command).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -141,10 +141,11 @@ done
 # the handlers' clones of received messages when frames stopped being
 # reused; the separate in-process runtime when InProcess began to host
 # in-memory tcpnet nodes; the drop policies and the Observability struct when
-# every subscription became lossless and metrics always on.
+# every subscription became lossless and metrics always on; the client
+# command when wbcast-node began to host a client in a client slot.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
-  Drop''Oldest Drop''Newest Delivery''Policy Observability''{; do
+  Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

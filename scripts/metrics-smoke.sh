@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
 # metrics-smoke.sh — CI smoke test for the observability endpoint.
 #
-# Starts a single wbcast-node with -metrics-addr, scrapes /metrics and
-# /debug/vars, and checks that the documented metric families are
-# present in Prometheus text form. Fails if the endpoint does not come
-# up or any required name is missing.
+# Starts a single wbcast-node replica with -metrics-addr, scrapes /metrics
+# and /debug/vars, and checks that the documented metric families are
+# present in Prometheus text form. Then runs wbcast-node in the client slot
+# of the same -peers list for three multicasts and checks that the replica
+# counted three deliveries. Fails if the endpoint does not come up, any
+# required name is missing or the client round trip does not complete.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 NODE_ADDR=${NODE_ADDR:-127.0.0.1:7390}
+CLIENT_ADDR=${CLIENT_ADDR:-127.0.0.1:7391}
 METRICS_ADDR=${METRICS_ADDR:-127.0.0.1:9390}
 
 go build -o /tmp/wbcast-node ./cmd/wbcast-node
-/tmp/wbcast-node -id 0 -groups 1 -size 1 -peers "$NODE_ADDR" \
+/tmp/wbcast-node -id 0 -groups 1 -size 1 -peers "$NODE_ADDR,$CLIENT_ADDR" \
   -metrics-addr "$METRICS_ADDR" &
 node_pid=$!
 trap 'kill "$node_pid" 2>/dev/null || true' EXIT
@@ -63,6 +66,19 @@ fi
 # pprof index answers.
 if ! curl -sf "http://$METRICS_ADDR/debug/pprof/" | grep -q goroutine; then
   echo "metrics-smoke: /debug/pprof/ lacks the profile index"
+  fail=1
+fi
+
+# The command-line client: three multicasts to group 0 from the client slot.
+if ! /tmp/wbcast-node -id 1 -groups 1 -size 1 -peers "$NODE_ADDR,$CLIENT_ADDR" \
+  -dest 0 -count 3 -timeout 10s >/tmp/metrics-smoke-client.txt 2>&1 \
+  || ! grep -q 'completed 3 multicasts' /tmp/metrics-smoke-client.txt; then
+  cat /tmp/metrics-smoke-client.txt
+  echo "metrics-smoke: the client did not complete 3 multicasts"
+  fail=1
+fi
+if ! curl -sf "http://$METRICS_ADDR/metrics" | grep -q 'wbcast_deliveries_total{proc="0"} 3$'; then
+  echo 'metrics-smoke: /metrics lacks wbcast_deliveries_total{proc="0"} 3 after the client run'
   fail=1
 fi
 

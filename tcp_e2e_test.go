@@ -150,7 +150,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 }
 
 // TestTCPStandaloneReplicasAndClient assembles the same deployment the way
-// cmd/wbcast-node does: one NewReplica/NewClient call per process, all on
+// cmd/wbcast-node does: one NewReplica or NewClient call per process, all on
 // one shared TCP transport.
 func TestTCPStandaloneReplicasAndClient(t *testing.T) {
 	const groups, replicas = 2, 3

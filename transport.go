@@ -88,35 +88,10 @@ type hostOptions struct {
 }
 
 // TransportStats is a snapshot of a process's transport-level counters,
-// surfaced by Replica.Stats. The counters are maintained by the TCP and
-// in-process transports (see internal/tcpnet) — in process, nothing is
-// encoded, sent or read as a frame, so those counts stay 0, and
-// OutboundDrops counts sends to processes that are gone — and the simulated
-// transport reports all zeros.
-type TransportStats struct {
-	// MessagesEncoded counts distinct messages serialised to wire form
-	// (one per send, however many recipients it fans out to).
-	MessagesEncoded int64
-	// FramesSent counts frames appended to peer links, one per destination
-	// address per send.
-	FramesSent int64
-	// FramesCoalesced counts frames beyond the first in one write: those
-	// that rode along instead of costing their own syscall.
-	FramesCoalesced int64
-	// OutboundDrops counts frames dropped on the way out (a link's backlog
-	// past its byte bound, unknown or unreachable peer; in process, a peer
-	// that is gone). Dropped frames are recovered by the protocols' retry
-	// machinery.
-	OutboundDrops int64
-	// Reconnects counts outbound redials after a connection failure.
-	Reconnects int64
-	// FramesRead counts inbound frames successfully decoded.
-	FramesRead int64
-	// MailboxHighWater is the largest input-queue length observed. Input
-	// queues are elastic (senders never block), so sustained overload
-	// shows up here rather than as backpressure.
-	MailboxHighWater int64
-}
+// surfaced by Replica.Stats: the TCP and in-process transports' node
+// counters (see internal/tcpnet for what each field counts on either), all
+// zero on the simulated transport.
+type TransportStats = tcpnet.Stats
 
 // ---------------------------------------------------------------------------
 // Simulated transport (internal/sim)
@@ -181,7 +156,7 @@ type simTransport struct {
 	pending bool
 	closed  bool
 	done    chan struct{}
-	// slice is the virtual-time advance per chaos-pump iteration.
+	// slice is the virtual-time advance per pump iteration in chaos mode.
 	slice time.Duration
 	clock obs.Clock
 	trc   *obs.Tracer
@@ -261,10 +236,8 @@ func (t *simTransport) open(cfg *Config) error {
 		if t.slice < time.Millisecond {
 			t.slice = time.Millisecond
 		}
-		go t.pumpChaos()
-	} else {
-		go t.pump()
 	}
+	go t.pump()
 	return nil
 }
 
@@ -276,45 +249,34 @@ func (t *simTransport) dispatchLocked(p mcast.ProcessID, d mcast.Delivery) {
 	}
 }
 
-// pumpChaos drives the simulator in chaos mode. With background timers
-// enabled the event queue never drains (heartbeats re-arm forever), so
-// instead of pumping to quiescence, virtual time advances continuously in
-// bounded slices; the lock is released between slices so application
-// goroutines (Multicast, subscription consumers) interleave, and a short real
-// sleep keeps an idle simulation from spinning a core. Virtual time runs as
-// fast as the CPU allows — a multi-second recovery story plays out in
-// milliseconds of wall-clock time.
-func (t *simTransport) pumpChaos() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	defer close(t.done)
-	for !t.closed {
-		t.s.Run(t.s.Now() + t.slice)
-		t.pending = false
-		t.mu.Unlock()
-		time.Sleep(50 * time.Microsecond)
-		t.mu.Lock()
-	}
-}
-
-// pump drives the simulator to quiescence after every external input.
-// Virtual time advances in bounded slices so an armed timer is reached
-// however far ahead it was scheduled.
+// pump drives the simulator. Plain, it runs to quiescence after every
+// external input, in bounded slices of virtual time so an armed timer is
+// reached however far ahead it was scheduled. In chaos mode the background
+// timers keep the event queue from draining (heartbeats re-arm forever), so
+// virtual time advances continuously, t.slice at a time; the lock is
+// released between slices so application goroutines (Multicast,
+// subscription consumers) interleave, and a short real sleep keeps an idle
+// simulation from spinning a core. Virtual time runs as fast as the CPU
+// allows — a multi-second recovery story plays out in milliseconds of
+// wall-clock time.
 func (t *simTransport) pump() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer close(t.done)
-	for {
-		if t.closed {
-			return
-		}
-		if !t.pending {
+	for !t.closed {
+		switch {
+		case t.opts.Faults != nil:
+			t.s.Run(t.s.Now() + t.slice)
+			t.mu.Unlock()
+			time.Sleep(50 * time.Microsecond)
+			t.mu.Lock()
+		case !t.pending:
 			t.cond.Wait()
-			continue
-		}
-		t.pending = false
-		for t.s.Pending() > 0 && !t.closed {
-			t.s.Run(t.s.Now() + time.Second)
+		default:
+			t.pending = false
+			for t.s.Pending() > 0 && !t.closed {
+				t.s.Run(t.s.Now() + time.Second)
+			}
 		}
 	}
 }
@@ -546,20 +508,10 @@ func (t *tcpTransport) crash(pid ProcessID) {
 }
 
 func (t *tcpTransport) stats(pid ProcessID) TransportStats {
-	n := t.node(pid)
-	if n == nil {
-		return TransportStats{}
+	if n := t.node(pid); n != nil {
+		return n.Stats()
 	}
-	s := n.Stats()
-	return TransportStats{
-		MessagesEncoded:  s.MessagesEncoded,
-		FramesSent:       s.FramesSent,
-		FramesCoalesced:  s.FramesCoalesced,
-		OutboundDrops:    s.OutboundDrops,
-		Reconnects:       s.Reconnects,
-		FramesRead:       s.FramesRead,
-		MailboxHighWater: s.MailboxHighWater,
-	}
+	return TransportStats{}
 }
 
 func (t *tcpTransport) addr(pid ProcessID) string {

@@ -61,6 +61,7 @@ package wbcast
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"wbcast/internal/blackbox"
@@ -127,43 +128,28 @@ const (
 	Genmcast
 )
 
+// protocolNames is the one table of protocol names, indexed by Protocol.
+var protocolNames = [...]string{WhiteBox: "wbcast", FastCast: "fastcast", FTSkeen: "ftskeen", Skeen: "skeen", Genmcast: "genmcast"}
+
 // String returns the protocol's canonical name, accepted by
 // ParseProtocol.
 func (p Protocol) String() string {
-	switch p {
-	case WhiteBox:
-		return "wbcast"
-	case FastCast:
-		return "fastcast"
-	case FTSkeen:
-		return "ftskeen"
-	case Skeen:
-		return "skeen"
-	case Genmcast:
-		return "genmcast"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
+	if p >= WhiteBox && int(p) < len(protocolNames) {
+		return protocolNames[p]
 	}
+	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
 // ParseProtocol resolves a protocol name — "wbcast", "fastcast", "ftskeen",
 // "skeen" or "genmcast" — to its Protocol value. Command-line tools use it
 // so the accepted names match Protocol.String.
 func ParseProtocol(name string) (Protocol, error) {
-	switch name {
-	case "wbcast":
-		return WhiteBox, nil
-	case "fastcast":
-		return FastCast, nil
-	case "ftskeen":
-		return FTSkeen, nil
-	case "skeen":
-		return Skeen, nil
-	case "genmcast":
-		return Genmcast, nil
-	default:
-		return 0, fmt.Errorf("wbcast: unknown protocol %q (want wbcast, fastcast, ftskeen, skeen or genmcast)", name)
+	for p := WhiteBox; int(p) < len(protocolNames); p++ {
+		if protocolNames[p] == name {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("wbcast: unknown protocol %q (want one of %s)", name, strings.Join(protocolNames[WhiteBox:], ", "))
 }
 
 // ConflictRelation reports whether two application payloads conflict —
@@ -399,41 +385,37 @@ func (cfg Config) normalized() (Config, error) {
 
 // newProtocolHandler is the one construction point for protocol replicas,
 // shared by Cluster, NewReplica and (through them) every command-line
-// binary. Timing is derived from cfg.Delta; on the plain simulated
-// transport the background timers (retries, heartbeats, failure detection,
-// GC) are disabled so runs quiesce and replay identically — unless the
-// transport runs in chaos mode (SimulatedOptions.Faults), where the
-// timer-driven recovery machinery is exactly what is under test.
+// binary. Every protocol's timers are core.DefaultConfig's multiples of
+// cfg.Delta (the black-box baselines take its retry, heartbeat and
+// suspicion intervals); on the plain simulated transport the background
+// timers (retries, heartbeats, failure detection, GC) are disabled so runs
+// quiesce and replay identically — unless the transport runs in chaos mode
+// (SimulatedOptions.Faults), where the timer-driven recovery machinery is
+// exactly what is under test.
 //
 // rs, when non-nil, makes the replica durable: it emits persist effects
 // for every crash-surviving state transition and replays rs — the folded
 // state of its Storage — before joining (a cold store passes an Empty
 // state, which replays to nothing).
 func newProtocolHandler(cfg Config, top *mcast.Topology, pid ProcessID, po *obs.Proto, rs *wal.State) (node.Handler, error) {
-	d := cfg.Delta
-	det := !cfg.Transport.backgroundTimers()
-	durable := rs != nil
+	rc := core.DefaultConfig(pid, top, cfg.Delta)
+	if !cfg.Transport.backgroundTimers() {
+		rc.RetryInterval, rc.HeartbeatInterval, rc.SuspectTimeout, rc.GCInterval = 0, 0, 0, 0
+	}
 	switch cfg.Protocol {
 	case WhiteBox, Genmcast:
 		// Genmcast is the white-box machinery in conflict-aware delivery
 		// mode (cfg.conflicts is nil for WhiteBox); there the core forces GC
 		// off, because the release log and applied set reference every
 		// delivered message.
-		rc := core.DefaultConfig(pid, top, d)
 		rc.Obs = po
-		rc.Durable = durable
+		rc.Durable = rs != nil
 		rc.Recovered = rs
 		rc.Conflicts = cfg.conflicts
 		rc.AppGCHorizon = cfg.AppGCHorizon
-		if det {
-			rc.RetryInterval, rc.HeartbeatInterval, rc.SuspectTimeout, rc.GCInterval = 0, 0, 0, 0
-		}
 		return core.NewReplica(rc)
 	case FastCast, FTSkeen:
-		var o blackbox.Options
-		if !det {
-			o = blackbox.Options{RetryInterval: 20 * d, HeartbeatInterval: 10 * d, SuspectTimeout: 40 * d}
-		}
+		o := blackbox.Options{RetryInterval: rc.RetryInterval, HeartbeatInterval: rc.HeartbeatInterval, SuspectTimeout: rc.SuspectTimeout}
 		variant := blackbox.FTSkeen
 		if cfg.Protocol == FastCast {
 			variant = blackbox.FastCast
