@@ -88,8 +88,11 @@ func (cl *Client) ID() ProcessID { return cl.pid }
 
 // BatchesSent returns how many protocol-level multicasts the client has
 // sent, retries not counted: one per destination set per drain of its
-// mailbox. Throughput reporters divide payloads by it to obtain the achieved
-// mean batch size.
+// mailbox. While other multicasts of the client are in flight, a drain
+// ends only once a yield of the processor brings in no more submissions, so
+// concurrent callers that are ready to run share one.
+// Throughput reporters divide payloads by it to obtain the achieved mean
+// batch size.
 func (cl *Client) BatchesSent() int64 { return cl.h.BatchesSent() }
 
 // Metrics returns a snapshot of the client's metrics: the end-to-end

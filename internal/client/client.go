@@ -9,6 +9,10 @@
 // destination set: a lone submission as the message itself, several as one
 // batch envelope, which the replicas' delivery paths unpack
 // (internal/batch). Retries and leader changes re-send the whole envelope.
+// On a wall-clock node a drain that holds a submission while other
+// multicasts are in flight ends only once a yield of the processor brings in
+// no more input (Gather, node.Mailbox.Run), so callers that one burst of
+// replies woke together submit into one drain.
 package client
 
 import (
@@ -78,8 +82,6 @@ type Client struct {
 	// EndDrain's scratch.
 	drain, rest []submission
 	envSeq      uint32
-	// completed counts finished submissions.
-	completed int
 	// sent counts the multicasts EndDrain has sent; benchmark reporters read
 	// it from other goroutines.
 	sent atomic.Int64
@@ -113,14 +115,19 @@ func (c *Client) ID() mcast.ProcessID { return c.cfg.PID }
 // awaiting replies.
 func (c *Client) Inflight() int { return len(c.inflight) }
 
-// Completed returns the number of submissions that have completed.
-func (c *Client) Completed() int { return c.completed }
-
 // BatchesSent returns how many multicasts the client has sent, retries and
 // leader-change re-sends not counted: one per destination set per drain,
-// more where a drain's payloads fill several envelopes. It is safe to call
-// concurrently with the handler.
+// more where a drain's payloads fill several envelopes — so submissions
+// over BatchesSent is the mean batch, which the yield at the end of a
+// wall-clock drain raises (Gather). It is safe to call concurrently with the
+// handler.
 func (c *Client) BatchesSent() int64 { return c.sent.Load() }
+
+// Gather implements node.Drainer: a drain that holds a submission waits for
+// more while other multicasts of the client are in flight — their callers
+// are the ones a burst of replies wakes together. A client whose one caller
+// waits for each multicast never yields.
+func (c *Client) Gather() bool { return len(c.drain) > 0 && len(c.inflight) > 0 }
 
 // Handle implements node.Handler.
 func (c *Client) Handle(in node.Input, fx *node.Effects) {
@@ -295,7 +302,6 @@ func (c *Client) onReply(id mcast.MsgID, g mcast.GroupID) {
 
 // complete reports the submission id, made at at, complete.
 func (c *Client) complete(id mcast.MsgID, at time.Duration) {
-	c.completed++
 	c.cfg.Obs.OnComplete(id, at)
 	if c.cfg.OnComplete != nil {
 		c.cfg.OnComplete(id)

@@ -2,6 +2,7 @@ package node
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -88,5 +89,81 @@ func TestPostAfterLapsesAtQuit(t *testing.T) {
 	case e := <-got:
 		t.Fatalf("envelope %d arrived after quit", e)
 	default:
+	}
+}
+
+// drains runs one mailbox, whose Gather always returns gather, at GOMAXPROCS 1
+// until total envelopes were consumed and returns how many each drain held.
+// The first envelope's consume starts posters goroutines that each post one
+// more; the rest are posted already.
+func drains(t *testing.T, gather bool, posters, total int) []int {
+	quit := make(chan struct{})
+	defer close(quit)
+	m := NewMailbox[int](8, quit)
+	m.Gather = func() bool { return gather }
+	m.Post(0)
+	for i := posters + 1; i < total; i++ {
+		m.Post(i)
+	}
+	var sizes []int
+	n, sum := 0, 0
+	done := make(chan struct{})
+	consume := func(e int) {
+		if e == 0 {
+			for i := 1; i <= posters; i++ {
+				go m.Post(i)
+			}
+		}
+		n++
+	}
+	commit := func() {
+		sizes = append(sizes, n)
+		if sum += n; sum == total {
+			close(done)
+		}
+		n = 0
+	}
+	go m.Run(consume, commit)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out: drains %v", sizes)
+	}
+	return sizes
+}
+
+// TestDrainGathersReadyPosters: at GOMAXPROCS 1 the goroutines a consume
+// call wakes run only once the loop gives up the processor. While Gather says
+// no, the loop commits the first envelope alone; while it says yes, the yield
+// before the commit takes in what they post — though not always: on every 61st
+// scheduler tick Go runs the global queue first, where the yield put the
+// loop. A repetition costs the same number of ticks each time, so a run
+// could lock onto that tick; each one starts after a random number of
+// yields instead. Either way no drain exceeds maxCommitInputs.
+func TestDrainGathersReadyPosters(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const posters, reps = 8, 200
+	if first := drains(t, false, posters, posters+1)[0]; first != 1 {
+		t.Fatalf("Gather false: the first drain held %d envelopes, want 1", first)
+	}
+	rng := rand.New(rand.NewSource(1))
+	whole := 0
+	for r := 0; r < reps; r++ {
+		for range rng.Intn(61) {
+			runtime.Gosched()
+		}
+		if drains(t, true, posters, posters+1)[0] == posters+1 {
+			whole++
+		}
+	}
+	if whole < reps*9/10 {
+		t.Errorf("Gather true: %d of %d first drains held all %d envelopes, want ≥ 90 %%", whole, reps, posters+1)
+	}
+	for _, gather := range []bool{false, true} {
+		for _, k := range drains(t, gather, 3*maxCommitInputs, 4*maxCommitInputs) {
+			if k > maxCommitInputs {
+				t.Fatalf("Gather %v: a drain held %d envelopes, above %d", gather, k, maxCommitInputs)
+			}
+		}
 	}
 }

@@ -278,6 +278,10 @@ type Handler interface {
 // multicast per destination set (internal/client). Step.EndDrain calls it.
 type Drainer interface {
 	EndDrain(fx *Effects)
+	// Gather reports whether a wall-clock runtime whose queue has run dry
+	// should yield the processor once more before it ends the drain, so that
+	// goroutines ready to run can post into it (Mailbox.Gather).
+	Gather() bool
 }
 
 // Func adapts a function to the Handler interface for tests and small

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
@@ -188,18 +189,6 @@ func (c *Commit) Run() {
 	}
 }
 
-// Go runs the commit on a goroutine of its own, counted in wg, and calls
-// done when the store calls have returned — the wall-clock runtimes' per-
-// store committer: done posts the commit back to the shard's mailbox.
-func (c *Commit) Go(wg *sync.WaitGroup, done func()) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.Run()
-		done()
-	}()
-}
-
 // Calls returns how many calls the commit holds the effects of.
 func (c *Commit) Calls() int { return c.calls }
 
@@ -255,6 +244,9 @@ type Mailbox[E any] struct {
 	// any number of posts).
 	wake chan struct{}
 	quit <-chan struct{}
+	// Gather, if set before Run, is asked whenever the queue runs dry in a
+	// drain: true makes Run yield the processor and look again (Run).
+	Gather func() bool
 
 	// The envelopes armed by PostAfter: a min-heap on (at, seq) behind one
 	// runtime timer, which Run sets to the earliest deadline before it
@@ -355,10 +347,24 @@ const maxCommitInputs = 64
 // link flush, Step.Handoff). At the same points it posts the armed
 // envelopes that have come due. It is the mailbox's only consumer, so the
 // calls never overlap.
+//
+// While Gather reports true — a client's loop (Drainer.Gather) — a dry queue
+// ends the drain only after a yield (runtime.Gosched) has brought in nothing
+// new. Go runs a goroutine woken by a channel send next on the waker's
+// processor, so the first of a burst of callers woken together starts the
+// loop before the others have posted; the yield lets them post into the same
+// drain, which leaves as one multicast. A yield puts the loop behind every
+// goroutine that is ready to run, so Gather says no where it cannot help.
+// Replica loops do not gather: the end of their drain flushes the sends
+// every operation waits on.
 func (m *Mailbox[E]) Run(consume func(E), commit func()) {
 	n := 0
 	for {
 		e, ok := m.box.Dequeue()
+		if !ok && n > 0 && m.Gather != nil && m.Gather() {
+			runtime.Gosched()
+			e, ok = m.box.Dequeue()
+		}
 		if !ok || n == maxCommitInputs {
 			if n > 0 {
 				commit()

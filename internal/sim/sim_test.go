@@ -296,6 +296,7 @@ func (d *drainer) Handle(in node.Input, _ *node.Effects) {
 		d.pending = true
 	}
 }
+func (d *drainer) Gather() bool { return false }
 func (d *drainer) EndDrain(fx *node.Effects) {
 	d.log = append(d.log, "drain")
 	if d.pending {

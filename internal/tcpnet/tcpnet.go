@@ -194,6 +194,9 @@ func Serve(cfg Config) (*Node, error) {
 		rt:    rt,
 	}
 	n.box = node.NewMailbox[boxedInput](mailboxSize, n.quit)
+	if d, ok := cfg.Handler.(node.Drainer); ok {
+		n.box.Gather = d.Gather // a client; replica loops do not gather (node.Mailbox.Run)
+	}
 	if cfg.Peer == nil {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
 		if err != nil {
@@ -461,7 +464,12 @@ func (n *Node) commit() {
 	if held := c.Calls(); held > 0 {
 		n.rt.CommitInputs.Observe(time.Duration(held) * time.Second)
 	}
-	c.Go(&n.wg, func() { n.box.Post(boxedInput{done: c}) })
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		c.Run()
+		n.box.Post(boxedInput{done: c})
+	}()
 }
 
 // release acts on what the Step handed back, in the driver's order: timers,
@@ -754,14 +762,9 @@ func (l *link) setConn(c net.Conn) {
 	if l.conn != nil {
 		l.conn.Close()
 	}
-	l.conn, l.try = c, tryWriter{}
-	if c == nil {
-		return
-	}
-	if l.closed.Load() {
+	l.conn, l.try = c, newTryWriter(c) // a nil c takes nothing
+	if c != nil && l.closed.Load() {
 		c.Close()
-	} else {
-		l.try = newTryWriter(c)
 	}
 }
 

@@ -2,6 +2,7 @@ package tcpnet_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -370,6 +371,75 @@ func TestBatchedClientOverTCP(t *testing.T) {
 				t.Errorf("replica %d: delivery %d = %v at (%v, %d), want %v at (%v, %d): one envelope, its order", pid, i, d.Msg.ID, d.GTS, d.Sub, ref[i].Msg.ID, ref[0].GTS, i)
 			}
 		}
+	}
+}
+
+// TestReadySubmittersShareADrain: at GOMAXPROCS 1, eight goroutines released
+// at once each submit one multicast to the same destination set. Each post
+// wakes the client's loop ahead of the submitters still to run. The first
+// submission leaves alone: with nothing else in flight the client does not
+// yield (client.Client.Gather). From the second on it does, before the end
+// of the drain, and the rest post into that drain — so the eight leave in
+// fewer MULTICASTs than eight.
+func TestReadySubmittersShareADrain(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	top := mcast.UniformTopology(1, 3)
+	const clientPID = mcast.ProcessID(3)
+	const submitters = 8
+	var nodes []*tcpnet.Node
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
+		r, err := core.NewReplica(core.DefaultConfig(pid, top, 50*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := tcpnet.Serve(tcpnet.Config{PID: pid, ListenAddr: "127.0.0.1:0", Handler: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	done := make(chan mcast.MsgID, submitters)
+	cl := client.New(client.Config{
+		PID:        clientPID,
+		Contacts:   func(g mcast.GroupID) []mcast.ProcessID { return []mcast.ProcessID{top.InitialLeader(g)} },
+		Retry:      2500 * time.Millisecond,
+		OnComplete: func(id mcast.MsgID) { done <- id },
+	})
+	cn, err := tcpnet.Serve(tcpnet.Config{PID: clientPID, ListenAddr: "127.0.0.1:0", Handler: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes = append(nodes, cn)
+	sharePeerAddrs(nodes, clientPID)
+
+	release := make(chan struct{})
+	for i := 1; i <= submitters; i++ {
+		m := mcast.AppMsg{ID: mcast.MakeMsgID(clientPID, uint32(i)), Dest: mcast.NewGroupSet(0), Payload: []byte("x")}
+		go func() {
+			<-release
+			if err := cn.Inject(node.Submit{Msg: m}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	time.Sleep(10 * time.Millisecond) // all eight wait on release
+	close(release)
+	for i := 0; i < submitters; i++ {
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("timed out after %d of %d completions", i, submitters)
+		}
+	}
+	if n := cl.BatchesSent(); n >= submitters {
+		t.Errorf("%d ready submitters left in %d multicasts, want fewer", submitters, n)
+	} else {
+		t.Logf("%d ready submitters left in %d multicasts", submitters, n)
 	}
 }
 
