@@ -163,7 +163,7 @@ func TestHighContention(t *testing.T) {
 		}
 		c.Sim.Run(30 * time.Second)
 		mustPass(t, c)
-		if got := c.CollectHistory().NumDeliveries(); got != 40*6 {
+		if got := c.CollectHistory(); got != 40*6 {
 			t.Errorf("deliveries = %d, want %d", got, 40*6)
 		}
 	})

@@ -19,50 +19,54 @@ func del(m mcast.AppMsg, t uint64, g mcast.GroupID) mcast.Delivery {
 	return mcast.Delivery{Msg: m, GTS: mcast.Timestamp{Time: t, Group: g}}
 }
 
-func base(t *testing.T) (*check.History, *mcast.Topology, check.Config) {
-	t.Helper()
-	top := mcast.UniformTopology(2, 1) // processes 0 and 1
-	h := check.NewHistory()
-	return h, top, check.Config{Topology: top, AtQuiescence: true, CheckGTS: true}
+// base builds a monitor over processes 0 and 1, each a group of its own,
+// and the whole check at quiescence with the given processes crashed.
+func base(conflicts func(a, b mcast.AppMsg) bool) (*check.Monitor, func(crashed ...mcast.ProcessID) []error) {
+	top := mcast.UniformTopology(2, 1)
+	h := check.NewMonitor(top.GroupOf, conflicts)
+	return h, func(crashed ...mcast.ProcessID) []error {
+		down := make(map[mcast.ProcessID]bool)
+		for _, p := range crashed {
+			down[p] = true
+		}
+		return h.Check(top.Members, down)
+	}
 }
 
 func TestCleanHistoryPasses(t *testing.T) {
-	h, _, cfg := base(t)
+	h, checkAll := base(nil)
 	a, b := msg(1, 0, 1), msg(2, 0)
-	h.AddSubmit(100, a)
-	h.AddSubmit(100, b)
-	h.AddDelivery(0, del(a, 1, 0))
-	h.AddDelivery(0, del(b, 2, 0))
-	h.AddDelivery(1, del(a, 1, 0))
-	if errs := h.Check(cfg); len(errs) != 0 {
+	h.NoteSubmit(100, a)
+	h.NoteSubmit(100, b)
+	h.NoteDelivery(0, del(a, 1, 0))
+	h.NoteDelivery(0, del(b, 2, 0))
+	h.NoteDelivery(1, del(a, 1, 0))
+	if errs := checkAll(); len(errs) != 0 {
 		t.Fatalf("clean history flagged: %v", errs)
-	}
-	if h.NumDeliveries() != 3 {
-		t.Errorf("NumDeliveries = %d", h.NumDeliveries())
 	}
 }
 
 func TestValidityViolations(t *testing.T) {
-	h, _, cfg := base(t)
+	h, checkAll := base(nil)
 	ghost := msg(9, 0)
-	h.AddDelivery(0, del(ghost, 1, 0)) // never submitted
+	h.NoteDelivery(0, del(ghost, 1, 0)) // never submitted
 	wrongDest := msg(2, 1)
-	h.AddSubmit(100, wrongDest)
-	h.AddDelivery(0, del(wrongDest, 2, 0)) // delivered outside dest
-	errs := h.Check(cfg)
+	h.NoteSubmit(100, wrongDest)
+	h.NoteDelivery(0, del(wrongDest, 2, 0)) // delivered outside dest
+	errs := checkAll()
 	if len(errs) < 2 {
 		t.Fatalf("expected ≥2 validity violations, got %v", errs)
 	}
 }
 
 func TestIntegrityViolation(t *testing.T) {
-	h, _, cfg := base(t)
+	h, checkAll := base(nil)
 	a := msg(1, 0)
-	h.AddSubmit(100, a)
-	h.AddDelivery(0, del(a, 1, 0))
-	h.AddDelivery(0, del(a, 1, 0))
+	h.NoteSubmit(100, a)
+	h.NoteDelivery(0, del(a, 1, 0))
+	h.NoteDelivery(0, del(a, 1, 0))
 	found := false
-	for _, err := range h.Check(cfg) {
+	for _, err := range checkAll() {
 		if containsStr(err.Error(), "integrity") {
 			found = true
 		}
@@ -73,17 +77,16 @@ func TestIntegrityViolation(t *testing.T) {
 }
 
 func TestOrderingDisagreementFlagged(t *testing.T) {
-	h, _, cfg := base(t)
-	cfg.CheckGTS = false // isolate the order check from GTS checks
+	h, checkAll := base(nil)
 	a, b := msg(1, 0, 1), msg(2, 0, 1)
-	h.AddSubmit(100, a)
-	h.AddSubmit(100, b)
-	h.AddDelivery(0, del(a, 1, 0))
-	h.AddDelivery(0, del(b, 2, 0))
-	h.AddDelivery(1, del(b, 2, 0))
-	h.AddDelivery(1, del(a, 1, 0)) // opposite order at p1
+	h.NoteSubmit(100, a)
+	h.NoteSubmit(100, b)
+	h.NoteDelivery(0, del(a, 1, 0))
+	h.NoteDelivery(0, del(b, 2, 0))
+	h.NoteDelivery(1, del(b, 2, 0))
+	h.NoteDelivery(1, del(a, 1, 0)) // opposite order at p1
 	found := false
-	for _, err := range h.Check(cfg) {
+	for _, err := range checkAll() {
 		if containsStr(err.Error(), "ordering") {
 			found = true
 		}
@@ -94,13 +97,13 @@ func TestOrderingDisagreementFlagged(t *testing.T) {
 }
 
 func TestGTSAgreementViolation(t *testing.T) {
-	h, _, cfg := base(t)
+	h, checkAll := base(nil)
 	a := msg(1, 0, 1)
-	h.AddSubmit(100, a)
-	h.AddDelivery(0, del(a, 5, 0))
-	h.AddDelivery(1, del(a, 6, 0)) // disagreeing GTS (Invariant 3b)
+	h.NoteSubmit(100, a)
+	h.NoteDelivery(0, del(a, 5, 0))
+	h.NoteDelivery(1, del(a, 6, 0)) // disagreeing GTS (Invariant 3b)
 	found := false
-	for _, err := range h.Check(cfg) {
+	for _, err := range checkAll() {
 		if containsStr(err.Error(), "3b") {
 			found = true
 		}
@@ -111,13 +114,13 @@ func TestGTSAgreementViolation(t *testing.T) {
 }
 
 func TestGTSUniquenessAndMonotonicityViolations(t *testing.T) {
-	h, _, cfg := base(t)
+	h, checkAll := base(nil)
 	a, b := msg(1, 1), msg(2, 1)
-	h.AddSubmit(100, a)
-	h.AddSubmit(100, b)
-	h.AddDelivery(1, del(a, 6, 0))
-	h.AddDelivery(1, del(b, 6, 0)) // same GTS (Invariant 4) + non-increasing
-	errs := h.Check(cfg)
+	h.NoteSubmit(100, a)
+	h.NoteSubmit(100, b)
+	h.NoteDelivery(1, del(a, 6, 0))
+	h.NoteDelivery(1, del(b, 6, 0)) // same GTS (Invariant 4) + non-increasing
+	errs := checkAll()
 	var hasUnique, hasMonotone bool
 	for _, err := range errs {
 		s := err.Error()
@@ -134,12 +137,12 @@ func TestGTSUniquenessAndMonotonicityViolations(t *testing.T) {
 }
 
 func TestTerminationViolation(t *testing.T) {
-	h, _, cfg := base(t)
+	h, checkAll := base(nil)
 	a := msg(1, 0, 1)
-	h.AddSubmit(100, a)
-	h.AddDelivery(0, del(a, 1, 0)) // p1 (group 1) never delivers
+	h.NoteSubmit(100, a)
+	h.NoteDelivery(0, del(a, 1, 0)) // p1 (group 1) never delivers
 	found := false
-	for _, err := range h.Check(cfg) {
+	for _, err := range checkAll() {
 		if containsStr(err.Error(), "termination") {
 			found = true
 		}
@@ -150,22 +153,21 @@ func TestTerminationViolation(t *testing.T) {
 }
 
 func TestTerminationExcusesCrashed(t *testing.T) {
-	h, _, cfg := base(t)
-	cfg.Crashed = map[mcast.ProcessID]bool{1: true}
+	h, checkAll := base(nil)
 	a := msg(1, 0, 1)
-	h.AddSubmit(100, a)
-	h.AddDelivery(0, del(a, 1, 0))
-	if errs := h.Check(cfg); len(errs) != 0 {
+	h.NoteSubmit(100, a)
+	h.NoteDelivery(0, del(a, 1, 0))
+	if errs := checkAll(1); len(errs) != 0 {
 		t.Fatalf("crashed process's missing delivery flagged: %v", errs)
 	}
 }
 
 func TestTerminationRequiresCorrectClientMessages(t *testing.T) {
-	h, _, cfg := base(t)
+	h, checkAll := base(nil)
 	a := msg(1, 0)
-	h.AddSubmit(100, a) // correct client, never delivered anywhere
+	h.NoteSubmit(100, a) // correct client, never delivered anywhere
 	found := false
-	for _, err := range h.Check(cfg) {
+	for _, err := range checkAll() {
 		if containsStr(err.Error(), "termination") {
 			found = true
 		}
@@ -174,11 +176,9 @@ func TestTerminationRequiresCorrectClientMessages(t *testing.T) {
 		t.Fatal("undelivered message from correct client not flagged")
 	}
 	// If the client crashed, the undelivered message is excused.
-	h2 := check.NewHistory()
-	h2.AddSubmit(100, a)
-	cfg2 := cfg
-	cfg2.Crashed = map[mcast.ProcessID]bool{100: true}
-	if errs := h2.Check(cfg2); len(errs) != 0 {
+	h2, checkAll2 := base(nil)
+	h2.NoteSubmit(100, a)
+	if errs := checkAll2(100); len(errs) != 0 {
 		t.Fatalf("crashed client's message flagged: %v", errs)
 	}
 }
@@ -213,16 +213,15 @@ func firstByteConflict(a, b mcast.AppMsg) bool {
 // of stamp order locally) is legal — neither Ordering nor the per-process
 // GTS check may flag it.
 func TestPartialOrderAllowsCommutingDisagreement(t *testing.T) {
-	h, _, cfg := base(t)
-	cfg.Conflicts = firstByteConflict
+	h, checkAll := base(firstByteConflict)
 	a, b := pmsg(1, "a-put", 0, 1), pmsg(2, "b-put", 0, 1)
-	h.AddSubmit(100, a)
-	h.AddSubmit(100, b)
-	h.AddDelivery(0, del(a, 1, 0))
-	h.AddDelivery(0, del(b, 2, 0))
-	h.AddDelivery(1, del(b, 2, 0)) // opposite order at p1: commuting, fine
-	h.AddDelivery(1, del(a, 1, 0))
-	if errs := h.Check(cfg); len(errs) != 0 {
+	h.NoteSubmit(100, a)
+	h.NoteSubmit(100, b)
+	h.NoteDelivery(0, del(a, 1, 0))
+	h.NoteDelivery(0, del(b, 2, 0))
+	h.NoteDelivery(1, del(b, 2, 0)) // opposite order at p1: commuting, fine
+	h.NoteDelivery(1, del(a, 1, 0))
+	if errs := checkAll(); len(errs) != 0 {
 		t.Fatalf("commuting disagreement flagged: %v", errs)
 	}
 }
@@ -231,17 +230,16 @@ func TestPartialOrderAllowsCommutingDisagreement(t *testing.T) {
 // payloads that conflict must be flagged by both the Ordering graph and the
 // per-process stamp check.
 func TestPartialOrderFlagsConflictingDisagreement(t *testing.T) {
-	h, _, cfg := base(t)
-	cfg.Conflicts = firstByteConflict
+	h, checkAll := base(firstByteConflict)
 	a, b := pmsg(1, "a-put", 0, 1), pmsg(2, "a-del", 0, 1)
-	h.AddSubmit(100, a)
-	h.AddSubmit(100, b)
-	h.AddDelivery(0, del(a, 1, 0))
-	h.AddDelivery(0, del(b, 2, 0))
-	h.AddDelivery(1, del(b, 2, 0))
-	h.AddDelivery(1, del(a, 1, 0))
+	h.NoteSubmit(100, a)
+	h.NoteSubmit(100, b)
+	h.NoteDelivery(0, del(a, 1, 0))
+	h.NoteDelivery(0, del(b, 2, 0))
+	h.NoteDelivery(1, del(b, 2, 0))
+	h.NoteDelivery(1, del(a, 1, 0))
 	var hasOrdering, hasStamp bool
-	for _, err := range h.Check(cfg) {
+	for _, err := range checkAll() {
 		if containsStr(err.Error(), "ordering") {
 			hasOrdering = true
 		}
@@ -257,16 +255,15 @@ func TestPartialOrderFlagsConflictingDisagreement(t *testing.T) {
 // TestPartialOrderKeepsStampInvariants: stamp agreement and uniqueness are
 // unchanged by the relaxation.
 func TestPartialOrderKeepsStampInvariants(t *testing.T) {
-	h, _, cfg := base(t)
-	cfg.Conflicts = firstByteConflict
+	h, checkAll := base(firstByteConflict)
 	a, b := pmsg(1, "a", 0, 1), pmsg(2, "b", 0, 1)
-	h.AddSubmit(100, a)
-	h.AddSubmit(100, b)
-	h.AddDelivery(0, del(a, 5, 0))
-	h.AddDelivery(1, del(a, 6, 0)) // Invariant 3b
-	h.AddDelivery(0, del(b, 5, 0)) // Invariant 4 (same stamp as a at p0)
+	h.NoteSubmit(100, a)
+	h.NoteSubmit(100, b)
+	h.NoteDelivery(0, del(a, 5, 0))
+	h.NoteDelivery(1, del(a, 6, 0)) // Invariant 3b
+	h.NoteDelivery(0, del(b, 5, 0)) // Invariant 4 (same stamp as a at p0)
 	var has3b, has4 bool
-	for _, err := range h.Check(cfg) {
+	for _, err := range checkAll() {
 		if containsStr(err.Error(), "3b") {
 			has3b = true
 		}
@@ -279,10 +276,11 @@ func TestPartialOrderKeepsStampInvariants(t *testing.T) {
 	}
 }
 
-// orderingErrs runs the full check and keeps the Ordering violations.
-func orderingErrs(h *check.History, cfg check.Config) []string {
+// orderingErrs runs the check without Termination and keeps the Ordering
+// violations.
+func orderingErrs(h *check.Monitor) []string {
 	var out []string
-	for _, err := range h.Check(cfg) {
+	for _, err := range h.Check(nil, nil) {
 		if strings.HasPrefix(err.Error(), "ordering:") {
 			out = append(out, err.Error())
 		}
@@ -295,16 +293,16 @@ func orderingErrs(h *check.History, cfg check.Config) []string {
 // order. Only the cycle search sees it.
 func TestOrderingCycleWithoutPairwiseDisagreement(t *testing.T) {
 	top := mcast.UniformTopology(1, 3)
-	h := check.NewHistory()
+	h := check.NewMonitor(top.GroupOf, nil)
 	a, b, c := msg(1, 0), msg(2, 0), msg(3, 0)
 	for _, m := range []mcast.AppMsg{a, b, c} {
-		h.AddSubmit(100, m)
+		h.NoteSubmit(100, m)
 	}
 	for p, pair := range [][2]mcast.AppMsg{{a, b}, {b, c}, {c, a}} {
-		h.AddDelivery(mcast.ProcessID(p), del(pair[0], 1, 0))
-		h.AddDelivery(mcast.ProcessID(p), del(pair[1], 2, 0))
+		h.NoteDelivery(mcast.ProcessID(p), del(pair[0], 1, 0))
+		h.NoteDelivery(mcast.ProcessID(p), del(pair[1], 2, 0))
 	}
-	errs := orderingErrs(h, check.Config{Topology: top})
+	errs := orderingErrs(h)
 	want := "ordering: delivery precedence graph has a cycle (3 of 3 messages in cycles)"
 	if len(errs) != 1 || errs[0] != want {
 		t.Fatalf("ordering errors = %q, want [%q]", errs, want)
@@ -422,20 +420,20 @@ func TestOrderingMatchesAllPairs(t *testing.T) {
 		for g := range all {
 			all[g] = mcast.GroupID(g)
 		}
-		h := check.NewHistory()
+		h := check.NewMonitor(top.GroupOf, nil)
 		submitted := make(map[mcast.MsgID]bool)
 		for p, ds := range seqs {
 			for _, id := range ds {
 				m := mcast.AppMsg{ID: id, Dest: mcast.NewGroupSet(all...)}
 				if !submitted[id] {
 					submitted[id] = true
-					h.AddSubmit(100, m)
+					h.NoteSubmit(100, m)
 				}
-				h.AddDelivery(mcast.ProcessID(p), mcast.Delivery{Msg: m})
+				h.NoteDelivery(mcast.ProcessID(p), mcast.Delivery{Msg: m})
 			}
 		}
 		inCycles, n, pairwise := allPairsOrdering(seqs)
-		errs := orderingErrs(h, check.Config{Topology: top})
+		errs := orderingErrs(h)
 		switch {
 		case inCycles == 0:
 			acyclic++
@@ -463,36 +461,76 @@ func TestOrderingMatchesAllPairs(t *testing.T) {
 	}
 }
 
-// BenchmarkHistoryCheck is the end-of-run check of a 3×3 cluster's clean
-// total-order history, at about 10³, 10⁴ and 10⁵ deliveries per process:
-// random 1–2-group destinations, projected in one global order.
+// TestCheckReportsACrashedMembersGap: a member that delivers m1 and m3
+// while its peers deliver m1, m2 and m3 at increasing stamps breaks
+// gap-freedom, even when it crashed before the end of the run.
+func TestCheckReportsACrashedMembersGap(t *testing.T) {
+	top := mcast.UniformTopology(1, 3)
+	h := check.NewMonitor(top.GroupOf, nil)
+	ms := []mcast.AppMsg{msg(1, 0), msg(2, 0), msg(3, 0)}
+	for _, m := range ms {
+		h.NoteSubmit(100, m)
+	}
+	for p := mcast.ProcessID(0); p < 3; p++ {
+		for i, m := range ms {
+			if p != 2 || i != 1 {
+				h.NoteDelivery(p, del(m, uint64(i+1), 0))
+			}
+		}
+	}
+	errs := h.Check(top.Members, map[mcast.ProcessID]bool{2: true})
+	if len(errs) != 1 || !strings.HasPrefix(errs[0].Error(), "gap: p2 delivered") {
+		t.Fatalf("violations = %v, want the gap at p2", errs)
+	}
+}
+
+// BenchmarkHistoryCheck records and checks a 3×3 cluster's clean history at
+// about 10³, 10⁴ and 10⁵ deliveries per process (random 1–2-group
+// destinations, projected in one global order), and at 10³ under a
+// conflict relation that orders one pair in 16: every delivery through
+// NoteSubmit and NoteDelivery, then Check with Termination.
 func BenchmarkHistoryCheck(b *testing.B) {
-	for _, perProc := range []int{1e3, 1e4, 1e5} {
-		b.Run(fmt.Sprintf("deliveries=%d", perProc), func(b *testing.B) {
+	type size struct {
+		perProc   int
+		conflicts bool
+	}
+	for _, sz := range []size{{1e3, false}, {1e4, false}, {1e5, false}, {1e3, true}} {
+		name := fmt.Sprintf("deliveries=%d", sz.perProc)
+		var conflicts func(a, b mcast.AppMsg) bool
+		if sz.conflicts {
+			name = "conflicts/" + name
+			conflicts = firstByteConflict
+		}
+		b.Run(name, func(b *testing.B) {
 			top := mcast.UniformTopology(3, 3)
 			rng := rand.New(rand.NewSource(1))
-			h := check.NewHistory()
-			for seq := 1; seq <= 2*perProc; seq++ { // half the messages reach a group
+			ms := make([]mcast.AppMsg, 2*sz.perProc) // half the messages reach a group
+			for i := range ms {
 				gs := rng.Perm(3)[:1+rng.Intn(2)]
 				dest := make([]mcast.GroupID, len(gs))
-				for i, g := range gs {
-					dest[i] = mcast.GroupID(g)
+				for j, g := range gs {
+					dest[j] = mcast.GroupID(g)
 				}
-				m := mcast.AppMsg{ID: mcast.MakeMsgID(100, uint32(seq)), Dest: mcast.NewGroupSet(dest...)}
-				h.AddSubmit(100, m)
-				for _, g := range m.Dest {
-					for _, p := range top.Members(g) {
-						h.AddDelivery(p, mcast.Delivery{Msg: m, GTS: mcast.Timestamp{Time: uint64(seq)}})
+				ms[i] = pmsg(uint32(i+1), string(rune('a'+rng.Intn(16))), dest...)
+			}
+			run := func() []error {
+				h := check.NewMonitor(top.GroupOf, conflicts)
+				for i, m := range ms {
+					h.NoteSubmit(100, m)
+					for _, g := range m.Dest {
+						for _, p := range top.Members(g) {
+							h.NoteDelivery(p, del(m, uint64(i+1), 0))
+						}
 					}
 				}
+				return h.Check(top.Members, nil)
 			}
-			cfg := check.Config{Topology: top, AtQuiescence: true, CheckGTS: true}
-			if errs := h.Check(cfg); len(errs) > 0 {
+			if errs := run(); len(errs) > 0 {
 				b.Fatalf("a clean history fails the check: %v", errs[0])
 			}
 			b.ReportAllocs()
 			for b.Loop() {
-				h.Check(cfg)
+				run()
 			}
 		})
 	}

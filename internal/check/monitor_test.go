@@ -9,7 +9,7 @@ import (
 
 func monitorFixture() (*Monitor, []mcast.AppMsg) {
 	top := mcast.UniformTopology(2, 3)
-	mo := NewMonitor(top)
+	mo := NewMonitor(top.GroupOf, nil)
 	msgs := make([]mcast.AppMsg, 3)
 	for i := range msgs {
 		msgs[i] = mcast.AppMsg{ID: mcast.MakeMsgID(9, uint32(i+1)), Dest: mcast.NewGroupSet(0, 1)}
@@ -81,14 +81,14 @@ func TestMonitorCatchesStampReuse(t *testing.T) {
 
 func TestMonitorCatchesUnsubmittedAndMisaddressed(t *testing.T) {
 	top := mcast.UniformTopology(2, 3)
-	mo := NewMonitor(top)
+	mo := NewMonitor(top.GroupOf, nil)
 	ghost := mcast.AppMsg{ID: mcast.MakeMsgID(9, 99), Dest: mcast.NewGroupSet(0)}
 	mo.NoteDelivery(0, del(ghost, 1))
 	if e := firstErr(mo); !strings.Contains(e, "validity") {
 		t.Fatalf("unsubmitted delivery not flagged: %q", e)
 	}
 
-	mo2 := NewMonitor(top)
+	mo2 := NewMonitor(top.GroupOf, nil)
 	only0 := mcast.AppMsg{ID: mcast.MakeMsgID(9, 1), Dest: mcast.NewGroupSet(0)}
 	mo2.NoteSubmit(9, only0)
 	mo2.NoteDelivery(3, del(only0, 1)) // p3 is in group 1, not addressed
@@ -105,7 +105,7 @@ func partialFixture() (*Monitor, mcast.AppMsg, mcast.AppMsg, mcast.AppMsg) {
 	conflicts := func(x, y mcast.AppMsg) bool {
 		return len(x.Payload) > 0 && len(y.Payload) > 0 && x.Payload[0] == y.Payload[0]
 	}
-	mo := NewPartialMonitor(top, conflicts)
+	mo := NewMonitor(top.GroupOf, conflicts)
 	mk := func(seq uint32, payload string) mcast.AppMsg {
 		m := mcast.AppMsg{ID: mcast.MakeMsgID(9, seq), Dest: mcast.NewGroupSet(0, 1), Payload: []byte(payload)}
 		mo.NoteSubmit(9, m)
@@ -187,11 +187,12 @@ func TestPartialMonitorKeepsStampInvariants(t *testing.T) {
 	}
 }
 
-// TestPartialMonitorNilRelationOrdersEverything: a nil relation must mean
-// all-conflict — any out-of-stamp-order pair is an inversion.
+// TestPartialMonitorNilRelationOrdersEverything: a conflict holder without
+// a relation (the harness's genmcast adapter before one is installed) must
+// mean all-conflict — any out-of-stamp-order pair is an inversion.
 func TestPartialMonitorNilRelationOrdersEverything(t *testing.T) {
 	top := mcast.UniformTopology(2, 3)
-	mo := NewPartialMonitor(top, nil)
+	mo := NewMonitor(top.GroupOf, new(mcast.ConflictHolder).Conflicts)
 	m1 := mcast.AppMsg{ID: mcast.MakeMsgID(9, 1), Dest: mcast.NewGroupSet(0), Payload: []byte("x")}
 	m2 := mcast.AppMsg{ID: mcast.MakeMsgID(9, 2), Dest: mcast.NewGroupSet(0), Payload: []byte("y")}
 	mo.NoteSubmit(9, m1)

@@ -16,7 +16,7 @@
 // process's wal.Storage when one is configured, a long pause otherwise),
 // symmetric and asymmetric network partitions with heal events,
 // per-link probabilistic message drop/duplicate/delay/reorder, and
-// clock-skewed timers. The invariant monitor (internal/check.Monitor)
+// clock-skewed timers. The safety checker (internal/check.Monitor)
 // verifies that the protocols' safety properties survive all of them.
 package faults
 

@@ -331,7 +331,7 @@ func TestChaosLongRun(t *testing.T) {
 	if c.Sim.TotalDropped() == 0 {
 		t.Error("the lossy link dropped nothing")
 	}
-	t.Logf("%d deliveries, %d transmissions, %d dropped", c.CollectHistory().NumDeliveries(), c.Sim.TotalSent(), c.Sim.TotalDropped())
+	t.Logf("%d deliveries, %d transmissions, %d dropped", c.CollectHistory(), c.Sim.TotalSent(), c.Sim.TotalDropped())
 }
 
 // TestChaosLeaderPartitionReplicaRestart is the named scenario of the

@@ -1,8 +1,9 @@
 // Package harness wires protocol replicas, clients, the simulator and the
-// correctness checker into ready-made clusters for integration tests and
-// latency experiments. Every protocol package exposes an adapter satisfying
-// Protocol, so the same random workloads, fault schedules and checks run
-// against Skeen's protocol, FT-Skeen, FastCast and the white-box protocol.
+// safety checker (check.Monitor) into ready-made clusters for integration
+// tests and latency experiments. Every protocol package exposes an adapter
+// satisfying Protocol, so the same random workloads, fault schedules and
+// checks run against Skeen's protocol, FT-Skeen, FastCast and the white-box
+// protocol.
 package harness
 
 import (
@@ -56,12 +57,11 @@ type StorageProtocol interface {
 // ConflictProtocol is the optional conflict-aware extension of Protocol:
 // an adapter that returns a non-nil holder (core.Protocol with Generic set)
 // delivers under the partial-order contract of generic multicast — only
-// conflicting deliveries are mutually ordered. NewCluster switches the
-// continuous monitor to partial-order mode over the holder's relation, and
-// Check verifies the relaxed Ordering and per-process stamp checks against
-// it. A holder without a relation means every pair conflicts (the strict
-// contract still relaxed of the per-group gap check, since re-released
-// slots make the delivery *sequences* diverge harmlessly).
+// conflicting deliveries are mutually ordered. NewCluster builds the
+// monitor in partial-order mode over the holder's relation. A holder
+// without a relation means every pair conflicts (the strict contract still
+// relaxed of the per-group gap check, since re-released slots make the
+// delivery *sequences* diverge harmlessly).
 type ConflictProtocol interface {
 	Conflicts() *mcast.ConflictHolder
 }
@@ -132,23 +132,18 @@ type Cluster struct {
 	// Tracer records message-lifecycle and fault events, non-nil when
 	// Options.TraceSample was set. Render with obs.FormatTimeline.
 	Tracer *obs.Tracer
-	// Monitor checks every delivery continuously (poured by RunChecked and
-	// CollectHistory).
+	// Monitor checks every delivery as it is poured in (by RunChecked and
+	// CollectHistory) and the whole run at Check.
 	Monitor *check.Monitor
 
-	hist *check.History
 	// applied is what the applications applied of the deliveries the
 	// replicas released, kept only with Options.AppHorizon; without it the
 	// checks and logs read the simulator's log (see log).
 	applied    []sim.DeliveryRecord
 	appHorizon bool
-	collected  int // prefix of log already poured into hist
-	monitored  int // prefix already poured into Monitor
+	monitored  int // prefix of log already poured into Monitor
 	nextSeq    uint32
 	crashed    map[mcast.ProcessID]bool
-	// conflicts is the partial-order conflict relation of a
-	// ConflictProtocol run; nil for the total-order protocols.
-	conflicts func(a, b mcast.AppMsg) bool
 	// onComplete is the callback OnComplete registers, called when a
 	// client's multicast completes; nil until then.
 	onComplete func(id mcast.MsgID)
@@ -172,15 +167,14 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		Proto:      p,
 		Top:        top,
 		Replicas:   make(map[mcast.ProcessID]node.Handler),
-		hist:       check.NewHistory(),
 		crashed:    make(map[mcast.ProcessID]bool),
 		appHorizon: opts.AppHorizon,
 	}
-	c.Monitor = check.NewMonitor(top)
+	var conflicts func(a, b mcast.AppMsg) bool
 	if cp, ok := p.(ConflictProtocol); ok && cp.Conflicts() != nil {
-		c.conflicts = cp.Conflicts().Conflicts
-		c.Monitor = check.NewPartialMonitor(top, c.conflicts)
+		conflicts = cp.Conflicts().Conflicts
 	}
+	c.Monitor = check.NewMonitor(top.GroupOf, conflicts)
 	// The trace clock is virtual time; the closure reads c.Sim, assigned
 	// below, before any handler runs.
 	var clock obs.Clock
@@ -357,7 +351,6 @@ func (c *Cluster) message(idx int, dest mcast.GroupSet, payload []byte) mcast.Ap
 	cl := c.Clients[idx].ID()
 	c.nextSeq++
 	m := mcast.AppMsg{ID: mcast.MakeMsgID(cl, c.nextSeq), Dest: dest, Payload: payload}
-	c.hist.AddSubmit(cl, m)
 	c.Monitor.NoteSubmit(cl, m)
 	return m
 }
@@ -397,27 +390,16 @@ func (c *Cluster) RandomWorkload(rng *rand.Rand, n int, maxDest int, window time
 	return ids
 }
 
-// CollectHistory pours the simulator's delivery records into the checker
-// history and the continuous monitor. It is idempotent: repeated calls
-// only append new records.
-func (c *Cluster) CollectHistory() *check.History {
+// CollectHistory pours the delivery records not yet seen into the
+// Monitor and returns how many it has seen in all. Repeated calls only
+// pour new records.
+func (c *Cluster) CollectHistory() int {
 	ds := c.log()
 	for _, d := range ds[c.monitored:] {
 		c.Monitor.NoteDelivery(d.Proc, d.D)
 	}
 	c.monitored = len(ds)
-	return c.history()
-}
-
-// history pours the records into the checker history alone: Check reads
-// nothing of the Monitor, so a run that only ends in Check never feeds it.
-func (c *Cluster) history() *check.History {
-	ds := c.log()
-	for _, d := range ds[c.collected:] {
-		c.hist.AddDelivery(d.Proc, d.D)
-	}
-	c.collected = len(ds)
-	return c.hist
+	return c.monitored
 }
 
 // log is what the checks and logs run on: every delivery the replicas
@@ -431,11 +413,10 @@ func (c *Cluster) log() []sim.DeliveryRecord {
 }
 
 // RunChecked advances virtual time to until in slices of step, pouring
-// every new delivery into the continuous invariant monitor (and the
-// history, CollectHistory) after each slice. It stops early and returns
-// the violations as soon as any invariant breaks, so a chaos failure is
-// pinned near the virtual time it occurred; nil means the run reached
-// until with every check green.
+// every new delivery into the Monitor (CollectHistory) after each slice.
+// It stops early and returns the violations as soon as any invariant
+// breaks, so a chaos failure is pinned near the virtual time it occurred;
+// nil means the run reached until with every check green.
 func (c *Cluster) RunChecked(until, step time.Duration) []error {
 	if step <= 0 {
 		step = 10 * time.Millisecond
@@ -472,17 +453,17 @@ func (c *Cluster) TraceLog() []byte {
 	return []byte(obs.FormatTimeline(c.Tracer.Events()))
 }
 
-// Check runs the full correctness check (with GTS checks on) and the
-// genuineness audit, returning all violations.
+// Check pours the deliveries not yet seen into the Monitor and returns
+// every violation of the run: the Monitor's (with Termination when
+// atQuiescence; processes crashed now are exempt) and the genuineness
+// audit's.
 func (c *Cluster) Check(atQuiescence bool) []error {
-	errs := c.history().Check(check.Config{
-		Topology:     c.Top,
-		Crashed:      c.crashed,
-		AtQuiescence: atQuiescence,
-		CheckGTS:     true,
-		Conflicts:    c.conflicts,
-	})
-	return append(errs, c.Sim.AuditGenuineness(c.Top)...)
+	c.CollectHistory()
+	var members func(mcast.GroupID) []mcast.ProcessID
+	if atQuiescence {
+		members = c.Top.Members
+	}
+	return append(c.Monitor.Check(members, c.crashed), c.Sim.AuditGenuineness(c.Top)...)
 }
 
 // DeliveryLatency returns, for message id, the latency from its submission

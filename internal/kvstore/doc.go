@@ -1,7 +1,8 @@
 // Package kvstore implements the replicated key-value state machine behind
 // the public kv package: the operation codec, the deterministic per-shard
 // Engine that consumes atomic-multicast deliveries, and the history checker
-// the chaos tests use to validate cross-shard atomicity. Ops, applied
+// the chaos tests use (Check: each replica's applied log through
+// check.Monitor, then digest equality and cross-shard atomicity). Ops, applied
 // records and app snapshots are written and read through internal/wire's
 // Writer and Reader.
 //

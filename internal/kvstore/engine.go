@@ -59,8 +59,8 @@ type OpResult struct {
 }
 
 // Applied records one delivery applied by an engine, in the order applied.
-// The checker consumes these to validate the shard histories; Payload lets
-// the partial-order checker evaluate the conflict relation between entries.
+// Check consumes these to validate the shard histories; Payload lets its
+// partial-order mode evaluate the conflict relation between entries.
 type Applied struct {
 	ID      mcast.MsgID
 	GTS     mcast.Timestamp

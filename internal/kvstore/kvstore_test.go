@@ -606,36 +606,37 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		{PID: 1, Group: 0, Log: []Applied{ap(1, 1, 0), ap(3, 3, 0, 1)}},
 		{PID: 2, Group: 1, Log: []Applied{ap(2, 2, 1), ap(3, 3, 0, 1)}},
 	}
-	if err := Check(ok, true); err != nil {
+	if err := Check(ok, true, nil); err != nil {
 		t.Fatalf("valid histories rejected: %v", err)
 	}
 
+	// Each case names the class of violation it must be reported as.
 	cases := map[string][]History{
-		"order violation": {
+		"gts: p0 delivered m(1.1) with (GTS,sub) ((1,g0),0) not above previous": {
 			{PID: 0, Group: 0, Log: []Applied{ap(3, 3, 0), ap(1, 1, 0)}},
 		},
-		"double apply": {
+		"integrity: p0 delivered m(1.1) twice": {
 			{PID: 0, Group: 0, Log: []Applied{ap(1, 1, 0), ap(1, 1, 0)}},
 		},
-		"stamp disagreement": {
+		"(Invariant 3b)": {
 			{PID: 0, Group: 0, Log: []Applied{ap(3, 3, 0, 1)}},
 			{PID: 2, Group: 1, Log: []Applied{ap(3, 4, 0, 1)}},
 		},
-		"prefix divergence": {
+		"gap: p1 delivered m(1.4) at group position 1": {
 			{PID: 0, Group: 0, Log: []Applied{ap(1, 1, 0), ap(2, 2, 0)}},
 			{PID: 1, Group: 0, Log: []Applied{ap(1, 1, 0), ap(4, 4, 0)}},
 		},
-		"misrouted": {
+		"validity: p0 (group 0) delivered m(1.1) addressed to": {
 			{PID: 0, Group: 0, Log: []Applied{ap(1, 1, 1)}},
 		},
-		"digest divergence": {
+		"replicas 0 and 1 applied the same log but digests differ": {
 			{PID: 0, Group: 0, Log: []Applied{ap(1, 1, 0)}, Digest: 7},
 			{PID: 1, Group: 0, Log: []Applied{ap(1, 1, 0)}, Digest: 8},
 		},
 	}
-	for name, hs := range cases {
-		if err := Check(hs, false); err == nil {
-			t.Errorf("%s: accepted", name)
+	for want, hs := range cases {
+		if err := Check(hs, false, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v, want %q", err, want)
 		}
 	}
 
@@ -645,16 +646,17 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		{PID: 0, Group: 0, Log: []Applied{ap(3, 3, 0, 1)}},
 		{PID: 2, Group: 1, Log: nil},
 	}
-	if err := Check(partial, false); err != nil {
+	if err := Check(partial, false, nil); err != nil {
 		t.Fatalf("in-flight txn flagged by incomplete check: %v", err)
 	}
-	if err := Check(partial, true); err == nil {
+	if err := Check(partial, true, nil); err == nil {
 		t.Error("non-atomic txn accepted by complete check")
 	}
 }
 
-// TestCheckerReportsTheSameViolation: with a divergence in every shard, both
-// checkers name the lowest shard, on every run.
+// TestCheckerReportsTheSameViolation: with a divergence in every shard, the
+// checker names the lowest shard on every run, of an ordered engine and of
+// an unordered one.
 func TestCheckerReportsTheSameViolation(t *testing.T) {
 	ap := func(id uint32, time uint64, g mcast.GroupID) Applied {
 		return Applied{ID: mcast.MakeMsgID(1, id), GTS: mcast.Timestamp{Time: time}, Dest: mcast.NewGroupSet(g)}
@@ -673,8 +675,8 @@ func TestCheckerReportsTheSameViolation(t *testing.T) {
 		check func() error
 		want  string
 	}{
-		{"Check", func() error { return Check(hs, false) }, "kvstore: shard 0: replicas 0 and 1 diverge at 1"},
-		{"CheckPartial", func() error { return CheckPartial(hs, false, nil) }, "kvstore: shard 0: replicas 0 and 1 applied the same set but digests differ"},
+		{"ordered", func() error { return Check(hs, false, nil) }, "kvstore: shard 0: gap: p1 delivered m(1.3) at group position 1 where m(1.2)"},
+		{"unordered", func() error { return Check(hs, false, Conflicts) }, "kvstore: shard 0: replicas 0 and 1 applied the same set but digests differ"},
 	} {
 		for run := 0; run < 10; run++ {
 			if err := c.check(); err == nil || !strings.HasPrefix(err.Error(), c.want) {

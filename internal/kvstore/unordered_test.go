@@ -97,7 +97,7 @@ func TestUnorderedSnapshotVersionMismatch(t *testing.T) {
 	}
 }
 
-// --- CheckPartial ---
+// --- Check of an unordered engine ---
 
 func papp(seq uint32, ts uint64, op Op, dest ...mcast.GroupID) Applied {
 	return Applied{
@@ -108,67 +108,67 @@ func papp(seq uint32, ts uint64, op Op, dest ...mcast.GroupID) Applied {
 	}
 }
 
-func TestCheckPartialAllowsCommutingInversion(t *testing.T) {
+func TestCheckUnorderedAllowsCommutingInversion(t *testing.T) {
 	getA := papp(1, 1, Op{Kind: OpGet, Key: []byte("a")}, 0)
 	getB := papp(2, 2, Op{Kind: OpGet, Key: []byte("b")}, 0)
 	hs := []History{
 		{PID: 0, Group: 0, Log: []Applied{getA, getB}, Digest: 42},
 		{PID: 1, Group: 0, Log: []Applied{getB, getA}, Digest: 42}, // inverted: commuting, fine
 	}
-	if err := CheckPartial(hs, true, Conflicts); err != nil {
+	if err := Check(hs, true, Conflicts); err != nil {
 		t.Fatalf("commuting inversion flagged: %v", err)
 	}
 	// The strict checker must reject the same histories: the relaxation is
 	// real, not a no-op.
-	if err := Check(hs, true); err == nil {
+	if err := Check(hs, true, nil); err == nil {
 		t.Fatal("strict checker accepted an out-of-order history")
 	}
 }
 
-func TestCheckPartialFlagsConflictingInversion(t *testing.T) {
+func TestCheckUnorderedFlagsConflictingInversion(t *testing.T) {
 	put1 := papp(1, 1, Op{Kind: OpPut, Key: []byte("k"), Val: []byte("1")}, 0)
 	put2 := papp(2, 2, Op{Kind: OpPut, Key: []byte("k"), Val: []byte("2")}, 0)
 	hs := []History{
 		{PID: 0, Group: 0, Log: []Applied{put2, put1}}, // conflicting pair inverted
 	}
-	err := CheckPartial(hs, false, Conflicts)
+	err := Check(hs, false, Conflicts)
 	if err == nil || !strings.Contains(err.Error(), "stamp order inverted") {
 		t.Fatalf("conflicting inversion not flagged: %v", err)
 	}
 }
 
-func TestCheckPartialDigestOnEqualSets(t *testing.T) {
+func TestCheckUnorderedDigestOnEqualSets(t *testing.T) {
 	a := papp(1, 1, Op{Kind: OpGet, Key: []byte("a")}, 0)
 	b := papp(2, 2, Op{Kind: OpGet, Key: []byte("b")}, 0)
 	hs := []History{
 		{PID: 0, Group: 0, Log: []Applied{a, b}, Digest: 1},
 		{PID: 1, Group: 0, Log: []Applied{b, a}, Digest: 2}, // same set, different digest
 	}
-	err := CheckPartial(hs, false, Conflicts)
+	err := Check(hs, false, Conflicts)
 	if err == nil || !strings.Contains(err.Error(), "digests differ") {
 		t.Fatalf("digest divergence on equal sets not flagged: %v", err)
 	}
 }
 
-func TestCheckPartialAtomicity(t *testing.T) {
+func TestCheckUnorderedAtomicity(t *testing.T) {
 	multi := papp(1, 1, Op{Kind: OpTxn, Subs: []Op{{Kind: OpPut, Key: []byte("k"), Val: []byte("v")}}}, 0, 1)
 	hs := []History{
 		{PID: 0, Group: 0, Log: []Applied{multi}},
 		{PID: 1, Group: 1, Log: nil}, // shard 1 never applied the txn
 	}
-	err := CheckPartial(hs, true, Conflicts)
+	err := Check(hs, true, Conflicts)
 	if err == nil || !strings.Contains(err.Error(), "not atomic") {
 		t.Fatalf("missing multi-shard application not flagged: %v", err)
 	}
-	if err := CheckPartial(hs, false, Conflicts); err != nil {
+	if err := Check(hs, false, Conflicts); err != nil {
 		t.Fatalf("incomplete run flagged without complete: %v", err)
 	}
 }
 
-func TestCheckPartialKeepsExactlyOnceAndStamps(t *testing.T) {
+func TestCheckUnorderedKeepsExactlyOnceAndStamps(t *testing.T) {
 	a := papp(1, 1, Op{Kind: OpGet, Key: []byte("a")}, 0)
 	dup := []History{{PID: 0, Group: 0, Log: []Applied{a, a}}}
-	if err := CheckPartial(dup, false, Conflicts); err == nil || !strings.Contains(err.Error(), "twice") {
+	if err := Check(dup, false, Conflicts); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("duplicate application not flagged: %v", err)
 	}
 	b := a
@@ -177,7 +177,7 @@ func TestCheckPartialKeepsExactlyOnceAndStamps(t *testing.T) {
 		{PID: 0, Group: 0, Log: []Applied{a}},
 		{PID: 1, Group: 0, Log: []Applied{b}},
 	}
-	if err := CheckPartial(disagree, false, Conflicts); err == nil || !strings.Contains(err.Error(), "stamped") {
+	if err := Check(disagree, false, Conflicts); err == nil || !strings.Contains(err.Error(), "Invariant 3b") {
 		t.Fatalf("stamp disagreement not flagged: %v", err)
 	}
 }

@@ -181,9 +181,8 @@ func TestHighContention(t *testing.T) {
 	if errs := c.Check(true); len(errs) > 0 {
 		t.Fatalf("%d violations, first: %v", len(errs), errs[0])
 	}
-	h := c.CollectHistory()
-	if h.NumDeliveries() != 100 { // 50 messages × 2 groups
-		t.Errorf("deliveries = %d, want 100", h.NumDeliveries())
+	if n := c.CollectHistory(); n != 100 { // 50 messages × 2 groups
+		t.Errorf("deliveries = %d, want 100", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,6 +101,38 @@ func TestKVEndToEnd(t *testing.T) {
 
 	if err := svc.Verify(true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyNeedsRecordApplied: without RecordApplied the engines keep no
+// applied history, so Verify has nothing to check and must say so rather
+// than pass.
+func TestVerifyNeedsRecordApplied(t *testing.T) {
+	c, err := wbcast.New(wbcast.Config{Groups: 2, Replicas: 3, Transport: wbcast.InProcess()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := kv.NewService(c, kv.Options{})
+	if err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	defer func() { svc.Close(); c.Close() }()
+	cl, err := svc.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 20; i++ {
+		if err := cl.Put(ctx, []byte(fmt.Sprintf("key-%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, complete := range []bool{false, true} {
+		if err := svc.Verify(complete); err == nil || !strings.Contains(err.Error(), "RecordApplied") {
+			t.Errorf("Verify(%v) = %v, want an error naming RecordApplied", complete, err)
+		}
 	}
 }
 

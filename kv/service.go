@@ -58,7 +58,10 @@ type ShardOptions struct {
 	// app snapshot once the log has reached the snapshot's length. Without
 	// it the engine rebuilds from the protocol replay only.
 	Persist bool
-	// RecordApplied retains the applied history for Verify. Tests only.
+	// RecordApplied retains every applied operation for Verify and
+	// AppliedLog. The history grows with every operation and is never
+	// pruned, so set it only for runs that end in a Verify: tests,
+	// examples/kvstore and the benchmark's verify mode.
 	RecordApplied bool
 	// OnResult receives every applied operation's outcome (the Service
 	// wires this to its response hub).
@@ -188,16 +191,17 @@ type Options struct {
 // the clients it creates. Each multicast group of the cluster is one shard
 // of the keyspace.
 type Service struct {
-	cluster *wbcast.Cluster
-	shards  int
-	hub     *hub
-	reps    []*Shard
+	cluster       *wbcast.Cluster
+	shards        int
+	hub           *hub
+	reps          []*Shard
+	recordApplied bool
 }
 
 // NewService attaches shard engines to every replica of c. Create the
 // Service before submitting kv traffic, so no engine misses a delivery.
 func NewService(c *wbcast.Cluster, opts Options) (*Service, error) {
-	s := &Service{cluster: c, shards: c.NumGroups(), hub: newHub()}
+	s := &Service{cluster: c, shards: c.NumGroups(), hub: newHub(), recordApplied: opts.RecordApplied}
 	for _, r := range c.Replicas() {
 		sh, err := AttachShard(r, ShardOptions{
 			Shards:        s.shards,
@@ -244,23 +248,30 @@ func (s *Service) Err() error {
 }
 
 // Verify checks the shard histories against the service's correctness
-// contract — per-replica delivery order, one global stamp per operation,
-// intra-shard prefix consistency with matching digests, and (with
-// complete, once traffic has quiesced) multi-shard transaction atomicity.
-// Under the conflict-aware Genmcast protocol the per-replica order and
-// prefix checks relax to the partial-order contract: conflicting operations
-// stamp-ordered at every replica, digest equality on equal applied sets,
-// and atomicity against each shard's union of applied operations.
-// Requires Options.RecordApplied. The chaos harness calls this after every
-// seeded run.
+// contract (kvstore.Check): every replica's applied log passes the
+// multicast safety checker — one global stamp per operation, nothing
+// applied twice or at a shard it was not addressed to, strictly increasing
+// stamps per replica and gap-free shards — replicas that applied the same
+// log have equal digests, and (with complete, once traffic has quiesced)
+// multi-shard transactions are atomic. Under the conflict-aware Genmcast
+// protocol the order checks relax to the partial-order contract:
+// conflicting operations stamp-ordered at every replica, and equal digests
+// on equal applied sets. It fails when the service was built without
+// Options.RecordApplied, which keeps the logs it reads. The chaos harness
+// calls this after every seeded run.
 func (s *Service) Verify(complete bool) error {
 	if err := s.Err(); err != nil {
 		return err
 	}
-	partial := false
+	if !s.recordApplied {
+		return fmt.Errorf("kv: Verify needs Options.RecordApplied: the engines kept no applied history")
+	}
+	var conflicts func(a, b []byte) bool
 	hs := make([]kvstore.History, 0, len(s.reps))
 	for _, sh := range s.reps {
-		partial = partial || sh.unordered
+		if sh.unordered {
+			conflicts = Conflicts
+		}
 		hs = append(hs, kvstore.History{
 			PID:    sh.pid,
 			Group:  sh.group,
@@ -268,10 +279,7 @@ func (s *Service) Verify(complete bool) error {
 			Digest: sh.Digest(),
 		})
 	}
-	if partial {
-		return kvstore.CheckPartial(hs, complete, Conflicts)
-	}
-	return kvstore.Check(hs, complete)
+	return kvstore.Check(hs, complete, conflicts)
 }
 
 // MetricsSource bundles every shard engine's kv_* metrics for

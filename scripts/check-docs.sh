@@ -19,7 +19,8 @@
 #     `{Trace,Delivery}Buffer`, the range partitioner, the inbound frames'
 #     reference counting, the record-list clone, the goroutine runtime
 #     the in-memory tcpnet node replaced, the subscription drop policies,
-#     the observability off switch and the separate client command).
+#     the observability off switch, the separate client command and the
+#     history checkers check.Monitor replaced).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -142,10 +143,13 @@ done
 # reused; the separate in-process runtime when InProcess began to host
 # in-memory tcpnet nodes; the drop policies and the Observability struct when
 # every subscription became lossless and metrics always on; the client
-# command when wbcast-node began to host a client in a client slot.
+# command when wbcast-node began to host a client in a client slot; the
+# end-of-run history, its GTS switch and the kv partial-order checker when
+# check.Monitor became the one history checker.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
-  Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client; do
+  Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
+  check''.History Check''GTS Check''Partial; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1
