@@ -24,9 +24,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
-	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
 	"wbcast/internal/faults"
 	"wbcast/internal/harness"
@@ -34,6 +34,7 @@ import (
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
+	"wbcast/internal/protocols"
 	"wbcast/internal/sim"
 )
 
@@ -75,7 +76,13 @@ func printTrace(c *harness.Cluster) {
 func main() {
 	scenario := flag.String("scenario", "failover", "failover, clock-decrease or convoy")
 	chaosMode := flag.Bool("chaos", false, "run the seeded chaos scenario (overrides -scenario)")
-	protocol := flag.String("protocol", "wbcast", "chaos protocol: wbcast, fastcast, ftskeen or genmcast")
+	var tolerant []string
+	for _, p := range protocols.All {
+		if p.FaultTolerant {
+			tolerant = append(tolerant, p.Name())
+		}
+	}
+	protocol := flag.String("protocol", "wbcast", "chaos protocol: "+strings.Join(tolerant, ", "))
 	seed := flag.Int64("seed", 1, "chaos schedule seed")
 	workload := flag.Int("msgs", 30, "chaos workload size")
 	flag.BoolVar(&traceOn, "trace", false, "record every message's lifecycle and print per-message stage timelines")
@@ -206,19 +213,17 @@ func convoy() error {
 // clock run throughout, and every delivery passes the continuous invariant
 // monitor. The same seed replays the identical schedule.
 func chaos(protocol string, seed int64, n int) error {
-	// The timers a deployment derives from δ (wbcast.New's rule).
-	dc := core.DefaultConfig(0, nil, delta)
-	wb := core.Protocol{RetryInterval: dc.RetryInterval, HeartbeatInterval: dc.HeartbeatInterval, SuspectTimeout: dc.SuspectTimeout, GCInterval: dc.GCInterval}
-	bb := blackbox.Options{RetryInterval: dc.RetryInterval, HeartbeatInterval: dc.HeartbeatInterval, SuspectTimeout: dc.SuspectTimeout}
-	// genmcast: conflict-aware delivery under a 4-class payload relation
-	// (it ignores GCInterval); the harness swaps in the partial-order
-	// monitor automatically.
-	gen := wb
-	gen.Generic = core.Relation(core.PayloadClasses(4))
-	proto, ok := map[string]harness.Protocol{"wbcast": wb, "fastcast": blackbox.FastCast(bb), "ftskeen": blackbox.FTSkeen(bb), "genmcast": gen}[protocol]
-	if !ok {
-		return fmt.Errorf("unknown protocol %q (want wbcast, fastcast, ftskeen or genmcast)", protocol)
+	p, err := protocols.ByName(protocol)
+	if err != nil {
+		return err
 	}
+	if !p.FaultTolerant {
+		return fmt.Errorf("the chaos schedule crashes and partitions processes, which %s does not tolerate: it assumes reliable processes", protocol)
+	}
+	// The timers a deployment derives from δ; a conflict-aware protocol
+	// orders under a 4-class payload relation, checked by the
+	// partial-order monitor.
+	proto := p.With(protocols.Options{Delta: delta, Conflicts: core.Relation(core.PayloadClasses(4))})
 	fmt.Printf("scenario: chaos, protocol=%s seed=%d msgs=%d (δ = 10ms, 2 groups × 3 replicas)\n", protocol, seed, n)
 
 	rng := rand.New(rand.NewSource(seed))
@@ -262,7 +267,7 @@ func chaos(protocol string, seed int64, n int) error {
 		}
 		return fmt.Errorf("%d invariant violation(s); replay with -chaos -protocol %s -seed %d", len(errs), protocol, seed)
 	}
-	if protocol == "genmcast" {
+	if p.ConflictAware {
 		fmt.Println("         invariants: PASS (partial order over conflicts, exactly-once, genuineness, termination)")
 	} else {
 		fmt.Println("         invariants: PASS (total order, gap-freedom, exactly-once, genuineness, termination)")

@@ -6,6 +6,12 @@ import (
 	"time"
 
 	"wbcast"
+	"wbcast/internal/core"
+	"wbcast/internal/mcast"
+	"wbcast/internal/msgs"
+	"wbcast/internal/node"
+	"wbcast/internal/protocols"
+	"wbcast/internal/wal"
 )
 
 // allProtocols enumerates every defined Protocol value by walking from the
@@ -57,6 +63,77 @@ func TestParseProtocol(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "unknown protocol") {
 			t.Errorf("ParseProtocol(%q) error %q lacks context", bad, err)
 		}
+	}
+}
+
+// TestProtocolTable holds the internal protocol table, which every replica
+// is built from, to the public surface: the same names in the enum's order,
+// the timers core.DefaultConfig derives from δ, a durable replica from a
+// cold store for every fault-tolerant protocol, and Skeen's singleton rule
+// with the message Validate has always given.
+func TestProtocolTable(t *testing.T) {
+	ps := allProtocols(t)
+	if len(ps) != len(protocols.All) {
+		t.Fatalf("%d public protocols, %d table entries", len(ps), len(protocols.All))
+	}
+	for i, e := range protocols.All {
+		if p, err := wbcast.ParseProtocol(e.Name()); err != nil || p != ps[i] {
+			t.Errorf("table entry %d %q parses to %v, %v; want %v", i, e.Name(), p, err, ps[i])
+		}
+	}
+
+	const delta = time.Millisecond
+	dc := core.DefaultConfig(0, nil, delta)
+	want := map[node.TimerKind]time.Duration{
+		node.TimerRetry:     dc.RetryInterval,
+		node.TimerHeartbeat: dc.HeartbeatInterval,
+		// The initial leader's first suspicion leg: a grace of half a
+		// heartbeat follows it (node.Suspicion).
+		node.TimerSuspect: dc.SuspectTimeout - dc.HeartbeatInterval/2,
+		node.TimerGC:      dc.GCInterval,
+	}
+	top := mcast.UniformTopology(2, 3)
+	m := mcast.AppMsg{ID: mcast.MakeMsgID(6, 1), Dest: mcast.NewGroupSet(0, 1)}
+	// timers returns the timers the initial leader of group 0 arms when it
+	// starts and is handed a multicast.
+	timers := func(e protocols.Protocol, rs *wal.State) []node.SetTimer {
+		h, err := e.New(0, top, nil, rs, false)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		var fx node.Effects
+		h.Handle(node.Start{}, &fx)
+		h.Handle(node.Recv{From: 6, Msg: msgs.Multicast{M: m}}, &fx)
+		return fx.Timers
+	}
+	for _, e := range protocols.All {
+		if !e.FaultTolerant {
+			if _, err := e.New(0, mcast.UniformTopology(2, 1), nil, wal.NewState(), false); err == nil {
+				t.Errorf("%s built a durable replica", e.Name())
+			}
+			continue
+		}
+		if ts := timers(e.With(protocols.Options{}), nil); len(ts) > 0 {
+			t.Errorf("%s without a δ armed %v", e.Name(), ts)
+		}
+		armed := map[node.TimerKind]bool{}
+		for _, tm := range timers(e.With(protocols.Options{Delta: delta}), wal.NewState()) {
+			armed[tm.Kind] = true
+			if tm.After != want[tm.Kind] {
+				t.Errorf("%s: timer %d after %v, want %v", e.Name(), tm.Kind, tm.After, want[tm.Kind])
+			}
+		}
+		if !armed[node.TimerRetry] || !armed[node.TimerHeartbeat] || !armed[node.TimerSuspect] {
+			t.Errorf("%s armed %v: no retry, heartbeat or suspicion timer", e.Name(), armed)
+		}
+	}
+
+	err := wbcast.Config{Groups: 2, Protocol: wbcast.Skeen}.Validate()
+	if want := "wbcast: the skeen protocol requires singleton groups (Replicas must be 1, got 3); use ftskeen for replicated groups"; err == nil || err.Error() != want {
+		t.Errorf("skeen with groups of 3: %v, want %q", err, want)
+	}
+	if err := (wbcast.Config{Groups: 2, Protocol: wbcast.Skeen, Replicas: 1}).Validate(); err != nil {
+		t.Errorf("skeen with singleton groups: %v", err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
+	"wbcast/internal/protocols"
 	"wbcast/internal/sim"
 )
 
@@ -142,38 +143,35 @@ func inDelta(d time.Duration) float64 {
 	return float64(d) / float64(latDelta)
 }
 
-// LatencyTable measures every protocol's collision-free and failure-free
-// latencies and returns the table. Skeen runs with singleton groups (its
-// model); the fault-tolerant protocols with groups of three.
+// LatencyTable measures the collision-free and failure-free latencies of
+// every protocol the paper gives figures for, in the paper's order (the
+// table's, reversed), and returns the table. Skeen runs with singleton
+// groups (its model); the fault-tolerant protocols with groups of three.
 func LatencyTable(probes int) ([]LatencyRow, error) {
-	rows := []struct {
-		proto     harness.Protocol
-		groupSize int
-		paperCF   float64
-		paperFF   float64
-	}{
-		{protoSkeen, 1, 2, 4},
-		{protoFTSkeen, 3, 6, 12},
-		{protoFastCast, 3, 4, 8},
-		{protoWbCast, 3, 3, 5},
-	}
 	var out []LatencyRow
-	for _, r := range rows {
-		leader, slowest, err := CollisionFree(r.proto, r.groupSize)
-		if err != nil {
-			return nil, fmt.Errorf("%s: collision-free: %w", r.proto.Name(), err)
+	for _, p := range slices.Backward(protocols.All) {
+		if p.Solo == 0 {
+			continue
 		}
-		ff, err := FailureFree(r.proto, r.groupSize, probes)
+		groupSize := 1
+		if p.FaultTolerant {
+			groupSize = 3
+		}
+		leader, slowest, err := CollisionFree(p, groupSize)
 		if err != nil {
-			return nil, fmt.Errorf("%s: failure-free: %w", r.proto.Name(), err)
+			return nil, fmt.Errorf("%s: collision-free: %w", p.Name(), err)
+		}
+		ff, err := FailureFree(p, groupSize, probes)
+		if err != nil {
+			return nil, fmt.Errorf("%s: failure-free: %w", p.Name(), err)
 		}
 		out = append(out, LatencyRow{
-			Protocol:      r.proto.Name(),
+			Protocol:      p.Name(),
 			CollisionFree: leader,
 			FailureFree:   ff,
 			FollowerCF:    slowest,
-			PaperCF:       r.paperCF,
-			PaperFF:       r.paperFF,
+			PaperCF:       p.Solo,
+			PaperFF:       p.Convoy,
 		})
 	}
 	return out, nil

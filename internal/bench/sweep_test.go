@@ -104,10 +104,6 @@ func (brokenProtocol) NewReplica(mcast.ProcessID, *mcast.Topology) (node.Handler
 	return nil, errBroken
 }
 
-func (brokenProtocol) Contacts(top *mcast.Topology) func(mcast.GroupID) []mcast.ProcessID {
-	return top.Members
-}
-
 // TestFailureFreeReportsEveryProbe checks that a sweep whose probes fail
 // returns their errors and leaves no goroutine behind.
 func TestFailureFreeReportsEveryProbe(t *testing.T) {

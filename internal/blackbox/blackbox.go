@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wbcast/internal/batch"
+	"wbcast/internal/core"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
@@ -15,16 +16,6 @@ import (
 	"wbcast/internal/rsm"
 	"wbcast/internal/wal"
 )
-
-// Options are the settings both variants share.
-type Options struct {
-	// RetryInterval re-drives stuck messages (re-announced timestamps, plus
-	// MULTICAST to the other destination groups); zero disables retries.
-	RetryInterval time.Duration
-	// HeartbeatInterval/SuspectTimeout drive the Paxos failure detector.
-	HeartbeatInterval time.Duration
-	SuspectTimeout    time.Duration
-}
 
 // strategy is where FT-Skeen and FastCast differ: how the leader obtains a
 // local timestamp, what a committed vector must satisfy before delivery,
@@ -64,12 +55,14 @@ type variant struct {
 // machine (rsm) over a Paxos log, driven by the variant's strategy. It
 // implements node.Handler.
 type Replica struct {
-	opts    Options
-	top     *mcast.Topology
-	obs     *obs.Proto // nil disables metrics and tracing
-	durable bool
-	pid     mcast.ProcessID
-	group   mcast.GroupID
+	// retryEvery re-drives stuck messages (re-announced timestamps, plus
+	// MULTICAST to the other destination groups); zero disables retries.
+	retryEvery time.Duration
+	top        *mcast.Topology
+	obs        *obs.Proto // nil disables metrics and tracing
+	durable    bool
+	pid        mcast.ProcessID
+	group      mcast.GroupID
 
 	px *paxos.Replica
 	sm *rsm.Machine
@@ -96,16 +89,26 @@ type Replica struct {
 	booting bool
 }
 
-// newReplica builds replica pid of the given variant. rs, when non-nil,
-// makes it durable: it emits persist effects for the Paxos substrate and
-// the delivery frontier, and replays rs before joining.
-func newReplica(v *variant, o Options, pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State) (*Replica, error) {
+// FTSkeen builds a replica of the classical black-box baseline.
+func FTSkeen(c core.Config) (node.Handler, error) { return newReplica(&ftskeenVariant, c) }
+
+// FastCast builds a replica of the speculative baseline.
+func FastCast(c core.Config) (node.Handler, error) { return newReplica(&fastcastVariant, c) }
+
+// newReplica builds replica c.PID of c.Top of the given variant. Of c it
+// reads the retry interval, the Paxos failure detector's heartbeat
+// interval and suspicion timeout, and the instrumentation handle. c.Recovered,
+// when non-nil, makes the replica durable: it emits persist effects for the
+// Paxos substrate and the delivery frontier, and replays the recovered state
+// before joining.
+func newReplica(v *variant, c core.Config) (node.Handler, error) {
+	pid, top, po, rs := c.PID, c.Top, c.Obs, c.Recovered
 	g := top.GroupOf(pid)
 	if g == mcast.NoGroup {
 		return nil, fmt.Errorf("%s: process %d is not a member of any group", v.name, pid)
 	}
 	r := &Replica{
-		opts: o, top: top, obs: po, durable: rs != nil,
+		retryEvery: c.RetryInterval, top: top, obs: po, durable: rs != nil,
 		pid: pid, group: g,
 		sm:        rsm.New(g),
 		proposals: make(map[mcast.MsgID]map[mcast.GroupID]mcast.Timestamp),
@@ -118,8 +121,8 @@ func newReplica(v *variant, o Options, pid mcast.ProcessID, top *mcast.Topology,
 	}
 	pc := paxos.Config{
 		PID: pid, Top: top,
-		HeartbeatInterval: o.HeartbeatInterval,
-		SuspectTimeout:    o.SuspectTimeout,
+		HeartbeatInterval: c.HeartbeatInterval,
+		SuspectTimeout:    c.SuspectTimeout,
 		OnLead:            r.onLead,
 		Obs:               po,
 		Durable:           r.durable,
@@ -316,8 +319,8 @@ func (r *Replica) redrive(app mcast.AppMsg, blanket bool, fx *node.Effects) {
 }
 
 func (r *Replica) armRetry(id mcast.MsgID, fx *node.Effects) {
-	if r.opts.RetryInterval > 0 {
-		fx.SetTimer(r.opts.RetryInterval, node.TimerRetry, uint64(id))
+	if r.retryEvery > 0 {
+		fx.SetTimer(r.retryEvery, node.TimerRetry, uint64(id))
 	}
 }
 
@@ -392,46 +395,3 @@ var (
 	_ node.Handler = (*Replica)(nil)
 	_ paxos.App    = (*Replica)(nil)
 )
-
-// Protocol is the harness adapter of one variant, built by FTSkeen or
-// FastCast (it satisfies internal/harness.Protocol structurally).
-type Protocol struct {
-	Options
-	v *variant
-}
-
-// FTSkeen returns the adapter of the classical black-box baseline.
-func FTSkeen(o Options) Protocol { return Protocol{o, &ftskeenVariant} }
-
-// FastCast returns the adapter of the speculative baseline.
-func FastCast(o Options) Protocol { return Protocol{o, &fastcastVariant} }
-
-// Name implements harness.Protocol: "ftskeen" or "fastcast".
-func (p Protocol) Name() string { return p.v.name }
-
-// NewReplica implements harness.Protocol.
-func (p Protocol) NewReplica(pid mcast.ProcessID, top *mcast.Topology) (node.Handler, error) {
-	return p.NewReplicaObs(pid, top, nil)
-}
-
-// NewReplicaObs implements the harness's optional observability extension:
-// like NewReplica, with an instrumentation handle for the replica.
-func (p Protocol) NewReplicaObs(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto) (node.Handler, error) {
-	return p.NewReplicaStored(pid, top, po, nil)
-}
-
-// NewReplicaStored implements the harness's optional durability extension:
-// rs, when non-nil, makes the replica durable — it emits persist effects
-// for every crash-surviving state transition and replays rs (the folded
-// state of its store) before joining.
-func (p Protocol) NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State) (node.Handler, error) {
-	return newReplica(p.v, p.Options, pid, top, po, rs)
-}
-
-// Contacts implements harness.Protocol: clients contact each group's
-// initial Paxos leader.
-func (Protocol) Contacts(top *mcast.Topology) func(g mcast.GroupID) []mcast.ProcessID {
-	return func(g mcast.GroupID) []mcast.ProcessID {
-		return []mcast.ProcessID{top.InitialLeader(g)}
-	}
-}

@@ -6,11 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"wbcast/internal/core"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
+	"wbcast/internal/obs"
 	"wbcast/internal/sim"
+	"wbcast/internal/wal"
 )
 
 const delta = 10 * time.Millisecond
@@ -20,8 +23,8 @@ const delta = 10 * time.Millisecond
 // instants under which each fault scenario exercises the variant's own
 // recovery path.
 type variantCase struct {
-	name  string
-	proto func(Options) Protocol
+	name    string
+	variant *variant
 
 	// Latencies in δ (§IV, §VI). FT-Skeen: MULTICAST (δ) + consensus (2δ) +
 	// PROPOSE (δ) + consensus (2δ) = 6δ at destination leaders, followers
@@ -46,7 +49,7 @@ type variantCase struct {
 
 var variants = []variantCase{
 	{
-		name: "ftskeen", proto: FTSkeen,
+		name: "ftskeen", variant: &ftskeenVariant,
 		leader: 6 * delta, follower: 7 * delta, singleGroup: 5 * delta,
 		contentionSeed: 2,
 		crashSeed:      6, crashRun: 10 * time.Second,
@@ -54,7 +57,7 @@ var variants = []variantCase{
 		failoverSeed: 7, failoverRun: 20 * time.Second,
 	},
 	{
-		name: "fastcast", proto: FastCast,
+		name: "fastcast", variant: &fastcastVariant,
 		leader: 4 * delta, follower: 5 * delta, singleGroup: 3 * delta,
 		contentionSeed: 13,
 		crashSeed:      3, crashRun: 15 * time.Second,
@@ -63,13 +66,37 @@ var variants = []variantCase{
 	},
 }
 
+// proto runs the variant under the harness with the timers of c.
+func (v variantCase) proto(c core.Config) adapter { return adapter{v.variant, c} }
+
+// adapter runs a variant under the harness (harness.Builder), with the
+// timers of cfg.
+type adapter struct {
+	v   *variant
+	cfg core.Config
+}
+
+func (a adapter) Name() string { return a.v.name }
+
+func (a adapter) NewReplica(pid mcast.ProcessID, top *mcast.Topology) (node.Handler, error) {
+	return a.New(pid, top, nil, nil, false)
+}
+
+func (a adapter) New(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State, _ bool) (node.Handler, error) {
+	c := a.cfg
+	c.PID, c.Top, c.Obs, c.Recovered = pid, top, po, rs
+	return newReplica(a.v, c)
+}
+
+func (adapter) Conflicts() *mcast.ConflictHolder { return nil }
+
 func eachVariant(t *testing.T, f func(t *testing.T, v variantCase)) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) { f(t, v) })
 	}
 }
 
-func cluster(t *testing.T, p Protocol, o harness.Options) *harness.Cluster {
+func cluster(t *testing.T, p harness.Protocol, o harness.Options) *harness.Cluster {
 	t.Helper()
 	if o.Groups == 0 {
 		o.Groups, o.GroupSize = 2, 3
@@ -104,7 +131,7 @@ func mustDeliver(t *testing.T, c *harness.Cluster, ids ...mcast.MsgID) {
 // followers.
 func TestCollisionFreeLatency(t *testing.T) {
 	eachVariant(t, func(t *testing.T, v variantCase) {
-		c := cluster(t, v.proto(Options{}), harness.Options{NumClients: 1, Latency: sim.Uniform(delta)})
+		c := cluster(t, v.proto(core.Config{}), harness.Options{NumClients: 1, Latency: sim.Uniform(delta)})
 		dest := mcast.NewGroupSet(0, 1)
 		id := c.Submit(0, 0, dest, []byte("m"))
 		c.Sim.Run(time.Second)
@@ -124,7 +151,7 @@ func TestCollisionFreeLatency(t *testing.T) {
 
 func TestSingleGroupLatency(t *testing.T) {
 	eachVariant(t, func(t *testing.T, v variantCase) {
-		c := cluster(t, v.proto(Options{}), harness.Options{NumClients: 1, Latency: sim.Uniform(delta)})
+		c := cluster(t, v.proto(core.Config{}), harness.Options{NumClients: 1, Latency: sim.Uniform(delta)})
 		id := c.Submit(0, 0, mcast.NewGroupSet(0), nil)
 		c.Sim.Run(time.Second)
 		mustPass(t, c)
@@ -138,7 +165,7 @@ func TestSingleGroupLatency(t *testing.T) {
 func TestRandomWorkloads(t *testing.T) {
 	eachVariant(t, func(t *testing.T, v variantCase) {
 		for seed := int64(0); seed < 8; seed++ {
-			c := cluster(t, v.proto(Options{}), harness.Options{
+			c := cluster(t, v.proto(core.Config{}), harness.Options{
 				Groups: 3, GroupSize: 3, NumClients: 4,
 				Latency: sim.UniformJitter(delta/2, delta), Seed: seed,
 			})
@@ -154,7 +181,7 @@ func TestRandomWorkloads(t *testing.T) {
 // TestHighContention: conflicting burst to the same groups.
 func TestHighContention(t *testing.T) {
 	eachVariant(t, func(t *testing.T, v variantCase) {
-		c := cluster(t, v.proto(Options{}), harness.Options{
+		c := cluster(t, v.proto(core.Config{}), harness.Options{
 			NumClients: 4, Latency: sim.UniformJitter(delta/4, delta), Seed: v.contentionSeed,
 		})
 		dest := mcast.NewGroupSet(0, 1)
@@ -174,7 +201,7 @@ func TestHighContention(t *testing.T) {
 // messages (for FastCast: re-collects the confirms), and Termination holds.
 func TestLeaderCrashRecovery(t *testing.T) {
 	eachVariant(t, func(t *testing.T, v variantCase) {
-		c := cluster(t, v.proto(Options{RetryInterval: 25 * delta}), harness.Options{
+		c := cluster(t, v.proto(core.Config{RetryInterval: 25 * delta}), harness.Options{
 			NumClients: 2, Latency: sim.Uniform(delta), Retry: 25 * delta, Seed: v.crashSeed,
 		})
 		m1 := c.Submit(0, 0, mcast.NewGroupSet(0, 1), nil)
@@ -194,7 +221,7 @@ func TestLeaderCrashRecovery(t *testing.T) {
 // recovered log without violating the ordering.
 func TestMidFlightLeaderCrash(t *testing.T) {
 	eachVariant(t, func(t *testing.T, v variantCase) {
-		c := cluster(t, v.proto(Options{RetryInterval: 25 * delta}), harness.Options{
+		c := cluster(t, v.proto(core.Config{RetryInterval: 25 * delta}), harness.Options{
 			NumClients: 1, Latency: sim.Uniform(delta), Retry: 25 * delta,
 		})
 		m := c.Submit(0, 0, mcast.NewGroupSet(0, 1), nil)
@@ -210,7 +237,7 @@ func TestMidFlightLeaderCrash(t *testing.T) {
 // TestAutomaticFailover: heartbeat-driven failover without manual help.
 func TestAutomaticFailover(t *testing.T) {
 	eachVariant(t, func(t *testing.T, v variantCase) {
-		o := Options{RetryInterval: 30 * delta, HeartbeatInterval: 5 * delta, SuspectTimeout: 20 * delta}
+		o := core.Config{RetryInterval: 30 * delta, HeartbeatInterval: 5 * delta, SuspectTimeout: 20 * delta}
 		c := cluster(t, v.proto(o), harness.Options{
 			NumClients: 2, Latency: sim.Uniform(delta), Retry: 30 * delta, Seed: v.failoverSeed,
 		})
@@ -249,7 +276,7 @@ func softState(r *Replica) map[string]int {
 // commit-vector and application-message entry per message ever multicast.
 func TestSoftStateReleased(t *testing.T) {
 	eachVariant(t, func(t *testing.T, v variantCase) {
-		c := cluster(t, v.proto(Options{RetryInterval: 3 * delta}), harness.Options{
+		c := cluster(t, v.proto(core.Config{RetryInterval: 3 * delta}), harness.Options{
 			Groups: 3, GroupSize: 3, NumClients: 4,
 			Latency: sim.UniformJitter(delta/2, delta), Seed: 1, TraceSample: 1,
 		})
@@ -285,7 +312,7 @@ func TestWhoDelivers(t *testing.T) {
 		msgs.Learn{Slot: 0, Cmd: msgs.Command{Op: msgs.CmdAssign, M: app, LTS: lts}},
 		msgs.Learn{Slot: 1, Cmd: msgs.Command{Op: msgs.CmdCommit, ID: app.ID, LTSs: []msgs.GroupTS{{Group: 0, TS: lts}}}},
 	}
-	follower := func(t *testing.T, p Protocol) (node.Handler, *node.Effects) {
+	follower := func(t *testing.T, p harness.Protocol) (node.Handler, *node.Effects) {
 		h, err := p.NewReplica(1, top)
 		if err != nil {
 			t.Fatal(err)
@@ -298,11 +325,11 @@ func TestWhoDelivers(t *testing.T) {
 	}
 
 	t.Run("ftskeen delivers from the log", func(t *testing.T) {
-		_, fx := follower(t, FTSkeen(Options{}))
+		_, fx := follower(t, adapter{&ftskeenVariant, core.Config{}})
 		if len(fx.Deliveries) != 1 || fx.Deliveries[0].Msg.ID != app.ID || fx.Deliveries[0].GTS != lts {
 			t.Fatalf("deliveries after the commit applied = %v, want %v at %v", fx.Deliveries, app.ID, lts)
 		}
-		c := cluster(t, FTSkeen(Options{}), harness.Options{NumClients: 1})
+		c := cluster(t, adapter{&ftskeenVariant, core.Config{}}, harness.Options{NumClients: 1})
 		c.Submit(0, 0, mcast.NewGroupSet(0, 1), nil)
 		c.Sim.Run(time.Second)
 		mustPass(t, c)
@@ -312,7 +339,7 @@ func TestWhoDelivers(t *testing.T) {
 	})
 
 	t.Run("fastcast delivers on DELIVER and refuses a chain gap", func(t *testing.T) {
-		h, fx := follower(t, FastCast(Options{}))
+		h, fx := follower(t, adapter{&fastcastVariant, core.Config{}})
 		if len(fx.Deliveries) != 0 {
 			t.Fatalf("follower delivered %v from the log alone", fx.Deliveries)
 		}
@@ -332,7 +359,7 @@ func TestWhoDelivers(t *testing.T) {
 				t.Fatalf("DELIVER %s: %d deliveries, want %d", step.why, len(fx.Deliveries), step.want)
 			}
 		}
-		c := cluster(t, FastCast(Options{}), harness.Options{NumClients: 1})
+		c := cluster(t, adapter{&fastcastVariant, core.Config{}}, harness.Options{NumClients: 1})
 		c.Submit(0, 0, mcast.NewGroupSet(0, 1), nil)
 		c.Sim.Run(time.Second)
 		mustPass(t, c)
@@ -348,11 +375,11 @@ func withBallot(d msgs.Deliver, b mcast.Ballot) msgs.Deliver     { d.Bal = b; re
 
 func TestProtocolNames(t *testing.T) {
 	for _, v := range variants {
-		if got := v.proto(Options{}).Name(); got != v.name {
+		if got := v.proto(core.Config{}).Name(); got != v.name {
 			t.Errorf("Name() = %q, want %q", got, v.name)
 		}
 	}
-	_, err := FastCast(Options{}).NewReplica(99, mcast.UniformTopology(1, 3))
+	_, err := FastCast(core.Config{PID: 99, Top: mcast.UniformTopology(1, 3)})
 	if err == nil || !strings.HasPrefix(err.Error(), "fastcast: process 99") {
 		t.Errorf("a process outside every group: error %v, want one naming the variant and the process", err)
 	}

@@ -56,9 +56,10 @@
 // # Layering
 //
 // blackbox implements node.Handler on top of internal/paxos and
-// internal/rsm; Protocol (built by FTSkeen or FastCast) plugs either
-// variant into the same workloads, fault schedules and checks as the other
-// protocols. internal/skeen stays separate on purpose: it is Fig. 1 with
+// internal/rsm. FTSkeen and FastCast build a replica of either variant from
+// a core.Config — its timers and identity — and the protocol table
+// (internal/protocols) plugs both into the same workloads, fault schedules
+// and checks as the other protocols. internal/skeen stays separate on purpose: it is Fig. 1 with
 // no Paxos underneath, and folding it in would make the shell branch on
 // group size.
 package blackbox

@@ -11,10 +11,11 @@ import (
 	"wbcast/internal/wal"
 )
 
-// Protocol is the harness adapter for the white-box protocol and, with
-// Generic set, for its conflict-aware mode, the "genmcast" protocol (it
-// satisfies internal/harness.Protocol structurally, including the
-// observability, durability and conflict extensions).
+// Protocol is a harness adapter for the white-box protocol and, with
+// Generic set, for its conflict-aware mode, with timers of the caller's
+// choosing (internal/harness.Builder, structurally). The protocol table,
+// internal/protocols, builds every replica with core.DefaultConfig's timers;
+// this adapter serves the tests and scenarios that set them one by one.
 type Protocol struct {
 	// RetryInterval, HeartbeatInterval, SuspectTimeout and GCInterval are
 	// forwarded to every replica's Config; zero values disable the
@@ -23,8 +24,8 @@ type Protocol struct {
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
 	GCInterval        time.Duration
-	// AppGCHorizon forwards Config.AppGCHorizon: pruning additionally
-	// waits for node.GCHorizon inputs raising the app durability horizon.
+	// AppGCHorizon forwards Config.AppGCHorizon, as the appHorizon argument
+	// of New does.
 	AppGCHorizon bool
 	// Generic forwards Config.Conflicts: non-nil runs conflict-aware
 	// generic multicast (conflict.go) under the holder's relation. Conflict
@@ -40,24 +41,13 @@ func (p Protocol) Name() string {
 	return "wbcast"
 }
 
-// NewReplica implements harness.Protocol.
-func (p Protocol) NewReplica(pid mcast.ProcessID, top *mcast.Topology) (node.Handler, error) {
-	return p.NewReplicaObs(pid, top, nil)
-}
-
-// NewReplicaObs implements the harness's optional observability extension:
-// like NewReplica, with an instrumentation handle for the replica.
-func (p Protocol) NewReplicaObs(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto) (node.Handler, error) {
-	return p.NewReplicaStored(pid, top, po, nil)
-}
-
-// NewReplicaStored implements the harness's optional durability extension:
-// rs, when non-nil, makes the replica durable — it emits persist effects
-// for every crash-surviving state transition and replays rs (the folded
-// state of its store) before joining. In conflict mode that includes the
-// applied set (wal.EntryDelivered), which replaces the GTS frontier as the
-// restart re-delivery guard.
-func (p Protocol) NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State) (node.Handler, error) {
+// New implements harness.Builder: replica pid, instrumented by po (nil: not
+// at all) and, with rs non-nil, durable — it emits persist effects for
+// every crash-surviving state transition and replays rs (the folded state
+// of its store) before joining. In conflict mode that includes the applied
+// set (wal.EntryDelivered), which replaces the GTS frontier as the restart
+// re-delivery guard.
+func (p Protocol) New(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State, appHorizon bool) (node.Handler, error) {
 	return NewReplica(Config{
 		PID:               pid,
 		Top:               top,
@@ -65,7 +55,7 @@ func (p Protocol) NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po 
 		HeartbeatInterval: p.HeartbeatInterval,
 		SuspectTimeout:    p.SuspectTimeout,
 		GCInterval:        p.GCInterval,
-		AppGCHorizon:      p.AppGCHorizon,
+		AppGCHorizon:      p.AppGCHorizon || appHorizon,
 		Obs:               po,
 		Durable:           rs != nil,
 		Recovered:         rs,
@@ -73,13 +63,28 @@ func (p Protocol) NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po 
 	})
 }
 
-// Conflicts implements the harness's conflict extension: the holder whose
-// relation the partial-order checks verify deliveries against, nil for the
-// total-order contract of plain white-box.
+// NewReplica implements harness.Protocol.
+func (p Protocol) NewReplica(pid mcast.ProcessID, top *mcast.Topology) (node.Handler, error) {
+	return p.New(pid, top, nil, nil, false)
+}
+
+// NewReplicaObs is New, volatile.
+func (p Protocol) NewReplicaObs(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto) (node.Handler, error) {
+	return p.New(pid, top, po, nil, false)
+}
+
+// NewReplicaStored is New.
+func (p Protocol) NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State) (node.Handler, error) {
+	return p.New(pid, top, po, rs, false)
+}
+
+// Conflicts implements harness.Builder: the holder whose relation the
+// partial-order checks verify deliveries against, nil for the total-order
+// contract of plain white-box.
 func (p Protocol) Conflicts() *mcast.ConflictHolder { return p.Generic }
 
-// Contacts implements harness.Protocol: clients contact the initial leader
-// of each group (the Cur_leader guess of Fig. 4 line 2).
+// Contacts returns, per group, the process a client contacts: its initial
+// leader (the Cur_leader guess of Fig. 4 line 2).
 func (Protocol) Contacts(top *mcast.Topology) func(g mcast.GroupID) []mcast.ProcessID {
 	return func(g mcast.GroupID) []mcast.ProcessID {
 		return []mcast.ProcessID{top.InitialLeader(g)}

@@ -105,7 +105,7 @@ func TestOneSyncOnTheCriticalPath(t *testing.T) {
 		appHorizon bool
 		syncs      time.Duration
 	}{{true, 1}, {false, 3}} {
-		c, err := harness.NewCluster(core.Protocol{AppGCHorizon: tc.appHorizon}, harness.Options{
+		c, err := harness.NewCluster(core.Protocol{}, harness.Options{
 			Groups: 1, GroupSize: 3, Latency: sim.Uniform(delta), CommitTime: sigma, AppHorizon: tc.appHorizon,
 			Storage: func(mcast.ProcessID) (wal.Storage, error) { return wal.NewMemory(), nil },
 		})

@@ -45,8 +45,8 @@ func inversions(c *harness.Cluster) int {
 
 // TestQuiescence: the partial-order contract holds on random workloads —
 // validity, exactly-once, stamp agreement/uniqueness, conflicting pairs
-// stamp-ordered everywhere, and Termination. The harness auto-engages the
-// partial monitor via the ConflictProtocol extension.
+// stamp-ordered everywhere, and Termination. The harness engages the
+// partial monitor through the adapter's Conflicts.
 func TestQuiescence(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c, err := harness.NewCluster(timers(core.PayloadClasses(4)), harness.Options{

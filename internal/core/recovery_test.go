@@ -254,8 +254,8 @@ func TestAutomaticFailover(t *testing.T) {
 }
 
 // coldStart is the white-box protocol with every replica started as a
-// follower and nobody leading (core.Config.ColdStart). It has none of the
-// harness's optional extensions, so every replica is built by NewReplica.
+// follower and nobody leading (core.Config.ColdStart). It is no
+// harness.Builder, so every replica is built by NewReplica.
 type coldStart struct{ retry, heartbeat, suspect time.Duration }
 
 func (coldStart) Name() string { return "wbcast" }
@@ -263,10 +263,6 @@ func (coldStart) Name() string { return "wbcast" }
 func (p coldStart) NewReplica(pid mcast.ProcessID, top *mcast.Topology) (node.Handler, error) {
 	return core.NewReplica(core.Config{PID: pid, Top: top, RetryInterval: p.retry,
 		HeartbeatInterval: p.heartbeat, SuspectTimeout: p.suspect, ColdStart: true})
-}
-
-func (coldStart) Contacts(top *mcast.Topology) func(g mcast.GroupID) []mcast.ProcessID {
-	return core.Protocol{}.Contacts(top)
 }
 
 // TestColdStartElection: with ColdStart nobody leads initially; the failure

@@ -29,6 +29,7 @@ import (
 
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
+	"wbcast/internal/obs"
 	"wbcast/internal/sim"
 )
 
@@ -153,7 +154,12 @@ func (p *Plan) AfterSends(n int, a Action) *Plan {
 // Config parametrises an Engine.
 type Config struct {
 	Plan Plan
-	// OnEvent, if non-nil, receives a narration line when an action fires.
+	// Tracer, if non-nil, records every fired action as a fault event, so
+	// a chaos timeline shows crashes, partitions and heals interleaved with
+	// the protocol stages.
+	Tracer *obs.Tracer
+	// OnEvent, if non-nil, receives a narration line when an action fires,
+	// after the Tracer has recorded it.
 	OnEvent func(at time.Duration, desc string)
 	// OnCrash/OnRestart, if non-nil, are invoked when a Crash/Restart
 	// action fires, letting the embedding harness track the correct set
@@ -217,8 +223,10 @@ func (e *Engine) Bind(s *sim.Sim) {
 }
 
 func (e *Engine) fire(a Action) {
+	desc := a.String()
+	e.cfg.Tracer.Fault(e.sim.Now(), desc)
 	if e.cfg.OnEvent != nil {
-		e.cfg.OnEvent(e.sim.Now(), a.String())
+		e.cfg.OnEvent(e.sim.Now(), desc)
 	}
 	a.fire(e)
 }

@@ -8,13 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
 	"wbcast/internal/faults"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
+	"wbcast/internal/protocols"
 	"wbcast/internal/sim"
-	"wbcast/internal/skeen"
 )
 
 // Chaos schedule exploration: every seed deterministically generates a
@@ -37,64 +36,46 @@ const (
 	chaosQuiet   = 6 * time.Second  // all faults healed/cleared by here
 )
 
-// chaosRow is one protocol's entry in the chaos matrix: the adapter with
-// its liveness machinery enabled, plus the cluster shape and fault budget
-// it tolerates.
+// chaosRow is one protocol's entry in the chaos matrix: the table's
+// protocol with its liveness machinery enabled. Its fault tolerance sets
+// the cluster shape and fault budget: groups of three under crashes,
+// partitions and a store, or — for plain Skeen, which assumes reliable
+// singleton processes — groups of one under link faults and clock skew only
+// (the pattern the kv chaos suite uses for it too).
 type chaosRow struct {
-	proto harness.Protocol
-	// groupSize is 3 for the replicated protocols and 1 for plain Skeen,
-	// which has no intra-group replication.
-	groupSize int
-	// benign restricts the schedule to link faults and clock skew: plain
-	// Skeen assumes reliable processes, so crash/restart and partitions are
-	// off the table (the pattern the kv chaos suite uses for it too).
-	benign bool
-	// durable reports whether the adapter implements StorageProtocol; rows
-	// without it are skipped by the durable chaos variants.
-	durable bool
+	protocols.Protocol
 	// appHorizon runs the row under harness.Options.AppHorizon (durableRows).
 	appHorizon bool
 }
 
 func (r chaosRow) name() string {
 	if r.appHorizon {
-		return r.proto.Name() + "+apphorizon"
+		return r.Name() + "+apphorizon"
 	}
-	return r.proto.Name()
+	return r.Name()
 }
 
-// chaosRows returns the five-protocol chaos matrix. The fault-tolerant
-// adapters get retries, heartbeats and failure detection — fault recovery
-// is timer-driven, so chaos runs need the timers the quiescence tests turn
-// off. The genmcast row uses a sparse synthetic conflict relation so
-// commuting reorderings actually occur under the partial-order monitor.
-func chaosRows() []chaosRow {
-	d := chaosDelta
-	return []chaosRow{
-		{proto: core.Protocol{
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-			GCInterval:        50 * d,
-		}, groupSize: 3, durable: true},
-		{proto: blackbox.FastCast(blackbox.Options{
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-		}), groupSize: 3, durable: true},
-		{proto: blackbox.FTSkeen(blackbox.Options{
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-		}), groupSize: 3, durable: true},
-		{proto: skeen.Protocol{}, groupSize: 1, benign: true},
-		{proto: core.Protocol{
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-			Generic:           core.Relation(core.PayloadClasses(4)),
-		}, groupSize: 3, durable: true},
+// groupSize is 3 for the replicated protocols and 1 for plain Skeen, which
+// has no intra-group replication.
+func (r chaosRow) groupSize() int {
+	if r.FaultTolerant {
+		return 3
 	}
+	return 1
+}
+
+// chaosRows returns the chaos matrix, one row per protocol of the table.
+// Every protocol runs the timers a deployment derives from δ — fault
+// recovery is timer-driven, so chaos runs need the timers the quiescence
+// tests turn off. The genmcast row uses a sparse synthetic conflict
+// relation so commuting reorderings actually occur under the partial-order
+// monitor.
+func chaosRows() []chaosRow {
+	rows := make([]chaosRow, len(protocols.All))
+	for i, p := range protocols.All {
+		rows[i].Protocol = p.With(protocols.Options{Delta: chaosDelta, Conflicts: core.Relation(core.PayloadClasses(4))})
+	}
+	return rows
 }
 
 // genPlan derives a random fault schedule from rng over the topology,
@@ -177,12 +158,12 @@ func genPlan(rng *rand.Rand, top *mcast.Topology, clients int, benign bool) *fau
 func runChaos(t *testing.T, row chaosRow, seed int64) (delivery, trace []byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	top := mcast.UniformTopology(2, row.groupSize)
+	top := mcast.UniformTopology(2, row.groupSize())
 	const clients = 2
 	var events []string
-	plan := genPlan(rng, top, clients, row.benign)
-	c, err := harness.NewCluster(row.proto, harness.Options{
-		Groups: 2, GroupSize: row.groupSize, NumClients: clients,
+	plan := genPlan(rng, top, clients, !row.FaultTolerant)
+	c, err := harness.NewCluster(row, harness.Options{
+		Groups: 2, GroupSize: row.groupSize(), NumClients: clients,
 		Latency: sim.Uniform(chaosDelta),
 		Seed:    seed,
 		Retry:   30 * chaosDelta,
@@ -238,7 +219,7 @@ func chaosSeedList() []int64 {
 func TestChaos(t *testing.T) {
 	for _, row := range chaosRows() {
 		row := row
-		t.Run(row.proto.Name(), func(t *testing.T) {
+		t.Run(row.Name(), func(t *testing.T) {
 			for _, seed := range chaosSeedList() {
 				runChaos(t, row, seed)
 			}
@@ -254,7 +235,7 @@ func TestChaos(t *testing.T) {
 func TestChaosDeterministic(t *testing.T) {
 	for _, row := range chaosRows() {
 		row := row
-		t.Run(row.proto.Name(), func(t *testing.T) {
+		t.Run(row.Name(), func(t *testing.T) {
 			for _, seed := range chaosSeedList() {
 				a, ta := runChaos(t, row, seed)
 				for run := 2; run <= 3; run++ {
@@ -274,13 +255,12 @@ func TestChaosDeterministic(t *testing.T) {
 				}
 				// Fault-injection steps must appear interleaved with the
 				// protocol stages (every plan has at least the quiet-period
-				// heal), and sampled messages must reach delivery — stage
-				// events only exist for adapters with the observability
-				// extension (plain Skeen has none).
+				// heal), and sampled messages must reach delivery — plain
+				// Skeen records no stage events.
 				if !bytes.Contains(ta, []byte("fault")) {
 					t.Errorf("seed %d: no fault events in the trace", seed)
 				}
-				if _, traced := row.proto.(harness.ProtocolObs); traced {
+				if row.FaultTolerant {
 					if !bytes.Contains(ta, []byte("deliver")) {
 						t.Errorf("seed %d: no deliver stages in the trace", seed)
 					}
@@ -308,7 +288,7 @@ func TestChaosLongRun(t *testing.T) {
 	plan.At(3*time.Second, faults.Crash{P: leader})
 	plan.At(4*time.Second, faults.Restart{P: leader})
 	plan.At(15*time.Second, faults.ClearLinks{})
-	c, err := harness.NewCluster(chaosRows()[0].proto, harness.Options{
+	c, err := harness.NewCluster(chaosRows()[0], harness.Options{
 		Groups: 3, GroupSize: 3, NumClients: 2,
 		Latency: sim.Uniform(chaosDelta),
 		Seed:    1,
@@ -340,9 +320,8 @@ func TestChaosLongRun(t *testing.T) {
 // protocol must satisfy every invariant, including Termination.
 func TestChaosLeaderPartitionReplicaRestart(t *testing.T) {
 	for _, row := range chaosRows() {
-		proto := row.proto
-		t.Run(proto.Name(), func(t *testing.T) {
-			if row.benign {
+		t.Run(row.Name(), func(t *testing.T) {
+			if !row.FaultTolerant {
 				t.Skip("plain Skeen assumes reliable processes; no crash/partition budget")
 			}
 			plan := &faults.Plan{}
@@ -350,7 +329,7 @@ func TestChaosLeaderPartitionReplicaRestart(t *testing.T) {
 			plan.At(700*time.Millisecond, faults.Crash{P: 4})   // follower in group 1
 			plan.At(1500*time.Millisecond, faults.Restart{P: 4})
 			plan.At(2500*time.Millisecond, faults.Heal{})
-			c, err := harness.NewCluster(proto, harness.Options{
+			c, err := harness.NewCluster(row, harness.Options{
 				Groups: 2, GroupSize: 3, NumClients: 2,
 				Latency: sim.Uniform(chaosDelta),
 				Seed:    1,

@@ -29,9 +29,7 @@ import (
 func durableRows() []chaosRow {
 	rows := chaosRows()
 	lazy := rows[0] // white-box with GC
-	proto := lazy.proto.(core.Protocol)
-	proto.AppGCHorizon = true
-	lazy.proto, lazy.appHorizon = proto, true
+	lazy.appHorizon = true
 	return append(rows, lazy)
 }
 
@@ -51,12 +49,12 @@ func runChaosDurable(t *testing.T, row chaosRow, seed int64, sigma time.Duration
 	storage func(pid mcast.ProcessID) (wal.Storage, error)) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	top := mcast.UniformTopology(2, row.groupSize)
+	top := mcast.UniformTopology(2, row.groupSize())
 	const clients = 2
 	var events []string
-	plan := genPlan(rng, top, clients, row.benign)
-	c, err := harness.NewCluster(row.proto, harness.Options{
-		Groups: 2, GroupSize: row.groupSize, NumClients: clients,
+	plan := genPlan(rng, top, clients, !row.FaultTolerant)
+	c, err := harness.NewCluster(row, harness.Options{
+		Groups: 2, GroupSize: row.groupSize(), NumClients: clients,
 		Latency:    sim.Uniform(chaosDelta),
 		Seed:       seed,
 		Retry:      30 * chaosDelta,
@@ -117,8 +115,8 @@ func TestChaosDurable(t *testing.T) {
 	for _, row := range durableRows() {
 		row := row
 		t.Run(row.name(), func(t *testing.T) {
-			if !row.durable {
-				t.Skipf("%s has no durability support (StorageProtocol)", row.proto.Name())
+			if !row.FaultTolerant {
+				t.Skipf("%s keeps no durable state", row.Name())
 			}
 			for _, seed := range seeds {
 				runChaosDurable(t, row, seed, 0, memStorage())
@@ -144,9 +142,9 @@ func TestChaosDurableDiskDeterministic(t *testing.T) {
 	}
 	for _, row := range chaosRows() {
 		row := row
-		t.Run(row.proto.Name(), func(t *testing.T) {
-			if !row.durable {
-				t.Skipf("%s has no durability support (StorageProtocol)", row.proto.Name())
+		t.Run(row.Name(), func(t *testing.T) {
+			if !row.FaultTolerant {
+				t.Skipf("%s keeps no durable state", row.Name())
 			}
 			a := runChaosDurable(t, row, seed, 0, diskStorage(t.TempDir()))
 			b := runChaosDurable(t, row, seed, 0, diskStorage(t.TempDir()))
@@ -182,10 +180,9 @@ func (f failCounting) Sync() error {
 func TestChaosFlakyStorage(t *testing.T) {
 	const victim = mcast.ProcessID(1) // follower of group 0
 	for _, row := range chaosRows() {
-		proto := row.proto
-		t.Run(proto.Name(), func(t *testing.T) {
-			if !row.durable {
-				t.Skipf("%s has no durability support (StorageProtocol)", proto.Name())
+		t.Run(row.Name(), func(t *testing.T) {
+			if !row.FaultTolerant {
+				t.Skipf("%s keeps no durable state", row.Name())
 			}
 			fails := 0
 			storage := func(pid mcast.ProcessID) (wal.Storage, error) {
@@ -203,7 +200,7 @@ func TestChaosFlakyStorage(t *testing.T) {
 			for at := 500 * time.Millisecond; at <= chaosQuiet; at += 500 * time.Millisecond {
 				plan.At(at, faults.Restart{P: victim})
 			}
-			c, err := harness.NewCluster(proto, harness.Options{
+			c, err := harness.NewCluster(row, harness.Options{
 				Groups: 2, GroupSize: 3, NumClients: 2,
 				Latency: sim.Uniform(chaosDelta),
 				Seed:    3,
@@ -238,15 +235,14 @@ func TestChaosFlakyStorage(t *testing.T) {
 // whatever the tail loss opened up.
 func TestDurableRestartLosesUnsynced(t *testing.T) {
 	for _, row := range durableRows() {
-		proto := row.proto
 		t.Run(row.name(), func(t *testing.T) {
-			if !row.durable {
-				t.Skipf("%s has no durability support (StorageProtocol)", proto.Name())
+			if !row.FaultTolerant {
+				t.Skipf("%s keeps no durable state", row.Name())
 			}
 			plan := &faults.Plan{}
 			plan.At(800*time.Millisecond, faults.Crash{P: 2})
 			plan.At(1600*time.Millisecond, faults.Restart{P: 2})
-			c, err := harness.NewCluster(proto, harness.Options{
+			c, err := harness.NewCluster(row, harness.Options{
 				Groups: 2, GroupSize: 3, NumClients: 2,
 				Latency:    sim.Uniform(chaosDelta),
 				Seed:       11,
@@ -304,7 +300,7 @@ func TestLazyFrontierNeverBelowPrune(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rows := durableRows()
-			c, err := harness.NewCluster(rows[len(rows)-1].proto, harness.Options{
+			c, err := harness.NewCluster(rows[len(rows)-1], harness.Options{
 				Groups: 1, GroupSize: 3, Latency: sim.Uniform(d), Retry: 30 * d,
 				Storage: memStorage(), AppHorizon: true,
 			})
@@ -371,7 +367,7 @@ func TestClockSurvivesGroupRestart(t *testing.T) {
 	d := chaosDelta
 	rows := durableRows()
 	for offset := 150 * time.Millisecond; offset <= 250*time.Millisecond; offset += 5 * time.Millisecond {
-		c, err := harness.NewCluster(rows[len(rows)-1].proto, harness.Options{
+		c, err := harness.NewCluster(rows[len(rows)-1], harness.Options{
 			Groups: 2, GroupSize: 3, Latency: sim.Uniform(d), Retry: 30 * d,
 			Storage: memStorage(), AppHorizon: true,
 		})

@@ -50,7 +50,7 @@ func TestGoldenLogs(t *testing.T) {
 		got["chaos/"+row.name()] = fmt.Sprintf("%x", h.Sum(nil))
 	}
 	for _, row := range durableRows() {
-		if !row.durable {
+		if !row.FaultTolerant {
 			continue
 		}
 		h := sha256.New()

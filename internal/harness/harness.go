@@ -1,9 +1,10 @@
 // Package harness wires protocol replicas, clients, the simulator and the
 // safety checker (check.Monitor) into ready-made clusters for integration
-// tests and latency experiments. Every protocol package exposes an adapter
-// satisfying Protocol, so the same random workloads, fault schedules and
-// checks run against Skeen's protocol, FT-Skeen, FastCast and the white-box
-// protocol.
+// tests and latency experiments. Every entry of the protocol table
+// (internal/protocols) is a Builder, so the same random workloads, fault
+// schedules and checks run against Skeen's protocol, FT-Skeen, FastCast, the
+// white-box protocol and its conflict-aware mode, each replica built by the
+// table's one constructor.
 package harness
 
 import (
@@ -23,46 +24,35 @@ import (
 	"wbcast/internal/wal"
 )
 
-// Protocol abstracts over the multicast implementations. Adapters are
-// defined in each protocol package (structurally, without importing this
-// one).
+// Protocol is a multicast implementation as the harness runs it. Clients
+// contact each group's initial leader (the Cur_leader guess of the paper's
+// Fig. 4), which for Skeen's singleton groups is their one member.
 type Protocol interface {
 	// Name identifies the protocol in test output.
 	Name() string
-	// NewReplica builds the handler for replica pid of the topology.
+	// NewReplica builds the handler for replica pid of the topology,
+	// volatile and untraced.
 	NewReplica(pid mcast.ProcessID, top *mcast.Topology) (node.Handler, error)
-	// Contacts returns the per-group MULTICAST targets (e.g. the initial
-	// leader guess Cur_leader[g]).
-	Contacts(top *mcast.Topology) func(g mcast.GroupID) []mcast.ProcessID
 }
 
-// ProtocolObs is the optional observability extension of Protocol: adapters
-// that implement it receive an instrumentation handle per replica, so
-// harness runs can record stage timelines and recovery events. The
-// fault-tolerant adapters (core, blackbox) implement it; adapters
-// without it fall back to the plain NewReplica path, untraced.
-type ProtocolObs interface {
-	NewReplicaObs(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto) (node.Handler, error)
-}
-
-// StorageProtocol is the optional durability extension of Protocol:
-// adapters that implement it build replicas that emit persist effects for
-// every crash-surviving state transition and replay a recovered state
-// before joining. Options.Storage requires it — the fault-tolerant
-// adapters (core, blackbox) implement it.
-type StorageProtocol interface {
-	NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State) (node.Handler, error)
-}
-
-// ConflictProtocol is the optional conflict-aware extension of Protocol:
-// an adapter that returns a non-nil holder (core.Protocol with Generic set)
-// delivers under the partial-order contract of generic multicast — only
-// conflicting deliveries are mutually ordered. NewCluster builds the
-// monitor in partial-order mode over the holder's relation. A holder
-// without a relation means every pair conflicts (the strict contract still
-// relaxed of the per-group gap check, since re-released slots make the
-// delivery *sequences* diverge harmlessly).
-type ConflictProtocol interface {
+// Builder is the optional extension of Protocol through which NewCluster
+// builds every replica with one call — traced (Options.TraceSample),
+// durable (Options.Storage), under an application horizon
+// (Options.AppHorizon) — and rebuilds a durable one on restart. Every
+// protocol of internal/protocols implements it; a Protocol without it runs
+// volatile and untraced.
+type Builder interface {
+	// New builds replica pid: po instruments it (nil: untraced); rs, when
+	// non-nil, makes it durable, replaying rs before it joins; appHorizon
+	// is core.Config.AppGCHorizon.
+	New(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State, appHorizon bool) (node.Handler, error)
+	// Conflicts returns the holder of a conflict-aware protocol's relation,
+	// nil for the total-order contract. With a holder, NewCluster checks
+	// deliveries under the partial-order contract of generic multicast:
+	// only conflicting deliveries are mutually ordered. A holder without a
+	// relation means every pair conflicts (the strict contract still
+	// relaxed of the per-group gap check, since re-released slots make the
+	// delivery *sequences* diverge harmlessly).
 	Conflicts() *mcast.ConflictHolder
 }
 
@@ -81,26 +71,26 @@ type Options struct {
 	// Faults, when non-nil, installs a deterministic fault schedule
 	// (internal/faults): crash/restart, partitions, per-link
 	// drop/duplicate/delay/reorder and clock skew, fired at virtual-time or
-	// message-count triggers. Pair it with timers on the Protocol adapter
+	// message-count triggers. Pair it with a Protocol that runs timers
 	// (retries, heartbeats) — fault recovery is timer-driven.
 	Faults *faults.Plan
 	// Storage, when non-nil, gives every replica a durable store (the
-	// protocol adapter must implement StorageProtocol): persist effects are
-	// appended and synced before the sends of the same Handle call, restarts
-	// rebuild the replica by replaying its store instead of resurrecting its
-	// in-memory state, and a storage error crash-stops the process. Pair a
-	// wal.Flaky fake with a Faults restart schedule for crash-consistency
-	// chaos.
+	// Protocol must be a Builder): persist effects are appended and synced
+	// before the sends of the same Handle call, restarts rebuild the replica
+	// by replaying its store instead of resurrecting its in-memory state,
+	// and a storage error crash-stops the process. Pair a wal.Flaky fake
+	// with a Faults restart schedule for crash-consistency chaos.
 	Storage func(pid mcast.ProcessID) (wal.Storage, error)
 	// CommitTime is forwarded to the simulator: how long a store's commit
 	// takes in virtual time (zero: within the dispatch).
 	CommitTime time.Duration
-	// AppHorizon models the application core.Config.AppGCHorizon is a
-	// contract with: each replica's application keeps its own delivery
-	// frontier across restarts, ignores deliveries at or below it (a
-	// restarted replica repeats those above the frontier it had logged),
-	// and raises the protocol's GC horizon as it applies. Checks and logs
-	// then see what the applications applied.
+	// AppHorizon sets core.Config.AppGCHorizon on every replica (of a
+	// Builder) and models the application that flag is a contract with:
+	// each replica's application keeps its own delivery frontier across
+	// restarts, ignores deliveries at or below it (a restarted replica
+	// repeats those above the frontier it had logged), and raises the
+	// protocol's GC horizon as it applies. Checks and logs then see what the
+	// applications applied.
 	AppHorizon bool
 	// OnFault, when non-nil, receives a narration line per fired action.
 	OnFault func(at time.Duration, desc string)
@@ -117,9 +107,8 @@ type Options struct {
 // but its Protocol adapter, so independent clusters over an adapter that is
 // safe to share may run side by side (bench.FailureFree's convoy probes do).
 type Cluster struct {
-	Proto Protocol
-	Sim   *sim.Sim
-	Top   *mcast.Topology
+	Sim *sim.Sim
+	Top *mcast.Topology
 	// Clients holds the client handlers.
 	Clients  []*client.Client
 	Replicas map[mcast.ProcessID]node.Handler
@@ -164,15 +153,18 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	}
 	top := mcast.UniformTopology(opts.Groups, opts.GroupSize)
 	c := &Cluster{
-		Proto:      p,
 		Top:        top,
 		Replicas:   make(map[mcast.ProcessID]node.Handler),
 		crashed:    make(map[mcast.ProcessID]bool),
 		appHorizon: opts.AppHorizon,
 	}
+	b, _ := p.(Builder)
+	if opts.Storage != nil && b == nil {
+		return nil, fmt.Errorf("harness: Options.Storage set but %s is not a Builder", p.Name())
+	}
 	var conflicts func(a, b mcast.AppMsg) bool
-	if cp, ok := p.(ConflictProtocol); ok && cp.Conflicts() != nil {
-		conflicts = cp.Conflicts().Conflicts
+	if b != nil && b.Conflicts() != nil {
+		conflicts = b.Conflicts().Conflicts
 	}
 	c.Monitor = check.NewMonitor(top.GroupOf, conflicts)
 	// The trace clock is virtual time; the closure reads c.Sim, assigned
@@ -182,10 +174,6 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		clock = func() time.Duration { return c.Sim.Now() }
 		c.Tracer = obs.NewTracer(opts.TraceSample, 0, clock)
 	}
-	// Storage-backed restarts: sim.Restart consults Rebuild, which replays
-	// the process's store into a fresh handler. The map is populated by the
-	// replica loop below; the closure only runs once the simulation does.
-	rebuilds := make(map[mcast.ProcessID]func() (node.Handler, error))
 	simCfg := sim.Config{Latency: opts.Latency, CommitTime: opts.CommitTime, Seed: opts.Seed, Trace: opts.Trace}
 	if opts.AppHorizon {
 		last := make(map[mcast.ProcessID]mcast.Delivery) // the applications' frontiers
@@ -204,32 +192,15 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	}
 	if opts.Storage != nil {
 		c.Stores = make(map[mcast.ProcessID]wal.Storage)
-		simCfg.Rebuild = func(p mcast.ProcessID) (node.Handler, error) {
-			if rb := rebuilds[p]; rb != nil {
-				return rb()
-			}
-			return nil, nil
-		}
 		// A storage crash-stop counts as a crash for the Termination check
 		// (a FaultPlan restart revives the process and clears the mark).
 		simCfg.OnStorageCrash = func(p mcast.ProcessID, err error) { c.crashed[p] = true }
 	}
 	if opts.Faults != nil {
-		// Fault actions land in the trace too, so a chaos timeline shows
-		// crashes, partitions and heals interleaved with protocol stages.
-		onFault := opts.OnFault
-		if tr := c.Tracer; tr != nil {
-			user := onFault
-			onFault = func(at time.Duration, desc string) {
-				tr.Fault(at, desc)
-				if user != nil {
-					user(at, desc)
-				}
-			}
-		}
 		c.Engine = faults.New(faults.Config{
 			Plan:      *opts.Faults,
-			OnEvent:   onFault,
+			Tracer:    c.Tracer,
+			OnEvent:   opts.OnFault,
 			OnCrash:   func(p mcast.ProcessID) { c.crashed[p] = true },
 			OnRestart: func(p mcast.ProcessID) { delete(c.crashed, p) },
 		})
@@ -241,47 +212,48 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	if c.Engine != nil {
 		c.Engine.Bind(s)
 	}
-	po, _ := p.(ProtocolObs)
-	sp, _ := p.(StorageProtocol)
-	if opts.Storage != nil && sp == nil {
-		return nil, fmt.Errorf("harness: Options.Storage set but %s's adapter does not implement StorageProtocol", p.Name())
-	}
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
 		var ph *obs.Proto
-		if c.Tracer != nil && po != nil {
+		if c.Tracer != nil && b != nil {
 			// Trace-only handles: a nil registry keeps the metrics
 			// unscrapeable but the stage events flowing into the tracer.
 			ph = obs.NewProto(nil, clock, c.Tracer, pid)
 		}
-		var h node.Handler
 		var st wal.Storage
-		var err error
-		switch {
-		case opts.Storage != nil:
+		if opts.Storage != nil {
+			var err error
 			if st, err = opts.Storage(pid); err != nil {
 				return nil, fmt.Errorf("harness: storage for replica %d: %w", pid, err)
 			}
 			c.Stores[pid] = st
-			rebuilds[pid] = func() (node.Handler, error) {
-				rs, err := st.Load()
-				if err != nil {
+		}
+		// build makes the replica, durable ones from what their store
+		// holds; the simulator calls it again on a restart, so a restarted
+		// replica recovers from its store instead of from leftover RAM.
+		build := func() (node.Handler, error) {
+			if b == nil {
+				return p.NewReplica(pid, top)
+			}
+			var rs *wal.State
+			if st != nil {
+				var err error
+				if rs, err = st.Load(); err != nil {
 					return nil, err
 				}
-				return sp.NewReplicaStored(pid, top, ph, rs)
 			}
-			h, err = rebuilds[pid]()
-		case ph != nil:
-			h, err = po.NewReplicaObs(pid, top, ph)
-		default:
-			h, err = p.NewReplica(pid, top)
+			return b.New(pid, top, ph, rs, opts.AppHorizon)
 		}
+		h, err := build()
 		if err != nil {
 			return nil, fmt.Errorf("harness: replica %d: %w", pid, err)
 		}
 		c.Replicas[pid] = h
-		s.AddStored(h, st)
+		if st == nil {
+			build = nil // a volatile restart keeps the handler: a long pause
+		}
+		s.AddStored(h, st, build)
 	}
-	contacts := p.Contacts(top)
+	contacts := func(g mcast.GroupID) []mcast.ProcessID { return []mcast.ProcessID{top.InitialLeader(g)} }
 	complete := func(id mcast.MsgID) {
 		if c.onComplete != nil {
 			c.onComplete(id)

@@ -129,7 +129,7 @@ var shardRuntimes = []struct {
 			CommitTime: time.Millisecond,
 			OnDeliver:  func(_ mcast.ProcessID, d mcast.Delivery) { onDeliver(d) },
 		})
-		s.AddStored(actor, st)
+		s.AddStored(actor, st, nil)
 		s.Add(witness)
 		return hosted{
 			inject: func(pid mcast.ProcessID, in node.Input) { s.Inject(s.Now(), pid, in) },

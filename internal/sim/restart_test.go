@@ -43,7 +43,7 @@ func newRestartRig() *restartRig {
 				fx.Send(2, msgs.HeartbeatAck{})
 			}
 		}
-	}}, r.store)
+	}}, r.store, nil)
 	r.s.Add(r.echo)
 	return r
 }

@@ -87,13 +87,6 @@ type Config struct {
 	// built on the simulator (the public Simulated transport) use it to
 	// stream deliveries out without polling Deliveries().
 	OnDeliver func(p mcast.ProcessID, d mcast.Delivery)
-	// Rebuild, if non-nil, constructs a fresh handler for a restarting
-	// process (Restart): a disk-backed deployment builds it by loading the
-	// process's Storage, so simulated restarts exercise the real recovery
-	// path instead of reusing the live in-memory handler. Returning a nil
-	// handler (and nil error) keeps the existing in-memory handler — the
-	// escape hatch for processes without a configured store.
-	Rebuild func(p mcast.ProcessID) (node.Handler, error)
 	// OnStorageCrash, if non-nil, observes a process crash-stopping on a
 	// storage failure (Append or Sync error on its configured Storage).
 	OnStorageCrash func(p mcast.ProcessID, err error)
@@ -145,7 +138,10 @@ type proc struct {
 	// step holds the process's handler behind the shared shard driver's
 	// Handle → persist → release step, nil for a pid no handler was added
 	// for; the event queue plays the part of the mailbox.
-	step    *node.Step
+	step *node.Step
+	// rebuild, non-nil for a process AddStored gave one, builds its handler
+	// afresh from its store at a Restart.
+	rebuild func() (node.Handler, error)
 	crashed bool
 	// floor[to] enforces FIFO on the link to process to: arrival times on a
 	// link never decrease, and equal-time events are dispatched in schedule
@@ -197,7 +193,7 @@ func (s *Sim) proc(pid mcast.ProcessID) *proc {
 }
 
 // Add registers a handler and schedules its Start input at the current time.
-func (s *Sim) Add(h node.Handler) { s.AddStored(h, nil) }
+func (s *Sim) Add(h node.Handler) { s.AddStored(h, nil, nil) }
 
 // AddStored is Add for a handler backed by a durable store: its eager
 // persist effects are appended and synced before any send or delivery of
@@ -205,13 +201,18 @@ func (s *Sim) Add(h node.Handler) { s.AddStored(h, nil) }
 // restart on wal.NewMemory loses them until then — and a storage error
 // crash-stops it. Each dispatch's entries are one Append, at once or
 // Config.CommitTime later. A nil store discards persist effects.
-func (s *Sim) AddStored(h node.Handler, st wal.Storage) {
+//
+// rebuild, if non-nil, builds the process's handler afresh at every
+// Restart — by replaying its store, so a simulated restart takes the real
+// recovery path instead of reusing the live in-memory handler. A nil
+// handler (with a nil error) keeps the in-memory one.
+func (s *Sim) AddStored(h node.Handler, st wal.Storage, rebuild func() (node.Handler, error)) {
 	pid := h.ID()
 	p := s.proc(pid)
 	if p.step != nil {
 		panic(fmt.Sprintf("sim: duplicate handler for process %d", pid))
 	}
-	p.step = node.NewStep(h, st)
+	p.step, p.rebuild = node.NewStep(h, st), rebuild
 	s.push(s.now, event{proc: pid, in: node.Start{}})
 }
 
@@ -228,11 +229,11 @@ func (s *Sim) Crashed(pid mcast.ProcessID) bool { return s.proc(pid).crashed }
 // re-delivers Start so it re-arms its background timers. It is a no-op if
 // pid is not crashed.
 //
-// Without Config.Rebuild, the process returns with its in-memory handler
-// state INTACT — an optimistic model equivalent to a long pause, not real
-// crash-recovery: nothing was persisted, the state simply never left RAM.
-// With Config.Rebuild (set when a Storage is configured), the old handler
-// is discarded and a fresh one is constructed by replaying the process's
+// Without a rebuild function (AddStored), the process returns with its
+// in-memory handler state INTACT — an optimistic model equivalent to a long
+// pause, not real crash-recovery: nothing was persisted, the state simply
+// never left RAM. With one (given with a Storage), the old handler is
+// discarded and a fresh one is constructed by replaying the process's
 // durable store, which is the real recovery path: state transitions that
 // were never synced are lost, exactly as on disk. Either way, everything
 // sent to the process while it was down is gone, which is what exercises
@@ -265,9 +266,9 @@ func (s *Sim) Restart(pid mcast.ProcessID) {
 		return
 	}
 	var h node.Handler // nil keeps the in-memory handler
-	if s.cfg.Rebuild != nil {
+	if p.rebuild != nil {
 		var err error
-		if h, err = s.cfg.Rebuild(pid); err != nil {
+		if h, err = p.rebuild(); err != nil {
 			// A process whose store cannot be replayed stays down (its peers
 			// carry on; a later Restart retries).
 			p.crashed = true

@@ -8,11 +8,15 @@ import (
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
+	"wbcast/internal/protocols"
 	"wbcast/internal/sim"
 	"wbcast/internal/skeen"
 )
 
 const delta = 10 * time.Millisecond
+
+// proto is Skeen's protocol as the harness runs it.
+var proto, _ = protocols.ByName("skeen")
 
 func TestRejectsReplicatedGroups(t *testing.T) {
 	top := mcast.UniformTopology(2, 3)
@@ -25,7 +29,7 @@ func TestRejectsReplicatedGroups(t *testing.T) {
 }
 
 func TestSingleMessageSingleGroup(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(proto, harness.Options{
 		Groups: 3, GroupSize: 1, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -49,7 +53,7 @@ func TestSingleMessageSingleGroup(t *testing.T) {
 // TestCollisionFreeLatency2Delta verifies Skeen's collision-free latency of
 // 2δ (paper §III): one MULTICAST delay plus one PROPOSE exchange.
 func TestCollisionFreeLatency2Delta(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(proto, harness.Options{
 		Groups: 4, GroupSize: 1, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -73,7 +77,7 @@ func TestCollisionFreeLatency2Delta(t *testing.T) {
 // TestProposeComplexity: each of the d destination processes sends PROPOSE
 // to all d destinations (including itself), so d² PROPOSE messages flow.
 func TestProposeComplexity(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(proto, harness.Options{
 		Groups: 5, GroupSize: 1, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -107,7 +111,7 @@ func TestConvoyEffectFig2(t *testing.T) {
 		}
 		return delta
 	}
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(proto, harness.Options{
 		Groups: 2, GroupSize: 1, NumClients: 2, Latency: lat,
 	})
 	if err != nil {
@@ -147,7 +151,7 @@ func TestConvoyEffectFig2(t *testing.T) {
 // and jitter settings, and verifies the full specification plus genuineness.
 func TestRandomWorkloads(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+		c, err := harness.NewCluster(proto, harness.Options{
 			Groups: 5, GroupSize: 1, NumClients: 4,
 			Latency: sim.UniformJitter(delta/2, delta), Seed: seed,
 		})
@@ -166,7 +170,7 @@ func TestRandomWorkloads(t *testing.T) {
 // TestHighContention: all messages to the same two groups, submitted in a
 // burst, must still be delivered in one total order.
 func TestHighContention(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(proto, harness.Options{
 		Groups: 2, GroupSize: 1, NumClients: 8,
 		Latency: sim.UniformJitter(delta/4, 2*delta), Seed: 42,
 	})
@@ -189,7 +193,7 @@ func TestHighContention(t *testing.T) {
 // TestDuplicateMulticastIdempotent: re-sending MULTICAST must not assign a
 // second timestamp or deliver twice (Integrity).
 func TestDuplicateMulticastIdempotent(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(proto, harness.Options{
 		Groups: 2, GroupSize: 1, NumClients: 1,
 		Latency: sim.Uniform(delta),
 		Retry:   3 * delta, // retries fire while the first attempt is in flight

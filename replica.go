@@ -11,6 +11,7 @@ import (
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
+	"wbcast/internal/protocols"
 	"wbcast/internal/wal"
 )
 
@@ -68,45 +69,70 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 	}
 	reg := obs.NewRegistry(fmt.Sprintf(`proc="%d"`, pid))
 	po := obs.NewProto(reg, cfg.clock, cfg.tracer, pid)
-	// Durability: open the replica's store, recover its folded state, and
-	// hand the protocol a handler that replays it before joining. The
-	// rebuild closure re-runs exactly this load-and-construct sequence —
-	// the simulated transport invokes it on FaultPlan restarts so a revived
-	// process recovers from its store rather than from leftover RAM.
+	// The protocol's timers derive from Delta, except on the plain
+	// simulated transport: with the background timers (retries, heartbeats,
+	// failure detection, GC) off, its runs quiesce and replay identically.
+	// Chaos mode (SimulatedOptions.Faults) keeps them, because the
+	// timer-driven recovery machinery is exactly what is under test.
+	opts := protocols.Options{Conflicts: cfg.conflicts}
+	if cfg.Transport.backgroundTimers() {
+		opts.Delta = cfg.Delta
+	}
+	proto, _ := cfg.Protocol.entry()
+	proto = proto.With(opts)
+	r := &Replica{cfg: cfg, top: top, pid: pid, tr: cfg.Transport, reg: reg, lastSender: NoProcess}
+	// build makes the protocol handler that replays rs, the folded state of
+	// the replica's store, before joining (nil: volatile). Skeen's protocol
+	// keeps no state there; its store holds only what services layered on
+	// the replica append.
+	build := func(rs *wal.State) (node.Handler, error) {
+		if !proto.FaultTolerant {
+			rs = nil
+		}
+		return proto.New(pid, top, po, rs, cfg.AppGCHorizon)
+	}
 	var (
-		store   wal.Storage
-		rebuild func() (node.Handler, error)
 		rs      *wal.State
+		rebuild func() (node.Handler, error)
 	)
 	if cfg.Storage != nil {
-		var err error
-		if store, err = cfg.Storage(pid); err != nil {
+		store, err := cfg.Storage(pid)
+		if err != nil {
 			return nil, fmt.Errorf("wbcast: opening storage for process %d: %w", pid, err)
 		}
 		if im, ok := store.(interface{ SetMetrics(*obs.Store) }); ok {
 			im.SetMetrics(obs.NewStore(reg))
 		}
-		rs, err = store.Load()
-		if err != nil {
+		if rs, err = store.Load(); err != nil {
 			store.Close()
 			return nil, fmt.Errorf("wbcast: recovering storage for process %d: %w", pid, err)
 		}
+		r.store = store
+		// The simulated transport rebuilds the replica at every FaultPlan
+		// restart, so a revived process recovers from its store rather than
+		// from leftover RAM — but never once the replica was closed through
+		// the API and its store with it: then it keeps its in-memory handler.
 		rebuild = func() (node.Handler, error) {
-			st, err := store.Load()
+			r.mu.Lock()
+			closed := r.closed
+			r.mu.Unlock()
+			if closed {
+				return nil, nil
+			}
+			rs, err := store.Load()
 			if err != nil {
 				return nil, err
 			}
-			return newProtocolHandler(cfg, top, pid, po, st)
+			return build(rs)
 		}
 	}
-	h, err := newProtocolHandler(cfg, top, pid, po, rs)
+	h, err := build(rs)
 	if err != nil {
-		if store != nil {
-			store.Close()
+		if r.store != nil {
+			r.store.Close()
 		}
 		return nil, err
 	}
-	r := &Replica{cfg: cfg, top: top, pid: pid, tr: cfg.Transport, reg: reg, store: store, lastSender: NoProcess}
 	if rs != nil {
 		r.lastSender = lastSender(rs)
 		r.app = AppState{
@@ -118,12 +144,12 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 	if err := cfg.Transport.add(h, hostOptions{
 		onDeliver: r.dispatch,
 		reg:       reg,
-		store:     store,
+		store:     r.store,
 		rebuild:   rebuild,
 	}); err != nil {
 		r.closeSubs()
-		if store != nil {
-			store.Close()
+		if r.store != nil {
+			r.store.Close()
 		}
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package wbcast_test
 
 import (
 	"context"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,5 +57,57 @@ func TestNewClientAfterReopen(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the new client's message was never delivered")
+	}
+}
+
+// loadCounter counts the Load calls of a store.
+type loadCounter struct {
+	wbcast.Storage
+	loads *atomic.Int32
+}
+
+func (s loadCounter) Load() (*wbcast.DurableState, error) {
+	s.loads.Add(1)
+	return s.Storage.Load()
+}
+
+// TestClosedReplicaIsNotRebuilt: on the simulated transport a FaultPlan
+// restart rebuilds a durable replica from its store — but not one closed
+// through the API, whose store is closed with it.
+func TestClosedReplicaIsNotRebuilt(t *testing.T) {
+	plan := wbcast.NewFaultPlan()
+	plan.At(time.Second).Restart(1)
+	restarted := make(chan struct{})
+	tr := wbcast.SimulatedWith(wbcast.SimulatedOptions{Faults: plan, OnFault: func(_ time.Duration, desc string) {
+		if strings.HasPrefix(desc, "restart") {
+			close(restarted)
+		}
+	}})
+	var loads atomic.Int32
+	mem := wbcast.MemoryStorage()
+	cluster, err := wbcast.New(wbcast.Config{Groups: 1, Transport: tr, Storage: func(pid wbcast.ProcessID) (wbcast.Storage, error) {
+		st, err := mem(pid)
+		if pid == 1 {
+			st = loadCounter{st, &loads}
+		}
+		return st, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cluster.Replica(1).Close()
+	select {
+	case <-restarted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the restart never fired")
+	}
+	// The restart runs in the same slice of the simulation as its
+	// narration; hosting a client waits for that slice to end.
+	if _, err := cluster.NewClient(); err != nil {
+		t.Fatal(err)
+	}
+	if n := loads.Load(); n != 1 {
+		t.Errorf("the closed replica's store was loaded %d times, want once (at construction)", n)
 	}
 }

@@ -19,8 +19,9 @@
 #     `{Trace,Delivery}Buffer`, the range partitioner, the inbound frames'
 #     reference counting, the record-list clone, the goroutine runtime
 #     the in-memory tcpnet node replaced, the subscription drop policies,
-#     the observability off switch, the separate client command and the
-#     history checkers check.Monitor replaced).
+#     the observability off switch, the separate client command, the
+#     history checkers check.Monitor replaced, and the adapter extensions
+#     and timer options the protocol table replaced).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -145,11 +146,14 @@ done
 # every subscription became lossless and metrics always on; the client
 # command when wbcast-node began to host a client in a client slot; the
 # end-of-run history, its GTS switch and the kv partial-order checker when
-# check.Monitor became the one history checker.
+# check.Monitor became the one history checker; the harness's three optional
+# adapter interfaces and the black-box baselines' timer options when the
+# protocol table (internal/protocols) became the one constructor.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
   Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
-  check''.History Check''GTS Check''Partial; do
+  check''.History Check''GTS Check''Partial \
+  Protocol''Obs Storage''Protocol Conflict''Protocol blackbox''.Options; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

@@ -59,8 +59,8 @@ type Transport interface {
 	// returns only once neither the process's loop nor a hand-off it
 	// started can touch that store any more. opts.rebuild, when non-nil,
 	// reconstructs the handler from its store — the simulated transport
-	// uses it so FaultPlan restarts replay the durable state instead of
-	// resurrecting in-memory state.
+	// hands it to the simulator, so FaultPlan restarts replay the durable
+	// state instead of resurrecting in-memory state.
 	open(cfg *Config) error
 	add(h node.Handler, opts hostOptions) error
 	inject(pid ProcessID, in node.Input) error
@@ -134,7 +134,6 @@ func SimulatedWith(opts SimulatedOptions) Transport {
 	t := &simTransport{
 		opts:    opts,
 		deliver: make(map[ProcessID]func(Delivery)),
-		rebuild: make(map[ProcessID]func() (node.Handler, error)),
 		done:    make(chan struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)
@@ -148,11 +147,6 @@ type simTransport struct {
 	cond    *sync.Cond
 	s       *sim.Sim
 	deliver map[ProcessID]func(Delivery)
-	// rebuild holds the storage-backed handler constructors of durable
-	// processes. Like deliver it is written under mu (add) and read from
-	// inside the pump's Run — which also holds mu — so restarts never race
-	// late-added processes.
-	rebuild map[ProcessID]func() (node.Handler, error)
 	pending bool
 	closed  bool
 	done    chan struct{}
@@ -188,15 +182,6 @@ func (t *simTransport) open(cfg *Config) error {
 		Latency:   lat,
 		Seed:      t.opts.Seed,
 		OnDeliver: t.dispatchLocked,
-		// Restarts of storage-backed processes rebuild their handler by
-		// replaying the store; everything else keeps its in-memory handler
-		// (nil, nil). Runs inside the pump's Run, i.e. with t.mu held.
-		Rebuild: func(p mcast.ProcessID) (node.Handler, error) {
-			if rb := t.rebuild[p]; rb != nil {
-				return rb()
-			}
-			return nil, nil
-		},
 	}
 	if tr := t.trc; tr != nil {
 		// A storage crash-stop is a fault event: chaos timelines show it
@@ -210,21 +195,10 @@ func (t *simTransport) open(cfg *Config) error {
 		if err := t.opts.Faults.validate(); err != nil {
 			return err
 		}
-		// Fault actions are trace events: a chaos failure's timeline shows
-		// crashes, partitions and heals interleaved with protocol stages.
-		onFault := t.opts.OnFault
-		if tr := t.trc; tr != nil {
-			user := onFault
-			onFault = func(at time.Duration, desc string) {
-				tr.Fault(at, desc)
-				if user != nil {
-					user(at, desc)
-				}
-			}
-		}
 		eng = faults.New(faults.Config{
 			Plan:    t.opts.Faults.compile(),
-			OnEvent: onFault,
+			Tracer:  t.trc,
+			OnEvent: t.opts.OnFault,
 		})
 		simCfg.Filter = eng.Filter
 		simCfg.TimerScale = eng.ScaleTimer
@@ -293,13 +267,10 @@ func (t *simTransport) add(h node.Handler, opts hostOptions) error {
 	if opts.onDeliver != nil {
 		t.deliver[h.ID()] = opts.onDeliver
 	}
-	if opts.rebuild != nil {
-		t.rebuild[h.ID()] = opts.rebuild
-	}
 	// The quiescence pump is not woken: the handler's Start event runs with
 	// the first injected input. Pumping here would advance virtual time a
 	// slice before that input or not, depending on goroutine scheduling.
-	t.s.AddStored(h, opts.store)
+	t.s.AddStored(h, opts.store, opts.rebuild)
 	return nil
 }
 
@@ -324,14 +295,13 @@ func (t *simTransport) inject(pid ProcessID, in node.Input) error {
 }
 
 // crash runs under the pump's lock, so no Handle call is in flight when it
-// returns; dropping the rebuilder keeps a later FaultPlan restart from
-// loading a store the caller is about to close.
+// returns. (A replica's rebuild function declines to load its store once
+// the replica is closed, so a later FaultPlan restart does not touch it.)
 func (t *simTransport) crash(pid ProcessID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.s != nil {
 		t.s.Crash(pid)
-		delete(t.rebuild, pid)
 	}
 }
 

@@ -61,16 +61,12 @@ package wbcast
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"wbcast/internal/blackbox"
 	"wbcast/internal/core"
 	"wbcast/internal/mcast"
-	"wbcast/internal/node"
 	"wbcast/internal/obs"
-	"wbcast/internal/skeen"
-	"wbcast/internal/wal"
+	"wbcast/internal/protocols"
 )
 
 // Re-exported core types. See the internal/mcast documentation for details.
@@ -109,7 +105,7 @@ const (
 	FastCast
 	// FTSkeen is the classical black-box baseline: 6δ / 12δ.
 	FTSkeen
-	// Skeen is the original non-fault-tolerant protocol of Skeen (4δ): it
+	// Skeen is the original non-fault-tolerant protocol of Skeen (2δ / 4δ): it
 	// assumes reliable processes, requires singleton groups (Replicas must
 	// be 1) and ignores Config.Storage. It is the latency floor the paper's
 	// baselines are measured against; production deployments use the
@@ -128,14 +124,21 @@ const (
 	Genmcast
 )
 
-// protocolNames is the one table of protocol names, indexed by Protocol.
-var protocolNames = [...]string{WhiteBox: "wbcast", FastCast: "fastcast", FTSkeen: "ftskeen", Skeen: "skeen", Genmcast: "genmcast"}
+// entry returns p's entry of the protocol table (internal/protocols), which
+// lists the protocols in the order of this enum; false for a value that
+// names none.
+func (p Protocol) entry() (protocols.Protocol, bool) {
+	if p < WhiteBox || int(p) > len(protocols.All) {
+		return protocols.Protocol{}, false
+	}
+	return protocols.All[p-1], true
+}
 
 // String returns the protocol's canonical name, accepted by
 // ParseProtocol.
 func (p Protocol) String() string {
-	if p >= WhiteBox && int(p) < len(protocolNames) {
-		return protocolNames[p]
+	if e, ok := p.entry(); ok {
+		return e.Name()
 	}
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
@@ -144,12 +147,13 @@ func (p Protocol) String() string {
 // "skeen" or "genmcast" — to its Protocol value. Command-line tools use it
 // so the accepted names match Protocol.String.
 func ParseProtocol(name string) (Protocol, error) {
-	for p := WhiteBox; int(p) < len(protocolNames); p++ {
-		if protocolNames[p] == name {
-			return p, nil
+	for i, e := range protocols.All {
+		if e.Name() == name {
+			return Protocol(i + 1), nil
 		}
 	}
-	return 0, fmt.Errorf("wbcast: unknown protocol %q (want one of %s)", name, strings.Join(protocolNames[WhiteBox:], ", "))
+	_, err := protocols.ByName(name)
+	return 0, fmt.Errorf("wbcast: %w", err)
 }
 
 // ConflictRelation reports whether two application payloads conflict —
@@ -347,20 +351,15 @@ func (cfg Config) normalized() (Config, error) {
 	if cfg.Protocol == 0 {
 		cfg.Protocol = WhiteBox
 	}
-	switch cfg.Protocol {
-	case WhiteBox, FastCast, FTSkeen:
-	case Skeen:
-		if cfg.Replicas != 1 {
-			return cfg, fmt.Errorf("wbcast: the skeen protocol requires singleton groups (Replicas must be 1, got %d); use ftskeen for replicated groups", cfg.Replicas)
-		}
-	case Genmcast:
-		if cfg.conflicts == nil {
-			cfg.conflicts = core.Relation(cfg.Conflicts)
-		}
-	default:
+	e, ok := cfg.Protocol.entry()
+	switch {
+	case !ok:
 		return cfg, fmt.Errorf("wbcast: unknown protocol %v", cfg.Protocol)
-	}
-	if cfg.Conflicts != nil && cfg.Protocol != Genmcast {
+	case !e.FaultTolerant && cfg.Replicas != 1:
+		return cfg, fmt.Errorf("wbcast: the %v protocol requires singleton groups (Replicas must be 1, got %d); use ftskeen for replicated groups", cfg.Protocol, cfg.Replicas)
+	case e.ConflictAware && cfg.conflicts == nil:
+		cfg.conflicts = core.Relation(cfg.Conflicts)
+	case !e.ConflictAware && cfg.Conflicts != nil:
 		return cfg, fmt.Errorf("wbcast: Config.Conflicts requires the genmcast protocol, got %v", cfg.Protocol)
 	}
 	if cfg.Delta == 0 {
@@ -381,54 +380,6 @@ func (cfg Config) normalized() (Config, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// newProtocolHandler is the one construction point for protocol replicas,
-// shared by Cluster, NewReplica and (through them) every command-line
-// binary. Every protocol's timers are core.DefaultConfig's multiples of
-// cfg.Delta (the black-box baselines take its retry, heartbeat and
-// suspicion intervals); on the plain simulated transport the background
-// timers (retries, heartbeats, failure detection, GC) are disabled so runs
-// quiesce and replay identically — unless the transport runs in chaos mode
-// (SimulatedOptions.Faults), where the timer-driven recovery machinery is
-// exactly what is under test.
-//
-// rs, when non-nil, makes the replica durable: it emits persist effects
-// for every crash-surviving state transition and replays rs — the folded
-// state of its Storage — before joining (a cold store passes an Empty
-// state, which replays to nothing).
-func newProtocolHandler(cfg Config, top *mcast.Topology, pid ProcessID, po *obs.Proto, rs *wal.State) (node.Handler, error) {
-	rc := core.DefaultConfig(pid, top, cfg.Delta)
-	if !cfg.Transport.backgroundTimers() {
-		rc.RetryInterval, rc.HeartbeatInterval, rc.SuspectTimeout, rc.GCInterval = 0, 0, 0, 0
-	}
-	switch cfg.Protocol {
-	case WhiteBox, Genmcast:
-		// Genmcast is the white-box machinery in conflict-aware delivery
-		// mode (cfg.conflicts is nil for WhiteBox); there the core forces GC
-		// off, because the release log and applied set reference every
-		// delivered message.
-		rc.Obs = po
-		rc.Durable = rs != nil
-		rc.Recovered = rs
-		rc.Conflicts = cfg.conflicts
-		rc.AppGCHorizon = cfg.AppGCHorizon
-		return core.NewReplica(rc)
-	case FastCast, FTSkeen:
-		o := blackbox.Options{RetryInterval: rc.RetryInterval, HeartbeatInterval: rc.HeartbeatInterval, SuspectTimeout: rc.SuspectTimeout}
-		variant := blackbox.FTSkeen
-		if cfg.Protocol == FastCast {
-			variant = blackbox.FastCast
-		}
-		return variant(o).NewReplicaStored(pid, top, po, rs)
-	case Skeen:
-		// Skeen's protocol assumes reliable processes: no timers, no
-		// durable state — rs is ignored (Config.Storage still records the
-		// app-level entries of services layered on the replica).
-		return skeen.New(pid, top)
-	default:
-		return nil, fmt.Errorf("wbcast: unknown protocol %v", cfg.Protocol)
-	}
 }
 
 // LAN returns the paper's LAN latency profile for Config.Latency: a
