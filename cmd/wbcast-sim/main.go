@@ -133,7 +133,7 @@ func failover() error {
 	c.Sim.Run(10 * time.Second)
 
 	for _, pid := range []mcast.ProcessID{1, 2} {
-		r := c.Replicas[pid].(*core.Replica)
+		r := c.Replica(pid).(*core.Replica)
 		fmt.Printf("         replica %d: status=%v ballot=%v\n", pid, r.Status(), r.CBallot())
 	}
 	lat2, ok := c.DeliveryLatency(m2, 0)
@@ -162,13 +162,13 @@ func clockDecrease() error {
 	}
 	m := c.Submit(0, 0, mcast.NewGroupSet(0), []byte("m"))
 	c.Sim.Run(15 * time.Millisecond)
-	r0 := c.Replicas[0].(*core.Replica)
+	r0 := c.Replica(0).(*core.Replica)
 	fmt.Printf("t=15ms   leader p0 proposed m: clock=%d, phase=%v (ACCEPTs stuck)\n", r0.Clock(), r0.Phase(m))
 	c.Crash(0)
 	fmt.Println("t=15ms   CRASH p0")
 	c.Sim.Inject(20*time.Millisecond, 1, node.Timer{Kind: node.TimerCandidacy, Data: 1})
 	c.Sim.Run(100 * time.Millisecond)
-	r1 := c.Replicas[1].(*core.Replica)
+	r1 := c.Replica(1).(*core.Replica)
 	fmt.Printf("t=100ms  new leader p1: status=%v clock=%d — the clock DECREASED, safely\n", r1.Status(), r1.Clock())
 	c.Sim.Run(5 * time.Second)
 	if _, ok := c.DeliveryLatency(m, 0); !ok {

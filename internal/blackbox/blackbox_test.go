@@ -289,8 +289,8 @@ func TestSoftStateReleased(t *testing.T) {
 		if c.Sim.MessageCount(msgs.KindMulticast) <= len(ids)*3 {
 			t.Error("no message was re-driven; the test no longer provokes late traffic")
 		}
-		for pid, h := range c.Replicas {
-			for name, n := range softState(h.(*Replica)) {
+		for pid := range mcast.ProcessID(c.Top.NumReplicas()) {
+			for name, n := range softState(c.Replica(pid).(*Replica)) {
 				if n != 0 {
 					t.Errorf("replica %d: %d entries left in %s after %d delivered multicasts", pid, n, name, len(ids))
 				}

@@ -180,7 +180,7 @@ func TestDurableRestart(t *testing.T) {
 	c.Sim.Run(800 * time.Millisecond)
 	c.Crash(2) // follower of group 0
 	c.Sim.Run(1600 * time.Millisecond)
-	c.Restart(2)
+	c.Sim.Restart(2)
 	if errs := c.RunChecked(30*time.Second, 50*time.Millisecond); len(errs) > 0 {
 		t.Fatalf("continuous invariant violated: %v", errs[0])
 	}

@@ -19,7 +19,7 @@ func forceCandidacy(c *harness.Cluster, at time.Duration, pid mcast.ProcessID) {
 }
 
 func replica(c *harness.Cluster, pid mcast.ProcessID) *core.Replica {
-	return c.Replicas[pid].(*core.Replica)
+	return c.Replica(pid).(*core.Replica)
 }
 
 // TestLeaderCrashManualRecovery: the group leader crashes after delivering

@@ -151,7 +151,9 @@ func (p *Plan) AfterSends(n int, a Action) *Plan {
 	return p
 }
 
-// Config parametrises an Engine.
+// Config parametrises an Engine. Whether a process is down is the
+// simulator's to say (sim.Sim.Crashed): the engine only fires Crash and
+// Restart, and a restart whose store cannot be replayed leaves it down.
 type Config struct {
 	Plan Plan
 	// Tracer, if non-nil, records every fired action as a fault event, so
@@ -161,11 +163,6 @@ type Config struct {
 	// OnEvent, if non-nil, receives a narration line when an action fires,
 	// after the Tracer has recorded it.
 	OnEvent func(at time.Duration, desc string)
-	// OnCrash/OnRestart, if non-nil, are invoked when a Crash/Restart
-	// action fires, letting the embedding harness track the correct set
-	// (the termination check exempts crashed processes).
-	OnCrash   func(p mcast.ProcessID)
-	OnRestart func(p mcast.ProcessID)
 }
 
 // Engine executes a Plan against a simulator. Create it with New, install
@@ -312,22 +309,9 @@ func (e *Engine) linkFor(from, to mcast.ProcessID) (LinkFault, bool) {
 	return LinkFault{}, false
 }
 
-func (a Crash) fire(e *Engine) {
-	e.sim.Crash(a.P)
-	if e.cfg.OnCrash != nil {
-		e.cfg.OnCrash(a.P)
-	}
-}
+func (a Crash) fire(e *Engine) { e.sim.Crash(a.P) }
 
-func (a Restart) fire(e *Engine) {
-	if !e.sim.Crashed(a.P) {
-		return
-	}
-	e.sim.Restart(a.P)
-	if e.cfg.OnRestart != nil {
-		e.cfg.OnRestart(a.P)
-	}
-}
+func (a Restart) fire(e *Engine) { e.sim.Restart(a.P) }
 
 func (a Partition) fire(e *Engine) {
 	clear(e.sideOf)

@@ -91,10 +91,9 @@ func TestIsolateAndOneWay(t *testing.T) {
 
 func TestCountTriggerCrash(t *testing.T) {
 	var received int
-	crashed := -1
 	plan := Plan{}
 	plan.AfterSends(5, Crash{P: 0})
-	e := New(Config{Plan: plan, OnCrash: func(p mcast.ProcessID) { crashed = int(p) }})
+	e := New(Config{Plan: plan})
 	s := sim.New(sim.Config{
 		Latency: sim.Uniform(time.Millisecond),
 		Filter:  e.Filter,
@@ -104,8 +103,8 @@ func TestCountTriggerCrash(t *testing.T) {
 	s.Add(p0)
 	s.Add(p1)
 	s.Run(time.Second)
-	if crashed != 0 {
-		t.Fatalf("count trigger did not crash p0 (crashed=%d)", crashed)
+	if !s.Crashed(0) || s.Crashed(1) {
+		t.Fatalf("count trigger crashed p0: %v, p1: %v; want only p0", s.Crashed(0), s.Crashed(1))
 	}
 	// p0 stops ticking once crashed, so receipts are bounded near the
 	// trigger threshold.

@@ -314,7 +314,7 @@ func TestLazyFrontierNeverBelowPrune(t *testing.T) {
 			if got := len(c.Sim.DeliveriesAt(victim)); got != 5 {
 				t.Fatalf("p%d delivered %d messages before the crash, want 5", victim, got)
 			}
-			pruned := c.Replicas[leader].(*core.Replica).Pruned()
+			pruned := c.Replica(leader).(*core.Replica).Pruned()
 			if (pruned > 0) != tc.wantPrune {
 				t.Fatalf("the leader had pruned %d records at the crash", pruned)
 			}
@@ -326,7 +326,7 @@ func TestLazyFrontierNeverBelowPrune(t *testing.T) {
 			if !tc.wantPrune && !rs.MaxDelivered.IsZero() {
 				t.Fatalf("recovered frontier %v: the lazy tail was synced, the case is vacuous", rs.MaxDelivered)
 			}
-			c.Restart(victim)
+			c.Sim.Restart(victim)
 			c.Submit(c.Sim.Now()+10*d, 0, mcast.NewGroupSet(0), []byte{5})
 			if errs := c.RunChecked(c.Sim.Now()+300*d, 5*d); len(errs) > 0 {
 				t.Fatal(errs)
@@ -398,8 +398,8 @@ func TestClockSurvivesGroupRestart(t *testing.T) {
 			c.Crash(p)
 		}
 		c.Sim.Run(c.Sim.Now() + 2*d) // p0's DELIVERs in flight find nobody up
-		c.Restart(1)
-		c.Restart(2)
+		c.Sim.Restart(1)
+		c.Sim.Restart(2)
 		m2 := c.Submit(c.Sim.Now()+offset, 0, mcast.NewGroupSet(0), []byte("m2"))
 		c.Sim.Run(c.Sim.Now() + offset + 300*d)
 		for _, p := range []mcast.ProcessID{1, 2} {
@@ -409,5 +409,88 @@ func TestClockSurvivesGroupRestart(t *testing.T) {
 				t.Errorf("offset %v: p%d delivered m2 at %v although m had completed at %v", offset, p, gts, gtsM)
 			}
 		}
+	}
+}
+
+// secondLoadFails is a store whose every Load after the first fails: the
+// replica is built, but no restart can rebuild it.
+type secondLoadFails struct {
+	wal.Storage
+	loads int
+}
+
+func (s *secondLoadFails) Load() (*wal.State, error) {
+	if s.loads++; s.loads > 1 {
+		return nil, fmt.Errorf("injected: load %d fails", s.loads)
+	}
+	return s.Storage.Load()
+}
+
+// TestFailedRestartStaysCrashed: a FaultPlan restart whose store cannot be
+// replayed leaves the process down (sim.Restart), so the Termination check
+// must exempt it like any crashed process. A checker that tracked the
+// crashed set from the plan's actions instead of asking the simulator took
+// p4 for correct again and reported every message it missed.
+func TestFailedRestartStaysCrashed(t *testing.T) {
+	const victim = mcast.ProcessID(4) // follower of group 1
+	plan := &faults.Plan{}
+	plan.At(500*time.Millisecond, faults.Crash{P: victim})
+	plan.At(900*time.Millisecond, faults.Restart{P: victim})
+	c, err := harness.NewCluster(chaosRows()[0], harness.Options{
+		Groups: 2, GroupSize: 3, NumClients: 2,
+		Latency: sim.Uniform(chaosDelta),
+		Seed:    5,
+		Retry:   30 * chaosDelta,
+		Faults:  plan,
+		Storage: func(mcast.ProcessID) (wal.Storage, error) { return &secondLoadFails{Storage: wal.NewMemory()}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RandomWorkload(rand.New(rand.NewSource(5)), 30, 2, 2*time.Second)
+	if errs := c.RunChecked(chaosHorizon, 50*time.Millisecond); len(errs) > 0 {
+		t.Fatalf("continuous invariant violated at t=%v: %v", c.Sim.Now(), errs[0])
+	}
+	if !c.Sim.Crashed(victim) {
+		t.Fatalf("p%d came back although its store cannot be replayed", victim)
+	}
+	for _, e := range c.Check(true) {
+		t.Error(e)
+	}
+}
+
+// TestReplicaIsTheLiveHandler: after a durable restart the simulator runs a
+// handler rebuilt from the store, and Cluster.Replica returns that one — its
+// clock is at least the global timestamp of the last message the restarted
+// replica delivered, not the clock of the handler that crashed.
+func TestReplicaIsTheLiveHandler(t *testing.T) {
+	const victim = mcast.ProcessID(2)
+	c, err := harness.NewCluster(chaosRows()[0], harness.Options{
+		Groups: 1, GroupSize: 3, NumClients: 1,
+		Latency: sim.Uniform(chaosDelta), Retry: 30 * chaosDelta,
+		Storage: memStorage(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Submit(0, 0, mcast.NewGroupSet(0), []byte("before"))
+	c.Sim.Run(10 * chaosDelta)
+	c.Crash(victim)
+	c.Sim.Run(20 * chaosDelta)
+	c.Sim.Restart(victim)
+	before := len(c.Sim.DeliveriesAt(victim))
+	for i := 0; i < 5; i++ {
+		c.Submit(c.Sim.Now()+chaosDelta, 0, mcast.NewGroupSet(0), []byte{byte(i)})
+	}
+	if errs := c.RunChecked(c.Sim.Now()+300*chaosDelta, 10*chaosDelta); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	after := c.Sim.DeliveriesAt(victim)[before:]
+	if len(after) == 0 {
+		t.Fatalf("p%d delivered nothing after its restart", victim)
+	}
+	last := after[len(after)-1].D.GTS.Time
+	if clock := c.Replica(victim).(*core.Replica).Clock(); clock < last {
+		t.Errorf("p%d reads clock %d, below the timestamp %d it delivered after the restart: a stale handler", victim, clock, last)
 	}
 }

@@ -106,12 +106,16 @@ type Options struct {
 // goroutine that drives its Sim and shares nothing with another Cluster
 // but its Protocol adapter, so independent clusters over an adapter that is
 // safe to share may run side by side (bench.FailureFree's convoy probes do).
+//
+// The simulator owns each process's state: its live handler (Replica) and
+// whether it is down (Sim.Crashed). Check reads the latter at the end of a
+// run, whoever crashed or restarted the process: Crash, a FaultPlan
+// action, or a failing store.
 type Cluster struct {
 	Sim *sim.Sim
 	Top *mcast.Topology
 	// Clients holds the client handlers.
-	Clients  []*client.Client
-	Replicas map[mcast.ProcessID]node.Handler
+	Clients []*client.Client
 
 	// Engine is the fault engine, non-nil when Options.Faults was set.
 	Engine *faults.Engine
@@ -132,7 +136,6 @@ type Cluster struct {
 	appHorizon bool
 	monitored  int // prefix of log already poured into Monitor
 	nextSeq    uint32
-	crashed    map[mcast.ProcessID]bool
 	// onComplete is the callback OnComplete registers, called when a
 	// client's multicast completes; nil until then.
 	onComplete func(id mcast.MsgID)
@@ -152,12 +155,7 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		opts.NumClients = 1
 	}
 	top := mcast.UniformTopology(opts.Groups, opts.GroupSize)
-	c := &Cluster{
-		Top:        top,
-		Replicas:   make(map[mcast.ProcessID]node.Handler),
-		crashed:    make(map[mcast.ProcessID]bool),
-		appHorizon: opts.AppHorizon,
-	}
+	c := &Cluster{Top: top, appHorizon: opts.AppHorizon}
 	b, _ := p.(Builder)
 	if opts.Storage != nil && b == nil {
 		return nil, fmt.Errorf("harness: Options.Storage set but %s is not a Builder", p.Name())
@@ -192,18 +190,9 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	}
 	if opts.Storage != nil {
 		c.Stores = make(map[mcast.ProcessID]wal.Storage)
-		// A storage crash-stop counts as a crash for the Termination check
-		// (a FaultPlan restart revives the process and clears the mark).
-		simCfg.OnStorageCrash = func(p mcast.ProcessID, err error) { c.crashed[p] = true }
 	}
 	if opts.Faults != nil {
-		c.Engine = faults.New(faults.Config{
-			Plan:      *opts.Faults,
-			Tracer:    c.Tracer,
-			OnEvent:   opts.OnFault,
-			OnCrash:   func(p mcast.ProcessID) { c.crashed[p] = true },
-			OnRestart: func(p mcast.ProcessID) { delete(c.crashed, p) },
-		})
+		c.Engine = faults.New(faults.Config{Plan: *opts.Faults, Tracer: c.Tracer, OnEvent: opts.OnFault})
 		simCfg.Filter = c.Engine.Filter
 		simCfg.TimerScale = c.Engine.ScaleTimer
 	}
@@ -247,7 +236,6 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: replica %d: %w", pid, err)
 		}
-		c.Replicas[pid] = h
 		if st == nil {
 			build = nil // a volatile restart keeps the handler: a long pause
 		}
@@ -327,20 +315,12 @@ func (c *Cluster) message(idx int, dest mcast.GroupSet, payload []byte) mcast.Ap
 	return m
 }
 
-// Crash crashes process pid at the current simulation time and records it
-// for the Termination check.
-func (c *Cluster) Crash(pid mcast.ProcessID) {
-	c.crashed[pid] = true
-	c.Sim.Crash(pid)
-}
+// Replica returns replica pid's live handler: after a durable restart, the
+// one rebuilt from its store.
+func (c *Cluster) Replica(pid mcast.ProcessID) node.Handler { return c.Sim.Handler(pid) }
 
-// Restart brings a crashed process back (crash-recovery with durable
-// state, sim.Restart) and marks it correct again: the Termination check
-// requires it to deliver everything from then on.
-func (c *Cluster) Restart(pid mcast.ProcessID) {
-	delete(c.crashed, pid)
-	c.Sim.Restart(pid)
-}
+// Crash crashes process pid at the current simulation time (Sim.Crash).
+func (c *Cluster) Crash(pid mcast.ProcessID) { c.Sim.Crash(pid) }
 
 // RandomWorkload submits n messages at random times within window, each to a
 // uniformly random non-empty destination set of size ≤ maxDest, from random
@@ -427,15 +407,21 @@ func (c *Cluster) TraceLog() []byte {
 
 // Check pours the deliveries not yet seen into the Monitor and returns
 // every violation of the run: the Monitor's (with Termination when
-// atQuiescence; processes crashed now are exempt) and the genuineness
-// audit's.
+// atQuiescence; the processes Sim.Crashed reports down now are exempt) and
+// the genuineness audit's.
 func (c *Cluster) Check(atQuiescence bool) []error {
 	c.CollectHistory()
 	var members func(mcast.GroupID) []mcast.ProcessID
 	if atQuiescence {
 		members = c.Top.Members
 	}
-	return append(c.Monitor.Check(members, c.crashed), c.Sim.AuditGenuineness(c.Top)...)
+	crashed := make(map[mcast.ProcessID]bool)
+	for pid := range mcast.ProcessID(c.Top.NumReplicas() + len(c.Clients)) {
+		if c.Sim.Crashed(pid) {
+			crashed[pid] = true
+		}
+	}
+	return append(c.Monitor.Check(members, crashed), c.Sim.AuditGenuineness(c.Top)...)
 }
 
 // DeliveryLatency returns, for message id, the latency from its submission

@@ -219,6 +219,10 @@ func (c *Commit) reset() {
 	*c = Commit{store: c.store, entries: c.entries[:0], held: Release{c.held.Timers[:0], c.held.Sends[:0], c.held.Deliveries[:0]}}
 }
 
+// Handler returns the handler the Step drives: after a Restart with a
+// rebuilt handler, the rebuilt one.
+func (s *Step) Handler() Handler { return s.h }
+
 // Restart revives a crash-stopped Step on the same store, with nothing
 // staged or held: what the dead incarnation had not written is lost. h,
 // when non-nil, replaces the handler: the one rebuilt by replaying the

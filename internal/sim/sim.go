@@ -222,8 +222,13 @@ func (s *Sim) AddStored(h node.Handler, st wal.Storage, rebuild func() (node.Han
 // Restart.
 func (s *Sim) Crash(pid mcast.ProcessID) { s.proc(pid).crashed = true }
 
-// Crashed reports whether pid has crashed.
+// Crashed reports whether pid is down: crashed and not restarted, stopped
+// by a storage error, or restarted on a store that could not be replayed.
 func (s *Sim) Crashed(pid mcast.ProcessID) bool { return s.proc(pid).crashed }
+
+// Handler returns the live handler of pid, a process added to the
+// simulator: after a durable Restart, the one rebuilt from its store.
+func (s *Sim) Handler(pid mcast.ProcessID) node.Handler { return s.proc(pid).step.Handler() }
 
 // Restart brings a crashed process back at the current virtual time and
 // re-delivers Start so it re-arms its background timers. It is a no-op if

@@ -11,7 +11,11 @@
 // # Layering
 //
 // skeen is the failure-free reference point at the bottom of the protocol
-// family: no replication, one process per group. The fault-tolerant
-// protocols (blackbox, core) replicate exactly the state this package
-// keeps per process.
+// family: no replication, one process per group. Its state is the Fig. 1
+// process of internal/rsm, driven by messages: a MULTICAST applies the
+// assignment (lines 9–11), a PROPOSE from every destination group the
+// commit (lines 14–16); this package keeps only the PROPOSE timestamps
+// received for each message not yet committed. FT-Skeen (internal/blackbox)
+// runs the same machine behind Paxos; the white-box protocol (internal/core)
+// replicates the same state inside the timestamp exchange.
 package skeen

@@ -239,30 +239,3 @@ func TestRoundTripPropertyAccept(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkEncodeAccept(b *testing.B) {
-	m := msgs.Accept{M: app(1), Group: 0, Bal: bal(3, 1), LTS: ts(11, 0)}
-	var buf []byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = wire.Encode(buf[:0], m)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeAccept(b *testing.B) {
-	m := msgs.Accept{M: app(1), Group: 0, Bal: bal(3, 1), LTS: ts(11, 0)}
-	data, err := wire.Encode(nil, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Decode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -176,6 +176,21 @@ func TestStatsIsAViewOfTheMetrics(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// A multicast returns once a quorum has acknowledged it, so a
+			// follower may not have sent (or even read) a frame yet: wait
+			// until every replica has, under a deadline.
+			settled := func(s wbcast.TransportStats) bool {
+				return tc.name == "Simulated" || s.MailboxHighWater > 0 && (tc.name != "TCP" || s.FramesSent > 0 && s.FramesRead > 0)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for _, r := range c.Replicas() {
+				for !settled(r.Stats()) {
+					if time.Now().After(deadline) {
+						t.Fatalf("replica %d: no traffic in 10 s: %+v", r.ID(), r.Stats())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
 			for _, r := range c.Replicas() {
 				before, snap, after := r.Stats(), r.Metrics(), r.Stats()
 				if tc.name == "Simulated" {

@@ -20,8 +20,9 @@
 #     reference counting, the record-list clone, the goroutine runtime
 #     the in-memory tcpnet node replaced, the subscription drop policies,
 #     the observability off switch, the separate client command, the
-#     history checkers check.Monitor replaced, and the adapter extensions
-#     and timer options the protocol table replaced).
+#     history checkers check.Monitor replaced, the adapter extensions
+#     and timer options the protocol table replaced, and the harness's
+#     copies of the simulator's process state).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -148,12 +149,16 @@ done
 # end-of-run history, its GTS switch and the kv partial-order checker when
 # check.Monitor became the one history checker; the harness's three optional
 # adapter interfaces and the black-box baselines' timer options when the
-# protocol table (internal/protocols) became the one constructor.
+# protocol table (internal/protocols) became the one constructor; the fault
+# engine's crash and restart hooks and the harness's replica map when the
+# harness began to read liveness and live handlers from the simulator (the
+# public wbcast Cluster.Replicas() method stays nameable).
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
   Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
   check''.History Check''GTS Check''Partial \
-  Protocol''Obs Storage''Protocol Conflict''Protocol blackbox''.Options; do
+  Protocol''Obs Storage''Protocol Conflict''Protocol blackbox''.Options \
+  On''Crash On''Restart 'Cluster''.Replicas\($\|[^(]\)'; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1
