@@ -59,7 +59,8 @@
 // internal/rsm. FTSkeen and FastCast build a replica of either variant from
 // a core.Config — its timers and identity — and the protocol table
 // (internal/protocols) plugs both into the same workloads, fault schedules
-// and checks as the other protocols. internal/skeen stays separate on purpose: it is Fig. 1 with
-// no Paxos underneath, and folding it in would make the shell branch on
-// group size.
+// and checks as the other protocols. Plain Skeen (internal/skeen) runs the
+// same rsm.Machine driven by its MULTICAST and PROPOSE messages, with no
+// Paxos underneath; it stays a package of its own because folding it in
+// would make the shell branch on group size.
 package blackbox

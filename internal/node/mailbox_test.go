@@ -16,7 +16,7 @@ func TestPostAfterDeadlineOrder(t *testing.T) {
 	const timers = 200
 	quit := make(chan struct{})
 	defer close(quit)
-	m := NewMailbox[int](8, quit)
+	m := NewMailbox[int](quit)
 	type arrival struct {
 		e  int
 		at time.Time
@@ -63,7 +63,7 @@ func TestPostAfterDeadlineOrder(t *testing.T) {
 // and Run returns without waiting for a deadline.
 func TestPostAfterLapsesAtQuit(t *testing.T) {
 	quit := make(chan struct{})
-	m := NewMailbox[int](8, quit)
+	m := NewMailbox[int](quit)
 	got := make(chan int, 16)
 	done := make(chan struct{})
 	go func() {
@@ -99,7 +99,7 @@ func TestPostAfterLapsesAtQuit(t *testing.T) {
 func drains(t *testing.T, gather bool, posters, total int) []int {
 	quit := make(chan struct{})
 	defer close(quit)
-	m := NewMailbox[int](8, quit)
+	m := NewMailbox[int](quit)
 	m.Gather = func() bool { return gather }
 	m.Post(0)
 	for i := posters + 1; i < total; i++ {

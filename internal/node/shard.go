@@ -235,13 +235,13 @@ func (s *Step) Restart(h Handler) {
 	s.fail(nil)
 }
 
-// Mailbox is a shard's input queue and the loop that drains it: a bounded
-// lock-free MPSC ring with an unbounded overflow (internal/ring), so a post
-// never blocks — which rules out buffer-deadlock cycles between shards; load
-// shows up as Depth, not as backpressure. The envelope type is the
-// runtime's: the input plus whatever must travel with it. Envelopes from one
-// producer are consumed in the order it posted them, which is what preserves
-// per-link FIFO.
+// Mailbox is a shard's input queue and the loop that drains it: an MPSC
+// queue with no capacity, a mutex and a slice (internal/ring), so a post
+// never waits for the loop — which rules out buffer-deadlock cycles between
+// shards; load shows up as Depth and HighWater, not as backpressure. The
+// envelope type is the runtime's: the input plus whatever must travel with
+// it. Envelopes from one producer are consumed in the order it posted them,
+// which is what preserves per-link FIFO.
 type Mailbox[E any] struct {
 	box *ring.MPSC[E]
 	// wake nudges Run after a post (capacity 1: a pending wake-up covers
@@ -275,12 +275,12 @@ func (t *timed[E]) before(u *timed[E]) bool {
 	return t.at < u.at || t.at == u.at && t.seq < u.seq
 }
 
-// NewMailbox creates a mailbox whose ring holds capacity envelopes; Run
-// returns, and armed timers lapse, once quit is closed.
-func NewMailbox[E any](capacity int, quit <-chan struct{}) *Mailbox[E] {
+// NewMailbox creates an empty mailbox; Run returns, and armed timers lapse,
+// once quit is closed.
+func NewMailbox[E any](quit <-chan struct{}) *Mailbox[E] {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &Mailbox[E]{box: ring.New[E](capacity), wake: make(chan struct{}, 1), quit: quit, timers: pq.New((*timed[E]).before), timer: t, epoch: time.Now()}
+	return &Mailbox[E]{box: ring.New[E](0), wake: make(chan struct{}, 1), quit: quit, timers: pq.New((*timed[E]).before), timer: t, epoch: time.Now()}
 }
 
 // Post enqueues e; safe from any goroutine, including the consumer.

@@ -290,9 +290,9 @@ func (s *Store) SetWALBytes(n int64) {
 	s.walBytes.Set(n)
 }
 
-// Runtime is a transport/runtime instrumentation handle: the I/O and
-// mailbox counters of one hosted process. tcpnet maintains these counters
-// directly (its Stats() is a view over them), keeping one source of truth.
+// Runtime is a transport/runtime instrumentation handle: the I/O counters
+// of one hosted process. tcpnet maintains these counters directly (its
+// Stats() is a view over them), keeping one source of truth.
 type Runtime struct {
 	// Encoded counts distinct messages serialised to wire form.
 	Encoded Counter
@@ -306,8 +306,6 @@ type Runtime struct {
 	Reconnects Counter
 	// FramesRead counts inbound frames successfully decoded.
 	FramesRead Counter
-	// MailboxHW is the largest input-queue length observed.
-	MailboxHW Gauge
 	// EncodeStage is the outbound serialisation latency per message, on
 	// the shard loop that releases the send.
 	EncodeStage Histogram
@@ -333,7 +331,6 @@ func NewRuntime(reg *Registry) *Runtime {
 	reg.RegisterCounter(MetricOutboundDrops, "outbound frames dropped", &rt.OutboundDrops)
 	reg.RegisterCounter(MetricReconnects, "outbound redials after connection failure", &rt.Reconnects)
 	reg.RegisterCounter(MetricFramesRead, "inbound frames decoded", &rt.FramesRead)
-	reg.RegisterGauge(MetricMailboxHighWater, "largest input-queue length observed", &rt.MailboxHW)
 	reg.RegisterHistogram(MetricEncodeStage, "outbound message serialisation latency on the sending shard loop", &rt.EncodeStage)
 	reg.RegisterHistogram(MetricDecodeStage, "inbound frame parse latency on the read loops", &rt.DecodeStage)
 	reg.RegisterHistogram(MetricAckBatchSize, "acknowledgements per flushed ack batch (count; 1 ack = 1s)", &rt.AckBatchSize)

@@ -46,19 +46,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// SetMax raises the gauge to n if n exceeds the current value.
-func (g *Gauge) SetMax(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Add adds n (possibly negative).
 func (g *Gauge) Add(n int64) {
 	if g != nil {

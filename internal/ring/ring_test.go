@@ -15,7 +15,7 @@ func TestSingleProducerFIFO(t *testing.T) {
 	q := New[int](16)
 	for i := 0; i < 1000; i++ {
 		q.Enqueue(i)
-		if i%3 == 0 { // interleave consumption so both ring laps and spills occur
+		if i%3 == 0 { // interleave consumption so batches are swapped mid-stream
 			for q.Depth() > 4 {
 				q.Dequeue()
 			}
@@ -37,10 +37,10 @@ func TestSingleProducerFIFO(t *testing.T) {
 	}
 }
 
-// TestOverflowFallback fills the ring far past its capacity with no
-// consumer running: everything beyond the ring must land in the
-// overflow, nothing may be lost, and order must hold on drain.
-func TestOverflowFallback(t *testing.T) {
+// TestGrowsPastFirstBatch enqueues far past New's capacity with no
+// consumer running: nothing may be lost, depth and high water must be
+// exact, and order must hold on drain.
+func TestGrowsPastFirstBatch(t *testing.T) {
 	q := New[int](8)
 	const n = 10_000
 	for i := 0; i < n; i++ {
@@ -68,12 +68,12 @@ func TestOverflowFallback(t *testing.T) {
 
 // TestConcurrentProducersFIFO runs many producers against one consumer
 // (under -race in CI) and checks that no item is lost or duplicated and
-// that each producer's items arrive in its enqueue order — including
-// across ring→overflow→ring transitions, which the tiny ring forces.
+// that each producer's items arrive in its enqueue order while the
+// producers race the consumer's swap of the batch.
 func TestConcurrentProducersFIFO(t *testing.T) {
 	const producers = 8
 	const perProducer = 20_000
-	q := New[item](16) // tiny: exercises the degraded path constantly
+	q := New[item](16)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -94,17 +94,13 @@ func TestConcurrentProducersFIFO(t *testing.T) {
 		if !ok {
 			select {
 			case <-done:
-				if q.Depth() == 0 && got < producers*perProducer {
-					// All producers finished and the queue reports
-					// empty: give Dequeue one more chance before
-					// declaring loss (depth may trail the publish).
-					if _, ok := q.Dequeue(); !ok {
-						t.Fatalf("lost items: got %d of %d", got, producers*perProducer)
-					}
+				// Every Enqueue has returned: empty now means lost.
+				if v, ok = q.Dequeue(); !ok {
+					t.Fatalf("lost items: got %d of %d", got, producers*perProducer)
 				}
 			default:
+				continue
 			}
-			continue
 		}
 		if v.seq != next[v.producer] {
 			t.Fatalf("producer %d: got seq %d, want %d", v.producer, v.seq, next[v.producer])

@@ -41,7 +41,7 @@ func newBenchNode(pid mcast.ProcessID) *Node {
 		rt:    obs.NewRuntime(nil),
 		peers: make(map[mcast.ProcessID]*link),
 	}
-	n.box = node.NewMailbox[boxedInput](mailboxSize, n.quit)
+	n.box = node.NewMailbox[boxedInput](n.quit)
 	return n
 }
 

@@ -37,10 +37,11 @@
 // address whose port is 0 is a placeholder for a peer that has not bound
 // its port yet, and a send to it is a counted drop, with no dial.
 //
-// The hand-off between the two stages is a non-blocking mailbox (a bounded
-// MPSC ring with an unbounded overflow, internal/ring), so no loop can
-// deadlock another; sustained overload shows up as mailbox depth, not as
-// backpressure.
+// The hand-off between the two stages is a non-blocking mailbox (an MPSC
+// queue with no capacity, a mutex and a slice: internal/ring), so no loop
+// can deadlock another; sustained overload shows up as mailbox depth and
+// high water, which the posts keep current while the loop is stalled, not
+// as backpressure.
 //
 // Frame format: 4-byte big-endian length, the varint ProcessID of the one
 // destination, the varint ProcessID of the sender, one wire-encoded message.

@@ -38,11 +38,6 @@ const readBufSize = 32 << 10
 // stands.
 const ackBatchMax = 64
 
-// mailboxSize is the ring capacity of the input mailbox. Posts beyond it
-// spill to an unbounded overflow, so senders never block the loop — this
-// bounds the fast path, not the queue.
-const mailboxSize = 64
-
 // dialTimeout bounds one outbound connection attempt.
 const dialTimeout = 3 * time.Second
 
@@ -126,11 +121,12 @@ type Stats struct {
 	// FramesRead counts inbound frames successfully decoded; one dropped
 	// for naming another process is not among them.
 	FramesRead int64
-	// MailboxHighWater is the largest input-mailbox depth observed.
-	// Mailboxes never block senders (ring + overflow,
-	// which rules out buffer deadlocks), so sustained overload shows up
-	// here rather than as TCP backpressure — monitor it when
-	// perf-debugging a saturated node.
+	// MailboxHighWater is the largest input-mailbox depth observed, kept
+	// by the posts themselves, so it is current while the loop is stalled.
+	// Mailboxes never block senders (the queue has no capacity, which
+	// rules out buffer deadlocks), so sustained overload shows up here
+	// rather than as TCP backpressure — monitor it when perf-debugging a
+	// saturated node.
 	MailboxHighWater int64
 }
 
@@ -193,7 +189,7 @@ func Serve(cfg Config) (*Node, error) {
 		peers: make(map[mcast.ProcessID]*link, len(cfg.Peers)),
 		rt:    rt,
 	}
-	n.box = node.NewMailbox[boxedInput](mailboxSize, n.quit)
+	n.box = node.NewMailbox[boxedInput](n.quit)
 	if d, ok := cfg.Handler.(node.Drainer); ok {
 		n.box.Gather = d.Gather // a client; replica loops do not gather (node.Mailbox.Run)
 	}
@@ -236,13 +232,18 @@ func (n *Node) Stats() Stats {
 		OutboundDrops:    int64(n.rt.OutboundDrops.Load()),
 		Reconnects:       int64(n.rt.Reconnects.Load()),
 		FramesRead:       int64(n.rt.FramesRead.Load()),
-		MailboxHighWater: n.rt.MailboxHW.Load(),
+		MailboxHighWater: n.MailboxHighWater(),
 	}
 }
 
 // MailboxDepth returns the current depth of the input mailbox. Exposed as
 // the wbcast_mailbox_depth gauge view by the public TCP transport.
 func (n *Node) MailboxDepth() int64 { return n.box.Depth() }
+
+// MailboxHighWater returns the largest depth of the input mailbox so far.
+// Exposed as the wbcast_mailbox_high_water gauge view by the public TCP
+// transport, and read by Stats.
+func (n *Node) MailboxHighWater() int64 { return n.box.HighWater() }
 
 // SetPeer registers (or updates) the address of a peer process. The
 // address book is consulted for each send, so an update takes effect for
@@ -435,7 +436,6 @@ func decodeFrameBody(buf []byte) (node.Recv, error) {
 // consume runs one input through the node's Step, or takes back the
 // hand-off that has run.
 func (n *Node) consume(b boxedInput) {
-	n.rt.MailboxHW.SetMax(n.box.HighWater())
 	if b.done != nil {
 		n.release(n.step.Complete(b.done))
 		return

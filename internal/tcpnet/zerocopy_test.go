@@ -8,6 +8,7 @@ import (
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
+	"wbcast/internal/obs"
 	"wbcast/internal/wire"
 )
 
@@ -105,13 +106,12 @@ func TestSelfSendBypassesWire(t *testing.T) {
 	}
 }
 
-// TestElasticMailboxNeverBlocks floods a node with more inputs than the
-// bounded ring holds, from inside the handler itself (the classic
-// buffer-deadlock shape: the handler loop producing into its own queue).
-// With the ring's overflow fallback this must complete; with a blocking
-// bounded mailbox it would deadlock.
+// TestElasticMailboxNeverBlocks floods a node with inputs from inside the
+// handler itself (the classic buffer-deadlock shape: the handler loop
+// producing into its own queue). The mailbox has no capacity, so this must
+// complete; with a blocking bounded mailbox it would deadlock.
 func TestElasticMailboxNeverBlocks(t *testing.T) {
-	const n = 100000 // far above the default 64-slot ring
+	const n = 100000
 	done := make(chan struct{})
 	var count int
 	var nd *Node
@@ -143,7 +143,49 @@ func TestElasticMailboxNeverBlocks(t *testing.T) {
 		t.Fatalf("handler loop stalled after %d of %d self-sends", count, n)
 	}
 	if hw := nd.Stats().MailboxHighWater; hw <= 64 {
-		t.Errorf("MailboxHighWater = %d, want > ring capacity (overflow was exercised)", hw)
+		t.Errorf("MailboxHighWater = %d, want > 64 (the burst queued up)", hw)
+	}
+}
+
+// TestStalledLoopHighWater: while a node's loop is stuck inside one Handle
+// call, the posts behind it keep the mailbox's high-water mark current, and
+// Stats and the wbcast_mailbox_high_water view read the same number.
+func TestStalledLoopHighWater(t *testing.T) {
+	const queued = 100
+	entered, release := make(chan struct{}), make(chan struct{})
+	stalled := false
+	h := node.Func{PID: 1, F: func(in node.Input, _ *node.Effects) {
+		if _, ok := in.(node.Recv); ok && !stalled {
+			stalled = true
+			entered <- struct{}{} // unbuffered: the test knows the loop is here
+			<-release
+		}
+	}}
+	nd := (&memNet{t: t}).add(h, nil)
+	defer close(release) // before the node's Close, which joins the loop
+	reg := obs.NewRegistry(`proc="1"`)
+	reg.RegisterFunc(obs.MetricMailboxHighWater, "", obs.KindGauge, nd.MailboxHighWater)
+
+	hb := node.Recv{From: 2, Msg: msgs.Heartbeat{Group: 0}}
+	if err := nd.Inject(hb); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handler never received the first input")
+	}
+	for i := 0; i < queued; i++ {
+		if err := nd.Inject(hb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hw := nd.Stats().MailboxHighWater
+	if hw < queued {
+		t.Errorf("Stats().MailboxHighWater = %d with the loop stalled, want >= %d (depth %d)", hw, queued, nd.MailboxDepth())
+	}
+	if g := reg.Snapshot().Gauges[obs.MetricMailboxHighWater]; g != hw {
+		t.Errorf("%s = %d, Stats().MailboxHighWater = %d", obs.MetricMailboxHighWater, g, hw)
 	}
 }
 

@@ -21,8 +21,9 @@
 #     the in-memory tcpnet node replaced, the subscription drop policies,
 #     the observability off switch, the separate client command, the
 #     history checkers check.Monitor replaced, the adapter extensions
-#     and timer options the protocol table replaced, and the harness's
-#     copies of the simulator's process state).
+#     and timer options the protocol table replaced, the harness's
+#     copies of the simulator's process state, and the mailbox ring's
+#     capacity, overflow and second high-water gauge).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -152,13 +153,16 @@ done
 # protocol table (internal/protocols) became the one constructor; the fault
 # engine's crash and restart hooks and the harness's replica map when the
 # harness began to read liveness and live handlers from the simulator (the
-# public wbcast Cluster.Replicas() method stays nameable).
+# public wbcast Cluster.Replicas() method stays nameable); the mailbox's ring
+# capacity, its overflow and the runtime's copy of its high-water mark when
+# the mailbox queue became a mutex and a slice that keeps its own high water.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
   Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
   check''.History Check''GTS Check''Partial \
   Protocol''Obs Storage''Protocol Conflict''Protocol blackbox''.Options \
-  On''Crash On''Restart 'Cluster''.Replicas\($\|[^(]\)'; do
+  On''Crash On''Restart 'Cluster''.Replicas\($\|[^(]\)' \
+  Mailbox''HW mailbox''Size 'ring + overflow'; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

@@ -58,13 +58,18 @@ if ! grep -q 'proc="0"' /tmp/metrics-smoke.txt; then
   echo 'metrics-smoke: /metrics samples lack the proc="0" label'
   fail=1
 fi
+# Every check below greps a scrape saved to a file, never curl's output
+# through a pipe: grep -q exits at its first match, curl then fails to write
+# the rest (exit 23), and under pipefail a present line reads as missing.
 # expvar mirrors the same document.
-if ! curl -sf "http://$METRICS_ADDR/debug/vars" | grep -q '"wbcast"'; then
+if ! curl -sf "http://$METRICS_ADDR/debug/vars" >/tmp/metrics-smoke-vars.txt \
+  || ! grep -q '"wbcast"' /tmp/metrics-smoke-vars.txt; then
   echo "metrics-smoke: /debug/vars lacks the wbcast document"
   fail=1
 fi
 # pprof index answers.
-if ! curl -sf "http://$METRICS_ADDR/debug/pprof/" | grep -q goroutine; then
+if ! curl -sf "http://$METRICS_ADDR/debug/pprof/" >/tmp/metrics-smoke-pprof.txt \
+  || ! grep -q goroutine /tmp/metrics-smoke-pprof.txt; then
   echo "metrics-smoke: /debug/pprof/ lacks the profile index"
   fail=1
 fi
@@ -77,7 +82,8 @@ if ! /tmp/wbcast-node -id 1 -groups 1 -size 1 -peers "$NODE_ADDR,$CLIENT_ADDR" \
   echo "metrics-smoke: the client did not complete 3 multicasts"
   fail=1
 fi
-if ! curl -sf "http://$METRICS_ADDR/metrics" | grep -q 'wbcast_deliveries_total{proc="0"} 3$'; then
+if ! curl -sf "http://$METRICS_ADDR/metrics" >/tmp/metrics-smoke.txt \
+  || ! grep -q 'wbcast_deliveries_total{proc="0"} 3$' /tmp/metrics-smoke.txt; then
   echo 'metrics-smoke: /metrics lacks wbcast_deliveries_total{proc="0"} 3 after the client run'
   fail=1
 fi

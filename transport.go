@@ -434,10 +434,12 @@ func (t *tcpTransport) add(h node.Handler, opts hostOptions) error {
 	if err != nil {
 		return err
 	}
-	// The high-water gauge lives in the Runtime; current depth is a view
-	// over the node's live queue.
+	// Depth and high water are views over the node's live queue, which
+	// keeps both as it is posted to.
 	opts.reg.RegisterFunc(obs.MetricMailboxDepth, "current input-queue length", obs.KindGauge,
 		n.MailboxDepth)
+	opts.reg.RegisterFunc(obs.MetricMailboxHighWater, "largest input-queue length observed", obs.KindGauge,
+		n.MailboxHighWater)
 	t.nodes.Store(pid, n)
 	// Ephemeral-port fix-up: when the configured address left the port to
 	// the kernel, adopt the actual bound address and teach every local node
