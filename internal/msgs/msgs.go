@@ -32,7 +32,7 @@ const (
 	KindLearn
 	KindConfirm
 	KindBatch
-	KindAckBatch
+	_ // 22: reserved, once the transport's ack batch
 	KindClientReplies
 )
 
@@ -58,20 +58,7 @@ var kindNames = map[Kind]string{
 	KindLearn:         "PAXOS_LEARN",
 	KindConfirm:       "CONFIRM",
 	KindBatch:         "BATCH",
-	KindAckBatch:      "ACK_BATCH",
 	KindClientReplies: "CLIENT_REPLIES",
-}
-
-// IsAck reports whether the kind is ack-class: a small fixed-size
-// acknowledgement that transports may coalesce into an AckBatch. Ack-class
-// messages carry no byte strings, so their decoded form never keeps a
-// network frame alive.
-func (k Kind) IsAck() bool {
-	switch k {
-	case KindAcceptAck, KindHeartbeatAck, KindP2b:
-		return true
-	}
-	return false
 }
 
 // Vouches reports whether another process acts on a message of this kind in
@@ -386,20 +373,6 @@ type Prune struct {
 }
 
 // ---------------------------------------------------------------------------
-// Transport-level aggregation
-// ---------------------------------------------------------------------------
-
-// AckBatch coalesces ack-class messages (ACCEPT_ACK, HEARTBEAT_ACK,
-// PAXOS_2B; Kind.IsAck) from one process to another into a single frame,
-// cutting per-frame overhead on the quorum-ack fan-in at high client
-// counts. It is transport-internal: runtimes build it on the send path
-// and expand it back into the individual messages on receipt, so protocol
-// handlers never see it.
-type AckBatch struct {
-	Entries []Message
-}
-
-// ---------------------------------------------------------------------------
 // Multi-Paxos (substrate of the FT-Skeen and FastCast baselines)
 // ---------------------------------------------------------------------------
 
@@ -520,7 +493,6 @@ func (P2a) Kind() Kind           { return KindP2a }
 func (P2b) Kind() Kind           { return KindP2b }
 func (Learn) Kind() Kind         { return KindLearn }
 func (Batch) Kind() Kind         { return KindBatch }
-func (AckBatch) Kind() Kind      { return KindAckBatch }
 func (ClientReplies) Kind() Kind { return KindClientReplies }
 
 // Concerns implementations: messages that take part in ordering a specific
@@ -567,7 +539,6 @@ var (
 	_ Message = P2b{}
 	_ Message = Learn{}
 	_ Message = Batch{}
-	_ Message = AckBatch{}
 	_ Message = ClientReplies{}
 
 	_ Concerner = Multicast{}

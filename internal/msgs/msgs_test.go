@@ -15,7 +15,7 @@ func TestKindStrings(t *testing.T) {
 		msgs.KindNewStateAck, msgs.KindHeartbeat, msgs.KindHeartbeatAck,
 		msgs.KindPrune, msgs.KindGCMark, msgs.KindP1a, msgs.KindP1b,
 		msgs.KindP2a, msgs.KindP2b, msgs.KindLearn, msgs.KindConfirm,
-		msgs.KindBatch, msgs.KindAckBatch, msgs.KindClientReplies,
+		msgs.KindBatch, msgs.KindClientReplies,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -27,6 +27,10 @@ func TestKindStrings(t *testing.T) {
 	}
 	if msgs.Kind(200).String() != "Kind(200)" {
 		t.Errorf("unknown kind = %q", msgs.Kind(200).String())
+	}
+	// Kind numbers are the wire format: slot 22 stays reserved.
+	if msgs.KindBatch != 21 || msgs.KindClientReplies != 23 || msgs.Kind(22).String() != "Kind(22)" {
+		t.Errorf("BATCH = %d, CLIENT_REPLIES = %d, slot 22 = %q; want 21, 23 and no kind", msgs.KindBatch, msgs.KindClientReplies, msgs.Kind(22))
 	}
 }
 

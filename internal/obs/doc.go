@@ -25,7 +25,7 @@
 // # Disabling
 //
 // The handle types (Proto, Client, Tracer) are nil-safe: a nil handle
-// means observability is genuinely off — no atomic traffic at all — which
-// is what makes an honest metrics-on/metrics-off overhead benchmark
-// possible.
+// means observability is genuinely off — no atomic traffic at all. That is
+// what simulator runs without instrumentation and unit tests pass; every
+// replica and client the public package builds is instrumented.
 package obs

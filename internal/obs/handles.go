@@ -9,8 +9,8 @@ import (
 // Proto is a protocol replica's instrumentation handle: per-stage latency
 // histograms plus recovery-path counters, with trace emission folded into
 // the same calls. All methods are nil-safe — a nil *Proto is
-// "observability off" and costs a single branch per call site, so the
-// metrics-on/off overhead benchmark compares against a true zero.
+// "observability off" and costs a single branch per call site: simulator
+// runs without instrumentation and unit tests pass nil.
 type Proto struct {
 	proc   mcast.ProcessID
 	clock  Clock
@@ -306,15 +306,19 @@ type Runtime struct {
 	Reconnects Counter
 	// FramesRead counts inbound frames successfully decoded.
 	FramesRead Counter
+	// SocketReads counts the Read calls on inbound connections: each takes
+	// in every frame the kernel has queued, up to the read buffer's size.
+	SocketReads Counter
+	// SocketWrites counts the writes to outbound connections: the loop's
+	// non-blocking write(2) of what one flush took, or the link writer's
+	// blocking Write of what the loop's did not.
+	SocketWrites Counter
 	// EncodeStage is the outbound serialisation latency per message, on
 	// the shard loop that releases the send.
 	EncodeStage Histogram
 	// DecodeStage is the inbound frame-parse latency per frame on the
 	// read loops.
 	DecodeStage Histogram
-	// AckBatchSize is the acks-per-flush distribution of the send path's
-	// ack batcher (unitless count, recorded as 1 ack = 1s).
-	AckBatchSize Histogram
 	// CommitInputs is the inputs-per-commit distribution of the shard
 	// loops' group commit (unitless count, recorded as 1 input = 1s).
 	CommitInputs Histogram
@@ -331,9 +335,10 @@ func NewRuntime(reg *Registry) *Runtime {
 	reg.RegisterCounter(MetricOutboundDrops, "outbound frames dropped", &rt.OutboundDrops)
 	reg.RegisterCounter(MetricReconnects, "outbound redials after connection failure", &rt.Reconnects)
 	reg.RegisterCounter(MetricFramesRead, "inbound frames decoded", &rt.FramesRead)
+	reg.RegisterCounter(MetricSocketReads, "reads of inbound connections", &rt.SocketReads)
+	reg.RegisterCounter(MetricSocketWrites, "writes to outbound connections", &rt.SocketWrites)
 	reg.RegisterHistogram(MetricEncodeStage, "outbound message serialisation latency on the sending shard loop", &rt.EncodeStage)
 	reg.RegisterHistogram(MetricDecodeStage, "inbound frame parse latency on the read loops", &rt.DecodeStage)
-	reg.RegisterHistogram(MetricAckBatchSize, "acknowledgements per flushed ack batch (count; 1 ack = 1s)", &rt.AckBatchSize)
 	reg.RegisterHistogram(MetricShardCommitInputs, "inputs whose effects one WAL sync released (count; 1 input = 1s)", &rt.CommitInputs)
 	return rt
 }

@@ -59,6 +59,13 @@ const (
 	MetricReconnects = "wbcast_reconnects_total"
 	// MetricFramesRead counts inbound frames successfully decoded.
 	MetricFramesRead = "wbcast_frames_read_total"
+	// MetricSocketReads counts Read calls on inbound connections: frames
+	// read per socket read is how much a segment carried.
+	MetricSocketReads = "wbcast_socket_reads_total"
+	// MetricSocketWrites counts writes to outbound connections, one
+	// write call each: frames sent per socket write is how much one drain
+	// produced for one peer.
+	MetricSocketWrites = "wbcast_socket_writes_total"
 	// MetricEncodeStage is the outbound codec-stage latency histogram:
 	// time to serialise one message to wire form on the process's loop.
 	MetricEncodeStage = "wbcast_encode_stage_seconds"
@@ -66,15 +73,14 @@ const (
 	// time to parse one frame (header + borrow-mode message decode) on a
 	// read loop, before it is posted to the mailbox.
 	MetricDecodeStage = "wbcast_decode_stage_seconds"
-	// MetricAckBatchSize is the acknowledgements-per-flush histogram of
-	// the send path's ack batcher. The value is a unitless count
-	// (exposed through the duration-typed summary with 1 ack = 1s, so
-	// quantiles read directly as ack counts).
+	// The ack-batch-size histogram is retired: no node registers it since
+	// every frame carries one message. The name stays declared for readers
+	// built against it, which find no samples.
 	MetricAckBatchSize = "wbcast_ack_batch_size"
 	// MetricShardCommitInputs is the inputs-per-commit histogram of the
 	// shard loops on a durable store: how many Handle calls one WAL sync
 	// released (group commit), i.e. the batch size the load produces.
-	// Unitless count, 1 input = 1s like MetricAckBatchSize.
+	// Unitless count, recorded as 1 input = 1s.
 	MetricShardCommitInputs = "wbcast_shard_commit_inputs"
 
 	// MetricTraceDropped counts trace events discarded because the

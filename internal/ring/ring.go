@@ -23,6 +23,12 @@ type MPSC[T any] struct {
 	hw    atomic.Int64 // written only under mu
 }
 
+// keptBatch bounds the capacity of a drained batch the consumer hands back
+// to the producers, far above a loaded node's depth (a few hundred): the
+// batch of a larger burst goes to the garbage collector instead, so a queue
+// does not hold its peak burst's memory for the rest of its life.
+const keptBatch = 4096
+
 // New creates an MPSC queue whose first batch has room for capacity items;
 // the queue grows past it as needed.
 func New[T any](capacity int) *MPSC[T] {
@@ -45,10 +51,13 @@ func (q *MPSC[T]) Enqueue(v T) {
 // Dequeue removes the next item, or reports false when the queue is
 // empty. Only one goroutine may call Dequeue. It pops from the consumer's
 // batch without a lock; when the batch is used up it clears it, so no
-// dequeued item stays reachable, and swaps it for what producers appended
-// meanwhile, under one lock.
+// dequeued item stays reachable, or drops it past keptBatch, and swaps it
+// for what producers appended meanwhile, under one lock.
 func (q *MPSC[T]) Dequeue() (T, bool) {
 	if q.next == len(q.out) {
+		if cap(q.out) > keptBatch {
+			q.out = nil
+		}
 		clear(q.out)
 		q.mu.Lock()
 		q.in, q.out = q.out[:0], q.in

@@ -154,6 +154,36 @@ func TestAccountingConservation(t *testing.T) {
 	}
 }
 
+// TestDrainedBurstIsNotKept: once a burst far past any steady depth has
+// been drained, the queue holds none of its memory, while a batch of a
+// steady depth is kept for reuse.
+func TestDrainedBurstIsNotKept(t *testing.T) {
+	q := New[int](64)
+	const burst, steady = 100_000, 200
+	for _, n := range []int{burst, steady} {
+		for i := 0; i < n; i++ {
+			q.Enqueue(i)
+		}
+		for i := 0; i < n; i++ {
+			if _, ok := q.Dequeue(); !ok {
+				t.Fatalf("queue empty after %d of %d items", i, n)
+			}
+		}
+		for i := 0; i < 10; i++ { // one post, one take: the batches swap
+			q.Enqueue(i)
+			if v, ok := q.Dequeue(); !ok || v != i {
+				t.Fatalf("took %d, %v after posting %d", v, ok, i)
+			}
+		}
+		if n == burst && (cap(q.in) >= burst/10 || cap(q.out) >= burst/10) {
+			t.Fatalf("after a drained burst of %d the batches keep room for %d and %d items", burst, cap(q.in), cap(q.out))
+		}
+	}
+	if cap(q.in) < steady && cap(q.out) < steady {
+		t.Fatalf("after a drained batch of %d the batches keep room for %d and %d items only", steady, cap(q.in), cap(q.out))
+	}
+}
+
 func BenchmarkEnqueueDequeue(b *testing.B) {
 	q := New[int](1024)
 	for i := 0; i < b.N; i++ {

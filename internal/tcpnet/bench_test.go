@@ -149,5 +149,5 @@ func BenchmarkReadLoop(b *testing.B) {
 	}
 	<-done
 	b.StopTimer()
-	b.ReportMetric(float64(r.conn.reads.Load())/float64(b.N), "reads/frame")
+	b.ReportMetric(float64(r.n.rt.SocketReads.Load())/float64(b.N), "reads/frame")
 }

@@ -21,10 +21,9 @@
 //	the loop   — Handle serially, persist-before-release (the driver), then
 //	             post self-sends straight to the mailbox, serialise each
 //	             remote send exactly once (encode-once fan-out) and append
-//	             the bytes to the link of every destination, batching
-//	             ack-class unicasts per link into AckBatch frames; at the
-//	             end of each mailbox drain, flush the links the drain
-//	             touched.
+//	             the bytes to the link of every destination as one frame;
+//	             at the end of each mailbox drain, flush the links the
+//	             drain touched, each in one write.
 //
 // A link is the outbound half of one peer process: a byte buffer under a
 // mutex and the connection. The flush offers the buffer to the socket once,
@@ -48,8 +47,7 @@
 // The processes of the model are what frames name: a node that reads a
 // frame for somebody else — an address book gone stale over reused ports —
 // drops it, so no handler takes part in ordering a message it is not a
-// destination of. An AckBatch travels under the same header and is expanded
-// into its entries on receipt.
+// destination of. A frame carries one message, always.
 //
 // # Memory discipline
 //
@@ -65,8 +63,7 @@
 //     frame, which nothing reuses — the garbage collector frees it once no
 //     part of the message is kept. A handler may keep any part of a received
 //     message as it is (node.Handler). A kept payload pins only its own
-//     message's bytes: a frame carries one message, and the entries of an
-//     AckBatch, the one frame expanded into several inputs, carry no bytes.
+//     message's bytes: a frame carries one message.
 //
 // # Layering
 //

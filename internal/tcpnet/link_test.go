@@ -122,10 +122,12 @@ func TestStalledPeer(t *testing.T) {
 	}
 }
 
-// TestCoalescedWritesAndReconnects pins what the two counters mean. The
-// sends of one drain to one address leave in one write: FramesCoalesced
-// counts the frames beyond the first. A connection the peer has closed costs
-// one Reconnects and nothing else: the link redials and later frames arrive.
+// TestCoalescedWritesAndReconnects pins what the link's counters mean. The
+// sends of one drain to one address leave in one write — the writer's after
+// its dial, then the loop's own on the connected idle link: SocketWrites
+// counts it, FramesCoalesced the frames beyond the first. A connection the
+// peer has closed costs one Reconnects and nothing else: the link redials
+// and later frames arrive.
 func TestCoalescedWritesAndReconnects(t *testing.T) {
 	a := newSink(t, nil)
 	n := scripted(t, 1, func(k uint64, fx *node.Effects) {
@@ -134,14 +136,17 @@ func TestCoalescedWritesAndReconnects(t *testing.T) {
 		}
 	})
 	n.SetPeer(10, a.addr())
-	step(t, n, 5)
-	for i := uint64(0); i < 5; i++ {
-		if f := a.next(t); f.msg.(msgs.Heartbeat).Bal.N != i || f.conn != 1 {
-			t.Fatalf("frame %d arrived as %+v", i, f)
+	for drain := int64(1); drain <= 2; drain++ {
+		step(t, n, 5)
+		for i := uint64(0); i < 5; i++ {
+			if f := a.next(t); f.msg.(msgs.Heartbeat).Bal.N != i || f.conn != 1 {
+				t.Fatalf("drain %d: frame %d arrived as %+v", drain, i, f)
+			}
 		}
-	}
-	if st := n.Stats(); st.FramesCoalesced != 4 || st.Reconnects != 0 {
-		t.Fatalf("FramesCoalesced = %d, Reconnects = %d after one drain of 5 frames; want 4 and 0", st.FramesCoalesced, st.Reconnects)
+		if st, w := n.Stats(), int64(n.rt.SocketWrites.Load()); st.FramesCoalesced != 4*drain || w != drain || st.Reconnects != 0 {
+			t.Fatalf("FramesCoalesced = %d, SocketWrites = %d, Reconnects = %d after %d drains of 5 frames; want %d, %d and 0",
+				st.FramesCoalesced, w, st.Reconnects, drain, 4*drain, drain)
+		}
 	}
 
 	(<-a.conns).Close() // the peer goes away; writes into the dead connection fail sooner or later

@@ -130,98 +130,3 @@ func (k *sink) next(t *testing.T) sinkFrame {
 		return sinkFrame{}
 	}
 }
-
-// ackEntries returns what an AckBatch frame to process to carries.
-func ackEntries(t *testing.T, f sinkFrame, to mcast.ProcessID) []msgs.Message {
-	t.Helper()
-	ab, ok := f.msg.(msgs.AckBatch)
-	if !ok {
-		t.Fatalf("frame carries %T, want an AckBatch", f.msg)
-	}
-	if f.to != to {
-		t.Fatalf("AckBatch frame addressed to %d, want %d", f.to, to)
-	}
-	return ab.Entries
-}
-
-// TestAckBatchingFlushRules pins the ack-batching contract of the send path:
-// ack-class unicasts accumulate per link; a non-ack frame to the same link
-// is not allowed past them (per-link FIFO); the end of the drain flushes
-// every link, with no further input.
-func TestAckBatchingFlushRules(t *testing.T) {
-	a, b := newSink(t, nil), newSink(t, nil)
-	hb := msgs.Heartbeat{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}}
-	acks := []msgs.Message{
-		msgs.AcceptAck{ID: mcast.MakeMsgID(9, 1), Group: 1},
-		msgs.HeartbeatAck{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}},
-		msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 6, Proc: 1}, Slot: 9},
-	}
-	n := scripted(t, 1, func(k uint64, fx *node.Effects) {
-		fx.Send(10, acks[0])
-		fx.Send(10, acks[1])
-		fx.Send(12, acks[2])
-		if k == 1 {
-			fx.Send(10, hb)
-		}
-	})
-	n.SetPeer(10, a.addr())
-	n.SetPeer(12, b.addr())
-
-	// Three acks, then a non-ack to 10: 10's acks leave ahead of it as one
-	// frame, 12's at the end of the drain.
-	step(t, n, 1)
-	first := a.next(t)
-	if ents := ackEntries(t, first, 10); len(ents) != 2 || ents[0].Kind() != acks[0].Kind() || ents[1] != acks[1] || first.from != 1 {
-		t.Fatalf("first frame to 10 = %+v, want process 1's two acks in order", first)
-	}
-	if second := a.next(t); second.msg != hb || second.to != 10 {
-		t.Fatalf("second frame to 10 = %+v, want the heartbeat", second)
-	}
-	if ents := ackEntries(t, b.next(t), 12); len(ents) != 1 || ents[0] != acks[2] {
-		t.Fatalf("12's flush = %+v, want its one ack", ents)
-	}
-
-	// Acks alone: nothing follows them on their links, and the node gets no
-	// further input — the end of the drain is what sends them.
-	step(t, n, 2)
-	if ents := ackEntries(t, a.next(t), 10); len(ents) != 2 {
-		t.Fatalf("10's drain-end flush = %+v, want two acks", ents)
-	}
-	if ents := ackEntries(t, b.next(t), 12); len(ents) != 1 {
-		t.Fatalf("12's drain-end flush = %+v, want one ack", ents)
-	}
-	st := n.Stats()
-	if st.MessagesEncoded != 5 || st.FramesSent != 5 {
-		t.Errorf("encoded %d messages into %d frames, want 5 and 5 (four ack batches, one heartbeat)", st.MessagesEncoded, st.FramesSent)
-	}
-	if got := n.rt.AckBatchSize.Snapshot().Count; got != 4 {
-		t.Errorf("ack batch size observed %d times, want 4", got)
-	}
-}
-
-// TestAckBatchMaxFlush: a link that accumulates ackBatchMax acks within one
-// call flushes them at once; the rest follow in order at the drain's end.
-func TestAckBatchMaxFlush(t *testing.T) {
-	const extra = 5
-	a := newSink(t, nil)
-	n := scripted(t, 1, func(_ uint64, fx *node.Effects) {
-		for i := 0; i < ackBatchMax+extra; i++ {
-			fx.Send(10, msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}, Slot: uint64(i)})
-		}
-	})
-	n.SetPeer(10, a.addr())
-	step(t, n, 0)
-	slot := uint64(0)
-	for _, want := range []int{ackBatchMax, extra} {
-		ents := ackEntries(t, a.next(t), 10)
-		if len(ents) != want {
-			t.Fatalf("ack batch of %d, want %d", len(ents), want)
-		}
-		for _, ent := range ents {
-			if ent.(msgs.P2b).Slot != slot {
-				t.Fatalf("entry out of order: slot %d, want %d", ent.(msgs.P2b).Slot, slot)
-			}
-			slot++
-		}
-	}
-}

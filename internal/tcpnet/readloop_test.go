@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"net"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,26 +13,13 @@ import (
 	"wbcast/internal/node"
 )
 
-// countingConn counts the Read calls readLoop makes: each is a read(2) on a
-// real connection.
-type countingConn struct {
-	net.Conn
-	reads atomic.Int64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	c.reads.Add(1)
-	return c.Conn.Read(p)
-}
-
 // readRig is a node for process 3 whose readLoop reads the far end of an
 // in-memory pipe: whatever is written to peer arrives as Recv inputs on
 // got. net.Pipe does not buffer, so
 // one Write is consumed by exactly as many Reads as the reader's buffer
-// needs — the read count repeats exactly.
+// needs — the node's socket-read count repeats exactly.
 type readRig struct {
 	n    *Node
-	conn *countingConn
 	peer net.Conn
 	got  chan node.Recv
 }
@@ -44,7 +30,7 @@ func newReadRig(tb testing.TB, onRecv func(node.Recv)) *readRig {
 	tb.Helper()
 	n := newBenchNode(3)
 	near, far := net.Pipe()
-	r := &readRig{n: n, conn: &countingConn{Conn: near}, peer: far, got: make(chan node.Recv, 256)}
+	r := &readRig{n: n, peer: far, got: make(chan node.Recv, 256)}
 	if onRecv == nil {
 		onRecv = func(rcv node.Recv) { r.got <- rcv }
 	}
@@ -53,7 +39,7 @@ func newReadRig(tb testing.TB, onRecv func(node.Recv)) *readRig {
 		defer n.wg.Done()
 		n.box.Run(func(b boxedInput) { onRecv(b.in.(node.Recv)) }, func() {})
 	}()
-	go n.readLoop(r.conn)
+	go n.readLoop(near)
 	tb.Cleanup(func() {
 		far.Close()
 		n.quitOnce.Do(func() { close(n.quit) })
@@ -94,7 +80,7 @@ func (r *readRig) next(t *testing.T) node.Recv {
 }
 
 // TestReadLoopManyFramesOneRead: the frames one segment carried cost one
-// read, not two each.
+// read, not two each, as the node's socket-read counter sees it.
 func TestReadLoopManyFramesOneRead(t *testing.T) {
 	r := newReadRig(t, nil)
 	const frames = 100
@@ -116,7 +102,7 @@ func TestReadLoopManyFramesOneRead(t *testing.T) {
 		}
 	}
 	// One read took the burst in; the loop is parked in the next.
-	if reads := r.conn.reads.Load(); reads > 4 {
+	if reads := r.n.rt.SocketReads.Load(); reads > 4 {
 		t.Errorf("%d frames cost %d reads, want at most 4", frames, reads)
 	}
 	if got := r.n.Stats().FramesRead; got != frames {
@@ -251,8 +237,8 @@ func TestMisaddressedFrameIsDropped(t *testing.T) {
 // FuzzFrame feeds arbitrary frame contents — [dest][sender][wire message],
 // behind a correct length prefix — to a node's read path over a real
 // connection, followed by a marker frame. Whatever the bytes: nothing
-// panics; a frame that parses and names this process posts exactly its
-// messages, then the marker; one that names another process posts nothing
+// panics; a frame that parses and names this process posts its one message,
+// then the marker; one that names another process posts nothing
 // but the marker; a malformed one closes the connection, and the node goes
 // on serving the next.
 func FuzzFrame(f *testing.F) {
@@ -261,10 +247,7 @@ func FuzzFrame(f *testing.F) {
 	for _, seed := range [][]byte{
 		rawFrame(f, benchAccept()), // TestFrameRoundTripPreservesWire's message
 		rawFrameTo(f, 9, benchAccept()),
-		rawFrame(f, msgs.AckBatch{Entries: []msgs.Message{
-			msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}, Slot: 2},
-			msgs.HeartbeatAck{Group: 2, Bal: mcast.Ballot{N: 3, Proc: 1}},
-		}}),
+		rawFrame(f, msgs.P2b{Group: 0, Bal: mcast.Ballot{N: 1, Proc: 1}, Slot: 2}),
 		rawFrame(f, marker)[:9],
 	} {
 		f.Add(seed[4:]) // without the length prefix
@@ -279,11 +262,8 @@ func FuzzFrame(f *testing.F) {
 		if dest, off := binary.Varint(frame); off <= 0 {
 			closes = true
 		} else if dest == 3 {
-			rcv, err := decodeFrameBody(bytes.Clone(frame[off:]))
-			if ab, ok := rcv.Msg.(msgs.AckBatch); err != nil {
+			if _, err := decodeFrameBody(bytes.Clone(frame[off:])); err != nil {
 				closes = true
-			} else if ok {
-				posts = len(ab.Entries)
 			} else {
 				posts = 1
 			}

@@ -33,11 +33,6 @@ const linkBacklog = 4 << 20
 // (length prefix, body) per frame. A larger frame bypasses the buffer.
 const readBufSize = 32 << 10
 
-// ackBatchMax bounds how many ack-class messages accumulate for one link
-// before they leave as one AckBatch frame regardless of where the drain
-// stands.
-const ackBatchMax = 64
-
 // dialTimeout bounds one outbound connection attempt.
 const dialTimeout = 3 * time.Second
 
@@ -101,8 +96,7 @@ type Config struct {
 type Stats struct {
 	// MessagesEncoded counts distinct messages serialised to wire form:
 	// one per send with encode-once fan-out, however many recipients the
-	// send addresses, plus one per flushed AckBatch (each covering many
-	// ack sends).
+	// send addresses.
 	MessagesEncoded int64
 	// FramesSent counts frames appended to peer links — one per
 	// destination process per send (self-sends excluded).
@@ -363,8 +357,8 @@ func (n *Node) acceptLoop() {
 // is dropped unread: no handler may see a message its process is not a
 // destination of. Each frame is read into a buffer of its own, which the
 // decoded message borrows and nothing reuses: the garbage collector frees it
-// with the last part of the message anybody keeps. An AckBatch frame is
-// expanded into per-entry Recv posts. A malformed frame ends the connection.
+// with the last part of the message anybody keeps. A malformed frame ends
+// the connection.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
@@ -377,7 +371,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		case <-done:
 		}
 	}()
-	br := bufio.NewReaderSize(conn, readBufSize)
+	br := bufio.NewReaderSize(countedReader{conn, &n.rt.SocketReads}, readBufSize)
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
@@ -409,14 +403,19 @@ func (n *Node) readLoop(conn net.Conn) {
 		}
 		n.rt.FramesRead.Inc()
 		n.rt.DecodeStage.Observe(time.Since(start))
-		if ab, ok := rcv.Msg.(msgs.AckBatch); ok {
-			for _, m := range ab.Entries {
-				n.box.Post(boxedInput{in: node.Recv{From: rcv.From, Msg: m}})
-			}
-			continue
-		}
 		n.box.Post(boxedInput{in: rcv})
 	}
+}
+
+// countedReader counts the Read calls on one connection.
+type countedReader struct {
+	conn  net.Conn
+	reads *obs.Counter
+}
+
+func (r countedReader) Read(p []byte) (int, error) {
+	r.reads.Inc()
+	return r.conn.Read(p)
 }
 
 // decodeFrameBody parses a frame body — [sender varint][wire message] — in
@@ -452,7 +451,6 @@ func (n *Node) consume(b boxedInput) {
 func (n *Node) commit() {
 	n.release(n.step.EndDrain(), nil)
 	for _, l := range n.touched {
-		n.flushAcks(l)
 		l.touched = false
 		l.flush()
 	}
@@ -497,10 +495,7 @@ func (n *Node) release(rel node.Release, err error) {
 // re-encoded — received messages are immutable either way. For the remote
 // recipients the message is serialised once, here,
 // whatever the fan-out, and the bytes are appended to the link of every
-// destination; commit flushes them. Ack-class unicasts accumulate per link
-// and leave as one AckBatch frame — before any later frame to the same link
-// (per-link FIFO), when ackBatchMax have gathered, and at the end of the
-// drain.
+// destination as one frame; commit flushes them.
 func (n *Node) send(sends []node.Send) {
 	for i := range sends {
 		snd := &sends[i]
@@ -508,7 +503,6 @@ func (n *Node) send(sends []node.Send) {
 			n.sendInMemory(snd)
 			continue
 		}
-		ack := snd.Tos == nil && snd.Msg.Kind().IsAck()
 		n.dests = n.dests[:0]
 		for r := 0; r < snd.NumRecipients(); r++ {
 			to := snd.Recipient(r)
@@ -524,15 +518,7 @@ func (n *Node) send(sends []node.Send) {
 				l.touched = true
 				n.touched = append(n.touched, l)
 			}
-			if !ack {
-				n.flushAcks(l) // into the scratch the body takes after the loop
-				n.dests = append(n.dests, l)
-				continue
-			}
-			l.acks = append(l.acks, snd.Msg)
-			if len(l.acks) >= ackBatchMax {
-				n.flushAcks(l)
-			}
+			n.dests = append(n.dests, l)
 		}
 		if len(n.dests) == 0 {
 			continue
@@ -569,20 +555,6 @@ func (n *Node) sendInMemory(snd *node.Send) {
 	}
 }
 
-// flushAcks appends the acks accumulated for l as a single AckBatch frame.
-func (n *Node) flushAcks(l *link) {
-	if len(l.acks) == 0 {
-		return
-	}
-	n.rt.AckBatchSize.Observe(time.Duration(len(l.acks)) * time.Second)
-	body, ok := n.encode(msgs.AckBatch{Entries: l.acks})
-	clear(l.acks)
-	l.acks = l.acks[:0]
-	if ok {
-		l.append(body)
-	}
-}
-
 // encode serialises one frame body — [sender varint][wire message] — into
 // the node's scratch, valid until the next call.
 func (n *Node) encode(m msgs.Message) ([]byte, bool) {
@@ -614,9 +586,8 @@ type link struct {
 	// placeholder: addr's port is 0, so nothing is sent, dialled or logged.
 	placeholder bool
 
-	// Used by the node's loop alone: the acks accumulated for the peer, and
-	// whether the link is on the loop's touched list.
-	acks    []msgs.Message
+	// Used by the node's loop alone: whether the link is on the loop's
+	// touched list.
 	touched bool
 
 	mu      sync.Mutex
@@ -742,6 +713,7 @@ func (l *link) write(out []byte, off, frames int) {
 			l.setConn(c)
 			conn, off = c, 0
 		}
+		n.rt.SocketWrites.Inc()
 		_, err := conn.Write(out[off:])
 		if err == nil {
 			return
@@ -762,7 +734,7 @@ func (l *link) setConn(c net.Conn) {
 	if l.conn != nil {
 		l.conn.Close()
 	}
-	l.conn, l.try = c, newTryWriter(c) // a nil c takes nothing
+	l.conn, l.try = c, newTryWriter(c, &l.n.rt.SocketWrites) // a nil c takes nothing
 	if c != nil && l.closed.Load() {
 		c.Close()
 	}

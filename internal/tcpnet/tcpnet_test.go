@@ -123,19 +123,18 @@ func TestWhiteBoxOverTCP(t *testing.T) {
 	}
 }
 
-// TestAckBatchOverTCP runs an answering process (pid 1) and a driver (pid 3)
-// as two nodes over real TCP. The driver pings; the answerer acks every ping
-// and follows every tenth ack with a non-ack echo, so AckBatch frames and
-// plain frames interleave on its one link to the driver. The driver's read
-// loop must expand the batches back into Recv inputs in the order the
-// answerer issued them: acks in ping order, echoes in their own order, and
-// no echo ahead of the ack it followed (per-link FIFO through batching).
-func TestAckBatchOverTCP(t *testing.T) {
+// TestPerLinkFIFOOverTCP runs an answering process (pid 1) and a driver
+// (pid 3) as two nodes over real TCP. The driver pings; the answerer acks
+// every ping and follows every tenth ack with a non-ack echo, so acks and
+// other frames interleave on its one link to the driver. The driver must see
+// them in the order the answerer sent them (per-link FIFO), and every
+// message must have cost one encode and one frame.
+func TestPerLinkFIFOOverTCP(t *testing.T) {
 	const numPings, echoEvery = 200, 10
+	const total = numPings + numPings/echoEvery
 
 	var mu sync.Mutex
-	var acks, echoes []uint64 // Delivered.Time of acks, Bal.N of echoes, as the driver saw them
-	var acksAtEcho []int      // how many acks had arrived when each echo did
+	var got []msgs.Message // what the driver received, in order
 	allIn := make(chan struct{})
 
 	answerer := node.Func{PID: 1, F: func(in node.Input, fx *node.Effects) {
@@ -144,9 +143,9 @@ func TestAckBatchOverTCP(t *testing.T) {
 			return
 		}
 		hb := rcv.Msg.(msgs.Heartbeat)
-		fx.Send(rcv.From, msgs.HeartbeatAck{Group: hb.Group, Bal: hb.Bal, Delivered: mcast.Timestamp{Time: hb.Bal.N}})
+		fx.Send(rcv.From, msgs.HeartbeatAck{Group: hb.Group, Bal: hb.Bal})
 		if hb.Bal.N%echoEvery == echoEvery-1 {
-			fx.Send(rcv.From, msgs.Heartbeat{Group: 9, Bal: mcast.Ballot{N: hb.Bal.N, Proc: 1}})
+			fx.Send(rcv.From, msgs.Heartbeat{Group: 9, Bal: hb.Bal})
 		}
 	}}
 	an, err := tcpnet.Serve(tcpnet.Config{PID: 1, ListenAddr: "127.0.0.1:0", Handler: answerer})
@@ -163,14 +162,7 @@ func TestAckBatchOverTCP(t *testing.T) {
 			}
 		case node.Recv:
 			mu.Lock()
-			switch m := in.Msg.(type) {
-			case msgs.HeartbeatAck:
-				acks = append(acks, m.Delivered.Time)
-			case msgs.Heartbeat:
-				echoes = append(echoes, m.Bal.N)
-				acksAtEcho = append(acksAtEcho, len(acks))
-			}
-			if len(acks)+len(echoes) == numPings+numPings/echoEvery {
+			if got = append(got, in.Msg); len(got) == total {
 				close(allIn)
 			}
 			mu.Unlock()
@@ -191,31 +183,31 @@ func TestAckBatchOverTCP(t *testing.T) {
 	case <-allIn:
 	case <-time.After(20 * time.Second):
 		mu.Lock()
-		n, m := len(acks), len(echoes)
+		n := len(got)
 		mu.Unlock()
-		t.Fatalf("timed out after %d of %d acks and %d of %d echoes", n, numPings, m, numPings/echoEvery)
+		t.Fatalf("timed out after %d of %d messages", n, total)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	for i, got := range acks {
-		if got != uint64(i) {
-			t.Fatalf("ack %d carries Delivered.Time %d; ack batching broke per-link FIFO", i, got)
+	var want []msgs.Message
+	for i := uint64(0); i < numPings; i++ {
+		bal := mcast.Ballot{N: i, Proc: 3}
+		want = append(want, msgs.HeartbeatAck{Group: 0, Bal: bal})
+		if i%echoEvery == echoEvery-1 {
+			want = append(want, msgs.Heartbeat{Group: 9, Bal: bal})
 		}
 	}
-	for i, got := range echoes {
-		if want := uint64(i*echoEvery + echoEvery - 1); got != want {
-			t.Fatalf("echo %d is of ping %d, want %d", i, got, want)
-		}
-		if acksAtEcho[i] != int(got)+1 {
-			t.Fatalf("the echo of ping %d arrived after %d acks, want %d: a frame passed an ack batch or fell behind one", got, acksAtEcho[i], got+1)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("message %d arrived as %+v, want %+v: per-link FIFO broken", i, got[i], want[i])
 		}
 	}
-	// Strictly fewer ack frames than acks would be flaky to assert under
-	// arbitrary scheduling, but batching must never cost more than a frame
-	// per ack.
-	if st := an.Stats(); st.MessagesEncoded > numPings+numPings/echoEvery {
-		t.Errorf("the answerer encoded %d messages for %d acks and %d echoes", st.MessagesEncoded, numPings, numPings/echoEvery)
+	if st := an.Stats(); st.MessagesEncoded != total || st.FramesSent != total {
+		t.Errorf("the answerer encoded %d messages into %d frames for %d sends, want one each", st.MessagesEncoded, st.FramesSent, total)
+	}
+	if st := dn.Stats(); st.FramesRead != total {
+		t.Errorf("the driver read %d frames for %d messages", st.FramesRead, total)
 	}
 }
 

@@ -2,12 +2,16 @@
 
 package tcpnet
 
-import "net"
+import (
+	"net"
+
+	"wbcast/internal/obs"
+)
 
 // tryWriter has no non-blocking write on this platform: every flush goes to
 // the link's writer goroutine.
 type tryWriter struct{}
 
-func newTryWriter(net.Conn) tryWriter { return tryWriter{} }
+func newTryWriter(net.Conn, *obs.Counter) tryWriter { return tryWriter{} }
 
 func (*tryWriter) write([]byte) int { return 0 }

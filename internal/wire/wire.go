@@ -107,20 +107,6 @@ func Encode(dst []byte, m msgs.Message) ([]byte, error) {
 			e.Uint(uint64(ent.ID))
 			e.Bytes(ent.Payload)
 		}
-	case msgs.AckBatch:
-		e.Uint(uint64(len(m.Entries)))
-		for _, ent := range m.Entries {
-			if ent == nil || !ent.Kind().IsAck() {
-				return nil, fmt.Errorf("wire: ack batch entry is not ack-class")
-			}
-			// Entries nest a complete [kind][body] encoding, so the
-			// same top-level codec handles them.
-			buf, err := Encode(e, ent)
-			if err != nil {
-				return nil, err
-			}
-			e = buf
-		}
 	case msgs.ClientReplies:
 		e.i32(int32(m.Group))
 		e.Ballot(m.Bal)
@@ -171,9 +157,8 @@ func decode(data []byte, borrow bool) (msgs.Message, error) {
 // storage formats are bounded by their bytes alone (Reader.Count).
 const maxCount = 1 << 20
 
-// message decodes one message body of the given kind from the cursor,
-// leaving any following bytes in place (the top-level decode checks for
-// trailing bytes; AckBatch entries decode in sequence).
+// message decodes one message body of the given kind from the cursor; decode
+// checks for trailing bytes.
 func (r *Reader) message(kind msgs.Kind) msgs.Message {
 	var m msgs.Message
 	switch kind {
@@ -233,17 +218,6 @@ func (r *Reader) message(kind msgs.Kind) msgs.Message {
 			b.Entries[i] = msgs.BatchEntry{ID: mcast.MsgID(r.Uint()), Payload: r.Bytes()}
 		}
 		m = b
-	case msgs.KindAckBatch:
-		ab := msgs.AckBatch{Entries: make([]msgs.Message, r.count(maxCount))}
-		for i := range ab.Entries {
-			// Only ack kinds nest, which also rules out a nested AckBatch.
-			if k := msgs.Kind(r.Byte()); k.IsAck() {
-				ab.Entries[i] = r.message(k)
-			} else {
-				r.Fail(fmt.Errorf("ack batch entry of non-ack kind %v", k))
-			}
-		}
-		m = ab
 	case msgs.KindClientReplies:
 		cr := msgs.ClientReplies{Group: mcast.GroupID(r.i32()), Bal: r.Ballot()}
 		cr.IDs = make([]mcast.MsgID, r.count(maxCount))

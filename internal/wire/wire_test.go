@@ -47,6 +47,7 @@ func allMessages() []msgs.Message {
 		msgs.NewStateAck{Bal: bal(4, 2)},
 		msgs.Heartbeat{Group: 2, Bal: bal(5, 8)},
 		msgs.HeartbeatAck{Group: 2, Bal: bal(5, 8), Delivered: ts(42, 1), Executed: 6, Seq: 4},
+		msgs.HeartbeatAck{Group: 2, Bal: bal(5, 8), Delivered: ts(42, 1), Executed: 7}, // no release cursor: white-box mode
 		msgs.GCMark{Group: 1, Watermark: ts(30, 1)},
 		msgs.Prune{Group: 1, Marks: []msgs.GroupTS{{Group: 0, TS: ts(20, 0)}, {Group: 1, TS: ts(25, 1)}}},
 		msgs.P1a{Group: 0, Bal: bal(6, 1)},
@@ -64,13 +65,6 @@ func allMessages() []msgs.Message {
 			{ID: mcast.MakeMsgID(7, 14), Payload: []byte("first")},
 			{ID: mcast.MakeMsgID(7, 15), Payload: []byte("second")},
 			{ID: mcast.MakeMsgID(9, 1), Payload: []byte{}},
-		}},
-		msgs.AckBatch{Entries: []msgs.Message{
-			msgs.AcceptAck{ID: mcast.MakeMsgID(7, 16), Group: 1, Bals: []msgs.GroupBallot{
-				{Group: 0, Bal: bal(1, 0)}, {Group: 1, Bal: bal(2, 4)},
-			}},
-			msgs.HeartbeatAck{Group: 2, Bal: bal(5, 8), Delivered: ts(42, 1), Executed: 7},
-			msgs.P2b{Group: 0, Bal: bal(6, 1), Slot: 9},
 		}},
 		msgs.ClientReplies{Group: 2, IDs: []mcast.MsgID{mcast.MakeMsgID(7, 17), mcast.MakeMsgID(7, 18), mcast.MakeMsgID(7, 20)}},
 		msgs.ClientReplies{Group: 2, Bal: bal(3, 7), IDs: []mcast.MsgID{mcast.MakeMsgID(7, 22)}},
@@ -106,25 +100,6 @@ func TestClientRepliesRoundTrip(t *testing.T) {
 	raw := []byte{byte(msgs.KindClientReplies), 0, 0, 0, 0x80, 0x80, 0x80, 0x01}
 	if _, err := wire.Decode(raw); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("a count above the collection limit: err = %v", err)
-	}
-}
-
-// TestAckBatchRejectsNonAckEntries: only ack-class kinds may nest inside an
-// AckBatch — in particular another AckBatch must be rejected on both paths.
-func TestAckBatchRejectsNonAckEntries(t *testing.T) {
-	if _, err := wire.Encode(nil, msgs.AckBatch{Entries: []msgs.Message{
-		msgs.Heartbeat{Group: 1, Bal: bal(1, 1)},
-	}}); err == nil {
-		t.Error("encoded an ack batch with a non-ack entry")
-	}
-	inner, err := wire.Encode(nil, msgs.Heartbeat{Group: 1, Bal: bal(1, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := []byte{byte(msgs.KindAckBatch), 1}
-	raw = append(raw, inner...)
-	if _, err := wire.Decode(raw); err == nil {
-		t.Error("decoded an ack batch with a non-ack entry")
 	}
 }
 

@@ -22,8 +22,9 @@
 #     the observability off switch, the separate client command, the
 #     history checkers check.Monitor replaced, the adapter extensions
 #     and timer options the protocol table replaced, the harness's
-#     copies of the simulator's process state, and the mailbox ring's
-#     capacity, overflow and second high-water gauge).
+#     copies of the simulator's process state, the mailbox ring's
+#     capacity, overflow and second high-water gauge, and the transport's
+#     ack batch).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -155,14 +156,17 @@ done
 # harness began to read liveness and live handlers from the simulator (the
 # public wbcast Cluster.Replicas() method stays nameable); the mailbox's ring
 # capacity, its overflow and the runtime's copy of its high-water mark when
-# the mailbox queue became a mutex and a slice that keeps its own high water.
+# the mailbox queue became a mutex and a slice that keeps its own high water;
+# the ack batch, its message kind, the ack-class rule and the send path's
+# accumulator when every frame began to carry one message.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
   Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
   check''.History Check''GTS Check''Partial \
   Protocol''Obs Storage''Protocol Conflict''Protocol blackbox''.Options \
   On''Crash On''Restart 'Cluster''.Replicas\($\|[^(]\)' \
-  Mailbox''HW mailbox''Size 'ring + overflow'; do
+  Mailbox''HW mailbox''Size 'ring + overflow' \
+  Ack''Batch ACK''_BATCH Is''Ack ack''BatchMax flush''Acks; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

@@ -47,6 +47,8 @@ for name in \
   wbcast_messages_encoded_total \
   wbcast_frames_sent_total \
   wbcast_frames_read_total \
+  wbcast_socket_reads_total \
+  wbcast_socket_writes_total \
 ; do
   if ! grep -q "$name" /tmp/metrics-smoke.txt; then
     echo "metrics-smoke: /metrics lacks $name"
