@@ -162,14 +162,6 @@ func TestValidateEdgeCases(t *testing.T) {
 			c.Latency = wbcast.LAN()
 			c.Transport = wbcast.TCP("", map[wbcast.ProcessID]string{})
 		}, "Latency"},
-		{"conflicts without genmcast", func(c *wbcast.Config) {
-			c.Conflicts = func(a, b []byte) bool { return true }
-		}, "requires the genmcast protocol"},
-		{"conflicts on skeen", func(c *wbcast.Config) {
-			c.Protocol = wbcast.Skeen
-			c.Replicas = 1
-			c.Conflicts = func(a, b []byte) bool { return true }
-		}, "requires the genmcast protocol"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,17 +175,6 @@ func TestValidateEdgeCases(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.errHas)
 			}
 		})
-	}
-
-	// Genmcast accepts a conflict relation — and works without one (nil
-	// treats every pair as conflicting, i.e. plain atomic multicast).
-	for _, rel := range []wbcast.ConflictRelation{nil, func(a, b []byte) bool { return false }} {
-		cfg := valid
-		cfg.Protocol = wbcast.Genmcast
-		cfg.Conflicts = rel
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Validate rejected genmcast (Conflicts nil=%v): %v", rel == nil, err)
-		}
 	}
 
 	// The same latency profile is fine on the non-TCP transports.

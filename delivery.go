@@ -8,7 +8,8 @@ import "sync"
 // buffer is full the delivering process waits for the subscriber, so a
 // subscriber that stops consuming eventually stalls its replica, which the
 // rest of the group treats like a slow (and ultimately crashed) process.
-// Close unsubscribes; the replica's own shutdown also closes C.
+// Close unsubscribes; the replica's own shutdown also closes C. A
+// delivered payload is shared and read-only (see Delivery).
 //
 // C is the buffer: the delivering process sends on it directly, so a
 // delivery reaches the subscriber without passing through another goroutine.

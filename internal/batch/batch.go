@@ -19,9 +19,9 @@ type Options struct{}
 func NewHandler(cfg client.Config, _ *Options) node.Handler { return client.New(cfg) }
 
 // DecodePayload parses the payload of a batch envelope: the wire form of a
-// msgs.Batch.
+// msgs.Batch. The entries' payloads alias payload.
 func DecodePayload(payload []byte) ([]msgs.BatchEntry, error) {
-	m, err := wire.Decode(payload)
+	m, err := wire.DecodeBorrowed(payload)
 	if err != nil {
 		return nil, err
 	}

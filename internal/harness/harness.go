@@ -170,7 +170,7 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	var clock obs.Clock
 	if opts.TraceSample > 0 {
 		clock = func() time.Duration { return c.Sim.Now() }
-		c.Tracer = obs.NewTracer(opts.TraceSample, 0, clock)
+		c.Tracer = obs.NewTracer(opts.TraceSample, clock)
 	}
 	simCfg := sim.Config{Latency: opts.Latency, CommitTime: opts.CommitTime, Seed: opts.Seed, Trace: opts.Trace}
 	if opts.AppHorizon {

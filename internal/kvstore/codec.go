@@ -73,10 +73,10 @@ func writeOp(w *wire.Writer, op Op) {
 	}
 }
 
-// DecodeOp parses an operation previously encoded with EncodeOp. The result
-// is fully independent of data.
+// DecodeOp parses an operation previously encoded with EncodeOp. The
+// result's keys and values alias data.
 func DecodeOp(data []byte) (Op, error) {
-	r := wire.NewReader(data, false)
+	r := wire.NewReader(data)
 	if v := r.Byte(); v != opCodecVersion {
 		r.Fail(fmt.Errorf("unknown op codec version %d", v))
 	}
@@ -132,9 +132,10 @@ func EncodeApplied(d mcast.Delivery) []byte {
 }
 
 // DecodeApplied parses a record written by EncodeApplied. Only the fields
-// recovery needs are rebuilt: the global position and the payload.
+// recovery needs are rebuilt: the global position and the payload, which
+// aliases data.
 func DecodeApplied(data []byte) (mcast.Delivery, error) {
-	r := wire.NewReader(data, false)
+	r := wire.NewReader(data)
 	d := mcast.Delivery{GTS: r.TS(), Sub: int(r.Uint())}
 	d.Msg.Payload = r.Bytes()
 	if err := r.Done(); err != nil {

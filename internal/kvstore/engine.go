@@ -354,7 +354,8 @@ func (e *Engine) applyLocked(d mcast.Delivery) (Resp, bool) {
 // batch so the next crash recovers them from the app channel directly.
 // Recover must run before the engine consumes live deliveries. The app log
 // it recovers and re-logs counts towards the next compaction, which the
-// first live batch makes if the log has reached the snapshot.
+// first live batch makes if the log has reached the snapshot. The restored
+// values alias snapshot, which the caller must not write again.
 func (e *Engine) Recover(snapshot []byte, log [][]byte, replay []mcast.Delivery) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -464,7 +465,7 @@ func (e *Engine) restoreSnapshotLocked(snap []byte) error {
 	if e.cfg.Unordered {
 		version = snapshotVersionUnordered
 	}
-	r := wire.NewReader(snap, false)
+	r := wire.NewReader(snap)
 	if v := r.Byte(); v != version {
 		r.Fail(fmt.Errorf("version %d, want %d (ordered/unordered mode mismatch?)", v, version))
 	}

@@ -24,7 +24,7 @@ type MsgConflicts func(a, b AppMsg) bool
 
 // ConflictHolder is a late-bindable conflict relation shared between a
 // replica's protocol state machine and the layers that configure it. The
-// relation may be replaced while traffic flows (kv.AttachShard installs the
+// relation may be replaced while traffic flows (kv.NewService installs the
 // key-based relation after the replica is constructed); because the default
 // is the all-conflict relation and every legal replacement is a relation
 // the application tolerates, tightening mid-stream is safe — messages

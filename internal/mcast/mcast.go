@@ -83,9 +83,6 @@ func (ts Timestamp) Less(other Timestamp) bool {
 	return ts.Group < other.Group
 }
 
-// LessEq reports whether ts orders before or equal to other.
-func (ts Timestamp) LessEq(other Timestamp) bool { return !other.Less(ts) }
-
 // Compare returns -1, 0 or +1 as ts orders before, equal to or after other.
 func (ts Timestamp) Compare(other Timestamp) int {
 	switch {
@@ -96,18 +93,6 @@ func (ts Timestamp) Compare(other Timestamp) int {
 	default:
 		return 0
 	}
-}
-
-// MaxTimestamp returns the maximum of the given timestamps, or ⊥ if none are
-// given.
-func MaxTimestamp(tss ...Timestamp) Timestamp {
-	var max Timestamp
-	for _, ts := range tss {
-		if max.Less(ts) {
-			max = ts
-		}
-	}
-	return max
 }
 
 func (ts Timestamp) String() string {
@@ -135,9 +120,6 @@ func (b Ballot) Less(other Ballot) bool {
 	}
 	return b.Proc < other.Proc
 }
-
-// LessEq reports whether b orders before or equal to other.
-func (b Ballot) LessEq(other Ballot) bool { return !other.Less(b) }
 
 // Leader returns the process leading ballot b (leader(b) in the paper).
 func (b Ballot) Leader() ProcessID { return b.Proc }
@@ -170,23 +152,6 @@ func NewGroupSet(groups ...GroupID) GroupSet {
 func (gs GroupSet) Contains(g GroupID) bool {
 	i := sort.Search(len(gs), func(i int) bool { return gs[i] >= g })
 	return i < len(gs) && gs[i] == g
-}
-
-// Intersects reports whether the two sets share any group, i.e. whether two
-// messages with these destinations conflict (paper §II).
-func (gs GroupSet) Intersects(other GroupSet) bool {
-	i, j := 0, 0
-	for i < len(gs) && j < len(other) {
-		switch {
-		case gs[i] < other[j]:
-			i++
-		case gs[i] > other[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether the two sets contain exactly the same groups.

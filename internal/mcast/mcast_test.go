@@ -95,29 +95,6 @@ func TestTimestampTotalOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: MaxTimestamp returns an upper bound that is one of its inputs.
-func TestMaxTimestampProperty(t *testing.T) {
-	f := func(tss []Timestamp) bool {
-		m := MaxTimestamp(tss...)
-		if len(tss) == 0 {
-			return m.IsZero()
-		}
-		found := m.IsZero() // ⊥ is a valid result only if it is an input or all inputs are ⊥.
-		for _, ts := range tss {
-			if m.Less(ts) {
-				return false
-			}
-			if ts == m {
-				found = true
-			}
-		}
-		return found
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBallotOrder(t *testing.T) {
 	bs := []Ballot{
 		{}, {N: 1, Proc: 0}, {N: 1, Proc: 3}, {N: 2, Proc: 1},
@@ -127,9 +104,6 @@ func TestBallotOrder(t *testing.T) {
 			wantLess := i < j
 			if got := bs[i].Less(bs[j]); got != wantLess {
 				t.Errorf("%v.Less(%v) = %v, want %v", bs[i], bs[j], got, wantLess)
-			}
-			if got := bs[i].LessEq(bs[j]); got != (i <= j) {
-				t.Errorf("%v.LessEq(%v) = %v, want %v", bs[i], bs[j], got, i <= j)
 			}
 		}
 	}
@@ -151,54 +125,6 @@ func TestGroupSetNormalisation(t *testing.T) {
 	}
 	if gs.Contains(2) || gs.Contains(4) {
 		t.Error("Contains reported absent group")
-	}
-}
-
-func TestGroupSetIntersects(t *testing.T) {
-	cases := []struct {
-		a, b GroupSet
-		want bool
-	}{
-		{NewGroupSet(0, 1), NewGroupSet(1, 2), true},
-		{NewGroupSet(0, 1), NewGroupSet(2, 3), false},
-		{NewGroupSet(), NewGroupSet(0), false},
-		{NewGroupSet(5), NewGroupSet(5), true},
-		{NewGroupSet(0, 2, 4), NewGroupSet(1, 3, 5), false},
-	}
-	for _, c := range cases {
-		if got := c.a.Intersects(c.b); got != c.want {
-			t.Errorf("%v.Intersects(%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-		if got := c.b.Intersects(c.a); got != c.want {
-			t.Errorf("intersects not symmetric for %v, %v", c.a, c.b)
-		}
-	}
-}
-
-// Property: Intersects agrees with a brute-force membership check.
-func TestGroupSetIntersectsProperty(t *testing.T) {
-	f := func(a, b []uint8) bool {
-		ga := make([]GroupID, len(a))
-		for i, x := range a {
-			ga[i] = GroupID(x % 16)
-		}
-		gb := make([]GroupID, len(b))
-		for i, x := range b {
-			gb[i] = GroupID(x % 16)
-		}
-		sa, sb := NewGroupSet(ga...), NewGroupSet(gb...)
-		brute := false
-		for _, x := range sa {
-			for _, y := range sb {
-				if x == y {
-					brute = true
-				}
-			}
-		}
-		return sa.Intersects(sb) == brute
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -227,7 +227,7 @@ func submissions(dests ...mcast.GroupSet) []mcast.AppMsg {
 // order, byte for byte.
 func envelope(t *testing.T, rec reception, dest mcast.GroupSet, ms ...mcast.AppMsg) {
 	t.Helper()
-	m, err := wire.Decode([]byte(rec.bytes))
+	m, err := wire.DecodeBorrowed([]byte(rec.bytes))
 	if err != nil {
 		t.Fatal(err)
 	}

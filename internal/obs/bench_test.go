@@ -29,7 +29,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 
 func BenchmarkTracerUnsampled(b *testing.B) {
 	clock := func() time.Duration { return 0 }
-	tr := NewTracer(1000, 0, clock)
+	tr := NewTracer(1000, clock)
 	id := mcast.MakeMsgID(3, 1) // seq 1 % 1000 != 0: never sampled
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -196,7 +196,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestTracerSampling(t *testing.T) {
 	mkID := func(seq uint32) mcast.MsgID { return mcast.MakeMsgID(7, seq) }
 
-	tr := NewTracer(4, 0, nil)
+	tr := NewTracer(4, nil)
 	for seq := uint32(0); seq < 10; seq++ {
 		tr.Message(1, mkID(seq), StageStart, "")
 	}
@@ -221,13 +221,14 @@ func TestTracerSampling(t *testing.T) {
 	if off.Sampled(mkID(0)) {
 		t.Errorf("nil tracer claims to sample")
 	}
-	if NewTracer(0, 0, nil) != nil {
+	if NewTracer(0, nil) != nil {
 		t.Errorf("sample=0 should disable tracing")
 	}
 }
 
 func TestTracerBounded(t *testing.T) {
-	tr := NewTracer(1, 4, nil)
+	tr := NewTracer(1, nil)
+	tr.limit = 4
 	for i := 0; i < 10; i++ {
 		tr.System(1, EventElection, "")
 	}
@@ -241,7 +242,7 @@ func TestTracerBounded(t *testing.T) {
 
 func TestFormatTimelineDeterministic(t *testing.T) {
 	build := func() string {
-		tr := NewTracer(1, 0, nil)
+		tr := NewTracer(1, nil)
 		id := mcast.MakeMsgID(3, 0)
 		tr.EventAt(0, 5, id, StageSubmit, "")
 		tr.EventAt(2*time.Millisecond, 0, id, StageStart, "")
@@ -282,7 +283,7 @@ func TestProtoHandleStages(t *testing.T) {
 	var now time.Duration
 	clock := func() time.Duration { return now }
 	reg := NewRegistry("")
-	tr := NewTracer(1, 0, clock)
+	tr := NewTracer(1, clock)
 	p := NewProto(reg, clock, tr, 0)
 
 	id := mcast.MakeMsgID(2, 0)

@@ -45,22 +45,18 @@ type Tracer struct {
 	events []Event
 }
 
-// defaultTraceBuffer bounds a tracer's retained events when the caller
-// does not choose a limit.
-const defaultTraceBuffer = 65536
+// traceBuffer bounds the events a tracer retains.
+const traceBuffer = 65536
 
 // NewTracer builds a tracer sampling every sample-th message (1 = every
-// message; ≤ 0 disables tracing and returns nil), retaining at most buffer
-// events (≤ 0 = default 65536). clock supplies event timestamps; events
-// recorded with explicit times (EventAt, Fault) work with a nil clock.
-func NewTracer(sample, buffer int, clock Clock) *Tracer {
+// message; ≤ 0 disables tracing and returns nil), retaining at most 65536
+// events. clock supplies event timestamps; events recorded with explicit
+// times (EventAt, Fault) work with a nil clock.
+func NewTracer(sample int, clock Clock) *Tracer {
 	if sample <= 0 {
 		return nil
 	}
-	if buffer <= 0 {
-		buffer = defaultTraceBuffer
-	}
-	return &Tracer{every: uint32(sample), limit: buffer, clock: clock}
+	return &Tracer{every: uint32(sample), limit: traceBuffer, clock: clock}
 }
 
 // Sampled reports whether events for this message are recorded.

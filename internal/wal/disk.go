@@ -39,8 +39,6 @@ const (
 type DiskOptions struct {
 	// Policy selects the fsync schedule.
 	Policy SyncPolicy
-	// Metrics receives WAL instrumentation (nil = off).
-	Metrics *obs.Store
 }
 
 // Disk is the on-disk Storage: an append-only WAL of length-prefixed,
@@ -51,10 +49,11 @@ type DiskOptions struct {
 // loaded. A snapshot is no larger than the state, so the WAL stays bounded
 // by the state, and each logged byte costs O(1) amortised snapshot work.
 type Disk struct {
-	dir   string
-	f     *os.File
-	state *State
-	opts  DiskOptions
+	dir     string
+	f       *os.File
+	state   *State
+	opts    DiskOptions
+	metrics *obs.Store // WAL instrumentation; nil until SetMetrics
 
 	size     int64 // current WAL length in bytes
 	snapSize int64 // bytes of the last snapshot written or loaded
@@ -68,11 +67,10 @@ type Disk struct {
 }
 
 // SetMetrics installs (or replaces) the store's instrumentation and
-// retroactively reports the open-time replay, which runs before a
-// per-replica metrics registry exists when the store is built by a
-// Config.Storage factory.
+// reports the open-time replay, which ran before any instrumentation
+// existed.
 func (d *Disk) SetMetrics(m *obs.Store) {
-	d.opts.Metrics = m
+	d.metrics = m
 	m.OnReplay(d.replayed, d.torn)
 	m.SetWALBytes(d.size)
 }
@@ -191,14 +189,12 @@ func (d *Disk) replay() error {
 		off += frameHdr + n
 	}
 	d.replayed, d.torn = entries, torn
-	d.opts.Metrics.OnReplay(entries, torn)
 	if torn {
 		if err := d.f.Truncate(int64(off)); err != nil {
 			return fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 	}
 	d.size = int64(off)
-	d.opts.Metrics.SetWALBytes(d.size)
 	return nil
 }
 
@@ -231,7 +227,7 @@ func (d *Disk) Append(entries ...Entry) error {
 	}
 	d.size += int64(len(d.buf))
 	d.pending = true
-	d.opts.Metrics.OnAppend(time.Since(start), d.size)
+	d.metrics.OnAppend(time.Since(start), d.size)
 	return nil
 }
 
@@ -246,7 +242,7 @@ func (d *Disk) Sync() error {
 		if err := d.f.Sync(); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		d.opts.Metrics.OnFsync(time.Since(start))
+		d.metrics.OnFsync(time.Since(start))
 		d.pending = false
 	}
 	if d.size > max(compactFloor, d.snapSize) {
@@ -292,8 +288,8 @@ func (d *Disk) Snapshot() error {
 	}
 	d.size, d.snapSize = 0, int64(len(d.buf))
 	d.pending = false
-	d.opts.Metrics.OnSnapshot(time.Since(start), int64(len(d.buf)))
-	d.opts.Metrics.SetWALBytes(0)
+	d.metrics.OnSnapshot(time.Since(start), int64(len(d.buf)))
+	d.metrics.SetWALBytes(0)
 	return nil
 }
 

@@ -138,7 +138,7 @@ func appendEntry(dst []byte, e *Entry) []byte {
 // decodeEntry parses one serialised entry. Its byte strings (App and the
 // payloads of Rec, Recs and Cmd) alias data; State.Apply copies them.
 func decodeEntry(data []byte) (Entry, error) {
-	r := wire.NewReader(data, true)
+	r := wire.NewReader(data)
 	e := Entry{Kind: EntryKind(r.Byte())}
 	switch e.Kind {
 	case EntryBallot, EntryPaxosBallot, EntryState:

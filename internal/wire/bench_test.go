@@ -49,20 +49,6 @@ func BenchmarkDecodeAccept(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeAcceptBorrowed(b *testing.B) {
-	buf, err := Encode(nil, benchAccept())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
 		if _, err := DecodeBorrowed(buf); err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +72,7 @@ func BenchmarkDecodeAcceptAck(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf); err != nil {
+		if _, err := DecodeBorrowed(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

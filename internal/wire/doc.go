@@ -2,7 +2,7 @@
 // fields to a byte slice and a Reader reads them back; every byte format
 // is written and read through this pair:
 //
-//   - protocol messages (Encode, Decode, DecodeBorrowed): a kind byte,
+//   - protocol messages (Encode, DecodeBorrowed): a kind byte,
 //     then the message's fields;
 //   - WAL entries (internal/wal): a kind byte, then the entry's fields. A
 //     message record uses the layout NEW_STATE carries (Writer.Record);
@@ -16,8 +16,10 @@
 // the shortest varint. A Reader's error is sticky, so a decoder reads
 // straight through and checks once, with Done. A collection's count may
 // not exceed the bytes left, and in a message it is also capped at 2²⁰
-// elements, so what a decoder allocates is bounded by its input. There is
-// no reflection and no external dependency.
+// elements, so what a decoder allocates is bounded by its input. A Reader
+// reads in place: the byte strings it returns alias its input, and whoever
+// keeps one past the input's life copies it. There is no reflection and no
+// external dependency.
 //
 // # Layering
 //

@@ -48,28 +48,21 @@ func fuzzSeeds(f *testing.F) {
 }
 
 // FuzzDecode guards the decoder against corrupt and hostile input: it must
-// never panic, both decode modes must agree exactly, and any message that
-// decodes must re-encode into something that decodes back to the same
-// value (no lossy or state-dependent parsing).
+// never panic, and any message that decodes must re-encode into something
+// that decodes back to the same value (no lossy or state-dependent
+// parsing).
 func FuzzDecode(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
-		bm, berr := DecodeBorrowed(data)
-		if (err == nil) != (berr == nil) {
-			t.Fatalf("decode modes disagree: copy err=%v, borrow err=%v", err, berr)
-		}
+		m, err := DecodeBorrowed(data)
 		if err != nil {
 			return
-		}
-		if !reflect.DeepEqual(m, bm) {
-			t.Fatalf("decode modes disagree on value:\n copy   %+v\n borrow %+v", m, bm)
 		}
 		enc, err := Encode(nil, m)
 		if err != nil {
 			t.Fatalf("decoded message fails to re-encode: %v", err)
 		}
-		m2, err := Decode(enc)
+		m2, err := DecodeBorrowed(enc)
 		if err != nil {
 			t.Fatalf("re-encoded message fails to decode: %v", err)
 		}
@@ -80,8 +73,7 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzEncodeDecodeRoundTrip builds structured messages from fuzzed
-// primitives, encodes them, and checks both decode modes reproduce them
-// exactly — the ownership/corruption guard for the zero-copy refactor.
+// primitives, encodes them, and checks the decoder reproduces them exactly.
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint64(1), int32(0), []byte("hello"), []byte("world"))
 	f.Add(uint8(1), uint64(99), int32(5), []byte{}, []byte{0})
@@ -118,14 +110,12 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		for _, decodeFn := range []func([]byte) (msgs.Message, error){Decode, DecodeBorrowed} {
-			got, err := decodeFn(enc)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if !messagesEquivalent(m, got) {
-				t.Fatalf("round trip changed the message:\n sent %+v\n got  %+v", m, got)
-			}
+		got, err := DecodeBorrowed(enc)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !messagesEquivalent(m, got) {
+			t.Fatalf("round trip changed the message:\n sent %+v\n got  %+v", m, got)
 		}
 	})
 }

@@ -120,31 +120,19 @@ func Encode(dst []byte, m msgs.Message) ([]byte, error) {
 	return e, nil
 }
 
-// Decode parses one message from data, which must contain exactly one
-// encoded message. The result is fully independent of data: every byte
-// string is copied out, so the caller may reuse or discard data freely.
-func Decode(data []byte) (msgs.Message, error) {
-	return decode(data, false)
-}
-
-// DecodeBorrowed parses one message from data like Decode, but without
-// copying byte strings: the []byte fields of the returned message
-// (application payloads, batch entries) alias data directly. It is the
-// zero-copy dispatch path for runtimes that own the frame buffer.
+// DecodeBorrowed parses one message from data, which must contain exactly
+// one encoded message. It reads in place: the []byte fields of the returned
+// message (application payloads, batch entries) alias data.
 //
 // The message is only as stable as data: a caller must not write data again
 // while any part of the message may be in use. The TCP runtime reads every
 // frame into a buffer of its own and never reuses it, so what it decodes is
 // safe to keep for as long as anybody likes; the garbage collector frees the
 // frame with the last part kept. Non-byte slices — destination sets, ballot
-// vectors, timestamp vectors, record lists — are freshly allocated either
-// way and never alias data.
+// vectors, timestamp vectors, record lists — are freshly allocated and never
+// alias data.
 func DecodeBorrowed(data []byte) (msgs.Message, error) {
-	return decode(data, true)
-}
-
-func decode(data []byte, borrow bool) (msgs.Message, error) {
-	r := NewReader(data, borrow)
+	r := NewReader(data)
 	kind := msgs.Kind(r.Byte())
 	m := r.message(kind)
 	if err := r.Done(); err != nil {
@@ -157,8 +145,8 @@ func decode(data []byte, borrow bool) (msgs.Message, error) {
 // storage formats are bounded by their bytes alone (Reader.Count).
 const maxCount = 1 << 20
 
-// message decodes one message body of the given kind from the cursor; decode
-// checks for trailing bytes.
+// message decodes one message body of the given kind from the cursor;
+// DecodeBorrowed checks for trailing bytes.
 func (r *Reader) message(kind msgs.Kind) msgs.Message {
 	var m msgs.Message
 	switch kind {
@@ -320,20 +308,15 @@ func (w *Writer) records(recs []msgs.MsgRecord) {
 // Reader is a cursor over bytes a Writer wrote. Its error is sticky: the
 // first malformed field fails the Reader, and every later read returns a
 // zero value, so a decoder reads straight through and checks once, with
-// Done.
+// Done. It reads in place: the byte strings it returns alias the input,
+// and are valid only while the input is; other slices are always fresh.
 type Reader struct {
 	buf []byte
 	err error
-	// borrow makes Bytes alias the input instead of copying.
-	borrow bool
 }
 
-// NewReader returns a Reader over data. With borrow set, the byte strings
-// it returns alias data, and are valid only while data is; otherwise they
-// are copies. Other slices are always fresh.
-func NewReader(data []byte, borrow bool) Reader {
-	return Reader{buf: data, borrow: borrow}
-}
+// NewReader returns a Reader over data.
+func NewReader(data []byte) Reader { return Reader{buf: data} }
 
 // Fail records err, unless the Reader has failed already, and drops the
 // bytes left.
@@ -400,8 +383,7 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Bytes reads a length-prefixed byte string, copied or borrowed as the
-// Reader was made.
+// Bytes reads a length-prefixed byte string, which aliases the input.
 func (r *Reader) Bytes() []byte {
 	n := r.Uint()
 	if r.err != nil {
@@ -412,9 +394,6 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	out := r.buf[:n:n]
-	if !r.borrow {
-		out = append(make([]byte, 0, n), out...)
-	}
 	r.buf = r.buf[n:]
 	return out
 }

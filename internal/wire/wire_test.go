@@ -85,20 +85,18 @@ func TestClientRepliesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, decode := range []func([]byte) (msgs.Message, error){wire.Decode, wire.DecodeBorrowed} {
-			got, err := decode(data)
-			if err != nil {
-				t.Fatalf("%d ids: %v", len(ids), err)
-			}
-			if !reflect.DeepEqual(got, in) {
-				t.Errorf("%d ids: round trip gave %+v", len(ids), got)
-			}
+		got, err := wire.DecodeBorrowed(data)
+		if err != nil {
+			t.Fatalf("%d ids: %v", len(ids), err)
+		}
+		if !reflect.DeepEqual(got, in) {
+			t.Errorf("%d ids: round trip gave %+v", len(ids), got)
 		}
 	}
 	// group 0, the zero ballot, then a count of 2^21 (above the decoder's
 	// collection limit).
 	raw := []byte{byte(msgs.KindClientReplies), 0, 0, 0, 0x80, 0x80, 0x80, 0x01}
-	if _, err := wire.Decode(raw); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := wire.DecodeBorrowed(raw); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("a count above the collection limit: err = %v", err)
 	}
 }
@@ -111,7 +109,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: encode: %v", m.Kind(), err)
 		}
-		got, err := wire.Decode(data)
+		got, err := wire.DecodeBorrowed(data)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", m.Kind(), err)
 		}
@@ -134,7 +132,7 @@ func TestRejectsTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(data); cut++ {
-			if _, err := wire.Decode(data[:cut]); err == nil {
+			if _, err := wire.DecodeBorrowed(data[:cut]); err == nil {
 				t.Errorf("%v: truncation at %d/%d decoded successfully", m.Kind(), cut, len(data))
 			}
 		}
@@ -146,28 +144,28 @@ func TestRejectsTrailingGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.Decode(append(data, 0xFF)); err == nil {
+	if _, err := wire.DecodeBorrowed(append(data, 0xFF)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }
 
 func TestRejectsUnknownKind(t *testing.T) {
-	if _, err := wire.Decode([]byte{0xEE, 1, 2, 3}); err == nil {
+	if _, err := wire.DecodeBorrowed([]byte{0xEE, 1, 2, 3}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := wire.Decode(nil); err == nil {
+	if _, err := wire.DecodeBorrowed(nil); err == nil {
 		t.Error("empty buffer accepted")
 	}
 }
 
-// TestDecodeFuzz feeds random bytes to Decode: it must never panic.
+// TestDecodeFuzz feeds random bytes to DecodeBorrowed: it must never panic.
 func TestDecodeFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		n := rng.Intn(64)
 		data := make([]byte, n)
 		rng.Read(data)
-		_, _ = wire.Decode(data) // must not panic
+		_, _ = wire.DecodeBorrowed(data) // must not panic
 	}
 }
 
@@ -193,7 +191,7 @@ func TestRoundTripPropertyAccept(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := wire.Decode(data)
+		out, err := wire.DecodeBorrowed(data)
 		if err != nil {
 			return false
 		}

@@ -15,8 +15,7 @@
 // applied them, so a client that completes a Put and then issues a Get
 // observes its own write (both occupy positions of the same total order).
 //
-// Multi-process deployments attach one shard engine per process with
-// AttachShard; with Persist enabled, applied state rides the replica's
-// write-ahead log and snapshots, so a crashed shard replica recovers its
-// store without protocol involvement. See docs/KVSTORE.md.
+// With Options.Persist, applied state rides each replica's write-ahead log
+// and snapshots, so a restarted deployment recovers its stores without
+// protocol involvement. See docs/KVSTORE.md.
 package kv

@@ -49,9 +49,9 @@ func kvKillConfig(peers map[wbcast.ProcessID]string) wbcast.Config {
 		Delta:     2 * time.Millisecond,
 		Transport: wbcast.TCP("", peers),
 		// GC-pruned protocol records cannot be replayed to the engine, so
-		// pruning waits for the engine's durability horizon: AttachShard
-		// with Persist raises it after every logged apply, and nothing is
-		// pruned above it (docs/KVSTORE.md discusses the trade).
+		// pruning waits for the engine's durability horizon: a shard
+		// engine with Persist raises it after every logged apply, and
+		// nothing is pruned above it (docs/KVSTORE.md discusses the trade).
 		AppGCHorizon: true,
 	}
 }
@@ -88,7 +88,7 @@ func TestHelperKVShard(t *testing.T) {
 		fmt.Fprintf(os.Stderr, "kv helper: %v\n", err)
 		os.Exit(1)
 	}
-	shard, err := AttachShard(rep, ShardOptions{Shards: kvKillShards, Persist: true})
+	shard, err := attachShard(rep, kvKillShards, Options{Persist: true}, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kv helper: attach: %v\n", err)
 		os.Exit(1)
@@ -218,7 +218,7 @@ func TestKVKillRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		sh, err := AttachShard(r, ShardOptions{Shards: kvKillShards, OnResult: h.dispatch})
+		sh, err := attachShard(r, kvKillShards, Options{}, h.dispatch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"wbcast"
 	"wbcast/internal/obs"
+	"wbcast/internal/wal"
 )
 
 // TestRestartCostFlat: what a restart reads does not grow with history. One
@@ -152,5 +153,84 @@ func TestPutAfterReopen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Put %q: %v", val, err)
 		}
+	}
+}
+
+// killedStore is an in-memory store whose Close does not sync: a deployment
+// closed on it loses every entry its last sync did not cover, as a process
+// killed by SIGKILL does.
+type killedStore struct{ *wal.Memory }
+
+func (killedStore) Close() error { return nil }
+
+// TestKilledDeploymentKeepsAcknowledgedPuts: a whole durable kv deployment
+// of 2 shards × 3 replicas, killed and reopened on its stores, still holds
+// every Put it acknowledged. An engine's app record rides a later sync than
+// the delivery it describes, so the record of the last Puts dies with the
+// process; the replica's recovery must hand those deliveries back to the
+// engine (RecoveredAppState.Replay). The Gets go through the ordering
+// layer, so they read what every replica of the shard agrees on.
+func TestKilledDeploymentKeepsAcknowledgedPuts(t *testing.T) {
+	const puts = 50
+	for _, proto := range []wbcast.Protocol{wbcast.WhiteBox, wbcast.Genmcast} {
+		t.Run(proto.String(), func(t *testing.T) {
+			var mu sync.Mutex
+			stores := make(map[wbcast.ProcessID]*wal.Memory)
+			cfg := wbcast.Config{Protocol: proto, Groups: 2, Replicas: 3, AppGCHorizon: true,
+				Storage: func(pid wbcast.ProcessID) (wbcast.Storage, error) {
+					mu.Lock()
+					defer mu.Unlock()
+					if stores[pid] == nil {
+						stores[pid] = wal.NewMemory()
+					}
+					return killedStore{stores[pid]}, nil
+				}}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			// run opens the deployment on the stores, hands its client to f and
+			// kills the deployment.
+			run := func(f func(*Client)) {
+				t.Helper()
+				cluster, err := wbcast.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cluster.Close()
+				svc, err := NewService(cluster, Options{Persist: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Close()
+				cl, err := svc.NewClient()
+				if err != nil {
+					t.Fatal(err)
+				}
+				f(cl)
+			}
+			run(func(cl *Client) {
+				for i := range puts {
+					if err := cl.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+						t.Fatalf("Put k%d: %v", i, err)
+					}
+				}
+			})
+			run(func(cl *Client) {
+				lost := 0
+				for i := range puts {
+					key := fmt.Sprintf("k%d", i)
+					val, found, err := cl.Get(ctx, []byte(key))
+					if err != nil {
+						t.Fatalf("Get %s: %v", key, err)
+					}
+					if want := fmt.Sprintf("v%d", i); !found || string(val) != want {
+						t.Errorf("Get %s = %q (found %v), want %q", key, val, found, want)
+						lost++
+					}
+				}
+				if lost > 0 {
+					t.Errorf("%d of %d acknowledged Puts lost", lost, puts)
+				}
+			})
+		})
 	}
 }

@@ -28,10 +28,10 @@ type (
 // payloads: two operations conflict iff some pair of their single-key
 // sub-operations touches the same key with at least one write, so reads
 // commute with reads and disjoint-key operations commute outright. A
-// payload that fails to decode conflicts with everything. AttachShard (and
-// therefore NewService) installs it automatically when the cluster runs the
-// conflict-aware wbcast.Genmcast protocol; it is exported so callers
-// configuring wbcast.Config.Conflicts directly use the exact relation the
+// payload that fails to decode conflicts with everything. NewService
+// installs it automatically when the cluster runs the conflict-aware
+// wbcast.Genmcast protocol; it is exported so callers that install a
+// relation themselves (Replica.SetConflictRelation) use the exact one the
 // engines assume.
 var Conflicts wbcast.ConflictRelation = kvstore.Conflicts
 
@@ -48,29 +48,8 @@ const (
 	OpTxn = kvstore.OpTxn
 )
 
-// ShardOptions configures one shard engine attached to one replica.
-type ShardOptions struct {
-	// Shards is the total number of shards (the cluster's group count).
-	// Required.
-	Shards int
-	// Persist logs applied state through the replica's WAL (Config.Storage)
-	// and recovers it on restart. The engine compacts its app log into an
-	// app snapshot once the log has reached the snapshot's length. Without
-	// it the engine rebuilds from the protocol replay only.
-	Persist bool
-	// RecordApplied retains every applied operation for Verify and
-	// AppliedLog. The history grows with every operation and is never
-	// pruned, so set it only for runs that end in a Verify: tests,
-	// examples/kvstore and the benchmark's verify mode.
-	RecordApplied bool
-	// OnResult receives every applied operation's outcome (the Service
-	// wires this to its response hub).
-	OnResult func(Resp)
-}
-
 // Shard is one replica's engine for one shard of the keyspace, consuming
-// the replica's delivery subscription. Created by AttachShard (one-replica
-// processes) or NewService (whole-cluster hosts).
+// the replica's delivery subscription. NewService creates one per replica.
 type Shard struct {
 	eng       *kvstore.Engine
 	sub       *wbcast.Subscription
@@ -81,19 +60,17 @@ type Shard struct {
 	done      chan struct{}
 }
 
-// AttachShard builds the shard engine for replica r: it recovers any
-// durable application state (snapshot, app log, and the protocol's replay
-// of committed-but-unlogged deliveries), subscribes to r's deliveries, and
-// applies them on a background goroutine until the subscription closes.
-// Attach exactly one engine per replica, before the replica starts
-// receiving traffic the engine must observe.
+// attachShard builds the shard engine for replica r, one of shards: it
+// recovers any durable application state (snapshot, app log, and the
+// protocol's replay of committed-but-unlogged deliveries), subscribes to
+// r's deliveries, and applies them on a background goroutine until the
+// subscription closes, handing every outcome to onResult. Attach exactly
+// one engine per replica, before the replica starts receiving traffic the
+// engine must observe.
 //
 // The subscription is the replica's lossless Deliveries stream: a state
 // machine must see every delivery.
-func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
-	if opts.Shards <= 0 {
-		return nil, fmt.Errorf("kv: ShardOptions.Shards must be positive, got %d", opts.Shards)
-	}
+func attachShard(r *wbcast.Replica, shards int, opts Options, onResult func(Resp)) (*Shard, error) {
 	g := r.Group()
 	reg := obs.NewRegistry(fmt.Sprintf(`proc="%d"`, r.ID()))
 	// Conflict-aware protocol (Genmcast): install the key-based relation so
@@ -118,9 +95,9 @@ func AttachShard(r *wbcast.Replica, opts ShardOptions) (*Shard, error) {
 		Group: g,
 		PID:   r.ID(),
 		Owns: func(key []byte) bool {
-			return HashPartitioner{}.Shard(key, opts.Shards) == int(g)
+			return HashPartitioner{}.Shard(key, shards) == int(g)
 		},
-		OnResult:          opts.OnResult,
+		OnResult:          onResult,
 		Persist:           persist,
 		RecordApplied:     opts.RecordApplied,
 		OnDurableFrontier: onDurable,
@@ -180,9 +157,20 @@ func (s *Shard) Close() {
 
 // Options configures a Service.
 type Options struct {
-	// Persist and RecordApplied apply to every shard engine; see
-	// ShardOptions.
-	Persist       bool
+	// Persist logs every shard engine's applied state through its replica's
+	// WAL (Config.Storage) and recovers it on restart. The engine compacts
+	// its app log into an app snapshot once the log has reached the
+	// snapshot's length. Without it an engine rebuilds from the protocol
+	// replay only. Durable kv needs the WhiteBox or Genmcast protocol: a
+	// FastCast or FTSkeen replica does not replay to the engine the
+	// deliveries its recovery consumed, so a crash can lose acknowledged
+	// writes, and Skeen keeps no protocol state, so a restarted engine
+	// takes the first new deliveries for ones it has applied.
+	Persist bool
+	// RecordApplied retains every applied operation for Verify and
+	// AppliedLog. The history grows with every operation and is never
+	// pruned, so set it only for runs that end in a Verify: tests,
+	// examples/kvstore and the benchmark's verify mode.
 	RecordApplied bool
 }
 
@@ -203,12 +191,7 @@ type Service struct {
 func NewService(c *wbcast.Cluster, opts Options) (*Service, error) {
 	s := &Service{cluster: c, shards: c.NumGroups(), hub: newHub(), recordApplied: opts.RecordApplied}
 	for _, r := range c.Replicas() {
-		sh, err := AttachShard(r, ShardOptions{
-			Shards:        s.shards,
-			Persist:       opts.Persist,
-			RecordApplied: opts.RecordApplied,
-			OnResult:      s.hub.dispatch,
-		})
+		sh, err := attachShard(r, s.shards, opts, s.hub.dispatch)
 		if err != nil {
 			s.Close()
 			return nil, err

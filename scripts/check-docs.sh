@@ -23,8 +23,9 @@
 #     history checkers check.Monitor replaced, the adapter extensions
 #     and timer options the protocol table replaced, the harness's
 #     copies of the simulator's process state, the mailbox ring's
-#     capacity, overflow and second high-water gauge, and the transport's
-#     ack batch).
+#     capacity, overflow and second high-water gauge, the transport's
+#     ack batch, kv's separate shard attachment, the copying message
+#     decoder and the Config conflict relation).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -158,7 +159,9 @@ done
 # capacity, its overflow and the runtime's copy of its high-water mark when
 # the mailbox queue became a mutex and a slice that keeps its own high water;
 # the ack batch, its message kind, the ack-class rule and the send path's
-# accumulator when every frame began to carry one message.
+# accumulator when every frame began to carry one message; kv's separate
+# shard attachment and its options, the copying message decoder and the
+# Config conflict relation when each lost its last caller.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
   Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
@@ -166,7 +169,8 @@ for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Bal
   Protocol''Obs Storage''Protocol Conflict''Protocol blackbox''.Options \
   On''Crash On''Restart 'Cluster''.Replicas\($\|[^(]\)' \
   Mailbox''HW mailbox''Size 'ring + overflow' \
-  Ack''Batch ACK''_BATCH Is''Ack ack''BatchMax flush''Acks; do
+  Ack''Batch ACK''_BATCH Is''Ack ack''BatchMax flush''Acks \
+  Attach''Shard Shard''Options 'wire''\.Decode(' 'wbcast''\.Config\.Conflicts'; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

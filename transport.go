@@ -167,7 +167,7 @@ func (t *simTransport) open(cfg *Config) error {
 	// simulation are deterministic and replayable. The closure reads t.s,
 	// assigned below; handlers only run once the simulator exists.
 	t.clock = func() time.Duration { return t.s.Now() }
-	t.trc = cfg.newTracer(t.clock)
+	t.trc = obs.NewTracer(cfg.TraceSample, t.clock)
 	cfg.clock, cfg.tracer = t.clock, t.trc
 	var lat sim.Latency
 	if cfg.Latency != nil {
@@ -379,7 +379,7 @@ func (t *tcpTransport) open(cfg *Config) error {
 	if t.clock == nil {
 		start := time.Now()
 		t.clock = func() time.Duration { return time.Since(start) }
-		t.tracer = cfg.newTracer(t.clock)
+		t.tracer = obs.NewTracer(cfg.TraceSample, t.clock)
 	}
 	cfg.clock, cfg.tracer = t.clock, t.tracer
 	if t.opened {

@@ -83,7 +83,10 @@ type (
 	GroupSet = mcast.GroupSet
 	// AppMsg is an application message with its destinations.
 	AppMsg = mcast.AppMsg
-	// Delivery is a delivered message with its global timestamp.
+	// Delivery is a delivered message with its global timestamp. Its
+	// payload and destination set are shared with the protocol and with
+	// other deliveries of the same message: read them, never write them
+	// (copy what you must change).
 	Delivery = mcast.Delivery
 )
 
@@ -113,8 +116,9 @@ const (
 	Skeen
 	// Genmcast is the conflict-aware generalisation of WhiteBox (generic
 	// multicast in the sense of Bolina et al.): it runs the same timestamp
-	// and ballot machinery but only orders messages that conflict under
-	// Config.Conflicts — mutually commuting messages are delivered as soon
+	// and ballot machinery but only orders messages that conflict under the
+	// relation installed by Replica.SetConflictRelation (until then every
+	// pair conflicts) — mutually commuting messages are delivered as soon
 	// as they commit, without waiting behind smaller timestamps. Deliveries
 	// still carry the global timestamp, and any two conflicting messages
 	// are delivered in GTS order at every common destination; the relative
@@ -254,14 +258,6 @@ type Config struct {
 	// Setting it on a TCP transport is a validation error — real networks
 	// have real latency.
 	Latency func(from, to ProcessID) time.Duration
-	// Conflicts is the application's conflict relation, honoured by the
-	// Genmcast protocol only (setting it with any other protocol is a
-	// validation error). Nil treats every pair of payloads as conflicting.
-	// Batched payloads are handled per payload: two batches conflict iff
-	// any payload pair across them does. Services layered on a replica may
-	// refine the relation later through Replica.SetConflictRelation (the kv
-	// service installs its key-based relation automatically).
-	Conflicts ConflictRelation
 	// AppGCHorizon gates garbage collection on an application durability
 	// horizon (WhiteBox only): a delivered message's protocol record is
 	// pruned only once the watermark conditions hold AND the application
@@ -269,7 +265,7 @@ type Config struct {
 	// state covers the message's global timestamp — so GC can never
 	// discard a record the app would still need replayed after a crash.
 	// Nothing is pruned before the first AdvanceGCHorizon call; durable
-	// applications (e.g. kv.AttachShard with Persist) raise the horizon
+	// applications (e.g. kv.NewService with Persist) raise the horizon
 	// automatically. The flag also declares that the application keeps its
 	// own delivery frontier and ignores deliveries at or below it: with
 	// Storage, the records a delivery logs then ride the next sync instead
@@ -312,20 +308,11 @@ type Config struct {
 	clock  obs.Clock
 	tracer *obs.Tracer
 	// conflicts holds the effective (batch-envelope-aware) conflict
-	// relation of a Genmcast deployment, created once by normalized() and
-	// shared by every replica constructed from the normalized Config — so
-	// Replica.SetConflictRelation rebinds the relation for the whole
-	// deployment.
+	// relation of a Genmcast deployment, created once by normalized() with
+	// every pair conflicting and shared by every replica constructed from
+	// the normalized Config — so Replica.SetConflictRelation rebinds the
+	// relation for the whole deployment.
 	conflicts *mcast.ConflictHolder
-}
-
-// newTracer builds the deployment tracer per cfg.TraceSample, or nil when
-// tracing is off.
-func (cfg Config) newTracer(clock obs.Clock) *obs.Tracer {
-	if cfg.TraceSample <= 0 {
-		return nil
-	}
-	return obs.NewTracer(cfg.TraceSample, 0, clock)
 }
 
 // Validate reports whether the configuration is well-formed: it is the
@@ -358,9 +345,7 @@ func (cfg Config) normalized() (Config, error) {
 	case !e.FaultTolerant && cfg.Replicas != 1:
 		return cfg, fmt.Errorf("wbcast: the %v protocol requires singleton groups (Replicas must be 1, got %d); use ftskeen for replicated groups", cfg.Protocol, cfg.Replicas)
 	case e.ConflictAware && cfg.conflicts == nil:
-		cfg.conflicts = core.Relation(cfg.Conflicts)
-	case !e.ConflictAware && cfg.Conflicts != nil:
-		return cfg, fmt.Errorf("wbcast: Config.Conflicts requires the genmcast protocol, got %v", cfg.Protocol)
+		cfg.conflicts = core.Relation(nil)
 	}
 	if cfg.Delta == 0 {
 		cfg.Delta = 2 * time.Millisecond
