@@ -27,18 +27,14 @@
 // mailboxes. The skeen protocol requires singleton groups, so its points
 // automatically run with one replica per group.
 //
-// Durability overhead is measured with -storage: "disk" gives every replica
-// a real WAL (fsync policy via -sync always|none), "mem" the in-memory
-// store, "none" (default) the undurable baseline. Disk points run in a
-// fresh directory each (-storage-dir picks the filesystem). See
-// docs/DURABILITY.md for the policies' semantics.
-//
 // The paper's testbeds (CloudLab; Google Cloud across Oregon, N. Virginia
 // and England) are modelled by injected latency profiles on a single
 // machine, so absolute throughput differs from the paper while the relative
 // ordering of the protocols is preserved. The key-value workloads, the
-// per-layer latency budget and the cost of instrumentation are measured on
-// the real TCP stack by the canonical benchmark (benchmark/README.md).
+// durability overhead (kv-durable against kv-local), the per-layer latency
+// budget and the cost of instrumentation are measured on the real TCP stack
+// by the canonical benchmark (benchmark/README.md); CPU profiles come from
+// ServeMetrics' /debug/pprof/ or from go test -cpuprofile.
 package main
 
 import (
@@ -47,7 +43,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,30 +67,8 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed for destination-group choices")
 
 		outstanding = flag.Int("outstanding", 1, "multicasts each client keeps in flight (pipelining depth)")
-
-		storageMode = flag.String("storage", "none", "durable storage per replica: none, mem or disk (measures durability overhead)")
-		storageDir  = flag.String("storage-dir", "", "root for -storage disk (default: a fresh temp dir per point, removed afterwards)")
-		syncPolicy  = flag.String("sync", "always", "disk fsync policy: always or none")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file (go tool pprof)")
 	)
 	flag.Parse()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wbcast-bench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "wbcast-bench: cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Printf("# wrote CPU profile %s\n", *cpuProfile)
-		}()
-	}
 	var latency func(from, to wbcast.ProcessID) time.Duration
 	switch *netProfile {
 	case "lan":
@@ -118,28 +91,10 @@ func main() {
 	}
 	clientCounts := parseInts(*clients)
 
-	switch *storageMode {
-	case "none", "mem", "disk":
-	default:
-		fmt.Fprintf(os.Stderr, "wbcast-bench: unknown -storage %q (want none, mem or disk)\n", *storageMode)
-		os.Exit(2)
-	}
-	var policy wbcast.SyncPolicy
-	switch *syncPolicy {
-	case "always":
-		policy = wbcast.SyncAlways
-	case "none":
-		policy = wbcast.SyncNone
-	default:
-		fmt.Fprintf(os.Stderr, "wbcast-bench: unknown -sync %q (want always or none)\n", *syncPolicy)
-		os.Exit(2)
-	}
 	common := pointConfig{
 		groups: *groups, size: *size, outstanding: *outstanding,
 		payloadSize: *payload, latency: latency,
 		warmup: *warmup, measure: *measure, seed: *seed,
-		storageMode: *storageMode, storageDir: *storageDir,
-		syncPolicy: policy,
 	}
 	runMulticastSweep(common, protos, clientCounts, parseDests(*dests, *groups), *netProfile)
 }
@@ -150,7 +105,6 @@ func runMulticastSweep(common pointConfig, protos []wbcast.Protocol, clientCount
 	fmt.Printf("# figure: %s — %d groups × %d replicas, %d-byte payloads, closed-loop clients ×%d outstanding\n",
 		map[string]string{"lan": "Fig. 7 (LAN profile)", "wan": "Fig. 8 (WAN profile)"}[netProfile],
 		common.groups, common.size, common.payloadSize, common.outstanding)
-	printStorageLine(common)
 	printSkeenLine(common, protos)
 	fmt.Printf("%-10s %5s %8s %14s %14s %12s %12s %12s %9s\n",
 		"protocol", "dest", "clients", "msgs/s", "batch/s", "mean_lat", "p50_lat", "p99_lat", "mbox_hw")
@@ -192,18 +146,6 @@ func printSkeenLine(cfg pointConfig, protos []wbcast.Protocol) {
 	}
 }
 
-func printStorageLine(cfg pointConfig) {
-	if cfg.storageMode == "none" {
-		return
-	}
-	fmt.Printf("# storage: %s", cfg.storageMode)
-	if cfg.storageMode == "disk" {
-		name := map[wbcast.SyncPolicy]string{wbcast.SyncAlways: "always", wbcast.SyncNone: "none"}[cfg.syncPolicy]
-		fmt.Printf(" sync=%s", name)
-	}
-	fmt.Println()
-}
-
 type pointConfig struct {
 	protocol    wbcast.Protocol
 	groups      int
@@ -216,9 +158,6 @@ type pointConfig struct {
 	warmup      time.Duration
 	measure     time.Duration
 	seed        int64
-	storageMode string // "none", "mem" or "disk"
-	storageDir  string // root for disk stores ("" = temp dir per point)
-	syncPolicy  wbcast.SyncPolicy
 }
 
 type pointResult struct {
@@ -228,47 +167,18 @@ type pointResult struct {
 	mailboxHW      int64 // max replica input-queue depth (Replica.Stats)
 }
 
-// newStorage builds the per-point replica storage for -storage mode, plus
-// a cleanup function for disk mode, whose directory is fresh per point —
-// even under -storage-dir, which only picks the filesystem being measured —
-// so no point replays the WAL of the previous one.
-func newStorage(cfg pointConfig) (func(wbcast.ProcessID) (wbcast.Storage, error), func(), error) {
-	switch cfg.storageMode {
-	case "mem":
-		return wbcast.MemoryStorage(), nil, nil
-	case "disk":
-		dir, err := os.MkdirTemp(cfg.storageDir, "wbcast-bench-")
-		if err != nil {
-			return nil, nil, err
-		}
-		return wbcast.DirStorageWith(dir, wbcast.StorageOptions{Policy: cfg.syncPolicy}), func() { os.RemoveAll(dir) }, nil
-	}
-	return nil, nil, nil
-}
-
 // runPoint builds a fresh cluster on an in-process transport and drives
 // closed-loop clients against it: each client runs `outstanding` workers,
 // each with one synchronous Multicast in flight — the evaluation
 // methodology of the paper (§VI, following Coelho et al.), generalised
 // with client pipelining.
 func runPoint(cfg pointConfig) (pointResult, error) {
-	// Durable mode: every replica appends and fsyncs its WAL on the hot
-	// path, so these points measure the durability overhead against the
-	// same workload.
-	storage, cleanup, err := newStorage(cfg)
-	if err != nil {
-		return pointResult{}, err
-	}
-	if cleanup != nil {
-		defer cleanup()
-	}
 	cluster, err := wbcast.New(wbcast.Config{
 		Protocol:  cfg.protocol,
 		Groups:    cfg.groups,
 		Replicas:  cfg.size,
 		Transport: wbcast.InProcess(),
 		Latency:   cfg.latency,
-		Storage:   storage,
 	})
 	if err != nil {
 		return pointResult{}, err

@@ -16,7 +16,7 @@ func TestRunPointSmoke(t *testing.T) {
 			res, err := runPoint(pointConfig{
 				protocol: p, groups: 3, size: protocolSize(p, 3),
 				clients: 4, outstanding: 1, destGroups: 2, payloadSize: 20,
-				latency: wbcast.LAN(), seed: 1, storageMode: "none",
+				latency: wbcast.LAN(), seed: 1,
 				warmup: 50 * time.Millisecond, measure: 250 * time.Millisecond,
 			})
 			if err != nil {

@@ -31,10 +31,10 @@
 // AppGCHorizon: protocol GC waits for the engines' durability horizon, so
 // every record an engine has not yet logged stays replayable. Each log
 // compacts once it outgrows the snapshot that replaces it; there is no
-// setting for it. -data-dir needs -protocol wbcast or genmcast: on ftskeen
-// and fastcast a killed process can lose acknowledged writes, and skeen
-// keeps no protocol state, so after a restart it drops the first
-// operations as repeats. -metrics-addr serves
+// setting for it. -data-dir is refused with -protocol ftskeen and fastcast,
+// on which a killed process can lose acknowledged writes, and with skeen,
+// which keeps no protocol state (wbcast.Config refuses a store for it).
+// -metrics-addr serves
 // /metrics with the cluster's white-box pipeline metrics and the kv_*
 // application metrics side by side.
 //
@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *dataDir != "" && proto != wbcast.WhiteBox && proto != wbcast.Genmcast {
+	if *dataDir != "" && (proto == wbcast.FTSkeen || proto == wbcast.FastCast) {
 		log.Fatalf("-data-dir needs -protocol wbcast or genmcast: a restarted %v replica does not resume where its kv engines left off (docs/KVSTORE.md)", proto)
 	}
 	cfg := wbcast.Config{

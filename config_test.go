@@ -135,6 +135,12 @@ func TestProtocolTable(t *testing.T) {
 	if err := (wbcast.Config{Groups: 2, Protocol: wbcast.Skeen, Replicas: 1}).Validate(); err != nil {
 		t.Errorf("skeen with singleton groups: %v", err)
 	}
+	// Skeen keeps no protocol state, so a store could not bring a restarted
+	// replica back to where its application left off.
+	err = wbcast.Config{Groups: 2, Protocol: wbcast.Skeen, Replicas: 1, Storage: wbcast.MemoryStorage()}.Validate()
+	if want := "wbcast: the skeen protocol keeps no durable state and cannot recover from Config.Storage"; err == nil || err.Error() != want {
+		t.Errorf("skeen with a store: %v, want %q", err, want)
+	}
 }
 
 func TestProtocolStringUnknown(t *testing.T) {

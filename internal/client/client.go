@@ -115,6 +115,9 @@ func (c *Client) ID() mcast.ProcessID { return c.cfg.PID }
 // awaiting replies.
 func (c *Client) Inflight() int { return len(c.inflight) }
 
+// Awaiting reports whether multicast id is still waiting for replies.
+func (c *Client) Awaiting(id mcast.MsgID) bool { return c.inflight[id] != nil }
+
 // BatchesSent returns how many multicasts the client has sent, retries and
 // leader-change re-sends not counted: one per destination set per drain,
 // more where a drain's payloads fill several envelopes — so submissions

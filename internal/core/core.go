@@ -243,6 +243,8 @@ type Replica struct {
 	appHorizonSet bool
 	// pruned counts messages garbage-collected at this replica.
 	pruned int
+	// pruneHook, when set (OnPrune), is told of each message as it is pruned.
+	pruneHook func(mcast.AppMsg)
 
 	// Conflict-mode bookkeeping (conflict.go); unused otherwise.
 	//
@@ -412,6 +414,17 @@ func (r *Replica) Pruned() int { return r.pruned }
 
 // StateSize returns the number of tracked messages (for GC tests).
 func (r *Replica) StateSize() int { return len(r.state) }
+
+// Undelivered reports whether this replica holds id's message and has not
+// delivered it (for the simulator's GC oracle).
+func (r *Replica) Undelivered(id mcast.MsgID) bool {
+	st, ok := r.state[id]
+	return ok && st.hasApp && !r.deliveredHere(id, st)
+}
+
+// OnPrune has f called with each message this replica prunes, as it
+// discards it (for the simulator's GC oracle; nil turns it off).
+func (r *Replica) OnPrune(f func(mcast.AppMsg)) { r.pruneHook = f }
 
 // Handle implements node.Handler.
 func (r *Replica) Handle(in node.Input, fx *node.Effects) {
@@ -738,6 +751,16 @@ func (r *Replica) onDeliver(d msgs.Deliver, fx *node.Effects) {
 		return
 	}
 	if !r.maxDeliveredGTS.Less(d.GTS) { // line 25: max_delivered_gts < gts
+		// The frontier is gap-free, so this replica delivered m already. A
+		// record of m still undelivered here is stale (an installed state
+		// held m only ACCEPTED; see keepDelivered): settle it as the DELIVER
+		// says, or it would outlive every other copy of m and be retried as
+		// new. Nothing vouches for the record, so it rides the next sync.
+		if st := r.state[d.ID]; st != nil && st.hasApp && !st.delivered {
+			st.phase, st.lts, st.gts, st.delivered = msgs.PhaseCommitted, d.LTS, d.GTS, true
+			r.persistRecord(st, fx, true)
+			r.queue.Remove(d.ID)
+		}
 		return
 	}
 	if r.maxDeliveredGTS.Less(d.Prev) {

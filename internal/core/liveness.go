@@ -285,6 +285,9 @@ func (r *Replica) prune(fx *node.Effects) {
 			delete(r.state, id)
 			r.queue.Remove(id)
 			r.pruned++
+			if r.pruneHook != nil {
+				r.pruneHook(st.app)
+			}
 			if r.cfg.Durable {
 				pruned = append(pruned, id)
 			}

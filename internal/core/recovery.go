@@ -161,6 +161,7 @@ func (r *Replica) onNewLeaderAck(from mcast.ProcessID, m msgs.NewLeaderAck, fx *
 			r.orphans = append(r.orphans, st.app)
 		}
 	}
+	r.keepDelivered(merged)
 	r.state = merged
 	if r.clock < clock {
 		r.clock = clock // line 54
@@ -197,6 +198,25 @@ func (r *Replica) onNewLeaderAck(from mcast.ProcessID, m msgs.NewLeaderAck, fx *
 	r.maybeFinishRecovery(fx) // a singleton group needs no acknowledgements
 }
 
+// keepDelivered carries this replica's own deliveries into next, a state
+// about to replace its own: a message it delivered — COMMITTED at a GTS at
+// or below its gap-free frontier — stays committed and delivered at that
+// GTS where next holds it only ACCEPTED. Every DELIVER of m carries that
+// GTS (Invariant 3b), so the record is the decision the group will reach;
+// dropping it would leave a stale record that outlives every other copy of
+// m once the group prunes it, and a later leader would retry m as new.
+func (r *Replica) keepDelivered(next map[mcast.MsgID]*mstate) {
+	if r.conflictMode() {
+		return // the applied set keeps conflict mode's deliveries
+	}
+	for id, old := range r.state {
+		if st := next[id]; st != nil && st.phase == msgs.PhaseAccepted && old.delivered &&
+			old.phase == msgs.PhaseCommitted && !r.maxDeliveredGTS.Less(old.gts) {
+			st.phase, st.lts, st.gts, st.delivered = msgs.PhaseCommitted, old.lts, old.gts, true
+		}
+	}
+}
+
 // onNewState installs the recovered state at a follower (lines 57–62).
 func (r *Replica) onNewState(from mcast.ProcessID, m msgs.NewState, fx *node.Effects) {
 	if r.status != StatusRecovering || r.ballot != m.Bal { // line 58
@@ -206,7 +226,7 @@ func (r *Replica) onNewState(from mcast.ProcessID, m msgs.NewState, fx *node.Eff
 	r.cballot = m.Bal         // line 60
 	// line 61: overwrite clock, Phase, LocalTS, GlobalTS.
 	r.clock = m.Clock
-	r.state = make(map[mcast.MsgID]*mstate, len(m.State))
+	installed := make(map[mcast.MsgID]*mstate, len(m.State))
 	for _, rec := range m.State {
 		st := &mstate{app: rec.M, hasApp: true, phase: rec.Phase, lts: rec.LTS, gts: rec.GTS}
 		if r.conflictMode() {
@@ -214,8 +234,10 @@ func (r *Replica) onNewState(from mcast.ProcessID, m msgs.NewState, fx *node.Eff
 		} else if rec.Phase == msgs.PhaseCommitted && !r.maxDeliveredGTS.Less(rec.GTS) {
 			st.delivered = true
 		}
-		r.state[rec.M.ID] = st
+		installed[rec.M.ID] = st
 	}
+	r.keepDelivered(installed)
+	r.state = installed
 	if r.conflictMode() {
 		// The new leader numbers its releases from 1; reset the cursor.
 		r.resetReleaseState()

@@ -190,6 +190,9 @@ func runChaos(t *testing.T, row chaosRow, seed int64) (delivery, trace []byte) {
 		t.Fatalf("seed %d: %d violation(s) at the horizon (replay with -run TestChaos -seed=%d)",
 			seed, len(errs), seed)
 	}
+	if n := c.PrunedInFlight(); n > 0 {
+		t.Logf("seed %d: %d pruned message(s) still awaited by their client", seed, n)
+	}
 	return c.DeliveryLog(), c.TraceLog()
 }
 

@@ -83,6 +83,9 @@ func runChaosDurable(t *testing.T, row chaosRow, seed int64, sigma time.Duration
 		t.Fatalf("seed %d, σ=%v: %d violation(s) at the horizon (replay with -run TestChaosDurable -seed=%d)",
 			seed, sigma, len(errs), seed)
 	}
+	if n := c.PrunedInFlight(); n > 0 {
+		t.Logf("seed %d, σ=%v: %d pruned message(s) still awaited by their client", seed, sigma, n)
+	}
 	// Every replica must have accumulated durable state by the horizon:
 	// a store that stayed empty means persist effects were never emitted.
 	for pid, st := range c.Stores {
@@ -348,6 +351,36 @@ func TestLazyFrontierNeverBelowPrune(t *testing.T) {
 					rs.MaxDelivered, victim, got, want)
 			}
 		})
+	}
+}
+
+// TestNoStaleRecordOutlivesThePrune pins the schedules on which a replica
+// held a record of a message it had already delivered, undelivered, while
+// the rest of the group pruned the message: a NEW_STATE had brought the
+// record back ACCEPTED (no GTS), and a later leader would retry it as new.
+// Seed 32 at σ = 3δ on the application-horizon row delivered a message twice
+// that way. The others were caught by the GC oracle (Cluster.checkPrune)
+// before any retry reached the stale record: volatile seed 197 and the
+// durable ones at σ ∈ {0, δ/4}; on seed 92 at σ = 3δ the replica crashed
+// before the leader's DELIVER of the message could settle its record.
+func TestNoStaleRecordOutlivesThePrune(t *testing.T) {
+	rows := durableRows()
+	wb, lazy := rows[0], rows[len(rows)-1]
+	runChaos(t, wb, 197)
+	for _, tc := range []struct {
+		row   chaosRow
+		sigma time.Duration
+		seeds []int64
+	}{
+		{wb, 0, []int64{197}},
+		{wb, chaosDelta / 4, []int64{15, 39, 197}},
+		{lazy, 0, []int64{114, 121, 197}},
+		{lazy, chaosDelta / 4, []int64{11, 28, 39, 114, 121, 153, 156, 197}},
+		{lazy, 3 * chaosDelta, []int64{32, 92}},
+	} {
+		for _, seed := range tc.seeds {
+			runChaosDurable(t, tc.row, seed, tc.sigma, memStorage())
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -139,7 +140,41 @@ type Cluster struct {
 	// onComplete is the callback OnComplete registers, called when a
 	// client's multicast completes; nil until then.
 	onComplete func(id mcast.MsgID)
+	// gcErrs are the GC oracle's violations (checkPrune); inFlight holds
+	// the pruned messages whose client was still waiting for replies.
+	gcErrs   []error
+	inFlight map[mcast.MsgID]bool
 }
+
+// collector is a replica whose garbage collection the harness checks as it
+// happens (core.Replica).
+type collector interface {
+	OnPrune(func(mcast.AppMsg))
+	Undelivered(mcast.MsgID) bool
+}
+
+// checkPrune is the GC oracle, run as replica p discards m. Its premise is
+// that every member of m's destination groups has delivered m: a live one
+// that still holds m undelivered could later retry m as new, and a
+// destination that had pruned it would order it again. That is a violation.
+// A client that still waits for m may re-send it too; that is counted
+// (PrunedInFlight), not failed.
+func (c *Cluster) checkPrune(p mcast.ProcessID, m mcast.AppMsg) {
+	for _, g := range m.Dest {
+		for _, q := range c.Top.Members(g) {
+			if col, ok := c.Sim.Handler(q).(collector); ok && !c.Sim.Crashed(q) && col.Undelivered(m.ID) {
+				c.gcErrs = append(c.gcErrs, fmt.Errorf("gc: p%d pruned %v at t=%v while live p%d holds it undelivered", p, m.ID, c.Sim.Now(), q))
+			}
+		}
+	}
+	if i := int(m.ID.Sender()) - c.Top.NumReplicas(); i >= 0 && i < len(c.Clients) && c.Clients[i].Awaiting(m.ID) {
+		c.inFlight[m.ID] = true
+	}
+}
+
+// PrunedInFlight returns how many messages a replica pruned while their
+// client still waited for replies and could re-send them.
+func (c *Cluster) PrunedInFlight() int { return len(c.inFlight) }
 
 // ClientPID returns the process ID of client i (placed after all replicas).
 func ClientPID(top *mcast.Topology, i int) mcast.ProcessID {
@@ -155,7 +190,7 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		opts.NumClients = 1
 	}
 	top := mcast.UniformTopology(opts.Groups, opts.GroupSize)
-	c := &Cluster{Top: top, appHorizon: opts.AppHorizon}
+	c := &Cluster{Top: top, appHorizon: opts.AppHorizon, inFlight: make(map[mcast.MsgID]bool)}
 	b, _ := p.(Builder)
 	if opts.Storage != nil && b == nil {
 		return nil, fmt.Errorf("harness: Options.Storage set but %s is not a Builder", p.Name())
@@ -219,18 +254,22 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 		// build makes the replica, durable ones from what their store
 		// holds; the simulator calls it again on a restart, so a restarted
 		// replica recovers from its store instead of from leftover RAM.
-		build := func() (node.Handler, error) {
+		build := func() (h node.Handler, err error) {
 			if b == nil {
-				return p.NewReplica(pid, top)
-			}
-			var rs *wal.State
-			if st != nil {
-				var err error
-				if rs, err = st.Load(); err != nil {
-					return nil, err
+				h, err = p.NewReplica(pid, top)
+			} else {
+				var rs *wal.State
+				if st != nil {
+					if rs, err = st.Load(); err != nil {
+						return nil, err
+					}
 				}
+				h, err = b.New(pid, top, ph, rs, opts.AppHorizon)
 			}
-			return b.New(pid, top, ph, rs, opts.AppHorizon)
+			if col, ok := h.(collector); ok {
+				col.OnPrune(func(m mcast.AppMsg) { c.checkPrune(pid, m) })
+			}
+			return h, err
 		}
 		h, err := build()
 		if err != nil {
@@ -376,7 +415,7 @@ func (c *Cluster) RunChecked(until, step time.Duration) []error {
 	for c.Sim.Now() < until {
 		c.Sim.Run(min(c.Sim.Now()+step, until))
 		c.CollectHistory()
-		if errs := c.Monitor.Errs(); len(errs) > 0 {
+		if errs := slices.Concat(c.Monitor.Errs(), c.gcErrs); len(errs) > 0 {
 			return errs
 		}
 	}
@@ -421,7 +460,7 @@ func (c *Cluster) Check(atQuiescence bool) []error {
 			crashed[pid] = true
 		}
 	}
-	return append(c.Monitor.Check(members, crashed), c.Sim.AuditGenuineness(c.Top)...)
+	return slices.Concat(c.Monitor.Check(members, crashed), c.gcErrs, c.Sim.AuditGenuineness(c.Top))
 }
 
 // DeliveryLatency returns, for message id, the latency from its submission

@@ -4,7 +4,7 @@
 // single-shard operations and multi-shard transactions. Building one costs
 // microseconds whatever the keyspace: the Zipfian normalising constant is
 // evaluated in closed form, not summed key by key. The public kv package
-// re-exports it for wbcast-bench, which must not import internal packages.
+// re-exports it for the canonical benchmark and the kv tests.
 package workload
 
 import (

@@ -313,12 +313,6 @@ type Runtime struct {
 	// non-blocking write(2) of what one flush took, or the link writer's
 	// blocking Write of what the loop's did not.
 	SocketWrites Counter
-	// EncodeStage is the outbound serialisation latency per message, on
-	// the shard loop that releases the send.
-	EncodeStage Histogram
-	// DecodeStage is the inbound frame-parse latency per frame on the
-	// read loops.
-	DecodeStage Histogram
 	// CommitInputs is the inputs-per-commit distribution of the shard
 	// loops' group commit (unitless count, recorded as 1 input = 1s).
 	CommitInputs Histogram
@@ -337,8 +331,6 @@ func NewRuntime(reg *Registry) *Runtime {
 	reg.RegisterCounter(MetricFramesRead, "inbound frames decoded", &rt.FramesRead)
 	reg.RegisterCounter(MetricSocketReads, "reads of inbound connections", &rt.SocketReads)
 	reg.RegisterCounter(MetricSocketWrites, "writes to outbound connections", &rt.SocketWrites)
-	reg.RegisterHistogram(MetricEncodeStage, "outbound message serialisation latency on the sending shard loop", &rt.EncodeStage)
-	reg.RegisterHistogram(MetricDecodeStage, "inbound frame parse latency on the read loops", &rt.DecodeStage)
 	reg.RegisterHistogram(MetricShardCommitInputs, "inputs whose effects one WAL sync released (count; 1 input = 1s)", &rt.CommitInputs)
 	return rt
 }

@@ -66,13 +66,6 @@ const (
 	// write call each: frames sent per socket write is how much one drain
 	// produced for one peer.
 	MetricSocketWrites = "wbcast_socket_writes_total"
-	// MetricEncodeStage is the outbound codec-stage latency histogram:
-	// time to serialise one message to wire form on the process's loop.
-	MetricEncodeStage = "wbcast_encode_stage_seconds"
-	// MetricDecodeStage is the inbound codec-stage latency histogram:
-	// time to parse one frame (header + borrow-mode message decode) on a
-	// read loop, before it is posted to the mailbox.
-	MetricDecodeStage = "wbcast_decode_stage_seconds"
 	// The ack-batch-size histogram is retired: no node registers it since
 	// every frame carries one message. The name stays declared for readers
 	// built against it, which find no samples.

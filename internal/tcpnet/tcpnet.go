@@ -386,7 +386,6 @@ func (n *Node) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return
 		}
-		start := time.Now()
 		dest, off := binary.Varint(buf)
 		if off <= 0 {
 			n.logf("tcpnet: bad destination from %s", conn.RemoteAddr())
@@ -402,7 +401,6 @@ func (n *Node) readLoop(conn net.Conn) {
 			return
 		}
 		n.rt.FramesRead.Inc()
-		n.rt.DecodeStage.Observe(time.Since(start))
 		n.box.Post(boxedInput{in: rcv})
 	}
 }
@@ -558,7 +556,6 @@ func (n *Node) sendInMemory(snd *node.Send) {
 // encode serialises one frame body — [sender varint][wire message] — into
 // the node's scratch, valid until the next call.
 func (n *Node) encode(m msgs.Message) ([]byte, bool) {
-	start := time.Now()
 	buf, err := wire.Encode(binary.AppendVarint(n.enc[:0], int64(n.cfg.PID)), m)
 	if n.enc = buf[:0]; cap(buf) > pooledFrameCap {
 		n.enc = nil
@@ -568,7 +565,6 @@ func (n *Node) encode(m msgs.Message) ([]byte, bool) {
 		return nil, false
 	}
 	n.rt.Encoded.Inc()
-	n.rt.EncodeStage.Observe(time.Since(start))
 	return buf, true
 }
 

@@ -164,8 +164,7 @@ type Options struct {
 	// replay only. Durable kv needs the WhiteBox or Genmcast protocol: a
 	// FastCast or FTSkeen replica does not replay to the engine the
 	// deliveries its recovery consumed, so a crash can lose acknowledged
-	// writes, and Skeen keeps no protocol state, so a restarted engine
-	// takes the first new deliveries for ones it has applied.
+	// writes. (Skeen takes no Config.Storage at all.)
 	Persist bool
 	// RecordApplied retains every applied operation for Verify and
 	// AppliedLog. The history grows with every operation and is never

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 
 	"wbcast/internal/obs"
 )
@@ -50,22 +49,13 @@ type MetricsServer struct {
 	sources []MetricsSource
 }
 
-// expvarOnce guards the process-wide expvar publication: expvar.Publish
-// panics on duplicate names, and several MetricsServers may coexist in one
-// process (tests, multi-replica hosts).
-var (
-	expvarOnce    sync.Once
-	expvarMu      sync.Mutex
-	expvarServers []*MetricsServer
-)
-
 // ServeMetrics starts an HTTP observability endpoint on addr serving
 //
 //   - /metrics — the sources' metrics in Prometheus text exposition format
 //     (histograms as summaries, one family header across processes, each
 //     sample labelled with its process ID);
-//   - /debug/vars — the standard expvar endpoint, with the same metrics
-//     published as one JSON document under "wbcast";
+//   - /debug/vars — the standard library's expvar endpoint (memstats and
+//     cmdline); the sources' metrics are served only by /metrics;
 //   - /debug/pprof/ — the standard profiling handlers (CPU, heap, mutex,
 //     goroutine, ...), so a running node can be profiled without rebuild.
 //
@@ -92,24 +82,6 @@ func ServeMetrics(addr string, sources ...MetricsSource) (*MetricsServer, error)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{Handler: mux}
 
-	expvarOnce.Do(func() {
-		expvar.Publish("wbcast", expvar.Func(func() any {
-			expvarMu.Lock()
-			servers := append([]*MetricsServer(nil), expvarServers...)
-			expvarMu.Unlock()
-			var snaps []MetricsSnapshot
-			for _, srv := range servers {
-				for _, reg := range srv.registries() {
-					snaps = append(snaps, reg.Snapshot())
-				}
-			}
-			return MergeMetrics(snaps...)
-		}))
-	})
-	expvarMu.Lock()
-	expvarServers = append(expvarServers, s)
-	expvarMu.Unlock()
-
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns on Close
 	return s, nil
 }
@@ -128,13 +100,5 @@ func (s *MetricsServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the HTTP server and its listener.
 func (s *MetricsServer) Close() error {
-	expvarMu.Lock()
-	for i, srv := range expvarServers {
-		if srv == s {
-			expvarServers = append(expvarServers[:i], expvarServers[i+1:]...)
-			break
-		}
-	}
-	expvarMu.Unlock()
 	return s.srv.Close()
 }

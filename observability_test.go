@@ -2,6 +2,7 @@ package wbcast_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -134,8 +135,15 @@ func TestServeMetrics(t *testing.T) {
 			t.Errorf("/metrics lacks %q", want)
 		}
 	}
-	if vars := get("/debug/vars"); !strings.Contains(vars, "wbcast") {
-		t.Errorf("/debug/vars lacks the wbcast document")
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
+		t.Errorf("/debug/vars is not JSON: %v", err)
+	}
+	if _, ok := vars["memstats"]; !ok {
+		t.Errorf("/debug/vars lacks memstats")
+	}
+	if _, ok := vars["wbcast"]; ok {
+		t.Errorf("/debug/vars publishes a wbcast document; /metrics is the one exposition")
 	}
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Errorf("/debug/pprof/ lacks profile index")

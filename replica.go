@@ -82,13 +82,8 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 	proto = proto.With(opts)
 	r := &Replica{cfg: cfg, top: top, pid: pid, tr: cfg.Transport, reg: reg, lastSender: NoProcess}
 	// build makes the protocol handler that replays rs, the folded state of
-	// the replica's store, before joining (nil: volatile). Skeen's protocol
-	// keeps no state there; its store holds only what services layered on
-	// the replica append.
+	// the replica's store, before joining (nil: volatile).
 	build := func(rs *wal.State) (node.Handler, error) {
-		if !proto.FaultTolerant {
-			rs = nil
-		}
 		return proto.New(pid, top, po, rs, cfg.AppGCHorizon)
 	}
 	var (

@@ -25,7 +25,8 @@
 #     copies of the simulator's process state, the mailbox ring's
 #     capacity, overflow and second high-water gauge, the transport's
 #     ack batch, kv's separate shard attachment, the copying message
-#     decoder and the Config conflict relation).
+#     decoder, the Config conflict relation and the per-frame codec
+#     timers).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -161,7 +162,10 @@ done
 # the ack batch, its message kind, the ack-class rule and the send path's
 # accumulator when every frame began to carry one message; kv's separate
 # shard attachment and its options, the copying message decoder and the
-# Config conflict relation when each lost its last caller.
+# Config conflict relation when each lost its last caller; the encode and
+# decode stage histograms when the codec's cost was left to its
+# microbenchmarks (check 4 maps declared names to the catalog, not catalog
+# rows to declared names, so a row left behind is caught here).
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
   Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
@@ -170,7 +174,8 @@ for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Bal
   On''Crash On''Restart 'Cluster''.Replicas\($\|[^(]\)' \
   Mailbox''HW mailbox''Size 'ring + overflow' \
   Ack''Batch ACK''_BATCH Is''Ack ack''BatchMax flush''Acks \
-  Attach''Shard Shard''Options 'wire''\.Decode(' 'wbcast''\.Config\.Conflicts'; do
+  Attach''Shard Shard''Options 'wire''\.Decode(' 'wbcast''\.Config\.Conflicts' \
+  wbcast_encode''_stage_seconds wbcast_decode''_stage_seconds; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

@@ -63,10 +63,11 @@ fi
 # Every check below greps a scrape saved to a file, never curl's output
 # through a pipe: grep -q exits at its first match, curl then fails to write
 # the rest (exit 23), and under pipefail a present line reads as missing.
-# expvar mirrors the same document.
+# /debug/vars is the standard library's expvar endpoint (/metrics is the one
+# exposition of the registries).
 if ! curl -sf "http://$METRICS_ADDR/debug/vars" >/tmp/metrics-smoke-vars.txt \
-  || ! grep -q '"wbcast"' /tmp/metrics-smoke-vars.txt; then
-  echo "metrics-smoke: /debug/vars lacks the wbcast document"
+  || ! grep -q '"memstats"' /tmp/metrics-smoke-vars.txt; then
+  echo "metrics-smoke: /debug/vars lacks memstats"
   fail=1
 fi
 # pprof index answers.

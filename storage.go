@@ -39,8 +39,7 @@ type DurableState = wal.State
 type StorageEntry = wal.Entry
 
 // SyncPolicy selects when a disk-backed store turns Sync calls into
-// fsyncs — the durability/throughput trade (wbcast-bench -storage disk
-// -sync always|none measures it).
+// fsyncs — the durability/throughput trade.
 type SyncPolicy = wal.SyncPolicy
 
 // Sync policies for StorageOptions.Policy.

@@ -110,7 +110,7 @@ const (
 	FTSkeen
 	// Skeen is the original non-fault-tolerant protocol of Skeen (2δ / 4δ): it
 	// assumes reliable processes, requires singleton groups (Replicas must
-	// be 1) and ignores Config.Storage. It is the latency floor the paper's
+	// be 1) and refuses Config.Storage. It is the latency floor the paper's
 	// baselines are measured against; production deployments use the
 	// fault-tolerant protocols above.
 	Skeen
@@ -281,7 +281,8 @@ type Config struct {
 	// message that vouches for it leaves the replica. See DirStorage for
 	// disk-backed stores and MemoryStorage for simulator-restart semantics
 	// without disk I/O; docs/DURABILITY.md describes the design. Clients
-	// have no durable state; the factory is not invoked for them. Nil means
+	// have no durable state; the factory is not invoked for them. Skeen
+	// keeps no protocol state and refuses a store. Nil means
 	// no durability: replicas are volatile (the crash-stop model), and a
 	// returning process rejoins empty through the NEW_STATE transfer.
 	Storage func(pid ProcessID) (Storage, error)
@@ -344,6 +345,8 @@ func (cfg Config) normalized() (Config, error) {
 		return cfg, fmt.Errorf("wbcast: unknown protocol %v", cfg.Protocol)
 	case !e.FaultTolerant && cfg.Replicas != 1:
 		return cfg, fmt.Errorf("wbcast: the %v protocol requires singleton groups (Replicas must be 1, got %d); use ftskeen for replicated groups", cfg.Protocol, cfg.Replicas)
+	case !e.FaultTolerant && cfg.Storage != nil:
+		return cfg, fmt.Errorf("wbcast: the %v protocol keeps no durable state and cannot recover from Config.Storage", cfg.Protocol)
 	case e.ConflictAware && cfg.conflicts == nil:
 		cfg.conflicts = core.Relation(nil)
 	}
