@@ -27,7 +27,8 @@
 // records and delivery frontier are synced to a write-ahead log under
 // <data-dir>/p<id> before the corresponding messages leave the process, and
 // restarting the node on the same directory recovers that state (see
-// docs/DURABILITY.md).
+// docs/DURABILITY.md). -protocol skeen takes no -data-dir: Skeen keeps no
+// protocol state to recover, so wbcast.Config refuses a store for it.
 //
 // On shutdown (SIGINT/SIGTERM) a replica prints its transport statistics
 // (messages encoded, frames sent/coalesced/read, outbound drops, reconnects
@@ -64,7 +65,7 @@ func main() {
 		delta    = flag.Duration("delta", 5*time.Millisecond, "expected one-way network delay (drives timeouts)")
 		verbose  = flag.Bool("v", false, "log deliveries and transport diagnostics")
 		metrics  = flag.String("metrics-addr", "", "replica: serve /metrics, /debug/vars and /debug/pprof on this address")
-		dataDir  = flag.String("data-dir", "", "replica: root directory for durable state (WAL + snapshots); empty runs in-memory")
+		dataDir  = flag.String("data-dir", "", "replica: root directory for durable state (WAL + snapshots); empty runs in-memory; not with -protocol skeen")
 		destArg  = flag.String("dest", "0", "client: comma-separated destination groups")
 		count    = flag.Int("count", 10, "client: number of messages to multicast")
 		payload  = flag.String("payload", "hello", "client: payload prefix")

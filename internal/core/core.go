@@ -751,16 +751,6 @@ func (r *Replica) onDeliver(d msgs.Deliver, fx *node.Effects) {
 		return
 	}
 	if !r.maxDeliveredGTS.Less(d.GTS) { // line 25: max_delivered_gts < gts
-		// The frontier is gap-free, so this replica delivered m already. A
-		// record of m still undelivered here is stale (an installed state
-		// held m only ACCEPTED; see keepDelivered): settle it as the DELIVER
-		// says, or it would outlive every other copy of m and be retried as
-		// new. Nothing vouches for the record, so it rides the next sync.
-		if st := r.state[d.ID]; st != nil && st.hasApp && !st.delivered {
-			st.phase, st.lts, st.gts, st.delivered = msgs.PhaseCommitted, d.LTS, d.GTS, true
-			r.persistRecord(st, fx, true)
-			r.queue.Remove(d.ID)
-		}
 		return
 	}
 	if r.maxDeliveredGTS.Less(d.Prev) {
