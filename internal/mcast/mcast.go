@@ -2,6 +2,7 @@ package mcast
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -248,121 +249,76 @@ func (d Delivery) Before(other Delivery) bool {
 	return d.Sub < other.Sub
 }
 
-// Topology describes the static process-group layout: Groups[g] lists the
-// 2f+1 replica ProcessIDs of group g. Groups are disjoint (paper §II).
+// Topology is the static process-group layout of paper §II: k disjoint
+// groups of n = 2f+1 replicas each, numbered group-major — group g is
+// replicas g·n … g·n+n−1 — so every ID from k·n on is a client's.
 type Topology struct {
-	groups  [][]ProcessID
-	groupOf map[ProcessID]GroupID
-	// peersOf[p] is p's group members minus p, precomputed so protocol
-	// fan-outs to "everyone else in my group" reuse one static slice.
-	peersOf map[ProcessID][]ProcessID
-}
-
-// NewTopology validates and indexes a group layout. Every group must be
-// non-empty and of odd size, and no process may appear twice.
-func NewTopology(groups [][]ProcessID) (*Topology, error) {
-	t := &Topology{
-		groups:  make([][]ProcessID, len(groups)),
-		groupOf: make(map[ProcessID]GroupID),
-		peersOf: make(map[ProcessID][]ProcessID),
-	}
-	for g, members := range groups {
-		if len(members) == 0 {
-			return nil, fmt.Errorf("mcast: group %d is empty", g)
-		}
-		if len(members)%2 == 0 {
-			return nil, fmt.Errorf("mcast: group %d has even size %d; need 2f+1", g, len(members))
-		}
-		t.groups[g] = make([]ProcessID, len(members))
-		copy(t.groups[g], members)
-		for _, p := range members {
-			if prev, dup := t.groupOf[p]; dup {
-				return nil, fmt.Errorf("mcast: process %d in both group %d and group %d", p, prev, g)
-			}
-			t.groupOf[p] = GroupID(g)
-		}
-		for _, p := range members {
-			peers := make([]ProcessID, 0, len(members)-1)
-			for _, q := range members {
-				if q != p {
-					peers = append(peers, q)
-				}
-			}
-			t.peersOf[p] = peers
-		}
-	}
-	return t, nil
+	n   int
+	ids []ProcessID // 0 … k·n−1; group g's members are ids[g·n : g·n+n]
 }
 
 // UniformTopology builds a topology of k groups of n replicas each, with
-// process IDs 0..k*n-1 assigned group-major.
+// process IDs 0..k*n-1 assigned group-major. It panics unless n is odd and
+// positive (2f+1).
 func UniformTopology(k, n int) *Topology {
-	groups := make([][]ProcessID, k)
-	next := ProcessID(0)
-	for g := range groups {
-		groups[g] = make([]ProcessID, n)
-		for i := range groups[g] {
-			groups[g][i] = next
-			next++
-		}
+	if n <= 0 || n%2 == 0 {
+		panic(fmt.Sprintf("mcast: group size %d; need 2f+1", n))
 	}
-	t, err := NewTopology(groups)
-	if err != nil {
-		// Construction above cannot violate NewTopology's checks.
-		panic("mcast: uniform topology invalid: " + err.Error())
+	t := &Topology{n: n, ids: make([]ProcessID, k*n)}
+	for i := range t.ids {
+		t.ids[i] = ProcessID(i)
 	}
 	return t
 }
 
 // NumGroups returns the number of groups.
-func (t *Topology) NumGroups() int { return len(t.groups) }
+func (t *Topology) NumGroups() int { return len(t.ids) / t.n }
 
 // NumReplicas returns the total number of replica processes.
-func (t *Topology) NumReplicas() int { return len(t.groupOf) }
+func (t *Topology) NumReplicas() int { return len(t.ids) }
 
 // Members returns the replica IDs of group g. The returned slice must not be
-// modified.
-func (t *Topology) Members(g GroupID) []ProcessID { return t.groups[g] }
+// modified; its capacity ends with the group, so an append copies it.
+func (t *Topology) Members(g GroupID) []ProcessID {
+	return slices.Clip(t.ids[int(g)*t.n : int(g+1)*t.n])
+}
 
 // GroupSize returns the number of replicas in group g.
-func (t *Topology) GroupSize(g GroupID) int { return len(t.groups[g]) }
+func (t *Topology) GroupSize(GroupID) int { return t.n }
 
-// Peers returns the members of p's group excluding p itself — the static
-// recipient list for "everyone else in my group" fan-outs (heartbeats,
-// state transfer, DELIVER replication). The returned slice must not be
-// modified. It is nil if p is not a replica.
-func (t *Topology) Peers(p ProcessID) []ProcessID { return t.peersOf[p] }
+// Peers returns the members of p's group excluding p itself, in ID order —
+// the recipient list for "everyone else in my group" fan-outs (heartbeats,
+// state transfer, DELIVER replication), which a replica takes once, at
+// construction. It is nil if p is not a replica.
+func (t *Topology) Peers(p ProcessID) []ProcessID {
+	if !t.IsReplica(p) {
+		return nil
+	}
+	members := t.Members(t.GroupOf(p))
+	return append(slices.Clip(members[:t.Rank(p)]), members[t.Rank(p)+1:]...)
+}
 
 // QuorumSize returns f+1 for a group of 2f+1 replicas.
-func (t *Topology) QuorumSize(g GroupID) int { return len(t.groups[g])/2 + 1 }
+func (t *Topology) QuorumSize(GroupID) int { return t.n/2 + 1 }
 
 // GroupOf returns the group of process p, or NoGroup if p is not a replica
 // (e.g. it is a client).
 func (t *Topology) GroupOf(p ProcessID) GroupID {
-	if g, ok := t.groupOf[p]; ok {
-		return g
+	if !t.IsReplica(p) {
+		return NoGroup
 	}
-	return NoGroup
+	return GroupID(int(p) / t.n)
 }
 
 // IsReplica reports whether p belongs to some group.
-func (t *Topology) IsReplica(p ProcessID) bool {
-	_, ok := t.groupOf[p]
-	return ok
-}
+func (t *Topology) IsReplica(p ProcessID) bool { return p >= 0 && int(p) < len(t.ids) }
 
 // Rank returns the index of p within its group, or -1 if p is not a replica.
 func (t *Topology) Rank(p ProcessID) int {
-	g, ok := t.groupOf[p]
-	if !ok {
+	if !t.IsReplica(p) {
 		return -1
 	}
-	for i, q := range t.groups[g] {
-		if q == p {
-			return i
-		}
-	}
-	return -1
+	return int(p) % t.n
 }
 
 // AllGroups returns the set of every group in the topology.
@@ -376,12 +332,12 @@ func (t *Topology) AllGroups() GroupSet {
 
 // InitialLeader returns the conventional initial leader of group g (its
 // first member) used by the pre-synchronised cluster bootstrap.
-func (t *Topology) InitialLeader(g GroupID) ProcessID { return t.groups[g][0] }
+func (t *Topology) InitialLeader(g GroupID) ProcessID { return t.Members(g)[0] }
 
 // InitialBallot returns the conventional initial ballot (1, first member)
 // that every replica of g starts in under the pre-synchronised bootstrap.
 // Starting all replicas with cballot = InitialBallot is equivalent to having
 // completed a leader recovery over the empty state.
 func (t *Topology) InitialBallot(g GroupID) Ballot {
-	return Ballot{N: 1, Proc: t.groups[g][0]}
+	return Ballot{N: 1, Proc: t.InitialLeader(g)}
 }

@@ -2,6 +2,7 @@ package mcast
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -158,58 +159,74 @@ func TestAppMsgClone(t *testing.T) {
 	}
 }
 
+// TestTopologyValidation: a group of 2f+1 replicas is the one shape
+// UniformTopology accepts.
 func TestTopologyValidation(t *testing.T) {
-	if _, err := NewTopology([][]ProcessID{{}}); err == nil {
-		t.Error("empty group accepted")
+	for _, n := range []int{0, -1, 2, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("UniformTopology(2, %d) accepted", n)
+				}
+			}()
+			UniformTopology(2, n)
+		}()
 	}
-	if _, err := NewTopology([][]ProcessID{{0, 1}}); err == nil {
-		t.Error("even group accepted")
-	}
-	if _, err := NewTopology([][]ProcessID{{0, 1, 2}, {2, 3, 4}}); err == nil {
-		t.Error("overlapping groups accepted")
-	}
-	if _, err := NewTopology([][]ProcessID{{0, 1, 2}, {3, 4, 5}}); err != nil {
-		t.Errorf("valid topology rejected: %v", err)
-	}
+	UniformTopology(2, 3)
 }
 
+// TestUniformTopology holds the topology's arithmetic to a brute-force scan
+// of the member lists, for every replica, NoProcess and the first client.
 func TestUniformTopology(t *testing.T) {
-	top := UniformTopology(3, 5)
-	if top.NumGroups() != 3 || top.NumReplicas() != 15 {
-		t.Fatalf("got %d groups, %d replicas", top.NumGroups(), top.NumReplicas())
-	}
-	if top.QuorumSize(0) != 3 {
-		t.Errorf("QuorumSize = %d, want 3", top.QuorumSize(0))
-	}
-	for g := GroupID(0); g < 3; g++ {
-		for i, p := range top.Members(g) {
-			if top.GroupOf(p) != g {
-				t.Errorf("GroupOf(%d) = %d, want %d", p, top.GroupOf(p), g)
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {10, 3}} {
+		k, n := shape[0], shape[1]
+		top := UniformTopology(k, n)
+		if top.NumGroups() != k || top.NumReplicas() != k*n {
+			t.Fatalf("%d×%d: got %d groups, %d replicas", k, n, top.NumGroups(), top.NumReplicas())
+		}
+		var all []ProcessID
+		var groups []GroupID
+		for g := GroupID(0); int(g) < k; g++ {
+			groups = append(groups, g)
+			members := top.Members(g)
+			if len(members) != n || cap(members) != n || top.GroupSize(g) != n || top.QuorumSize(g) != n/2+1 {
+				t.Errorf("%d×%d: group %d has %v, size %d, quorum %d", k, n, g, members, top.GroupSize(g), top.QuorumSize(g))
 			}
-			if top.Rank(p) != i {
-				t.Errorf("Rank(%d) = %d, want %d", p, top.Rank(p), i)
+			if top.InitialLeader(g) != members[0] || top.InitialBallot(g) != (Ballot{N: 1, Proc: members[0]}) {
+				t.Errorf("%d×%d: group %d led by %d, ballot %v", k, n, g, top.InitialLeader(g), top.InitialBallot(g))
+			}
+			all = append(all, members...)
+		}
+		for i, p := range all {
+			if p != ProcessID(i) {
+				t.Fatalf("%d×%d: member %d is %d, not group-major", k, n, i, p)
 			}
 		}
-	}
-	if top.GroupOf(100) != NoGroup {
-		t.Error("GroupOf(non-replica) should be NoGroup")
-	}
-	if top.IsReplica(100) {
-		t.Error("IsReplica(non-replica) = true")
-	}
-	if top.Rank(100) != -1 {
-		t.Error("Rank(non-replica) != -1")
-	}
-	if top.InitialLeader(1) != 5 {
-		t.Errorf("InitialLeader(1) = %d, want 5", top.InitialLeader(1))
-	}
-	ib := top.InitialBallot(2)
-	if ib.N != 1 || ib.Proc != 10 {
-		t.Errorf("InitialBallot(2) = %v", ib)
-	}
-	ag := top.AllGroups()
-	if !ag.Equal(NewGroupSet(0, 1, 2)) {
-		t.Errorf("AllGroups = %v", ag)
+		for _, p := range append(all, NoProcess, ProcessID(k*n)) {
+			// The brute-force answers: scan the member lists for p.
+			group, rank := NoGroup, -1
+			var peers []ProcessID
+			for g := GroupID(0); int(g) < k; g++ {
+				if i := slices.Index(top.Members(g), p); i >= 0 {
+					group, rank = g, i
+					for _, q := range top.Members(g) {
+						if q != p {
+							peers = append(peers, q)
+						}
+					}
+				}
+			}
+			if top.GroupOf(p) != group || top.IsReplica(p) != (group != NoGroup) || top.Rank(p) != rank {
+				t.Errorf("%d×%d: p%d: GroupOf %d, IsReplica %v, Rank %d; want %d, %v, %d",
+					k, n, p, top.GroupOf(p), top.IsReplica(p), top.Rank(p), group, group != NoGroup, rank)
+			}
+			if got := top.Peers(p); !slices.Equal(got, peers) {
+				t.Errorf("%d×%d: Peers(%d) = %v, want %v", k, n, p, got, peers)
+			}
+		}
+		if !top.AllGroups().Equal(groups) {
+			t.Errorf("%d×%d: AllGroups = %v", k, n, top.AllGroups())
+		}
 	}
 }
 

@@ -51,21 +51,13 @@ func NewProto(reg *Registry, clock Clock, tracer *Tracer, proc mcast.ProcessID) 
 	return p
 }
 
-// Now returns the observability clock reading (0 when disabled).
-func (p *Proto) Now() time.Duration {
-	if p == nil || p.clock == nil {
-		return 0
-	}
-	return p.clock()
-}
-
 // Begin stamps a message's first sight at this replica into *at and traces
 // the start stage.
 func (p *Proto) Begin(id mcast.MsgID, at *time.Duration) {
 	if p == nil {
 		return
 	}
-	*at = p.Now()
+	*at = p.clock.Now()
 	if p.tracer.Sampled(id) {
 		p.tracer.EventAt(*at, p.proc, id, StageStart, "")
 	}
@@ -78,7 +70,7 @@ func (p *Proto) Stage(stage string, id mcast.MsgID, at *time.Duration) {
 	if p == nil {
 		return
 	}
-	now := p.Now()
+	now := p.clock.Now()
 	var h *Histogram
 	switch stage {
 	case StagePropose:
@@ -173,20 +165,12 @@ func NewClient(reg *Registry, clock Clock, tracer *Tracer, proc mcast.ProcessID)
 	return c
 }
 
-// Now returns the observability clock reading (0 when disabled).
-func (c *Client) Now() time.Duration {
-	if c == nil || c.clock == nil {
-		return 0
-	}
-	return c.clock()
-}
-
 // OnSubmit stamps a submission time into *at and traces the submit stage.
 func (c *Client) OnSubmit(id mcast.MsgID, at *time.Duration) {
 	if c == nil {
 		return
 	}
-	*at = c.Now()
+	*at = c.clock.Now()
 	if c.tracer.Sampled(id) {
 		c.tracer.EventAt(*at, c.proc, id, StageSubmit, "")
 	}
@@ -198,7 +182,7 @@ func (c *Client) OnComplete(id mcast.MsgID, at time.Duration) {
 	if c == nil {
 		return
 	}
-	now := c.Now()
+	now := c.clock.Now()
 	c.e2e.Observe(now - at)
 	if c.tracer.Sampled(id) {
 		c.tracer.EventAt(now, c.proc, id, StageComplete, "")

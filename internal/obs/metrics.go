@@ -46,13 +46,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add adds n (possibly negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 {
 	if g == nil {
@@ -71,13 +64,12 @@ const (
 	KindHistogram
 )
 
-// entry is one registered metric. Exactly one of c/g/fn/h is set.
+// entry is one registered metric: a histogram, or a view — a scalar read
+// by fn at scrape time.
 type entry struct {
 	name string // full name including the label set, e.g. `m{stage="x"}`
 	help string
 	kind Kind
-	c    *Counter
-	g    *Gauge
 	fn   func() int64
 	h    *Histogram
 }
@@ -116,20 +108,21 @@ func (r *Registry) register(e *entry) {
 	r.order = append(r.order, e.name)
 }
 
-// RegisterCounter registers c under name.
+// RegisterCounter registers c under name, as a view of its count.
 func (r *Registry) RegisterCounter(name, help string, c *Counter) {
-	r.register(&entry{name: name, help: help, kind: KindCounter, c: c})
+	r.RegisterFunc(name, help, KindCounter, func() int64 { return int64(c.Load()) })
 }
 
-// RegisterGauge registers g under name.
+// RegisterGauge registers g under name, as a view of its value.
 func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
-	r.register(&entry{name: name, help: help, kind: KindGauge, g: g})
+	r.RegisterFunc(name, help, KindGauge, g.Load)
 }
 
-// RegisterFunc registers a read-only view: fn is evaluated at scrape time.
-// Views are how pre-existing single-source counters (tcpnet stats, live
-// mailbox high-water, subscription drops) join the registry without being
-// double-maintained.
+// RegisterFunc registers a read-only view of kind KindCounter or KindGauge:
+// fn is evaluated at scrape time. Every scalar metric is a view — of a
+// Counter or Gauge (RegisterCounter, RegisterGauge) or of a number its
+// owner keeps anyway (live mailbox depth and high-water, kv key count) — so
+// nothing is maintained twice.
 func (r *Registry) RegisterFunc(name, help string, kind Kind, fn func() int64) {
 	r.register(&entry{name: name, help: help, kind: kind, fn: fn})
 }
@@ -142,9 +135,9 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 // Snapshot is a point-in-time copy of a registry's metrics, keyed by the
 // full metric name (including its label set).
 type Snapshot struct {
-	// Counters holds the counter values (including counter-kind views).
+	// Counters holds the counter-kind views.
 	Counters map[string]int64
-	// Gauges holds the gauge values (including gauge-kind views).
+	// Gauges holds the gauge-kind views.
 	Gauges map[string]int64
 	// Latencies holds the histogram snapshots.
 	Latencies map[string]LatencyStats
@@ -166,18 +159,12 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, name := range r.order {
 		e := r.entries[name]
 		switch {
-		case e.c != nil:
-			s.Counters[name] = int64(e.c.Load())
-		case e.g != nil:
-			s.Gauges[name] = e.g.Load()
-		case e.fn != nil:
-			if e.kind == KindGauge {
-				s.Gauges[name] = e.fn()
-			} else {
-				s.Counters[name] = e.fn()
-			}
 		case e.h != nil:
 			s.Latencies[name] = e.h.Snapshot()
+		case e.kind == KindGauge:
+			s.Gauges[name] = e.fn()
+		default:
+			s.Counters[name] = e.fn()
 		}
 	}
 	return s
@@ -251,16 +238,7 @@ func WritePrometheus(w io.Writer, regs ...*Registry) {
 					sample{fmt.Sprintf("%s_max%s %g", fam, joinLabels(labels, r.labels), sn.Max.Seconds())},
 				)
 			default:
-				var v int64
-				switch {
-				case e.c != nil:
-					v = int64(e.c.Load())
-				case e.g != nil:
-					v = e.g.Load()
-				case e.fn != nil:
-					v = e.fn()
-				}
-				f.samples = append(f.samples, sample{fmt.Sprintf("%s%s %d", fam, joinLabels(labels, r.labels), v)})
+				f.samples = append(f.samples, sample{fmt.Sprintf("%s%s %d", fam, joinLabels(labels, r.labels), e.fn())})
 			}
 		}
 		r.mu.Unlock()
@@ -310,3 +288,11 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 // virtual time on the simulator); protocol handlers never read real clocks
 // directly (see the internal/node contract).
 type Clock func() time.Duration
+
+// Now returns the clock's reading, or 0 without a clock.
+func (c Clock) Now() time.Duration {
+	if c == nil {
+		return 0
+	}
+	return c()
+}

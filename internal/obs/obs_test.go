@@ -270,8 +270,8 @@ func TestProtoHandleNil(t *testing.T) {
 	p.Stage(StagePropose, id, &at)
 	p.Mark(EventStepDown, "")
 	p.MarkMsg(EventRetransmit, id)
-	if p.Now() != 0 {
-		t.Errorf("nil Proto clock nonzero")
+	if Clock(nil).Now() != 0 {
+		t.Errorf("nil clock nonzero")
 	}
 	var c *Client
 	c.OnSubmit(id, &at)
@@ -337,5 +337,73 @@ func TestMergeSnapshots(t *testing.T) {
 	m := MergeSnapshots(a, b)
 	if m.Counters["c"] != 4 || m.Gauges["g"] != 7 {
 		t.Errorf("merge = %+v", m)
+	}
+}
+
+// TestRegistryRendersEveryKind pins what a scrape reads of each way to hold
+// a metric: a counter, a gauge, a view of each kind and a histogram, read at
+// scrape time (not at registration) by Snapshot and WritePrometheus alike.
+func TestRegistryRendersEveryKind(t *testing.T) {
+	r := NewRegistry(`proc="2"`)
+	var c Counter
+	var g Gauge
+	var h Histogram
+	depth := int64(0)
+	r.RegisterCounter("wbcast_c_total", "a counter", &c)
+	r.RegisterGauge("wbcast_g", "a gauge", &g)
+	r.RegisterFunc("wbcast_v_total", "a counter view", KindCounter, func() int64 { return depth * 10 })
+	r.RegisterFunc("wbcast_d", "a gauge view", KindGauge, func() int64 { return depth })
+	r.RegisterHistogram(`wbcast_h_seconds{stage="x"}`, "a histogram", &h)
+	c.Add(5)
+	g.Set(-3)
+	depth = 7
+	h.Observe(time.Second)
+	h.Observe(3 * time.Second)
+
+	s := r.Snapshot()
+	wantCounters := map[string]int64{"wbcast_c_total": 5, "wbcast_v_total": 70}
+	wantGauges := map[string]int64{"wbcast_g": -3, "wbcast_d": 7}
+	if len(s.Counters) != len(wantCounters) || len(s.Gauges) != len(wantGauges) || len(s.Latencies) != 1 {
+		t.Fatalf("snapshot = %+v", s)
+	}
+	for k, v := range wantCounters {
+		if s.Counters[k] != v {
+			t.Errorf("Counters[%s] = %d, want %d", k, s.Counters[k], v)
+		}
+	}
+	for k, v := range wantGauges {
+		if s.Gauges[k] != v {
+			t.Errorf("Gauges[%s] = %d, want %d", k, s.Gauges[k], v)
+		}
+	}
+	if l := s.Latencies[`wbcast_h_seconds{stage="x"}`]; l.Count != 2 || l.Sum != 4*time.Second || l.Max != 3*time.Second {
+		t.Errorf("histogram = %+v", l)
+	}
+
+	var b strings.Builder
+	WritePrometheus(&b, r)
+	want := `# HELP wbcast_c_total a counter
+# TYPE wbcast_c_total counter
+wbcast_c_total{proc="2"} 5
+# HELP wbcast_g a gauge
+# TYPE wbcast_g gauge
+wbcast_g{proc="2"} -3
+# HELP wbcast_v_total a counter view
+# TYPE wbcast_v_total counter
+wbcast_v_total{proc="2"} 70
+# HELP wbcast_d a gauge view
+# TYPE wbcast_d gauge
+wbcast_d{proc="2"} 7
+# HELP wbcast_h_seconds a histogram
+# TYPE wbcast_h_seconds summary
+wbcast_h_seconds{stage="x",proc="2",quantile="0.5"} 3
+wbcast_h_seconds{stage="x",proc="2",quantile="0.95"} 3
+wbcast_h_seconds{stage="x",proc="2",quantile="0.99"} 3
+wbcast_h_seconds_sum{stage="x",proc="2"} 4
+wbcast_h_seconds_count{stage="x",proc="2"} 2
+wbcast_h_seconds_max{stage="x",proc="2"} 3
+`
+	if got := b.String(); got != want {
+		t.Errorf("WritePrometheus:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -75,21 +75,13 @@ func (t *Tracer) record(ev Event) {
 	t.mu.Unlock()
 }
 
-// now returns the clock reading, or 0 without a clock.
-func (t *Tracer) now() time.Duration {
-	if t.clock == nil {
-		return 0
-	}
-	return t.clock()
-}
-
 // Message records a lifecycle event for id at the current clock time, if
 // id is sampled.
 func (t *Tracer) Message(proc mcast.ProcessID, id mcast.MsgID, stage, note string) {
 	if !t.Sampled(id) {
 		return
 	}
-	t.record(Event{At: t.now(), Proc: proc, ID: id, Stage: stage, Note: note})
+	t.record(Event{At: t.clock.Now(), Proc: proc, ID: id, Stage: stage, Note: note})
 }
 
 // EventAt is Message with an explicit timestamp (still sampling-gated).
@@ -106,7 +98,7 @@ func (t *Tracer) System(proc mcast.ProcessID, stage, note string) {
 	if t == nil {
 		return
 	}
-	t.record(Event{At: t.now(), Proc: proc, Stage: stage, Note: note})
+	t.record(Event{At: t.clock.Now(), Proc: proc, Stage: stage, Note: note})
 }
 
 // Fault records an injected fault action (crash/partition/heal/...) at its

@@ -164,7 +164,11 @@ type Options struct {
 	// replay only. Durable kv needs the WhiteBox or Genmcast protocol: a
 	// FastCast or FTSkeen replica does not replay to the engine the
 	// deliveries its recovery consumed, so a crash can lose acknowledged
-	// writes. (Skeen takes no Config.Storage at all.)
+	// writes. (Skeen takes no Config.Storage at all.) Pair it with
+	// Config.AppGCHorizon, as every durable deployment here does: without
+	// it the protocol prunes delivered records on its own watermarks, which
+	// can outrun the engine's log, and a pruned record cannot be replayed
+	// into the engine after a crash (docs/KVSTORE.md, "GC coupling").
 	Persist bool
 	// RecordApplied retains every applied operation for Verify and
 	// AppliedLog. The history grows with every operation and is never

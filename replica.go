@@ -247,20 +247,21 @@ func (r *Replica) stop(snapshot bool) (err error) {
 	return err
 }
 
-// SetConflictRelation rebinds the deployment's conflict relation (Genmcast
+// SetConflictRelation rebinds the replica's conflict relation (Genmcast
 // only) and reports whether it took effect — false means the replica runs a
 // different protocol and the call was a no-op. Until the first call every
 // pair conflicts. Batched payloads are handled per payload: two batches
-// conflict iff any payload pair across them does. The relation is shared by
-// every replica constructed from the same Config (all of a Cluster), so one
-// call rebinds the whole local deployment; distributed deployments call it
-// on each host. Rebinding is safe at any time: messages already released
-// stay released, and in-flight messages are evaluated under the relation
-// current at their release scan — since a correct application relation only
-// ever refines (removes conflicts from) the conservative default, every
-// interleaving remains one the new relation allows. Services layered on the
-// replica use this to install their payload-aware relation (kv.NewService
-// installs the key-based one).
+// conflict iff any payload pair across them does. The replicas of one
+// Cluster share the relation, so one call rebinds them all; a replica built
+// by NewReplica has its own, so a deployment of such replicas calls it on
+// each replica built by NewReplica. Rebinding is safe at any time: messages
+// already released stay released, and in-flight messages are evaluated
+// under the relation current at their release scan — since a correct
+// application relation only ever refines (removes conflicts from) the
+// conservative default, every interleaving remains one the new relation
+// allows. Services layered on the replica use this to install their
+// payload-aware relation (kv.NewService installs the key-based one on every
+// replica it serves).
 func (r *Replica) SetConflictRelation(rel ConflictRelation) bool {
 	if r.cfg.conflicts == nil {
 		return false

@@ -309,10 +309,9 @@ type Config struct {
 	clock  obs.Clock
 	tracer *obs.Tracer
 	// conflicts holds the effective (batch-envelope-aware) conflict
-	// relation of a Genmcast deployment, created once by normalized() with
-	// every pair conflicting and shared by every replica constructed from
-	// the normalized Config — so Replica.SetConflictRelation rebinds the
-	// relation for the whole deployment.
+	// relation of a Genmcast deployment, made with every pair conflicting by
+	// each call of normalized(): the replicas of one Cluster share it, and a
+	// replica built by NewReplica has its own.
 	conflicts *mcast.ConflictHolder
 }
 
@@ -392,10 +391,9 @@ var wanOneWay = [3][3]time.Duration{
 // inter-datacentre round-trip matrix. Clients are spread round-robin over
 // the data centres.
 func WAN(groups, replicas int) func(from, to ProcessID) time.Duration {
-	top := mcast.UniformTopology(groups, replicas)
 	dc := func(p ProcessID) int {
-		if top.IsReplica(p) {
-			return top.Rank(p) % 3
+		if int(p) < groups*replicas { // a replica: rank p mod replicas
+			return int(p) % replicas % 3
 		}
 		return int(p) % 3
 	}
