@@ -22,11 +22,11 @@ func TestFaultPlanSimulated(t *testing.T) {
 	for _, proto := range []wbcast.Protocol{wbcast.WhiteBox, wbcast.FastCast, wbcast.FTSkeen} {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
-			plan := wbcast.NewFaultPlan()
-			plan.At(80 * time.Millisecond).Isolate(0) // leader of group 0
-			plan.At(100 * time.Millisecond).Crash(4)  // follower in group 1
-			plan.At(400 * time.Millisecond).Restart(4)
-			plan.At(900 * time.Millisecond).Heal()
+			plan := &wbcast.FaultPlan{}
+			plan.At(80*time.Millisecond, wbcast.Isolate{P: 0}) // leader of group 0
+			plan.At(100*time.Millisecond, wbcast.Crash{P: 4})  // follower in group 1
+			plan.At(400*time.Millisecond, wbcast.Restart{P: 4})
+			plan.At(900*time.Millisecond, wbcast.Heal{})
 
 			var mu sync.Mutex
 			var fired []string
@@ -127,7 +127,7 @@ func TestFaultPlanSimulated(t *testing.T) {
 	}
 }
 
-// TestFaultBuildersSimulated: the partition builders and the message-count
+// TestFaultBuildersSimulated: the partition actions and the message-count
 // trigger fire on the Simulated transport. Each row cuts a 2×3 cluster
 // between its groups until a Heal: OnFault narrates the cut exactly once,
 // at its trigger, and the trace shows that no message submitted during the
@@ -150,17 +150,17 @@ func TestFaultBuildersSimulated(t *testing.T) {
 		// receivers are the processes the cut keeps a message from.
 		receivers []wbcast.ProcessID
 	}{
-		{"Partition", func(p *wbcast.FaultPlan) { p.At(cutAt).Partition(g0, g1) },
+		{"Partition", func(p *wbcast.FaultPlan) { p.At(cutAt, wbcast.Partition{Sides: [][]wbcast.ProcessID{g0, g1}}) },
 			"partition ", cutAt, append(g0, g1...)},
-		{"PartitionOneWay", func(p *wbcast.FaultPlan) { p.At(cutAt).PartitionOneWay(g0, g1) },
+		{"OneWay", func(p *wbcast.FaultPlan) { p.At(cutAt, wbcast.OneWay{From: g0, To: g1}) },
 			"one-way partition ", cutAt, g1},
-		{"AfterMessages", func(p *wbcast.FaultPlan) { p.AfterMessages(1).Partition(g0, g1) },
+		{"AfterSends", func(p *wbcast.FaultPlan) { p.AfterSends(1, wbcast.Partition{Sides: [][]wbcast.ProcessID{g0, g1}}) },
 			"partition ", -1, append(g0, g1...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plan := wbcast.NewFaultPlan()
+			plan := &wbcast.FaultPlan{}
 			tc.cut(plan)
-			plan.At(healAt).Heal()
+			plan.At(healAt, wbcast.Heal{})
 			var mu sync.Mutex
 			narrated := map[string][]time.Duration{}
 			cluster, err := wbcast.New(wbcast.Config{

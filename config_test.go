@@ -7,6 +7,7 @@ import (
 
 	"wbcast"
 	"wbcast/internal/core"
+	"wbcast/internal/faults"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
@@ -204,17 +205,17 @@ func TestValidateEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFaultPlanValidation: a plan with a negative trigger time is rejected
-// when the transport opens.
+// TestFaultPlanValidation: a plan with a negative trigger time or count, an
+// out-of-range link probability, a negative skew factor or an event without
+// an action is rejected when the transport opens.
 func TestFaultPlanValidation(t *testing.T) {
 	bad := []*wbcast.FaultPlan{
-		wbcast.NewFaultPlan(), // negative trigger time
-		wbcast.NewFaultPlan(), // out-of-range probability
-		wbcast.NewFaultPlan(), // negative skew factor
+		new(wbcast.FaultPlan).At(-time.Second, wbcast.Crash{P: 0}),
+		new(wbcast.FaultPlan).At(time.Second, wbcast.SetLink{From: 0, To: 1, Fault: wbcast.LinkFaults{DropProb: 1.5}}),
+		new(wbcast.FaultPlan).At(time.Second, wbcast.ClockSkew{P: 0, Factor: -1}),
+		{Events: []faults.Event{{Trigger: faults.Trigger{AfterSends: -1}, Action: wbcast.Crash{P: 0}}}},
+		{Events: []faults.Event{{Trigger: faults.Trigger{At: time.Second}}}},
 	}
-	bad[0].At(-time.Second).Crash(0)
-	bad[1].At(time.Second).Link(0, 1, wbcast.LinkFaults{DropProb: 1.5})
-	bad[2].At(time.Second).ClockSkew(0, -1)
 	for i, plan := range bad {
 		tr := wbcast.SimulatedWith(wbcast.SimulatedOptions{Faults: plan})
 		if _, err := wbcast.New(wbcast.Config{Groups: 1, Transport: tr}); err == nil {

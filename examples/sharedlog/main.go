@@ -87,8 +87,7 @@ func main() {
 					tag = fmt.Sprintf("w%d/e%d → color %d", w, i, color)
 				}
 				if _, err := client.Multicast(ctx, []byte(tag), dest...); err != nil {
-					log.Printf("append: %v", err)
-					return
+					log.Fatalf("append: %v", err)
 				}
 			}
 		}(w, client)
@@ -113,22 +112,28 @@ func main() {
 
 	// Audit: (1) within a color, all replicas materialise the same chain;
 	// (2) chains are GTS-sorted; (3) joint entries appear in every target
-	// color at consistent positions of the global order.
+	// color at consistent positions of the global order. Any failed check
+	// fails the run.
+	failed := false
+	fail := func(format string, args ...any) {
+		fmt.Printf("AUDIT FAIL: "+format+"\n", args...)
+		failed = true
+	}
 	for c := wbcast.GroupID(0); c < numColors; c++ {
 		members := cluster.GroupMembers(c)
 		ref := chains[members[0]]
 		if !sort.SliceIsSorted(ref, func(i, j int) bool { return ref[i].gts.Less(ref[j].gts) }) {
-			fmt.Printf("AUDIT FAIL: color %d chain not GTS-sorted\n", c)
+			fail("color %d chain not GTS-sorted", c)
 		}
 		for _, p := range members[1:] {
 			got := chains[p]
 			if len(got) != len(ref) {
-				fmt.Printf("AUDIT FAIL: color %d replicas disagree on length\n", c)
+				fail("color %d replicas disagree on length", c)
 				continue
 			}
 			for i := range ref {
 				if got[i].payload != ref[i].payload {
-					fmt.Printf("AUDIT FAIL: color %d diverges at %d\n", c, i)
+					fail("color %d diverges at %d", c, i)
 					break
 				}
 			}
@@ -136,18 +141,17 @@ func main() {
 	}
 	// Joint entries: same GTS wherever they appear.
 	seen := map[string]wbcast.Timestamp{}
-	consistent := true
 	for _, ch := range chains {
 		for _, e := range ch {
 			if prev, ok := seen[e.payload]; ok && prev != e.gts {
-				fmt.Printf("AUDIT FAIL: %q has two timestamps %v / %v\n", e.payload, prev, e.gts)
-				consistent = false
+				fail("%q has two timestamps %v / %v", e.payload, prev, e.gts)
 			} else {
 				seen[e.payload] = e.gts
 			}
 		}
 	}
-	if consistent {
-		fmt.Println("audit passed: chains identical per color, GTS-sorted, joint entries consistent")
+	if failed {
+		log.Fatal("audit failed")
 	}
+	fmt.Println("audit passed: chains identical per color, GTS-sorted, joint entries consistent")
 }

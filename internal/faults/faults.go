@@ -145,8 +145,9 @@ func (p *Plan) At(t time.Duration, a Action) *Plan {
 }
 
 // AfterSends appends a count-triggered action: it fires once n protocol
-// message transmissions have been observed.
+// message transmissions have been observed (n below 1 counts as 1).
 func (p *Plan) AfterSends(n int, a Action) *Plan {
+	n = max(n, 1)
 	p.Events = append(p.Events, Event{Trigger: Trigger{AfterSends: n}, Action: a})
 	return p
 }

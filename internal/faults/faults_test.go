@@ -116,6 +116,16 @@ func TestCountTriggerCrash(t *testing.T) {
 	}
 }
 
+// TestCountBelowOneIsOne: AfterSends clamps a count below 1 to 1, so the
+// event stays count-triggered instead of firing at time 0.
+func TestCountBelowOneIsOne(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		if got := new(Plan).AfterSends(n, Heal{}).Events[0].Trigger; got != (Trigger{AfterSends: 1}) {
+			t.Errorf("AfterSends(%d) trigger = %+v, want AfterSends 1", n, got)
+		}
+	}
+}
+
 func TestRestartResumesTimers(t *testing.T) {
 	var received int
 	plan := Plan{}

@@ -18,7 +18,7 @@ type Proto struct {
 
 	propose, accept, commit, deliver *Histogram
 
-	retransmits, stepDowns, elections, catchups, commits, deliveries *Counter
+	retransmits, stepDowns, elections, catchups *Counter
 
 	genEarly, genBlocked *Counter
 }
@@ -29,8 +29,7 @@ func NewProto(reg *Registry, clock Clock, tracer *Tracer, proc mcast.ProcessID) 
 	p := &Proto{
 		proc: proc, clock: clock, tracer: tracer,
 		propose: &Histogram{}, accept: &Histogram{}, commit: &Histogram{}, deliver: &Histogram{},
-		retransmits: &Counter{}, stepDowns: &Counter{}, elections: &Counter{},
-		catchups: &Counter{}, commits: &Counter{}, deliveries: &Counter{},
+		retransmits: &Counter{}, stepDowns: &Counter{}, elections: &Counter{}, catchups: &Counter{},
 		genEarly: &Counter{}, genBlocked: &Counter{},
 	}
 	reg.RegisterHistogram(MetricStageLatency+`{stage="propose"}`, "time from first sight to local timestamp proposal", p.propose)
@@ -41,8 +40,8 @@ func NewProto(reg *Registry, clock Clock, tracer *Tracer, proc mcast.ProcessID) 
 	reg.RegisterCounter(MetricStepDowns, "leadership losses (higher ballot observed)", p.stepDowns)
 	reg.RegisterCounter(MetricElections, "candidacies started", p.elections)
 	reg.RegisterCounter(MetricCatchups, "catch-up replays sent to stalled followers", p.catchups)
-	reg.RegisterCounter(MetricCommits, "messages committed (GTS fixed)", p.commits)
-	reg.RegisterCounter(MetricDeliveries, "protocol-level deliveries", p.deliveries)
+	reg.RegisterFunc(MetricCommits, "messages committed (GTS fixed)", KindCounter, p.commit.Count)
+	reg.RegisterFunc(MetricDeliveries, "protocol-level deliveries", KindCounter, p.deliver.Count)
 	reg.RegisterCounter(MetricGenEarlyReleases, "conflict-mode releases the total-order rule would have delayed", p.genEarly)
 	reg.RegisterCounter(MetricGenReleaseBlocked, "conflict-mode release scans blocked behind a conflicting message", p.genBlocked)
 	if tracer != nil {
@@ -79,10 +78,8 @@ func (p *Proto) Stage(stage string, id mcast.MsgID, at *time.Duration) {
 		h = p.accept
 	case StageCommit:
 		h = p.commit
-		p.commits.Inc()
 	case StageDeliver:
 		h = p.deliver
-		p.deliveries.Inc()
 	}
 	h.Observe(now - *at)
 	*at = now

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -50,6 +51,14 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
+// Count returns the number of observations; a nil histogram has none.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return int64(h.count.Load())
+}
+
 // Snapshot captures the histogram with derived percentiles. Concurrent
 // observations may tear across buckets by at most the in-flight updates;
 // the snapshot is monotone and self-consistent enough for reporting.
@@ -95,20 +104,18 @@ func (l LatencyStats) Mean() time.Duration {
 	return l.Sum / time.Duration(l.Count)
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts:
-// the upper bound of the bucket holding the target rank, capped at Max.
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by nearest rank, the
+// ⌈q·Count⌉-th smallest observation (at least the first): the upper bound
+// of the bucket holding it, capped at Max.
 func (l LatencyStats) Quantile(q float64) time.Duration {
 	if l.Count == 0 || len(l.Buckets) == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(l.Count))
-	if rank >= l.Count {
-		rank = l.Count - 1
-	}
+	rank := min(uint64(max(1, math.Ceil(q*float64(l.Count)))), l.Count)
 	var cum uint64
 	for i, c := range l.Buckets {
 		cum += c
-		if cum > rank {
+		if cum >= rank {
 			// Upper bound of bucket i is 2^i ns (bucket 0 → 1ns).
 			est := time.Duration(1) << uint(i)
 			if l.Max > 0 && est > l.Max {

@@ -53,16 +53,21 @@ func TestHistogramPercentiles(t *testing.T) {
 	if s.Max != 100*time.Millisecond {
 		t.Errorf("Max = %v, want 100ms", s.Max)
 	}
-	// Log2 buckets are exact to ≤ 2×: p50 must land in 1ms's bucket
-	// (upper bound < 2ms), p95 in 10ms's bucket, p99 at the max.
+	// Log2 buckets are exact to ≤ 2×, and a quantile is the nearest rank:
+	// p50 (the 50th smallest) lands in 1ms's bucket (upper bound < 2ms),
+	// p95 and p99 (the 95th and 99th) in 10ms's, and only q = 1 reaches
+	// the 100ms max.
 	if s.P50 < time.Millisecond || s.P50 >= 2*time.Millisecond {
 		t.Errorf("P50 = %v, want within [1ms, 2ms)", s.P50)
 	}
 	if s.P95 < 10*time.Millisecond || s.P95 >= 20*time.Millisecond {
 		t.Errorf("P95 = %v, want within [10ms, 20ms)", s.P95)
 	}
-	if s.P99 < 100*time.Millisecond || s.P99 > 100*time.Millisecond {
-		t.Errorf("P99 = %v, want 100ms (capped at Max)", s.P99)
+	if s.P99 != 1<<24 {
+		t.Errorf("P99 = %v, want %v (the upper bound of 10ms's bucket)", s.P99, time.Duration(1<<24))
+	}
+	if got := s.Quantile(1); got != 100*time.Millisecond {
+		t.Errorf("Quantile(1) = %v, want 100ms (the max)", got)
 	}
 	if got := s.Mean(); got != wantSum/100 {
 		t.Errorf("Mean = %v, want %v", got, wantSum/100)
@@ -96,10 +101,13 @@ func TestMergeLatency(t *testing.T) {
 	if m.Max != 8*time.Millisecond {
 		t.Errorf("merged Max = %v, want 8ms", m.Max)
 	}
-	// Median of the union is at the 1ms/8ms boundary: rank 50 falls in
-	// the 8ms bucket.
-	if m.P50 < 8*time.Millisecond || m.P50 > 16*time.Millisecond {
-		t.Errorf("merged P50 = %v, want within [8ms, 16ms]", m.P50)
+	// Median of the union is at the 1ms/8ms boundary: the 50th smallest
+	// is the last 1ms observation, the 51st the first 8ms one.
+	if m.P50 != 1<<20 {
+		t.Errorf("merged P50 = %v, want %v (the upper bound of 1ms's bucket)", m.P50, time.Duration(1<<20))
+	}
+	if got := m.Quantile(0.51); got != 8*time.Millisecond {
+		t.Errorf("merged Quantile(0.51) = %v, want 8ms (8ms's bucket, capped at the max)", got)
 	}
 	// Merging with a zero snapshot is the identity.
 	id := MergeLatency(m, LatencyStats{})
@@ -396,7 +404,7 @@ wbcast_v_total{proc="2"} 70
 wbcast_d{proc="2"} 7
 # HELP wbcast_h_seconds a histogram
 # TYPE wbcast_h_seconds summary
-wbcast_h_seconds{stage="x",proc="2",quantile="0.5"} 3
+wbcast_h_seconds{stage="x",proc="2",quantile="0.5"} 1.073741824
 wbcast_h_seconds{stage="x",proc="2",quantile="0.95"} 3
 wbcast_h_seconds{stage="x",proc="2",quantile="0.99"} 3
 wbcast_h_seconds_sum{stage="x",proc="2"} 4

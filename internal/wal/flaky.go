@@ -1,15 +1,12 @@
 package wal
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Flaky wraps a Storage with deterministic fault injection for
 // crash-consistency chaos runs: periodic fsync failures (after which the
-// staged tail is torn off, exactly as a crash before durability would),
-// and optional slow syncs. All schedules are count-based, so a seeded
-// chaos run injects the same storage faults on every replay.
+// staged tail is torn off, exactly as a crash before durability would).
+// The schedule is count-based, so a seeded chaos run injects the same
+// storage faults on every replay.
 type Flaky struct {
 	// Inner is the wrapped store.
 	Inner Storage
@@ -17,12 +14,6 @@ type Flaky struct {
 	// Sync also drops the staged tail from Inner by reloading it on the
 	// next Load, modelling a torn tail that recovery detects and truncates.
 	FailSyncEvery int
-	// SlowSyncEvery makes every k-th Sync sleep SyncDelay first (0
-	// disables). Only meaningful on wall-clock runtimes; the simulator's
-	// virtual time ignores real sleeps, so chaos runs leave it off.
-	SlowSyncEvery int
-	// SyncDelay is the injected latency of a slow sync.
-	SyncDelay time.Duration
 
 	syncs int
 }
@@ -36,9 +27,6 @@ func (f *Flaky) Append(entries ...Entry) error { return f.Inner.Append(entries..
 // Sync implements Storage, injecting the configured failures.
 func (f *Flaky) Sync() error {
 	f.syncs++
-	if f.SlowSyncEvery > 0 && f.syncs%f.SlowSyncEvery == 0 && f.SyncDelay > 0 {
-		time.Sleep(f.SyncDelay)
-	}
 	if f.FailSyncEvery > 0 && f.syncs%f.FailSyncEvery == 0 {
 		return fmt.Errorf("wal: injected fsync failure (sync %d)", f.syncs)
 	}

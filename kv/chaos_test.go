@@ -46,25 +46,24 @@ func runKVChaos(t *testing.T, proto wbcast.Protocol, seed int64) {
 	}
 
 	// The plan must be complete before the transport opens (wbcast.New
-	// compiles it). Groups are laid out pid-major: group g's members are
+	// validates it). Groups are laid out pid-major: group g's members are
 	// g*replicas .. g*replicas+replicas-1, initial leader first.
-	plan := wbcast.NewFaultPlan()
+	plan := &wbcast.FaultPlan{}
 	if proto == wbcast.Skeen {
 		// Skeen tolerates only benign network conditions: slow, jittery,
 		// occasionally reordered links, never process failures.
-		plan.At(30*time.Millisecond).
-			Link(0, 1, wbcast.LinkFaults{Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond}).
-			Link(2, 0, wbcast.LinkFaults{Jitter: 5 * time.Millisecond, ReorderProb: 0.2})
-		plan.At(500 * time.Millisecond).ClearLinks()
+		plan.At(30*time.Millisecond, wbcast.SetLink{From: 0, To: 1, Fault: wbcast.LinkFaults{Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond}})
+		plan.At(30*time.Millisecond, wbcast.SetLink{From: 2, To: 0, Fault: wbcast.LinkFaults{Jitter: 5 * time.Millisecond, ReorderProb: 0.2}})
+		plan.At(500*time.Millisecond, wbcast.ClearLinks{})
 	} else {
 		// Crash a follower of shard 0, isolate the leader of shard 1
 		// (forcing an election), then lift everything mid-workload.
 		follower := wbcast.ProcessID(1)
 		leader1 := wbcast.ProcessID(replicas)
-		plan.At(40 * time.Millisecond).Crash(follower)
-		plan.At(120 * time.Millisecond).Isolate(leader1)
-		plan.At(300 * time.Millisecond).Restart(follower)
-		plan.At(600 * time.Millisecond).Heal()
+		plan.At(40*time.Millisecond, wbcast.Crash{P: follower})
+		plan.At(120*time.Millisecond, wbcast.Isolate{P: leader1})
+		plan.At(300*time.Millisecond, wbcast.Restart{P: follower})
+		plan.At(600*time.Millisecond, wbcast.Heal{})
 	}
 
 	var mu sync.Mutex

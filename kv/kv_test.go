@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"slices"
 	"strings"
 	"testing"
@@ -258,5 +260,44 @@ func TestKVClientMetrics(t *testing.T) {
 	}
 	if m.Latencies[wbcast.MetricKVOpLatency+`{dests="multi"}`].Count != 1 {
 		t.Fatalf("multi-shard latency histogram: %+v", m.Latencies)
+	}
+}
+
+// TestKVMetricsServed: the service's and a client's metric sources, served
+// by ServeMetrics, expose the shard engines' and the client's kv metrics on
+// /metrics, each labelled with its process.
+func TestKVMetricsServed(t *testing.T) {
+	c, svc := service(t, 1, 3, kv.Options{})
+	cl, err := svc.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := cl.Put(ctx, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := wbcast.ServeMetrics("127.0.0.1:0", svc.MetricsSource(), cl.MetricsSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := c.NumGroups() * 3 // the first client follows the replicas
+	for _, want := range []string{
+		wbcast.MetricKVApplied + `{proc="0"}`,
+		fmt.Sprintf(`%s{op="put",proc="%d"} 1`, wbcast.MetricKVOps, client),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, body)
+		}
 	}
 }

@@ -214,9 +214,6 @@ func (s *Service) NewClient() (*Client, error) {
 	return newClient(cl, s.shards, s.hub), nil
 }
 
-// NumShards returns the number of shards (the cluster's group count).
-func (s *Service) NumShards() int { return s.shards }
-
 // Partitioner returns the key placement every shard and client uses.
 func (s *Service) Partitioner() HashPartitioner { return HashPartitioner{} }
 

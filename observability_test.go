@@ -65,6 +65,20 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
+// TestStageCountersAreHistogramCounts: the commit and delivery counters are
+// views of the commit and deliver stage histograms, so after a simulated
+// run each reads its histogram's count.
+func TestStageCountersAreHistogramCounts(t *testing.T) {
+	snap, _ := obsRun(t, 1, 0)
+	for counter, stage := range map[string]string{"wbcast_commits_total": "commit", wbcast.MetricDeliveries: "deliver"} {
+		n := snap.Counters[counter]
+		h := snap.Latencies[wbcast.MetricStageLatency+`{stage="`+stage+`"}`]
+		if n == 0 || uint64(n) != h.Count {
+			t.Errorf("%s = %d, %s histogram count %d: want equal and positive", counter, n, stage, h.Count)
+		}
+	}
+}
+
 // TestTraceDeterministicPublic: on the simulated transport, two runs of
 // the same seed produce byte-identical trace timelines — virtual-time
 // stamps and sequence-number sampling leave nothing scheduler-dependent.

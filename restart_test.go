@@ -75,8 +75,7 @@ func (s loadCounter) Load() (*wbcast.DurableState, error) {
 // restart rebuilds a durable replica from its store — but not one closed
 // through the API, whose store is closed with it.
 func TestClosedReplicaIsNotRebuilt(t *testing.T) {
-	plan := wbcast.NewFaultPlan()
-	plan.At(time.Second).Restart(1)
+	plan := new(wbcast.FaultPlan).At(time.Second, wbcast.Restart{P: 1})
 	restarted := make(chan struct{})
 	tr := wbcast.SimulatedWith(wbcast.SimulatedOptions{Faults: plan, OnFault: func(_ time.Duration, desc string) {
 		if strings.HasPrefix(desc, "restart") {
@@ -109,5 +108,55 @@ func TestClosedReplicaIsNotRebuilt(t *testing.T) {
 	}
 	if n := loads.Load(); n != 1 {
 		t.Errorf("the closed replica's store was loaded %d times, want once (at construction)", n)
+	}
+}
+
+// TestShutdownLeavesNothingToReplay: Shutdown snapshots a replica's store
+// before closing it and Close does not, so a deployment reopened on the
+// stores of one replays no WAL entries and on those of the other some.
+func TestShutdownLeavesNothingToReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		stop     func(*wbcast.Replica) error
+		replayed bool
+	}{
+		{"Shutdown", (*wbcast.Replica).Shutdown, false},
+		{"Close", func(r *wbcast.Replica) error { r.Close(); return nil }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := wbcast.Config{Groups: 1, Replicas: 3, Storage: wbcast.DirStorage(t.TempDir())}
+			c, err := wbcast.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := c.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for i := 0; i < 20; i++ {
+				if _, err := cl.Multicast(ctx, []byte{byte(i)}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, r := range c.Replicas() {
+				if err := tc.stop(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Close()
+
+			re, err := wbcast.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			n := re.Metrics().Counters["wbcast_replay_entries_total"]
+			t.Logf("reopened after %s: %d WAL entries replayed", tc.name, n)
+			if (n > 0) != tc.replayed {
+				t.Errorf("%d WAL entries replayed, want any: %v", n, tc.replayed)
+			}
+		})
 	}
 }

@@ -25,8 +25,8 @@
 #     copies of the simulator's process state, the mailbox ring's
 #     capacity, overflow and second high-water gauge, the transport's
 #     ack batch, kv's separate shard attachment, the copying message
-#     decoder, the Config conflict relation and the per-frame codec
-#     timers).
+#     decoder, the Config conflict relation, the per-frame codec
+#     timers and the public fault-plan builder).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -175,7 +175,8 @@ for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Bal
   Mailbox''HW mailbox''Size 'ring + overflow' \
   Ack''Batch ACK''_BATCH Is''Ack ack''BatchMax flush''Acks \
   Attach''Shard Shard''Options 'wire''\.Decode(' 'wbcast''\.Config\.Conflicts' \
-  wbcast_encode''_stage_seconds wbcast_decode''_stage_seconds; do
+  wbcast_encode''_stage_seconds wbcast_decode''_stage_seconds \
+  New''FaultPlan Fault''Step After''Messages; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

@@ -103,9 +103,10 @@ type SimulatedOptions struct {
 	// of SimulatedOptions.Faults.
 	Seed int64
 	// Faults, when non-nil, switches the transport into chaos mode and
-	// injects the plan's fault schedule: crash/restart, partitions,
-	// per-link drop/duplicate/delay/reorder and clock skew, fired at
-	// virtual-time or message-count triggers. In chaos mode the protocols'
+	// injects the plan's fault schedule: Crash and Restart, Partition,
+	// Isolate, OneWay and Heal, SetLink and ClearLinks (per-link drop,
+	// duplicate, delay, reorder) and ClockSkew, fired at virtual-time (At)
+	// or message-count (AfterSends) triggers. In chaos mode the protocols'
 	// background timers stay enabled and virtual time advances
 	// continuously (runs no longer pump to quiescence). See FaultPlan and
 	// docs/FAULTS.md.
@@ -192,11 +193,11 @@ func (t *simTransport) open(cfg *Config) error {
 	}
 	var eng *faults.Engine
 	if t.opts.Faults != nil {
-		if err := t.opts.Faults.validate(); err != nil {
+		if err := validateFaults(t.opts.Faults); err != nil {
 			return err
 		}
 		eng = faults.New(faults.Config{
-			Plan:    t.opts.Faults.compile(),
+			Plan:    *t.opts.Faults,
 			Tracer:  t.trc,
 			OnEvent: t.opts.OnFault,
 		})
