@@ -195,6 +195,38 @@ func TestValidateEdgeCases(t *testing.T) {
 		tr.Close()
 	}
 
+	// WAN is the paper's §VI testbed: one-way delays of half the 60, 75 and
+	// 130 ms round trips between Oregon, N. Virginia and England, 250 µs
+	// within one. The replica of rank r of every group sits in data centre
+	// r mod 3; clients follow the replicas round-robin.
+	const groups, replicas = 2, 5
+	wan := wbcast.WAN(groups, replicas)
+	for _, c := range []struct {
+		from, to wbcast.ProcessID
+		want     time.Duration
+	}{
+		{0, 5, 250 * time.Microsecond}, // rank 0 of both groups
+		{0, 3, 250 * time.Microsecond}, // ranks 0 and 3
+		{1, 4, 250 * time.Microsecond}, // ranks 1 and 4
+		{0, 1, 30 * time.Millisecond},  // Oregon – N. Virginia
+		{6, 2, 37500 * time.Microsecond},
+		{2, 5, 65 * time.Millisecond},   // England – Oregon
+		{10, 0, 30 * time.Millisecond},  // clients 10, 11, 12: N. Virginia,
+		{11, 3, 65 * time.Millisecond},  // England,
+		{12, 5, 250 * time.Microsecond}, // Oregon
+	} {
+		if got := wan(c.from, c.to); got != c.want {
+			t.Errorf("WAN(%d, %d)(p%d, p%d) = %v, want %v", groups, replicas, c.from, c.to, got, c.want)
+		}
+	}
+	for p := wbcast.ProcessID(0); p < 14; p++ {
+		for q := wbcast.ProcessID(0); q < 14; q++ {
+			if wan(p, q) != wan(q, p) {
+				t.Errorf("WAN is not symmetric: p%d→p%d %v, p%d→p%d %v", p, q, wan(p, q), q, p, wan(q, p))
+			}
+		}
+	}
+
 	// Validate fills defaults without mutating the caller's copy.
 	cfg := valid
 	if err := cfg.Validate(); err != nil {

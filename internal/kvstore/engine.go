@@ -36,10 +36,9 @@ type Persister interface {
 }
 
 // Resp reports the outcome of one applied operation to the service layer,
-// which routes it back to the waiting client by (ID, Sub).
+// which routes it back to the waiting client by ID.
 type Resp struct {
 	ID    mcast.MsgID
-	Sub   int
 	Group mcast.GroupID
 	// Results holds one entry per flattened sub-operation, in submission
 	// order, so multi-shard transaction results merge positionally.
@@ -314,7 +313,7 @@ func (e *Engine) applyLocked(d mcast.Delivery) (Resp, bool) {
 		e.advance(d)
 		return Resp{}, false
 	}
-	resp := Resp{ID: d.Msg.ID, Sub: d.Sub, Group: e.cfg.Group}
+	resp := Resp{ID: d.Msg.ID, Group: e.cfg.Group}
 	for _, sub := range op.Flatten() {
 		var r OpResult
 		if e.cfg.Owns == nil || e.cfg.Owns(sub.Key) {

@@ -3,6 +3,8 @@ package kv
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"wbcast"
@@ -18,25 +20,48 @@ import (
 type Client struct {
 	cl     *wbcast.Client
 	shards int
-	hub    *hub
+	routes *sync.Map // the Service's clients by ID; holds this one until Close
+
+	// submit is held from MulticastAsync until the call is registered, so
+	// calls register in message-ID order. mu is not held across
+	// MulticastAsync: on the Simulated transport a submission waits for the
+	// pump, which may wait for an engine that is waiting to answer.
+	submit sync.Mutex
+	mu     sync.Mutex
+	calls  map[wbcast.MsgID]*call
+	last   wbcast.MsgID   // the latest registered call
+	early  []kvstore.Resp // responses that beat the registration in progress
 
 	reg       *obs.Registry
-	ops       [4]obs.Counter // indexed by opIndex
+	ops       [OpTxn + 1]obs.Counter // indexed by OpKind
 	latSingle obs.Histogram
 	latMulti  obs.Histogram
 }
 
-func newClient(cl *wbcast.Client, shards int, h *hub) *Client {
-	c := &Client{cl: cl, shards: shards, hub: h}
+// call is one operation in flight: which shards have answered, by their
+// position in dest, how many are still to answer, and the results so far,
+// by position in the flattened operation.
+type call struct {
+	dest     wbcast.GroupSet
+	answered []bool
+	left     int
+	results  []OpResult
+	done     chan struct{}
+}
+
+// newClient wraps cl and adds it to routes.
+func newClient(cl *wbcast.Client, shards int, routes *sync.Map) *Client {
+	c := &Client{cl: cl, shards: shards, routes: routes, calls: make(map[wbcast.MsgID]*call)}
 	c.reg = obs.NewRegistry(fmt.Sprintf(`proc="%d"`, cl.ID()))
-	for i, op := range [4]string{"get", "put", "delete", "txn"} {
-		c.reg.RegisterCounter(obs.MetricKVOps+`{op="`+op+`"}`,
-			"Key-value operations completed by this client.", &c.ops[i])
+	for k := OpGet; k <= OpTxn; k++ {
+		c.reg.RegisterCounter(obs.MetricKVOps+`{op="`+k.String()+`"}`,
+			"Key-value operations completed by this client.", &c.ops[k])
 	}
 	c.reg.RegisterHistogram(obs.MetricKVOpLatency+`{dests="single"}`,
 		"Submit-to-complete latency of single-shard kv operations.", &c.latSingle)
 	c.reg.RegisterHistogram(obs.MetricKVOpLatency+`{dests="multi"}`,
 		"Submit-to-complete latency of multi-shard kv transactions.", &c.latMulti)
+	routes.Store(cl.ID(), c)
 	return c
 }
 
@@ -48,7 +73,7 @@ func (c *Client) Shard(key []byte) int { return HashPartitioner{}.Shard(key, c.s
 
 // Get reads key, reporting its value and whether it existed.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	res, err := c.do(ctx, Op{Kind: OpGet, Key: key}, 0)
+	res, err := c.do(ctx, Op{Kind: OpGet, Key: key})
 	if err != nil {
 		return nil, false, err
 	}
@@ -57,13 +82,13 @@ func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 
 // Put writes val under key.
 func (c *Client) Put(ctx context.Context, key, val []byte) error {
-	_, err := c.do(ctx, Op{Kind: OpPut, Key: key, Val: val}, 1)
+	_, err := c.do(ctx, Op{Kind: OpPut, Key: key, Val: val})
 	return err
 }
 
 // Delete removes key, reporting whether it existed.
 func (c *Client) Delete(ctx context.Context, key []byte) (bool, error) {
-	res, err := c.do(ctx, Op{Kind: OpDelete, Key: key}, 2)
+	res, err := c.do(ctx, Op{Kind: OpDelete, Key: key})
 	if err != nil {
 		return false, err
 	}
@@ -84,12 +109,16 @@ func (c *Client) Txn(ctx context.Context, ops ...Op) ([]OpResult, error) {
 			return nil, fmt.Errorf("kv: transaction op %d has kind %v; want a single-key operation", i, op.Kind)
 		}
 	}
-	return c.do(ctx, Op{Kind: OpTxn, Subs: ops}, 3)
+	return c.do(ctx, Op{Kind: OpTxn, Subs: ops})
 }
 
 // do multicasts one operation to the shards its keys map to and waits for
-// every addressed shard's application result. counter indexes ops.
-func (c *Client) do(ctx context.Context, op Op, counter int) ([]OpResult, error) {
+// every addressed shard's application result. An operation whose ctx is
+// done already is not submitted.
+func (c *Client) do(ctx context.Context, op Op) ([]OpResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	flat := op.Flatten()
 	groups := make([]wbcast.GroupID, len(flat))
 	for i, sub := range flat {
@@ -98,17 +127,20 @@ func (c *Client) do(ctx context.Context, op Op, counter int) ([]OpResult, error)
 	dest := wbcast.NewGroupSet(groups...)
 
 	start := time.Now()
+	c.submit.Lock()
 	id, _, err := c.cl.MulticastAsync(kvstore.EncodeOp(nil, op), dest...)
 	if err != nil {
+		c.submit.Unlock()
 		return nil, err
 	}
-	// Registration races the deliveries: an engine may respond before the
-	// hub knows the call. The hub's pending buffer absorbs that window.
-	call := c.hub.register(id, dest)
+	call := c.register(id, dest, len(flat))
+	c.submit.Unlock()
 	select {
 	case <-call.done:
 	case <-ctx.Done():
-		c.hub.cancel(id)
+		c.mu.Lock()
+		delete(c.calls, id)
+		c.mu.Unlock()
 		return nil, ctx.Err()
 	}
 	if len(dest) > 1 {
@@ -116,8 +148,62 @@ func (c *Client) do(ctx context.Context, op Op, counter int) ([]OpResult, error)
 	} else {
 		c.latSingle.Observe(time.Since(start))
 	}
-	c.ops[counter].Inc()
-	return call.merge(dest, len(flat)), nil
+	c.ops[op.Kind].Inc()
+	return call.results, nil
+}
+
+// register creates the waiter for id, the call just submitted with n
+// flattened operations, and folds in the responses that arrived before it.
+// Callers hold submit.
+func (c *Client) register(id wbcast.MsgID, dest wbcast.GroupSet, n int) *call {
+	cl := &call{dest: dest, answered: make([]bool, len(dest)), left: len(dest), results: make([]OpResult, n), done: make(chan struct{})}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.last = id
+	c.calls[id] = cl
+	for _, r := range c.early {
+		if r.ID == id {
+			c.foldLocked(cl, r)
+		}
+	}
+	c.early = nil
+	return cl
+}
+
+// answer takes one engine response to an operation of this client. Every
+// replica of every addressed shard answers; the first response per shard
+// counts. One that finds no call is late when its call is registered
+// already (completed or cancelled), and is dropped; otherwise it belongs to
+// the call being registered, which folds it in. Safe from any engine
+// goroutine.
+func (c *Client) answer(r kvstore.Resp) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cl := c.calls[r.ID]; cl != nil {
+		c.foldLocked(cl, r)
+	} else if r.ID > c.last {
+		c.early = append(c.early, r)
+	}
+}
+
+// foldLocked takes r's results unless its shard has answered, and completes
+// the call with the last shard's answer. Position i of the results is
+// answered by whichever shard owns its key. Callers hold mu.
+func (c *Client) foldLocked(cl *call, r kvstore.Resp) {
+	i := slices.Index(cl.dest, r.Group)
+	if i < 0 || cl.answered[i] {
+		return
+	}
+	cl.answered[i] = true
+	for j, res := range r.Results {
+		if res.Owned {
+			cl.results[j] = res
+		}
+	}
+	if cl.left--; cl.left == 0 {
+		delete(c.calls, r.ID)
+		close(cl.done)
+	}
 }
 
 // Metrics snapshots the client's kv_* metrics (operation counts and
@@ -127,5 +213,9 @@ func (c *Client) Metrics() wbcast.MetricsSnapshot { return c.reg.Snapshot() }
 // MetricsSource exposes the client's metrics for ServeMetrics.
 func (c *Client) MetricsSource() wbcast.MetricsSource { return wbcast.NewAppSource(c.reg) }
 
-// Close crash-stops the underlying multicast client.
-func (c *Client) Close() { c.cl.Close() }
+// Close removes the client from its Service's routing and crash-stops the
+// underlying multicast client.
+func (c *Client) Close() {
+	c.routes.Delete(c.ID())
+	c.cl.Close()
+}

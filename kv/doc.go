@@ -9,7 +9,7 @@
 //
 // A Service wraps a wbcast.Cluster: it attaches one deterministic shard
 // engine to every replica (consuming its delivery subscription) and routes
-// results back to waiting clients by message ID. A Client maps keys to
+// each result back to the client that sent the operation. A Client maps keys to
 // shards by hash (HashPartitioner) and offers Get/Put/Delete and
 // multi-key Txn; operations complete when every addressed shard has
 // applied them, so a client that completes a Put and then issues a Get

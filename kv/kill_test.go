@@ -207,10 +207,14 @@ func TestKVKillRecovery(t *testing.T) {
 		})
 	}
 
-	// The parent hosts the other five replicas (volatile) with their shard
-	// engines, one response hub, and the kv client.
+	// The parent hosts the kv client and the other five replicas (volatile),
+	// whose shard engines answer the client.
 	cfg := kvKillConfig(peers)
-	h := newHub()
+	wcl, err := wbcast.NewClient(cfg, wbcast.ProcessID(procs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := newClient(wcl, kvKillShards, new(sync.Map))
 	var shard1Peer *Shard
 	for pid := wbcast.ProcessID(0); pid < kvKillVictim; pid++ {
 		r, err := wbcast.NewReplica(cfg, pid)
@@ -218,7 +222,7 @@ func TestKVKillRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		sh, err := attachShard(r, kvKillShards, Options{}, h.dispatch)
+		sh, err := attachShard(r, kvKillShards, Options{}, client.answer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,11 +232,6 @@ func TestKVKillRecovery(t *testing.T) {
 		}
 	}
 	defer cfg.Transport.Close()
-	wcl, err := wbcast.NewClient(cfg, wbcast.ProcessID(procs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := newClient(wcl, kvKillShards, h)
 
 	first, _ := startVictim()
 	defer first.kill()

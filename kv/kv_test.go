@@ -101,6 +101,27 @@ func TestKVEndToEnd(t *testing.T) {
 		t.Fatalf("deleted key still found (%v, %v)", found, err)
 	}
 
+	// Once the followers have caught up, every replica of the owning shard
+	// holds a written key, and the 19 keys left are spread over the shards.
+	keys := func() (n int) {
+		for _, sh := range svc.Replicas() {
+			n += sh.Len()
+		}
+		return n
+	}
+	for deadline := time.Now().Add(10 * time.Second); keys() != 19*3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := keys(); n != 19*3 {
+		t.Errorf("the replicas hold %d keys, want 19 × 3", n)
+	}
+	for _, sh := range svc.Replicas() {
+		owner := sh.Group() == wbcast.GroupID(cl.Shard([]byte("key-1")))
+		if got, found := sh.Get([]byte("key-1")); found != owner || found && string(got) != "val-1" {
+			t.Errorf("shard %d replica holds key-1 = %q, %v", sh.Group(), got, found)
+		}
+	}
+
 	if err := svc.Verify(true); err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +239,46 @@ func TestKVTxnAcrossShards(t *testing.T) {
 		t.Error("nested txn accepted")
 	}
 
+	if err := svc.Verify(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentCallsOnOneClient: goroutines sharing one client, the shape
+// of cmd/wbcast-kv's server, each read their own last write.
+func TestConcurrentCallsOnOneClient(t *testing.T) {
+	_, svc := service(t, 2, 3, kv.Options{})
+	cl, err := svc.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const callers, pairs = 8, 500
+	errs := make(chan error, callers)
+	for g := range callers {
+		go func() {
+			key := []byte(fmt.Sprintf("caller-%d", g))
+			for i := range pairs {
+				val := []byte(fmt.Sprintf("%d-%d", g, i))
+				if err := cl.Put(ctx, key, val); err != nil {
+					errs <- err
+					return
+				}
+				got, found, err := cl.Get(ctx, key)
+				if err != nil || !found || !bytes.Equal(got, val) {
+					errs <- fmt.Errorf("caller %d read %q, %v, %v after writing %q", g, got, found, err, val)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range callers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := svc.Verify(true); err != nil {
 		t.Fatal(err)
 	}

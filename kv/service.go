@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"sync"
 
 	"wbcast"
 	"wbcast/internal/kvstore"
@@ -18,8 +19,6 @@ type (
 	OpKind = kvstore.OpKind
 	// OpResult is the outcome of one single-key operation.
 	OpResult = kvstore.OpResult
-	// Resp is a shard engine's response to one applied operation.
-	Resp = kvstore.Resp
 	// Applied is one entry of a shard engine's applied history.
 	Applied = kvstore.Applied
 )
@@ -70,7 +69,7 @@ type Shard struct {
 //
 // The subscription is the replica's lossless Deliveries stream: a state
 // machine must see every delivery.
-func attachShard(r *wbcast.Replica, shards int, opts Options, onResult func(Resp)) (*Shard, error) {
+func attachShard(r *wbcast.Replica, shards int, opts Options, onResult func(kvstore.Resp)) (*Shard, error) {
 	g := r.Group()
 	reg := obs.NewRegistry(fmt.Sprintf(`proc="%d"`, r.ID()))
 	// Conflict-aware protocol (Genmcast): install the key-based relation so
@@ -178,13 +177,13 @@ type Options struct {
 }
 
 // Service runs the key-value state machine over a whole cluster hosted in
-// this process: one shard engine per replica, one response hub shared by
-// the clients it creates. Each multicast group of the cluster is one shard
-// of the keyspace.
+// this process: one shard engine per replica, whose responses go to the
+// client that sent the operation. Each multicast group of the cluster is
+// one shard of the keyspace.
 type Service struct {
 	cluster       *wbcast.Cluster
 	shards        int
-	hub           *hub
+	clients       sync.Map // wbcast.ProcessID → *Client, the clients route reaches
 	reps          []*Shard
 	recordApplied bool
 }
@@ -192,9 +191,9 @@ type Service struct {
 // NewService attaches shard engines to every replica of c. Create the
 // Service before submitting kv traffic, so no engine misses a delivery.
 func NewService(c *wbcast.Cluster, opts Options) (*Service, error) {
-	s := &Service{cluster: c, shards: c.NumGroups(), hub: newHub(), recordApplied: opts.RecordApplied}
+	s := &Service{cluster: c, shards: c.NumGroups(), recordApplied: opts.RecordApplied}
 	for _, r := range c.Replicas() {
-		sh, err := attachShard(r, s.shards, opts, s.hub.dispatch)
+		sh, err := attachShard(r, s.shards, opts, s.route)
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -211,7 +210,16 @@ func (s *Service) NewClient() (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newClient(cl, s.shards, s.hub), nil
+	return newClient(cl, s.shards, &s.clients), nil
+}
+
+// route hands one engine response to the client that sent the operation.
+// A response to any other sender is dropped: say, an earlier client's
+// operation re-delivered after a restart. Safe from any engine goroutine.
+func (s *Service) route(r kvstore.Resp) {
+	if c, ok := s.clients.Load(r.ID.Sender()); ok {
+		c.(*Client).answer(r)
+	}
 }
 
 // Partitioner returns the key placement every shard and client uses.

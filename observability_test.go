@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,8 +15,9 @@ import (
 )
 
 // obsRun drives a small deterministic deployment with tracing on and
-// returns the cluster's merged metrics plus the canonical trace timeline.
-func obsRun(t *testing.T, seed int64, traceSample int) (wbcast.MetricsSnapshot, string) {
+// returns the cluster's merged metrics plus its trace, which every
+// replica's Trace returns too.
+func obsRun(t *testing.T, seed int64, traceSample int) (wbcast.MetricsSnapshot, []wbcast.TraceEvent) {
 	t.Helper()
 	cluster, err := wbcast.New(wbcast.Config{
 		Groups:      2,
@@ -42,7 +44,14 @@ func obsRun(t *testing.T, seed int64, traceSample int) (wbcast.MetricsSnapshot, 
 			t.Fatalf("multicast %d: %v", i, err)
 		}
 	}
-	return cluster.Metrics(), wbcast.FormatTimeline(cluster.Trace())
+	cluster.Close() // the trace stops growing
+	trace := cluster.Trace()
+	for _, r := range cluster.Replicas() {
+		if !slices.Equal(r.Trace(), trace) {
+			t.Fatalf("replica %d's trace differs from the cluster's", r.ID())
+		}
+	}
+	return cluster.Metrics(), trace
 }
 
 // TestMetricsSnapshot: the always-on metrics count every
@@ -82,19 +91,40 @@ func TestStageCountersAreHistogramCounts(t *testing.T) {
 // TestTraceDeterministicPublic: on the simulated transport, two runs of
 // the same seed produce byte-identical trace timelines — virtual-time
 // stamps and sequence-number sampling leave nothing scheduler-dependent.
+// The per-message timeline gathers one multicast's stages under its ID.
 func TestTraceDeterministicPublic(t *testing.T) {
-	_, a := obsRun(t, 42, 1)
-	_, b := obsRun(t, 42, 1)
+	_, evA := obsRun(t, 42, 1)
+	_, evB := obsRun(t, 42, 1)
+	a, b := wbcast.FormatTimeline(evA), wbcast.FormatTimeline(evB)
 	if a == "" {
 		t.Fatal("empty trace")
 	}
 	if a != b {
 		t.Fatalf("traces differ between same-seed runs:\n--- run 1\n%s--- run 2\n%s", a, b)
 	}
-	for _, stage := range []string{"submit", "start", "propose", "accept", "commit", "deliver", "complete"} {
+	stages := []string{"submit", "start", "propose", "accept", "commit", "deliver", "complete"}
+	for _, stage := range stages {
 		if !strings.Contains(a, stage) {
 			t.Errorf("trace lacks stage %q", stage)
 		}
+	}
+	// The first multicast (client 6, sequence 1) went to both groups.
+	byMsg := wbcast.FormatMessageTimelines(evA)
+	_, first, ok := strings.Cut(byMsg, "m(6.1):\n")
+	if !ok {
+		t.Fatalf("no timeline for m(6.1):\n%s", byMsg)
+	}
+	first, _, _ = strings.Cut(first, "\nm(")
+	if !strings.HasPrefix(first, "  +0s ") {
+		t.Errorf("m(6.1)'s timeline does not start at its first event:\n%s", first)
+	}
+	for _, stage := range stages {
+		if !strings.Contains(first, " "+stage) {
+			t.Errorf("m(6.1)'s timeline lacks stage %q:\n%s", stage, first)
+		}
+	}
+	if n := strings.Count(first, " deliver\n"); n != 6 {
+		t.Errorf("m(6.1)'s timeline shows %d deliveries, want one per replica of both groups:\n%s", n, first)
 	}
 }
 

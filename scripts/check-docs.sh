@@ -26,7 +26,8 @@
 #     capacity, overflow and second high-water gauge, the transport's
 #     ack batch, kv's separate shard attachment, the copying message
 #     decoder, the Config conflict relation, the per-frame codec
-#     timers and the public fault-plan builder).
+#     timers, the public fault-plan builder and the kv response hub's
+#     done rings and evicting early buffer).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -165,7 +166,9 @@ done
 # Config conflict relation when each lost its last caller; the encode and
 # decode stage histograms when the codec's cost was left to its
 # microbenchmarks (check 4 maps declared names to the catalog, not catalog
-# rows to declared names, so a row left behind is caught here).
+# rows to declared names, so a row left behind is caught here); the kv
+# response hub's done rings and evicting early buffer when each response
+# began to go to the client that sent its operation.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
   Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
@@ -176,7 +179,8 @@ for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Bal
   Ack''Batch ACK''_BATCH Is''Ack ack''BatchMax flush''Acks \
   Attach''Shard Shard''Options 'wire''\.Decode(' 'wbcast''\.Config\.Conflicts' \
   wbcast_encode''_stage_seconds wbcast_decode''_stage_seconds \
-  New''FaultPlan Fault''Step After''Messages; do
+  New''FaultPlan Fault''Step After''Messages \
+  done''Ring 'done ring' max''Pending new''Hub; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

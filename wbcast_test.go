@@ -3,6 +3,7 @@ package wbcast_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +57,9 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if got := c.AllGroups(); !slices.Equal(got, wbcast.NewGroupSet(0, 1)) {
+		t.Fatalf("AllGroups() = %v, want {g0,g1}", got)
+	}
 	collect(c, func(p wbcast.ProcessID, d wbcast.Delivery) {
 		mu.Lock()
 		delivered[p] = append(delivered[p], d)
