@@ -3,7 +3,7 @@ package wbcast
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"wbcast/internal/client"
 	"wbcast/internal/mcast"
@@ -14,7 +14,7 @@ import (
 // Client multicasts application messages to the groups of a deployment.
 // Safe for concurrent use; each Multicast blocks until every destination
 // group has delivered the message (at its first replica) or the context
-// expires.
+// expires, which cancels it.
 //
 // Clients are ordinary processes of the deployment: on the TCP transport a
 // client runs its own node (replicas send delivery replies back to it), so
@@ -25,10 +25,7 @@ type Client struct {
 	pid ProcessID
 	h   *client.Client
 	reg *obs.Registry
-
-	mu      sync.Mutex
-	seq     uint32
-	waiters map[MsgID]chan struct{}
+	seq atomic.Uint32
 }
 
 // NewClient builds and starts a client with the given process ID on
@@ -58,7 +55,7 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 		return nil, fmt.Errorf("wbcast: client ID %d collides with a replica of the %d×%d topology", pid, cfg.Groups, cfg.Replicas)
 	}
 	reg := obs.NewRegistry(fmt.Sprintf(`proc="%d"`, pid))
-	cl := &Client{top: top, tr: cfg.Transport, pid: pid, reg: reg, waiters: make(map[MsgID]chan struct{})}
+	cl := &Client{top: top, tr: cfg.Transport, pid: pid, reg: reg}
 	retry := 50 * cfg.Delta
 	if !cfg.Transport.backgroundTimers() {
 		// The plain simulated transport pumps submissions to quiescence;
@@ -74,7 +71,6 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 		},
 		RetryContacts: func(g GroupID) []ProcessID { return top.Members(g) },
 		Retry:         retry,
-		OnComplete:    cl.complete,
 		Obs:           obs.NewClient(reg, cfg.clock, cfg.tracer, pid),
 	})
 	if err := cfg.Transport.add(cl.h, hostOptions{reg: cl.reg}); err != nil {
@@ -100,14 +96,16 @@ func (cl *Client) BatchesSent() int64 { return cl.h.BatchesSent() }
 func (cl *Client) Metrics() MetricsSnapshot { return cl.reg.Snapshot() }
 
 // Close crash-stops the client's process on its transport. In-flight
-// multicasts never complete (their contexts expire); messages already
-// handed to the protocol may still be delivered. On the TCP and in-process
-// transports a Multicast after Close returns an error.
+// multicasts never complete and are re-sent no more (their contexts expire;
+// a Cancel after Close is a no-op); messages already handed to the protocol
+// may still be delivered. On the TCP and in-process transports a Multicast
+// after Close returns an error.
 func (cl *Client) Close() { cl.tr.crash(cl.pid) }
 
 // Multicast sends payload to the given destination groups and waits until
 // every destination group has delivered it. It returns the message ID,
-// which appears in the Delivery records observed via subscriptions.
+// which appears in the Delivery records observed via subscriptions. If ctx
+// ends first, Multicast cancels the message (Cancel) and returns ctx.Err().
 func (cl *Client) Multicast(ctx context.Context, payload []byte, groups ...GroupID) (MsgID, error) {
 	id, done, err := cl.MulticastAsync(payload, groups...)
 	if err != nil {
@@ -117,16 +115,15 @@ func (cl *Client) Multicast(ctx context.Context, payload []byte, groups ...Group
 	case <-done:
 		return id, nil
 	case <-ctx.Done():
-		cl.mu.Lock()
-		delete(cl.waiters, id)
-		cl.mu.Unlock()
+		cl.Cancel(id)
 		return id, ctx.Err()
 	}
 }
 
 // MulticastAsync sends payload to the given destination groups and returns
 // immediately; the returned channel is closed once every destination group
-// has delivered the message.
+// has delivered the message. A caller that stops waiting calls Cancel, or
+// the client keeps re-sending the message until every group answers.
 func (cl *Client) MulticastAsync(payload []byte, groups ...GroupID) (MsgID, <-chan struct{}, error) {
 	if len(groups) == 0 {
 		return 0, nil, fmt.Errorf("wbcast: no destination groups")
@@ -137,32 +134,20 @@ func (cl *Client) MulticastAsync(payload []byte, groups ...GroupID) (MsgID, <-ch
 			return 0, nil, fmt.Errorf("wbcast: unknown group %d", g)
 		}
 	}
-	cl.mu.Lock()
-	cl.seq++
-	id := mcast.MakeMsgID(cl.pid, cl.seq)
-	done := make(chan struct{})
-	cl.waiters[id] = done
-	cl.mu.Unlock()
-
+	id := mcast.MakeMsgID(cl.pid, cl.seq.Add(1))
 	pl := make([]byte, len(payload))
 	copy(pl, payload)
-	m := AppMsg{ID: id, Dest: dest, Payload: pl}
-	if err := cl.tr.inject(cl.pid, node.Submit{Msg: m}); err != nil {
-		cl.mu.Lock()
-		delete(cl.waiters, id)
-		cl.mu.Unlock()
+	done := make(chan struct{})
+	if err := cl.tr.inject(cl.pid, node.Submit{Msg: AppMsg{ID: id, Dest: dest, Payload: pl}, Done: done}); err != nil {
 		return id, nil, err
 	}
 	return id, done, nil
 }
 
-// complete runs on the client process goroutine when all groups replied.
-func (cl *Client) complete(id mcast.MsgID) {
-	cl.mu.Lock()
-	done, ok := cl.waiters[id]
-	delete(cl.waiters, id)
-	cl.mu.Unlock()
-	if ok {
-		close(done)
-	}
-}
+// Cancel gives up multicast id: the client stops re-sending it, and its
+// MulticastAsync channel is never closed. A message already handed to the
+// protocol may still be delivered — if any correct replica delivers it,
+// every correct replica of every destination group does. Cancelling a
+// message that has completed or that this client did not send, or
+// cancelling after Close, is a no-op.
+func (cl *Client) Cancel(id MsgID) { _ = cl.tr.inject(cl.pid, node.Cancel{ID: id}) }

@@ -13,6 +13,11 @@
 // multicasts are in flight ends only once a yield of the processor brings in
 // no more input (Gather, node.Mailbox.Run), so callers that one burst of
 // replies woke together submit into one drain.
+//
+// A Cancel gives a submission up: it leaves the drain in progress, or the
+// request that carries it, which leaves inflight once it carries none — its
+// retry timer then finds nothing, and no later send names a lone cancelled
+// ID. A cancelled submission is never reported complete.
 package client
 
 import (
@@ -61,8 +66,8 @@ type Config struct {
 	RetryContacts Contacts
 	// OnComplete, if non-nil, is invoked during Handle when replies from
 	// every destination group of a submitted message have arrived — for the
-	// payloads of one envelope, in envelope order. Runtimes use it to drive
-	// closed-loop workloads.
+	// payloads of one envelope, in envelope order, cancelled ones skipped.
+	// Runtimes use it to drive closed-loop workloads.
 	OnComplete func(id mcast.MsgID)
 	// Obs is the client's instrumentation handle; nil disables metrics and
 	// tracing.
@@ -87,20 +92,23 @@ type Client struct {
 	sent atomic.Int64
 }
 
-// submission is a submitted message and its submission time on the
+// submission is a submitted message, the channel its Submit asked to have
+// closed on completion (nil for none) and its submission time on the
 // observability clock.
 type submission struct {
-	m  mcast.AppMsg
-	at time.Duration
+	m    mcast.AppMsg
+	done chan struct{}
+	at   time.Duration
 }
 
+// request is a multicast sent and not yet answered by every destination
+// group: got records the groups that have answered, by position in m.Dest,
+// and subs the submissions it answers, in order — m itself, or the payloads
+// of the envelope m, less those cancelled since.
 type request struct {
-	m   mcast.AppMsg
-	got map[mcast.GroupID]bool
-	at  time.Duration // when m was submitted, unless it is an envelope
-	// payloads are the submissions an envelope carries, in order; nil when m
-	// is a submitted message itself.
-	payloads []submission
+	m    mcast.AppMsg
+	got  []bool
+	subs []submission
 }
 
 // New constructs a Client.
@@ -138,10 +146,12 @@ func (c *Client) Handle(in node.Input, fx *node.Effects) {
 	case node.Start:
 	case node.Submit:
 		if _, dup := c.inflight[in.Msg.ID]; !dup {
-			s := submission{m: in.Msg}
+			s := submission{m: in.Msg, done: in.Done}
 			c.cfg.Obs.OnSubmit(s.m.ID, &s.at)
 			c.drain = append(c.drain, s)
 		}
+	case node.Cancel:
+		c.cancel(in.ID)
 	case node.Recv:
 		switch r := in.Msg.(type) {
 		case msgs.ClientReply:
@@ -191,11 +201,10 @@ func (c *Client) ship(ms []submission, fx *node.Effects) {
 			size += len(ms[n].m.Payload)
 			n++
 		}
-		req := &request{m: ms[0].m, got: make(map[mcast.GroupID]bool, len(ms[0].m.Dest)), at: ms[0].at}
+		req := &request{m: ms[0].m, got: make([]bool, len(ms[0].m.Dest)), subs: slices.Clone(ms[:n])}
 		if n > 1 {
-			req.payloads = slices.Clone(ms[:n])
 			c.envSeq++
-			req.m = mcast.AppMsg{ID: mcast.MakeBatchID(c.cfg.PID, c.envSeq), Dest: req.m.Dest, Payload: envelope(req.payloads)}
+			req.m = mcast.AppMsg{ID: mcast.MakeBatchID(c.cfg.PID, c.envSeq), Dest: req.m.Dest, Payload: envelope(req.subs)}
 		}
 		ms = ms[n:]
 		c.inflight[req.m.ID] = req
@@ -271,7 +280,7 @@ func (c *Client) noteBallot(g mcast.GroupID, b mcast.Ballot, fx *node.Effects) {
 	}
 	var ids []mcast.MsgID
 	for id, req := range c.inflight {
-		if req.m.Dest.Contains(g) && !req.got[g] {
+		if i := slices.Index(req.m.Dest, g); i >= 0 && !req.got[i] {
 			ids = append(ids, id)
 		}
 	}
@@ -286,35 +295,49 @@ func (c *Client) noteBallot(g mcast.GroupID, b mcast.Ballot, fx *node.Effects) {
 func (c *Client) onReply(id mcast.MsgID, g mcast.GroupID) {
 	req, ok := c.inflight[id]
 	if !ok {
-		return // duplicate reply after completion
+		return // duplicate reply after completion, or cancelled
 	}
-	req.got[g] = true
-	for _, g := range req.m.Dest {
-		if !req.got[g] {
-			return
-		}
+	if i := slices.Index(req.m.Dest, g); i >= 0 {
+		req.got[i] = true
+	}
+	if slices.Contains(req.got, false) {
+		return
 	}
 	delete(c.inflight, id)
-	if req.payloads == nil {
-		c.complete(req.m.ID, req.at)
-	}
-	for _, s := range req.payloads {
-		c.complete(s.m.ID, s.at)
+	for _, s := range req.subs {
+		c.cfg.Obs.OnComplete(s.m.ID, s.at)
+		if s.done != nil {
+			close(s.done)
+		}
+		if c.cfg.OnComplete != nil {
+			c.cfg.OnComplete(s.m.ID)
+		}
 	}
 }
 
-// complete reports the submission id, made at at, complete.
-func (c *Client) complete(id mcast.MsgID, at time.Duration) {
-	c.cfg.Obs.OnComplete(id, at)
-	if c.cfg.OnComplete != nil {
-		c.cfg.OnComplete(id)
+// cancel gives submission id up: it leaves the drain in progress, or the
+// request that carries it. A request left with no submission leaves
+// inflight. An ID already complete, cancelled or never submitted is a no-op.
+func (c *Client) cancel(id mcast.MsgID) {
+	isID := func(s submission) bool { return s.m.ID == id }
+	if i := slices.IndexFunc(c.drain, isID); i >= 0 {
+		c.drain = slices.Delete(c.drain, i, i+1)
+		return
+	}
+	for rid, req := range c.inflight {
+		if i := slices.IndexFunc(req.subs, isID); i >= 0 {
+			if req.subs = slices.Delete(req.subs, i, i+1); len(req.subs) == 0 {
+				delete(c.inflight, rid)
+			}
+			return
+		}
 	}
 }
 
 func (c *Client) onRetry(id mcast.MsgID, fx *node.Effects) {
 	req, ok := c.inflight[id]
 	if !ok {
-		return // completed; stale timer
+		return // completed or cancelled; stale timer
 	}
 	// Message recovery (paper §IV): re-send MULTICAST to the (possibly
 	// updated) contacts of every destination group. Groups that already

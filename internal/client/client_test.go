@@ -296,3 +296,136 @@ func TestGatherBesideInflight(t *testing.T) {
 		t.Error("gathers for a drain of replies")
 	}
 }
+
+// TestCancel: a Cancel takes a submission out of the client's table — out of
+// the drain in progress, or out of the request that carries it — so that no
+// later send names a lone cancelled ID and its completion is never reported.
+func TestCancel(t *testing.T) {
+	// burst submits one drain of messages to group 0 with completion
+	// channels; they leave as one envelope, whose ID it returns.
+	burst := func(cl *client.Client, seqs ...uint32) (ids []mcast.MsgID, done []chan struct{}, env mcast.MsgID) {
+		var fx node.Effects
+		for _, seq := range seqs {
+			m := mcast.AppMsg{ID: mcast.MakeMsgID(100, seq), Dest: mcast.NewGroupSet(0), Payload: []byte{byte(seq)}}
+			ids, done = append(ids, m.ID), append(done, make(chan struct{}))
+			cl.Handle(node.Submit{Msg: m, Done: done[len(done)-1]}, &fx)
+		}
+		cl.EndDrain(&fx)
+		return ids, done, fx.Sends[0].Msg.(msgs.Multicast).M.ID
+	}
+	cancel := func(cl *client.Client, id mcast.MsgID) *node.Effects {
+		var fx node.Effects
+		cl.Handle(node.Cancel{ID: id}, &fx)
+		cl.EndDrain(&fx)
+		return &fx
+	}
+	retry := func(cl *client.Client, id mcast.MsgID) *node.Effects {
+		var fx node.Effects
+		cl.Handle(node.Timer{Kind: node.TimerClient, Data: uint64(id)}, &fx)
+		return &fx
+	}
+	closed := func(ch chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, cl *client.Client, completions *[]mcast.MsgID)
+	}{
+		{"a lone multicast's retry timer sends nothing", func(t *testing.T, cl *client.Client, _ *[]mcast.MsgID) {
+			id, _ := submit(cl, 1, 0, 1)
+			if fx := cancel(cl, id); len(fx.Sends) != 0 || len(fx.Timers) != 0 {
+				t.Errorf("the cancel caused %+v", fx)
+			}
+			if cl.Inflight() != 0 || cl.Awaiting(id) {
+				t.Errorf("Inflight() = %d, Awaiting = %v after the cancel", cl.Inflight(), cl.Awaiting(id))
+			}
+			if fx := retry(cl, id); len(fx.Sends) != 0 || len(fx.Timers) != 0 {
+				t.Errorf("the retry timer of a cancelled multicast caused %+v", fx)
+			}
+		}},
+		{"one payload of an envelope", func(t *testing.T, cl *client.Client, completions *[]mcast.MsgID) {
+			ids, done, env := burst(cl, 1, 2, 3)
+			cancel(cl, ids[1])
+			if fx := retry(cl, env); len(targets(fx, env)) != 2 || len(fx.Timers) != 1 {
+				t.Fatalf("the envelope's retry caused %+v, want a re-send to group 0 and the next timer", fx)
+			}
+			var fx node.Effects
+			cl.Handle(node.Recv{From: 0, Msg: msgs.ClientReply{ID: env, Group: 0}}, &fx)
+			if got := *completions; len(got) != 2 || got[0] != ids[0] || got[1] != ids[2] {
+				t.Errorf("completions = %v, want %v and %v", got, ids[0], ids[2])
+			}
+			if !closed(done[0]) || closed(done[1]) || !closed(done[2]) {
+				t.Errorf("Done closed: %v %v %v, want the cancelled payload's alone open", closed(done[0]), closed(done[1]), closed(done[2]))
+			}
+			if cl.Inflight() != 0 {
+				t.Errorf("Inflight() = %d after the envelope completed", cl.Inflight())
+			}
+		}},
+		{"every payload of an envelope", func(t *testing.T, cl *client.Client, _ *[]mcast.MsgID) {
+			ids, _, env := burst(cl, 1, 2)
+			cancel(cl, ids[0])
+			if !cl.Awaiting(env) {
+				t.Fatal("the envelope left with one payload still carried")
+			}
+			cancel(cl, ids[1])
+			if cl.Inflight() != 0 {
+				t.Errorf("Inflight() = %d with every payload cancelled", cl.Inflight())
+			}
+			if fx := retry(cl, env); len(fx.Sends) != 0 || len(fx.Timers) != 0 {
+				t.Errorf("the retry timer of a cancelled envelope caused %+v", fx)
+			}
+		}},
+		{"in the drain of its Submit", func(t *testing.T, cl *client.Client, _ *[]mcast.MsgID) {
+			m := mcast.AppMsg{ID: mcast.MakeMsgID(100, 1), Dest: mcast.NewGroupSet(0)}
+			var fx node.Effects
+			cl.Handle(node.Submit{Msg: m}, &fx)
+			cl.Handle(node.Cancel{ID: m.ID}, &fx)
+			cl.EndDrain(&fx)
+			if len(fx.Sends) != 0 || len(fx.Timers) != 0 || cl.Inflight() != 0 || cl.BatchesSent() != 0 {
+				t.Errorf("a multicast cancelled in its own drain caused %+v, Inflight() = %d", fx, cl.Inflight())
+			}
+		}},
+		{"after completion", func(t *testing.T, cl *client.Client, completions *[]mcast.MsgID) {
+			m := mcast.AppMsg{ID: mcast.MakeMsgID(100, 1), Dest: mcast.NewGroupSet(0)}
+			done := make(chan struct{})
+			var fx node.Effects
+			cl.Handle(node.Submit{Msg: m, Done: done}, &fx)
+			cl.EndDrain(&fx)
+			cl.Handle(node.Recv{From: 0, Msg: msgs.ClientReply{ID: m.ID, Group: 0}}, &fx)
+			if !closed(done) {
+				t.Fatal("completion left Done open")
+			}
+			later, _ := submit(cl, 2, 0)
+			if fx := cancel(cl, m.ID); len(fx.Sends) != 0 || len(fx.Timers) != 0 {
+				t.Errorf("the cancel caused %+v", fx)
+			}
+			if len(*completions) != 1 || !cl.Awaiting(later) {
+				t.Errorf("completions = %v, Awaiting(%v) = %v", *completions, later, cl.Awaiting(later))
+			}
+		}},
+		{"before a leader change", func(t *testing.T, cl *client.Client, _ *[]mcast.MsgID) {
+			answered, _ := submit(cl, 1, 1)
+			gone, _ := submit(cl, 2, 0, 1)
+			waiting, _ := submit(cl, 3, 1)
+			cancel(cl, gone)
+			var fx node.Effects
+			cl.Handle(node.Recv{From: 11, Msg: msgs.ClientReply{ID: answered, Group: 1, Bal: mcast.Ballot{N: 2, Proc: 11}}}, &fx)
+			if got := targets(&fx, gone); len(got) != 0 {
+				t.Errorf("the cancelled %v was re-sent to %v", gone, got)
+			}
+			if got := targets(&fx, waiting); len(got) != 1 || got[0] != 11 {
+				t.Errorf("%v re-sent to %v, want p11", waiting, got)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var completions []mcast.MsgID
+			tc.run(t, newClient(time.Second, &completions), &completions)
+		})
+	}
+}

@@ -32,9 +32,18 @@ type Timer struct {
 type Start struct{}
 
 // Submit asks a client handler to multicast an application message. It is
-// only meaningful for client handlers.
+// only meaningful for client handlers. Done, if non-nil, is closed once
+// every destination group has replied; never, if the message is cancelled.
 type Submit struct {
-	Msg mcast.AppMsg
+	Msg  mcast.AppMsg
+	Done chan struct{}
+}
+
+// Cancel asks a client handler to give up the multicast of message ID: to
+// stop re-sending it and never to report it complete. It is only
+// meaningful for client handlers; an ID already complete is a no-op.
+type Cancel struct {
+	ID mcast.MsgID
 }
 
 // GCHorizon raises a replica handler's application durability horizon: the
@@ -65,6 +74,7 @@ func (Recv) isInput()      {}
 func (Timer) isInput()     {}
 func (Start) isInput()     {}
 func (Submit) isInput()    {}
+func (Cancel) isInput()    {}
 func (GCHorizon) isInput() {}
 func (AppLog) isInput()    {}
 

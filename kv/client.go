@@ -114,7 +114,8 @@ func (c *Client) Txn(ctx context.Context, ops ...Op) ([]OpResult, error) {
 
 // do multicasts one operation to the shards its keys map to and waits for
 // every addressed shard's application result. An operation whose ctx is
-// done already is not submitted.
+// done already is not submitted; one whose ctx ends while it waits cancels
+// its multicast (wbcast.Client.Cancel) and leaves no call behind.
 func (c *Client) do(ctx context.Context, op Op) ([]OpResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -138,6 +139,7 @@ func (c *Client) do(ctx context.Context, op Op) ([]OpResult, error) {
 	select {
 	case <-call.done:
 	case <-ctx.Done():
+		c.cl.Cancel(id)
 		c.mu.Lock()
 		delete(c.calls, id)
 		c.mu.Unlock()

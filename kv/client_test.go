@@ -8,6 +8,7 @@ import (
 	"wbcast"
 	"wbcast/internal/kvstore"
 	"wbcast/internal/mcast"
+	"wbcast/internal/obs"
 )
 
 // routed builds a service over an in-process cluster of cfg and n of its
@@ -158,6 +159,36 @@ func TestCancelledCallRetainsNothing(t *testing.T) {
 	defer stop()
 	if _, found, err := c.Get(ctx, []byte("k")); err != nil || !found {
 		t.Fatalf("Get after the timed-out Put = %v, %v", found, err)
+	}
+	retained(t, c)
+}
+
+// TestAbandonedCallsStopRetrying: a kv call whose context ends cancels its
+// multicast. Against a shard whose replicas have all crashed, 100 abandoned
+// Puts stop being re-sent within one retry interval (50δ) — a multicast left
+// in the client's table is re-sent every interval, so a retry count flat
+// over the next second means the table holds none — and the kv client
+// retains no call.
+func TestAbandonedCallsStopRetrying(t *testing.T) {
+	const delta = time.Millisecond
+	s, cls := routed(t, wbcast.Config{Groups: 1, Replicas: 3, Delta: delta}, 1)
+	c := cls[0]
+	for _, p := range s.cluster.GroupMembers(0) {
+		s.cluster.CrashReplica(p)
+	}
+	for range 100 {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		err := c.Put(ctx, []byte("k"), []byte("v"))
+		cancel()
+		if err != context.DeadlineExceeded {
+			t.Fatalf("Put to a crashed shard: %v, want DeadlineExceeded", err)
+		}
+	}
+	time.Sleep(50 * delta)
+	retries := c.cl.Metrics().Counters[obs.MetricClientRetries]
+	time.Sleep(time.Second)
+	if got := c.cl.Metrics().Counters[obs.MetricClientRetries]; got != retries {
+		t.Errorf("%d re-sends in the second after one retry interval, want none", got-retries)
 	}
 	retained(t, c)
 }

@@ -285,11 +285,9 @@ func (t *simTransport) inject(pid ProcessID, in node.Input) error {
 		return fmt.Errorf("wbcast: transport closed")
 	}
 	if sub, ok := in.(node.Submit); ok {
-		// SubmitAt also feeds the simulator's latency/genuineness audits.
-		t.s.SubmitAt(t.s.Now(), pid, sub.Msg)
-	} else {
-		t.s.Inject(t.s.Now(), pid, in)
+		t.s.NoteSubmit(t.s.Now(), pid, sub.Msg) // the latency and genuineness audits
 	}
+	t.s.Inject(t.s.Now(), pid, in)
 	t.pending = true
 	t.cond.Broadcast()
 	return nil
