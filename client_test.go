@@ -24,7 +24,7 @@ func TestAbandonedMulticastsStopRetrying(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range c.GroupMembers(0) {
-		c.CrashReplica(p)
+		c.Replica(p).Close()
 	}
 	for range 100 {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)

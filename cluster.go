@@ -139,17 +139,5 @@ func (c *Cluster) GroupMembers(g GroupID) []ProcessID {
 // AllGroups returns the set of all groups.
 func (c *Cluster) AllGroups() GroupSet { return c.top.AllGroups() }
 
-// CrashReplica injects a crash-stop failure: the replica stops processing
-// (on the TCP and in-process transports, its node shuts down, and what is
-// sent to it is dropped). The cluster tolerates up to (Replicas-1)/2
-// crashes per group.
-func (c *Cluster) CrashReplica(pid ProcessID) {
-	if r := c.Replica(pid); r != nil {
-		r.Close()
-		return
-	}
-	c.tr.crash(pid)
-}
-
 // InitialLeader returns the process that leads group g at startup.
 func (c *Cluster) InitialLeader(g GroupID) ProcessID { return c.top.InitialLeader(g) }

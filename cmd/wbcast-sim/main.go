@@ -5,11 +5,12 @@
 // partitioned leader, a crash-recovery restart and probabilistic link
 // faults, with the continuous invariant monitor watching every delivery.
 // It complements the test suite by making the recovery machinery
-// observable.
+// observable. The latency scenario prints the paper's message-delay
+// latency table instead (see latency).
 //
 // Usage:
 //
-//	wbcast-sim [-scenario failover|clock-decrease|convoy] [-trace]
+//	wbcast-sim [-scenario failover|clock-decrease|convoy|latency] [-trace]
 //	wbcast-sim -chaos [-protocol wbcast|fastcast|ftskeen|genmcast] [-seed N] [-msgs N] [-trace]
 //
 // With -trace, every message's lifecycle is recorded (internal/obs,
@@ -27,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"wbcast/internal/bench"
 	"wbcast/internal/core"
 	"wbcast/internal/faults"
 	"wbcast/internal/harness"
@@ -74,7 +76,7 @@ func printTrace(c *harness.Cluster) {
 }
 
 func main() {
-	scenario := flag.String("scenario", "failover", "failover, clock-decrease or convoy")
+	scenario := flag.String("scenario", "failover", "failover, clock-decrease, convoy or latency")
 	chaosMode := flag.Bool("chaos", false, "run the seeded chaos scenario (overrides -scenario)")
 	var tolerant []string
 	for _, p := range protocols.All {
@@ -98,6 +100,8 @@ func main() {
 			err = clockDecrease()
 		case "convoy":
 			err = convoy()
+		case "latency":
+			err = latency()
 		default:
 			err = fmt.Errorf("unknown scenario %q", *scenario)
 		}
@@ -204,6 +208,33 @@ func convoy() error {
 	fmt.Println("         the adversarial conflicting message m' delays it to ≈5δ, not 6δ,")
 	fmt.Println("         thanks to the speculative clock advance of Fig. 4 line 14)")
 	return passed(c)
+}
+
+// latency prints the message-delay latency table of the paper: the
+// measured collision-free and failure-free delivery latencies of Skeen's
+// protocol, FT-Skeen, FastCast and the white-box protocol, in units of δ,
+// next to the paper's claimed values. The failure-free latency is the
+// worst delivery delay over 64 adversarially timed conflicting messages
+// (the convoy schedule of Fig. 2); the probes are independent simulations
+// and run concurrently, and the table is the same at any GOMAXPROCS.
+// -trace does not apply.
+func latency() error {
+	rows, err := bench.LatencyTable(64)
+	if err != nil {
+		return err
+	}
+	fmt.Println("Message-delay latencies (multiples of the one-way delay δ)")
+	fmt.Println()
+	fmt.Printf("%-10s  %18s  %18s  %14s\n", "protocol", "collision-free", "failure-free", "follower CF")
+	fmt.Printf("%-10s  %9s %8s  %9s %8s  %14s\n", "", "measured", "paper", "measured", "paper", "measured")
+	for _, r := range rows {
+		fmt.Printf("%-10s  %8.2fδ %7.0fδ  %8.2fδ %7.0fδ  %13.2fδ\n",
+			r.Protocol, r.CollisionFree, r.PaperCF, r.FailureFree, r.PaperFF, r.FollowerCF)
+	}
+	fmt.Println()
+	fmt.Println("Failure-free values are empirical worst cases under a single")
+	fmt.Println("adversarial conflicting message; the paper's values are upper bounds.")
+	return nil
 }
 
 // chaos runs a seeded chaos schedule against one protocol: the leader of

@@ -10,8 +10,9 @@ import (
 )
 
 // goldenOutputs are SHA-256 digests of what wbcast-sim prints: the three
-// narrated scenarios and the chaos scenario of four protocols on seeds 1–3
-// with the default workload, each without and with -trace. Every run is a
+// narrated scenarios, the latency table and the chaos scenario of four
+// protocols on seeds 1–3 with the default workload, each without and with
+// -trace (which leaves the latency table as it is). Every run is a
 // seeded simulation, so its output is byte-for-byte the same on every run;
 // a change that claims not to move protocol traffic must leave these as
 // they are.
@@ -46,6 +47,8 @@ var goldenOutputs = map[string]string{
 	"convoy/trace":           "dd66787d285ebfa27b0f0ede2f6b3b49cff8103881b615834101e9bd3a714eca",
 	"failover":               "36d16c0ba317c28302eca5abfef9b7a29c315aa630ac5c2530da2668dfeacdf9",
 	"failover/trace":         "8eda78e06886e2a15a0482791a97048326f5e5f0be71c27bc2dc5f8bea38b2fd",
+	"latency":                "d8d8c6e65cdee6bf1e68ce5f353d48f5479bc03f484a1ebf5601445ddac17f34",
+	"latency/trace":          "d8d8c6e65cdee6bf1e68ce5f353d48f5479bc03f484a1ebf5601445ddac17f34",
 }
 
 // capture runs f with os.Stdout redirected and returns what it printed.
@@ -80,6 +83,7 @@ func TestGoldenOutput(t *testing.T) {
 		"failover":       failover,
 		"clock-decrease": clockDecrease,
 		"convoy":         convoy,
+		"latency":        latency,
 	}
 	for _, proto := range []string{"wbcast", "fastcast", "ftskeen", "genmcast"} {
 		for seed := int64(1); seed <= 3; seed++ {

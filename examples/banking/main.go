@@ -111,7 +111,7 @@ func main() {
 		if i == crashAfter {
 			victim := cluster.InitialLeader(0)
 			fmt.Printf("--- crashing leader of group 0 (replica %d) after %d transfers ---\n", victim, i)
-			cluster.CrashReplica(victim)
+			cluster.Replica(victim).Close()
 		}
 		from := rng.Intn(numGroups * accountsPerGrp)
 		to := rng.Intn(numGroups * accountsPerGrp)

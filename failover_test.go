@@ -36,7 +36,7 @@ func TestClientsFollowTheLeader(t *testing.T) {
 	}{
 		{
 			name:    "leader stopped",
-			disturb: func(_ *testing.T, c *Cluster) { c.CrashReplica(c.InitialLeader(0)) },
+			disturb: func(_ *testing.T, c *Cluster) { c.Replica(c.InitialLeader(0)).Close() },
 			// The stopped leader completes nothing: whatever completes next did
 			// so under its successor.
 			changed: func(*Cluster) bool { return true },

@@ -61,15 +61,6 @@ func ExpandInto(fx *node.Effects, d mcast.Delivery) {
 	}
 }
 
-// Expand returns the per-payload deliveries of d (see ExpandInto), or d
-// itself when it is not a batch. Runtimes that post-process delivery
-// callbacks (e.g. tcpnet) use it.
-func Expand(d mcast.Delivery) []mcast.Delivery {
-	var fx node.Effects
-	ExpandInto(&fx, d)
-	return fx.Deliveries
-}
-
 // Conflicts lifts a payload-level conflict relation to whole protocol
 // messages: batch envelopes are expanded and two messages conflict iff any
 // pair of their payloads does. An envelope that fails to decode

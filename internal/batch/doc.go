@@ -12,8 +12,9 @@
 // path recognises it without sniffing payloads, and its payload is the wire
 // form of a msgs.Batch (DecodePayload).
 //
-// ExpandInto is the delivery-side unpacker used by every protocol
-// (white-box core, FT-Skeen, FastCast, Skeen): it turns one envelope's
+// ExpandInto is the one delivery-side unpacker, used by every protocol
+// (white-box core, FT-Skeen, FastCast, Skeen) and by a recovering replica's
+// application replay (wbcast.AppState.Replay): it turns one envelope's
 // delivery into per-payload deliveries sharing the envelope's GTS and
 // sub-sequenced by their position in it. Conflicts lifts a payload conflict
 // relation to envelopes.

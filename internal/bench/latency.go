@@ -1,9 +1,10 @@
 // Package bench regenerates the paper's message-delay latency table (§VI:
 // Skeen 2δ/4δ, FT-Skeen 6δ/12δ, FastCast 4δ/8δ, WbCast 3δ/5δ) over the
-// discrete-event simulator. cmd/wbcast-latency prints it, the canonical
-// benchmark's sim-reference workload and BenchmarkLatencyTable measure with
-// the same probes. The failure-free sweep's probes are independent
-// simulations and run concurrently; the table is the same at any GOMAXPROCS.
+// discrete-event simulator. wbcast-sim -scenario latency prints it, the
+// canonical benchmark's sim-reference workload and BenchmarkLatencyTable
+// measure with the same probes. The failure-free sweep's probes are
+// independent simulations and run concurrently; the table is the same at
+// any GOMAXPROCS.
 package bench
 
 import (

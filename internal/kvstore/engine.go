@@ -72,7 +72,9 @@ type Applied struct {
 type EngineConfig struct {
 	// Group is the shard (multicast group) this engine executes.
 	Group mcast.GroupID
-	// PID is the hosting replica, used only for diagnostics.
+	// PID is the hosting replica. Nothing reads it, and nothing in this
+	// module sets it; it stays while the benchmark program (a module of its
+	// own) still does.
 	PID mcast.ProcessID
 	// Owns reports whether this shard owns a key. Ownership must agree
 	// with the partitioner that routed the operation.

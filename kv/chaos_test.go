@@ -99,14 +99,13 @@ func runKVChaos(t *testing.T, proto wbcast.Protocol, seed int64) {
 	}
 	defer svc.Close()
 
-	part := svc.Partitioner()
 	wl, err := kv.NewWorkload(kv.WorkloadConfig{
 		Keys:       2000,
 		Dist:       kv.Zipfian,
 		MultiShard: 0.3,
 		TxnSize:    2,
 		Shards:     shards,
-		Shard:      func(key []byte) int { return part.Shard(key, shards) },
+		Shard:      func(key []byte) int { return kv.HashPartitioner{}.Shard(key, shards) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -174,7 +174,7 @@ func TestAbandonedCallsStopRetrying(t *testing.T) {
 	s, cls := routed(t, wbcast.Config{Groups: 1, Replicas: 3, Delta: delta}, 1)
 	c := cls[0]
 	for _, p := range s.cluster.GroupMembers(0) {
-		s.cluster.CrashReplica(p)
+		s.cluster.Replica(p).Close()
 	}
 	for range 100 {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)

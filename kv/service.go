@@ -28,9 +28,10 @@ type (
 // sub-operations touches the same key with at least one write, so reads
 // commute with reads and disjoint-key operations commute outright. A
 // payload that fails to decode conflicts with everything. NewService
-// installs it automatically when the cluster runs the conflict-aware
-// wbcast.Genmcast protocol; it is exported so callers that install a
-// relation themselves (Replica.SetConflictRelation) use the exact one the
+// installs it on every replica when the cluster runs the conflict-aware
+// wbcast.Genmcast protocol (each replica has its own relation); it is
+// exported so callers that install a relation themselves
+// (Replica.SetConflictRelation, on each replica) use the exact one the
 // engines assume.
 var Conflicts wbcast.ConflictRelation = kvstore.Conflicts
 
@@ -65,7 +66,8 @@ type Shard struct {
 // r's deliveries, and applies them on a background goroutine until the
 // subscription closes, handing every outcome to onResult. Attach exactly
 // one engine per replica, before the replica starts receiving traffic the
-// engine must observe.
+// engine must observe. On Genmcast it installs Conflicts as r's relation:
+// each replica has its own, so every attached replica gets it.
 //
 // The subscription is the replica's lossless Deliveries stream: a state
 // machine must see every delivery.
@@ -92,7 +94,6 @@ func attachShard(r *wbcast.Replica, shards int, opts Options, onResult func(kvst
 	}
 	eng := kvstore.NewEngine(kvstore.EngineConfig{
 		Group: g,
-		PID:   r.ID(),
 		Owns: func(key []byte) bool {
 			return HashPartitioner{}.Shard(key, shards) == int(g)
 		},
@@ -221,9 +222,6 @@ func (s *Service) route(r kvstore.Resp) {
 		c.(*Client).answer(r)
 	}
 }
-
-// Partitioner returns the key placement every shard and client uses.
-func (s *Service) Partitioner() HashPartitioner { return HashPartitioner{} }
 
 // Replicas returns every attached shard engine (cluster replica order).
 func (s *Service) Replicas() []*Shard { return append([]*Shard(nil), s.reps...) }

@@ -33,6 +33,9 @@ type Replica struct {
 	// lastSender is the largest sender ID among the messages the recovered
 	// state records, NoProcess when it records none.
 	lastSender ProcessID
+	// conflicts holds a Genmcast replica's own (batch-envelope-aware)
+	// conflict relation; nil for the other protocols.
+	conflicts *mcast.ConflictHolder
 
 	mu     sync.Mutex
 	subs   []*Subscription
@@ -74,13 +77,13 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 	// failure detection, GC) off, its runs quiesce and replay identically.
 	// Chaos mode (SimulatedOptions.Faults) keeps them, because the
 	// timer-driven recovery machinery is exactly what is under test.
-	opts := protocols.Options{Conflicts: cfg.conflicts}
+	var opts protocols.Options
 	if cfg.Transport.backgroundTimers() {
 		opts.Delta = cfg.Delta
 	}
 	proto, _ := cfg.Protocol.entry()
 	proto = proto.With(opts)
-	r := &Replica{cfg: cfg, top: top, pid: pid, tr: cfg.Transport, reg: reg, lastSender: NoProcess}
+	r := &Replica{cfg: cfg, top: top, pid: pid, tr: cfg.Transport, reg: reg, lastSender: NoProcess, conflicts: proto.Conflicts()}
 	// build makes the protocol handler that replays rs, the folded state of
 	// the replica's store, before joining (nil: volatile).
 	build := func(rs *wal.State) (node.Handler, error) {
@@ -251,22 +254,20 @@ func (r *Replica) stop(snapshot bool) (err error) {
 // only) and reports whether it took effect — false means the replica runs a
 // different protocol and the call was a no-op. Until the first call every
 // pair conflicts. Batched payloads are handled per payload: two batches
-// conflict iff any payload pair across them does. The replicas of one
-// Cluster share the relation, so one call rebinds them all; a replica built
-// by NewReplica has its own, so a deployment of such replicas calls it on
-// each replica built by NewReplica. Rebinding is safe at any time: messages
-// already released stay released, and in-flight messages are evaluated
-// under the relation current at their release scan — since a correct
-// application relation only ever refines (removes conflicts from) the
-// conservative default, every interleaving remains one the new relation
-// allows. Services layered on the replica use this to install their
+// conflict iff any payload pair across them does. Each replica has its own
+// relation, so a deployment calls this on every replica. Rebinding is safe
+// at any time: messages already released stay released, and in-flight
+// messages are evaluated under the relation current at their release scan
+// — since a correct application relation only ever refines (removes
+// conflicts from) the conservative default, every interleaving remains one
+// the new relation allows. Services layered on the replica use this to install their
 // payload-aware relation (kv.NewService installs the key-based one on every
 // replica it serves).
 func (r *Replica) SetConflictRelation(rel ConflictRelation) bool {
-	if r.cfg.conflicts == nil {
+	if r.conflicts == nil {
 		return false
 	}
-	r.cfg.conflicts.Set(batch.Conflicts(rel))
+	r.conflicts.Set(batch.Conflicts(rel))
 	return true
 }
 
@@ -394,7 +395,7 @@ func appReplay(rs *wal.State, g GroupID) []Delivery {
 	if !conflictMode && rs.MaxDelivered.IsZero() {
 		return nil
 	}
-	var ds []Delivery
+	var fx node.Effects
 	for id, rec := range rs.Records {
 		if rec.Phase != msgs.PhaseCommitted || rec.GTS.IsZero() {
 			continue
@@ -409,10 +410,10 @@ func appReplay(rs *wal.State, g GroupID) []Delivery {
 		} else if rs.MaxDelivered.Less(rec.GTS) {
 			continue
 		}
-		ds = append(ds, batch.Expand(mcast.Delivery{Msg: rec.M, GTS: rec.GTS})...)
+		batch.ExpandInto(&fx, mcast.Delivery{Msg: rec.M, GTS: rec.GTS})
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].Before(ds[j]) })
-	return ds
+	sort.Slice(fx.Deliveries, func(i, j int) bool { return fx.Deliveries[i].Before(fx.Deliveries[j]) })
+	return fx.Deliveries
 }
 
 func (r *Replica) closeSubs() {

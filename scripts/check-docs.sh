@@ -27,7 +27,9 @@
 #     ack batch, kv's separate shard attachment, the copying message
 #     decoder, the Config conflict relation, the per-frame codec
 #     timers, the public fault-plan builder and the kv response hub's
-#     done rings and evicting early buffer).
+#     done rings and evicting early buffer, the cluster's replica crash,
+#     kv's partitioner accessor, the batch unpacker's slice form and the
+#     separate latency command).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -168,7 +170,11 @@ done
 # microbenchmarks (check 4 maps declared names to the catalog, not catalog
 # rows to declared names, so a row left behind is caught here); the kv
 # response hub's done rings and evicting early buffer when each response
-# began to go to the client that sent its operation.
+# began to go to the client that sent its operation; the cluster's replica
+# crash, kv's partitioner accessor, the batch unpacker's slice form and the
+# separate latency command when each became a second way of doing what
+# Replica.Close, HashPartitioner, ExpandInto and wbcast-sim -scenario latency
+# do.
 for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Ballot,Command,Record} \
   {Trace,Delivery}Buffer Range''Partitioner {retain,release}''Read Clone''Records '[Rr]etention'' boundary' internal''/live live''.Network \
   Drop''Oldest Drop''Newest Delivery''Policy Observability''{ wbcast''-client \
@@ -180,7 +186,8 @@ for gone in lockedStorage Snapshot{Every,Threshold} {Append,Consume}{Uint,TS,Bal
   Attach''Shard Shard''Options 'wire''\.Decode(' 'wbcast''\.Config\.Conflicts' \
   wbcast_encode''_stage_seconds wbcast_decode''_stage_seconds \
   New''FaultPlan Fault''Step After''Messages \
-  done''Ring 'done ring' max''Pending new''Hub; do
+  done''Ring 'done ring' max''Pending new''Hub \
+  Crash''Replica 'Service''\.Partitioner' 'batch''\.Expand(' wbcast''-latency; do
   if grep -n "$gone" README.md docs/*.md $(find . -name doc.go -not -path './.bench_build/*'); then
     echo "documentation names $gone, which does not exist"
     fail=1

@@ -72,7 +72,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	// Crash-stop the leader of group 0: its TCP node shuts down and the
 	// group fails over via heartbeat suspicion and leader recovery.
 	crashed := cluster.InitialLeader(0)
-	cluster.CrashReplica(crashed)
+	cluster.Replica(crashed).Close()
 
 	for i := preCrash; i < total; i++ {
 		if _, err := client.Multicast(ctx, []byte(fmt.Sprintf("post-%d", i)), 0, 1); err != nil {

@@ -63,7 +63,6 @@ import (
 	"fmt"
 	"time"
 
-	"wbcast/internal/core"
 	"wbcast/internal/mcast"
 	"wbcast/internal/obs"
 	"wbcast/internal/protocols"
@@ -117,10 +116,10 @@ const (
 	// Genmcast is the conflict-aware generalisation of WhiteBox (generic
 	// multicast in the sense of Bolina et al.): it runs the same timestamp
 	// and ballot machinery but only orders messages that conflict under the
-	// relation installed by Replica.SetConflictRelation (until then every
-	// pair conflicts) — mutually commuting messages are delivered as soon
-	// as they commit, without waiting behind smaller timestamps. Deliveries
-	// still carry the global timestamp, and any two conflicting messages
+	// replica's own relation, installed on each replica by
+	// Replica.SetConflictRelation (until then every pair conflicts) —
+	// mutually commuting messages are delivered as soon as they commit,
+	// without waiting behind smaller timestamps. Deliveries still carry the global timestamp, and any two conflicting messages
 	// are delivered in GTS order at every common destination; the relative
 	// order of commuting messages may differ between replicas. GC of
 	// delivered messages is disabled (as for the FastCast and FTSkeen
@@ -308,11 +307,6 @@ type Config struct {
 	// is what makes simulated traces deterministic.
 	clock  obs.Clock
 	tracer *obs.Tracer
-	// conflicts holds the effective (batch-envelope-aware) conflict
-	// relation of a Genmcast deployment, made with every pair conflicting by
-	// each call of normalized(): the replicas of one Cluster share it, and a
-	// replica built by NewReplica has its own.
-	conflicts *mcast.ConflictHolder
 }
 
 // Validate reports whether the configuration is well-formed: it is the
@@ -346,8 +340,6 @@ func (cfg Config) normalized() (Config, error) {
 		return cfg, fmt.Errorf("wbcast: the %v protocol requires singleton groups (Replicas must be 1, got %d); use ftskeen for replicated groups", cfg.Protocol, cfg.Replicas)
 	case !e.FaultTolerant && cfg.Storage != nil:
 		return cfg, fmt.Errorf("wbcast: the %v protocol keeps no durable state and cannot recover from Config.Storage", cfg.Protocol)
-	case e.ConflictAware && cfg.conflicts == nil:
-		cfg.conflicts = core.Relation(nil)
 	}
 	if cfg.Delta == 0 {
 		cfg.Delta = 2 * time.Millisecond

@@ -124,7 +124,7 @@ func TestContextCancellation(t *testing.T) {
 	}
 	// Crash the whole group so the multicast cannot complete.
 	for _, p := range c.GroupMembers(0) {
-		c.CrashReplica(p)
+		c.Replica(p).Close()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -189,7 +189,7 @@ func TestFailoverThroughPublicAPI(t *testing.T) {
 	if _, err := cl.Multicast(ctx, []byte("before"), 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	c.CrashReplica(c.InitialLeader(0))
+	c.Replica(c.InitialLeader(0)).Close()
 	if _, err := cl.Multicast(ctx, []byte("after"), 0, 1); err != nil {
 		t.Fatalf("multicast after leader crash: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestCrashInProcess(t *testing.T) {
 	multicast(1)
 	leader := c.Replica(c.InitialLeader(0))
 	crashed := c.Replica(c.GroupMembers(0)[2])
-	c.CrashReplica(crashed.ID())
+	crashed.Close()
 	depth := func() int64 { return crashed.Metrics().Gauges["wbcast_mailbox_depth"] }
 	drops := leader.Stats().OutboundDrops
 	multicast(20)
